@@ -36,7 +36,8 @@
 use davix_bench::{env_usize, BenchReport, Table};
 use davix_sync::{AtomicUsize, Ordering};
 use httpd::{HttpServer, Request, Response, ServerConfig};
-use httpwire::StatusCode;
+use httpwire::codec::{parse_response_head, response_body_len, BodyFrames, BodyLen, HeadScan};
+use httpwire::{Method, StatusCode};
 use netsim::simclient::{ClientSession, Fleet, SessionPoll};
 use netsim::{BoxedStream, LinkSpec, Reactor, ReactorConfig, SchedStats, SimNet};
 use parking_lot::Mutex;
@@ -75,11 +76,12 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 enum HttpPhase {
     Sending,
     ReadHead,
-    ReadBody { need: usize },
+    ReadBody,
 }
 
 /// R serial keep-alive GETs with think time, entirely non-blocking:
-/// incremental send, incremental head parse, Content-Length body count.
+/// incremental send, then the response fed to the `httpwire` codec as it
+/// arrives — the same head parser and body decoder the real client uses.
 struct HttpLoopSession {
     id: usize,
     requests: usize,
@@ -89,6 +91,8 @@ struct HttpLoopSession {
     out: Vec<u8>,
     out_off: usize,
     head: Vec<u8>,
+    scan: HeadScan,
+    body: BodyFrames,
     req_t0: Duration,
     latencies: Arc<Mutex<Vec<f64>>>,
     errors: Arc<AtomicUsize>,
@@ -111,6 +115,8 @@ impl HttpLoopSession {
             out: Vec::new(),
             out_off: 0,
             head: Vec::new(),
+            scan: HeadScan::default(),
+            body: BodyFrames::new(BodyLen::None),
             req_t0: Duration::ZERO,
             latencies,
             errors,
@@ -121,25 +127,6 @@ impl HttpLoopSession {
         self.errors.fetch_add(1, Ordering::Relaxed);
         io::Error::new(io::ErrorKind::InvalidData, format!("client {}: {what}", self.id))
     }
-}
-
-/// Byte offset just past the `\r\n\r\n` head terminator, if present.
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4)
-}
-
-/// Case-insensitive Content-Length lookup in a raw response head.
-fn content_length(head: &[u8]) -> Option<usize> {
-    for line in head.split(|&b| b == b'\n') {
-        let line = line.strip_suffix(b"\r").unwrap_or(line);
-        if let Some(colon) = line.iter().position(|&b| b == b':') {
-            let (name, value) = line.split_at(colon);
-            if name.eq_ignore_ascii_case(b"content-length") {
-                return std::str::from_utf8(&value[1..]).ok()?.trim().parse().ok();
-            }
-        }
-    }
-    None
 }
 
 impl ClientSession for HttpLoopSession {
@@ -181,17 +168,20 @@ impl ClientSession for HttpLoopSession {
                         Ok(0) => return Err(self.fail("EOF before response head")),
                         Ok(n) => {
                             self.head.extend_from_slice(&buf[..n]);
-                            if let Some(he) = head_end(&self.head) {
-                                if !self.head.starts_with(b"HTTP/1.1 200") {
+                            let found = self.scan.find(&self.head);
+                            if let Some(end) = found.map_err(|_| self.fail("oversized head"))? {
+                                let head = parse_response_head(&self.head[..end])
+                                    .map_err(|_| self.fail("malformed response head"))?;
+                                if head.status != StatusCode::OK {
                                     return Err(self.fail("non-200 response"));
                                 }
-                                let cl = content_length(&self.head[..he])
-                                    .ok_or_else(|| self.fail("missing Content-Length"))?;
-                                if cl != BODY {
+                                let len = response_body_len(&Method::Get, &head);
+                                if len != BodyLen::Fixed(BODY as u64) {
                                     return Err(self.fail("wrong body size"));
                                 }
-                                let have = self.head.len() - he;
-                                self.phase = HttpPhase::ReadBody { need: cl - have.min(cl) };
+                                self.body = BodyFrames::new(len);
+                                self.body.advance((self.head.len() - end).min(BODY) as u64);
+                                self.phase = HttpPhase::ReadBody;
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -203,8 +193,8 @@ impl ClientSession for HttpLoopSession {
                         }
                     }
                 }
-                HttpPhase::ReadBody { need } => {
-                    if need == 0 {
+                HttpPhase::ReadBody => {
+                    let Some(need) = self.body.payload() else {
                         self.latencies.lock().push((now - self.req_t0).as_secs_f64() * 1e3);
                         self.done_reqs += 1;
                         if self.done_reqs == self.requests {
@@ -212,12 +202,12 @@ impl ClientSession for HttpLoopSession {
                         }
                         self.phase = HttpPhase::Sending;
                         return Ok(SessionPoll::Sleep(now + self.think));
-                    }
+                    };
                     let mut buf = [0u8; 4096];
-                    let want = need.min(buf.len());
+                    let want = buf.len().min(need as usize);
                     match io.try_read(&mut buf[..want]) {
                         Ok(0) => return Err(self.fail("EOF mid-body")),
-                        Ok(n) => self.phase = HttpPhase::ReadBody { need: need - n },
+                        Ok(n) => self.body.advance(n as u64),
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                             return Ok(SessionPoll::Pending)
                         }

@@ -249,7 +249,6 @@ pub mod rawhttp {
     //! single connection, optional pipelining, no pooling — the behaviours
     //! the paper argues against.
 
-    use httpwire::parse::{read_response_head, response_body_len, BodyReader};
     use httpwire::{Method, RequestHead};
     use netsim::{BoxedStream, SimNet};
     use std::io::{BufReader, Write};
@@ -278,9 +277,8 @@ pub mod rawhttp {
 
         /// Read one full response body.
         pub fn read_response(&mut self) -> std::io::Result<Vec<u8>> {
-            let head = read_response_head(&mut self.reader).map_err(std::io::Error::from)?;
-            let len = response_body_len(&Method::Get, &head);
-            BodyReader::new(&mut self.reader, len).read_all().map_err(std::io::Error::from)
+            let (_, body) = httpd::server::read_full_response(&mut self.reader, &Method::Get)?;
+            Ok(body)
         }
 
         /// Serial request/response on this connection.

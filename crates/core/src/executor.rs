@@ -23,7 +23,7 @@ use crate::metrics::Metrics;
 use crate::pool::{Endpoint, Session, SessionPool};
 use bytes::Bytes;
 use httpwire::body::BodySource;
-use httpwire::parse::{read_response_head, response_body_len, BodyFraming, BodyLen};
+use httpwire::parse::{read_response_start, BodyFraming, ResponseStart};
 use httpwire::{HeaderMap, Method, RequestHead, ResponseHead, StatusCode, Uri, Version, WireError};
 use netsim::{Connector, Runtime};
 use std::io::{BufRead, Read, Write};
@@ -414,11 +414,7 @@ impl HttpExecutor {
             self.pool.acquire(&ep).map_err(|error| TryError { error, stale: false })?;
         let reused = session.reused;
 
-        let mut head = RequestHead::new(req.method.clone(), uri.request_target());
-        head.version = Version::Http11;
-        head.headers = req.headers.clone();
-        head.headers.set("Host", uri.authority());
-        head.headers.set("User-Agent", &self.cfg.user_agent);
+        let mut head = self.request_head(req, uri);
         source.apply_framing(&mut head.headers);
         // `u64::MAX` disables Expect for *every* body, including
         // unknown-length ones (which otherwise always negotiate).
@@ -439,17 +435,17 @@ impl HttpExecutor {
         }
 
         if expect {
-            match self.await_continue(&mut session) {
+            match self.await_continue(&mut session, &req.method) {
                 AwaitContinue::Proceed => {}
                 AwaitContinue::Timeout => {} // send the body anyway (§5.1.1)
-                AwaitContinue::Final(rhead) => {
+                AwaitContinue::Final(mut start) => {
                     // The server answered without wanting the body (reject,
                     // redirect). The payload was never sent — that is the
                     // whole point of Expect — but the server may still be
                     // waiting for body bytes, so the connection cannot be
                     // recycled after this response.
-                    let framing = response_body_len(&req.method, &rhead);
-                    return Ok(RawStream { head: rhead, session, framing, keep: false });
+                    start.reusable = false;
+                    return Ok(RawStream { start, session });
                 }
                 AwaitContinue::Dead(error) => {
                     let stale = reused
@@ -481,41 +477,55 @@ impl HttpExecutor {
                 // already answered (reject + close). Salvage that final
                 // response if it made it onto the wire: it explains the
                 // failure far better than "broken pipe".
-                if let Ok(rhead) = read_response_head(&mut session.reader) {
-                    if !rhead.status.is_informational() {
-                        let framing = response_body_len(&req.method, &rhead);
-                        return Ok(RawStream { head: rhead, session, framing, keep: false });
-                    }
+                if let Ok(mut start) = read_response_start(&mut session.reader, &req.method, false)
+                {
+                    start.reusable = false;
+                    return Ok(RawStream { start, session });
                 }
                 self.pool.release(session, false);
                 return Err(TryError { error: e.into(), stale: false });
             }
         }
 
-        // Read the final head, skipping any interim 1xx (a slow server's
-        // `100 Continue` may arrive after our wait already timed out).
-        let rhead = loop {
-            match read_response_head(&mut session.reader) {
-                Ok(h) if h.status.is_informational() => continue,
-                Ok(h) => break h,
-                Err(e) => {
-                    self.pool.release(session, false);
-                    let stale = reused && matches!(e, WireError::UnexpectedEof);
-                    return Err(TryError { error: e.into(), stale });
-                }
+        // A slow server's `100 Continue` may still arrive here, after our
+        // wait already timed out.
+        self.read_start(session, &req.method)
+    }
+
+    /// The request head every exchange starts from.
+    fn request_head(&self, req: &PreparedRequest, uri: &Uri) -> RequestHead {
+        let mut head = RequestHead::new(req.method.clone(), uri.request_target());
+        head.version = Version::Http11;
+        head.headers = req.headers.clone();
+        head.headers.set("Host", uri.authority());
+        head.headers.set("User-Agent", &self.cfg.user_agent);
+        head
+    }
+
+    /// The request is on the wire: read the final response head (interim
+    /// 1xx responses are skipped), leaving the body for the
+    /// [`ResponseStream`]. EOF on a recycled session before any response
+    /// byte means the server had already closed it: stale, not failed.
+    fn read_start(
+        &self,
+        mut session: Session,
+        method: &Method,
+    ) -> std::result::Result<RawStream, TryError> {
+        match read_response_start(&mut session.reader, method, false) {
+            Ok(start) => Ok(RawStream { start, session }),
+            Err(e) => {
+                let stale = session.reused && matches!(e, WireError::UnexpectedEof);
+                self.pool.release(session, false);
+                Err(TryError { error: e.into(), stale })
             }
-        };
-        let framing = response_body_len(&req.method, &rhead);
-        let keep =
-            rhead.headers.keep_alive(rhead.version == Version::Http11) && framing != BodyLen::Close;
-        Ok(RawStream { head: rhead, session, framing, keep })
+        }
     }
 
     /// Wait briefly for the `Expect: 100-continue` verdict: the interim
     /// `100`, a final response, silence (timeout) or a dead connection.
     /// Peeks via `fill_buf` under a temporarily shortened read timeout so a
     /// timeout consumes nothing.
-    fn await_continue(&self, session: &mut Session) -> AwaitContinue {
+    fn await_continue(&self, session: &mut Session, method: &Method) -> AwaitContinue {
         if session
             .reader
             .get_mut()
@@ -531,14 +541,11 @@ impl HttpExecutor {
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed while awaiting 100 Continue",
             ))),
-            Ok(false) => loop {
-                // A head is on the wire; under the restored io_timeout now.
-                match read_response_head(&mut session.reader) {
-                    Ok(h) if h.status.0 == 100 => break AwaitContinue::Proceed,
-                    Ok(h) if h.status.is_informational() => continue,
-                    Ok(h) => break AwaitContinue::Final(h),
-                    Err(e) => break AwaitContinue::Dead(e.into()),
-                }
+            // A head is on the wire; under the restored io_timeout now.
+            Ok(false) => match read_response_start(&mut session.reader, method, true) {
+                Ok(start) if start.head.status == StatusCode::CONTINUE => AwaitContinue::Proceed,
+                Ok(start) => AwaitContinue::Final(start),
+                Err(e) => AwaitContinue::Dead(e.into()),
             },
             Err(e)
                 if matches!(
@@ -570,14 +577,14 @@ impl HttpExecutor {
     }
 
     fn make_stream(&self, raw: RawStream, final_uri: Uri) -> ResponseStream<'_> {
-        let keep_alive = raw.keep;
+        let keep_alive = raw.start.reusable;
         let mut stream = ResponseStream {
-            head: raw.head,
+            head: raw.start.head,
             final_uri,
             keep_alive,
             executor: self,
             session: Some(raw.session),
-            framing: BodyFraming::new(raw.framing),
+            framing: BodyFraming::new(raw.start.body),
         };
         // Bodyless responses (HEAD, 204, 304…) are already complete: the
         // session goes straight back to the pool.
@@ -601,11 +608,7 @@ impl HttpExecutor {
 
         // Serialize head + body into one buffer → one transport write → the
         // whole request travels in one segment train.
-        let mut head = RequestHead::new(req.method.clone(), uri.request_target());
-        head.version = Version::Http11;
-        head.headers = req.headers.clone();
-        head.headers.set("Host", uri.authority());
-        head.headers.set("User-Agent", &self.cfg.user_agent);
+        let mut head = self.request_head(req, uri);
         if let Some(body) = &req.body {
             head.headers.set("Content-Length", body.len().to_string());
         }
@@ -628,18 +631,7 @@ impl HttpExecutor {
             return Err(TryError { error: e.into(), stale: reused });
         }
 
-        let rhead = match read_response_head(&mut session.reader) {
-            Ok(h) => h,
-            Err(e) => {
-                self.pool.release(session, false);
-                let stale = reused && matches!(e, WireError::UnexpectedEof);
-                return Err(TryError { error: e.into(), stale });
-            }
-        };
-        let framing = response_body_len(&req.method, &rhead);
-        let keep =
-            rhead.headers.keep_alive(rhead.version == Version::Http11) && framing != BodyLen::Close;
-        Ok(RawStream { head: rhead, session, framing, keep })
+        self.read_start(session, &req.method)
     }
 }
 
@@ -805,10 +797,8 @@ pub(crate) fn body_read_error(e: std::io::Error) -> DavixError {
 }
 
 struct RawStream {
-    head: ResponseHead,
+    start: ResponseStart,
     session: Session,
-    framing: BodyLen,
-    keep: bool,
 }
 
 /// Verdict of the `Expect: 100-continue` wait.
@@ -818,7 +808,7 @@ enum AwaitContinue {
     /// Silence within the window: send the body anyway (RFC 7231 §5.1.1).
     Timeout,
     /// A final response arrived instead — the body must **not** be sent.
-    Final(ResponseHead),
+    Final(ResponseStart),
     /// The connection died while waiting.
     Dead(DavixError),
 }

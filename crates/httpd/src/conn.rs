@@ -2,10 +2,18 @@
 //!
 //! [`HttpConn`] implements [`Driven`]: every `drive` call advances the
 //! connection as far as readiness allows — flush queued response bytes,
-//! read whatever the transport has buffered, parse complete heads/bodies,
-//! dispatch the handler — and then parks until the next readiness wake or
+//! read whatever the transport has buffered, dispatch the handler on every
+//! complete request — and then parks until the next readiness wake or
 //! timer deadline. No call ever blocks, so thousands of connections share a
 //! handful of shard threads.
+//!
+//! The connection owns buffers, phases and deadlines and nothing of the
+//! HTTP grammar: received bytes sit in `rbuf` and are shown to
+//! [`httpwire::codec`] — [`HeadScan`] and `parse_request_head` for the
+//! head, one [`BodyFrames`] for the body — which says what they are, where
+//! the message ends, and when a peer has broken the framing or a size limit
+//! (`400`/`431` and close). It is the same codec the blocking client reads
+//! responses with.
 //!
 //! All time-based behaviour lives in the reactor's timer wheel rather than
 //! in transport read timeouts (which the simulated network cannot honour
@@ -17,15 +25,18 @@
 
 use crate::server::{encode_response, Handler, Request, Response, ServerConfig, ServerStats};
 use davix_sync::{AtomicUsize, Ordering};
-use httpwire::parse::{read_request_head, request_body_len, BodyLen, MAX_HEAD_BYTES};
-use httpwire::{RequestHead, StatusCode, Version};
+use httpwire::codec::{parse_request_head, request_body_len, BodyFrames, BodyLen, Frame, HeadScan};
+use httpwire::{RequestHead, StatusCode, Version, WireError};
 use netsim::{BoxedStream, DriveOutcome, Driven, Signal};
-use std::io::{self, Cursor};
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Bytes read from the transport per `try_read` call.
 const READ_CHUNK: usize = 16 * 1024;
+/// Most body buffer reserved on the strength of a declared `Content-Length`
+/// alone; a longer body grows the buffer as it actually arrives.
+const MAX_BODY_RESERVE: u64 = 64 * 1024 * 1024;
 /// Stop reading new requests while more than this much response data is
 /// queued unsent (a pipelining client that never reads cannot balloon the
 /// write buffer).
@@ -33,10 +44,6 @@ const MAX_WBUF: usize = 256 * 1024;
 /// How long a closing connection may take to drain its final response
 /// before it is dropped.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-/// Budget for one chunk-size line (matches the blocking parser).
-const CHUNK_LINE_BUDGET: usize = 1024;
-/// Budget for the trailer section of a chunked body.
-const TRAILER_BUDGET: usize = 8 * 1024;
 
 /// Shared live-connection accounting between the accept loop (which blocks
 /// when the table is full) and the connections (which free their slot on
@@ -59,141 +66,27 @@ impl Drop for ConnSlotGuard {
     }
 }
 
-/// Incremental request-body decoder over buffered bytes. Unlike
-/// [`httpwire::parse::BodyFraming`] it can suspend at any byte boundary:
-/// "no more buffered input" is [`DecodeStep::NeedMore`], never an error.
-enum BodyDecode {
-    Fixed { remaining: u64 },
-    Chunked(ChunkPhase),
-}
-
-enum ChunkPhase {
-    /// Before or inside a chunk-size line.
-    Size,
-    /// Inside chunk data.
-    Data { remaining: u64 },
-    /// Awaiting the CRLF that closes a chunk.
-    DataCrlf,
-    /// Inside the trailer section after the zero chunk.
-    Trailers,
-}
-
-enum DecodeStep {
-    /// Buffer exhausted before the body completed.
-    NeedMore,
-    /// Body fully decoded; `rbuf` is positioned at the next message.
-    Complete,
-    /// Framing violation: answer 400 and close.
-    Error,
-}
-
-impl BodyDecode {
-    fn new(len: BodyLen) -> Option<Self> {
-        match len {
-            BodyLen::Fixed(n) => Some(BodyDecode::Fixed { remaining: n }),
-            BodyLen::Chunked => Some(BodyDecode::Chunked(ChunkPhase::Size)),
-            // Requests are never close-delimited (RFC 7230 §3.3.3) and a
-            // `None` body skips the body phase entirely.
-            BodyLen::None | BodyLen::Close => None,
-        }
-    }
-
-    /// Consume as much of `rbuf` as the framing allows into `body`.
-    fn step(&mut self, rbuf: &mut Vec<u8>, body: &mut Vec<u8>) -> DecodeStep {
-        loop {
-            match self {
-                BodyDecode::Fixed { remaining } => {
-                    if *remaining == 0 {
-                        return DecodeStep::Complete;
-                    }
-                    if rbuf.is_empty() {
-                        return DecodeStep::NeedMore;
-                    }
-                    let take = (*remaining).min(rbuf.len() as u64) as usize;
-                    body.extend_from_slice(&rbuf[..take]);
-                    rbuf.drain(..take);
-                    *remaining -= take as u64;
-                }
-                BodyDecode::Chunked(phase) => match phase {
-                    ChunkPhase::Size => {
-                        let Some(nl) = rbuf.iter().position(|&b| b == b'\n') else {
-                            if rbuf.len() > CHUNK_LINE_BUDGET {
-                                return DecodeStep::Error;
-                            }
-                            return DecodeStep::NeedMore;
-                        };
-                        let mut line = &rbuf[..nl];
-                        if line.last() == Some(&b'\r') {
-                            line = &line[..line.len() - 1];
-                        }
-                        let size_part = line.split(|&b| b == b';').next().unwrap_or(b"");
-                        let size = std::str::from_utf8(size_part)
-                            .ok()
-                            .and_then(|s| u64::from_str_radix(s.trim(), 16).ok());
-                        rbuf.drain(..=nl);
-                        match size {
-                            Some(0) => *phase = ChunkPhase::Trailers,
-                            Some(n) => *phase = ChunkPhase::Data { remaining: n },
-                            None => return DecodeStep::Error,
-                        }
-                    }
-                    ChunkPhase::Data { remaining } => {
-                        if *remaining == 0 {
-                            *phase = ChunkPhase::DataCrlf;
-                            continue;
-                        }
-                        if rbuf.is_empty() {
-                            return DecodeStep::NeedMore;
-                        }
-                        let take = (*remaining).min(rbuf.len() as u64) as usize;
-                        body.extend_from_slice(&rbuf[..take]);
-                        rbuf.drain(..take);
-                        *remaining -= take as u64;
-                    }
-                    ChunkPhase::DataCrlf => {
-                        if rbuf.len() < 2 {
-                            return DecodeStep::NeedMore;
-                        }
-                        if &rbuf[..2] != b"\r\n" {
-                            return DecodeStep::Error;
-                        }
-                        rbuf.drain(..2);
-                        *phase = ChunkPhase::Size;
-                    }
-                    ChunkPhase::Trailers => {
-                        let Some(nl) = rbuf.iter().position(|&b| b == b'\n') else {
-                            if rbuf.len() > TRAILER_BUDGET {
-                                return DecodeStep::Error;
-                            }
-                            return DecodeStep::NeedMore;
-                        };
-                        let empty = nl == 0 || (nl == 1 && rbuf[0] == b'\r');
-                        rbuf.drain(..=nl);
-                        if empty {
-                            return DecodeStep::Complete;
-                        }
-                    }
-                },
-            }
-        }
-    }
-}
-
 /// Where the connection is in its request/response cycle. Each phase owns
 /// the instant its timeout clock started.
 enum Phase {
     /// Between requests, awaiting the first byte (idle timeout).
     Idle { since: Duration },
-    /// A request head is partially buffered (header-read timeout, measured
-    /// from the request's first byte).
-    Head { since: Duration },
-    /// Head parsed; collecting the body (same total budget as the head).
-    Body { head: RequestHead, body: Vec<u8>, decode: BodyDecode, since: Duration },
+    /// A request is arriving (header-read timeout, measured from its first
+    /// byte and covering head and body alike). `incoming` is `None` until
+    /// the head has been parsed.
+    Request { since: Duration, incoming: Option<Incoming> },
     /// Request fully read; dispatch the handler at `at` (the configured
     /// `process_delay` is a timer deadline, not a sleeping thread).
     Respond { req: Option<Request>, at: Duration },
     /// Final response queued; flush and close (bounded by a drain timeout).
     Closing { since: Duration },
+}
+
+/// A request whose head has been parsed and whose body is being collected.
+struct Incoming {
+    head: RequestHead,
+    body: Vec<u8>,
+    frames: BodyFrames,
 }
 
 /// What one phase-step decided.
@@ -206,13 +99,6 @@ enum Step {
     Close,
 }
 
-enum Fill {
-    Grew,
-    Eof,
-    WouldBlock,
-    Err,
-}
-
 /// One HTTP connection as a reactor task.
 pub(crate) struct HttpConn {
     stream: BoxedStream,
@@ -223,9 +109,9 @@ pub(crate) struct HttpConn {
     phase: Phase,
     /// Received-but-unparsed bytes.
     rbuf: Vec<u8>,
-    /// How far `rbuf` has been scanned for the head terminator (so repeated
+    /// Progress of the search for the head's end in `rbuf` (so repeated
     /// scans of a slowly-arriving head stay linear).
-    scanned: usize,
+    scan: HeadScan,
     /// Queued response bytes and how much of them has been written.
     wbuf: Vec<u8>,
     wpos: usize,
@@ -253,7 +139,7 @@ impl HttpConn {
             stats,
             phase: Phase::Idle { since: now },
             rbuf: Vec::new(),
-            scanned: 0,
+            scan: HeadScan::default(),
             wbuf: Vec::new(),
             wpos: 0,
             served: 0,
@@ -284,38 +170,23 @@ impl HttpConn {
         Ok(())
     }
 
-    fn fill(&mut self) -> Fill {
+    /// Out of buffered bytes: read more. `None` means look at `rbuf` again
+    /// (it grew, or EOF is now known); otherwise the step to take — a peer
+    /// that is gone mid-request just gets the connection closed.
+    fn need_input(&mut self) -> Option<Step> {
+        if self.eof {
+            return Some(Step::Close);
+        }
         let mut buf = [0u8; READ_CHUNK];
         match self.stream.try_read(&mut buf) {
-            Ok(0) => Fill::Eof,
             Ok(n) => {
                 self.rbuf.extend_from_slice(&buf[..n]);
-                Fill::Grew
+                self.eof = n == 0;
+                None
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Fill::WouldBlock,
-            Err(_) => Fill::Err,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Some(Step::Park),
+            Err(_) => Some(Step::Close),
         }
-    }
-
-    /// Find the end of the buffered head (`\r\n\r\n`, tolerating bare-LF
-    /// line endings like the blocking parser), resuming from the last scan.
-    fn find_head_end(&mut self) -> Option<usize> {
-        let buf = &self.rbuf;
-        let mut i = self.scanned;
-        while i < buf.len() {
-            if buf[i] == b'\n' {
-                if buf.len() > i + 1 && buf[i + 1] == b'\n' {
-                    return Some(i + 2);
-                }
-                if buf.len() > i + 2 && buf[i + 1] == b'\r' && buf[i + 2] == b'\n' {
-                    return Some(i + 3);
-                }
-            }
-            i += 1;
-        }
-        // A terminator may straddle this data and the next read.
-        self.scanned = buf.len().saturating_sub(2);
-        None
     }
 
     /// Queue an error response and transition to `Closing`.
@@ -326,37 +197,74 @@ impl HttpConn {
         self.phase = Phase::Closing { since: now };
     }
 
-    /// Head parsed: answer `Expect: 100-continue`, set up body collection
-    /// (or go straight to dispatch for bodyless requests).
-    fn begin_request(&mut self, head: RequestHead, started: Duration, now: Duration) {
-        // RFC 7231 §5.1.1: the client parks its (possibly huge) body until
-        // told to proceed; queue the interim response before the body so
-        // streaming uploads do not stall for the client's fallback timeout.
-        if head.version == Version::Http11
-            && head
-                .headers
-                .get("expect")
-                .map(|v| v.trim().eq_ignore_ascii_case("100-continue"))
-                .unwrap_or(false)
-        {
-            self.wbuf.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
-        }
-        match request_body_len(&head) {
-            Err(_) => self.reject(StatusCode::BAD_REQUEST, now),
-            Ok(len) => match BodyDecode::new(len) {
-                None => self.finish_request(head, Vec::new(), now),
-                Some(decode) => {
-                    self.phase = Phase::Body { head, body: Vec::new(), decode, since: started };
+    /// Consume what `rbuf` holds of the arriving request: the head, once the
+    /// codec finds its end, then as much body as the framing allows. `true`
+    /// means run the drive loop again — the head was parsed (an interim
+    /// response may want flushing) or the request is complete, `rbuf`
+    /// positioned at the next message and the dispatch scheduled; `false`
+    /// means more input is needed.
+    fn advance_request(&mut self, now: Duration) -> Result<bool, WireError> {
+        let Phase::Request { incoming, .. } = &mut self.phase else { unreachable!() };
+        let Some(Incoming { body, frames, .. }) = incoming else {
+            let Some(end) = self.scan.find(&self.rbuf)? else { return Ok(false) };
+            let head = parse_request_head(&self.rbuf[..end]);
+            self.rbuf.drain(..end);
+            // `None` is a stray blank line before the request (RFC 7230
+            // §3.5): skipped.
+            if let Some(head) = head? {
+                // Settle the framing first: only a well-formed request that
+                // has a body is told to go ahead and send it. RFC 7231
+                // §5.1.1: the client parks its (possibly huge) body until
+                // then, so queue the interim response now or a streaming
+                // upload stalls for the client's fallback timeout.
+                let len = request_body_len(&head)?;
+                let frames = BodyFrames::new(len);
+                let expects_continue = head
+                    .headers
+                    .get("expect")
+                    .is_some_and(|v| v.trim().eq_ignore_ascii_case("100-continue"));
+                if expects_continue && !frames.is_done() && head.version == Version::Http11 {
+                    self.wbuf.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n");
                 }
-            },
+                // Size the body buffer from what the head says, never from
+                // how much the first read happens to return: doubling from an
+                // odd first read ends anywhere up to twice the body, and a
+                // handler that keeps the `Vec` keeps the slack with it.
+                let body = match len {
+                    BodyLen::None => Vec::new(),
+                    BodyLen::Fixed(n) => Vec::with_capacity(n.min(MAX_BODY_RESERVE) as usize),
+                    BodyLen::Chunked | BodyLen::Close => Vec::with_capacity(READ_CHUNK),
+                };
+                *incoming = Some(Incoming { head, body, frames });
+            }
+            return Ok(true);
+        };
+        let mut pos = 0;
+        let complete = loop {
+            match frames.next(&self.rbuf[pos..])? {
+                Frame::Skip(n) => pos += n,
+                Frame::Payload(n) => {
+                    let take = n.min((self.rbuf.len() - pos) as u64) as usize;
+                    if take == 0 {
+                        break false;
+                    }
+                    body.extend_from_slice(&self.rbuf[pos..pos + take]);
+                    frames.advance(take as u64);
+                    pos += take;
+                }
+                Frame::NeedMore => break false,
+                Frame::End => break true,
+            }
+        };
+        self.rbuf.drain(..pos);
+        if complete {
+            // Dispatch after the configured processing delay (zero means
+            // the same drive call dispatches).
+            let Some(Incoming { head, body, .. }) = incoming.take() else { unreachable!() };
+            let req = Request { head, body, peer: self.peer.clone() };
+            self.phase = Phase::Respond { req: Some(req), at: now + self.cfg.process_delay };
         }
-    }
-
-    /// Request fully read: schedule dispatch after the configured
-    /// processing delay (zero means the same drive call dispatches).
-    fn finish_request(&mut self, head: RequestHead, body: Vec<u8>, now: Duration) {
-        let req = Request { head, body, peer: self.peer.clone() };
-        self.phase = Phase::Respond { req: Some(req), at: now + self.cfg.process_delay };
+        Ok(complete)
     }
 
     /// Run the handler and queue its response.
@@ -384,7 +292,7 @@ impl HttpConn {
         let since = *since;
         if !self.rbuf.is_empty() {
             // Pipelined bytes already buffered: the next request has begun.
-            self.phase = Phase::Head { since: now };
+            self.phase = Phase::Request { since: now, incoming: None };
             return Step::Again;
         }
         if self.shutting_down {
@@ -402,118 +310,39 @@ impl HttpConn {
         if self.pending_write() > MAX_WBUF {
             return Step::Park;
         }
-        match self.fill() {
-            Fill::Grew => {
-                self.phase = Phase::Head { since: now };
-                Step::Again
-            }
-            Fill::Eof => {
-                self.eof = true;
-                Step::Again
-            }
-            Fill::WouldBlock => Step::Park,
-            Fill::Err => Step::Close,
-        }
+        self.need_input().unwrap_or(Step::Again)
     }
 
-    fn drive_head(&mut self, now: Duration) -> Step {
-        let Phase::Head { since } = &self.phase else { unreachable!() };
-        let started = *since;
-        if let Some(t) = self.cfg.header_read_timeout {
-            if now >= started + t {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.reject(StatusCode::REQUEST_TIMEOUT, now);
-                return Step::Again;
-            }
+    fn drive_request(&mut self, now: Duration) -> Step {
+        let Phase::Request { since, .. } = &self.phase else { unreachable!() };
+        if self.cfg.header_read_timeout.is_some_and(|t| now >= *since + t) {
+            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+            self.reject(StatusCode::REQUEST_TIMEOUT, now);
+            return Step::Again;
         }
         loop {
-            match self.find_head_end() {
-                Some(end) => {
-                    let parsed = read_request_head(&mut Cursor::new(&self.rbuf[..end]));
-                    self.rbuf.drain(..end);
-                    self.scanned = 0;
-                    match parsed {
-                        Ok(Some(head)) => {
-                            self.begin_request(head, started, now);
-                            return Step::Again;
-                        }
-                        // Only stray blank lines (RFC 7230 §3.5): skip them.
-                        Ok(None) => {
-                            if self.rbuf.is_empty() {
-                                self.phase = Phase::Idle { since: now };
-                                return Step::Again;
-                            }
-                        }
-                        Err(_) => {
-                            self.reject(StatusCode::BAD_REQUEST, now);
-                            return Step::Again;
-                        }
-                    }
-                }
-                None => {
-                    if self.rbuf.len() > MAX_HEAD_BYTES {
-                        self.reject(StatusCode::REQUEST_HEADER_FIELDS_TOO_LARGE, now);
-                        return Step::Again;
-                    }
-                    if self.eof {
-                        return Step::Close; // peer died mid-head
-                    }
-                    if self.pending_write() > MAX_WBUF {
+            match self.advance_request(now) {
+                Ok(true) => return Step::Again,
+                Ok(false) => {
+                    // Do not start on a new request while the peer is not
+                    // reading the responses to its earlier ones.
+                    if matches!(self.phase, Phase::Request { incoming: None, .. })
+                        && !self.eof
+                        && self.pending_write() > MAX_WBUF
+                    {
                         return Step::Park;
                     }
-                    match self.fill() {
-                        Fill::Grew => continue,
-                        Fill::Eof => {
-                            self.eof = true;
-                            continue;
-                        }
-                        Fill::WouldBlock => return Step::Park,
-                        Fill::Err => return Step::Close,
+                    if let Some(step) = self.need_input() {
+                        return step;
                     }
                 }
-            }
-        }
-    }
-
-    fn drive_body(&mut self, now: Duration) -> Step {
-        let Phase::Body { since, .. } = &self.phase else { unreachable!() };
-        let started = *since;
-        if let Some(t) = self.cfg.header_read_timeout {
-            if now >= started + t {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.reject(StatusCode::REQUEST_TIMEOUT, now);
-                return Step::Again;
-            }
-        }
-        loop {
-            let step = {
-                let Phase::Body { body, decode, .. } = &mut self.phase else { unreachable!() };
-                decode.step(&mut self.rbuf, body)
-            };
-            match step {
-                DecodeStep::Complete => {
-                    let prev = std::mem::replace(&mut self.phase, Phase::Idle { since: now });
-                    let Phase::Body { head, body, .. } = prev else { unreachable!() };
-                    self.finish_request(head, body, now);
+                Err(e) => {
+                    let status = match e {
+                        WireError::HeadTooLarge(_) => StatusCode::REQUEST_HEADER_FIELDS_TOO_LARGE,
+                        _ => StatusCode::BAD_REQUEST,
+                    };
+                    self.reject(status, now);
                     return Step::Again;
-                }
-                DecodeStep::Error => {
-                    self.reject(StatusCode::BAD_REQUEST, now);
-                    return Step::Again;
-                }
-                DecodeStep::NeedMore => {
-                    if self.eof {
-                        return Step::Close; // peer died mid-body
-                    }
-                    match self.fill() {
-                        Fill::Grew => continue,
-                        Fill::Eof => {
-                            self.eof = true;
-                            continue;
-                        }
-                        Fill::WouldBlock => return Step::Park,
-                        Fill::Err => return Step::Close,
-                    }
                 }
             }
         }
@@ -550,8 +379,7 @@ impl Driven for HttpConn {
             }
             let step = match self.phase {
                 Phase::Idle { .. } => self.drive_idle(now),
-                Phase::Head { .. } => self.drive_head(now),
-                Phase::Body { .. } => self.drive_body(now),
+                Phase::Request { .. } => self.drive_request(now),
                 Phase::Respond { .. } => self.drive_respond(now),
                 Phase::Closing { .. } => self.drive_closing(now),
             };
@@ -566,9 +394,7 @@ impl Driven for HttpConn {
     fn deadline(&self) -> Option<Duration> {
         match &self.phase {
             Phase::Idle { since } => self.cfg.idle_timeout.map(|t| *since + t),
-            Phase::Head { since } | Phase::Body { since, .. } => {
-                self.cfg.header_read_timeout.map(|t| *since + t)
-            }
+            Phase::Request { since, .. } => self.cfg.header_read_timeout.map(|t| *since + t),
             Phase::Respond { at, .. } => Some(*at),
             Phase::Closing { since } => {
                 if self.pending_write() == 0 {

@@ -11,7 +11,7 @@
 use crate::conn::{ConnSlotGuard, ConnSlots, HttpConn};
 use bytes::Bytes;
 use davix_sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use httpwire::parse::BodyReader;
+use httpwire::parse::{read_response_start, BodyReader};
 use httpwire::{date, HeaderMap, RequestHead, StatusCode, Version};
 use netsim::{Listener, Reactor, ReactorConfig, Runtime};
 use std::sync::{Arc, Mutex};
@@ -169,6 +169,8 @@ struct Serving {
     reactor: Arc<Reactor>,
     listeners: Vec<Arc<dyn Listener>>,
     slots: Arc<ConnSlots>,
+    /// One per accept thread, from [`Runtime::spawn_joinable`].
+    accept_joins: Vec<Box<dyn FnOnce() + Send>>,
 }
 
 /// The server: a handler plus configuration, servable on any listener.
@@ -199,7 +201,12 @@ impl HttpServer {
 
     /// Stop the server: closes every listener, asks in-flight connections
     /// to finish their current request, and blocks until the reactor's
-    /// shard threads have drained and exited.
+    /// shard threads have drained and exited. Threads go in reverse order of
+    /// creation, accept threads first, each joined (where the runtime can
+    /// join) before the next: nothing of the server is then still running
+    /// or still holds the handler, so what the handler owns is freed when
+    /// the caller drops it and not whenever an accept thread gets round to
+    /// noticing that its listener closed.
     pub fn stop(&self) {
         self.stopping.store(true, Ordering::SeqCst);
         let serving = self.serving.lock().unwrap_or_else(|e| e.into_inner()).take();
@@ -208,6 +215,9 @@ impl HttpServer {
                 l.close();
             }
             s.slots.freed.set(); // release a backpressured accept loop
+            for join in s.accept_joins.into_iter().rev() {
+                join();
+            }
             s.reactor.shutdown();
         }
     }
@@ -230,29 +240,28 @@ impl HttpServer {
     /// on one reactor.
     pub fn serve(self: &Arc<Self>, listener: Box<dyn Listener>, rt: Arc<dyn Runtime>) {
         let listener: Arc<dyn Listener> = Arc::from(listener);
-        let (reactor, slots) = {
-            let mut guard = self.serving.lock().unwrap_or_else(|e| e.into_inner());
-            let serving = guard.get_or_insert_with(|| Serving {
-                reactor: Arc::new(Reactor::new(
-                    Arc::clone(&rt),
-                    ReactorConfig {
-                        threads: self.cfg.reactor_threads,
-                        name: "httpd-shard".to_string(),
-                        ..ReactorConfig::default()
-                    },
-                )),
-                listeners: Vec::new(),
-                slots: Arc::new(ConnSlots { open: AtomicUsize::new(0), freed: rt.signal() }),
-            });
-            serving.listeners.push(Arc::clone(&listener));
-            (Arc::clone(&serving.reactor), Arc::clone(&serving.slots))
-        };
+        let mut guard = self.serving.lock().unwrap_or_else(|e| e.into_inner());
+        let serving = guard.get_or_insert_with(|| Serving {
+            reactor: Arc::new(Reactor::new(
+                Arc::clone(&rt),
+                ReactorConfig {
+                    threads: self.cfg.reactor_threads,
+                    name: "httpd-shard".to_string(),
+                    ..ReactorConfig::default()
+                },
+            )),
+            listeners: Vec::new(),
+            slots: Arc::new(ConnSlots { open: AtomicUsize::new(0), freed: rt.signal() }),
+            accept_joins: Vec::new(),
+        });
+        serving.listeners.push(Arc::clone(&listener));
+        let (reactor, slots) = (Arc::clone(&serving.reactor), Arc::clone(&serving.slots));
         let server = Arc::clone(self);
         let rt2 = Arc::clone(&rt);
-        rt.spawn(
+        serving.accept_joins.push(rt.spawn_joinable(
             "httpd-accept",
             Box::new(move || server.accept_loop(listener, reactor, slots, rt2)),
-        );
+        ));
     }
 
     fn accept_loop(
@@ -335,16 +344,16 @@ pub(crate) fn encode_response(
     out
 }
 
-/// Read one full response from `r` (test helper shared by this crate's tests
-/// and integration tests downstream).
+/// Read one full response from `r`, interim 1xx responses skipped: the
+/// blocking client in miniature, for tests here and downstream and for the
+/// bench harness's naive baseline client.
 pub fn read_full_response(
     r: &mut impl std::io::BufRead,
     req_method: &httpwire::Method,
 ) -> Result<(httpwire::ResponseHead, Vec<u8>), httpwire::WireError> {
-    let head = httpwire::parse::read_response_head(r)?;
-    let len = httpwire::parse::response_body_len(req_method, &head);
-    let body = BodyReader::new(r, len).read_all()?;
-    Ok((head, body))
+    let start = read_response_start(r, req_method, false)?;
+    let body = BodyReader::new(r, start.body).read_all()?;
+    Ok((start.head, body))
 }
 
 #[cfg(test)]
@@ -558,6 +567,85 @@ mod tests {
         assert_eq!(body, b"GET /again");
     }
 
+    /// Send `wire` on a fresh connection and return the first response
+    /// head (an interim one is not skipped: whether one is sent is under
+    /// test), the body that came with it, and whether the server then closed.
+    fn raw_exchange(net: &SimNet, wire: &[u8]) -> (httpwire::ResponseHead, Vec<u8>, bool) {
+        let c = net.connect("client", "server", 80).unwrap();
+        let mut w = netsim::Stream::try_clone(&c).unwrap();
+        // The server may answer and close before the last byte is written.
+        let _ = w.write_all(wire);
+        let mut r = BufReader::new(c);
+        let head = httpwire::parse::read_response_head(&mut r).unwrap();
+        let len = httpwire::parse::response_body_len(&Method::Put, &head);
+        let body = BodyReader::new(&mut r, len).read_all().unwrap();
+        let closed = matches!(std::io::Read::read(&mut r, &mut [0u8; 1]), Ok(0) | Err(_));
+        (head, body, closed)
+    }
+
+    #[test]
+    fn continue_is_sent_only_once_the_framing_is_settled() {
+        let (net, rt) = sim_pair();
+        let server = echo_server();
+        server.serve(Box::new(net.bind("server", 80).unwrap()), rt);
+        let _g = net.enter();
+        // Invalid Content-Length: the first (and only) answer is the 400,
+        // not "100 Continue" followed by a rejection.
+        let (head, _, closed) = raw_exchange(
+            &net,
+            b"PUT /obj HTTP/1.1\r\nHost: server\r\nExpect: 100-continue\r\n\
+              Content-Length: seven\r\n\r\n",
+        );
+        assert_eq!(head.status, StatusCode::BAD_REQUEST);
+        assert!(closed);
+        // No body to wait for: no interim response, straight to the handler.
+        let (head, body, _) = raw_exchange(
+            &net,
+            b"PUT /empty HTTP/1.1\r\nHost: server\r\nExpect: 100-continue\r\n\
+              Connection: close\r\n\r\n",
+        );
+        assert_eq!(head.status, StatusCode::OK);
+        assert_eq!(body, b"PUT /empty");
+    }
+
+    #[test]
+    fn malformed_chunked_bodies_get_400_and_close() {
+        let (net, rt) = sim_pair();
+        let server = echo_server();
+        let stats = server.stats();
+        server.serve(Box::new(net.bind("server", 80).unwrap()), rt);
+        let _g = net.enter();
+        let cases: [(&str, Vec<u8>); 5] = [
+            ("signed chunk size", b"+5\r\nhello\r\n0\r\n\r\n".to_vec()),
+            ("non-hex chunk size", b"five\r\nhello\r\n0\r\n\r\n".to_vec()),
+            ("chunk not followed by CRLF", b"5\r\nhelloXX0\r\n\r\n".to_vec()),
+            ("chunk-size line over 1 KiB", [b"5;".to_vec(), vec![b'x'; 2048]].concat()),
+            // No terminating blank line in sight: refused at 8 KiB, not when
+            // the header-read timer fires.
+            ("trailer flood", [b"0\r\n".to_vec(), b"X: y\r\n".repeat(2000)].concat()),
+        ];
+        for (what, body) in &cases {
+            let mut wire =
+                b"PUT /obj HTTP/1.1\r\nHost: server\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+            wire.extend_from_slice(body);
+            let (head, _, closed) = raw_exchange(&net, &wire);
+            assert_eq!(head.status, StatusCode::BAD_REQUEST, "{what}");
+            assert!(head.headers.connection_has("close"), "{what}");
+            assert!(closed, "{what}: the connection must not be reused");
+        }
+        assert_eq!(stats.requests.load(Ordering::Relaxed), 0, "no handler saw a bad body");
+        assert_eq!(stats.timeouts.load(Ordering::Relaxed), 0, "rejected by framing, not by timer");
+        // A well-formed chunked body, extensions and trailers included,
+        // still reaches the handler.
+        let (head, body, _) = raw_exchange(
+            &net,
+            b"PUT /ok HTTP/1.1\r\nHost: server\r\nTransfer-Encoding: chunked\r\n\
+              Connection: close\r\n\r\n3;x=y\r\nabc\r\n2\r\nde\r\n0\r\nX-Sum: 1\r\n\r\n",
+        );
+        assert_eq!(head.status, StatusCode::OK);
+        assert_eq!(body, b"PUT /ok body=abcde");
+    }
+
     #[test]
     fn http10_mode_closes_by_default() {
         let (net, rt) = sim_pair();
@@ -750,5 +838,34 @@ mod tests {
         }
         server.stop();
         assert_eq!(server.reactor_threads_live(), 0);
+    }
+
+    #[test]
+    fn stop_over_real_tcp_leaves_no_thread_holding_the_handler() {
+        // What the handler owns (a store full of objects, say) must go when
+        // the caller lets go of the server, not when an accept thread gets
+        // round to noticing its listener closed.
+        struct Marker;
+        let marker = Arc::new(Marker);
+        let held = Arc::clone(&marker);
+        let rt: Arc<dyn Runtime> = Arc::new(netsim::RealRuntime::new());
+        let listener = netsim::TcpListenerWrap::bind("127.0.0.1:0").unwrap();
+        let port = Listener::local_port(&listener);
+        let server = HttpServer::new(
+            Arc::new(move |_req: Request| {
+                let _ = &held;
+                Response::text(StatusCode::OK, "ok")
+            }),
+            ServerConfig::default(),
+        );
+        server.serve(Box::new(listener), rt);
+        let mut c = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        send(&mut c, Method::Get, "/", None);
+        let mut r = BufReader::new(c.try_clone().unwrap());
+        assert_eq!(read_full_response(&mut r, &Method::Get).unwrap().0.status, StatusCode::OK);
+        server.stop();
+        drop(server);
+        assert_eq!(Arc::strong_count(&marker), 1, "a server thread outlived stop()");
     }
 }

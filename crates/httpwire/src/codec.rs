@@ -1,0 +1,352 @@
+//! The HTTP/1.1 message grammar as a sans-IO codec: bytes in, events out.
+//!
+//! Nothing here reads, writes or owns a buffer. Callers hand in whatever
+//! bytes they have and get back a description of what those bytes are, so
+//! every function can be resumed at any byte boundary — the property a
+//! non-blocking connection needs — and a blocking reader is just a loop
+//! around the same calls (see [`crate::parse`]):
+//!
+//! * [`HeadScan`] finds the blank line that ends a head block;
+//! * [`parse_request_head`], [`parse_response_head`] and
+//!   [`parse_header_block`] turn one such block into a typed head (request
+//!   heads, response heads and multipart part heads share the header-field
+//!   parser);
+//! * [`request_body_len`] / [`response_body_len`] apply RFC 7230 §3.3.3;
+//! * [`BodyFrames`] walks a body's framing and *describes* it as
+//!   [`Frame`]s — "skip n framing bytes", "the next n bytes are payload",
+//!   "need more", "end" — leaving the copy (or the direct socket read) to
+//!   the caller.
+//!
+//! The size limits below are the only ones in the tree: a peer cannot grow
+//! a head, a chunk-size line or a trailer section past them on any path.
+
+use crate::{HeaderMap, Method, RequestHead, ResponseHead, StatusCode, Version, WireError};
+
+/// Upper bound on a message head (start line + headers), matching common
+/// server defaults.
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+/// Upper bound on one chunk-size line, terminator included.
+pub const MAX_CHUNK_LINE_BYTES: usize = 1024;
+/// Upper bound on a whole trailer section (all lines, terminators included).
+pub const MAX_TRAILER_BYTES: usize = 8 * 1024;
+
+/// Length, terminator included, of the line at the start of `input`;
+/// `None` while its LF has not arrived. A line that cannot end within
+/// `budget` bytes is `HeadTooLarge(budget)`.
+pub(crate) fn line_len(input: &[u8], budget: usize) -> Result<Option<usize>, WireError> {
+    match input[..input.len().min(budget)].iter().position(|&b| b == b'\n') {
+        Some(nl) => Ok(Some(nl + 1)),
+        None if input.len() >= budget => Err(WireError::HeadTooLarge(budget)),
+        None => Ok(None),
+    }
+}
+
+/// `line` without its CRLF (or bare LF) terminator.
+pub(crate) fn trim_eol(line: &[u8]) -> &[u8] {
+    let line = line.strip_suffix(b"\n").unwrap_or(line);
+    line.strip_suffix(b"\r").unwrap_or(line)
+}
+
+/// Resumable search for the end of a head block: the first blank line
+/// (CRLF or bare LF). Call [`find`](HeadScan::find) with the same growing
+/// buffer until it answers; bytes already scanned are not scanned again.
+#[derive(Debug, Default)]
+pub struct HeadScan {
+    scanned: usize,
+}
+
+impl HeadScan {
+    /// `Some(end)` when `buf[..end]` is a complete block (blank line
+    /// included; a block may be *only* a blank line), `None` when more bytes
+    /// are needed, [`WireError::HeadTooLarge`] when no block can end within
+    /// [`MAX_HEAD_BYTES`].
+    pub fn find(&mut self, buf: &[u8]) -> Result<Option<usize>, WireError> {
+        let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+        let mut from = self.scanned.min(window.len());
+        while let Some(nl) = window[from..].iter().position(|&b| b == b'\n') {
+            let end = from + nl + 1;
+            let line = trim_eol(&window[..end]);
+            if line.is_empty() || line.ends_with(b"\n") {
+                self.scanned = 0;
+                return Ok(Some(end));
+            }
+            from = end;
+        }
+        if buf.len() >= MAX_HEAD_BYTES {
+            return Err(WireError::HeadTooLarge(MAX_HEAD_BYTES));
+        }
+        self.scanned = from;
+        Ok(None)
+    }
+}
+
+/// The lines of a head block, without their terminators.
+fn lines(block: &[u8]) -> Result<impl Iterator<Item = &str>, WireError> {
+    let text = std::str::from_utf8(block)
+        .map_err(|_| WireError::BadHeader("non-UTF-8 bytes in message head".to_string()))?;
+    Ok(text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l)))
+}
+
+/// Header fields up to the blank line.
+fn header_fields<'a>(lines: impl Iterator<Item = &'a str>) -> Result<HeaderMap, WireError> {
+    let mut headers = HeaderMap::new();
+    for line in lines.take_while(|l| !l.is_empty()) {
+        let (name, value) = line
+            .split_once(':')
+            .filter(|(name, _)| !name.is_empty() && !name.contains(' '))
+            .ok_or_else(|| WireError::BadHeader(line.to_string()))?;
+        headers.append(name, value.trim());
+    }
+    Ok(headers)
+}
+
+/// Parse a block of header fields with no start line (a multipart part
+/// head), as delimited by [`HeadScan`].
+pub fn parse_header_block(block: &[u8]) -> Result<HeaderMap, WireError> {
+    header_fields(lines(block)?)
+}
+
+/// Parse one request head as delimited by [`HeadScan`]. `Ok(None)` is a
+/// stray blank line before the request line, which RFC 7230 §3.5 asks
+/// servers to skip.
+pub fn parse_request_head(block: &[u8]) -> Result<Option<RequestHead>, WireError> {
+    let mut lines = lines(block)?;
+    let start = lines.next().unwrap_or("");
+    if start.is_empty() {
+        return Ok(None);
+    }
+    let mut parts = start.split(' ');
+    let (m, t, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some(m), Some(t), Some(v), None) if !t.is_empty() => (m, t, v),
+        _ => return Err(WireError::BadStartLine(start.to_string())),
+    };
+    let method: Method = m.parse()?;
+    let version = Version::parse(v)?;
+    let headers = header_fields(lines)?;
+    Ok(Some(RequestHead { method, target: t.to_string(), version, headers }))
+}
+
+/// Parse one response head as delimited by [`HeadScan`].
+pub fn parse_response_head(block: &[u8]) -> Result<ResponseHead, WireError> {
+    let mut lines = lines(block)?;
+    let start = lines.next().unwrap_or("");
+    // "HTTP/1.1 206 Partial Content" — the reason phrase may contain spaces
+    // or be missing altogether ("HTTP/1.1 404").
+    let bad = || WireError::BadStartLine(start.to_string());
+    let mut parts = start.splitn(3, ' ');
+    let version = Version::parse(parts.next().unwrap_or(""))?;
+    let code: u16 = parts.next().and_then(|c| c.parse().ok()).ok_or_else(bad)?;
+    if !(100..600).contains(&code) {
+        return Err(bad());
+    }
+    let reason = parts.next().unwrap_or("").to_string();
+    let headers = header_fields(lines)?;
+    Ok(ResponseHead { version, status: StatusCode(code), reason, headers })
+}
+
+/// How a message body is delimited.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BodyLen {
+    /// No body at all (HEAD responses, 204/304, bodyless requests).
+    None,
+    /// Exactly this many bytes.
+    Fixed(u64),
+    /// `Transfer-Encoding: chunked`.
+    Chunked,
+    /// Body runs until the connection closes (HTTP/1.0 style responses).
+    Close,
+}
+
+/// Body length of a request per RFC 7230 §3.3.3 (requests never use
+/// read-to-close).
+pub fn request_body_len(head: &RequestHead) -> Result<BodyLen, WireError> {
+    if head.headers.is_chunked() {
+        return Ok(BodyLen::Chunked);
+    }
+    match head.headers.get("content-length") {
+        Some(_) => match head.headers.content_length() {
+            Some(0) => Ok(BodyLen::None),
+            Some(n) => Ok(BodyLen::Fixed(n)),
+            None => Err(WireError::BadHeader("invalid Content-Length".to_string())),
+        },
+        None => Ok(BodyLen::None),
+    }
+}
+
+/// Body length of a response to `req_method` per RFC 7230 §3.3.3.
+pub fn response_body_len(req_method: &Method, head: &ResponseHead) -> BodyLen {
+    let code = head.status.0;
+    if *req_method == Method::Head || (100..200).contains(&code) || code == 204 || code == 304 {
+        return BodyLen::None;
+    }
+    if head.headers.is_chunked() {
+        return BodyLen::Chunked;
+    }
+    if let Some(n) = head.headers.content_length() {
+        return if n == 0 { BodyLen::None } else { BodyLen::Fixed(n) };
+    }
+    BodyLen::Close
+}
+
+/// What the bytes at the decoder's cursor are.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Frame {
+    /// The first `n` input bytes are framing (chunk-size line, chunk CRLF,
+    /// trailer line): drop them. The decoder has already moved past them.
+    Skip(usize),
+    /// Up to `n` payload bytes come next (`u64::MAX` for a close-delimited
+    /// body). Take any `k <= n` of them, from the input or straight from
+    /// the transport, and report them with [`BodyFrames::advance`].
+    Payload(u64),
+    /// The input ends inside a framing line; call again with more bytes.
+    NeedMore,
+    /// The body is complete: the cursor is at the next message.
+    End,
+}
+
+#[derive(Debug)]
+enum BodyState {
+    Fixed(u64),
+    Close,
+    ChunkSize,
+    ChunkData(u64),
+    /// Awaiting the CRLF that closes a chunk.
+    ChunkEnd,
+    /// In the trailer section, `used` bytes of its budget spent.
+    Trailers {
+        used: usize,
+    },
+    Done,
+}
+
+/// The body-framing state machine: `Content-Length`, chunked (extensions
+/// and trailers skipped) and close-delimited bodies behind one
+/// [`next`](BodyFrames::next) call.
+#[derive(Debug)]
+pub struct BodyFrames {
+    state: BodyState,
+}
+
+fn bad_chunk(what: impl Into<String>) -> WireError {
+    WireError::BadChunk(what.into())
+}
+
+/// The size on a chunk-size line: hex digits only (`from_str_radix` alone
+/// would also take a sign), chunk extensions ignored.
+fn parse_chunk_size(line: &[u8]) -> Result<u64, WireError> {
+    let size = line.split(|&b| b == b';').next().unwrap_or(b"").trim_ascii();
+    std::str::from_utf8(size)
+        .ok()
+        .filter(|s| s.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| {
+            bad_chunk(format!("bad chunk size line {:?}", String::from_utf8_lossy(line)))
+        })
+}
+
+impl BodyFrames {
+    /// Start decoding a body of the given length.
+    pub fn new(len: BodyLen) -> Self {
+        let state = match len {
+            BodyLen::None | BodyLen::Fixed(0) => BodyState::Done,
+            BodyLen::Fixed(n) => BodyState::Fixed(n),
+            BodyLen::Chunked => BodyState::ChunkSize,
+            BodyLen::Close => BodyState::Close,
+        };
+        BodyFrames { state }
+    }
+
+    /// Whether the body is complete. Close-delimited bodies only get there
+    /// through [`end_of_input`](Self::end_of_input).
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        matches!(self.state, BodyState::Done)
+    }
+
+    /// How many payload bytes may come next, when payload is what comes
+    /// next: the [`Frame::Payload`] answer without a buffer to show. A
+    /// blocking reader uses it to read payload straight from the transport
+    /// and only buffer framing.
+    #[inline]
+    pub fn payload(&self) -> Option<u64> {
+        match self.state {
+            BodyState::Fixed(n) | BodyState::ChunkData(n) => Some(n),
+            BodyState::Close => Some(u64::MAX),
+            _ => None,
+        }
+    }
+
+    /// Classify the bytes at the cursor. `input` is whatever is buffered
+    /// from the cursor on and may be empty.
+    pub fn next(&mut self, input: &[u8]) -> Result<Frame, WireError> {
+        if let Some(n) = self.payload() {
+            return Ok(Frame::Payload(n));
+        }
+        match self.state {
+            BodyState::Fixed(_) | BodyState::ChunkData(_) | BodyState::Close => {
+                unreachable!("payload states were answered above")
+            }
+            BodyState::Done => Ok(Frame::End),
+            BodyState::ChunkSize => {
+                let Some(len) = line_len(input, MAX_CHUNK_LINE_BYTES)
+                    .map_err(|_| bad_chunk("chunk-size line over 1 KiB"))?
+                else {
+                    return Ok(Frame::NeedMore);
+                };
+                self.state = match parse_chunk_size(trim_eol(&input[..len]))? {
+                    0 => BodyState::Trailers { used: 0 },
+                    n => BodyState::ChunkData(n),
+                };
+                Ok(Frame::Skip(len))
+            }
+            BodyState::ChunkEnd => {
+                if !b"\r\n".starts_with(&input[..input.len().min(2)]) {
+                    return Err(bad_chunk("chunk not followed by CRLF"));
+                }
+                if input.len() < 2 {
+                    return Ok(Frame::NeedMore);
+                }
+                self.state = BodyState::ChunkSize;
+                Ok(Frame::Skip(2))
+            }
+            BodyState::Trailers { used } => {
+                let Some(len) = line_len(input, MAX_TRAILER_BYTES - used)
+                    .map_err(|_| bad_chunk("trailer section over 8 KiB"))?
+                else {
+                    return Ok(Frame::NeedMore);
+                };
+                self.state = if trim_eol(&input[..len]).is_empty() {
+                    BodyState::Done
+                } else {
+                    BodyState::Trailers { used: used + len }
+                };
+                Ok(Frame::Skip(len))
+            }
+        }
+    }
+
+    /// Report `k` payload bytes taken after a [`Frame::Payload`].
+    #[inline]
+    pub fn advance(&mut self, k: u64) {
+        self.state = match self.state {
+            BodyState::Fixed(n) if n <= k => BodyState::Done,
+            BodyState::Fixed(n) => BodyState::Fixed(n - k),
+            BodyState::ChunkData(n) if n <= k => BodyState::ChunkEnd,
+            BodyState::ChunkData(n) => BodyState::ChunkData(n - k),
+            BodyState::Close => BodyState::Close,
+            _ => unreachable!("advance() outside a payload frame"),
+        };
+    }
+
+    /// The transport reached EOF at the cursor: that completes a
+    /// close-delimited body and truncates any other.
+    pub fn end_of_input(&mut self) -> Result<(), WireError> {
+        match self.state {
+            BodyState::Close | BodyState::Done => {
+                self.state = BodyState::Done;
+                Ok(())
+            }
+            _ => Err(WireError::UnexpectedEof),
+        }
+    }
+}

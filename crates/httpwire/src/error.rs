@@ -67,7 +67,7 @@ impl From<WireError> for io::Error {
             WireError::UnexpectedEof => {
                 io::Error::new(io::ErrorKind::UnexpectedEof, "unexpected end of stream")
             }
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
+            other => io::Error::new(io::ErrorKind::InvalidData, other),
         }
     }
 }

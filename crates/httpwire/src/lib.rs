@@ -1,16 +1,32 @@
 //! # httpwire — HTTP/1.1 wire format, from scratch
 //!
-//! Everything the davix reproduction needs from HTTP/1.1, implemented
-//! directly against [`std::io::Read`]/[`std::io::Write`] so it runs on both
-//! the simulated network and real sockets:
+//! Everything the davix reproduction needs from HTTP/1.1, in two layers so
+//! that it runs unchanged on blocking sockets, on non-blocking reactor
+//! connections and on the simulated network:
+//!
+//! * [`codec`] is the message grammar with no I/O in it: bytes in, events
+//!   out, resumable at any byte boundary. A resumable head-terminator scan,
+//!   one header-block parser (request heads, response heads, multipart part
+//!   heads), the body-length rules of RFC 7230 §3.3.3, and one body decoder
+//!   for `Content-Length`, `Transfer-Encoding: chunked` (extensions,
+//!   trailers) and read-to-close that *describes* frames instead of copying
+//!   them. Its size limits (head, chunk-size line, trailer section) hold on
+//!   every path, because every path is an adapter over it.
+//! * [`parse`] is the blocking adapter: [`read_request_head`],
+//!   [`read_response_head`], `read_response_start` (skip interim 1xx, then
+//!   final head + body length + "is the connection reusable?") and
+//!   [`BodyFraming`]/[`BodyReader`] drive the codec over any
+//!   [`std::io::BufRead`], consuming exactly one message. The non-blocking
+//!   adapters live with their buffers: `httpd`'s connection state machine
+//!   and the bench harness's event-driven clients feed the same codec.
+//!
+//! Around them:
 //!
 //! * message heads ([`RequestHead`], [`ResponseHead`]) with a case-insensitive
-//!   multi-value [`HeaderMap`];
-//! * body framing: `Content-Length`, `Transfer-Encoding: chunked`
-//!   (reader *and* writer, including trailers) and read-to-close;
+//!   multi-value [`HeaderMap`], and their serialization;
 //! * streaming request bodies ([`BodySource`]): any [`std::io::Read`] of
 //!   known or unknown length, emitted with `Content-Length` or chunked
-//!   framing — the write-side mirror of [`BodyFraming`];
+//!   framing ([`ChunkedWriter`]) — the write-side mirror of [`BodyFraming`];
 //! * byte ranges ([`range`]): `Range` / `Content-Range` parsing and
 //!   formatting, resolution against an entity size, and the range algebra
 //!   (sorting, coalescing) used by vectored I/O;
@@ -22,6 +38,7 @@
 //! retries — those live in `httpd` (server) and `davix` (client).
 
 pub mod body;
+pub mod codec;
 pub mod date;
 pub mod error;
 pub mod headers;

@@ -5,6 +5,8 @@
 //! packs many fragment reads into one `Range` header, and the server answers
 //! with one `206` whose body interleaves `Content-Range`-labelled parts.
 
+use crate::codec::{line_len, parse_header_block, trim_eol, MAX_HEAD_BYTES};
+use crate::parse::{read_head, read_item};
 use crate::{ContentRange, HeaderMap, WireError};
 use std::io::{BufRead, Write};
 
@@ -112,10 +114,29 @@ pub struct Part {
 /// byteranges) to read payloads exactly, then verifies the delimiter.
 pub struct MultipartReader<R: BufRead> {
     r: R,
-    boundary: String,
+    /// `--boundary`, the delimiter line between parts.
+    delimiter: Vec<u8>,
     done: bool,
     started: bool,
     max_part_len: Option<u64>,
+}
+
+/// What a line between parts turned out to be.
+enum Line {
+    /// `--boundary`: a part follows.
+    Delimiter,
+    /// `--boundary--`: the body is over.
+    Close,
+    Other,
+}
+
+/// Part-head errors are multipart errors, whatever the shared head parser
+/// calls them; truncation and transport failures keep their own names.
+fn part_error(e: WireError) -> WireError {
+    match e {
+        WireError::Io(_) | WireError::UnexpectedEof | WireError::BadMultipart(_) => e,
+        other => WireError::BadMultipart(format!("bad part head: {other}")),
+    }
 }
 
 impl<R: BufRead> MultipartReader<R> {
@@ -123,7 +144,7 @@ impl<R: BufRead> MultipartReader<R> {
     pub fn new(r: R, boundary: &str) -> Self {
         MultipartReader {
             r,
-            boundary: boundary.to_string(),
+            delimiter: format!("--{boundary}").into_bytes(),
             done: false,
             started: false,
             max_part_len: None,
@@ -139,20 +160,26 @@ impl<R: BufRead> MultipartReader<R> {
         self
     }
 
-    fn read_line(&mut self) -> Result<String, WireError> {
-        let mut buf = Vec::with_capacity(80);
-        let n = self.r.read_until(b'\n', &mut buf)?;
-        if n == 0 {
-            return Err(WireError::UnexpectedEof);
-        }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-        }
-        String::from_utf8(buf)
-            .map_err(|_| WireError::BadMultipart("non-UTF-8 part header".to_string()))
+    /// Read one line, at most a head's worth of bytes long, and classify
+    /// it. The body may end right after the closing delimiter, without a
+    /// final CRLF.
+    fn delimiter_line(&mut self) -> Result<Line, WireError> {
+        let delimiter = &self.delimiter;
+        read_item(&mut self.r, |buf, eof| {
+            let len = match line_len(buf, MAX_HEAD_BYTES)? {
+                Some(len) => len,
+                None if eof && !buf.is_empty() => buf.len(),
+                None => return Ok(None),
+            };
+            let line = match trim_eol(&buf[..len]).strip_prefix(&delimiter[..]) {
+                Some(b"") => Line::Delimiter,
+                Some(b"--") => Line::Close,
+                _ => Line::Other,
+            };
+            Ok(Some((len, line)))
+        })
+        .map_err(part_error)?
+        .ok_or(WireError::UnexpectedEof)
     }
 
     /// Next part, or `None` after the closing delimiter.
@@ -162,36 +189,26 @@ impl<R: BufRead> MultipartReader<R> {
         }
         // Position on a delimiter line. Before the first part there may be a
         // preamble (we emit "\r\n" there; others may emit more).
-        let delim = format!("--{}", self.boundary);
-        let close = format!("--{}--", self.boundary);
         loop {
-            let line = self.read_line()?;
-            if line == close {
-                self.done = true;
-                return Ok(None);
+            match self.delimiter_line()? {
+                Line::Close => {
+                    self.done = true;
+                    return Ok(None);
+                }
+                Line::Delimiter => break,
+                Line::Other if self.started => {
+                    return Err(WireError::BadMultipart(
+                        "expected boundary after part payload".to_string(),
+                    ));
+                }
+                Line::Other => {} // preamble line, skip
             }
-            if line == delim {
-                break;
-            }
-            if self.started {
-                return Err(WireError::BadMultipart(format!("expected boundary, got {line:?}")));
-            }
-            // otherwise: preamble line, skip
         }
         self.started = true;
 
-        // Part headers until blank line.
-        let mut headers = HeaderMap::new();
-        loop {
-            let line = self.read_line()?;
-            if line.is_empty() {
-                break;
-            }
-            let (name, value) = line
-                .split_once(':')
-                .ok_or_else(|| WireError::BadMultipart(format!("bad part header {line:?}")))?;
-            headers.append(name, value.trim());
-        }
+        let headers = read_head(&mut self.r, parse_header_block)
+            .map_err(part_error)?
+            .ok_or(WireError::UnexpectedEof)?;
         let cr = headers
             .get("content-range")
             .ok_or_else(|| WireError::BadMultipart("part without Content-Range".to_string()))?;
@@ -314,6 +331,48 @@ mod tests {
         body.truncate(body.len() - 20);
         let err = MultipartReader::new(Cursor::new(body), "B").read_all_parts().unwrap_err();
         assert!(matches!(err, WireError::UnexpectedEof));
+    }
+
+    /// Counts the bytes a reader hands out.
+    struct Counted<R>(R, u64);
+
+    impl<R: std::io::Read> std::io::Read for Counted<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.read(buf)?;
+            self.1 += n as u64;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn endless_lines_are_refused_within_the_head_budget() {
+        use std::io::{BufReader, Read};
+        // A lying replica declares a huge body and never ends a line. The
+        // reader must give up after a head's worth of bytes instead of
+        // growing one `Vec` to the declared length.
+        let flood = || std::io::repeat(b'a').take(64 << 20);
+        let cases: [(&str, &[u8]); 2] = [
+            ("part header line", b"\r\n--B\r\nContent-Range: bytes 0-4/10\r\nX-Pad: "),
+            ("preamble line", b"\r\n"),
+        ];
+        for (what, prefix) in cases {
+            let mut wire = BufReader::new(Counted(Cursor::new(prefix.to_vec()).chain(flood()), 0));
+            let err = MultipartReader::new(&mut wire, "B").read_all_parts().unwrap_err();
+            assert!(matches!(err, WireError::BadMultipart(_)), "{what}: {err}");
+            let read = wire.get_ref().1;
+            assert!(
+                read <= 2 * MAX_HEAD_BYTES as u64,
+                "{what}: read {read} bytes before giving up"
+            );
+        }
+    }
+
+    #[test]
+    fn closing_delimiter_may_end_the_body_without_crlf() {
+        let mut body = build(&[(0, b"hello")], 10, "B");
+        body.truncate(body.len() - 2);
+        let parts = MultipartReader::new(Cursor::new(body), "B").read_all_parts().unwrap();
+        assert_eq!(parts[0].data, b"hello");
     }
 
     #[test]

@@ -1,156 +1,122 @@
-//! Incremental message parsing: heads and body framing.
+//! Blocking adapters over the [`codec`](mod@crate::codec): message heads and
+//! body framing pulled from any [`BufRead`].
+//!
+//! The grammar lives in the codec; what this module adds is the I/O
+//! discipline — look at buffered bytes through `fill_buf`, consume exactly
+//! what the codec accepted and not one byte more, so the reader always
+//! stops at the message boundary (essential for keep-alive connections).
 
-use crate::{HeaderMap, Method, RequestHead, ResponseHead, StatusCode, Version, WireError};
+use crate::codec::{self, BodyFrames, Frame, HeadScan};
+use crate::{Method, RequestHead, ResponseHead, Version, WireError};
 use std::io::{BufRead, Read, Write};
 
-/// Upper bound on a message head (start line + headers), matching common
-/// server defaults.
-pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+pub use crate::codec::{request_body_len, response_body_len, BodyLen, MAX_HEAD_BYTES};
 
-/// Read one CRLF- (or bare-LF-) terminated line, without the terminator.
-/// `Ok(None)` means EOF before any byte was read.
-fn read_line<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<Option<String>, WireError> {
-    let mut buf = Vec::with_capacity(64);
-    let n = r.read_until(b'\n', &mut buf)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    if buf.len() > *budget {
-        return Err(WireError::HeadTooLarge(MAX_HEAD_BYTES));
-    }
-    *budget -= buf.len();
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop();
+/// Pull one item off the front of `r`. `item` looks at the buffered bytes
+/// (and whether the stream ended right after them) and answers
+/// `Some((bytes used, value))` or `None` for "incomplete"; only the used
+/// bytes are consumed. An item that straddles `fill_buf` windows is carried
+/// in a scratch buffer, which its own size limit bounds. `Ok(None)` is EOF
+/// before the item's first byte.
+pub(crate) fn read_item<R: BufRead, T>(
+    r: &mut R,
+    mut item: impl FnMut(&[u8], bool) -> Result<Option<(usize, T)>, WireError>,
+) -> Result<Option<T>, WireError> {
+    let mut carry = Vec::new();
+    loop {
+        let held = carry.len();
+        let avail = r.fill_buf()?;
+        let fresh = avail.len();
+        let window = if held == 0 {
+            avail
+        } else {
+            carry.extend_from_slice(avail);
+            &carry
+        };
+        match item(window, fresh == 0)? {
+            Some((used, value)) => {
+                r.consume(used.saturating_sub(held));
+                return Ok(Some(value));
+            }
+            None if fresh == 0 && held == 0 => return Ok(None),
+            None if fresh == 0 => return Err(WireError::UnexpectedEof),
+            None => {
+                if held == 0 {
+                    carry.extend_from_slice(avail);
+                }
+                r.consume(fresh);
+            }
         }
-    } else {
-        // EOF mid-line.
-        return Err(WireError::UnexpectedEof);
     }
-    String::from_utf8(buf)
-        .map(Some)
-        .map_err(|_| WireError::BadHeader("non-UTF-8 bytes in message head".to_string()))
 }
 
-/// Read header fields until the blank line.
-fn read_headers<R: BufRead>(r: &mut R, budget: &mut usize) -> Result<HeaderMap, WireError> {
-    let mut headers = HeaderMap::new();
-    loop {
-        let line = read_line(r, budget)?.ok_or(WireError::UnexpectedEof)?;
-        if line.is_empty() {
-            return Ok(headers);
-        }
-        let (name, value) =
-            line.split_once(':').ok_or_else(|| WireError::BadHeader(line.clone()))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(WireError::BadHeader(line.clone()));
-        }
-        headers.append(name, value.trim());
-    }
+/// [`read_item`] for a head block: find its end, parse it in place.
+pub(crate) fn read_head<R: BufRead, T>(
+    r: &mut R,
+    parse: impl Fn(&[u8]) -> Result<T, WireError>,
+) -> Result<Option<T>, WireError> {
+    let mut scan = HeadScan::default();
+    read_item(r, |buf, _| match scan.find(buf)? {
+        Some(end) => Ok(Some((end, parse(&buf[..end])?))),
+        None => Ok(None),
+    })
 }
 
 /// Read a request head. `Ok(None)` signals a clean EOF before the request
 /// started (the peer closed an idle keep-alive connection).
 pub fn read_request_head<R: BufRead>(r: &mut R) -> Result<Option<RequestHead>, WireError> {
-    let mut budget = MAX_HEAD_BYTES;
-    // RFC 7230 §3.5: robustly skip one stray empty line before the request.
-    let start = loop {
-        match read_line(r, &mut budget)? {
+    // Stray blank lines (RFC 7230 §3.5) cost two bytes each, so this many
+    // of them have used up the head budget.
+    for _ in 0..MAX_HEAD_BYTES / 2 {
+        match read_head(r, codec::parse_request_head)? {
             None => return Ok(None),
-            Some(l) if l.is_empty() => continue,
-            Some(l) => break l,
+            Some(Some(head)) => return Ok(Some(head)),
+            Some(None) => {}
         }
-    };
-    let mut parts = start.split(' ');
-    let (m, t, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) => (m, t, v),
-        _ => return Err(WireError::BadStartLine(start.clone())),
-    };
-    let method: Method = m.parse()?;
-    let version = Version::parse(v)?;
-    if t.is_empty() {
-        return Err(WireError::BadStartLine(start));
     }
-    let headers = read_headers(r, &mut budget)?;
-    Ok(Some(RequestHead { method, target: t.to_string(), version, headers }))
+    Err(WireError::HeadTooLarge(MAX_HEAD_BYTES))
 }
 
 /// Read a response head. EOF before the status line is an error (the client
 /// was expecting a response).
 pub fn read_response_head<R: BufRead>(r: &mut R) -> Result<ResponseHead, WireError> {
-    let mut budget = MAX_HEAD_BYTES;
-    let start = read_line(r, &mut budget)?.ok_or(WireError::UnexpectedEof)?;
-    // "HTTP/1.1 206 Partial Content" — the reason phrase may contain spaces
-    // or be empty.
-    let mut parts = start.splitn(3, ' ');
-    let v = parts.next().unwrap_or("");
-    let code = parts.next().ok_or_else(|| WireError::BadStartLine(start.clone()))?;
-    let reason = parts.next().unwrap_or("").to_string();
-    let version = Version::parse(v)?;
-    let code: u16 = code.parse().map_err(|_| WireError::BadStartLine(start.clone()))?;
-    if !(100..600).contains(&code) {
-        return Err(WireError::BadStartLine(start));
-    }
-    let headers = read_headers(r, &mut budget)?;
-    Ok(ResponseHead { version, status: StatusCode(code), reason, headers })
+    read_head(r, codec::parse_response_head)?.ok_or(WireError::UnexpectedEof)
 }
 
-/// How a message body is delimited.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BodyLen {
-    /// No body at all (HEAD responses, 204/304, bodyless requests).
-    None,
-    /// Exactly this many bytes.
-    Fixed(u64),
-    /// `Transfer-Encoding: chunked`.
-    Chunked,
-    /// Body runs until the connection closes (HTTP/1.0 style responses).
-    Close,
+/// The start of a response: everything a client needs to decide how to
+/// read the body and what to do with the connection after it.
+#[derive(Debug)]
+pub struct ResponseStart {
+    /// Status line + headers.
+    pub head: ResponseHead,
+    /// How the body that follows is delimited.
+    pub body: BodyLen,
+    /// Whether the connection can carry another request once the body has
+    /// been read: the response allows keep-alive and its body has an end
+    /// other than the connection closing.
+    pub reusable: bool,
 }
 
-/// Body length of a request per RFC 7230 §3.3.3 (requests never use
-/// read-to-close).
-pub fn request_body_len(head: &RequestHead) -> Result<BodyLen, WireError> {
-    if head.headers.is_chunked() {
-        return Ok(BodyLen::Chunked);
+/// Read response heads up to the final one, skipping interim 1xx responses
+/// (`102 Processing`, `103 Early Hints`, a late `100 Continue`).
+///
+/// `awaiting_continue` is for a caller that sent `Expect: 100-continue` and
+/// is holding its body back: a `100 Continue` is then the answer it waits
+/// for and is returned instead of skipped.
+pub fn read_response_start<R: BufRead>(
+    r: &mut R,
+    req_method: &Method,
+    awaiting_continue: bool,
+) -> Result<ResponseStart, WireError> {
+    loop {
+        let head = read_response_head(r)?;
+        if !head.status.is_informational() || (awaiting_continue && head.status.0 == 100) {
+            let body = response_body_len(req_method, &head);
+            let reusable =
+                head.headers.keep_alive(head.version == Version::Http11) && body != BodyLen::Close;
+            return Ok(ResponseStart { head, body, reusable });
+        }
     }
-    match head.headers.get("content-length") {
-        Some(_) => match head.headers.content_length() {
-            Some(0) => Ok(BodyLen::None),
-            Some(n) => Ok(BodyLen::Fixed(n)),
-            None => Err(WireError::BadHeader("invalid Content-Length".to_string())),
-        },
-        None => Ok(BodyLen::None),
-    }
-}
-
-/// Body length of a response to `req_method` per RFC 7230 §3.3.3.
-pub fn response_body_len(req_method: &Method, head: &ResponseHead) -> BodyLen {
-    let code = head.status.0;
-    if *req_method == Method::Head || (100..200).contains(&code) || code == 204 || code == 304 {
-        return BodyLen::None;
-    }
-    if head.headers.is_chunked() {
-        return BodyLen::Chunked;
-    }
-    if let Some(n) = head.headers.content_length() {
-        return if n == 0 { BodyLen::None } else { BodyLen::Fixed(n) };
-    }
-    BodyLen::Close
-}
-
-enum BodyState {
-    Done,
-    Fixed {
-        remaining: u64,
-    },
-    /// `in_chunk` holds the unread bytes of the current chunk; `None` means
-    /// we are positioned before the first size line.
-    Chunked {
-        in_chunk: Option<u64>,
-    },
-    Close,
 }
 
 /// The body-framing state machine, decoupled from any particular reader.
@@ -163,137 +129,61 @@ enum BodyState {
 /// a streaming response) drive the framing without a self-referential
 /// borrow; [`BodyReader`] remains the one-shot borrowing convenience.
 pub struct BodyFraming {
-    state: BodyState,
+    decoder: BodyFrames,
 }
 
 impl BodyFraming {
     /// Start framing a body of the given length.
     pub fn new(len: BodyLen) -> Self {
-        let state = match len {
-            BodyLen::None => BodyState::Done,
-            BodyLen::Fixed(n) => BodyState::Fixed { remaining: n },
-            BodyLen::Chunked => BodyState::Chunked { in_chunk: None },
-            BodyLen::Close => BodyState::Close,
-        };
-        BodyFraming { state }
+        BodyFraming { decoder: BodyFrames::new(len) }
     }
 
     /// Whether the body has been fully consumed (the underlying stream is
     /// positioned at the next message). `Close`-delimited bodies only reach
     /// this state once a read observes EOF.
     pub fn is_done(&self) -> bool {
-        matches!(self.state, BodyState::Done)
+        self.decoder.is_done()
     }
 
     /// Read body bytes from `inner` into `buf`, honouring the framing.
     /// `Ok(0)` (for non-empty `buf`) means the body is complete.
+    ///
+    /// Only framing bytes go through `inner`'s buffer; payload is read
+    /// straight into `buf`, so a large read bypasses a `BufReader`.
     pub fn read<R: BufRead>(&mut self, inner: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
         loop {
-            match &mut self.state {
-                BodyState::Done => return Ok(0),
-                BodyState::Close => {
-                    let n = inner.read(buf)?;
-                    if n == 0 {
-                        self.state = BodyState::Done;
-                    }
-                    return Ok(n);
+            if let Some(n) = self.decoder.payload() {
+                let want = buf.len().min(usize::try_from(n).unwrap_or(usize::MAX));
+                let got = inner.read(&mut buf[..want])?;
+                if got == 0 {
+                    self.decoder.end_of_input()?;
+                } else {
+                    self.decoder.advance(got as u64);
                 }
-                BodyState::Fixed { remaining } => {
-                    if *remaining == 0 {
-                        self.state = BodyState::Done;
-                        return Ok(0);
-                    }
-                    let want = buf.len().min(*remaining as usize);
-                    let n = inner.read(&mut buf[..want])?;
-                    if n == 0 {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-body",
-                        ));
-                    }
-                    *remaining -= n as u64;
-                    if *remaining == 0 {
-                        self.state = BodyState::Done;
-                    }
-                    return Ok(n);
-                }
-                BodyState::Chunked { in_chunk } => match *in_chunk {
-                    Some(remaining) if remaining > 0 => {
-                        let want = buf.len().min(remaining as usize);
-                        let n = inner.read(&mut buf[..want])?;
-                        if n == 0 {
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::UnexpectedEof,
-                                "connection closed mid-chunk",
-                            ));
-                        }
-                        self.state = BodyState::Chunked { in_chunk: Some(remaining - n as u64) };
-                        return Ok(n);
-                    }
-                    at_boundary => {
-                        // Consume the CRLF that follows a finished chunk.
-                        if at_boundary == Some(0) {
-                            let mut crlf = [0u8; 2];
-                            inner.read_exact(&mut crlf)?;
-                            if &crlf != b"\r\n" {
-                                return Err(std::io::Error::new(
-                                    std::io::ErrorKind::InvalidData,
-                                    "chunk not followed by CRLF",
-                                ));
-                            }
-                        }
-                        let size = read_chunk_size_line(inner)?;
-                        if size == 0 {
-                            skip_trailers(inner)?;
-                            self.state = BodyState::Done;
-                            return Ok(0);
-                        }
-                        self.state = BodyState::Chunked { in_chunk: Some(size) };
-                    }
-                },
+                return Ok(got);
             }
+            if self.decoder.is_done() {
+                return Ok(0);
+            }
+            let decoder = &mut self.decoder;
+            read_item(inner, |framing, _| match decoder.next(framing)? {
+                Frame::Skip(n) => Ok(Some((n, ()))),
+                _ => Ok(None),
+            })?
+            .ok_or(WireError::UnexpectedEof)?;
         }
     }
 }
 
-fn read_chunk_size_line<R: BufRead>(inner: &mut R) -> std::io::Result<u64> {
-    let mut budget = 1024usize;
-    let line = read_line(inner, &mut budget).map_err(std::io::Error::from)?.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof before chunk size")
-    })?;
-    let size_part = line.split(';').next().unwrap_or("").trim();
-    u64::from_str_radix(size_part, 16).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("bad chunk size line {line:?}"),
-        )
-    })
-}
-
-fn skip_trailers<R: BufRead>(inner: &mut R) -> std::io::Result<()> {
-    let mut budget = 8192usize;
-    loop {
-        let line =
-            read_line(inner, &mut budget).map_err(std::io::Error::from)?.ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "eof in trailers")
-            })?;
-        if line.is_empty() {
-            return Ok(());
-        }
-    }
-}
-
-/// Convert a framing-read error into the corresponding [`WireError`].
+/// Convert a framing-read error back into the [`WireError`] it started as.
 pub(crate) fn wire_error_from_io(e: std::io::Error) -> WireError {
-    if e.kind() == std::io::ErrorKind::UnexpectedEof {
-        WireError::UnexpectedEof
-    } else if e.kind() == std::io::ErrorKind::InvalidData {
-        WireError::BadChunk(e.to_string())
-    } else {
-        WireError::Io(e)
+    match e.downcast::<WireError>() {
+        Ok(wire) => wire,
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => WireError::UnexpectedEof,
+        Err(e) => WireError::Io(e),
     }
 }
 
@@ -391,6 +281,7 @@ impl<W: Write> Write for ChunkedWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StatusCode;
     use std::io::Cursor;
 
     fn req(s: &str) -> Result<Option<RequestHead>, WireError> {

@@ -348,6 +348,8 @@ struct ShardShared {
     inbox: Mutex<Vec<Box<dyn Driven>>>,
     sig: Arc<dyn Signal>,
     ready: Arc<ReadyQueue>,
+    /// Set by `shutdown` when it is this shard's turn to exit.
+    leave: AtomicBool,
     /// Published once the shard enters fd-wait mode so submitters can wake
     /// the in-progress `poll(2)`.
     #[cfg(unix)]
@@ -370,7 +372,10 @@ struct ReactorInner {
     shutdown: AtomicBool,
     live_threads: AtomicUsize,
     tasks: AtomicUsize,
+    /// Set by every shard as it exits.
     done_sig: Arc<dyn Signal>,
+    /// One per shard, from [`Runtime::spawn_joinable`]; taken by `shutdown`.
+    joins: Mutex<Vec<Box<dyn FnOnce() + Send>>>,
 }
 
 /// A fixed-thread-budget readiness reactor. Submit [`Driven`] tasks with
@@ -390,6 +395,7 @@ impl Reactor {
                     inbox: Mutex::new(Vec::new()),
                     sig: rt.signal(),
                     ready: Arc::new(ReadyQueue { q: Mutex::new(Vec::new()) }),
+                    leave: AtomicBool::new(false),
                     #[cfg(unix)]
                     wake_pipe: Mutex::new(None),
                 })
@@ -402,17 +408,19 @@ impl Reactor {
             live_threads: AtomicUsize::new(threads),
             tasks: AtomicUsize::new(0),
             done_sig: rt.signal(),
+            joins: Mutex::new(Vec::new()),
         });
         for (i, shard) in shards.into_iter().enumerate() {
             let inner2 = Arc::clone(&inner);
             let rt2 = Arc::clone(&rt);
             let cfg2 = cfg.clone();
-            rt.spawn(
+            let join = rt.spawn_joinable(
                 &format!("{}-{i}", cfg.name),
                 Box::new(move || {
                     shard_main(shard, inner2, rt2, &cfg2);
                 }),
             );
+            inner.joins.lock().push(join);
         }
         Reactor { inner }
     }
@@ -443,14 +451,28 @@ impl Reactor {
     /// Stop the reactor: every task is asked to finish (in-flight
     /// requests complete, idle connections close), then the shard threads
     /// exit. Blocks until all shards have terminated.
+    ///
+    /// The shards drain side by side but leave one at a time, last created
+    /// first, each joined before the next is let go. What a thread leaves
+    /// behind on exit (the C allocator parks its arena for the next new
+    /// thread to pick up, most recently parked first) is then the same after
+    /// every shutdown instead of following whichever shard won the race out.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         for s in &self.inner.shards {
             s.wake();
         }
-        while self.inner.live_threads.load(Ordering::SeqCst) > 0 {
-            self.inner.done_sig.wait(Some(Duration::from_millis(50)));
-            self.inner.done_sig.reset();
+        let mut joins = std::mem::take(&mut *self.inner.joins.lock());
+        for (i, s) in self.inner.shards.iter().enumerate().rev() {
+            s.leave.store(true, Ordering::SeqCst);
+            s.wake();
+            while self.inner.live_threads.load(Ordering::SeqCst) > i {
+                self.inner.done_sig.wait(Some(Duration::from_millis(50)));
+                self.inner.done_sig.reset();
+            }
+            if let Some(join) = joins.pop() {
+                join();
+            }
         }
     }
 }
@@ -579,7 +601,11 @@ fn shard_main(
             }
         }
 
-        if shutdown_seen && slots.len() == 0 && shard.inbox.lock().is_empty() {
+        if shutdown_seen
+            && slots.len() == 0
+            && shard.inbox.lock().is_empty()
+            && shard.leave.load(Ordering::SeqCst)
+        {
             break;
         }
 
@@ -653,9 +679,8 @@ fn shard_main(
         }
     }
 
-    if inner.live_threads.fetch_sub(1, Ordering::SeqCst) == 1 {
-        inner.done_sig.set();
-    }
+    inner.live_threads.fetch_sub(1, Ordering::SeqCst);
+    inner.done_sig.set();
 }
 
 #[cfg(test)]
@@ -824,6 +849,61 @@ mod tests {
         reactor.shutdown();
         assert_eq!(reactor.live_threads(), 0);
         assert_eq!(reactor.tasks(), 0);
+    }
+
+    /// A real runtime that notes each joinable thread at two moments: when
+    /// its closure returns, and when its join returns.
+    struct Noting {
+        inner: crate::RealRuntime,
+        log: Arc<Mutex<Vec<String>>>,
+    }
+
+    impl Runtime for Noting {
+        fn now(&self) -> Duration {
+            self.inner.now()
+        }
+        fn sleep(&self, d: Duration) {
+            self.inner.sleep(d)
+        }
+        fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
+            self.inner.spawn(name, f)
+        }
+        fn spawn_joinable(
+            &self,
+            name: &str,
+            f: Box<dyn FnOnce() + Send>,
+        ) -> Box<dyn FnOnce() + Send> {
+            let (ended, joined) = (format!("{name} ended"), format!("{name} joined"));
+            let (log, log2) = (Arc::clone(&self.log), Arc::clone(&self.log));
+            let join = self.inner.spawn_joinable(
+                name,
+                Box::new(move || {
+                    f();
+                    log.lock().push(ended);
+                }),
+            );
+            Box::new(move || {
+                join();
+                log2.lock().push(joined);
+            })
+        }
+        fn signal(&self) -> Arc<dyn Signal> {
+            self.inner.signal()
+        }
+    }
+
+    #[test]
+    fn shutdown_lets_shards_go_last_created_first_each_joined_before_the_next() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let rt = Arc::new(Noting { inner: crate::RealRuntime::new(), log: Arc::clone(&log) });
+        let reactor = Reactor::new(rt, ReactorConfig { threads: 3, ..Default::default() });
+        reactor.shutdown();
+        assert_eq!(reactor.live_threads(), 0);
+        let want: Vec<String> = [2, 1, 0]
+            .iter()
+            .flat_map(|i| [format!("reactor-{i} ended"), format!("reactor-{i} joined")])
+            .collect();
+        assert_eq!(*log.lock(), want);
     }
 
     #[test]

@@ -200,22 +200,33 @@ impl Runtime for RealRuntime {
     }
 
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>) {
-        // Spawn is a happens-before edge: the child adopts the parent's
-        // vector clock as of the fork point (no-op without race-detect).
-        let pkt = davix_sync::race::fork_packet();
-        // davix-lint: allow(thread-hygiene) — Runtime::spawn is the sanctioned spawn path for real-TCP daemons
-        std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || {
-                davix_sync::race::adopt_packet(&pkt);
-                f()
-            })
-            .expect("spawn thread");
+        spawn_thread(name, f);
+    }
+
+    fn spawn_joinable(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> Box<dyn FnOnce() + Send> {
+        let handle = spawn_thread(name, f);
+        Box::new(move || {
+            let _ = handle.join();
+        })
     }
 
     fn signal(&self) -> Arc<dyn Signal> {
         Arc::new(RealSignal { state: Mutex::new(false), cv: Condvar::new() })
     }
+}
+
+fn spawn_thread(name: &str, f: Box<dyn FnOnce() + Send>) -> std::thread::JoinHandle<()> {
+    // Spawn is a happens-before edge: the child adopts the parent's
+    // vector clock as of the fork point (no-op without race-detect).
+    let pkt = davix_sync::race::fork_packet();
+    // davix-lint: allow(thread-hygiene) — Runtime::spawn is the sanctioned spawn path for real-TCP daemons
+    std::thread::Builder::new()
+        .name(name.to_string())
+        .spawn(move || {
+            davix_sync::race::adopt_packet(&pkt);
+            f()
+        })
+        .expect("spawn thread")
 }
 
 /// Condvar-backed manual-reset event for the real runtime.

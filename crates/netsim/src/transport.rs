@@ -144,6 +144,17 @@ pub trait Runtime: Send + Sync {
     /// exit.
     fn spawn(&self, name: &str, f: Box<dyn FnOnce() + Send>);
 
+    /// [`spawn`](Runtime::spawn) for a thread whose owner must see it gone.
+    /// The returned closure blocks until the operating-system thread has
+    /// terminated: past its thread-locals and its allocator caches, which a
+    /// signal set by the thread itself cannot vouch for. A runtime that
+    /// cannot tell (the simulator) returns a closure that does nothing, so
+    /// wait for the *work* to end on a [`Signal`] first, then call this.
+    fn spawn_joinable(&self, name: &str, f: Box<dyn FnOnce() + Send>) -> Box<dyn FnOnce() + Send> {
+        self.spawn(name, f);
+        Box::new(|| {})
+    }
+
     /// Create a fresh (unset) [`Signal`].
     fn signal(&self) -> Arc<dyn Signal>;
 }

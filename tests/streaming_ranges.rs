@@ -474,3 +474,41 @@ fn multirange_pread_vec_streams_parts_incrementally() {
     assert_eq!(m.vectored_requests, 1);
     assert_eq!(m.peak_body_buffer, 0, "multipart bodies must decode off the wire, not a Vec");
 }
+
+#[test]
+fn interim_103_before_200_is_skipped_and_the_session_stays_in_step() {
+    // Regression: the GET path returned the first head it saw. A `103 Early
+    // Hints` became "the response", and the real `200` stayed on a session
+    // released as reusable, so the *next* request read a stale response.
+    use netsim::Stream as _;
+    use std::io::Write;
+
+    let net = sim();
+    let listener = net.bind("s", 80).unwrap();
+    net.spawn("early-hints-server", move || {
+        let Ok((s, _)) = listener.accept_sim() else { return };
+        let mut writer = s.try_clone().unwrap();
+        let mut reader = std::io::BufReader::new(s);
+        while let Ok(Some(head)) = httpwire::parse::read_request_head(&mut reader) {
+            let body = format!("body of {}", head.target);
+            let _ = write!(
+                writer,
+                "HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n\
+                 HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            let _ = writer.flush();
+        }
+    });
+    let _g = net.enter();
+    let c = client(&net, Config::default().no_retry());
+    for path in ["/first", "/second"] {
+        let resp = c
+            .executor()
+            .execute(&PreparedRequest::get(format!("http://s{path}").parse().unwrap()))
+            .unwrap();
+        assert_eq!(resp.head.status, StatusCode::OK, "the 103 must not be the response");
+        assert_eq!(resp.body, format!("body of {path}").as_bytes());
+    }
+    assert_eq!(c.metrics().sessions_created, 1, "both requests ride the one recycled session");
+}
