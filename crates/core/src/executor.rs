@@ -1,21 +1,27 @@
 //! Request execution: pool checkout → write → parse → recycle, plus the
-//! retry and redirect policies.
+//! retry and redirect policies — each written once.
 //!
-//! Two consumption models share one wire path:
+//! * **One exchange.** `exchange` checks a session out, writes the head,
+//!   sends whatever body it was given and reads the response head. The body
+//!   is the request's own in-memory [`Bytes`] (sent in the *same write* as
+//!   the head), a streaming [`BodyProvider`] (head → `Expect: 100-continue`
+//!   wait → streamed body, salvaging an early final response), or nothing.
+//! * **One policy loop.** `execute_streaming_with_budget` runs exchanges
+//!   until one yields a final response: a stale recycled session is retried
+//!   for free, redirects are followed (a provider body is replayed at the
+//!   new location from a fresh source), 5xx and transport failures retry
+//!   within the budget. Failures *after* the head — the body broke while it
+//!   was being read — are retried by `with_retries` on the same counter, so
+//!   the two stages share one budget; such a retry starts again at the
+//!   request's own URI. `may_retry` is the only place the budget and the
+//!   method's idempotency are consulted.
 //!
-//! * [`HttpExecutor::execute_streaming`] returns a [`ResponseStream`] that
-//!   owns the pooled session and yields body bytes incrementally — nothing
-//!   proportional to the body is ever buffered;
-//! * [`HttpExecutor::execute`] is a thin collect-to-`Vec` wrapper over it
-//!   for callers that want the whole body in memory.
-//!
-//! The write direction mirrors the read one:
-//! [`HttpExecutor::execute_upload`] streams a request body from a
-//! [`BodyProvider`] straight onto the pooled connection (`Content-Length`
-//! or chunked framing via [`httpwire::BodySource`]), negotiates
-//! `Expect: 100-continue` so a rejecting server never eats the payload, and
-//! *replays* the body — a fresh reader per attempt — across retries and
-//! 307/308-style redirect hops, all under the shared retry budget.
+//! The public entry points are thin wrappers over those:
+//! [`HttpExecutor::execute_streaming`] hands back a [`ResponseStream`] that
+//! owns the pooled session and yields body bytes incrementally;
+//! [`HttpExecutor::execute`] collects it into a `Vec`;
+//! [`HttpExecutor::execute_upload`] does the same with the body streamed
+//! from a provider.
 
 use crate::config::Config;
 use crate::error::{DavixError, Result};
@@ -143,6 +149,11 @@ const MAX_STALE_RETRIES: u32 = 3;
 /// waiting longer.
 const MAX_RETRY_BACKOFF: Duration = Duration::from_secs(60);
 
+/// Most body bytes [`ResponseStream::finish`] reads to win a session back
+/// for the next hop; a redirect or 5xx page longer than this (or one that
+/// never ends) costs its connection instead of pinning the policy loop.
+const MAX_DRAIN_BYTES: usize = 64 * 1024;
+
 /// Don't trust `Content-Length` for more than this much up-front `Vec`
 /// capacity when collecting a body (a lying header must not OOM the client).
 const MAX_BODY_PREALLOC: u64 = 1 << 20;
@@ -193,31 +204,7 @@ impl HttpExecutor {
     /// a `Vec` (error pages, PROPFIND bodies, small objects); large-body
     /// paths should stream instead.
     pub fn execute(&self, req: &PreparedRequest) -> Result<HttpResponse> {
-        // One retry budget shared between head-stage failures (inside
-        // `execute_streaming_with_budget`) and body-collect failures (here),
-        // exactly like the pre-streaming executor's single counter — the
-        // two loops must not multiply the configured budget.
-        let mut attempts = 0u32;
-        loop {
-            let stream = self.execute_streaming_with_budget(req, &mut attempts)?;
-            match stream.into_response() {
-                Ok(resp) => return Ok(resp),
-                Err(error) => {
-                    // The head arrived but the body broke under us: retry the
-                    // whole exchange when that is safe.
-                    if error.is_retryable()
-                        && req.method.is_idempotent()
-                        && attempts < self.cfg.retry.retries
-                    {
-                        attempts += 1;
-                        Metrics::bump(&self.metrics.retries);
-                        self.backoff_sleep(attempts);
-                        continue;
-                    }
-                    return Err(error);
-                }
-            }
-        }
+        self.with_retries(req, None, |stream| stream.into_response())
     }
 
     /// Execute with redirects and retries per configuration, returning the
@@ -230,30 +217,33 @@ impl HttpExecutor {
     /// Redirect and 5xx-retry responses are consumed internally; the stream
     /// handed back is always the final hop's.
     pub fn execute_streaming(&self, req: &PreparedRequest) -> Result<ResponseStream<'_>> {
-        self.execute_streaming_with_budget(req, &mut 0)
+        self.execute_streaming_with_budget(req, None, &mut 0)
     }
 
-    /// [`execute_streaming`](Self::execute_streaming) with the retry counter
-    /// owned by the caller, so `execute` (and the streaming read paths in
-    /// `file.rs`) can share one budget across the head stage and their own
-    /// body-read retries instead of multiplying it.
-    pub(crate) fn execute_streaming_with_budget(
+    /// The one policy loop: run exchanges until one yields a final
+    /// response. `upload` replaces the request's own body with a streamed
+    /// one; `attempts` is the retry counter, owned by the caller so that
+    /// [`with_retries`](Self::with_retries) can charge body-stage failures
+    /// to the same budget instead of multiplying it.
+    fn execute_streaming_with_budget(
         &self,
         req: &PreparedRequest,
+        upload: Option<&dyn BodyProvider>,
         attempts: &mut u32,
     ) -> Result<ResponseStream<'_>> {
         let mut uri = req.uri.clone();
         let mut redirects = 0u32;
         let mut stale_retries = 0u32;
         loop {
-            match self.try_once(req, &uri) {
+            match self.exchange(req, &uri, upload) {
                 Ok(raw) => {
                     let stream = self.make_stream(raw, uri.clone());
                     if stream.head.status.is_redirect() {
                         if let Some(loc) = stream.head.headers.get("location").map(str::to_string) {
                             redirects += 1;
-                            if redirects > self.cfg.max_redirects {
-                                return Err(DavixError::RedirectLoop(self.cfg.max_redirects));
+                            let max = self.cfg.max_redirects;
+                            if redirects > max {
+                                return Err(DavixError::RedirectLoop(max));
                             }
                             Metrics::bump(&self.metrics.redirects);
                             // Consume the redirect body (so the session can
@@ -269,11 +259,8 @@ impl HttpExecutor {
                     // 5xx on an idempotent request: retry within budget (the
                     // server may recover — matches libdavix's behaviour).
                     if stream.head.status.is_server_error()
-                        && req.method.is_idempotent()
-                        && *attempts < self.cfg.retry.retries
+                        && self.may_retry(req, upload.is_some(), attempts)
                     {
-                        *attempts += 1;
-                        Metrics::bump(&self.metrics.retries);
                         stream.finish();
                         self.backoff_sleep(*attempts);
                         continue;
@@ -288,10 +275,7 @@ impl HttpExecutor {
                         stale_retries += 1;
                         continue;
                     }
-                    let retryable = error.is_retryable() && req.method.is_idempotent();
-                    if retryable && *attempts < self.cfg.retry.retries {
-                        *attempts += 1;
-                        Metrics::bump(&self.metrics.retries);
+                    if error.is_retryable() && self.may_retry(req, upload.is_some(), attempts) {
                         self.backoff_sleep(*attempts);
                         continue;
                     }
@@ -299,6 +283,45 @@ impl HttpExecutor {
                 }
             }
         }
+    }
+
+    /// Run one exchange of `req` through the policy loop and `read` its
+    /// response, again while `read` fails retryably (a reset or stall
+    /// mid-body) and the budget — the same counter the policy loop draws
+    /// on — allows. Protocol faults — a wrong `Content-Range`, a short
+    /// body — are never retried.
+    pub(crate) fn with_retries<T>(
+        &self,
+        req: &PreparedRequest,
+        upload: Option<&dyn BodyProvider>,
+        mut read: impl FnMut(ResponseStream<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let mut attempts = 0u32;
+        loop {
+            let stream = self.execute_streaming_with_budget(req, upload, &mut attempts);
+            match stream.and_then(&mut read) {
+                Err(e)
+                    if e.is_retryable() && self.may_retry(req, upload.is_some(), &mut attempts) =>
+                {
+                    self.backoff_sleep(attempts)
+                }
+                other => return other,
+            }
+        }
+    }
+
+    /// Whether a failed attempt at `req` may be repeated: the method must be
+    /// idempotent and the budget not spent. Counts the retry when it may.
+    fn may_retry(&self, req: &PreparedRequest, streamed: bool, attempts: &mut u32) -> bool {
+        if !req.method.is_idempotent() || *attempts >= self.cfg.retry.retries {
+            return false;
+        }
+        *attempts += 1;
+        Metrics::bump(&self.metrics.retries);
+        if streamed {
+            Metrics::bump(&self.metrics.upload_retries);
+        }
+        true
     }
 
     /// Execute and require 2xx.
@@ -331,111 +354,80 @@ impl HttpExecutor {
         req: &PreparedRequest,
         body: &dyn BodyProvider,
     ) -> Result<HttpResponse> {
-        let mut attempts = 0u32;
-        let mut uri = req.uri.clone();
-        let mut redirects = 0u32;
-        let mut stale_retries = 0u32;
-        let upload_retry = |attempts: &mut u32| {
-            *attempts += 1;
-            Metrics::bump(&self.metrics.retries);
-            Metrics::bump(&self.metrics.upload_retries);
-            self.backoff_sleep(*attempts);
-        };
-        loop {
-            match self.try_upload_once(req, &uri, body) {
-                Ok(raw) => {
-                    let stream = self.make_stream(raw, uri.clone());
-                    if stream.head.status.is_redirect() {
-                        if let Some(loc) = stream.head.headers.get("location").map(str::to_string) {
-                            redirects += 1;
-                            if redirects > self.cfg.max_redirects {
-                                return Err(DavixError::RedirectLoop(self.cfg.max_redirects));
-                            }
-                            Metrics::bump(&self.metrics.redirects);
-                            stream.finish();
-                            uri = uri.resolve_location(&loc).map_err(DavixError::from)?;
-                            attempts = 0;
-                            continue;
-                        }
-                    }
-                    if stream.head.status.is_server_error()
-                        && req.method.is_idempotent()
-                        && attempts < self.cfg.retry.retries
-                    {
-                        stream.finish();
-                        upload_retry(&mut attempts);
-                        continue;
-                    }
-                    match stream.into_response() {
-                        Ok(resp) => return Ok(resp),
-                        Err(error) => {
-                            // The head arrived but the (small) response body
-                            // broke: retry the whole exchange when safe.
-                            if error.is_retryable()
-                                && req.method.is_idempotent()
-                                && attempts < self.cfg.retry.retries
-                            {
-                                upload_retry(&mut attempts);
-                                continue;
-                            }
-                            return Err(error);
-                        }
-                    }
-                }
-                Err(TryError { error, stale }) => {
-                    if stale && stale_retries < MAX_STALE_RETRIES {
-                        stale_retries += 1;
-                        continue;
-                    }
-                    if error.is_retryable()
-                        && req.method.is_idempotent()
-                        && attempts < self.cfg.retry.retries
-                    {
-                        upload_retry(&mut attempts);
-                        continue;
-                    }
-                    return Err(error);
-                }
-            }
-        }
+        self.with_retries(req, Some(body), |stream| stream.into_response())
     }
 
-    /// One upload exchange: checkout, write head, negotiate
-    /// `Expect: 100-continue`, stream the body, read the final head.
-    fn try_upload_once(
+    /// One request/response exchange: checkout, write the head and the body
+    /// it was given, read the response head — the response body stays on the
+    /// wire for the [`ResponseStream`] to consume.
+    fn exchange(
         &self,
         req: &PreparedRequest,
         uri: &Uri,
-        body: &dyn BodyProvider,
+        upload: Option<&dyn BodyProvider>,
     ) -> std::result::Result<RawStream, TryError> {
-        let source = body.open().map_err(|error| TryError { error, stale: false })?;
-        let ep = Endpoint::of(uri);
-        let mut session =
-            self.pool.acquire(&ep).map_err(|error| TryError { error, stale: false })?;
-        let reused = session.reused;
+        let fresh = |error| TryError { error, stale: false };
+        let source = upload.map(|body| body.open()).transpose().map_err(fresh)?;
+        let mut session = self.pool.acquire(&Endpoint::of(uri)).map_err(fresh)?;
 
         let mut head = self.request_head(req, uri);
-        source.apply_framing(&mut head.headers);
-        // `u64::MAX` disables Expect for *every* body, including
-        // unknown-length ones (which otherwise always negotiate).
-        let expect = self.cfg.expect_continue_threshold != u64::MAX
-            && !source.is_empty()
-            && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold);
-        if expect {
-            head.headers.set("Expect", "100-continue");
-        }
+        let mut expect = false;
+        let wire = match (&source, &req.body) {
+            (Some(source), _) => {
+                source.apply_framing(&mut head.headers);
+                // `u64::MAX` disables Expect for *every* body, including
+                // unknown-length ones (which otherwise always negotiate).
+                expect = self.cfg.expect_continue_threshold != u64::MAX
+                    && !source.is_empty()
+                    && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold);
+                if expect {
+                    head.headers.set("Expect", "100-continue");
+                }
+                head.to_bytes()
+            }
+            // An in-memory body leaves in the same buffer as its head → one
+            // transport write → the whole request travels in one segment
+            // train.
+            (None, Some(body)) => {
+                head.headers.set("Content-Length", body.len().to_string());
+                let mut wire = head.to_bytes();
+                wire.extend_from_slice(body);
+                // `bytes_uploaded` counts *payload* stores only — a PROPFIND
+                // or multipart-complete XML body is protocol chatter.
+                if req.method == Method::Put {
+                    Metrics::add(&self.metrics.bytes_uploaded, body.len() as u64);
+                }
+                wire
+            }
+            (None, None) => head.to_bytes(),
+        };
 
         Metrics::bump(&self.metrics.requests);
-        session.note_request();
-        let wire = head.to_bytes();
         Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
+        session.note_request();
         if let Err(e) = session.writer.write_all(&wire) {
+            let stale = session.reused;
             self.pool.release(session, false);
-            return Err(TryError { error: e.into(), stale: reused });
+            return Err(TryError { error: e.into(), stale });
         }
+        match source {
+            Some(source) => self.send_body(session, source, expect, &req.method),
+            None => self.read_start(session, &req.method),
+        }
+    }
 
+    /// The streamed half of an exchange, after the head is written:
+    /// negotiate `Expect: 100-continue`, stream the body, read the final
+    /// head.
+    fn send_body(
+        &self,
+        mut session: Session,
+        source: BodySource<'_>,
+        expect: bool,
+        method: &Method,
+    ) -> std::result::Result<RawStream, TryError> {
         if expect {
-            match self.await_continue(&mut session, &req.method) {
+            match self.await_continue(&mut session, method) {
                 AwaitContinue::Proceed => {}
                 AwaitContinue::Timeout => {} // send the body anyway (§5.1.1)
                 AwaitContinue::Final(mut start) => {
@@ -448,7 +440,7 @@ impl HttpExecutor {
                     return Ok(RawStream { start, session });
                 }
                 AwaitContinue::Dead(error) => {
-                    let stale = reused
+                    let stale = session.reused
                         && matches!(&error, DavixError::Connection(io)
                             if io.kind() == std::io::ErrorKind::UnexpectedEof);
                     self.pool.release(session, false);
@@ -477,8 +469,7 @@ impl HttpExecutor {
                 // already answered (reject + close). Salvage that final
                 // response if it made it onto the wire: it explains the
                 // failure far better than "broken pipe".
-                if let Ok(mut start) = read_response_start(&mut session.reader, &req.method, false)
-                {
+                if let Ok(mut start) = read_response_start(&mut session.reader, method, false) {
                     start.reusable = false;
                     return Ok(RawStream { start, session });
                 }
@@ -489,7 +480,7 @@ impl HttpExecutor {
 
         // A slow server's `100 Continue` may still arrive here, after our
         // wait already timed out.
-        self.read_start(session, &req.method)
+        self.read_start(session, method)
     }
 
     /// The request head every exchange starts from.
@@ -562,7 +553,7 @@ impl HttpExecutor {
     /// Sleep the exponential backoff for retry number `attempts` (1-based).
     /// `checked_mul` + a ceiling keep any configured backoff/retry count
     /// from overflowing `Duration` (which panics in `Duration * u32`).
-    pub(crate) fn backoff_sleep(&self, attempts: u32) {
+    fn backoff_sleep(&self, attempts: u32) {
         let factor = 2u32.saturating_pow(attempts.saturating_sub(1));
         let backoff = self
             .cfg
@@ -592,46 +583,6 @@ impl HttpExecutor {
             stream.release(keep_alive);
         }
         stream
-    }
-
-    /// One request/response exchange: checkout, write, read the head — the
-    /// body stays on the wire for the [`ResponseStream`] to consume.
-    fn try_once(
-        &self,
-        req: &PreparedRequest,
-        uri: &Uri,
-    ) -> std::result::Result<RawStream, TryError> {
-        let ep = Endpoint::of(uri);
-        let mut session =
-            self.pool.acquire(&ep).map_err(|error| TryError { error, stale: false })?;
-        let reused = session.reused;
-
-        // Serialize head + body into one buffer → one transport write → the
-        // whole request travels in one segment train.
-        let mut head = self.request_head(req, uri);
-        if let Some(body) = &req.body {
-            head.headers.set("Content-Length", body.len().to_string());
-        }
-        let mut wire = head.to_bytes();
-        if let Some(body) = &req.body {
-            wire.extend_from_slice(body);
-        }
-
-        Metrics::bump(&self.metrics.requests);
-        Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
-        // `bytes_uploaded` counts *payload* stores only — a PROPFIND or
-        // multipart-complete XML body is protocol chatter, not an upload.
-        if let (Method::Put, Some(body)) = (&req.method, &req.body) {
-            Metrics::add(&self.metrics.bytes_uploaded, body.len() as u64);
-        }
-        session.note_request();
-
-        if let Err(e) = session.writer.write_all(&wire) {
-            self.pool.release(session, false);
-            return Err(TryError { error: e.into(), stale: reused });
-        }
-
-        self.read_start(session, &req.method)
     }
 }
 
@@ -702,16 +653,22 @@ impl ResponseStream<'_> {
     }
 
     /// Consume the stream in whichever way is cheapest: drain the body when
-    /// doing so can return the session to the pool (keep-alive allowed),
-    /// otherwise drop the connection immediately — reading a
-    /// `Connection: close` (possibly close-delimited, unbounded) body to
-    /// EOF would buy nothing.
+    /// doing so can return the session to the pool (keep-alive allowed and
+    /// at most 64 KiB left), otherwise drop the connection —
+    /// reading a `Connection: close` (possibly close-delimited) body to EOF
+    /// buys nothing, and a long or endless one would hold the caller for as
+    /// long as the peer cares to trickle it.
     pub fn finish(mut self) {
-        if self.keep_alive {
-            let _ = self.drain();
-        } else {
-            self.release(false);
+        let mut sink = [0u8; 8192];
+        let mut left = if self.keep_alive { MAX_DRAIN_BYTES } else { 0 };
+        while left > 0 {
+            let want = left.min(sink.len());
+            match self.read(&mut sink[..want]) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => left -= n,
+            }
         }
+        // Dropped with the body unfinished: the connection goes with it.
     }
 
     /// Read and discard the rest of the body. Returns the bytes discarded.
@@ -827,6 +784,7 @@ mod tests {
     use netsim::{LinkSpec, SimNet};
     use objstore::{ObjectStore, StorageNode, StorageOptions};
     use parking_lot::Mutex;
+    use std::collections::VecDeque;
     use std::time::Duration;
 
     fn sim() -> SimNet {
@@ -1219,6 +1177,345 @@ mod tests {
         assert!(resp.head.status.is_success());
         assert_eq!(store.get("/streamed").unwrap().data.as_ref(), &payload[..]);
         assert_eq!(ex.metrics().snapshot().redirects, 2);
+    }
+
+    // ---- the one policy, for every kind of body ---------------------------
+
+    /// What the scripted server does with the n-th request it receives.
+    #[derive(Clone, Copy, Debug)]
+    enum Reply {
+        Ok,
+        /// Answer, then close without saying so: the client's pooled
+        /// session is stale by the time it is used again.
+        OkThenClose,
+        Error500,
+        Redirect307,
+        /// A `200` whose body is cut short by a connection reset.
+        ResetMidBody,
+    }
+
+    /// A server that reads every request to its end (answering `Expect:
+    /// 100-continue` first), then replies as `script` says — `Ok` once the
+    /// script runs out. Returns the body length of every request it read.
+    fn scripted_server(net: &SimNet, script: &[Reply]) -> Arc<Mutex<Vec<usize>>> {
+        use httpwire::codec::request_body_len;
+        use httpwire::parse::{read_request_head, BodyReader};
+        use netsim::Runtime as _;
+
+        let script = Arc::new(Mutex::new(script.iter().copied().collect::<VecDeque<_>>()));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let listener = net.bind("s", 80).unwrap();
+        let (net, rt, seen2) = (net.clone(), net.runtime(), Arc::clone(&seen));
+        net.clone().spawn("scripted-accept", move || {
+            for conn in 0.. {
+                let Ok((stream, _)) = listener.accept_sim() else { return };
+                let (net, rt2) = (net.clone(), Arc::clone(&rt));
+                let (script, seen) = (Arc::clone(&script), Arc::clone(&seen2));
+                let serve = move || {
+                    let mut w = netsim::Stream::try_clone(&stream).unwrap();
+                    let mut r = std::io::BufReader::new(stream);
+                    while let Ok(Some(head)) = read_request_head(&mut r) {
+                        if head.headers.contains("expect") {
+                            let _ = w.write_all(b"HTTP/1.1 100 Continue\r\n\r\n");
+                        }
+                        let Ok(len) = request_body_len(&head) else { return };
+                        let Ok(body) = BodyReader::new(&mut r, len).read_all() else { return };
+                        seen.lock().push(body.len());
+                        let reply = script.lock().pop_front().unwrap_or(Reply::Ok);
+                        let wire: &[u8] = match reply {
+                            Reply::Ok | Reply::OkThenClose => {
+                                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
+                            }
+                            Reply::Error500 => {
+                                b"HTTP/1.1 500 Internal Server Error\r\nContent-Length: 4\r\n\r\noops"
+                            }
+                            Reply::Redirect307 => {
+                                b"HTTP/1.1 307 Temporary Redirect\r\nLocation: /target\r\n\
+                                  Content-Length: 0\r\n\r\n"
+                            }
+                            Reply::ResetMidBody => {
+                                b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n0123456789"
+                            }
+                        };
+                        let _ = w.write_all(wire);
+                        match reply {
+                            Reply::OkThenClose => return,
+                            Reply::ResetMidBody => {
+                                // Let the partial body land, then reset
+                                // every connection of this host.
+                                rt2.sleep(Duration::from_millis(5));
+                                net.set_host_down("s", true);
+                                net.set_host_down("s", false);
+                                return;
+                            }
+                            _ => {}
+                        }
+                    }
+                };
+                rt.spawn(&format!("scripted-conn-{conn}"), Box::new(serve));
+            }
+        });
+        seen
+    }
+
+    /// The five ways a request reaches `exchange`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Kind {
+        /// No body, through `execute`.
+        Bodyless,
+        /// No body, the response read incrementally under `with_retries`
+        /// (the shape of every `file.rs` reader; `execute_streaming` is
+        /// this loop's head stage alone).
+        Streamed,
+        /// The request's own in-memory body.
+        Buffered,
+        /// A provider of known length (`Content-Length`).
+        ProviderSized,
+        /// A provider of unknown length (chunked).
+        ProviderChunked,
+    }
+
+    const KINDS: [Kind; 5] = [
+        Kind::Bodyless,
+        Kind::Streamed,
+        Kind::Buffered,
+        Kind::ProviderSized,
+        Kind::ProviderChunked,
+    ];
+    const BODY: usize = 2048;
+
+    impl Kind {
+        fn has_body(self) -> bool {
+            !matches!(self, Kind::Bodyless | Kind::Streamed)
+        }
+
+        /// Run one request of this kind; `method` overrides the natural
+        /// GET / PUT.
+        fn run(self, ex: &HttpExecutor, method: Option<Method>) -> Result<StatusCode> {
+            let natural = if self.has_body() { Method::Put } else { Method::Get };
+            let mut req =
+                PreparedRequest::new(method.unwrap_or(natural), "http://s/x".parse().unwrap());
+            let payload = Bytes::from(vec![7u8; BODY]);
+            match self {
+                Kind::Bodyless => ex.execute(&req).map(|r| r.head.status),
+                Kind::Streamed => ex.with_retries(&req, None, |mut stream| {
+                    stream.drain()?;
+                    Ok(stream.status())
+                }),
+                Kind::Buffered => {
+                    req.body = Some(payload);
+                    ex.execute(&req).map(|r| r.head.status)
+                }
+                Kind::ProviderSized => ex.execute_upload(&req, &payload).map(|r| r.head.status),
+                Kind::ProviderChunked => {
+                    ex.execute_upload(&req, &Unsized(payload.to_vec())).map(|r| r.head.status)
+                }
+            }
+        }
+    }
+
+    struct Scenario {
+        name: &'static str,
+        /// Served to a priming GET before the measured request.
+        prime: Option<Reply>,
+        script: &'static [Reply],
+        method: Option<Method>,
+        retries: u32,
+        status: u16,
+        requests: u64,
+        retried: u64,
+        redirects: u64,
+        sessions_created: u64,
+        /// Requests that got as far as the server.
+        served: usize,
+    }
+
+    #[test]
+    fn one_policy_for_every_kind_of_body() {
+        use Reply::*;
+        // What every scenario has unless it says otherwise.
+        let base = || Scenario {
+            name: "",
+            prime: None,
+            script: &[],
+            method: None,
+            retries: 0,
+            status: 200,
+            requests: 0,
+            retried: 0,
+            redirects: 0,
+            sessions_created: 1,
+            served: 0,
+        };
+        let scenarios = [
+            Scenario {
+                name: "stale recycled session",
+                prime: Some(OkThenClose),
+                script: &[Ok],
+                // `retries: 0`: the stale attempt is free, no budget needed.
+                requests: 2,
+                served: 1,
+                ..base()
+            },
+            Scenario {
+                name: "two 5xx then 2xx",
+                script: &[Error500, Error500, Ok],
+                retries: 3,
+                requests: 3,
+                retried: 2,
+                served: 3,
+                ..base()
+            },
+            Scenario {
+                name: "transport reset mid-response-body",
+                script: &[ResetMidBody, Ok],
+                retries: 2,
+                requests: 2,
+                retried: 1,
+                sessions_created: 2,
+                served: 2,
+                ..base()
+            },
+            Scenario {
+                name: "307 hop",
+                script: &[Redirect307, Ok],
+                requests: 2,
+                redirects: 1,
+                served: 2,
+                ..base()
+            },
+            Scenario {
+                name: "budget exhausted",
+                script: &[Error500; 5],
+                retries: 2,
+                status: 500,
+                requests: 3,
+                retried: 2,
+                served: 3,
+                ..base()
+            },
+            Scenario {
+                name: "non-idempotent POST never retried",
+                script: &[Error500, Ok],
+                method: Some(Method::Post),
+                retries: 3,
+                status: 500,
+                requests: 1,
+                served: 1,
+                ..base()
+            },
+        ];
+        for sc in &scenarios {
+            for kind in KINDS {
+                let what = format!("{kind:?} × {}", sc.name);
+                let net = sim();
+                let script: Vec<Reply> = sc.prime.iter().chain(sc.script).copied().collect();
+                let seen = scripted_server(&net, &script);
+                let _g = net.enter();
+                let ex = executor(
+                    &net,
+                    Config {
+                        retry: crate::config::RetryPolicy {
+                            retries: sc.retries,
+                            backoff: Duration::from_millis(1),
+                        },
+                        // Low enough that the sized provider negotiates
+                        // `Expect` too (the chunked one always does).
+                        expect_continue_threshold: 1024,
+                        ..Config::default()
+                    },
+                );
+                if sc.prime.is_some() {
+                    Kind::Bodyless.run(&ex, None).unwrap();
+                    net.sleep(Duration::from_millis(10)); // the server's FIN lands
+                    seen.lock().clear();
+                }
+                let before = ex.metrics().snapshot();
+                let status =
+                    kind.run(&ex, sc.method.clone()).unwrap_or_else(|e| panic!("{what}: {e}"));
+                let m = ex.metrics().snapshot().since(&before);
+                assert_eq!(status.0, sc.status, "{what}: status");
+                assert_eq!(m.requests, sc.requests, "{what}: requests");
+                assert_eq!(m.retries, sc.retried, "{what}: retries");
+                assert_eq!(m.redirects, sc.redirects, "{what}: redirects");
+                assert_eq!(m.sessions_created, sc.sessions_created, "{what}: sessions_created");
+                let streamed = matches!(kind, Kind::ProviderSized | Kind::ProviderChunked);
+                let upload_retries = if streamed { sc.retried } else { 0 };
+                assert_eq!(m.upload_retries, upload_retries, "{what}: upload_retries");
+                // Every attempt the server saw carried the whole body.
+                let want = if kind.has_body() { BODY } else { 0 };
+                assert_eq!(*seen.lock(), vec![want; sc.served], "{what}: bodies");
+            }
+        }
+    }
+
+    // ---- bounds on what a peer can make the policy loop do ----------------
+
+    /// A hand-rolled one-connection-at-a-time server: `respond` writes the
+    /// answer to each request head it is shown.
+    fn raw_server(
+        net: &SimNet,
+        respond: impl Fn(&httpwire::RequestHead, &mut dyn Write) + Send + 'static,
+    ) {
+        let listener = net.bind("s", 80).unwrap();
+        net.spawn("raw-server", move || loop {
+            let Ok((stream, _)) = listener.accept_sim() else { return };
+            let mut w = netsim::Stream::try_clone(&stream).unwrap();
+            let mut r = std::io::BufReader::new(stream);
+            while let Ok(Some(head)) = httpwire::parse::read_request_head(&mut r) {
+                respond(&head, &mut w);
+            }
+        });
+    }
+
+    #[test]
+    fn a_lying_redirect_body_costs_its_connection_not_the_client() {
+        let net = sim();
+        // `/f` redirects with a body it claims is a tebibyte long, sends a
+        // quarter MiB of it and then just keeps the connection open.
+        raw_server(&net, |head, w| {
+            if head.target == "/f" {
+                let _ = write!(
+                    w,
+                    "HTTP/1.1 307 Temporary Redirect\r\nLocation: /target\r\n\
+                     Content-Length: {}\r\n\r\n",
+                    1u64 << 40
+                );
+                let _ = w.write_all(&vec![b'x'; 256 * 1024]);
+            } else {
+                let _ = w.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nhello");
+            }
+        });
+        let _g = net.enter();
+        let ex = executor(&net, Config::default().no_retry());
+        let t0 = net.now();
+        let resp = ex.execute(&PreparedRequest::get("http://s/f".parse().unwrap())).unwrap();
+        assert_eq!(resp.body, b"hello");
+        assert_eq!(resp.final_uri.path, "/target");
+        let m = ex.metrics().snapshot();
+        assert!(
+            m.bytes_in <= (MAX_DRAIN_BYTES + 5) as u64,
+            "the hop may cost at most the drain cap, read {} bytes",
+            m.bytes_in
+        );
+        assert_eq!(m.sessions_created, 2, "the lying connection is dropped, not recycled");
+        assert_eq!(m.sessions_discarded, 1);
+        assert!(net.now() - t0 < Config::default().io_timeout, "no wait for the body's end");
+    }
+
+    #[test]
+    fn endless_interim_responses_are_a_protocol_error_and_drop_the_session() {
+        let net = sim();
+        raw_server(&net, |_, w| {
+            let _ = w.write_all(&b"HTTP/1.1 102 Processing\r\n\r\n".repeat(1000));
+        });
+        let _g = net.enter();
+        let ex = executor(&net, Config::default().no_retry());
+        let uri: Uri = "http://s/f".parse().unwrap();
+        let err = ex.execute(&PreparedRequest::get(uri.clone())).unwrap_err();
+        assert!(matches!(err, DavixError::Protocol(_)), "{err}");
+        assert_eq!(ex.pool().idle_count(&Endpoint::of(&uri)), 0);
+        assert_eq!(ex.metrics().snapshot().sessions_discarded, 1);
     }
 
     #[test]

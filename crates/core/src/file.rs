@@ -56,6 +56,7 @@ pub struct DavFile {
 /// [`DavFile`] needs to hit the wire, shaped so the block cache can share
 /// it as its upstream [`BlockFetch`] (prefetch threads hold an `Arc` of
 /// this, never of the `DavFile` itself).
+#[derive(Clone)]
 pub(crate) struct RawFile {
     pub(crate) inner: Arc<ClientInner>,
     pub(crate) uri: Uri,
@@ -201,36 +202,32 @@ impl RawFile {
             return Ok(0);
         }
         let want = buf.len().min((self.size - offset) as usize);
-        with_read_retries(&self.inner.executor, |attempts| {
-            self.pread_attempt(offset, buf, want, attempts)
-        })
+        self.get_range(offset, &mut buf[..want])
     }
 
-    fn pread_attempt(
-        &self,
-        offset: u64,
-        buf: &mut [u8],
-        want: usize,
-        attempts: &mut u32,
-    ) -> Result<usize> {
-        let range = format_range_header(&[(offset, want)]);
+    /// The one single-range GET: fill `buf` from `offset`, returning how
+    /// many bytes the entity had there — `buf.len()` unless it ends early
+    /// (a `416`, or a `200` full entity shorter than the window's end).
+    fn get_range(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let ex = &self.inner.executor;
+        let range = format_range_header(&[(offset, buf.len())]);
         let req = PreparedRequest::get(self.uri.clone()).header("Range", range);
-        let mut resp = self.inner.executor.execute_streaming_with_budget(&req, attempts)?;
-        match resp.status() {
+        ex.with_retries(&req, None, |mut resp| match resp.status() {
             StatusCode::PARTIAL_CONTENT => {
-                validated_content_range(resp.head(), offset, want, "pread")?;
-                read_exact_stream(&mut resp, &mut buf[..want], "pread")?;
-                Ok(want)
+                validated_content_range(resp.head(), offset, buf.len(), "pread")?;
+                read_exact_stream(&mut resp, buf, "pread")?;
+                Ok(buf.len())
             }
             StatusCode::OK => {
                 // Server ignored Range (200 + full entity): skip to the
                 // offset and read only the window — a bounded read, the
-                // rest of the entity is never pulled into memory.
-                Metrics::bump(&self.inner.executor.metrics().range_downgrades);
+                // rest of the entity is never pulled into memory (and N
+                // parallel fragments do not each pull the whole file).
+                Metrics::bump(&ex.metrics().range_downgrades);
                 if skip_stream(&mut resp, offset)? < offset {
                     Ok(0) // entity shorter than our stat said: EOF
                 } else {
-                    read_some(&mut resp, &mut buf[..want])
+                    read_some(&mut resp, buf)
                 }
             }
             StatusCode::RANGE_NOT_SATISFIABLE => {
@@ -238,7 +235,7 @@ impl RawFile {
                 Ok(0)
             }
             status => Err(DavixError::from_status(status, format!("pread {}", self.uri))),
-        }
+        })
     }
 
     /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment.
@@ -247,14 +244,7 @@ impl RawFile {
         if fragments.is_empty() {
             return Ok(Vec::new());
         }
-        for &(off, len) in fragments {
-            if off.saturating_add(len as u64) > self.size {
-                return Err(DavixError::InvalidArgument(format!(
-                    "fragment {off}+{len} beyond entity size {}",
-                    self.size
-                )));
-            }
-        }
+        check_fragments(fragments, self.size)?;
         // Merge close fragments into wire ranges: fewer parts, same data.
         let wire = coalesce_fragments(fragments, self.inner.cfg.vector_merge_gap);
         let wire: Vec<(u64, usize)> = wire.into_iter().map(|(o, l)| (o, l as usize)).collect();
@@ -300,19 +290,24 @@ impl RawFile {
     /// One multi-range GET; decode whichever shape the server chose,
     /// incrementally off the wire.
     fn fetch_multirange(&self, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
-        with_read_retries(&self.inner.executor, |attempts| self.multirange_attempt(wire, attempts))
+        let ex = &self.inner.executor;
+        let req = PreparedRequest::get(self.uri.clone()).header("Range", format_range_header(wire));
+        ex.with_retries(&req, None, |resp| {
+            Metrics::bump(&ex.metrics().vectored_requests);
+            self.decode_multirange(resp, wire)
+        })
     }
 
-    fn multirange_attempt(&self, wire: &[(u64, usize)], attempts: &mut u32) -> Result<Vec<Chunk>> {
-        let range = format_range_header(wire);
-        let req = PreparedRequest::get(self.uri.clone()).header("Range", range);
-        Metrics::bump(&self.inner.executor.metrics().vectored_requests);
+    fn decode_multirange(
+        &self,
+        mut resp: ResponseStream<'_>,
+        wire: &[(u64, usize)],
+    ) -> Result<Vec<Chunk>> {
         // Everything we asked for lives inside this span; anything a part
         // claims outside it is a lie (and a lying length must not drive an
         // allocation either — hence the part limit).
         let span_first = wire.iter().map(|&(o, _)| o).min().unwrap_or(0);
         let span_end = wire.iter().map(|&(o, l)| o + l as u64).max().unwrap_or(0);
-        let mut resp = self.inner.executor.execute_streaming_with_budget(&req, attempts)?;
         match resp.status() {
             StatusCode::PARTIAL_CONTENT => {
                 let ct = resp.head().headers.get("content-type").unwrap_or("").to_string();
@@ -388,46 +383,22 @@ impl RawFile {
     /// Fallback: one single-range GET per wire range, in parallel through the
     /// pool (bounded by `vector_fallback_parallelism`).
     fn fetch_parallel_single(&self, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
-        let inner = Arc::clone(&self.inner);
-        let uri = self.uri.clone();
-        let rt = Arc::clone(self.inner.executor.runtime());
+        let file = self.clone();
         let results = parallel_map(
-            &rt,
+            self.inner.executor.runtime(),
             wire.to_vec(),
             self.inner.cfg.vector_fallback_parallelism,
             move |(off, len): (u64, usize)| -> Result<Chunk> {
-                with_read_retries(&inner.executor, |attempts| {
-                    let range = format_range_header(&[(off, len)]);
-                    let req = PreparedRequest::get(uri.clone()).header("Range", range);
-                    let mut resp = inner.executor.execute_streaming_with_budget(&req, attempts)?;
-                    let mut data = vec![0u8; len];
-                    match resp.status() {
-                        StatusCode::PARTIAL_CONTENT => {
-                            validated_content_range(resp.head(), off, len, "pread")?;
-                            read_exact_stream(&mut resp, &mut data, "pread")?;
-                        }
-                        StatusCode::OK => {
-                            // Full-entity reply to a range request: without
-                            // streaming, every parallel fragment would pull
-                            // the whole file (N× amplification). Skip to the
-                            // window, read it, drop the rest on the floor.
-                            Metrics::bump(&inner.executor.metrics().range_downgrades);
-                            if skip_stream(&mut resp, off)? < off {
-                                return Err(DavixError::Protocol(format!(
-                                    "entity ended before requested range {off}+{len}"
-                                )));
-                            }
-                            read_exact_stream(&mut resp, &mut data, "pread")?;
-                        }
-                        status => {
-                            return Err(DavixError::from_status(
-                                status,
-                                format!("pread {off}+{len}"),
-                            ))
-                        }
-                    }
-                    Ok(Chunk { first: off, data })
-                })
+                let mut data = vec![0u8; len];
+                // `pread_vec` checked every range against the size we were
+                // told, so a short answer here contradicts the server.
+                if file.get_range(off, &mut data)? < len {
+                    return Err(DavixError::Protocol(format!(
+                        "{}: entity ended inside requested range {off}+{len}",
+                        file.uri
+                    )));
+                }
+                Ok(Chunk { first: off, data })
             },
         );
         results.into_iter().collect()
@@ -490,15 +461,8 @@ impl DavFile {
         if fragments.is_empty() {
             return Ok(Vec::new());
         }
-        for &(off, len) in fragments {
-            if off.saturating_add(len as u64) > self.raw.size {
-                return Err(DavixError::InvalidArgument(format!(
-                    "fragment {off}+{len} beyond entity size {}",
-                    self.raw.size
-                )));
-            }
-        }
         if let Some(cache) = &self.cache {
+            check_fragments(fragments, self.raw.size)?;
             let (out, upstream) = cache.read_vec(fragments)?;
             let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
             self.io.record_vector_read(bytes, upstream);
@@ -521,27 +485,14 @@ struct Chunk {
     data: Vec<u8>,
 }
 
-/// Run one read exchange with the executor's retry policy applied to *body*
-/// failures too, like the old buffered path: `op` gets the shared attempt
-/// counter (threaded into `execute_streaming_with_budget`, so head-stage and
-/// body-stage failures draw on one budget, never a multiplied one). Only
-/// retryable errors (transport resets, timeouts) re-run `op`; protocol
-/// faults — wrong `Content-Range`, short bodies — fail immediately. Every
-/// caller here issues GETs, which are idempotent by definition.
-fn with_read_retries<T>(
-    ex: &crate::executor::HttpExecutor,
-    mut op: impl FnMut(&mut u32) -> Result<T>,
-) -> Result<T> {
-    let mut attempts = 0u32;
-    loop {
-        match op(&mut attempts) {
-            Err(e) if e.is_retryable() && attempts < ex.config().retry.retries => {
-                attempts += 1;
-                Metrics::bump(&ex.metrics().retries);
-                ex.backoff_sleep(attempts);
-            }
-            other => return other,
-        }
+/// Every vectored path refuses fragments reaching past the entity: an
+/// out-of-range fragment is an error, never a silent truncation.
+pub(crate) fn check_fragments(fragments: &[(u64, usize)], size: u64) -> Result<()> {
+    match fragments.iter().find(|&&(off, len)| off.saturating_add(len as u64) > size) {
+        Some((off, len)) => Err(DavixError::InvalidArgument(format!(
+            "fragment {off}+{len} beyond entity size {size}"
+        ))),
+        None => Ok(()),
     }
 }
 

@@ -1,4 +1,5 @@
-//! A bounded, spawn-on-demand worker pool for the client's background I/O.
+//! A bounded, spawn-on-demand worker pool for the client's background I/O,
+//! and the chunk-transfer engine both parallel transfers run on it.
 //!
 //! Multi-stream downloads, parallel uploads and cache read-ahead all need
 //! worker threads. Before this pool each call site spawned its own
@@ -11,12 +12,16 @@
 //! leaves no parked waiters or pending timers to perturb virtual time.
 //!
 //! Jobs must be independent: a job that blocks waiting for a *queued* job
-//! to run would deadlock a saturated pool. All current users follow a
-//! work-stealing shape (workers drain a shared chunk queue and exit), so
-//! any subset of them making progress completes the batch.
+//! to run would deadlock a saturated pool. `run_chunked` is the shape
+//! that keeps to it, written once for both directions: its workers drain a
+//! shared chunk queue and exit, so any subset of them making progress
+//! completes the batch. (`util::parallel_map` stays on raw runtime threads
+//! for the same reason: as pool jobs, its ordered-result waits could queue
+//! behind the very jobs they wait for.)
 //!
 //! [`Config::io_threads`]: crate::Config::io_threads
 
+use crate::error::{DavixError, Result};
 use netsim::Runtime;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -120,6 +125,135 @@ impl IoPool {
     /// High-water mark of concurrently live workers.
     pub fn peak_workers(&self) -> usize {
         self.state.lock().peak_live
+    }
+}
+
+/// One piece of a chunked transfer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chunk {
+    /// Position in the entity's chunk sequence.
+    pub(crate) idx: usize,
+    /// Byte offset within the entity.
+    pub(crate) off: u64,
+    /// Length in bytes (`chunk_size`, less for the last one).
+    pub(crate) len: usize,
+}
+
+/// What a worker made of one chunk.
+pub(crate) enum ChunkOutcome {
+    /// Transferred.
+    Done,
+    /// Failed here; put it back for any worker to try again, and charge the
+    /// transfer's failure budget.
+    Retry(DavixError),
+    /// No replay can succeed: stop the whole transfer.
+    Fatal(DavixError),
+}
+
+struct Progress {
+    queue: VecDeque<Chunk>,
+    remaining: usize,
+    failures: usize,
+    fatal: Option<DavixError>,
+    /// Workers that have not left yet.
+    live: usize,
+}
+
+/// The chunk-transfer engine: split `size` bytes into `chunk_size` pieces
+/// and let up to `workers` pool jobs work through them, each with the
+/// closure `make_worker(n)` built for it. A chunk that fails is requeued
+/// for whichever worker is free next, until more than `max_failures` have
+/// failed in total. `submitted` runs on the calling thread once every
+/// worker is with the pool and before anything is waited for. Returns the
+/// number of requeued failures, or the error that stopped the transfer.
+///
+/// The caller wakes when every chunk is done or when the **last worker has
+/// left** — never with a worker still in a transfer, so whatever the
+/// caller does next (abort a staged upload, report failure) cannot race a
+/// chunk in flight.
+pub(crate) fn run_chunked<W>(
+    pool: &Arc<IoPool>,
+    size: u64,
+    chunk_size: usize,
+    workers: usize,
+    max_failures: usize,
+    mut make_worker: impl FnMut(usize) -> W,
+    submitted: impl FnOnce(),
+) -> Result<usize>
+where
+    W: FnMut(Chunk) -> ChunkOutcome + Send + 'static,
+{
+    let queue: VecDeque<Chunk> = (0..size.div_ceil(chunk_size as u64))
+        .map(|i| {
+            let off = i * chunk_size as u64;
+            Chunk { idx: i as usize, off, len: chunk_size.min((size - off) as usize) }
+        })
+        .collect();
+    let workers = workers.min(queue.len());
+    if workers == 0 {
+        return Ok(0);
+    }
+    let progress = Arc::new(Mutex::new(Progress {
+        remaining: queue.len(),
+        queue,
+        failures: 0,
+        fatal: None,
+        live: workers,
+    }));
+    let done = pool.rt.signal();
+    for n in 0..workers {
+        let mut work = make_worker(n);
+        let (progress, done) = (Arc::clone(&progress), Arc::clone(&done));
+        pool.submit(move || {
+            loop {
+                let chunk = {
+                    let mut st = progress.lock();
+                    if st.fatal.is_some() {
+                        break; // another worker stopped the transfer
+                    }
+                    let Some(chunk) = st.queue.pop_front() else { break };
+                    chunk
+                };
+                let outcome = work(chunk);
+                let mut st = progress.lock();
+                match outcome {
+                    ChunkOutcome::Done => {
+                        st.remaining -= 1;
+                        if st.remaining == 0 {
+                            done.set();
+                        }
+                    }
+                    ChunkOutcome::Retry(e) => {
+                        st.queue.push_back(chunk);
+                        st.failures += 1;
+                        if st.failures > max_failures {
+                            st.fatal.get_or_insert(e);
+                        }
+                    }
+                    ChunkOutcome::Fatal(e) => {
+                        st.fatal.get_or_insert(e);
+                    }
+                }
+            }
+            let mut st = progress.lock();
+            st.live -= 1;
+            if st.live == 0 {
+                // Last one out: if work remains, nobody will do it — wake
+                // the caller so it can report failure instead of hanging.
+                done.set();
+            }
+        });
+    }
+    submitted();
+    done.wait(None);
+
+    let mut st = progress.lock();
+    match st.fatal.take() {
+        Some(e) => Err(e),
+        None if st.remaining > 0 => {
+            Err(DavixError::Protocol("chunk workers exited with chunks unfinished".to_string()))
+        }
+        None => Ok(st.failures),
     }
 }
 

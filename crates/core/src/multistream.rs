@@ -17,11 +17,12 @@
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
 use crate::file::DavFile;
+use crate::iopool::{run_chunked, Chunk, ChunkOutcome};
 use crate::metrics::Metrics;
 use crate::scheduler::{ReplicaId, ReplicaScheduler};
 use httpwire::Uri;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -61,23 +62,6 @@ pub struct MultistreamReport {
     pub completions: Vec<ChunkCompletion>,
     /// Times a worker abandoned its replica for the scheduler's next-best.
     pub respawns: u64,
-}
-
-struct Shared {
-    queue: Mutex<VecDeque<(usize, u64, usize)>>,
-    /// One slot per chunk. A worker that pops chunk `i` from the queue is
-    /// the only holder of `slots[i]`, so it can stream the body straight
-    /// into the slot's buffer while holding only that slot's (uncontended)
-    /// lock — no shared whole-file buffer, no copy through a scratch `Vec`.
-    slots: Vec<Mutex<Vec<u8>>>,
-    progress: Mutex<Progress>,
-    report: Mutex<MultistreamReport>,
-}
-
-struct Progress {
-    remaining_chunks: usize,
-    failures: usize,
-    fatal: Option<DavixError>,
 }
 
 /// Download a whole entity from `replicas` using `opts.streams` parallel
@@ -153,65 +137,43 @@ pub fn multistream_download_scheduled(
         last: Box::new(last_err.unwrap_or_else(|| DavixError::Metalink("unreachable".into()))),
     })?;
 
-    let mut chunks: VecDeque<(usize, u64, usize)> = VecDeque::new();
-    let mut off = 0u64;
-    while off < size {
-        let len = opts.chunk_size.min((size - off) as usize);
-        chunks.push_back((chunks.len(), off, len));
-        off += len as u64;
-    }
-    let n_chunks = chunks.len();
-    if n_chunks == 0 {
-        return Ok((Vec::new(), MultistreamReport::default()));
-    }
+    // One slot per chunk. A worker handed chunk `i` is the only holder of
+    // `slots[i]`, so it can stream the body straight into the slot's buffer
+    // while holding only that slot's (uncontended) lock — no shared
+    // whole-file buffer, no copy through a scratch `Vec`.
+    let n_chunks = size.div_ceil(opts.chunk_size as u64) as usize;
+    let slots: Arc<Vec<Mutex<Vec<u8>>>> =
+        Arc::new((0..n_chunks).map(|_| Mutex::new(Vec::new())).collect());
+    let report = Arc::new(Mutex::new(MultistreamReport::default()));
+    run_chunked(
+        &client.inner.io_pool,
+        size,
+        opts.chunk_size,
+        opts.streams,
+        opts.max_chunk_failures,
+        |slot_idx| {
+            stream_worker(
+                client.clone(),
+                slot_idx,
+                Arc::clone(scheduler),
+                Arc::clone(&slots),
+                Arc::clone(&report),
+            )
+        },
+        || (),
+    )
+    .map_err(|e| DavixError::AllReplicasFailed { tried: scheduler.len(), last: Box::new(e) })?;
 
-    let shared = Arc::new(Shared {
-        slots: (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect(),
-        queue: Mutex::new(chunks),
-        progress: Mutex::new(Progress { remaining_chunks: n_chunks, failures: 0, fatal: None }),
-        report: Mutex::new(MultistreamReport::default()),
-    });
-    let done = client.inner.executor.runtime().signal();
-    let live_streams = Arc::new(Mutex::new(0usize));
-    let pool = Arc::clone(&client.inner.io_pool);
-
-    let streams = opts.streams.min(n_chunks).max(1);
-    *live_streams.lock() = streams;
-    for s in 0..streams {
-        let client = client.clone();
-        let scheduler = Arc::clone(scheduler);
-        let shared = Arc::clone(&shared);
-        let done = Arc::clone(&done);
-        let live = Arc::clone(&live_streams);
-        let max_failures = opts.max_chunk_failures;
-        pool.submit(move || {
-            stream_worker(client, s, scheduler, shared, &done, &live, max_failures);
-        });
-    }
-
-    done.wait(None);
-    {
-        let mut st = shared.progress.lock();
-        if let Some(e) = st.fatal.take() {
-            return Err(e);
-        }
-        if st.remaining_chunks > 0 {
-            return Err(DavixError::AllReplicasFailed {
-                tried: scheduler.len(),
-                last: Box::new(DavixError::Metalink("all streams died".to_string())),
-            });
-        }
-    }
     // Every slot is filled and no worker holds a lock any more: assemble the
     // entity in chunk order (the only copy on this whole path). Each slot is
     // taken (freed) right after it is copied, so resident memory peaks near
     // one entity plus one chunk, not two entities.
     let mut out = Vec::with_capacity(size as usize);
-    for slot in &shared.slots {
+    for slot in slots.iter() {
         let chunk = std::mem::take(&mut *slot.lock());
         out.extend_from_slice(&chunk);
     }
-    let report = std::mem::take(&mut *shared.report.lock());
+    let report = std::mem::take(&mut *report.lock());
     Ok((out, report))
 }
 
@@ -258,15 +220,15 @@ pub fn multistream_download_verified(
     Ok(data)
 }
 
+/// The per-chunk work of download stream `slot_idx`: pick the replica the
+/// scheduler assigns this slot, read the chunk from it into its slot.
 fn stream_worker(
     client: DavixClient,
     slot_idx: usize,
     scheduler: Arc<ReplicaScheduler>,
-    shared: Arc<Shared>,
-    done: &Arc<dyn netsim::Signal>,
-    live: &Arc<Mutex<usize>>,
-    max_failures: usize,
-) {
+    slots: Arc<Vec<Mutex<Vec<u8>>>>,
+    report: Arc<Mutex<MultistreamReport>>,
+) -> impl FnMut(Chunk) -> ChunkOutcome {
     let rt = Arc::clone(client.inner.executor.runtime());
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
@@ -275,122 +237,148 @@ fn stream_worker(
     // near-equal replicas costs nothing — only a *failure-driven* switch
     // (a respawn) pays a fresh HEAD, and only those are counted as
     // respawns.
-    let mut files: std::collections::HashMap<ReplicaId, DavFile> = std::collections::HashMap::new();
+    let mut files: HashMap<ReplicaId, DavFile> = HashMap::new();
     let mut current: Option<ReplicaId> = None;
     let mut last_chunk_failed = false;
-    loop {
-        if shared.progress.lock().fatal.is_some() {
-            break; // another stream exhausted the failure budget
-        }
-        let chunk = shared.queue.lock().pop_front();
-        let Some((idx, off, len)) = chunk else { break };
-
-        let Some((id, uri)) = scheduler.assign(slot_idx) else { break };
+    move |Chunk { idx, off, len }| {
+        let Some((id, uri)) = scheduler.assign(slot_idx) else {
+            return ChunkOutcome::Fatal(DavixError::InvalidArgument("no replicas given".into()));
+        };
         if current.is_some() && current != Some(id) && last_chunk_failed {
             // Respawn: the worker abandons its failed replica for the
-            // scheduler's next-best instead of dying with it. (Every loop
-            // path below re-assigns `last_chunk_failed` before the next
-            // check, so no reset is needed here.)
+            // scheduler's next-best instead of dying with it.
             Metrics::bump(&client.inner.executor.metrics().streams_respawned);
-            shared.report.lock().respawns += 1;
+            report.lock().respawns += 1;
         }
         current = Some(id);
-        if let std::collections::hash_map::Entry::Vacant(slot) = files.entry(id) {
-            // A successful open records nothing (a HEAD answering is not
-            // evidence the reads will work — see `ReplicaFile::file_for`);
-            // the chunk read right after feeds the scheduler.
-            match DavFile::open_uncached(Arc::clone(&client.inner), uri.clone()) {
-                Ok(f) => {
-                    slot.insert(f);
-                }
-                Err(_) => {
-                    scheduler.record_failure(id);
-                    last_chunk_failed = true;
-                    shared.queue.lock().push_back((idx, off, len));
-                    if count_failure(&client, &scheduler, &shared, max_failures) {
-                        done.set();
-                        break;
-                    }
-                    continue;
-                }
+        // A successful open records nothing (a HEAD answering is not
+        // evidence the reads will work — see `ReplicaFile::file_for`); the
+        // chunk read right after feeds the scheduler.
+        let opened = match files.entry(id) {
+            Entry::Occupied(f) => Ok(f.into_mut()),
+            Entry::Vacant(v) => {
+                DavFile::open_uncached(Arc::clone(&client.inner), uri.clone()).map(|f| v.insert(f))
             }
-        }
-        let f = files.get(&id).expect("file ensured above");
-
-        // This worker popped chunk `idx`, so it owns `slots[idx]` until it
-        // finishes or requeues: the lock is uncontended and may be held
-        // across the network read. `pread` streams the part body straight
-        // into the slot — the chunk's final resting place — with no
-        // intermediate buffer.
-        let t0 = rt.now();
-        let result = {
-            let mut slot = shared.slots[idx].lock();
-            slot.resize(len, 0);
-            f.pread(off, &mut slot[..])
         };
-        match result {
-            Ok(n) if n == len => {
-                scheduler.record_success(id, rt.now() - t0);
-                last_chunk_failed = false;
-                {
-                    let mut rep = shared.report.lock();
-                    rep.completions.push(ChunkCompletion {
-                        chunk: idx,
-                        replica: uri.clone(),
-                        at: rt.now(),
-                    });
-                }
-                let mut st = shared.progress.lock();
-                st.remaining_chunks -= 1;
-                if st.remaining_chunks == 0 {
-                    done.set();
-                }
+        // This worker was handed chunk `idx`, so it owns `slots[idx]` until
+        // it finishes or gives the chunk back: the lock is uncontended and
+        // may be held across the network read. `pread` streams the part
+        // body straight into the slot — the chunk's final resting place —
+        // with no intermediate buffer.
+        let t0 = rt.now();
+        let result = opened.and_then(|f| {
+            let mut slot = slots[idx].lock();
+            slot.resize(len, 0);
+            match f.pread(off, &mut slot[..])? {
+                n if n == len => Ok(()),
+                n => Err(DavixError::Protocol(format!("{uri}: chunk {off}+{len} ended at {n}"))),
             }
-            Ok(_) | Err(_) => {
-                // Chunk failed on this replica: clear the slot, requeue it,
-                // drop the suspect file (its pooled sessions may be broken)
-                // and let the scheduler re-assign — this worker keeps
-                // running on whatever replica ranks best next time around.
-                shared.slots[idx].lock().clear();
+        });
+        last_chunk_failed = result.is_err();
+        match result {
+            Ok(()) => {
+                scheduler.record_success(id, rt.now() - t0);
+                report.lock().completions.push(ChunkCompletion {
+                    chunk: idx,
+                    replica: uri,
+                    at: rt.now(),
+                });
+                ChunkOutcome::Done
+            }
+            Err(e) => {
+                // Chunk failed on this replica: clear the slot, drop the
+                // suspect file (its pooled sessions may be broken) and give
+                // the chunk back — this worker keeps running on whatever
+                // replica the scheduler ranks best next time around.
+                slots[idx].lock().clear();
                 scheduler.record_failure(id);
                 files.remove(&id);
-                last_chunk_failed = true;
-                shared.queue.lock().push_back((idx, off, len));
-                if count_failure(&client, &scheduler, &shared, max_failures) {
-                    done.set();
-                    break;
-                }
+                Metrics::bump(&client.inner.executor.metrics().failovers);
+                ChunkOutcome::Retry(e)
             }
         }
-    }
-    let mut l = live.lock();
-    *l -= 1;
-    if *l == 0 {
-        // Last stream out: if work remains, nobody will do it — wake the
-        // caller so it can report failure instead of hanging.
-        done.set();
     }
 }
 
-/// Account one chunk failure against the shared budget; returns `true` when
-/// the budget is exhausted (fatal has been set).
-fn count_failure(
-    client: &DavixClient,
-    scheduler: &Arc<ReplicaScheduler>,
-    shared: &Arc<Shared>,
-    max_failures: usize,
-) -> bool {
-    let mut st = shared.progress.lock();
-    st.failures += 1;
-    Metrics::bump(&client.inner.executor.metrics().failovers);
-    if st.failures > max_failures && st.fatal.is_none() {
-        st.fatal = Some(DavixError::AllReplicasFailed {
-            tried: scheduler.len(),
-            last: Box::new(DavixError::Metalink(
-                "multistream failure budget exhausted".to_string(),
-            )),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Config;
+    use bytes::Bytes;
+    use httpd::{Handler, HttpServer, Request, Response, ServerConfig};
+    use httpwire::{Method, StatusCode};
+    use netsim::{LinkSpec, Runtime as _, SimNet};
+    use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
+
+    /// The completion rule both directions now share: when the failure
+    /// budget runs out, the caller is woken by the last worker leaving, not
+    /// by the failure itself — so no chunk is still in flight behind the
+    /// error it gets.
+    #[test]
+    fn budget_exhaustion_returns_only_after_the_last_worker_left() {
+        let net = SimNet::new();
+        for host in ["c", "good", "bad"] {
+            net.add_host(host);
+        }
+        // ~1 MiB/s to the good replica: a 256 KiB chunk is in flight for a
+        // quarter of a (virtual) second.
+        let slow = LinkSpec {
+            delay: Duration::from_millis(1),
+            bandwidth: Some(1024 * 1024),
+            ..Default::default()
+        };
+        net.set_link("c", "good", slow);
+        net.set_link(
+            "c",
+            "bad",
+            LinkSpec { delay: Duration::from_millis(1), ..Default::default() },
+        );
+        let store = Arc::new(ObjectStore::new());
+        store.put("/f", Bytes::from(vec![5u8; 1024 * 1024]));
+        StorageNode::start(
+            Arc::clone(&store),
+            Box::new(net.bind("good", 80).unwrap()),
+            net.runtime(),
+            StorageOptions::default(),
+            ServerConfig::default(),
+        );
+        // The bad replica stats fine and fails every read.
+        let inner = Arc::new(StorageHandler::new(store, StorageOptions::default()));
+        let gate = Arc::new(move |req: Request| {
+            if req.head.method == Method::Get {
+                return Response::error(StatusCode::INTERNAL_SERVER_ERROR);
+            }
+            inner.handle(req)
         });
-        return true;
+        HttpServer::new(gate, ServerConfig::default())
+            .serve(Box::new(net.bind("bad", 80).unwrap()), net.runtime());
+
+        let _g = net.enter();
+        let client =
+            DavixClient::new(net.connector("c"), net.runtime(), Config::default().no_retry());
+        let replicas: Vec<Uri> =
+            vec!["http://good/f".parse().unwrap(), "http://bad/f".parse().unwrap()];
+        let opts = MultistreamOptions { streams: 2, chunk_size: 256 * 1024, max_chunk_failures: 0 };
+        let t0 = net.now();
+        let err = multistream_download(&client, &replicas, &opts).unwrap_err();
+        assert!(matches!(err, DavixError::AllReplicasFailed { .. }), "{err}");
+        assert!(
+            net.now() - t0 >= Duration::from_millis(200),
+            "returned after {:?}: the good replica's chunk cannot have finished",
+            net.now() - t0
+        );
+        // The pool's own count drops as its threads unwind, which takes no
+        // virtual time: a worker still mid-chunk would need ~100 ms more.
+        let rt = net.runtime();
+        for _ in 0..1000 {
+            if client.io_pool().live_workers() == 0 {
+                break;
+            }
+            rt.sleep(Duration::from_micros(1));
+        }
+        assert_eq!(client.io_pool().live_workers(), 0, "a worker outlived the error");
+        let settled = client.metrics().bytes_in;
+        rt.sleep(Duration::from_secs(1));
+        assert_eq!(client.metrics().bytes_in, settled, "a chunk was still streaming");
     }
-    st.fatal.is_some()
 }

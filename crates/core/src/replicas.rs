@@ -152,16 +152,8 @@ impl ReplicaFile {
     pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
         if let Some(cache) = &self.cache {
             // Same beyond-EOF contract as the uncached path (where the
-            // per-replica `DavFile::pread_vec` enforces it): an out-of-range
-            // fragment is an error, never a silent truncation.
-            for &(off, len) in fragments {
-                if off.saturating_add(len as u64) > cache.size() {
-                    return Err(DavixError::InvalidArgument(format!(
-                        "fragment {off}+{len} beyond entity size {}",
-                        cache.size()
-                    )));
-                }
-            }
+            // per-replica `DavFile::pread_vec` enforces it).
+            crate::file::check_fragments(fragments, cache.size())?;
             let (out, upstream) = cache.read_vec(fragments)?;
             let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
             self.io.record_vector_read(bytes, upstream);

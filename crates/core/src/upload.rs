@@ -27,14 +27,14 @@ use crate::client::DavixClient;
 use crate::config::Config;
 use crate::error::{DavixError, Result};
 use crate::executor::{HttpExecutor, PreparedRequest};
+use crate::iopool::{run_chunked, Chunk, ChunkOutcome};
 use crate::metrics::Metrics;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
-use httpwire::{ContentRange, Method, ResponseHead, StatusCode, Uri};
+use httpwire::{ContentRange, Method, StatusCode, Uri};
 use ioapi::checksum::{adler32, adler32_combine, to_hex};
 use metalink::xml::Element;
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -190,7 +190,7 @@ enum Target {
 }
 
 impl Target {
-    fn chunk_request(&self, idx: usize, off: u64, len: usize) -> PreparedRequest {
+    fn chunk_request(&self, Chunk { idx, off, len }: Chunk) -> PreparedRequest {
         match self {
             Target::S3 { base, upload_id } => {
                 let mut uri = base.clone();
@@ -218,24 +218,6 @@ impl Target {
         };
         let _ = ex.execute(&req);
     }
-}
-
-struct Progress {
-    remaining: usize,
-    /// Chunk attempts that failed and were requeued; doubles as the
-    /// failure budget and as `UploadReport::chunk_retries`.
-    failures: u64,
-    fatal: Option<DavixError>,
-}
-
-struct Shared {
-    queue: Mutex<VecDeque<(usize, u64, usize)>>,
-    /// Adler-32 of each chunk, recorded by whichever worker uploaded it.
-    digests: Mutex<Vec<Option<u32>>>,
-    progress: Mutex<Progress>,
-    /// Chunk payload currently resident in worker buffers (bytes); its
-    /// high-water mark feeds [`Metrics::peak_upload_buffer`].
-    outstanding: AtomicU64,
 }
 
 /// Upload `source` to `url` as parallel chunks, verify the assembled
@@ -272,7 +254,7 @@ pub fn multistream_upload(
             .execute(&PreparedRequest::head(uri))
             .ok()
             .filter(|r| r.head.status.is_success())
-            .and_then(|r| digest_adler32(&r.head))
+            .and_then(|r| r.head.headers.digest_adler32())
             .is_some_and(|got| got == to_hex(adler32(b"")));
         return Ok(UploadReport {
             bytes: 0,
@@ -286,75 +268,48 @@ pub fn multistream_upload(
 
     let target = Arc::new(resolve_target(ex, &uri, size, opts.protocol)?);
 
-    // Chunk geometry.
-    let mut chunks: VecDeque<(usize, u64, usize)> = VecDeque::new();
-    let mut off = 0u64;
-    while off < size {
-        let len = chunk_size.min((size - off) as usize);
-        chunks.push_back((chunks.len(), off, len));
-        off += len as u64;
-    }
-    let n_chunks = chunks.len();
-
-    let shared = Arc::new(Shared {
-        digests: Mutex::new(vec![None; n_chunks]),
-        queue: Mutex::new(chunks),
-        progress: Mutex::new(Progress { remaining: n_chunks, failures: 0, fatal: None }),
-        outstanding: AtomicU64::new(0),
-    });
-    let rt = Arc::clone(ex.runtime());
-    let done = rt.signal();
-    let live = Arc::new(Mutex::new(0usize));
-    let pool = Arc::clone(&client.inner.io_pool);
-
-    let workers = streams.min(n_chunks).max(1);
-    *live.lock() = workers;
-    let metrics = Arc::clone(ex.metrics());
-    for _ in 0..workers {
-        let client = client.clone();
-        let source = Arc::clone(&source);
-        let target = Arc::clone(&target);
-        let shared = Arc::clone(&shared);
-        let done = Arc::clone(&done);
-        let live = Arc::clone(&live);
-        let max_failures = opts.max_chunk_failures;
-        let worker_metrics = Arc::clone(&metrics);
-        pool.submit(move || {
-            worker_metrics.canary_bump();
-            upload_worker(client, source, target, shared, &done, &live, max_failures);
-        });
-    }
-    // The driver-side canary touch: deliberately after the submits (so the
-    // pool handoff edge does not cover it) and before `done.wait` (so the
-    // completion edge does not either). Racing pair with the worker-side
-    // touch above — inert unless the `unsync-metric` canary is armed under
-    // `race-detect`.
-    metrics.canary_bump();
-    // `done` fires either when every chunk has succeeded or when the *last
-    // worker exits* — never while a chunk PUT is still in flight. That
-    // ordering matters for the abort below: a late segment landing after
-    // the abort's DELETE would silently re-create staging state on the
-    // server with nobody left to clean it up.
-    done.wait(None);
-
-    {
-        let mut st = shared.progress.lock();
-        if let Some(e) = st.fatal.take() {
-            drop(st);
+    // Adler-32 of each chunk, recorded by whichever worker uploaded it.
+    let n_chunks = size.div_ceil(chunk_size as u64) as usize;
+    let digests = Arc::new(Mutex::new(vec![None; n_chunks]));
+    // Chunk payload currently resident in worker buffers (bytes); its
+    // high-water mark feeds [`Metrics::peak_upload_buffer`].
+    let outstanding = Arc::new(AtomicU64::new(0));
+    // The engine returns only once no chunk PUT is in flight. That ordering
+    // matters for the abort below: a late segment landing after the abort's
+    // DELETE would silently re-create staging state on the server with
+    // nobody left to clean it up.
+    let transfer = run_chunked(
+        &client.inner.io_pool,
+        size,
+        chunk_size,
+        streams,
+        opts.max_chunk_failures,
+        |_| {
+            upload_worker(
+                client.clone(),
+                Arc::clone(&source),
+                Arc::clone(&target),
+                Arc::clone(&digests),
+                Arc::clone(&outstanding),
+            )
+        },
+        // The driver-side canary touch: deliberately after the submits (so
+        // the pool handoff edge does not cover it) and before the engine
+        // waits (so the completion edge does not either). Racing pair with
+        // the worker-side touch in `upload_worker` — inert unless the
+        // `unsync-metric` canary is armed under `race-detect`.
+        || ex.metrics().canary_bump(),
+    );
+    let chunk_retries = match transfer {
+        Ok(failures) => failures as u64,
+        Err(e) => {
             target.abort(ex);
             return Err(e);
         }
-        if st.remaining > 0 {
-            drop(st);
-            target.abort(ex);
-            return Err(DavixError::Protocol(
-                "upload workers exited with chunks unfinished".to_string(),
-            ));
-        }
-    }
+    };
 
     // Fold the per-chunk digests, in order, into the entity digest.
-    let digests = shared.digests.lock();
+    let digests = digests.lock();
     let mut combined = adler32(b"");
     let mut off = 0u64;
     for (idx, d) in digests.iter().enumerate() {
@@ -365,7 +320,6 @@ pub fn multistream_upload(
     }
     drop(digests);
 
-    let chunk_retries = shared.progress.lock().failures;
     let verified = match commit(ex, &uri, &target, size, combined, n_chunks) {
         Ok(v) => v,
         Err(e) => {
@@ -484,7 +438,11 @@ fn commit(
                 return Err(DavixError::ChecksumMismatch {
                     algo: "adler32".to_string(),
                     expected: declared,
-                    got: digest_adler32(&resp.head).unwrap_or_else(|| "unknown".to_string()),
+                    got: resp
+                        .head
+                        .headers
+                        .digest_adler32()
+                        .unwrap_or_else(|| "unknown".to_string()),
                 });
             }
             resp.expect_success("complete multipart upload")?;
@@ -502,7 +460,7 @@ fn commit(
                     )))
                 }
             }
-            let verified = match digest_adler32(&head.head) {
+            let verified = match head.head.headers.digest_adler32() {
                 Some(got) if got == declared => true,
                 Some(got) => {
                     return Err(DavixError::ChecksumMismatch {
@@ -522,92 +480,50 @@ fn commit(
     }
 }
 
-/// `adler32=<hex>` member of a response's `Digest` header.
-fn digest_adler32(head: &ResponseHead) -> Option<String> {
-    head.headers.get("digest")?.split(',').find_map(|member| {
-        let (algo, hex) = member.trim().split_once('=')?;
-        algo.trim().eq_ignore_ascii_case("adler32").then(|| hex.trim().to_ascii_lowercase())
-    })
-}
-
+/// The per-chunk work of one upload stream: read the chunk from the
+/// source, digest it, PUT it.
 fn upload_worker(
     client: DavixClient,
     source: Arc<dyn ChunkSource>,
     target: Arc<Target>,
-    shared: Arc<Shared>,
-    done: &Arc<dyn netsim::Signal>,
-    live: &Arc<Mutex<usize>>,
-    max_failures: usize,
-) {
+    digests: Arc<Mutex<Vec<Option<u32>>>>,
+    outstanding: Arc<AtomicU64>,
+) -> impl FnMut(Chunk) -> ChunkOutcome {
     let metrics = Arc::clone(client.inner.executor.metrics());
-    loop {
-        if shared.progress.lock().fatal.is_some() {
-            break; // another worker exhausted the failure budget
-        }
-        let chunk = shared.queue.lock().pop_front();
-        let Some((idx, off, len)) = chunk else { break };
-
+    move |chunk| {
+        metrics.canary_bump();
         // This worker now holds one chunk of payload; the high-water mark
         // across all workers is the bound the bench asserts.
-        let resident = shared.outstanding.fetch_add(len as u64, Ordering::Relaxed) + len as u64;
+        let len = chunk.len as u64;
+        let resident = outstanding.fetch_add(len, Ordering::Relaxed) + len;
         Metrics::record_max(&metrics.peak_upload_buffer, resident);
-        let mut buf = vec![0u8; len];
-        if let Err(e) = source.read_chunk(off, &mut buf) {
+        let mut buf = vec![0u8; chunk.len];
+        if let Err(e) = source.read_chunk(chunk.off, &mut buf) {
             // A source that cannot be read is fatal, not retryable: every
-            // replay would fail identically. (The caller wakes via the
-            // last-worker-out signal, after in-flight chunks land.)
-            shared.outstanding.fetch_sub(len as u64, Ordering::Relaxed);
-            let mut st = shared.progress.lock();
-            if st.fatal.is_none() {
-                st.fatal = Some(e);
-            }
-            break;
+            // replay would fail identically.
+            outstanding.fetch_sub(len, Ordering::Relaxed);
+            return ChunkOutcome::Fatal(e);
         }
         let digest = adler32(&buf);
-        let req = target.chunk_request(idx, off, len);
         let body = Bytes::from(buf);
         let outcome = client
             .inner
             .executor
-            .execute_upload(&req, &body)
-            .and_then(|r| r.expect_success("upload chunk").map(|_| ()));
+            .execute_upload(&target.chunk_request(chunk), &body)
+            .and_then(|r| r.expect_success("upload chunk"));
         drop(body);
-        shared.outstanding.fetch_sub(len as u64, Ordering::Relaxed);
-
+        outstanding.fetch_sub(len, Ordering::Relaxed);
         match outcome {
-            Ok(()) => {
-                shared.digests.lock()[idx] = Some(digest);
+            Ok(_) => {
+                digests.lock()[chunk.idx] = Some(digest);
                 Metrics::bump(&metrics.chunks_uploaded);
-                let mut st = shared.progress.lock();
-                st.remaining -= 1;
-                if st.remaining == 0 {
-                    done.set();
-                }
+                ChunkOutcome::Done
             }
-            Err(e) => {
-                // The executor already spent its retry budget on this
-                // chunk; requeue it so any worker (on a fresh connection)
-                // can try again, within the upload-wide failure budget.
-                // A fatal verdict does NOT wake the caller directly: the
-                // other workers must first finish their in-flight chunks
-                // (they observe `fatal` and exit, and the last one out
-                // signals), so the abort never races a live PUT.
-                shared.queue.lock().push_back((idx, off, len));
-                let mut st = shared.progress.lock();
-                st.failures += 1;
-                if st.failures > max_failures as u64 && st.fatal.is_none() {
-                    st.fatal = Some(e);
-                    break;
-                }
-            }
+            // The executor already spent its retry budget on this chunk;
+            // give it back so any worker (on a fresh connection) can try
+            // again, within the upload-wide failure budget.
+            Err(e) => ChunkOutcome::Retry(e),
         }
-    }
-    let mut l = live.lock();
-    *l -= 1;
-    if *l == 0 {
-        // Last worker out: wake the caller even if chunks remain, so it can
-        // report failure instead of hanging.
-        done.set();
     }
 }
 

@@ -26,7 +26,7 @@
 use crate::server::{encode_response, Handler, Request, Response, ServerConfig, ServerStats};
 use davix_sync::{AtomicUsize, Ordering};
 use httpwire::codec::{parse_request_head, request_body_len, BodyFrames, BodyLen, Frame, HeadScan};
-use httpwire::{RequestHead, StatusCode, Version, WireError};
+use httpwire::{Method, RequestHead, StatusCode, Version, WireError};
 use netsim::{BoxedStream, DriveOutcome, Driven, Signal};
 use std::io;
 use std::sync::Arc;
@@ -189,12 +189,21 @@ impl HttpConn {
         }
     }
 
-    /// Queue an error response and transition to `Closing`.
+    /// The one place a response becomes bytes, a counter and the next
+    /// phase: handler answers, codec rejections and the `408` all end here.
+    fn queue_response(&mut self, method: &Method, resp: Response, close: bool, now: Duration) {
+        self.wbuf.extend_from_slice(&encode_response(&self.cfg, method, resp, close));
+        if close {
+            self.stats.closes.fetch_add(1, Ordering::Relaxed);
+            self.phase = Phase::Closing { since: now };
+        } else {
+            self.phase = Phase::Idle { since: now };
+        }
+    }
+
+    /// Answer a request that never reached the handler, and close.
     fn reject(&mut self, status: StatusCode, now: Duration) {
-        let out = encode_response(&self.cfg, &httpwire::Method::Get, Response::error(status), true);
-        self.wbuf.extend_from_slice(&out);
-        self.stats.closes.fetch_add(1, Ordering::Relaxed);
-        self.phase = Phase::Closing { since: now };
+        self.queue_response(&Method::Get, Response::error(status), true, now);
     }
 
     /// Consume what `rbuf` holds of the arriving request: the head, once the
@@ -277,14 +286,7 @@ impl HttpConn {
         let resp = self.handler.handle(req);
         let cap_hit = self.cfg.max_requests_per_conn.map(|cap| self.served >= cap).unwrap_or(false);
         let close = resp.close || !client_keep_alive || cap_hit || self.shutting_down;
-        let out = encode_response(&self.cfg, &method, resp, close);
-        self.wbuf.extend_from_slice(&out);
-        if close {
-            self.stats.closes.fetch_add(1, Ordering::Relaxed);
-            self.phase = Phase::Closing { since: now };
-        } else {
-            self.phase = Phase::Idle { since: now };
-        }
+        self.queue_response(&method, resp, close, now);
     }
 
     fn drive_idle(&mut self, now: Duration) -> Step {

@@ -92,6 +92,14 @@ impl HeaderMap {
             .any(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
     }
 
+    /// The `adler32=<hex>` member of `Digest` (RFC 3230), lowercased.
+    pub fn digest_adler32(&self) -> Option<String> {
+        self.get("digest")?.split(',').find_map(|member| {
+            let (algo, hex) = member.trim().split_once('=')?;
+            algo.trim().eq_ignore_ascii_case("adler32").then(|| hex.trim().to_ascii_lowercase())
+        })
+    }
+
     /// Keep-alive decision per RFC 7230 §6.3 for a message of `version`.
     pub fn keep_alive(&self, http11: bool) -> bool {
         if self.connection_has("close") {
@@ -186,6 +194,16 @@ mod tests {
         assert!(!h.keep_alive(true));
         h.set("Connection", "Keep-Alive, Upgrade");
         assert!(h.keep_alive(false));
+    }
+
+    #[test]
+    fn digest_adler32_is_case_insensitive_and_picks_its_member() {
+        let mut h = HeaderMap::new();
+        assert_eq!(h.digest_adler32(), None);
+        h.set("DIGEST", "md5=abc, ADLER32 = 0A1B2C3D ,crc32=1");
+        assert_eq!(h.digest_adler32().as_deref(), Some("0a1b2c3d"));
+        h.set("Digest", "md5=abc");
+        assert_eq!(h.digest_adler32(), None);
     }
 
     #[test]

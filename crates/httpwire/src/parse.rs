@@ -97,8 +97,14 @@ pub struct ResponseStart {
     pub reusable: bool,
 }
 
+/// Most interim (1xx) responses skipped ahead of one final response. Each
+/// head read restarts the caller's I/O timeout, so without a cap a peer
+/// streaming `102 Processing` holds the client forever without an error.
+pub const MAX_INTERIM_RESPONSES: usize = 16;
+
 /// Read response heads up to the final one, skipping interim 1xx responses
-/// (`102 Processing`, `103 Early Hints`, a late `100 Continue`).
+/// (`102 Processing`, `103 Early Hints`, a late `100 Continue`) — at most
+/// [`MAX_INTERIM_RESPONSES`] of them, then [`WireError::Protocol`].
 ///
 /// `awaiting_continue` is for a caller that sent `Expect: 100-continue` and
 /// is holding its body back: a `100 Continue` is then the answer it waits
@@ -108,7 +114,7 @@ pub fn read_response_start<R: BufRead>(
     req_method: &Method,
     awaiting_continue: bool,
 ) -> Result<ResponseStart, WireError> {
-    loop {
+    for _ in 0..=MAX_INTERIM_RESPONSES {
         let head = read_response_head(r)?;
         if !head.status.is_informational() || (awaiting_continue && head.status.0 == 100) {
             let body = response_body_len(req_method, &head);
@@ -117,6 +123,7 @@ pub fn read_response_start<R: BufRead>(
             return Ok(ResponseStart { head, body, reusable });
         }
     }
+    Err(WireError::Protocol("too many interim (1xx) responses before a final one".into()))
 }
 
 /// The body-framing state machine, decoupled from any particular reader.

@@ -11,7 +11,7 @@ use httpwire::codec::{
     parse_request_head, parse_response_head, request_body_len, response_body_len, BodyFrames,
     BodyLen, Frame, HeadScan, MAX_CHUNK_LINE_BYTES, MAX_TRAILER_BYTES,
 };
-use httpwire::parse::BodyReader;
+use httpwire::parse::{read_response_start, BodyReader, MAX_INTERIM_RESPONSES};
 use httpwire::{Method, RequestHead, ResponseHead, StatusCode, WireError};
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor, Read};
@@ -317,6 +317,26 @@ fn chunk_line_and_trailer_budgets_hold() {
         kind(push_body(BodyLen::Chunked, &flood[..MAX_TRAILER_BYTES + 64], &[], false)),
         Err("BadChunk")
     );
+}
+
+#[test]
+fn interim_responses_are_skipped_up_to_a_bound() {
+    let wire = |interims: usize| {
+        let mut w = b"HTTP/1.1 102 Processing\r\n\r\n".repeat(interims);
+        w.extend_from_slice(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
+        w
+    };
+    let status = |interims: usize, awaiting_continue: bool| {
+        read_response_start(&mut Cursor::new(wire(interims)), &Method::Get, awaiting_continue)
+            .map(|start| start.head.status.0)
+            .map_err(|e| matches!(e, WireError::Protocol(_)))
+    };
+    for awaiting_continue in [false, true] {
+        assert_eq!(status(0, awaiting_continue), Ok(200));
+        assert_eq!(status(MAX_INTERIM_RESPONSES, awaiting_continue), Ok(200));
+        assert_eq!(status(MAX_INTERIM_RESPONSES + 1, awaiting_continue), Err(true));
+        assert_eq!(status(50 * MAX_INTERIM_RESPONSES, awaiting_continue), Err(true));
+    }
 }
 
 #[test]

@@ -1722,6 +1722,97 @@ impl SimStream {
     }
 }
 
+/// What [`State::send_segment`] did with the bytes it was offered.
+enum Sent {
+    /// This many bytes went onto the wire as one segment.
+    Segment(usize),
+    /// Nothing can go yet; the blocking writer waits on this.
+    Blocked(WaitKind),
+}
+
+impl State {
+    /// The TCP send model, once: put as much of `buf` as the congestion
+    /// window (and Nagle) allow onto `conn`'s wire from `side` as a single
+    /// segment, occupying the link and scheduling its delivery and ACK.
+    fn send_segment(&mut self, conn: usize, side: usize, buf: &[u8]) -> io::Result<Sent> {
+        let dir = side;
+        let (k, from, to, delay_ns, spec) = {
+            let c = self.conns.get_mut(conn).expect("conn alive");
+            if c.reset {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection reset by peer"));
+            }
+            if c.refused {
+                return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
+            }
+            // The connecting side cannot transmit before the handshake
+            // finishes (streams from `connect_start` may still be in it);
+            // the Established/Refuse event fires the side-0 waker.
+            if side == 0 && !c.established {
+                return Ok(Sent::Blocked(WaitKind::ConnectDone { conn }));
+            }
+            let d = &mut c.dirs[dir];
+            if d.fin_sent {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "write after shutdown"));
+            }
+            let mut avail = d.cwnd.saturating_sub(d.inflight);
+            // Nagle: hold a sub-MSS tail while anything is in flight
+            // (it will coalesce with later writes or go out on the ACK).
+            if d.spec.nagle && d.inflight > 0 && (buf.len() as u64) < MSS {
+                avail = 0;
+            }
+            if avail == 0 {
+                return Ok(Sent::Blocked(WaitKind::Window { conn, dir }));
+            }
+            let k = (avail as usize).min(buf.len());
+            d.inflight += k as u64;
+            (k, c.hosts[dir], c.hosts[1 - dir], d.delay_ns, d.spec)
+        };
+        let now = self.now_ns;
+        let busy = self.link_busy.entry((from, to)).or_insert(0);
+        let start = (*busy).max(now);
+        let tx = spec.tx_ns(k as u64);
+        *busy = start + tx;
+        let arrive = start + tx + delay_ns;
+        if let Some(arrive) = self.fault_arrival(conn, dir, arrive) {
+            self.schedule(arrive, EventKind::Deliver { conn, dir, data: buf[..k].to_vec() });
+            // Delayed ACK: a sub-MSS segment's ACK sits on the receiver's
+            // timer (real stacks ACK every second full segment immediately).
+            let ack_hold = match spec.delayed_ack {
+                Some(t) if (k as u64) < MSS => dur_ns(t),
+                _ => 0,
+            };
+            self.schedule(
+                arrive + ack_hold + delay_ns,
+                EventKind::Ack { conn, dir, bytes: k as u64 },
+            );
+        }
+        self.stats.bytes_sent += k as u64;
+        Ok(Sent::Segment(k))
+    }
+
+    /// The receive side, once: bytes already delivered to `side` of `conn`,
+    /// `Ok(Some(0))` at end of stream, `Ok(None)` when nothing has arrived.
+    fn recv_ready(
+        &mut self,
+        conn: usize,
+        side: usize,
+        buf: &mut [u8],
+    ) -> io::Result<Option<usize>> {
+        let c = self.conns.get_mut(conn).expect("conn alive");
+        let d = &mut c.dirs[1 - side];
+        if d.rbuf_len > 0 {
+            return Ok(Some(drain_rbuf(d, buf)));
+        }
+        if c.reset {
+            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "connection reset"));
+        }
+        if c.refused {
+            return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
+        }
+        Ok(d.fin.then_some(0))
+    }
+}
+
 impl Read for SimStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         if buf.is_empty() {
@@ -1730,27 +1821,13 @@ impl Read for SimStream {
         let core = Arc::clone(&self.core);
         let mut st = core.state.lock();
         let deadline = self.read_timeout.map(|t| st.now_ns + dur_ns(t));
-        let dir = 1 - self.side;
         loop {
-            let c = st.conns.get_mut(self.conn).expect("conn alive");
-            let d = &mut c.dirs[dir];
-            if d.rbuf_len > 0 {
-                return Ok(drain_rbuf(d, buf));
+            if let Some(n) = st.recv_ready(self.conn, self.side, buf)? {
+                return Ok(n);
             }
-            if c.reset {
-                return Err(io::Error::new(io::ErrorKind::ConnectionReset, "connection reset"));
-            }
-            if c.refused {
-                return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
-            }
-            if d.fin {
-                return Ok(0);
-            }
-            match core.wait_on(&mut st, WaitKind::Readable { conn: self.conn, dir }, deadline) {
-                WaitOutcome::Ready => continue,
-                WaitOutcome::TimedOut => {
-                    return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
-                }
+            let readable = WaitKind::Readable { conn: self.conn, dir: 1 - self.side };
+            if let WaitOutcome::TimedOut = core.wait_on(&mut st, readable, deadline) {
+                return Err(io::Error::new(io::ErrorKind::TimedOut, "read timed out"));
             }
         }
     }
@@ -1758,93 +1835,23 @@ impl Read for SimStream {
 
 impl Write for SimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return Ok(0);
-        }
         let core = Arc::clone(&self.core);
         let mut st = core.state.lock();
-        let dir = self.side;
-        // The connecting side cannot transmit before the handshake finishes
-        // (streams from `connect_start` may still be mid-handshake).
-        if self.side == 0 {
-            loop {
-                let c = st.conns.get(self.conn).expect("conn alive");
-                if c.reset || c.refused {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "connection reset by peer",
-                    ));
-                }
-                if c.established {
-                    break;
-                }
-                match core.wait_on(&mut st, WaitKind::ConnectDone { conn: self.conn }, None) {
-                    WaitOutcome::Ready => continue,
-                    WaitOutcome::TimedOut => unreachable!("no deadline on connect waits"),
-                }
-            }
-        }
         let mut written = 0usize;
-        loop {
-            let (k, from, to, delay_ns, spec) = {
-                let c = st.conns.get_mut(self.conn).expect("conn alive");
-                if c.reset || c.refused {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        "connection reset by peer",
-                    ));
+        while written < buf.len() {
+            match st.send_segment(self.conn, self.side, &buf[written..])? {
+                Sent::Segment(k) => {
+                    written += k;
+                    core.kick_clock(&st);
                 }
-                let d = &mut c.dirs[dir];
-                if d.fin_sent {
-                    return Err(io::Error::new(io::ErrorKind::BrokenPipe, "write after shutdown"));
+                // No deadline: the wait ends when the window opens, the
+                // handshake completes or the connection dies.
+                Sent::Blocked(on) => {
+                    core.wait_on(&mut st, on, None);
                 }
-                let mut avail = d.cwnd.saturating_sub(d.inflight);
-                // Nagle: hold a sub-MSS tail while anything is in flight
-                // (it will coalesce with later writes or go out on the ACK).
-                if d.spec.nagle && d.inflight > 0 && ((buf.len() - written) as u64) < MSS {
-                    avail = 0;
-                }
-                if avail == 0 {
-                    (0, 0, 0, 0, d.spec)
-                } else {
-                    let k = (avail as usize).min(buf.len() - written);
-                    d.inflight += k as u64;
-                    (k, c.hosts[dir], c.hosts[1 - dir], d.delay_ns, d.spec)
-                }
-            };
-            if k == 0 {
-                match core.wait_on(&mut st, WaitKind::Window { conn: self.conn, dir }, None) {
-                    WaitOutcome::Ready => continue,
-                    WaitOutcome::TimedOut => unreachable!("no deadline on window waits"),
-                }
-            }
-            let now = st.now_ns;
-            let busy = st.link_busy.entry((from, to)).or_insert(0);
-            let start = (*busy).max(now);
-            let tx = spec.tx_ns(k as u64);
-            *busy = start + tx;
-            let arrive = start + tx + delay_ns;
-            if let Some(arrive) = st.fault_arrival(self.conn, dir, arrive) {
-                let data = buf[written..written + k].to_vec();
-                st.schedule(arrive, EventKind::Deliver { conn: self.conn, dir, data });
-                // Delayed ACK: a sub-MSS segment's ACK sits on the receiver's
-                // timer (real stacks ACK every second full segment immediately).
-                let ack_hold = match spec.delayed_ack {
-                    Some(t) if (k as u64) < MSS => dur_ns(t),
-                    _ => 0,
-                };
-                st.schedule(
-                    arrive + ack_hold + delay_ns,
-                    EventKind::Ack { conn: self.conn, dir, bytes: k as u64 },
-                );
-            }
-            st.stats.bytes_sent += k as u64;
-            written += k;
-            core.kick_clock(&st);
-            if written == buf.len() {
-                return Ok(written);
             }
         }
+        Ok(written)
     }
 
     fn flush(&mut self) -> io::Result<()> {
@@ -1857,82 +1864,23 @@ impl Pollable for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let core = Arc::clone(&self.core);
-        let mut st = core.state.lock();
-        let dir = 1 - self.side;
-        let c = st.conns.get_mut(self.conn).expect("conn alive");
-        let d = &mut c.dirs[dir];
-        if d.rbuf_len > 0 {
-            return Ok(drain_rbuf(d, buf));
-        }
-        if c.reset {
-            return Err(io::Error::new(io::ErrorKind::ConnectionReset, "connection reset"));
-        }
-        if c.refused {
-            return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
-        }
-        if d.fin {
-            return Ok(0);
-        }
-        Err(io::Error::from(io::ErrorKind::WouldBlock))
+        let mut st = self.core.state.lock();
+        st.recv_ready(self.conn, self.side, buf)?
+            .ok_or_else(|| io::Error::from(io::ErrorKind::WouldBlock))
     }
 
     fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
         if buf.is_empty() {
             return Ok(0);
         }
-        let core = Arc::clone(&self.core);
-        let mut st = core.state.lock();
-        let dir = self.side;
-        let (k, from, to, delay_ns, spec) = {
-            let c = st.conns.get_mut(self.conn).expect("conn alive");
-            if c.reset {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection reset by peer"));
+        let mut st = self.core.state.lock();
+        match st.send_segment(self.conn, self.side, buf)? {
+            Sent::Segment(k) => {
+                self.core.kick_clock(&st);
+                Ok(k)
             }
-            if c.refused {
-                return Err(io::Error::new(io::ErrorKind::ConnectionRefused, "connection refused"));
-            }
-            // The connecting side cannot transmit before the handshake
-            // finishes; the Established/Refuse event fires the side-0 waker.
-            if self.side == 0 && !c.established {
-                return Err(io::Error::from(io::ErrorKind::WouldBlock));
-            }
-            let d = &mut c.dirs[dir];
-            if d.fin_sent {
-                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "write after shutdown"));
-            }
-            let mut avail = d.cwnd.saturating_sub(d.inflight);
-            if d.spec.nagle && d.inflight > 0 && (buf.len() as u64) < MSS {
-                avail = 0;
-            }
-            if avail == 0 {
-                return Err(io::Error::from(io::ErrorKind::WouldBlock));
-            }
-            let k = (avail as usize).min(buf.len());
-            d.inflight += k as u64;
-            (k, c.hosts[dir], c.hosts[1 - dir], d.delay_ns, d.spec)
-        };
-        let now = st.now_ns;
-        let busy = st.link_busy.entry((from, to)).or_insert(0);
-        let start = (*busy).max(now);
-        let tx = spec.tx_ns(k as u64);
-        *busy = start + tx;
-        let arrive = start + tx + delay_ns;
-        if let Some(arrive) = st.fault_arrival(self.conn, dir, arrive) {
-            let data = buf[..k].to_vec();
-            st.schedule(arrive, EventKind::Deliver { conn: self.conn, dir, data });
-            let ack_hold = match spec.delayed_ack {
-                Some(t) if (k as u64) < MSS => dur_ns(t),
-                _ => 0,
-            };
-            st.schedule(
-                arrive + ack_hold + delay_ns,
-                EventKind::Ack { conn: self.conn, dir, bytes: k as u64 },
-            );
+            Sent::Blocked(_) => Err(io::Error::from(io::ErrorKind::WouldBlock)),
         }
-        st.stats.bytes_sent += k as u64;
-        core.kick_clock(&st);
-        Ok(k)
     }
 
     fn set_waker(&mut self, waker: Option<Arc<dyn Signal>>) -> io::Result<()> {

@@ -290,14 +290,6 @@ impl StorageHandler {
             .find_map(|kv| kv.split_once('=').filter(|(k, _)| *k == key).map(|(_, v)| v))
     }
 
-    /// `adler32=<hex>` member of a `Digest` header value, if present.
-    fn digest_adler32(value: &str) -> Option<String> {
-        value.split(',').find_map(|member| {
-            let (algo, hex) = member.trim().split_once('=')?;
-            algo.trim().eq_ignore_ascii_case("adler32").then(|| hex.trim().to_ascii_lowercase())
-        })
-    }
-
     // ---- parallel upload endpoints ----------------------------------------
 
     /// `POST {path}?uploads` — start an S3-style multipart upload.
@@ -398,8 +390,7 @@ impl StorageHandler {
             assembled.extend_from_slice(part);
         }
         let got = to_hex(adler32(&assembled));
-        let declared = req.head.headers.get("digest").and_then(Self::digest_adler32);
-        if let Some(expected) = declared {
+        if let Some(expected) = req.head.headers.digest_adler32() {
             if expected != got {
                 // End-to-end corruption: refuse to commit. The pending
                 // upload is kept so the client can abort (or re-send parts).
