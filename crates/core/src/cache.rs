@@ -19,11 +19,13 @@
 //!   (`Metrics::singleflight_waits`). The map lock is held only to look
 //!   up / claim / publish — never across network I/O, the same discipline
 //!   as the PR 3 scheduler.
-//! * `FileCache` — the per-handle binding: a resource key (for
-//!   [`ReplicaFile`](crate::ReplicaFile) the *origin*, so fail-over
-//!   between replicas keeps its hits), the entity size, a `BlockFetch`
-//!   that knows how to pull byte ranges upstream, and the read-ahead
-//!   state (both crate-internal).
+//! * `FileCache` — the per-handle binding, owned by the handle's `Reader`
+//!   (the cached-read front of the read stack, see the crate docs): a
+//!   resource key (for [`ReplicaFile`](crate::ReplicaFile) the *origin*,
+//!   so fail-over between replicas keeps its hits), the entity size, the
+//!   `BlockFetch` upstream the `Reader` would otherwise read directly —
+//!   the wire, or the replica fail-over walk — and the read-ahead state
+//!   (all crate-internal).
 //! * **Adaptive read-ahead** — a reader that keeps picking up exactly
 //!   where its last read ended is sequential; each such read doubles the
 //!   prefetch window from `Config::readahead_min` up to
@@ -44,19 +46,42 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// How a [`FileCache`] pulls bytes from upstream on a miss. Implementations
-/// must be safe to call from background (prefetch) threads.
+/// The one upstream of a read: the wire ([`RawFile`](crate::file::RawFile))
+/// or the replica fail-over walk above it. A `Reader` calls it directly
+/// when no cache is bound; a [`FileCache`] calls it on a miss, also from
+/// background (prefetch) threads.
 pub(crate) trait BlockFetch: Send + Sync {
+    /// Read up to `buf.len()` bytes at `offset`; 0 at or past EOF.
+    fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize>;
+
+    /// Fetch every `(offset, len)` fragment, in order — on HTTP one
+    /// multi-range request (§2.3), so a cold vectored read through the
+    /// cache still costs one round trip.
+    fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>>;
+
+    /// What errors call this upstream: its URI, on the wire.
+    fn name(&self) -> String {
+        "upstream".to_string()
+    }
+
     /// Fetch exactly `len` bytes at `offset` (the caller has already
     /// clamped the range inside the entity).
-    fn fetch(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
-
-    /// Fetch several disjoint ranges, in order. The default loops over
-    /// [`fetch`](BlockFetch::fetch); HTTP implementations override with one
-    /// multi-range request (§2.3) so a cold vectored read through the cache
-    /// still costs one round trip.
-    fn fetch_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        ranges.iter().map(|&(off, len)| self.fetch(off, len)).collect()
+    fn fetch(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut buf = vec![0u8; len];
+        let mut done = 0usize;
+        while done < len {
+            match self.pread(offset + done as u64, &mut buf[done..])? {
+                0 => {
+                    return Err(DavixError::Protocol(format!(
+                        "{}: entity ended at {} inside block {offset}+{len}",
+                        self.name(),
+                        offset + done as u64
+                    )))
+                }
+                n => done += n,
+            }
+        }
+        Ok(buf)
     }
 }
 
@@ -84,6 +109,10 @@ struct CacheInner {
     /// Monotonic LRU clock; bumped on every hit.
     tick: u64,
 }
+
+/// A block index this caller inserted the pending entry for, and so owes
+/// the fetch of.
+type Claim = (u64, Arc<Pending>);
 
 /// Outcome of one locked lookup.
 enum Lookup {
@@ -251,18 +280,40 @@ impl BlockCache {
                 Lookup::Claimed(p) => {
                     Metrics::bump(&self.metrics.cache_misses);
                     *upstream += 1;
-                    match fetch() {
-                        Ok(bytes) => {
-                            let data = Arc::new(bytes);
-                            self.fill_ok(key, index, &p, Arc::clone(&data));
-                            return Ok(data);
-                        }
-                        Err(e) => {
-                            self.fill_err(key, index, &p, &e);
-                            return Err(e);
-                        }
-                    }
+                    let blob = self.publish(key, &[(index, p)], fetch().map(|b| vec![b]))?;
+                    return Ok(Arc::clone(&blob[&index]));
                 }
+            }
+        }
+    }
+
+    /// Resolve `claims` with the outcome of their one upstream fetch: each
+    /// blob becomes a ready block, or every claim is withdrawn. The blobs
+    /// are also returned by index so the fetching read can assemble from
+    /// them directly — they may already be evicted again if the read span
+    /// exceeds the cache capacity, and re-reading them through the cache
+    /// would double-count them as hits or refetch them.
+    fn publish(
+        &self,
+        key: &Arc<str>,
+        claims: &[Claim],
+        result: Result<Vec<Vec<u8>>>,
+    ) -> Result<HashMap<u64, Arc<Vec<u8>>>> {
+        match result {
+            Ok(blobs) => Ok(claims
+                .iter()
+                .zip(blobs)
+                .map(|((index, pending), blob)| {
+                    let blob = Arc::new(blob);
+                    self.fill_ok(key, *index, pending, Arc::clone(&blob));
+                    (*index, blob)
+                })
+                .collect()),
+            Err(e) => {
+                for (index, pending) in claims {
+                    self.fill_err(key, *index, pending, &e);
+                }
+                Err(e)
             }
         }
     }
@@ -314,11 +365,6 @@ impl FileCache {
         self.cache.block_size
     }
 
-    /// Entity size this binding was created with.
-    pub(crate) fn size(&self) -> u64 {
-        self.size
-    }
-
     /// The in-entity byte range block `index` covers (clamped at EOF).
     fn block_range(&self, index: u64) -> (u64, usize) {
         let off = index * self.block_size();
@@ -326,78 +372,60 @@ impl FileCache {
         (off, len as usize)
     }
 
-    /// Read up to `buf.len()` bytes at `offset` through the cache. Returns
-    /// `(bytes_read, upstream_fetches)` — the latter feeds the handle's
-    /// round-trip accounting honestly (a full hit is 0 round trips).
-    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(usize, u64)> {
-        if buf.is_empty() || offset >= self.size {
-            return Ok((0, 0));
-        }
-        let want = (buf.len() as u64).min(self.size - offset) as usize;
-        let mut upstream = 0u64;
-        let first = offset / self.block_size();
-        let last = (offset + want as u64 - 1) / self.block_size();
-
-        // Claim-and-fetch every missing block of the span in ONE upstream
-        // request, then assemble. Assembly uses the fetched blobs directly:
-        // going back through the cache would double-count them as hits, and
-        // a span larger than the whole cache would evict its own blocks
-        // before assembly and refetch every one of them scalar-by-scalar.
-        let fetched = self.fetch_missing_span(first, last, &mut upstream)?;
-        let mut done = 0usize;
-        for index in first..=last {
-            let (b_off, b_len) = self.block_range(index);
-            let data = match fetched.get(&index) {
-                Some(d) => Arc::clone(d),
-                None => self.block(index, &mut upstream)?,
-            };
-            let from = (offset + done as u64 - b_off) as usize;
-            let n = (b_len - from).min(want - done);
-            buf[done..done + n].copy_from_slice(&data[from..from + n]);
-            done += n;
-            if done == want {
-                break;
-            }
-        }
-        self.after_read(offset, want as u64);
-        Ok((want, upstream))
-    }
-
-    /// Vectored read through the cache: all missing blocks across every
-    /// fragment are fetched in one `fetch_vec` (one multi-range round trip
-    /// on the HTTP fetchers), then fragments are assembled from blocks.
-    pub(crate) fn read_vec(&self, fragments: &[(u64, usize)]) -> Result<(Vec<Vec<u8>>, u64)> {
-        let mut upstream = 0u64;
-        let mut needed: Vec<u64> = Vec::new();
+    /// The blocks `fragments` touch, ascending and without repeats. Empty
+    /// fragments and whatever lies past EOF touch none.
+    fn blocks_of(&self, fragments: &[(u64, usize)]) -> Vec<u64> {
+        let mut blocks: Vec<u64> = Vec::new();
         for &(off, len) in fragments {
             if len == 0 || off >= self.size {
                 continue;
             }
-            let first = off / self.block_size();
             let last = (off + len as u64 - 1).min(self.size - 1) / self.block_size();
-            needed.extend(first..=last);
+            blocks.extend(off / self.block_size()..=last);
         }
-        needed.sort_unstable();
-        needed.dedup();
-        let fetched = self.fetch_missing(&needed, &mut upstream)?;
+        blocks.sort_unstable();
+        blocks.dedup();
+        blocks
+    }
 
+    /// Read up to `buf.len()` bytes at `offset` through the cache. Returns
+    /// `(bytes_read, upstream_fetches)` — the latter feeds the handle's
+    /// round-trip accounting honestly (a full hit is 0 round trips).
+    pub(crate) fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<(usize, u64)> {
+        let mut upstream = 0u64;
+        let fetched = self.fetch_missing(&self.blocks_of(&[(offset, buf.len())]), &mut upstream)?;
+        let (n, later) = self.read_fragment(offset, buf, &fetched)?;
+        if n > 0 {
+            self.after_read(offset, n as u64);
+        }
+        Ok((n, upstream + later))
+    }
+
+    /// Vectored read through the cache: all missing blocks across every
+    /// fragment are fetched in one `pread_vec` (one multi-range round trip
+    /// on the HTTP fetchers), then fragments are assembled from blocks.
+    pub(crate) fn read_vec(&self, fragments: &[(u64, usize)]) -> Result<(Vec<Vec<u8>>, u64)> {
+        let mut upstream = 0u64;
+        let fetched = self.fetch_missing(&self.blocks_of(fragments), &mut upstream)?;
         let mut out = Vec::with_capacity(fragments.len());
         for &(off, len) in fragments {
             let mut frag = vec![0u8; len];
-            let (n, ups) = self.read_fragment(off, &mut frag, &fetched)?;
-            upstream += ups;
+            let (n, later) = self.read_fragment(off, &mut frag, &fetched)?;
+            upstream += later;
             frag.truncate(n);
             out.push(frag);
         }
         Ok((out, upstream))
     }
 
-    /// As [`read_at`](Self::read_at) but without the read-ahead trigger —
-    /// fragment assembly inside a vectored read must not look like a
-    /// sequential scan to the detector. `fetched` carries the blobs this
-    /// read's own upstream fetch just produced (see
-    /// [`read_at`](Self::read_at) for why assembly must not re-ask the
-    /// cache for them).
+    /// The one block assembly: copy `[offset, offset + buf.len())`, clamped
+    /// at EOF, out of the blocks covering it. `fetched` carries the blobs
+    /// this read's own upstream fetch just produced (see
+    /// `BlockCache::publish` for why assembly must not re-ask the cache
+    /// for them); any other block is a cache lookup, fetched alone if it is
+    /// somehow still missing (its span fetch failed and was retried by a
+    /// waiter, say). Never triggers read-ahead — fragment assembly inside
+    /// a vectored read must not look like a sequential scan.
     fn read_fragment(
         &self,
         offset: u64,
@@ -409,105 +437,45 @@ impl FileCache {
         }
         let want = (buf.len() as u64).min(self.size - offset) as usize;
         let mut upstream = 0u64;
-        let first = offset / self.block_size();
-        let last = (offset + want as u64 - 1) / self.block_size();
         let mut done = 0usize;
-        for index in first..=last {
+        while done < want {
+            let index = (offset + done as u64) / self.block_size();
             let (b_off, b_len) = self.block_range(index);
             let data = match fetched.get(&index) {
                 Some(d) => Arc::clone(d),
-                None => self.block(index, &mut upstream)?,
+                None => self.cache.get_or_fetch(&self.key, index, &mut upstream, || {
+                    self.fetcher.fetch(b_off, b_len)
+                })?,
             };
             let from = (offset + done as u64 - b_off) as usize;
             let n = (b_len - from).min(want - done);
             buf[done..done + n].copy_from_slice(&data[from..from + n]);
             done += n;
-            if done == want {
-                break;
-            }
         }
         Ok((want, upstream))
     }
 
-    /// Hint that `fragments` will be read soon: fetch their missing blocks
-    /// on a background runtime thread through the single-flight path.
-    /// Fragments beyond EOF are clamped away — hinting too far is free.
-    pub(crate) fn prefetch(&self, fragments: &[(u64, usize)]) {
-        let mut needed: Vec<u64> = Vec::new();
-        for &(off, len) in fragments {
-            if len == 0 || off >= self.size {
-                continue;
-            }
-            let first = off / self.block_size();
-            let last = (off + len as u64 - 1).min(self.size - 1) / self.block_size();
-            needed.extend(first..=last);
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        self.spawn_prefetch(&needed);
-    }
-
-    /// One cached block, fetching it alone if somehow still missing (its
-    /// span fetch failed and was retried by a waiter, say).
-    fn block(&self, index: u64, upstream: &mut u64) -> Result<Arc<Vec<u8>>> {
-        let (off, len) = self.block_range(index);
-        let fetcher = &self.fetcher;
-        self.cache.get_or_fetch(&self.key, index, upstream, || fetcher.fetch(off, len))
-    }
-
-    /// Claim every missing block in `first..=last` and fetch the claims in
-    /// one vectored upstream request; returns the fetched blobs by index.
-    fn fetch_missing_span(
-        &self,
-        first: u64,
-        last: u64,
-        upstream: &mut u64,
-    ) -> Result<HashMap<u64, Arc<Vec<u8>>>> {
-        let indices: Vec<u64> = (first..=last).collect();
-        self.fetch_missing(&indices, upstream)
-    }
-
     /// Claim whichever of `indices` are absent, fetch the claimed ranges
-    /// with one `fetch_vec`, publish. Blocks already ready or in flight
-    /// elsewhere are left to the assembly step. The fetched blobs are also
-    /// returned so the caller can assemble from them directly — they may
-    /// already be evicted again if the read span exceeds the cache
-    /// capacity, and re-reading them through the cache would refetch.
+    /// with one `pread_vec`, publish. Blocks already ready or in flight
+    /// elsewhere are left to the assembly step.
     fn fetch_missing(
         &self,
         indices: &[u64],
         upstream: &mut u64,
     ) -> Result<HashMap<u64, Arc<Vec<u8>>>> {
-        let claims = self.claim_missing(indices);
+        let (claims, ranges) = self.claim_missing(indices);
         if claims.is_empty() {
             return Ok(HashMap::new());
         }
         *upstream += 1;
-        Metrics::add(&self.cache.metrics.cache_misses, claims.len() as u64);
-        let ranges: Vec<(u64, usize)> = claims.iter().map(|&(i, _)| self.block_range(i)).collect();
-        match self.fetcher.fetch_vec(&ranges) {
-            Ok(blobs) => {
-                let mut fetched = HashMap::with_capacity(claims.len());
-                for ((index, pending), blob) in claims.iter().zip(blobs) {
-                    let blob = Arc::new(blob);
-                    self.cache.fill_ok(&self.key, *index, pending, Arc::clone(&blob));
-                    fetched.insert(*index, blob);
-                }
-                Ok(fetched)
-            }
-            Err(e) => {
-                for (index, pending) in &claims {
-                    self.cache.fill_err(&self.key, *index, pending, &e);
-                }
-                Err(e)
-            }
-        }
+        self.cache.publish(&self.key, &claims, self.fetcher.pread_vec(&ranges))
     }
 
     /// Insert pending entries for every block of `indices` not already
-    /// present; returns the claims owed a fetch. One lock round per block,
-    /// never held across I/O.
-    fn claim_missing(&self, indices: &[u64]) -> Vec<(u64, Arc<Pending>)> {
+    /// present (counted as misses); returns the claims owed a fetch and the
+    /// byte ranges to fetch them with. One lock round, never held across
+    /// I/O.
+    fn claim_missing(&self, indices: &[u64]) -> (Vec<Claim>, Vec<(u64, usize)>) {
         let mut claims = Vec::new();
         let mut inner = self.cache.inner.lock();
         for &index in indices {
@@ -518,7 +486,10 @@ impl FileCache {
                 claims.push((index, p));
             }
         }
-        claims
+        drop(inner);
+        Metrics::add(&self.cache.metrics.cache_misses, claims.len() as u64);
+        let ranges = claims.iter().map(|&(i, _)| self.block_range(i)).collect();
+        (claims, ranges)
     }
 
     /// Post-read hook: update the sequential detector and kick off the
@@ -544,52 +515,33 @@ impl FileCache {
         if window == 0 || end >= self.size {
             return; // random access, or already at EOF — nothing to fetch
         }
-        let first = end / self.block_size();
-        // Clamp at EOF: prefetching "past the end" silently shrinks to the
-        // real tail instead of erroring.
-        let last = (end + window - 1).min(self.size - 1) / self.block_size();
-        let indices: Vec<u64> = (first..=last).collect();
-        self.spawn_prefetch(&indices);
+        // Clamped at EOF: prefetching "past the end" silently shrinks to
+        // the real tail instead of erroring.
+        self.prefetch(&[(end, window as usize)]);
     }
 
-    /// Claim whichever of `indices` are absent and fetch them on one
-    /// background runtime thread (one vectored request), counting the
-    /// landed bytes as `Metrics::bytes_prefetched`. Failures withdraw the
+    /// Hint that `fragments` will be read soon: claim whichever of their
+    /// blocks are absent and fetch them on one background runtime thread
+    /// (one vectored request) through the single-flight path, counting the
+    /// landed bytes as `Metrics::bytes_prefetched`. Fragments beyond EOF
+    /// are clamped away — hinting too far is free. Failures withdraw the
     /// claims; a later demand read simply refetches.
-    fn spawn_prefetch(&self, indices: &[u64]) {
-        let claims = self.claim_missing(indices);
+    pub(crate) fn prefetch(&self, fragments: &[(u64, usize)]) {
+        let (claims, ranges) = self.claim_missing(&self.blocks_of(fragments));
         if claims.is_empty() {
             return;
         }
-        Metrics::add(&self.cache.metrics.cache_misses, claims.len() as u64);
         let cache = Arc::clone(&self.cache);
         let key = Arc::clone(&self.key);
         let fetcher = Arc::clone(&self.fetcher);
-        let ranges: Vec<(u64, usize)> = claims.iter().map(|&(i, _)| self.block_range(i)).collect();
-        self.cache.io_pool.submit(move || match fetcher.fetch_vec(&ranges) {
-            Ok(blobs) => {
+        self.cache.io_pool.submit(move || {
+            let result = fetcher.pread_vec(&ranges);
+            if let Ok(blobs) = &result {
                 let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
                 Metrics::add(&cache.metrics.bytes_prefetched, bytes);
-                for ((index, pending), blob) in claims.iter().zip(blobs) {
-                    cache.fill_ok(&key, *index, pending, Arc::new(blob));
-                }
             }
-            Err(e) => {
-                for (index, pending) in &claims {
-                    cache.fill_err(&key, *index, pending, &e);
-                }
-            }
+            let _ = cache.publish(&key, &claims, result);
         });
-    }
-}
-
-impl std::fmt::Debug for FileCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileCache")
-            .field("key", &self.key)
-            .field("size", &self.size)
-            .field("block_size", &self.block_size())
-            .finish_non_exhaustive()
     }
 }
 
@@ -617,12 +569,13 @@ mod tests {
     }
 
     impl BlockFetch for MemFetch {
-        fn fetch(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
             self.calls.fetch_add(1, Ordering::SeqCst);
-            Ok(self.data[offset as usize..offset as usize + len].to_vec())
+            buf.copy_from_slice(&self.data[offset as usize..offset as usize + buf.len()]);
+            Ok(buf.len())
         }
 
-        fn fetch_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+        fn pread_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
             self.vec_calls.fetch_add(1, Ordering::SeqCst);
             Ok(ranges
                 .iter()
@@ -786,7 +739,7 @@ mod tests {
             inner: Arc<MemFetch>,
         }
         impl BlockFetch for Flaky {
-            fn fetch(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+            fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
                 if self
                     .fail_first
                     .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| v.checked_sub(1))
@@ -794,9 +747,9 @@ mod tests {
                 {
                     return Err(DavixError::Protocol("injected".to_string()));
                 }
-                self.inner.fetch(offset, len)
+                self.inner.pread(offset, buf)
             }
-            fn fetch_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+            fn pread_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
                 ranges.iter().map(|&(o, l)| self.fetch(o, l)).collect()
             }
         }

@@ -26,6 +26,19 @@ pub struct ClientInner {
     pub(crate) io_pool: Arc<IoPool>,
 }
 
+impl ClientInner {
+    /// A scheduler over `replicas` on this client's runtime, metrics and
+    /// health knobs.
+    pub(crate) fn replica_scheduler(&self, replicas: Vec<Uri>) -> Arc<crate::ReplicaScheduler> {
+        Arc::new(crate::ReplicaScheduler::from_config(
+            replicas,
+            Arc::clone(self.executor.runtime()),
+            &self.cfg,
+            Some(Arc::clone(self.executor.metrics())),
+        ))
+    }
+}
+
 /// A davix client: connection pool, request executor and the file-oriented
 /// API on top. Cheap to clone; all clones share the pool.
 #[derive(Clone)]
@@ -86,8 +99,7 @@ impl DavixClient {
     /// (§2.4). Used by multi-stream downloads and by the CLI's `replicas`
     /// command.
     pub fn resolve_replicas(&self, url: &str) -> Result<Vec<Uri>> {
-        let uri = self.parse_url(url)?;
-        crate::replicas::fetch_replicas(&self.inner, &uri)
+        self.resolve_replica_set(url).map(|set| set.uris)
     }
 
     /// A [`ReplicaScheduler`] over `replicas`, wired to this client's
@@ -98,12 +110,7 @@ impl DavixClient {
     /// [`ReplicaScheduler`]: crate::ReplicaScheduler
     /// [`multistream_download_scheduled`]: crate::multistream_download_scheduled
     pub fn replica_scheduler(&self, replicas: Vec<Uri>) -> Arc<crate::ReplicaScheduler> {
-        Arc::new(crate::ReplicaScheduler::from_config(
-            replicas,
-            Arc::clone(self.inner.executor.runtime()),
-            &self.inner.cfg,
-            Some(Arc::clone(self.inner.executor.metrics())),
-        ))
+        self.inner.replica_scheduler(replicas)
     }
 
     /// As [`resolve_replicas`](Self::resolve_replicas), but keeping the

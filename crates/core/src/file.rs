@@ -1,5 +1,11 @@
 //! `DavFile`: positional and vectored reads over one remote HTTP resource.
 //!
+//! This module holds three of the read stack's four layers (see the crate
+//! docs, "The read stack"): `RawFile`, the wire; `Reader`, the cached-read
+//! front every handle reads through; and [`DavFile`], the public face over
+//! one resource. The fourth, replica fail-over, slots in between the first
+//! two in [`replicas`](crate::replicas).
+//!
 //! The vectored path is the paper's §2.3 contribution: any number of
 //! fragmented random reads become *one* HTTP multi-range request, answered
 //! as `multipart/byteranges` — one network round trip instead of N. A
@@ -22,7 +28,7 @@ use crate::util::parallel_map;
 use httpwire::multipart::{boundary_from_content_type, MultipartReader};
 use httpwire::range::{coalesce_fragments, format_range_header};
 use httpwire::{ContentRange, ResponseHead, StatusCode, Uri};
-use ioapi::{IoStats, IoStatsSnapshot, RandomAccess};
+use ioapi::{IoStats, IoStatsSnapshot};
 use parking_lot::Mutex;
 use std::io::Read;
 use std::sync::Arc;
@@ -36,7 +42,8 @@ pub struct RemoteStat {
     pub etag: Option<String>,
 }
 
-/// A remote file opened through davix.
+/// A remote file opened through davix: a `Reader` over the wire plus the
+/// stat data and a cursor.
 ///
 /// When the client's block cache is enabled
 /// ([`Config::cache_capacity_bytes`](crate::Config::cache_capacity_bytes) >
@@ -48,20 +55,130 @@ pub struct DavFile {
     raw: Arc<RawFile>,
     etag: Option<String>,
     pos: Mutex<u64>,
-    io: IoStats,
-    cache: Option<FileCache>,
+    reader: Reader,
 }
 
-/// The uncached network read path of one remote resource: everything
-/// [`DavFile`] needs to hit the wire, shaped so the block cache can share
-/// it as its upstream [`BlockFetch`] (prefetch threads hold an `Arc` of
-/// this, never of the `DavFile` itself).
+/// The wire layer of the read stack: the uncached network read path of one
+/// remote resource. It is the [`BlockFetch`] under a plain [`DavFile`]'s
+/// [`Reader`], and what replica fail-over and the multistream workers open
+/// per replica (they cache, if at all, one layer up).
 #[derive(Clone)]
 pub(crate) struct RawFile {
     pub(crate) inner: Arc<ClientInner>,
     pub(crate) uri: Uri,
-    size: u64,
+    pub(crate) size: u64,
 }
+
+/// The cached-read front every file handle reads through: cache bound? read
+/// through it and count its upstream fetches as round trips : read upstream
+/// and count one. `up` is the wire ([`RawFile`]) or the replica fail-over
+/// walk over several of them.
+pub(crate) struct Reader {
+    up: Arc<dyn BlockFetch>,
+    size: u64,
+    cache: Option<FileCache>,
+    io: IoStats,
+}
+
+impl Reader {
+    /// A front for `up`, an entity of `size` bytes; binds the client's
+    /// block cache under `key()` when one is configured.
+    pub(crate) fn new(
+        inner: &ClientInner,
+        up: Arc<dyn BlockFetch>,
+        size: u64,
+        key: impl FnOnce() -> String,
+    ) -> Reader {
+        let (ra_min, ra_max) = (inner.cfg.readahead_min, inner.cfg.readahead_max);
+        let cache = inner.cache.as_ref().map(|cache| {
+            FileCache::new(Arc::clone(cache), key(), size, Arc::clone(&up), ra_min, ra_max)
+        });
+        Reader { up, size, cache, io: IoStats::default() }
+    }
+
+    pub(crate) fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        let (n, round_trips) = match &self.cache {
+            Some(cache) => cache.read_at(offset, buf)?,
+            None => (self.up.pread(offset, buf)?, 1),
+        };
+        self.io.record_read(n as u64, round_trips);
+        Ok(n)
+    }
+
+    /// An empty fragment list is answered without touching cache, wire or
+    /// counters; a fragment reaching past the entity is an error, never a
+    /// silent truncation.
+    pub(crate) fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+        if fragments.is_empty() {
+            return Ok(Vec::new());
+        }
+        let size = self.size;
+        if let Some((off, len)) = fragments.iter().find(|f| f.0.saturating_add(f.1 as u64) > size) {
+            return Err(DavixError::InvalidArgument(format!(
+                "fragment {off}+{len} beyond entity size {size}"
+            )));
+        }
+        let (out, round_trips) = match &self.cache {
+            Some(cache) => cache.read_vec(fragments)?,
+            None => (self.up.pread_vec(fragments)?, 1),
+        };
+        let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
+        self.io.record_vector_read(bytes, round_trips);
+        Ok(out)
+    }
+
+    /// With the block cache bound, a prefetch hint turns into a background
+    /// block fetch the later `read_vec` is served from — HTTP gains the
+    /// latency-hiding the paper credits to XRootD's asynchronous transport.
+    pub(crate) fn supports_prefetch(&self) -> bool {
+        self.cache.is_some()
+    }
+
+    pub(crate) fn prefetch_vec(&self, fragments: &[(u64, usize)]) {
+        if let Some(cache) = &self.cache {
+            cache.prefetch(fragments);
+        }
+    }
+
+    pub(crate) fn io_stats(&self) -> IoStatsSnapshot {
+        self.io.snapshot()
+    }
+}
+
+/// `ioapi::RandomAccess` for a public face of the read stack: a type with
+/// `size_hint`, `pread`, `pread_vec` and a `reader` field. (A macro because
+/// the trait is `ioapi`'s: the orphan rule forbids one blanket
+/// `impl<T: Face> RandomAccess for T` here.)
+macro_rules! random_access_via_reader {
+    ($face:ty) => {
+        impl ioapi::RandomAccess for $face {
+            fn size(&self) -> std::io::Result<u64> {
+                self.size_hint().map_err(std::io::Error::from)
+            }
+
+            fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.pread(offset, buf).map_err(std::io::Error::from)
+            }
+
+            fn read_vec(&self, fragments: &[(u64, usize)]) -> std::io::Result<Vec<Vec<u8>>> {
+                self.pread_vec(fragments).map_err(std::io::Error::from)
+            }
+
+            fn prefetch_vec(&self, fragments: &[(u64, usize)]) {
+                self.reader.prefetch_vec(fragments)
+            }
+
+            fn supports_prefetch(&self) -> bool {
+                self.reader.supports_prefetch()
+            }
+
+            fn stats(&self) -> ioapi::IoStatsSnapshot {
+                self.reader.io_stats()
+            }
+        }
+    };
+}
+pub(crate) use random_access_via_reader;
 
 impl std::fmt::Debug for DavFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -69,7 +186,7 @@ impl std::fmt::Debug for DavFile {
             .field("uri", &self.raw.uri.to_string())
             .field("size", &self.raw.size)
             .field("etag", &self.etag)
-            .field("cached", &self.cache.is_some())
+            .field("cached", &self.reader.supports_prefetch())
             .finish_non_exhaustive()
     }
 }
@@ -114,45 +231,13 @@ impl DavFile {
     /// Open (HEAD) a remote file, learning its size; binds the client's
     /// block cache when one is configured.
     pub(crate) fn open(inner: Arc<ClientInner>, uri: Uri) -> Result<DavFile> {
-        Self::open_with_cache(inner, uri, true)
-    }
-
-    /// Open without binding the block cache, even when the client has one.
-    /// Internal paths that layer their own caching or stream entities once
-    /// (replica fail-over's per-replica files, multistream chunk workers)
-    /// use this so bytes are not cached twice — or at all, for
-    /// once-through bulk data.
-    pub(crate) fn open_uncached(inner: Arc<ClientInner>, uri: Uri) -> Result<DavFile> {
-        Self::open_with_cache(inner, uri, false)
-    }
-
-    fn open_with_cache(inner: Arc<ClientInner>, uri: Uri, want_cache: bool) -> Result<DavFile> {
-        let resp = inner.executor.execute_expect(&PreparedRequest::head(uri.clone()), "stat")?;
-        let (size, etag, final_uri) = match resp.head.headers.content_length() {
-            Some(size) => (size, resp.head.headers.get("etag").map(str::to_string), resp.final_uri),
-            // HEAD without Content-Length: probe with a 1-byte ranged GET
-            // instead of failing the open.
-            None => probe_size(&inner, &resp.final_uri)?,
-        };
-        let raw = Arc::new(RawFile { inner, uri: final_uri, size });
-        let cache = if want_cache {
-            raw.inner.cache.as_ref().map(|cache| {
-                // Keyed by final URI + size + ETag: a changed entity (new
-                // ETag) re-opened later cannot serve stale blocks.
-                let key = format!("{}|{}|{}", raw.uri, size, etag.as_deref().unwrap_or("-"));
-                FileCache::new(
-                    Arc::clone(cache),
-                    key,
-                    size,
-                    Arc::clone(&raw) as Arc<dyn BlockFetch>,
-                    raw.inner.cfg.readahead_min,
-                    raw.inner.cfg.readahead_max,
-                )
-            })
-        } else {
-            None
-        };
-        Ok(DavFile { raw, etag, pos: Mutex::new(0), io: IoStats::default(), cache })
+        let (raw, etag) = RawFile::open(inner, uri)?;
+        let raw = Arc::new(raw);
+        // Keyed by final URI + size + ETag: a changed entity (new ETag)
+        // re-opened later cannot serve stale blocks.
+        let key = || format!("{}|{}|{}", raw.uri, raw.size, etag.as_deref().unwrap_or("-"));
+        let reader = Reader::new(&raw.inner, Arc::clone(&raw) as _, raw.size, key);
+        Ok(DavFile { raw, etag, pos: Mutex::new(0), reader })
     }
 
     /// The URI this file was (finally) opened from.
@@ -179,30 +264,22 @@ impl DavFile {
     /// (at most once, concurrently, across all readers) and the request is
     /// served from them.
     pub fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        if let Some(cache) = &self.cache {
-            let (n, upstream) = cache.read_at(offset, buf)?;
-            self.io.record_read(n as u64, upstream);
-            return Ok(n);
-        }
-        let n = self.raw.pread(offset, buf)?;
-        self.io.record_read(n as u64, 1);
-        Ok(n)
+        self.reader.pread(offset, buf)
     }
 }
 
 impl RawFile {
-    /// Positional read of up to `buf.len()` bytes at `offset`; 0 at EOF.
-    ///
-    /// A `206` whose `Content-Range` does not match the requested window is
-    /// rejected as [`DavixError::Protocol`] rather than trusted: a
-    /// misbehaving server must fail loudly, not yield wrong bytes at the
-    /// right offsets.
-    pub(crate) fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        if buf.is_empty() || offset >= self.size {
-            return Ok(0);
-        }
-        let want = buf.len().min((self.size - offset) as usize);
-        self.get_range(offset, &mut buf[..want])
+    /// Open (HEAD) `uri`: the resource at its final (post-redirect) URI with
+    /// the size learned there, plus its ETag.
+    pub(crate) fn open(inner: Arc<ClientInner>, uri: Uri) -> Result<(RawFile, Option<String>)> {
+        let resp = inner.executor.execute_expect(&PreparedRequest::head(uri), "stat")?;
+        let (size, etag, uri) = match resp.head.headers.content_length() {
+            Some(size) => (size, resp.head.headers.get("etag").map(str::to_string), resp.final_uri),
+            // HEAD without Content-Length: probe with a 1-byte ranged GET
+            // instead of failing the open.
+            None => probe_size(&inner, &resp.final_uri)?,
+        };
+        Ok((RawFile { inner, uri, size }, etag))
     }
 
     /// The one single-range GET: fill `buf` from `offset`, returning how
@@ -236,46 +313,6 @@ impl RawFile {
             }
             status => Err(DavixError::from_status(status, format!("pread {}", self.uri))),
         })
-    }
-
-    /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment.
-    /// Fragment order is preserved in the result; fragments may overlap.
-    pub(crate) fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        if fragments.is_empty() {
-            return Ok(Vec::new());
-        }
-        check_fragments(fragments, self.size)?;
-        // Merge close fragments into wire ranges: fewer parts, same data.
-        let wire = coalesce_fragments(fragments, self.inner.cfg.vector_merge_gap);
-        let wire: Vec<(u64, usize)> = wire.into_iter().map(|(o, l)| (o, l as usize)).collect();
-
-        let chunks = match self.inner.cfg.range_policy {
-            RangePolicy::MultiRange => match self.fetch_multirange(&wire) {
-                Ok(chunks) => chunks,
-                Err(e) if Self::multirange_rejected(&e) => {
-                    Metrics::bump(&self.inner.executor.metrics().vector_fallbacks);
-                    self.fetch_parallel_single(&wire)?
-                }
-                Err(e) => return Err(e),
-            },
-            RangePolicy::SingleRanges => self.fetch_parallel_single(&wire)?,
-        };
-
-        // Slice the original fragments back out of the fetched chunks.
-        let mut out = Vec::with_capacity(fragments.len());
-        for &(off, len) in fragments {
-            let chunk = chunks
-                .iter()
-                .find(|c| c.first <= off && off + len as u64 <= c.first + c.data.len() as u64)
-                .ok_or_else(|| {
-                    DavixError::Protocol(format!(
-                        "server response does not cover fragment {off}+{len}"
-                    ))
-                })?;
-            let start = (off - chunk.first) as usize;
-            out.push(chunk.data[start..start + len].to_vec());
-        }
-        Ok(out)
     }
 
     fn multirange_rejected(e: &DavixError) -> bool {
@@ -390,8 +427,8 @@ impl RawFile {
             self.inner.cfg.vector_fallback_parallelism,
             move |(off, len): (u64, usize)| -> Result<Chunk> {
                 let mut data = vec![0u8; len];
-                // `pread_vec` checked every range against the size we were
-                // told, so a short answer here contradicts the server.
+                // Every range was checked against the size we were told,
+                // so a short answer here contradicts the server.
                 if file.get_range(off, &mut data)? < len {
                     return Err(DavixError::Protocol(format!(
                         "{}: entity ended inside requested range {off}+{len}",
@@ -405,39 +442,94 @@ impl RawFile {
     }
 }
 
-/// The cache's upstream: block fetches are plain raw reads — scalar for one
+/// The wire as a [`Reader`]'s upstream: plain raw reads — scalar for one
 /// block run, one multi-range request for scattered runs (§2.3, so a cold
 /// vectored read through the cache still costs a single round trip).
 impl BlockFetch for RawFile {
-    fn fetch(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let mut buf = vec![0u8; len];
-        let mut done = 0usize;
-        while done < len {
-            let n = self.pread(offset + done as u64, &mut buf[done..])?;
-            if n == 0 {
-                return Err(DavixError::Protocol(format!(
-                    "{}: entity ended at {} inside block {offset}+{len}",
-                    self.uri,
-                    offset + done as u64
-                )));
-            }
-            done += n;
-        }
-        Ok(buf)
+    fn name(&self) -> String {
+        self.uri.to_string()
     }
 
-    fn fetch_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        self.pread_vec(ranges)
+    /// Positional read of up to `buf.len()` bytes at `offset`; 0 at EOF.
+    ///
+    /// A `206` whose `Content-Range` does not match the requested window is
+    /// rejected as [`DavixError::Protocol`] rather than trusted: a
+    /// misbehaving server must fail loudly, not yield wrong bytes at the
+    /// right offsets.
+    fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
+        if buf.is_empty() || offset >= self.size {
+            return Ok(0);
+        }
+        let want = buf.len().min((self.size - offset) as usize);
+        self.get_range(offset, &mut buf[..want])
+    }
+
+    /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment
+    /// — non-empty, inside the entity: the [`Reader`] in front has checked.
+    /// Fragment order is preserved in the result; fragments may overlap.
+    fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+        // Merge close fragments into wire ranges: fewer parts, same data.
+        let wire = coalesce_fragments(fragments, self.inner.cfg.vector_merge_gap);
+        let wire: Vec<(u64, usize)> = wire.into_iter().map(|(o, l)| (o, l as usize)).collect();
+
+        let chunks = match self.inner.cfg.range_policy {
+            RangePolicy::MultiRange => match self.fetch_multirange(&wire) {
+                Ok(chunks) => chunks,
+                Err(e) if RawFile::multirange_rejected(&e) => {
+                    Metrics::bump(&self.inner.executor.metrics().vector_fallbacks);
+                    self.fetch_parallel_single(&wire)?
+                }
+                Err(e) => return Err(e),
+            },
+            RangePolicy::SingleRanges => self.fetch_parallel_single(&wire)?,
+        };
+
+        // Slice the original fragments back out of the fetched chunks.
+        let mut out = Vec::with_capacity(fragments.len());
+        for &(off, len) in fragments {
+            let chunk = chunks
+                .iter()
+                .find(|c| c.first <= off && off + len as u64 <= c.first + c.data.len() as u64)
+                .ok_or_else(|| {
+                    DavixError::Protocol(format!(
+                        "server response does not cover fragment {off}+{len}"
+                    ))
+                })?;
+            let start = (off - chunk.first) as usize;
+            out.push(chunk.data[start..start + len].to_vec());
+        }
+        Ok(out)
     }
 }
 
 impl DavFile {
     /// Sequential read from the cursor position.
+    ///
+    /// The cursor lock is never held across the network read: the window
+    /// `[pos, min(pos + buf.len(), size))` is claimed under it (the size is
+    /// known since open) and read after releasing it. Concurrent `read`
+    /// callers sharing one handle therefore get disjoint, consecutive
+    /// windows in the order they claimed them, each returned slice being
+    /// the bytes at its own window. A read that fails or comes back short
+    /// gives the unread tail of its window back, unless another caller has
+    /// moved the cursor since.
     pub fn read(&self, buf: &mut [u8]) -> Result<usize> {
-        let mut pos = self.pos.lock();
-        let n = self.pread(*pos, buf)?;
-        *pos += n as u64;
-        Ok(n)
+        let (start, want) = {
+            let mut pos = self.pos.lock();
+            let start = *pos;
+            let want = (buf.len() as u64).min(self.raw.size.saturating_sub(start));
+            *pos = start + want;
+            (start, want as usize)
+        };
+        let result = self.pread(start, &mut buf[..want]);
+        let got = *result.as_ref().unwrap_or(&0);
+        if got < want {
+            let mut pos = self.pos.lock();
+            if *pos == start + want as u64 {
+                *pos = start + got as u64;
+            }
+        }
+        result
     }
 
     /// Current cursor position.
@@ -458,42 +550,20 @@ impl DavFile {
     /// request (block-aligned), so the round-trip profile matches the
     /// uncached path while repeats become free.
     pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        if fragments.is_empty() {
-            return Ok(Vec::new());
-        }
-        if let Some(cache) = &self.cache {
-            check_fragments(fragments, self.raw.size)?;
-            let (out, upstream) = cache.read_vec(fragments)?;
-            let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
-            self.io.record_vector_read(bytes, upstream);
-            return Ok(out);
-        }
-        let out = self.raw.pread_vec(fragments)?;
-        let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
-        self.io.record_vector_read(bytes, 1);
-        Ok(out)
+        self.reader.pread_vec(fragments)
     }
 
     /// I/O counter snapshot for this file.
     pub fn io_stats(&self) -> IoStatsSnapshot {
-        self.io.snapshot()
+        self.reader.io_stats()
     }
 }
+
+random_access_via_reader!(DavFile);
 
 struct Chunk {
     first: u64,
     data: Vec<u8>,
-}
-
-/// Every vectored path refuses fragments reaching past the entity: an
-/// out-of-range fragment is an error, never a silent truncation.
-pub(crate) fn check_fragments(fragments: &[(u64, usize)], size: u64) -> Result<()> {
-    match fragments.iter().find(|&&(off, len)| off.saturating_add(len as u64) > size) {
-        Some((off, len)) => Err(DavixError::InvalidArgument(format!(
-            "fragment {off}+{len} beyond entity size {size}"
-        ))),
-        None => Ok(()),
-    }
 }
 
 /// Parse a `Content-Range` header off a `206` head, or fail as a protocol
@@ -588,38 +658,6 @@ fn read_windows(resp: &mut ResponseStream<'_>, wire: &[(u64, usize)]) -> Result<
         chunks.push(Chunk { first: off, data });
     }
     Ok(chunks)
-}
-
-impl RandomAccess for DavFile {
-    fn size(&self) -> std::io::Result<u64> {
-        Ok(self.raw.size)
-    }
-
-    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-        self.pread(offset, buf).map_err(std::io::Error::from)
-    }
-
-    fn read_vec(&self, fragments: &[(u64, usize)]) -> std::io::Result<Vec<Vec<u8>>> {
-        self.pread_vec(fragments).map_err(std::io::Error::from)
-    }
-
-    fn prefetch_vec(&self, fragments: &[(u64, usize)]) {
-        if let Some(cache) = &self.cache {
-            cache.prefetch(fragments);
-        }
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        // With the block cache bound, a prefetch hint turns into a
-        // background block fetch the later `read_vec` is served from —
-        // HTTP gains the latency-hiding the paper credits to XRootD's
-        // asynchronous transport.
-        self.cache.is_some()
-    }
-
-    fn stats(&self) -> IoStatsSnapshot {
-        self.io.snapshot()
-    }
 }
 
 #[cfg(test)]

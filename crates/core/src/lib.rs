@@ -57,6 +57,35 @@
 //! and answer `200` + full entity are read only up to the requested window
 //! (counted in `Metrics::range_downgrades`).
 //!
+//! ## The read stack
+//!
+//! One request path ([`executor`]) carries every read; above it, every file
+//! read goes through the same four layers, each written once:
+//!
+//! 1. **`RawFile` — the wire** ([`file`](mod@file)): one resource at its
+//!    final URI with the size learned at open. `pread` is one ranged GET
+//!    streamed into the caller's buffer, `pread_vec` one multi-range GET
+//!    with the §2.3 degradation ladder. It never caches.
+//! 2. **`ReplicaCore` — fail-over, optional** ([`replicas`]): the walk over
+//!    scheduler-ranked replicas around the one *fail-over step* — open or
+//!    reuse that replica's `RawFile`, time the operation, tell the
+//!    [`ReplicaScheduler`] how it went (a failure is recorded, counted in
+//!    `Metrics::failovers` and evicts the suspect file in exactly one
+//!    place) and say whether the error lets another replica try — a
+//!    `ReplicaFile` spares the caller's own errors (`403`, bad argument), a
+//!    multi-stream download blames every error on the replica. Its workers
+//!    run the same step, each over its own map of open files; its size
+//!    discovery is the same walk with the open as the operation.
+//! 3. **`Reader` — the cached-read front** ([`file`](mod@file)): over
+//!    either of the above as its one upstream. Cache bound? Read through it
+//!    and count the upstream fetches it caused as round trips; otherwise
+//!    read upstream and count one. Fragment validation and the handle's
+//!    `IoStats` live here and nowhere else.
+//! 4. **[`DavFile`] / [`ReplicaFile`] — the public faces**: a `Reader` plus
+//!    what is theirs alone (stat data and the sequential cursor; origin,
+//!    scheduler and current replica). Their [`ioapi::RandomAccess`] impls
+//!    are one shared delegation.
+//!
 //! ## Block cache, single-flight dedup and adaptive read-ahead
 //!
 //! The [`cache`] module adds the layer the paper's client-side argument
@@ -85,8 +114,9 @@
 //!   bytes count in [`Metrics::bytes_prefetched`].
 //! * **Fail-over keeps its hits** — [`ReplicaFile`] keys blocks by the
 //!   *origin* resource, not the serving replica, so a replica switch
-//!   (or a fully dead replica set) still serves every cached byte; its
-//!   per-replica files are opened uncached so nothing is stored twice.
+//!   (or a fully dead replica set) still serves every cached byte; the
+//!   per-replica files underneath are the wire layer, which never caches,
+//!   so nothing is stored twice.
 //! * **Prefetch hints** — cached handles report
 //!   `RandomAccess::supports_prefetch`, so `rootio`'s TreeCache can push
 //!   upcoming basket windows down to the HTTP layer (`prefetch_vec`),

@@ -3,94 +3,133 @@
 
 use davix_sync::{race, AtomicBool, AtomicU64, CheckedCell, Ordering};
 
-/// Atomic counters shared by all components of one client.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// HTTP requests written to the wire (including retries and redirects).
-    pub requests: AtomicU64,
-    /// Requests that were retried after a failure.
-    pub retries: AtomicU64,
-    /// Redirect hops followed.
-    pub redirects: AtomicU64,
-    /// New TCP sessions established.
-    pub sessions_created: AtomicU64,
-    /// Sessions checked out from the idle pool (recycled).
-    pub sessions_reused: AtomicU64,
-    /// Idle sessions dropped (TTL or pool overflow).
-    pub sessions_discarded: AtomicU64,
-    /// Response body bytes received.
-    pub bytes_in: AtomicU64,
-    /// Request bytes sent (heads + bodies).
-    pub bytes_out: AtomicU64,
-    /// Body bytes delivered through [`ResponseStream`](crate::ResponseStream)
-    /// reads (every response body flows through here, including the
-    /// collect-to-`Vec` path of [`HttpExecutor::execute`](crate::HttpExecutor::execute)).
-    pub bytes_streamed: AtomicU64,
-    /// High-water mark of any single collected body buffer, in bytes.
-    /// Stays 0 while every consumer streams — the Fig. 2/3 benches use this
-    /// to show the read path allocates nothing proportional to the body.
-    pub peak_body_buffer: AtomicU64,
-    /// Multi-range (vectored) GETs issued.
-    pub vectored_requests: AtomicU64,
-    /// Vectored reads that had to fall back to per-fragment requests.
-    pub vector_fallbacks: AtomicU64,
-    /// Range requests a server answered with `200` + the full entity
-    /// instead of `206` (the client then reads only the requested window).
-    pub range_downgrades: AtomicU64,
-    /// Metalink documents fetched.
-    pub metalinks_fetched: AtomicU64,
-    /// Replica fail-overs performed.
-    pub failovers: AtomicU64,
-    /// Replicas blacklisted by the scheduler (consecutive-failure eviction).
-    pub replicas_blacklisted: AtomicU64,
-    /// Active `OPTIONS` health probes sent to replicas.
-    pub replica_probes: AtomicU64,
-    /// Multistream workers that switched to another replica after theirs
-    /// failed (instead of dying and shrinking the stream pool).
-    pub streams_respawned: AtomicU64,
-    /// Block-cache reads served from memory (no upstream request), including
-    /// reads that joined another caller's in-flight fetch.
-    pub cache_hits: AtomicU64,
-    /// Block-cache blocks that had to be fetched upstream.
-    pub cache_misses: AtomicU64,
-    /// Bytes landed in the block cache by background read-ahead/prefetch.
-    pub bytes_prefetched: AtomicU64,
-    /// Readers that parked on another caller's in-flight block fetch
-    /// instead of issuing a duplicate request (single-flight dedup).
-    pub singleflight_waits: AtomicU64,
-    /// Request-body payload bytes written to the wire by uploads
-    /// (streaming bodies and buffered `PUT`s; retried bodies count every
-    /// transmission). Protocol chatter with a body — PROPFIND XML,
-    /// multipart-complete documents — is not an upload and is excluded.
-    pub bytes_uploaded: AtomicU64,
-    /// Chunks committed by [`multistream_upload`](crate::multistream_upload)
-    /// workers (successful segment/part PUTs, not counting retries).
-    pub chunks_uploaded: AtomicU64,
-    /// Upload exchanges that were retried after a failure (5xx or a
-    /// transport fault with the body partially sent).
-    pub upload_retries: AtomicU64,
-    /// High-water mark of chunk payload resident in upload buffers, in
-    /// bytes. Bounded by `upload_chunk_size × upload_streams` — the write
-    /// path never buffers the whole object.
-    pub peak_upload_buffer: AtomicU64,
-    /// The deliberately-broken counter behind `davix-simfuzz --canary
-    /// unsync-metric`: a plain (non-atomic) cell bumped from both the
-    /// upload driver and the pool workers with **no** synchronization edge
-    /// between those bumps — exactly the bug the `race-detect` feature
-    /// exists to catch. Dormant unless [`Metrics::set_unsync_canary`] turns
-    /// it on *and* the detector is compiled in.
-    pub unsync_canary: CheckedCell<u64>,
-    /// Runtime switch for the canary bumps. `Relaxed` on purpose: the
-    /// switch itself must not smuggle in a happens-before edge that would
-    /// order the racing bumps.
-    unsync_canary_on: AtomicBool,
+/// Generates, from the one field list ([`metric_fields!`]), the atomic
+/// struct, its plain-value [`MetricsSnapshot`], [`Metrics::snapshot`] and
+/// [`MetricsSnapshot::since`].
+macro_rules! metrics {
+    ($($(#[$doc:meta])* $kind:ident $name:ident,)+) => {
+        /// Atomic counters shared by all components of one client.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($(#[$doc])* pub $name: AtomicU64,)+
+            /// The deliberately-broken counter behind `davix-simfuzz --canary
+            /// unsync-metric`: a plain (non-atomic) cell bumped from both the
+            /// upload driver and the pool workers with **no** synchronization edge
+            /// between those bumps — exactly the bug the `race-detect` feature
+            /// exists to catch. Dormant unless [`Metrics::set_unsync_canary`] turns
+            /// it on *and* the detector is compiled in.
+            pub unsync_canary: CheckedCell<u64>,
+            /// Runtime switch for the canary bumps. `Relaxed` on purpose: the
+            /// switch itself must not smuggle in a happens-before edge that would
+            /// order the racing bumps.
+            unsync_canary_on: AtomicBool,
+        }
+
+        /// Value snapshot of [`Metrics`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub struct MetricsSnapshot {
+            $(pub $name: u64,)+
+        }
+
+        impl Metrics {
+            /// Plain-value copy of all counters.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)+ }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Counter-wise difference against an earlier snapshot.
+            /// `peak_body_buffer` and `peak_upload_buffer` are high-water
+            /// marks, not counters: the newer snapshot's value is kept
+            /// as-is.
+            pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot { $($name: metrics!(@since $kind self.$name, earlier.$name),)+ }
+            }
+        }
+    };
+    (@since counter $now:expr, $earlier:expr) => { $now - $earlier };
+    (@since peak $now:expr, $earlier:expr) => { $now };
 }
 
-macro_rules! snapshot_fields {
-    ($self:ident, $($f:ident),+ $(,)?) => {
-        MetricsSnapshot { $($f: $self.$f.load(Ordering::Relaxed)),+ }
+/// The one list of [`Metrics`] fields — every `counter` and the two `peak`
+/// high-water marks, each spelled once — handed to the macro `$with`.
+macro_rules! metric_fields {
+    ($with:ident) => {
+        $with! {
+            /// HTTP requests written to the wire (including retries and redirects).
+            counter requests,
+            /// Requests that were retried after a failure.
+            counter retries,
+            /// Redirect hops followed.
+            counter redirects,
+            /// New TCP sessions established.
+            counter sessions_created,
+            /// Sessions checked out from the idle pool (recycled).
+            counter sessions_reused,
+            /// Idle sessions dropped (TTL or pool overflow).
+            counter sessions_discarded,
+            /// Response body bytes received.
+            counter bytes_in,
+            /// Request bytes sent (heads + bodies).
+            counter bytes_out,
+            /// Body bytes delivered through [`ResponseStream`](crate::ResponseStream)
+            /// reads (every response body flows through here, including the
+            /// collect-to-`Vec` path of [`HttpExecutor::execute`](crate::HttpExecutor::execute)).
+            counter bytes_streamed,
+            /// High-water mark of any single collected body buffer, in bytes.
+            /// Stays 0 while every consumer streams — the Fig. 2/3 benches use this
+            /// to show the read path allocates nothing proportional to the body.
+            peak peak_body_buffer,
+            /// Multi-range (vectored) GETs issued.
+            counter vectored_requests,
+            /// Vectored reads that had to fall back to per-fragment requests.
+            counter vector_fallbacks,
+            /// Range requests a server answered with `200` + the full entity
+            /// instead of `206` (the client then reads only the requested window).
+            counter range_downgrades,
+            /// Metalink documents fetched.
+            counter metalinks_fetched,
+            /// Replica fail-overs performed.
+            counter failovers,
+            /// Replicas blacklisted by the scheduler (consecutive-failure eviction).
+            counter replicas_blacklisted,
+            /// Active `OPTIONS` health probes sent to replicas.
+            counter replica_probes,
+            /// Multistream workers that switched to another replica after theirs
+            /// failed (instead of dying and shrinking the stream pool).
+            counter streams_respawned,
+            /// Block-cache reads served from memory (no upstream request), including
+            /// reads that joined another caller's in-flight fetch.
+            counter cache_hits,
+            /// Block-cache blocks that had to be fetched upstream.
+            counter cache_misses,
+            /// Bytes landed in the block cache by background read-ahead/prefetch.
+            counter bytes_prefetched,
+            /// Readers that parked on another caller's in-flight block fetch
+            /// instead of issuing a duplicate request (single-flight dedup).
+            counter singleflight_waits,
+            /// Request-body payload bytes written to the wire by uploads
+            /// (streaming bodies and buffered `PUT`s; retried bodies count every
+            /// transmission). Protocol chatter with a body — PROPFIND XML,
+            /// multipart-complete documents — is not an upload and is excluded.
+            counter bytes_uploaded,
+            /// Chunks committed by [`multistream_upload`](crate::multistream_upload)
+            /// workers (successful segment/part PUTs, not counting retries).
+            counter chunks_uploaded,
+            /// Upload exchanges that were retried after a failure (5xx or a
+            /// transport fault with the body partially sent).
+            counter upload_retries,
+            /// High-water mark of chunk payload resident in upload buffers, in
+            /// bytes. Bounded by `upload_chunk_size × upload_streams` — the write
+            /// path never buffers the whole object.
+            peak peak_upload_buffer,
+        }
     };
 }
+
+metric_fields!(metrics);
 
 impl Metrics {
     /// Add one to a counter.
@@ -128,108 +167,9 @@ impl Metrics {
             self.unsync_canary.set(1);
         }
     }
-
-    /// Plain-value copy of all counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        snapshot_fields!(
-            self,
-            requests,
-            retries,
-            redirects,
-            sessions_created,
-            sessions_reused,
-            sessions_discarded,
-            bytes_in,
-            bytes_out,
-            bytes_streamed,
-            peak_body_buffer,
-            vectored_requests,
-            vector_fallbacks,
-            range_downgrades,
-            metalinks_fetched,
-            failovers,
-            replicas_blacklisted,
-            replica_probes,
-            streams_respawned,
-            cache_hits,
-            cache_misses,
-            bytes_prefetched,
-            singleflight_waits,
-            bytes_uploaded,
-            chunks_uploaded,
-            upload_retries,
-            peak_upload_buffer,
-        )
-    }
-}
-
-/// Value snapshot of [`Metrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct MetricsSnapshot {
-    pub requests: u64,
-    pub retries: u64,
-    pub redirects: u64,
-    pub sessions_created: u64,
-    pub sessions_reused: u64,
-    pub sessions_discarded: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
-    pub bytes_streamed: u64,
-    pub peak_body_buffer: u64,
-    pub vectored_requests: u64,
-    pub vector_fallbacks: u64,
-    pub range_downgrades: u64,
-    pub metalinks_fetched: u64,
-    pub failovers: u64,
-    pub replicas_blacklisted: u64,
-    pub replica_probes: u64,
-    pub streams_respawned: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub bytes_prefetched: u64,
-    pub singleflight_waits: u64,
-    pub bytes_uploaded: u64,
-    pub chunks_uploaded: u64,
-    pub upload_retries: u64,
-    pub peak_upload_buffer: u64,
 }
 
 impl MetricsSnapshot {
-    /// Counter-wise difference against an earlier snapshot.
-    /// `peak_body_buffer` and `peak_upload_buffer` are high-water marks,
-    /// not counters: the newer snapshot's value is kept as-is.
-    pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests - earlier.requests,
-            retries: self.retries - earlier.retries,
-            redirects: self.redirects - earlier.redirects,
-            sessions_created: self.sessions_created - earlier.sessions_created,
-            sessions_reused: self.sessions_reused - earlier.sessions_reused,
-            sessions_discarded: self.sessions_discarded - earlier.sessions_discarded,
-            bytes_in: self.bytes_in - earlier.bytes_in,
-            bytes_out: self.bytes_out - earlier.bytes_out,
-            bytes_streamed: self.bytes_streamed - earlier.bytes_streamed,
-            peak_body_buffer: self.peak_body_buffer,
-            vectored_requests: self.vectored_requests - earlier.vectored_requests,
-            vector_fallbacks: self.vector_fallbacks - earlier.vector_fallbacks,
-            range_downgrades: self.range_downgrades - earlier.range_downgrades,
-            metalinks_fetched: self.metalinks_fetched - earlier.metalinks_fetched,
-            failovers: self.failovers - earlier.failovers,
-            replicas_blacklisted: self.replicas_blacklisted - earlier.replicas_blacklisted,
-            replica_probes: self.replica_probes - earlier.replica_probes,
-            streams_respawned: self.streams_respawned - earlier.streams_respawned,
-            cache_hits: self.cache_hits - earlier.cache_hits,
-            cache_misses: self.cache_misses - earlier.cache_misses,
-            bytes_prefetched: self.bytes_prefetched - earlier.bytes_prefetched,
-            singleflight_waits: self.singleflight_waits - earlier.singleflight_waits,
-            bytes_uploaded: self.bytes_uploaded - earlier.bytes_uploaded,
-            chunks_uploaded: self.chunks_uploaded - earlier.chunks_uploaded,
-            upload_retries: self.upload_retries - earlier.upload_retries,
-            peak_upload_buffer: self.peak_upload_buffer,
-        }
-    }
-
     /// Fraction of cache lookups served from memory.
     pub fn cache_hit_ratio(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
@@ -267,6 +207,48 @@ mod tests {
         let d = m.snapshot().since(&a);
         assert_eq!(d.requests, 1);
         assert_eq!(d.bytes_in, 0);
+    }
+
+    /// Every snapshot field as `(name, is a high-water mark, value)`.
+    macro_rules! fields_mut {
+        ($($(#[$doc:meta])* $kind:ident $name:ident,)+) => {
+            fn fields_mut(s: &mut MetricsSnapshot) -> Vec<(&'static str, bool, &mut u64)> {
+                vec![$((stringify!($name), stringify!($kind) == "peak", &mut s.$name),)+]
+            }
+        };
+    }
+    metric_fields!(fields_mut);
+
+    #[test]
+    fn since_subtracts_every_counter_and_keeps_every_high_water_mark() {
+        let (mut earlier, mut now) = (MetricsSnapshot::default(), MetricsSnapshot::default());
+        for (i, (_, _, v)) in fields_mut(&mut earlier).into_iter().enumerate() {
+            *v = i as u64 + 1;
+        }
+        for (i, (_, _, v)) in fields_mut(&mut now).into_iter().enumerate() {
+            *v = 10 * (i as u64 + 1);
+        }
+        let mut delta = now.since(&earlier);
+        let fields = fields_mut(&mut delta);
+        assert_eq!(fields.len(), 26);
+        let peaks: Vec<_> = fields.iter().filter(|f| f.1).map(|f| f.0).collect();
+        assert_eq!(peaks, ["peak_body_buffer", "peak_upload_buffer"]);
+        for (i, (name, peak, v)) in fields.into_iter().enumerate() {
+            let i = i as u64 + 1;
+            assert_eq!(*v, if peak { 10 * i } else { 9 * i }, "{name}");
+        }
+    }
+
+    #[test]
+    fn snapshot_copies_every_field() {
+        let m = Metrics::default();
+        Metrics::add(&m.requests, 3);
+        Metrics::record_max(&m.peak_upload_buffer, 7);
+        let mut snap = m.snapshot();
+        let set: Vec<_> = fields_mut(&mut snap).into_iter().filter(|f| *f.2 != 0).collect();
+        assert_eq!(set.len(), 2);
+        assert_eq!((set[0].0, *set[0].2), ("requests", 3));
+        assert_eq!((set[1].0, *set[1].2), ("peak_upload_buffer", 7));
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //! expiry or active probe) starts contributing chunks again mid-download.
 //! Every chunk completion feeds a latency sample back into the scores.
 
+use crate::cache::BlockFetch;
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
-use crate::file::DavFile;
+use crate::file::RawFile;
 use crate::iopool::{run_chunked, Chunk, ChunkOutcome};
 use crate::metrics::Metrics;
+use crate::replicas::{all_failed, Attempt, Failover};
 use crate::scheduler::{ReplicaId, ReplicaScheduler};
 use httpwire::Uri;
 use parking_lot::Mutex;
-use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -83,13 +84,7 @@ pub fn multistream_download_with_report(
     replicas: &[Uri],
     opts: &MultistreamOptions,
 ) -> Result<(Vec<u8>, MultistreamReport)> {
-    let scheduler = Arc::new(ReplicaScheduler::from_config(
-        replicas.to_vec(),
-        Arc::clone(client.inner.executor.runtime()),
-        &client.inner.cfg,
-        Some(Arc::clone(client.inner.executor.metrics())),
-    ));
-    multistream_download_scheduled(client, &scheduler, opts)
+    download(client, &client.replica_scheduler(replicas.to_vec()), opts, None)
 }
 
 /// The core multi-stream engine, drawing replicas from a caller-provided
@@ -101,46 +96,61 @@ pub fn multistream_download_scheduled(
     scheduler: &Arc<ReplicaScheduler>,
     opts: &MultistreamOptions,
 ) -> Result<(Vec<u8>, MultistreamReport)> {
+    download(client, scheduler, opts, None)
+}
+
+/// A replica advertising another size than `expected` holds some other
+/// entity (or lies): its failure, in the fail-over step.
+fn check_size(f: &RawFile, expected: Option<u64>) -> Result<u64> {
+    match expected {
+        Some(size) if size != f.size => Err(DavixError::Protocol(format!(
+            "{} advertises {} bytes, expected {size}",
+            f.uri, f.size
+        ))),
+        _ => Ok(f.size),
+    }
+}
+
+/// The engine proper. `declared` is the entity size the Metalink states,
+/// when the caller has one: nothing is ever sized from a replica that
+/// disagrees with it.
+fn download(
+    client: &DavixClient,
+    scheduler: &Arc<ReplicaScheduler>,
+    opts: &MultistreamOptions,
+    declared: Option<u64>,
+) -> Result<(Vec<u8>, MultistreamReport)> {
     if scheduler.is_empty() {
         return Err(DavixError::InvalidArgument("no replicas given".to_string()));
     }
     if opts.streams == 0 || opts.chunk_size == 0 {
         return Err(DavixError::InvalidArgument("streams and chunk_size must be > 0".to_string()));
     }
-    let rt = Arc::clone(client.inner.executor.runtime());
 
-    // Find the size from the best replica that answers. Any failure on one
-    // replica — refused TCP, failed HEAD, bad size — moves on to the next
-    // and feeds the scheduler, instead of killing the whole download.
-    let mut size = None;
-    let mut tried: Vec<ReplicaId> = Vec::new();
-    let mut last_err = None;
-    while let Some((id, uri)) = scheduler.pick_excluding(&tried) {
+    // Find the size from the best replica that answers: the fail-over walk,
+    // with the open (HEAD) as the operation. Any failure on one replica —
+    // refused TCP, failed HEAD, a `403`, bad size — moves on to the next and
+    // feeds the scheduler, instead of killing the whole download. A HEAD
+    // answering is liveness evidence plus an RTT bootstrap for the ranking,
+    // but no bandwidth signal: recorded as a probe, and a failed one is no
+    // read failing over.
+    let fo = Failover::new(Arc::clone(&client.inner), Arc::clone(scheduler), |_| true);
+    let rt = client.inner.executor.runtime();
+    let (mut tried, mut last_err) = (Vec::new(), None);
+    let probed = fo.walk(&mut tried, &mut last_err, |id, uri| {
         let t0 = rt.now();
-        match DavFile::open_uncached(Arc::clone(&client.inner), uri).and_then(|f| f.size_hint()) {
-            Ok(sz) => {
-                // A HEAD is liveness evidence plus an RTT bootstrap for the
-                // ranking, but no bandwidth signal — record it as a probe.
-                scheduler.record_probe(id, rt.now() - t0);
-                size = Some(sz);
-                break;
-            }
-            Err(e) => {
-                scheduler.record_failure(id);
-                tried.push(id);
-                last_err = Some(e);
-            }
+        match fo.open(id, uri).and_then(|f| check_size(&f, declared)) {
+            Ok(size) => Attempt::Ok((size, rt.now() - t0)),
+            Err(e) => fo.fail(id, e),
         }
-    }
-    let size = size.ok_or_else(|| DavixError::AllReplicasFailed {
-        tried: tried.len(),
-        last: Box::new(last_err.unwrap_or_else(|| DavixError::Metalink("unreachable".into()))),
     })?;
+    let Some((id, (size, rtt))) = probed else { return Err(all_failed(tried.len(), last_err)) };
+    scheduler.record_probe(id, rtt);
 
     // One slot per chunk. A worker handed chunk `i` is the only holder of
-    // `slots[i]`, so it can stream the body straight into the slot's buffer
-    // while holding only that slot's (uncontended) lock — no shared
-    // whole-file buffer, no copy through a scratch `Vec`.
+    // `slots[i]`: it streams the body into the chunk's own buffer and parks
+    // that in the slot — no shared whole-file buffer, no copy through a
+    // scratch `Vec`, no lock across the read.
     let n_chunks = size.div_ceil(opts.chunk_size as u64) as usize;
     let slots: Arc<Vec<Mutex<Vec<u8>>>> =
         Arc::new((0..n_chunks).map(|_| Mutex::new(Vec::new())).collect());
@@ -156,6 +166,7 @@ pub fn multistream_download_scheduled(
                 client.clone(),
                 slot_idx,
                 Arc::clone(scheduler),
+                size,
                 Arc::clone(&slots),
                 Arc::clone(&report),
             )
@@ -194,15 +205,7 @@ pub fn multistream_download_verified(
 ) -> Result<Vec<u8>> {
     let origin = client.parse_url(url)?;
     let set = crate::replicas::fetch_replica_set(&client.inner, &origin)?;
-    let data = multistream_download(client, &set.uris, opts)?;
-    if let Some(size) = set.size {
-        if data.len() as u64 != size {
-            return Err(DavixError::Protocol(format!(
-                "metalink declares {size} bytes, downloaded {}",
-                data.len()
-            )));
-        }
-    }
+    let (data, _) = download(client, &client.replica_scheduler(set.uris), opts, set.size)?;
     for (algo, expected) in &set.hashes {
         let got = match algo.to_ascii_lowercase().as_str() {
             "crc32" => ioapi::checksum::to_hex(ioapi::checksum::crc32(&data)),
@@ -226,76 +229,55 @@ fn stream_worker(
     client: DavixClient,
     slot_idx: usize,
     scheduler: Arc<ReplicaScheduler>,
+    size: u64,
     slots: Arc<Vec<Mutex<Vec<u8>>>>,
     report: Arc<Mutex<MultistreamReport>>,
 ) -> impl FnMut(Chunk) -> ChunkOutcome {
-    let rt = Arc::clone(client.inner.executor.runtime());
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
     // blacklisted, a better one recovered) the worker follows it. Open
-    // files are cached per replica so a benign rank flip between
-    // near-equal replicas costs nothing — only a *failure-driven* switch
-    // (a respawn) pays a fresh HEAD, and only those are counted as
-    // respawns.
-    let mut files: HashMap<ReplicaId, DavFile> = HashMap::new();
-    let mut current: Option<ReplicaId> = None;
-    let mut last_chunk_failed = false;
+    // files are kept per replica — in this worker's own fail-over context —
+    // so a benign rank flip between near-equal replicas costs nothing:
+    // only a *failure-driven* switch (a respawn) pays a fresh HEAD, and
+    // only those are counted as respawns.
+    let fo = Failover::new(Arc::clone(&client.inner), scheduler, |_| true);
+    // The replica this worker's last chunk failed on, if it failed.
+    let mut failed_on: Option<ReplicaId> = None;
     move |Chunk { idx, off, len }| {
-        let Some((id, uri)) = scheduler.assign(slot_idx) else {
+        let Some((id, uri)) = fo.scheduler.assign(slot_idx) else {
             return ChunkOutcome::Fatal(DavixError::InvalidArgument("no replicas given".into()));
         };
-        if current.is_some() && current != Some(id) && last_chunk_failed {
+        if failed_on.is_some_and(|prev| prev != id) {
             // Respawn: the worker abandons its failed replica for the
             // scheduler's next-best instead of dying with it.
             Metrics::bump(&client.inner.executor.metrics().streams_respawned);
             report.lock().respawns += 1;
         }
-        current = Some(id);
-        // A successful open records nothing (a HEAD answering is not
-        // evidence the reads will work — see `ReplicaFile::file_for`); the
-        // chunk read right after feeds the scheduler.
-        let opened = match files.entry(id) {
-            Entry::Occupied(f) => Ok(f.into_mut()),
-            Entry::Vacant(v) => {
-                DavFile::open_uncached(Arc::clone(&client.inner), uri.clone()).map(|f| v.insert(f))
-            }
-        };
-        // This worker was handed chunk `idx`, so it owns `slots[idx]` until
-        // it finishes or gives the chunk back: the lock is uncontended and
-        // may be held across the network read. `pread` streams the part
-        // body straight into the slot — the chunk's final resting place —
-        // with no intermediate buffer.
-        let t0 = rt.now();
-        let result = opened.and_then(|f| {
-            let mut slot = slots[idx].lock();
-            slot.resize(len, 0);
-            match f.pread(off, &mut slot[..])? {
-                n if n == len => Ok(()),
-                n => Err(DavixError::Protocol(format!("{uri}: chunk {off}+{len} ended at {n}"))),
-            }
+        // The chunk is filled off the wire into its own buffer (an entity
+        // ending inside it is the replica's failure) and then parked in
+        // `slots[idx]`, its final resting place, which only the worker
+        // handed chunk `idx` touches — no lock across the network read. A
+        // failed chunk leaves the slot empty and goes back to the queue —
+        // this worker keeps running on whatever replica the scheduler ranks
+        // best next time around.
+        let outcome = fo.attempt(id, uri.clone(), |f| {
+            check_size(f, Some(size))?;
+            f.fetch(off, len)
         });
-        last_chunk_failed = result.is_err();
-        match result {
-            Ok(()) => {
-                scheduler.record_success(id, rt.now() - t0);
+        failed_on = (!matches!(outcome, Attempt::Ok(_))).then_some(id);
+        match outcome {
+            Attempt::Ok(chunk) => {
+                *slots[idx].lock() = chunk;
                 report.lock().completions.push(ChunkCompletion {
                     chunk: idx,
                     replica: uri,
-                    at: rt.now(),
+                    at: client.inner.executor.runtime().now(),
                 });
                 ChunkOutcome::Done
             }
-            Err(e) => {
-                // Chunk failed on this replica: clear the slot, drop the
-                // suspect file (its pooled sessions may be broken) and give
-                // the chunk back — this worker keeps running on whatever
-                // replica the scheduler ranks best next time around.
-                slots[idx].lock().clear();
-                scheduler.record_failure(id);
-                files.remove(&id);
-                Metrics::bump(&client.inner.executor.metrics().failovers);
-                ChunkOutcome::Retry(e)
-            }
+            // A worker blames every error on the replica: the chunk goes
+            // back to the queue whatever it was.
+            Attempt::TryNext(e) | Attempt::Fatal(e) => ChunkOutcome::Retry(e),
         }
     }
 }

@@ -374,7 +374,7 @@ impl<'a> Ctx<'a> {
                 // (`cv.wait(&mut st)`) releases the lock for the duration —
                 // that is the sanctioned way to block, not a violation.
                 let handed_off =
-                    live.iter().any(|g| toks[i + 2..args_end].iter().any(|a| a.is_ident(&g.name)));
+                    live.iter().any(|g| (i + 2..args_end).any(|a| is_handoff(toks, a, &g.name)));
                 if let (Some(g), false) = (live.first(), handed_off) {
                     let (gname, gline) = (g.name.clone(), g.line);
                     let line = t.line;
@@ -404,6 +404,23 @@ impl<'a> Ctx<'a> {
             i += 1;
         }
     }
+}
+
+/// Is `toks[a]` the guard `name` passed whole — `name`, `&name` or
+/// `&mut name` as one argument? Only then does the callee get the guard to
+/// release. `*name`, `name.field` and `name[..]` merely read through it
+/// while the lock stays held across the call.
+fn is_handoff(toks: &[Token], a: usize, name: &str) -> bool {
+    let mut before = a - 1;
+    if toks[before].is_ident("mut") {
+        before -= 1;
+    }
+    if toks[before].is_punct("&") {
+        before -= 1;
+    }
+    toks[a].is_ident(name)
+        && (toks[before].is_punct("(") || toks[before].is_punct(","))
+        && (toks[a + 1].is_punct(")") || toks[a + 1].is_punct(","))
 }
 
 /// What makes a call site dangerous under a held guard.

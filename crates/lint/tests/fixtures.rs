@@ -37,6 +37,16 @@ fn guard_across_wait_fixture_produces_exact_lock_findings() {
 }
 
 #[test]
+fn guard_use_fixture_flags_uses_and_keeps_the_handoff_clean() {
+    // `*guard`, `guard.field` and `guard[..]` inside a blocking call's
+    // arguments keep the lock held; only the guard passed whole releases it.
+    assert_eq!(
+        lint_fixture("bad/guard_use_is_not_handoff.rs"),
+        vec![(Rule::LockDiscipline, 12), (Rule::LockDiscipline, 19), (Rule::LockDiscipline, 25)]
+    );
+}
+
+#[test]
 fn rogue_spawn_fixture_produces_exact_thread_findings() {
     assert_eq!(
         lint_fixture("bad/rogue_spawn.rs"),
@@ -155,6 +165,7 @@ fn binary_denies_each_bad_fixture_with_file_line_diagnostics() {
         ("bad/wall_clock.rs", "determinism", 8),
         ("bad/fault_hook_rng.rs", "determinism", 11),
         ("bad/guard_across_wait.rs", "lock-discipline", 11),
+        ("bad/guard_use_is_not_handoff.rs", "lock-discipline", 12),
         ("bad/rogue_spawn.rs", "thread-hygiene", 7),
         ("bad/bare_atomic.rs", "shared-state", 5),
         ("bad/static_mut.rs", "shared-state", 4),

@@ -1056,7 +1056,8 @@ impl SimCore {
                 return if timed_out { WaitOutcome::TimedOut } else { WaitOutcome::Ready };
             }
             if st.clock_dead {
-                self.drive_fallback(st, &cv);
+                // A stall poisons the net: the loop sees `stalled` and panics.
+                self.clock_step(st, &cv);
                 continue;
             }
             self.kick_clock(st);
@@ -1064,10 +1065,12 @@ impl SimCore {
         }
     }
 
-    /// Self-drive the clock from a parked waiter once the dedicated clock
-    /// thread has retired (all `SimNet` handles dropped): surviving daemon
-    /// threads keep making progress, old-engine style.
-    fn drive_fallback(&self, st: &mut MutexGuard<'_, State>, cv: &Arc<Condvar>) {
+    /// One turn of whoever owns the clock — the clock thread, or (once it
+    /// has retired) a waiter self-driving from its park loop — parked on
+    /// `cv`: not quiescent, wait for a nudge; events due, advance virtual
+    /// time and fire the wakes; neither, wait in real time and run the
+    /// stall watchdog when nothing changed over the whole window.
+    fn clock_step(&self, st: &mut MutexGuard<'_, State>, cv: &Condvar) {
         if !st.quiescent() {
             cv.wait(st);
             return;
@@ -1077,14 +1080,21 @@ impl SimCore {
             self.flush_wakes(st);
             return;
         }
+        // Quiescent with nothing scheduled: either a foreign (unregistered)
+        // thread is about to act, or the simulation is stalled.
         let tick = st.change_tick;
         let timed_out = cv.wait_for(st, STALL_TIMEOUT).timed_out();
-        if !(timed_out && st.change_tick == tick) {
+        let still = timed_out && st.change_tick == tick && st.quiescent() && st.events.is_empty();
+        if !still {
             return;
         }
-        if !st.quiescent() || !st.events.is_empty() {
-            return;
-        }
+        // Sim-spawned daemon threads (server accept loops, reactor shards
+        // parked on their wakers) sitting in `accept`/`Signal` waits with no
+        // events scheduled is quiescence, not deadlock: servers routinely
+        // outlive the scenario that spawned them. The `daemon` bit keeps
+        // the watchdog intact for foreground threads — a *test's own*
+        // thread stuck in accept or on a signal still panics with the
+        // stall dump.
         if st.all_idle_daemons() {
             if !st.idle_noted {
                 st.idle_noted = true;
@@ -1096,78 +1106,26 @@ impl SimCore {
             }
             return;
         }
+        // Stall: poison the net so every parked (and future) waiter panics
+        // with the census dump (their park loops see `stalled`).
         st.stall_dump = st.dump();
         st.stalled = true;
         for (_, w) in st.waiters.iter() {
             w.cv.notify_one();
         }
-        // The caller's loop sees `stalled` and panics with the dump.
     }
 
     /// The dedicated clock thread: the sole owner of virtual-time
     /// advancement while any `SimNet` handle is alive.
     fn clock_main(core: Arc<SimCore>) {
         let mut st = core.state.lock();
-        loop {
-            if st.shutdown {
-                break;
-            }
-            if !st.quiescent() {
-                core.clock_cv.wait(&mut st);
-                continue;
-            }
-            if !st.events.is_empty() {
-                st.advance();
-                core.flush_wakes(&mut st);
-                continue;
-            }
-            // Quiescent with nothing scheduled: either a foreign
-            // (unregistered) thread is about to act, or the simulation is
-            // stalled. Wait in real time; run the watchdog when nothing
-            // changed over the whole window.
-            let tick = st.change_tick;
-            let timed_out = core.clock_cv.wait_for(&mut st, STALL_TIMEOUT).timed_out();
-            if st.shutdown {
-                break;
-            }
-            if !(timed_out && st.change_tick == tick) {
-                continue;
-            }
-            if !st.quiescent() || !st.events.is_empty() {
-                continue;
-            }
-            // Sim-spawned daemon threads (server accept loops, reactor
-            // shards parked on their wakers) sitting in `accept`/`Signal`
-            // waits with no events scheduled is quiescence, not deadlock:
-            // servers routinely outlive the scenario that spawned them. The
-            // `daemon` bit keeps the watchdog intact for foreground
-            // threads — a *test's own* thread stuck in accept or on a
-            // signal still panics with the stall dump.
-            if st.all_idle_daemons() {
-                if !st.idle_noted {
-                    st.idle_noted = true;
-                    eprintln!(
-                        "netsim: all registered threads are server daemons idle in accept/signal \
-                         waits with no scheduled events; treating as quiescent (servers \
-                         outliving their scenario)."
-                    );
-                }
-                continue;
-            }
-            // Stall: poison the net so every parked (and future) waiter
-            // panics with the census dump, then retire — the net is
-            // unusable either way.
-            st.stall_dump = st.dump();
-            st.stalled = true;
-            st.clock_dead = true;
-            for (_, w) in st.waiters.iter() {
-                w.cv.notify_one();
-            }
-            return;
+        while !st.shutdown && !st.stalled {
+            core.clock_step(&mut st, &core.clock_cv);
         }
-        // Last SimNet handle dropped: hand the clock to the surviving
-        // waiters (sim daemons can outlive the net handle); they self-drive
-        // via the `clock_dead` fallback in `wait_on`.
+        // Retired — the net is poisoned and unusable, or the last SimNet
+        // handle dropped: hand the clock to the surviving waiters (sim
+        // daemons can outlive the net handle); they self-drive via the
+        // `clock_dead` fallback in `wait_on`, old-engine style.
         st.clock_dead = true;
         for (_, w) in st.waiters.iter() {
             w.cv.notify_one();

@@ -91,11 +91,18 @@ fn verified_multistream_detects_size_mismatch() {
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
     let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024, ..Default::default() };
+    // Each replica's disagreement is that replica's failure in the
+    // fail-over walk, found at its HEAD — before anything is sized from it,
+    // let alone downloaded or hashed.
     let err = multistream_download_verified(&client, &tb.url(0), &opts).unwrap_err();
-    assert!(
-        matches!(err, DavixError::Protocol(_)),
-        "size mismatch must be reported before hashing: {err}"
-    );
+    match err {
+        DavixError::AllReplicasFailed { tried: 3, last } => {
+            assert!(matches!(*last, DavixError::Protocol(_)), "{last}")
+        }
+        other => panic!("every replica disagrees with the declared size: {other}"),
+    }
+    let fetched = client.metrics().bytes_in;
+    assert!(fetched < 4096, "only the Metalink document was fetched, got {fetched} bytes");
 }
 
 #[test]

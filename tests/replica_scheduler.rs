@@ -11,9 +11,10 @@ use davix::{
 };
 use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
 use davix_sync::{AtomicUsize, Ordering};
-use httpd::ServerConfig;
+use httpd::{Handler as _, HttpServer, Request, Response, ServerConfig};
+use httpwire::{Method, StatusCode};
 use netsim::{LinkSpec, Runtime as _, SimNet};
-use objstore::{ObjectStore, StorageNode, StorageOptions};
+use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -108,6 +109,72 @@ fn multistream_survives_head_failure_on_first_replica() {
     );
 }
 
+/// Per-site authorisation differs across a federation: a replica answering
+/// `403` to everything is stepped over by the size discovery and by every
+/// worker, like any other failing replica — a multi-stream download was
+/// handed its replicas, so one refusing must not stop the others serving.
+/// (A `ReplicaFile` keeps the opposite rule for its origin: a `403` there is
+/// the answer, not a reason to ask around.)
+#[test]
+fn multistream_steps_over_a_replica_that_denies_access() {
+    let net = SimNet::new();
+    for host in ["c", "deny", "s"] {
+        net.add_host(host);
+    }
+    net.set_link("c", "deny", LinkSpec::lan());
+    net.set_link("c", "s", LinkSpec::lan());
+    let data = payload(300_000);
+    let store = Arc::new(ObjectStore::new());
+    store.put("/f", Bytes::from(data.clone()));
+    StorageNode::start(
+        store,
+        Box::new(net.bind("s", 80).unwrap()),
+        net.runtime(),
+        StorageOptions::default(),
+        ServerConfig::default(),
+    );
+    let deny = Arc::new(|_req: Request| Response::error(StatusCode::FORBIDDEN));
+    HttpServer::new(deny, ServerConfig::default())
+        .serve(Box::new(net.bind("deny", 80).unwrap()), net.runtime());
+
+    let _g = net.enter();
+    let client = davix::DavixClient::new(net.connector("c"), net.runtime(), Config::default());
+    let replicas: Vec<httpwire::Uri> =
+        vec!["http://deny/f".parse().unwrap(), "http://s/f".parse().unwrap()];
+    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024, ..Default::default() };
+    let failovers = client.metrics().failovers;
+    let (got, report) = multistream_download_with_report(&client, &replicas, &opts).unwrap();
+    assert_eq!(got, data);
+    assert!(report.completions.iter().all(|c| c.replica.host == "s"));
+    // Whether a worker was ever assigned the refusing replica depends on the
+    // ranking; the discovery's failed HEAD alone is no read failing over.
+    assert_eq!(client.metrics().failovers - failovers, report.respawns);
+
+    let refused = client.open_failover("http://deny/f").err();
+    assert!(matches!(refused, Some(DavixError::PermissionDenied(_))), "{refused:?}");
+}
+
+/// A replica whose copy ends short of the size the file was opened with
+/// fails the cache's upstream fetch *inside* the fail-over walk: the cached
+/// read gets its block from the next replica instead of an error.
+#[test]
+fn a_cached_block_that_ends_short_on_one_replica_comes_from_the_next() {
+    let data = payload(120_000);
+    let tb = fed_testbed(&data, [LinkSpec::lan(), LinkSpec::lan(), LinkSpec::lan()]);
+    let _g = tb.net.enter();
+    let cfg = fed_config().with_cache(1 << 20).with_cache_block_size(16 * 1024);
+    let client = tb.davix_client(cfg);
+    let file = client.open_failover(&tb.url(0)).unwrap();
+    // The origin's copy is truncated after the open: its size is still
+    // trusted, and the range past its new end answers `416`.
+    tb.nodes[0].store.put(DATA_PATH, Bytes::from(data[..40_000].to_vec()));
+    let mut buf = vec![0u8; 1000];
+    assert_eq!(file.pread(100_000, &mut buf).unwrap(), 1000);
+    assert_eq!(buf, &data[100_000..101_000]);
+    assert_ne!(file.current_uri().host, "dpm1.cern.ch");
+    assert_eq!(client.metrics().failovers, 1);
+}
+
 /// The origin must be skipped wherever it appears in the Metalink list —
 /// the seed only skipped it when it *led* the list, pointlessly retrying a
 /// dead origin referenced mid-list.
@@ -187,6 +254,66 @@ fn uppercase_checksum_algorithms_are_verified() {
         }
         other => panic!("uppercase algo must be verified, not skipped: {other}"),
     }
+}
+
+/// A replica whose `HEAD` lies about the size must not size the download.
+/// The parent compared the Metalink-declared size with the result only
+/// *after* allocating `size / chunk_size` slots and `Vec::with_capacity(size)`
+/// from whatever the first answering replica claimed — `Content-Length:
+/// 1<<50` was an allocation failure, not an error. Now the declared size is
+/// passed down and a disagreeing replica is that replica's failure in the
+/// fail-over step.
+#[test]
+fn a_lying_head_is_that_replicas_failure_not_the_allocation_size() {
+    let net = SimNet::new();
+    for host in ["c", "liar", "s"] {
+        net.add_host(host);
+    }
+    net.set_link("c", "liar", LinkSpec::lan());
+    net.set_link("c", "s", LinkSpec::lan());
+    let data = payload(300_000);
+    let store = Arc::new(ObjectStore::new());
+    store.put("/f", Bytes::from(data.clone()));
+    // The honest node also serves the Metalink: the liar first, itself second.
+    let meta = |path: &str| {
+        let mut f = metalink::MetaFile::new(path.trim_start_matches('/'));
+        f.size = Some(300_000);
+        f.add_url(metalink::UrlRef::new(format!("http://liar{path}")).priority(1));
+        f.add_url(metalink::UrlRef::new(format!("http://s{path}")).priority(2));
+        Some(metalink::Metalink::single(f).to_xml())
+    };
+    StorageNode::start(
+        Arc::clone(&store),
+        Box::new(net.bind("s", 80).unwrap()),
+        net.runtime(),
+        StorageOptions { metalink: Some(Arc::new(meta)), ..Default::default() },
+        ServerConfig::default(),
+    );
+    // The liar holds the right bytes but advertises a petabyte.
+    let honest = Arc::new(StorageHandler::new(store, StorageOptions::default()));
+    let liar_gets = Arc::new(AtomicUsize::new(0));
+    let gets = Arc::clone(&liar_gets);
+    let liar = Arc::new(move |req: Request| match req.head.method {
+        Method::Head => {
+            Response::empty(StatusCode::OK).header("Content-Length", (1u64 << 50).to_string())
+        }
+        _ => {
+            gets.fetch_add(1, Ordering::SeqCst);
+            honest.handle(req)
+        }
+    });
+    HttpServer::new(liar, ServerConfig::default())
+        .serve(Box::new(net.bind("liar", 80).unwrap()), net.runtime());
+
+    let _g = net.enter();
+    let cfg = Config::default().no_retry().replica_blacklist(1, Duration::from_secs(60));
+    let client = davix::DavixClient::new(net.connector("c"), net.runtime(), cfg);
+    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024, ..Default::default() };
+    let got = multistream_download_verified(&client, "http://s/f", &opts).unwrap();
+    assert_eq!(got, data, "correct bytes from the honest replica");
+    let m = client.metrics();
+    assert!(m.replicas_blacklisted >= 1, "the liar must be recorded as failed in the scheduler");
+    assert_eq!(liar_gets.load(Ordering::SeqCst), 0, "nothing is fetched from the liar");
 }
 
 /// Once the Metalink is resolved, a vectored read fans out across the
