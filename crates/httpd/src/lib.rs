@@ -38,6 +38,8 @@
 //!   malformed ones `400`, and a client that stalls mid-request gets `408`
 //!   from the timer wheel.
 
+#![forbid(unsafe_code)]
+
 mod conn;
 pub mod router;
 pub mod server;

@@ -313,14 +313,15 @@ impl HttpServer {
     }
 }
 
-/// Serialize a response (status line, `Server`/`Date`/`Content-Length`
-/// headers, connection directive, body) into a single buffer.
-pub(crate) fn encode_response(
+/// The wire head of a response (status line, `Server`/`Date`/
+/// `Content-Length` headers, connection directive) and the body bytes that
+/// follow it: none for `HEAD`/`204`/`304`, which still advertise the length.
+pub(crate) fn response_parts(
     cfg: &ServerConfig,
     req_method: &httpwire::Method,
     resp: Response,
     close: bool,
-) -> Vec<u8> {
+) -> (httpwire::ResponseHead, Bytes) {
     let mut head = httpwire::ResponseHead::new(resp.status);
     head.version = if cfg.http10 { Version::Http10 } else { Version::Http11 };
     head.headers = resp.headers;
@@ -337,11 +338,7 @@ pub(crate) fn encode_response(
     } else if cfg.http10 {
         head.headers.set("Connection", "keep-alive");
     }
-    let mut out = head.to_bytes();
-    if !body_is_suppressed {
-        out.extend_from_slice(&resp.body);
-    }
-    out
+    (head, if body_is_suppressed { Bytes::new() } else { resp.body })
 }
 
 /// Read one full response from `r`, interim 1xx responses skipped: the

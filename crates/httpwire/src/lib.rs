@@ -37,6 +37,8 @@
 //! The crate is transport- and policy-free: no sockets, no pools, no
 //! retries — those live in `httpd` (server) and `davix` (client).
 
+#![forbid(unsafe_code)]
+
 pub mod body;
 pub mod codec;
 pub mod date;

@@ -20,23 +20,55 @@ pub fn adler32(data: &[u8]) -> u32 {
     (b << 16) | a
 }
 
-/// CRC-32 (IEEE 802.3, the zip/png polynomial), table-driven.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
+/// Slice-by-16 tables, computed at compile time: `CRC_TABLES[0]` is the
+/// classic byte-at-a-time table, `CRC_TABLES[k][b]` the CRC of byte `b`
+/// followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut t = [[0u32; 256]; 16];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
         }
-        t
-    });
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3, the zip/png polynomial), sixteen bytes per step
+/// (slice-by-16) with a bytewise tail.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut blocks = data.chunks_exact(16);
+    for block in &mut blocks {
+        // Byte `j` of a block has `15 - j` more bytes of it behind it; the
+        // running CRC folds into the first four.
+        let carry = crc.to_le_bytes();
+        crc = 0;
+        for j in 0..4 {
+            crc ^= t[15 - j][(block[j] ^ carry[j]) as usize];
+        }
+        for j in 4..16 {
+            crc ^= t[15 - j][block[j] as usize];
+        }
+    }
+    for &b in blocks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -87,6 +119,42 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+    }
+
+    /// The definition, one byte at a time: what `crc32` must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_matches_the_bytewise_definition_at_every_length_and_alignment() {
+        let mut x = 2014u64;
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let data: Vec<u8> = (0..100 * 1024 + 16).map(|_| next() as u8).collect();
+        // Every short length (no block, one block, several, each tail
+        // length), at every start offset within a block.
+        for len in 0..=64 {
+            for start in 0..16 {
+                let s = &data[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
+            }
+        }
+        for _ in 0..200 {
+            let start = next() % 16;
+            let len = next() % (100 * 1024 + 1);
+            let s = &data[start..start + len];
+            assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! [`IoStats`] exposing the counters the paper's arguments hinge on: how many
 //! network round trips did a given access pattern cost?
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 
 use bytes::Bytes;

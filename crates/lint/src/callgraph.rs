@@ -137,6 +137,11 @@ fn excluded_name(name: &str) -> bool {
         || blocking_name_with_args(name)
         || GUARD_CALLS.contains(&name)
         || STOP_NAMES.contains(&name)
+        // `Pollable`'s gather write is non-blocking by contract like its
+        // siblings `try_read`/`try_write` (guard-call names, out of the
+        // graph already), but its socket implementation calls
+        // `write_vectored(..)`, a blocking primitive by name.
+        || name == "try_write_vectored"
 }
 
 /// Scan a token stream for `fn name(..) { body }` definitions and record

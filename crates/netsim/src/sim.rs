@@ -1689,11 +1689,18 @@ enum Sent {
 }
 
 impl State {
-    /// The TCP send model, once: put as much of `buf` as the congestion
-    /// window (and Nagle) allow onto `conn`'s wire from `side` as a single
-    /// segment, occupying the link and scheduling its delivery and ACK.
-    fn send_segment(&mut self, conn: usize, side: usize, buf: &[u8]) -> io::Result<Sent> {
+    /// The TCP send model, once: put as much of `bufs` — one write call's
+    /// worth, taken as their concatenation — as the congestion window (and
+    /// Nagle) allow onto `conn`'s wire from `side` as a single segment,
+    /// occupying the link and scheduling its delivery and ACK.
+    fn send_segment(
+        &mut self,
+        conn: usize,
+        side: usize,
+        bufs: &[io::IoSlice<'_>],
+    ) -> io::Result<Sent> {
         let dir = side;
+        let offered: usize = bufs.iter().map(|b| b.len()).sum();
         let (k, from, to, delay_ns, spec) = {
             let c = self.conns.get_mut(conn).expect("conn alive");
             if c.reset {
@@ -1715,13 +1722,13 @@ impl State {
             let mut avail = d.cwnd.saturating_sub(d.inflight);
             // Nagle: hold a sub-MSS tail while anything is in flight
             // (it will coalesce with later writes or go out on the ACK).
-            if d.spec.nagle && d.inflight > 0 && (buf.len() as u64) < MSS {
+            if d.spec.nagle && d.inflight > 0 && (offered as u64) < MSS {
                 avail = 0;
             }
             if avail == 0 {
                 return Ok(Sent::Blocked(WaitKind::Window { conn, dir }));
             }
-            let k = (avail as usize).min(buf.len());
+            let k = (avail as usize).min(offered);
             d.inflight += k as u64;
             (k, c.hosts[dir], c.hosts[1 - dir], d.delay_ns, d.spec)
         };
@@ -1732,7 +1739,11 @@ impl State {
         *busy = start + tx;
         let arrive = start + tx + delay_ns;
         if let Some(arrive) = self.fault_arrival(conn, dir, arrive) {
-            self.schedule(arrive, EventKind::Deliver { conn, dir, data: buf[..k].to_vec() });
+            let mut data = Vec::with_capacity(k);
+            for buf in bufs {
+                data.extend_from_slice(&buf[..buf.len().min(k - data.len())]);
+            }
+            self.schedule(arrive, EventKind::Deliver { conn, dir, data });
             // Delayed ACK: a sub-MSS segment's ACK sits on the receiver's
             // timer (real stacks ACK every second full segment immediately).
             let ack_hold = match spec.delayed_ack {
@@ -1797,7 +1808,7 @@ impl Write for SimStream {
         let mut st = core.state.lock();
         let mut written = 0usize;
         while written < buf.len() {
-            match st.send_segment(self.conn, self.side, &buf[written..])? {
+            match st.send_segment(self.conn, self.side, &[io::IoSlice::new(&buf[written..])])? {
                 Sent::Segment(k) => {
                     written += k;
                     core.kick_clock(&st);
@@ -1828,11 +1839,16 @@ impl Pollable for SimStream {
     }
 
     fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
+        self.try_write_vectored(&[io::IoSlice::new(buf)])
+    }
+
+    /// One write call is one segment, however many slices it gathers.
+    fn try_write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        if bufs.iter().all(|b| b.is_empty()) {
             return Ok(0);
         }
         let mut st = self.core.state.lock();
-        match st.send_segment(self.conn, self.side, buf)? {
+        match st.send_segment(self.conn, self.side, bufs)? {
             Sent::Segment(k) => {
                 self.core.kick_clock(&st);
                 Ok(k)

@@ -62,6 +62,16 @@ impl Pollable for TcpStreamWrap {
         }
     }
 
+    fn try_write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        self.ensure_nonblocking()?;
+        loop {
+            match self.inner.write_vectored(bufs) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                r => return r,
+            }
+        }
+    }
+
     #[cfg(unix)]
     fn poll_fd(&self) -> Option<i32> {
         use std::os::unix::io::AsRawFd;
@@ -314,6 +324,47 @@ mod tests {
         r.read_exact(&mut buf).unwrap();
         assert_eq!(&buf, b"abc");
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn partial_vectored_writes_reassemble_on_a_slow_reader() {
+        let listener = TcpListenerWrap::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_port();
+        // The reader takes its first byte only once the writer has been
+        // pushed back, so partial writes and `WouldBlock` are certain.
+        let (pushed_back, go) = std::sync::mpsc::channel::<()>();
+        let reader = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            go.recv().unwrap();
+            let mut got = Vec::new();
+            s.read_to_end(&mut got).unwrap();
+            got
+        });
+        let mut w = TcpConnector.connect("127.0.0.1", port, Some(Duration::from_secs(5))).unwrap();
+        let head = vec![b'h'; 300];
+        let body: Vec<u8> = (0..32usize << 20).map(|i| (i % 251) as u8).collect();
+        let (mut sent, mut first, mut pushed_back) = (0, None, Some(pushed_back));
+        while sent < head.len() + body.len() {
+            let h = &head[sent.min(head.len())..];
+            let b = &body[sent.saturating_sub(head.len())..];
+            match w.try_write_vectored(&[io::IoSlice::new(h), io::IoSlice::new(b)]) {
+                Ok(n) => {
+                    first.get_or_insert(n);
+                    sent += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if let Some(tx) = pushed_back.take() {
+                        tx.send(()).unwrap();
+                    }
+                    std::thread::yield_now();
+                }
+                Err(e) => panic!("write failed: {e}"),
+            }
+        }
+        assert!(pushed_back.is_none(), "32 MiB fitted the socket buffers: nothing was tested");
+        assert!(first.unwrap() > head.len(), "one call must gather head and body (writev)");
+        w.shutdown_write().unwrap();
+        assert!(reader.join().unwrap() == [head, body].concat());
     }
 
     #[test]

@@ -39,6 +39,18 @@ pub trait Pollable {
         Err(io::Error::new(io::ErrorKind::Unsupported, "transport is not pollable"))
     }
 
+    /// Non-blocking gather write: `bufs` in order, as if they were one
+    /// contiguous buffer, so a caller need not copy a head and a body
+    /// together to send them in one call. Returns how many bytes of the
+    /// concatenation were taken. The default offers the first non-empty
+    /// slice to [`try_write`](Pollable::try_write).
+    fn try_write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+        match bufs.iter().find(|b| !b.is_empty()) {
+            Some(buf) => self.try_write(buf),
+            None => Ok(0),
+        }
+    }
+
     /// Register (`Some`) or clear (`None`) a waker that is set whenever this
     /// stream may have become readable or writable. Supported by the
     /// simulated transport; real sockets return `Err(Unsupported)` and are

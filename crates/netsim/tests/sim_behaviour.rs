@@ -2,8 +2,8 @@
 //! arithmetic, TCP slow start, bandwidth serialization, failure injection,
 //! timeouts, signals and determinism.
 
-use netsim::{LinkSpec, Runtime, SimNet};
-use std::io::{Read, Write};
+use netsim::{LinkSpec, Pollable, Runtime, SimNet};
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -388,4 +388,80 @@ fn nagle_does_not_penalize_bulk_writes() {
         nagled <= plain + Duration::from_millis(50),
         "bulk transfer must be unaffected by nagle: {plain:?} vs {nagled:?}"
     );
+}
+
+/// In the simulator one write call is one segment, so a gather write has to
+/// be the segment its concatenation makes — same return values, same bytes
+/// on the wire at the same instants — or splitting a response into head and
+/// body would move every virtual-time result. Checked where it could go
+/// wrong: a window smaller than the message (so the cut falls inside a
+/// slice, or on the seam) and Nagle deciding from the size of the write.
+#[test]
+fn vectored_write_is_the_segment_its_concatenation_makes() {
+    type Run = (Vec<(Duration, Option<usize>)>, u64, u64, Vec<(Duration, String)>, Vec<u8>);
+    fn run(vectored: bool) -> Run {
+        let net = SimNet::new();
+        net.add_host("client");
+        net.add_host("server");
+        let link = LinkSpec {
+            delay: Duration::from_millis(5),
+            init_cwnd: 1_000,
+            max_cwnd: Some(6_000),
+            ..Default::default()
+        };
+        net.set_link("client", "server", link.with_nagle());
+        let listener = net.bind("server", 80).unwrap();
+        let received = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (sink, done) = (Arc::clone(&received), net.runtime().signal());
+        let done2 = Arc::clone(&done);
+        net.spawn("server", move || {
+            let (mut s, _) = listener.accept_sim().unwrap();
+            let _ = s.read_to_end(&mut sink.lock().unwrap());
+            done2.set();
+        });
+        let _g = net.enter();
+        let mut c = net.connect("client", "server", 80).unwrap();
+        net.record_trace(true);
+        let mut calls = Vec::new();
+        // (head, body) lengths: sub-MSS in total, cut inside the body, cut
+        // inside the head, an empty slice on either side.
+        for (i, (head, body)) in
+            [(100, 200), (700, 9_000), (2_500, 300), (64, 0), (0, 1_500)].into_iter().enumerate()
+        {
+            let head = vec![b'a' + i as u8; head];
+            let body: Vec<u8> = (0..body).map(|b| b as u8).collect();
+            let mut sent = 0;
+            while sent < head.len() + body.len() {
+                let h = &head[sent.min(head.len())..];
+                let b = &body[sent.saturating_sub(head.len())..];
+                let wrote = if vectored {
+                    c.try_write_vectored(&[IoSlice::new(h), IoSlice::new(b)])
+                } else {
+                    c.try_write(&[h, b].concat())
+                };
+                match wrote {
+                    Ok(n) => {
+                        calls.push((net.now(), Some(n)));
+                        sent += n;
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                        calls.push((net.now(), None));
+                        net.sleep(Duration::from_millis(1));
+                    }
+                    Err(e) => panic!("write failed: {e}"),
+                }
+            }
+        }
+        drop(c);
+        done.wait(None);
+        let stats = net.stats();
+        let received = received.lock().unwrap().clone();
+        (calls, stats.bytes_sent, stats.bytes_delivered, net.take_trace(), received)
+    }
+    let (gathered, contiguous) = (run(true), run(false));
+    assert_eq!(gathered.4.len(), 300 + 9_700 + 2_800 + 64 + 1_500);
+    assert!(gathered.0.iter().any(|(_, n)| n.is_none()), "the window never pushed back");
+    let segments = gathered.0.iter().filter(|(_, n)| n.is_some()).count();
+    assert!(gathered.3.len() >= segments, "every segment's delivery is in the trace");
+    assert_eq!(gathered, contiguous);
 }

@@ -15,6 +15,8 @@
 //! * [`StorageNode`]: glue that binds a store + handler to a host on any
 //!   listener/runtime.
 
+#![forbid(unsafe_code)]
+
 pub mod checksum;
 pub mod handler;
 pub mod store;

@@ -63,14 +63,13 @@ impl ObjectStore {
     /// an existing one.
     pub fn put(&self, path: &str, data: Bytes) -> bool {
         let path = normalize(path);
+        // Both passes over the payload happen before the namespace lock is
+        // taken: readers of every other object wait for a version bump and
+        // a map insert, not for a checksum.
+        let (crc32, adler32) = (crc32(&data), adler32(&data));
         let mut inner = self.inner.write();
         inner.version += 1;
-        let meta = ObjectMeta {
-            crc32: crc32(&data),
-            adler32: adler32(&data),
-            version: inner.version,
-            data,
-        };
+        let meta = ObjectMeta { data, crc32, adler32, version: inner.version };
         inner.objects.insert(path, meta).is_some()
     }
 

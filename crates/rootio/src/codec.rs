@@ -10,6 +10,7 @@
 //! orig_len:u32  payload_len:u32  crc32(orig):u32  payload
 //! ```
 
+use ioapi::checksum::crc32;
 use std::io;
 
 const FRAME_MAGIC: u16 = 0x5A4C;
@@ -19,28 +20,6 @@ pub const FRAME_HEADER: usize = 16;
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 18; // 4 bits of length: 3..=18
-
-/// CRC-32 (IEEE), table-driven; public so the container can frame raw
-/// blocks without re-implementing it.
-pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, e) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *e = c;
-        }
-        t
-    });
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc ^ 0xFFFF_FFFF
-}
 
 /// Raw LZSS encode: token-grouped flag bytes, (offset, len) matches against
 /// a 4 KiB sliding window.
@@ -302,6 +281,28 @@ mod tests {
         let last = c.len() - 1;
         c[last] ^= 0xFF;
         assert!(decompress(&c).is_err());
+    }
+
+    #[test]
+    fn frames_written_before_the_crc_moved_to_ioapi_still_decode() {
+        // `compress` output of the commit that still had its own CRC-32
+        // here: one frame stored raw, one LZSS.
+        const RAW: [u8; 32] = [
+            0x4c, 0x5a, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0x10, 0x00, 0x00, 0x00, 0xec, 0x69,
+            0xab, 0xff, 0x64, 0x61, 0x76, 0x69, 0x78, 0x20, 0x6f, 0x76, 0x65, 0x72, 0x20, 0x68,
+            0x74, 0x74, 0x70, 0x21,
+        ];
+        const LZSS: [u8; 48] = [
+            0x4c, 0x5a, 0x01, 0x00, 0x58, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0x37, 0xa2,
+            0xa7, 0xa7, 0x00, 0x63, 0x61, 0x6c, 0x6f, 0x72, 0x69, 0x6d, 0x65, 0x00, 0x74, 0x65,
+            0x72, 0x2d, 0x63, 0x65, 0x6c, 0x6c, 0xf4, 0x2d, 0x30, 0x10, 0x00, 0x20, 0x6f, 0x01,
+            0x6f, 0x01, 0x6f, 0x01, 0x69, 0x01,
+        ];
+        let cells = b"calorimeter-cell-0000 ".repeat(4);
+        for (frame, input) in [(&RAW[..], &b"davix over http!"[..]), (&LZSS[..], &cells[..])] {
+            assert_eq!(decompress(frame).unwrap(), input);
+            assert_eq!(compress(input), frame, "and the writer still produces them");
+        }
     }
 
     #[test]

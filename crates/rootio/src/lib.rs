@@ -23,6 +23,8 @@
 //! * [`analysis`]: histograms and the invariant-mass analysis job used by
 //!   the Figure 4 reproduction, with a virtual-time CPU cost model.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cache;
 pub mod codec;

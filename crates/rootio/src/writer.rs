@@ -121,7 +121,7 @@ fn codec_raw(data: &[u8]) -> Vec<u8> {
     out.push(0);
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
     out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&codec::crc32(data).to_le_bytes());
+    out.extend_from_slice(&ioapi::checksum::crc32(data).to_le_bytes());
     out.extend_from_slice(data);
     out
 }
