@@ -103,6 +103,9 @@ fn run_pool(link: LinkSpec, workers: usize) -> (Duration, Duration) {
     let done = net.runtime().signal();
     let live = Arc::new(Mutex::new(workers));
     let t0 = Duration::ZERO;
+    // Registered before the first spawn: the workers already parked must
+    // not be the whole census while the rest are still being spawned.
+    let _g = net.enter();
     for w in 0..workers {
         let net2 = net.clone();
         let client = client.clone();
@@ -127,7 +130,6 @@ fn run_pool(link: LinkSpec, workers: usize) -> (Duration, Duration) {
             }
         });
     }
-    let _g = net.enter();
     done.wait(None);
     let smalls = small_done.lock().clone();
     (net.now() - t0, mean_dur(&smalls))

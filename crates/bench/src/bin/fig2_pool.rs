@@ -78,6 +78,9 @@ fn run_concurrent(link: LinkSpec, workers: usize, max_idle: usize) -> (Duration,
     let remaining = Arc::new(Mutex::new(n_req()));
     let done = net.runtime().signal();
     let live = Arc::new(Mutex::new(workers));
+    // Registered before the first spawn: the workers already parked must
+    // not be the whole census while the rest are still being spawned.
+    let _g = net.enter();
     for w in 0..workers {
         let client = client.clone();
         let remaining = Arc::clone(&remaining);
@@ -102,7 +105,6 @@ fn run_concurrent(link: LinkSpec, workers: usize, max_idle: usize) -> (Duration,
             }
         });
     }
-    let _g = net.enter();
     done.wait(None);
     let m = client.metrics();
     (net.now(), m.sessions_created, m.reuse_ratio())

@@ -117,8 +117,8 @@ impl Finding {
 // ---------------------------------------------------------------------------
 
 /// Modules allowed to spawn OS threads wholesale: the client I/O pool, the
-/// reactor (shard threads) and the netsim scheduler/watchdog (clock
-/// thread) — thread creation is these modules' *purpose*. Individual
+/// reactor (shard threads) and the netsim scheduler (`SimNet::spawn`'s
+/// registered threads) — thread creation is these modules' *purpose*. Individual
 /// legitimate sites elsewhere (e.g. the real-TCP runtime shim) carry
 /// per-site `allow` markers instead, so each one documents its reason.
 const THREAD_ALLOW_FILES: &[&str] =

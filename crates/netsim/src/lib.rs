@@ -20,15 +20,16 @@
 //!   threads race on the same link.
 //!
 //! The simulator coordinates real OS threads through a cooperative
-//! scheduler (see [`sim`] for the full protocol): a dedicated clock thread
-//! owns time, and threads spawned through [`SimNet::spawn`] (or covered by
-//! a [`SimNet::enter`] guard) are *registered* — each parks on its own
-//! token, wakes are exact-key lookups rather than broadcasts, and virtual
-//! time only advances when every registered thread is parked, which keeps
-//! the clock honest at c10k+ waiter counts. Blocking primitives are the
-//! streams themselves, [`SimNet::sleep`] and the [`Signal`]s handed out by
-//! the [`Runtime`] — protocol libraries must use those instead of bare
-//! condition variables so the simulator can see them. For dense workloads,
+//! scheduler (see [`sim`] for the full protocol): threads spawned through
+//! [`SimNet::spawn`] (or covered by a [`SimNet::enter`] guard) are
+//! *registered* — each parks on its own token, wakes are exact-key lookups
+//! rather than broadcasts, and virtual time only advances when every
+//! registered thread is parked, moved by whichever of them parked last (a
+//! net owns no thread of its own), which keeps the clock honest at c10k+
+//! waiter counts. Blocking primitives are the streams themselves,
+//! [`SimNet::sleep`] and the [`Signal`]s handed out by the [`Runtime`] —
+//! protocol libraries must use those instead of bare condition variables
+//! so the simulator can see them. For dense workloads,
 //! [`simclient`] runs whole client populations as event-driven
 //! [`simclient::ClientSession`] state machines on a [`Reactor`] instead of
 //! one thread per client.

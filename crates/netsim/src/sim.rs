@@ -21,8 +21,8 @@
 //!
 //! ## Scheduler
 //!
-//! Time is owned by a single *clock thread* per net (`netsim-clock`), not by
-//! whichever blocked thread happens to notice quiescence:
+//! A net owns no thread of its own; the threads that block on it move its
+//! clock:
 //!
 //! * **Parking protocol.** A thread blocking on a sim primitive inserts a
 //!   waiter record keyed by *what* it waits on into an exact-match index and
@@ -32,17 +32,20 @@
 //! * **Quiescence rule.** The clock advances to the earliest scheduled event
 //!   only when no readiness wake is in flight, every registered thread is
 //!   parked (`reg_waiting == registered`) and at least one waiter exists.
-//!   Threads that park, deregister, schedule events from foreign threads or
-//!   finish delivering wakes *kick* the clock when that rule may have just
-//!   become true.
+//! * **Clock ownership.** Whoever parks last advances virtual time: a
+//!   parked thread that is not yet ready and finds the net quiescent applies
+//!   the next batch of events itself (`clock_step`, the only place the clock
+//!   moves) before it sleeps on its token. An action that can make the net
+//!   quiescent without parking — a deregistration, a finished wake delivery,
+//!   an unregistered thread scheduling events — nudges one parked waiter to
+//!   take that turn. There is no handle count and no shutdown: sim-spawned
+//!   daemons that outlive every [`SimNet`] handle keep driving their own
+//!   timers and wind down cleanly.
 //! * **Stall watchdog.** When the net is quiescent with nothing scheduled
-//!   and nothing changes for 10 s of real time, the clock
+//!   and nothing changes for 10 s of real time, the waiter holding the clock
 //!   poisons the net and every parked thread panics with a census dump —
 //!   unless all waiters are sim-spawned daemons idle in `accept`/`Signal`
 //!   waits, which is ordinary quiescence (servers outliving their scenario).
-//! * **Clock hand-off.** When the last [`SimNet`] handle drops, the clock
-//!   thread retires and surviving daemon threads drive the clock themselves
-//!   from their park loops, so a scenario's servers still wind down cleanly.
 //!
 //! ## What is deliberately not modelled
 //!
@@ -54,7 +57,6 @@
 use crate::fault::{self, FaultPlan, FaultState, FaultStats, SplitRng};
 use crate::slab::Slab;
 use crate::transport::{BoxedStream, Connector, Listener, Pollable, Runtime, Signal, Stream};
-use davix_sync::{AtomicUsize, Ordering};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -445,12 +447,6 @@ struct State {
     /// parks (or is parked) panics with `stall_dump`.
     stalled: bool,
     stall_dump: String,
-    /// Set when the last `SimNet` handle drops; tells the clock thread to
-    /// retire.
-    shutdown: bool,
-    /// The clock thread has retired (shutdown or stall); parked waiters
-    /// self-drive the clock from their park loops.
-    clock_dead: bool,
     /// Virtual-time event trace, recorded while `Some` (see
     /// [`SimNet::record_trace`]).
     trace: Option<Vec<(u64, String)>>,
@@ -935,10 +931,6 @@ fn stall_panic(st: &State) -> ! {
 
 struct SimCore {
     state: Mutex<State>,
-    /// The clock thread's own park token.
-    clock_cv: Condvar,
-    /// Live `SimNet` handles; the clock thread retires when this hits zero.
-    net_handles: AtomicUsize,
 }
 
 impl std::fmt::Debug for SimCore {
@@ -952,65 +944,52 @@ impl SimCore {
         self as *const SimCore as usize
     }
 
-    /// Fire wakers queued under the state lock. Called with the lock held;
-    /// the lock is briefly released while each waker runs, because a waker's
-    /// `set()` may re-enter the simulator (e.g. a [`SimSignal`]).
-    fn flush_wakes(&self, st: &mut MutexGuard<'_, State>) {
-        while !st.pending_wakes.is_empty() {
-            let wakes = std::mem::take(&mut st.pending_wakes);
-            st.wakes_in_flight += wakes.len();
-            let n = wakes.len();
-            MutexGuard::unlocked(st, || {
-                for w in wakes {
-                    w.set();
-                }
-            });
-            st.wakes_in_flight -= n;
-            st.change_tick += 1;
-        }
-    }
-
-    /// Release the lock and fire any queued wakers. The tail of every public
-    /// operation that may have queued wakes.
-    fn unlock_and_wake(&self, mut st: MutexGuard<'_, State>) {
+    /// Fire the wakers queued under the state lock. Called with the lock
+    /// held; it is released while the wakers run, because a waker's `set()`
+    /// may re-enter the simulator (e.g. a [`SimSignal`]), and they count as
+    /// in flight until the last one returns.
+    fn fire_wakes(&self, st: &mut MutexGuard<'_, State>) {
         let wakes = std::mem::take(&mut st.pending_wakes);
         if wakes.is_empty() {
-            self.kick_clock(&st);
             return;
         }
         let n = wakes.len();
         st.wakes_in_flight += n;
-        drop(st);
-        for w in wakes {
-            w.set();
-        }
-        let mut st = self.state.lock();
+        MutexGuard::unlocked(st, || {
+            for w in wakes {
+                w.set();
+            }
+        });
         st.wakes_in_flight -= n;
         st.change_tick += 1;
+    }
+
+    /// Fire any queued wakers and release the lock. The tail of every public
+    /// operation that may have queued wakes.
+    fn unlock_and_wake(&self, mut st: MutexGuard<'_, State>) {
+        self.fire_wakes(&mut st);
         self.kick_clock(&st);
     }
 
-    /// Nudge the clock owner when the net may have just become quiescent (or
-    /// gained events while quiescent). Cheap no-op otherwise.
+    /// Nudge one parked, not-yet-ready waiter to take a clock turn. Called
+    /// after anything other than parking that may have made the net
+    /// quiescent or given a quiescent net events (a deregistration, a
+    /// finished wake delivery, an unregistered thread's write, connect or
+    /// `Signal::set`). Cheap no-op otherwise.
     fn kick_clock(&self, st: &State) {
         if !st.quiescent() {
             return;
         }
-        if st.clock_dead {
-            // No clock thread: nudge one parked (not-yet-ready) waiter to
-            // self-drive from its park loop.
-            if let Some((_, w)) = st.waiters.iter().find(|(_, w)| !w.ready) {
-                w.cv.notify_one();
-            }
-        } else {
-            self.clock_cv.notify_one();
+        if let Some((_, w)) = st.waiters.iter().find(|(_, w)| !w.ready) {
+            w.cv.notify_one();
         }
     }
 
     /// Park the calling thread until `kind` is satisfied or `deadline_ns`
     /// passes. The caller must hold (and pass) the state lock; the lock is
     /// released while parked and re-acquired before returning. The thread
-    /// parks on its own token; virtual time is driven by the clock thread.
+    /// parks on its own token and, while it is not ready, takes the clock
+    /// turns that fall to it.
     fn wait_on(
         &self,
         st: &mut MutexGuard<'_, State>,
@@ -1055,21 +1034,16 @@ impl SimCore {
                 st.unindex(kind, wid);
                 return if timed_out { WaitOutcome::TimedOut } else { WaitOutcome::Ready };
             }
-            if st.clock_dead {
-                // A stall poisons the net: the loop sees `stalled` and panics.
-                self.clock_step(st, &cv);
-                continue;
-            }
-            self.kick_clock(st);
-            cv.wait(st);
+            // A stall poisons the net: the loop sees `stalled` and panics.
+            self.clock_step(st, &cv);
         }
     }
 
-    /// One turn of whoever owns the clock — the clock thread, or (once it
-    /// has retired) a waiter self-driving from its park loop — parked on
-    /// `cv`: not quiescent, wait for a nudge; events due, advance virtual
-    /// time and fire the wakes; neither, wait in real time and run the
-    /// stall watchdog when nothing changed over the whole window.
+    /// One turn of a parked, not-yet-ready waiter, and the only place
+    /// virtual time moves: not quiescent, sleep on the waiter's token `cv`
+    /// until woken or nudged; events due, advance virtual time and fire the
+    /// wakes; neither, wait in real time and run the stall watchdog when
+    /// nothing changed over the whole window.
     fn clock_step(&self, st: &mut MutexGuard<'_, State>, cv: &Condvar) {
         if !st.quiescent() {
             cv.wait(st);
@@ -1077,7 +1051,7 @@ impl SimCore {
         }
         if !st.events.is_empty() {
             st.advance();
-            self.flush_wakes(st);
+            self.fire_wakes(st);
             return;
         }
         // Quiescent with nothing scheduled: either a foreign (unregistered)
@@ -1114,23 +1088,6 @@ impl SimCore {
             w.cv.notify_one();
         }
     }
-
-    /// The dedicated clock thread: the sole owner of virtual-time
-    /// advancement while any `SimNet` handle is alive.
-    fn clock_main(core: Arc<SimCore>) {
-        let mut st = core.state.lock();
-        while !st.shutdown && !st.stalled {
-            core.clock_step(&mut st, &core.clock_cv);
-        }
-        // Retired — the net is poisoned and unusable, or the last SimNet
-        // handle dropped: hand the clock to the surviving waiters (sim
-        // daemons can outlive the net handle); they self-drive via the
-        // `clock_dead` fallback in `wait_on`, old-engine style.
-        st.clock_dead = true;
-        for (_, w) in st.waiters.iter() {
-            w.cv.notify_one();
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1138,27 +1095,9 @@ impl SimCore {
 // ---------------------------------------------------------------------------
 
 /// Handle to a simulated network. Cheap to clone.
+#[derive(Clone)]
 pub struct SimNet {
     core: Arc<SimCore>,
-}
-
-impl Clone for SimNet {
-    fn clone(&self) -> Self {
-        self.core.net_handles.fetch_add(1, Ordering::Relaxed);
-        SimNet { core: Arc::clone(&self.core) }
-    }
-}
-
-impl Drop for SimNet {
-    fn drop(&mut self) {
-        if self.core.net_handles.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut st = self.core.state.lock();
-            st.shutdown = true;
-            st.change_tick += 1;
-            drop(st);
-            self.core.clock_cv.notify_one();
-        }
-    }
 }
 
 impl Default for SimNet {
@@ -1197,8 +1136,6 @@ impl SimNet {
                 wakes_in_flight: 0,
                 stalled: false,
                 stall_dump: String::new(),
-                shutdown: false,
-                clock_dead: false,
                 trace: None,
                 fault: None,
                 sched_parks: 0,
@@ -1208,14 +1145,7 @@ impl SimNet {
                 clock_advances: 0,
                 events_applied: 0,
             }),
-            clock_cv: Condvar::new(),
-            net_handles: AtomicUsize::new(1),
         });
-        let clock_core = Arc::clone(&core);
-        std::thread::Builder::new()
-            .name("netsim-clock".into())
-            .spawn(move || SimCore::clock_main(clock_core))
-            .expect("spawn netsim clock thread");
         SimNet { core }
     }
 
@@ -1411,6 +1341,9 @@ impl SimNet {
 
     /// Spawn a *registered* thread: the virtual clock waits for it whenever
     /// it is runnable. The closure must only block on simulator primitives.
+    /// Spawn a group of workers from a *registered* thread, or the clock may
+    /// run between spawns: once the threads spawned so far have all parked
+    /// they are the whole census, and the later ones start at a later instant.
     pub fn spawn<F: FnOnce() + Send + 'static>(&self, name: &str, f: F) {
         {
             let mut st = self.core.state.lock();
@@ -1526,41 +1459,36 @@ impl SimNet {
         port: u16,
         timeout: Option<Duration>,
     ) -> io::Result<SimStream> {
+        let stream = self.connect_start(from_host, to_host, port)?;
+        let cid = stream.conn;
         let mut st = self.core.state.lock();
-        let cid = Self::begin_connect_locked(&mut st, from_host, to_host, port)?;
         let deadline = timeout.map(|t| st.now_ns + dur_ns(t));
-        loop {
+        let err = loop {
             let c = st.conns.get(cid).expect("conn");
             if c.reset || c.refused {
-                return Err(io::Error::new(
+                break io::Error::new(
                     io::ErrorKind::ConnectionRefused,
                     format!("connection to {to_host}:{port} refused"),
-                ));
+                );
             }
             if c.established {
-                break;
+                drop(st);
+                return Ok(stream);
             }
-            match self.core.wait_on(&mut st, WaitKind::ConnectDone { conn: cid }, deadline) {
-                WaitOutcome::Ready => continue,
-                WaitOutcome::TimedOut => {
-                    st.reset_conn(cid);
-                    self.core.unlock_and_wake(st);
-                    return Err(io::Error::new(
-                        io::ErrorKind::TimedOut,
-                        format!("connect to {to_host}:{port} timed out"),
-                    ));
-                }
+            let done = WaitKind::ConnectDone { conn: cid };
+            if let WaitOutcome::TimedOut = self.core.wait_on(&mut st, done, deadline) {
+                break io::Error::new(
+                    io::ErrorKind::TimedOut,
+                    format!("connect to {to_host}:{port} timed out"),
+                );
             }
-        }
-        drop(st);
-        Ok(SimStream {
-            core: Arc::clone(&self.core),
-            conn: cid,
-            side: 0,
-            peer: format!("{to_host}:{port}"),
-            read_timeout: None,
-            waker_set: false,
-        })
+        };
+        // A failed connect leaves a dead record: reset it (a server that had
+        // already accepted sees that), so that dropping `stream`, which
+        // takes the lock itself, sends no FIN.
+        st.reset_conn(cid);
+        self.core.unlock_and_wake(st);
+        Err(err)
     }
 
     /// Connect without a timeout.
@@ -1583,14 +1511,7 @@ impl SimNet {
         let cid = Self::begin_connect_locked(&mut st, from_host, to_host, port)?;
         self.core.kick_clock(&st);
         drop(st);
-        Ok(SimStream {
-            core: Arc::clone(&self.core),
-            conn: cid,
-            side: 0,
-            peer: format!("{to_host}:{port}"),
-            read_timeout: None,
-            waker_set: false,
-        })
+        Ok(SimStream::new(&self.core, cid, 0, format!("{to_host}:{port}")))
     }
 
     /// A [`Connector`] whose outbound connections originate at `host`.
@@ -1659,6 +1580,10 @@ pub struct SimStream {
 }
 
 impl SimStream {
+    fn new(core: &Arc<SimCore>, conn: usize, side: usize, peer: String) -> SimStream {
+        SimStream { core: Arc::clone(core), conn, side, peer, read_timeout: None, waker_set: false }
+    }
+
     fn send_fin_locked(st: &mut State, conn: usize, side: usize) {
         let now = st.now_ns;
         let (from, to, delay_ns, already) = {
@@ -1890,14 +1815,9 @@ impl Stream for SimStream {
         if let Some(c) = st.conns.get_mut(self.conn) {
             c.open_handles[self.side] += 1;
         }
-        Ok(Box::new(SimStream {
-            core: Arc::clone(&self.core),
-            conn: self.conn,
-            side: self.side,
-            peer: self.peer.clone(),
-            read_timeout: self.read_timeout,
-            waker_set: false,
-        }))
+        let mut clone = SimStream::new(&self.core, self.conn, self.side, self.peer.clone());
+        clone.read_timeout = self.read_timeout;
+        Ok(Box::new(clone))
     }
 
     fn shutdown_write(&mut self) -> io::Result<()> {
@@ -1941,56 +1861,35 @@ pub struct SimListener {
 }
 
 impl SimListener {
-    fn stream_from_backlog(&self, st: &mut State, cid: usize) -> Option<(SimStream, String)> {
-        let (reset, peer_host) = {
+    /// The first backlog entry that was not reset while it queued, as the
+    /// server-side stream and the peer's host name; `Ok(None)` when the
+    /// backlog is empty.
+    fn pop_backlog(&self, st: &mut State) -> io::Result<Option<(SimStream, String)>> {
+        loop {
+            let l =
+                st.listeners.get_mut(&(self.host, self.port)).filter(|l| l.open).ok_or_else(
+                    || io::Error::new(io::ErrorKind::NotConnected, "listener closed"),
+                )?;
+            let Some(cid) = l.backlog.pop_front() else { return Ok(None) };
             let c = st.conns.get_mut(cid).expect("conn alive");
             if c.reset {
-                (true, 0)
-            } else {
-                c.open_handles[1] += 1;
-                (false, c.hosts[0])
+                continue;
             }
-        };
-        if reset {
-            return None;
+            c.open_handles[1] += 1;
+            let peer = st.hosts[c.hosts[0] as usize].name.clone();
+            return Ok(Some((SimStream::new(&self.core, cid, 1, peer.clone()), peer)));
         }
-        let peer = st.hosts[peer_host as usize].name.clone();
-        let stream = SimStream {
-            core: Arc::clone(&self.core),
-            conn: cid,
-            side: 1,
-            peer: peer.clone(),
-            read_timeout: None,
-            waker_set: false,
-        };
-        Some((stream, peer))
     }
 
     /// Accept the next inbound connection (blocking).
     pub fn accept_sim(&self) -> io::Result<(SimStream, String)> {
         let mut st = self.core.state.lock();
         loop {
-            let l = st
-                .listeners
-                .get_mut(&(self.host, self.port))
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "listener closed"))?;
-            if !l.open {
-                return Err(io::Error::new(io::ErrorKind::NotConnected, "listener closed"));
+            if let Some(pair) = self.pop_backlog(&mut st)? {
+                return Ok(pair);
             }
-            if let Some(cid) = l.backlog.pop_front() {
-                match self.stream_from_backlog(&mut st, cid) {
-                    Some(pair) => return Ok(pair),
-                    None => continue,
-                }
-            }
-            match self.core.wait_on(
-                &mut st,
-                WaitKind::Accept { host: self.host, port: self.port },
-                None,
-            ) {
-                WaitOutcome::Ready => continue,
-                WaitOutcome::TimedOut => unreachable!("no deadline on accept"),
-            }
+            let accept = WaitKind::Accept { host: self.host, port: self.port };
+            self.core.wait_on(&mut st, accept, None);
         }
     }
 
@@ -1998,23 +1897,7 @@ impl SimListener {
     /// waker via [`set_accept_waker`](Self::set_accept_waker) to learn when
     /// the backlog grows.
     pub fn try_accept_sim(&self) -> io::Result<Option<(SimStream, String)>> {
-        let mut st = self.core.state.lock();
-        loop {
-            let l = st
-                .listeners
-                .get_mut(&(self.host, self.port))
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotConnected, "listener closed"))?;
-            if !l.open {
-                return Err(io::Error::new(io::ErrorKind::NotConnected, "listener closed"));
-            }
-            match l.backlog.pop_front() {
-                None => return Ok(None),
-                Some(cid) => match self.stream_from_backlog(&mut st, cid) {
-                    Some(pair) => return Ok(Some(pair)),
-                    None => continue,
-                },
-            }
-        }
+        self.pop_backlog(&mut self.core.state.lock())
     }
 
     /// Register (or clear) a reactor waker fired when the backlog becomes

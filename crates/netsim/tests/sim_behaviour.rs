@@ -4,7 +4,7 @@
 
 use netsim::{LinkSpec, Pollable, Runtime, SimNet};
 use std::io::{IoSlice, Read, Write};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 fn two_hosts(delay: Duration, bandwidth: Option<u64>) -> SimNet {
@@ -220,6 +220,52 @@ fn signal_wait_times_out_in_virtual_time() {
     let _g = net.enter();
     assert!(!sig.wait(Some(Duration::from_millis(30))));
     assert_eq!(net.now(), Duration::from_millis(30));
+}
+
+/// Workers spawned from an entered thread all start at the spawner's
+/// instant, however long it takes between spawns: every earlier worker is
+/// already parked on a timer when the next one is spawned, and the clock
+/// still holds for the runnable spawner.
+#[test]
+fn workers_spawned_from_an_entered_thread_all_start_at_its_instant() {
+    let net = SimNet::new();
+    let first_acts = Arc::new(Mutex::new(Vec::new()));
+    let _g = net.enter();
+    for w in 0..8 {
+        let parks = net.sched_stats().parks;
+        let (net2, first_acts) = (net.clone(), Arc::clone(&first_acts));
+        net.spawn(&format!("worker-{w}"), move || {
+            first_acts.lock().unwrap().push(net2.now());
+            net2.sleep(Duration::from_millis(1));
+        });
+        // The next spawn comes only once this worker is parked on its timer.
+        while net.sched_stats().parks == parks {
+            std::thread::yield_now();
+        }
+    }
+    net.sleep(Duration::from_secs(1));
+    assert_eq!(*first_acts.lock().unwrap(), vec![Duration::ZERO; 8]);
+    assert_eq!(net.now(), Duration::from_secs(1));
+}
+
+/// A sim-spawned daemon that outlives every `SimNet` handle still sees its
+/// timers fire and winds down: the scheduler has no handle count, a parked
+/// daemon moves the clock like any other thread.
+#[test]
+fn daemon_outliving_every_net_handle_still_sees_its_timers_fire() {
+    let net = SimNet::new();
+    // A signal holds the simulator's state, not a `SimNet`.
+    let never_set = net.runtime().signal();
+    let (go, started) = mpsc::channel::<()>();
+    let (done, finished) = mpsc::channel();
+    net.spawn("survivor", move || {
+        started.recv().unwrap();
+        let fired = (0..3).filter(|_| !never_set.wait(Some(Duration::from_secs(60)))).count();
+        done.send(fired).unwrap();
+    });
+    drop(net);
+    go.send(()).unwrap();
+    assert_eq!(finished.recv_timeout(Duration::from_secs(30)), Ok(3), "timers must fire");
 }
 
 /// The same single-client scenario produces bit-identical virtual timings on
