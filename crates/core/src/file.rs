@@ -324,62 +324,87 @@ impl RawFile {
         )
     }
 
-    /// One multi-range GET; decode whichever shape the server chose,
-    /// incrementally off the wire.
-    fn fetch_multirange(&self, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
+    /// One multi-range GET for `wire` (the coalesced `fragments`); decode
+    /// whichever shape the server chose, incrementally off the wire.
+    fn fetch_multirange(
+        &self,
+        wire: &[(u64, usize)],
+        fragments: &[(u64, usize)],
+    ) -> Result<Vec<Vec<u8>>> {
         let ex = &self.inner.executor;
         let req = PreparedRequest::get(self.uri.clone()).header("Range", format_range_header(wire));
         ex.with_retries(&req, None, |resp| {
             Metrics::bump(&ex.metrics().vectored_requests);
-            self.decode_multirange(resp, wire)
+            // A fresh result per attempt: a retry starts from nothing.
+            let mut out = Scatter::new(fragments);
+            self.decode_multirange(resp, wire, &mut out)?;
+            out.finish()
         })
     }
 
+    /// `wire` is what [`coalesce_fragments`] made of the fragments in `out`:
+    /// ascending and disjoint.
     fn decode_multirange(
         &self,
         mut resp: ResponseStream<'_>,
         wire: &[(u64, usize)],
-    ) -> Result<Vec<Chunk>> {
+        out: &mut Scatter<'_>,
+    ) -> Result<()> {
         // Everything we asked for lives inside this span; anything a part
         // claims outside it is a lie (and a lying length must not drive an
         // allocation either — hence the part limit).
-        let span_first = wire.iter().map(|&(o, _)| o).min().unwrap_or(0);
-        let span_end = wire.iter().map(|&(o, l)| o + l as u64).max().unwrap_or(0);
+        let span_first = wire.first().map_or(0, |&(o, _)| o);
+        let span_end = wire.last().map_or(0, |&(o, l)| o + l as u64);
         match resp.status() {
             StatusCode::PARTIAL_CONTENT => {
-                let ct = resp.head().headers.get("content-type").unwrap_or("").to_string();
-                if let Some(boundary) = boundary_from_content_type(&ct) {
-                    // Decode parts as they arrive: at most one part's payload
-                    // is resident beyond its final Chunk, never the whole
-                    // multipart body.
-                    let mut chunks = Vec::new();
+                let ct = resp.head().headers.get("content-type").unwrap_or("");
+                if let Some(boundary) = boundary_from_content_type(ct) {
+                    // Decode parts as they arrive: a part that is one of the
+                    // fragments is read straight into it; any other shape
+                    // (the server coalesced ranges, the caller's fragments
+                    // overlap) passes through one scratch buffer, never the
+                    // whole multipart body.
+                    let mut scratch = Vec::new();
                     {
                         let mut parts =
                             MultipartReader::new(std::io::BufReader::new(&mut resp), &boundary)
                                 .with_part_limit(span_end - span_first);
-                        while let Some(p) = parts.next_part().map_err(DavixError::from)? {
+                        while let Some(range) = parts.next_range().map_err(DavixError::from)? {
                             // A part claiming bytes outside the requested
                             // span, or touching none of the requested
                             // windows, would plant wrong bytes at offsets the
                             // caller trusts. (Parts *within* the span are
                             // allowed to straddle windows: servers may
                             // coalesce ranges across small gaps.)
-                            let in_span = p.range.first >= span_first && p.range.last < span_end;
-                            let touches_a_window = wire
-                                .iter()
-                                .any(|&(o, l)| p.range.first < o + l as u64 && p.range.last >= o);
+                            let in_span = range.first >= span_first && range.last < span_end;
+                            // The first window that ends past the part's
+                            // first byte is the only one that can hold it.
+                            let next = wire.partition_point(|&(o, l)| o + l as u64 <= range.first);
+                            let touches_a_window =
+                                wire.get(next).is_some_and(|&(o, _)| o <= range.last);
                             if !in_span || !touches_a_window {
                                 return Err(DavixError::Protocol(format!(
-                                    "{}: multipart part Content-Range {} outside the requested \
-                                     ranges",
-                                    self.uri, p.range
+                                    "{}: multipart part Content-Range {range} outside the \
+                                     requested ranges",
+                                    self.uri
                                 )));
                             }
-                            chunks.push(Chunk { first: p.range.first, data: p.data });
+                            let len = range.len() as usize;
+                            match out.exactly(range.first, len) {
+                                Some(i) => {
+                                    parts.payload_into(&mut out.bufs[i])?;
+                                    out.filled[i] = true;
+                                }
+                                None => {
+                                    scratch.resize(len, 0);
+                                    parts.payload_into(&mut scratch)?;
+                                    out.fill(range.first, &scratch);
+                                }
+                            }
                         }
                     }
                     resp.finish(); // consume any epilogue → session reusable
-                    Ok(chunks)
+                    Ok(())
                 } else {
                     // Single range back: the server merged everything. Check
                     // it actually covers every range we asked for before
@@ -400,10 +425,10 @@ impl RawFile {
                     // server *claims* — a lying Content-Range must not be able
                     // to force a huge allocation. Anything past the last
                     // requested byte stays unread.
-                    let max_end = wire.iter().map(|&(o, l)| o + l as u64).max().unwrap_or(cr.first);
-                    let mut data = vec![0u8; (max_end - cr.first) as usize];
+                    let mut data = vec![0u8; (span_end.max(cr.first) - cr.first) as usize];
                     read_exact_stream(&mut resp, &mut data, "readv")?;
-                    Ok(vec![Chunk { first: cr.first, data }])
+                    out.fill(cr.first, &data);
+                    Ok(())
                 }
             }
             StatusCode::OK => {
@@ -411,7 +436,7 @@ impl RawFile {
                 // keeping only the requested windows (the tail past the last
                 // window is never read).
                 Metrics::bump(&self.inner.executor.metrics().range_downgrades);
-                read_windows(&mut resp, wire)
+                read_windows(&mut resp, wire, out)
             }
             status => Err(DavixError::from_status(status, format!("readv {}", self.uri))),
         }
@@ -419,13 +444,17 @@ impl RawFile {
 
     /// Fallback: one single-range GET per wire range, in parallel through the
     /// pool (bounded by `vector_fallback_parallelism`).
-    fn fetch_parallel_single(&self, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
+    fn fetch_parallel_single(
+        &self,
+        wire: &[(u64, usize)],
+        fragments: &[(u64, usize)],
+    ) -> Result<Vec<Vec<u8>>> {
         let file = self.clone();
         let results = parallel_map(
             self.inner.executor.runtime(),
             wire.to_vec(),
             self.inner.cfg.vector_fallback_parallelism,
-            move |(off, len): (u64, usize)| -> Result<Chunk> {
+            move |(off, len): (u64, usize)| -> Result<(u64, Vec<u8>)> {
                 let mut data = vec![0u8; len];
                 // Every range was checked against the size we were told,
                 // so a short answer here contradicts the server.
@@ -435,10 +464,15 @@ impl RawFile {
                         file.uri
                     )));
                 }
-                Ok(Chunk { first: off, data })
+                Ok((off, data))
             },
         );
-        results.into_iter().collect()
+        let mut out = Scatter::new(fragments);
+        for result in results {
+            let (off, data) = result?;
+            out.fill(off, &data);
+        }
+        out.finish()
     }
 }
 
@@ -472,33 +506,16 @@ impl BlockFetch for RawFile {
         let wire = coalesce_fragments(fragments, self.inner.cfg.vector_merge_gap);
         let wire: Vec<(u64, usize)> = wire.into_iter().map(|(o, l)| (o, l as usize)).collect();
 
-        let chunks = match self.inner.cfg.range_policy {
-            RangePolicy::MultiRange => match self.fetch_multirange(&wire) {
-                Ok(chunks) => chunks,
+        match self.inner.cfg.range_policy {
+            RangePolicy::MultiRange => match self.fetch_multirange(&wire, fragments) {
                 Err(e) if RawFile::multirange_rejected(&e) => {
                     Metrics::bump(&self.inner.executor.metrics().vector_fallbacks);
-                    self.fetch_parallel_single(&wire)?
+                    self.fetch_parallel_single(&wire, fragments)
                 }
-                Err(e) => return Err(e),
+                result => result,
             },
-            RangePolicy::SingleRanges => self.fetch_parallel_single(&wire)?,
-        };
-
-        // Slice the original fragments back out of the fetched chunks.
-        let mut out = Vec::with_capacity(fragments.len());
-        for &(off, len) in fragments {
-            let chunk = chunks
-                .iter()
-                .find(|c| c.first <= off && off + len as u64 <= c.first + c.data.len() as u64)
-                .ok_or_else(|| {
-                    DavixError::Protocol(format!(
-                        "server response does not cover fragment {off}+{len}"
-                    ))
-                })?;
-            let start = (off - chunk.first) as usize;
-            out.push(chunk.data[start..start + len].to_vec());
+            RangePolicy::SingleRanges => self.fetch_parallel_single(&wire, fragments),
         }
-        Ok(out)
     }
 }
 
@@ -561,9 +578,76 @@ impl DavFile {
 
 random_access_via_reader!(DavFile);
 
-struct Chunk {
-    first: u64,
-    data: Vec<u8>,
+/// The result of one vectored read while it is assembled: a buffer per
+/// fragment, allocated up front from what the *caller* asked for, filled as
+/// stretches of the entity arrive in whatever shape the server chose.
+struct Scatter<'a> {
+    fragments: &'a [(u64, usize)],
+    /// Fragment indices ordered by offset, so the fragments inside a
+    /// stretch are found by binary search: a 500-part answer to a
+    /// 500-fragment read is 500 look-ups, not 250 000 comparisons.
+    by_offset: Vec<usize>,
+    bufs: Vec<Vec<u8>>,
+    filled: Vec<bool>,
+}
+
+impl<'a> Scatter<'a> {
+    fn new(fragments: &'a [(u64, usize)]) -> Scatter<'a> {
+        let mut by_offset: Vec<usize> = (0..fragments.len()).collect();
+        by_offset.sort_by_key(|&i| fragments[i]);
+        Scatter {
+            fragments,
+            by_offset,
+            bufs: fragments.iter().map(|&(_, len)| vec![0u8; len]).collect(),
+            // An empty fragment needs no byte of the response.
+            filled: fragments.iter().map(|&(_, len)| len == 0).collect(),
+        }
+    }
+
+    /// The one unfilled fragment that is exactly `first`+`len` when no other
+    /// fragment starts inside that stretch: its buffer can take the stretch
+    /// straight off the wire.
+    fn exactly(&self, first: u64, len: usize) -> Option<usize> {
+        let at = self.by_offset.partition_point(|&i| self.fragments[i].0 < first);
+        let i = *self.by_offset.get(at)?;
+        let alone = self
+            .by_offset
+            .get(at + 1)
+            .is_none_or(|&next| self.fragments[next].0 >= first + len as u64);
+        (self.fragments[i] == (first, len) && !self.filled[i] && alone).then_some(i)
+    }
+
+    /// `data` is the entity from `first` on: copy it into every fragment it
+    /// wholly contains. The first stretch to cover a fragment wins.
+    fn fill(&mut self, first: u64, data: &[u8]) {
+        let end = first + data.len() as u64;
+        let from = self.by_offset.partition_point(|&i| self.fragments[i].0 < first);
+        for &i in &self.by_offset[from..] {
+            let (off, len) = self.fragments[i];
+            if off >= end {
+                break;
+            }
+            if off + len as u64 <= end && !self.filled[i] {
+                let at = (off - first) as usize;
+                self.bufs[i].copy_from_slice(&data[at..at + len]);
+                self.filled[i] = true;
+            }
+        }
+    }
+
+    /// The fragments in request order, or a protocol error when the
+    /// response left one of them uncovered.
+    fn finish(self) -> Result<Vec<Vec<u8>>> {
+        match self.filled.iter().position(|&f| !f) {
+            None => Ok(self.bufs),
+            Some(i) => {
+                let (off, len) = self.fragments[i];
+                Err(DavixError::Protocol(format!(
+                    "server response does not cover fragment {off}+{len}"
+                )))
+            }
+        }
+    }
 }
 
 /// Parse a `Content-Range` header off a `206` head, or fail as a protocol
@@ -637,27 +721,29 @@ fn skip_stream(r: &mut ResponseStream<'_>, count: u64) -> Result<u64> {
 }
 
 /// Pull only the requested windows out of a full-entity (`200`) body,
-/// reading the stream once, in offset order. `wire` must be disjoint (it is:
-/// [`coalesce_fragments`] merges overlaps); the tail past the last window is
-/// left unread.
-fn read_windows(resp: &mut ResponseStream<'_>, wire: &[(u64, usize)]) -> Result<Vec<Chunk>> {
-    let mut sorted: Vec<(u64, usize)> = wire.to_vec();
-    sorted.sort_unstable();
-    let mut chunks = Vec::with_capacity(sorted.len());
+/// reading the stream once, in offset order. `wire` must be ascending and
+/// disjoint (it is: [`coalesce_fragments`] sorts and merges overlaps); the
+/// tail past the last window is left unread.
+fn read_windows(
+    resp: &mut ResponseStream<'_>,
+    wire: &[(u64, usize)],
+    out: &mut Scatter<'_>,
+) -> Result<()> {
+    let mut data = Vec::new();
     let mut pos = 0u64;
-    for (off, len) in sorted {
+    for &(off, len) in wire {
         let gap = off.saturating_sub(pos);
         if skip_stream(resp, gap)? < gap {
             return Err(DavixError::Protocol(format!(
                 "entity ended before requested range {off}+{len}"
             )));
         }
-        let mut data = vec![0u8; len];
+        data.resize(len, 0);
         read_exact_stream(resp, &mut data, "readv")?;
         pos = off + len as u64;
-        chunks.push(Chunk { first: off, data });
+        out.fill(off, &data);
     }
-    Ok(chunks)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! around the same calls (see [`crate::parse`]):
 //!
 //! * [`HeadScan`] finds the blank line that ends a head block;
-//! * [`parse_request_head`], [`parse_response_head`] and
-//!   [`parse_header_block`] turn one such block into a typed head (request
-//!   heads, response heads and multipart part heads share the header-field
-//!   parser);
+//! * [`parse_request_head`] and [`parse_response_head`] turn one such block
+//!   into a typed head (request heads, response heads and multipart part
+//!   heads share the header-field grammar; a part head keeps one field of
+//!   it, see [`crate::multipart`]);
 //! * [`request_body_len`] / [`response_body_len`] apply RFC 7230 §3.3.3;
 //! * [`BodyFrames`] walks a body's framing and *describes* it as
 //!   [`Frame`]s — "skip n framing bytes", "the next n bytes are payload",
@@ -81,29 +81,28 @@ impl HeadScan {
 }
 
 /// The lines of a head block, without their terminators.
-fn lines(block: &[u8]) -> Result<impl Iterator<Item = &str>, WireError> {
+pub(crate) fn lines(block: &[u8]) -> Result<impl Iterator<Item = &str>, WireError> {
     let text = std::str::from_utf8(block)
         .map_err(|_| WireError::BadHeader("non-UTF-8 bytes in message head".to_string()))?;
     Ok(text.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l)))
+}
+
+/// One header field line as `(name, value)`, the value trimmed.
+pub(crate) fn header_field(line: &str) -> Result<(&str, &str), WireError> {
+    line.split_once(':')
+        .filter(|(name, _)| !name.is_empty() && !name.contains(' '))
+        .map(|(name, value)| (name, value.trim()))
+        .ok_or_else(|| WireError::BadHeader(line.to_string()))
 }
 
 /// Header fields up to the blank line.
 fn header_fields<'a>(lines: impl Iterator<Item = &'a str>) -> Result<HeaderMap, WireError> {
     let mut headers = HeaderMap::new();
     for line in lines.take_while(|l| !l.is_empty()) {
-        let (name, value) = line
-            .split_once(':')
-            .filter(|(name, _)| !name.is_empty() && !name.contains(' '))
-            .ok_or_else(|| WireError::BadHeader(line.to_string()))?;
-        headers.append(name, value.trim());
+        let (name, value) = header_field(line)?;
+        headers.append(name, value);
     }
     Ok(headers)
-}
-
-/// Parse a block of header fields with no start line (a multipart part
-/// head), as delimited by [`HeadScan`].
-pub fn parse_header_block(block: &[u8]) -> Result<HeaderMap, WireError> {
-    header_fields(lines(block)?)
 }
 
 /// Parse one request head as delimited by [`HeadScan`]. `Ok(None)` is a

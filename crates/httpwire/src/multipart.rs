@@ -5,9 +5,10 @@
 //! packs many fragment reads into one `Range` header, and the server answers
 //! with one `206` whose body interleaves `Content-Range`-labelled parts.
 
-use crate::codec::{line_len, parse_header_block, trim_eol, MAX_HEAD_BYTES};
+use crate::codec::{header_field, line_len, lines, trim_eol, MAX_HEAD_BYTES};
 use crate::parse::{read_head, read_item};
-use crate::{ContentRange, HeaderMap, WireError};
+use crate::range::CONTENT_RANGE_MAX;
+use crate::{ContentRange, WireError};
 use std::io::{BufRead, Write};
 
 /// The `Content-Type` a multi-range response must carry, minus the boundary
@@ -41,13 +42,14 @@ pub fn boundary_from_content_type(value: &str) -> Option<String> {
 /// `Content-Length` instead of chunked encoding.
 pub struct MultipartWriter<W: Write> {
     w: W,
-    boundary: String,
+    /// `\r\n--boundary`: what both kinds of delimiter line start with.
+    delimiter: Vec<u8>,
 }
 
 impl<W: Write> MultipartWriter<W> {
     /// Start a body using `boundary`.
     pub fn new(w: W, boundary: &str) -> Self {
-        MultipartWriter { w, boundary: boundary.to_string() }
+        MultipartWriter { w, delimiter: format!("\r\n--{boundary}").into_bytes() }
     }
 
     /// Emit one part: delimiter, part headers, payload.
@@ -58,16 +60,19 @@ impl<W: Write> MultipartWriter<W> {
         data: &[u8],
     ) -> std::io::Result<()> {
         debug_assert_eq!(range.len(), data.len() as u64, "part length must match range");
-        write!(self.w, "\r\n--{}\r\n", self.boundary)?;
-        write!(self.w, "Content-Type: {content_type}\r\n")?;
-        write!(self.w, "Content-Range: {range}\r\n\r\n")?;
-        self.w.write_all(data)?;
-        Ok(())
+        self.w.write_all(&self.delimiter)?;
+        self.w.write_all(b"\r\nContent-Type: ")?;
+        self.w.write_all(content_type.as_bytes())?;
+        self.w.write_all(b"\r\nContent-Range: ")?;
+        self.w.write_all(range.encode(&mut [0; CONTENT_RANGE_MAX]).as_bytes())?;
+        self.w.write_all(b"\r\n\r\n")?;
+        self.w.write_all(data)
     }
 
     /// Emit the closing delimiter and return the sink.
     pub fn finish(mut self) -> std::io::Result<W> {
-        write!(self.w, "\r\n--{}--\r\n", self.boundary)?;
+        self.w.write_all(&self.delimiter)?;
+        self.w.write_all(b"--\r\n")?;
         Ok(self.w)
     }
 
@@ -81,7 +86,7 @@ impl<W: Write> MultipartWriter<W> {
             + content_type.len()
             + 2
             + "Content-Range: ".len()
-            + range.to_string().len()
+            + range.encoded_len()
             + 4) as u64
     }
 
@@ -100,8 +105,6 @@ impl<W: Write> MultipartWriter<W> {
 /// One decoded part of a multipart/byteranges body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Part {
-    /// Part headers (at least `Content-Range`).
-    pub headers: HeaderMap,
     /// The byte range this part covers.
     pub range: ContentRange,
     /// Payload bytes (exactly `range.len()` of them).
@@ -111,13 +114,20 @@ pub struct Part {
 /// Streaming reader for multipart/byteranges bodies.
 ///
 /// Relies on each part carrying a `Content-Range` header (mandatory for
-/// byteranges) to read payloads exactly, then verifies the delimiter.
+/// byteranges) to read payloads exactly, then verifies the delimiter. Two
+/// ways through a body: [`next_part`](Self::next_part) allocates each
+/// payload; the scatter pair [`next_range`](Self::next_range) /
+/// [`payload_into`](Self::payload_into) tells the caller where a part
+/// belongs and reads it into the caller's own buffer, allocating nothing.
 pub struct MultipartReader<R: BufRead> {
     r: R,
     /// `--boundary`, the delimiter line between parts.
     delimiter: Vec<u8>,
     done: bool,
     started: bool,
+    /// Payload bytes of the part [`next_range`](Self::next_range) announced
+    /// that [`payload_into`](Self::payload_into) has yet to take.
+    pending: u64,
     max_part_len: Option<u64>,
 }
 
@@ -147,6 +157,7 @@ impl<R: BufRead> MultipartReader<R> {
             delimiter: format!("--{boundary}").into_bytes(),
             done: false,
             started: false,
+            pending: 0,
             max_part_len: None,
         }
     }
@@ -182,8 +193,29 @@ impl<R: BufRead> MultipartReader<R> {
         .ok_or(WireError::UnexpectedEof)
     }
 
-    /// Next part, or `None` after the closing delimiter.
-    pub fn next_part(&mut self) -> Result<Option<Part>, WireError> {
+    /// The `Content-Range` of a part head delimited by
+    /// [`HeadScan`](crate::codec::HeadScan). Every line is held to the
+    /// header-field grammar; nothing else of the head is kept.
+    fn part_range(block: &[u8]) -> Result<ContentRange, WireError> {
+        let mut range = None;
+        for line in lines(block)?.take_while(|l| !l.is_empty()) {
+            let (name, value) = header_field(line)?;
+            if name.eq_ignore_ascii_case("content-range")
+                && range.replace(ContentRange::parse(value)?).is_some()
+            {
+                // Two claims about where one payload belongs: no telling
+                // which the server meant.
+                return Err(WireError::BadMultipart("part with two Content-Range".to_string()));
+            }
+        }
+        range.ok_or_else(|| WireError::BadMultipart("part without Content-Range".to_string()))
+    }
+
+    /// Scatter mode, first half: the range of the next part, or `None`
+    /// after the closing delimiter. The part's payload must then be taken
+    /// with [`payload_into`](Self::payload_into).
+    pub fn next_range(&mut self) -> Result<Option<ContentRange>, WireError> {
+        assert_eq!(self.pending, 0, "the previous part's payload was not read");
         if self.done {
             return Ok(None);
         }
@@ -206,13 +238,9 @@ impl<R: BufRead> MultipartReader<R> {
         }
         self.started = true;
 
-        let headers = read_head(&mut self.r, parse_header_block)
+        let range = read_head(&mut self.r, Self::part_range)
             .map_err(part_error)?
             .ok_or(WireError::UnexpectedEof)?;
-        let cr = headers
-            .get("content-range")
-            .ok_or_else(|| WireError::BadMultipart("part without Content-Range".to_string()))?;
-        let range = ContentRange::parse(cr)?;
         if let Some(cap) = self.max_part_len {
             if range.len() > cap {
                 return Err(WireError::BadMultipart(format!(
@@ -221,15 +249,31 @@ impl<R: BufRead> MultipartReader<R> {
                 )));
             }
         }
-        let mut data = vec![0u8; range.len() as usize];
-        std::io::Read::read_exact(&mut self.r, &mut data).map_err(|_| WireError::UnexpectedEof)?;
+        self.pending = range.len();
+        Ok(Some(range))
+    }
+
+    /// Scatter mode, second half: read the announced part's payload into
+    /// `buf`, which must be exactly as long as its range.
+    pub fn payload_into(&mut self, buf: &mut [u8]) -> Result<(), WireError> {
+        assert_eq!(buf.len() as u64, self.pending, "buffer must match the announced range");
+        self.pending = 0;
+        std::io::Read::read_exact(&mut self.r, buf).map_err(|_| WireError::UnexpectedEof)?;
         // The CRLF after the payload belongs to the next delimiter.
         let mut crlf = [0u8; 2];
         std::io::Read::read_exact(&mut self.r, &mut crlf).map_err(|_| WireError::UnexpectedEof)?;
         if &crlf != b"\r\n" {
             return Err(WireError::BadMultipart("payload not followed by CRLF".to_string()));
         }
-        Ok(Some(Part { headers, range, data }))
+        Ok(())
+    }
+
+    /// Next part, or `None` after the closing delimiter.
+    pub fn next_part(&mut self) -> Result<Option<Part>, WireError> {
+        let Some(range) = self.next_range()? else { return Ok(None) };
+        let mut data = vec![0u8; range.len() as usize];
+        self.payload_into(&mut data)?;
+        Ok(Some(Part { range, data }))
     }
 
     /// Decode every part eagerly.
@@ -323,6 +367,48 @@ mod tests {
         let err =
             MultipartReader::new(Cursor::new(body.to_vec()), "B").read_all_parts().unwrap_err();
         assert!(matches!(err, WireError::BadMultipart(_)));
+    }
+
+    #[test]
+    fn duplicated_content_range_is_error() {
+        // Which of the two says where the payload belongs? Neither is used.
+        for second in ["bytes 0-2/10", "bytes 4-6/10"] {
+            let body = format!(
+                "\r\n--B\r\nContent-Range: bytes 0-2/10\r\ncontent-range: {second}\r\n\r\nabc\r\n--B--\r\n"
+            );
+            let err = MultipartReader::new(Cursor::new(body.into_bytes()), "B")
+                .read_all_parts()
+                .unwrap_err();
+            assert!(matches!(err, WireError::BadMultipart(_)), "{second}: {err}");
+        }
+    }
+
+    #[test]
+    fn part_head_lines_are_held_to_the_header_grammar() {
+        // Only `Content-Range` is kept, but every line must be a field.
+        for bad in ["no colon here", ": empty name", "bad name: x", "X-Bin: \u{FF}\u{FE}"] {
+            let mut body = b"\r\n--B\r\nContent-Range: bytes 0-2/10\r\n".to_vec();
+            body.extend(bad.chars().map(|c| c as u8));
+            body.extend_from_slice(b"\r\n\r\nabc\r\n--B--\r\n");
+            let err = MultipartReader::new(Cursor::new(body), "B").read_all_parts().unwrap_err();
+            assert!(matches!(err, WireError::BadMultipart(_)), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn scatter_reads_each_payload_into_the_buffer_it_is_given() {
+        let body = build(&[(10, b"hello"), (100, b"world!")], 1000, "B");
+        let mut r = MultipartReader::new(Cursor::new(body), "B").with_part_limit(6);
+        let mut out = [[0u8; 6]; 2];
+        let mut seen = Vec::new();
+        while let Some(range) = r.next_range().unwrap() {
+            let n = seen.len();
+            r.payload_into(&mut out[n][..range.len() as usize]).unwrap();
+            seen.push((range.first, range.len()));
+        }
+        assert_eq!(seen, [(10, 5), (100, 6)]);
+        assert_eq!((&out[0][..5], &out[1][..]), (&b"hello"[..], &b"world!"[..]));
+        assert!(r.next_range().unwrap().is_none(), "stays at the end");
     }
 
     #[test]

@@ -100,10 +100,36 @@ pub fn parse_range_header(value: &str) -> Result<Vec<RangeSpec>, WireError> {
     Ok(out)
 }
 
+/// Most decimal digits of a `u64`.
+const U64_DIGITS: usize = 20;
+
+/// The decimal digits of `n`, written at the end of `buf`. A vectored read
+/// formats a thousand of these per request and the server a thousand more
+/// per answer; `fmt` costs several times the digits themselves.
+fn decimal(mut n: u64, buf: &mut [u8; U64_DIGITS]) -> &str {
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+}
+
+/// How many digits [`decimal`] writes for `n`.
+fn decimal_len(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
+}
+
 /// Format `(offset, length)` fragments as a `Range` header value.
 /// Zero-length fragments are skipped.
 pub fn format_range_header(fragments: &[(u64, usize)]) -> String {
-    let mut s = String::from("bytes=");
+    let mut digits = [0u8; U64_DIGITS];
+    let mut s = String::with_capacity("bytes=".len() + fragments.len() * 16);
+    s.push_str("bytes=");
     let mut first = true;
     for &(off, len) in fragments {
         if len == 0 {
@@ -113,7 +139,9 @@ pub fn format_range_header(fragments: &[(u64, usize)]) -> String {
             s.push(',');
         }
         first = false;
-        s.push_str(&format!("{}-{}", off, off + len as u64 - 1));
+        s.push_str(decimal(off, &mut digits));
+        s.push('-');
+        s.push_str(decimal(off + len as u64 - 1, &mut digits));
     }
     s
 }
@@ -169,12 +197,39 @@ impl ContentRange {
     }
 }
 
+/// Longest `Content-Range` value: `bytes ` + first + `-` + last + `/` + total.
+pub(crate) const CONTENT_RANGE_MAX: usize = 6 + 3 * U64_DIGITS + 2;
+
+impl ContentRange {
+    /// The header value (`bytes first-last/total`), written into `text`.
+    pub(crate) fn encode<'b>(&self, text: &'b mut [u8; CONTENT_RANGE_MAX]) -> &'b str {
+        let mut len = 0;
+        let mut push = |piece: &str| {
+            text[len..len + piece.len()].copy_from_slice(piece.as_bytes());
+            len += piece.len();
+        };
+        let mut digits = [0u8; U64_DIGITS];
+        push("bytes ");
+        push(decimal(self.first, &mut digits));
+        push("-");
+        push(decimal(self.last, &mut digits));
+        push("/");
+        push(self.total.map_or("*", |t| decimal(t, &mut digits)));
+        std::str::from_utf8(&text[..len]).expect("ASCII")
+    }
+
+    /// Length of the header value, without producing it.
+    pub(crate) fn encoded_len(&self) -> usize {
+        "bytes -/".len()
+            + decimal_len(self.first)
+            + decimal_len(self.last)
+            + self.total.map_or(1, decimal_len)
+    }
+}
+
 impl fmt::Display for ContentRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.total {
-            Some(t) => write!(f, "bytes {}-{}/{}", self.first, self.last, t),
-            None => write!(f, "bytes {}-{}/*", self.first, self.last),
-        }
+        f.write_str(self.encode(&mut [0; CONTENT_RANGE_MAX]))
     }
 }
 
@@ -257,6 +312,28 @@ mod tests {
         let cr = ContentRange { first: 5, last: 5, total: None };
         assert_eq!(ContentRange::parse("bytes 5-5/*").unwrap(), cr);
         assert_eq!(cr.len(), 1);
+    }
+
+    #[test]
+    fn hand_written_decimals_agree_with_fmt() {
+        let edges = [0, 1, 9, 10, 99, 100, 4_294_967_295, 4_294_967_296, u64::MAX - 1, u64::MAX];
+        for &a in &edges {
+            assert_eq!(decimal(a, &mut [0; U64_DIGITS]), a.to_string());
+            assert_eq!(decimal_len(a), a.to_string().len());
+            for total in [None, Some(a)] {
+                let cr = ContentRange { first: a / 2, last: a, total };
+                let want = match total {
+                    Some(t) => format!("bytes {}-{}/{t}", a / 2, a),
+                    None => format!("bytes {}-{}/*", a / 2, a),
+                };
+                assert_eq!(cr.to_string(), want);
+                assert_eq!(cr.encoded_len(), want.len());
+            }
+        }
+        assert_eq!(
+            format_range_header(&[(u64::MAX - 10, 10), (0, 1)]),
+            format!("bytes={}-{},0-0", u64::MAX - 10, u64::MAX - 1)
+        );
     }
 
     #[test]

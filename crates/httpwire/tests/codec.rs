@@ -12,7 +12,10 @@ use httpwire::codec::{
     BodyLen, Frame, HeadScan, MAX_CHUNK_LINE_BYTES, MAX_TRAILER_BYTES,
 };
 use httpwire::parse::{read_response_start, BodyReader, MAX_INTERIM_RESPONSES};
-use httpwire::{Method, RequestHead, ResponseHead, StatusCode, WireError};
+use httpwire::{
+    ContentRange, Method, MultipartReader, MultipartWriter, RequestHead, ResponseHead, StatusCode,
+    WireError,
+};
 use proptest::prelude::*;
 use std::io::{BufReader, Cursor, Read};
 
@@ -138,6 +141,59 @@ fn push_message(wire: &[u8], cuts: &[usize], request: bool, eof: bool) -> Messag
     Message { head, body, end: head_end + used }
 }
 
+/// A transport that delivers `wire` in the pieces `ends` delimit: a `read`
+/// never crosses a delivery boundary.
+struct Deliveries<'a> {
+    wire: &'a [u8],
+    pos: usize,
+    ends: Vec<usize>,
+}
+
+impl Read for Deliveries<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let end = self.ends.iter().copied().find(|&e| e > self.pos).unwrap_or(self.wire.len());
+        let n = buf.len().min(end - self.pos);
+        buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
+    }
+}
+
+/// What a multipart body decodes to: its parts, or the kind of error.
+type Parts = Result<Vec<(ContentRange, Vec<u8>)>, std::mem::Discriminant<WireError>>;
+
+/// No part of these tests is longer; a damaged `Content-Range` may say so.
+const PART_LIMIT: u64 = 4096;
+
+/// The allocating path over the whole body at once.
+fn parts_at_once(wire: &[u8], boundary: &str) -> Parts {
+    MultipartReader::new(Cursor::new(wire), boundary)
+        .with_part_limit(PART_LIMIT)
+        .read_all_parts()
+        .map(|parts| parts.into_iter().map(|p| (p.range, p.data)).collect())
+        .map_err(|e| std::mem::discriminant(&e))
+}
+
+/// The scatter path — announce a range, read the payload into a buffer of
+/// the caller's — over the body delivered in pieces through a `BufReader`
+/// of `cap` bytes.
+fn parts_scattered(wire: &[u8], boundary: &str, cuts: &[usize], cap: usize) -> Parts {
+    let transport = Deliveries { wire, pos: 0, ends: delivery_ends(cuts, wire.len()) };
+    let mut reader = MultipartReader::new(BufReader::with_capacity(cap, transport), boundary)
+        .with_part_limit(PART_LIMIT);
+    let mut parts = Vec::new();
+    loop {
+        match reader.next_range().map_err(|e| std::mem::discriminant(&e))? {
+            None => return Ok(parts),
+            Some(range) => {
+                let mut data = vec![0xAA; range.len() as usize];
+                reader.payload_into(&mut data).map_err(|e| std::mem::discriminant(&e))?;
+                parts.push((range, data));
+            }
+        }
+    }
+}
+
 fn header_name() -> impl Strategy<Value = String> {
     "[A-Za-z][A-Za-z0-9-]{0,12}".prop_map(|s| s)
 }
@@ -202,6 +258,50 @@ proptest! {
         prop_assert_eq!(&split, &whole);
         prop_assert_eq!(&whole.body, &payload);
         prop_assert_eq!(whole.end, message_len);
+    }
+
+    /// Scatter mode ≡ `read_all_parts`: a multipart body — intact, with a
+    /// byte overwritten, or cut short — decodes to the same parts or the
+    /// same kind of error whether payloads are allocated from the whole body
+    /// or read into the caller's buffers from a body split anywhere.
+    #[test]
+    fn scatter_decodes_like_read_all_parts_however_the_body_is_split(
+        payloads in proptest::collection::vec(
+            proptest::collection::vec(any::<u8>(), 1..150), 0..6),
+        gap in 0u64..40,
+        damage in proptest::option::of((0usize..4096, any::<u8>())),
+        truncate_at in proptest::option::of(0usize..4096),
+        cuts in proptest::collection::vec(0usize..4096, 0..12),
+        cap in 1usize..96,
+    ) {
+        let mut ranges = Vec::new();
+        let mut off = gap;
+        for p in &payloads {
+            let last = off + p.len() as u64 - 1;
+            ranges.push(ContentRange { first: off, last, total: Some(1 << 20) });
+            off = last + 1 + gap;
+        }
+        let mut w = MultipartWriter::new(Vec::new(), "SPLIT");
+        for (r, p) in ranges.iter().zip(&payloads) {
+            w.write_part("application/octet-stream", *r, p).unwrap();
+        }
+        let mut wire = w.finish().unwrap();
+        let intact = damage.is_none() && truncate_at.is_none();
+        if let Some((at, byte)) = damage {
+            let at = at % wire.len();
+            wire[at] = byte;
+        }
+        if let Some(t) = truncate_at {
+            wire.truncate(t % (wire.len() + 1));
+        }
+
+        let whole = parts_at_once(&wire, "SPLIT");
+        prop_assert_eq!(&parts_scattered(&wire, "SPLIT", &cuts, cap), &whole);
+        prop_assert_eq!(&parts_scattered(&wire, "SPLIT", &[], 64 * 1024), &whole);
+        if intact {
+            let want: Vec<_> = ranges.into_iter().zip(payloads).collect();
+            prop_assert_eq!(whole, Ok(want));
+        }
     }
 
     /// Pull adapter ≡ push loop on arbitrary bytes drawn from the chunked

@@ -546,8 +546,7 @@ impl StorageHandler {
                 .header("Digest", format!("adler32={}", to_hex(meta.adler32)))
         };
 
-        let range_header = req.head.headers.get("range").map(str::to_string);
-        let effective = match (&range_header, self.opts.range_support) {
+        let effective = match (req.head.headers.get("range"), self.opts.range_support) {
             (None, _) | (_, RangeSupport::None) => None,
             (Some(h), support) => match parse_range_header(h) {
                 Ok(specs) => {
@@ -582,14 +581,20 @@ impl StorageHandler {
                             ContentRange { first, last, total: Some(size) }.to_string(),
                         );
                 }
-                // Multi-range: multipart/byteranges.
+                // Multi-range: multipart/byteranges, its length known before
+                // its first byte is written.
+                const PART_TYPE: &str = "application/octet-stream";
                 let n = self.boundary_counter.fetch_add(1, Ordering::Relaxed);
                 let boundary = format!("dpmrange_{n:016x}");
-                let mut w = MultipartWriter::new(Vec::new(), &boundary);
-                for (first, last) in &resolved {
-                    let part = meta.data.slice(*first as usize..=*last as usize);
-                    let cr = ContentRange { first: *first, last: *last, total: Some(size) };
-                    if w.write_part("application/octet-stream", cr, &part).is_err() {
+                let parts: Vec<ContentRange> = resolved
+                    .iter()
+                    .map(|&(first, last)| ContentRange { first, last, total: Some(size) })
+                    .collect();
+                let length = MultipartWriter::<Vec<u8>>::body_length(&boundary, PART_TYPE, &parts);
+                let mut w = MultipartWriter::new(Vec::with_capacity(length as usize), &boundary);
+                for cr in parts {
+                    let part = &meta.data[cr.first as usize..=cr.last as usize];
+                    if w.write_part(PART_TYPE, cr, part).is_err() {
                         return Response::error(StatusCode::INTERNAL_SERVER_ERROR);
                     }
                 }
@@ -597,6 +602,7 @@ impl StorageHandler {
                     Ok(b) => b,
                     Err(_) => return Response::error(StatusCode::INTERNAL_SERVER_ERROR),
                 };
+                debug_assert_eq!(body.len() as u64, length);
                 base(StatusCode::PARTIAL_CONTENT, body.into(), "application/octet-stream")
                     .header("Content-Type", format!("{MULTIPART_BYTERANGES}; boundary={boundary}"))
             }
@@ -772,6 +778,12 @@ mod tests {
         assert_eq!(parts[1].data, vec![100, 101]);
         assert_eq!(parts[2].data, vec![255]);
         assert_eq!(parts[2].range.total, Some(256));
+        // The body is sized before it is built: the arithmetic must be the
+        // writer's, digit counts of 1, 2 and 3 included.
+        let ranges: Vec<ContentRange> = parts.iter().map(|p| p.range).collect();
+        let want =
+            MultipartWriter::<Vec<u8>>::body_length(&boundary, "application/octet-stream", &ranges);
+        assert_eq!(r.body.len() as u64, want);
     }
 
     #[test]

@@ -151,39 +151,53 @@ impl AnalysisJob {
         let mut processed = 0u64;
         let mut prev: Option<(f32, f32, f32, f32, i8)> = None;
 
+        let per = reader.events_per_basket() as u64;
+        let n_events = reader.n_events();
         let mut ev = 0u64;
-        while ev < reader.n_events() {
-            let e = (
-                cache.f32_value(px, ev)?,
-                cache.f32_value(py, ev)?,
-                cache.f32_value(pz, ev)?,
-                cache.f32_value(en, ev)?,
-                cache.i8_value(q, ev)?,
+        while ev < n_events {
+            // Every event up to `run_end` lives in the same basket of each
+            // branch: resolve the columns once. A miss costs what the first
+            // value read of the run would have cost, in the same order —
+            // `px` loads the window, or, cache off, each branch its basket.
+            for &b in &branches {
+                cache.load(b, ev)?;
+            }
+            let (cpx, cpy, cpz, cen, cq) = (
+                cache.column(px, ev)?,
+                cache.column(py, ev)?,
+                cache.column(pz, ev)?,
+                cache.column(en, ev)?,
+                cache.column(q, ev)?,
             );
-            if let Some(p) = prev {
-                if p.4 != e.4 {
-                    // Opposite charge: invariant mass of the pair.
-                    let e_tot = (p.3 + e.3) as f64;
-                    let px_t = (p.0 + e.0) as f64;
-                    let py_t = (p.1 + e.1) as f64;
-                    let pz_t = (p.2 + e.2) as f64;
-                    let m2 = e_tot * e_tot - (px_t * px_t + py_t * py_t + pz_t * pz_t);
-                    if m2 > 0.0 {
-                        histogram.fill(m2.sqrt());
+            let ccal = cal.map(|c| cache.column(c, ev)).transpose()?;
+            let run_end = (ev / per + 1).saturating_mul(per).min(n_events);
+            while ev < run_end {
+                let e = (cpx.f32(ev)?, cpy.f32(ev)?, cpz.f32(ev)?, cen.f32(ev)?, cq.i8(ev)?);
+                if let Some(p) = prev {
+                    if p.4 != e.4 {
+                        // Opposite charge: invariant mass of the pair.
+                        let e_tot = (p.3 + e.3) as f64;
+                        let px_t = (p.0 + e.0) as f64;
+                        let py_t = (p.1 + e.1) as f64;
+                        let pz_t = (p.2 + e.2) as f64;
+                        let m2 = e_tot * e_tot - (px_t * px_t + py_t * py_t + pz_t * pz_t);
+                        if m2 > 0.0 {
+                            histogram.fill(m2.sqrt());
+                        }
                     }
                 }
-            }
-            prev = Some(e);
-            if let Some(c) = cal {
-                for v in cache.i16_array(c, ev, cal_width)? {
-                    cal_sum += v as i64;
+                prev = Some(e);
+                if let Some(c) = ccal {
+                    for v in c.i16s(ev, cal_width)? {
+                        cal_sum += v as i64;
+                    }
                 }
+                if !self.per_event_cpu.is_zero() {
+                    rt.sleep(self.per_event_cpu);
+                }
+                processed += 1;
+                ev += stride;
             }
-            if !self.per_event_cpu.is_zero() {
-                rt.sleep(self.per_event_cpu);
-            }
-            processed += 1;
-            ev += stride;
         }
 
         Ok(JobReport {
@@ -277,6 +291,75 @@ mod tests {
         assert_eq!(with.mass_histogram, without.mass_histogram);
         assert!(with.windows_loaded > 0);
         assert_eq!(without.windows_loaded, 0);
+    }
+
+    /// The job done the slow way: every value of every selected event
+    /// fetched with its own `read_basket`, no cache, no runs.
+    fn naive(reader: &TreeReader, job: &AnalysisJob) -> (u64, Histogram, i64) {
+        let idx = |name: &str| reader.schema().index_of(name).unwrap();
+        let value = |branch: usize, ev: u64, width: usize| {
+            let basket = reader.basket_for(branch, ev).unwrap();
+            let at = (ev - reader.baskets()[basket].first_event) as usize * width;
+            reader.read_basket(basket).unwrap()[at..at + width].to_vec()
+        };
+        let f32_at =
+            |name: &str, ev| f32::from_le_bytes(value(idx(name), ev, 4).try_into().unwrap());
+        let stride = if job.fraction >= 1.0 { 1 } else { (1.0 / job.fraction).round() as usize };
+        let mut histogram = Histogram::new(0.0, 200.0, 100);
+        let (mut processed, mut cal_sum) = (0u64, 0i64);
+        let mut prev: Option<([f32; 4], u8)> = None;
+        for ev in (0..reader.n_events()).step_by(stride) {
+            let p = ["px", "py", "pz", "energy"].map(|name| f32_at(name, ev));
+            let q = value(idx("charge"), ev, 1)[0];
+            if let Some((o, _)) = prev.filter(|&(_, oq)| oq != q) {
+                let t = [0, 1, 2, 3].map(|i| (o[i] + p[i]) as f64);
+                let m2 = t[3] * t[3] - (t[0] * t[0] + t[1] * t[1] + t[2] * t[2]);
+                if m2 > 0.0 {
+                    histogram.fill(m2.sqrt());
+                }
+            }
+            prev = Some((p, q));
+            if job.read_calorimeter {
+                let cells = value(idx("cal"), ev, 16);
+                cal_sum += cells
+                    .chunks_exact(2)
+                    .map(|c| i16::from_le_bytes([c[0], c[1]]) as i64)
+                    .sum::<i64>();
+            }
+            processed += 1;
+        }
+        (processed, histogram, cal_sum)
+    }
+
+    #[test]
+    fn job_matches_a_value_by_value_reference_in_every_configuration() {
+        for compress in [true, false] {
+            let mut g = Generator::new(Schema::hep(8), 5);
+            let bytes = write_tree(&mut g, 610, &WriterOptions { events_per_basket: 20, compress });
+            let r = Arc::new(TreeReader::open(Arc::new(MemFile::new(bytes))).unwrap());
+            for fraction in [1.0, 0.37, 0.1] {
+                for read_calorimeter in [true, false] {
+                    let job = AnalysisJob { fraction, read_calorimeter, ..Default::default() };
+                    let want = naive(&r, &job);
+                    for enabled in [true, false] {
+                        // 50-event windows over 20-event baskets: straddlers.
+                        let opts = TreeCacheOptions { window_events: 50, enabled, prefetch: false };
+                        let got = job.run(Arc::clone(&r), opts, &rt()).unwrap();
+                        let what = format!(
+                            "compress {compress} fraction {fraction} cal {read_calorimeter} \
+                             cache {enabled}"
+                        );
+                        assert_eq!(
+                            (got.events_processed, got.mass_histogram, got.cal_sum),
+                            want.clone(),
+                            "{what}"
+                        );
+                        let windows = if enabled { 610u64.div_ceil(50) } else { 0 };
+                        assert_eq!(got.windows_loaded, windows, "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

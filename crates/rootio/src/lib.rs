@@ -33,7 +33,7 @@ pub mod reader;
 pub mod writer;
 
 pub use analysis::{AnalysisJob, Histogram, JobReport};
-pub use cache::{TreeCache, TreeCacheOptions};
+pub use cache::{Column, TreeCache, TreeCacheOptions};
 pub use model::{BranchDef, BranchKind, EventBatch, Generator, Schema};
 pub use reader::TreeReader;
 pub use writer::{write_tree, WriterOptions};

@@ -2,7 +2,7 @@
 
 use crate::codec;
 use crate::model::{BranchDef, BranchKind, Schema};
-use crate::writer::FOOTER_LEN;
+use crate::writer::{FOOTER_LEN, HEADER_LEN};
 use crate::MAGIC;
 use ioapi::RandomAccess;
 use std::io;
@@ -34,7 +34,7 @@ pub struct TreeReader {
     by_branch: Vec<Vec<usize>>,
 }
 
-fn bad(msg: impl Into<String>) -> io::Error {
+pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
@@ -53,8 +53,13 @@ impl TreeReader {
         }
         let index_offset = u64::from_le_bytes(footer[0..8].try_into().unwrap());
         let index_len = u64::from_le_bytes(footer[8..16].try_into().unwrap());
-        if index_offset + index_len > total {
+        // Both are the file's word: the sum must not wrap past the bounds
+        // test, and `index_len` sizes an allocation below.
+        if index_offset.checked_add(index_len).is_none_or(|end| end > total) {
             return Err(bad("index out of bounds"));
+        }
+        if index_offset < HEADER_LEN as u64 {
+            return Err(bad("index overlaps the header"));
         }
 
         // Header + dictionary live at the front; read a generous fixed
@@ -73,7 +78,7 @@ impl TreeReader {
             return Err(bad("events_per_basket = 0"));
         }
 
-        let mut pos = 20usize;
+        let mut pos = HEADER_LEN;
         let mut branches = Vec::with_capacity(n_branches);
         for _ in 0..n_branches {
             if pos + 2 > head.len() {
@@ -127,6 +132,10 @@ impl TreeReader {
             if info.branch as usize >= schema.branches.len() {
                 return Err(bad("basket references unknown branch"));
             }
+            // `len` sizes the blob buffer of every later read of this basket.
+            if info.offset.checked_add(info.len as u64).is_none_or(|end| end > index_offset) {
+                return Err(bad("basket outside the data area"));
+            }
             by_branch[info.branch as usize].push(i);
             baskets.push(info);
         }
@@ -174,29 +183,36 @@ impl TreeReader {
             .ok_or_else(|| bad(format!("no basket for branch {branch} event {event}")))
     }
 
-    /// Fetch and decompress one basket (one scalar read).
-    pub fn read_basket(&self, basket: usize) -> io::Result<Vec<u8>> {
-        let info = self
-            .baskets
+    /// The baskets of `branch` (global indices) by ordinal: entry `k` holds
+    /// events `k * events_per_basket ..`.
+    pub(crate) fn branch_baskets(&self, branch: usize) -> &[usize] {
+        self.by_branch.get(branch).map_or(&[], Vec::as_slice)
+    }
+
+    fn info(&self, basket: usize) -> io::Result<BasketInfo> {
+        self.baskets
             .get(basket)
             .copied()
-            .ok_or_else(|| bad(format!("basket {basket} out of range")))?;
+            .ok_or_else(|| bad(format!("basket {basket} out of range")))
+    }
+
+    /// Fetch and decompress one basket (one scalar read).
+    pub fn read_basket(&self, basket: usize) -> io::Result<Vec<u8>> {
+        let info = self.info(basket)?;
         let mut blob = vec![0u8; info.len as usize];
         self.source.read_exact_at(info.offset, &mut blob)?;
-        let col = codec::decompress(&blob)?;
-        let width = self.schema.branches[info.branch as usize].kind.width();
-        if col.len() != info.n_events as usize * width {
-            return Err(bad("basket size mismatch after decompression"));
-        }
-        Ok(col)
+        self.decode(info, &blob)
     }
 
     /// Decompress an already-fetched basket blob.
     pub fn decode_basket(&self, basket: usize, blob: &[u8]) -> io::Result<Vec<u8>> {
-        let info = self.baskets[basket];
+        self.decode(self.info(basket)?, blob)
+    }
+
+    fn decode(&self, info: BasketInfo, blob: &[u8]) -> io::Result<Vec<u8>> {
         let col = codec::decompress(blob)?;
         let width = self.schema.branches[info.branch as usize].kind.width();
-        if col.len() != info.n_events as usize * width {
+        if (info.n_events as usize).checked_mul(width) != Some(col.len()) {
             return Err(bad("basket size mismatch after decompression"));
         }
         Ok(col)
@@ -285,6 +301,45 @@ mod tests {
             }
             assert!(any_err, "corruption must surface somewhere");
         }
+    }
+
+    /// A footer is 20 bytes the file's author chose. `index_offset` below
+    /// the fixed header used to slice the header block out of range.
+    #[test]
+    fn footer_pointing_into_the_header_is_invalid_data() {
+        for index_offset in [0u64, 3, 4, 19] {
+            // 84 bytes: passes the size test, footer magic intact.
+            let mut b = vec![0u8; 84];
+            b[..4].copy_from_slice(MAGIC);
+            b[64..72].copy_from_slice(&index_offset.to_le_bytes());
+            b[80..].copy_from_slice(MAGIC);
+            let err = TreeReader::open(Arc::new(MemFile::new(b))).err().expect("rejected");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "index_offset {index_offset}");
+        }
+    }
+
+    /// `index_offset + index_len` wrapping past the bounds test used to
+    /// reach `vec![0; index_len]`.
+    #[test]
+    fn footer_whose_offset_and_length_wrap_is_invalid_data() {
+        let (mut b, _) = sample(100, 50);
+        let footer = b.len() - FOOTER_LEN;
+        let index_offset = u64::from_le_bytes(b[footer..footer + 8].try_into().unwrap());
+        let wrapping = (u64::MAX - index_offset + 1).to_le_bytes();
+        b[footer + 8..footer + 16].copy_from_slice(&wrapping);
+        let err = TreeReader::open(Arc::new(MemFile::new(b))).err().expect("rejected");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn basket_index_out_of_range_is_the_same_error_on_both_paths() {
+        let (bytes, _) = sample(100, 50);
+        let r = TreeReader::open(Arc::new(MemFile::new(bytes))).unwrap();
+        let n = r.baskets().len();
+        let read = r.read_basket(n).unwrap_err();
+        let decoded = r.decode_basket(n, &[]).unwrap_err();
+        assert_eq!(decoded.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(decoded.to_string(), read.to_string());
     }
 
     #[test]

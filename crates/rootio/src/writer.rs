@@ -36,6 +36,8 @@ impl Default for WriterOptions {
 
 /// Size of the fixed footer.
 pub const FOOTER_LEN: usize = 8 + 8 + 4;
+/// Size of the fixed header that precedes the dictionary.
+pub(crate) const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 4;
 
 fn kind_tag(kind: BranchKind) -> (u8, u32) {
     match kind {

@@ -143,6 +143,169 @@ fn multipart_part_outside_requested_span_is_rejected() {
     );
 }
 
+/// One raw part of a scripted multipart body: delimiter, the head lines as
+/// given, a blank line, the payload.
+fn raw_part(head: &[String], payload: &[u8]) -> Vec<u8> {
+    let mut out = b"\r\n--HOSTILE\r\n".to_vec();
+    for line in head {
+        out.extend_from_slice(line.as_bytes());
+        out.extend_from_slice(b"\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(payload);
+    out
+}
+
+/// Vectored reads against servers that answer a multi-range request with a
+/// multipart body of their own invention. Whatever the body says, the
+/// client returns the entity's bytes or a typed error — never other bytes.
+#[test]
+fn hostile_multipart_bodies_give_the_right_bytes_or_a_typed_error() {
+    let data = payload(100_000);
+    let size = data.len() as u64;
+    // Three fragments far enough apart not to be merged on the wire.
+    let frags = [(1_000u64, 100usize), (5_000, 100), (9_000, 50)];
+    // A well-formed part carrying the entity's own bytes.
+    let part = |first: usize, len: usize| {
+        let cr = format!("Content-Range: bytes {first}-{}/{size}", first + len - 1);
+        raw_part(&[cr], &data[first..first + len])
+    };
+    let honest: Vec<u8> = frags.iter().flat_map(|&(o, l)| part(o as usize, l)).collect();
+    let close = b"\r\n--HOSTILE--\r\n".to_vec();
+    let cr = |text: &str| format!("Content-Range: bytes {text}/{size}");
+
+    // (what, body, whether the bytes must come back)
+    let cases: Vec<(&str, Vec<u8>, bool)> = vec![
+        ("honest", [honest.clone(), close.clone()].concat(), true),
+        (
+            "parts in reverse order",
+            [part(9_000, 50), part(5_000, 100), part(1_000, 100), close.clone()].concat(),
+            true,
+        ),
+        (
+            "a part outside the span",
+            [honest.clone(), part(20_000, 10), close.clone()].concat(),
+            false,
+        ),
+        ("a part before the span", [part(0, 10), honest.clone(), close.clone()].concat(), false),
+        (
+            "a part in the span touching no window",
+            [honest.clone(), part(3_000, 10), close.clone()].concat(),
+            false,
+        ),
+        (
+            "overlapping parts, both honest",
+            [part(1_000, 100), part(1_050, 100), part(5_000, 100), part(9_000, 50), close.clone()]
+                .concat(),
+            true,
+        ),
+        (
+            "the same part twice, the second one lying",
+            [honest.clone(), raw_part(&[cr("1000-1099")], &[0xEE; 100]), close.clone()].concat(),
+            true,
+        ),
+        (
+            "one part straddling two fragments and the gap between",
+            [part(1_000, 4_100), part(9_000, 50), close.clone()].concat(),
+            true,
+        ),
+        (
+            "a part wider than its fragment",
+            [part(1_000, 100), part(4_990, 120), part(9_000, 50), close.clone()].concat(),
+            true,
+        ),
+        (
+            "a part covering half a fragment",
+            [part(1_000, 50), part(5_000, 100), part(9_000, 50), close.clone()].concat(),
+            false,
+        ),
+        (
+            "a fragment no part covers",
+            [part(1_000, 100), part(9_000, 50), close.clone()].concat(),
+            false,
+        ),
+        (
+            "a payload shorter than its Content-Range",
+            [
+                raw_part(&[cr("1000-1099")], &data[1_000..1_090]),
+                part(5_000, 100),
+                part(9_000, 50),
+                close.clone(),
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "a payload longer than its Content-Range",
+            [
+                raw_part(&[cr("1000-1099")], &data[1_000..1_110]),
+                part(5_000, 100),
+                part(9_000, 50),
+                close.clone(),
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "a part without Content-Range",
+            [
+                raw_part(
+                    &["Content-Type: application/octet-stream".to_string()],
+                    &data[1_000..1_100],
+                ),
+                close.clone(),
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "a part with two Content-Range fields",
+            [
+                raw_part(&[cr("1000-1099"), cr("5000-5099")], &data[1_000..1_100]),
+                part(9_000, 50),
+                close.clone(),
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "a part declaring more than the whole span",
+            [raw_part(&[cr("1000-99999")], &data[1_000..]), close.clone()].concat(),
+            false,
+        ),
+        ("no closing delimiter", honest.clone(), false),
+    ];
+
+    for (what, body, must_succeed) in cases {
+        let net = sim();
+        let server = HttpServer::new(
+            Arc::new(move |req: Request| {
+                if req.head.method == Method::Head {
+                    return Response::empty(StatusCode::OK)
+                        .header("Content-Length", size.to_string());
+                }
+                Response::with_body(StatusCode::PARTIAL_CONTENT, "x", body.clone())
+                    .header("Content-Type", "multipart/byteranges; boundary=HOSTILE")
+            }),
+            ServerConfig::default(),
+        );
+        server.serve(Box::new(net.bind("s", 80).unwrap()), net.runtime());
+        let _g = net.enter();
+        let c = client(&net, Config::default().no_retry());
+        let f = c.open("http://s/f").unwrap();
+        match f.pread_vec(&frags) {
+            Ok(got) => {
+                for (g, &(off, len)) in got.iter().zip(&frags) {
+                    assert_eq!(g, &data[off as usize..off as usize + len], "{what}: wrong bytes");
+                }
+                assert_eq!(got.len(), frags.len(), "{what}");
+            }
+            Err(DavixError::Protocol(_)) => assert!(!must_succeed, "{what}: refused"),
+            Err(e) => panic!("{what}: untyped failure {e}"),
+        }
+    }
+}
+
 #[test]
 fn transient_mid_body_failure_is_retried() {
     // The first GET stalls halfway through its body (client read times out);
