@@ -175,8 +175,8 @@ impl ClientSession for HttpLoopSession {
                                 if head.status != StatusCode::OK {
                                     return Err(self.fail("non-200 response"));
                                 }
-                                let len = response_body_len(&Method::Get, &head);
-                                if len != BodyLen::Fixed(BODY as u64) {
+                                let len = BodyLen::Fixed(BODY as u64);
+                                if !response_body_len(&Method::Get, &head).is_ok_and(|l| l == len) {
                                     return Err(self.fail("wrong body size"));
                                 }
                                 self.body = BodyFrames::new(len);

@@ -26,11 +26,11 @@
 use crate::config::Config;
 use crate::error::{DavixError, Result};
 use crate::metrics::Metrics;
-use crate::pool::{Endpoint, Session, SessionPool};
+use crate::pool::{Session, SessionPool};
 use bytes::Bytes;
 use httpwire::body::BodySource;
 use httpwire::parse::{read_response_start, BodyFraming, ResponseStart};
-use httpwire::{HeaderMap, Method, RequestHead, ResponseHead, StatusCode, Uri, Version, WireError};
+use httpwire::{HeadWriter, HeaderMap, Method, ResponseHead, StatusCode, Uri, Version, WireError};
 use netsim::{Connector, Runtime};
 use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
@@ -74,7 +74,7 @@ impl PreparedRequest {
     }
 
     /// Add a header (builder style).
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub fn header(mut self, name: &str, value: impl AsRef<str>) -> Self {
         self.headers.set(name, value);
         self
     }
@@ -154,6 +154,10 @@ const MAX_RETRY_BACKOFF: Duration = Duration::from_secs(60);
 /// never ends) costs its connection instead of pinning the policy loop.
 const MAX_DRAIN_BYTES: usize = 64 * 1024;
 
+/// Most serialisation buffer a session keeps between requests: room for any
+/// head (a 500-range `Range` field is ~10 KB), not for an in-memory body.
+const MAX_KEPT_WIRE: usize = 64 * 1024;
+
 /// Don't trust `Content-Length` for more than this much up-front `Vec`
 /// capacity when collecting a body (a lying header must not OOM the client).
 const MAX_BODY_PREALLOC: u64 = 1 << 20;
@@ -231,41 +235,46 @@ impl HttpExecutor {
         upload: Option<&dyn BodyProvider>,
         attempts: &mut u32,
     ) -> Result<ResponseStream<'_>> {
-        let mut uri = req.uri.clone();
+        // Where a redirect has sent the request; its own URI until then.
+        let mut hop: Option<Uri> = None;
         let mut redirects = 0u32;
         let mut stale_retries = 0u32;
         loop {
-            match self.exchange(req, &uri, upload) {
+            let uri = hop.as_ref().unwrap_or(&req.uri);
+            match self.exchange(req, uri, upload) {
                 Ok(raw) => {
-                    let stream = self.make_stream(raw, uri.clone());
-                    if stream.head.status.is_redirect() {
-                        if let Some(loc) = stream.head.headers.get("location").map(str::to_string) {
-                            redirects += 1;
-                            let max = self.cfg.max_redirects;
-                            if redirects > max {
-                                return Err(DavixError::RedirectLoop(max));
-                            }
-                            Metrics::bump(&self.metrics.redirects);
-                            // Consume the redirect body (so the session can
-                            // be recycled for the next hop) only when that
-                            // is worth anything; a broken body only costs us
-                            // the connection.
-                            stream.finish();
-                            uri = uri.resolve_location(&loc).map_err(DavixError::from)?;
-                            *attempts = 0;
-                            continue;
-                        }
-                    }
+                    let head = &raw.start.head;
+                    let redirect = head.status.is_redirect() && head.headers.contains("location");
                     // 5xx on an idempotent request: retry within budget (the
                     // server may recover — matches libdavix's behaviour).
-                    if stream.head.status.is_server_error()
-                        && self.may_retry(req, upload.is_some(), attempts)
-                    {
+                    let again = redirect
+                        || (head.status.is_server_error()
+                            && self.may_retry(req, upload.is_some(), attempts));
+                    if !again {
+                        // The URI that was served: the last hop's, moved; the
+                        // request's own, which the caller still holds, copied.
+                        let served = hop.take().unwrap_or_else(|| req.uri.clone());
+                        return Ok(self.make_stream(raw, served));
+                    }
+                    let stream = self.make_stream(raw, uri.clone());
+                    if !redirect {
                         stream.finish();
                         self.backoff_sleep(*attempts);
                         continue;
                     }
-                    return Ok(stream);
+                    redirects += 1;
+                    let max = self.cfg.max_redirects;
+                    if redirects > max {
+                        return Err(DavixError::RedirectLoop(max));
+                    }
+                    Metrics::bump(&self.metrics.redirects);
+                    let next = stream.head.headers.get("location").map(|l| uri.resolve_location(l));
+                    // Consume the redirect body (so the session can be
+                    // recycled for the next hop) only when that is worth
+                    // anything; a broken body only costs us the connection.
+                    stream.finish();
+                    hop = next.transpose().map_err(DavixError::from)?;
+                    *attempts = 0;
                 }
                 Err(TryError { error, stale }) => {
                     if stale && stale_retries < MAX_STALE_RETRIES {
@@ -368,44 +377,39 @@ impl HttpExecutor {
     ) -> std::result::Result<RawStream, TryError> {
         let fresh = |error| TryError { error, stale: false };
         let source = upload.map(|body| body.open()).transpose().map_err(fresh)?;
-        let mut session = self.pool.acquire(&Endpoint::of(uri)).map_err(fresh)?;
+        let mut session = self.pool.acquire_for(uri).map_err(fresh)?;
 
-        let mut head = self.request_head(req, uri);
-        let mut expect = false;
-        let wire = match (&source, &req.body) {
-            (Some(source), _) => {
-                source.apply_framing(&mut head.headers);
-                // `u64::MAX` disables Expect for *every* body, including
-                // unknown-length ones (which otherwise always negotiate).
-                expect = self.cfg.expect_continue_threshold != u64::MAX
-                    && !source.is_empty()
-                    && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold);
-                if expect {
-                    head.headers.set("Expect", "100-continue");
-                }
-                head.to_bytes()
+        // `u64::MAX` disables Expect for *every* body, including
+        // unknown-length ones (which otherwise always negotiate).
+        let expect = source.as_ref().is_some_and(|source| {
+            self.cfg.expect_continue_threshold != u64::MAX
+                && !source.is_empty()
+                && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold)
+        });
+        let buffered = req.body.as_ref().filter(|_| source.is_none());
+        // Head and in-memory body leave in one buffer → one transport write
+        // → the whole request travels in one segment train.
+        session.wire.clear();
+        self.write_head(&mut session.wire, req, uri, source.as_ref(), buffered, expect);
+        if let Some(body) = buffered {
+            session.wire.extend_from_slice(body);
+            // `bytes_uploaded` counts *payload* stores only — a PROPFIND
+            // or multipart-complete XML body is protocol chatter.
+            if req.method == Method::Put {
+                Metrics::add(&self.metrics.bytes_uploaded, body.len() as u64);
             }
-            // An in-memory body leaves in the same buffer as its head → one
-            // transport write → the whole request travels in one segment
-            // train.
-            (None, Some(body)) => {
-                head.headers.set("Content-Length", body.len().to_string());
-                let mut wire = head.to_bytes();
-                wire.extend_from_slice(body);
-                // `bytes_uploaded` counts *payload* stores only — a PROPFIND
-                // or multipart-complete XML body is protocol chatter.
-                if req.method == Method::Put {
-                    Metrics::add(&self.metrics.bytes_uploaded, body.len() as u64);
-                }
-                wire
-            }
-            (None, None) => head.to_bytes(),
-        };
+        }
 
         Metrics::bump(&self.metrics.requests);
-        Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
+        Metrics::add(&self.metrics.bytes_out, session.wire.len() as u64);
         session.note_request();
-        if let Err(e) = session.writer.write_all(&wire) {
+        let sent = session.writer.write_all(&session.wire);
+        if session.wire.capacity() > MAX_KEPT_WIRE {
+            // Grown to carry an in-memory body: not kept for the session's
+            // idle life.
+            session.wire = Vec::new();
+        }
+        if let Err(e) = sent {
             let stale = session.reused;
             self.pool.release(session, false);
             return Err(TryError { error: e.into(), stale });
@@ -414,6 +418,53 @@ impl HttpExecutor {
             Some(source) => self.send_body(session, source, expect, &req.method),
             None => self.read_start(session, &req.method),
         }
+    }
+
+    /// Serialise the head of one exchange onto `wire`: the request's own
+    /// fields, then `Host`, `User-Agent`, the framing of the body it is sent
+    /// with and `Expect`. What the exchange states itself replaces a field
+    /// of that name among the request's own, as [`HeaderMap::set`] would.
+    fn write_head(
+        &self,
+        wire: &mut Vec<u8>,
+        req: &PreparedRequest,
+        uri: &Uri,
+        streamed: Option<&BodySource<'_>>,
+        buffered: Option<&Bytes>,
+        expect: bool,
+    ) {
+        let stated_here = |name: &str| {
+            let is = |own: &str| name.eq_ignore_ascii_case(own);
+            is("Host")
+                || is("User-Agent")
+                || (is("Content-Length") && (streamed.is_some() || buffered.is_some()))
+                || (is("Transfer-Encoding") && streamed.is_some())
+                || (is("Expect") && expect)
+        };
+        let mut head = HeadWriter::request(
+            wire,
+            &req.method,
+            &uri.path,
+            uri.query.as_deref(),
+            Version::Http11,
+        );
+        for (name, value) in req.headers.iter().filter(|(name, _)| !stated_here(name)) {
+            head.field(name, value);
+        }
+        match uri.explicit_port() {
+            None => head.field("Host", &uri.host),
+            Some(port) => head.field_fmt("Host", format_args!("{}:{port}", uri.host)),
+        };
+        head.field("User-Agent", &self.cfg.user_agent);
+        if let Some(source) = streamed {
+            source.write_framing(&mut head);
+        } else if let Some(body) = buffered {
+            head.field_fmt("Content-Length", format_args!("{}", body.len()));
+        }
+        if expect {
+            head.field("Expect", "100-continue");
+        }
+        head.finish();
     }
 
     /// The streamed half of an exchange, after the head is written:
@@ -481,16 +532,6 @@ impl HttpExecutor {
         // A slow server's `100 Continue` may still arrive here, after our
         // wait already timed out.
         self.read_start(session, method)
-    }
-
-    /// The request head every exchange starts from.
-    fn request_head(&self, req: &PreparedRequest, uri: &Uri) -> RequestHead {
-        let mut head = RequestHead::new(req.method.clone(), uri.request_target());
-        head.version = Version::Http11;
-        head.headers = req.headers.clone();
-        head.headers.set("Host", uri.authority());
-        head.headers.set("User-Agent", &self.cfg.user_agent);
-        head
     }
 
     /// The request is on the wire: read the final response head (interim
@@ -573,16 +614,38 @@ impl HttpExecutor {
             head: raw.start.head,
             final_uri,
             keep_alive,
-            executor: self,
-            session: Some(raw.session),
+            metrics: &self.metrics,
+            lease: Lease { pool: &self.pool, session: Some(raw.session) },
             framing: BodyFraming::new(raw.start.body),
         };
         // Bodyless responses (HEAD, 204, 304…) are already complete: the
         // session goes straight back to the pool.
         if stream.framing.is_done() {
-            stream.release(keep_alive);
+            stream.lease.release(keep_alive);
         }
         stream
+    }
+}
+
+/// A checked-out session on its way back to the pool: released as reusable
+/// by whoever saw its message end, or — still held when dropped, so
+/// mid-message — given up with its connection.
+struct Lease<'a> {
+    pool: &'a SessionPool,
+    session: Option<Session>,
+}
+
+impl Lease<'_> {
+    fn release(&mut self, reusable: bool) {
+        if let Some(session) = self.session.take() {
+            self.pool.release(session, reusable);
+        }
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        self.release(false);
     }
 }
 
@@ -601,8 +664,8 @@ pub struct ResponseStream<'a> {
     head: ResponseHead,
     final_uri: Uri,
     keep_alive: bool,
-    executor: &'a HttpExecutor,
-    session: Option<Session>,
+    metrics: &'a Metrics,
+    lease: Lease<'a>,
     framing: BodyFraming,
 }
 
@@ -687,57 +750,38 @@ impl ResponseStream<'_> {
     /// Collect the rest of the body into a `Vec`, consuming the stream.
     pub fn into_response(mut self) -> Result<HttpResponse> {
         let mut body = Vec::new();
-        if let Some(n) = self.head.headers.content_length() {
+        if let Some(n) = self.head.headers.content_length()? {
             body.reserve(n.min(MAX_BODY_PREALLOC) as usize);
         }
         Read::read_to_end(&mut self, &mut body).map_err(body_read_error)?;
-        Metrics::record_max(&self.executor.metrics.peak_body_buffer, body.len() as u64);
-        Ok(HttpResponse {
-            head: std::mem::replace(&mut self.head, ResponseHead::new(StatusCode(200))),
-            body,
-            final_uri: self.final_uri.clone(),
-        })
-    }
-
-    fn release(&mut self, reusable: bool) {
-        if let Some(session) = self.session.take() {
-            self.executor.pool.release(session, reusable);
-        }
+        Metrics::record_max(&self.metrics.peak_body_buffer, body.len() as u64);
+        Ok(HttpResponse { head: self.head, body, final_uri: self.final_uri })
     }
 }
 
 impl Read for ResponseStream<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let Some(session) = self.session.as_mut() else {
+        let Some(session) = self.lease.session.as_mut() else {
             return Ok(0); // fully drained earlier (session already pooled)
         };
         match self.framing.read(&mut session.reader, buf) {
             Ok(n) => {
                 if n > 0 {
-                    Metrics::add(&self.executor.metrics.bytes_in, n as u64);
-                    Metrics::add(&self.executor.metrics.bytes_streamed, n as u64);
+                    Metrics::add(&self.metrics.bytes_in, n as u64);
+                    Metrics::add(&self.metrics.bytes_streamed, n as u64);
                 }
                 if self.framing.is_done() {
-                    let keep = self.keep_alive;
-                    self.release(keep);
+                    self.lease.release(self.keep_alive);
                 }
                 Ok(n)
             }
             Err(e) => {
                 // Framing violated or transport died: the connection is no
                 // longer positioned at a message boundary.
-                self.release(false);
+                self.lease.release(false);
                 Err(e)
             }
         }
-    }
-}
-
-impl Drop for ResponseStream<'_> {
-    fn drop(&mut self) {
-        // Still holding the session here means body bytes are unread: the
-        // connection is mid-message and must not be recycled.
-        self.release(false);
     }
 }
 
@@ -851,7 +895,7 @@ mod tests {
         let redirector = HttpServer::new(
             Arc::new(|req: Request| {
                 Response::empty(StatusCode::FOUND)
-                    .header("Location", format!("http://s2{}", req.head.target))
+                    .header("Location", format!("http://s2{}", req.head.target()))
             }),
             ServerConfig::default(),
         );
@@ -879,7 +923,7 @@ mod tests {
         let net = sim();
         let looper = HttpServer::new(
             Arc::new(|req: Request| {
-                Response::empty(StatusCode::FOUND).header("Location", req.head.target.clone())
+                Response::empty(StatusCode::FOUND).header("Location", req.head.target())
             }),
             ServerConfig::default(),
         );
@@ -1143,7 +1187,7 @@ mod tests {
         let redirector = HttpServer::new(
             Arc::new(|req: Request| {
                 Response::empty(StatusCode::TEMPORARY_REDIRECT)
-                    .header("Location", format!("http://s2{}", req.head.target))
+                    .header("Location", format!("http://s2{}", req.head.target()))
             }),
             ServerConfig::default(),
         );
@@ -1449,6 +1493,87 @@ mod tests {
         }
     }
 
+    // ---- the bytes of a request head ---------------------------------------
+
+    /// A server that keeps the bytes of every request head it reads, lets a
+    /// waiting body through and answers `200`.
+    fn recording_server(net: &SimNet) -> Arc<Mutex<Vec<String>>> {
+        let heads = Arc::new(Mutex::new(Vec::new()));
+        let listener = net.bind("s", 80).unwrap();
+        let seen = Arc::clone(&heads);
+        net.spawn("recording-server", move || {
+            let Ok((stream, _)) = listener.accept_sim() else { return };
+            let mut w = netsim::Stream::try_clone(&stream).unwrap();
+            let mut r = std::io::BufReader::new(stream);
+            loop {
+                let mut head = String::new();
+                while !head.ends_with("\r\n\r\n") {
+                    if r.read_line(&mut head).unwrap_or(0) == 0 {
+                        return;
+                    }
+                }
+                let field = |name: &str| {
+                    head.lines().find_map(|l| l.strip_prefix(name)).map(|v| v.trim().to_string())
+                };
+                if field("Expect:").is_some() {
+                    w.write_all(b"HTTP/1.1 100 Continue\r\n\r\n").unwrap();
+                }
+                if field("Transfer-Encoding:").is_some() {
+                    let mut body = String::new();
+                    while !body.ends_with("\r\n0\r\n\r\n") {
+                        r.read_line(&mut body).unwrap();
+                    }
+                }
+                let len = field("Content-Length:").map_or(0, |v| v.parse().unwrap());
+                r.read_exact(&mut vec![0u8; len]).unwrap();
+                seen.lock().push(head);
+                w.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n").unwrap();
+            }
+        });
+        heads
+    }
+
+    #[test]
+    fn request_heads_are_these_bytes() {
+        let net = sim();
+        let heads = recording_server(&net);
+        let _g = net.enter();
+        let ex = executor(&net, Config::default());
+        let uri: Uri = "http://s:80/dir/f.root?x=1".parse().unwrap();
+        ex.execute(&PreparedRequest::get(uri.clone())).unwrap();
+        ex.execute(&PreparedRequest::get(uri.clone()).header("Range", "bytes=0-99,200-299"))
+            .unwrap();
+        // The caller's own Host and Content-Length give way to the exchange's.
+        let put = PreparedRequest::new(Method::Put, "http://s/up".parse().unwrap())
+            .header("Host", "elsewhere")
+            .header("X-Trace", "7")
+            .header("Content-Length", "1");
+        ex.execute_upload(&put, &Bytes::from(vec![1u8; 2 * 1024 * 1024])).unwrap();
+        ex.execute_upload(&put, &Unsized(vec![1u8; 16])).unwrap();
+        ex.execute(&PreparedRequest::put(uri, &b"abc"[..])).unwrap();
+        // What the parent of the commit that moved serialisation into the
+        // session's buffer put on the wire.
+        let golden = [
+            "GET /dir/f.root?x=1 HTTP/1.1\r\nHost: s\r\nUser-Agent: davix-rs/0.1\r\n\r\n",
+            "GET /dir/f.root?x=1 HTTP/1.1\r\nRange: bytes=0-99,200-299\r\nHost: s\r\n\
+             User-Agent: davix-rs/0.1\r\n\r\n",
+            "PUT /up HTTP/1.1\r\nX-Trace: 7\r\nHost: s\r\nUser-Agent: davix-rs/0.1\r\n\
+             Content-Length: 2097152\r\nExpect: 100-continue\r\n\r\n",
+            "PUT /up HTTP/1.1\r\nX-Trace: 7\r\nHost: s\r\nUser-Agent: davix-rs/0.1\r\n\
+             Transfer-Encoding: chunked\r\nExpect: 100-continue\r\n\r\n",
+            "PUT /dir/f.root?x=1 HTTP/1.1\r\nHost: s\r\nUser-Agent: davix-rs/0.1\r\n\
+             Content-Length: 3\r\n\r\n",
+        ];
+        assert_eq!(*heads.lock(), golden);
+        // An in-memory body rides in the session's buffer; what the buffer
+        // grew to for it does not stay with the idle session.
+        ex.execute(&PreparedRequest::put("http://s/big".parse().unwrap(), vec![0u8; 1 << 20]))
+            .unwrap();
+        let session =
+            ex.pool().acquire(&crate::Endpoint::of(&"http://s/".parse().unwrap())).unwrap();
+        assert!(session.reused && session.wire.capacity() <= MAX_KEPT_WIRE);
+    }
+
     // ---- bounds on what a peer can make the policy loop do ----------------
 
     /// A hand-rolled one-connection-at-a-time server: `respond` writes the
@@ -1474,7 +1599,7 @@ mod tests {
         // `/f` redirects with a body it claims is a tebibyte long, sends a
         // quarter MiB of it and then just keeps the connection open.
         raw_server(&net, |head, w| {
-            if head.target == "/f" {
+            if head.target() == "/f" {
                 let _ = write!(
                     w,
                     "HTTP/1.1 307 Temporary Redirect\r\nLocation: /target\r\n\
@@ -1514,7 +1639,7 @@ mod tests {
         let uri: Uri = "http://s/f".parse().unwrap();
         let err = ex.execute(&PreparedRequest::get(uri.clone())).unwrap_err();
         assert!(matches!(err, DavixError::Protocol(_)), "{err}");
-        assert_eq!(ex.pool().idle_count(&Endpoint::of(&uri)), 0);
+        assert_eq!(ex.pool().idle_count(&crate::Endpoint::of(&uri)), 0);
         assert_eq!(ex.metrics().snapshot().sessions_discarded, 1);
     }
 

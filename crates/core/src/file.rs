@@ -216,7 +216,7 @@ pub(crate) fn probe_size(
             // `finish()` would drain it all just to recycle the session —
             // drop the stream instead: the connection is discarded, which
             // costs a reconnect, never a full-entity transfer.
-            let size = resp.head().headers.content_length().ok_or_else(|| {
+            let size = resp.head().headers.content_length()?.ok_or_else(|| {
                 DavixError::Protocol(format!("{uri}: size probe got 200 without Content-Length"))
             })?;
             return Ok((size, etag, final_uri));
@@ -273,7 +273,7 @@ impl RawFile {
     /// the size learned there, plus its ETag.
     pub(crate) fn open(inner: Arc<ClientInner>, uri: Uri) -> Result<(RawFile, Option<String>)> {
         let resp = inner.executor.execute_expect(&PreparedRequest::head(uri), "stat")?;
-        let (size, etag, uri) = match resp.head.headers.content_length() {
+        let (size, etag, uri) = match resp.head.headers.content_length()? {
             Some(size) => (size, resp.head.headers.get("etag").map(str::to_string), resp.final_uri),
             // HEAD without Content-Length: probe with a 1-byte ranged GET
             // instead of failing the open.

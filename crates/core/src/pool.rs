@@ -1,16 +1,15 @@
 //! The dynamic connection pool with session recycling (paper §2.2, Fig. 2).
 //!
 //! Calling threads *dispatch* requests by checking a session out of the pool
-//! (one per endpoint stack), using it, and returning it if the response
-//! allowed keep-alive. Reuse keeps the TCP congestion window warm — the
-//! measured benefit is the F2 experiment.
+//! (the last one returned for the endpoint), using it, and returning it if
+//! the response allowed keep-alive. Reuse keeps the TCP congestion window
+//! warm — the measured benefit is the F2 experiment.
 
 use crate::error::{DavixError, Result};
 use crate::metrics::Metrics;
 use httpwire::Uri;
 use netsim::{BoxedStream, Connector, Runtime};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,6 +38,14 @@ impl Endpoint {
             port: uri.port,
         }
     }
+
+    /// Whether this (normalized) endpoint is where `scheme://host:port`
+    /// leads, whatever the case of the spelling at hand.
+    fn is(&self, scheme: &str, host: &str, port: u16) -> bool {
+        self.port == port
+            && self.host.eq_ignore_ascii_case(host)
+            && self.scheme.eq_ignore_ascii_case(scheme)
+    }
 }
 
 impl std::fmt::Display for Endpoint {
@@ -54,6 +61,10 @@ pub struct Session {
     pub(crate) writer: BoxedStream,
     /// Whether this session came from the idle pool (stale-retry heuristics).
     pub(crate) reused: bool,
+    /// Where each request is serialised — head, then an in-memory body —
+    /// before its one write. Kept between requests, so a warm session
+    /// serialises without allocating.
+    pub(crate) wire: Vec<u8>,
     endpoint: Endpoint,
     last_used: Duration,
     requests_served: u64,
@@ -80,7 +91,15 @@ impl Session {
     }
 }
 
-/// Thread-safe session pool keyed by endpoint.
+/// Thread-safe pool of idle sessions.
+///
+/// Idle sessions of every endpoint sit in one list in the order they were
+/// returned, each knowing its own endpoint; a checkout takes the last one
+/// returned for the endpoint asked for. There is no per-endpoint entry to
+/// build for a lookup, to clone for a release, or to prune once drained,
+/// and a checkout compares in place — the list is as long as the client has
+/// idle connections (at most `max_idle_per_endpoint` per live endpoint), and
+/// the warmest of them are at the end it is searched from.
 pub struct SessionPool {
     connector: Arc<dyn Connector>,
     rt: Arc<dyn Runtime>,
@@ -89,7 +108,7 @@ pub struct SessionPool {
     idle_ttl: Duration,
     connect_timeout: Duration,
     io_timeout: Duration,
-    idle: Mutex<HashMap<Endpoint, Vec<Session>>>,
+    idle: Mutex<Vec<Session>>,
 }
 
 impl SessionPool {
@@ -111,48 +130,48 @@ impl SessionPool {
             idle_ttl,
             connect_timeout,
             io_timeout,
-            idle: Mutex::new(HashMap::new()),
+            idle: Mutex::new(Vec::new()),
         }
     }
 
     /// Check out a session: recycle the most recently returned idle session
     /// for the endpoint, or open a fresh connection.
     pub fn acquire(&self, ep: &Endpoint) -> Result<Session> {
+        self.checkout(&ep.scheme, &ep.host, ep.port)
+    }
+
+    /// [`acquire`](Self::acquire) for the endpoint of `uri`, which is only
+    /// spelled out if a connection has to be opened.
+    pub(crate) fn acquire_for(&self, uri: &Uri) -> Result<Session> {
+        self.checkout(&uri.scheme, &uri.host, uri.port)
+    }
+
+    fn checkout(&self, scheme: &str, host: &str, port: u16) -> Result<Session> {
         let now = self.rt.now();
         {
             let mut idle = self.idle.lock();
-            let mut found = None;
-            if let Some(stack) = idle.get_mut(ep) {
-                // LIFO: the most recently used session has the warmest cwnd.
-                while let Some(s) = stack.pop() {
-                    if now.saturating_sub(s.last_used) <= self.idle_ttl {
-                        Metrics::bump(&self.metrics.sessions_reused);
-                        let mut s = s;
-                        s.reused = true;
-                        found = Some(s);
-                        break;
-                    }
-                    Metrics::bump(&self.metrics.sessions_discarded);
-                    // drop: connection closes (FIN) on drop of the streams
+            // LIFO: the most recently used session has the warmest cwnd, and
+            // once one has outlived the TTL so have all below it.
+            while let Some(i) = idle.iter().rposition(|s| s.endpoint.is(scheme, host, port)) {
+                let mut s = idle.remove(i);
+                if now.saturating_sub(s.last_used) <= self.idle_ttl {
+                    Metrics::bump(&self.metrics.sessions_reused);
+                    s.reused = true;
+                    return Ok(s);
                 }
-                // Prune the entry once its stack empties: federation
-                // workloads touch many endpoints, and empty Vecs would
-                // otherwise accumulate in the map forever.
-                if stack.is_empty() {
-                    idle.remove(ep);
-                }
-            }
-            if let Some(s) = found {
-                return Ok(s);
+                Metrics::bump(&self.metrics.sessions_discarded);
+                // drop: connection closes (FIN) on drop of the streams
             }
         }
-        self.connect(ep)
+        let endpoint =
+            Endpoint { scheme: scheme.to_ascii_lowercase(), host: host.to_ascii_lowercase(), port };
+        self.connect(endpoint)
     }
 
-    fn connect(&self, ep: &Endpoint) -> Result<Session> {
+    fn connect(&self, endpoint: Endpoint) -> Result<Session> {
         let mut stream = self
             .connector
-            .connect(&ep.host, ep.port, Some(self.connect_timeout))
+            .connect(&endpoint.host, endpoint.port, Some(self.connect_timeout))
             .map_err(DavixError::from)?;
         stream.set_read_timeout(Some(self.io_timeout)).map_err(DavixError::from)?;
         let writer = stream.try_clone().map_err(DavixError::from)?;
@@ -161,7 +180,8 @@ impl SessionPool {
             reader: BufReader::with_capacity(32 * 1024, stream),
             writer,
             reused: false,
-            endpoint: ep.clone(),
+            wire: Vec::new(),
+            endpoint,
             last_used: self.rt.now(),
             requests_served: 0,
         })
@@ -177,26 +197,30 @@ impl SessionPool {
         session.last_used = self.rt.now();
         session.reused = false;
         let mut idle = self.idle.lock();
-        let stack = idle.entry(session.endpoint.clone()).or_default();
-        stack.push(session);
-        if stack.len() > self.max_idle_per_endpoint {
-            // Evict the oldest (bottom of the LIFO stack). The stack can
-            // never empty here (we just pushed), so no pruning is needed on
-            // this path — `acquire` removes entries it drains.
-            stack.remove(0);
+        idle.push(session);
+        let ep = &idle[idle.len() - 1].endpoint;
+        if idle.iter().filter(|s| s.endpoint == *ep).count() > self.max_idle_per_endpoint {
+            // Evict the endpoint's oldest: the first of them in the list.
+            let oldest = idle.iter().position(|s| s.endpoint == *ep);
+            idle.remove(oldest.expect("the session just pushed is one of them"));
             Metrics::bump(&self.metrics.sessions_discarded);
         }
     }
 
     /// Number of idle sessions currently pooled for an endpoint.
     pub fn idle_count(&self, ep: &Endpoint) -> usize {
-        self.idle.lock().get(ep).map(|v| v.len()).unwrap_or(0)
+        let idle = self.idle.lock();
+        idle.iter().filter(|s| s.endpoint.is(&ep.scheme, &ep.host, ep.port)).count()
     }
 
-    /// Number of endpoints with an entry in the idle map (drained endpoints
-    /// are pruned, so this tracks live keep-alive targets, not history).
+    /// Number of endpoints with at least one idle session (this tracks live
+    /// keep-alive targets, not history).
     pub fn endpoints_tracked(&self) -> usize {
-        self.idle.lock().len()
+        let idle = self.idle.lock();
+        let mut seen: Vec<&Endpoint> = idle.iter().map(|s| &s.endpoint).collect();
+        seen.sort_unstable_by_key(|ep| (&ep.host, ep.port, &ep.scheme));
+        seen.dedup();
+        seen.len()
     }
 
     /// Drop every idle session.

@@ -82,7 +82,7 @@ impl DavPosix {
         match resp.head.status {
             s if s.is_success() => {
                 let etag = resp.head.headers.get("etag").map(str::to_string);
-                if let Some(size) = resp.head.headers.content_length() {
+                if let Some(size) = resp.head.headers.content_length()? {
                     return Ok(FileStat { size, is_dir: false, etag });
                 }
                 self.stat_sizeless(url, resp.final_uri, etag)

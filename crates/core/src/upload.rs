@@ -452,7 +452,7 @@ fn commit(
             // Verify the assembled temp entity before exposing it.
             let head =
                 ex.execute_expect(&PreparedRequest::head(temp.clone()), "verify staged upload")?;
-            match head.head.headers.content_length() {
+            match head.head.headers.content_length()? {
                 Some(n) if n == size => {}
                 n => {
                     return Err(DavixError::Protocol(format!(

@@ -15,13 +15,15 @@
 //! client reads responses with.
 //!
 //! **What goes through `rbuf` and what does not.** Heads, chunk-size lines,
-//! chunk CRLFs and trailers are read 16 KiB at a time into `rbuf` and shown
-//! to the codec from there; so is whatever payload happens to arrive in the
-//! same read as a head or a framing line, which is then copied into the
-//! body. Once `rbuf` is drained and [`BodyFrames::payload`] says payload is
-//! next, the transport is read straight into the body buffer — as much as
-//! the frame allows, up to [`BODY_READ_MAX`] a call, and never a byte past
-//! the frame, so a pipelined request behind a body still lands in `rbuf`.
+//! chunk CRLFs and trailers are read 16 KiB at a time into `rbuf` — straight
+//! into a landing area it keeps behind the bytes it holds, zeroed once and
+//! reused by every read — and shown to the codec from there; so is whatever
+//! payload happens to arrive in the same read as a head or a framing line,
+//! which is then copied into the body. Once `rbuf` is drained and
+//! [`BodyFrames::payload`] says payload is next, the transport is read
+//! straight into the body buffer — as much as the frame allows, up to
+//! [`BODY_READ_MAX`] a call, and never a byte past the frame, so a
+//! pipelined request behind a body still lands in `rbuf`.
 //! That is what the blocking client does with the same codec call, and it
 //! makes a large upload one copy (kernel to body) instead of three.
 //!
@@ -147,6 +149,48 @@ impl Incoming {
     }
 }
 
+/// Received-but-unparsed bytes: `buf[..filled]`. What lies behind them is
+/// the landing area the next read fills, zeroed when the buffer grew and
+/// reused from then on (the [`Incoming::body`] pattern).
+#[derive(Default)]
+struct ReadBuf {
+    buf: Vec<u8>,
+    filled: usize,
+}
+
+impl ReadBuf {
+    fn data(&self) -> &[u8] {
+        &self.buf[..self.filled]
+    }
+
+    fn is_empty(&self) -> bool {
+        self.filled == 0
+    }
+
+    /// Read up to [`READ_CHUNK`] bytes from the transport behind the bytes
+    /// already held.
+    fn fill(&mut self, stream: &mut dyn Stream) -> io::Result<usize> {
+        let end = self.filled + READ_CHUNK;
+        if self.buf.len() < end {
+            self.buf.resize(end, 0);
+        }
+        let n = stream.try_read(&mut self.buf[self.filled..end])?;
+        self.filled += n;
+        Ok(n)
+    }
+
+    /// Drop the first `n` held bytes. Emptied, the buffer goes back to one
+    /// landing area: a long head is not kept for the life of the connection.
+    fn consume(&mut self, n: usize) {
+        self.buf.copy_within(n..self.filled, 0);
+        self.filled -= n;
+        if self.filled == 0 && self.buf.len() > READ_CHUNK {
+            self.buf.truncate(READ_CHUNK);
+            self.buf.shrink_to_fit();
+        }
+    }
+}
+
 /// One stretch of unsent output.
 enum Seg {
     /// Bytes serialised here: heads, interim responses, small bodies.
@@ -258,7 +302,7 @@ pub(crate) struct HttpConn {
     stats: Arc<ServerStats>,
     phase: Phase,
     /// Received-but-unparsed bytes.
-    rbuf: Vec<u8>,
+    rbuf: ReadBuf,
     /// Progress of the search for the head's end in `rbuf` (so repeated
     /// scans of a slowly-arriving head stay linear).
     scan: HeadScan,
@@ -287,7 +331,7 @@ impl HttpConn {
             cfg,
             stats,
             phase: Phase::Idle { since: now },
-            rbuf: Vec::new(),
+            rbuf: ReadBuf::default(),
             scan: HeadScan::default(),
             out: Output::default(),
             served: 0,
@@ -317,10 +361,7 @@ impl HttpConn {
         };
         let read = match payload_next {
             Some((inc, max)) => inc.read_payload(&mut *self.stream, max),
-            None => {
-                let mut buf = [0u8; READ_CHUNK];
-                self.stream.try_read(&mut buf).inspect(|&n| self.rbuf.extend_from_slice(&buf[..n]))
-            }
+            None => self.rbuf.fill(&mut *self.stream),
         };
         match read {
             Ok(n) => {
@@ -335,15 +376,16 @@ impl HttpConn {
     /// The one place a response becomes bytes, a counter and the next
     /// phase: handler answers, codec rejections and the `408` all end here.
     fn queue_response(&mut self, method: &Method, resp: Response, close: bool, now: Duration) {
-        let (head, body) = response_parts(&self.cfg, method, resp, close);
-        let shared = body.len() >= SHARED_BODY_MIN;
+        let mut shared = None;
         self.out.append(|buf| {
-            head.write_to(buf).expect("writing to a Vec cannot fail");
-            if !shared {
+            let body = response_parts(&self.cfg, method, resp, close, buf);
+            if body.len() >= SHARED_BODY_MIN {
+                shared = Some(body);
+            } else {
                 buf.extend_from_slice(&body);
             }
         });
-        if shared {
+        if let Some(body) = shared {
             self.out.push_shared(body);
         }
         if close {
@@ -368,9 +410,9 @@ impl HttpConn {
     fn advance_request(&mut self, now: Duration) -> Result<bool, WireError> {
         let Phase::Request { incoming, .. } = &mut self.phase else { unreachable!() };
         let Some(inc) = incoming else {
-            let Some(end) = self.scan.find(&self.rbuf)? else { return Ok(false) };
-            let head = parse_request_head(&self.rbuf[..end]);
-            self.rbuf.drain(..end);
+            let Some(end) = self.scan.find(self.rbuf.data())? else { return Ok(false) };
+            let head = parse_request_head(&self.rbuf.data()[..end]);
+            self.rbuf.consume(end);
             // `None` is a stray blank line before the request (RFC 7230
             // §3.5): skipped.
             if let Some(head) = head? {
@@ -401,23 +443,23 @@ impl HttpConn {
             }
             return Ok(true);
         };
-        let mut pos = 0;
+        let (held, mut pos) = (self.rbuf.data(), 0);
         let complete = loop {
-            match inc.frames.next(&self.rbuf[pos..])? {
+            match inc.frames.next(&held[pos..])? {
                 Frame::Skip(n) => pos += n,
                 Frame::Payload(n) => {
-                    let take = n.min((self.rbuf.len() - pos) as u64) as usize;
+                    let take = n.min((held.len() - pos) as u64) as usize;
                     if take == 0 {
                         break false;
                     }
-                    inc.push(&self.rbuf[pos..pos + take]);
+                    inc.push(&held[pos..pos + take]);
                     pos += take;
                 }
                 Frame::NeedMore => break false,
                 Frame::End => break true,
             }
         };
-        self.rbuf.drain(..pos);
+        self.rbuf.consume(pos);
         if complete {
             // Dispatch after the configured processing delay (zero means
             // the same drive call dispatches).
@@ -681,7 +723,7 @@ mod tests {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let log = Arc::clone(&seen);
             let handler = move |req: Request| {
-                let target = req.head.target.clone();
+                let target = req.head.target().to_string();
                 log.lock().unwrap().push((target.clone(), req.body));
                 match target.strip_prefix("/big/") {
                     Some(n) => Response::with_body(
@@ -877,15 +919,78 @@ mod tests {
         assert!(rig.seen.lock().unwrap().is_empty());
     }
 
+    #[test]
+    fn a_head_split_at_any_byte_parses_and_a_pipelined_request_in_the_same_read_is_served() {
+        let net = sim();
+        let _g = net.enter();
+        // The second request rides in whichever read brings the first one's
+        // last bytes.
+        let wire = [
+            &b"GET /first HTTP/1.1\r\nHost: server\r\nX-Pad: 0123456789\r\n\r\n"[..],
+            &get("/second"),
+        ]
+        .concat();
+        for cut in 0..=wire.len() {
+            let mut rig = Rig::new(&net, 9000 + cut as u16);
+            rig.feed(&wire[..cut]);
+            rig.feed(&wire[cut..]);
+            let seen = rig.seen.lock().unwrap();
+            let targets: Vec<&str> = seen.iter().map(|s| s.0.as_str()).collect();
+            assert_eq!(targets, ["/first", "/second"], "cut at {cut}");
+            assert!(rig.conn.rbuf.is_empty(), "cut at {cut}: nothing left over");
+        }
+    }
+
+    #[test]
+    fn an_idle_connection_keeps_one_landing_area_however_long_the_last_head_was() {
+        let net = sim();
+        let _g = net.enter();
+        let mut rig = Rig::new(&net, 80);
+        rig.feed(&get("/small"));
+        assert_eq!(rig.conn.rbuf.buf.capacity(), READ_CHUNK);
+        let long = format!(
+            "GET /long HTTP/1.1\r\nHost: server\r\nX-Pad: {}\r\n\r\n",
+            "x".repeat(60 * 1024)
+        );
+        rig.feed(long.as_bytes());
+        assert_eq!(rig.seen.lock().unwrap().len(), 2, "a 60 KiB head is within the limit");
+        assert!(rig.conn.rbuf.is_empty() && matches!(rig.conn.phase, Phase::Idle { .. }));
+        assert!(
+            rig.conn.rbuf.buf.capacity() <= READ_CHUNK,
+            "{} bytes of receive buffer held while idle",
+            rig.conn.rbuf.buf.capacity()
+        );
+        // And the next request is read into it as before.
+        rig.feed(&get("/after"));
+        assert_eq!(rig.seen.lock().unwrap()[2].0, "/after");
+    }
+
+    #[test]
+    fn content_lengths_that_disagree_are_a_400_and_the_handler_never_sees_them() {
+        let net = sim();
+        let _g = net.enter();
+        for (i, lengths) in [&["5", "50"][..], &["5, 6"], &["+5"]].into_iter().enumerate() {
+            let mut rig = Rig::new(&net, 80 + i as u16);
+            let fields: String =
+                lengths.iter().map(|l| format!("Content-Length: {l}\r\n")).collect();
+            rig.feed(format!("PUT /put HTTP/1.1\r\nHost: server\r\n{fields}\r\nhello").as_bytes());
+            let wire = rig.drain(1024);
+            let got = responses(&wire, &[Method::Put]);
+            assert_eq!(got[0].0, 400, "{lengths:?}");
+            assert!(rig.done, "{lengths:?}: the connection closes");
+            assert!(rig.seen.lock().unwrap().is_empty(), "{lengths:?}");
+        }
+    }
+
     /// Split `wire` into the responses it holds, interim ones included.
     fn responses(wire: &[u8], methods: &[Method]) -> Vec<(u16, Option<u64>, Vec<u8>)> {
         let mut r = Cursor::new(wire);
         let mut out = Vec::new();
         for method in methods {
             let head = httpwire::parse::read_response_head(&mut r).unwrap();
-            let len = httpwire::parse::response_body_len(method, &head);
+            let len = httpwire::parse::response_body_len(method, &head).unwrap();
             let body = httpwire::parse::BodyReader::new(&mut r, len).read_all().unwrap();
-            out.push((head.status.0, head.headers.content_length(), body));
+            out.push((head.status.0, head.headers.content_length().unwrap(), body));
         }
         assert_eq!(r.position(), wire.len() as u64, "bytes after the last response");
         out

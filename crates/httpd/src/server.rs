@@ -12,8 +12,9 @@ use crate::conn::{ConnSlotGuard, ConnSlots, HttpConn};
 use bytes::Bytes;
 use davix_sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use httpwire::parse::{read_response_start, BodyReader};
-use httpwire::{date, HeaderMap, RequestHead, StatusCode, Version};
+use httpwire::{date, HeadWriter, HeaderMap, RequestHead, StatusCode, Version};
 use netsim::{Listener, Reactor, ReactorConfig, Runtime};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -77,7 +78,7 @@ impl Response {
     }
 
     /// Add a header (builder style).
-    pub fn header(mut self, name: &str, value: impl Into<String>) -> Self {
+    pub fn header(mut self, name: &str, value: impl AsRef<str>) -> Self {
         self.headers.set(name, value);
         self
     }
@@ -313,32 +314,57 @@ impl HttpServer {
     }
 }
 
-/// The wire head of a response (status line, `Server`/`Date`/
-/// `Content-Length` headers, connection directive) and the body bytes that
+thread_local! {
+    /// The `Date` text of the second this thread last answered in.
+    static DATE: RefCell<(i64, String)> = const { RefCell::new((i64::MIN, String::new())) };
+}
+
+/// Show `f` the current `Date` header value. The text is formatted once a
+/// second on each thread, not once a response.
+fn with_http_date<R>(f: impl FnOnce(&str) -> R) -> R {
+    let now = date::unix_now();
+    DATE.with_borrow_mut(|(second, text)| {
+        if *second != now {
+            (*second, *text) = (now, date::format_http_date(now));
+        }
+        f(text)
+    })
+}
+
+/// Finish a response's head where it stands — `Server`, `Date`,
+/// `Content-Length` and the connection directive go into the response's own
+/// header block — and serialise it onto `out`. Returns the body bytes that
 /// follow it: none for `HEAD`/`204`/`304`, which still advertise the length.
 pub(crate) fn response_parts(
     cfg: &ServerConfig,
     req_method: &httpwire::Method,
     resp: Response,
     close: bool,
-) -> (httpwire::ResponseHead, Bytes) {
-    let mut head = httpwire::ResponseHead::new(resp.status);
-    head.version = if cfg.http10 { Version::Http10 } else { Version::Http11 };
-    head.headers = resp.headers;
-    head.headers.set("Server", &cfg.name);
-    head.headers.set("Date", date::format_http_date(date::unix_now()));
+    out: &mut Vec<u8>,
+) -> Bytes {
+    let Response { status, mut headers, body, .. } = resp;
+    headers.set("Server", &cfg.name);
+    with_http_date(|date| headers.set("Date", date));
     // HEAD responses advertise the length they *would* have carried.
     let body_is_suppressed =
-        *req_method == httpwire::Method::Head || resp.status.0 == 204 || resp.status.0 == 304;
-    if !head.headers.contains("content-length") {
-        head.headers.set("Content-Length", resp.body.len().to_string());
+        *req_method == httpwire::Method::Head || status.0 == 204 || status.0 == 304;
+    if !headers.contains("content-length") {
+        headers.set_fmt("Content-Length", format_args!("{}", body.len()));
     }
     if close {
-        head.headers.set("Connection", "close");
+        headers.set("Connection", "close");
     } else if cfg.http10 {
-        head.headers.set("Connection", "keep-alive");
+        headers.set("Connection", "keep-alive");
     }
-    (head, if body_is_suppressed { Bytes::new() } else { resp.body })
+    let version = if cfg.http10 { Version::Http10 } else { Version::Http11 };
+    let mut head = HeadWriter::response(out, version, status, status.reason());
+    head.fields(&headers);
+    head.finish();
+    if body_is_suppressed {
+        Bytes::new()
+    } else {
+        body
+    }
 }
 
 /// Read one full response from `r`, interim 1xx responses skipped: the
@@ -363,7 +389,7 @@ mod tests {
     fn echo_server() -> Arc<HttpServer> {
         HttpServer::new(
             Arc::new(|req: Request| {
-                let mut body = format!("{} {}", req.head.method, req.head.target).into_bytes();
+                let mut body = format!("{} {}", req.head.method, req.head.target()).into_bytes();
                 if !req.body.is_empty() {
                     body.extend_from_slice(b" body=");
                     body.extend_from_slice(&req.body);
@@ -510,7 +536,7 @@ mod tests {
         let mut r = BufReader::new(c);
         send(&mut w, Method::Head, "/x", None);
         let (head, body) = read_full_response(&mut r, &Method::Head).unwrap();
-        assert_eq!(head.headers.content_length(), Some(10));
+        assert_eq!(head.headers.content_length().unwrap(), Some(10));
         assert!(body.is_empty());
         // Connection still usable.
         send(&mut w, Method::Get, "/x", None);
@@ -574,7 +600,7 @@ mod tests {
         let _ = w.write_all(wire);
         let mut r = BufReader::new(c);
         let head = httpwire::parse::read_response_head(&mut r).unwrap();
-        let len = httpwire::parse::response_body_len(&Method::Put, &head);
+        let len = httpwire::parse::response_body_len(&Method::Put, &head).unwrap();
         let body = BodyReader::new(&mut r, len).read_all().unwrap();
         let closed = matches!(std::io::Read::read(&mut r, &mut [0u8; 1]), Ok(0) | Err(_));
         (head, body, closed)

@@ -14,8 +14,8 @@
 //! Nothing proportional to the body is buffered: bytes move from the source
 //! to the sink through one fixed scratch buffer.
 
+use crate::message::HeadWriter;
 use crate::parse::ChunkedWriter;
-use crate::HeaderMap;
 use std::io::{self, Read, Write};
 
 /// Scratch-buffer size for source→wire copies (also the chunk size of
@@ -66,24 +66,18 @@ impl<'a> BodySource<'a> {
         self.len == Some(0)
     }
 
-    /// Set the framing headers this body will be sent with:
-    /// `Content-Length` when the length is known, `Transfer-Encoding:
-    /// chunked` otherwise (removing whichever of the two would conflict).
-    pub fn apply_framing(&self, headers: &mut HeaderMap) {
+    /// Write the framing field this body will be sent with: `Content-Length`
+    /// when the length is known, `Transfer-Encoding: chunked` otherwise. The
+    /// head must not carry either field from anywhere else.
+    pub fn write_framing(&self, head: &mut HeadWriter<'_>) {
         match self.len {
-            Some(n) => {
-                headers.remove("Transfer-Encoding");
-                headers.set("Content-Length", n.to_string());
-            }
-            None => {
-                headers.remove("Content-Length");
-                headers.set("Transfer-Encoding", "chunked");
-            }
-        }
+            Some(n) => head.field_fmt("Content-Length", format_args!("{n}")),
+            None => head.field("Transfer-Encoding", "chunked"),
+        };
     }
 
     /// Stream the whole body into `w` with the framing
-    /// [`apply_framing`](Self::apply_framing) declared, consuming the
+    /// [`write_framing`](Self::write_framing) declared, consuming the
     /// source. Returns the number of *payload* bytes written (excluding
     /// chunk framing).
     ///
@@ -135,16 +129,21 @@ impl<'a> BodySource<'a> {
 mod tests {
     use super::*;
     use crate::parse::{BodyLen, BodyReader};
+    use crate::{Method, Version};
     use std::io::Cursor;
+
+    /// What `write_framing` adds to a head.
+    fn framing_of(src: &BodySource<'_>) -> String {
+        let mut wire = Vec::new();
+        let mut head = HeadWriter::request(&mut wire, &Method::Put, "/", None, Version::Http11);
+        src.write_framing(&mut head);
+        String::from_utf8(wire).unwrap().split_once("\r\n").unwrap().1.to_string()
+    }
 
     #[test]
     fn sized_body_framing_and_emission() {
         let src = BodySource::from_slice(b"hello world");
-        let mut headers = HeaderMap::new();
-        headers.set("Transfer-Encoding", "chunked"); // must be displaced
-        src.apply_framing(&mut headers);
-        assert_eq!(headers.get("content-length"), Some("11"));
-        assert!(!headers.contains("transfer-encoding"));
+        assert_eq!(framing_of(&src), "Content-Length: 11\r\n");
         let mut wire = Vec::new();
         assert_eq!(src.write_to(&mut wire).unwrap(), 11);
         assert_eq!(wire, b"hello world");
@@ -169,11 +168,7 @@ mod tests {
     fn chunked_body_roundtrips_through_body_reader() {
         let payload: Vec<u8> = (0..100_000).map(|i| (i % 251) as u8).collect();
         let src = BodySource::chunked(Cursor::new(payload.clone()));
-        let mut headers = HeaderMap::new();
-        headers.set("Content-Length", "999"); // must be displaced
-        src.apply_framing(&mut headers);
-        assert!(headers.is_chunked());
-        assert!(!headers.contains("content-length"));
+        assert_eq!(framing_of(&src), "Transfer-Encoding: chunked\r\n");
         let mut wire = Vec::new();
         assert_eq!(src.write_to(&mut wire).unwrap(), payload.len() as u64);
         // The receiver's framing machine must recover the exact payload.

@@ -23,7 +23,9 @@
 //! Around them:
 //!
 //! * message heads ([`RequestHead`], [`ResponseHead`]) with a case-insensitive
-//!   multi-value [`HeaderMap`], and their serialization;
+//!   multi-value [`HeaderMap`] kept as the `Name: value` lines it is on the
+//!   wire (see [`headers`] for the layout and the sanitising rule), and the
+//!   one serialiser of heads, [`HeadWriter`];
 //! * streaming request bodies ([`BodySource`]): any [`std::io::Read`] of
 //!   known or unknown length, emitted with `Content-Length` or chunked
 //!   framing ([`ChunkedWriter`]) — the write-side mirror of [`BodyFraming`];
@@ -55,7 +57,7 @@ pub mod uri;
 pub use body::BodySource;
 pub use error::WireError;
 pub use headers::HeaderMap;
-pub use message::{RequestHead, ResponseHead, Version};
+pub use message::{HeadWriter, RequestHead, ResponseHead, Version};
 pub use method::Method;
 pub use multipart::{MultipartReader, MultipartWriter};
 pub use parse::{

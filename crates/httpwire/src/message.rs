@@ -1,8 +1,9 @@
 //! Request and response heads, and their serialization to the wire.
 
+use crate::headers::{put_field, Sink};
+use crate::range::{decimal, U64_DIGITS};
 use crate::{HeaderMap, Method, StatusCode, WireError};
 use std::fmt;
-use std::io::Write;
 
 /// HTTP protocol version (only 1.0 and 1.1 exist on this wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,57 +39,133 @@ impl fmt::Display for Version {
     }
 }
 
+/// Serialises a message head into a wire buffer, piece by piece: start
+/// line, fields, blank line. It is the only serialiser — the heads'
+/// `write_to` run it, and a sender that has no head value to hand (the
+/// client's exchange, the server's response queue) drives it directly, so
+/// nothing is built only to be written out.
+pub struct HeadWriter<'a> {
+    out: &'a mut Vec<u8>,
+}
+
+impl<'a> HeadWriter<'a> {
+    /// Start a request head: `METHOD path[?query] VERSION`.
+    pub fn request(
+        out: &'a mut Vec<u8>,
+        method: &Method,
+        path: &str,
+        query: Option<&str>,
+        version: Version,
+    ) -> Self {
+        out.put_text(method.as_str());
+        out.put_text(" ");
+        out.put_text(path);
+        if let Some(q) = query {
+            out.put_text("?");
+            out.put_text(q);
+        }
+        out.put_text(" ");
+        out.put_text(version.as_str());
+        out.put_text("\r\n");
+        HeadWriter { out }
+    }
+
+    /// Start a response head: `VERSION code reason`.
+    pub fn response(
+        out: &'a mut Vec<u8>,
+        version: Version,
+        status: StatusCode,
+        reason: &str,
+    ) -> Self {
+        out.put_text(version.as_str());
+        out.put_text(" ");
+        out.put_text(decimal(status.0.into(), &mut [0; U64_DIGITS]));
+        out.put_text(" ");
+        out.put_text(reason);
+        out.put_text("\r\n");
+        HeadWriter { out }
+    }
+
+    /// Every field of `headers`, in order: one copy of its block.
+    pub fn fields(&mut self, headers: &HeaderMap) -> &mut Self {
+        self.out.put_text(headers.as_wire());
+        self
+    }
+
+    /// One field, under [`HeaderMap::append`]'s rules (a name that is not a
+    /// token panics, a line break in the value travels as a space).
+    pub fn field(&mut self, name: &str, value: &str) -> &mut Self {
+        put_field(self.out, name, |out| out.put_text(value));
+        self
+    }
+
+    /// [`field`](Self::field) with the value formatted in place.
+    pub fn field_fmt(&mut self, name: &str, value: fmt::Arguments<'_>) -> &mut Self {
+        put_field(self.out, name, |out| {
+            fmt::Write::write_fmt(out, value).expect("a buffer takes any text")
+        });
+        self
+    }
+
+    /// The blank line that ends the head.
+    pub fn finish(self) {
+        self.out.put_text("\r\n");
+    }
+}
+
 /// Everything before a request body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestHead {
     /// Request method.
     pub method: Method,
-    /// Request target (origin-form: percent-encoded path plus optional query).
-    pub target: String,
     /// Protocol version.
     pub version: Version,
-    /// Header fields.
+    /// Header fields. The map's block also carries the request target, so
+    /// assigning a whole other map here replaces the target with that
+    /// map's (none, for one from [`HeaderMap::new`]): change fields through
+    /// the map's own methods.
     pub headers: HeaderMap,
 }
 
 impl RequestHead {
-    /// A fresh HTTP/1.1 request head.
+    /// A fresh HTTP/1.1 request head. The target is origin-form: a
+    /// percent-encoded path plus optional query.
     pub fn new(method: Method, target: impl Into<String>) -> Self {
         RequestHead {
             method,
-            target: target.into(),
             version: Version::Http11,
-            headers: HeaderMap::new(),
+            headers: HeaderMap::with_lead(target.into()),
         }
+    }
+
+    /// Request target as it stood on the request line.
+    pub fn target(&self) -> &str {
+        self.headers.lead()
     }
 
     /// Path component of the target (before any `?`).
     pub fn path(&self) -> &str {
-        match self.target.split_once('?') {
-            Some((p, _)) => p,
-            None => &self.target,
-        }
+        let target = self.target();
+        target.split_once('?').map_or(target, |(p, _)| p)
     }
 
     /// Query component of the target (after the first `?`), if any.
     pub fn query(&self) -> Option<&str> {
-        self.target.split_once('?').map(|(_, q)| q)
+        self.target().split_once('?').map(|(_, q)| q)
     }
 
-    /// Serialize head (start line + headers + blank line) to `w`.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write!(w, "{} {} {}\r\n", self.method, self.target, self.version)?;
-        for (n, v) in self.headers.iter() {
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        w.write_all(b"\r\n")
+    /// Serialize head (start line + headers + blank line) onto `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let mut w = HeadWriter::request(out, &self.method, self.target(), None, self.version);
+        w.fields(&self.headers);
+        w.finish();
     }
 
     /// Serialized form as bytes (convenient for single-write sends, which
     /// also keeps request heads in one segment on the simulated network).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(256);
-        self.write_to(&mut v).expect("writing to Vec cannot fail");
+        let mut v = Vec::with_capacity(64 + self.target().len() + self.headers.as_wire().len());
+        self.write_to(&mut v);
         v
     }
 }
@@ -100,9 +177,8 @@ pub struct ResponseHead {
     pub version: Version,
     /// Status code.
     pub status: StatusCode,
-    /// Reason phrase as received (informational only).
-    pub reason: String,
-    /// Header fields.
+    /// Header fields. The map's block also carries the reason phrase; see
+    /// [`RequestHead::headers`].
     pub headers: HeaderMap,
 }
 
@@ -112,24 +188,26 @@ impl ResponseHead {
         ResponseHead {
             version: Version::Http11,
             status,
-            reason: status.reason().to_string(),
-            headers: HeaderMap::new(),
+            headers: HeaderMap::with_lead(status.reason().to_string()),
         }
     }
 
-    /// Serialize head (status line + headers + blank line) to `w`.
-    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        write!(w, "{} {} {}\r\n", self.version, self.status, self.reason)?;
-        for (n, v) in self.headers.iter() {
-            write!(w, "{n}: {v}\r\n")?;
-        }
-        w.write_all(b"\r\n")
+    /// Reason phrase as received (informational only).
+    pub fn reason(&self) -> &str {
+        self.headers.lead()
+    }
+
+    /// Serialize head (status line + headers + blank line) onto `out`.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
+        let mut w = HeadWriter::response(out, self.version, self.status, self.reason());
+        w.fields(&self.headers);
+        w.finish();
     }
 
     /// Serialized form as bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(256);
-        self.write_to(&mut v).expect("writing to Vec cannot fail");
+        let mut v = Vec::with_capacity(64 + self.headers.as_wire().len());
+        self.write_to(&mut v);
         v
     }
 }

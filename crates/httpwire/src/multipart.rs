@@ -5,7 +5,7 @@
 //! packs many fragment reads into one `Range` header, and the server answers
 //! with one `206` whose body interleaves `Content-Range`-labelled parts.
 
-use crate::codec::{header_field, line_len, lines, trim_eol, MAX_HEAD_BYTES};
+use crate::codec::{head_text, header_field, line_len, lines, trim_eol, MAX_HEAD_BYTES};
 use crate::parse::{read_head, read_item};
 use crate::range::CONTENT_RANGE_MAX;
 use crate::{ContentRange, WireError};
@@ -198,7 +198,7 @@ impl<R: BufRead> MultipartReader<R> {
     /// header-field grammar; nothing else of the head is kept.
     fn part_range(block: &[u8]) -> Result<ContentRange, WireError> {
         let mut range = None;
-        for line in lines(block)?.take_while(|l| !l.is_empty()) {
+        for line in lines(head_text(block)?).take_while(|l| !l.is_empty()) {
             let (name, value) = header_field(line)?;
             if name.eq_ignore_ascii_case("content-range")
                 && range.replace(ContentRange::parse(value)?).is_some()

@@ -117,7 +117,7 @@ pub fn read_response_start<R: BufRead>(
     for _ in 0..=MAX_INTERIM_RESPONSES {
         let head = read_response_head(r)?;
         if !head.status.is_informational() || (awaiting_continue && head.status.0 == 100) {
-            let body = response_body_len(req_method, &head);
+            let body = response_body_len(req_method, &head)?;
             let reusable =
                 head.headers.keep_alive(head.version == Version::Http11) && body != BodyLen::Close;
             return Ok(ResponseStart { head, body, reusable });
@@ -325,6 +325,22 @@ mod tests {
     }
 
     #[test]
+    fn a_parsed_head_reserialises_to_canonical_lines() {
+        // Odd spacing, a bare LF and a bare CR inside a value: one block
+        // of `Name: value\r\n` lines comes out, the CR a space.
+        let r = req("GET /t HTTP/1.1\r\nA:1\r\nB:   2  \nLocation: /x\rX-Evil: 1\r\n\r\n")
+            .unwrap()
+            .unwrap();
+        assert_eq!(r.target(), "/t");
+        assert_eq!(r.headers.len(), 3);
+        assert_eq!(r.headers.get("location"), Some("/x X-Evil: 1"));
+        assert_eq!(
+            String::from_utf8(r.to_bytes()).unwrap(),
+            "GET /t HTTP/1.1\r\nA: 1\r\nB: 2\r\nLocation: /x X-Evil: 1\r\n\r\n"
+        );
+    }
+
+    #[test]
     fn truncated_head_is_unexpected_eof() {
         let e = req("GET / HTTP/1.1\r\nHost: h").unwrap_err();
         assert!(matches!(e, WireError::UnexpectedEof));
@@ -336,8 +352,8 @@ mod tests {
             Cursor::new(b"HTTP/1.1 206 Partial Content\r\nContent-Length: 3\r\n\r\nabc".to_vec());
         let r = read_response_head(&mut c).unwrap();
         assert_eq!(r.status, StatusCode::PARTIAL_CONTENT);
-        assert_eq!(r.reason, "Partial Content");
-        assert_eq!(r.headers.content_length(), Some(3));
+        assert_eq!(r.reason(), "Partial Content");
+        assert_eq!(r.headers.content_length().unwrap(), Some(3));
     }
 
     #[test]
@@ -346,7 +362,7 @@ mod tests {
         // The bare form "HTTP/1.1 404" lacks the trailing space; accept it.
         let r = read_response_head(&mut c).unwrap();
         assert_eq!(r.status, StatusCode::NOT_FOUND);
-        assert_eq!(r.reason, "");
+        assert_eq!(r.reason(), "");
     }
 
     #[test]
@@ -361,15 +377,49 @@ mod tests {
             }
             h
         };
-        assert_eq!(response_body_len(&Method::Head, &mk(200, Some("10"), None)), BodyLen::None);
-        assert_eq!(response_body_len(&Method::Get, &mk(204, None, None)), BodyLen::None);
-        assert_eq!(response_body_len(&Method::Get, &mk(304, Some("9"), None)), BodyLen::None);
-        assert_eq!(response_body_len(&Method::Get, &mk(200, Some("10"), None)), BodyLen::Fixed(10));
-        assert_eq!(
-            response_body_len(&Method::Get, &mk(200, None, Some("chunked"))),
-            BodyLen::Chunked
-        );
-        assert_eq!(response_body_len(&Method::Get, &mk(200, None, None)), BodyLen::Close);
+        let len = |m: Method, head: ResponseHead| response_body_len(&m, &head).unwrap();
+        assert_eq!(len(Method::Head, mk(200, Some("10"), None)), BodyLen::None);
+        assert_eq!(len(Method::Get, mk(204, None, None)), BodyLen::None);
+        assert_eq!(len(Method::Get, mk(304, Some("9"), None)), BodyLen::None);
+        assert_eq!(len(Method::Get, mk(200, Some("10"), None)), BodyLen::Fixed(10));
+        assert_eq!(len(Method::Get, mk(200, None, Some("chunked"))), BodyLen::Chunked);
+        assert_eq!(len(Method::Get, mk(200, None, None)), BodyLen::Close);
+    }
+
+    #[test]
+    fn a_content_length_both_ends_cannot_agree_on_is_refused_by_both() {
+        // (`Content-Length` fields as they stand on the wire, the length they
+        // declare — `None`: no two parties would frame this alike).
+        let rows: [(&[&str], Option<u64>); 9] = [
+            (&["5"], Some(5)),
+            (&[" 5 "], Some(5)),
+            (&["5, 5"], Some(5)),
+            (&["5", "5"], Some(5)),
+            (&["+5"], None),
+            (&["5, 6"], None),
+            (&["5", "50"], None),
+            (&["0x5"], None),
+            (&[""], None),
+        ];
+        for (fields, want) in rows {
+            let lines: String = fields.iter().map(|f| format!("Content-Length:{f}\r\n")).collect();
+            let request = format!("PUT /x HTTP/1.1\r\n{lines}\r\n");
+            let head = read_request_head(&mut Cursor::new(request)).unwrap().unwrap();
+            let response = format!("HTTP/1.1 200 OK\r\n{lines}\r\n");
+            let start = read_response_start(&mut Cursor::new(response), &Method::Get, false);
+            match want {
+                Some(n) => {
+                    assert_eq!(request_body_len(&head).unwrap(), BodyLen::Fixed(n), "{fields:?}");
+                    assert_eq!(start.unwrap().body, BodyLen::Fixed(n), "{fields:?}");
+                }
+                None => {
+                    let e = request_body_len(&head).unwrap_err();
+                    assert!(matches!(e, WireError::BadHeader(_)), "{fields:?}: {e}");
+                    let e = start.unwrap_err();
+                    assert!(matches!(e, WireError::BadHeader(_)), "{fields:?}: {e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -101,12 +101,12 @@ pub fn parse_range_header(value: &str) -> Result<Vec<RangeSpec>, WireError> {
 }
 
 /// Most decimal digits of a `u64`.
-const U64_DIGITS: usize = 20;
+pub(crate) const U64_DIGITS: usize = 20;
 
 /// The decimal digits of `n`, written at the end of `buf`. A vectored read
 /// formats a thousand of these per request and the server a thousand more
 /// per answer; `fmt` costs several times the digits themselves.
-fn decimal(mut n: u64, buf: &mut [u8; U64_DIGITS]) -> &str {
+pub(crate) fn decimal(mut n: u64, buf: &mut [u8; U64_DIGITS]) -> &str {
     let mut at = buf.len();
     loop {
         at -= 1;

@@ -48,12 +48,17 @@ impl Uri {
         }
     }
 
+    /// The port, unless it is the scheme's default (which an authority
+    /// leaves out).
+    pub fn explicit_port(&self) -> Option<u16> {
+        (self.port != default_port(&self.scheme)).then_some(self.port)
+    }
+
     /// `host:port`, omitting a scheme-default port.
     pub fn authority(&self) -> String {
-        if self.port == default_port(&self.scheme) {
-            self.host.clone()
-        } else {
-            format!("{}:{}", self.host, self.port)
+        match self.explicit_port() {
+            None => self.host.clone(),
+            Some(port) => format!("{}:{port}", self.host),
         }
     }
 
@@ -63,28 +68,25 @@ impl Uri {
     }
 
     /// Resolve a `Location` header value against this URI: absolute URIs
-    /// replace everything, absolute paths keep the authority.
+    /// replace everything, absolute paths keep the authority. The result is
+    /// held to what [`from_str`](Uri::from_str) accepts.
     pub fn resolve_location(&self, location: &str) -> Result<Uri, WireError> {
         if location.contains("://") {
-            location.parse()
-        } else if let Some(stripped) = location.strip_prefix('/') {
-            let mut u = self.clone();
-            let (path, query) = split_query(&format!("/{stripped}"));
-            u.path = path;
-            u.query = query;
-            Ok(u)
+            return location.parse();
+        }
+        let target = if location.starts_with('/') {
+            location.to_string()
         } else {
             // Relative reference: resolve against the parent of this path.
             let base = match self.path.rfind('/') {
                 Some(i) => &self.path[..=i],
                 None => "/",
             };
-            let mut u = self.clone();
-            let (path, query) = split_query(&format!("{base}{location}"));
-            u.path = path;
-            u.query = query;
-            Ok(u)
-        }
+            format!("{base}{location}")
+        };
+        check_text(location, &target)?;
+        let (path, query) = split_query(&target);
+        Ok(Uri { path, query, ..self.clone() })
     }
 
     /// Same URI with a different path (encoded) and no query.
@@ -94,6 +96,17 @@ impl Uri {
         u.query = None;
         u
     }
+}
+
+/// A control byte or a space in `part` (a host, or a path with its query)
+/// is `BadUri`: whatever a URI holds ends up on a request line or in a
+/// `Host:`/`Destination:` field, where a line break of the sender's choosing
+/// is a header of the sender's choosing. `whole` is what the error shows.
+fn check_text(whole: &str, part: &str) -> Result<(), WireError> {
+    if part.bytes().any(|b| b <= b' ' || b == 0x7f) {
+        return Err(WireError::BadUri(format!("{whole:?}: control byte or space")));
+    }
+    Ok(())
 }
 
 fn split_query(target: &str) -> (String, Option<String>) {
@@ -130,6 +143,8 @@ impl FromStr for Uri {
         if host.is_empty() {
             return Err(WireError::BadUri(format!("{s}: empty host")));
         }
+        check_text(s, host)?;
+        check_text(s, target)?;
         let (path, query) = split_query(target);
         Ok(Uri { scheme: scheme.to_string(), host: host.to_string(), port, path, query })
     }
@@ -181,7 +196,7 @@ pub fn percent_decode(s: &str) -> String {
         out.push(bytes[i]);
         i += 1;
     }
-    String::from_utf8_lossy(&out).into_owned()
+    String::from_utf8(out).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]
@@ -221,6 +236,31 @@ mod tests {
         assert!("http://".parse::<Uri>().is_err());
         assert!("http://host:notaport/".parse::<Uri>().is_err());
         assert!("http://:80/".parse::<Uri>().is_err());
+    }
+
+    #[test]
+    fn rejects_control_bytes_and_spaces_wherever_they_sit() {
+        for bad in [
+            "http://h\r\nX-Evil: 1/p",
+            "http://h\rx/p",
+            "http://h x/p",
+            "http://h\0/p",
+            "http://h/p\r\nX-Evil: 1",
+            "http://h/a b",
+            "http://h/p?q=\n",
+            "http://h/p?q= ",
+            "http://h/\x7f",
+            "http://h\t:80/",
+        ] {
+            assert!(matches!(bad.parse::<Uri>(), Err(WireError::BadUri(_))), "{bad:?}");
+        }
+        let base: Uri = "http://a/dir/file".parse().unwrap();
+        for bad in ["/x\r\nX-Evil: 1", "rel\rative", "/a b", "http://b\r\n/z", "/p?q=\n"] {
+            assert!(matches!(base.resolve_location(bad), Err(WireError::BadUri(_))), "{bad:?}");
+        }
+        // Percent-encoded, they are just data.
+        let ok: Uri = "http://h/a%20b%0D%0A?q=%0A".parse().unwrap();
+        assert_eq!(ok.decoded_path(), "/a b\r\n");
     }
 
     #[test]

@@ -543,7 +543,7 @@ impl StorageHandler {
                 .header("Content-Type", ct)
                 .header("Accept-Ranges", "bytes")
                 .header("ETag", meta.etag())
-                .header("Digest", format!("adler32={}", to_hex(meta.adler32)))
+                .header("Digest", meta.digest())
         };
 
         let effective = match (req.head.headers.get("range"), self.opts.range_support) {

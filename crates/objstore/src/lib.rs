@@ -74,4 +74,66 @@ mod tests {
         );
         assert_eq!(node.store.get("/f").unwrap().data.as_ref(), b"x");
     }
+
+    #[test]
+    fn response_heads_are_these_bytes() {
+        use std::io::{BufRead, BufReader, Read, Write};
+        let net = netsim::SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        let store = Arc::new(ObjectStore::new());
+        store.put("/f", Bytes::from_static(b"hello world"));
+        let _node = StorageNode::start(
+            store,
+            Box::new(net.bind("s", 80).unwrap()),
+            net.runtime(),
+            StorageOptions::default(),
+            ServerConfig::default(),
+        );
+        let _g = net.enter();
+        let conn = net.connect("c", "s", 80).unwrap();
+        let mut w = netsim::Stream::try_clone(&conn).unwrap();
+        let mut r = BufReader::new(conn);
+        // One response head off the wire, its `Date` checked and blanked,
+        // and its body (as long as `Content-Length` says) read past.
+        let mut exchange = |request: &str| {
+            w.write_all(request.as_bytes()).unwrap();
+            let (mut head, mut len) = (String::new(), 0);
+            while !head.ends_with("\r\n\r\n") {
+                let mut line = String::new();
+                r.read_line(&mut line).unwrap();
+                if let Some(date) = line.strip_prefix("Date: ") {
+                    assert!(httpwire::date::parse_http_date(date.trim()).is_some(), "{date:?}");
+                    line = "Date: *\r\n".to_string();
+                }
+                if let Some(v) = line.strip_prefix("Content-Length: ") {
+                    len = v.trim().parse().unwrap();
+                }
+                head.push_str(&line);
+            }
+            r.read_exact(&mut vec![0u8; len]).unwrap();
+            head
+        };
+        let heads = [
+            exchange("GET /f HTTP/1.1\r\nHost: s\r\n\r\n"),
+            exchange("GET /f HTTP/1.1\r\nHost: s\r\nRange: bytes=2-5\r\n\r\n"),
+            exchange("GET /f HTTP/1.1\r\nHost: s\r\nConnection: close\r\n\r\n"),
+        ];
+        // What the parent of the commit that writes `Server`/`Date`/
+        // `Content-Length` into the response's own block put on the wire.
+        const OBJECT: &str = "Content-Type: application/octet-stream\r\nAccept-Ranges: bytes\r\n\
+                              ETag: \"0d4a1185-1\"\r\nDigest: adler32=1a0b045d\r\n";
+        const SERVER: &str = "Server: dpm-sim/0.1\r\nDate: *\r\n";
+        let golden = [
+            format!("HTTP/1.1 200 OK\r\n{OBJECT}{SERVER}Content-Length: 11\r\n\r\n"),
+            format!(
+                "HTTP/1.1 206 Partial Content\r\n{OBJECT}Content-Range: bytes 2-5/11\r\n\
+                 {SERVER}Content-Length: 4\r\n\r\n"
+            ),
+            format!(
+                "HTTP/1.1 200 OK\r\n{OBJECT}{SERVER}Content-Length: 11\r\nConnection: close\r\n\r\n"
+            ),
+        ];
+        assert_eq!(heads, golden);
+    }
 }

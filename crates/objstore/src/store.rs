@@ -1,9 +1,11 @@
 //! The concurrent in-memory object namespace.
 
-use crate::checksum::{adler32, crc32};
+use crate::checksum::{adler32, crc32, to_hex};
 use bytes::Bytes;
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Metadata + payload of one stored object.
 #[derive(Debug, Clone)]
@@ -16,12 +18,27 @@ pub struct ObjectMeta {
     pub adler32: u32,
     /// Store-local modification counter (monotonic; stands in for mtime).
     pub version: u64,
+    /// `ETag` and `Digest` header values, written when the object was
+    /// stored: every GET sends them, none should format them.
+    etag: Arc<str>,
+    digest: Arc<str>,
 }
 
 impl ObjectMeta {
+    fn new(data: Bytes, crc32: u32, adler32: u32, version: u64) -> Self {
+        let etag = format!("\"{crc32:08x}-{version}\"").into();
+        let digest = format!("adler32={}", to_hex(adler32)).into();
+        ObjectMeta { data, crc32, adler32, version, etag, digest }
+    }
+
     /// Weak ETag derived from content checksum and version.
-    pub fn etag(&self) -> String {
-        format!("\"{:08x}-{}\"", self.crc32, self.version)
+    pub fn etag(&self) -> &str {
+        &self.etag
+    }
+
+    /// `Digest` header value (RFC 3230): `adler32=<hex>`.
+    pub fn digest(&self) -> &str {
+        &self.digest
     }
 }
 
@@ -42,15 +59,15 @@ struct Inner {
     version: u64,
 }
 
-fn normalize(path: &str) -> String {
-    let mut p = path.trim_end_matches('/').to_string();
-    if !p.starts_with('/') {
-        p.insert(0, '/');
+/// `path` as the namespace keys it: one leading `/`, no trailing one. A
+/// path that already reads so — every path of a request line — is lent, not
+/// copied.
+fn normalize(path: &str) -> Cow<'_, str> {
+    let trimmed = path.trim_end_matches('/');
+    match trimmed.starts_with('/') {
+        true => Cow::Borrowed(trimmed),
+        false => Cow::Owned(format!("/{trimmed}")),
     }
-    if p.is_empty() {
-        p.push('/');
-    }
-    p
 }
 
 impl ObjectStore {
@@ -69,23 +86,23 @@ impl ObjectStore {
         let (crc32, adler32) = (crc32(&data), adler32(&data));
         let mut inner = self.inner.write();
         inner.version += 1;
-        let meta = ObjectMeta { data, crc32, adler32, version: inner.version };
-        inner.objects.insert(path, meta).is_some()
+        let meta = ObjectMeta::new(data, crc32, adler32, inner.version);
+        inner.objects.insert(path.into_owned(), meta).is_some()
     }
 
     /// Fetch an object (cheap clone: payload is `Bytes`).
     pub fn get(&self, path: &str) -> Option<ObjectMeta> {
-        self.inner.read().objects.get(&normalize(path)).cloned()
+        self.inner.read().objects.get(&*normalize(path)).cloned()
     }
 
     /// Remove an object. Returns `true` when something was removed.
     pub fn delete(&self, path: &str) -> bool {
-        self.inner.write().objects.remove(&normalize(path)).is_some()
+        self.inner.write().objects.remove(&*normalize(path)).is_some()
     }
 
     /// Whether `path` is an object.
     pub fn exists(&self, path: &str) -> bool {
-        self.inner.read().objects.contains_key(&normalize(path))
+        self.inner.read().objects.contains_key(&*normalize(path))
     }
 
     /// Atomically rename an object (WebDAV MOVE). Returns
@@ -96,10 +113,10 @@ impl ObjectStore {
         let from = normalize(from);
         let to = normalize(to);
         let mut inner = self.inner.write();
-        let mut meta = inner.objects.remove(&from)?;
+        let old = inner.objects.remove(&*from)?;
         inner.version += 1;
-        meta.version = inner.version;
-        Some(inner.objects.insert(to, meta).is_some())
+        let meta = ObjectMeta::new(old.data, old.crc32, old.adler32, inner.version);
+        Some(inner.objects.insert(to.into_owned(), meta).is_some())
     }
 
     /// Create an explicit directory. Returns `false` if it already existed
@@ -109,14 +126,14 @@ impl ObjectStore {
         if self.is_dir(&path) {
             return false;
         }
-        self.inner.write().dirs.insert(path)
+        self.inner.write().dirs.insert(path.into_owned())
     }
 
     /// Whether `path` is a directory (explicit or implied by a deeper object).
     pub fn is_dir(&self, path: &str) -> bool {
         let path = normalize(path);
         let inner = self.inner.read();
-        if inner.dirs.contains(&path) || path == "/" {
+        if inner.dirs.contains(&*path) || path == "/" {
             return true;
         }
         let prefix = format!("{path}/");
@@ -219,9 +236,9 @@ mod tests {
     fn etags_change_across_versions() {
         let s = ObjectStore::new();
         s.put("/f", Bytes::from_static(b"v1"));
-        let e1 = s.get("/f").unwrap().etag();
+        let e1 = s.get("/f").unwrap().etag().to_string();
         s.put("/f", Bytes::from_static(b"v2"));
-        let e2 = s.get("/f").unwrap().etag();
+        let e2 = s.get("/f").unwrap().etag().to_string();
         assert_ne!(e1, e2);
     }
 

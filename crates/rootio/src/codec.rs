@@ -205,7 +205,20 @@ pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
             }
             payload.to_vec()
         }
-        1 => lzss_decode(payload, orig_len)?,
+        1 => {
+            // The output buffer is reserved up front, so the size the frame
+            // claims must be one its payload could decode to: a group of 17
+            // input bytes (flags + 8 match tokens) yields at most 8 × 18
+            // output bytes — under 9 to 1. A 16-byte frame cannot ask for
+            // 4 GiB.
+            if orig_len > payload_len.saturating_mul(9) {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "codec frame claims more than its payload can decode to",
+                ));
+            }
+            lzss_decode(payload, orig_len)?
+        }
         m => {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -233,6 +246,28 @@ mod tests {
         ] {
             let c = compress(input);
             assert_eq!(decompress(&c).unwrap(), input);
+        }
+    }
+
+    #[test]
+    fn a_forged_original_length_is_refused_before_anything_is_allocated() {
+        // A header-only frame that says "4 GiB when decoded".
+        let mut forged = compress(&b"calorimeter ".repeat(50));
+        assert_eq!(forged[2], 1, "an LZSS frame");
+        forged.truncate(FRAME_HEADER);
+        forged[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
+        forged[8..12].copy_from_slice(&0u32.to_le_bytes());
+        let err = decompress(&forged).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("more than its payload"), "{err}");
+        // The bound is the format's own: the densest stream there is — one
+        // literal, then nothing but longest matches at offset 1 — passes it.
+        for len in [1usize, 19, 145, 146, 100_000] {
+            let input = vec![7u8; len];
+            let frame = compress(&input);
+            let payload_len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
+            assert!(len <= 9 * payload_len, "{len} bytes from a {payload_len}-byte payload");
+            assert_eq!(decompress(&frame).unwrap(), input);
         }
     }
 

@@ -176,7 +176,7 @@ fn head_requests_survive_fault_free_path_without_body() {
     let uri = client.parse_url(&tb.url(0)).unwrap();
     let resp = client.executor().execute_expect(&PreparedRequest::head(uri), "head").unwrap();
     assert!(resp.body.is_empty(), "HEAD must not carry a body");
-    assert_eq!(resp.head.headers.content_length(), Some(4096));
+    assert_eq!(resp.head.headers.content_length().unwrap(), Some(4096));
 }
 
 #[test]
@@ -205,4 +205,80 @@ fn idempotent_put_is_retried_but_post_is_not() {
         .expect("transport ok; server answered 500");
     assert!(resp.head.status.is_server_error(), "the 500 must surface for POST");
     assert_eq!(client.metrics().retries, before, "no retry may be recorded for POST");
+}
+
+/// A one-connection-at-a-time server on `host` that appends every byte it
+/// receives to `log` and answers each request head with `respond(target)`.
+fn logging_server(
+    net: &SimNet,
+    host: &str,
+    log: Arc<std::sync::Mutex<Vec<u8>>>,
+    respond: impl Fn(&str) -> String + Send + 'static,
+) {
+    use std::io::{BufRead, Write};
+    let listener = net.bind(host, 80).unwrap();
+    net.spawn(&format!("logging-server-{}", host.len()), move || loop {
+        let Ok((stream, _)) = listener.accept_sim() else { return };
+        let mut w = netsim::Stream::try_clone(&stream).unwrap();
+        let mut r = std::io::BufReader::new(stream);
+        loop {
+            let mut head = String::new();
+            while !head.ends_with("\r\n\r\n") {
+                if r.read_line(&mut head).unwrap_or(0) == 0 {
+                    break;
+                }
+            }
+            log.lock().unwrap().extend_from_slice(head.as_bytes());
+            let Some(target) = head.split(' ').nth(1) else { break };
+            if w.write_all(respond(target).as_bytes()).is_err() {
+                break;
+            }
+        }
+    });
+}
+
+#[test]
+fn a_line_break_in_a_metalink_url_or_a_location_is_a_typed_error_and_never_on_the_wire() {
+    // The mirror's name is the injection itself, and it exists: a client
+    // that took the Metalink's word for it could connect and say
+    // `Host: mirror\r\nX-Evil: 1`.
+    const EVIL_HOST: &str = "mirror\r\nX-Evil: 1";
+    let net = SimNet::new();
+    for host in ["client", "origin", EVIL_HOST] {
+        net.add_host(host);
+    }
+    net.set_link("client", "origin", LinkSpec::lan());
+    net.set_link("client", EVIL_HOST, LinkSpec::lan());
+    let log = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let ok =
+        |body: &str| format!("HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    logging_server(&net, "origin", Arc::clone(&log), move |target| {
+        if target.ends_with("?metalink") {
+            ok(&format!(
+                "<?xml version=\"1.0\"?><metalink xmlns=\"urn:ietf:params:xml:ns:metalink\">\
+                 <file name=\"f\"><url priority=\"1\">http://{EVIL_HOST}/f</url>\
+                 <url priority=\"2\">http://origin/f\r\nX-Evil: 2</url></file></metalink>"
+            ))
+        } else if target == "/moved" {
+            // A bare CR: the head parser strips only a trailing one.
+            "HTTP/1.1 302 Found\r\nLocation: /f\rX-Evil: 3\r\nContent-Length: 0\r\n\r\n".to_string()
+        } else {
+            ok("data")
+        }
+    });
+    logging_server(&net, EVIL_HOST, Arc::clone(&log), move |_| ok("data"));
+
+    let _g = net.enter();
+    let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
+    let err = client.resolve_replicas("http://origin/f").unwrap_err();
+    assert!(matches!(err, DavixError::Metalink(_)), "got {err}");
+    let err = client.posix().get("http://origin/moved").unwrap_err();
+    assert!(matches!(err, DavixError::Protocol(_)), "got {err}");
+    // A URL the caller types is held to the same rule.
+    let err = client.posix().get("http://origin/f\r\nX-Evil: 4").unwrap_err();
+    assert!(matches!(err, DavixError::Protocol(_)), "got {err}");
+
+    let seen = String::from_utf8_lossy(&log.lock().unwrap()).into_owned();
+    assert!(seen.contains("GET /f?metalink HTTP/1.1\r\n"), "the fetches themselves: {seen:?}");
+    assert!(!seen.contains("Evil"), "a line of the peer's choosing went out: {seen:?}");
 }
