@@ -421,9 +421,9 @@ impl HttpExecutor {
     }
 
     /// Serialise the head of one exchange onto `wire`: the request's own
-    /// fields, then `Host`, `User-Agent`, the framing of the body it is sent
-    /// with and `Expect`. What the exchange states itself replaces a field
-    /// of that name among the request's own, as [`HeaderMap::set`] would.
+    /// fields, then what the exchange states itself ([`Stated`], in that
+    /// order), which replaces a field of that name among the request's own
+    /// as [`HeaderMap::set`] would.
     fn write_head(
         &self,
         wire: &mut Vec<u8>,
@@ -433,13 +433,17 @@ impl HttpExecutor {
         buffered: Option<&Bytes>,
         expect: bool,
     ) {
-        let stated_here = |name: &str| {
-            let is = |own: &str| name.eq_ignore_ascii_case(own);
-            is("Host")
-                || is("User-Agent")
-                || (is("Content-Length") && (streamed.is_some() || buffered.is_some()))
-                || (is("Transfer-Encoding") && streamed.is_some())
-                || (is("Expect") && expect)
+        let framing =
+            streamed.map(Stated::Streamed).or(buffered.map(|body| Stated::Buffered(body.len())));
+        let stated = [
+            Some(Stated::Host(uri)),
+            Some(Stated::UserAgent(&self.cfg.user_agent)),
+            framing,
+            expect.then_some(Stated::Expect),
+        ];
+        let replaced = |name: &str| {
+            let mut names = stated.iter().flatten().flat_map(|field| field.replaces());
+            names.any(|own| own.eq_ignore_ascii_case(name))
         };
         let mut head = HeadWriter::request(
             wire,
@@ -448,21 +452,11 @@ impl HttpExecutor {
             uri.query.as_deref(),
             Version::Http11,
         );
-        for (name, value) in req.headers.iter().filter(|(name, _)| !stated_here(name)) {
+        for (name, value) in req.headers.iter().filter(|(name, _)| !replaced(name)) {
             head.field(name, value);
         }
-        match uri.explicit_port() {
-            None => head.field("Host", &uri.host),
-            Some(port) => head.field_fmt("Host", format_args!("{}:{port}", uri.host)),
-        };
-        head.field("User-Agent", &self.cfg.user_agent);
-        if let Some(source) = streamed {
-            source.write_framing(&mut head);
-        } else if let Some(body) = buffered {
-            head.field_fmt("Content-Length", format_args!("{}", body.len()));
-        }
-        if expect {
-            head.field("Expect", "100-continue");
+        for field in stated.iter().flatten() {
+            field.write(&mut head);
         }
         head.finish();
     }
@@ -750,7 +744,9 @@ impl ResponseStream<'_> {
     /// Collect the rest of the body into a `Vec`, consuming the stream.
     pub fn into_response(mut self) -> Result<HttpResponse> {
         let mut body = Vec::new();
-        if let Some(n) = self.head.headers.content_length()? {
+        // A sizing hint only: what frames the body was settled by
+        // `response_body_len` when the head arrived.
+        if let Some(n) = self.head.headers.content_length().ok().flatten() {
             body.reserve(n.min(MAX_BODY_PREALLOC) as usize);
         }
         Read::read_to_end(&mut self, &mut body).map_err(body_read_error)?;
@@ -800,6 +796,53 @@ pub(crate) fn body_read_error(e: std::io::Error) -> DavixError {
 struct RawStream {
     start: ResponseStart,
     session: Session,
+}
+
+/// A field the exchange writes into a request head itself. Each says which
+/// of the request's own fields it stands in for and how it is written, so a
+/// new one cannot be emitted without also displacing the caller's.
+enum Stated<'a> {
+    Host(&'a Uri),
+    UserAgent(&'a str),
+    /// The framing of a streamed body.
+    Streamed(&'a BodySource<'a>),
+    /// The length of an in-memory body.
+    Buffered(usize),
+    Expect,
+}
+
+impl Stated<'_> {
+    /// Names of the request's own fields this one replaces.
+    fn replaces(&self) -> &'static [&'static str] {
+        match self {
+            Stated::Host(_) => &["Host"],
+            Stated::UserAgent(_) => &["User-Agent"],
+            Stated::Streamed(_) => &["Content-Length", "Transfer-Encoding"],
+            Stated::Buffered(_) => &["Content-Length"],
+            Stated::Expect => &["Expect"],
+        }
+    }
+
+    fn write(&self, head: &mut HeadWriter<'_>) {
+        match self {
+            Stated::Host(uri) => {
+                match uri.explicit_port() {
+                    None => head.field("Host", &uri.host),
+                    Some(port) => head.field_fmt("Host", format_args!("{}:{port}", uri.host)),
+                };
+            }
+            Stated::UserAgent(agent) => {
+                head.field("User-Agent", agent);
+            }
+            Stated::Streamed(source) => source.write_framing(head),
+            Stated::Buffered(len) => {
+                head.field_fmt("Content-Length", format_args!("{len}"));
+            }
+            Stated::Expect => {
+                head.field("Expect", "100-continue");
+            }
+        }
+    }
 }
 
 /// Verdict of the `Expect: 100-continue` wait.
@@ -895,7 +938,7 @@ mod tests {
         let redirector = HttpServer::new(
             Arc::new(|req: Request| {
                 Response::empty(StatusCode::FOUND)
-                    .header("Location", format!("http://s2{}", req.head.target()))
+                    .header("Location", format!("http://s2{}", req.head.target))
             }),
             ServerConfig::default(),
         );
@@ -923,7 +966,7 @@ mod tests {
         let net = sim();
         let looper = HttpServer::new(
             Arc::new(|req: Request| {
-                Response::empty(StatusCode::FOUND).header("Location", req.head.target())
+                Response::empty(StatusCode::FOUND).header("Location", req.head.target)
             }),
             ServerConfig::default(),
         );
@@ -1187,7 +1230,7 @@ mod tests {
         let redirector = HttpServer::new(
             Arc::new(|req: Request| {
                 Response::empty(StatusCode::TEMPORARY_REDIRECT)
-                    .header("Location", format!("http://s2{}", req.head.target()))
+                    .header("Location", format!("http://s2{}", req.head.target))
             }),
             ServerConfig::default(),
         );
@@ -1599,7 +1642,7 @@ mod tests {
         // `/f` redirects with a body it claims is a tebibyte long, sends a
         // quarter MiB of it and then just keeps the connection open.
         raw_server(&net, |head, w| {
-            if head.target() == "/f" {
+            if head.target == "/f" {
                 let _ = write!(
                     w,
                     "HTTP/1.1 307 Temporary Redirect\r\nLocation: /target\r\n\
@@ -1626,6 +1669,32 @@ mod tests {
         assert_eq!(m.sessions_created, 2, "the lying connection is dropped, not recycled");
         assert_eq!(m.sessions_discarded, 1);
         assert!(net.now() - t0 < Config::default().io_timeout, "no wait for the body's end");
+    }
+
+    #[test]
+    fn a_content_length_that_frames_nothing_is_not_judged() {
+        let net = sim();
+        // A HEAD response has no body to frame, and chunked framing
+        // outranks `Content-Length`: what the field says decides nothing.
+        raw_server(&net, |head, w| {
+            let _ = match head.method {
+                Method::Head => w.write_all(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\nContent-Length: 50\r\n\r\n",
+                ),
+                _ => w.write_all(
+                    b"HTTP/1.1 200 OK\r\nContent-Length: +5\r\nTransfer-Encoding: chunked\r\n\r\n\
+                      5\r\nhello\r\n0\r\n\r\n",
+                ),
+            };
+        });
+        let _g = net.enter();
+        let ex = executor(&net, Config::default().no_retry());
+        let uri: Uri = "http://s/f".parse().unwrap();
+        let resp = ex.execute(&PreparedRequest::head(uri.clone())).unwrap();
+        assert!(resp.head.status.is_success() && resp.body.is_empty());
+        assert_eq!(ex.execute(&PreparedRequest::get(uri)).unwrap().body, b"hello");
+        let m = ex.metrics().snapshot();
+        assert_eq!((m.sessions_created, m.sessions_discarded), (1, 0), "one session served both");
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! The dynamic connection pool with session recycling (paper §2.2, Fig. 2).
 //!
 //! Calling threads *dispatch* requests by checking a session out of the pool
-//! (the last one returned for the endpoint), using it, and returning it if
-//! the response allowed keep-alive. Reuse keeps the TCP congestion window
-//! warm — the measured benefit is the F2 experiment.
+//! (one per endpoint stack), using it, and returning it if the response
+//! allowed keep-alive. Reuse keeps the TCP congestion window warm — the
+//! measured benefit is the F2 experiment.
 
 use crate::error::{DavixError, Result};
 use crate::metrics::Metrics;
 use httpwire::Uri;
 use netsim::{BoxedStream, Connector, Runtime};
 use parking_lot::Mutex;
+use std::collections::hash_map::{Entry, HashMap};
 use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,6 +67,8 @@ pub struct Session {
     /// serialises without allocating.
     pub(crate) wire: Vec<u8>,
     endpoint: Endpoint,
+    /// [`stack_key`] of `endpoint`.
+    key: u64,
     last_used: Duration,
     requests_served: u64,
 }
@@ -91,15 +94,41 @@ impl Session {
     }
 }
 
-/// Thread-safe pool of idle sessions.
-///
-/// Idle sessions of every endpoint sit in one list in the order they were
-/// returned, each knowing its own endpoint; a checkout takes the last one
-/// returned for the endpoint asked for. There is no per-endpoint entry to
-/// build for a lookup, to clone for a release, or to prune once drained,
-/// and a checkout compares in place — the list is as long as the client has
-/// idle connections (at most `max_idle_per_endpoint` per live endpoint), and
-/// the warmest of them are at the end it is searched from.
+/// What keys an endpoint's idle stack: a hash of `scheme://host:port` that
+/// does not see case, so the stack is found from the pieces of a URI as
+/// they stand — no [`Endpoint`] is built to look one up and none is cloned
+/// to file a session under.
+fn stack_key(scheme: &str, host: &str, port: u16) -> u64 {
+    // FNV-1a over the folded bytes, each string closed by a byte that is
+    // never part of one.
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |b: u8| hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    for text in [scheme, host] {
+        text.bytes().for_each(|b| eat(b.to_ascii_lowercase()));
+        eat(0xff);
+    }
+    port.to_le_bytes().into_iter().for_each(&mut eat);
+    hash
+}
+
+/// Emptied stacks kept for the next endpoint that needs one.
+const SPARE_STACKS: usize = 8;
+
+/// The pool's idle sessions.
+#[derive(Default)]
+struct Idle {
+    /// Per [`stack_key`], sessions in the order they were returned. Every
+    /// session knows its own endpoint and is matched against the one asked
+    /// for, so two endpoints whose keys collide merely share a stack. A
+    /// drained stack's entry is removed: federation workloads touch many
+    /// endpoints, and empty entries would otherwise pile up forever.
+    stacks: HashMap<u64, Vec<Session>>,
+    /// What is left of removed entries, so that a session going back and
+    /// forth alone does not allocate a stack each round trip.
+    spare: Vec<Vec<Session>>,
+}
+
+/// Thread-safe session pool keyed by endpoint.
 pub struct SessionPool {
     connector: Arc<dyn Connector>,
     rt: Arc<dyn Runtime>,
@@ -108,7 +137,7 @@ pub struct SessionPool {
     idle_ttl: Duration,
     connect_timeout: Duration,
     io_timeout: Duration,
-    idle: Mutex<Vec<Session>>,
+    idle: Mutex<Idle>,
 }
 
 impl SessionPool {
@@ -130,7 +159,7 @@ impl SessionPool {
             idle_ttl,
             connect_timeout,
             io_timeout,
-            idle: Mutex::new(Vec::new()),
+            idle: Mutex::new(Idle::default()),
         }
     }
 
@@ -148,27 +177,42 @@ impl SessionPool {
 
     fn checkout(&self, scheme: &str, host: &str, port: u16) -> Result<Session> {
         let now = self.rt.now();
+        let key = stack_key(scheme, host, port);
         {
             let mut idle = self.idle.lock();
-            // LIFO: the most recently used session has the warmest cwnd, and
-            // once one has outlived the TTL so have all below it.
-            while let Some(i) = idle.iter().rposition(|s| s.endpoint.is(scheme, host, port)) {
-                let mut s = idle.remove(i);
-                if now.saturating_sub(s.last_used) <= self.idle_ttl {
-                    Metrics::bump(&self.metrics.sessions_reused);
-                    s.reused = true;
-                    return Ok(s);
+            let Idle { stacks, spare } = &mut *idle;
+            let mut found = None;
+            if let Entry::Occupied(mut slot) = stacks.entry(key) {
+                let stack = slot.get_mut();
+                // LIFO: the most recently used session has the warmest cwnd.
+                while let Some(i) = stack.iter().rposition(|s| s.endpoint.is(scheme, host, port)) {
+                    let mut s = stack.remove(i);
+                    if now.saturating_sub(s.last_used) <= self.idle_ttl {
+                        Metrics::bump(&self.metrics.sessions_reused);
+                        s.reused = true;
+                        found = Some(s);
+                        break;
+                    }
+                    Metrics::bump(&self.metrics.sessions_discarded);
+                    // drop: connection closes (FIN) on drop of the streams
                 }
-                Metrics::bump(&self.metrics.sessions_discarded);
-                // drop: connection closes (FIN) on drop of the streams
+                if stack.is_empty() {
+                    let emptied = slot.remove();
+                    if spare.len() < SPARE_STACKS {
+                        spare.push(emptied);
+                    }
+                }
+            }
+            if let Some(s) = found {
+                return Ok(s);
             }
         }
         let endpoint =
             Endpoint { scheme: scheme.to_ascii_lowercase(), host: host.to_ascii_lowercase(), port };
-        self.connect(endpoint)
+        self.connect(endpoint, key)
     }
 
-    fn connect(&self, endpoint: Endpoint) -> Result<Session> {
+    fn connect(&self, endpoint: Endpoint, key: u64) -> Result<Session> {
         let mut stream = self
             .connector
             .connect(&endpoint.host, endpoint.port, Some(self.connect_timeout))
@@ -182,6 +226,7 @@ impl SessionPool {
             reused: false,
             wire: Vec::new(),
             endpoint,
+            key,
             last_used: self.rt.now(),
             requests_served: 0,
         })
@@ -197,12 +242,19 @@ impl SessionPool {
         session.last_used = self.rt.now();
         session.reused = false;
         let mut idle = self.idle.lock();
-        idle.push(session);
-        let ep = &idle[idle.len() - 1].endpoint;
-        if idle.iter().filter(|s| s.endpoint == *ep).count() > self.max_idle_per_endpoint {
-            // Evict the endpoint's oldest: the first of them in the list.
-            let oldest = idle.iter().position(|s| s.endpoint == *ep);
-            idle.remove(oldest.expect("the session just pushed is one of them"));
+        let Idle { stacks, spare } = &mut *idle;
+        let stack = stacks.entry(session.key).or_insert_with(|| spare.pop().unwrap_or_default());
+        stack.push(session);
+        if stack.len() <= self.max_idle_per_endpoint {
+            return;
+        }
+        let ep = &stack[stack.len() - 1].endpoint;
+        if stack.iter().filter(|s| s.endpoint == *ep).count() > self.max_idle_per_endpoint {
+            // Evict the endpoint's oldest: the first of them in the stack.
+            // The stack cannot empty here (we just pushed), so there is no
+            // entry to prune on this path — `checkout` removes what it drains.
+            let oldest = stack.iter().position(|s| s.endpoint == *ep);
+            stack.remove(oldest.expect("the session just pushed is one of them"));
             Metrics::bump(&self.metrics.sessions_discarded);
         }
     }
@@ -210,22 +262,21 @@ impl SessionPool {
     /// Number of idle sessions currently pooled for an endpoint.
     pub fn idle_count(&self, ep: &Endpoint) -> usize {
         let idle = self.idle.lock();
-        idle.iter().filter(|s| s.endpoint.is(&ep.scheme, &ep.host, ep.port)).count()
+        let stack = idle.stacks.get(&stack_key(&ep.scheme, &ep.host, ep.port));
+        stack.map_or(0, |s| {
+            s.iter().filter(|s| s.endpoint.is(&ep.scheme, &ep.host, ep.port)).count()
+        })
     }
 
-    /// Number of endpoints with at least one idle session (this tracks live
-    /// keep-alive targets, not history).
+    /// Number of endpoints with at least one idle session (drained stacks
+    /// are pruned, so this tracks live keep-alive targets, not history).
     pub fn endpoints_tracked(&self) -> usize {
-        let idle = self.idle.lock();
-        let mut seen: Vec<&Endpoint> = idle.iter().map(|s| &s.endpoint).collect();
-        seen.sort_unstable_by_key(|ep| (&ep.host, ep.port, &ep.scheme));
-        seen.dedup();
-        seen.len()
+        self.idle.lock().stacks.len()
     }
 
     /// Drop every idle session.
     pub fn clear(&self) {
-        self.idle.lock().clear();
+        self.idle.lock().stacks.clear();
     }
 }
 
@@ -354,6 +405,48 @@ mod tests {
         assert!(s2.reused, "case-shifted host must hit the same stack");
         assert_eq!(metrics.snapshot().sessions_created, 1);
         assert_eq!(pool.endpoints_tracked(), 0);
+    }
+
+    #[test]
+    fn many_endpoints_keep_their_own_stacks() {
+        let net = SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        let ports = 8000..8016u16;
+        for port in ports.clone() {
+            let listener = net.bind("s", port).unwrap();
+            net.spawn("hold-open", move || {
+                let mut held = Vec::new();
+                while let Ok(conn) = listener.accept_sim() {
+                    held.push(conn);
+                }
+            });
+        }
+        let metrics = Arc::new(Metrics::default());
+        let pool = SessionPool::new(
+            net.connector("c"),
+            net.runtime(),
+            Arc::clone(&metrics),
+            2,
+            Duration::from_secs(10),
+            Duration::from_secs(5),
+            Duration::from_secs(5),
+        );
+        let _g = net.enter();
+        let ep = |port| Endpoint { scheme: "http".into(), host: "s".into(), port };
+        let out: Vec<Session> =
+            ports.clone().flat_map(|p| [p, p]).map(|p| pool.acquire(&ep(p)).unwrap()).collect();
+        out.into_iter().for_each(|s| pool.release(s, true));
+        assert_eq!(pool.endpoints_tracked(), ports.len());
+        for port in ports.clone() {
+            assert_eq!(pool.idle_count(&ep(port)), 2);
+            // Spelled differently, found all the same — and it is this
+            // endpoint's session that comes back.
+            let s = pool.checkout("HTTP", "S", port).unwrap();
+            assert!(s.reused && s.endpoint == ep(port));
+            assert_eq!(pool.idle_count(&ep(port)), 1);
+        }
+        assert_eq!(metrics.snapshot().sessions_created, 2 * ports.len() as u64);
     }
 
     #[test]

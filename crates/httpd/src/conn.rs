@@ -15,9 +15,10 @@
 //! client reads responses with.
 //!
 //! **What goes through `rbuf` and what does not.** Heads, chunk-size lines,
-//! chunk CRLFs and trailers are read 16 KiB at a time into `rbuf` — straight
-//! into a landing area it keeps behind the bytes it holds, zeroed once and
-//! reused by every read — and shown to the codec from there; so is whatever
+//! chunk CRLFs and trailers are read 16 KiB at a time — into a landing area
+//! the shard thread keeps for all its connections, zeroed once, so that an
+//! idle connection holds no read buffer of that size — and what arrived is
+//! appended to `rbuf` and shown to the codec from there; so is whatever
 //! payload happens to arrive in the same read as a head or a framing line,
 //! which is then copied into the body. Once `rbuf` is drained and
 //! [`BodyFrames::payload`] says payload is next, the transport is read
@@ -53,6 +54,7 @@ use davix_sync::{AtomicUsize, Ordering};
 use httpwire::codec::{parse_request_head, request_body_len, BodyFrames, BodyLen, Frame, HeadScan};
 use httpwire::{Method, RequestHead, StatusCode, Version, WireError};
 use netsim::{BoxedStream, DriveOutcome, Driven, Signal, Stream};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::io::{self, IoSlice};
 use std::sync::Arc;
@@ -149,45 +151,27 @@ impl Incoming {
     }
 }
 
-/// Received-but-unparsed bytes: `buf[..filled]`. What lies behind them is
-/// the landing area the next read fills, zeroed when the buffer grew and
-/// reused from then on (the [`Incoming::body`] pattern).
-#[derive(Default)]
-struct ReadBuf {
-    buf: Vec<u8>,
-    filled: usize,
+thread_local! {
+    /// Where this thread's reads into `rbuf` land first. A connection is
+    /// driven on one thread and `try_read` returns before anything else is
+    /// driven there, so one area serves every connection of a shard; what
+    /// a connection keeps is only the bytes that arrived.
+    static LANDING: RefCell<[u8; READ_CHUNK]> = const { RefCell::new([0; READ_CHUNK]) };
 }
 
-impl ReadBuf {
-    fn data(&self) -> &[u8] {
-        &self.buf[..self.filled]
-    }
+/// Read up to [`READ_CHUNK`] bytes from the transport onto the end of `rbuf`.
+fn read_into(rbuf: &mut Vec<u8>, stream: &mut dyn Stream) -> io::Result<usize> {
+    LANDING.with_borrow_mut(|landing| {
+        stream.try_read(landing).inspect(|&n| rbuf.extend_from_slice(&landing[..n]))
+    })
+}
 
-    fn is_empty(&self) -> bool {
-        self.filled == 0
-    }
-
-    /// Read up to [`READ_CHUNK`] bytes from the transport behind the bytes
-    /// already held.
-    fn fill(&mut self, stream: &mut dyn Stream) -> io::Result<usize> {
-        let end = self.filled + READ_CHUNK;
-        if self.buf.len() < end {
-            self.buf.resize(end, 0);
-        }
-        let n = stream.try_read(&mut self.buf[self.filled..end])?;
-        self.filled += n;
-        Ok(n)
-    }
-
-    /// Drop the first `n` held bytes. Emptied, the buffer goes back to one
-    /// landing area: a long head is not kept for the life of the connection.
-    fn consume(&mut self, n: usize) {
-        self.buf.copy_within(n..self.filled, 0);
-        self.filled -= n;
-        if self.filled == 0 && self.buf.len() > READ_CHUNK {
-            self.buf.truncate(READ_CHUNK);
-            self.buf.shrink_to_fit();
-        }
+/// Drop the first `n` bytes of `rbuf`. Emptied, it gives back what a long
+/// head made it grow to: that is not kept for the life of the connection.
+fn consume(rbuf: &mut Vec<u8>, n: usize) {
+    rbuf.drain(..n);
+    if rbuf.is_empty() && rbuf.capacity() > READ_CHUNK {
+        *rbuf = Vec::new();
     }
 }
 
@@ -302,7 +286,7 @@ pub(crate) struct HttpConn {
     stats: Arc<ServerStats>,
     phase: Phase,
     /// Received-but-unparsed bytes.
-    rbuf: ReadBuf,
+    rbuf: Vec<u8>,
     /// Progress of the search for the head's end in `rbuf` (so repeated
     /// scans of a slowly-arriving head stay linear).
     scan: HeadScan,
@@ -331,7 +315,7 @@ impl HttpConn {
             cfg,
             stats,
             phase: Phase::Idle { since: now },
-            rbuf: ReadBuf::default(),
+            rbuf: Vec::new(),
             scan: HeadScan::default(),
             out: Output::default(),
             served: 0,
@@ -361,7 +345,7 @@ impl HttpConn {
         };
         let read = match payload_next {
             Some((inc, max)) => inc.read_payload(&mut *self.stream, max),
-            None => self.rbuf.fill(&mut *self.stream),
+            None => read_into(&mut self.rbuf, &mut *self.stream),
         };
         match read {
             Ok(n) => {
@@ -410,9 +394,9 @@ impl HttpConn {
     fn advance_request(&mut self, now: Duration) -> Result<bool, WireError> {
         let Phase::Request { incoming, .. } = &mut self.phase else { unreachable!() };
         let Some(inc) = incoming else {
-            let Some(end) = self.scan.find(self.rbuf.data())? else { return Ok(false) };
-            let head = parse_request_head(&self.rbuf.data()[..end]);
-            self.rbuf.consume(end);
+            let Some(end) = self.scan.find(&self.rbuf)? else { return Ok(false) };
+            let head = parse_request_head(&self.rbuf[..end]);
+            consume(&mut self.rbuf, end);
             // `None` is a stray blank line before the request (RFC 7230
             // §3.5): skipped.
             if let Some(head) = head? {
@@ -443,23 +427,23 @@ impl HttpConn {
             }
             return Ok(true);
         };
-        let (held, mut pos) = (self.rbuf.data(), 0);
+        let mut pos = 0;
         let complete = loop {
-            match inc.frames.next(&held[pos..])? {
+            match inc.frames.next(&self.rbuf[pos..])? {
                 Frame::Skip(n) => pos += n,
                 Frame::Payload(n) => {
-                    let take = n.min((held.len() - pos) as u64) as usize;
+                    let take = n.min((self.rbuf.len() - pos) as u64) as usize;
                     if take == 0 {
                         break false;
                     }
-                    inc.push(&held[pos..pos + take]);
+                    inc.push(&self.rbuf[pos..pos + take]);
                     pos += take;
                 }
                 Frame::NeedMore => break false,
                 Frame::End => break true,
             }
         };
-        self.rbuf.consume(pos);
+        consume(&mut self.rbuf, pos);
         if complete {
             // Dispatch after the configured processing delay (zero means
             // the same drive call dispatches).
@@ -723,7 +707,7 @@ mod tests {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let log = Arc::clone(&seen);
             let handler = move |req: Request| {
-                let target = req.head.target().to_string();
+                let target = req.head.target.clone();
                 log.lock().unwrap().push((target.clone(), req.body));
                 match target.strip_prefix("/big/") {
                     Some(n) => Response::with_body(
@@ -942,12 +926,12 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_connection_keeps_one_landing_area_however_long_the_last_head_was() {
+    fn an_idle_connection_keeps_no_more_than_a_read_however_long_the_last_head_was() {
         let net = sim();
         let _g = net.enter();
         let mut rig = Rig::new(&net, 80);
         rig.feed(&get("/small"));
-        assert_eq!(rig.conn.rbuf.buf.capacity(), READ_CHUNK);
+        assert!(rig.conn.rbuf.capacity() < 1024, "what arrived, not what a read may bring");
         let long = format!(
             "GET /long HTTP/1.1\r\nHost: server\r\nX-Pad: {}\r\n\r\n",
             "x".repeat(60 * 1024)
@@ -956,11 +940,11 @@ mod tests {
         assert_eq!(rig.seen.lock().unwrap().len(), 2, "a 60 KiB head is within the limit");
         assert!(rig.conn.rbuf.is_empty() && matches!(rig.conn.phase, Phase::Idle { .. }));
         assert!(
-            rig.conn.rbuf.buf.capacity() <= READ_CHUNK,
+            rig.conn.rbuf.capacity() <= READ_CHUNK,
             "{} bytes of receive buffer held while idle",
-            rig.conn.rbuf.buf.capacity()
+            rig.conn.rbuf.capacity()
         );
-        // And the next request is read into it as before.
+        // And the next request is read as before.
         rig.feed(&get("/after"));
         assert_eq!(rig.seen.lock().unwrap()[2].0, "/after");
     }

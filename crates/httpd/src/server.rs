@@ -389,7 +389,7 @@ mod tests {
     fn echo_server() -> Arc<HttpServer> {
         HttpServer::new(
             Arc::new(|req: Request| {
-                let mut body = format!("{} {}", req.head.method, req.head.target()).into_bytes();
+                let mut body = format!("{} {}", req.head.method, req.head.target).into_bytes();
                 if !req.body.is_empty() {
                     body.extend_from_slice(b" body=");
                     body.extend_from_slice(&req.body);

@@ -135,20 +135,15 @@ pub(crate) fn header_field(line: &str) -> Result<(&str, &str), WireError> {
         .ok_or_else(|| WireError::BadHeader(line.to_string()))
 }
 
-/// The head's fields, up to the blank line, copied once into a block that
-/// starts with `lead` (the start-line text the head keeps) and is reserved
-/// to the size of `text`, the head it all came from.
+/// The head's fields, up to the blank line, copied once into a block
+/// reserved to the size of `text`, the head it all came from.
 fn header_fields<'a>(
-    lead: &str,
     text: &str,
     lines: impl Iterator<Item = &'a str>,
 ) -> Result<HeaderMap, WireError> {
-    let mut block = String::with_capacity(text.len());
-    block.push_str(lead);
-    let mut headers = HeaderMap::with_lead(block);
     // Few fields are shorter than `Accept: */*`; a head made of shorter ones
     // grows its index as any `Vec` does.
-    headers.reserve_fields(text.len() / 16);
+    let mut headers = HeaderMap::with_capacity(text.len(), text.len() / 16);
     for line in lines.take_while(|l| !l.is_empty()) {
         let (name, value) = header_field(line)?;
         headers.append(name, value);
@@ -173,8 +168,8 @@ pub fn parse_request_head(block: &[u8]) -> Result<Option<RequestHead>, WireError
         .ok_or_else(|| WireError::BadStartLine(start.to_string()))?;
     let method: Method = m.parse()?;
     let version = Version::parse(v)?;
-    let headers = header_fields(t, text, lines)?;
-    Ok(Some(RequestHead { method, version, headers }))
+    let headers = header_fields(text, lines)?;
+    Ok(Some(RequestHead { method, target: t.to_string(), version, headers }))
 }
 
 /// Parse one response head as delimited by [`HeadScan`].
@@ -191,8 +186,9 @@ pub fn parse_response_head(block: &[u8]) -> Result<ResponseHead, WireError> {
     if !(100..600).contains(&code) {
         return Err(bad());
     }
-    let headers = header_fields(parts.next().unwrap_or(""), text, lines)?;
-    Ok(ResponseHead { version, status: StatusCode(code), headers })
+    let reason = parts.next().unwrap_or("").to_string();
+    let headers = header_fields(text, lines)?;
+    Ok(ResponseHead { version, status: StatusCode(code), reason, headers })
 }
 
 /// How a message body is delimited.

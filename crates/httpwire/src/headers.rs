@@ -10,13 +10,6 @@
 //! parsing a head is one copy into it, and a lookup compares names in place
 //! — no `String` per name or per value on either side.
 //!
-//! A message head keeps the free-form text of its start line (the request
-//! target, the reason phrase) at the front of the same block, ahead of the
-//! first line, so that a parsed head is one allocation for its text;
-//! [`RequestHead::target`](crate::RequestHead::target) and
-//! [`ResponseHead::reason`](crate::ResponseHead::reason) read it from
-//! there. A map built with [`HeaderMap::new`] has no such text.
-//!
 //! **Sanitising.** Because every field shares the block, a line break
 //! inside a name or a value would become a field boundary of the peer's
 //! choosing (header injection). So a field is checked as it is written, by
@@ -153,13 +146,10 @@ const FIRST_SPAN_RESERVE: usize = 8;
 /// preserved (matters for `Set-Cookie`-style repeats and for deterministic
 /// serialization). See the [module docs](self) for the representation and
 /// the sanitising rule. Two maps are equal when their blocks are: the same
-/// fields in the same order — and, for the maps of two heads, the same
-/// target or reason phrase.
+/// fields in the same order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeaderMap {
-    /// Start-line text (`lead` bytes), then one line per field.
     block: String,
-    lead: usize,
     spans: Vec<Span>,
 }
 
@@ -169,22 +159,15 @@ impl HeaderMap {
         HeaderMap::default()
     }
 
-    /// Empty map whose block starts with `text`: the part of a start line a
-    /// head keeps verbatim.
-    pub(crate) fn with_lead(text: String) -> Self {
-        HeaderMap { lead: text.len(), block: text, spans: Vec::new() }
-    }
-
-    /// The start-line text this map's head keeps with it (empty for a bare
-    /// map).
-    pub(crate) fn lead(&self) -> &str {
-        &self.block[..self.lead]
+    /// Empty map with room for `bytes` of block and `fields` fields.
+    pub(crate) fn with_capacity(bytes: usize, fields: usize) -> Self {
+        HeaderMap { block: String::with_capacity(bytes), spans: Vec::with_capacity(fields) }
     }
 
     /// The fields as they travel: `Name: value\r\n` per field, without the
     /// blank line that ends a head.
     pub fn as_wire(&self) -> &str {
-        &self.block[self.lead..]
+        &self.block
     }
 
     /// First value for `name`, if present.
@@ -238,11 +221,6 @@ impl HeaderMap {
         put_field(&mut self.block, name, value);
         let value = self.block.len() - at - name.len() - 4;
         self.spans.push(Span { at, name: name.len(), value });
-    }
-
-    /// Make room in the index for `fields` more fields.
-    pub(crate) fn reserve_fields(&mut self, fields: usize) {
-        self.spans.reserve(fields);
     }
 
     /// Remove every value of `name`; returns whether anything was removed.
@@ -415,14 +393,13 @@ mod tests {
 
     #[test]
     fn removing_from_the_middle_keeps_the_rest_addressable() {
-        let mut h = HeaderMap::with_lead("/target".to_string());
+        let mut h = HeaderMap::new();
         h.append("A", "1");
         h.append("B", "22");
         h.append("a", "333");
         h.append("C", "");
         assert!(h.remove("A"));
         assert_eq!(h.iter().collect::<Vec<_>>(), [("B", "22"), ("C", "")]);
-        assert_eq!(h.lead(), "/target");
         assert_eq!(h.as_wire(), "B: 22\r\nC: \r\n");
         h.set_fmt("B", format_args!("{}", 7));
         assert_eq!(h.to_string(), "C: \r\nB: 7\r\n");
@@ -538,8 +515,5 @@ mod tests {
         assert_eq!(a, b, "same fields, however they got there");
         b.set("K", "w");
         assert_ne!(a, b);
-        let mut c = HeaderMap::with_lead("/x".to_string());
-        c.set("K", "v");
-        assert_ne!(a, c, "a head's map carries its start-line text");
     }
 }

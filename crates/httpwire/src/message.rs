@@ -118,45 +118,41 @@ impl<'a> HeadWriter<'a> {
 pub struct RequestHead {
     /// Request method.
     pub method: Method,
+    /// Request target (origin-form: percent-encoded path plus optional query).
+    pub target: String,
     /// Protocol version.
     pub version: Version,
-    /// Header fields. The map's block also carries the request target, so
-    /// assigning a whole other map here replaces the target with that
-    /// map's (none, for one from [`HeaderMap::new`]): change fields through
-    /// the map's own methods.
+    /// Header fields.
     pub headers: HeaderMap,
 }
 
 impl RequestHead {
-    /// A fresh HTTP/1.1 request head. The target is origin-form: a
-    /// percent-encoded path plus optional query.
+    /// A fresh HTTP/1.1 request head.
     pub fn new(method: Method, target: impl Into<String>) -> Self {
         RequestHead {
             method,
+            target: target.into(),
             version: Version::Http11,
-            headers: HeaderMap::with_lead(target.into()),
+            headers: HeaderMap::new(),
         }
-    }
-
-    /// Request target as it stood on the request line.
-    pub fn target(&self) -> &str {
-        self.headers.lead()
     }
 
     /// Path component of the target (before any `?`).
     pub fn path(&self) -> &str {
-        let target = self.target();
-        target.split_once('?').map_or(target, |(p, _)| p)
+        match self.target.split_once('?') {
+            Some((p, _)) => p,
+            None => &self.target,
+        }
     }
 
     /// Query component of the target (after the first `?`), if any.
     pub fn query(&self) -> Option<&str> {
-        self.target().split_once('?').map(|(_, q)| q)
+        self.target.split_once('?').map(|(_, q)| q)
     }
 
     /// Serialize head (start line + headers + blank line) onto `out`.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        let mut w = HeadWriter::request(out, &self.method, self.target(), None, self.version);
+        let mut w = HeadWriter::request(out, &self.method, &self.target, None, self.version);
         w.fields(&self.headers);
         w.finish();
     }
@@ -164,7 +160,7 @@ impl RequestHead {
     /// Serialized form as bytes (convenient for single-write sends, which
     /// also keeps request heads in one segment on the simulated network).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(64 + self.target().len() + self.headers.as_wire().len());
+        let mut v = Vec::with_capacity(64 + self.target.len() + self.headers.as_wire().len());
         self.write_to(&mut v);
         v
     }
@@ -177,8 +173,9 @@ pub struct ResponseHead {
     pub version: Version,
     /// Status code.
     pub status: StatusCode,
-    /// Header fields. The map's block also carries the reason phrase; see
-    /// [`RequestHead::headers`].
+    /// Reason phrase as received (informational only).
+    pub reason: String,
+    /// Header fields.
     pub headers: HeaderMap,
 }
 
@@ -188,18 +185,14 @@ impl ResponseHead {
         ResponseHead {
             version: Version::Http11,
             status,
-            headers: HeaderMap::with_lead(status.reason().to_string()),
+            reason: status.reason().to_string(),
+            headers: HeaderMap::new(),
         }
-    }
-
-    /// Reason phrase as received (informational only).
-    pub fn reason(&self) -> &str {
-        self.headers.lead()
     }
 
     /// Serialize head (status line + headers + blank line) onto `out`.
     pub fn write_to(&self, out: &mut Vec<u8>) {
-        let mut w = HeadWriter::response(out, self.version, self.status, self.reason());
+        let mut w = HeadWriter::response(out, self.version, self.status, &self.reason);
         w.fields(&self.headers);
         w.finish();
     }

@@ -331,7 +331,7 @@ mod tests {
         let r = req("GET /t HTTP/1.1\r\nA:1\r\nB:   2  \nLocation: /x\rX-Evil: 1\r\n\r\n")
             .unwrap()
             .unwrap();
-        assert_eq!(r.target(), "/t");
+        assert_eq!(r.target, "/t");
         assert_eq!(r.headers.len(), 3);
         assert_eq!(r.headers.get("location"), Some("/x X-Evil: 1"));
         assert_eq!(
@@ -352,7 +352,7 @@ mod tests {
             Cursor::new(b"HTTP/1.1 206 Partial Content\r\nContent-Length: 3\r\n\r\nabc".to_vec());
         let r = read_response_head(&mut c).unwrap();
         assert_eq!(r.status, StatusCode::PARTIAL_CONTENT);
-        assert_eq!(r.reason(), "Partial Content");
+        assert_eq!(r.reason, "Partial Content");
         assert_eq!(r.headers.content_length().unwrap(), Some(3));
     }
 
@@ -362,7 +362,7 @@ mod tests {
         // The bare form "HTTP/1.1 404" lacks the trailing space; accept it.
         let r = read_response_head(&mut c).unwrap();
         assert_eq!(r.status, StatusCode::NOT_FOUND);
-        assert_eq!(r.reason(), "");
+        assert_eq!(r.reason, "");
     }
 
     #[test]

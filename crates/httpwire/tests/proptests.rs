@@ -31,7 +31,7 @@ proptest! {
         let bytes = head.to_bytes();
         let parsed = read_request_head(&mut Cursor::new(bytes)).unwrap().unwrap();
         prop_assert_eq!(parsed.method, Method::Get);
-        prop_assert_eq!(parsed.target(), target);
+        prop_assert_eq!(parsed.target, target);
         prop_assert_eq!(parsed.headers.len(), head.headers.len());
         for (n, v) in &headers {
             prop_assert!(parsed.headers.get_all(n).any(|pv| pv == v));

@@ -160,7 +160,7 @@ fn a_500_fragment_vectored_read_allocates_its_result_and_a_constant() {
     node.server.stop();
     // The 500 fragments the caller gets, plus what one request costs
     // whatever its size: the Range text, the response head, the decoder's
-    // buffers (543 measured; 577 while a head was a `Vec<(String, String)>`
+    // buffers (544 measured; 577 while a head was a `Vec<(String, String)>`
     // built and cloned per request). Before the scatter decode this read
     // made 4 594 allocations: a payload per part, then a copy per fragment.
     assert!(allocs <= 500 + 50, "{allocs} allocations for a 500-fragment read");
@@ -195,12 +195,12 @@ fn a_warm_1k_get_allocates_a_small_constant_on_each_side() {
     let (client_per_get, server_per_get) =
         (client_allocs / GETS, (process_allocs - client_allocs) / GETS);
     assert_eq!(client_allocs % GETS, 0, "the same count for every GET");
-    // Client, 9 measured (44 at the parent of the commit that wrote this):
+    // Client, 10 measured (44 at the parent of the commit that wrote this):
     // the URL's three strings and their copy in the response, the response
-    // head's block and span index, the body. Server, 6 (31): the request
-    // head's block and index, the peer name, the decoded path, the response
-    // head's block and index. Serialising either head, the pool round trip,
-    // `Date`, `ETag` and `Digest` allocate nothing.
+    // head's reason phrase, block and span index, the body. Server, 7 (31):
+    // the request head's target, block and index, the peer name, the decoded
+    // path, the response head's block and index. Serialising either head,
+    // the pool round trip, `Date`, `ETag` and `Digest` allocate nothing.
     eprintln!("1 KiB GET: {client_per_get} client, {server_per_get} server allocations");
     // The lock-order and race detectors allocate for every lock taken (13
     // and 16–18 with either compiled in): their builds count their own
@@ -208,8 +208,8 @@ fn a_warm_1k_get_allocates_a_small_constant_on_each_side() {
     if cfg!(any(feature = "deadlock-detect", feature = "race-detect")) {
         return;
     }
-    assert!(client_per_get <= 9, "{client_per_get} client allocations per GET");
-    assert!(server_per_get <= 6, "{server_per_get} server allocations per GET");
+    assert!(client_per_get <= 10, "{client_per_get} client allocations per GET");
+    assert!(server_per_get <= 7, "{server_per_get} server allocations per GET");
 }
 
 #[test]

@@ -653,7 +653,7 @@ fn interim_103_before_200_is_skipped_and_the_session_stays_in_step() {
         let mut writer = s.try_clone().unwrap();
         let mut reader = std::io::BufReader::new(s);
         while let Ok(Some(head)) = httpwire::parse::read_request_head(&mut reader) {
-            let body = format!("body of {}", head.target());
+            let body = format!("body of {}", head.target);
             let _ = write!(
                 writer,
                 "HTTP/1.1 103 Early Hints\r\nLink: </style.css>; rel=preload\r\n\r\n\
