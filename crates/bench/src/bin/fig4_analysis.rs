@@ -171,7 +171,7 @@ fn main() {
     );
 
     // The paper's 700 MB / 12 000 events ≈ 58 KB per event; we scale the
-    // file ~100× down and keep latencies real (see EXPERIMENTS.md).
+    // file ~100× down and keep latencies real.
     let mut generator = Generator::new(Schema::hep(256), 2014);
     let file = rootio::write_tree(
         &mut generator,
@@ -182,7 +182,7 @@ fn main() {
     // structure, the regime that differentiates the two protocols and drives
     // Fig. 4's ratios. `--bw-scale auto` instead scales bandwidth with the
     // generated file (paper file = 700 MB over 1 Gb/s) so the ~6 s of
-    // transfer time reappears; see EXPERIMENTS.md for both runs.
+    // transfer time reappears.
     let bw_scale = match args.bw_scale {
         Some(s) if s > 0.0 => s,
         Some(_) => file.len() as f64 / 700e6, // "auto"

@@ -331,7 +331,7 @@ fn run_point(
     let rt: Arc<dyn netsim::Runtime> = net.runtime();
     let reactor = Reactor::new(
         Arc::clone(&rt),
-        ReactorConfig { threads: client_threads, name: "c10k-client".into(), ..Default::default() },
+        ReactorConfig { threads: client_threads, name: "c10k-client".into() },
     );
 
     let errors = Arc::new(AtomicUsize::new(0));

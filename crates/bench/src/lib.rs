@@ -1,7 +1,6 @@
 //! # davix-bench — the harness that regenerates every figure and table
 //!
-//! One binary per paper artefact (see DESIGN.md §5 for the experiment
-//! index):
+//! One binary per paper artefact:
 //!
 //! | binary              | artefact | claim |
 //! |---------------------|----------|-------|

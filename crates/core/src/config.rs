@@ -36,8 +36,6 @@ impl Default for RetryPolicy {
 pub struct Config {
     /// Idle keep-alive sessions kept per endpoint (Figure 2's pool).
     pub max_idle_per_endpoint: usize,
-    /// Idle sessions older than this are discarded on checkout.
-    pub idle_session_ttl: Duration,
     /// Connect timeout.
     pub connect_timeout: Duration,
     /// Per-read inactivity timeout on responses.
@@ -48,12 +46,6 @@ pub struct Config {
     pub retry: RetryPolicy,
     /// Vectored-read strategy.
     pub range_policy: RangePolicy,
-    /// Fragments closer than this many bytes are merged into one wire range
-    /// (reading a small gap is cheaper than another part header).
-    pub vector_merge_gap: u64,
-    /// Concurrency for the per-fragment fallback path of `pread_vec` and for
-    /// `SingleRanges` mode.
-    pub vector_fallback_parallelism: usize,
     /// Where to fetch Metalinks: `Some(base)` queries
     /// `{base}{path}?metalink` (a federation service); `None` asks the
     /// resource's own origin (`{url}?metalink`).
@@ -66,12 +58,6 @@ pub struct Config {
     /// How long a blacklisted replica sits out before becoming eligible
     /// again (half-open: one success clears it, one failure re-blacklists).
     pub replica_blacklist_cooldown: Duration,
-    /// EWMA smoothing factor for per-replica latency scoring, in `(0, 1]`
-    /// (weight of the newest sample).
-    pub replica_ewma_alpha: f64,
-    /// Maximum number of healthy replicas a `ReplicaFile::pread_vec` spreads
-    /// one fragment batch across (1 disables the fan-out).
-    pub replica_fanout: usize,
     /// Block size of the shared client-side block cache (see
     /// [`BlockCache`]). Reads are rounded to block-aligned upstream
     /// fetches; bigger blocks mean fewer round trips, smaller blocks less
@@ -92,28 +78,11 @@ pub struct Config {
     /// Ceiling the adaptive read-ahead window grows to (doubling on each
     /// consecutive sequential read). 0 disables read-ahead.
     pub readahead_max: u64,
-    /// Parallel workers [`multistream_upload`] spreads chunk PUTs across
-    /// (the GridFTP-style parallel-transfer knob of the write path).
-    ///
-    /// [`multistream_upload`]: crate::multistream_upload
-    pub upload_streams: usize,
-    /// Chunk size [`multistream_upload`] splits the source into, in bytes.
-    /// Together with [`upload_streams`](Config::upload_streams) this bounds
-    /// the client's resident upload buffer: at most
-    /// `upload_chunk_size × upload_streams` bytes are in memory at once,
-    /// never the whole object.
-    ///
-    /// [`multistream_upload`]: crate::multistream_upload
-    pub upload_chunk_size: usize,
     /// Upload bodies at least this large are sent with
     /// `Expect: 100-continue`, so a server that rejects the request (auth,
     /// redirect, quota) can say so *before* the client ships the payload.
     /// Bodies of unknown length always use it; `u64::MAX` disables it.
     pub expect_continue_threshold: u64,
-    /// How long an `Expect: 100-continue` upload waits for the interim
-    /// response before sending the body anyway (the RFC 7231 §5.1.1
-    /// fallback for servers that never answer 100).
-    pub expect_continue_timeout: Duration,
     /// Concurrency cap of the client's shared background-I/O pool
     /// ([`IoPool`]): multi-stream download workers, parallel upload
     /// workers and cache read-ahead fetches all draw from this budget
@@ -129,27 +98,19 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             max_idle_per_endpoint: 16,
-            idle_session_ttl: Duration::from_secs(60),
             connect_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(120),
             max_redirects: 8,
             retry: RetryPolicy::default(),
             range_policy: RangePolicy::MultiRange,
-            vector_merge_gap: 512,
-            vector_fallback_parallelism: 8,
             metalink_base: None,
             replica_failure_threshold: 2,
             replica_blacklist_cooldown: Duration::from_secs(5),
-            replica_ewma_alpha: 0.3,
-            replica_fanout: 2,
             cache_block_size: 256 * 1024,
             cache_capacity_bytes: 0,
             readahead_min: 0,
             readahead_max: 0,
-            upload_streams: 4,
-            upload_chunk_size: 4 * 1024 * 1024,
             expect_continue_threshold: 256 * 1024,
-            expect_continue_timeout: Duration::from_millis(500),
             io_threads: 16,
             user_agent: "davix-rs/0.1".to_string(),
         }
@@ -189,12 +150,6 @@ impl Config {
         self
     }
 
-    /// Cap how many healthy replicas one vectored read fans out across.
-    pub fn with_replica_fanout(mut self, fanout: usize) -> Self {
-        self.replica_fanout = fanout;
-        self
-    }
-
     /// Enable the shared block cache with `capacity_bytes` of cached
     /// payload (0 disables).
     pub fn with_cache(mut self, capacity_bytes: u64) -> Self {
@@ -221,28 +176,6 @@ impl Config {
         self.readahead_max = max.max(min);
         self
     }
-
-    /// Tune the parallel upload path: `streams` chunk workers over
-    /// `chunk_size`-byte segments.
-    ///
-    /// # Panics
-    /// Panics when either value is 0 (a degenerate upload geometry).
-    pub fn with_upload(mut self, streams: usize, chunk_size: usize) -> Self {
-        assert!(streams > 0 && chunk_size > 0, "upload streams and chunk size must be non-zero");
-        self.upload_streams = streams;
-        self.upload_chunk_size = chunk_size;
-        self
-    }
-
-    /// Tune `Expect: 100-continue` behaviour on uploads: bodies of at
-    /// least `threshold` bytes wait up to `timeout` for the server's
-    /// interim response before streaming the payload (`u64::MAX` disables
-    /// the mechanism entirely).
-    pub fn with_expect_continue(mut self, threshold: u64, timeout: Duration) -> Self {
-        self.expect_continue_threshold = threshold;
-        self.expect_continue_timeout = timeout;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -266,10 +199,8 @@ mod tests {
         let base: Uri = "http://fed.cern.ch/myfed".parse().unwrap();
         let c = Config::default().with_metalink_base(base.clone());
         assert_eq!(c.metalink_base, Some(base));
-        let c =
-            Config::default().replica_blacklist(5, Duration::from_secs(1)).with_replica_fanout(4);
+        let c = Config::default().replica_blacklist(5, Duration::from_secs(1));
         assert_eq!(c.replica_failure_threshold, 5);
         assert_eq!(c.replica_blacklist_cooldown, Duration::from_secs(1));
-        assert_eq!(c.replica_fanout, 4);
     }
 }

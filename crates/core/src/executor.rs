@@ -162,6 +162,14 @@ const MAX_KEPT_WIRE: usize = 64 * 1024;
 /// capacity when collecting a body (a lying header must not OOM the client).
 const MAX_BODY_PREALLOC: u64 = 1 << 20;
 
+/// Idle sessions older than this are discarded on checkout.
+const IDLE_SESSION_TTL: Duration = Duration::from_secs(60);
+
+/// How long an `Expect: 100-continue` upload waits for the interim response
+/// before sending the body anyway (the RFC 7231 §5.1.1 fallback for servers
+/// that never answer 100).
+const EXPECT_CONTINUE_TIMEOUT: Duration = Duration::from_millis(500);
+
 impl HttpExecutor {
     /// Build an executor (and its pool) from transport + config.
     pub fn new(
@@ -175,7 +183,7 @@ impl HttpExecutor {
             Arc::clone(&rt),
             Arc::clone(&metrics),
             cfg.max_idle_per_endpoint,
-            cfg.idle_session_ttl,
+            IDLE_SESSION_TTL,
             cfg.connect_timeout,
             cfg.io_timeout,
         );
@@ -351,8 +359,8 @@ impl HttpExecutor {
     ///   `Expect: 100-continue`: a server that answers with a final status
     ///   instead of the interim `100` gets its verdict honoured **without
     ///   the payload ever being transmitted**; a server that answers
-    ///   nothing within [`Config::expect_continue_timeout`] receives the
-    ///   body anyway (RFC 7231 §5.1.1);
+    ///   nothing within half a second receives the body anyway
+    ///   (RFC 7231 §5.1.1);
     /// * redirects are followed with the body **replayed** to the new
     ///   location (a fresh [`BodySource`] per hop — the 307/308 contract);
     /// * 5xx and transport failures on idempotent methods retry within the
@@ -552,12 +560,7 @@ impl HttpExecutor {
     /// Peeks via `fill_buf` under a temporarily shortened read timeout so a
     /// timeout consumes nothing.
     fn await_continue(&self, session: &mut Session, method: &Method) -> AwaitContinue {
-        if session
-            .reader
-            .get_mut()
-            .set_read_timeout(Some(self.cfg.expect_continue_timeout))
-            .is_err()
-        {
+        if session.reader.get_mut().set_read_timeout(Some(EXPECT_CONTINUE_TIMEOUT)).is_err() {
             return AwaitContinue::Timeout; // transport without timeouts: just send
         }
         let peek = session.reader.fill_buf().map(|b| b.is_empty());

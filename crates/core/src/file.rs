@@ -33,6 +33,14 @@ use parking_lot::Mutex;
 use std::io::Read;
 use std::sync::Arc;
 
+/// Fragments closer than this many bytes are merged into one wire range
+/// (reading a small gap is cheaper than another part header).
+const VECTOR_MERGE_GAP: u64 = 512;
+
+/// Concurrency of the per-fragment single-range GETs that `SingleRanges`
+/// mode and a rejected multi-range request fall back to.
+const FALLBACK_PARALLELISM: usize = 8;
+
 /// Stat result for a remote file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RemoteStat {
@@ -443,7 +451,7 @@ impl RawFile {
     }
 
     /// Fallback: one single-range GET per wire range, in parallel through the
-    /// pool (bounded by `vector_fallback_parallelism`).
+    /// pool (bounded by [`FALLBACK_PARALLELISM`]).
     fn fetch_parallel_single(
         &self,
         wire: &[(u64, usize)],
@@ -453,7 +461,7 @@ impl RawFile {
         let results = parallel_map(
             self.inner.executor.runtime(),
             wire.to_vec(),
-            self.inner.cfg.vector_fallback_parallelism,
+            FALLBACK_PARALLELISM,
             move |(off, len): (u64, usize)| -> Result<(u64, Vec<u8>)> {
                 let mut data = vec![0u8; len];
                 // Every range was checked against the size we were told,
@@ -503,7 +511,7 @@ impl BlockFetch for RawFile {
     /// Fragment order is preserved in the result; fragments may overlap.
     fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
         // Merge close fragments into wire ranges: fewer parts, same data.
-        let wire = coalesce_fragments(fragments, self.inner.cfg.vector_merge_gap);
+        let wire = coalesce_fragments(fragments, VECTOR_MERGE_GAP);
         let wire: Vec<(u64, usize)> = wire.into_iter().map(|(o, l)| (o, l as usize)).collect();
 
         match self.inner.cfg.range_policy {

@@ -147,9 +147,10 @@
 //! * **Parallel chunked upload** ([`multistream_upload`]): the write-side
 //!   twin of [`multistream_download`], after GridFTP's parallel transfer.
 //!   A [`ChunkSource`] (in-memory bytes or a [`FileSource`]) is split into
-//!   [`Config::upload_chunk_size`] segments PUT in parallel by
-//!   [`Config::upload_streams`] workers, with per-chunk retry and a
-//!   failure budget. Two server dialects, auto-detected: S3-style
+//!   [`UploadOptions::chunk_size`] segments PUT in parallel by
+//!   [`UploadOptions::streams`] workers (4 × 4 MiB by default: the
+//!   geometry belongs to the transfer, not the client), with per-chunk
+//!   retry and a failure budget. Two server dialects, auto-detected: S3-style
 //!   multipart (initiate / part / complete) and segmented `Content-Range`
 //!   PUTs to a temporary name committed with `MOVE` (WebDAV), so readers
 //!   never observe a partial object.
@@ -161,7 +162,7 @@
 //!   nothing committed), a segmented upload compares the staged entity's
 //!   `Digest` header before the `MOVE`. Corruption surfaces as
 //!   [`DavixError::ChecksumMismatch`] and the destination stays untouched.
-//! * **Bounded memory**: at most `upload_chunk_size × upload_streams`
+//! * **Bounded memory**: at most `chunk_size × streams`
 //!   bytes of chunk payload are resident — never the whole object. The
 //!   [`Metrics::peak_upload_buffer`] high-water mark proves it (asserted
 //!   by the `fig6_upload` bench, alongside ≥ 2× serial-PUT throughput on a
@@ -182,8 +183,7 @@
 //!   replica. Pick it for random-access workloads (ROOT-style analysis
 //!   reads) where per-read latency matters and one replica's bandwidth is
 //!   enough. Once the replica set is known, `ReplicaFile::pread_vec`
-//!   spreads fragment batches over the top-[`Config::replica_fanout`]
-//!   healthy replicas.
+//!   spreads fragment batches over the two fastest healthy replicas.
 //! * **Multi-stream** ([`multistream_download`]) pulls whole entities as
 //!   parallel chunks from several replicas at once. Pick it for bulk
 //!   transfers where aggregate bandwidth beats per-request latency — at
@@ -196,8 +196,8 @@
 //! Health knobs live in [`Config`]: `replica_failure_threshold`
 //! consecutive failures blacklist a replica for
 //! `replica_blacklist_cooldown` (then half-open: one success clears it,
-//! one failure re-blacklists); `replica_ewma_alpha` smooths the latency
-//! signal. The scheduler can also probe actively
+//! one failure re-blacklists); an EWMA with a fixed weight of 0.3 on the
+//! newest sample smooths the latency signal. The scheduler can also probe actively
 //! ([`ReplicaScheduler::probe_once`] / `spawn_prober` — `OPTIONS` pings in
 //! the style of DynaFed's `HealthMonitor`) to evict dead replicas and
 //! readmit recovered ones without a caller paying for the discovery.

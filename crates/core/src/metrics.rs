@@ -122,8 +122,9 @@ macro_rules! metric_fields {
             /// transport fault with the body partially sent).
             counter upload_retries,
             /// High-water mark of chunk payload resident in upload buffers, in
-            /// bytes. Bounded by `upload_chunk_size × upload_streams` — the write
-            /// path never buffers the whole object.
+            /// bytes. Bounded by `chunk_size × streams` of the upload's
+            /// [`UploadOptions`](crate::UploadOptions) — the write path never
+            /// buffers the whole object.
             peak peak_upload_buffer,
         }
     };

@@ -39,6 +39,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Healthy replicas one vectored read spreads its fragment batch across.
+const FANOUT: usize = 2;
+
 /// A remote file with transparent Metalink fail-over: a `Reader` over the
 /// replica walk.
 ///
@@ -249,9 +252,9 @@ impl ReplicaFile {
 
     /// Vectored read with fail-over. Once the Metalink is resolved and more
     /// than one replica is healthy, the fragment batch is split across the
-    /// top-[`replica_fanout`](crate::Config::replica_fanout) replicas and
-    /// fetched in parallel — aggregate bandwidth for large analysis reads,
-    /// with per-batch fail-over if a replica dies mid-flight. With the
+    /// two fastest healthy replicas and fetched in parallel — aggregate
+    /// bandwidth for large analysis reads, with per-batch fail-over if a
+    /// replica dies mid-flight. With the
     /// block cache enabled, only the *missing* blocks go upstream (through
     /// the same fail-over/fan-out machinery, in one vectored request).
     pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
@@ -291,14 +294,13 @@ impl BlockFetch for ReplicaCore {
 
 impl ReplicaCore {
     /// The replicas a vectored read should fan out over, or `None` for the
-    /// plain single-replica path (unresolved Metalink, fan-out disabled, or
-    /// not enough healthy replicas / fragments to split).
+    /// plain single-replica path (unresolved Metalink, or not enough healthy
+    /// replicas / fragments to split).
     fn fanout_targets(&self, fragments: usize) -> Option<Vec<(ReplicaId, Uri)>> {
-        let fanout = self.fo.inner.cfg.replica_fanout;
-        if fanout < 2 || fragments < 2 || !self.state.lock().resolved {
+        if fragments < 2 || !self.state.lock().resolved {
             return None;
         }
-        let targets = self.fo.scheduler.ranked(fanout.min(fragments));
+        let targets = self.fo.scheduler.ranked(FANOUT);
         (targets.len() >= 2).then_some(targets)
     }
 

@@ -46,6 +46,10 @@ pub type ReplicaId = usize;
 /// [`ReplicaScheduler::spawn_prober`]; `probe_once` callers pick their own).
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// EWMA smoothing factor of the per-replica latency score: the weight of
+/// the newest sample.
+const EWMA_ALPHA: f64 = 0.3;
+
 /// Health-scoring tunables, normally taken from [`Config`].
 #[derive(Debug, Clone, Copy)]
 pub struct SchedulerKnobs {
@@ -53,8 +57,6 @@ pub struct SchedulerKnobs {
     pub failure_threshold: u32,
     /// How long a blacklisted replica sits out before it may be re-tried.
     pub blacklist_cooldown: Duration,
-    /// EWMA smoothing factor in `(0, 1]`: weight of the newest sample.
-    pub ewma_alpha: f64,
 }
 
 impl SchedulerKnobs {
@@ -63,7 +65,6 @@ impl SchedulerKnobs {
         SchedulerKnobs {
             failure_threshold: cfg.replica_failure_threshold.max(1),
             blacklist_cooldown: cfg.replica_blacklist_cooldown,
-            ewma_alpha: cfg.replica_ewma_alpha.clamp(0.01, 1.0),
         }
     }
 }
@@ -269,7 +270,7 @@ impl ReplicaScheduler {
         let Some(h) = st.get_mut(id) else { return };
         let sample = latency.as_secs_f64();
         h.ewma = Some(match h.ewma {
-            Some(prev) => self.knobs.ewma_alpha * sample + (1.0 - self.knobs.ewma_alpha) * prev,
+            Some(prev) => EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * prev,
             None => sample,
         });
         h.consecutive_failures = 0;
@@ -439,11 +440,7 @@ mod tests {
     }
 
     fn knobs() -> SchedulerKnobs {
-        SchedulerKnobs {
-            failure_threshold: 2,
-            blacklist_cooldown: Duration::from_millis(500),
-            ewma_alpha: 0.5,
-        }
+        SchedulerKnobs { failure_threshold: 2, blacklist_cooldown: Duration::from_millis(500) }
     }
 
     fn sim_sched(n: usize) -> (SimNet, Arc<ReplicaScheduler>) {
@@ -526,8 +523,8 @@ mod tests {
         s.record_success(0, Duration::from_millis(100));
         s.record_success(0, Duration::from_millis(200));
         let ewma = s.snapshot()[0].ewma_latency.unwrap();
-        // alpha = 0.5: 0.5*200 + 0.5*100 = 150 ms.
-        assert!((ewma.as_secs_f64() - 0.150).abs() < 1e-9, "{ewma:?}");
+        // alpha = 0.3: 0.3*200 + 0.7*100 = 130 ms.
+        assert!((ewma.as_secs_f64() - 0.130).abs() < 1e-9, "{ewma:?}");
     }
 
     #[test]
@@ -537,12 +534,12 @@ mod tests {
         // Bootstrap: with no data sample yet, the probe RTT seeds the EWMA.
         s.record_probe(0, Duration::from_millis(5));
         assert_eq!(s.snapshot()[0].ewma_latency, Some(Duration::from_millis(5)));
-        // A real transfer overwrites it; later probes must not erase it —
-        // a ping's RTT says nothing about bandwidth.
+        // A real transfer moves it; later probes must not touch it — a
+        // ping's RTT says nothing about bandwidth.
         s.record_success(0, Duration::from_millis(400));
+        let data = s.snapshot()[0].ewma_latency;
         s.record_probe(0, Duration::from_millis(5));
-        let ewma = s.snapshot()[0].ewma_latency.unwrap();
-        assert!(ewma >= Duration::from_millis(200), "probe erased the data signal: {ewma:?}");
+        assert_eq!(s.snapshot()[0].ewma_latency, data, "probe moved the data signal");
         // But a probe does lift a blacklist (liveness is what it measures).
         s.record_failure(0);
         s.record_failure(0);
@@ -571,11 +568,7 @@ mod tests {
         let sched = Arc::new(ReplicaScheduler::new(
             vec!["http://r0.example/f".parse().unwrap()],
             net.runtime(),
-            SchedulerKnobs {
-                failure_threshold: 1,
-                blacklist_cooldown: Duration::from_secs(3600),
-                ewma_alpha: 0.5,
-            },
+            SchedulerKnobs { failure_threshold: 1, blacklist_cooldown: Duration::from_secs(3600) },
             None,
         ));
         let _g = net.enter();

@@ -3,9 +3,11 @@
 //! Allcock et al.; dataset-to-object-store mapping, Chu et al.).
 //!
 //! [`multistream_upload`] splits a [`ChunkSource`] into
-//! [`Config::upload_chunk_size`] segments and PUTs them in parallel across
-//! [`Config::upload_streams`] workers, then commits the assembled entity in
-//! one atomic step — only after an **end-to-end checksum check**:
+//! [`UploadOptions::chunk_size`] segments and PUTs them in parallel across
+//! [`UploadOptions::streams`] workers (4 × 4 MiB unless set: the
+//! streams × block-size geometry is a property of one transfer), then
+//! commits the assembled entity in one atomic step — only after an
+//! **end-to-end checksum check**:
 //!
 //! * against an S3-flavoured object store, via the classic
 //!   initiate / part / complete dance (`?uploads`, `?uploadId&partNumber`,
@@ -16,15 +18,14 @@
 //!   the destination — readers never observe a partial object.
 //!
 //! Memory stays bounded: each worker holds at most one chunk, so resident
-//! upload buffers never exceed `upload_chunk_size × upload_streams`
-//! (tracked as the [`Metrics::peak_upload_buffer`] high-water mark) — the
-//! whole object is **never** buffered, however large. Chunk digests are
+//! upload buffers never exceed `chunk_size × streams` (tracked as the
+//! [`Metrics::peak_upload_buffer`] high-water mark) — the whole object is
+//! **never** buffered, however large. Chunk digests are
 //! computed per worker and folded with
 //! [`ioapi::checksum::adler32_combine`], so checksumming is as parallel as
 //! the transfer itself.
 
 use crate::client::DavixClient;
-use crate::config::Config;
 use crate::error::{DavixError, Result};
 use crate::executor::{HttpExecutor, PreparedRequest};
 use crate::iopool::{run_chunked, Chunk, ChunkOutcome};
@@ -38,6 +39,12 @@ use parking_lot::Mutex;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// Parallel chunk workers when [`UploadOptions::streams`] is `None`.
+const DEFAULT_STREAMS: usize = 4;
+
+/// Chunk size when [`UploadOptions::chunk_size`] is `None`.
+const DEFAULT_CHUNK_SIZE: usize = 4 * 1024 * 1024;
 
 /// Random-access source of upload data. Chunk workers read disjoint
 /// windows concurrently, so implementations must be thread-safe and
@@ -137,9 +144,10 @@ pub enum UploadProtocol {
 /// Tuning for [`multistream_upload`].
 #[derive(Debug, Clone)]
 pub struct UploadOptions {
-    /// Parallel chunk workers; `None` takes [`Config::upload_streams`].
+    /// Parallel chunk workers; `None` means 4.
     pub streams: Option<usize>,
-    /// Chunk size in bytes; `None` takes [`Config::upload_chunk_size`].
+    /// Chunk size in bytes; `None` means 4 MiB. At most
+    /// `chunk_size × streams` bytes of the source are in memory at once.
     pub chunk_size: Option<usize>,
     /// Give up after this many total chunk failures.
     pub max_chunk_failures: usize,
@@ -232,9 +240,8 @@ pub fn multistream_upload(
     opts: &UploadOptions,
 ) -> Result<UploadReport> {
     let uri = client.parse_url(url)?;
-    let cfg: &Config = &client.inner.cfg;
-    let streams = opts.streams.unwrap_or(cfg.upload_streams);
-    let chunk_size = opts.chunk_size.unwrap_or(cfg.upload_chunk_size);
+    let streams = opts.streams.unwrap_or(DEFAULT_STREAMS);
+    let chunk_size = opts.chunk_size.unwrap_or(DEFAULT_CHUNK_SIZE);
     if streams == 0 || chunk_size == 0 {
         return Err(DavixError::InvalidArgument(
             "upload streams and chunk_size must be > 0".to_string(),

@@ -248,7 +248,6 @@ impl HttpServer {
                 ReactorConfig {
                     threads: self.cfg.reactor_threads,
                     name: "httpd-shard".to_string(),
-                    ..ReactorConfig::default()
                 },
             )),
             listeners: Vec::new(),

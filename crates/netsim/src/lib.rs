@@ -29,7 +29,11 @@
 //! waiter counts. Blocking primitives are the streams themselves,
 //! [`SimNet::sleep`] and the [`Signal`]s handed out by the [`Runtime`] —
 //! protocol libraries must use those instead of bare condition variables
-//! so the simulator can see them. For dense workloads,
+//! so the simulator can see them, and must not hold a bare mutex across a
+//! stream write that can stall on the TCP window (threads queued on that
+//! mutex look runnable, so the clock never moves; xrdlite's
+//! `FrameScheduler` gives each connection one registered writer thread
+//! instead). For dense workloads,
 //! [`simclient`] runs whole client populations as event-driven
 //! [`simclient::ClientSession`] state machines on a [`Reactor`] instead of
 //! one thread per client.
@@ -73,7 +77,6 @@ pub mod simclient;
 mod slab;
 pub mod tcp;
 pub mod transport;
-pub mod writeq;
 
 pub use fault::{FaultPlan, FaultStats, SplitRng};
 pub use reactor::{DriveOutcome, Driven, Reactor, ReactorConfig, TimerWheel};
@@ -81,4 +84,3 @@ pub use sim::{LinkSpec, NetStats, SchedStats, SimListener, SimNet, SimRuntime, S
 pub use simclient::{ClientSession, ClientTask, ConnectFn, Fleet, SessionPoll};
 pub use tcp::{RealRuntime, TcpConnector, TcpListenerWrap, TcpStreamWrap};
 pub use transport::{BoxedStream, Connector, Listener, Pollable, Runtime, Signal, Stream};
-pub use writeq::WriteQueue;

@@ -320,6 +320,12 @@ impl WakePipe {
 // Reactor
 // ---------------------------------------------------------------------------
 
+/// Bucket count of each shard's timer wheel.
+const WHEEL_SLOTS: usize = 256;
+
+/// Bucket width of each shard's timer wheel.
+const WHEEL_GRANULARITY: Duration = Duration::from_millis(8);
+
 /// Tuning for a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -327,20 +333,11 @@ pub struct ReactorConfig {
     pub threads: usize,
     /// Thread-name prefix (threads are named `{name}-{i}`).
     pub name: String,
-    /// Timer-wheel bucket count.
-    pub wheel_slots: usize,
-    /// Timer-wheel bucket width.
-    pub wheel_granularity: Duration,
 }
 
 impl Default for ReactorConfig {
     fn default() -> Self {
-        ReactorConfig {
-            threads: 2,
-            name: "reactor".to_string(),
-            wheel_slots: 256,
-            wheel_granularity: Duration::from_millis(8),
-        }
+        ReactorConfig { threads: 2, name: "reactor".to_string() }
     }
 }
 
@@ -413,12 +410,9 @@ impl Reactor {
         for (i, shard) in shards.into_iter().enumerate() {
             let inner2 = Arc::clone(&inner);
             let rt2 = Arc::clone(&rt);
-            let cfg2 = cfg.clone();
             let join = rt.spawn_joinable(
                 &format!("{}-{i}", cfg.name),
-                Box::new(move || {
-                    shard_main(shard, inner2, rt2, &cfg2);
-                }),
+                Box::new(move || shard_main(shard, inner2, rt2)),
             );
             inner.joins.lock().push(join);
         }
@@ -501,14 +495,9 @@ fn rearm(token: usize, slot: &mut TaskSlot, wheel: &mut TimerWheel) {
     }
 }
 
-fn shard_main(
-    shard: Arc<ShardShared>,
-    inner: Arc<ReactorInner>,
-    rt: Arc<dyn Runtime>,
-    cfg: &ReactorConfig,
-) {
+fn shard_main(shard: Arc<ShardShared>, inner: Arc<ReactorInner>, rt: Arc<dyn Runtime>) {
     let mut slots: Slab<TaskSlot> = Slab::new();
-    let mut wheel = TimerWheel::new(cfg.wheel_slots, cfg.wheel_granularity);
+    let mut wheel = TimerWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY);
     let mut gen_counter: u64 = 0;
     let mut shutdown_seen = false;
     let mut expired: Vec<(usize, u64, u64)> = Vec::new();

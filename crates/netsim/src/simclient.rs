@@ -335,7 +335,7 @@ mod tests {
         let rt: Arc<dyn Runtime> = net.runtime();
         let reactor = Reactor::new(
             Arc::clone(&rt),
-            ReactorConfig { threads: 2, name: "simclient-test".into(), ..Default::default() },
+            ReactorConfig { threads: 2, name: "simclient-test".into() },
         );
         let fleet = Fleet::new(&rt);
         let _guard = net.enter();

@@ -200,10 +200,8 @@ fn run_scenario_with_plan(
 
     let rt: Arc<dyn Runtime> = net.runtime();
     // ONE shard: all tasks serialize through a single driving thread.
-    let reactor = Arc::new(Reactor::new(
-        Arc::clone(&rt),
-        ReactorConfig { threads: 1, name: "det".into(), ..Default::default() },
-    ));
+    let reactor =
+        Arc::new(Reactor::new(Arc::clone(&rt), ReactorConfig { threads: 1, name: "det".into() }));
     let listener = Arc::new(net.bind("server", 80).unwrap());
     reactor.submit(Box::new(Acceptor {
         listener: Arc::clone(&listener),

@@ -82,10 +82,8 @@ fn idle_daemons_in_accept_and_reactor_park_are_quiescence() {
     });
     // ...plus reactor shards parked on their wakers with no tasks.
     let rt: Arc<dyn netsim::Runtime> = net.runtime();
-    let reactor = Reactor::new(
-        Arc::clone(&rt),
-        ReactorConfig { threads: 2, name: "idle-park".into(), ..Default::default() },
-    );
+    let reactor =
+        Reactor::new(Arc::clone(&rt), ReactorConfig { threads: 2, name: "idle-park".into() });
 
     // Let the watchdog window pass in *real* time with every registered
     // thread being an idle daemon. A misfiring watchdog would poison the

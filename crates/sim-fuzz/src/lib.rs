@@ -251,8 +251,7 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
             .with_io_threads(1)
             .replica_blacklist(2, Duration::from_millis(500)),
     );
-    let writer =
-        tb.davix_client(Config::default().with_io_threads(1).with_upload(1, 8192).no_retry());
+    let writer = tb.davix_client(Config::default().with_io_threads(1).no_retry());
     if cfg.canary == Canary::UnsyncMetric {
         writer.set_unsync_metric_canary(true);
     }
@@ -333,7 +332,12 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
             } else {
                 UploadProtocol::SegmentedPut
             };
-            let opts = UploadOptions { protocol, max_chunk_failures: 2, ..Default::default() };
+            let opts = UploadOptions {
+                streams: Some(1),
+                chunk_size: Some(8192),
+                max_chunk_failures: 2,
+                protocol,
+            };
             let ok = multistream_upload(
                 &writer,
                 &url,

@@ -2,16 +2,19 @@
 //! matching, vectored reads, asynchronous prefetch and sliding-window
 //! read-ahead.
 
-use crate::mux::Reassembler;
+use crate::mux::{FrameScheduler, Reassembler};
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status};
 use davix_sync::{AtomicBool, AtomicU64, Ordering};
 use ioapi::{IoStats, IoStatsSnapshot, RandomAccess};
-use netsim::{Connector, Runtime, Signal, WriteQueue};
+use netsim::{Connector, Runtime, Signal};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Cap on a file's cached or pending read-ahead segments (LRU eviction).
+const MAX_CACHED_SEGMENTS: usize = 64;
 
 /// Client tuning.
 #[derive(Debug, Clone)]
@@ -23,8 +26,6 @@ pub struct XrdClientOptions {
     pub readahead_window: u64,
     /// Read-ahead segment size (bytes).
     pub readahead_segment: usize,
-    /// Cap on cached/pending segments (LRU eviction).
-    pub max_cached_segments: usize,
 }
 
 impl Default for XrdClientOptions {
@@ -33,7 +34,6 @@ impl Default for XrdClientOptions {
             connect_timeout: Duration::from_secs(30),
             readahead_window: 4 * 1024 * 1024,
             readahead_segment: 512 * 1024,
-            max_cached_segments: 64,
         }
     }
 }
@@ -83,9 +83,9 @@ enum Pending {
 }
 
 struct ClientInner {
-    /// Outbound frames; a dedicated writer thread performs the blocking
-    /// writes so request threads never stall on the TCP send window.
-    writeq: Arc<WriteQueue>,
+    /// Outbound frames, never split; a dedicated writer thread performs the
+    /// blocking writes so request threads never stall on the TCP send window.
+    sender: Arc<FrameScheduler>,
     pending: Mutex<HashMap<u16, Pending>>,
     next_id: Mutex<u16>,
     rt: Arc<dyn Runtime>,
@@ -130,9 +130,8 @@ impl ClientInner {
             pending.insert(id, entry);
             id
         };
-        let frame = Frame { stream_id: id, code: op as u8, flags: 0, payload };
         self.round_trips.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.writeq.push(frame.encode()) {
+        if let Err(e) = self.sender.enqueue(id, op as u8, payload) {
             self.pending.lock().remove(&id);
             return Err(e);
         }
@@ -149,7 +148,7 @@ impl ClientInner {
     fn fail_all(&self, reason: &str) {
         self.dead.store(true, Ordering::SeqCst);
         *self.dead_reason.lock() = Some(reason.to_string());
-        self.writeq.close();
+        self.sender.close();
         let mut pending = self.pending.lock();
         for (_, p) in pending.drain() {
             match p {
@@ -181,7 +180,7 @@ enum PendingKind {
 /// thread keeps `ClientInner` alive, so a teardown tied to it would never
 /// run.
 struct ConnGuard {
-    writeq: Arc<WriteQueue>,
+    sender: Arc<FrameScheduler>,
 }
 
 impl Drop for ConnGuard {
@@ -189,7 +188,7 @@ impl Drop for ConnGuard {
         // The writer thread drains any still-queued frames, then sends FIN
         // → the server's connection threads exit and close their side →
         // our reader thread sees EOF and exits too.
-        self.writeq.close_and_shutdown();
+        self.sender.close_and_shutdown();
     }
 }
 
@@ -213,9 +212,10 @@ impl XrdClient {
         let mut stream = connector.connect(host, port, Some(opts.connect_timeout))?;
         wire::client_handshake(&mut stream)?;
         let writer = stream.try_clone()?;
-        let writeq = WriteQueue::spawn(&rt, &format!("xrd-send-{host}:{port}"), writer);
+        let sender =
+            FrameScheduler::spawn(&rt, &format!("xrd-send-{host}:{port}"), writer, usize::MAX);
         let inner = Arc::new(ClientInner {
-            writeq,
+            sender,
             pending: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
             rt: Arc::clone(&rt),
@@ -279,7 +279,7 @@ impl XrdClient {
                 }
             }),
         );
-        let guard = Arc::new(ConnGuard { writeq: Arc::clone(&inner.writeq) });
+        let guard = Arc::new(ConnGuard { sender: Arc::clone(&inner.sender) });
         Ok(XrdClient { inner, opts, guard })
     }
 
@@ -565,7 +565,7 @@ impl XrdFile {
         cache.segments.insert(idx, slot);
         cache.lru.retain(|&i| i != idx);
         cache.lru.push(idx);
-        while cache.lru.len() > self.opts.max_cached_segments {
+        while cache.lru.len() > MAX_CACHED_SEGMENTS {
             let evict = cache.lru.remove(0);
             cache.segments.remove(&evict);
         }

@@ -1,5 +1,5 @@
-//! Response multiplexing: the server-side frame scheduler and the
-//! client-side partial-frame reassembler.
+//! Frame multiplexing: the connection writer and the client-side
+//! partial-frame reassembler.
 //!
 //! XRootD's server does not write one response at a time: its I/O scheduler
 //! interleaves *chunks* of concurrent responses on the wire so a large read
@@ -7,59 +7,77 @@
 //! property the paper contrasts with HTTP pipelining, §2.2). We reproduce
 //! that with:
 //!
-//! * [`FrameScheduler`] — responses are split into frames of at most
-//!   `max_frame_payload` bytes and drained round-robin across response
-//!   streams by one dedicated writer thread. All frames of a response except
-//!   the last carry [`wire::FLAG_PARTIAL`] (XRootD's `kXR_oksofar`).
+//! * [`FrameScheduler`] — frames are queued whole and drained by one
+//!   dedicated writer thread. The server's scheduler splits each response
+//!   into frames of at most `max_frame_payload` bytes, round-robin across
+//!   response streams; all frames of a response except the last carry
+//!   [`wire::FLAG_PARTIAL`] (XRootD's `kXR_oksofar`). The client's request
+//!   frames go through one too, with no limit: a request is never split.
 //! * [`Reassembler`] — the client accumulates partial frames per stream ID
 //!   and yields the full payload when the final frame arrives.
 //!
-//! The dedicated writer thread also keeps every blocking write on a thread
-//! the simulator's virtual clock can see (see [`netsim::writeq`] for the
-//! invisible-block hazard this avoids).
+//! # Why a writer thread
+//!
+//! Under the simulator, a thread that blocks on a *simulator primitive*
+//! (stream read/write, `Runtime::sleep`, `Signal::wait`) is visible to the
+//! virtual clock; a thread that blocks on a bare mutex is **not**. If
+//! protocol code held a `Mutex<BoxedStream>` across a `write_all` that
+//! stalls on the simulated TCP window, every other thread queued on that
+//! mutex would look *runnable* to the clock, so virtual time would never
+//! advance, the window would never open, and the whole simulation would
+//! hang — an "invisible block" deadlock. Producers here take a lock only to
+//! queue a frame; the one registered writer thread blocks only on the
+//! stream itself and on a [`Signal`], both of which the clock can see. Over
+//! real TCP the same thread is merely the connection's single writer.
 
 use crate::wire::{self, Frame};
 use davix_sync::{AtomicBool, AtomicU64, Ordering};
 use netsim::{BoxedStream, Runtime, Signal};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
-use std::io;
+use std::io::{self, Write};
 use std::sync::Arc;
 
-/// One response being streamed out: header fields plus the unsent payload
-/// suffix.
+/// One frame payload being sent: header fields plus the unsent suffix.
 struct OutStream {
     stream_id: u16,
     code: u8,
     payload: Vec<u8>,
     /// Next unsent byte of `payload`.
     offset: usize,
-    /// True once at least one frame of this response has been emitted
-    /// (an empty payload still needs exactly one final frame).
-    started: bool,
 }
 
-/// Round-robin chunked writer for response frames.
+/// FIFO of frames drained onto a stream by a dedicated writer thread,
+/// round-robin in chunks of at most `max_frame_payload` bytes.
 ///
-/// [`submit`](FrameScheduler::submit) enqueues a complete response; the
-/// writer thread interleaves its frames with other in-flight responses.
+/// * [`enqueue`](FrameScheduler::enqueue) never blocks on the network;
+/// * each frame goes out with one `write_all`; a payload that fits in one
+///   frame is moved into it, not copied;
+/// * a write error kills the scheduler: the writer exits and later enqueues
+///   fail with [`io::ErrorKind::BrokenPipe`] carrying the error's text;
+/// * [`close`](FrameScheduler::close) lets the writer drain what is queued
+///   and exit; [`close_and_shutdown`](FrameScheduler::close_and_shutdown)
+///   also half-closes the stream (FIN) after the drain, so teardown never
+///   cuts a queued frame in half.
 pub struct FrameScheduler {
     rr: Mutex<VecDeque<OutStream>>,
     avail: Arc<dyn Signal>,
     closed: AtomicBool,
-    dead: AtomicBool,
-    /// Responses fully written.
-    responses: AtomicU64,
-    /// Frames written (≥ responses when chunking splits payloads).
+    /// Send FIN from the writer thread once it has drained and is exiting.
+    shutdown_on_exit: AtomicBool,
+    /// The write error that killed the writer, once it has.
+    dead: Mutex<Option<String>>,
+    /// Frames written (more than the payloads enqueued when chunking
+    /// splits them).
     frames: AtomicU64,
 }
 
 impl FrameScheduler {
-    /// Create the scheduler and spawn its writer thread.
+    /// Create the scheduler and spawn its writer thread, named `name`.
     ///
     /// `max_frame_payload` bounds the payload of each wire frame; it is the
-    /// interleaving granularity (a small response waits at most one such
-    /// chunk of any other response).
+    /// interleaving granularity (a small payload waits at most one such
+    /// chunk of any other). `usize::MAX` never splits a payload.
     pub fn spawn(
         rt: &Arc<dyn Runtime>,
         name: &str,
@@ -71,77 +89,82 @@ impl FrameScheduler {
             rr: Mutex::new(VecDeque::new()),
             avail: rt.signal(),
             closed: AtomicBool::new(false),
-            dead: AtomicBool::new(false),
-            responses: AtomicU64::new(0),
+            shutdown_on_exit: AtomicBool::new(false),
+            dead: Mutex::new(None),
             frames: AtomicU64::new(0),
         });
         let s2 = Arc::clone(&sched);
         rt.spawn(
             name,
             Box::new(move || {
-                use std::io::Write;
-                loop {
-                    // Pop the front response, cut one chunk, re-queue at the
-                    // back if unfinished: round-robin fairness.
-                    let next: Option<Frame> = {
-                        let mut rr = s2.rr.lock();
-                        match rr.pop_front() {
-                            Some(mut out) => {
-                                let remaining = out.payload.len() - out.offset;
-                                let take = remaining.min(max_frame_payload);
-                                let chunk = out.payload[out.offset..out.offset + take].to_vec();
-                                out.offset += take;
-                                out.started = true;
-                                let partial = out.offset < out.payload.len();
-                                let frame = Frame {
-                                    stream_id: out.stream_id,
-                                    code: out.code,
-                                    flags: if partial { wire::FLAG_PARTIAL } else { 0 },
-                                    payload: chunk,
-                                };
-                                if partial {
-                                    rr.push_back(out);
-                                } else {
-                                    s2.responses.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Some(frame)
-                            }
-                            None => None,
-                        }
-                    };
-                    match next {
-                        Some(frame) => {
-                            if stream.write_all(&frame.encode()).is_err() {
-                                s2.dead.store(true, Ordering::Release);
-                                return;
-                            }
-                            s2.frames.fetch_add(1, Ordering::Relaxed);
-                        }
-                        None => {
-                            if s2.closed.load(Ordering::Acquire) {
-                                return;
-                            }
-                            s2.avail.reset();
-                            if s2.rr.lock().is_empty() && !s2.closed.load(Ordering::Acquire) {
-                                s2.avail.wait(None);
-                            }
-                        }
-                    }
+                s2.run_writer(&mut stream, max_frame_payload);
+                if s2.shutdown_on_exit.load(Ordering::Acquire) {
+                    let _ = stream.shutdown_write();
                 }
             }),
         );
         sched
     }
 
-    /// Enqueue a complete response for interleaved transmission.
-    pub fn submit(&self, stream_id: u16, code: u8, payload: Vec<u8>) -> io::Result<()> {
-        if self.dead.load(Ordering::Acquire) {
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, "connection writer dead"));
+    /// The writer thread's loop: returns once closed and drained, or on the
+    /// first write error.
+    fn run_writer(&self, stream: &mut BoxedStream, max_frame_payload: usize) {
+        loop {
+            match self.next_frame(max_frame_payload) {
+                Some(frame) => {
+                    if let Err(e) = stream.write_all(&frame.encode()) {
+                        *self.dead.lock() = Some(e.to_string());
+                        return;
+                    }
+                    self.frames.fetch_add(1, Ordering::Relaxed);
+                }
+                None => {
+                    if self.closed.load(Ordering::Acquire) {
+                        return;
+                    }
+                    // Reset *before* the emptiness re-check so an enqueue's
+                    // `set` between the check and `wait` is not lost.
+                    self.avail.reset();
+                    if self.rr.lock().is_empty() && !self.closed.load(Ordering::Acquire) {
+                        self.avail.wait(None);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Pop the front payload, cut one frame, re-queue the rest at the back:
+    /// round-robin fairness.
+    fn next_frame(&self, max_frame_payload: usize) -> Option<Frame> {
+        let mut rr = self.rr.lock();
+        let mut out = rr.pop_front()?;
+        let take = (out.payload.len() - out.offset).min(max_frame_payload);
+        let partial = out.offset + take < out.payload.len();
+        let payload = if out.offset == 0 && !partial {
+            std::mem::take(&mut out.payload)
+        } else {
+            out.payload[out.offset..out.offset + take].to_vec()
+        };
+        out.offset += take;
+        let flags = if partial { wire::FLAG_PARTIAL } else { 0 };
+        let frame = Frame { stream_id: out.stream_id, code: out.code, flags, payload };
+        if partial {
+            rr.push_back(out);
+        }
+        Some(frame)
+    }
+
+    /// Enqueue a complete payload for (interleaved) transmission. Success
+    /// does **not** guarantee delivery: a later write error is reported to
+    /// later enqueues only.
+    pub fn enqueue(&self, stream_id: u16, code: u8, payload: Vec<u8>) -> io::Result<()> {
+        if let Some(reason) = self.dead.lock().clone() {
+            return Err(io::Error::new(io::ErrorKind::BrokenPipe, reason));
         }
         if self.closed.load(Ordering::Acquire) {
             return Err(io::Error::new(io::ErrorKind::BrokenPipe, "scheduler closed"));
         }
-        self.rr.lock().push_back(OutStream { stream_id, code, payload, offset: 0, started: false });
+        self.rr.lock().push_back(OutStream { stream_id, code, payload, offset: 0 });
         self.avail.set();
         Ok(())
     }
@@ -152,9 +175,11 @@ impl FrameScheduler {
         self.avail.set();
     }
 
-    /// Responses fully written so far.
-    pub fn responses_written(&self) -> u64 {
-        self.responses.load(Ordering::Relaxed)
+    /// [`close`](FrameScheduler::close), then a half-close (FIN) of the
+    /// stream from the writer thread once it has drained.
+    pub fn close_and_shutdown(&self) {
+        self.shutdown_on_exit.store(true, Ordering::Release);
+        self.close();
     }
 
     /// Frames written so far.
@@ -239,92 +264,171 @@ mod tests {
         assert_eq!(r.push(frame(1, 0, b"1b")).unwrap().1, b"1a1b".to_vec());
     }
 
-    #[test]
-    fn scheduler_round_robins_large_and_small() {
-        // A 1 MiB response submitted first must not delay a 10-byte response
-        // by more than ~one chunk: on the wire the small response's final
-        // frame appears long before the big one's.
+    /// What the sink on host `b` read off its one connection: every frame,
+    /// then whether the stream ended with a FIN.
+    #[derive(Default)]
+    struct Sink {
+        frames: Vec<Frame>,
+        fin: bool,
+    }
+
+    /// Hosts `a` and `b` over `link`, with a sink listening on `b`.
+    fn net_with_sink(link: LinkSpec) -> (SimNet, Arc<Mutex<Sink>>) {
         let net = SimNet::new();
         net.add_host("a");
         net.add_host("b");
-        net.set_link("a", "b", LinkSpec::lan());
+        net.set_link("a", "b", link);
         let listener = net.bind("b", 9).unwrap();
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let order2 = Arc::clone(&order);
+        let sink = Arc::new(Mutex::new(Sink::default()));
+        let sink2 = Arc::clone(&sink);
         net.spawn("sink", move || {
             let (mut s, _) = listener.accept_sim().unwrap();
-            let mut re = Reassembler::new();
             loop {
-                let f = match Frame::read_from(&mut s) {
-                    Ok(f) => f,
-                    Err(_) => return,
-                };
-                if let Some((_, payload)) = re.push(f) {
-                    order2.lock().push(payload.len());
-                    if order2.lock().len() == 2 {
+                match Frame::read_from(&mut s) {
+                    Ok(f) => sink2.lock().frames.push(f),
+                    Err(e) => {
+                        sink2.lock().fin = e.kind() == io::ErrorKind::UnexpectedEof;
                         return;
                     }
                 }
             }
         });
-        let _g = net.enter();
+        (net, sink)
+    }
+
+    /// A scheduler on `a` writing to the sink, and a second handle on its
+    /// stream: a connection's reader holds one, so the peer sees the end of
+    /// the stream only through a FIN.
+    fn scheduler(net: &SimNet, max_frame_payload: usize) -> (Arc<FrameScheduler>, BoxedStream) {
         let stream = net.connect("a", "b", 9).unwrap();
+        let reader = netsim::Stream::try_clone(&stream).unwrap();
         let rt: Arc<dyn Runtime> = net.runtime();
-        let sched = FrameScheduler::spawn(&rt, "sched", Box::new(stream), 64 * 1024);
-        sched.submit(1, 0, vec![0u8; 1 << 20]).unwrap();
-        sched.submit(2, 0, b"0123456789".to_vec()).unwrap();
+        (FrameScheduler::spawn(&rt, "sched", Box::new(stream), max_frame_payload), reader)
+    }
+
+    #[test]
+    fn scheduler_round_robins_large_and_small() {
+        // A 1 MiB response submitted first must not delay a 10-byte response
+        // by more than ~one chunk: on the wire the small response's final
+        // frame appears long before the big one's.
+        let (net, sink) = net_with_sink(LinkSpec::lan());
+        let _g = net.enter();
+        let (sched, _reader) = scheduler(&net, 64 * 1024);
+        sched.enqueue(1, 0, vec![0u8; 1 << 20]).unwrap();
+        sched.enqueue(2, 0, b"0123456789".to_vec()).unwrap();
         net.sleep(Duration::from_secs(5));
-        let got = order.lock().clone();
-        assert_eq!(got, vec![10, 1 << 20], "small response must complete first");
+        let mut re = Reassembler::new();
+        let order: Vec<usize> = std::mem::take(&mut sink.lock().frames)
+            .into_iter()
+            .filter_map(|f| re.push(f).map(|(_, payload)| payload.len()))
+            .collect();
+        assert_eq!(order, vec![10, 1 << 20], "small response must complete first");
         assert!(sched.frames_written() > 2, "big response must have been chunked");
-        sched.close();
+        sched.close_and_shutdown();
     }
 
     #[test]
     fn scheduler_empty_payload_emits_one_final_frame() {
-        let net = SimNet::new();
-        net.add_host("a");
-        net.add_host("b");
-        net.set_link("a", "b", LinkSpec::lan());
-        let listener = net.bind("b", 9).unwrap();
-        let got = Arc::new(Mutex::new(None));
-        let got2 = Arc::clone(&got);
-        net.spawn("sink", move || {
-            let (mut s, _) = listener.accept_sim().unwrap();
-            let f = Frame::read_from(&mut s).unwrap();
-            *got2.lock() = Some(f);
-        });
+        let (net, sink) = net_with_sink(LinkSpec::lan());
         let _g = net.enter();
-        let stream = net.connect("a", "b", 9).unwrap();
-        let rt: Arc<dyn Runtime> = net.runtime();
-        let sched = FrameScheduler::spawn(&rt, "sched", Box::new(stream), 1024);
-        sched.submit(3, 0, Vec::new()).unwrap();
+        let (sched, _reader) = scheduler(&net, 1024);
+        sched.enqueue(3, 0, Vec::new()).unwrap();
         net.sleep(Duration::from_millis(100));
-        let f = got.lock().take().expect("frame delivered");
-        assert_eq!(f.stream_id, 3);
-        assert_eq!(f.flags & wire::FLAG_PARTIAL, 0);
-        assert!(f.payload.is_empty());
-        sched.close();
+        let sink = sink.lock();
+        assert_eq!(sink.frames.len(), 1, "one frame delivered");
+        assert_eq!(sink.frames[0].stream_id, 3);
+        assert_eq!(sink.frames[0].flags & wire::FLAG_PARTIAL, 0);
+        assert!(sink.frames[0].payload.is_empty());
+        sched.close_and_shutdown();
     }
 
     #[test]
-    fn scheduler_submit_after_close_fails() {
-        let net = SimNet::new();
-        net.add_host("a");
-        net.add_host("b");
-        net.set_link("a", "b", LinkSpec::lan());
-        let listener = net.bind("b", 9).unwrap();
-        net.spawn("sink", move || {
-            let (mut s, _) = listener.accept_sim().unwrap();
-            let mut buf = Vec::new();
-            use std::io::Read;
-            let _ = s.read_to_end(&mut buf);
-        });
+    fn scheduler_enqueue_after_close_fails() {
+        let (net, _sink) = net_with_sink(LinkSpec::lan());
         let _g = net.enter();
-        let stream = net.connect("a", "b", 9).unwrap();
-        let rt: Arc<dyn Runtime> = net.runtime();
-        let sched = FrameScheduler::spawn(&rt, "sched", Box::new(stream), 1024);
-        sched.close();
-        assert!(sched.submit(1, 0, vec![1]).is_err());
+        let (sched, _reader) = scheduler(&net, 1024);
+        sched.close_and_shutdown();
+        assert!(sched.enqueue(1, 0, vec![1]).is_err());
+    }
+
+    #[test]
+    fn scheduler_drains_in_fifo_order() {
+        let (net, sink) = net_with_sink(LinkSpec::lan());
+        let _g = net.enter();
+        let (sched, _reader) = scheduler(&net, 1024);
+        for i in 0..10u8 {
+            sched.enqueue(i.into(), 0, vec![i; 3]).unwrap();
+        }
+        sched.close_and_shutdown();
+        net.sleep(Duration::from_secs(1));
+        let sink = sink.lock();
+        let got: Vec<(u16, Vec<u8>)> =
+            sink.frames.iter().map(|f| (f.stream_id, f.payload.clone())).collect();
+        let want: Vec<(u16, Vec<u8>)> = (0..10u8).map(|i| (i.into(), vec![i; 3])).collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn producers_never_block_on_the_tcp_window() {
+        // The invisible-block regression (see the module docs): a producer
+        // enqueueing far more than the TCP window returns at once; the
+        // writer thread absorbs the blocking.
+        let slow = LinkSpec {
+            delay: Duration::from_millis(50),
+            bandwidth: Some(1 << 20),
+            ..Default::default()
+        };
+        let (net, sink) = net_with_sink(slow);
+        let _g = net.enter();
+        let (sched, _reader) = scheduler(&net, usize::MAX);
+        let t0 = net.now();
+        for i in 0..8 {
+            sched.enqueue(i, 0, vec![0xAB; 512 * 1024]).unwrap(); // 4 MiB ≫ any window
+        }
+        assert_eq!(net.now(), t0, "enqueue must not consume virtual time");
+        sched.close_and_shutdown();
+        net.sleep(Duration::from_secs(60));
+        let total: usize = sink.lock().frames.iter().map(|f| f.payload.len()).sum();
+        assert_eq!(total, 8 * 512 * 1024);
+    }
+
+    #[test]
+    fn close_and_shutdown_sends_fin_only_after_the_queued_frames() {
+        let slow = LinkSpec {
+            delay: Duration::from_millis(50),
+            bandwidth: Some(1 << 20),
+            ..Default::default()
+        };
+        let (net, sink) = net_with_sink(slow);
+        let _g = net.enter();
+        let (sched, _reader) = scheduler(&net, usize::MAX);
+        for i in 0..4u8 {
+            sched.enqueue(i.into(), 0, vec![i; 256 * 1024]).unwrap();
+        }
+        sched.close_and_shutdown();
+        net.sleep(Duration::from_secs(30));
+        let sink = sink.lock();
+        assert!(sink.fin, "the peer must see a FIN");
+        assert_eq!(sink.frames.len(), 4, "every queued frame precedes the FIN");
+        for (i, f) in sink.frames.iter().enumerate() {
+            assert_eq!(f.payload, vec![i as u8; 256 * 1024]);
+        }
+    }
+
+    #[test]
+    fn an_unsplittable_scheduler_sends_a_long_payload_as_one_frame() {
+        let (net, sink) = net_with_sink(LinkSpec::lan());
+        let _g = net.enter();
+        let (sched, _reader) = scheduler(&net, usize::MAX);
+        let payload: Vec<u8> = (0..200 * 1024).map(|i| (i % 251) as u8).collect();
+        sched.enqueue(9, 4, payload.clone()).unwrap();
+        sched.close_and_shutdown();
+        net.sleep(Duration::from_secs(1));
+        let sink = sink.lock();
+        assert_eq!(sink.frames.len(), 1);
+        assert_eq!(sched.frames_written(), 1);
+        let f = &sink.frames[0];
+        assert_eq!((f.stream_id, f.code, f.flags), (9, 4, 0));
+        assert_eq!(f.payload, payload);
     }
 }

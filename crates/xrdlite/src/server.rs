@@ -8,7 +8,7 @@
 
 use crate::mux::FrameScheduler;
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status};
-use davix_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use davix_sync::{AtomicU32, AtomicU64, Ordering};
 use netsim::{BoxedStream, Listener, Runtime};
 use objstore::ObjectStore;
 use parking_lot::Mutex;
@@ -16,27 +16,23 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Interleaving granularity: responses larger than this are split into
+/// partial frames scheduled round-robin across streams.
+const MAX_FRAME_PAYLOAD: usize = 64 * 1024;
+
 /// Server configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct XrdServerConfig {
     /// Simulated storage latency per request.
     pub process_delay: Duration,
-    /// Interleaving granularity: responses larger than this are split into
-    /// multiple partial frames scheduled round-robin across streams.
-    pub max_frame_payload: usize,
-}
-
-impl Default for XrdServerConfig {
-    fn default() -> Self {
-        XrdServerConfig { process_delay: Duration::ZERO, max_frame_payload: 64 * 1024 }
-    }
 }
 
 /// The server.
 pub struct XrdServer {
     store: Arc<ObjectStore>,
     cfg: XrdServerConfig,
-    stopping: Arc<AtomicBool>,
+    /// Listeners being served, closed by [`stop`](XrdServer::stop).
+    listeners: Mutex<Vec<Arc<dyn Listener>>>,
     /// Requests served (all connections).
     pub requests: AtomicU64,
     /// Connections accepted.
@@ -49,20 +45,27 @@ impl XrdServer {
         Arc::new(XrdServer {
             store,
             cfg,
-            stopping: Arc::new(AtomicBool::new(false)),
+            listeners: Mutex::new(Vec::new()),
             requests: AtomicU64::new(0),
             connections: AtomicU64::new(0),
         })
     }
 
-    /// Stop accepting new connections.
+    /// Stop accepting new connections: closes every listener, which wakes
+    /// an accept thread parked in `accept` so it exits. Connections already
+    /// accepted run on until their client hangs up.
     pub fn stop(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
+        let listeners = std::mem::take(&mut *self.listeners.lock());
+        for l in listeners {
+            l.close();
+        }
     }
 
     /// Run the accept loop (returns immediately; work happens on runtime
     /// threads).
     pub fn serve(self: &Arc<Self>, listener: Box<dyn Listener>, rt: Arc<dyn Runtime>) {
+        let listener: Arc<dyn Listener> = Arc::from(listener);
+        self.listeners.lock().push(Arc::clone(&listener));
         let server = Arc::clone(self);
         let rt2 = Arc::clone(&rt);
         rt.spawn(
@@ -70,9 +73,6 @@ impl XrdServer {
             Box::new(move || {
                 let mut conn_id = 0u64;
                 loop {
-                    if server.stopping.load(Ordering::SeqCst) {
-                        return;
-                    }
                     let (stream, _) = match listener.accept() {
                         Ok(x) => x,
                         Err(_) => return,
@@ -107,7 +107,7 @@ impl XrdServer {
             rt,
             &format!("xrd-writer-{}", stream.peer()),
             writer,
-            self.cfg.max_frame_payload,
+            MAX_FRAME_PAYLOAD,
         );
         let handles: Arc<Mutex<HashMap<u32, String>>> = Arc::new(Mutex::new(HashMap::new()));
         let next_handle = Arc::new(AtomicU32::new(1));
@@ -137,7 +137,7 @@ impl XrdServer {
                         rt2.sleep(server.cfg.process_delay);
                     }
                     let (status, payload) = server.dispatch(&frame, &handles, &next_handle);
-                    let _ = sched.submit(frame.stream_id, status as u8, payload);
+                    let _ = sched.enqueue(frame.stream_id, status as u8, payload);
                 }),
             );
         }
@@ -217,10 +217,13 @@ impl XrdServer {
                     let Ok((off, len)) = frag else {
                         return err("malformed READV fragment".to_string());
                     };
-                    if off + len as u64 > size {
+                    // `off + len` can overflow: a hostile `off` near
+                    // `u64::MAX` must get an error, not a panic that leaves
+                    // the request unanswered.
+                    if off > size || u64::from(len) > size - off {
                         return err(format!("fragment {off}+{len} beyond size {size}"));
                     }
-                    out.extend_from_slice(&meta.data[off as usize..(off + len as u64) as usize]);
+                    out.extend_from_slice(&meta.data[off as usize..][..len as usize]);
                 }
                 (Status::Ok, out)
             }
@@ -235,5 +238,65 @@ impl XrdServer {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bytes::Bytes;
+    use netsim::{LinkSpec, SimNet};
+    use std::io::{Read, Write};
+
+    fn sim_server(data: &'static [u8]) -> (SimNet, Arc<XrdServer>) {
+        let net = SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        net.set_link("c", "s", LinkSpec::lan());
+        let store = Arc::new(ObjectStore::new());
+        store.put("/f", Bytes::from_static(data));
+        let server = XrdServer::new(store, XrdServerConfig::default());
+        server.serve(Box::new(net.bind("s", 1094).unwrap()), net.runtime());
+        (net, server)
+    }
+
+    /// Send one raw request frame and read its response frame.
+    fn call(s: &mut (impl Read + Write), id: u16, op: Op, payload: Vec<u8>) -> Frame {
+        s.write_all(&Frame { stream_id: id, code: op as u8, flags: 0, payload }.encode()).unwrap();
+        let resp = Frame::read_from(s).unwrap();
+        assert_eq!(resp.stream_id, id);
+        resp
+    }
+
+    #[test]
+    fn an_overflowing_readv_fragment_is_an_error_and_the_connection_lives_on() {
+        let (net, _server) = sim_server(b"0123456789abcdef");
+        let _g = net.enter();
+        let mut s = net.connect("c", "s", 1094).unwrap();
+        wire::client_handshake(&mut s).unwrap();
+        let open = call(&mut s, 1, Op::Open, b"/f".to_vec());
+        assert_eq!(open.code, Status::Ok as u8);
+        let h = PayloadReader::new(&open.payload).u32().unwrap();
+        // `off + len` wraps to 11: inside the 16-byte file if added blindly.
+        let readv = PayloadWriter::new().u32(h).u16(1).u64(u64::MAX - 4).u32(16).build();
+        let resp = call(&mut s, 2, Op::ReadV, readv);
+        assert_eq!(resp.code, Status::Error as u8, "{}", String::from_utf8_lossy(&resp.payload));
+        let read = call(&mut s, 3, Op::Read, PayloadWriter::new().u32(h).u64(10).u32(4).build());
+        assert_eq!((read.code, read.payload.as_slice()), (Status::Ok as u8, &b"abcd"[..]));
+    }
+
+    #[test]
+    fn stop_ends_the_accept_thread() {
+        let net = SimNet::new();
+        net.add_host("s");
+        let _g = net.enter();
+        let before = net.thread_census();
+        let server = XrdServer::new(Arc::new(ObjectStore::new()), XrdServerConfig::default());
+        server.serve(Box::new(net.bind("s", 1094).unwrap()), net.runtime());
+        net.sleep(Duration::from_millis(1));
+        assert_eq!(net.thread_census(), before + 1, "the accept thread runs");
+        server.stop();
+        net.sleep(Duration::from_millis(1));
+        assert_eq!(net.thread_census(), before, "stop must end the accept thread");
     }
 }

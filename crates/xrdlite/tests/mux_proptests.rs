@@ -46,7 +46,7 @@ fn run_roundtrip(payloads: Vec<Vec<u8>>, chunk: usize) -> Received {
     let rt: Arc<dyn Runtime> = net.runtime();
     let sched = FrameScheduler::spawn(&rt, "sched", Box::new(stream), chunk);
     for (i, p) in payloads.into_iter().enumerate() {
-        sched.submit(i as u16, (i % 2) as u8, p).unwrap();
+        sched.enqueue(i as u16, (i % 2) as u8, p).unwrap();
     }
     net.sleep(Duration::from_secs(30));
     sched.close();

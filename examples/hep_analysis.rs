@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
-    // A scaled-down 12 000-event file (see EXPERIMENTS.md for the scaling
-    // argument: file and bandwidth shrink together, latency stays real).
+    // A scaled-down 12 000-event file: file and bandwidth shrink together,
+    // latency stays real.
     let n_events = 12_000u64;
     let mut generator = Generator::new(Schema::hep(64), 2014);
     let bytes = rootio::write_tree(

@@ -6,9 +6,6 @@
 //! host, one or more DPM-like storage nodes holding the same data, an
 //! optional DynaFed federation service, and configurable links (LAN /
 //! pan-European / transatlantic, per the paper's §3 setup).
-//!
-//! See `DESIGN.md` for the full system inventory and `EXPERIMENTS.md` for
-//! the paper-vs-measured record.
 
 pub use davix;
 pub use dynafed;
@@ -122,10 +119,7 @@ pub mod testbed {
                 if cfg.with_xrd {
                     let xrd = xrdlite::XrdServer::new(
                         Arc::clone(&store),
-                        xrdlite::server::XrdServerConfig {
-                            process_delay: cfg.server_delay,
-                            ..Default::default()
-                        },
+                        xrdlite::server::XrdServerConfig { process_delay: cfg.server_delay },
                     );
                     xrd.serve(
                         Box::new(net.bind(host, 1094).expect("bind xrd")),

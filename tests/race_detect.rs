@@ -112,14 +112,14 @@ fn multistream_upload_pool_handoff_has_no_modeled_race() {
     let client = DavixClient::new(
         net.connector("c"),
         net.runtime(),
-        Config::default().no_retry().with_io_threads(2).with_upload(2, 8192),
+        Config::default().no_retry().with_io_threads(2),
     );
     let data = Bytes::from(payload(40_000));
     let report = multistream_upload(
         &client,
         "http://s/up/obj",
         Arc::new(data) as Arc<dyn davix::ChunkSource>,
-        &UploadOptions::default(),
+        &UploadOptions { streams: Some(2), chunk_size: Some(8192), ..Default::default() },
     )
     .expect("upload commits");
     assert!(report.chunks > 1, "scenario must fan out over pool workers");

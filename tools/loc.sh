@@ -12,6 +12,13 @@
 #                                 with `git show`), the working tree, and
 #                                 the delta — a simplicity PR's number,
 #                                 computed rather than quoted
+#   tools/loc.sh --knobs          the options: public fields of every
+#                                 `pub struct *Config` / `*Options` /
+#                                 `*Knobs` in crates/*/src, one line per
+#                                 struct (crate, struct, count, fields)
+#   tools/loc.sh --knobs --diff GIT-REF
+#                                 field counts per struct for GIT-REF, the
+#                                 working tree, and the delta
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,6 +46,80 @@ count_ref() {
     done
     echo "$ref_sum"
 }
+
+# The option structs of the Rust source given as files (or on stdin), read
+# up to each file's `#[cfg(test)]`: a bare `Struct` line per struct, then a
+# `Struct field` line per public field.
+knobs() {
+    awk 'FNR == 1 { skip = 0; name = "" }
+         /#\[cfg\(test\)\]/ { skip = 1 }
+         skip { next }
+         name != "" && /^[[:space:]]*}/ { name = ""; next }
+         name != "" && /^[[:space:]]*pub [a-z_][a-z0-9_]*:/ {
+             f = $0; sub(/^[[:space:]]*pub /, "", f); sub(/:.*/, "", f)
+             print name, f
+             next
+         }
+         /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Options|Knobs)[[:space:]]*\{[[:space:]]*$/ {
+             name = $0; sub(/^[[:space:]]*pub struct /, "", name); sub(/[[:space:]]*\{.*/, "", name)
+             print name
+         }' "$@"
+}
+
+# `DIR Struct count field...` per option struct, from `knobs` output on
+# stdin.
+tally() {
+    awk -v dir="$1" '
+        NF == 1 { if (!($1 in n)) { order[++k] = $1; n[$1] = 0 } next }
+        { n[$1]++; fields[$1] = fields[$1] " " $2 }
+        END { for (i = 1; i <= k; i++) print dir, order[i], n[order[i]] fields[order[i]] }'
+}
+
+# Option-struct tallies of every crate, in the working tree or (given a
+# git ref) as of that ref.
+knob_tallies() {
+    if [ "$#" -eq 0 ]; then
+        for dir in crates/*/src; do
+            # shellcheck disable=SC2046  # no crate path has spaces
+            knobs $(find "$dir" -name '*.rs' | sort) | tally "$dir"
+        done
+    else
+        for dir in $(git ls-tree -d --name-only "$1" crates/ | sed 's|$|/src|'); do
+            for f in $(git ls-tree -r --name-only "$1" -- "$dir" | grep '\.rs$'); do
+                git show "$1:$f" | knobs
+            done | tally "$dir"
+        done
+    fi
+}
+
+if [ "${1:-}" = "--knobs" ]; then
+    if [ "${2:-}" = "--diff" ]; then
+        ref=${3:?usage: tools/loc.sh --knobs --diff GIT-REF}
+        git rev-parse --verify --quiet "$ref^{commit}" >/dev/null || {
+            echo "tools/loc.sh: not a commit: $ref" >&2
+            exit 2
+        }
+        { knob_tallies "$ref" | sed 's/^/before /'; knob_tallies | sed 's/^/after /'; } |
+            awk -v ref="$(git rev-parse --short "$ref")" '
+                { key = $2 " " $3; if (!(key in seen)) { seen[key] = 1; order[++k] = key }
+                  count[$1, key] = $4 }
+                END {
+                    printf "%-22s %-20s %8s %8s %7s\n", "", "", ref, "tree", "delta"
+                    for (i = 1; i <= k; i++) {
+                        split(order[i], p, " ")
+                        b = count["before", order[i]] + 0; a = count["after", order[i]] + 0
+                        printf "%-22s %-20s %8d %8d %+7d\n", p[1], p[2], b, a, a - b
+                        tb += b; ta += a
+                    }
+                    printf "%-22s %-20s %8d %8d %+7d\n", "total", "", tb, ta, ta - tb
+                }'
+    else
+        knob_tallies | awk '{ printf "%-22s %-20s %3d ", $1, $2, $3
+                              for (i = 4; i <= NF; i++) printf " %s", $i
+                              printf "\n" }'
+    fi
+    exit 0
+fi
 
 if [ "${1:-}" = "--diff" ]; then
     ref=${2:?usage: tools/loc.sh --diff GIT-REF}
