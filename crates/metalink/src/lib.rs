@@ -62,7 +62,8 @@ impl From<XmlError> for MetalinkError {
 /// A checksum entry (`<hash type="sha-256">…</hash>`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hash {
-    /// Algorithm label (we use `crc32c` / `adler32` in-tree).
+    /// Algorithm label (in-tree: `crc32`, the IEEE polynomial, and
+    /// `adler32`).
     pub algo: String,
     /// Lower-case hex digest.
     pub value: String,

@@ -9,6 +9,20 @@
 //! magic:u16 = 0x5A4C ("LZ")  method:u8 (0 raw | 1 lzss)  reserved:u8
 //! orig_len:u32  payload_len:u32  crc32(orig):u32  payload
 //! ```
+//!
+//! A frame must be exactly `FRAME_HEADER + payload_len` bytes long, and an
+//! LZSS frame may claim at most 9 output bytes per payload byte; both are
+//! checked before anything is allocated.
+//!
+//! The decoder writes into a buffer `MAX_MATCH` bytes longer than the
+//! output and truncates it at the end. That slack lets every match be
+//! written whole, one at offset ≥ `MAX_MATCH` be a fixed 18-byte copy and
+//! an offset-1 run a fixed 18-byte fill.
+//! It checks bounds once per token group (a flag byte and up to eight
+//! tokens): a group whose 16 token bytes are all in the input and whose
+//! 8 × 18 output bytes all fit before `orig_len` runs with no per-token
+//! check but each match's offset. Any other group — the last few of a
+//! stream — is checked token by token.
 
 use ioapi::checksum::crc32;
 use std::io;
@@ -16,6 +30,9 @@ use std::io;
 const FRAME_MAGIC: u16 = 0x5A4C;
 /// Fixed frame header size in bytes.
 pub const FRAME_HEADER: usize = 16;
+
+const METHOD_RAW: u8 = 0;
+const METHOD_LZSS: u8 = 1;
 
 const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
@@ -121,39 +138,47 @@ fn lzss_encode(input: &[u8]) -> Vec<u8> {
 }
 
 fn lzss_decode(input: &[u8], orig_len: usize) -> io::Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(orig_len);
+    // MAX_MATCH bytes of slack past `orig_len`: a match may always be
+    // written whole, and most as a fixed-size copy or fill.
+    let mut out = vec![0u8; orig_len + MAX_MATCH];
     let mut i = 0usize;
-    while out.len() < orig_len {
-        if i >= input.len() {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, "lzss stream truncated"));
-        }
-        let flags = input[i];
+    let mut o = 0usize;
+    while o < orig_len {
+        let Some(&flags) = input.get(i) else {
+            return Err(invalid("lzss stream truncated"));
+        };
         i += 1;
+        if i + 2 * 8 <= input.len() && o + 8 * MAX_MATCH <= orig_len {
+            // The group's eight tokens are all in the input and all end
+            // before `orig_len`: no per-token checks but the offset.
+            for bit in 0..8 {
+                if flags & (1 << bit) != 0 {
+                    o = copy_match(&mut out, o, [input[i], input[i + 1]])?;
+                    i += 2;
+                } else {
+                    out[o] = input[i];
+                    o += 1;
+                    i += 1;
+                }
+            }
+            continue;
+        }
         for bit in 0..8 {
-            if out.len() >= orig_len {
+            if o >= orig_len {
                 break;
             }
             if flags & (1 << bit) != 0 {
                 if i + 2 > input.len() {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated match"));
+                    return Err(invalid("truncated match"));
                 }
-                let token = u16::from_le_bytes([input[i], input[i + 1]]);
+                o = copy_match(&mut out, o, [input[i], input[i + 1]])?;
                 i += 2;
-                let off = (token >> 4) as usize;
-                let len = (token & 0x0F) as usize + MIN_MATCH;
-                if off == 0 || off > out.len() {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "bad match offset"));
-                }
-                let start = out.len() - off;
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
             } else {
-                if i >= input.len() {
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "truncated literal"));
-                }
-                out.push(input[i]);
+                let Some(&literal) = input.get(i) else {
+                    return Err(invalid("truncated literal"));
+                };
+                out[o] = literal;
+                o += 1;
                 i += 1;
             }
         }
@@ -162,60 +187,105 @@ fn lzss_decode(input: &[u8], orig_len: usize) -> io::Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Compress `input` into a framed block (raw storage if LZSS does not help).
-pub fn compress(input: &[u8]) -> Vec<u8> {
-    let encoded = lzss_encode(input);
-    let (method, payload): (u8, &[u8]) =
-        if encoded.len() < input.len() { (1, &encoded) } else { (0, input) };
+/// Apply the match `token` at output position `o` (which is below the
+/// length `out` was decoded for, so `o + MAX_MATCH` is inside the slack);
+/// returns the position after it.
+#[inline(always)]
+fn copy_match(out: &mut [u8], o: usize, token: [u8; 2]) -> io::Result<usize> {
+    let token = u16::from_le_bytes(token);
+    let off = (token >> 4) as usize;
+    let len = (token & 0x0F) as usize + MIN_MATCH;
+    if off == 0 || off > o {
+        return Err(invalid("bad match offset"));
+    }
+    let from = o - off;
+    // The first two cases write the longest match there is, a fixed size
+    // the compiler turns into a few wide stores; bytes past `len` land in
+    // what later tokens (or the final truncation) overwrite.
+    if off >= MAX_MATCH {
+        // Source and destination cannot overlap.
+        out.copy_within(from..from + MAX_MATCH, o);
+    } else if off == 1 {
+        let run = out[from];
+        out[o..o + MAX_MATCH].fill(run);
+    } else {
+        // The match overlaps its own output: copy forward, byte by byte.
+        for k in 0..len {
+            out[o + k] = out[from + k];
+        }
+    }
+    Ok(o + len)
+}
+
+fn invalid(msg: &'static str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// Frame `payload` as the encoding `method` of `orig`.
+fn frame(method: u8, orig: &[u8], payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
     out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
     out.push(method);
     out.push(0);
-    out.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    out.extend_from_slice(&(orig.len() as u32).to_le_bytes());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(input).to_le_bytes());
+    out.extend_from_slice(&crc32(orig).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
 
-/// Decompress a framed block, verifying length and CRC.
+/// Store `input` in a raw frame: `compress`'s fallback, and what the writer
+/// uses when compression is off.
+pub(crate) fn store(input: &[u8]) -> Vec<u8> {
+    frame(METHOD_RAW, input, input)
+}
+
+/// Compress `input` into a framed block (raw storage if LZSS does not help).
+pub fn compress(input: &[u8]) -> Vec<u8> {
+    let encoded = lzss_encode(input);
+    if encoded.len() < input.len() {
+        frame(METHOD_LZSS, input, &encoded)
+    } else {
+        store(input)
+    }
+}
+
+/// Decompress a framed block, verifying length and CRC. The frame must be
+/// exactly as long as its header says.
 pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
     if frame.len() < FRAME_HEADER {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "short codec frame"));
+        return Err(invalid("short codec frame"));
     }
     let magic = u16::from_le_bytes([frame[0], frame[1]]);
     if magic != FRAME_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad codec magic"));
+        return Err(invalid("bad codec magic"));
     }
     let method = frame[2];
     let orig_len = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as usize;
     let payload_len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
     let crc_expect = u32::from_le_bytes(frame[12..16].try_into().unwrap());
     if frame.len() < FRAME_HEADER + payload_len {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "codec frame truncated"));
+        return Err(invalid("codec frame truncated"));
     }
-    let payload = &frame[FRAME_HEADER..FRAME_HEADER + payload_len];
+    if frame.len() > FRAME_HEADER + payload_len {
+        return Err(invalid("codec frame longer than its header says"));
+    }
+    let payload = &frame[FRAME_HEADER..];
     let out = match method {
-        0 => {
+        METHOD_RAW => {
             if payload_len != orig_len {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "raw frame length mismatch",
-                ));
+                return Err(invalid("raw frame length mismatch"));
             }
             payload.to_vec()
         }
-        1 => {
+        METHOD_LZSS => {
             // The output buffer is reserved up front, so the size the frame
             // claims must be one its payload could decode to: a group of 17
             // input bytes (flags + 8 match tokens) yields at most 8 × 18
             // output bytes — under 9 to 1. A 16-byte frame cannot ask for
             // 4 GiB.
             if orig_len > payload_len.saturating_mul(9) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "codec frame claims more than its payload can decode to",
-                ));
+                return Err(invalid("codec frame claims more than its payload can decode to"));
             }
             lzss_decode(payload, orig_len)?
         }
@@ -227,7 +297,7 @@ pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
         }
     };
     if crc32(&out) != crc_expect {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "codec crc mismatch"));
+        return Err(invalid("codec crc mismatch"));
     }
     Ok(out)
 }
@@ -337,6 +407,20 @@ mod tests {
         for (frame, input) in [(&RAW[..], &b"davix over http!"[..]), (&LZSS[..], &cells[..])] {
             assert_eq!(decompress(frame).unwrap(), input);
             assert_eq!(compress(input), frame, "and the writer still produces them");
+        }
+    }
+
+    #[test]
+    fn a_frame_longer_than_its_header_says_is_refused() {
+        // What a basket index that overstates a basket's length hands over:
+        // the frame, then bytes it never declared.
+        for input in [&b"davix over http!"[..], &b"calorimeter ".repeat(50)] {
+            let mut frame = compress(input);
+            assert_eq!(decompress(&frame).unwrap(), input);
+            frame.extend_from_slice(&compress(b"the next basket"));
+            let err = decompress(&frame).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("longer than its header"), "{err}");
         }
     }
 

@@ -83,7 +83,7 @@ pub fn write_tree(generator: &mut Generator, n_events: u64, opts: &WriterOptions
         let batch_n = opts.events_per_basket.min((n_events - first_event) as usize);
         let batch = generator.batch(batch_n);
         for (bi, col) in batch.columns.iter().enumerate() {
-            let blob = if opts.compress { codec::compress(col) } else { codec_raw(col) };
+            let blob = if opts.compress { codec::compress(col) } else { codec::store(col) };
             index.push(IndexEntry {
                 branch: bi as u16,
                 first_event,
@@ -112,19 +112,6 @@ pub fn write_tree(generator: &mut Generator, n_events: u64, opts: &WriterOptions
     out.extend_from_slice(&index_offset.to_le_bytes());
     out.extend_from_slice(&index_len.to_le_bytes());
     out.extend_from_slice(MAGIC);
-    out
-}
-
-/// A raw (uncompressed) codec frame — used when compression is disabled.
-fn codec_raw(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(codec::FRAME_HEADER + data.len());
-    out.extend_from_slice(&0x5A4Cu16.to_le_bytes());
-    out.push(0); // raw method
-    out.push(0);
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    out.extend_from_slice(&ioapi::checksum::crc32(data).to_le_bytes());
-    out.extend_from_slice(data);
     out
 }
 
@@ -158,6 +145,24 @@ mod tests {
         let c = write_tree(&mut Generator::new(Schema::hep(32), 5), 500, &opts_c);
         let u = write_tree(&mut Generator::new(Schema::hep(32), 5), 500, &opts_u);
         assert!(u.len() > c.len());
+    }
+
+    #[test]
+    fn uncompressed_trees_are_the_bytes_they_always_were() {
+        // Length and CRC-32 of trees written with `compress: false` at the
+        // commit that still had the writer's own raw-frame code.
+        for (branches, seed, n_events, events_per_basket, len, crc) in
+            [(16, 5, 500, 200, 26_501, 0x0cfc_071a), (256, 2014, 1_200, 40, 646_139, 0xd9e6_9042)]
+        {
+            let opts = WriterOptions { events_per_basket, compress: false };
+            let bytes =
+                write_tree(&mut Generator::new(Schema::hep(branches), seed), n_events, &opts);
+            assert_eq!(
+                (bytes.len(), ioapi::checksum::crc32(&bytes)),
+                (len, crc),
+                "hep({branches}), seed {seed}"
+            );
+        }
     }
 
     #[test]
