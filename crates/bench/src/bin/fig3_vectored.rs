@@ -5,7 +5,7 @@
 //! thus the latency bill. We sweep the fragment count and compare:
 //!
 //! * `scalar` — one single-range GET per fragment, sequential;
-//! * `parallel` — one GET per fragment through the pool, 8 wide
+//! * `parallel` — one GET per fragment on the client's I/O pool, 8 wide
 //!   (what you could do *without* multi-range);
 //! * `davix readv` — one multi-range GET (`pread_vec`);
 //! * `xrd readv` — the baseline protocol's `kXR_readv` equivalent.
@@ -122,6 +122,7 @@ fn sweep() {
             drop(_g);
 
             report.metric(&format!("{key}.n{n}.scalar_s"), t_scalar.as_secs_f64());
+            report.metric(&format!("{key}.n{n}.parallel8_s"), t_par.as_secs_f64());
             report.metric(&format!("{key}.n{n}.readv_s"), t_davix.as_secs_f64());
             report.metric(&format!("{key}.n{n}.xrd_readv_s"), t_xrd.as_secs_f64());
             table.row(vec![

@@ -30,7 +30,7 @@
 //!   where its last read ended is sequential; each such read doubles the
 //!   prefetch window from `Config::readahead_min` up to
 //!   `Config::readahead_max` (a random seek resets it), and the window is
-//!   fetched by a background runtime thread through the same single-flight
+//!   fetched by a job on the client's I/O pool through the same single-flight
 //!   path, so a later demand read either hits or joins the in-flight
 //!   fetch. Windows are clamped at EOF — prefetch past the end is a no-op,
 //!   never an error.
@@ -521,7 +521,7 @@ impl FileCache {
     }
 
     /// Hint that `fragments` will be read soon: claim whichever of their
-    /// blocks are absent and fetch them on one background runtime thread
+    /// blocks are absent and fetch them in one job on the client's I/O pool
     /// (one vectored request) through the single-flight path, counting the
     /// landed bytes as `Metrics::bytes_prefetched`. Fragments beyond EOF
     /// are clamped away — hinting too far is free. Failures withdraw the

@@ -85,8 +85,11 @@ pub struct Config {
     pub expect_continue_threshold: u64,
     /// Concurrency cap of the client's shared background-I/O pool
     /// ([`IoPool`]): multi-stream download workers, parallel upload
-    /// workers and cache read-ahead fetches all draw from this budget
-    /// instead of spawning their own threads.
+    /// workers, cache read-ahead fetches, the replica fan-out of a vectored
+    /// read and the parallel single-range fallback all draw from this
+    /// budget instead of spawning their own threads. It bounds every thread
+    /// the client starts for I/O; work the pool has no worker for runs on
+    /// the calling thread.
     ///
     /// [`IoPool`]: crate::IoPool
     pub io_threads: usize,

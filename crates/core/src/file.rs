@@ -23,8 +23,8 @@ use crate::client::ClientInner;
 use crate::config::RangePolicy;
 use crate::error::{DavixError, Result};
 use crate::executor::{body_read_error, PreparedRequest, ResponseStream};
+use crate::iopool::map_ordered;
 use crate::metrics::Metrics;
-use crate::util::parallel_map;
 use httpwire::multipart::{boundary_from_content_type, MultipartReader};
 use httpwire::range::{coalesce_fragments, format_range_header};
 use httpwire::{ContentRange, ResponseHead, StatusCode, Uri};
@@ -450,16 +450,16 @@ impl RawFile {
         }
     }
 
-    /// Fallback: one single-range GET per wire range, in parallel through the
-    /// pool (bounded by [`FALLBACK_PARALLELISM`]).
+    /// Fallback: one single-range GET per wire range, in parallel on the
+    /// client's I/O pool (bounded by [`FALLBACK_PARALLELISM`]).
     fn fetch_parallel_single(
         &self,
         wire: &[(u64, usize)],
         fragments: &[(u64, usize)],
     ) -> Result<Vec<Vec<u8>>> {
         let file = self.clone();
-        let results = parallel_map(
-            self.inner.executor.runtime(),
+        let results = map_ordered(
+            &self.inner.io_pool,
             wire.to_vec(),
             FALLBACK_PARALLELISM,
             move |(off, len): (u64, usize)| -> Result<(u64, Vec<u8>)> {

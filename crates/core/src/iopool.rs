@@ -1,8 +1,9 @@
 //! A bounded, spawn-on-demand worker pool for the client's background I/O,
-//! and the chunk-transfer engine both parallel transfers run on it.
+//! and the one way the client runs work in parallel on it: the batch.
 //!
-//! Multi-stream downloads, parallel uploads and cache read-ahead all need
-//! worker threads. Before this pool each call site spawned its own
+//! Multi-stream downloads, parallel uploads, cache read-ahead, the replica
+//! fan-out of a vectored read and the parallel single-range fallback all
+//! need worker threads. Before this pool each call site spawned its own
 //! (`streams` threads per download, one per prefetch batch, …), so a busy
 //! client's thread count was the *sum* of every concurrent operation's
 //! appetite. [`IoPool`] caps it at [`Config::io_threads`] for the whole
@@ -11,13 +12,19 @@
 //! client holds zero pool threads, and (under simulation) a drained pool
 //! leaves no parked waiters or pending timers to perturb virtual time.
 //!
-//! Jobs must be independent: a job that blocks waiting for a *queued* job
-//! to run would deadlock a saturated pool. `run_chunked` is the shape
-//! that keeps to it, written once for both directions: its workers drain a
-//! shared chunk queue and exit, so any subset of them making progress
-//! completes the batch. (`util::parallel_map` stays on raw runtime threads
-//! for the same reason: as pool jobs, its ordered-result waits could queue
-//! behind the very jobs they wait for.)
+//! A job that blocks waiting for a *queued* job would deadlock a saturated
+//! pool. A batch (`run_batch`: numbered items drained by up to N pool
+//! jobs) never does, because of one rule: **a drain the pool cannot give a
+//! fresh worker at submit time is run by the caller, not queued.** Every
+//! drain the caller then waits for is either running on the caller itself
+//! or owns a worker spawned for it. While the pool is under its cap every
+//! queued job has such a worker not yet started (a queue that formed at
+//! the cap empties before any worker exits), so a drain given one starts
+//! without any other job finishing first. The wait therefore ends whoever
+//! the caller is — `main`, or a read-ahead job that is the pool's only
+//! worker and whose replica read fans out: at `io_threads = 1` that job
+//! runs its whole batch itself. When every drain gets a worker, the caller
+//! only waits, exactly as it would on threads of its own.
 //!
 //! [`Config::io_threads`]: crate::Config::io_threads
 
@@ -71,23 +78,32 @@ impl IoPool {
     /// Queue `job`; it runs as soon as a worker is free (immediately, on a
     /// freshly spawned worker, while fewer than the cap are live).
     pub fn submit(self: &Arc<Self>, job: impl FnOnce() + Send + 'static) {
-        let spawn_name = {
+        self.place(Box::new(job), true);
+    }
+
+    /// Queue `job` and spawn a worker for it while fewer than the cap are
+    /// live. At the cap, `job` waits for a live worker to loop back to it
+    /// if `or_queue`, and is handed back otherwise.
+    fn place(self: &Arc<Self>, job: Job, or_queue: bool) -> Option<Job> {
+        let name = {
             let mut st = self.state.lock();
-            st.queue.push_back(Box::new(job));
-            st.handoff.release();
-            if st.live < self.max {
-                st.live += 1;
-                st.peak_live = st.peak_live.max(st.live);
-                st.spawned += 1;
-                Some(format!("davix-io-{}", st.spawned))
-            } else {
-                None // a live worker will loop back and pick it up
+            let spawn = st.live < self.max;
+            if !spawn && !or_queue {
+                return Some(job);
             }
+            st.queue.push_back(job);
+            st.handoff.release();
+            if !spawn {
+                return None; // a live worker will loop back and pick it up
+            }
+            st.live += 1;
+            st.peak_live = st.peak_live.max(st.live);
+            st.spawned += 1;
+            format!("davix-io-{}", st.spawned)
         };
-        if let Some(name) = spawn_name {
-            let pool = Arc::clone(self);
-            self.rt.spawn(&name, Box::new(move || pool.worker()));
-        }
+        let pool = Arc::clone(self);
+        self.rt.spawn(&name, Box::new(move || pool.worker()));
+        None
     }
 
     /// Pop-and-run until the queue is empty, then exit. The exit decision
@@ -128,109 +144,99 @@ impl IoPool {
     }
 }
 
-/// One piece of a chunked transfer.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Chunk {
-    /// Position in the entity's chunk sequence.
-    pub(crate) idx: usize,
-    /// Byte offset within the entity.
-    pub(crate) off: u64,
-    /// Length in bytes (`chunk_size`, less for the last one).
-    pub(crate) len: usize,
-}
-
-/// What a worker made of one chunk.
-pub(crate) enum ChunkOutcome {
-    /// Transferred.
+/// What a drain made of one item of a batch.
+pub(crate) enum Outcome {
+    /// Finished.
     Done,
-    /// Failed here; put it back for any worker to try again, and charge the
-    /// transfer's failure budget.
+    /// Failed here; put it back for any drain to try again, and charge the
+    /// batch's failure budget.
     Retry(DavixError),
-    /// No replay can succeed: stop the whole transfer.
+    /// No replay can succeed: stop the whole batch.
     Fatal(DavixError),
 }
 
 struct Progress {
-    queue: VecDeque<Chunk>,
+    /// Items not handed out yet, by index.
+    queue: VecDeque<usize>,
     remaining: usize,
     failures: usize,
     fatal: Option<DavixError>,
-    /// Workers that have not left yet.
+    /// Drains that have not left yet.
     live: usize,
 }
 
-/// The chunk-transfer engine: split `size` bytes into `chunk_size` pieces
-/// and let up to `workers` pool jobs work through them, each with the
-/// closure `make_worker(n)` built for it. A chunk that fails is requeued
-/// for whichever worker is free next, until more than `max_failures` have
-/// failed in total. `submitted` runs on the calling thread once every
-/// worker is with the pool and before anything is waited for. Returns the
-/// number of requeued failures, or the error that stopped the transfer.
+/// The batch: items `0..items` drained by up to `drains` jobs, drain `n`
+/// working each item it takes with the closure `make_drain(n)`. A drain
+/// loops until the queue is empty or the batch stopped, so one that starts
+/// late leaves at once. An item that fails is requeued for whichever drain
+/// is free next, until more than `max_failures` have failed in total.
+/// Returns the number of requeued failures, or the error that stopped the
+/// batch.
 ///
-/// The caller wakes when every chunk is done or when the **last worker has
-/// left** — never with a worker still in a transfer, so whatever the
-/// caller does next (abort a staged upload, report failure) cannot race a
-/// chunk in flight.
-pub(crate) fn run_chunked<W>(
+/// A drain goes to `pool` only if a fresh worker can be spawned for it
+/// right now; the calling thread runs the rest itself, one after another,
+/// after `submitted` and before it waits (the module docs say why this
+/// cannot deadlock). No lock is held while a drain runs. On a worker the
+/// submit→run hand-off is the pool's; on the caller it is program order.
+///
+/// The caller wakes when every item is done or when the **last drain has
+/// left** — never with a drain still working, so whatever the caller does
+/// next (abort a staged upload, report failure) cannot race an item in
+/// flight.
+pub(crate) fn run_batch<D>(
     pool: &Arc<IoPool>,
-    size: u64,
-    chunk_size: usize,
-    workers: usize,
+    items: usize,
+    drains: usize,
     max_failures: usize,
-    mut make_worker: impl FnMut(usize) -> W,
+    mut make_drain: impl FnMut(usize) -> D,
     submitted: impl FnOnce(),
 ) -> Result<usize>
 where
-    W: FnMut(Chunk) -> ChunkOutcome + Send + 'static,
+    D: FnMut(usize) -> Outcome + Send + 'static,
 {
-    let queue: VecDeque<Chunk> = (0..size.div_ceil(chunk_size as u64))
-        .map(|i| {
-            let off = i * chunk_size as u64;
-            Chunk { idx: i as usize, off, len: chunk_size.min((size - off) as usize) }
-        })
-        .collect();
-    let workers = workers.min(queue.len());
-    if workers == 0 {
+    let drains = drains.min(items);
+    if drains == 0 {
         return Ok(0);
     }
     let progress = Arc::new(Mutex::new(Progress {
-        remaining: queue.len(),
-        queue,
+        queue: (0..items).collect(),
+        remaining: items,
         failures: 0,
         fatal: None,
-        live: workers,
+        live: drains,
     }));
     let done = pool.rt.signal();
-    for n in 0..workers {
-        let mut work = make_worker(n);
+    let mut unstarted: Vec<Job> = Vec::new();
+    for n in 0..drains {
+        let mut work = make_drain(n);
         let (progress, done) = (Arc::clone(&progress), Arc::clone(&done));
-        pool.submit(move || {
+        let drain: Job = Box::new(move || {
             loop {
-                let chunk = {
+                let item = {
                     let mut st = progress.lock();
                     if st.fatal.is_some() {
-                        break; // another worker stopped the transfer
+                        break; // another drain stopped the batch
                     }
-                    let Some(chunk) = st.queue.pop_front() else { break };
-                    chunk
+                    let Some(item) = st.queue.pop_front() else { break };
+                    item
                 };
-                let outcome = work(chunk);
+                let outcome = work(item);
                 let mut st = progress.lock();
                 match outcome {
-                    ChunkOutcome::Done => {
+                    Outcome::Done => {
                         st.remaining -= 1;
                         if st.remaining == 0 {
                             done.set();
                         }
                     }
-                    ChunkOutcome::Retry(e) => {
-                        st.queue.push_back(chunk);
+                    Outcome::Retry(e) => {
+                        st.queue.push_back(item);
                         st.failures += 1;
                         if st.failures > max_failures {
                             st.fatal.get_or_insert(e);
                         }
                     }
-                    ChunkOutcome::Fatal(e) => {
+                    Outcome::Fatal(e) => {
                         st.fatal.get_or_insert(e);
                     }
                 }
@@ -243,18 +249,94 @@ where
                 done.set();
             }
         });
+        unstarted.extend(pool.place(drain, false));
     }
     submitted();
+    for drain in unstarted {
+        drain();
+    }
     done.wait(None);
 
     let mut st = progress.lock();
     match st.fatal.take() {
         Some(e) => Err(e),
         None if st.remaining > 0 => {
-            Err(DavixError::Protocol("chunk workers exited with chunks unfinished".to_string()))
+            Err(DavixError::Protocol("batch drains exited with items unfinished".to_string()))
         }
         None => Ok(st.failures),
     }
+}
+
+/// One piece of a chunked transfer.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Chunk {
+    /// Position in the entity's chunk sequence.
+    pub(crate) idx: usize,
+    /// Byte offset within the entity.
+    pub(crate) off: u64,
+    /// Length in bytes (`chunk_size`, less for the last one).
+    pub(crate) len: usize,
+}
+
+/// The chunk-transfer engine both parallel transfers run: `size` bytes in
+/// `chunk_size` pieces as one [`run_batch`] of up to `workers` drains,
+/// drain `n` transferring its chunks with `make_worker(n)`.
+pub(crate) fn run_chunked<W>(
+    pool: &Arc<IoPool>,
+    size: u64,
+    chunk_size: usize,
+    workers: usize,
+    max_failures: usize,
+    mut make_worker: impl FnMut(usize) -> W,
+    submitted: impl FnOnce(),
+) -> Result<usize>
+where
+    W: FnMut(Chunk) -> Outcome + Send + 'static,
+{
+    let chunk = move |idx: usize| {
+        let off = idx as u64 * chunk_size as u64;
+        Chunk { idx, off, len: chunk_size.min((size - off) as usize) }
+    };
+    let chunks = size.div_ceil(chunk_size as u64) as usize;
+    let drain = |n| {
+        let mut work = make_worker(n);
+        move |idx| work(chunk(idx))
+    };
+    run_batch(pool, chunks, workers, max_failures, drain, submitted)
+}
+
+/// `f` over `items` as one [`run_batch`] of up to `width` drains; the
+/// results come back in input order. One item, or a width of one, runs
+/// here: there is nothing to overlap.
+pub(crate) fn map_ordered<T, R>(
+    pool: &Arc<IoPool>,
+    items: Vec<T>,
+    width: usize,
+    f: impl Fn(T) -> R + Send + Sync + 'static,
+) -> Vec<R>
+where
+    T: Send + 'static,
+    R: Send + 'static,
+{
+    if width.min(items.len()) <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let n = items.len();
+    // Item `i` goes in as `(Some(item), None)` and comes out as its result.
+    let slots: Arc<Vec<_>> =
+        Arc::new(items.into_iter().map(|item| Mutex::new((Some(item), None::<R>))).collect());
+    let f = Arc::new(f);
+    let drain = |_| {
+        let (slots, f) = (Arc::clone(&slots), Arc::clone(&f));
+        move |i: usize| {
+            let item = slots[i].lock().0.take().expect("each item is handed out once");
+            let result = f(item);
+            slots[i].lock().1 = Some(result);
+            Outcome::Done
+        }
+    };
+    run_batch(pool, n, width, 0, drain, || ()).expect("a map item never fails");
+    slots.iter().map(|s| s.lock().1.take().expect("every item was mapped")).collect()
 }
 
 #[cfg(test)]
@@ -323,5 +405,122 @@ mod tests {
             }
             assert_eq!(pool.live_workers(), 0, "drained after round {round}");
         }
+    }
+
+    fn real_pool(max: usize) -> Arc<IoPool> {
+        IoPool::new(Arc::new(netsim::RealRuntime::new()), max)
+    }
+
+    #[test]
+    fn map_returns_results_in_input_order() {
+        let out = map_ordered(&real_pool(16), (0..50).collect(), 8, |x: i32| x * 2);
+        assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn map_of_no_items_is_empty() {
+        let out: Vec<i32> = map_ordered(&real_pool(4), Vec::<i32>::new(), 4, |x| x);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn map_with_one_item_or_one_drain_runs_on_the_caller() {
+        let pool = real_pool(4);
+        assert_eq!(map_ordered(&pool, vec![41], 8, |x: i32| x + 1), vec![42]);
+        assert_eq!(map_ordered(&pool, vec![1, 2, 3], 1, |x: i32| x + 1), vec![2, 3, 4]);
+        assert_eq!(pool.peak_workers(), 0, "nothing to overlap, nothing spawned");
+    }
+
+    #[test]
+    fn batch_drains_overlap_in_virtual_time() {
+        // 8 items of 10 ms on 4 drains take 20 ms, not 80: the drains
+        // really run side by side under the simulator.
+        let net = SimNet::new();
+        net.add_host("h");
+        let rt = net.runtime() as Arc<dyn Runtime>;
+        let pool = IoPool::new(Arc::clone(&rt), 16);
+        let _g = net.enter();
+        let t0 = net.now();
+        let out = map_ordered(&pool, (0..8).collect(), 4, move |x: i32| {
+            rt.sleep(Duration::from_millis(10));
+            x
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert_eq!(net.now() - t0, Duration::from_millis(20), "4-way overlap expected");
+        assert_eq!(pool.peak_workers(), 4);
+    }
+
+    /// Run `f` as the only worker of a pool capped at one, and return what
+    /// it returned.
+    fn in_the_only_worker<R: Send + 'static>(
+        net: &SimNet,
+        f: impl FnOnce(Arc<IoPool>) -> R + Send + 'static,
+    ) -> (R, Arc<IoPool>) {
+        let rt = net.runtime() as Arc<dyn Runtime>;
+        let pool = IoPool::new(Arc::clone(&rt), 1);
+        let out = Arc::new(Mutex::new(None));
+        let done = rt.signal();
+        let (inner, slot, finished) = (Arc::clone(&pool), Arc::clone(&out), Arc::clone(&done));
+        pool.submit(move || {
+            *slot.lock() = Some(f(inner));
+            finished.set();
+        });
+        done.wait(None);
+        let r = out.lock().take().expect("the job ran");
+        (r, pool)
+    }
+
+    /// A batch run by the pool's only worker: the pool can start none of
+    /// its drains, so that worker runs them itself and the batch completes
+    /// instead of waiting on a queue only it could serve.
+    #[test]
+    fn run_chunked_inside_the_only_worker_completes() {
+        let net = SimNet::new();
+        net.add_host("h");
+        let _g = net.enter();
+        let rt = net.runtime() as Arc<dyn Runtime>;
+        let chunks = Arc::new(AtomicUsize::new(0));
+        let (t0, counted) = (net.now(), Arc::clone(&chunks));
+        let (result, pool) = in_the_only_worker(&net, move |pool| {
+            let drain = |_| {
+                let (rt, counted) = (Arc::clone(&rt), Arc::clone(&counted));
+                move |_: Chunk| {
+                    rt.sleep(Duration::from_millis(1));
+                    counted.fetch_add(1, Ordering::SeqCst);
+                    Outcome::Done
+                }
+            };
+            run_chunked(&pool, 1000, 100, 4, 0, drain, || ())
+        });
+        assert_eq!(result.unwrap(), 0);
+        assert_eq!(chunks.load(Ordering::SeqCst), 10);
+        assert_eq!(pool.peak_workers(), 1, "the batch spawned nothing");
+        assert_eq!(net.now() - t0, Duration::from_millis(10), "one thread did all ten");
+    }
+
+    #[test]
+    fn a_retried_chunk_is_requeued_inside_the_only_worker() {
+        let net = SimNet::new();
+        net.add_host("h");
+        let _g = net.enter();
+        let attempts = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&attempts);
+        let (result, _) = in_the_only_worker(&net, move |pool| {
+            let drain = |_| {
+                let seen = Arc::clone(&seen);
+                move |c: Chunk| {
+                    let mut seen = seen.lock();
+                    seen.push(c.idx);
+                    if c.idx == 1 && seen.len() == 2 {
+                        Outcome::Retry(DavixError::Protocol("flaky".to_string()))
+                    } else {
+                        Outcome::Done
+                    }
+                }
+            };
+            run_chunked(&pool, 400, 100, 2, 1, drain, || ())
+        });
+        assert_eq!(result.unwrap(), 1, "one requeued failure, within the budget");
+        assert_eq!(*attempts.lock(), vec![0, 1, 2, 3, 1], "chunk 1 went back to the queue");
     }
 }

@@ -198,8 +198,8 @@
 //! `replica_blacklist_cooldown` (then half-open: one success clears it,
 //! one failure re-blacklists); an EWMA with a fixed weight of 0.3 on the
 //! newest sample smooths the latency signal. The scheduler can also probe actively
-//! ([`ReplicaScheduler::probe_once`] / `spawn_prober` — `OPTIONS` pings in
-//! the style of DynaFed's `HealthMonitor`) to evict dead replicas and
+//! ([`ReplicaScheduler::probe_once`]: one round of `OPTIONS` pings, the
+//! probe DynaFed's `HealthMonitor` sends) to evict dead replicas and
 //! readmit recovered ones without a caller paying for the discovery.
 //! Scheduler locks are held only to pick a replica or record an outcome —
 //! never across network I/O — so concurrent `pread`s on one `ReplicaFile`
@@ -254,7 +254,6 @@ pub mod posix;
 pub mod replicas;
 pub mod scheduler;
 pub mod upload;
-pub(crate) mod util;
 
 pub use cache::BlockCache;
 pub use client::DavixClient;
@@ -272,8 +271,7 @@ pub use pool::{Endpoint, SessionPool};
 pub use posix::{DavPosix, DirEntry, FileStat};
 pub use replicas::{ReplicaFile, ReplicaSet};
 pub use scheduler::{
-    probe_endpoint, ProberHandle, ReplicaHealthSnapshot, ReplicaId, ReplicaScheduler,
-    SchedulerKnobs,
+    probe_endpoint, ReplicaHealthSnapshot, ReplicaId, ReplicaScheduler, SchedulerKnobs,
 };
 pub use upload::{
     multistream_upload, ChunkSource, FileSource, UploadOptions, UploadProtocol, UploadReport,

@@ -18,7 +18,7 @@ use crate::cache::BlockFetch;
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
 use crate::file::RawFile;
-use crate::iopool::{run_chunked, Chunk, ChunkOutcome};
+use crate::iopool::{run_chunked, Chunk, Outcome};
 use crate::metrics::Metrics;
 use crate::replicas::{all_failed, Attempt, Failover};
 use crate::scheduler::{ReplicaId, ReplicaScheduler};
@@ -232,7 +232,7 @@ fn stream_worker(
     size: u64,
     slots: Arc<Vec<Mutex<Vec<u8>>>>,
     report: Arc<Mutex<MultistreamReport>>,
-) -> impl FnMut(Chunk) -> ChunkOutcome {
+) -> impl FnMut(Chunk) -> Outcome {
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
     // blacklisted, a better one recovered) the worker follows it. Open
@@ -245,7 +245,7 @@ fn stream_worker(
     let mut failed_on: Option<ReplicaId> = None;
     move |Chunk { idx, off, len }| {
         let Some((id, uri)) = fo.scheduler.assign(slot_idx) else {
-            return ChunkOutcome::Fatal(DavixError::InvalidArgument("no replicas given".into()));
+            return Outcome::Fatal(DavixError::InvalidArgument("no replicas given".into()));
         };
         if failed_on.is_some_and(|prev| prev != id) {
             // Respawn: the worker abandons its failed replica for the
@@ -273,11 +273,11 @@ fn stream_worker(
                     replica: uri,
                     at: client.inner.executor.runtime().now(),
                 });
-                ChunkOutcome::Done
+                Outcome::Done
             }
             // A worker blames every error on the replica: the chunk goes
             // back to the queue whatever it was.
-            Attempt::TryNext(e) | Attempt::Fatal(e) => ChunkOutcome::Retry(e),
+            Attempt::TryNext(e) | Attempt::Fatal(e) => Outcome::Retry(e),
         }
     }
 }

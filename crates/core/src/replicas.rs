@@ -29,9 +29,9 @@ use crate::client::ClientInner;
 use crate::error::{DavixError, Result};
 use crate::executor::PreparedRequest;
 use crate::file::{random_access_via_reader, RawFile, Reader};
+use crate::iopool::map_ordered;
 use crate::metrics::Metrics;
 use crate::scheduler::{same_resource, ReplicaId, ReplicaScheduler};
-use crate::util::parallel_map;
 use httpwire::Uri;
 use ioapi::IoStatsSnapshot;
 use parking_lot::Mutex;
@@ -57,8 +57,8 @@ pub struct ReplicaFile {
 
 /// The fail-over layer of the read stack: runs one operation against the
 /// scheduler-ranked replicas. It is the [`BlockFetch`] under a
-/// [`ReplicaFile`]'s [`Reader`], so the block cache's background prefetch
-/// threads drive the same fail-over path as foreground reads.
+/// [`ReplicaFile`]'s [`Reader`], so the block cache's prefetch jobs drive
+/// the same fail-over path as foreground reads.
 struct ReplicaCore {
     fo: Failover,
     origin: Uri,
@@ -305,7 +305,8 @@ impl ReplicaCore {
     }
 
     /// Split `fragments` round-robin across `targets` and fetch the batches
-    /// in parallel. A batch whose replica fails mid-flight is retried
+    /// in parallel, as one batch on the client's I/O pool — from a
+    /// read-ahead job too. A batch whose replica fails mid-flight is retried
     /// through the ordinary fail-over path, so the result is exactly as
     /// resilient as the sequential one.
     fn pread_vec_fanout(
@@ -344,12 +345,11 @@ impl ReplicaCore {
         batches.retain(|b| !b.frags.is_empty());
 
         let rt = Arc::clone(self.fo.inner.executor.runtime());
-        let rt2 = Arc::clone(&rt);
-        let parallelism = batches.len();
-        let results = parallel_map(&rt, batches, parallelism, move |b: Batch| {
-            let t0 = rt2.now();
+        let width = batches.len();
+        let results = map_ordered(&self.fo.inner.io_pool, batches, width, move |b: Batch| {
+            let t0 = rt.now();
             let result = b.file.pread_vec(&b.frags);
-            (b, result, rt2.now() - t0)
+            (b, result, rt.now() - t0)
         });
 
         let mut out: Vec<Option<Vec<u8>>> = (0..fragments.len()).map(|_| None).collect();

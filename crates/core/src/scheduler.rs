@@ -17,9 +17,10 @@
 //!   out for [`Config::replica_blacklist_cooldown`], then becomes eligible
 //!   again (half-open — one more failure re-blacklists it, one success
 //!   clears it);
-//! * optionally, **active `OPTIONS` probes** ([`ReplicaScheduler::probe_once`]
-//!   / [`ReplicaScheduler::spawn_prober`]) in the style of DynaFed's
-//!   `HealthMonitor`, sharing the same [`probe_endpoint`] primitive.
+//! * optionally, **active `OPTIONS` probes**: one round per
+//!   [`ReplicaScheduler::probe_once`] call, on whatever schedule the caller
+//!   keeps, through the same [`probe_endpoint`] primitive DynaFed's
+//!   `HealthMonitor` runs on its own loop.
 //!
 //! Callers hold the scheduler's internal lock only to *pick* a replica or
 //! *record* an outcome — never across network I/O — so any number of
@@ -30,7 +31,6 @@
 
 use crate::config::Config;
 use crate::metrics::Metrics;
-use davix_sync::{AtomicBool, Ordering};
 use httpwire::{Method, RequestHead, Uri};
 use netsim::{Connector, Runtime};
 use parking_lot::Mutex;
@@ -41,10 +41,6 @@ use std::time::Duration;
 /// Index of a replica inside its [`ReplicaScheduler`]. Stable for the
 /// scheduler's lifetime (replicas are only ever appended).
 pub type ReplicaId = usize;
-
-/// Connect/read budget for one liveness probe (used by
-/// [`ReplicaScheduler::spawn_prober`]; `probe_once` callers pick their own).
-const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// EWMA smoothing factor of the per-replica latency score: the weight of
 /// the newest sample.
@@ -334,45 +330,6 @@ impl ReplicaScheduler {
         }
     }
 
-    /// Spawn a background prober (DynaFed `HealthMonitor` style): one
-    /// [`probe_once`](Self::probe_once) round per `interval`, forever or for
-    /// `rounds` rounds. Stop it early with [`ProberHandle::stop`].
-    pub fn spawn_prober(
-        self: &Arc<Self>,
-        connector: Arc<dyn Connector>,
-        interval: Duration,
-        rounds: Option<u32>,
-    ) -> ProberHandle {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let sched = Arc::clone(self);
-        let rt = Arc::clone(&self.rt);
-        self.rt.spawn(
-            "davix-replica-prober",
-            Box::new(move || {
-                let mut round = 0u32;
-                loop {
-                    if stop2.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    if let Some(max) = rounds {
-                        if round >= max {
-                            return;
-                        }
-                    }
-                    round += 1;
-                    // The probe timeout is independent of the scheduling
-                    // interval: a sub-RTT interval must make probes
-                    // *frequent*, not make every probe time out and
-                    // blacklist healthy replicas.
-                    sched.probe_once(connector.as_ref(), PROBE_TIMEOUT);
-                    rt.sleep(interval);
-                }
-            }),
-        );
-        ProberHandle { stop }
-    }
-
     /// Value snapshot of every replica's health, in id order.
     pub fn snapshot(&self) -> Vec<ReplicaHealthSnapshot> {
         let now = self.rt.now();
@@ -391,18 +348,6 @@ impl ReplicaScheduler {
     }
 }
 
-/// Background prober handle; ask it to exit with [`stop`](Self::stop).
-pub struct ProberHandle {
-    stop: Arc<AtomicBool>,
-}
-
-impl ProberHandle {
-    /// Ask the prober to exit at its next tick.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-}
-
 /// One liveness probe: TCP connect + `OPTIONS /`; any well-formed HTTP
 /// answer counts as alive. This is the reusable primitive behind both the
 /// scheduler's active probing and DynaFed's `HealthMonitor`.
@@ -412,7 +357,9 @@ pub fn probe_endpoint(connector: &dyn Connector, host: &str, port: u16, timeout:
     };
     let _ = stream.set_read_timeout(Some(timeout));
     let mut head = RequestHead::new(Method::Options, "/");
-    head.headers.set("Host", host);
+    // `host:port` unless the port is HTTP's default (RFC 7230 §5.4), as
+    // the executor writes it.
+    head.headers.set("Host", Uri::new("http", host, port, "/").authority());
     head.headers.set("Connection", "close");
     if stream.write_all(&head.to_bytes()).is_err() {
         return false;
@@ -585,6 +532,37 @@ mod tests {
         net.sleep(Duration::from_millis(10));
         sched.probe_once(net.connector("c").as_ref(), Duration::from_secs(1));
         assert_eq!(sched.healthy_count(), 1, "probe readmitted the recovered replica");
+    }
+
+    /// A probe to a non-default port names it in `Host` (RFC 7230 §5.4), as
+    /// the executor's requests do; port 80 stays bare.
+    #[test]
+    fn probe_host_header_carries_a_non_default_port() {
+        let net = SimNet::new();
+        net.add_host("c");
+        net.add_host("r0.example");
+        let heads = Arc::new(Mutex::new(Vec::new()));
+        for port in [8080u16, 80] {
+            let listener = net.bind("r0.example", port).unwrap();
+            let heads = Arc::clone(&heads);
+            net.spawn("recording-server", move || {
+                if let Ok((mut s, _)) = listener.accept_sim() {
+                    use std::io::{Read, Write};
+                    let mut buf = [0u8; 1024];
+                    let n = s.read(&mut buf).unwrap_or(0);
+                    heads.lock().push(String::from_utf8_lossy(&buf[..n]).into_owned());
+                    let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
+                }
+            });
+        }
+        let _g = net.enter();
+        let connector = net.connector("c");
+        for port in [8080u16, 80] {
+            assert!(probe_endpoint(connector.as_ref(), "r0.example", port, Duration::from_secs(1)));
+        }
+        let heads = heads.lock();
+        assert!(heads[0].contains("\r\nHost: r0.example:8080\r\n"), "{}", heads[0]);
+        assert!(heads[1].contains("\r\nHost: r0.example\r\n"), "{}", heads[1]);
     }
 
     #[test]

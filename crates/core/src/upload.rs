@@ -28,7 +28,7 @@
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
 use crate::executor::{HttpExecutor, PreparedRequest};
-use crate::iopool::{run_chunked, Chunk, ChunkOutcome};
+use crate::iopool::{run_chunked, Chunk, Outcome};
 use crate::metrics::Metrics;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
@@ -302,9 +302,9 @@ pub fn multistream_upload(
         },
         // The driver-side canary touch: deliberately after the submits (so
         // the pool handoff edge does not cover it) and before the engine
-        // waits (so the completion edge does not either). Racing pair with
-        // the worker-side touch in `upload_worker` — inert unless the
-        // `unsync-metric` canary is armed under `race-detect`.
+        // runs a drain or waits (so the completion edge does not either).
+        // Racing pair with the worker-side touch in `upload_worker` — inert
+        // unless the `unsync-metric` canary is armed under `race-detect`.
         || ex.metrics().canary_bump(),
     );
     let chunk_retries = match transfer {
@@ -495,7 +495,7 @@ fn upload_worker(
     target: Arc<Target>,
     digests: Arc<Mutex<Vec<Option<u32>>>>,
     outstanding: Arc<AtomicU64>,
-) -> impl FnMut(Chunk) -> ChunkOutcome {
+) -> impl FnMut(Chunk) -> Outcome {
     let metrics = Arc::clone(client.inner.executor.metrics());
     move |chunk| {
         metrics.canary_bump();
@@ -509,7 +509,7 @@ fn upload_worker(
             // A source that cannot be read is fatal, not retryable: every
             // replay would fail identically.
             outstanding.fetch_sub(len, Ordering::Relaxed);
-            return ChunkOutcome::Fatal(e);
+            return Outcome::Fatal(e);
         }
         let digest = adler32(&buf);
         let body = Bytes::from(buf);
@@ -524,12 +524,12 @@ fn upload_worker(
             Ok(_) => {
                 digests.lock()[chunk.idx] = Some(digest);
                 Metrics::bump(&metrics.chunks_uploaded);
-                ChunkOutcome::Done
+                Outcome::Done
             }
             // The executor already spent its retry budget on this chunk;
             // give it back so any worker (on a fresh connection) can try
             // again, within the upload-wide failure budget.
-            Err(e) => ChunkOutcome::Retry(e),
+            Err(e) => Outcome::Retry(e),
         }
     }
 }

@@ -9,8 +9,8 @@
 //! * [`FedHandler`]: an [`httpd::Handler`] that answers
 //!   `GET …?metalink` with an RFC 5854 document of the *live* replicas, and
 //!   plain `GET` with a `302` redirect to the best live replica;
-//! * [`HealthMonitor`]: a background prober that HEADs each replica host on
-//!   an interval and flips liveness in the catalog;
+//! * [`HealthMonitor`]: a background prober that sends `OPTIONS` to each
+//!   replica host on an interval and flips liveness in the catalog;
 //! * [`Federation`]: glue to serve the handler on a host.
 
 pub mod catalog;

@@ -38,7 +38,10 @@
 //!   `netsim::sim` — thread creation is their purpose) and the bench/CLI
 //!   binaries; `netsim::tcp`'s `Runtime::spawn` carries a per-site
 //!   marker. Stray threads are invisible to the sim scheduler's census
-//!   and break quiescence detection.
+//!   and break quiescence detection. In the client (`crates/core/src`)
+//!   every `.spawn(..)` outside `iopool.rs` is a finding as well: the
+//!   pool is the client's one spawn site, so `Config::io_threads` bounds
+//!   all of its threads.
 //! * **`shared-state`** — no bare `std::sync::atomic` paths, `static mut`,
 //!   or `UnsafeCell` outside `crates/sync` (the shim itself) and the
 //!   real-time binaries. The `race-detect` sanitizer only sees

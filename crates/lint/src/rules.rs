@@ -29,7 +29,9 @@ pub enum Rule {
     LockDiscipline,
     /// `std::thread::spawn` / `thread::Builder` outside the sanctioned
     /// spawn sites (`IoPool`, the reactor, the netsim scheduler): stray
-    /// threads break the sim's thread census and quiescence detection.
+    /// threads break the sim's thread census and quiescence detection. In
+    /// the client (`crates/core/src`) any `.spawn(..)` outside `IoPool`
+    /// counts too, so `Config::io_threads` bounds every client thread.
     ThreadHygiene,
     /// Bare shared mutable state outside the `davix-sync` shim: direct
     /// `std::sync::atomic` paths, `static mut`, or `UnsafeCell`. The
@@ -123,6 +125,12 @@ impl Finding {
 /// per-site `allow` markers instead, so each one documents its reason.
 const THREAD_ALLOW_FILES: &[&str] =
     &["crates/core/src/iopool.rs", "crates/netsim/src/reactor.rs", "crates/netsim/src/sim.rs"];
+
+/// The client's sources. Every thread the client starts for I/O is an
+/// `IoPool` worker, so `Config::io_threads` bounds them all: any
+/// `.spawn(..)` here outside `iopool.rs` (a `Runtime::spawn`, say) is a
+/// thread-hygiene finding too.
+const CLIENT_SRC: &str = "crates/core/src/";
 
 /// Bench and CLI binaries are real-time programs (they report wall time and
 /// talk to terminals); every determinism/thread rule is waived there.
@@ -285,23 +293,22 @@ impl<'a> Ctx<'a> {
 
     fn thread_hygiene(&mut self, skip: &[(usize, usize)]) {
         let toks = self.tokens;
+        let client = self.rel_path.starts_with(CLIENT_SRC);
         for i in 0..toks.len() {
             if in_ranges(i, skip) {
                 continue;
             }
-            let what = match path3(toks, i) {
-                Some(("thread", "spawn")) => "`thread::spawn`",
-                Some(("thread", "Builder")) => "`thread::Builder`",
+            let message = match path3(toks, i) {
+                Some(("thread", "spawn")) => stray_thread("`thread::spawn`"),
+                Some(("thread", "Builder")) => stray_thread("`thread::Builder`"),
+                _ if client && is_method_call(toks, i, "spawn") => {
+                    "`.spawn(..)` in the client outside `IoPool` — `Config::io_threads` bounds \
+                     only pool workers; run the work as a pool job or an `iopool` batch"
+                        .to_string()
+                }
                 _ => continue,
             };
-            self.emit_unless_allowed(
-                Rule::ThreadHygiene,
-                toks[i].line,
-                format!(
-                    "{what} outside the sanctioned spawn sites (IoPool, Reactor, netsim \
-                     scheduler) — stray threads break the sim thread census"
-                ),
-            );
+            self.emit_unless_allowed(Rule::ThreadHygiene, toks[i].line, message);
         }
     }
 
@@ -404,6 +411,20 @@ impl<'a> Ctx<'a> {
             i += 1;
         }
     }
+}
+
+fn stray_thread(what: &str) -> String {
+    format!(
+        "{what} outside the sanctioned spawn sites (IoPool, Reactor, netsim scheduler) — stray \
+         threads break the sim thread census"
+    )
+}
+
+/// Is `toks[i]` the `.` of a `.name(` method call?
+fn is_method_call(toks: &[Token], i: usize, name: &str) -> bool {
+    toks[i].is_punct(".")
+        && toks.get(i + 1).is_some_and(|t| t.is_ident(name))
+        && toks.get(i + 2).is_some_and(|t| t.is_punct("("))
 }
 
 /// Is `toks[a]` the guard `name` passed whole — `name`, `&name` or

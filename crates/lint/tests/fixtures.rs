@@ -55,6 +55,24 @@ fn rogue_spawn_fixture_produces_exact_thread_findings() {
 }
 
 #[test]
+fn client_runtime_spawn_fixture_is_flagged_under_the_client_only() {
+    // The client's one spawn site is `IoPool`, so `io_threads` bounds every
+    // thread it starts: a runtime `.spawn(..)` anywhere else in
+    // `crates/core/src/` is a finding. Elsewhere (dynafed's monitor thread)
+    // and in `iopool.rs` itself the same source is clean.
+    let src = std::fs::read_to_string(fixture_dir().join("bad/client_runtime_spawn.rs")).unwrap();
+    let findings = |rel: &str| -> Vec<(Rule, u32)> {
+        lint_source(rel, &src).iter().map(|f| (f.rule, f.line)).collect()
+    };
+    assert_eq!(
+        findings("crates/core/src/replicas.rs"),
+        vec![(Rule::ThreadHygiene, 8), (Rule::ThreadHygiene, 13)]
+    );
+    assert!(findings("crates/dynafed/src/health.rs").is_empty());
+    assert!(findings("crates/core/src/iopool.rs").is_empty());
+}
+
+#[test]
 fn fault_hook_rng_fixture_produces_exact_determinism_findings() {
     // Fault-injection decision points are exactly where ambient entropy
     // would be most tempting and most damaging: one `rand::random` in a

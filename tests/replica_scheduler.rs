@@ -10,9 +10,10 @@ use davix::{
     MultistreamOptions,
 };
 use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
-use davix_sync::{AtomicUsize, Ordering};
+use davix_sync::{AtomicBool, AtomicUsize, Ordering};
 use httpd::{Handler as _, HttpServer, Request, Response, ServerConfig};
 use httpwire::{Method, StatusCode};
+use ioapi::RandomAccess as _;
 use netsim::{LinkSpec, Runtime as _, SimNet};
 use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
 use std::sync::Arc;
@@ -345,6 +346,91 @@ fn pread_vec_splits_batches_across_healthy_replicas() {
             "fan-out must spread connections to {host}"
         );
     }
+}
+
+/// Open the origin with `cfg`, kill it so the first read resolves the
+/// Metalink, then bring it back: the scheduler knows all three replicas and
+/// rates them healthy, so the next vectored read fans out.
+fn resolved_replica_file(tb: &Testbed, cfg: Config) -> (davix::DavixClient, davix::ReplicaFile) {
+    let client = tb.davix_client(cfg);
+    let file = client.open_failover(&tb.url(0)).unwrap();
+    tb.net.set_host_down("dpm1.cern.ch", true);
+    let mut buf = vec![0u8; 100];
+    file.pread(0, &mut buf).unwrap();
+    tb.net.set_host_down("dpm1.cern.ch", false);
+    assert_eq!(file.scheduler().healthy_count(), 3);
+    (client, file)
+}
+
+/// Connections the client has opened to `host` so far.
+fn conns(tb: &Testbed, host: &str) -> u64 {
+    tb.net.stats().conns_per_host.get(host).copied().unwrap_or(0)
+}
+
+/// A read-ahead job is the pool's only worker (`io_threads = 1`), and the
+/// vectored read it issues fans out over two replicas. The fan-out's
+/// drains the pool cannot start run on that worker itself, so the prefetch
+/// lands instead of waiting forever on a queue only it could serve.
+#[test]
+fn a_prefetch_fans_out_from_inside_the_only_pool_worker() {
+    let data = payload(256 * 1024);
+    let tb = fed_testbed(&data, [LinkSpec::lan(), LinkSpec::lan(), LinkSpec::lan()]);
+    let _g = tb.net.enter();
+    let cfg = fed_config().with_io_threads(1).with_cache(1 << 20).with_cache_block_size(16 * 1024);
+    let (client, file) = resolved_replica_file(&tb, cfg);
+
+    // Three blocks, none cached yet: one vectored read of three ranges.
+    let frags: Vec<(u64, usize)> = vec![(40_000, 1000), (100_000, 1000), (200_000, 1000)];
+    let dpm3_before = conns(&tb, "dpm3.cern.ch");
+    file.prefetch_vec(&frags);
+    // The read waits on the blocks the prefetch claimed: a read-ahead job
+    // stuck on its own batch would stall the simulation right here.
+    let before = file.io_stats();
+    let got = file.pread_vec(&frags).unwrap();
+    for (g, &(off, len)) in got.iter().zip(&frags) {
+        assert_eq!(g, &data[off as usize..off as usize + len]);
+    }
+    assert_eq!(file.io_stats().since(&before).round_trips, 0, "served from the prefetch");
+    assert_eq!(client.metrics().bytes_prefetched, 3 * 16 * 1024, "the prefetch landed");
+    assert!(conns(&tb, "dpm3.cern.ch") > dpm3_before, "the prefetch fanned out");
+    assert_eq!(client.io_pool().peak_workers(), 1);
+}
+
+/// `io_threads` bounds every thread the client starts for I/O: a vectored
+/// read fanned out over healthy replicas with `io_threads = 1` runs one
+/// batch on a pool worker and the other on the caller — never more than
+/// one client thread beside the caller, counted by the simulator.
+#[test]
+fn a_fanned_out_read_spawns_no_more_threads_than_io_threads() {
+    let data = payload(120_000);
+    let tb = fed_testbed(&data, [LinkSpec::lan(), LinkSpec::lan(), LinkSpec::lan()]);
+    let _g = tb.net.enter();
+    let (client, file) = resolved_replica_file(&tb, fed_config().with_io_threads(1));
+
+    // Sample the census every 100 µs of virtual time while the read runs;
+    // the sampler is one registered thread of its own.
+    let baseline = tb.net.thread_census() + 1;
+    let peak = Arc::new(AtomicUsize::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let (net, rt) = (tb.net.clone(), tb.net.runtime());
+    let (seen, stopped) = (Arc::clone(&peak), Arc::clone(&stop));
+    tb.net.spawn("census", move || {
+        while !stopped.load(Ordering::SeqCst) {
+            seen.fetch_max(net.thread_census(), Ordering::SeqCst);
+            rt.sleep(Duration::from_micros(100));
+        }
+    });
+    let frags: Vec<(u64, usize)> = (0..16).map(|i| (i * 7000, 64)).collect();
+    let dpm3_before = conns(&tb, "dpm3.cern.ch");
+    let got = file.pread_vec(&frags).unwrap();
+    stop.store(true, Ordering::SeqCst);
+    for (g, &(off, len)) in got.iter().zip(&frags) {
+        assert_eq!(g, &data[off as usize..off as usize + len]);
+    }
+    assert!(conns(&tb, "dpm3.cern.ch") > dpm3_before, "the read fanned out");
+    let spawned = peak.load(Ordering::SeqCst) - baseline;
+    assert!(spawned <= 1, "{spawned} client threads at once with io_threads = 1");
+    assert_eq!(client.io_pool().peak_workers(), 1);
 }
 
 /// A multistream worker whose replica dies mid-download respawns on the
