@@ -48,9 +48,9 @@
 //! header byte per second is evicted with `408 Request Timeout` when that
 //! budget expires, having cost one timer-wheel entry instead of a thread.
 
-use crate::server::{response_parts, Handler, Request, Response, ServerConfig, ServerStats};
+use crate::server::{response_parts, HttpServer, Request, Response};
 use bytes::Bytes;
-use davix_sync::{AtomicUsize, Ordering};
+use davix_sync::Ordering;
 use httpwire::codec::{parse_request_head, request_body_len, BodyFrames, BodyLen, Frame, HeadScan};
 use httpwire::{Method, RequestHead, StatusCode, Version, WireError};
 use netsim::{BoxedStream, DriveOutcome, Driven, Signal, Stream};
@@ -78,27 +78,6 @@ const MAX_WBUF: usize = 256 * 1024;
 /// How long a closing connection may take to drain its final response
 /// before it is dropped.
 const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Shared live-connection accounting between the accept loop (which blocks
-/// when the table is full) and the connections (which free their slot on
-/// drop).
-pub(crate) struct ConnSlots {
-    /// Connections currently owned by the reactor.
-    pub(crate) open: AtomicUsize,
-    /// Set whenever a slot frees, waking a backpressured accept loop.
-    pub(crate) freed: Arc<dyn Signal>,
-}
-
-/// RAII slot held by one connection; dropping it (connection closed, however
-/// that happened) frees the slot and wakes the accept loop.
-pub(crate) struct ConnSlotGuard(pub(crate) Arc<ConnSlots>);
-
-impl Drop for ConnSlotGuard {
-    fn drop(&mut self) {
-        self.0.open.fetch_sub(1, Ordering::SeqCst);
-        self.0.freed.set();
-    }
-}
 
 /// Where the connection is in its request/response cycle. Each phase owns
 /// the instant its timeout clock started.
@@ -281,9 +260,7 @@ enum Step {
 pub(crate) struct HttpConn {
     stream: BoxedStream,
     peer: String,
-    handler: Arc<dyn Handler>,
-    cfg: Arc<ServerConfig>,
-    stats: Arc<ServerStats>,
+    server: Arc<HttpServer>,
     phase: Phase,
     /// Received-but-unparsed bytes.
     rbuf: Vec<u8>,
@@ -295,25 +272,19 @@ pub(crate) struct HttpConn {
     served: u64,
     eof: bool,
     shutting_down: bool,
-    _slot: ConnSlotGuard,
 }
 
 impl HttpConn {
     pub(crate) fn new(
         stream: BoxedStream,
         peer: String,
-        handler: Arc<dyn Handler>,
-        cfg: Arc<ServerConfig>,
-        stats: Arc<ServerStats>,
-        slot: ConnSlotGuard,
+        server: Arc<HttpServer>,
         now: Duration,
     ) -> Self {
         HttpConn {
             stream,
             peer,
-            handler,
-            cfg,
-            stats,
+            server,
             phase: Phase::Idle { since: now },
             rbuf: Vec::new(),
             scan: HeadScan::default(),
@@ -321,7 +292,6 @@ impl HttpConn {
             served: 0,
             eof: false,
             shutting_down: false,
-            _slot: slot,
         }
     }
 
@@ -362,7 +332,7 @@ impl HttpConn {
     fn queue_response(&mut self, method: &Method, resp: Response, close: bool, now: Duration) {
         let mut shared = None;
         self.out.append(|buf| {
-            let body = response_parts(&self.cfg, method, resp, close, buf);
+            let body = response_parts(&self.server.cfg, method, resp, close, buf);
             if body.len() >= SHARED_BODY_MIN {
                 shared = Some(body);
             } else {
@@ -373,7 +343,7 @@ impl HttpConn {
             self.out.push_shared(body);
         }
         if close {
-            self.stats.closes.fetch_add(1, Ordering::Relaxed);
+            self.server.stats.closes.fetch_add(1, Ordering::Relaxed);
             self.phase = Phase::Closing { since: now };
         } else {
             self.phase = Phase::Idle { since: now };
@@ -452,7 +422,7 @@ impl HttpConn {
             };
             body.truncate(filled);
             let req = Request { head, body, peer: self.peer.clone() };
-            self.phase = Phase::Respond { req: Some(req), at: now + self.cfg.process_delay };
+            self.phase = Phase::Respond { req: Some(req), at: now + self.server.cfg.process_delay };
         }
         Ok(complete)
     }
@@ -460,12 +430,13 @@ impl HttpConn {
     /// Run the handler and queue its response.
     fn dispatch(&mut self, req: Request, now: Duration) {
         self.served += 1;
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
+        self.server.stats.requests.fetch_add(1, Ordering::Relaxed);
         let method = req.head.method.clone();
-        let client_keep_alive =
-            req.head.headers.keep_alive(req.head.version == Version::Http11) && !self.cfg.http10;
-        let resp = self.handler.handle(req);
-        let cap_hit = self.cfg.max_requests_per_conn.map(|cap| self.served >= cap).unwrap_or(false);
+        let client_keep_alive = req.head.headers.keep_alive(req.head.version == Version::Http11)
+            && !self.server.cfg.http10;
+        let resp = self.server.handler.handle(req);
+        let cap_hit =
+            self.server.cfg.max_requests_per_conn.map(|cap| self.served >= cap).unwrap_or(false);
         let close = resp.close || !client_keep_alive || cap_hit || self.shutting_down;
         self.queue_response(&method, resp, close, now);
     }
@@ -485,7 +456,7 @@ impl HttpConn {
         if self.eof {
             return Step::Close; // clean close between requests
         }
-        if let Some(t) = self.cfg.idle_timeout {
+        if let Some(t) = self.server.cfg.idle_timeout {
             if now >= since + t {
                 return Step::Close; // idle keep-alive expired
             }
@@ -498,8 +469,8 @@ impl HttpConn {
 
     fn drive_request(&mut self, now: Duration) -> Step {
         let Phase::Request { since, .. } = &self.phase else { unreachable!() };
-        if self.cfg.header_read_timeout.is_some_and(|t| now >= *since + t) {
-            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+        if self.server.cfg.header_read_timeout.is_some_and(|t| now >= *since + t) {
+            self.server.stats.timeouts.fetch_add(1, Ordering::Relaxed);
             self.reject(StatusCode::REQUEST_TIMEOUT, now);
             return Step::Again;
         }
@@ -576,8 +547,8 @@ impl Driven for HttpConn {
 
     fn deadline(&self) -> Option<Duration> {
         match &self.phase {
-            Phase::Idle { since } => self.cfg.idle_timeout.map(|t| *since + t),
-            Phase::Request { since, .. } => self.cfg.header_read_timeout.map(|t| *since + t),
+            Phase::Idle { since } => self.server.cfg.idle_timeout.map(|t| *since + t),
+            Phase::Request { since, .. } => self.server.cfg.header_read_timeout.map(|t| *since + t),
             Phase::Respond { at, .. } => Some(*at),
             Phase::Closing { since } => {
                 if self.pending_write() == 0 {
@@ -610,6 +581,8 @@ impl Driven for HttpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
+    use davix_sync::AtomicUsize;
     use netsim::{LinkSpec, Pollable, Runtime, SimNet, SimStream};
     use std::io::{Cursor, Read, Write};
     use std::sync::Mutex;
@@ -722,14 +695,10 @@ mod tests {
                 }
             };
             let try_reads = Arc::new(AtomicUsize::new(0));
-            let slots = Arc::new(ConnSlots { open: AtomicUsize::new(1), freed: rt.signal() });
             let conn = HttpConn::new(
                 Box::new(CountReads(Box::new(stream), Arc::clone(&try_reads))),
                 peer,
-                Arc::new(handler),
-                Arc::new(ServerConfig::default()),
-                Arc::new(ServerStats::default()),
-                ConnSlotGuard(slots),
+                HttpServer::new(Arc::new(handler), ServerConfig::default()),
                 rt.now(),
             );
             Rig { net, client, conn, done: false, seen, try_reads }

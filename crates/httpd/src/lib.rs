@@ -7,8 +7,9 @@
 //!
 //! ## Architecture: a c10k reactor, not a thread per connection
 //!
-//! One accept thread per listener feeds a shared [`netsim::Reactor`]; a
-//! fixed budget of shard threads ([`ServerConfig::reactor_threads`],
+//! One accept thread per listener feeds a shared [`netsim::Reactor`] —
+//! both are [`netsim::ServerCore`]'s, the core the xrdlite server runs on
+//! too; a fixed budget of shard threads ([`ServerConfig::reactor_threads`],
 //! default 2) drives *every* connection, so a thousand keep-alive clients
 //! cost a thousand connection state machines but only that fixed thread
 //! count (the `fig7_c10k` bench asserts exactly this). Each connection is a

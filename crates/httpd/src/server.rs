@@ -1,21 +1,21 @@
-//! The server: accept loop, reactor wiring, request/response types.
+//! The server: request/response types, and what an accepted stream becomes.
 //!
-//! Connections are served by a fixed budget of reactor shard threads (see
-//! [`netsim::reactor`] and the private `conn` module) rather than one
-//! thread each:
-//! `serve` spawns a single blocking accept thread per listener which
-//! enforces [`ServerConfig::max_connections`] backpressure and submits each
-//! accepted stream to the shared reactor as a non-blocking connection state
-//! machine. Handlers stay synchronous per-request.
+//! Connections are served by a fixed budget of reactor shard threads rather
+//! than one thread each. The accept loop, its
+//! [`ServerConfig::max_connections`] backpressure, the reactor and `stop`'s
+//! teardown order are [`netsim::ServerCore`]'s, shared with the xrdlite
+//! server; what is HTTP's own is the non-blocking connection state machine
+//! (the private `conn` module) each accepted stream is submitted as.
+//! Handlers stay synchronous per-request.
 
-use crate::conn::{ConnSlotGuard, ConnSlots, HttpConn};
+use crate::conn::HttpConn;
 use bytes::Bytes;
-use davix_sync::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use davix_sync::{AtomicU64, Ordering};
 use httpwire::parse::{read_response_start, BodyReader};
 use httpwire::{date, HeadWriter, HeaderMap, RequestHead, StatusCode, Version};
-use netsim::{Listener, Reactor, ReactorConfig, Runtime};
+use netsim::{Listener, Runtime, ServerCore};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A fully-read inbound request.
@@ -164,23 +164,12 @@ impl ServerStats {
     }
 }
 
-/// Reactor and listeners of a serving server (created on the first `serve`,
-/// torn down by `stop`).
-struct Serving {
-    reactor: Arc<Reactor>,
-    listeners: Vec<Arc<dyn Listener>>,
-    slots: Arc<ConnSlots>,
-    /// One per accept thread, from [`Runtime::spawn_joinable`].
-    accept_joins: Vec<Box<dyn FnOnce() + Send>>,
-}
-
 /// The server: a handler plus configuration, servable on any listener.
 pub struct HttpServer {
     pub(crate) handler: Arc<dyn Handler>,
-    pub(crate) cfg: Arc<ServerConfig>,
+    pub(crate) cfg: ServerConfig,
     pub(crate) stats: Arc<ServerStats>,
-    stopping: Arc<AtomicBool>,
-    serving: Mutex<Option<Serving>>,
+    core: ServerCore,
 }
 
 impl HttpServer {
@@ -188,10 +177,9 @@ impl HttpServer {
     pub fn new(handler: Arc<dyn Handler>, cfg: ServerConfig) -> Arc<Self> {
         Arc::new(HttpServer {
             handler,
-            cfg: Arc::new(cfg),
+            core: ServerCore::new("httpd", cfg.reactor_threads, cfg.max_connections),
+            cfg,
             stats: Arc::new(ServerStats::default()),
-            stopping: Arc::new(AtomicBool::new(false)),
-            serving: Mutex::new(None),
         })
     }
 
@@ -201,37 +189,17 @@ impl HttpServer {
     }
 
     /// Stop the server: closes every listener, asks in-flight connections
-    /// to finish their current request, and blocks until the reactor's
-    /// shard threads have drained and exited. Threads go in reverse order of
-    /// creation, accept threads first, each joined (where the runtime can
-    /// join) before the next: nothing of the server is then still running
-    /// or still holds the handler, so what the handler owns is freed when
-    /// the caller drops it and not whenever an accept thread gets round to
-    /// noticing that its listener closed.
+    /// to finish their current request, and blocks until every server
+    /// thread is gone — nothing of the server then still holds the handler
+    /// (see [`ServerCore::stop`]).
     pub fn stop(&self) {
-        self.stopping.store(true, Ordering::SeqCst);
-        let serving = self.serving.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(s) = serving {
-            for l in &s.listeners {
-                l.close();
-            }
-            s.slots.freed.set(); // release a backpressured accept loop
-            for join in s.accept_joins.into_iter().rev() {
-                join();
-            }
-            s.reactor.shutdown();
-        }
+        self.core.stop();
     }
 
     /// Number of reactor shard threads still running (0 before the first
     /// `serve` and after `stop`).
     pub fn reactor_threads_live(&self) -> usize {
-        self.serving
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(|s| s.reactor.live_threads())
-            .unwrap_or(0)
+        self.core.live_threads()
     }
 
     /// Serve connections from `listener`. Returns immediately: a single
@@ -240,76 +208,12 @@ impl HttpServer {
     /// connection. May be called multiple times to serve several listeners
     /// on one reactor.
     pub fn serve(self: &Arc<Self>, listener: Box<dyn Listener>, rt: Arc<dyn Runtime>) {
-        let listener: Arc<dyn Listener> = Arc::from(listener);
-        let mut guard = self.serving.lock().unwrap_or_else(|e| e.into_inner());
-        let serving = guard.get_or_insert_with(|| Serving {
-            reactor: Arc::new(Reactor::new(
-                Arc::clone(&rt),
-                ReactorConfig {
-                    threads: self.cfg.reactor_threads,
-                    name: "httpd-shard".to_string(),
-                },
-            )),
-            listeners: Vec::new(),
-            slots: Arc::new(ConnSlots { open: AtomicUsize::new(0), freed: rt.signal() }),
-            accept_joins: Vec::new(),
+        let (server, clock) = (Arc::clone(self), Arc::clone(&rt));
+        self.core.serve(listener, rt, move |stream, peer, open| {
+            server.stats.connections.fetch_add(1, Ordering::Relaxed);
+            server.stats.peak_open.fetch_max(open as u64, Ordering::Relaxed);
+            Box::new(HttpConn::new(stream, peer, Arc::clone(&server), clock.now()))
         });
-        serving.listeners.push(Arc::clone(&listener));
-        let (reactor, slots) = (Arc::clone(&serving.reactor), Arc::clone(&serving.slots));
-        let server = Arc::clone(self);
-        let rt2 = Arc::clone(&rt);
-        serving.accept_joins.push(rt.spawn_joinable(
-            "httpd-accept",
-            Box::new(move || server.accept_loop(listener, reactor, slots, rt2)),
-        ));
-    }
-
-    fn accept_loop(
-        self: Arc<Self>,
-        listener: Arc<dyn Listener>,
-        reactor: Arc<Reactor>,
-        slots: Arc<ConnSlots>,
-        rt: Arc<dyn Runtime>,
-    ) {
-        loop {
-            if self.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            // Backpressure: hold off accepting (the kernel/simulator queues
-            // or refuses newcomers) until a slot frees.
-            while slots.open.load(Ordering::SeqCst) >= self.cfg.max_connections {
-                if self.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                slots.freed.reset();
-                if slots.open.load(Ordering::SeqCst) < self.cfg.max_connections {
-                    break;
-                }
-                slots.freed.wait(Some(Duration::from_millis(50)));
-            }
-            let (stream, peer) = match listener.accept() {
-                Ok(x) => x,
-                Err(_) => return, // listener closed
-            };
-            if self.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            slots.open.fetch_add(1, Ordering::SeqCst);
-            self.stats.connections.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .peak_open
-                .fetch_max(slots.open.load(Ordering::SeqCst) as u64, Ordering::Relaxed);
-            let conn = HttpConn::new(
-                stream,
-                peer,
-                Arc::clone(&self.handler),
-                Arc::clone(&self.cfg),
-                Arc::clone(&self.stats),
-                ConnSlotGuard(Arc::clone(&slots)),
-                rt.now(),
-            );
-            reactor.submit(Box::new(conn));
-        }
     }
 }
 

@@ -41,7 +41,10 @@
 //!   and break quiescence detection. In the client (`crates/core/src`)
 //!   every `.spawn(..)` outside `iopool.rs` is a finding as well: the
 //!   pool is the client's one spawn site, so `Config::io_threads` bounds
-//!   all of its threads.
+//!   all of its threads. So is every `.spawn(..)`/`.spawn_joinable(..)`
+//!   in the servers (`crates/httpd/src`, `crates/xrdlite/src/server.rs`):
+//!   their threads are the reactor shards and the accept thread that
+//!   `netsim::ServerCore` starts.
 //! * **`shared-state`** — no bare `std::sync::atomic` paths, `static mut`,
 //!   or `UnsafeCell` outside `crates/sync` (the shim itself) and the
 //!   real-time binaries. The `race-detect` sanitizer only sees

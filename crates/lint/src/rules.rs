@@ -31,7 +31,9 @@ pub enum Rule {
     /// spawn sites (`IoPool`, the reactor, the netsim scheduler): stray
     /// threads break the sim's thread census and quiescence detection. In
     /// the client (`crates/core/src`) any `.spawn(..)` outside `IoPool`
-    /// counts too, so `Config::io_threads` bounds every client thread.
+    /// counts too, so `Config::io_threads` bounds every client thread; in
+    /// the servers (`crates/httpd/src`, `xrdlite`'s `server.rs`) any
+    /// `.spawn(..)` does, so their threads are `netsim::ServerCore`'s.
     ThreadHygiene,
     /// Bare shared mutable state outside the `davix-sync` shim: direct
     /// `std::sync::atomic` paths, `static mut`, or `UnsafeCell`. The
@@ -126,11 +128,21 @@ impl Finding {
 const THREAD_ALLOW_FILES: &[&str] =
     &["crates/core/src/iopool.rs", "crates/netsim/src/reactor.rs", "crates/netsim/src/sim.rs"];
 
-/// The client's sources. Every thread the client starts for I/O is an
-/// `IoPool` worker, so `Config::io_threads` bounds them all: any
-/// `.spawn(..)` here outside `iopool.rs` (a `Runtime::spawn`, say) is a
-/// thread-hygiene finding too.
-const CLIENT_SRC: &str = "crates/core/src/";
+/// Sources whose every thread comes from one sanctioned site, so that any
+/// `.spawn(..)` or `.spawn_joinable(..)` in them is a thread-hygiene
+/// finding too, with what to do instead. Every thread the client starts
+/// for I/O is an `IoPool` worker, so `Config::io_threads` bounds them all
+/// (`iopool.rs` itself is allowed wholesale); every server thread is a
+/// reactor shard or an accept thread of `netsim::ServerCore`.
+const ONE_SPAWN_SITE: &[(&str, &str)] = &[
+    ("crates/core/src/", CLIENT_SPAWN),
+    ("crates/httpd/src/", SERVER_SPAWN),
+    ("crates/xrdlite/src/server.rs", SERVER_SPAWN),
+];
+const CLIENT_SPAWN: &str = "`.spawn(..)` in the client outside `IoPool` — `Config::io_threads` \
+    bounds only pool workers; run the work as a pool job or an `iopool` batch";
+const SERVER_SPAWN: &str = "`.spawn(..)` in a server — its threads are the reactor shards and \
+    accept threads of `netsim::ServerCore`; make the work a `Driven` task or a timer";
 
 /// Bench and CLI binaries are real-time programs (they report wall time and
 /// talk to terminals); every determinism/thread rule is waived there.
@@ -293,18 +305,20 @@ impl<'a> Ctx<'a> {
 
     fn thread_hygiene(&mut self, skip: &[(usize, usize)]) {
         let toks = self.tokens;
-        let client = self.rel_path.starts_with(CLIENT_SRC);
+        let spawn_message =
+            ONE_SPAWN_SITE.iter().find(|(p, _)| self.rel_path.starts_with(p)).map(|&(_, m)| m);
         for i in 0..toks.len() {
             if in_ranges(i, skip) {
                 continue;
             }
-            let message = match path3(toks, i) {
-                Some(("thread", "spawn")) => stray_thread("`thread::spawn`"),
-                Some(("thread", "Builder")) => stray_thread("`thread::Builder`"),
-                _ if client && is_method_call(toks, i, "spawn") => {
-                    "`.spawn(..)` in the client outside `IoPool` — `Config::io_threads` bounds \
-                     only pool workers; run the work as a pool job or an `iopool` batch"
-                        .to_string()
+            let message = match (path3(toks, i), spawn_message) {
+                (Some(("thread", "spawn")), _) => stray_thread("`thread::spawn`"),
+                (Some(("thread", "Builder")), _) => stray_thread("`thread::Builder`"),
+                (_, Some(message))
+                    if is_method_call(toks, i, "spawn")
+                        || is_method_call(toks, i, "spawn_joinable") =>
+                {
+                    message.to_string()
                 }
                 _ => continue,
             };

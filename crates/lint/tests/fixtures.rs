@@ -73,6 +73,24 @@ fn client_runtime_spawn_fixture_is_flagged_under_the_client_only() {
 }
 
 #[test]
+fn server_spawn_fixture_is_flagged_under_the_servers_only() {
+    // Every server thread is a reactor shard or `netsim::ServerCore`'s
+    // accept thread, so a `.spawn(..)` or `.spawn_joinable(..)` in httpd or
+    // in xrdlite's server is a finding. xrdlite's client keeps its writer
+    // and reader threads, and `netsim::reactor` is where the core spawns.
+    let src = std::fs::read_to_string(fixture_dir().join("bad/server_spawn.rs")).unwrap();
+    let findings = |rel: &str| -> Vec<(Rule, u32)> {
+        lint_source(rel, &src).iter().map(|f| (f.rule, f.line)).collect()
+    };
+    let expected =
+        vec![(Rule::ThreadHygiene, 8), (Rule::ThreadHygiene, 15), (Rule::ThreadHygiene, 23)];
+    assert_eq!(findings("crates/httpd/src/server.rs"), expected);
+    assert_eq!(findings("crates/xrdlite/src/server.rs"), expected);
+    assert!(findings("crates/xrdlite/src/client.rs").is_empty());
+    assert!(findings("crates/netsim/src/reactor.rs").is_empty());
+}
+
+#[test]
 fn fault_hook_rng_fixture_produces_exact_determinism_findings() {
     // Fault-injection decision points are exactly where ambient entropy
     // would be most tempting and most damaging: one `rand::random` in a

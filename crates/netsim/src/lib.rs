@@ -31,9 +31,10 @@
 //! protocol libraries must use those instead of bare condition variables
 //! so the simulator can see them, and must not hold a bare mutex across a
 //! stream write that can stall on the TCP window (threads queued on that
-//! mutex look runnable, so the clock never moves; xrdlite's
-//! `FrameScheduler` gives each connection one registered writer thread
-//! instead). For dense workloads,
+//! mutex look runnable, so the clock never moves; xrdlite's client gives
+//! its connection one registered writer thread instead, and the servers
+//! block nowhere: their connections are [`Driven`] tasks on a
+//! [`ServerCore`]'s reactor). For dense workloads,
 //! [`simclient`] runs whole client populations as event-driven
 //! [`simclient::ClientSession`] state machines on a [`Reactor`] instead of
 //! one thread per client.
@@ -79,7 +80,7 @@ pub mod tcp;
 pub mod transport;
 
 pub use fault::{FaultPlan, FaultStats, SplitRng};
-pub use reactor::{DriveOutcome, Driven, Reactor, ReactorConfig, TimerWheel};
+pub use reactor::{DriveOutcome, Driven, Reactor, ReactorConfig, ServerCore, TimerWheel};
 pub use sim::{LinkSpec, NetStats, SchedStats, SimListener, SimNet, SimRuntime, SimStream};
 pub use simclient::{ClientSession, ClientTask, ConnectFn, Fleet, SessionPoll};
 pub use tcp::{RealRuntime, TcpConnector, TcpListenerWrap, TcpStreamWrap};

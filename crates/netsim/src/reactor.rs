@@ -28,9 +28,15 @@
 //! they are registered with the virtual clock and virtual time advances
 //! while they are parked — timeouts measured in virtual seconds cost nothing
 //! to simulate.
+//!
+//! [`ServerCore`] is the rest of a server built on this: accept threads
+//! with connection-limit back-pressure feeding one lazily created reactor,
+//! and a `stop` that tears it all down in a fixed order. `httpd` and the
+//! xrdlite server both run on it and differ only in the [`Driven`] task
+//! they make of an accepted stream.
 
 use crate::slab::Slab;
-use crate::transport::{Runtime, Signal};
+use crate::transport::{BoxedStream, Listener, Runtime, Signal};
 use davix_sync::{AtomicBool, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use std::io;
@@ -369,6 +375,9 @@ struct ReactorInner {
     shutdown: AtomicBool,
     live_threads: AtomicUsize,
     tasks: AtomicUsize,
+    /// Set as a task ends (after it is dropped): wakes a [`ServerCore`]
+    /// accept loop held at its connection limit.
+    task_ended: Arc<dyn Signal>,
     /// Set by every shard as it exits.
     done_sig: Arc<dyn Signal>,
     /// One per shard, from [`Runtime::spawn_joinable`]; taken by `shutdown`.
@@ -404,6 +413,7 @@ impl Reactor {
             shutdown: AtomicBool::new(false),
             live_threads: AtomicUsize::new(threads),
             tasks: AtomicUsize::new(0),
+            task_ended: rt.signal(),
             done_sig: rt.signal(),
             joins: Mutex::new(Vec::new()),
         });
@@ -585,7 +595,9 @@ fn shard_main(shard: Arc<ShardShared>, inner: Arc<ReactorInner>, rt: Arc<dyn Run
                 DriveOutcome::Done => {
                     let mut slot = slots.remove(token).expect("slot exists");
                     slot.task.set_waker(None);
+                    drop(slot); // the task's stream closes before it stops counting
                     inner.tasks.fetch_sub(1, Ordering::SeqCst);
+                    inner.task_ended.set();
                 }
             }
         }
@@ -674,6 +686,137 @@ fn shard_main(shard: Arc<ShardShared>, inner: Arc<ReactorInner>, rt: Arc<dyn Run
 
     inner.live_threads.fetch_sub(1, Ordering::SeqCst);
     inner.done_sig.set();
+}
+
+// ---------------------------------------------------------------------------
+// Server core: accept loops feeding one reactor
+// ---------------------------------------------------------------------------
+
+/// The reactor and listeners of a serving [`ServerCore`] (created on the
+/// first `serve`, torn down by `stop`).
+struct Serving {
+    /// Its tasks are the open connections.
+    reactor: Arc<Reactor>,
+    listeners: Vec<Arc<dyn Listener>>,
+    /// One per accept thread, from [`Runtime::spawn_joinable`].
+    accept_joins: Vec<Box<dyn FnOnce() + Send>>,
+}
+
+/// What every server here runs on: one accept thread per listener, which
+/// stops accepting while `max_connections` are open, feeding one reactor
+/// whose shard threads drive every connection as a [`Driven`] task. The
+/// servers differ only in the task they make of an accepted stream.
+pub struct ServerCore {
+    name: String,
+    shards: ReactorConfig,
+    max_connections: usize,
+    stopping: Arc<AtomicBool>,
+    serving: Mutex<Option<Serving>>,
+}
+
+impl ServerCore {
+    /// A core with `threads` shard threads named `{name}-shard-{i}` and
+    /// accept threads named `{name}-accept`; nothing runs until
+    /// [`serve`](ServerCore::serve).
+    pub fn new(name: &str, threads: usize, max_connections: usize) -> ServerCore {
+        ServerCore {
+            name: name.to_string(),
+            shards: ReactorConfig { threads, name: format!("{name}-shard") },
+            max_connections,
+            stopping: Arc::new(AtomicBool::new(false)),
+            serving: Mutex::new(None),
+        }
+    }
+
+    /// Serve connections from `listener`. Returns immediately: an accept
+    /// thread hands each accepted stream, its peer's name and the number of
+    /// connections now open (it included) to `accept`, and submits the task
+    /// it makes to the core's reactor — created by the first call, shared by
+    /// later ones.
+    pub fn serve(
+        &self,
+        listener: Box<dyn Listener>,
+        rt: Arc<dyn Runtime>,
+        accept: impl Fn(BoxedStream, String, usize) -> Box<dyn Driven> + Send + 'static,
+    ) {
+        let listener: Arc<dyn Listener> = Arc::from(listener);
+        let reactor = {
+            let mut guard = self.serving.lock();
+            let serving = guard.get_or_insert_with(|| Serving {
+                reactor: Arc::new(Reactor::new(Arc::clone(&rt), self.shards.clone())),
+                listeners: Vec::new(),
+                accept_joins: Vec::new(),
+            });
+            serving.listeners.push(Arc::clone(&listener));
+            Arc::clone(&serving.reactor)
+        };
+        let (stopping, max) = (Arc::clone(&self.stopping), self.max_connections);
+        let accept_loop = move || reactor.accept_loop(&*listener, &stopping, max, accept);
+        let join = rt.spawn_joinable(&format!("{}-accept", self.name), Box::new(accept_loop));
+        // `None`: a `stop` came in between and closed this listener, so the
+        // thread ends by itself.
+        if let Some(serving) = self.serving.lock().as_mut() {
+            serving.accept_joins.push(join);
+        }
+    }
+
+    /// Stop serving: closes every listener, asks in-flight connections to
+    /// finish their current requests, and blocks until the reactor's shard
+    /// threads have drained and exited. Threads go in reverse order of
+    /// creation, accept threads first, each joined (where the runtime can
+    /// join) before the next: nothing of the server is then still running
+    /// or still holds what the connections were made from, so that is freed
+    /// when the caller drops it and not whenever an accept thread gets round
+    /// to noticing that its listener closed.
+    pub fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        let serving = self.serving.lock().take();
+        if let Some(s) = serving {
+            for l in &s.listeners {
+                l.close();
+            }
+            s.reactor.inner.task_ended.set(); // release a backpressured accept loop
+            for join in s.accept_joins.into_iter().rev() {
+                join();
+            }
+            s.reactor.shutdown();
+        }
+    }
+
+    /// Number of reactor shard threads still running (0 before the first
+    /// `serve` and after `stop`).
+    pub fn live_threads(&self) -> usize {
+        self.serving.lock().as_ref().map(|s| s.reactor.live_threads()).unwrap_or(0)
+    }
+}
+
+impl Reactor {
+    /// A [`ServerCore`] accept thread: every stream `listener` accepts
+    /// becomes a task, while fewer than `max` are open and until `stopping`.
+    fn accept_loop(
+        &self,
+        listener: &dyn Listener,
+        stopping: &AtomicBool,
+        max: usize,
+        accept: impl Fn(BoxedStream, String, usize) -> Box<dyn Driven>,
+    ) {
+        while !stopping.load(Ordering::SeqCst) {
+            // Backpressure: hold off accepting (the kernel/simulator queues
+            // or refuses newcomers) until a connection closes.
+            if self.tasks() >= max {
+                self.inner.task_ended.reset();
+                if self.tasks() >= max {
+                    self.inner.task_ended.wait(Some(Duration::from_millis(50)));
+                }
+                continue;
+            }
+            let Ok((stream, peer)) = listener.accept() else { return }; // listener closed
+            if stopping.load(Ordering::SeqCst) {
+                return;
+            }
+            self.submit(accept(stream, peer, self.tasks() + 1));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use crate::mux::{FrameScheduler, Reassembler};
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status};
-use davix_sync::{AtomicBool, AtomicU64, Ordering};
+use davix_sync::{AtomicU64, Ordering};
 use ioapi::{IoStats, IoStatsSnapshot, RandomAccess};
 use netsim::{Connector, Runtime, Signal};
 use parking_lot::Mutex;
@@ -89,8 +89,8 @@ struct ClientInner {
     pending: Mutex<HashMap<u16, Pending>>,
     next_id: Mutex<u16>,
     rt: Arc<dyn Runtime>,
-    dead: AtomicBool,
-    dead_reason: Mutex<Option<String>>,
+    /// Why the connection died, once it has.
+    dead: Mutex<Option<String>>,
     /// Round trips actually issued (sync + async).
     round_trips: AtomicU64,
     /// Requests served from prefetch/read-ahead cache.
@@ -99,12 +99,10 @@ struct ClientInner {
 
 impl ClientInner {
     fn check_alive(&self) -> io::Result<()> {
-        if self.dead.load(Ordering::SeqCst) {
-            let reason =
-                self.dead_reason.lock().clone().unwrap_or_else(|| "connection closed".to_string());
-            return Err(io::Error::new(io::ErrorKind::BrokenPipe, reason));
+        match self.dead.lock().clone() {
+            Some(reason) => Err(io::Error::new(io::ErrorKind::BrokenPipe, reason)),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     fn alloc_id(&self, pending: &mut HashMap<u16, Pending>) -> u16 {
@@ -118,16 +116,12 @@ impl ClientInner {
     }
 
     /// Register a pending entry and send the request frame.
-    fn send(&self, op: Op, payload: Vec<u8>, route: PendingKind) -> io::Result<u16> {
+    fn send(&self, op: Op, payload: Vec<u8>, route: Pending) -> io::Result<u16> {
         self.check_alive()?;
         let id = {
             let mut pending = self.pending.lock();
             let id = self.alloc_id(&mut pending);
-            let entry = match route {
-                PendingKind::Sync(slot) => Pending::Sync(slot),
-                PendingKind::Background { lens, slots } => Pending::Background { lens, slots },
-            };
-            pending.insert(id, entry);
+            pending.insert(id, route);
             id
         };
         self.round_trips.fetch_add(1, Ordering::Relaxed);
@@ -141,13 +135,12 @@ impl ClientInner {
     /// Synchronous request/response.
     fn request(self: &Arc<Self>, op: Op, payload: Vec<u8>) -> io::Result<Vec<u8>> {
         let slot = Slot::new(&self.rt);
-        self.send(op, payload, PendingKind::Sync(Arc::clone(&slot)))?;
+        self.send(op, payload, Pending::Sync(Arc::clone(&slot)))?;
         slot.wait_take()
     }
 
     fn fail_all(&self, reason: &str) {
-        self.dead.store(true, Ordering::SeqCst);
-        *self.dead_reason.lock() = Some(reason.to_string());
+        *self.dead.lock() = Some(reason.to_string());
         self.sender.close();
         let mut pending = self.pending.lock();
         for (_, p) in pending.drain() {
@@ -165,20 +158,15 @@ impl ClientInner {
     }
 }
 
-enum PendingKind {
-    Sync(Arc<Slot>),
-    Background { lens: Vec<usize>, slots: Vec<Arc<Slot>> },
-}
-
 /// Half-closes the connection when the last user-facing handle (the client
 /// or any file opened through it) is dropped.
 ///
 /// The reader thread owns its own stream clone, so without this nudge the
-/// connection — and the server's per-connection threads — would outlive
-/// every handle and park forever in the simulator. The guard is shared by
-/// [`XrdClient`] and every [`XrdFile`], not by [`ClientInner`]: the reader
-/// thread keeps `ClientInner` alive, so a teardown tied to it would never
-/// run.
+/// connection — the client's reader thread and the server's connection
+/// task — would outlive every handle, parked forever in the simulator. The
+/// guard is shared by [`XrdClient`] and every [`XrdFile`], not by
+/// [`ClientInner`]: the reader thread keeps `ClientInner` alive, so a
+/// teardown tied to it would never run.
 struct ConnGuard {
     sender: Arc<FrameScheduler>,
 }
@@ -186,8 +174,8 @@ struct ConnGuard {
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         // The writer thread drains any still-queued frames, then sends FIN
-        // → the server's connection threads exit and close their side →
-        // our reader thread sees EOF and exits too.
+        // → the server answers what it has read and closes its side → our
+        // reader thread sees EOF and exits too.
         self.sender.close_and_shutdown();
     }
 }
@@ -212,15 +200,13 @@ impl XrdClient {
         let mut stream = connector.connect(host, port, Some(opts.connect_timeout))?;
         wire::client_handshake(&mut stream)?;
         let writer = stream.try_clone()?;
-        let sender =
-            FrameScheduler::spawn(&rt, &format!("xrd-send-{host}:{port}"), writer, usize::MAX);
+        let sender = FrameScheduler::spawn(&rt, &format!("xrd-send-{host}:{port}"), writer);
         let inner = Arc::new(ClientInner {
             sender,
             pending: Mutex::new(HashMap::new()),
             next_id: Mutex::new(0),
             rt: Arc::clone(&rt),
-            dead: AtomicBool::new(false),
-            dead_reason: Mutex::new(None),
+            dead: Mutex::new(None),
             round_trips: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
         });
@@ -273,7 +259,7 @@ impl XrdClient {
                             }
                         },
                     }
-                    if inner2.dead.load(Ordering::SeqCst) {
+                    if inner2.dead.lock().is_some() {
                         return;
                     }
                 }
@@ -436,7 +422,7 @@ impl XrdFile {
         let lens: Vec<usize> = frags.iter().map(|&(_, l)| l).collect();
         if self
             .inner
-            .send(Op::ReadV, self.readv_payload(frags), PendingKind::Background { lens, slots })
+            .send(Op::ReadV, self.readv_payload(frags), Pending::Background { lens, slots })
             .is_err()
         {
             // Connection died; remove the placeholders so readers fall back
@@ -552,7 +538,7 @@ impl XrdFile {
             .send(
                 Op::Read,
                 self.read_payload(off, len as u32),
-                PendingKind::Background { lens: vec![len], slots: vec![slot] },
+                Pending::Background { lens: vec![len], slots: vec![slot] },
             )
             .is_err()
         {

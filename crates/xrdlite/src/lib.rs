@@ -26,5 +26,5 @@ pub mod server;
 pub mod wire;
 
 pub use client::{XrdClient, XrdClientOptions, XrdFile};
-pub use mux::{FrameScheduler, Reassembler};
+pub use mux::Reassembler;
 pub use server::XrdServer;

@@ -18,6 +18,11 @@ pub const VERSION: u16 = 1;
 /// Maximum payload accepted in one frame (sanity bound).
 pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
+/// The server's interleaving granularity: a longer response goes out as
+/// several frames, round-robin with other streams' (see [`crate::mux`]).
+/// Also what a reader reserves for a payload before its bytes arrive.
+pub(crate) const MAX_FRAME_PAYLOAD: usize = 64 * 1024;
+
 /// Flag bit on a response frame: more frames follow for this stream ID
 /// (a chunked response — XRootD's `kXR_oksofar`). The final frame of a
 /// response carries flags `0`.
@@ -88,56 +93,58 @@ impl Frame {
         out
     }
 
-    /// Read one frame.
+    /// Read one frame. The payload grows as its bytes arrive: a peer that
+    /// declares a long one and sends little costs what it sent.
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
         let mut header = [0u8; 8];
         r.read_exact(&mut header)?;
-        let stream_id = u16::from_be_bytes([header[0], header[1]]);
-        let code = header[2];
-        let flags = header[3];
-        let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-        if len > MAX_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame payload {len} exceeds cap"),
-            ));
+        let len = payload_len(&header)?;
+        let mut payload = Vec::with_capacity(len.min(MAX_FRAME_PAYLOAD));
+        if r.take(len as u64).read_to_end(&mut payload)? < len {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame payload cut short"));
         }
-        let mut payload = vec![0u8; len as usize];
-        r.read_exact(&mut payload)?;
-        Ok(Frame { stream_id, code, flags, payload })
+        let stream_id = u16::from_be_bytes([header[0], header[1]]);
+        Ok(Frame { stream_id, code: header[2], flags: header[3], payload })
     }
+}
 
-    /// Write as one `write_all`.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.encode())
+/// The payload length a frame header declares, refused past [`MAX_PAYLOAD`].
+fn payload_len(header: &[u8; 8]) -> io::Result<usize> {
+    let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+    if len > MAX_PAYLOAD {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame payload {len} exceeds cap"),
+        ));
     }
+    Ok(len as usize)
+}
+
+/// The length of the frame at the front of `buf` once all of it is there;
+/// `None` while it is still arriving.
+pub(crate) fn frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
+    let Some(header) = buf.first_chunk::<8>() else { return Ok(None) };
+    let len = 8 + payload_len(header)?;
+    Ok((buf.len() >= len).then_some(len))
+}
+
+/// The handshake message, the same both ways: magic, then version.
+pub(crate) fn hello() -> [u8; 6] {
+    let mut hello = [0u8; 6];
+    hello[..4].copy_from_slice(MAGIC);
+    hello[4..].copy_from_slice(&VERSION.to_be_bytes());
+    hello
 }
 
 /// Client side of the handshake.
 pub fn client_handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
-    let mut hello = [0u8; 6];
-    hello[..4].copy_from_slice(MAGIC);
-    hello[4..].copy_from_slice(&VERSION.to_be_bytes());
-    stream.write_all(&hello)?;
+    stream.write_all(&hello())?;
     let mut reply = [0u8; 6];
     stream.read_exact(&mut reply)?;
     if &reply[..4] != MAGIC {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "bad handshake magic"));
     }
     Ok(())
-}
-
-/// Server side of the handshake.
-pub fn server_handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
-    let mut hello = [0u8; 6];
-    stream.read_exact(&mut hello)?;
-    if &hello[..4] != MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad handshake magic"));
-    }
-    let mut reply = [0u8; 6];
-    reply[..4].copy_from_slice(MAGIC);
-    reply[4..].copy_from_slice(&VERSION.to_be_bytes());
-    stream.write_all(&reply)
 }
 
 // ---- payload encoding helpers ----------------------------------------------
@@ -177,18 +184,6 @@ impl<'a> PayloadReader<'a> {
     pub fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
-
-    /// Remaining bytes.
-    pub fn rest(&mut self) -> &'a [u8] {
-        let s = &self.buf[self.pos..];
-        self.pos = self.buf.len();
-        s
-    }
-
-    /// Whether everything was consumed.
-    pub fn is_done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
 }
 
 /// Append-style payload writer.
@@ -221,12 +216,6 @@ impl PayloadWriter {
         self
     }
 
-    /// Append raw bytes.
-    pub fn bytes(mut self, v: &[u8]) -> Self {
-        self.buf.extend_from_slice(v);
-        self
-    }
-
     /// Finish.
     pub fn build(self) -> Vec<u8> {
         self.buf
@@ -241,10 +230,36 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let f = Frame { stream_id: 513, code: 3, flags: 0, payload: vec![1, 2, 3, 4, 5] };
-        let mut wire = Vec::new();
-        f.write_to(&mut wire).unwrap();
+        let wire = f.encode();
+        assert_eq!(frame_len(&wire[..wire.len() - 1]).unwrap(), None, "still arriving");
+        assert_eq!(frame_len(&wire).unwrap(), Some(wire.len()));
         let back = Frame::read_from(&mut Cursor::new(wire)).unwrap();
         assert_eq!(back, f);
+    }
+
+    /// Hands out its bytes and notes the largest buffer it was asked to
+    /// fill.
+    struct Widest {
+        data: Cursor<Vec<u8>>,
+        widest: usize,
+    }
+
+    impl Read for Widest {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.widest = self.widest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_declared_length_is_not_allocated_before_its_bytes_arrive() {
+        let mut wire = vec![0, 1, 2, 0];
+        wire.extend_from_slice(&MAX_PAYLOAD.to_be_bytes());
+        wire.extend_from_slice(&[7; 10]);
+        let mut r = Widest { data: Cursor::new(wire), widest: 0 };
+        let err = Frame::read_from(&mut r).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(r.widest < 1024 * 1024, "a {} byte buffer for 10 bytes", r.widest);
     }
 
     #[test]
@@ -269,13 +284,12 @@ mod tests {
 
     #[test]
     fn payload_reader_writer_roundtrip() {
-        let p = PayloadWriter::new().u32(7).u64(1 << 40).u16(3).bytes(b"xyz").build();
+        let p = PayloadWriter::new().u32(7).u64(1 << 40).u16(3).build();
         let mut r = PayloadReader::new(&p);
         assert_eq!(r.u32().unwrap(), 7);
         assert_eq!(r.u64().unwrap(), 1 << 40);
         assert_eq!(r.u16().unwrap(), 3);
-        assert_eq!(r.rest(), b"xyz");
-        assert!(r.is_done());
+        assert!(r.u16().is_err(), "all of it read");
     }
 
     #[test]
@@ -291,16 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn handshake_roundtrip_over_pipe() {
-        // Emulate both sides over in-memory buffers.
-        let mut c2s = Vec::new();
-        {
-            // client hello
-            let mut hello = [0u8; 6];
-            hello[..4].copy_from_slice(MAGIC);
-            hello[4..].copy_from_slice(&VERSION.to_be_bytes());
-            c2s.extend_from_slice(&hello);
-        }
+    fn client_handshake_sends_hello_and_checks_the_reply() {
         struct Duplex {
             read: Cursor<Vec<u8>>,
             wrote: Vec<u8>,
@@ -319,10 +324,10 @@ mod tests {
                 Ok(())
             }
         }
-        let mut server_side = Duplex { read: Cursor::new(c2s), wrote: Vec::new() };
-        server_handshake(&mut server_side).unwrap();
-        let mut client_side = Duplex { read: Cursor::new(server_side.wrote), wrote: Vec::new() };
-        // client reads server reply after writing its hello
-        client_handshake(&mut client_side).unwrap();
+        let mut good = Duplex { read: Cursor::new(hello().to_vec()), wrote: Vec::new() };
+        client_handshake(&mut good).unwrap();
+        assert_eq!(good.wrote, hello());
+        let mut bad = Duplex { read: Cursor::new(b"HTTP/1".to_vec()), wrote: Vec::new() };
+        assert_eq!(client_handshake(&mut bad).unwrap_err().kind(), io::ErrorKind::InvalidData);
     }
 }
