@@ -12,8 +12,10 @@
 //!   [`netsim::simclient`] state machines multiplexed on a small client
 //!   reactor, so N clients cost O(reactor threads) OS threads, wall time
 //!   scales ~linearly in N, and per-request latency is recorded in virtual
-//!   time. An optional sweep re-runs the phase at several client counts so
-//!   the bench JSON carries the scaling curve.
+//!   time. Each GET is the davix client's own [`Exchange`] driven on the
+//!   non-blocking stream, its body read through [`BodyFraming`]: the bench
+//!   measures the client that ships. An optional sweep re-runs the phase at
+//!   several client counts so the bench JSON carries the scaling curve.
 //! * **slowloris phase** — A attackers send a partial request head and
 //!   stall. The timer wheel must evict every one with `408 Request
 //!   Timeout`, while a probe client's keep-alive requests keep completing
@@ -33,15 +35,17 @@
 //! `DAVIX_BENCH_C10K_SWEEP` (comma-separated extra client counts to run
 //! before the main one, e.g. `256,1000`; default none).
 
+use davix::{Exchange, ExchangePoll, PreparedRequest};
 use davix_bench::{env_usize, BenchReport, Table};
 use davix_sync::{AtomicUsize, Ordering};
 use httpd::{HttpServer, Request, Response, ServerConfig};
-use httpwire::codec::{parse_response_head, response_body_len, BodyFrames, BodyLen, HeadScan};
-use httpwire::{Method, StatusCode};
-use netsim::simclient::{ClientSession, Fleet, SessionPoll};
+use httpwire::codec::{parse_response_head, BodyLen, HeadScan};
+use httpwire::parse::BodyFraming;
+use httpwire::{StatusCode, Uri};
+use netsim::simclient::{ClientSession, ConnectFn, Fleet, SessionPoll};
 use netsim::{BoxedStream, LinkSpec, Reactor, ReactorConfig, SchedStats, SimNet};
 use parking_lot::Mutex;
-use std::io;
+use std::io::{self, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,157 +77,128 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 // client state machines
 // ---------------------------------------------------------------------------
 
-enum HttpPhase {
-    Sending,
-    ReadHead,
-    ReadBody,
+/// A non-blocking stream as the client's exchange reads and writes it,
+/// `WouldBlock` passed on as it comes.
+struct NonBlocking<'a>(&'a mut BoxedStream);
+
+impl Read for NonBlocking<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.try_read(buf)
+    }
 }
 
-/// R serial keep-alive GETs with think time, entirely non-blocking:
-/// incremental send, then the response fed to the `httpwire` codec as it
-/// arrives — the same head parser and body decoder the real client uses.
-struct HttpLoopSession {
+impl Write for NonBlocking<'_> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.try_write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Where a [`GetLoop`] is in its current request.
+enum Step {
+    /// Thinking; the next request starts on the next poll.
+    Think,
+    Exchange(Exchange),
+    Body(BodyFraming),
+}
+
+/// R serial keep-alive GETs with think time, entirely non-blocking: each
+/// one the client's own [`Exchange`] driven on the stream, its body read
+/// through [`BodyFraming`] — the real client's code, not a model of it.
+struct GetLoop {
     id: usize,
     requests: usize,
     think: Duration,
     done_reqs: usize,
-    phase: HttpPhase,
-    out: Vec<u8>,
-    out_off: usize,
-    head: Vec<u8>,
-    scan: HeadScan,
-    body: BodyFrames,
+    step: Step,
     req_t0: Duration,
     latencies: Arc<Mutex<Vec<f64>>>,
-    errors: Arc<AtomicUsize>,
 }
 
-impl HttpLoopSession {
-    fn new(
-        id: usize,
-        requests: usize,
-        think: Duration,
-        latencies: Arc<Mutex<Vec<f64>>>,
-        errors: Arc<AtomicUsize>,
-    ) -> Self {
-        HttpLoopSession {
+impl GetLoop {
+    fn new(id: usize, requests: usize, think: Duration, latencies: Arc<Mutex<Vec<f64>>>) -> Self {
+        GetLoop {
             id,
             requests,
             think,
             done_reqs: 0,
-            phase: HttpPhase::Sending,
-            out: Vec::new(),
-            out_off: 0,
-            head: Vec::new(),
-            scan: HeadScan::default(),
-            body: BodyFrames::new(BodyLen::None),
+            step: Step::Think,
             req_t0: Duration::ZERO,
             latencies,
-            errors,
         }
-    }
-
-    fn fail(&self, what: &str) -> io::Error {
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        io::Error::new(io::ErrorKind::InvalidData, format!("client {}: {what}", self.id))
     }
 }
 
-impl ClientSession for HttpLoopSession {
+impl ClientSession for GetLoop {
     fn poll(&mut self, io: &mut BoxedStream, now: Duration) -> io::Result<SessionPoll> {
+        // What this buffer holds is used up within the poll: one ends on
+        // `WouldBlock` (nothing buffered) or at the end of a response.
+        let mut conn = BufReader::with_capacity(4096, NonBlocking(io));
         loop {
-            match self.phase {
-                HttpPhase::Sending => {
-                    if self.out_off == self.out.len() {
-                        if self.out.is_empty() {
-                            self.req_t0 = now;
-                            self.out = format!(
-                                "GET /obj/{}/{} HTTP/1.1\r\nHost: server\r\n\r\n",
-                                self.id, self.done_reqs
-                            )
-                            .into_bytes();
-                            self.out_off = 0;
-                        } else {
-                            self.out.clear();
-                            self.out_off = 0;
-                            self.head.clear();
-                            self.phase = HttpPhase::ReadHead;
-                            continue;
-                        }
-                    }
-                    match io.try_write(&self.out[self.out_off..]) {
-                        Ok(n) => self.out_off += n,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return Ok(SessionPoll::Pending)
-                        }
-                        Err(e) => {
-                            self.errors.fetch_add(1, Ordering::Relaxed);
-                            return Err(e);
-                        }
-                    }
+            match &mut self.step {
+                Step::Think => {
+                    self.req_t0 = now;
+                    let path = format!("/obj/{}/{}", self.id, self.done_reqs);
+                    let req = PreparedRequest::get(Uri::new("http", "server", 80, &path));
+                    self.step = Step::Exchange(Exchange::new(&req));
                 }
-                HttpPhase::ReadHead => {
-                    let mut buf = [0u8; 4096];
-                    match io.try_read(&mut buf) {
-                        Ok(0) => return Err(self.fail("EOF before response head")),
-                        Ok(n) => {
-                            self.head.extend_from_slice(&buf[..n]);
-                            let found = self.scan.find(&self.head);
-                            if let Some(end) = found.map_err(|_| self.fail("oversized head"))? {
-                                let head = parse_response_head(&self.head[..end])
-                                    .map_err(|_| self.fail("malformed response head"))?;
-                                if head.status != StatusCode::OK {
-                                    return Err(self.fail("non-200 response"));
-                                }
-                                let len = BodyLen::Fixed(BODY as u64);
-                                if !response_body_len(&Method::Get, &head).is_ok_and(|l| l == len) {
-                                    return Err(self.fail("wrong body size"));
-                                }
-                                self.body = BodyFrames::new(len);
-                                self.body.advance((self.head.len() - end).min(BODY) as u64);
-                                self.phase = HttpPhase::ReadBody;
-                            }
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return Ok(SessionPoll::Pending)
-                        }
-                        Err(e) => {
-                            self.errors.fetch_add(1, Ordering::Relaxed);
-                            return Err(e);
-                        }
+                Step::Exchange(exchange) => match exchange.poll(&mut conn) {
+                    Ok(ExchangePoll::Pending) => return Ok(SessionPoll::Pending),
+                    Ok(ExchangePoll::Head(start))
+                        if start.head.status == StatusCode::OK
+                            && start.body == BodyLen::Fixed(BODY as u64) =>
+                    {
+                        self.step = Step::Body(BodyFraming::new(start.body));
                     }
-                }
-                HttpPhase::ReadBody => {
-                    let Some(need) = self.body.payload() else {
+                    // An error retires the session, counted as the fleet's failure.
+                    Ok(ExchangePoll::Head(start)) => {
+                        let what = format!("{} {:?}", start.head.status, start.body);
+                        return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+                    }
+                    Err(e) => return Err(e.into()),
+                },
+                Step::Body(body) => match body.read(&mut conn, &mut [0u8; BODY]) {
+                    Ok(0) => {
                         self.latencies.lock().push((now - self.req_t0).as_secs_f64() * 1e3);
                         self.done_reqs += 1;
+                        self.step = Step::Think;
                         if self.done_reqs == self.requests {
                             return Ok(SessionPoll::Done);
                         }
-                        self.phase = HttpPhase::Sending;
                         return Ok(SessionPoll::Sleep(now + self.think));
-                    };
-                    let mut buf = [0u8; 4096];
-                    let want = buf.len().min(need as usize);
-                    match io.try_read(&mut buf[..want]) {
-                        Ok(0) => return Err(self.fail("EOF mid-body")),
-                        Ok(n) => self.body.advance(n as u64),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            return Ok(SessionPoll::Pending)
-                        }
-                        Err(e) => {
-                            self.errors.fetch_add(1, Ordering::Relaxed);
-                            return Err(e);
-                        }
                     }
-                }
+                    Ok(_) => {}
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                        return Ok(SessionPoll::Pending)
+                    }
+                    Err(e) => return Err(e),
+                },
             }
         }
     }
 
     fn wants_write(&self) -> bool {
-        matches!(self.phase, HttpPhase::Sending)
+        match &self.step {
+            Step::Think => true,
+            Step::Exchange(exchange) => !exchange.is_sent(),
+            Step::Body(_) => false,
+        }
     }
+}
+
+/// What a slowloris attacker sends before it stalls: a request head cut off
+/// mid-field.
+const PARTIAL: &[u8] = b"GET /stall HTTP/1.1\r\nHost: serv";
+
+/// Whether `resp`, all an attacker got before the server hung up, is a
+/// `408 Request Timeout`: the one response head the bench parses itself.
+fn evicted_with_408(resp: &[u8]) -> bool {
+    let end = HeadScan::default().find(resp).ok().flatten();
+    end.and_then(|end| parse_response_head(&resp[..end]).ok())
+        .is_some_and(|head| head.status == StatusCode::REQUEST_TIMEOUT)
 }
 
 /// Sends a partial request head, stalls past the server's header-read
@@ -237,7 +212,6 @@ struct SlowlorisSession {
 
 impl ClientSession for SlowlorisSession {
     fn poll(&mut self, io: &mut BoxedStream, now: Duration) -> io::Result<SessionPoll> {
-        const PARTIAL: &[u8] = b"GET /stall HTTP/1.1\r\nHost: serv";
         while self.sent < PARTIAL.len() {
             match io.try_write(&PARTIAL[self.sent..]) {
                 Ok(n) => self.sent += n,
@@ -252,30 +226,21 @@ impl ClientSession for SlowlorisSession {
         let mut buf = [0u8; 1024];
         loop {
             match io.try_read(&mut buf) {
-                Ok(0) => {
-                    if self.resp.windows(3).any(|w| w == b"408") {
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
-                        return Ok(SessionPoll::Done);
-                    }
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "no 408 before EOF"));
-                }
-                Ok(n) => self.resp.extend_from_slice(&buf[..n]),
-                // The connection may be torn down either way; both EOF and
-                // reset count as "server hung up" — only the 408 matters.
+                Ok(n) if n > 0 => self.resp.extend_from_slice(&buf[..n]),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(SessionPoll::Pending),
-                Err(_) => {
-                    if self.resp.windows(3).any(|w| w == b"408") {
-                        self.evicted.fetch_add(1, Ordering::Relaxed);
-                        return Ok(SessionPoll::Done);
-                    }
-                    return Err(io::Error::new(io::ErrorKind::InvalidData, "reset without 408"));
+                // EOF or a reset: the server hung up either way, and only
+                // the 408 matters.
+                _ if evicted_with_408(&self.resp) => {
+                    self.evicted.fetch_add(1, Ordering::Relaxed);
+                    return Ok(SessionPoll::Done);
                 }
+                _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "hung up without 408")),
             }
         }
     }
 
     fn wants_write(&self) -> bool {
-        self.sent < 31
+        self.sent < PARTIAL.len()
     }
 }
 
@@ -294,6 +259,12 @@ struct PointResult {
     threads_live: usize,
     evicted: usize,
     probe_latencies: Vec<f64>,
+}
+
+/// Connects a client on `host` to the server, non-blocking.
+fn connect_from(net: &SimNet, host: &str) -> ConnectFn {
+    let (net, host) = (net.clone(), host.to_string());
+    Box::new(move || net.connect_start(&host, "server", 80).map(|s| Box::new(s) as BoxedStream))
 }
 
 /// Build a fresh net + server + client reactor, run the steady phase at
@@ -334,7 +305,6 @@ fn run_point(
         ReactorConfig { threads: client_threads, name: "c10k-client".into() },
     );
 
-    let errors = Arc::new(AtomicUsize::new(0));
     let latencies: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
 
     // --- steady phase ---
@@ -343,24 +313,14 @@ fn run_point(
     let wall0 = std::time::Instant::now();
     let fleet = Fleet::new(&rt);
     for i in 0..clients {
-        let net2 = net.clone();
-        let host = hosts[i % hosts.len()].clone();
         // Stagger connects over 50 ms so the accept burst is a ramp, then
         // overlap: every client holds its connection for the whole loop.
         let start_at = t0 + Duration::from_millis((i % 50) as u64);
         fleet.launch(
             &reactor,
             start_at,
-            Box::new(move || {
-                net2.connect_start(&host, "server", 80).map(|s| Box::new(s) as BoxedStream)
-            }),
-            Box::new(HttpLoopSession::new(
-                i,
-                requests,
-                THINK,
-                Arc::clone(&latencies),
-                Arc::clone(&errors),
-            )),
+            connect_from(&net, &hosts[i % hosts.len()]),
+            Box::new(GetLoop::new(i, requests, THINK, Arc::clone(&latencies))),
         );
     }
     let failures = fleet.wait();
@@ -374,8 +334,6 @@ fn run_point(
     let mut lat = latencies.lock().clone();
     lat.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
-    let errs = errors.load(Ordering::Relaxed);
-    assert_eq!(errs, 0, "{errs} request errors at {clients} clients");
     assert_eq!(failures, 0, "{failures} client sessions failed at {clients} clients");
     assert_eq!(lat.len(), clients * requests, "every steady request answered");
     assert!(served >= (clients * requests) as u64, "server counted all requests");
@@ -403,14 +361,10 @@ fn run_point(
         let fleet = Fleet::new(&rt);
         let t1 = net.now();
         for a in 0..attackers {
-            let net2 = net.clone();
-            let host = hosts[a % hosts.len()].clone();
             fleet.launch(
                 &reactor,
                 t1,
-                Box::new(move || {
-                    net2.connect_start(&host, "server", 80).map(|s| Box::new(s) as BoxedStream)
-                }),
+                connect_from(&net, &hosts[a % hosts.len()]),
                 Box::new(SlowlorisSession {
                     sent: 0,
                     slept: false,
@@ -419,24 +373,8 @@ fn run_point(
                 }),
             );
         }
-        {
-            let net2 = net.clone();
-            let host = hosts[0].clone();
-            fleet.launch(
-                &reactor,
-                t1,
-                Box::new(move || {
-                    net2.connect_start(&host, "server", 80).map(|s| Box::new(s) as BoxedStream)
-                }),
-                Box::new(HttpLoopSession::new(
-                    usize::MAX,
-                    20,
-                    SLOWLORIS_TIMEOUT / 8,
-                    Arc::clone(&probe_lat),
-                    Arc::clone(&errors),
-                )),
-            );
-        }
+        let probe = GetLoop::new(usize::MAX, 20, SLOWLORIS_TIMEOUT / 8, Arc::clone(&probe_lat));
+        fleet.launch(&reactor, t1, connect_from(&net, &hosts[0]), Box::new(probe));
         let failures = fleet.wait();
         evicted = evicted_ctr.load(Ordering::Relaxed);
         let timeouts = stats.timeouts.load(Ordering::Relaxed) - timeouts_before;
@@ -469,23 +407,13 @@ fn run_point(
 }
 
 fn sweep_counts(main_clients: usize) -> Vec<usize> {
-    match std::env::var("DAVIX_BENCH_C10K_SWEEP") {
-        Err(_) => Vec::new(),
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| {
-                let t = t.trim();
-                if t.is_empty() {
-                    return None;
-                }
-                let n: usize = t
-                    .parse()
-                    .unwrap_or_else(|_| panic!("DAVIX_BENCH_C10K_SWEEP entry {t:?} not a count"));
-                // The main run already covers its own count.
-                (n != main_clients).then_some(n)
-            })
-            .collect(),
-    }
+    let sweep = std::env::var("DAVIX_BENCH_C10K_SWEEP").unwrap_or_default();
+    let entries = sweep.split(',').map(str::trim).filter(|t| !t.is_empty());
+    let count = |t: &str| {
+        t.parse().unwrap_or_else(|_| panic!("DAVIX_BENCH_C10K_SWEEP entry {t:?} not a count"))
+    };
+    // The main run already covers its own count.
+    entries.map(count).filter(|&n| n != main_clients).collect()
 }
 
 fn main() {

@@ -97,6 +97,9 @@ pub struct Config {
     pub user_agent: String,
 }
 
+/// The default [`Config::user_agent`].
+pub(crate) const USER_AGENT: &str = "davix-rs/0.1";
+
 impl Default for Config {
     fn default() -> Self {
         Config {
@@ -115,7 +118,7 @@ impl Default for Config {
             readahead_max: 0,
             expect_continue_threshold: 256 * 1024,
             io_threads: 16,
-            user_agent: "davix-rs/0.1".to_string(),
+            user_agent: USER_AGENT.to_string(),
         }
     }
 }

@@ -23,16 +23,16 @@
 //! [`HttpExecutor::execute_upload`] does the same with the body streamed
 //! from a provider.
 
-use crate::config::Config;
+use crate::config::{Config, USER_AGENT};
 use crate::error::{DavixError, Result};
 use crate::metrics::Metrics;
 use crate::pool::{Session, SessionPool};
 use bytes::Bytes;
 use httpwire::body::BodySource;
-use httpwire::parse::{read_response_start, BodyFraming, ResponseStart};
+use httpwire::parse::{BodyFraming, ResponseStart, StartReader};
 use httpwire::{HeadWriter, HeaderMap, Method, ResponseHead, StatusCode, Uri, Version, WireError};
 use netsim::{Connector, Runtime};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -374,9 +374,12 @@ impl HttpExecutor {
         self.with_retries(req, Some(body), |stream| stream.into_response())
     }
 
-    /// One request/response exchange: checkout, write the head and the body
-    /// it was given, read the response head — the response body stays on the
-    /// wire for the [`ResponseStream`] to consume.
+    /// One request/response exchange: checkout, then [`converse`] on the
+    /// session — the response body stays on the wire for the
+    /// [`ResponseStream`] to consume. A session that failed goes back to the
+    /// pool unusable, here and nowhere else.
+    ///
+    /// [`converse`]: Self::converse
     fn exchange(
         &self,
         req: &PreparedRequest,
@@ -386,7 +389,28 @@ impl HttpExecutor {
         let fresh = |error| TryError { error, stale: false };
         let source = upload.map(|body| body.open()).transpose().map_err(fresh)?;
         let mut session = self.pool.acquire_for(uri).map_err(fresh)?;
+        match self.converse(&mut session, req, uri, source) {
+            Ok(start) => Ok(RawStream { start, session }),
+            Err(error) => {
+                self.pool.release(session, false);
+                Err(error)
+            }
+        }
+    }
 
+    /// Write the head and the body it was given, stream a body `source` if
+    /// there is one, read the final response head (interim 1xx responses
+    /// are skipped). The blocking driver of [`Exchange`]: on a blocking
+    /// session a poll never comes back `Pending`. EOF on a recycled session
+    /// before any response byte means the server had already closed it:
+    /// stale, not failed.
+    fn converse(
+        &self,
+        session: &mut Session,
+        req: &PreparedRequest,
+        uri: &Uri,
+        source: Option<BodySource<'_>>,
+    ) -> std::result::Result<ResponseStart, TryError> {
         // `u64::MAX` disables Expect for *every* body, including
         // unknown-length ones (which otherwise always negotiate).
         let expect = source.as_ref().is_some_and(|source| {
@@ -394,197 +418,141 @@ impl HttpExecutor {
                 && !source.is_empty()
                 && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold)
         });
-        let buffered = req.body.as_ref().filter(|_| source.is_none());
         // Head and in-memory body leave in one buffer → one transport write
         // → the whole request travels in one segment train.
-        session.wire.clear();
-        self.write_head(&mut session.wire, req, uri, source.as_ref(), buffered, expect);
-        if let Some(body) = buffered {
-            session.wire.extend_from_slice(body);
-            // `bytes_uploaded` counts *payload* stores only — a PROPFIND
-            // or multipart-complete XML body is protocol chatter.
+        let mut wire = std::mem::take(&mut session.wire);
+        wire.clear();
+        write_request(&mut wire, req, uri, &self.cfg.user_agent, source.as_ref(), expect);
+        // `bytes_uploaded` counts *payload* stores only — a PROPFIND or
+        // multipart-complete XML body is protocol chatter.
+        if let Some(body) = req.body.as_ref().filter(|_| source.is_none()) {
             if req.method == Method::Put {
                 Metrics::add(&self.metrics.bytes_uploaded, body.len() as u64);
             }
         }
 
         Metrics::bump(&self.metrics.requests);
-        Metrics::add(&self.metrics.bytes_out, session.wire.len() as u64);
+        Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
         session.note_request();
-        let sent = session.writer.write_all(&session.wire);
-        if session.wire.capacity() > MAX_KEPT_WIRE {
-            // Grown to carry an in-memory body: not kept for the session's
-            // idle life.
-            session.wire = Vec::new();
+        let mut exchange = Exchange::over(wire, &req.method);
+        let sent = exchange.send_request(session.conn.get_mut());
+        // The buffer is the session's again; with `sent` past its end, the
+        // exchange has nothing more to write.
+        let wire = std::mem::take(&mut exchange.wire);
+        if wire.capacity() <= MAX_KEPT_WIRE {
+            // One grown to carry an in-memory body is not kept for the
+            // session's idle life.
+            session.wire = wire;
         }
-        if let Err(e) = sent {
-            let stale = session.reused;
-            self.pool.release(session, false);
-            return Err(TryError { error: e.into(), stale });
+        sent.map_err(|e| TryError { error: e.into(), stale: session.reused })?;
+        if let Some(source) = source {
+            if let Some(start) =
+                self.send_body(session, &mut exchange, source, expect, &req.method)?
+            {
+                return Ok(start);
+            }
         }
-        match source {
-            Some(source) => self.send_body(session, source, expect, &req.method),
-            None => self.read_start(session, &req.method),
-        }
-    }
 
-    /// Serialise the head of one exchange onto `wire`: the request's own
-    /// fields, then what the exchange states itself ([`Stated`], in that
-    /// order), which replaces a field of that name among the request's own
-    /// as [`HeaderMap::set`] would.
-    fn write_head(
-        &self,
-        wire: &mut Vec<u8>,
-        req: &PreparedRequest,
-        uri: &Uri,
-        streamed: Option<&BodySource<'_>>,
-        buffered: Option<&Bytes>,
-        expect: bool,
-    ) {
-        let framing =
-            streamed.map(Stated::Streamed).or(buffered.map(|body| Stated::Buffered(body.len())));
-        let stated = [
-            Some(Stated::Host(uri)),
-            Some(Stated::UserAgent(&self.cfg.user_agent)),
-            framing,
-            expect.then_some(Stated::Expect),
-        ];
-        let replaced = |name: &str| {
-            let mut names = stated.iter().flatten().flat_map(|field| field.replaces());
-            names.any(|own| own.eq_ignore_ascii_case(name))
+        // After a streamed body, a slow server's `100 Continue` may still
+        // arrive here, after our wait already timed out.
+        let error = match exchange.poll(&mut session.conn) {
+            Ok(ExchangePoll::Head(start)) => return Ok(start),
+            // A blocking session would block only once its read timed out.
+            Ok(ExchangePoll::Pending) => WireError::Io(std::io::ErrorKind::TimedOut.into()),
+            Err(e) => e,
         };
-        let mut head = HeadWriter::request(
-            wire,
-            &req.method,
-            &uri.path,
-            uri.query.as_deref(),
-            Version::Http11,
-        );
-        for (name, value) in req.headers.iter().filter(|(name, _)| !replaced(name)) {
-            head.field(name, value);
-        }
-        for field in stated.iter().flatten() {
-            field.write(&mut head);
-        }
-        head.finish();
+        let stale = session.reused && matches!(error, WireError::UnexpectedEof);
+        Err(TryError { error: error.into(), stale })
     }
 
     /// The streamed half of an exchange, after the head is written:
-    /// negotiate `Expect: 100-continue`, stream the body, read the final
-    /// head.
+    /// negotiate `Expect: 100-continue`, stream the body. `Some` final
+    /// response when the server answered without wanting (the rest of) the
+    /// body: the connection cannot carry another request after it.
     fn send_body(
         &self,
-        mut session: Session,
+        session: &mut Session,
+        exchange: &mut Exchange,
         source: BodySource<'_>,
         expect: bool,
         method: &Method,
-    ) -> std::result::Result<RawStream, TryError> {
+    ) -> std::result::Result<Option<ResponseStart>, TryError> {
         if expect {
-            match self.await_continue(&mut session, method) {
-                AwaitContinue::Proceed => {}
-                AwaitContinue::Timeout => {} // send the body anyway (§5.1.1)
-                AwaitContinue::Final(mut start) => {
-                    // The server answered without wanting the body (reject,
-                    // redirect). The payload was never sent — that is the
-                    // whole point of Expect — but the server may still be
-                    // waiting for body bytes, so the connection cannot be
-                    // recycled after this response.
-                    start.reusable = false;
-                    return Ok(RawStream { start, session });
-                }
-                AwaitContinue::Dead(error) => {
-                    let stale = session.reused
-                        && matches!(&error, DavixError::Connection(io)
-                            if io.kind() == std::io::ErrorKind::UnexpectedEof);
-                    self.pool.release(session, false);
-                    return Err(TryError { error, stale });
-                }
+            let verdict = self.await_continue(session, method).map_err(|error| TryError {
+                stale: session.reused
+                    && matches!(&error, DavixError::Connection(io)
+                        if io.kind() == std::io::ErrorKind::UnexpectedEof),
+                error,
+            })?;
+            if let Some(mut start) = verdict {
+                // A reject or a redirect. The payload was never sent — that
+                // is the whole point of Expect — but the server may still be
+                // waiting for body bytes.
+                start.reusable = false;
+                return Ok(Some(start));
             }
         }
 
-        match source.write_to(&mut session.writer) {
+        match source.write_to(session.conn.get_mut()) {
             Ok(n) => {
                 Metrics::add(&self.metrics.bytes_out, n);
                 Metrics::add(&self.metrics.bytes_uploaded, n);
+                Ok(None)
             }
+            // Our own source ended short of its declared length: a
+            // caller-side fault (file truncated under us), never retryable —
+            // a replay would lie to the server again.
             Err(e) if e.kind() == std::io::ErrorKind::InvalidData => {
-                // Our own source ended short of its declared length: a
-                // caller-side fault (file truncated under us), never
-                // retryable — a replay would lie to the server again.
-                self.pool.release(session, false);
-                return Err(TryError {
-                    error: DavixError::InvalidArgument(e.to_string()),
-                    stale: false,
-                });
+                Err(TryError { error: DavixError::InvalidArgument(e.to_string()), stale: false })
             }
-            Err(e) => {
-                // Transport died mid-body — often because the server
-                // already answered (reject + close). Salvage that final
-                // response if it made it onto the wire: it explains the
-                // failure far better than "broken pipe".
-                if let Ok(mut start) = read_response_start(&mut session.reader, method, false) {
+            // Transport died mid-body — often because the server already
+            // answered (reject + close). Salvage that final response if it
+            // made it onto the wire: it explains the failure far better than
+            // "broken pipe".
+            Err(e) => match exchange.poll(&mut session.conn) {
+                Ok(ExchangePoll::Head(mut start)) => {
                     start.reusable = false;
-                    return Ok(RawStream { start, session });
+                    Ok(Some(start))
                 }
-                self.pool.release(session, false);
-                return Err(TryError { error: e.into(), stale: false });
-            }
+                _ => Err(TryError { error: e.into(), stale: false }),
+            },
         }
-
-        // A slow server's `100 Continue` may still arrive here, after our
-        // wait already timed out.
-        self.read_start(session, method)
     }
 
-    /// The request is on the wire: read the final response head (interim
-    /// 1xx responses are skipped), leaving the body for the
-    /// [`ResponseStream`]. EOF on a recycled session before any response
-    /// byte means the server had already closed it: stale, not failed.
-    fn read_start(
+    /// Wait briefly for the `Expect: 100-continue` verdict: `None` to send
+    /// the body — the interim `100` came, or the window passed in silence
+    /// (RFC 7231 §5.1.1) — or the final response that came instead, for
+    /// which the body must **not** be sent. Peeks via `fill_buf` under a
+    /// temporarily shortened read timeout so a timeout consumes nothing.
+    fn await_continue(
         &self,
-        mut session: Session,
+        session: &mut Session,
         method: &Method,
-    ) -> std::result::Result<RawStream, TryError> {
-        match read_response_start(&mut session.reader, method, false) {
-            Ok(start) => Ok(RawStream { start, session }),
-            Err(e) => {
-                let stale = session.reused && matches!(e, WireError::UnexpectedEof);
-                self.pool.release(session, false);
-                Err(TryError { error: e.into(), stale })
-            }
+    ) -> Result<Option<ResponseStart>> {
+        if session.conn.get_mut().set_read_timeout(Some(EXPECT_CONTINUE_TIMEOUT)).is_err() {
+            return Ok(None); // transport without timeouts: just send
         }
-    }
-
-    /// Wait briefly for the `Expect: 100-continue` verdict: the interim
-    /// `100`, a final response, silence (timeout) or a dead connection.
-    /// Peeks via `fill_buf` under a temporarily shortened read timeout so a
-    /// timeout consumes nothing.
-    fn await_continue(&self, session: &mut Session, method: &Method) -> AwaitContinue {
-        if session.reader.get_mut().set_read_timeout(Some(EXPECT_CONTINUE_TIMEOUT)).is_err() {
-            return AwaitContinue::Timeout; // transport without timeouts: just send
-        }
-        let peek = session.reader.fill_buf().map(|b| b.is_empty());
-        let _ = session.reader.get_mut().set_read_timeout(Some(self.cfg.io_timeout));
+        let peek = session.conn.fill_buf().map(|b| b.is_empty());
+        let _ = session.conn.get_mut().set_read_timeout(Some(self.cfg.io_timeout));
         match peek {
-            Ok(true) => AwaitContinue::Dead(DavixError::Connection(std::io::Error::new(
+            Ok(true) => Err(DavixError::Connection(std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "connection closed while awaiting 100 Continue",
             ))),
             // A head is on the wire; under the restored io_timeout now.
-            Ok(false) => match read_response_start(&mut session.reader, method, true) {
-                Ok(start) if start.head.status == StatusCode::CONTINUE => AwaitContinue::Proceed,
-                Ok(start) => AwaitContinue::Final(start),
-                Err(e) => AwaitContinue::Dead(e.into()),
-            },
+            Ok(false) => {
+                let start = StartReader::new(method, true).read(&mut session.conn)?;
+                Ok((start.head.status != StatusCode::CONTINUE).then_some(start))
+            }
             Err(e)
                 if matches!(
                     e.kind(),
                     std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
                 ) =>
             {
-                AwaitContinue::Timeout
+                Ok(None)
             }
-            Err(e) => AwaitContinue::Dead(e.into()),
+            Err(e) => Err(e.into()),
         }
     }
 
@@ -621,6 +589,124 @@ impl HttpExecutor {
             stream.lease.release(keep_alive);
         }
         stream
+    }
+}
+
+/// One request/response exchange on one connection, resumable at any byte:
+/// the request's bytes and how many of them are written, then the start of
+/// the response as far as it has arrived (a [`StartReader`]: head bytes
+/// that straddle reads, interim responses skipped). Each
+/// [`poll`](Self::poll) goes on from where the last one stopped, and a
+/// `WouldBlock` from the connection costs nothing but a
+/// [`ExchangePoll::Pending`].
+///
+/// The executor drives it on pooled blocking sessions, where a poll
+/// returns the final head in one call; a load generator drives it on a
+/// non-blocking stream from a reactor. Either way the response body is
+/// next on the connection, for a [`BodyFraming`] to read.
+#[derive(Debug)]
+pub struct Exchange {
+    wire: Vec<u8>,
+    sent: usize,
+    start: StartReader,
+}
+
+/// How far an [`Exchange::poll`] got.
+#[derive(Debug)]
+pub enum ExchangePoll {
+    /// The connection would block: poll again once it is ready.
+    Pending,
+    /// The final response head; the body follows on the connection.
+    Head(ResponseStart),
+}
+
+impl Exchange {
+    /// `req` — with its own in-memory body, if any, in the same write — as
+    /// an executor of the default [`Config`] sends it.
+    pub fn new(req: &PreparedRequest) -> Exchange {
+        let mut wire = Vec::new();
+        write_request(&mut wire, req, &req.uri, USER_AGENT, None, false);
+        Exchange::over(wire, &req.method)
+    }
+
+    /// An exchange that sends `wire`, a request serialised for `method`.
+    fn over(wire: Vec<u8>, method: &Method) -> Exchange {
+        Exchange { wire, sent: 0, start: StartReader::new(method, false) }
+    }
+
+    /// Write what is left of the request to `conn`, then read what has
+    /// arrived of the response, up to its final head.
+    pub fn poll<S: Read + Write>(
+        &mut self,
+        conn: &mut BufReader<S>,
+    ) -> std::result::Result<ExchangePoll, WireError> {
+        let polled = self.send_request(conn.get_mut());
+        let polled = polled.map_err(WireError::from).and_then(|()| self.start.read(conn));
+        match polled {
+            Ok(start) => Ok(ExchangePoll::Head(start)),
+            Err(WireError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                Ok(ExchangePoll::Pending)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Whether the whole request has been written.
+    pub fn is_sent(&self) -> bool {
+        self.sent >= self.wire.len()
+    }
+
+    /// Write what is left of the request.
+    fn send_request(&mut self, conn: &mut impl Write) -> std::io::Result<()> {
+        while self.sent < self.wire.len() {
+            match conn.write(&self.wire[self.sent..]) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Serialise `req` for `uri` onto `wire`: the head — the request's own
+/// fields, then what the exchange states itself ([`Stated`], in that order),
+/// which replaces a field of that name among the request's own as
+/// [`HeaderMap::set`] would — and then the request's in-memory body, unless
+/// a `streamed` one replaces it.
+fn write_request(
+    wire: &mut Vec<u8>,
+    req: &PreparedRequest,
+    uri: &Uri,
+    user_agent: &str,
+    streamed: Option<&BodySource<'_>>,
+    expect: bool,
+) {
+    let buffered = req.body.as_ref().filter(|_| streamed.is_none());
+    let framing =
+        streamed.map(Stated::Streamed).or(buffered.map(|body| Stated::Buffered(body.len())));
+    let stated = [
+        Some(Stated::Host(uri)),
+        Some(Stated::UserAgent(user_agent)),
+        framing,
+        expect.then_some(Stated::Expect),
+    ];
+    let replaced = |name: &str| {
+        let mut names = stated.iter().flatten().flat_map(|field| field.replaces());
+        names.any(|own| own.eq_ignore_ascii_case(name))
+    };
+    let mut head =
+        HeadWriter::request(wire, &req.method, &uri.path, uri.query.as_deref(), Version::Http11);
+    for (name, value) in req.headers.iter().filter(|(name, _)| !replaced(name)) {
+        head.field(name, value);
+    }
+    for field in stated.iter().flatten() {
+        field.write(&mut head);
+    }
+    head.finish();
+    if let Some(body) = buffered {
+        wire.extend_from_slice(body);
     }
 }
 
@@ -763,7 +849,7 @@ impl Read for ResponseStream<'_> {
         let Some(session) = self.lease.session.as_mut() else {
             return Ok(0); // fully drained earlier (session already pooled)
         };
-        match self.framing.read(&mut session.reader, buf) {
+        match self.framing.read(&mut session.conn, buf) {
             Ok(n) => {
                 if n > 0 {
                     Metrics::add(&self.metrics.bytes_in, n as u64);
@@ -846,18 +932,6 @@ impl Stated<'_> {
             }
         }
     }
-}
-
-/// Verdict of the `Expect: 100-continue` wait.
-enum AwaitContinue {
-    /// The server said `100` (or another interim code): send the body.
-    Proceed,
-    /// Silence within the window: send the body anyway (RFC 7231 §5.1.1).
-    Timeout,
-    /// A final response arrived instead — the body must **not** be sent.
-    Final(ResponseStart),
-    /// The connection died while waiting.
-    Dead(DavixError),
 }
 
 struct TryError {
@@ -1618,6 +1692,128 @@ mod tests {
         let session =
             ex.pool().acquire(&crate::Endpoint::of(&"http://s/".parse().unwrap())).unwrap();
         assert!(session.reused && session.wire.capacity() <= MAX_KEPT_WIRE);
+    }
+
+    // ---- the exchange, resumed at every byte -------------------------------
+
+    /// A connection over a scripted response. A trickling one moves one
+    /// byte at a time, each way, and answers `WouldBlock` before each; a
+    /// blocking one has everything ready at once.
+    struct Scripted {
+        wire: Vec<u8>,
+        pos: usize,
+        written: Vec<u8>,
+        trickle: bool,
+        ready: bool,
+    }
+
+    impl Scripted {
+        fn conn(wire: Vec<u8>, trickle: bool) -> BufReader<Scripted> {
+            BufReader::new(Scripted { wire, pos: 0, written: vec![], trickle, ready: false })
+        }
+
+        /// How many bytes may move now.
+        fn ready(&mut self) -> std::io::Result<usize> {
+            self.ready = !self.ready;
+            match (self.trickle, !self.ready) {
+                (false, _) => Ok(usize::MAX),
+                (true, true) => Ok(1),
+                (true, false) => Err(std::io::ErrorKind::WouldBlock.into()),
+            }
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.ready()?.min(buf.len()).min(self.wire.len() - self.pos);
+            buf[..n].copy_from_slice(&self.wire[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.ready()?.min(buf.len());
+            self.written.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run one GET's exchange and read its body on `conn`, polling again
+    /// after every `WouldBlock`; the outcome and how many polls it took.
+    fn exchange_on(
+        conn: &mut BufReader<Scripted>,
+    ) -> (std::result::Result<(ResponseStart, Vec<u8>), String>, usize) {
+        let mut exchange = Exchange::new(&PreparedRequest::get("http://s/f".parse().unwrap()));
+        let mut polls = 1;
+        let start = loop {
+            match exchange.poll(conn) {
+                Ok(ExchangePoll::Pending) => polls += 1,
+                Ok(ExchangePoll::Head(start)) => break start,
+                Err(e) => return (Err(e.to_string()), polls),
+            }
+        };
+        let (mut framing, mut body, mut buf) = (BodyFraming::new(start.body), vec![], [0u8; 64]);
+        loop {
+            match framing.read(conn, &mut buf) {
+                Ok(0) => return (Ok((start, body)), polls),
+                Ok(n) => body.extend_from_slice(&buf[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => polls += 1,
+                Err(e) => return (Err(e.to_string()), polls),
+            }
+        }
+    }
+
+    #[test]
+    fn an_exchange_resumes_after_every_would_block() {
+        use httpwire::parse::MAX_INTERIM_RESPONSES;
+        // Interim `100` and `102` heads, then a chunked body whose size
+        // lines (one with an extension) and trailers straddle every read;
+        // the next message must stay on the wire.
+        let response = |interims: usize| {
+            let interim = ["HTTP/1.1 100 Continue\r\n\r\n", "HTTP/1.1 102 Processing\r\n\r\n"];
+            let mut wire: String = (0..interims).map(|i| interim[i % 2]).collect();
+            wire += "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nX-Pad: padding\r\n\r\n\
+                     5;ext=1\r\nhello\r\n1a\r\nabcdefghijklmnopqrstuvwxyz\r\n0\r\n\
+                     X-Trailer: v\r\nX-Other: w\r\n\r\nNEXT";
+            wire.into_bytes()
+        };
+        for interims in [0, 2, MAX_INTERIM_RESPONSES, MAX_INTERIM_RESPONSES + 1] {
+            let mut blocking = Scripted::conn(response(interims), false);
+            let mut trickling = Scripted::conn(response(interims), true);
+            let (want, blocking_polls) = exchange_on(&mut blocking);
+            let (got, trickling_polls) = exchange_on(&mut trickling);
+            assert_eq!(blocking_polls, 1, "a blocking connection is never Pending");
+            let read = trickling.get_ref().pos;
+            assert!(trickling_polls > read, "{interims}: a poll per byte or more");
+            match (&want, &got) {
+                (Ok((want_start, want_body)), Ok((start, body))) => {
+                    assert!(interims <= MAX_INTERIM_RESPONSES);
+                    assert_eq!(start.head, want_start.head, "{interims}");
+                    assert_eq!((start.body, start.reusable), (httpwire::BodyLen::Chunked, true));
+                    assert_eq!(body, want_body);
+                    assert_eq!(&body[..], b"helloabcdefghijklmnopqrstuvwxyz");
+                    assert_eq!(blocking.buffer(), b"NEXT");
+                    assert_eq!(
+                        (trickling.buffer(), &trickling.get_ref().wire[read..]),
+                        (&[][..], &b"NEXT"[..])
+                    );
+                }
+                (Err(want), Err(got)) => {
+                    assert_eq!(interims, MAX_INTERIM_RESPONSES + 1);
+                    assert_eq!(got, want);
+                    assert!(got.contains("interim"), "{got}");
+                }
+                _ => panic!("{interims}: blocking {want:?}, trickling {got:?}"),
+            }
+            assert_eq!(trickling.get_ref().written, blocking.get_ref().written);
+            assert!(blocking.get_ref().written.starts_with(b"GET /f HTTP/1.1\r\nHost: s\r\n"));
+        }
     }
 
     // ---- bounds on what a peer can make the policy loop do ----------------

@@ -259,7 +259,10 @@ pub use cache::BlockCache;
 pub use client::DavixClient;
 pub use config::{Config, RangePolicy, RetryPolicy};
 pub use error::{DavixError, Result};
-pub use executor::{BodyProvider, HttpExecutor, HttpResponse, PreparedRequest, ResponseStream};
+pub use executor::{
+    BodyProvider, Exchange, ExchangePoll, HttpExecutor, HttpResponse, PreparedRequest,
+    ResponseStream,
+};
 pub use file::DavFile;
 pub use iopool::IoPool;
 pub use metrics::{Metrics, MetricsSnapshot};

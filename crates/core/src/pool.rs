@@ -55,11 +55,10 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// A checked-out keep-alive session: buffered reader + writer clone of one
-/// connection, plus bookkeeping.
+/// A checked-out keep-alive session: one connection, read through a buffer
+/// and written directly, plus bookkeeping.
 pub struct Session {
-    pub(crate) reader: BufReader<BoxedStream>,
-    pub(crate) writer: BoxedStream,
+    pub(crate) conn: BufReader<BoxedStream>,
     /// Whether this session came from the idle pool (stale-retry heuristics).
     pub(crate) reused: bool,
     /// Where each request is serialised — head, then an in-memory body —
@@ -218,11 +217,9 @@ impl SessionPool {
             .connect(&endpoint.host, endpoint.port, Some(self.connect_timeout))
             .map_err(DavixError::from)?;
         stream.set_read_timeout(Some(self.io_timeout)).map_err(DavixError::from)?;
-        let writer = stream.try_clone().map_err(DavixError::from)?;
         Metrics::bump(&self.metrics.sessions_created);
         Ok(Session {
-            reader: BufReader::with_capacity(32 * 1024, stream),
-            writer,
+            conn: BufReader::with_capacity(32 * 1024, stream),
             reused: false,
             wire: Vec::new(),
             endpoint,
@@ -461,7 +458,7 @@ mod tests {
     #[test]
     fn sessions_really_share_a_connection() {
         // A recycled session keeps talking on the same TCP stream: write on
-        // the writer half, observe on the server side of the same conn.
+        // it, observe on the server side of the same conn.
         let net = SimNet::new();
         net.add_host("c");
         net.add_host("s");
@@ -485,10 +482,10 @@ mod tests {
         let ep = Endpoint { scheme: "http".into(), host: "s".into(), port: 80 };
         let _g = net.enter();
         let mut s1 = pool.acquire(&ep).unwrap();
-        std::io::Write::write_all(&mut s1.writer, b"a").unwrap();
+        std::io::Write::write_all(s1.conn.get_mut(), b"a").unwrap();
         pool.release(s1, true);
         let mut s2 = pool.acquire(&ep).unwrap();
-        std::io::Write::write_all(&mut s2.writer, b"b").unwrap();
+        std::io::Write::write_all(s2.conn.get_mut(), b"b").unwrap();
         // server asserts it sees "ab" on one connection
         net.sleep(Duration::from_millis(50));
         assert_eq!(net.stats().conns_created, 1);

@@ -30,11 +30,12 @@
 //! [`multistream_download`]: crate::multistream_download
 
 use crate::config::Config;
+use crate::executor::{Exchange, ExchangePoll, PreparedRequest};
 use crate::metrics::Metrics;
-use httpwire::{Method, RequestHead, Uri};
+use httpwire::{Method, Uri};
 use netsim::{Connector, Runtime};
 use parking_lot::Mutex;
-use std::io::{BufReader, Write};
+use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -348,24 +349,20 @@ impl ReplicaScheduler {
     }
 }
 
-/// One liveness probe: TCP connect + `OPTIONS /`; any well-formed HTTP
-/// answer counts as alive. This is the reusable primitive behind both the
-/// scheduler's active probing and DynaFed's `HealthMonitor`.
+/// One liveness probe: TCP connect, then one bodyless `OPTIONS /`
+/// [`Exchange`] on it, `timeout` bounding the connect and each read; any
+/// well-formed final response head counts as alive. This is the reusable
+/// primitive behind both the scheduler's active probing and DynaFed's
+/// `HealthMonitor`.
 pub fn probe_endpoint(connector: &dyn Connector, host: &str, port: u16, timeout: Duration) -> bool {
     let Ok(mut stream) = connector.connect(host, port, Some(timeout)) else {
         return false;
     };
     let _ = stream.set_read_timeout(Some(timeout));
-    let mut head = RequestHead::new(Method::Options, "/");
-    // `host:port` unless the port is HTTP's default (RFC 7230 §5.4), as
-    // the executor writes it.
-    head.headers.set("Host", Uri::new("http", host, port, "/").authority());
-    head.headers.set("Connection", "close");
-    if stream.write_all(&head.to_bytes()).is_err() {
-        return false;
-    }
-    let mut reader = BufReader::new(stream);
-    httpwire::parse::read_response_head(&mut reader).is_ok()
+    let uri = Uri::new("http", host, port, "/");
+    let req = PreparedRequest::new(Method::Options, uri).header("Connection", "close");
+    let polled = Exchange::new(&req).poll(&mut BufReader::new(stream));
+    matches!(polled, Ok(ExchangePoll::Head(_)))
 }
 
 /// Whether two URIs name the same resource: scheme and host compared

@@ -1,16 +1,21 @@
 //! Replica health probing.
 //!
 //! DynaFed keeps its view of endpoint liveness fresh by probing; we do the
-//! same with a minimal HTTP `OPTIONS` ping per host on a runtime thread.
-//! The probe primitive itself lives in [`davix::scheduler::probe_endpoint`]
-//! so the client-side [`davix::ReplicaScheduler`] and this server-side
-//! monitor share one implementation.
+//! same with one bodyless `OPTIONS` exchange per host on a runtime thread.
+//! The probe is [`davix::scheduler::probe_endpoint`]: the client's own
+//! [`davix::Exchange`] with a deadline, so the client-side
+//! [`davix::ReplicaScheduler`], this server-side monitor and every other
+//! client request speak HTTP through one implementation.
 
 use crate::catalog::ReplicaCatalog;
+use davix::scheduler::probe_endpoint;
 use davix_sync::{AtomicBool, Ordering};
 use netsim::{Connector, Runtime};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// How long a probe waits to connect and for each read of its answer.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Background health monitor. Stop it with [`HealthMonitor::stop`]; it exits
 /// at the next tick.
@@ -20,7 +25,8 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// Start probing every host in `catalog` each `interval`. A host is
-    /// *alive* when a TCP connect + `OPTIONS /` gets any HTTP response.
+    /// *alive* when a TCP connect + `OPTIONS /` gets a final HTTP response
+    /// head within two seconds per step.
     pub fn start(
         catalog: Arc<ReplicaCatalog>,
         connector: Arc<dyn Connector>,
@@ -46,7 +52,7 @@ impl HealthMonitor {
                     }
                     round += 1;
                     for (host, port) in catalog.hosts() {
-                        let alive = probe(connector.as_ref(), &host, port);
+                        let alive = probe_endpoint(connector.as_ref(), &host, port, PROBE_TIMEOUT);
                         catalog.mark_host(&host, alive);
                     }
                     rt2.sleep(interval);
@@ -60,11 +66,6 @@ impl HealthMonitor {
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
-}
-
-/// One OPTIONS probe; any well-formed HTTP answer counts as alive.
-fn probe(connector: &dyn Connector, host: &str, port: u16) -> bool {
-    davix::scheduler::probe_endpoint(connector, host, port, Duration::from_secs(2))
 }
 
 #[cfg(test)]

@@ -434,7 +434,14 @@ impl HttpConn {
         let method = req.head.method.clone();
         let client_keep_alive = req.head.headers.keep_alive(req.head.version == Version::Http11)
             && !self.server.cfg.http10;
-        let resp = self.server.handler.handle(req);
+        // The one place a handler runs: one that panics costs its request
+        // a `500` and its connection, not the shard and every connection on
+        // it.
+        let handle = std::panic::AssertUnwindSafe(|| self.server.handler.handle(req));
+        let resp = std::panic::catch_unwind(handle).unwrap_or_else(|_| {
+            self.server.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
+            Response { close: true, ..Response::error(StatusCode::INTERNAL_SERVER_ERROR) }
+        });
         let cap_hit =
             self.server.cfg.max_requests_per_conn.map(|cap| self.served >= cap).unwrap_or(false);
         let close = resp.close || !client_keep_alive || cap_hit || self.shutting_down;

@@ -11,7 +11,7 @@
 use crate::conn::HttpConn;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
-use httpwire::parse::{read_response_start, BodyReader};
+use httpwire::parse::{BodyReader, StartReader};
 use httpwire::{date, HeadWriter, HeaderMap, RequestHead, StatusCode, Version};
 use netsim::{Listener, Runtime, ServerCore};
 use std::cell::RefCell;
@@ -155,13 +155,8 @@ pub struct ServerStats {
     pub timeouts: AtomicU64,
     /// High-water mark of concurrently open connections.
     pub peak_open: AtomicU64,
-}
-
-impl ServerStats {
-    /// (connections, requests) snapshot.
-    pub fn snapshot(&self) -> (u64, u64) {
-        (self.connections.load(Ordering::Relaxed), self.requests.load(Ordering::Relaxed))
-    }
+    /// Requests whose handler panicked (answered `500`, connection closed).
+    pub handler_panics: AtomicU64,
 }
 
 /// The server: a handler plus configuration, servable on any listener.
@@ -277,7 +272,7 @@ pub fn read_full_response(
     r: &mut impl std::io::BufRead,
     req_method: &httpwire::Method,
 ) -> Result<(httpwire::ResponseHead, Vec<u8>), httpwire::WireError> {
-    let start = read_response_start(r, req_method, false)?;
+    let start = StartReader::new(req_method, false).read(r)?;
     let body = BodyReader::new(r, start.body).read_all()?;
     Ok((start.head, body))
 }
@@ -368,8 +363,36 @@ mod tests {
             assert_eq!(body, format!("GET /r{i}").as_bytes());
             assert!(!head.headers.connection_has("close"));
         }
-        let (conns, reqs) = stats.snapshot();
-        assert_eq!((conns, reqs), (1, 5));
+        assert_eq!(stats.connections.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.requests.load(Ordering::Relaxed), 5);
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_one_request_not_the_shard() {
+        let (net, rt) = sim_pair();
+        let server = HttpServer::new(
+            Arc::new(|req: Request| {
+                assert_ne!(req.head.target, "/boom", "handler bug");
+                Response::text(StatusCode::OK, "fine")
+            }),
+            ServerConfig { reactor_threads: 1, ..ServerConfig::default() },
+        );
+        let stats = server.stats();
+        server.serve(Box::new(net.bind("server", 80).unwrap()), rt);
+        let _g = net.enter();
+        let get = |target: &str| {
+            let mut c = net.connect("client", "server", 80).unwrap();
+            send(&mut c, Method::Get, target, None);
+            read_full_response(&mut BufReader::new(c), &Method::Get).unwrap()
+        };
+        let (head, _) = get("/boom");
+        assert_eq!(head.status, StatusCode::INTERNAL_SERVER_ERROR);
+        assert!(head.headers.connection_has("close"));
+        // The one shard that ran the panic still serves a new connection.
+        let (head, body) = get("/ok");
+        assert_eq!((head.status, &body[..]), (StatusCode::OK, &b"fine"[..]));
+        assert_eq!(stats.handler_panics.load(Ordering::Relaxed), 1);
+        assert_eq!(stats.requests.load(Ordering::Relaxed), 2);
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //!   trailers) and read-to-close that *describes* frames instead of copying
 //!   them. Its size limits (head, chunk-size line, trailer section) hold on
 //!   every path, because every path is an adapter over it.
-//! * [`parse`] is the blocking adapter: [`read_request_head`],
-//!   [`read_response_head`], `read_response_start` (skip interim 1xx, then
-//!   final head + body length + "is the connection reusable?") and
+//! * [`parse`] is the `BufRead` adapter: [`read_request_head`],
+//!   [`read_response_head`], `StartReader` (skip interim 1xx, then final
+//!   head + body length + "is the connection reusable?") and
 //!   [`BodyFraming`]/[`BodyReader`] drive the codec over any
-//!   [`std::io::BufRead`], consuming exactly one message. The non-blocking
-//!   adapters live with their buffers: `httpd`'s connection state machine
-//!   and the bench harness's event-driven clients feed the same codec.
+//!   [`std::io::BufRead`], consuming exactly one message. `StartReader` and
+//!   `BodyFraming` resume after a `WouldBlock`, so the client's exchange
+//!   runs on blocking and non-blocking streams alike; `httpd`'s connection
+//!   state machine keeps its own buffers and feeds the codec directly.
 //!
 //! Around them:
 //!

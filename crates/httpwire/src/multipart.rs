@@ -176,7 +176,7 @@ impl<R: BufRead> MultipartReader<R> {
     /// final CRLF.
     fn delimiter_line(&mut self) -> Result<Line, WireError> {
         let delimiter = &self.delimiter;
-        read_item(&mut self.r, |buf, eof| {
+        read_item(&mut self.r, &mut Vec::new(), |buf, eof| {
             let len = match line_len(buf, MAX_HEAD_BYTES)? {
                 Some(len) => len,
                 None if eof && !buf.is_empty() => buf.len(),
@@ -238,7 +238,7 @@ impl<R: BufRead> MultipartReader<R> {
         }
         self.started = true;
 
-        let range = read_head(&mut self.r, Self::part_range)
+        let range = read_head(&mut self.r, &mut Default::default(), Self::part_range)
             .map_err(part_error)?
             .ok_or(WireError::UnexpectedEof)?;
         if let Some(cap) = self.max_part_len {

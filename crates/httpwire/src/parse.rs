@@ -1,10 +1,13 @@
-//! Blocking adapters over the [`codec`](mod@crate::codec): message heads and
-//! body framing pulled from any [`BufRead`].
+//! Adapters over the [`codec`](mod@crate::codec): message heads and body
+//! framing pulled from any [`BufRead`].
 //!
 //! The grammar lives in the codec; what this module adds is the I/O
 //! discipline — look at buffered bytes through `fill_buf`, consume exactly
 //! what the codec accepted and not one byte more, so the reader always
 //! stops at the message boundary (essential for keep-alive connections).
+//! The client's two readers, [`StartReader`] and [`BodyFraming`], keep what
+//! they have read of an item between calls, so they serve a non-blocking
+//! reader (one that answers `WouldBlock`) as well as a blocking one.
 
 use crate::codec::{self, BodyFrames, Frame, HeadScan};
 use crate::{Method, RequestHead, ResponseHead, Version, WireError};
@@ -15,14 +18,19 @@ pub use crate::codec::{request_body_len, response_body_len, BodyLen, MAX_HEAD_BY
 /// Pull one item off the front of `r`. `item` looks at the buffered bytes
 /// (and whether the stream ended right after them) and answers
 /// `Some((bytes used, value))` or `None` for "incomplete"; only the used
-/// bytes are consumed. An item that straddles `fill_buf` windows is carried
-/// in a scratch buffer, which its own size limit bounds. `Ok(None)` is EOF
-/// before the item's first byte.
+/// bytes are consumed. An item that straddles `fill_buf` windows is held in
+/// `carry`, which its own size limit bounds. `Ok(None)` is EOF before the
+/// item's first byte.
+///
+/// The carry is the caller's, so an error from `fill_buf` — a non-blocking
+/// reader's `WouldBlock` in the middle of an item — loses none of the
+/// item's bytes: the next call with the same carry picks it up where this
+/// one left off.
 pub(crate) fn read_item<R: BufRead, T>(
     r: &mut R,
+    carry: &mut Vec<u8>,
     mut item: impl FnMut(&[u8], bool) -> Result<Option<(usize, T)>, WireError>,
 ) -> Result<Option<T>, WireError> {
-    let mut carry = Vec::new();
     loop {
         let held = carry.len();
         let avail = r.fill_buf()?;
@@ -31,11 +39,12 @@ pub(crate) fn read_item<R: BufRead, T>(
             avail
         } else {
             carry.extend_from_slice(avail);
-            &carry
+            &carry[..]
         };
         match item(window, fresh == 0)? {
             Some((used, value)) => {
                 r.consume(used.saturating_sub(held));
+                carry.clear();
                 return Ok(Some(value));
             }
             None if fresh == 0 && held == 0 => return Ok(None),
@@ -50,13 +59,15 @@ pub(crate) fn read_item<R: BufRead, T>(
     }
 }
 
-/// [`read_item`] for a head block: find its end, parse it in place.
+/// [`read_item`] for a head block: find its end, parse it in place. `head`
+/// is what earlier calls read of it — its carry and how far its end has
+/// been searched for — so a fresh `Default` one reads a head in one call.
 pub(crate) fn read_head<R: BufRead, T>(
     r: &mut R,
+    (carry, scan): &mut (Vec<u8>, HeadScan),
     parse: impl Fn(&[u8]) -> Result<T, WireError>,
 ) -> Result<Option<T>, WireError> {
-    let mut scan = HeadScan::default();
-    read_item(r, |buf, _| match scan.find(buf)? {
+    read_item(r, carry, |buf, _| match scan.find(buf)? {
         Some(end) => Ok(Some((end, parse(&buf[..end])?))),
         None => Ok(None),
     })
@@ -68,7 +79,7 @@ pub fn read_request_head<R: BufRead>(r: &mut R) -> Result<Option<RequestHead>, W
     // Stray blank lines (RFC 7230 §3.5) cost two bytes each, so this many
     // of them have used up the head budget.
     for _ in 0..MAX_HEAD_BYTES / 2 {
-        match read_head(r, codec::parse_request_head)? {
+        match read_head(r, &mut Default::default(), codec::parse_request_head)? {
             None => return Ok(None),
             Some(Some(head)) => return Ok(Some(head)),
             Some(None) => {}
@@ -80,7 +91,8 @@ pub fn read_request_head<R: BufRead>(r: &mut R) -> Result<Option<RequestHead>, W
 /// Read a response head. EOF before the status line is an error (the client
 /// was expecting a response).
 pub fn read_response_head<R: BufRead>(r: &mut R) -> Result<ResponseHead, WireError> {
-    read_head(r, codec::parse_response_head)?.ok_or(WireError::UnexpectedEof)
+    read_head(r, &mut Default::default(), codec::parse_response_head)?
+        .ok_or(WireError::UnexpectedEof)
 }
 
 /// The start of a response: everything a client needs to decide how to
@@ -102,28 +114,59 @@ pub struct ResponseStart {
 /// streaming `102 Processing` holds the client forever without an error.
 pub const MAX_INTERIM_RESPONSES: usize = 16;
 
-/// Read response heads up to the final one, skipping interim 1xx responses
-/// (`102 Processing`, `103 Early Hints`, a late `100 Continue`) — at most
-/// [`MAX_INTERIM_RESPONSES`] of them, then [`WireError::Protocol`].
+/// Reads response heads up to the final one, skipping interim 1xx
+/// responses (`102 Processing`, `103 Early Hints`, a late `100 Continue`) —
+/// at most [`MAX_INTERIM_RESPONSES`] of them, then [`WireError::Protocol`].
 ///
-/// `awaiting_continue` is for a caller that sent `Expect: 100-continue` and
-/// is holding its body back: a `100 Continue` is then the answer it waits
-/// for and is returned instead of skipped.
-pub fn read_response_start<R: BufRead>(
-    r: &mut R,
-    req_method: &Method,
+/// Resumable: everything it has learnt — the head bytes that straddle
+/// `fill_buf` windows, how far the head's end has been searched for, the
+/// interims seen — lives in the reader, not in a call. A reader that would
+/// block returns its `WouldBlock` as [`WireError::Io`], and calling
+/// [`read`](Self::read) again once bytes have arrived goes on from there; a
+/// blocking reader gets its answer from one call.
+#[derive(Debug)]
+pub struct StartReader {
+    method: Method,
     awaiting_continue: bool,
-) -> Result<ResponseStart, WireError> {
-    for _ in 0..=MAX_INTERIM_RESPONSES {
-        let head = read_response_head(r)?;
-        if !head.status.is_informational() || (awaiting_continue && head.status.0 == 100) {
-            let body = response_body_len(req_method, &head)?;
-            let reusable =
-                head.headers.keep_alive(head.version == Version::Http11) && body != BodyLen::Close;
-            return Ok(ResponseStart { head, body, reusable });
+    /// What has been read of the head in hand, for [`read_head`].
+    head: (Vec<u8>, HeadScan),
+    interims: usize,
+}
+
+impl StartReader {
+    /// Read the start of the response to a `method` request.
+    /// `awaiting_continue` is for a caller that sent `Expect: 100-continue`
+    /// and is holding its body back: a `100 Continue` is then the answer it
+    /// waits for and is returned instead of skipped.
+    pub fn new(method: &Method, awaiting_continue: bool) -> Self {
+        StartReader {
+            method: method.clone(),
+            awaiting_continue,
+            head: Default::default(),
+            interims: 0,
         }
     }
-    Err(WireError::Protocol("too many interim (1xx) responses before a final one".into()))
+
+    /// Go on reading from `r`. EOF before the status line is an error (the
+    /// caller was expecting a response).
+    pub fn read<R: BufRead>(&mut self, r: &mut R) -> Result<ResponseStart, WireError> {
+        loop {
+            let head = read_head(r, &mut self.head, codec::parse_response_head)?
+                .ok_or(WireError::UnexpectedEof)?;
+            if !head.status.is_informational() || (self.awaiting_continue && head.status.0 == 100) {
+                let body = response_body_len(&self.method, &head)?;
+                let reusable = head.headers.keep_alive(head.version == Version::Http11)
+                    && body != BodyLen::Close;
+                return Ok(ResponseStart { head, body, reusable });
+            }
+            self.interims += 1;
+            if self.interims > MAX_INTERIM_RESPONSES {
+                return Err(WireError::Protocol(
+                    "too many interim (1xx) responses before a final one".into(),
+                ));
+            }
+        }
+    }
 }
 
 /// The body-framing state machine, decoupled from any particular reader.
@@ -137,12 +180,14 @@ pub fn read_response_start<R: BufRead>(
 /// borrow; [`BodyReader`] remains the one-shot borrowing convenience.
 pub struct BodyFraming {
     decoder: BodyFrames,
+    /// A framing line (chunk size, trailer) split across reads.
+    carry: Vec<u8>,
 }
 
 impl BodyFraming {
     /// Start framing a body of the given length.
     pub fn new(len: BodyLen) -> Self {
-        BodyFraming { decoder: BodyFrames::new(len) }
+        BodyFraming { decoder: BodyFrames::new(len), carry: Vec::new() }
     }
 
     /// Whether the body has been fully consumed (the underlying stream is
@@ -153,7 +198,9 @@ impl BodyFraming {
     }
 
     /// Read body bytes from `inner` into `buf`, honouring the framing.
-    /// `Ok(0)` (for non-empty `buf`) means the body is complete.
+    /// `Ok(0)` (for non-empty `buf`) means the body is complete. A
+    /// `WouldBlock` from `inner` costs no framing byte: a chunk-size or
+    /// trailer line that straddles it is carried to the next call.
     ///
     /// Only framing bytes go through `inner`'s buffer; payload is read
     /// straight into `buf`, so a large read bypasses a `BufReader`.
@@ -176,7 +223,7 @@ impl BodyFraming {
                 return Ok(0);
             }
             let decoder = &mut self.decoder;
-            read_item(inner, |framing, _| match decoder.next(framing)? {
+            read_item(inner, &mut self.carry, |framing, _| match decoder.next(framing)? {
                 Frame::Skip(n) => Ok(Some((n, ()))),
                 _ => Ok(None),
             })?
@@ -406,7 +453,7 @@ mod tests {
             let request = format!("PUT /x HTTP/1.1\r\n{lines}\r\n");
             let head = read_request_head(&mut Cursor::new(request)).unwrap().unwrap();
             let response = format!("HTTP/1.1 200 OK\r\n{lines}\r\n");
-            let start = read_response_start(&mut Cursor::new(response), &Method::Get, false);
+            let start = StartReader::new(&Method::Get, false).read(&mut Cursor::new(response));
             match want {
                 Some(n) => {
                     assert_eq!(request_body_len(&head).unwrap(), BodyLen::Fixed(n), "{fields:?}");

@@ -11,13 +11,13 @@ use httpwire::codec::{
     parse_request_head, parse_response_head, request_body_len, response_body_len, BodyFrames,
     BodyLen, Frame, HeadScan, MAX_CHUNK_LINE_BYTES, MAX_TRAILER_BYTES,
 };
-use httpwire::parse::{read_response_start, BodyReader, MAX_INTERIM_RESPONSES};
+use httpwire::parse::{BodyFraming, BodyReader, StartReader, MAX_INTERIM_RESPONSES};
 use httpwire::{
     ContentRange, Method, MultipartReader, MultipartWriter, RequestHead, ResponseHead, StatusCode,
     WireError,
 };
 use proptest::prelude::*;
-use std::io::{BufReader, Cursor, Read};
+use std::io::{BufRead, BufReader, Cursor, Read};
 
 /// The offsets at which successive deliveries of a `len`-byte wire end:
 /// `cuts` folded into range and sorted, then the whole wire.
@@ -427,7 +427,8 @@ fn interim_responses_are_skipped_up_to_a_bound() {
         w
     };
     let status = |interims: usize, awaiting_continue: bool| {
-        read_response_start(&mut Cursor::new(wire(interims)), &Method::Get, awaiting_continue)
+        StartReader::new(&Method::Get, awaiting_continue)
+            .read(&mut Cursor::new(wire(interims)))
             .map(|start| start.head.status.0)
             .map_err(|e| matches!(e, WireError::Protocol(_)))
     };
@@ -437,6 +438,62 @@ fn interim_responses_are_skipped_up_to_a_bound() {
         assert_eq!(status(MAX_INTERIM_RESPONSES + 1, awaiting_continue), Err(true));
         assert_eq!(status(50 * MAX_INTERIM_RESPONSES, awaiting_continue), Err(true));
     }
+}
+
+/// A non-blocking stream with one byte ready at a time: every read that
+/// follows a byte answers `WouldBlock`.
+struct Trickle {
+    wire: Vec<u8>,
+    pos: usize,
+    ready: bool,
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = {
+            let avail = self.fill_buf()?;
+            let n = avail.len().min(buf.len());
+            buf[..n].copy_from_slice(&avail[..n]);
+            n
+        };
+        self.consume(n);
+        Ok(n)
+    }
+}
+
+impl BufRead for Trickle {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        if !std::mem::replace(&mut self.ready, true) {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        Ok(&self.wire[self.pos..(self.pos + 1).min(self.wire.len())])
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.pos += n;
+        self.ready = n == 0;
+    }
+}
+
+#[test]
+fn body_framing_resumes_after_every_would_block() {
+    // Size lines (one with an extension) and trailers all straddle reads.
+    let wire = b"5;ext=1\r\nhello\r\n1a\r\nabcdefghijklmnopqrstuvwxyz\r\n0\r\n\
+                 X-Trailer: v\r\nX-Other: w\r\n\r\nNEXT";
+    let blocking = BodyReader::new(&mut Cursor::new(&wire[..]), BodyLen::Chunked).read_all();
+    let mut framing = BodyFraming::new(BodyLen::Chunked);
+    let mut stream = Trickle { wire: wire.to_vec(), pos: 0, ready: false };
+    let (mut body, mut buf) = (Vec::new(), [0u8; 64]);
+    loop {
+        match framing.read(&mut stream, &mut buf) {
+            Ok(0) => break,
+            Ok(n) => body.extend_from_slice(&buf[..n]),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(e) => panic!("after {} bytes: {e}", stream.pos),
+        }
+    }
+    assert_eq!(body, blocking.unwrap());
+    assert_eq!(&stream.wire[stream.pos..], b"NEXT", "stops at the message boundary");
 }
 
 #[test]

@@ -35,6 +35,13 @@ pub enum Rule {
     /// the servers (`crates/httpd/src`, `xrdlite`'s `server.rs`) any
     /// `.spawn(..)` does, so their threads are `netsim::ServerCore`'s.
     ThreadHygiene,
+    /// A response head parsed by hand (`parse_response_head(..)`) outside
+    /// the crates that speak HTTP for everyone — `httpwire`, the client's
+    /// exchange in `core`, `httpd` — which is how a second HTTP client
+    /// starts to grow. Load generators and probes drive `davix::Exchange`
+    /// instead; the one head a bench must read itself (fig7's slowloris
+    /// `408`, which no client request ever gets) is allow-listed by name.
+    OneClient,
     /// Bare shared mutable state outside the `davix-sync` shim: direct
     /// `std::sync::atomic` paths, `static mut`, or `UnsafeCell`. The
     /// `race-detect` sanitizer can only see synchronization it models —
@@ -53,6 +60,7 @@ impl Rule {
             Rule::Determinism => "determinism",
             Rule::LockDiscipline => "lock-discipline",
             Rule::ThreadHygiene => "thread-hygiene",
+            Rule::OneClient => "one-client",
             Rule::SharedState => "shared-state",
             Rule::BadAllow => "bad-allow",
         }
@@ -65,6 +73,7 @@ impl Rule {
             "determinism" => Some(Rule::Determinism),
             "lock-discipline" => Some(Rule::LockDiscipline),
             "thread-hygiene" => Some(Rule::ThreadHygiene),
+            "one-client" => Some(Rule::OneClient),
             "shared-state" => Some(Rule::SharedState),
             _ => None,
         }
@@ -144,6 +153,19 @@ const CLIENT_SPAWN: &str = "`.spawn(..)` in the client outside `IoPool` — `Con
 const SERVER_SPAWN: &str = "`.spawn(..)` in a server — its threads are the reactor shards and \
     accept threads of `netsim::ServerCore`; make the work a `Driven` task or a timer";
 
+const HAND_PARSED: &str = "a response head parsed by hand — a second HTTP client; drive \
+    `davix::Exchange` (and `BodyFraming` for the body) on the stream instead";
+
+/// The crates that speak HTTP/1.1 for everyone else: the wire codec, the
+/// client (whose `Exchange` every other client drives) and the server.
+const HTTP_CRATES: &[&str] = &["crates/httpwire/", "crates/core/", "crates/httpd/"];
+
+/// Functions outside [`HTTP_CRATES`] that may parse a response head
+/// themselves, by file and name: fig7's slowloris attacker checks the `408`
+/// that evicts it, a response no client request gets.
+const HEAD_PARSE_ALLOW: &[(&str, &str)] =
+    &[("crates/bench/src/bin/fig7_c10k.rs", "evicted_with_408")];
+
 /// Bench and CLI binaries are real-time programs (they report wall time and
 /// talk to terminals); every determinism/thread rule is waived there.
 const REALTIME_PREFIXES: &[&str] = &["crates/bench/src/", "crates/cli/src/"];
@@ -194,6 +216,9 @@ pub fn lint_scanned(rel_path: &str, scanned: &Scanned, graph: Option<&CallGraph>
         }
         if !path_allowed(Rule::ThreadHygiene, rel_path) {
             ctx.thread_hygiene(&skip);
+        }
+        if !HTTP_CRATES.iter().any(|p| rel_path.starts_with(p)) {
+            ctx.one_client(&skip);
         }
     }
     if !path_allowed(Rule::SharedState, rel_path) {
@@ -246,7 +271,7 @@ impl<'a> Ctx<'a> {
                     m.line,
                     format!(
                         "allow marker names unknown rule `{}` (known: determinism, \
-                         lock-discipline, thread-hygiene, shared-state)",
+                         lock-discipline, thread-hygiene, one-client, shared-state)",
                         m.rule
                     ),
                 );
@@ -323,6 +348,24 @@ impl<'a> Ctx<'a> {
                 _ => continue,
             };
             self.emit_unless_allowed(Rule::ThreadHygiene, toks[i].line, message);
+        }
+    }
+
+    // -- one client ---------------------------------------------------------
+
+    fn one_client(&mut self, skip: &[(usize, usize)]) {
+        let toks = self.tokens;
+        let mut within = ""; // the function being read: the last `fn name`
+        for i in 1..toks.len() {
+            if toks[i - 1].is_ident("fn") {
+                within = &toks[i].text;
+            } else if toks[i].is_ident("parse_response_head")
+                && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
+                && !in_ranges(i, skip)
+                && !HEAD_PARSE_ALLOW.contains(&(self.rel_path, within))
+            {
+                self.emit_unless_allowed(Rule::OneClient, toks[i].line, HAND_PARSED.to_string());
+            }
         }
     }
 

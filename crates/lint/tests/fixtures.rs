@@ -91,6 +91,28 @@ fn server_spawn_fixture_is_flagged_under_the_servers_only() {
 }
 
 #[test]
+fn client_head_parse_fixture_is_flagged_outside_the_http_crates() {
+    // A response head parsed by hand is a second HTTP client growing: in
+    // a bench it is a finding, except in fig7's slowloris `408` check; the
+    // crates that speak HTTP for everyone parse heads as they must.
+    let src = std::fs::read_to_string(fixture_dir().join("bad/client_head_parse.rs")).unwrap();
+    let findings = |rel: &str| -> Vec<(Rule, u32)> {
+        lint_source(rel, &src).iter().map(|f| (f.rule, f.line)).collect()
+    };
+    assert_eq!(lint_fixture("bad/client_head_parse.rs"), findings("crates/bench/src/bin/fig9.rs"));
+    assert_eq!(
+        findings("crates/bench/src/bin/fig9.rs"),
+        vec![(Rule::OneClient, 15), (Rule::OneClient, 32)]
+    );
+    assert_eq!(findings("crates/bench/src/bin/fig7_c10k.rs"), vec![(Rule::OneClient, 15)]);
+    for own in
+        ["crates/httpwire/src/parse.rs", "crates/core/src/executor.rs", "crates/httpd/src/conn.rs"]
+    {
+        assert!(findings(own).is_empty(), "{own}");
+    }
+}
+
+#[test]
 fn fault_hook_rng_fixture_produces_exact_determinism_findings() {
     // Fault-injection decision points are exactly where ambient entropy
     // would be most tempting and most damaging: one `rand::random` in a
@@ -203,6 +225,7 @@ fn binary_denies_each_bad_fixture_with_file_line_diagnostics() {
         ("bad/guard_across_wait.rs", "lock-discipline", 11),
         ("bad/guard_use_is_not_handoff.rs", "lock-discipline", 12),
         ("bad/rogue_spawn.rs", "thread-hygiene", 7),
+        ("bad/client_head_parse.rs", "one-client", 15),
         ("bad/bare_atomic.rs", "shared-state", 5),
         ("bad/static_mut.rs", "shared-state", 4),
         // The binary lints explicit paths as one set with a call graph, so

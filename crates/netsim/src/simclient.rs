@@ -1,14 +1,16 @@
 //! Event-driven *client* harness: thousands of simulated clients on a
 //! handful of OS threads.
 //!
-//! PR 6 made the server side event-driven ([`crate::reactor`]); this module
-//! pulls the same trick for load-generating clients. A client is a
-//! [`ClientSession`] — a non-blocking state machine over a
+//! Load-generating clients run on the same [`Reactor`] the servers do. A
+//! client is a [`ClientSession`] — a non-blocking state machine over a
 //! [`Pollable`](crate::transport::Pollable) stream — wrapped in a
-//! [`ClientTask`] that implements [`Driven`] and rides an ordinary
-//! [`Reactor`]. Under simulation each client costs a couple of slab entries
-//! and a waker, not an OS thread, so a 10,000-client c10k scenario runs on
-//! however many reactor shards you give it.
+//! [`ClientTask`] that implements [`Driven`]. Under simulation each client
+//! costs a couple of slab entries and a waker, not an OS thread, so a
+//! 10,000-client c10k scenario runs on however many reactor shards you give
+//! it. A session that speaks HTTP does not parse it: it drives the davix
+//! client's own resumable exchange (`davix::Exchange`, then
+//! `httpwire::BodyFraming` for the body) on its stream, so what a load test
+//! measures is the client that ships.
 //!
 //! Sessions are transport-agnostic (they only see a `BoxedStream`), but the
 //! harness is built sim-first: connections are opened with the non-blocking
