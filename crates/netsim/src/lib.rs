@@ -26,7 +26,11 @@
 //! rather than broadcasts, and virtual time only advances when every
 //! registered thread is parked, moved by whichever of them parked last (a
 //! net owns no thread of its own), which keeps the clock honest at c10k+
-//! waiter counts. Blocking primitives are the streams themselves,
+//! waiter counts. The last runnable thread starting a timed wait (a sleep,
+//! a read, connect or signal timeout) that no scheduled event precedes or
+//! ties does not park at all: it moves the clock to its own deadline and
+//! returns timed out, which is the instant parking would have reached.
+//! Blocking primitives are the streams themselves,
 //! [`SimNet::sleep`] and the [`Signal`]s handed out by the [`Runtime`] —
 //! protocol libraries must use those instead of bare condition variables
 //! so the simulator can see them, and must not hold a bare mutex across a

@@ -41,6 +41,15 @@
 //!   take that turn. There is no handle count and no shutdown: sim-spawned
 //!   daemons that outlive every [`SimNet`] handle keep driving their own
 //!   timers and wind down cleanly.
+//! * **Lone timed waits.** A registered thread about to wait with a
+//!   deadline, while every other registered thread is parked, no wake is
+//!   queued or in flight and the earliest scheduled event is strictly later
+//!   than its deadline (or nothing is scheduled), moves the clock to its
+//!   deadline itself and returns timed out: the clock turn it would take
+//!   after parking would apply its own deadline event alone. It creates no
+//!   waiter and does not park; it counts the event and the clock advance
+//!   the turn would have. A tie with another event parks, so same-instant
+//!   order never changes.
 //! * **Stall watchdog.** When the net is quiescent with nothing scheduled
 //!   and nothing changes for 10 s of real time, the waiter holding the clock
 //!   poisons the net and every parked thread panics with a census dump —
@@ -326,7 +335,9 @@ struct Waiter {
     registered: bool,
     /// Thread created by [`SimNet::spawn`] (vs a foreground entered thread).
     daemon: bool,
-    thread: String,
+    /// The parked thread's handle, for the stall dump (a refcount, so a
+    /// park copies no name).
+    thread: std::thread::Thread,
     /// The parked thread's own wake token (no shared broadcast condvar).
     cv: Arc<Condvar>,
 }
@@ -485,6 +496,24 @@ impl State {
     /// parked and someone is actually waiting on the outcome.
     fn quiescent(&self) -> bool {
         self.wakes_in_flight == 0 && self.reg_waiting == self.registered && self.waiters.len() > 0
+    }
+
+    /// The instant `d` after now, saturating at the end of virtual time: a
+    /// `Duration::MAX` timeout means "never", not an overflow.
+    fn deadline_after(&self, d: Duration) -> u64 {
+        self.now_ns.saturating_add(dur_ns(d))
+    }
+
+    /// Whether a registered thread that parked now until `deadline` would
+    /// make the net quiescent and its clock turn would apply its own
+    /// deadline event alone: every other registered thread is parked, no
+    /// wake is queued or in flight, and nothing is scheduled at or before
+    /// `deadline`.
+    fn lone_until(&self, deadline: u64) -> bool {
+        self.reg_waiting + 1 == self.registered
+            && self.wakes_in_flight == 0
+            && self.pending_wakes.is_empty()
+            && self.events.peek().is_none_or(|e| e.at > deadline)
     }
 
     fn all_idle_daemons(&self) -> bool {
@@ -898,7 +927,11 @@ impl State {
             let _ = writeln!(
                 s,
                 "  waiter #{id} thread={} kind={:?} ready={} registered={} daemon={}",
-                w.thread, w.kind, w.ready, w.registered, w.daemon
+                w.thread.name().unwrap_or("?"),
+                w.kind,
+                w.ready,
+                w.registered,
+                w.daemon
             );
         }
         // With the lock-order detector compiled in, show what every parked
@@ -989,7 +1022,8 @@ impl SimCore {
     /// passes. The caller must hold (and pass) the state lock; the lock is
     /// released while parked and re-acquired before returning. The thread
     /// parks on its own token and, while it is not ready, takes the clock
-    /// turns that fall to it.
+    /// turns that fall to it — unless nothing can pre-empt its deadline, in
+    /// which case it moves the clock there itself without parking.
     fn wait_on(
         &self,
         st: &mut MutexGuard<'_, State>,
@@ -1000,10 +1034,18 @@ impl SimCore {
             stall_panic(st);
         }
         let registered = IN_SIM.with(|c| c.get()) == self.core_id();
+        if let Some(d) = deadline_ns.filter(|&d| registered && st.lone_until(d)) {
+            // The timeline the park would make: one clock advance that
+            // applies this wait's deadline event and nothing else.
+            st.now_ns = st.now_ns.max(d);
+            st.events_applied += 1;
+            st.clock_advances += 1;
+            st.change_tick += 1;
+            return WaitOutcome::TimedOut;
+        }
         let daemon = SIM_DAEMON.with(|c| c.get()) == self.core_id();
         st.waiter_gen += 1;
         let gen = st.waiter_gen;
-        let thread = std::thread::current().name().unwrap_or("?").to_string();
         let cv = park_token(self.core_id());
         let wid = st.waiters.insert(Waiter {
             kind,
@@ -1012,10 +1054,14 @@ impl SimCore {
             timed_out: false,
             registered,
             daemon,
-            thread,
+            thread: std::thread::current(),
             cv: Arc::clone(&cv),
         });
-        st.wait_index.entry(kind).or_default().push(wid);
+        // Only its deadline ends a sleep, so it is never looked up by kind
+        // (and `unindex` of a kind not indexed is a no-op).
+        if kind != WaitKind::Sleep {
+            st.wait_index.entry(kind).or_default().push(wid);
+        }
         if registered {
             st.reg_waiting += 1;
         }
@@ -1204,7 +1250,7 @@ impl SimNet {
             return;
         }
         let mut st = self.core.state.lock();
-        let deadline = st.now_ns + dur_ns(d);
+        let deadline = st.deadline_after(d);
         let out = self.core.wait_on(&mut st, WaitKind::Sleep, Some(deadline));
         debug_assert!(out == WaitOutcome::TimedOut);
     }
@@ -1462,7 +1508,7 @@ impl SimNet {
         let stream = self.connect_start(from_host, to_host, port)?;
         let cid = stream.conn;
         let mut st = self.core.state.lock();
-        let deadline = timeout.map(|t| st.now_ns + dur_ns(t));
+        let deadline = timeout.map(|t| st.deadline_after(t));
         let err = loop {
             let c = st.conns.get(cid).expect("conn");
             if c.reset || c.refused {
@@ -1714,7 +1760,7 @@ impl Read for SimStream {
         }
         let core = Arc::clone(&self.core);
         let mut st = core.state.lock();
-        let deadline = self.read_timeout.map(|t| st.now_ns + dur_ns(t));
+        let deadline = self.read_timeout.map(|t| st.deadline_after(t));
         loop {
             if let Some(n) = st.recv_ready(self.conn, self.side, buf)? {
                 return Ok(n);
@@ -2005,7 +2051,7 @@ struct SimSignal {
 impl Signal for SimSignal {
     fn wait(&self, timeout: Option<Duration>) -> bool {
         let mut st = self.core.state.lock();
-        let deadline = timeout.map(|t| st.now_ns + dur_ns(t));
+        let deadline = timeout.map(|t| st.deadline_after(t));
         loop {
             if let Some(s) = st.signals.get(self.id).filter(|s| s.set) {
                 // Notify→wake edge: the setter's clock joins this thread.

@@ -222,6 +222,97 @@ fn signal_wait_times_out_in_virtual_time() {
     assert_eq!(net.now(), Duration::from_millis(30));
 }
 
+/// A `Duration::MAX` timeout means "until set": the deadline saturates at
+/// the end of virtual time instead of wrapping to an instant already past.
+#[test]
+fn an_unbounded_signal_timeout_waits_for_the_set() {
+    let net = SimNet::new();
+    let rt = net.runtime();
+    let sig = rt.signal();
+    let (sig2, rt2) = (Arc::clone(&sig), Arc::clone(&rt));
+    // Entered first: the setter's sleep must not run the clock on its own.
+    let _g = net.enter();
+    net.spawn("setter", move || {
+        rt2.sleep(Duration::from_millis(5));
+        sig2.set();
+    });
+    // Off zero, so that `now + Duration::MAX` would overflow.
+    net.sleep(Duration::from_millis(1));
+    assert!(sig.wait(Some(Duration::MAX)));
+    assert_eq!(net.now(), Duration::from_millis(5));
+}
+
+/// `(parks, unparks, events applied, clock advances)` since `before`.
+fn sched_delta(net: &SimNet, before: &netsim::SchedStats) -> (u64, u64, u64, u64) {
+    let now = net.sched_stats();
+    (
+        now.parks - before.parks,
+        now.unparks - before.unparks,
+        now.events_applied - before.events_applied,
+        now.clock_advances - before.clock_advances,
+    )
+}
+
+/// A timed wait by the only runnable registered thread, with nothing
+/// scheduled at or before its deadline, ends at exactly that deadline
+/// without parking: one event applied and one clock advance, as the park
+/// would have counted, and no park or unpark.
+#[test]
+fn a_lone_timed_wait_ends_at_its_deadline_without_a_park() {
+    let net = SimNet::new();
+    let sig = net.runtime().signal();
+    let _g = net.enter();
+    let before = net.sched_stats();
+    net.sleep(Duration::from_millis(3));
+    assert_eq!(net.now(), Duration::from_millis(3));
+    assert_eq!(sched_delta(&net, &before), (0, 0, 1, 1));
+
+    let before = net.sched_stats();
+    assert!(!sig.wait(Some(Duration::from_millis(2))));
+    assert_eq!(net.now(), Duration::from_millis(5));
+    assert_eq!(sched_delta(&net, &before), (0, 0, 1, 1));
+}
+
+/// An event due exactly at a lone wait's deadline still parks, so the two
+/// apply in one clock turn in their usual order; one due after it does not.
+#[test]
+fn an_event_due_at_the_deadline_still_parks() {
+    let net = two_hosts(Duration::from_micros(500), None);
+    let _g = net.enter();
+    // Nobody listens on 81: the refusal arrives one RTT (1 ms) from now.
+    let _refused = net.connect_start("client", "server", 81).unwrap();
+    let before = net.sched_stats();
+    net.sleep(Duration::from_micros(400));
+    assert_eq!(sched_delta(&net, &before), (0, 0, 1, 1), "the refusal comes later");
+
+    let before = net.sched_stats();
+    net.sleep(Duration::from_micros(600));
+    assert_eq!(net.now(), Duration::from_millis(1));
+    // One park, one unpark, the refusal and the deadline in one advance.
+    assert_eq!(sched_delta(&net, &before), (1, 1, 2, 1), "a tie must park");
+}
+
+/// A sleep beside a runnable registered thread parks: the other thread may
+/// still schedule something that comes first.
+#[test]
+fn a_sleep_beside_a_runnable_registered_thread_parks() {
+    let net = SimNet::new();
+    let _g = net.enter();
+    let before = net.sched_stats();
+    let (net2, parks) = (net.clone(), before.parks);
+    net.spawn("runnable", move || {
+        // Runnable (registered since its spawn) until the sleeper parks.
+        while net2.sched_stats().parks == parks {
+            std::thread::yield_now();
+        }
+        net2.sleep(Duration::from_millis(5));
+    });
+    net.sleep(Duration::from_millis(1));
+    assert_eq!(net.now(), Duration::from_millis(1));
+    // Both parked; the second to park moved the clock and woke the first.
+    assert_eq!(sched_delta(&net, &before), (2, 1, 1, 1));
+}
+
 /// Workers spawned from an entered thread all start at the spawner's
 /// instant, however long it takes between spawns: every earlier worker is
 /// already parked on a timer when the next one is spawned, and the clock

@@ -9,7 +9,8 @@
 //! `TreeCache` window allocates per basket, never per value, and a warm
 //! 1 KiB GET costs a written handful of allocations on each side (the
 //! server's are what the whole process allocated less the client thread's
-//! share, so the tests here run one at a time).
+//! share, so the tests here run one at a time). In the simulator, a sleep
+//! allocates nothing, whether it parks or not.
 
 use bytes::Bytes;
 use davix::{Config, DavixClient};
@@ -24,6 +25,7 @@ use std::cell::Cell;
 // davix-lint: allow(shared-state) — the allocator's own counter: the `davix_sync` shim may allocate, which an allocator must not
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
 thread_local! {
     /// Allocations (`alloc` + `realloc`) made by this thread.
@@ -202,14 +204,67 @@ fn a_warm_1k_get_allocates_a_small_constant_on_each_side() {
     // path, the response head's block and index. Serialising either head,
     // the pool round trip, `Date`, `ETag` and `Digest` allocate nothing.
     eprintln!("1 KiB GET: {client_per_get} client, {server_per_get} server allocations");
-    // The lock-order and race detectors allocate for every lock taken (13
-    // and 16–18 with either compiled in): their builds count their own
-    // bookkeeping, not the request path.
-    if cfg!(any(feature = "deadlock-detect", feature = "race-detect")) {
+    // 13 and 16–18 with a detector compiled in: its own bookkeeping, not
+    // the request path.
+    if detectors_compiled_in() {
         return;
     }
     assert!(client_per_get <= 10, "{client_per_get} client allocations per GET");
     assert!(server_per_get <= 7, "{server_per_get} server allocations per GET");
+}
+
+/// The lock-order and race detectors allocate for every lock taken, so
+/// their builds print a count instead of pinning it.
+fn detectors_compiled_in() -> bool {
+    cfg!(any(feature = "deadlock-detect", feature = "race-detect"))
+}
+
+#[test]
+fn a_thousand_lone_sleeps_allocate_nothing() {
+    let _serial = serial();
+    let net = netsim::SimNet::new();
+    let _g = net.enter();
+    let parks = net.sched_stats().parks;
+    let ((), allocs) = allocations(|| {
+        for _ in 0..1_000 {
+            net.sleep(Duration::from_micros(8_050));
+        }
+    });
+    assert_eq!(net.sched_stats().parks, parks, "nothing else runs: no sleep parks");
+    assert_eq!(net.now(), Duration::from_micros(8_050_000));
+    eprintln!("1 000 lone sleeps: {allocs} allocations");
+    if !detectors_compiled_in() {
+        assert_eq!(allocs, 0);
+    }
+}
+
+#[test]
+fn a_warm_sleep_that_parks_allocates_nothing_on_the_sleeper() {
+    let _serial = serial();
+    let net = netsim::SimNet::new();
+    let _g = net.enter();
+    let parks = net.sched_stats().parks;
+    let net2 = net.clone();
+    net.spawn("runnable", move || {
+        // Runnable until the net's `n`-th park, which is the sleeper's: its
+        // warm-up sleep is park 1, its measured one park 3. This thread's
+        // first sleep ties with the warm-up's deadline, so it parks too.
+        for (n, ms) in [(1, 1), (3, 5)] {
+            while net2.sched_stats().parks < parks + n {
+                std::thread::yield_now();
+            }
+            net2.sleep(Duration::from_millis(ms));
+        }
+    });
+    // Once to size the waiter slab and the event heap, once measured.
+    net.sleep(Duration::from_millis(1));
+    let ((), allocs) = allocations(|| net.sleep(Duration::from_millis(1)));
+    assert_eq!(net.now(), Duration::from_millis(2));
+    assert_eq!(net.sched_stats().parks, parks + 4, "every sleep parked");
+    eprintln!("a parked sleep: {allocs} allocations on the sleeper");
+    if !detectors_compiled_in() {
+        assert_eq!(allocs, 0);
+    }
 }
 
 #[test]
