@@ -37,7 +37,7 @@ pub const MAX_TRAILER_BYTES: usize = 8 * 1024;
 /// of `x`), then one by one in what is left. Heads are searched for line
 /// feeds several times over; a byte-at-a-time `position` was a third of the
 /// cost of parsing one.
-fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
+pub(crate) fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
     const LOW: u64 = 0x0101_0101_0101_0101;
     const HIGH: u64 = 0x8080_8080_8080_8080;
     let mut words = hay.chunks_exact(8);

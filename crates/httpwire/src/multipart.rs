@@ -5,9 +5,9 @@
 //! packs many fragment reads into one `Range` header, and the server answers
 //! with one `206` whose body interleaves `Content-Range`-labelled parts.
 
-use crate::codec::{head_text, header_field, line_len, lines, trim_eol, MAX_HEAD_BYTES};
-use crate::parse::{read_head, read_item};
-use crate::range::CONTENT_RANGE_MAX;
+use crate::codec::{find_byte, head_text, header_field, line_len, trim_eol, MAX_HEAD_BYTES};
+use crate::parse::read_item;
+use crate::range::CONTENT_RANGE_DIGITS_MAX;
 use crate::{ContentRange, WireError};
 use std::io::{BufRead, Write};
 
@@ -42,14 +42,27 @@ pub fn boundary_from_content_type(value: &str) -> Option<String> {
 /// `Content-Length` instead of chunked encoding.
 pub struct MultipartWriter<W: Write> {
     w: W,
-    /// `\r\n--boundary`: what both kinds of delimiter line start with.
-    delimiter: Vec<u8>,
+    /// The head of the part written last: `\r\n--boundary`, then
+    /// `\r\nContent-Type: {type}\r\nContent-Range: bytes `, then the
+    /// range's digits and the blank line, then room for longer digits. From
+    /// one part of a type to the next only the digits change; they are
+    /// written in place and the head goes out in one piece.
+    head: Vec<u8>,
+    /// Length of `\r\n--boundary`, which the closing delimiter starts with
+    /// too.
+    delimiter: usize,
+    /// Length of the text before the digits; 0 before the first part.
+    constant: usize,
 }
+
+const TYPE_FIELD: &[u8] = b"\r\nContent-Type: ";
+const RANGE_FIELD: &[u8] = b"\r\nContent-Range: bytes ";
 
 impl<W: Write> MultipartWriter<W> {
     /// Start a body using `boundary`.
     pub fn new(w: W, boundary: &str) -> Self {
-        MultipartWriter { w, delimiter: format!("\r\n--{boundary}").into_bytes() }
+        let head = format!("\r\n--{boundary}").into_bytes();
+        MultipartWriter { w, delimiter: head.len(), head, constant: 0 }
     }
 
     /// Emit one part: delimiter, part headers, payload.
@@ -60,18 +73,25 @@ impl<W: Write> MultipartWriter<W> {
         data: &[u8],
     ) -> std::io::Result<()> {
         debug_assert_eq!(range.len(), data.len() as u64, "part length must match range");
-        self.w.write_all(&self.delimiter)?;
-        self.w.write_all(b"\r\nContent-Type: ")?;
-        self.w.write_all(content_type.as_bytes())?;
-        self.w.write_all(b"\r\nContent-Range: ")?;
-        self.w.write_all(range.encode(&mut [0; CONTENT_RANGE_MAX]).as_bytes())?;
-        self.w.write_all(b"\r\n\r\n")?;
+        let type_at = self.delimiter + TYPE_FIELD.len();
+        let written_type = self.head.get(type_at..self.constant.saturating_sub(RANGE_FIELD.len()));
+        if written_type != Some(content_type.as_bytes()) {
+            self.head.truncate(self.delimiter);
+            self.head.extend_from_slice(TYPE_FIELD);
+            self.head.extend_from_slice(content_type.as_bytes());
+            self.head.extend_from_slice(RANGE_FIELD);
+            self.constant = self.head.len();
+            self.head.resize(self.constant + CONTENT_RANGE_DIGITS_MAX + 4, 0);
+        }
+        let end = range.put_digits(&mut self.head, self.constant);
+        self.head[end..end + 4].copy_from_slice(b"\r\n\r\n");
+        self.w.write_all(&self.head[..end + 4])?;
         self.w.write_all(data)
     }
 
     /// Emit the closing delimiter and return the sink.
     pub fn finish(mut self) -> std::io::Result<W> {
-        self.w.write_all(&self.delimiter)?;
+        self.w.write_all(&self.head[..self.delimiter])?;
         self.w.write_all(b"--\r\n")?;
         Ok(self.w)
     }
@@ -129,15 +149,19 @@ pub struct MultipartReader<R: BufRead> {
     /// that [`payload_into`](Self::payload_into) has yet to take.
     pending: u64,
     max_part_len: Option<u64>,
+    /// The bytes of a delimiter line and part head that straddle
+    /// `fill_buf` windows, kept from one part to the next.
+    carry: Vec<u8>,
 }
 
-/// What a line between parts turned out to be.
-enum Line {
-    /// `--boundary`: a part follows.
-    Delimiter,
+/// What the bytes at a part boundary turned out to be.
+enum Boundary {
+    /// A line before the first delimiter: preamble, skipped.
+    Preamble,
     /// `--boundary--`: the body is over.
     Close,
-    Other,
+    /// `--boundary` and a part head: where the part's payload belongs.
+    Part(ContentRange),
 }
 
 /// Part-head errors are multipart errors, whatever the shared head parser
@@ -146,6 +170,105 @@ fn part_error(e: WireError) -> WireError {
     match e {
         WireError::Io(_) | WireError::UnexpectedEof | WireError::BadMultipart(_) => e,
         other => WireError::BadMultipart(format!("bad part head: {other}")),
+    }
+}
+
+/// A delimiter line and the part head after it, read in one pass as their
+/// bytes arrive: each line of the head is held to the header-field grammar
+/// once, and `Content-Range` is parsed on the way. Nothing is reported
+/// before the head is complete, and then in the order a parse of the whole
+/// block reports it — a line that is not UTF-8 first, wherever it is, then
+/// the first line that breaks the grammar, then a missing `Content-Range`
+/// — so a head cut short is [`WireError::UnexpectedEof`], whatever its
+/// lines say.
+#[derive(Default)]
+struct PartHead {
+    /// Where the first line not yet checked starts, counted from the head's
+    /// first byte.
+    next: usize,
+    range: Option<ContentRange>,
+    /// The error of the first line that is not UTF-8.
+    non_utf8: Option<WireError>,
+    /// The error of the first line that breaks the field grammar.
+    error: Option<WireError>,
+}
+
+impl PartHead {
+    /// What the line at the start of `buf` (and, after a delimiter, the head
+    /// that follows it) is, with how many bytes it takes up; `None` until
+    /// all of it is in. The body may end right after the closing delimiter,
+    /// without a final CRLF.
+    fn boundary(
+        &mut self,
+        delimiter: &[u8],
+        started: bool,
+        buf: &[u8],
+        eof: bool,
+    ) -> Result<Option<(usize, Boundary)>, WireError> {
+        let line = match line_len(buf, MAX_HEAD_BYTES)? {
+            Some(len) => len,
+            None if eof && !buf.is_empty() => buf.len(),
+            None => return Ok(None),
+        };
+        match trim_eol(&buf[..line]).strip_prefix(delimiter) {
+            Some(b"") => {}
+            Some(b"--") => return Ok(Some((line, Boundary::Close))),
+            _ if started => {
+                return Err(WireError::BadMultipart(
+                    "expected boundary after part payload".to_string(),
+                ))
+            }
+            _ => return Ok(Some((line, Boundary::Preamble))),
+        }
+        let Some(head) = self.scan(&buf[line..])? else { return Ok(None) };
+        let range = match self.non_utf8.take().or_else(|| self.error.take()) {
+            Some(e) => return Err(e),
+            None => self
+                .range
+                .ok_or_else(|| WireError::BadMultipart("part without Content-Range".to_string()))?,
+        };
+        Ok(Some((line + head, Boundary::Part(range))))
+    }
+
+    /// Check the lines of `head` that are complete and not yet checked;
+    /// `Some(len)` once the blank line that ends it is among them. A head
+    /// that cannot end within [`MAX_HEAD_BYTES`] is `HeadTooLarge`, as
+    /// [`HeadScan`](crate::codec::HeadScan) has it.
+    fn scan(&mut self, head: &[u8]) -> Result<Option<usize>, WireError> {
+        let window = &head[..head.len().min(MAX_HEAD_BYTES)];
+        while let Some(nl) = find_byte(&window[self.next..], b'\n') {
+            let line = &window[self.next..self.next + nl];
+            self.next += nl + 1;
+            let line = line.strip_suffix(b"\r").unwrap_or(line);
+            if line.is_empty() {
+                return Ok(Some(self.next));
+            }
+            match head_text(line) {
+                Err(e) => {
+                    self.non_utf8.get_or_insert(e);
+                }
+                Ok(line) if self.error.is_none() => self.error = self.field(line).err(),
+                Ok(_) => {}
+            }
+        }
+        if head.len() >= MAX_HEAD_BYTES {
+            return Err(WireError::HeadTooLarge(MAX_HEAD_BYTES));
+        }
+        Ok(None)
+    }
+
+    /// One header line of a part head: only `Content-Range` is kept, but
+    /// every line must be a field.
+    fn field(&mut self, line: &str) -> Result<(), WireError> {
+        let (name, value) = header_field(line)?;
+        if name.eq_ignore_ascii_case("content-range")
+            && self.range.replace(ContentRange::parse(value)?).is_some()
+        {
+            // Two claims about where one payload belongs: no telling which
+            // the server meant.
+            return Err(WireError::BadMultipart("part with two Content-Range".to_string()));
+        }
+        Ok(())
     }
 }
 
@@ -159,6 +282,7 @@ impl<R: BufRead> MultipartReader<R> {
             started: false,
             pending: 0,
             max_part_len: None,
+            carry: Vec::new(),
         }
     }
 
@@ -171,86 +295,46 @@ impl<R: BufRead> MultipartReader<R> {
         self
     }
 
-    /// Read one line, at most a head's worth of bytes long, and classify
-    /// it. The body may end right after the closing delimiter, without a
-    /// final CRLF.
-    fn delimiter_line(&mut self) -> Result<Line, WireError> {
-        let delimiter = &self.delimiter;
-        read_item(&mut self.r, &mut Vec::new(), |buf, eof| {
-            let len = match line_len(buf, MAX_HEAD_BYTES)? {
-                Some(len) => len,
-                None if eof && !buf.is_empty() => buf.len(),
-                None => return Ok(None),
-            };
-            let line = match trim_eol(&buf[..len]).strip_prefix(&delimiter[..]) {
-                Some(b"") => Line::Delimiter,
-                Some(b"--") => Line::Close,
-                _ => Line::Other,
-            };
-            Ok(Some((len, line)))
-        })
-        .map_err(part_error)?
-        .ok_or(WireError::UnexpectedEof)
-    }
-
-    /// The `Content-Range` of a part head delimited by
-    /// [`HeadScan`](crate::codec::HeadScan). Every line is held to the
-    /// header-field grammar; nothing else of the head is kept.
-    fn part_range(block: &[u8]) -> Result<ContentRange, WireError> {
-        let mut range = None;
-        for line in lines(head_text(block)?).take_while(|l| !l.is_empty()) {
-            let (name, value) = header_field(line)?;
-            if name.eq_ignore_ascii_case("content-range")
-                && range.replace(ContentRange::parse(value)?).is_some()
-            {
-                // Two claims about where one payload belongs: no telling
-                // which the server meant.
-                return Err(WireError::BadMultipart("part with two Content-Range".to_string()));
-            }
-        }
-        range.ok_or_else(|| WireError::BadMultipart("part without Content-Range".to_string()))
-    }
-
     /// Scatter mode, first half: the range of the next part, or `None`
     /// after the closing delimiter. The part's payload must then be taken
     /// with [`payload_into`](Self::payload_into).
+    ///
+    /// The delimiter line and the part head are one item on the `BufRead`:
+    /// looked at through `fill_buf` and consumed once, so the reads the
+    /// source sees are those of a line read followed by a head read.
     pub fn next_range(&mut self) -> Result<Option<ContentRange>, WireError> {
         assert_eq!(self.pending, 0, "the previous part's payload was not read");
-        if self.done {
-            return Ok(None);
-        }
-        // Position on a delimiter line. Before the first part there may be a
-        // preamble (we emit "\r\n" there; others may emit more).
-        loop {
-            match self.delimiter_line()? {
-                Line::Close => {
-                    self.done = true;
-                    return Ok(None);
-                }
-                Line::Delimiter => break,
-                Line::Other if self.started => {
-                    return Err(WireError::BadMultipart(
-                        "expected boundary after part payload".to_string(),
-                    ));
-                }
-                Line::Other => {} // preamble line, skip
-            }
-        }
-        self.started = true;
-
-        let range = read_head(&mut self.r, &mut Default::default(), Self::part_range)
+        // Before the first part there may be a preamble (we emit "\r\n"
+        // there; others may emit more).
+        while !self.done {
+            let (delimiter, started) = (&self.delimiter[..], self.started);
+            let mut head = PartHead::default();
+            let boundary = read_item(&mut self.r, &mut self.carry, |buf, eof| {
+                head.boundary(delimiter, started, buf, eof)
+            })
             .map_err(part_error)?
             .ok_or(WireError::UnexpectedEof)?;
-        if let Some(cap) = self.max_part_len {
-            if range.len() > cap {
-                return Err(WireError::BadMultipart(format!(
-                    "part Content-Range {range} declares {} bytes, over the {cap}-byte limit",
-                    range.len()
-                )));
+            let range = match boundary {
+                Boundary::Preamble => continue,
+                Boundary::Close => {
+                    self.done = true;
+                    continue;
+                }
+                Boundary::Part(range) => range,
+            };
+            self.started = true;
+            if let Some(cap) = self.max_part_len {
+                if range.len() > cap {
+                    return Err(WireError::BadMultipart(format!(
+                        "part Content-Range {range} declares {} bytes, over the {cap}-byte limit",
+                        range.len()
+                    )));
+                }
             }
+            self.pending = range.len();
+            return Ok(Some(range));
         }
-        self.pending = range.len();
-        Ok(Some(range))
+        Ok(None)
     }
 
     /// Scatter mode, second half: read the announced part's payload into
@@ -315,6 +399,34 @@ mod tests {
         assert_eq!(parts[0].range, ContentRange { first: 0, last: 4, total: Some(1000) });
         assert_eq!(parts[1].data, b"world!");
         assert_eq!(parts[2].range.first, 200);
+    }
+
+    /// The head is kept from part to part and only its digits rewritten:
+    /// a new type, or shorter digits after longer ones, must leave no trace
+    /// of the part before.
+    #[test]
+    fn each_part_head_is_written_whole() {
+        let mut w = MultipartWriter::new(Vec::new(), "B");
+        let parts = [
+            ("text/plain", 123_456u64, Some(1_000_000u64)),
+            ("text/plain", 7, None),
+            ("", 8, Some(9)),
+            ("application/x-long-type-name", 0, Some(1)),
+            ("text/plain", u64::MAX - 1, Some(u64::MAX)),
+        ];
+        let mut want = Vec::new();
+        for (ct, first, total) in parts {
+            let range = ContentRange { first, last: first, total };
+            w.write_part(ct, range, b"x").unwrap();
+            want.extend(
+                format!("\r\n--B\r\nContent-Type: {ct}\r\nContent-Range: {range}\r\n\r\nx").bytes(),
+            );
+        }
+        want.extend_from_slice(b"\r\n--B--\r\n");
+        assert_eq!(
+            String::from_utf8(w.finish().unwrap()).unwrap(),
+            String::from_utf8(want).unwrap()
+        );
     }
 
     #[test]

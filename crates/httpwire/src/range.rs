@@ -62,61 +62,152 @@ impl fmt::Display for RangeSpec {
     }
 }
 
+/// A cursor over a range header's text. The parsers look at it a byte at a
+/// time, with no `str` split per range and no `str::parse` per number: a
+/// 500-range header is one pass. White space is what `str::trim` takes
+/// (any Unicode white space), and a number is RFC 7233's `1*DIGIT` — no
+/// sign, which `u64::from_str` would take.
+struct Scan<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl Scan<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
+    }
+
+    /// Step over `byte` if it comes next.
+    fn eat(&mut self, byte: u8) -> bool {
+        let next = self.peek() == Some(byte);
+        self.at += next as usize;
+        next
+    }
+
+    fn expect(&mut self, byte: u8) -> Option<()> {
+        self.eat(byte).then_some(())
+    }
+
+    fn skip_space(&mut self) {
+        while let Some(byte) = self.peek() {
+            // The ASCII white space of `char::is_whitespace`, then the rest.
+            if byte == b' ' || (b'\t'..=b'\r').contains(&byte) {
+                self.at += 1;
+            } else if byte.is_ascii() {
+                return;
+            } else {
+                match self.text[self.at..].chars().next() {
+                    Some(c) if c.is_whitespace() => self.at += c.len_utf8(),
+                    _ => return,
+                }
+            }
+        }
+    }
+
+    /// The digits at the cursor as a number; `None` when there are none or
+    /// they do not fit a `u64`.
+    fn number(&mut self) -> Option<u64> {
+        let start = self.at;
+        let mut n = 0u64;
+        while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
+            if self.at - start == U64_DIGITS - 1 {
+                return self.long_number(start);
+            }
+            n = n * 10 + (digit - b'0') as u64;
+            self.at += 1;
+        }
+        (self.at > start).then_some(n)
+    }
+
+    /// [`number`](Self::number) from `start` again, checked: nineteen
+    /// digits cannot pass `u64::MAX`, twenty may.
+    #[cold]
+    fn long_number(&mut self, start: usize) -> Option<u64> {
+        self.at = start;
+        let mut n = 0u64;
+        while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
+            n = n.checked_mul(10)?.checked_add((digit - b'0') as u64)?;
+            self.at += 1;
+        }
+        Some(n)
+    }
+
+    /// One element of a `Range` header, white space around it skipped.
+    fn range_spec(&mut self) -> Option<RangeSpec> {
+        self.skip_space();
+        let spec = if self.eat(b'-') {
+            RangeSpec::Suffix(self.number()?)
+        } else {
+            let first = self.number()?;
+            self.expect(b'-')?;
+            if self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                let last = self.number().filter(|&last| first <= last)?;
+                RangeSpec::FromTo(first, last)
+            } else {
+                RangeSpec::From(first)
+            }
+        };
+        self.skip_space();
+        Some(spec)
+    }
+
+    /// `first-last/total` (or `/*`), white space around each part skipped,
+    /// up to the end of the text.
+    fn content_range(&mut self) -> Option<ContentRange> {
+        self.skip_space();
+        let first = self.number()?;
+        self.skip_space();
+        self.expect(b'-')?;
+        self.skip_space();
+        let last = self.number()?;
+        self.skip_space();
+        self.expect(b'/')?;
+        self.skip_space();
+        let total = if self.eat(b'*') { None } else { Some(self.number()?) };
+        self.skip_space();
+        self.at_end().then_some(ContentRange { first, last, total })
+    }
+
+    fn at_end(&self) -> bool {
+        self.at == self.text.len()
+    }
+}
+
 /// Parse a `Range` header value (`bytes=0-99,200-,-5`).
 pub fn parse_range_header(value: &str) -> Result<Vec<RangeSpec>, WireError> {
-    let rest = value
-        .trim()
-        .strip_prefix("bytes=")
-        .ok_or_else(|| WireError::BadRange(value.to_string()))?;
-    let mut out = Vec::new();
-    for part in rest.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            return Err(WireError::BadRange(value.to_string()));
+    let bad = || WireError::BadRange(value.to_string());
+    let rest = value.trim().strip_prefix("bytes=").ok_or_else(bad)?;
+    let mut out = Vec::with_capacity(rest.bytes().filter(|&b| b == b',').count() + 1);
+    let mut scan = Scan { text: rest, at: 0 };
+    loop {
+        out.push(scan.range_spec().ok_or_else(bad)?);
+        if scan.at_end() {
+            return Ok(out);
         }
-        let (a, b) = part.split_once('-').ok_or_else(|| WireError::BadRange(value.to_string()))?;
-        let spec = match (a.is_empty(), b.is_empty()) {
-            (true, false) => {
-                RangeSpec::Suffix(b.parse().map_err(|_| WireError::BadRange(value.to_string()))?)
-            }
-            (false, true) => {
-                RangeSpec::From(a.parse().map_err(|_| WireError::BadRange(value.to_string()))?)
-            }
-            (false, false) => {
-                let a: u64 = a.parse().map_err(|_| WireError::BadRange(value.to_string()))?;
-                let b: u64 = b.parse().map_err(|_| WireError::BadRange(value.to_string()))?;
-                if a > b {
-                    return Err(WireError::BadRange(value.to_string()));
-                }
-                RangeSpec::FromTo(a, b)
-            }
-            (true, true) => return Err(WireError::BadRange(value.to_string())),
-        };
-        out.push(spec);
+        scan.expect(b',').ok_or_else(bad)?;
     }
-    if out.is_empty() {
-        return Err(WireError::BadRange(value.to_string()));
-    }
-    Ok(out)
 }
 
 /// Most decimal digits of a `u64`.
 pub(crate) const U64_DIGITS: usize = 20;
 
-/// The decimal digits of `n`, written at the end of `buf`. A vectored read
-/// formats a thousand of these per request and the server a thousand more
-/// per answer; `fmt` costs several times the digits themselves.
-pub(crate) fn decimal(mut n: u64, buf: &mut [u8; U64_DIGITS]) -> &str {
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (n % 10) as u8;
+/// Write the decimal digits of `n` at `buf[at..]`; returns where they end.
+/// A vectored read formats a thousand numbers per request and the server a
+/// thousand more per answer; `fmt` costs several times the digits
+/// themselves.
+fn put_decimal(buf: &mut [u8], at: usize, mut n: u64) -> usize {
+    let end = at + decimal_len(n);
+    for digit in buf[at..end].iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
         n /= 10;
-        if n == 0 {
-            break;
-        }
     }
-    std::str::from_utf8(&buf[at..]).expect("ASCII digits")
+    end
+}
+
+/// The decimal digits of `n`, written into `buf`.
+pub(crate) fn decimal(n: u64, buf: &mut [u8; U64_DIGITS]) -> &str {
+    let end = put_decimal(buf, 0, n);
+    std::str::from_utf8(&buf[..end]).expect("ASCII digits")
 }
 
 /// How many digits [`decimal`] writes for `n`.
@@ -170,52 +261,36 @@ impl ContentRange {
 
     /// Parse a `Content-Range` header value.
     pub fn parse(value: &str) -> Result<ContentRange, WireError> {
-        let rest = value
-            .trim()
-            .strip_prefix("bytes ")
-            .ok_or_else(|| WireError::BadRange(value.to_string()))?;
-        let (range, total) =
-            rest.split_once('/').ok_or_else(|| WireError::BadRange(value.to_string()))?;
-        let total = match total.trim() {
-            "*" => None,
-            t => Some(t.parse().map_err(|_| WireError::BadRange(value.to_string()))?),
-        };
-        let (first, last) =
-            range.split_once('-').ok_or_else(|| WireError::BadRange(value.to_string()))?;
-        let first: u64 =
-            first.trim().parse().map_err(|_| WireError::BadRange(value.to_string()))?;
-        let last: u64 = last.trim().parse().map_err(|_| WireError::BadRange(value.to_string()))?;
-        if first > last {
-            return Err(WireError::BadRange(value.to_string()));
-        }
-        if let Some(t) = total {
-            if last >= t {
-                return Err(WireError::BadRange(value.to_string()));
-            }
-        }
-        Ok(ContentRange { first, last, total })
+        let bad = || WireError::BadRange(value.to_string());
+        let rest = value.trim().strip_prefix("bytes ").ok_or_else(bad)?;
+        Scan { text: rest, at: 0 }
+            .content_range()
+            .filter(|cr| cr.first <= cr.last && cr.total.is_none_or(|total| cr.last < total))
+            .ok_or_else(bad)
     }
 }
 
 /// Longest `Content-Range` value: `bytes ` + first + `-` + last + `/` + total.
-pub(crate) const CONTENT_RANGE_MAX: usize = 6 + 3 * U64_DIGITS + 2;
+const CONTENT_RANGE_MAX: usize = "bytes ".len() + CONTENT_RANGE_DIGITS_MAX;
+/// Longest `first-last/total`, what follows `bytes `.
+pub(crate) const CONTENT_RANGE_DIGITS_MAX: usize = 3 * U64_DIGITS + 2;
 
 impl ContentRange {
-    /// The header value (`bytes first-last/total`), written into `text`.
-    pub(crate) fn encode<'b>(&self, text: &'b mut [u8; CONTENT_RANGE_MAX]) -> &'b str {
-        let mut len = 0;
-        let mut push = |piece: &str| {
-            text[len..len + piece.len()].copy_from_slice(piece.as_bytes());
-            len += piece.len();
-        };
-        let mut digits = [0u8; U64_DIGITS];
-        push("bytes ");
-        push(decimal(self.first, &mut digits));
-        push("-");
-        push(decimal(self.last, &mut digits));
-        push("/");
-        push(self.total.map_or("*", |t| decimal(t, &mut digits)));
-        std::str::from_utf8(&text[..len]).expect("ASCII")
+    /// `first-last/total`, the header value after `bytes `, written at
+    /// `buf[at..]`, which has room for [`CONTENT_RANGE_DIGITS_MAX`] bytes;
+    /// returns where it ends.
+    pub(crate) fn put_digits(&self, buf: &mut [u8], at: usize) -> usize {
+        let at = put_decimal(buf, at, self.first);
+        buf[at] = b'-';
+        let at = put_decimal(buf, at + 1, self.last);
+        buf[at] = b'/';
+        match self.total {
+            Some(total) => put_decimal(buf, at + 1, total),
+            None => {
+                buf[at + 1] = b'*';
+                at + 2
+            }
+        }
     }
 
     /// Length of the header value, without producing it.
@@ -229,7 +304,10 @@ impl ContentRange {
 
 impl fmt::Display for ContentRange {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.encode(&mut [0; CONTENT_RANGE_MAX]))
+        let mut text = [0; CONTENT_RANGE_MAX];
+        text[..6].copy_from_slice(b"bytes ");
+        let end = self.put_digits(&mut text, 6);
+        f.write_str(std::str::from_utf8(&text[..end]).expect("ASCII"))
     }
 }
 
@@ -342,6 +420,37 @@ mod tests {
         assert!(ContentRange::parse("bytes 99-0/700").is_err());
         assert!(ContentRange::parse("bytes 0-700/700").is_err());
         assert!(ContentRange::parse("bytes 0-99").is_err());
+    }
+
+    /// RFC 7233 numbers are `1*DIGIT`; `u64::from_str` also takes a `+`.
+    #[test]
+    fn a_number_with_a_sign_is_not_a_range() {
+        for value in ["bytes=+0-+9", "bytes=+0-9", "bytes=0-+9", "bytes=-+9", "bytes=+5-"] {
+            assert!(parse_range_header(value).is_err(), "{value}");
+        }
+        for value in ["bytes +0-+9/10", "bytes +0-9/10", "bytes 0-+9/10", "bytes 0-9/+10"] {
+            assert!(ContentRange::parse(value).is_err(), "{value}");
+        }
+        // White space around the numbers is still taken, as `str::trim` takes it.
+        assert_eq!(
+            parse_range_header(" bytes= 0-9 ,\u{3000}20-\t, -5 ").unwrap(),
+            [RangeSpec::FromTo(0, 9), RangeSpec::From(20), RangeSpec::Suffix(5)]
+        );
+        assert_eq!(
+            ContentRange::parse("bytes  0 -\u{a0}9 / * ").unwrap(),
+            ContentRange { first: 0, last: 9, total: None }
+        );
+    }
+
+    #[test]
+    fn numbers_past_u64_are_refused() {
+        let max = u64::MAX;
+        assert_eq!(parse_range_header(&format!("bytes={max}-")).unwrap(), [RangeSpec::From(max)]);
+        assert!(parse_range_header("bytes=18446744073709551616-").is_err());
+        assert!(parse_range_header("bytes=-18446744073709551616").is_err());
+        let cr = ContentRange::parse(&format!("bytes 0-{}/{max}", max - 1)).unwrap();
+        assert_eq!(cr.last, max - 1);
+        assert!(ContentRange::parse("bytes 0-1/18446744073709551616").is_err());
     }
 
     #[test]

@@ -820,6 +820,35 @@ mod tests {
         assert_eq!(r.status, StatusCode::BAD_REQUEST);
     }
 
+    /// A 100-part answer is the bytes it has always been: the body in
+    /// `testdata/multirange_100.golden` was written by the server before
+    /// the `Range` parser and the part writer were rewritten. The ranges
+    /// have one to five digits, come out of order and overlap, and include
+    /// a suffix, an open end, white space and one range past the end.
+    #[test]
+    fn a_100_part_answer_is_the_bytes_it_always_was() {
+        let data: Vec<u8> =
+            (0..70_000u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let store = Arc::new(ObjectStore::new());
+        store.put("/golden.bin", Bytes::from(data));
+        let h = StorageHandler::new(store, StorageOptions::default());
+        let mut ranges: Vec<String> = (0..97u64)
+            .map(|i| {
+                let first = (i * i * 7_919 + i * 13) % 69_000;
+                format!("{first}-{}", first + i % 37)
+            })
+            .collect();
+        ranges.extend([" 0-0", "-5 ", "69990-", "80000-80010"].map(String::from));
+        let header = format!("bytes={}", ranges.join(","));
+        let r = h.handle(request(Method::Get, "/golden.bin", &[("Range", &header)]));
+        assert_eq!(r.status, StatusCode::PARTIAL_CONTENT);
+        let boundary = "multipart/byteranges; boundary=dpmrange_0000000000000000";
+        assert_eq!(r.headers.get("content-type"), Some(boundary));
+        let golden = include_bytes!("../testdata/multirange_100.golden");
+        assert_eq!(r.body.len(), golden.len());
+        assert!(r.body.as_ref() == golden, "the 100-part body differs from the golden bytes");
+    }
+
     #[test]
     fn put_then_get_then_delete() {
         let h = handler_with(RangeSupport::MultiRange);

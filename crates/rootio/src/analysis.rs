@@ -2,12 +2,17 @@
 //! paper's §3 evaluation ("a High Energy analysis job based on ROOT reading
 //! a fraction or the totality of ~12 000 particle events").
 
-use crate::cache::{TreeCache, TreeCacheOptions};
+use crate::cache::{Column, TreeCache, TreeCacheOptions};
 use crate::reader::TreeReader;
 use netsim::Runtime;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// The `k`-th `f32` of a run [`Column::run_bytes`] lent.
+fn f32_at(run: &[u8], k: usize) -> f32 {
+    f32::from_le_bytes(run[4 * k..4 * k + 4].try_into().expect("4 bytes"))
+}
 
 /// A fixed-bin 1-D histogram (what HEP analyses fill).
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +160,7 @@ impl AnalysisJob {
         let n_events = reader.n_events();
         let mut ev = 0u64;
         while ev < n_events {
-            // Every event up to `run_end` lives in the same basket of each
+            // Every event of the run lives in the same basket of each
             // branch: resolve the columns once. A miss costs what the first
             // value read of the run would have cost, in the same order —
             // `px` loads the window, or, cache off, each branch its basket.
@@ -170,9 +175,18 @@ impl AnalysisJob {
                 cache.column(q, ev)?,
             );
             let ccal = cal.map(|c| cache.column(c, ev)).transpose()?;
-            let run_end = (ev / per + 1).saturating_mul(per).min(n_events);
-            while ev < run_end {
-                let e = (cpx.f32(ev)?, cpy.f32(ev)?, cpz.f32(ev)?, cen.f32(ev)?, cq.i8(ev)?);
+            // The run's bytes of each branch, checked once; every value of
+            // the run is read from them.
+            let run = ev..(ev / per + 1).saturating_mul(per).min(n_events);
+            let f32s = |c| Column::run_bytes(&c, run.clone(), 4);
+            let (bpx, bpy, bpz, ben) = (f32s(cpx)?, f32s(cpy)?, f32s(cpz)?, f32s(cen)?);
+            let bq = cq.run_bytes(run.clone(), 1)?;
+            let cal_bytes = 2 * cal_width;
+            let bcal = ccal.map(|c| c.run_bytes(run.clone(), cal_bytes)).transpose()?;
+            while ev < run.end {
+                let k = (ev - run.start) as usize;
+                let e =
+                    (f32_at(bpx, k), f32_at(bpy, k), f32_at(bpz, k), f32_at(ben, k), bq[k] as i8);
                 if let Some(p) = prev {
                     if p.4 != e.4 {
                         // Opposite charge: invariant mass of the pair.
@@ -187,9 +201,9 @@ impl AnalysisJob {
                     }
                 }
                 prev = Some(e);
-                if let Some(c) = ccal {
-                    for v in c.i16s(ev, cal_width)? {
-                        cal_sum += v as i64;
+                if let Some(cells) = bcal {
+                    for v in cells[k * cal_bytes..(k + 1) * cal_bytes].chunks_exact(2) {
+                        cal_sum += i16::from_le_bytes([v[0], v[1]]) as i64;
                     }
                 }
                 if !self.per_event_cpu.is_zero() {

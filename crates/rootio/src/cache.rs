@@ -19,11 +19,23 @@
 //! the ordinal of the current window's first event. A look-up is a
 //! subtraction and an index, and it happens once per *run* of events that
 //! share their baskets — [`TreeCache::load`] makes the baskets resident,
-//! [`TreeCache::column`] lends them as [`Column`]s, and the caller reads
-//! every event of the run out of the borrowed slices. With 20-event baskets
-//! that is one look-up per branch per 20 events where a per-value interface
-//! costs one per value (half a million per pass of the `analysis_sparse`
-//! benchmark, about three quarters of its time before this table existed).
+//! [`TreeCache::column`] lends them as [`Column`]s, and [`Column::run_bytes`]
+//! lends the bytes of a whole run, checked once at its first and last
+//! event, from which the caller reads every value. With 20-event baskets
+//! that is one look-up and one bounds check per branch per 20 events where
+//! a per-value interface costs one of each per value (half a million per
+//! pass of the `analysis_sparse` benchmark, about three quarters of its time
+//! before this table existed).
+//!
+//! # Baskets as received
+//!
+//! A window's blobs arrive from
+//! [`read_vec`](ioapi::RandomAccess::read_vec) one buffer each, and the
+//! cache takes them by value. A basket stored raw is CRC-checked and becomes
+//! its column in that same buffer, its 16-byte frame header dropped in place
+//! ([`codec::decompress_owned`](crate::codec::decompress_owned)): no
+//! allocation, no free and no copy into a second buffer per basket. An LZSS
+//! basket is decoded into a buffer of its own, as ever.
 //!
 //! Windows are counted in events, baskets are not aligned to them: with 20
 //! events a basket and 50 a window, basket 2 (events 40–59) belongs to
@@ -64,8 +76,8 @@ impl Default for TreeCacheOptions {
 }
 
 /// One resident decoded basket: the values of one branch for a run of
-/// consecutive events. Every typed read is bounds-checked against the
-/// basket, so an index that lies about where events live yields an error.
+/// consecutive events. Every read is bounds-checked against the basket, so
+/// an index that lies about where events live yields an error.
 #[derive(Debug, Clone, Copy)]
 pub struct Column<'a> {
     bytes: &'a [u8],
@@ -73,13 +85,25 @@ pub struct Column<'a> {
 }
 
 impl<'a> Column<'a> {
+    /// The bytes of `events`, `width` each and back to back: the first and
+    /// the last event are checked, once for the whole run, and the caller
+    /// reads every value of it from the slice.
+    pub fn run_bytes(&self, events: std::ops::Range<u64>, width: usize) -> io::Result<&'a [u8]> {
+        let at = |event: u64| {
+            usize::try_from(event.checked_sub(self.first_event)?).ok()?.checked_mul(width)
+        };
+        at(events.start)
+            .zip(at(events.end))
+            .and_then(|(start, end)| self.bytes.get(start..end))
+            .ok_or_else(|| {
+                bad(format!("events {}..{} outside their basket", events.start, events.end))
+            })
+    }
+
     /// The `width` bytes of `event`.
     fn value(&self, event: u64, width: usize) -> io::Result<&'a [u8]> {
-        event
-            .checked_sub(self.first_event)
-            .and_then(|i| usize::try_from(i).ok()?.checked_mul(width))
-            .and_then(|at| self.bytes.get(at..at.checked_add(width)?))
-            .ok_or_else(|| bad(format!("event {event} outside its basket")))
+        let end = event.checked_add(1).ok_or_else(|| bad("event number overflows"))?;
+        self.run_bytes(event..end, width)
     }
 
     /// Read an `f32` branch value.
@@ -241,12 +265,6 @@ impl TreeCache {
         out
     }
 
-    /// The basket (global index) and ordinal holding `event` of `branch`.
-    fn locate(&self, branch: usize, event: u64) -> io::Result<(usize, u64)> {
-        let basket = self.reader.basket_for(branch, event)?;
-        Ok((basket, event / self.reader.events_per_basket() as u64))
-    }
-
     fn resident(&self, branch: usize, ord: u64) -> Option<&[u8]> {
         self.rows.get(branch)?.get(ord)
     }
@@ -267,7 +285,7 @@ impl TreeCache {
             let blobs = self.reader.source().read_vec(&frags)?;
             self.windows_loaded += 1;
             for (p, blob) in missing.iter().zip(blobs) {
-                let col = self.reader.decode_basket(p.basket, &blob)?;
+                let col = self.reader.decode_basket_owned(p.basket, blob)?;
                 self.rows[p.branch].put(p.ord, col);
             }
         }
@@ -295,7 +313,7 @@ impl TreeCache {
     /// enabled a miss loads the whole window of every selected branch,
     /// otherwise it is one scalar read that replaces the branch's basket.
     pub fn load(&mut self, branch: usize, event: u64) -> io::Result<()> {
-        let (basket, ord) = self.locate(branch, event)?;
+        let (basket, ord) = self.reader.locate(branch, event)?;
         if self.resident(branch, ord).is_some() {
             return Ok(());
         }
@@ -315,7 +333,7 @@ impl TreeCache {
     /// it first). Borrowing, so the columns of several branches can be held
     /// at once and read for every event they share.
     pub fn column(&self, branch: usize, event: u64) -> io::Result<Column<'_>> {
-        let (basket, ord) = self.locate(branch, event)?;
+        let (basket, ord) = self.reader.locate(branch, event)?;
         let bytes = self
             .resident(branch, ord)
             .ok_or_else(|| bad(format!("branch {branch} event {event} is not loaded")))?;
@@ -356,6 +374,7 @@ impl TreeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec;
     use crate::model::{Generator, Schema};
     use crate::writer::{write_tree, WriterOptions};
     use ioapi::{IoStats, IoStatsSnapshot, MemFile, RandomAccess};
@@ -652,6 +671,51 @@ mod tests {
         let opts = TreeCacheOptions { enabled: false, ..Default::default() };
         let mut plain = TreeCache::for_branches(reader, &["px"], opts).unwrap();
         assert!(plain.f32_value(py, 0).is_ok());
+    }
+
+    /// A raw basket is its column in the buffer it arrived in, but never
+    /// before its CRC is checked: one flipped payload byte of a stored-raw
+    /// basket fails the window load. A path that lent the bytes unchecked
+    /// fails this test.
+    #[test]
+    fn a_flipped_byte_in_a_raw_basket_fails_the_window_load() {
+        let mut g = Generator::new(Schema::hep(8), 21);
+        let bytes =
+            write_tree(&mut g, 200, &WriterOptions { events_per_basket: 20, compress: false });
+        let intact = TreeReader::open(Arc::new(MemFile::new(bytes.clone()))).unwrap();
+        let px = intact.schema().index_of("px").unwrap();
+        let basket = intact.baskets()[intact.basket_for(px, 45).unwrap()];
+        let opts = TreeCacheOptions { window_events: 100, enabled: true, prefetch: false };
+        for (at, damaged) in [(None, false), (Some(codec::FRAME_HEADER + 7), true)] {
+            let mut file = bytes.clone();
+            if let Some(at) = at {
+                file[basket.offset as usize + at] ^= 0x01;
+            }
+            let reader = Arc::new(TreeReader::open(Arc::new(MemFile::new(file))).unwrap());
+            let mut cache = TreeCache::for_branches(reader, &["px", "py"], opts.clone()).unwrap();
+            match cache.load(px, 45) {
+                Ok(()) => assert!(!damaged, "a damaged raw basket was lent"),
+                Err(e) => {
+                    assert!(damaged, "{e}");
+                    assert_eq!(e.to_string(), "codec crc mismatch");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_is_checked_at_both_ends() {
+        let bytes: Vec<u8> = (0..40).collect();
+        let col = Column { bytes: &bytes, first_event: 100 };
+        assert_eq!(col.run_bytes(100..110, 4).unwrap(), &bytes[..]);
+        assert_eq!(col.run_bytes(103..105, 4).unwrap(), &bytes[12..20]);
+        assert_eq!(col.run_bytes(107..107, 4).unwrap(), b"");
+        let backwards = std::ops::Range { start: 105, end: 104 };
+        for outside in [99..101, 109..111, backwards, 0..u64::MAX, u64::MAX - 1..u64::MAX] {
+            assert!(col.run_bytes(outside.clone(), 4).is_err(), "{outside:?}");
+        }
+        assert_eq!(col.f32(109).unwrap(), f32::from_le_bytes([36, 37, 38, 39]));
+        assert!(col.f32(110).is_err() && col.f32(u64::MAX).is_err());
     }
 
     #[test]

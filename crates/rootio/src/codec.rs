@@ -250,9 +250,16 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     }
 }
 
-/// Decompress a framed block, verifying length and CRC. The frame must be
-/// exactly as long as its header says.
-pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
+/// What a frame's header says, checked against the frame.
+struct Header {
+    method: u8,
+    orig_len: usize,
+    crc: u32,
+}
+
+/// Check everything about `frame` but its payload: magic, exact length,
+/// method, and a decoded length the payload can produce.
+fn header(frame: &[u8]) -> io::Result<Header> {
     if frame.len() < FRAME_HEADER {
         return Err(invalid("short codec frame"));
     }
@@ -261,45 +268,59 @@ pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
         return Err(invalid("bad codec magic"));
     }
     let method = frame[2];
-    let orig_len = u32::from_le_bytes(frame[4..8].try_into().unwrap()) as usize;
-    let payload_len = u32::from_le_bytes(frame[8..12].try_into().unwrap()) as usize;
-    let crc_expect = u32::from_le_bytes(frame[12..16].try_into().unwrap());
+    let word = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes"));
+    let (orig_len, payload_len, crc) = (word(4) as usize, word(8) as usize, word(12));
     if frame.len() < FRAME_HEADER + payload_len {
         return Err(invalid("codec frame truncated"));
     }
     if frame.len() > FRAME_HEADER + payload_len {
         return Err(invalid("codec frame longer than its header says"));
     }
-    let payload = &frame[FRAME_HEADER..];
-    let out = match method {
-        METHOD_RAW => {
-            if payload_len != orig_len {
-                return Err(invalid("raw frame length mismatch"));
-            }
-            payload.to_vec()
+    match method {
+        METHOD_RAW if payload_len != orig_len => Err(invalid("raw frame length mismatch")),
+        // The output buffer is reserved up front, so the size the frame
+        // claims must be one its payload could decode to: a group of 17
+        // input bytes (flags + 8 match tokens) yields at most 8 × 18 output
+        // bytes — under 9 to 1. A 16-byte frame cannot ask for 4 GiB.
+        METHOD_LZSS if orig_len > payload_len.saturating_mul(9) => {
+            Err(invalid("codec frame claims more than its payload can decode to"))
         }
-        METHOD_LZSS => {
-            // The output buffer is reserved up front, so the size the frame
-            // claims must be one its payload could decode to: a group of 17
-            // input bytes (flags + 8 match tokens) yields at most 8 × 18
-            // output bytes — under 9 to 1. A 16-byte frame cannot ask for
-            // 4 GiB.
-            if orig_len > payload_len.saturating_mul(9) {
-                return Err(invalid("codec frame claims more than its payload can decode to"));
-            }
-            lzss_decode(payload, orig_len)?
-        }
-        m => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("unknown codec method {m}"),
-            ))
-        }
-    };
-    if crc32(&out) != crc_expect {
+        METHOD_RAW | METHOD_LZSS => Ok(Header { method, orig_len, crc }),
+        m => Err(io::Error::new(io::ErrorKind::InvalidData, format!("unknown codec method {m}"))),
+    }
+}
+
+/// `out`, if its CRC-32 is the one the header recorded.
+fn crc_checked(out: Vec<u8>, header: &Header) -> io::Result<Vec<u8>> {
+    if crc32(&out) != header.crc {
         return Err(invalid("codec crc mismatch"));
     }
     Ok(out)
+}
+
+/// Decompress a framed block, verifying length and CRC. The frame must be
+/// exactly as long as its header says.
+pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
+    let header = header(frame)?;
+    let payload = &frame[FRAME_HEADER..];
+    let out = match header.method {
+        METHOD_RAW => payload.to_vec(),
+        _ => lzss_decode(payload, header.orig_len)?,
+    };
+    crc_checked(out, &header)
+}
+
+/// [`decompress`] of a frame the caller owns: a raw frame becomes its
+/// payload in the buffer it arrived in, the header dropped in place, with
+/// no allocation and no copy but that of the payload down 16 bytes. The
+/// checks and errors are [`decompress`]'s.
+pub fn decompress_owned(mut frame: Vec<u8>) -> io::Result<Vec<u8>> {
+    let header = header(&frame)?;
+    if header.method != METHOD_RAW {
+        return crc_checked(lzss_decode(&frame[FRAME_HEADER..], header.orig_len)?, &header);
+    }
+    frame.drain(..FRAME_HEADER);
+    crc_checked(frame, &header)
 }
 
 #[cfg(test)]
