@@ -32,8 +32,10 @@ pub enum Rule {
     /// threads break the sim's thread census and quiescence detection. In
     /// the client (`crates/core/src`) any `.spawn(..)` outside `IoPool`
     /// counts too, so `Config::io_threads` bounds every client thread; in
-    /// the servers (`crates/httpd/src`, `xrdlite`'s `server.rs`) any
-    /// `.spawn(..)` does, so their threads are `netsim::ServerCore`'s.
+    /// `crates/httpd/src` any `.spawn(..)` does, so the server's threads are
+    /// `netsim::ServerCore`'s; and in `crates/xrdlite/src` any `.spawn(..)`
+    /// does, for both reasons: its server is on `ServerCore` and its client
+    /// does its I/O on the calling thread.
     ThreadHygiene,
     /// A response head parsed by hand (`parse_response_head(..)`) outside
     /// the crates that speak HTTP for everyone — `httpwire`, the client's
@@ -142,16 +144,20 @@ const THREAD_ALLOW_FILES: &[&str] =
 /// finding too, with what to do instead. Every thread the client starts
 /// for I/O is an `IoPool` worker, so `Config::io_threads` bounds them all
 /// (`iopool.rs` itself is allowed wholesale); every server thread is a
-/// reactor shard or an accept thread of `netsim::ServerCore`.
+/// reactor shard or an accept thread of `netsim::ServerCore`; the xrdlite
+/// client starts none.
 const ONE_SPAWN_SITE: &[(&str, &str)] = &[
     ("crates/core/src/", CLIENT_SPAWN),
     ("crates/httpd/src/", SERVER_SPAWN),
     ("crates/xrdlite/src/server.rs", SERVER_SPAWN),
+    ("crates/xrdlite/src/", XRD_CLIENT_SPAWN),
 ];
 const CLIENT_SPAWN: &str = "`.spawn(..)` in the client outside `IoPool` — `Config::io_threads` \
     bounds only pool workers; run the work as a pool job or an `iopool` batch";
 const SERVER_SPAWN: &str = "`.spawn(..)` in a server — its threads are the reactor shards and \
     accept threads of `netsim::ServerCore`; make the work a `Driven` task or a timer";
+const XRD_CLIENT_SPAWN: &str = "`.spawn(..)` in the xrdlite client — a blocking client does its \
+    I/O on the calling thread: the caller writes its own request frame and a waiting caller reads";
 
 const HAND_PARSED: &str = "a response head parsed by hand — a second HTTP client; drive \
     `davix::Exchange` (and `BodyFraming` for the body) on the stream instead";

@@ -35,13 +35,13 @@
 //! protocol libraries must use those instead of bare condition variables
 //! so the simulator can see them, and must not hold a bare mutex across a
 //! stream write that can stall on the TCP window (threads queued on that
-//! mutex look runnable, so the clock never moves; xrdlite's client gives
-//! its connection one registered writer thread instead, and the servers
-//! block nowhere: their connections are [`Driven`] tasks on a
-//! [`ServerCore`]'s reactor). For dense workloads,
-//! [`simclient`] runs whole client populations as event-driven
-//! [`simclient::ClientSession`] state machines on a [`Reactor`] instead of
-//! one thread per client.
+//! mutex look runnable, so the clock never moves; xrdlite's client hands
+//! each side of its connection from caller to caller as a baton, waiting
+//! for it on a [`Signal`], and the servers block nowhere: their
+//! connections are [`Driven`] tasks on a [`ServerCore`]'s reactor). For
+//! dense workloads, [`simclient`] runs whole client populations as
+//! event-driven [`simclient::ClientSession`] state machines on a
+//! [`Reactor`] instead of one thread per client.
 //!
 //! The same [`transport`] traits are implemented over real TCP sockets in
 //! [`tcp`], so everything built on top (the davix client, the storage server,

@@ -1,20 +1,31 @@
 //! The xrdlite client: one multiplexed connection, stream-ID request
 //! matching, vectored reads, asynchronous prefetch and sliding-window
 //! read-ahead.
+//!
+//! The client starts no thread. The caller that issues a request writes its
+//! frame. A caller waiting for an answer reads the connection for everyone:
+//! it routes every answer it completes to the slots its request named, stops
+//! once its own slot is full, and hands the read side to a waiter whose slot
+//! is still empty. A read-ahead or prefetch answer nobody waits on is routed
+//! at the next wait, or dropped with the connection. Each side of the
+//! connection is a baton handed over through the runtime's signals, so no
+//! lock is ever held across a stream call (see `mux` for why that matters).
 
-use crate::mux::{FrameScheduler, Reassembler};
+use crate::mux::Reassembler;
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status};
 use davix_sync::{AtomicU64, Ordering};
 use ioapi::{IoStats, IoStatsSnapshot, RandomAccess};
-use netsim::{Connector, Runtime, Signal};
+use netsim::{BoxedStream, Connector, Runtime, Signal};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Cap on a file's cached or pending read-ahead segments (LRU eviction).
 const MAX_CACHED_SEGMENTS: usize = 64;
+/// Bytes asked of the transport per read.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Client tuning.
 #[derive(Debug, Clone)]
@@ -38,7 +49,10 @@ impl Default for XrdClientOptions {
     }
 }
 
-/// A slot a response (or error) lands in; waiters block on the signal.
+/// A slot an answer (or error) lands in, once. It is filled only under the
+/// connection's lock, or before another thread can see it; `sig` is set
+/// when it is filled, or when a thread waiting on it is handed the read
+/// side.
 struct Slot {
     sig: Arc<dyn Signal>,
     data: Mutex<Option<io::Result<Vec<u8>>>>,
@@ -54,43 +68,84 @@ impl Slot {
         self.sig.set();
     }
 
-    fn wait_take(&self) -> io::Result<Vec<u8>> {
-        self.sig.wait(None);
-        self.data.lock().take().unwrap_or_else(|| Err(io::Error::other("slot consumed twice")))
+    fn is_full(&self) -> bool {
+        self.data.lock().is_some()
+    }
+}
+
+/// Where an answer goes: cut by `lens` into `slots`, in order, and it must
+/// be exactly as long as they add up to. `lens: None` (OPEN, STAT, whose
+/// answer length the client cannot know) hands it whole to the one slot.
+struct Pending {
+    lens: Option<Vec<usize>>,
+    slots: Vec<Arc<Slot>>,
+}
+
+impl Pending {
+    fn deliver(self, answer: io::Result<Vec<u8>>) {
+        let want: Option<usize> = self.lens.as_ref().map(|lens| lens.iter().sum());
+        let answer = answer.and_then(|data| match want {
+            Some(want) if want != data.len() => Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("an answer of {} bytes to a read of {want}", data.len()),
+            )),
+            _ => Ok(data),
+        });
+        match answer {
+            Ok(data) if self.slots.len() == 1 => self.slots[0].fill(Ok(data)),
+            Ok(data) => {
+                let mut off = 0;
+                for (slot, len) in self.slots.iter().zip(self.lens.iter().flatten()) {
+                    slot.fill(Ok(data[off..off + len].to_vec()));
+                    off += len;
+                }
+            }
+            Err(e) => self.fail(&e),
+        }
     }
 
-    /// Wait and clone the payload without consuming it — for slots shared by
-    /// several readers (the read-ahead segment cache). A take-then-refill
-    /// would race: a second reader can observe the emptied slot between the
-    /// two steps.
-    fn wait_clone(&self) -> io::Result<Vec<u8>> {
-        self.sig.wait(None);
-        match self.data.lock().as_ref() {
-            Some(Ok(v)) => Ok(v.clone()),
-            Some(Err(e)) => Err(io::Error::new(e.kind(), e.to_string())),
-            None => Err(io::Error::other("slot already consumed")),
+    fn fail(&self, e: &io::Error) {
+        for slot in &self.slots {
+            slot.fill(Err(copy_err(e)));
         }
     }
 }
 
-/// Where a response should be routed.
-enum Pending {
-    /// A caller thread is blocked on this slot.
-    Sync(Arc<Slot>),
-    /// Background fill: split the payload by `lens` and fill `slots` in
-    /// order (used for async READV prefetch and read-ahead READs).
-    Background { lens: Vec<usize>, slots: Vec<Arc<Slot>> },
+fn copy_err(e: &io::Error) -> io::Error {
+    io::Error::new(e.kind(), e.to_string())
+}
+
+/// The read side: its stream handle, the bytes received but not yet cut
+/// into frames (`buf[..filled]`; the rest is room for the next read) and the
+/// answers that have arrived in part.
+struct Reader {
+    stream: BoxedStream,
+    buf: Vec<u8>,
+    filled: usize,
+    partial: Reassembler,
+}
+
+/// What the threads using one connection share, under one lock that is
+/// never held across a stream call or a wait.
+struct Conn {
+    /// Requests on the wire by stream ID, with where their answers go.
+    pending: HashMap<u16, Pending>,
+    next_id: u16,
+    /// The write side; `None` while a caller writes.
+    writer: Option<BoxedStream>,
+    /// The read side; `None` while a waiter reads.
+    reader: Option<Reader>,
+    /// The slots of the threads asleep while another reads.
+    waiting: Vec<Arc<Slot>>,
+    /// What killed the connection, once something has.
+    dead: Option<io::Error>,
 }
 
 struct ClientInner {
-    /// Outbound frames, never split; a dedicated writer thread performs the
-    /// blocking writes so request threads never stall on the TCP send window.
-    sender: Arc<FrameScheduler>,
-    pending: Mutex<HashMap<u16, Pending>>,
-    next_id: Mutex<u16>,
+    conn: Mutex<Conn>,
+    /// Set whenever the write side is handed back.
+    write_free: Arc<dyn Signal>,
     rt: Arc<dyn Runtime>,
-    /// Why the connection died, once it has.
-    dead: Mutex<Option<String>>,
     /// Round trips actually issued (sync + async).
     round_trips: AtomicU64,
     /// Requests served from prefetch/read-ahead cache.
@@ -98,94 +153,170 @@ struct ClientInner {
 }
 
 impl ClientInner {
-    fn check_alive(&self) -> io::Result<()> {
-        match self.dead.lock().clone() {
-            Some(reason) => Err(io::Error::new(io::ErrorKind::BrokenPipe, reason)),
-            None => Ok(()),
-        }
-    }
-
-    fn alloc_id(&self, pending: &mut HashMap<u16, Pending>) -> u16 {
-        let mut id = self.next_id.lock();
-        loop {
-            *id = id.wrapping_add(1);
-            if !pending.contains_key(&*id) {
-                return *id;
-            }
-        }
-    }
-
-    /// Register a pending entry and send the request frame.
-    fn send(&self, op: Op, payload: Vec<u8>, route: Pending) -> io::Result<u16> {
-        self.check_alive()?;
+    /// Register where the answer goes, then write the request frame from
+    /// this thread, with one `write_all`, once the write side is free.
+    fn issue(&self, op: Op, payload: Vec<u8>, route: Pending) -> io::Result<()> {
         let id = {
-            let mut pending = self.pending.lock();
-            let id = self.alloc_id(&mut pending);
-            pending.insert(id, route);
+            let mut conn = self.conn.lock();
+            if let Some(e) = &conn.dead {
+                let e = copy_err(e);
+                route.fail(&e);
+                return Err(e);
+            }
+            let mut id = conn.next_id.wrapping_add(1);
+            while conn.pending.contains_key(&id) {
+                id = id.wrapping_add(1);
+            }
+            conn.next_id = id;
+            conn.pending.insert(id, route);
             id
         };
         self.round_trips.fetch_add(1, Ordering::Relaxed);
-        if let Err(e) = self.sender.enqueue(id, op as u8, payload) {
-            self.pending.lock().remove(&id);
-            return Err(e);
-        }
-        Ok(id)
+        let frame = Frame { stream_id: id, code: op as u8, flags: 0, payload }.encode();
+        let mut writer = loop {
+            let mut conn = self.conn.lock();
+            if let Some(writer) = conn.writer.take() {
+                break writer;
+            }
+            self.write_free.reset();
+            drop(conn);
+            self.write_free.wait(None);
+        };
+        let written = writer.write_all(&frame);
+        self.conn.lock().writer = Some(writer);
+        self.write_free.set();
+        written.inspect_err(|e| self.fail_all(e))
     }
 
-    /// Synchronous request/response.
-    fn request(self: &Arc<Self>, op: Op, payload: Vec<u8>) -> io::Result<Vec<u8>> {
+    /// Synchronous request/response; `len`: the answer must be that long.
+    fn request(&self, op: Op, payload: Vec<u8>, len: Option<usize>) -> io::Result<Vec<u8>> {
         let slot = Slot::new(&self.rt);
-        self.send(op, payload, Pending::Sync(Arc::clone(&slot)))?;
-        slot.wait_take()
+        let route = Pending { lens: len.map(|len| vec![len]), slots: vec![Arc::clone(&slot)] };
+        self.issue(op, payload, route)?;
+        self.wait_take(&slot)
     }
 
-    fn fail_all(&self, reason: &str) {
-        *self.dead.lock() = Some(reason.to_string());
-        self.sender.close();
-        let mut pending = self.pending.lock();
-        for (_, p) in pending.drain() {
-            match p {
-                Pending::Sync(slot) => {
-                    slot.fill(Err(io::Error::new(io::ErrorKind::BrokenPipe, reason)))
+    fn wait_take(&self, slot: &Arc<Slot>) -> io::Result<Vec<u8>> {
+        self.wait_for(slot);
+        slot.data.lock().take().unwrap_or_else(|| Err(io::Error::other("slot consumed twice")))
+    }
+
+    /// Wait and copy the answer without consuming it — for slots shared by
+    /// several readers (the read-ahead segment cache). A take-then-refill
+    /// would race: a second reader can observe the emptied slot between the
+    /// two steps.
+    fn wait_clone(&self, slot: &Arc<Slot>) -> io::Result<Vec<u8>> {
+        self.wait_for(slot);
+        match slot.data.lock().as_ref() {
+            Some(Ok(v)) => Ok(v.clone()),
+            Some(Err(e)) => Err(copy_err(e)),
+            None => Err(io::Error::other("slot already consumed")),
+        }
+    }
+
+    /// Block until `slot` is full. While the read side is free this thread
+    /// takes it and reads for everyone; otherwise it sleeps on the slot's
+    /// signal until a fill or a hand-over sets it. The signal is reset only
+    /// under the lock and only while the slot is empty, and slots are filled
+    /// only under the lock, so no fill is missed.
+    fn wait_for(&self, slot: &Arc<Slot>) {
+        let mut asleep = false;
+        loop {
+            let mut conn = self.conn.lock();
+            if asleep {
+                if let Some(i) = conn.waiting.iter().position(|s| Arc::ptr_eq(s, slot)) {
+                    conn.waiting.swap_remove(i);
                 }
-                Pending::Background { slots, .. } => {
-                    for s in slots {
-                        s.fill(Err(io::Error::new(io::ErrorKind::BrokenPipe, reason)));
-                    }
+            }
+            if slot.is_full() {
+                return;
+            }
+            if let Some(mut reader) = conn.reader.take() {
+                drop(conn);
+                if let Err(e) = self.read_until(slot, &mut reader) {
+                    self.fail_all(&e);
                 }
+                let mut conn = self.conn.lock();
+                conn.reader = Some(reader);
+                if let Some(next) = conn.waiting.iter().find(|s| !s.is_full()) {
+                    next.sig.set();
+                }
+                return;
+            }
+            slot.sig.reset();
+            conn.waiting.push(Arc::clone(slot));
+            drop(conn);
+            slot.sig.wait(None);
+            asleep = true;
+        }
+    }
+
+    /// Read and route answers until `slot` is full.
+    fn read_until(&self, slot: &Slot, rd: &mut Reader) -> io::Result<()> {
+        loop {
+            let mut pos = 0;
+            while let Some((frame, n)) = Frame::decode(&rd.buf[pos..rd.filled])? {
+                pos += n;
+                self.route(frame, &mut rd.partial)?;
+            }
+            rd.buf.copy_within(pos..rd.filled, 0);
+            rd.filled -= pos;
+            if slot.is_full() {
+                return Ok(());
+            }
+            if rd.buf.len() < rd.filled + READ_CHUNK {
+                rd.buf.resize(rd.filled + READ_CHUNK, 0);
+            }
+            match rd.stream.read(&mut rd.buf[rd.filled..]) {
+                Ok(0) => {
+                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "closed by peer"))
+                }
+                Ok(n) => rd.filled += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
             }
         }
     }
-}
 
-/// Half-closes the connection when the last user-facing handle (the client
-/// or any file opened through it) is dropped.
-///
-/// The reader thread owns its own stream clone, so without this nudge the
-/// connection — the client's reader thread and the server's connection
-/// task — would outlive every handle, parked forever in the simulator. The
-/// guard is shared by [`XrdClient`] and every [`XrdFile`], not by
-/// [`ClientInner`]: the reader thread keeps `ClientInner` alive, so a
-/// teardown tied to it would never run.
-struct ConnGuard {
-    sender: Arc<FrameScheduler>,
-}
+    /// Route one received frame: part of an answer is kept, a whole answer
+    /// goes where its request said. A frame for a stream ID with no request
+    /// on the wire is a lying peer.
+    fn route(&self, frame: Frame, partial: &mut Reassembler) -> io::Result<()> {
+        let id = frame.stream_id;
+        let mut conn = self.conn.lock();
+        let Entry::Occupied(entry) = conn.pending.entry(id) else {
+            let msg = format!("a frame for stream {id}, which has no request");
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        };
+        if let Some((code, payload)) = partial.push(frame)? {
+            entry.remove().deliver(if code == Status::Ok as u8 {
+                Ok(payload)
+            } else {
+                Err(io::Error::other(String::from_utf8_lossy(&payload).into_owned()))
+            });
+        }
+        Ok(())
+    }
 
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        // The writer thread drains any still-queued frames, then sends FIN
-        // → the server answers what it has read and closes its side → our
-        // reader thread sees EOF and exits too.
-        self.sender.close_and_shutdown();
+    /// The connection is dead: every answer still owed fails with `e`, and
+    /// so does every later request.
+    fn fail_all(&self, e: &io::Error) {
+        let e = io::Error::new(e.kind(), format!("connection lost: {e}"));
+        let mut conn = self.conn.lock();
+        for (_, pending) in conn.pending.drain() {
+            pending.fail(&e);
+        }
+        conn.dead.get_or_insert(e);
     }
 }
 
 /// A connected xrdlite client. One TCP connection, arbitrarily many
-/// concurrent requests (multiplexed by stream ID).
+/// concurrent requests (multiplexed by stream ID). It and every file opened
+/// through it share the connection, which closes when the last of them is
+/// dropped.
 pub struct XrdClient {
     inner: Arc<ClientInner>,
     opts: XrdClientOptions,
-    guard: Arc<ConnGuard>,
 }
 
 impl XrdClient {
@@ -199,79 +330,33 @@ impl XrdClient {
     ) -> io::Result<XrdClient> {
         let mut stream = connector.connect(host, port, Some(opts.connect_timeout))?;
         wire::client_handshake(&mut stream)?;
-        let writer = stream.try_clone()?;
-        let sender = FrameScheduler::spawn(&rt, &format!("xrd-send-{host}:{port}"), writer);
+        let reader = Reader {
+            stream: stream.try_clone()?,
+            buf: Vec::new(),
+            filled: 0,
+            partial: Reassembler::default(),
+        };
+        let conn = Conn {
+            pending: HashMap::new(),
+            next_id: 0,
+            writer: Some(stream),
+            reader: Some(reader),
+            waiting: Vec::new(),
+            dead: None,
+        };
         let inner = Arc::new(ClientInner {
-            sender,
-            pending: Mutex::new(HashMap::new()),
-            next_id: Mutex::new(0),
-            rt: Arc::clone(&rt),
-            dead: Mutex::new(None),
+            conn: Mutex::new(conn),
+            write_free: rt.signal(),
+            rt,
             round_trips: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
         });
-        // Reader thread: reassembles chunked responses and routes each
-        // completed payload to its pending entry.
-        let inner2 = Arc::clone(&inner);
-        rt.spawn(
-            "xrd-reader",
-            Box::new(move || {
-                let mut stream = stream;
-                let mut reasm = Reassembler::new();
-                loop {
-                    let frame = match Frame::read_from(&mut stream) {
-                        Ok(f) => f,
-                        Err(e) => {
-                            inner2.fail_all(&format!("connection lost: {e}"));
-                            return;
-                        }
-                    };
-                    let stream_id = frame.stream_id;
-                    let Some((code, payload)) = reasm.push(frame) else { continue };
-                    let entry = inner2.pending.lock().remove(&stream_id);
-                    let Some(entry) = entry else { continue };
-                    let result = if code == Status::Ok as u8 {
-                        Ok(payload)
-                    } else {
-                        Err(io::Error::other(String::from_utf8_lossy(&payload).into_owned()))
-                    };
-                    match entry {
-                        Pending::Sync(slot) => slot.fill(result),
-                        Pending::Background { lens, slots } => match result {
-                            Ok(payload) => {
-                                let mut off = 0usize;
-                                for (len, slot) in lens.iter().zip(&slots) {
-                                    if off + len <= payload.len() {
-                                        slot.fill(Ok(payload[off..off + len].to_vec()));
-                                    } else {
-                                        slot.fill(Err(io::Error::new(
-                                            io::ErrorKind::UnexpectedEof,
-                                            "short readv payload",
-                                        )));
-                                    }
-                                    off += len;
-                                }
-                            }
-                            Err(e) => {
-                                for slot in &slots {
-                                    slot.fill(Err(io::Error::new(e.kind(), e.to_string())));
-                                }
-                            }
-                        },
-                    }
-                    if inner2.dead.lock().is_some() {
-                        return;
-                    }
-                }
-            }),
-        );
-        let guard = Arc::new(ConnGuard { sender: Arc::clone(&inner.sender) });
-        Ok(XrdClient { inner, opts, guard })
+        Ok(XrdClient { inner, opts })
     }
 
     /// Open a remote file.
     pub fn open(&self, path: &str) -> io::Result<XrdFile> {
-        let payload = self.inner.request(Op::Open, path.as_bytes().to_vec())?;
+        let payload = self.inner.request(Op::Open, path.as_bytes().to_vec(), None)?;
         let mut r = PayloadReader::new(&payload);
         let handle = r.u32()?;
         let size = r.u64()?;
@@ -284,13 +369,12 @@ impl XrdClient {
             seg_cache: Mutex::new(SegCache::default()),
             frag_cache: Mutex::new(HashMap::new()),
             last_seq_end: Mutex::new(None),
-            _guard: Arc::clone(&self.guard),
         })
     }
 
     /// Stat without opening.
     pub fn stat(&self, path: &str) -> io::Result<u64> {
-        let payload = self.inner.request(Op::Stat, path.as_bytes().to_vec())?;
+        let payload = self.inner.request(Op::Stat, path.as_bytes().to_vec(), None)?;
         PayloadReader::new(&payload).u64()
     }
 
@@ -325,9 +409,6 @@ pub struct XrdFile {
     frag_cache: Mutex<HashMap<(u64, u32), Arc<Slot>>>,
     /// End offset of the last sequential read (read-ahead trigger).
     last_seq_end: Mutex<Option<u64>>,
-    /// Keeps the connection open while this file is alive, even if the
-    /// [`XrdClient`] itself has been dropped.
-    _guard: Arc<ConnGuard>,
 }
 
 impl XrdFile {
@@ -350,7 +431,7 @@ impl XrdFile {
 
     /// Synchronous positional read (no cache involvement).
     fn read_direct(&self, off: u64, len: usize) -> io::Result<Vec<u8>> {
-        self.inner.request(Op::Read, self.read_payload(off, len as u32))
+        self.inner.request(Op::Read, self.read_payload(off, len as u32), Some(len))
     }
 
     /// Vectored read: one round trip for all fragments, served from the
@@ -363,38 +444,34 @@ impl XrdFile {
         if frags.len() > u16::MAX as usize {
             return Err(io::Error::new(io::ErrorKind::InvalidInput, "too many fragments"));
         }
-        // All fragments already prefetched?
-        let cached: Option<Vec<Arc<Slot>>> = {
+        // All fragments already prefetched? A repeated fragment finds its
+        // slot gone: its first occurrence took it (`None`).
+        let keys: Vec<(u64, u32)> = frags.iter().map(|&(o, l)| (o, l as u32)).collect();
+        let cached: Option<Vec<Option<Arc<Slot>>>> = {
             let mut cache = self.frag_cache.lock();
-            let keys: Vec<(u64, u32)> = frags.iter().map(|&(o, l)| (o, l as u32)).collect();
-            if keys.iter().all(|k| cache.contains_key(k)) {
-                Some(keys.iter().map(|k| cache.remove(k).expect("checked")).collect())
-            } else {
-                None
-            }
+            let all = keys.iter().all(|k| cache.contains_key(k));
+            all.then(|| keys.iter().map(|k| cache.remove(k)).collect())
         };
         let out = if let Some(slots) = cached {
             self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let mut out = Vec::with_capacity(slots.len());
-            for s in slots {
-                out.push(s.wait_take()?);
+            let mut out: Vec<Vec<u8>> = Vec::with_capacity(slots.len());
+            for (i, slot) in slots.iter().enumerate() {
+                out.push(match slot {
+                    Some(slot) => self.inner.wait_take(slot)?,
+                    // A repeat: a copy of what its first occurrence got.
+                    None => out[keys.iter().take_while(|&k| *k != keys[i]).count()].clone(),
+                });
             }
             out
         } else {
-            let payload = self.inner.request(Op::ReadV, self.readv_payload(frags))?;
-            let mut out = Vec::with_capacity(frags.len());
-            let mut pos = 0usize;
-            for &(_, len) in frags {
-                if pos + len > payload.len() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "short readv payload",
-                    ));
-                }
-                out.push(payload[pos..pos + len].to_vec());
+            let total = frags.iter().map(|&(_, len)| len).sum();
+            let payload = self.inner.request(Op::ReadV, self.readv_payload(frags), Some(total))?;
+            let mut pos = 0;
+            let cut = |&(_, len): &(u64, usize)| {
                 pos += len;
-            }
-            out
+                payload[pos - len..pos].to_vec()
+            };
+            frags.iter().map(cut).collect()
         };
         let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
         self.io.record_vector_read(bytes, 1);
@@ -419,11 +496,8 @@ impl XrdFile {
                 cache.insert((off, len as u32), Arc::clone(slot));
             }
         }
-        let lens: Vec<usize> = frags.iter().map(|&(_, l)| l).collect();
-        if self
-            .inner
-            .send(Op::ReadV, self.readv_payload(frags), Pending::Background { lens, slots })
-            .is_err()
+        let lens = Some(frags.iter().map(|&(_, l)| l).collect());
+        if self.inner.issue(Op::ReadV, self.readv_payload(frags), Pending { lens, slots }).is_err()
         {
             // Connection died; remove the placeholders so readers fall back
             // to sync reads (which will report the error properly).
@@ -461,21 +535,22 @@ impl XrdFile {
         }
 
         // Sequential? Then schedule read-ahead.
-        {
+        let sequential = {
             let mut last = self.last_seq_end.lock();
             let sequential = match *last {
                 Some(end) => off <= end && off + want as u64 > end.saturating_sub(seg),
                 None => off < seg, // starting from (near) the beginning
             };
             *last = Some(off + want as u64);
-            if sequential {
-                let ahead_segs = self.opts.readahead_window / seg;
-                for s in (last_seg + 1)..=(last_seg + ahead_segs) {
-                    if s * seg >= self.size {
-                        break;
-                    }
-                    self.prefetch_segment(s);
+            sequential
+        };
+        if sequential {
+            let ahead_segs = self.opts.readahead_window / seg;
+            for s in (last_seg + 1)..=(last_seg + ahead_segs) {
+                if s * seg >= self.size {
+                    break;
                 }
+                self.prefetch_segment(s);
             }
         }
 
@@ -505,7 +580,7 @@ impl XrdFile {
         };
         if let Some(slot) = slot {
             self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return slot.wait_clone();
+            return self.inner.wait_clone(&slot);
         }
         let off = idx * seg;
         let len = seg.min(self.size.saturating_sub(off)) as usize;
@@ -533,15 +608,8 @@ impl XrdFile {
         let len = seg.min(self.size - off) as usize;
         let slot = Slot::new(&self.inner.rt);
         self.insert_segment(idx, Arc::clone(&slot));
-        if self
-            .inner
-            .send(
-                Op::Read,
-                self.read_payload(off, len as u32),
-                Pending::Background { lens: vec![len], slots: vec![slot] },
-            )
-            .is_err()
-        {
+        let route = Pending { lens: Some(vec![len]), slots: vec![slot] };
+        if self.inner.issue(Op::Read, self.read_payload(off, len as u32), route).is_err() {
             self.seg_cache.lock().segments.remove(&idx);
         }
     }
@@ -595,24 +663,36 @@ impl RandomAccess for XrdFile {
 mod tests {
     use super::*;
     use crate::server::{XrdServer, XrdServerConfig};
+    use crate::wire::read_frame;
     use bytes::Bytes;
     use netsim::{LinkSpec, SimNet};
     use objstore::ObjectStore;
+    use std::io::{Read, Write};
 
-    fn setup(opts: XrdClientOptions) -> (SimNet, XrdClient, Vec<u8>) {
+    /// Hosts `c` and `s` over `link`, and a server on `s` for `/big`
+    /// (returned) and `/small`.
+    fn serve(link: LinkSpec, cfg: XrdServerConfig) -> (SimNet, Vec<u8>) {
         let net = SimNet::new();
         net.add_host("c");
         net.add_host("s");
-        net.set_link("c", "s", LinkSpec { delay: Duration::from_millis(5), ..Default::default() });
+        net.set_link("c", "s", link);
         let data: Vec<u8> = (0..2_000_000usize).map(|i| (i % 253) as u8).collect();
         let store = Arc::new(ObjectStore::new());
         store.put("/big", Bytes::from(data.clone()));
         store.put("/small", Bytes::from_static(b"tiny"));
-        let server = XrdServer::new(store, XrdServerConfig::default());
+        let server = XrdServer::new(store, cfg);
         server.serve(Box::new(net.bind("s", 1094).unwrap()), net.runtime());
-        let connector = net.connector("c");
-        let client =
-            XrdClient::connect(connector.as_ref(), net.runtime(), "s", 1094, opts).unwrap();
+        (net, data)
+    }
+
+    fn connect(net: &SimNet, opts: XrdClientOptions) -> XrdClient {
+        XrdClient::connect(net.connector("c").as_ref(), net.runtime(), "s", 1094, opts).unwrap()
+    }
+
+    fn setup(opts: XrdClientOptions) -> (SimNet, XrdClient, Vec<u8>) {
+        let link = LinkSpec { delay: Duration::from_millis(5), ..Default::default() };
+        let (net, data) = serve(link, XrdServerConfig::default());
+        let client = connect(&net, opts);
         (net, client, data)
     }
 
@@ -789,5 +869,253 @@ mod tests {
         let mut buf = vec![0u8; 16];
         assert!(f.read_at_cached(0, &mut buf).is_err());
         assert!(client.open("/small").is_err());
+    }
+
+    #[test]
+    fn a_repeated_fragment_is_served_from_its_prefetched_slot() {
+        let (net, client, data) = setup(XrdClientOptions::default());
+        let _g = net.enter();
+        let f = client.open("/big").unwrap();
+        f.prefetch_vec(&[(0, 10)]);
+        let before = client.round_trips();
+        let got = f.read_vec(&[(0, 10), (0, 10)]).unwrap();
+        assert_eq!(got, [&data[..10], &data[..10]]);
+        assert_eq!(client.round_trips(), before, "served from the prefetch");
+    }
+
+    /// What a raw peer read: every request, then whether the stream ended.
+    #[derive(Default)]
+    struct RawLog {
+        requests: Vec<Frame>,
+        eof: bool,
+    }
+
+    /// Hosts `c` and `s` over `link`, and a raw peer on `s` standing in for
+    /// the server: it greets, then writes the frames `answer` returns for
+    /// each request.
+    fn raw_server(
+        link: LinkSpec,
+        answer: impl Fn(&Frame) -> Vec<Frame> + Send + 'static,
+    ) -> (SimNet, Arc<Mutex<RawLog>>) {
+        let net = SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        net.set_link("c", "s", link);
+        let listener = net.bind("s", 1094).unwrap();
+        let log = Arc::new(Mutex::new(RawLog::default()));
+        let log2 = Arc::clone(&log);
+        net.spawn("raw-server", move || {
+            let (mut s, _) = listener.accept_sim().unwrap();
+            s.read_exact(&mut [0u8; 6]).unwrap();
+            s.write_all(&wire::hello()).unwrap();
+            loop {
+                let req = match read_frame(&mut s) {
+                    Ok(req) => req,
+                    Err(e) => return log2.lock().eof = e.kind() == io::ErrorKind::UnexpectedEof,
+                };
+                for frame in answer(&req) {
+                    if s.write_all(&frame.encode()).is_err() {
+                        return;
+                    }
+                }
+                log2.lock().requests.push(req);
+            }
+        });
+        (net, log)
+    }
+
+    const RAW_SIZE: u64 = 1000;
+
+    /// An honest answer to `req` about a `RAW_SIZE`-byte file whose byte at
+    /// `i` is `i % 251`, plus `extra` bytes.
+    fn answer(req: &Frame, extra: usize) -> Frame {
+        let mut r = PayloadReader::new(&req.payload);
+        let mut payload = match Op::from_u8(req.code).unwrap() {
+            Op::Open => PayloadWriter::new().u32(1).u64(RAW_SIZE).build(),
+            op => {
+                r.u32().unwrap();
+                let n = if op == Op::ReadV { r.u16().unwrap() } else { 1 };
+                let mut out = Vec::new();
+                for _ in 0..n {
+                    let (off, len) = (r.u64().unwrap(), r.u32().unwrap());
+                    out.extend((off..off + u64::from(len)).map(|i| (i % 251) as u8));
+                }
+                out
+            }
+        };
+        payload.extend(std::iter::repeat_n(0, extra));
+        Frame { stream_id: req.stream_id, code: Status::Ok as u8, flags: 0, payload }
+    }
+
+    /// The offset of a READ or READV's first fragment.
+    fn first_offset(req: &Frame) -> u64 {
+        let skip = if req.code == Op::ReadV as u8 { 6 } else { 4 };
+        PayloadReader::new(&req.payload[skip..]).u64().unwrap()
+    }
+
+    #[test]
+    fn an_answer_longer_than_the_read_is_invalid_data() {
+        // Honest below offset 64, one byte too long from there on.
+        let (net, _log) = raw_server(LinkSpec::lan(), |req| {
+            let lie = req.code != Op::Open as u8 && first_offset(req) >= 64;
+            vec![answer(req, usize::from(lie))]
+        });
+        let _g = net.enter();
+        let opts =
+            XrdClientOptions { readahead_window: 128, readahead_segment: 64, ..Default::default() };
+        let client = connect(&net, opts);
+        let f = client.open("/f").unwrap();
+        fn invalid<T>(r: io::Result<T>) -> bool {
+            r.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
+        }
+        // From the start: an honest segment, and read-ahead asks for the next two.
+        f.read_at_cached(0, &mut [0u8; 10]).unwrap();
+        assert!(invalid(f.read_at_cached(64, &mut [0u8; 10])), "read-ahead READ");
+        assert!(invalid(f.read_at_cached(640, &mut [0u8; 10])), "READ");
+        assert!(invalid(f.read_vec(&[(64, 4), (100, 6)])), "READV");
+        f.prefetch_vec(&[(64, 4), (100, 6)]);
+        assert!(invalid(f.read_vec(&[(64, 4), (100, 6)])), "prefetched READV");
+        assert_eq!(f.read_vec(&[(0, 4)]).unwrap(), [[0, 1, 2, 3]], "the connection lives on");
+    }
+
+    #[test]
+    fn an_answer_past_the_payload_cap_fails_the_connection() {
+        // The answer to the READ comes as MAX_PAYLOAD + 1 bytes of partial
+        // frames, then an empty final frame.
+        let (net, _log) = raw_server(LinkSpec::lan(), |req| {
+            if req.code == Op::Open as u8 {
+                return vec![answer(req, 0)];
+            }
+            let piece = |len| Frame {
+                stream_id: req.stream_id,
+                code: Status::Ok as u8,
+                flags: wire::FLAG_PARTIAL,
+                payload: vec![7; len],
+            };
+            let chunks = wire::MAX_PAYLOAD as usize / wire::MAX_FRAME_PAYLOAD;
+            let mut frames: Vec<Frame> =
+                (0..chunks).map(|_| piece(wire::MAX_FRAME_PAYLOAD)).collect();
+            frames.push(piece(1));
+            frames.push(Frame { flags: 0, ..piece(0) });
+            frames
+        });
+        let _g = net.enter();
+        let client = connect(&net, XrdClientOptions::default());
+        let f = client.open("/f").unwrap();
+        let err = f.read_vec(&[(0, 10)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(client.stat("/f").is_err(), "the connection is dead");
+    }
+
+    #[test]
+    fn a_frame_for_a_stream_with_no_request_fails_the_connection() {
+        let (net, _log) = raw_server(LinkSpec::lan(), |req| {
+            let stray = Frame {
+                stream_id: req.stream_id.wrapping_add(100),
+                code: Status::Ok as u8,
+                flags: wire::FLAG_PARTIAL,
+                payload: vec![1; 16],
+            };
+            let stray = (req.code != Op::Open as u8).then_some(stray);
+            stray.into_iter().chain([answer(req, 0)]).collect()
+        });
+        let _g = net.enter();
+        let client = connect(&net, XrdClientOptions::default());
+        let f = client.open("/f").unwrap();
+        let err = f.read_vec(&[(0, 10)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(client.stat("/f").is_err(), "the connection is dead");
+    }
+
+    #[test]
+    fn no_thread_per_client_connection() {
+        let cfg = XrdServerConfig { process_delay: Duration::from_millis(50) };
+        let (net, _) = serve(LinkSpec::lan(), cfg);
+        let _g = net.enter();
+        let before = net.thread_census();
+        let opts = XrdClientOptions {
+            readahead_window: 256 * 1024,
+            readahead_segment: 64 * 1024,
+            ..Default::default()
+        };
+        let mut files = Vec::new();
+        for n in [1, 8] {
+            while files.len() < n {
+                let f = Arc::new(connect(&net, opts.clone()).open("/big").unwrap());
+                // From the start: read-ahead asks for the next segments.
+                f.read_at_cached(0, &mut [0u8; 16]).unwrap();
+                f.prefetch_vec(&[(1_000_000, 100), (1_500_000, 100)]);
+                files.push(f);
+            }
+            // A sync read in flight on every connection, each from a thread
+            // of the test's own.
+            for f in &files {
+                let f = Arc::clone(f);
+                net.spawn("reader", move || drop(f.read_vec(&[(10, 10)]).unwrap()));
+            }
+            net.sleep(Duration::from_millis(10)); // the READVs are in, held by the delay
+            assert_eq!(net.thread_census(), before + n, "{n} connection(s): the readers only");
+            net.sleep(Duration::from_millis(200));
+            assert_eq!(net.thread_census(), before, "{n} connection(s), all answered");
+        }
+    }
+
+    #[test]
+    fn callers_writing_past_the_tcp_window_do_not_stall_the_clock() {
+        // The invisible-block regression (see `mux`): eight callers each
+        // write a READV frame larger than the initial congestion window, so
+        // writes block on the window while the others wait for the write
+        // side.
+        let slow = LinkSpec {
+            delay: Duration::from_millis(50),
+            bandwidth: Some(1 << 20),
+            ..Default::default()
+        };
+        let (net, data) = serve(slow, XrdServerConfig::default());
+        let f = Arc::new(connect(&net, XrdClientOptions::default()).open("/big").unwrap());
+        let frags = 1_300usize;
+        assert!(8 + 6 + 12 * frags > LinkSpec::default().init_cwnd as usize);
+        let done = Arc::new(Mutex::new(Vec::new()));
+        for t in 0..8u64 {
+            let (f, data, done) = (Arc::clone(&f), data.clone(), Arc::clone(&done));
+            net.spawn("caller", move || {
+                let frags: Vec<(u64, usize)> =
+                    (0..frags as u64).map(|i| (t * 200_000 + i * 100, 8)).collect();
+                let got = f.read_vec(&frags).unwrap();
+                let right = got.iter().zip(&frags).all(|(g, &(off, len))| {
+                    g.as_slice() == &data[off as usize..off as usize + len]
+                });
+                done.lock().push(right);
+            });
+        }
+        let _g = net.enter();
+        net.sleep(Duration::from_secs(60));
+        assert_eq!(*done.lock(), [true; 8]);
+    }
+
+    #[test]
+    fn dropping_the_last_handle_ends_the_connection_after_every_frame() {
+        let slow = LinkSpec {
+            delay: Duration::from_millis(50),
+            bandwidth: Some(1 << 20),
+            ..Default::default()
+        };
+        let (net, log) = raw_server(slow, |req| vec![answer(req, 0)]);
+        let _g = net.enter();
+        let client = connect(&net, XrdClientOptions::default());
+        let f = client.open("/f").unwrap();
+        for i in 0..4u64 {
+            // 12 KB request frames, more than the link carries in 50 ms.
+            let frags: Vec<(u64, usize)> = (0..1_000).map(|j| ((i * 1_000 + j) % 990, 1)).collect();
+            f.prefetch_vec(&frags);
+        }
+        drop(client);
+        assert!(log.lock().requests.len() < 5, "the last READV is still on the wire");
+        drop(f);
+        net.sleep(Duration::from_secs(5));
+        let log = log.lock();
+        assert!(log.eof, "the server sees the end of the stream");
+        let ops: Vec<u8> = log.requests.iter().map(|f| f.code).collect();
+        assert_eq!(ops, [1, 3, 3, 3, 3], "an OPEN and every READV precede it");
     }
 }

@@ -21,10 +21,9 @@
 //! role on the HTTP side.
 
 pub mod client;
-pub mod mux;
+mod mux;
 pub mod server;
 pub mod wire;
 
 pub use client::{XrdClient, XrdClientOptions, XrdFile};
-pub use mux::Reassembler;
 pub use server::XrdServer;

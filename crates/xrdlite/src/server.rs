@@ -6,7 +6,7 @@
 //! then frames into its receive buffer, answers each request once its
 //! processing delay is over (a timer on the reactor's wheel, so requests on
 //! one connection overlap, as XRootD's asynchronous server does) and queues
-//! the responses in a round-robin frame queue ([`crate::mux`]): they go out
+//! the responses in a round-robin frame queue (`mux`): they go out
 //! **interleaved in 64 KiB chunks**, so a large read does not head-of-line
 //! block a small one on the same connection. No thread is spawned per
 //! connection or per request.
@@ -142,8 +142,7 @@ impl XrdConn {
             }
             (self.greeted, self.wire, pos) = (true, wire::hello().to_vec(), 6);
         }
-        while let Some(n) = wire::frame_len(&self.rbuf[pos..])? {
-            let frame = Frame::read_from(&mut &self.rbuf[pos..pos + n])?;
+        while let Some((frame, n)) = Frame::decode(&self.rbuf[pos..])? {
             pos += n;
             self.server.requests.fetch_add(1, Ordering::Relaxed);
             self.waiting.push_back((now + self.server.cfg.process_delay, frame));
@@ -288,6 +287,7 @@ impl Driven for XrdConn {
 mod tests {
     use super::*;
     use crate::mux::Reassembler;
+    use crate::wire::read_frame;
     use bytes::Bytes;
     use netsim::{LinkSpec, SimNet, SimStream};
     use std::io::{Read, Write};
@@ -317,7 +317,7 @@ mod tests {
     /// Send one raw request frame and read its response frame.
     fn call(s: &mut (impl Read + Write), id: u16, op: Op, payload: Vec<u8>) -> Frame {
         send(s, id, op, payload);
-        let resp = Frame::read_from(s).unwrap();
+        let resp = read_frame(s).unwrap();
         assert_eq!(resp.stream_id, id);
         resp
     }
@@ -375,12 +375,12 @@ mod tests {
         let (mut s, h) = open(&net);
         send(&mut s, 1, Op::Read, read_req(h, 0, 1 << 20));
         send(&mut s, 2, Op::Read, read_req(h, 5, 10));
-        let (mut re, mut done, mut big_frames) = (Reassembler::new(), Vec::new(), 0);
+        let (mut re, mut done, mut big_frames) = (Reassembler::default(), Vec::new(), 0);
         while done.len() < 2 {
-            let f = Frame::read_from(&mut s).unwrap();
+            let f = read_frame(&mut s).unwrap();
             big_frames += usize::from(f.stream_id == 1);
             let sid = f.stream_id;
-            if let Some((code, payload)) = re.push(f) {
+            if let Some((code, payload)) = re.push(f).unwrap() {
                 assert_eq!(code, Status::Ok as u8);
                 done.push((sid, payload));
             }
@@ -418,8 +418,7 @@ mod tests {
         for (i, (mut s, _)) in conns.into_iter().enumerate() {
             let rounds = if i == 0 { 2 } else { 1 };
             for _ in 0..rounds {
-                let ids: Vec<u16> =
-                    (0..4).map(|_| Frame::read_from(&mut s).unwrap().stream_id).collect();
+                let ids: Vec<u16> = (0..4).map(|_| read_frame(&mut s).unwrap().stream_id).collect();
                 assert_eq!(ids, [2, 3, 4, 5], "connection {i}");
             }
             assert_eq!(s.read(&mut [0u8; 1]).unwrap(), 0, "connection {i}: then EOF");

@@ -20,7 +20,6 @@ pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// The server's interleaving granularity: a longer response goes out as
 /// several frames, round-robin with other streams' (see [`crate::mux`]).
-/// Also what a reader reserves for a payload before its bytes arrive.
 pub(crate) const MAX_FRAME_PAYLOAD: usize = 64 * 1024;
 
 /// Flag bit on a response frame: more frames follow for this stream ID
@@ -93,39 +92,28 @@ impl Frame {
         out
     }
 
-    /// Read one frame. The payload grows as its bytes arrive: a peer that
-    /// declares a long one and sends little costs what it sent.
-    pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        let mut header = [0u8; 8];
-        r.read_exact(&mut header)?;
-        let len = payload_len(&header)?;
-        let mut payload = Vec::with_capacity(len.min(MAX_FRAME_PAYLOAD));
-        if r.take(len as u64).read_to_end(&mut payload)? < len {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "frame payload cut short"));
+    /// Decode the frame at the front of `buf`: the frame and how many bytes
+    /// it took, or `None` while some of it is still to arrive. Both ends
+    /// call it on their receive buffers, again as more bytes come in, so
+    /// decoding resumes at any byte. A payload longer than [`MAX_PAYLOAD`]
+    /// is refused from the header alone, and nothing is allocated for a
+    /// payload before all of it is there.
+    pub fn decode(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
+        let Some(header) = buf.first_chunk::<8>() else { return Ok(None) };
+        let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
+        if len > MAX_PAYLOAD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame payload {len} exceeds cap"),
+            ));
         }
+        let end = 8 + len as usize;
+        let Some(payload) = buf.get(8..end) else { return Ok(None) };
         let stream_id = u16::from_be_bytes([header[0], header[1]]);
-        Ok(Frame { stream_id, code: header[2], flags: header[3], payload })
+        let frame =
+            Frame { stream_id, code: header[2], flags: header[3], payload: payload.to_vec() };
+        Ok(Some((frame, end)))
     }
-}
-
-/// The payload length a frame header declares, refused past [`MAX_PAYLOAD`].
-fn payload_len(header: &[u8; 8]) -> io::Result<usize> {
-    let len = u32::from_be_bytes([header[4], header[5], header[6], header[7]]);
-    if len > MAX_PAYLOAD {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame payload {len} exceeds cap"),
-        ));
-    }
-    Ok(len as usize)
-}
-
-/// The length of the frame at the front of `buf` once all of it is there;
-/// `None` while it is still arriving.
-pub(crate) fn frame_len(buf: &[u8]) -> io::Result<Option<usize>> {
-    let Some(header) = buf.first_chunk::<8>() else { return Ok(None) };
-    let len = 8 + payload_len(header)?;
-    Ok((buf.len() >= len).then_some(len))
 }
 
 /// The handshake message, the same both ways: magic, then version.
@@ -222,6 +210,17 @@ impl PayloadWriter {
     }
 }
 
+/// Read one whole frame off a blocking stream: the tests' raw peers.
+#[cfg(test)]
+pub(crate) fn read_frame(r: &mut impl Read) -> io::Result<Frame> {
+    let mut buf = vec![0u8; 8];
+    r.read_exact(&mut buf)?;
+    let len = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]).min(MAX_PAYLOAD);
+    buf.resize(8 + len as usize, 0);
+    r.read_exact(&mut buf[8..])?;
+    Ok(Frame::decode(&buf)?.expect("a whole frame").0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,36 +229,20 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let f = Frame { stream_id: 513, code: 3, flags: 0, payload: vec![1, 2, 3, 4, 5] };
-        let wire = f.encode();
-        assert_eq!(frame_len(&wire[..wire.len() - 1]).unwrap(), None, "still arriving");
-        assert_eq!(frame_len(&wire).unwrap(), Some(wire.len()));
-        let back = Frame::read_from(&mut Cursor::new(wire)).unwrap();
-        assert_eq!(back, f);
-    }
-
-    /// Hands out its bytes and notes the largest buffer it was asked to
-    /// fill.
-    struct Widest {
-        data: Cursor<Vec<u8>>,
-        widest: usize,
-    }
-
-    impl Read for Widest {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.widest = self.widest.max(buf.len());
-            self.data.read(buf)
-        }
+        let mut wire = f.encode();
+        let len = wire.len();
+        wire.extend_from_slice(b"next");
+        assert_eq!(Frame::decode(&wire).unwrap(), Some((f, len)), "bytes past it stay");
     }
 
     #[test]
-    fn a_declared_length_is_not_allocated_before_its_bytes_arrive() {
-        let mut wire = vec![0, 1, 2, 0];
-        wire.extend_from_slice(&MAX_PAYLOAD.to_be_bytes());
-        wire.extend_from_slice(&[7; 10]);
-        let mut r = Widest { data: Cursor::new(wire), widest: 0 };
-        let err = Frame::read_from(&mut r).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(r.widest < 1024 * 1024, "a {} byte buffer for 10 bytes", r.widest);
+    fn a_frame_decodes_only_once_all_of_it_is_in() {
+        let f = Frame { stream_id: 1, code: 1, flags: 0, payload: vec![9; 100] };
+        let wire = f.encode();
+        for cut in 0..wire.len() {
+            assert_eq!(Frame::decode(&wire[..cut]).unwrap(), None, "{cut} bytes in");
+        }
+        assert_eq!(Frame::decode(&wire).unwrap(), Some((f, wire.len())));
     }
 
     #[test]
@@ -269,17 +252,8 @@ mod tests {
         header.push(2);
         header.push(0);
         header.extend_from_slice(&(MAX_PAYLOAD + 1).to_be_bytes());
-        let err = Frame::read_from(&mut Cursor::new(header)).unwrap_err();
+        let err = Frame::decode(&header).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    #[test]
-    fn truncated_frame_is_eof() {
-        let f = Frame { stream_id: 1, code: 1, flags: 0, payload: vec![9; 100] };
-        let mut wire = f.encode();
-        wire.truncate(50);
-        let err = Frame::read_from(&mut Cursor::new(wire)).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
