@@ -34,8 +34,9 @@
 //!   witness chain (`flush -> drain -> wait(..)`) in the message. It still
 //!   does not chase guards through function parameters or returns.
 //! * **`thread-hygiene`** — `thread::spawn`/`thread::Builder` only in the
-//!   sanctioned spawn modules (`core::iopool`, `netsim::reactor`,
-//!   `netsim::sim` — thread creation is their purpose) and the bench/CLI
+//!   sanctioned spawn modules (`core::iopool`, `netsim::reactor`, the
+//!   simulator's scheduler `netsim::sim::sched` — thread creation is their
+//!   purpose) and the bench/CLI
 //!   binaries; `netsim::tcp`'s `Runtime::spawn` carries a per-site
 //!   marker. Stray threads are invisible to the sim scheduler's census
 //!   and break quiescence detection. In the client (`crates/core/src`)

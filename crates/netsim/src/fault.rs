@@ -13,22 +13,26 @@
 //!
 //! The plan is installed with
 //! [`SimNet::install_fault_plan`](crate::SimNet::install_fault_plan),
-//! which pre-schedules partition/heal windows as ordinary simulator
-//! events and arms per-segment delivery and connect hooks inside
-//! `netsim::sim`. Sim-only code can add its own decision points with the
-//! [`buggify!`](crate::buggify) macro.
+//! which pre-schedules the plan's partition/heal windows as ordinary
+//! simulator events. Every decision — a segment's fate, a connect
+//! refusal, a window's placement, a `buggify!` point — is made here; the
+//! simulator's link model asks per segment and per connect, and records
+//! each answer in its trace. Sim-only code can add its own decision points
+//! with the [`buggify!`](crate::buggify) macro.
 
+use crate::sim::dur_ns;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::time::Duration;
 
 /// Decision stream tag: per-segment delivery faults (drop / extra delay).
-pub(crate) const STREAM_DELIVERY: u64 = 0x1;
+const STREAM_DELIVERY: u64 = 0x1;
 /// Decision stream tag: connect-time refusals.
-pub(crate) const STREAM_CONNECT: u64 = 0x2;
+const STREAM_CONNECT: u64 = 0x2;
 /// Decision stream tag: the partition/heal schedule generated at install.
-pub(crate) const STREAM_PLAN: u64 = 0x3;
+const STREAM_PLAN: u64 = 0x3;
 /// Decision stream tag: `buggify!` decision points.
-pub(crate) const STREAM_BUGGIFY: u64 = 0x4;
+const STREAM_BUGGIFY: u64 = 0x4;
 
 /// SplitMix64 finalizer: a cheap, well-mixed u64 -> u64 bijection.
 fn mix(mut z: u64) -> u64 {
@@ -39,12 +43,12 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// Combine a stream tag with up to two identifiers into one stream key.
-pub(crate) fn stream_key(tag: u64, a: u64, b: u64) -> u64 {
+fn stream_key(tag: u64, a: u64, b: u64) -> u64 {
     mix(tag ^ mix(a).rotate_left(1) ^ mix(b).rotate_left(2))
 }
 
 /// Stable 64-bit hash of a context string (FNV-1a folded through [`mix`]).
-pub(crate) fn hash_str(s: &str) -> u64 {
+fn hash_str(s: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.as_bytes() {
         h ^= u64::from(*b);
@@ -206,6 +210,36 @@ impl FaultPlan {
         }
         h
     }
+
+    /// The outage windows `(host, start, end)`, in virtual nanoseconds from
+    /// install, that this plan places on `targets` under `seed`. At most
+    /// `max_down` targets — and never all of them — are down at once.
+    pub(crate) fn outage_windows(&self, seed: u64, targets: &[u32]) -> Vec<(u32, u64, u64)> {
+        let mut rng = SplitRng::at(seed, STREAM_PLAN, 0);
+        let horizon = dur_ns(self.horizon).max(1);
+        let omin = dur_ns(self.outage_min).max(1);
+        let omax = dur_ns(self.outage_max).max(omin + 1);
+        let max_down = self.max_down.min(targets.len().saturating_sub(1));
+        let mut windows: Vec<(u32, u64, u64)> = Vec::new();
+        if max_down == 0 {
+            return windows;
+        }
+        for _ in 0..self.partitions {
+            let host = *rng.pick(targets);
+            let start = rng.range(0, horizon);
+            let end = start + rng.range(omin, omax);
+            // A window is placed only if it keeps the concurrently-down set
+            // within bounds; rejected draws are simply skipped so the
+            // schedule stays a pure function of (plan, seed).
+            let overlapping = || windows.iter().filter(|(_, s, e)| *s < end && start < *e);
+            let host_busy = overlapping().any(|(h, _, _)| *h == host);
+            if host_busy || overlapping().count() >= max_down {
+                continue;
+            }
+            windows.push((host, start, end));
+        }
+        windows
+    }
 }
 
 /// Counters for every fault decision taken so far; retrieved with
@@ -228,21 +262,33 @@ pub struct FaultStats {
     pub buggify_hits: u64,
 }
 
-/// Live per-plan state attached to the simulator core.
+/// What the installed plan does to one outgoing segment.
+pub(crate) enum Delivery {
+    /// It arrives when the link model says.
+    Pass,
+    /// It is dropped.
+    Drop,
+    /// It arrives this many nanoseconds late.
+    Delay(u64),
+}
+
+/// Live per-plan state attached to the simulator core: every fault
+/// decision is one of its methods, so the simulator only asks and traces
+/// the answer.
 #[derive(Debug)]
 pub(crate) struct FaultState {
-    pub(crate) plan: FaultPlan,
-    pub(crate) seed: u64,
+    plan: FaultPlan,
+    seed: u64,
     pub(crate) fingerprint: u64,
     pub(crate) stats: FaultStats,
     /// Per-(conn, dir) count of delivery decisions taken, keying the
     /// stateless per-segment RNG.
-    pub(crate) seg_counters: HashMap<(usize, usize), u64>,
+    seg_counters: HashMap<(usize, usize), u64>,
     /// Per-(conn, dir) latest scheduled arrival; jittered segments are
     /// clamped above it so the in-order byte stream stays in order.
-    pub(crate) last_arrival: HashMap<(usize, usize), u64>,
+    last_arrival: HashMap<(usize, usize), u64>,
     /// Per-context count of buggify decisions taken.
-    pub(crate) buggify_counters: HashMap<u64, u64>,
+    buggify_counters: HashMap<u64, u64>,
 }
 
 impl FaultState {
@@ -258,6 +304,65 @@ impl FaultState {
             buggify_counters: HashMap::new(),
         }
     }
+
+    /// The plan's decision for the next outgoing segment on `(conn, dir)`.
+    /// Decisions are keyed statelessly by `(seed, conn, dir, per-direction
+    /// counter)`, so traffic on one connection never perturbs another's
+    /// fault schedule.
+    pub(crate) fn segment_fate(&mut self, conn: usize, dir: usize) -> Delivery {
+        let counter = next_count(&mut self.seg_counters, (conn, dir));
+        let stream = stream_key(STREAM_DELIVERY, conn as u64, dir as u64);
+        let mut rng = SplitRng::at(self.seed, stream, counter);
+        if rng.chance(self.plan.drop_prob) {
+            self.stats.drops_injected += 1;
+            Delivery::Drop
+        } else if rng.chance(self.plan.delay_prob) {
+            self.stats.delays_injected += 1;
+            Delivery::Delay(rng.range(1, dur_ns(self.plan.delay_max).max(2)))
+        } else {
+            Delivery::Pass
+        }
+    }
+
+    /// `arrive`, clamped above the previous arrival on `(conn, dir)` and
+    /// recorded as the latest. Jitter must not reorder the in-order byte
+    /// stream, so a delayed segment holds back everything queued behind it
+    /// (head-of-line blocking — how reordering pressure manifests in a
+    /// stream model).
+    pub(crate) fn in_order(&mut self, conn: usize, dir: usize, arrive: u64) -> u64 {
+        let last = self.last_arrival.entry((conn, dir)).or_insert(0);
+        *last = if arrive <= *last { *last + 1 } else { arrive };
+        *last
+    }
+
+    /// Whether the plan refuses connect attempt `cid` (SYN blackholed)
+    /// even though the listener is up.
+    pub(crate) fn refuses_connect(&mut self, cid: usize) -> bool {
+        let stream = stream_key(STREAM_CONNECT, cid as u64, 0);
+        let refused = SplitRng::at(self.seed, stream, 0).chance(self.plan.connect_fail_prob);
+        self.stats.connects_refused += u64::from(refused);
+        refused
+    }
+
+    /// One `buggify!` decision on context `ctx`, at `prob` or the plan's
+    /// default probability.
+    pub(crate) fn buggify_hit(&mut self, ctx: &str, prob: Option<f64>) -> bool {
+        self.stats.buggify_decisions += 1;
+        let ctx_hash = hash_str(ctx);
+        let counter = next_count(&mut self.buggify_counters, ctx_hash);
+        let stream = stream_key(STREAM_BUGGIFY, ctx_hash, 0);
+        let p = prob.unwrap_or(self.plan.buggify_prob);
+        let hit = SplitRng::at(self.seed, stream, counter).chance(p);
+        self.stats.buggify_hits += u64::from(hit);
+        hit
+    }
+}
+
+/// Count one more decision under `key`; returns the new count.
+fn next_count<K: Hash + Eq>(counters: &mut HashMap<K, u64>, key: K) -> u64 {
+    let c = counters.entry(key).or_insert(0);
+    *c += 1;
+    *c
 }
 
 /// Evaluate a sim-only fault decision point against the installed

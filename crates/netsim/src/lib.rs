@@ -20,7 +20,8 @@
 //!   threads race on the same link.
 //!
 //! The simulator coordinates real OS threads through a cooperative
-//! scheduler (see [`sim`] for the full protocol): threads spawned through
+//! scheduler ([`sim`] summarises it; an event queue, a link/TCP model and
+//! the scheduler are its three parts, under one lock): threads spawned through
 //! [`SimNet::spawn`] (or covered by a [`SimNet::enter`] guard) are
 //! *registered* — each parks on its own token, wakes are exact-key lookups
 //! rather than broadcasts, and virtual time only advances when every

@@ -35,6 +35,7 @@
 //! xrdlite server both run on it and differ only in the [`Driven`] task
 //! they make of an accepted stream.
 
+use crate::sim::dur_ns;
 use crate::slab::Slab;
 use crate::transport::{BoxedStream, Listener, Runtime, Signal};
 use davix_sync::{AtomicBool, AtomicUsize, Ordering};
@@ -42,10 +43,6 @@ use parking_lot::Mutex;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
-
-fn dur_ns(d: Duration) -> u64 {
-    d.as_nanos().min(u128::from(u64::MAX)) as u64
-}
 
 // ---------------------------------------------------------------------------
 // Driven tasks
@@ -506,7 +503,7 @@ fn rearm(token: usize, slot: &mut TaskSlot, wheel: &mut TimerWheel) {
 }
 
 fn shard_main(shard: Arc<ShardShared>, inner: Arc<ReactorInner>, rt: Arc<dyn Runtime>) {
-    let mut slots: Slab<TaskSlot> = Slab::new();
+    let mut slots: Slab<TaskSlot> = Slab::default();
     let mut wheel = TimerWheel::new(WHEEL_SLOTS, WHEEL_GRANULARITY);
     let mut gen_counter: u64 = 0;
     let mut shutdown_seen = false;

@@ -13,11 +13,13 @@ enum Entry<T> {
     Vacant,
 }
 
-impl<T> Slab<T> {
-    pub fn new() -> Self {
+impl<T> Default for Slab<T> {
+    fn default() -> Self {
         Slab { entries: Vec::new(), free: Vec::new(), len: 0 }
     }
+}
 
+impl<T> Slab<T> {
     pub fn insert(&mut self, value: T) -> usize {
         self.len += 1;
         if let Some(idx) = self.free.pop() {
@@ -58,7 +60,6 @@ impl<T> Slab<T> {
         }
     }
 
-    #[allow(dead_code)]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -84,7 +85,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert("a");
         let b = s.insert("b");
         assert_ne!(a, b);
@@ -98,7 +99,7 @@ mod tests {
 
     #[test]
     fn keys_are_reused_after_removal() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert(1);
         s.remove(a);
         let b = s.insert(2);
@@ -108,7 +109,7 @@ mod tests {
 
     #[test]
     fn iter_skips_vacant() {
-        let mut s = Slab::new();
+        let mut s = Slab::default();
         let a = s.insert(10);
         let _b = s.insert(20);
         s.remove(a);
