@@ -122,9 +122,9 @@ impl SplitRng {
 pub struct FaultPlan {
     /// Probability that a delivered segment picks up extra latency.
     /// Because arrivals stay monotonic per stream direction, a delayed
-    /// segment also delays everything queued behind it (head-of-line
-    /// blocking), which is how reordering pressure manifests in an
-    /// in-order byte-stream transport.
+    /// segment also delays everything queued behind it, the FIN included
+    /// (head-of-line blocking), which is how reordering pressure manifests
+    /// in an in-order byte-stream transport.
     pub delay_prob: f64,
     /// Upper bound on the extra latency of a delayed segment.
     pub delay_max: Duration,
@@ -284,9 +284,6 @@ pub(crate) struct FaultState {
     /// Per-(conn, dir) count of delivery decisions taken, keying the
     /// stateless per-segment RNG.
     seg_counters: HashMap<(usize, usize), u64>,
-    /// Per-(conn, dir) latest scheduled arrival; jittered segments are
-    /// clamped above it so the in-order byte stream stays in order.
-    last_arrival: HashMap<(usize, usize), u64>,
     /// Per-context count of buggify decisions taken.
     buggify_counters: HashMap<u64, u64>,
 }
@@ -300,7 +297,6 @@ impl FaultState {
             fingerprint,
             stats: FaultStats::default(),
             seg_counters: HashMap::new(),
-            last_arrival: HashMap::new(),
             buggify_counters: HashMap::new(),
         }
     }
@@ -322,17 +318,6 @@ impl FaultState {
         } else {
             Delivery::Pass
         }
-    }
-
-    /// `arrive`, clamped above the previous arrival on `(conn, dir)` and
-    /// recorded as the latest. Jitter must not reorder the in-order byte
-    /// stream, so a delayed segment holds back everything queued behind it
-    /// (head-of-line blocking — how reordering pressure manifests in a
-    /// stream model).
-    pub(crate) fn in_order(&mut self, conn: usize, dir: usize, arrive: u64) -> u64 {
-        let last = self.last_arrival.entry((conn, dir)).or_insert(0);
-        *last = if arrive <= *last { *last + 1 } else { arrive };
-        *last
     }
 
     /// Whether the plan refuses connect attempt `cid` (SYN blackholed)

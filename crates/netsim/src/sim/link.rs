@@ -166,6 +166,8 @@ struct DirState {
     rbuf_len: usize,
     fin: bool,
     fin_sent: bool,
+    /// When the last segment scheduled on this direction arrives.
+    last_arrival: u64,
     /// Happens-before clock for message delivery on this direction: the
     /// delivering thread releases when payload lands in `rbuf`, the reader
     /// acquires when it drains — so "data I wrote before send is visible
@@ -186,6 +188,7 @@ impl DirState {
             rbuf_len: 0,
             fin: false,
             fin_sent: false,
+            last_arrival: 0,
             race: davix_sync::race::SyncObj::new(),
         }
     }
@@ -489,8 +492,12 @@ impl Links {
                     return Ok(Sent::Segment(k));
                 }
             }
-            arrive = f.in_order(conn, dir, arrive);
+            // Jitter must not reorder the in-order byte stream: a delayed
+            // segment holds back everything queued behind it (head-of-line
+            // blocking — how reordering pressure manifests in a stream model).
+            arrive = arrive.max(d.last_arrival + 1);
         }
+        d.last_arrival = arrive;
         let mut data = Vec::with_capacity(k);
         for buf in bufs {
             data.extend_from_slice(&buf[..buf.len().min(k - data.len())]);
@@ -529,7 +536,9 @@ impl Links {
     }
 
     /// Schedule the FIN of `side`'s direction of `conn` behind what the
-    /// link still carries; a no-op once sent or after a reset.
+    /// link still carries, and no earlier than the direction's last
+    /// segment (a tie applies in schedule order, so the data lands first);
+    /// a no-op once sent or after a reset.
     pub(super) fn send_fin(&mut self, ev: &mut Events, conn: usize, side: usize) {
         let Some(c) = self.conns.get_mut(conn) else { return };
         let d = &mut c.dirs[side];
@@ -539,7 +548,8 @@ impl Links {
             return;
         }
         let busy = self.link_busy.get(&(c.hosts[side], c.hosts[1 - side])).copied().unwrap_or(0);
-        ev.schedule(busy.max(ev.now_ns()) + d.delay_ns, EventKind::Fin { conn, dir: side });
+        let at = (busy.max(ev.now_ns()) + d.delay_ns).max(d.last_arrival);
+        ev.schedule(at, EventKind::Fin { conn, dir: side });
     }
 
     /// One more handle on endpoint `side` of `conn`.

@@ -2,7 +2,7 @@
 //! arithmetic, TCP slow start, bandwidth serialization, failure injection,
 //! timeouts, signals and determinism.
 
-use netsim::{LinkSpec, Pollable, Runtime, SimNet};
+use netsim::{FaultPlan, LinkSpec, Pollable, Runtime, SimNet};
 use std::io::{IoSlice, Read, Write};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -188,6 +188,33 @@ fn fin_propagates_as_eof() {
     let mut all = Vec::new();
     c.read_to_end(&mut all).unwrap();
     assert_eq!(all, b"bye");
+}
+
+/// A FIN never overtakes data delayed on its direction: under a plan that
+/// delays every segment, the reader still gets every byte before EOF.
+#[test]
+fn a_fin_never_overtakes_delayed_data() {
+    for seed in 0..20 {
+        let net = two_hosts(Duration::from_millis(2), None);
+        let listener = net.bind("server", 80).unwrap();
+        let _g = net.enter();
+        let delay_max = Duration::from_millis(50);
+        net.install_fault_plan(
+            FaultPlan { delay_prob: 1.0, delay_max, ..Default::default() },
+            seed,
+            &[],
+        );
+        net.spawn("server", move || {
+            let (mut s, _) = listener.accept_sim().unwrap();
+            s.write_all(b"hello world").unwrap();
+            // drop → FIN, right behind the delayed segment
+        });
+        let mut c = net.connect("client", "server", 80).unwrap();
+        let mut all = Vec::new();
+        c.read_to_end(&mut all).unwrap();
+        assert_eq!(all, b"hello world", "seed {seed}");
+        assert_eq!(net.fault_stats().unwrap().delays_injected, 1, "seed {seed}");
+    }
 }
 
 /// Signals let unregistered-looking waits participate in virtual time:
