@@ -88,9 +88,9 @@ pub(super) struct Events {
     heap: BinaryHeap<Event>,
     seq: u64,
     now_ns: u64,
-    /// Bumped by every schedule, clock move, park, registration change and
-    /// finished wake delivery: the stall watchdog compares it across its
-    /// real-time wait.
+    /// Bumped by every schedule, clock move, park, (de)registration, host
+    /// up/down and finished wake delivery: the stall watchdog compares it,
+    /// with the scheduler's unpark count, across its real-time wait.
     pub(super) change_tick: u64,
     /// Virtual-time event trace, recorded while `Some` (see
     /// [`SimNet::record_trace`](super::SimNet::record_trace)).
