@@ -15,6 +15,12 @@
 //!   sub-MSS request write stalls on the previous one's delayed ACK);
 //! * `davix pool` — 8 worker threads dispatching through the session pool.
 //!
+//! The three one-connection arms drive the client's own [`Exchange`] and
+//! read each body with [`BodyReader`], so every strategy sends the pool's
+//! request bytes and only the connection strategy differs. Pipelining
+//! writes every exchange with [`Exchange::send_request`] before polling
+//! the first.
+//!
 //! Metrics: total completion time and the mean completion time of the
 //! *small* requests (where HOL blocking hurts).
 //!
@@ -25,13 +31,14 @@
 //! every push.
 
 use bytes::Bytes;
-use davix::{Config, DavixClient, PreparedRequest};
-use davix_bench::rawhttp::{pipelined_batch, RawConn};
+use davix::{Config, DavixClient, Exchange, ExchangePoll, PreparedRequest};
 use davix_bench::{env_usize, millis, secs, BenchReport, Table};
 use httpd::ServerConfig;
-use netsim::{LinkSpec, Runtime as _, SimNet};
+use httpwire::parse::BodyReader;
+use netsim::{BoxedStream, LinkSpec, Runtime as _, SimNet};
 use objstore::{ObjectStore, StorageNode, StorageOptions};
 use parking_lot::Mutex;
+use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -68,31 +75,31 @@ fn testnet(link: LinkSpec) -> (SimNet, Vec<String>) {
     (net, targets)
 }
 
-/// (total time, mean small-response completion)
-fn run_serial(link: LinkSpec) -> (Duration, Duration) {
+/// (total time, mean small-response completion) on one keep-alive
+/// connection: each request sent as its response is awaited (serial), or
+/// all of them written before the first response is read (`pipelined`).
+fn run_naive(link: LinkSpec, pipelined: bool) -> (Duration, Duration) {
     let (net, targets) = testnet(link);
     let _g = net.enter();
     let t0 = net.now();
-    let mut conn = RawConn::open(&net, "client", "server", 80).unwrap();
+    let stream: BoxedStream = Box::new(net.connect("client", "server", 80).unwrap());
+    let mut conn = BufReader::new(stream);
+    let get = |t: &String| PreparedRequest::get(format!("http://server{t}").parse().unwrap());
+    let mut exchanges: Vec<Exchange> = targets.iter().map(|t| Exchange::new(&get(t))).collect();
+    if pipelined {
+        for exchange in &mut exchanges {
+            exchange.send_request(conn.get_mut()).unwrap();
+        }
+    }
     let mut small_done = Vec::new();
-    for t in &targets {
-        conn.get("server", t).unwrap();
+    for (t, mut exchange) in targets.iter().zip(exchanges) {
+        let Ok(ExchangePoll::Head(start)) = exchange.poll(&mut conn) else { panic!("GET {t}") };
+        BodyReader::new(&mut conn, start.body).read_all().unwrap();
         if t.contains("small") {
             small_done.push(net.now() - t0);
         }
     }
     (net.now() - t0, mean_dur(&small_done))
-}
-
-fn run_pipelined(link: LinkSpec) -> (Duration, Duration) {
-    let (net, targets) = testnet(link);
-    let _g = net.enter();
-    let t0 = net.now();
-    let mut conn = RawConn::open(&net, "client", "server", 80).unwrap();
-    let done = pipelined_batch(&net, &mut conn, "server", &targets).unwrap();
-    // Response 0 is the big one; 1.. are the small ones.
-    let small: Vec<Duration> = done[1..].iter().map(|d| *d - t0).collect();
-    (net.now() - t0, mean_dur(&small))
 }
 
 fn run_pool(link: LinkSpec, workers: usize) -> (Duration, Duration) {
@@ -160,14 +167,14 @@ fn main() {
         [("lan", "LAN (2.5 ms RTT)", LinkSpec::lan()), ("wan", "WAN (150 ms RTT)", LinkSpec::wan())]
     {
         let mut table = Table::new(&["strategy", "total (s)", "mean small latency (ms)"]);
-        let (t, s) = run_serial(link);
+        let (t, s) = run_naive(link, false);
         table.row(vec!["serial keep-alive".into(), secs(t), millis(s)]);
         report.metric(&format!("{key}.serial.total_s"), t.as_secs_f64());
-        let (t, s) = run_pipelined(link);
+        let (t, s) = run_naive(link, true);
         table.row(vec!["pipelined (in-order)".into(), secs(t), millis(s)]);
         report.metric(&format!("{key}.pipelined.total_s"), t.as_secs_f64());
         report.metric_ms(&format!("{key}.pipelined.small_mean_ms"), s);
-        let (t, s) = run_pipelined(link.with_nagle());
+        let (t, s) = run_naive(link.with_nagle(), true);
         table.row(vec!["pipelined + nagle".into(), secs(t), millis(s)]);
         report.metric(&format!("{key}.pipelined_nagle.total_s"), t.as_secs_f64());
         let (t, s) = run_pool(link, 8);

@@ -197,6 +197,7 @@ const PARTIAL: &[u8] = b"GET /stall HTTP/1.1\r\nHost: serv";
 /// `408 Request Timeout`: the one response head the bench parses itself.
 fn evicted_with_408(resp: &[u8]) -> bool {
     let end = HeadScan::default().find(resp).ok().flatten();
+    // davix-lint: allow(one-client) — the server's eviction answer, which no client request gets
     end.and_then(|end| parse_response_head(&resp[..end]).ok())
         .is_some_and(|head| head.status == StatusCode::REQUEST_TIMEOUT)
 }

@@ -18,6 +18,11 @@
 //! All experiments run on virtual time: results are deterministic and a
 //! "300 ms" link costs nothing to simulate. Numbers are printed next to the
 //! paper's where the paper gives any.
+//!
+//! The harness has no HTTP client of its own: every request a bench makes
+//! is the shipped client's, through the executor or, where a bench picks
+//! the connection strategy itself (fig1's serial and pipelined arms,
+//! fig7's non-blocking load generator), through `davix::Exchange`.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -241,70 +246,6 @@ pub fn secs(d: Duration) -> String {
 /// Format a virtual duration in milliseconds with 1 decimal.
 pub fn millis(d: Duration) -> String {
     format!("{:.1}", d.as_secs_f64() * 1e3)
-}
-
-pub mod rawhttp {
-    //! A deliberately *naive* HTTP client used as the baseline in F1/F2:
-    //! single connection, optional pipelining, no pooling — the behaviours
-    //! the paper argues against.
-
-    use httpwire::{Method, RequestHead};
-    use netsim::{BoxedStream, SimNet};
-    use std::io::{BufReader, Write};
-    use std::time::Duration;
-
-    /// One keep-alive connection to `host:port` on a simulated net.
-    pub struct RawConn {
-        writer: BoxedStream,
-        reader: BufReader<BoxedStream>,
-    }
-
-    impl RawConn {
-        /// Connect.
-        pub fn open(net: &SimNet, from: &str, host: &str, port: u16) -> std::io::Result<RawConn> {
-            let stream = net.connect(from, host, port)?;
-            let writer = netsim::Stream::try_clone(&stream)?;
-            Ok(RawConn { writer, reader: BufReader::new(Box::new(stream)) })
-        }
-
-        /// Send one GET (does not read the response).
-        pub fn send_get(&mut self, host: &str, target: &str) -> std::io::Result<()> {
-            let mut head = RequestHead::new(Method::Get, target);
-            head.headers.set("Host", host);
-            self.writer.write_all(&head.to_bytes())
-        }
-
-        /// Read one full response body.
-        pub fn read_response(&mut self) -> std::io::Result<Vec<u8>> {
-            let (_, body) = httpd::server::read_full_response(&mut self.reader, &Method::Get)?;
-            Ok(body)
-        }
-
-        /// Serial request/response on this connection.
-        pub fn get(&mut self, host: &str, target: &str) -> std::io::Result<Vec<u8>> {
-            self.send_get(host, target)?;
-            self.read_response()
-        }
-    }
-
-    /// Pipelined batch: write all requests, then read all responses in
-    /// order. Returns the completion (virtual) time of each response.
-    pub fn pipelined_batch(
-        net: &SimNet,
-        conn: &mut RawConn,
-        host: &str,
-        targets: &[String],
-    ) -> std::io::Result<Vec<Duration>> {
-        for t in targets {
-            conn.send_get(host, t)?;
-        }
-        let mut done = Vec::with_capacity(targets.len());
-        for _ in targets {
-            conn.read_response()?;
-            done.push(net.now());
-        }
-        Ok(done)
-    }
 }
 
 #[cfg(test)]

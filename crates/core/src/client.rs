@@ -28,9 +28,9 @@ pub struct ClientInner {
 
 impl ClientInner {
     /// A scheduler over `replicas` on this client's runtime, metrics and
-    /// health knobs.
+    /// blacklist settings.
     pub(crate) fn replica_scheduler(&self, replicas: Vec<Uri>) -> Arc<crate::ReplicaScheduler> {
-        Arc::new(crate::ReplicaScheduler::from_config(
+        Arc::new(crate::ReplicaScheduler::new(
             replicas,
             Arc::clone(self.executor.runtime()),
             &self.cfg,

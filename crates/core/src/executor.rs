@@ -602,8 +602,10 @@ impl HttpExecutor {
 ///
 /// The executor drives it on pooled blocking sessions, where a poll
 /// returns the final head in one call; a load generator drives it on a
-/// non-blocking stream from a reactor. Either way the response body is
-/// next on the connection, for a [`BodyFraming`] to read.
+/// non-blocking stream from a reactor; a pipelining caller
+/// [sends](Self::send_request) several before it polls the first. Either
+/// way the response body is next on the connection, for a [`BodyFraming`]
+/// to read.
 #[derive(Debug)]
 pub struct Exchange {
     wire: Vec<u8>,
@@ -656,8 +658,11 @@ impl Exchange {
         self.sent >= self.wire.len()
     }
 
-    /// Write what is left of the request.
-    fn send_request(&mut self, conn: &mut impl Write) -> std::io::Result<()> {
+    /// Write what is left of the request, and no more: [`poll`](Self::poll)
+    /// does this first. A caller that pipelines sends several exchanges on
+    /// one connection this way, then polls each in order for its head and
+    /// reads its body before polling the next.
+    pub fn send_request(&mut self, conn: &mut impl Write) -> std::io::Result<()> {
         while self.sent < self.wire.len() {
             match conn.write(&self.wire[self.sent..]) {
                 Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
@@ -1814,6 +1819,49 @@ mod tests {
             assert_eq!(trickling.get_ref().written, blocking.get_ref().written);
             assert!(blocking.get_ref().written.starts_with(b"GET /f HTTP/1.1\r\nHost: s\r\n"));
         }
+    }
+
+    #[test]
+    fn pipelined_exchanges_are_answered_in_order_on_one_connection() {
+        use httpwire::parse::BodyReader;
+        use httpwire::BodyLen;
+        const BIG: usize = 64 * 1024;
+        let net = sim();
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&served);
+        let server = HttpServer::new(
+            Arc::new(move |req: Request| {
+                seen.lock().push(req.head.target.clone());
+                let body = if req.head.target == "/big" { vec![b'a'; BIG] } else { b"b".to_vec() };
+                Response::with_body(StatusCode::OK, "application/octet-stream", body)
+            }),
+            ServerConfig::default(),
+        );
+        server.serve(Box::new(net.bind("s", 80).unwrap()), net.runtime());
+        let _g = net.enter();
+        let stream: netsim::BoxedStream = Box::new(net.connect("c", "s", 80).unwrap());
+        let mut conn = BufReader::new(stream);
+        let get = |path: &str| PreparedRequest::get(format!("http://s{path}").parse().unwrap());
+        let mut exchanges = [Exchange::new(&get("/big")), Exchange::new(&get("/small"))];
+        // Both requests go out before either response is read.
+        for exchange in &mut exchanges {
+            exchange.send_request(conn.get_mut()).unwrap();
+            assert!(exchange.is_sent());
+        }
+        let [big, small] = &mut exchanges;
+        let Ok(ExchangePoll::Head(start)) = big.poll(&mut conn) else { panic!("no head") };
+        assert_eq!((start.head.status, start.body), (StatusCode::OK, BodyLen::Fixed(BIG as u64)));
+        assert_eq!(BodyReader::new(&mut conn, start.body).read_all().unwrap(), vec![b'a'; BIG]);
+        let big_done = net.now();
+        let Ok(ExchangePoll::Head(start)) = small.poll(&mut conn) else { panic!("no head") };
+        let small_head = net.now();
+        assert_eq!((start.head.status, start.body), (StatusCode::OK, BodyLen::Fixed(1)));
+        assert_eq!(BodyReader::new(&mut conn, start.body).read_all().unwrap(), b"b");
+        assert_eq!(*served.lock(), ["/big", "/small"]);
+        // The second answer comes after the first body ends, but was already
+        // on its way: it waits for no round trip (2 ms) of its own.
+        assert!(small_head >= big_done);
+        assert!(small_head - big_done < Duration::from_millis(2), "{small_head:?} {big_done:?}");
     }
 
     // ---- bounds on what a peer can make the policy loop do ----------------

@@ -273,9 +273,7 @@ pub use multistream::{
 pub use pool::{Endpoint, SessionPool};
 pub use posix::{DavPosix, DirEntry, FileStat};
 pub use replicas::{ReplicaFile, ReplicaSet};
-pub use scheduler::{
-    probe_endpoint, ReplicaHealthSnapshot, ReplicaId, ReplicaScheduler, SchedulerKnobs,
-};
+pub use scheduler::{probe_endpoint, ReplicaHealthSnapshot, ReplicaId, ReplicaScheduler};
 pub use upload::{
     multistream_upload, ChunkSource, FileSource, UploadOptions, UploadProtocol, UploadReport,
 };

@@ -47,25 +47,6 @@ pub type ReplicaId = usize;
 /// the newest sample.
 const EWMA_ALPHA: f64 = 0.3;
 
-/// Health-scoring tunables, normally taken from [`Config`].
-#[derive(Debug, Clone, Copy)]
-pub struct SchedulerKnobs {
-    /// Consecutive failures before a replica is blacklisted.
-    pub failure_threshold: u32,
-    /// How long a blacklisted replica sits out before it may be re-tried.
-    pub blacklist_cooldown: Duration,
-}
-
-impl SchedulerKnobs {
-    /// Extract the scheduler knobs from a client [`Config`].
-    pub fn from_config(cfg: &Config) -> SchedulerKnobs {
-        SchedulerKnobs {
-            failure_threshold: cfg.replica_failure_threshold.max(1),
-            blacklist_cooldown: cfg.replica_blacklist_cooldown,
-        }
-    }
-}
-
 /// Per-replica health state.
 struct Health {
     uri: Uri,
@@ -121,35 +102,30 @@ pub struct ReplicaHealthSnapshot {
 /// Shared, thread-safe replica ranking (see the module docs).
 pub struct ReplicaScheduler {
     rt: Arc<dyn Runtime>,
-    knobs: SchedulerKnobs,
+    /// Consecutive failures before a replica is blacklisted (at least 1).
+    failure_threshold: u32,
+    /// How long a blacklisted replica sits out before it may be re-tried.
+    blacklist_cooldown: Duration,
     metrics: Option<Arc<Metrics>>,
     state: Mutex<Vec<Health>>,
 }
 
 impl ReplicaScheduler {
-    /// Build a scheduler over `replicas` (kept in priority order).
+    /// Build a scheduler over `replicas` (kept in priority order), with the
+    /// blacklist settings of `cfg`.
     pub fn new(
-        replicas: Vec<Uri>,
-        rt: Arc<dyn Runtime>,
-        knobs: SchedulerKnobs,
-        metrics: Option<Arc<Metrics>>,
-    ) -> ReplicaScheduler {
-        ReplicaScheduler {
-            rt,
-            knobs,
-            metrics,
-            state: Mutex::new(replicas.into_iter().map(Health::new).collect()),
-        }
-    }
-
-    /// As [`new`](Self::new), with knobs taken from a client [`Config`].
-    pub fn from_config(
         replicas: Vec<Uri>,
         rt: Arc<dyn Runtime>,
         cfg: &Config,
         metrics: Option<Arc<Metrics>>,
     ) -> ReplicaScheduler {
-        ReplicaScheduler::new(replicas, rt, SchedulerKnobs::from_config(cfg), metrics)
+        ReplicaScheduler {
+            rt,
+            failure_threshold: cfg.replica_failure_threshold.max(1),
+            blacklist_cooldown: cfg.replica_blacklist_cooldown,
+            metrics,
+            state: Mutex::new(replicas.into_iter().map(Health::new).collect()),
+        }
     }
 
     /// Number of replicas known to the scheduler.
@@ -298,9 +274,9 @@ impl ReplicaScheduler {
         let Some(h) = st.get_mut(id) else { return };
         h.failures += 1;
         h.consecutive_failures += 1;
-        if h.consecutive_failures >= self.knobs.failure_threshold {
+        if h.consecutive_failures >= self.failure_threshold {
             let newly = !h.blacklisted_at(now);
-            h.blacklisted_until = Some(now + self.knobs.blacklist_cooldown);
+            h.blacklisted_until = Some(now + self.blacklist_cooldown);
             if newly {
                 if let Some(m) = &self.metrics {
                     Metrics::bump(&m.replicas_blacklisted);
@@ -383,14 +359,14 @@ mod tests {
         (0..n).map(|i| format!("http://r{i}.example/f").parse().unwrap()).collect()
     }
 
-    fn knobs() -> SchedulerKnobs {
-        SchedulerKnobs { failure_threshold: 2, blacklist_cooldown: Duration::from_millis(500) }
+    fn cfg() -> Config {
+        Config::default().replica_blacklist(2, Duration::from_millis(500))
     }
 
     fn sim_sched(n: usize) -> (SimNet, Arc<ReplicaScheduler>) {
         let net = SimNet::new();
         net.add_host("h");
-        let sched = Arc::new(ReplicaScheduler::new(uris(n), net.runtime(), knobs(), None));
+        let sched = Arc::new(ReplicaScheduler::new(uris(n), net.runtime(), &cfg(), None));
         (net, sched)
     }
 
@@ -512,7 +488,7 @@ mod tests {
         let sched = Arc::new(ReplicaScheduler::new(
             vec!["http://r0.example/f".parse().unwrap()],
             net.runtime(),
-            SchedulerKnobs { failure_threshold: 1, blacklist_cooldown: Duration::from_secs(3600) },
+            &Config::default().replica_blacklist(1, Duration::from_secs(3600)),
             None,
         ));
         let _g = net.enter();

@@ -3,6 +3,7 @@
 use crate::catalog::ReplicaCatalog;
 use httpd::{Request, Response};
 use httpwire::{Method, StatusCode};
+use objstore::handler::wants_metalink;
 use std::sync::Arc;
 
 /// Handler for a federated namespace mounted under a prefix.
@@ -22,17 +23,6 @@ impl FedHandler {
     pub fn new(catalog: Arc<ReplicaCatalog>, prefix: &str) -> FedHandler {
         FedHandler { catalog, prefix: prefix.trim_end_matches('/').to_string() }
     }
-
-    fn wants_metalink(req: &Request) -> bool {
-        let q = req.head.query().unwrap_or("");
-        q.split('&').any(|kv| kv == "metalink" || kv.starts_with("metalink="))
-            || req
-                .head
-                .headers
-                .get("accept")
-                .map(|a| a.contains(metalink::METALINK_CONTENT_TYPE))
-                .unwrap_or(false)
-    }
 }
 
 impl httpd::Handler for FedHandler {
@@ -46,7 +36,7 @@ impl httpd::Handler for FedHandler {
         };
         let path = if path.starts_with('/') { path.to_string() } else { format!("/{path}") };
 
-        if Self::wants_metalink(&req) {
+        if wants_metalink(&req) {
             return match self.catalog.metalink(&path) {
                 Some(ml) => Response::with_body(
                     StatusCode::OK,

@@ -11,7 +11,6 @@
 use crate::conn::HttpConn;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
-use httpwire::parse::{BodyReader, StartReader};
 use httpwire::{date, HeadWriter, HeaderMap, RequestHead, StatusCode, Version};
 use netsim::{Listener, Runtime, ServerCore};
 use std::cell::RefCell;
@@ -265,21 +264,10 @@ pub(crate) fn response_parts(
     }
 }
 
-/// Read one full response from `r`, interim 1xx responses skipped: the
-/// blocking client in miniature, for tests here and downstream and for the
-/// bench harness's naive baseline client.
-pub fn read_full_response(
-    r: &mut impl std::io::BufRead,
-    req_method: &httpwire::Method,
-) -> Result<(httpwire::ResponseHead, Vec<u8>), httpwire::WireError> {
-    let start = StartReader::new(req_method, false).read(r)?;
-    let body = BodyReader::new(r, start.body).read_all()?;
-    Ok((start.head, body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use httpwire::parse::{BodyReader, StartReader};
     use httpwire::Method;
     use netsim::{LinkSpec, SimNet};
     use std::io::{BufReader, Write};
@@ -330,6 +318,16 @@ mod tests {
         h
     }
 
+    /// Read one full response from `r`, interim 1xx responses skipped.
+    fn read_response(
+        r: &mut impl std::io::BufRead,
+        req_method: &Method,
+    ) -> Result<(httpwire::ResponseHead, Vec<u8>), httpwire::WireError> {
+        let start = StartReader::new(req_method, false).read(r)?;
+        let body = BodyReader::new(r, start.body).read_all()?;
+        Ok((start.head, body))
+    }
+
     #[test]
     fn serves_basic_request() {
         let (net, rt) = sim_pair();
@@ -339,7 +337,7 @@ mod tests {
         let mut c = net.connect("client", "server", 80).unwrap();
         send(&mut c, Method::Get, "/hello", None);
         let mut r = BufReader::new(c);
-        let (head, body) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (head, body) = read_response(&mut r, &Method::Get).unwrap();
         assert_eq!(head.status, StatusCode::OK);
         assert_eq!(body, b"GET /hello");
         assert!(head.headers.contains("date"));
@@ -358,7 +356,7 @@ mod tests {
         let mut r = BufReader::new(c);
         for i in 0..5 {
             send(&mut w, Method::Get, &format!("/r{i}"), None);
-            let (head, body) = read_full_response(&mut r, &Method::Get).unwrap();
+            let (head, body) = read_response(&mut r, &Method::Get).unwrap();
             assert_eq!(head.status, StatusCode::OK);
             assert_eq!(body, format!("GET /r{i}").as_bytes());
             assert!(!head.headers.connection_has("close"));
@@ -383,7 +381,7 @@ mod tests {
         let get = |target: &str| {
             let mut c = net.connect("client", "server", 80).unwrap();
             send(&mut c, Method::Get, target, None);
-            read_full_response(&mut BufReader::new(c), &Method::Get).unwrap()
+            read_response(&mut BufReader::new(c), &Method::Get).unwrap()
         };
         let (head, _) = get("/boom");
         assert_eq!(head.status, StatusCode::INTERNAL_SERVER_ERROR);
@@ -404,7 +402,7 @@ mod tests {
         let mut c = net.connect("client", "server", 80).unwrap();
         send(&mut c, Method::Put, "/obj", Some(b"payload"));
         let mut r = BufReader::new(c);
-        let (_, body) = read_full_response(&mut r, &Method::Put).unwrap();
+        let (_, body) = read_response(&mut r, &Method::Put).unwrap();
         assert_eq!(body, b"PUT /obj body=payload");
     }
 
@@ -421,7 +419,7 @@ mod tests {
         h.headers.set("Connection", "close");
         w.write_all(&h.to_bytes()).unwrap();
         let mut r = BufReader::new(c);
-        let (head, _) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (head, _) = read_response(&mut r, &Method::Get).unwrap();
         assert!(head.headers.connection_has("close"));
         // Next read sees EOF: server closed.
         let mut buf = [0u8; 1];
@@ -441,10 +439,10 @@ mod tests {
         let mut w = netsim::Stream::try_clone(&c).unwrap();
         let mut r = BufReader::new(c);
         send(&mut w, Method::Get, "/1", None);
-        let (h1, _) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (h1, _) = read_response(&mut r, &Method::Get).unwrap();
         assert!(!h1.headers.connection_has("close"));
         send(&mut w, Method::Get, "/2", None);
-        let (h2, _) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (h2, _) = read_response(&mut r, &Method::Get).unwrap();
         assert!(h2.headers.connection_has("close"));
     }
 
@@ -461,12 +459,12 @@ mod tests {
         let mut w = netsim::Stream::try_clone(&c).unwrap();
         let mut r = BufReader::new(c);
         send(&mut w, Method::Head, "/x", None);
-        let (head, body) = read_full_response(&mut r, &Method::Head).unwrap();
+        let (head, body) = read_response(&mut r, &Method::Head).unwrap();
         assert_eq!(head.headers.content_length().unwrap(), Some(10));
         assert!(body.is_empty());
         // Connection still usable.
         send(&mut w, Method::Get, "/x", None);
-        let (_, body) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (_, body) = read_response(&mut r, &Method::Get).unwrap();
         assert_eq!(body, b"0123456789");
     }
 
@@ -484,7 +482,7 @@ mod tests {
         }
         let mut r = BufReader::new(c);
         for i in 0..3 {
-            let (_, body) = read_full_response(&mut r, &Method::Get).unwrap();
+            let (_, body) = read_response(&mut r, &Method::Get).unwrap();
             assert_eq!(body, format!("GET /p{i}").as_bytes());
         }
     }
@@ -507,12 +505,12 @@ mod tests {
         let interim = httpwire::parse::read_response_head(&mut r).unwrap();
         assert_eq!(interim.status.0, 100);
         w.write_all(b"payload").unwrap();
-        let (head, body) = read_full_response(&mut r, &Method::Put).unwrap();
+        let (head, body) = read_response(&mut r, &Method::Put).unwrap();
         assert_eq!(head.status, StatusCode::OK);
         assert_eq!(body, b"PUT /obj body=payload");
         // Connection is still usable afterwards.
         send(&mut w, Method::Get, "/again", None);
-        let (_, body) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (_, body) = read_response(&mut r, &Method::Get).unwrap();
         assert_eq!(body, b"GET /again");
     }
 
@@ -607,7 +605,7 @@ mod tests {
         let mut c = net.connect("client", "server", 80).unwrap();
         send(&mut c, Method::Get, "/x", None);
         let mut r = BufReader::new(c);
-        let (head, body) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (head, body) = read_response(&mut r, &Method::Get).unwrap();
         assert_eq!(head.version, Version::Http10);
         assert_eq!(body, b"ok");
         let mut buf = [0u8; 1];
@@ -630,7 +628,7 @@ mod tests {
         // time far exceeds the timeout, but each request re-arms it.
         for i in 0..3 {
             send(&mut w, Method::Get, &format!("/r{i}"), None);
-            let (head, _) = read_full_response(&mut r, &Method::Get).unwrap();
+            let (head, _) = read_response(&mut r, &Method::Get).unwrap();
             assert_eq!(head.status, StatusCode::OK, "request {i} after re-arm");
             rt.sleep(Duration::from_millis(60));
         }
@@ -666,7 +664,7 @@ mod tests {
             let _ = w.write_all(b"y");
         }
         let mut r = BufReader::new(c);
-        let (head, _) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (head, _) = read_response(&mut r, &Method::Get).unwrap();
         assert_eq!(head.status.0, 408);
         let mut buf = [0u8; 1];
         assert_eq!(std::io::Read::read(&mut r, &mut buf).unwrap(), 0, "408 closes");
@@ -698,7 +696,7 @@ mod tests {
         let _ = w.write_all(b"abc");
         rt.sleep(Duration::from_millis(100));
         let mut r = BufReader::new(c);
-        let (head, _) = read_full_response(&mut r, &Method::Put).unwrap();
+        let (head, _) = read_response(&mut r, &Method::Put).unwrap();
         assert_eq!(head.status.0, 408);
         assert_eq!(stats.timeouts.load(Ordering::Relaxed), 1);
     }
@@ -718,12 +716,12 @@ mod tests {
         let mut w1 = netsim::Stream::try_clone(&c1).unwrap();
         let mut r1 = BufReader::new(c1);
         send(&mut w1, Method::Get, "/a", None);
-        read_full_response(&mut r1, &Method::Get).unwrap();
+        read_response(&mut r1, &Method::Get).unwrap();
         let c2 = net.connect("client", "server", 80).unwrap();
         let mut w2 = netsim::Stream::try_clone(&c2).unwrap();
         let mut r2 = BufReader::new(c2);
         send(&mut w2, Method::Get, "/b", None);
-        read_full_response(&mut r2, &Method::Get).unwrap();
+        read_response(&mut r2, &Method::Get).unwrap();
         // A third connection establishes (kernel backlog) but is not
         // accepted — its request sits unanswered until a slot frees.
         let c3 = net.connect("client", "server", 80).unwrap();
@@ -733,7 +731,7 @@ mod tests {
         // Free a slot; the accept loop picks up the queued connection.
         drop(w1);
         drop(r1);
-        let (head, _) = read_full_response(&mut r3, &Method::Get).unwrap();
+        let (head, _) = read_response(&mut r3, &Method::Get).unwrap();
         assert_eq!(head.status, StatusCode::OK);
         assert!(
             stats.peak_open.load(Ordering::Relaxed) <= 2,
@@ -763,7 +761,7 @@ mod tests {
         server.stop();
         assert_eq!(server.reactor_threads_live(), 0, "shard threads must join");
         // The in-flight request was answered, not dropped.
-        let (head, body) = read_full_response(&mut r, &Method::Get).unwrap();
+        let (head, body) = read_response(&mut r, &Method::Get).unwrap();
         assert_eq!(head.status, StatusCode::OK);
         assert_eq!(body, b"done");
         assert!(head.headers.connection_has("close"));
@@ -781,7 +779,7 @@ mod tests {
         let mut r = BufReader::new(c.try_clone().unwrap());
         for i in 0..3 {
             send(&mut c, Method::Get, &format!("/t{i}"), None);
-            let (head, body) = read_full_response(&mut r, &Method::Get).unwrap();
+            let (head, body) = read_response(&mut r, &Method::Get).unwrap();
             assert_eq!(head.status, StatusCode::OK);
             assert_eq!(body, format!("GET /t{i}").as_bytes());
         }
@@ -812,7 +810,7 @@ mod tests {
         c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         send(&mut c, Method::Get, "/", None);
         let mut r = BufReader::new(c.try_clone().unwrap());
-        assert_eq!(read_full_response(&mut r, &Method::Get).unwrap().0.status, StatusCode::OK);
+        assert_eq!(read_response(&mut r, &Method::Get).unwrap().0.status, StatusCode::OK);
         server.stop();
         drop(server);
         assert_eq!(Arc::strong_count(&marker), 1, "a server thread outlived stop()");

@@ -46,11 +46,13 @@
 //!   in the servers (`crates/httpd/src`, `crates/xrdlite/src/server.rs`):
 //!   their threads are the reactor shards and the accept thread that
 //!   `netsim::ServerCore` starts.
-//! * **`one-client`** — no `parse_response_head(..)` call outside the
-//!   crates that speak HTTP for everyone (`httpwire`, `core`, `httpd`):
-//!   load generators and probes drive the client's `Exchange` on their
-//!   stream rather than growing a second HTTP client. fig7's slowloris
-//!   `408` check is allow-listed by file and function name.
+//! * **`one-client`** — no response head read by hand
+//!   (`parse_response_head(..)`, `read_response_head(..)`,
+//!   `StartReader::new(..)`) outside the crates that speak HTTP for
+//!   everyone (`httpwire`, `core`): load generators, probes and benches
+//!   drive the client's `Exchange` on their stream rather than growing a
+//!   second HTTP client, and the server reads no responses. fig7's
+//!   slowloris `408` check carries a per-site marker.
 //! * **`shared-state`** — no bare `std::sync::atomic` paths, `static mut`,
 //!   or `UnsafeCell` outside `crates/sync` (the shim itself) and the
 //!   real-time binaries. The `race-detect` sanitizer only sees

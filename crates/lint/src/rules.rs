@@ -37,12 +37,13 @@ pub enum Rule {
     /// does, for both reasons: its server is on `ServerCore` and its client
     /// does its I/O on the calling thread.
     ThreadHygiene,
-    /// A response head parsed by hand (`parse_response_head(..)`) outside
-    /// the crates that speak HTTP for everyone — `httpwire`, the client's
-    /// exchange in `core`, `httpd` — which is how a second HTTP client
-    /// starts to grow. Load generators and probes drive `davix::Exchange`
+    /// A response head read by hand (`parse_response_head(..)`,
+    /// `read_response_head(..)` or `StartReader::new(..)`) outside the
+    /// crates that speak HTTP for everyone — `httpwire` and the client's
+    /// exchange in `core` — which is how a second HTTP client starts to
+    /// grow. Load generators, probes and benches drive `davix::Exchange`
     /// instead; the one head a bench must read itself (fig7's slowloris
-    /// `408`, which no client request ever gets) is allow-listed by name.
+    /// `408`, which no client request ever gets) carries a per-site marker.
     OneClient,
     /// Bare shared mutable state outside the `davix-sync` shim: direct
     /// `std::sync::atomic` paths, `static mut`, or `UnsafeCell`. The
@@ -162,18 +163,12 @@ const SERVER_SPAWN: &str = "`.spawn(..)` in a server — its threads are the rea
 const XRD_CLIENT_SPAWN: &str = "`.spawn(..)` in the xrdlite client — a blocking client does its \
     I/O on the calling thread: the caller writes its own request frame and a waiting caller reads";
 
-const HAND_PARSED: &str = "a response head parsed by hand — a second HTTP client; drive \
+const HAND_PARSED: &str = "a response head read by hand — a second HTTP client; drive \
     `davix::Exchange` (and `BodyFraming` for the body) on the stream instead";
 
-/// The crates that speak HTTP/1.1 for everyone else: the wire codec, the
-/// client (whose `Exchange` every other client drives) and the server.
-const HTTP_CRATES: &[&str] = &["crates/httpwire/", "crates/core/", "crates/httpd/"];
-
-/// Functions outside [`HTTP_CRATES`] that may parse a response head
-/// themselves, by file and name: fig7's slowloris attacker checks the `408`
-/// that evicts it, a response no client request gets.
-const HEAD_PARSE_ALLOW: &[(&str, &str)] =
-    &[("crates/bench/src/bin/fig7_c10k.rs", "evicted_with_408")];
+/// The crates that speak HTTP/1.1 for everyone else: the wire codec and the
+/// client, whose `Exchange` every other client drives.
+const HTTP_CRATES: &[&str] = &["crates/httpwire/", "crates/core/"];
 
 /// Bench and CLI binaries are real-time programs (they report wall time and
 /// talk to terminals); every determinism/thread rule is waived there.
@@ -364,15 +359,17 @@ impl<'a> Ctx<'a> {
 
     fn one_client(&mut self, skip: &[(usize, usize)]) {
         let toks = self.tokens;
-        let mut within = ""; // the function being read: the last `fn name`
-        for i in 1..toks.len() {
-            if toks[i - 1].is_ident("fn") {
-                within = &toks[i].text;
-            } else if toks[i].is_ident("parse_response_head")
-                && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
-                && !in_ranges(i, skip)
-                && !HEAD_PARSE_ALLOW.contains(&(self.rel_path, within))
-            {
+        let called = |at: usize| toks.get(at).is_some_and(|t| t.is_punct("("));
+        for i in 0..toks.len() {
+            let head_reader = match path3(toks, i) {
+                Some(("StartReader", "new")) => called(i + 3),
+                _ => {
+                    (toks[i].is_ident("parse_response_head")
+                        || toks[i].is_ident("read_response_head"))
+                        && called(i + 1)
+                }
+            };
+            if head_reader && !in_ranges(i, skip) {
                 self.emit_unless_allowed(Rule::OneClient, toks[i].line, HAND_PARSED.to_string());
             }
         }

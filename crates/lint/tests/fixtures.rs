@@ -97,21 +97,44 @@ fn server_spawn_fixture_is_flagged_under_the_servers_only() {
 #[test]
 fn client_head_parse_fixture_is_flagged_outside_the_http_crates() {
     // A response head parsed by hand is a second HTTP client growing: in
-    // a bench it is a finding, except in fig7's slowloris `408` check; the
-    // crates that speak HTTP for everyone parse heads as they must.
+    // a bench — fig7 included — or a server it is a finding; the crates
+    // that speak HTTP for everyone parse heads as they must. The one
+    // exempt site carries its own marker.
     let src = std::fs::read_to_string(fixture_dir().join("bad/client_head_parse.rs")).unwrap();
+    let findings = |rel: &str, src: &str| -> Vec<(Rule, u32)> {
+        lint_source(rel, src).iter().map(|f| (f.rule, f.line)).collect()
+    };
+    let both = vec![(Rule::OneClient, 15), (Rule::OneClient, 32)];
+    assert_eq!(lint_fixture("bad/client_head_parse.rs"), both);
+    for other in [
+        "crates/bench/src/bin/fig9.rs",
+        "crates/bench/src/bin/fig7_c10k.rs",
+        "crates/httpd/src/conn.rs",
+    ] {
+        assert_eq!(findings(other, &src), both, "{other}");
+    }
+    for own in ["crates/httpwire/src/parse.rs", "crates/core/src/executor.rs"] {
+        assert!(findings(own, &src).is_empty(), "{own}");
+    }
+    let marked = src.replace(
+        "find(resp).ok().flatten();",
+        "find(resp).ok().flatten(); // davix-lint: allow(one-client) — the 408 eviction",
+    );
+    assert_eq!(findings("crates/bench/src/bin/fig7_c10k.rs", &marked), vec![(Rule::OneClient, 15)]);
+}
+
+#[test]
+fn start_reader_by_hand_fixture_is_flagged_outside_the_http_crates() {
+    // Reading heads with the codec's own readers is the same second client
+    // as parsing them: `StartReader::new(..)` and `read_response_head(..)`.
+    let src = std::fs::read_to_string(fixture_dir().join("bad/start_reader_by_hand.rs")).unwrap();
     let findings = |rel: &str| -> Vec<(Rule, u32)> {
         lint_source(rel, &src).iter().map(|f| (f.rule, f.line)).collect()
     };
-    assert_eq!(lint_fixture("bad/client_head_parse.rs"), findings("crates/bench/src/bin/fig9.rs"));
-    assert_eq!(
-        findings("crates/bench/src/bin/fig9.rs"),
-        vec![(Rule::OneClient, 15), (Rule::OneClient, 32)]
-    );
-    assert_eq!(findings("crates/bench/src/bin/fig7_c10k.rs"), vec![(Rule::OneClient, 15)]);
-    for own in
-        ["crates/httpwire/src/parse.rs", "crates/core/src/executor.rs", "crates/httpd/src/conn.rs"]
-    {
+    let expected = vec![(Rule::OneClient, 21), (Rule::OneClient, 27)];
+    assert_eq!(lint_fixture("bad/start_reader_by_hand.rs"), expected);
+    assert_eq!(findings("crates/bench/src/lib.rs"), expected);
+    for own in ["crates/httpwire/src/parse.rs", "crates/core/src/executor.rs"] {
         assert!(findings(own).is_empty(), "{own}");
     }
 }
@@ -232,6 +255,7 @@ fn binary_denies_each_bad_fixture_with_file_line_diagnostics() {
         ("bad/guard_use_is_not_handoff.rs", "lock-discipline", 12),
         ("bad/rogue_spawn.rs", "thread-hygiene", 7),
         ("bad/client_head_parse.rs", "one-client", 15),
+        ("bad/start_reader_by_hand.rs", "one-client", 21),
         ("bad/bare_atomic.rs", "shared-state", 5),
         ("bad/static_mut.rs", "shared-state", 4),
         // The binary lints explicit paths as one set with a call graph, so

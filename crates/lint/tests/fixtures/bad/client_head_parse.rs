@@ -1,8 +1,8 @@
-//! BAD fixture when linted outside `httpwire`, `core` and `httpd`: a bench
-//! client that reads its responses with a head parser of its own instead
-//! of driving the client's exchange. Expected findings: one-client at
-//! lines 15 and 32 — the second only where `evicted_with_408` is not
-//! fig7's allow-listed slowloris check.
+//! BAD fixture when linted outside `httpwire` and `core`: a bench client
+//! that reads its responses with a head parser of its own instead of
+//! driving the client's exchange. Expected findings: one-client at lines
+//! 15 and 32, under any file name — fig7's real `evicted_with_408` is
+//! exempt only by the marker on its own call.
 
 impl ClientSession for HandRolledGet {
     fn poll(&mut self, io: &mut BoxedStream, now: Duration) -> io::Result<SessionPoll> {

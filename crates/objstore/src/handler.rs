@@ -508,20 +508,8 @@ impl StorageHandler {
         }
     }
 
-    fn wants_metalink(req: &Request) -> bool {
-        let q = req.head.query().unwrap_or("");
-        if q.split('&').any(|kv| kv == "metalink" || kv.starts_with("metalink=")) {
-            return true;
-        }
-        req.head
-            .headers
-            .get("accept")
-            .map(|a| a.contains(metalink::METALINK_CONTENT_TYPE))
-            .unwrap_or(false)
-    }
-
     fn get_like(&self, req: &Request, path: &str) -> Response {
-        if Self::wants_metalink(req) {
+        if wants_metalink(req) {
             return match self.opts.metalink.as_ref().and_then(|src| src(path)) {
                 Some(xml) => Response::with_body(
                     StatusCode::OK,
@@ -658,6 +646,16 @@ impl StorageHandler {
         let body = format!("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n{}", ms.to_xml());
         Response::with_body(StatusCode::MULTI_STATUS, "application/xml", body.into_bytes())
     }
+}
+
+/// Whether `req` asks for its object's Metalink rather than the object: a
+/// `metalink` query flag, or an `Accept` naming
+/// [`metalink::METALINK_CONTENT_TYPE`]. A storage node and a federation
+/// negotiate it the same way.
+pub fn wants_metalink(req: &Request) -> bool {
+    let accept = req.head.headers.get("accept");
+    StorageHandler::query_flag(req, "metalink")
+        || accept.is_some_and(|a| a.contains(metalink::METALINK_CONTENT_TYPE))
 }
 
 impl httpd::Handler for StorageHandler {
