@@ -2,23 +2,106 @@
 //! verification): Adler-32 (zlib) and CRC-32 (IEEE),
 //! implemented from their definitions — no external crates.
 //!
-//! Both run on four independent lanes, so the CPU overlaps four dependency
-//! chains instead of waiting on one. Adler-32 sums every fourth byte per
-//! lane and folds the lanes once per 5 552-byte block. CRC-32 runs
-//! slice-by-16 over the four quarters of an input of at least 1 KiB and
-//! joins them with the same polynomial arithmetic that [`crc32_combine`]
-//! publishes; shorter inputs and the last < 64 bytes take one lane.
+//! Each algorithm has a kernel that takes the running state and returns it
+//! — the CRC register, or Adler's `(a, b)` — so [`crc32`], [`adler32`] and
+//! [`crc32_adler32`] all drive the same kernels. [`crc32_adler32`] feeds
+//! both 32 KiB at a time, so a payload comes from memory once for the two
+//! digests a stored object carries.
+//!
+//! On x86-64 the kernels are vector code (the `x86` module, the one place
+//! in the crate allowed `unsafe`):
+//! - CRC-32 folds four 128-bit lanes with `PCLMULQDQ` and ends with a
+//!   Barrett reduction (Intel, "Fast CRC Computation for Generic
+//!   Polynomials Using PCLMULQDQ", 2009). It runs when the CPU reports
+//!   `pclmulqdq` and `sse4.1` at run time, on inputs of 128 bytes and more.
+//! - Adler-32 takes 32 bytes a step on SSE2, which every x86-64 CPU has:
+//!   `_mm_sad_epu8` sums the bytes and `_mm_madd_epi16` weighs them 32…1,
+//!   folded mod 65 521 once per 5 536-byte block.
+//!
+//! The portable kernels below are kept on every target: they are the only
+//! path on other architectures, on CPUs without CLMUL and for short
+//! inputs, they take the tails the vector kernels leave, and they are the
+//! reference the vector kernels are tested against. Both run on four
+//! independent lanes, so the CPU overlaps four dependency chains instead
+//! of waiting on one. Adler-32 sums every fourth byte per lane and folds
+//! the lanes once per 5 552-byte block. CRC-32 runs slice-by-16 over the
+//! four quarters of an input of at least 1 KiB and joins them with the
+//! same polynomial arithmetic that [`crc32_combine`] publishes; shorter
+//! inputs and the last < 64 bytes take one lane.
+//!
 //! [`adler32_combine`] and [`crc32_combine`] let digests of chunks computed
 //! apart, in any order, be folded into the digest of the whole.
 
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
+
 /// Adler-32 as defined by RFC 1950 §8.2.
 pub fn adler32(data: &[u8]) -> u32 {
-    const MOD: u64 = 65_521;
+    adler32_finish(adler32_update(ADLER_INIT, data))
+}
+
+/// CRC-32 (IEEE 802.3, the zip/png polynomial).
+pub fn crc32(data: &[u8]) -> u32 {
+    crc32_update(CRC_INIT, data) ^ CRC_INIT
+}
+
+/// Both digests of `data`, `(crc32, adler32)`, in one pass: each 32 KiB
+/// goes through both kernels while it is still in cache.
+pub fn crc32_adler32(data: &[u8]) -> (u32, u32) {
+    let (mut crc, mut adler) = (CRC_INIT, ADLER_INIT);
+    for chunk in data.chunks(PAIR_CHUNK) {
+        crc = crc32_update(crc, chunk);
+        adler = adler32_update(adler, chunk);
+    }
+    (crc ^ CRC_INIT, adler32_finish(adler))
+}
+
+/// What [`crc32_adler32`] hands each kernel at a time: well inside L2.
+const PAIR_CHUNK: usize = 32 << 10;
+
+/// Adler-32's running state: `(a, b)`, each reduced mod [`ADLER_MOD`].
+type AdlerState = (u32, u32);
+
+/// The largest prime below 2^16.
+const ADLER_MOD: u64 = 65_521;
+const ADLER_INIT: AdlerState = (1, 0);
+
+/// The digest of a final state.
+fn adler32_finish((a, b): AdlerState) -> u32 {
+    (b << 16) | a
+}
+
+/// The CRC register's preset, and the mask the digest is taken through.
+const CRC_INIT: u32 = 0xFFFF_FFFF;
+
+/// Adler's state after `state` has taken `data`: the SSE2 kernel on
+/// x86-64, the portable one elsewhere.
+fn adler32_update(state: AdlerState, data: &[u8]) -> AdlerState {
+    #[cfg(target_arch = "x86_64")]
+    return x86::adler32(state, data);
+    #[cfg(not(target_arch = "x86_64"))]
+    adler32_portable(state, data)
+}
+
+/// The CRC register after `crc` has taken `data`: the CLMUL kernel where
+/// it runs, the portable one otherwise.
+fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(crc) = x86::crc32(crc, data) {
+        return crc;
+    }
+    crc32_portable(crc, data)
+}
+
+/// The portable Adler-32 kernel: `(a, b)` after `state` has taken `data`.
+fn adler32_portable(state: AdlerState, data: &[u8]) -> AdlerState {
+    const MOD: u64 = ADLER_MOD;
     // zlib's NMAX, a multiple of 4: a lane's `lb` stays below
     // 255·1388·1389/2 < 2^28, and the fold runs in u64.
     const NMAX: usize = 5552 / 4 * 4;
-    let mut a: u64 = 1;
-    let mut b: u64 = 0;
+    let mut a = state.0 as u64;
+    let mut b = state.1 as u64;
     for block in data.chunks(NMAX) {
         // Lane `k` takes bytes 4j + k: `la[k]` is their sum, `lb[k]` the
         // sum of `la[k]` after each of them.
@@ -48,7 +131,7 @@ pub fn adler32(data: &[u8]) -> u32 {
         a %= MOD;
         b %= MOD;
     }
-    ((b as u32) << 16) | a as u32
+    (a as u32, b as u32)
 }
 
 /// The reflected IEEE polynomial.
@@ -86,12 +169,12 @@ static CRC_TABLES: [[u32; 256]; 16] = {
 /// Inputs from this length on run on four lanes.
 const CRC_LANES_MIN: usize = 1024;
 
-/// CRC-32 (IEEE 802.3, the zip/png polynomial), sixteen bytes per step
-/// (slice-by-16). From 1 KiB on, the four quarters of the input run as four
-/// independent registers in one loop and are joined as [`crc32_combine`]
-/// joins two digests; the rest takes one register and a bytewise tail.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
+/// The portable CRC-32 kernel: the register after `crc` has taken `data`,
+/// sixteen bytes per step (slice-by-16). From 1 KiB on, the four quarters
+/// of the input run as four independent registers in one loop and are
+/// joined as [`crc32_combine`] joins two digests; the rest takes one
+/// register and a bytewise tail.
+fn crc32_portable(mut crc: u32, data: &[u8]) -> u32 {
     let mut rest = data;
     if data.len() >= CRC_LANES_MIN {
         let quarter = data.len() / 64 * 16;
@@ -99,7 +182,7 @@ pub fn crc32(data: &[u8]) -> u32 {
         let (front, back) = lanes.split_at(2 * quarter);
         let (q0, q1) = front.split_at(quarter);
         let (q2, q3) = back.split_at(quarter);
-        // Only the first lane starts from the preset register: the others
+        // Only the first lane starts from the running register: the others
         // compute their quarter's contribution alone, which the fold below
         // adds to the register shifted past them.
         let mut r = [crc, 0, 0, 0];
@@ -126,7 +209,7 @@ pub fn crc32(data: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         crc = t[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
-    crc ^ 0xFFFF_FFFF
+    crc
 }
 
 /// One slice-by-16 step: the register after `crc` has taken the 16 bytes
@@ -207,7 +290,7 @@ pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
 /// the digest of the whole entity: fold the per-chunk digests together in
 /// chunk order at commit time.
 pub fn adler32_combine(a: u32, b: u32, len_b: u64) -> u32 {
-    const MOD: u64 = 65_521;
+    const MOD: u64 = ADLER_MOD;
     let rem = len_b % MOD;
     let a1 = (a & 0xFFFF) as u64;
     let a2 = ((a >> 16) & 0xFFFF) as u64;
@@ -270,31 +353,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_bytewise_definition_at_every_length_and_alignment() {
-        let mut x = 2014u64;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
-        let data: Vec<u8> = (0..100 * 1024 + 16).map(|_| next() as u8).collect();
-        // Every short length (no block, one block, several, each tail
-        // length) and every length around the four-lane threshold, at
-        // every start offset within a block.
-        for len in (0..=64).chain(1000..=1100) {
-            for start in 0..16 {
-                let s = &data[start..start + len];
-                assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
-            }
-        }
-        for _ in 0..200 {
-            let start = next() % 16;
-            let len = next() % (100 * 1024 + 1);
-            let s = &data[start..start + len];
-            assert_eq!(crc32(s), crc32_bytewise(s), "len {len} at offset {start}");
-        }
-    }
-
-    #[test]
     fn crc32_combine_matches_one_shot() {
         let data = pseudo_random(100_000);
         for split in [0usize, 1, 15, 16, 1023, 1024, 65_521, data.len()] {
@@ -321,32 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn adler32_matches_the_bytewise_definition_at_lane_and_block_edges() {
-        let data = pseudo_random(4 * 5552 + 1);
-        for len in 0..=64 {
-            assert_eq!(adler32(&data[..len]), adler32_bytewise(&data[..len]), "len {len}");
-        }
-        for blocks in 1..=4 {
-            for len in [blocks * 5552 - 1, blocks * 5552, blocks * 5552 + 1] {
-                let s = &data[..len];
-                assert_eq!(adler32(s), adler32_bytewise(s), "len {len}");
-            }
-        }
-    }
-
-    #[test]
-    fn adler32_large_input_stays_modular() {
-        // All-0xFF bytes give every lane its largest sums; a debug build
-        // panics if one overflows.
-        let data = vec![0xFFu8; 1 << 20];
-        let v = adler32(&data);
-        assert_eq!(v, adler32_bytewise(&data));
-        // Property: low half < MOD, high half < MOD.
-        assert!((v & 0xFFFF) < 65_521);
-        assert!((v >> 16) < 65_521);
-    }
-
-    #[test]
     fn adler32_combine_matches_one_shot() {
         let data: Vec<u8> = (0..100_000u32).map(|i| ((i * 31 + i / 251) % 256) as u8).collect();
         for split in [0usize, 1, 4096, 65_521, 65_522, 99_999, 100_000] {
@@ -360,6 +392,117 @@ mod tests {
             acc = adler32_combine(acc, adler32(chunk), chunk.len() as u64);
         }
         assert_eq!(acc, adler32(&data));
+    }
+
+    /// Every path to both digests of `s` — the bytewise definitions, the
+    /// portable kernels, the x86-64 kernels (the CLMUL one where this CPU
+    /// and length take it) and the public functions — must agree.
+    fn assert_every_path_agrees(s: &[u8], what: &str) {
+        let (crc, adler) = (crc32_bytewise(s), adler32_bytewise(s));
+        assert_eq!(crc32_portable(CRC_INIT, s) ^ CRC_INIT, crc, "portable crc32, {what}");
+        let portable = adler32_finish(adler32_portable(ADLER_INIT, s));
+        assert_eq!(portable, adler, "portable adler32, {what}");
+        #[cfg(target_arch = "x86_64")]
+        {
+            if let Some(reg) = x86::crc32(CRC_INIT, s) {
+                assert_eq!(reg ^ CRC_INIT, crc, "clmul crc32, {what}");
+            }
+            let sse2 = adler32_finish(x86::adler32(ADLER_INIT, s));
+            assert_eq!(sse2, adler, "sse2 adler32, {what}");
+        }
+        assert_eq!((crc32(s), adler32(s)), (crc, adler), "public, {what}");
+        assert_eq!(crc32_adler32(s), (crc, adler), "crc32_adler32, {what}");
+    }
+
+    #[test]
+    fn every_path_agrees_at_every_length_and_alignment() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
+            assert!(x86::crc32(CRC_INIT, &[0; 128]).is_some(), "the CLMUL kernel is under test");
+        }
+        let mut x = 2014u64;
+        let mut next = || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) as usize
+        };
+        let data: Vec<u8> = (0..100 * 1024 + 16).map(|_| next() as u8).collect();
+        // Every length up to past the portable CRC's four-lane threshold
+        // (1 KiB) — each tail length of every kernel — at every start
+        // offset within a vector.
+        for len in 0..=1100 {
+            for start in 0..16 {
+                let s = &data[start..start + len];
+                assert_every_path_agrees(s, &format!("len {len} at {start}"));
+            }
+        }
+        for _ in 0..200 {
+            let start = next() % 16;
+            let len = next() % (100 * 1024 + 1);
+            assert_every_path_agrees(&data[start..start + len], &format!("len {len} at {start}"));
+        }
+    }
+
+    #[test]
+    fn every_path_agrees_at_adler_block_edges() {
+        // 5 536 is the SSE2 kernel's block, 5 552 the portable one's; all
+        // 0xFF gives every lane its largest sums.
+        let random = pseudo_random(8 * 5552 + 1);
+        for data in [vec![0x00; random.len()], vec![0xFF; random.len()], random] {
+            for block in [5536, 5552] {
+                for len in (1..=8).flat_map(|m| [m * block - 1, m * block, m * block + 1]) {
+                    assert_every_path_agrees(&data[..len], &format!("{:#04x}… × {len}", data[0]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_path_agrees_on_4_mib_of_ones() {
+        // The largest lane sums for the longest: a debug build panics if
+        // one overflows.
+        assert_every_path_agrees(&vec![0xFF; 4 << 20], "4 MiB of 0xff");
+    }
+
+    proptest::proptest! {
+        /// Digests taken chunk by chunk — through the running-state kernels
+        /// and through the `*_combine` folds — equal the one-shot ones.
+        #[test]
+        fn crc32_adler32_under_random_chunkings(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..100_000,
+            cuts in proptest::collection::vec(0usize..100_000, 0..8),
+        ) {
+            let mut x = seed;
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 33) as u8
+                })
+                .collect();
+            let whole = (crc32(&data), adler32(&data));
+            proptest::prop_assert_eq!(crc32_adler32(&data), whole);
+            let portable = (
+                crc32_portable(CRC_INIT, &data) ^ CRC_INIT,
+                adler32_finish(adler32_portable(ADLER_INIT, &data)),
+            );
+            proptest::prop_assert_eq!(portable, whole);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+            cuts.push(len);
+            cuts.sort_unstable();
+            let (mut start, mut crc, mut adler) = (0, CRC_INIT, ADLER_INIT);
+            let mut folded = crc32_adler32(&[]);
+            for &end in &cuts {
+                let chunk = &data[start..end];
+                crc = crc32_update(crc, chunk);
+                adler = adler32_update(adler, chunk);
+                let (c, a) = crc32_adler32(chunk);
+                let n = chunk.len() as u64;
+                folded = (crc32_combine(folded.0, c, n), adler32_combine(folded.1, a, n));
+                start = end;
+            }
+            proptest::prop_assert_eq!((crc ^ CRC_INIT, adler32_finish(adler)), whole);
+            proptest::prop_assert_eq!(folded, whole);
+        }
     }
 
     #[test]

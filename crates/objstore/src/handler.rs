@@ -10,6 +10,7 @@
 //!   verifying a client-supplied `Digest: adler32=…` before committing
 //!   (mismatch → `409` and **no** object) — and `DELETE {path}?uploadId=I`
 //!   aborts. Nothing is visible at `{path}` until the complete succeeds.
+//!   A plain `PUT {path}` verifies its `Digest` the same way.
 //! * **Segmented ranged PUT** (the WebDAV-flavoured fallback): `PUT` with a
 //!   `Content-Range: bytes a-b/total` header writes one segment of a
 //!   pending entity; once every byte of `total` is covered the object
@@ -17,7 +18,7 @@
 //!   and `MOVE` it over the final one, so readers never observe a partial
 //!   object.
 
-use crate::checksum::{adler32, crc32, to_hex};
+use crate::checksum::{crc32, to_hex};
 use crate::store::ObjectStore;
 use bytes::Bytes;
 use davix_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -25,7 +26,8 @@ use httpd::{Request, Response};
 use httpwire::multipart::{MultipartWriter, MULTIPART_BYTERANGES};
 use httpwire::range::parse_range_header;
 use httpwire::uri::percent_encode_path;
-use httpwire::{ContentRange, Method, StatusCode};
+use httpwire::{ContentRange, HeaderMap, Method, StatusCode};
+use ioapi::checksum::crc32_adler32;
 use metalink::xml::Element;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -389,20 +391,16 @@ impl StorageHandler {
         for part in &parts {
             assembled.extend_from_slice(part);
         }
-        let got = to_hex(adler32(&assembled));
-        if let Some(expected) = req.head.headers.digest_adler32() {
-            if expected != got {
-                // End-to-end corruption: refuse to commit. The pending
-                // upload is kept so the client can abort (or re-send parts).
-                return Response::text(
-                    StatusCode::CONFLICT,
-                    format!("digest mismatch: declared adler32={expected}, assembled {got}"),
-                )
-                .header("Digest", format!("adler32={got}"));
-            }
+        // One pass gives the digest to verify and both the store keeps.
+        let digests = crc32_adler32(&assembled);
+        let got = to_hex(digests.1);
+        if let Some(conflict) = digest_conflict(&req.head.headers, &got) {
+            // The pending upload is kept so the client can abort (or
+            // re-send parts).
+            return conflict;
         }
         self.multipart.lock().remove(&id);
-        self.store.put(path, Bytes::from(assembled));
+        self.store.put_digested(path, Bytes::from(assembled), digests);
         let mut result = Element::new("CompleteMultipartUploadResult");
         let mut key = Element::new("Key");
         key.add_text(path);
@@ -467,7 +465,8 @@ impl StorageHandler {
         }
     }
 
-    /// PUT dispatch: part, segment or whole-object store.
+    /// PUT dispatch: part, segment or whole-object store. A whole object
+    /// is digested once, checked against its `Digest`, then committed.
     fn do_put(&self, req: Request, path: &str) -> Response {
         let upload_id = Self::query_param(&req, "uploadId").map(str::to_string);
         let part = Self::query_param(&req, "partNumber").map(str::to_string);
@@ -479,7 +478,11 @@ impl StorageHandler {
         if let Some(cr) = content_range {
             return self.put_segment(&cr, path, &body);
         }
-        if self.store.put(path, Bytes::from(body)) {
+        let digests = crc32_adler32(&body);
+        if let Some(conflict) = digest_conflict(&req.head.headers, &to_hex(digests.1)) {
+            return conflict;
+        }
+        if self.store.put_digested(path, Bytes::from(body), digests) {
             Response::empty(StatusCode::NO_CONTENT)
         } else {
             Response::empty(StatusCode::CREATED)
@@ -648,6 +651,20 @@ impl StorageHandler {
     }
 }
 
+/// The `409` for a body whose Adler-32 is `got` (hex) when `headers`
+/// declare another in `Digest: adler32=…`: end-to-end corruption, so the
+/// caller commits nothing. The answer names the observed digest.
+fn digest_conflict(headers: &HeaderMap, got: &str) -> Option<Response> {
+    let expected = headers.digest_adler32().filter(|e| e != got)?;
+    Some(
+        Response::text(
+            StatusCode::CONFLICT,
+            format!("digest mismatch: declared adler32={expected}, assembled {got}"),
+        )
+        .header("Digest", format!("adler32={got}")),
+    )
+}
+
 /// Whether `req` asks for its object's Metalink rather than the object: a
 /// `metalink` query flag, or an `Accept` naming
 /// [`metalink::METALINK_CONTENT_TYPE`]. A storage node and a federation
@@ -707,6 +724,7 @@ impl httpd::Handler for StorageHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::adler32;
     use httpd::Handler;
     use httpwire::multipart::{boundary_from_content_type, MultipartReader};
     use httpwire::RequestHead;
@@ -1015,7 +1033,32 @@ mod tests {
         let r = h.handle(req);
         assert_eq!(r.status, StatusCode::OK);
         assert!(r.headers.get("digest").unwrap().starts_with("adler32="));
-        assert_eq!(h.store.get("/up/obj.bin").unwrap().data.as_ref(), b"hello world");
+        let committed = h.store.get("/up/obj.bin").unwrap();
+        assert_eq!(committed.data.as_ref(), b"hello world");
+        assert_eq!(
+            (committed.crc32, committed.adler32),
+            (crc32(b"hello world"), adler32(b"hello world"))
+        );
+    }
+
+    #[test]
+    fn a_plain_put_verifies_its_digest() {
+        let h = handler_with(RangeSupport::MultiRange);
+        let declared = format!("adler32={}", to_hex(adler32(b"pristine")));
+        let mut req = request(Method::Put, "/up/plain.bin", &[("Digest", &declared)]);
+        req.body = b"corrupted".to_vec();
+        let r = h.handle(req);
+        assert_eq!(r.status, StatusCode::CONFLICT);
+        assert_eq!(
+            r.headers.get("digest"),
+            Some(format!("adler32={}", to_hex(adler32(b"corrupted"))).as_str())
+        );
+        let r = h.handle(request(Method::Get, "/up/plain.bin", &[]));
+        assert_eq!(r.status, StatusCode::NOT_FOUND, "a mismatch must not commit");
+        let mut req = request(Method::Put, "/up/plain.bin", &[("Digest", &declared)]);
+        req.body = b"pristine".to_vec();
+        assert_eq!(h.handle(req).status, StatusCode::CREATED);
+        assert_eq!(h.store.get("/up/plain.bin").unwrap().data.as_ref(), b"pristine");
     }
 
     #[test]

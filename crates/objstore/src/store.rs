@@ -1,7 +1,8 @@
 //! The concurrent in-memory object namespace.
 
-use crate::checksum::{adler32, crc32, to_hex};
+use crate::checksum::to_hex;
 use bytes::Bytes;
+use ioapi::checksum::crc32_adler32;
 use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,11 +80,18 @@ impl ObjectStore {
     /// Insert or replace an object. Returns `true` when the object replaced
     /// an existing one.
     pub fn put(&self, path: &str, data: Bytes) -> bool {
+        let digests = crc32_adler32(&data);
+        self.put_digested(path, data, digests)
+    }
+
+    /// [`put`](ObjectStore::put) for a caller that already holds the
+    /// payload's `(crc32, adler32)` — from [`crc32_adler32`], so the bytes
+    /// were read once. The digests are taken before the namespace lock:
+    /// readers of every other object wait for a version bump and a map
+    /// insert, not for a checksum.
+    pub(crate) fn put_digested(&self, path: &str, data: Bytes, digests: (u32, u32)) -> bool {
         let path = normalize(path);
-        // Both passes over the payload happen before the namespace lock is
-        // taken: readers of every other object wait for a version bump and
-        // a map insert, not for a checksum.
-        let (crc32, adler32) = (crc32(&data), adler32(&data));
+        let (crc32, adler32) = digests;
         let mut inner = self.inner.write();
         inner.version += 1;
         let meta = ObjectMeta::new(data, crc32, adler32, inner.version);

@@ -410,6 +410,32 @@ mod tests {
     }
 
     #[test]
+    fn corruption_of_a_4k_basket_is_detected_on_both_paths() {
+        // Baskets this large take the CRC's vector kernel where the CPU
+        // has one. A raw frame (bytes that do not compress) and an LZSS
+        // frame whose last token is a literal (its last two bytes occur
+        // nowhere before them), each with its last payload byte flipped.
+        let mut x = 2014u32;
+        let noise: Vec<u8> = (0..8192)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                (x >> 16) as u8
+            })
+            .collect();
+        let mut cells = b"calorimeter-cell-0000 ".repeat(400);
+        cells.extend_from_slice(&[0xFE, 0xFF]);
+        for (input, method) in [(noise, METHOD_RAW), (cells, METHOD_LZSS)] {
+            let mut c = compress(&input);
+            assert_eq!(c[2], method);
+            let last = c.len() - 1;
+            c[last] ^= 0x01;
+            for got in [decompress(&c), decompress_owned(c.clone())] {
+                assert_eq!(got.unwrap_err().to_string(), "codec crc mismatch");
+            }
+        }
+    }
+
+    #[test]
     fn frames_written_before_the_crc_moved_to_ioapi_still_decode() {
         // `compress` output of the commit that still had its own CRC-32
         // here: one frame stored raw, one LZSS.
