@@ -494,9 +494,9 @@ impl HttpExecutor {
         }
 
         match source.write_to(session.conn.get_mut()) {
-            Ok(n) => {
-                Metrics::add(&self.metrics.bytes_out, n);
-                Metrics::add(&self.metrics.bytes_uploaded, n);
+            Ok((payload, wire)) => {
+                Metrics::add(&self.metrics.bytes_out, wire);
+                Metrics::add(&self.metrics.bytes_uploaded, payload);
                 Ok(None)
             }
             // Our own source ended short of its declared length: a

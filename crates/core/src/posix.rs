@@ -361,6 +361,18 @@ mod tests {
         assert!(matches!(err, DavixError::InvalidArgument(_)));
     }
 
+    /// A body of unknown length: `put_stream` sends it chunked.
+    struct NoLen(Vec<u8>);
+
+    impl BodyProvider for NoLen {
+        fn content_length(&self) -> Option<u64> {
+            None
+        }
+        fn open(&self) -> Result<httpwire::BodySource<'_>> {
+            Ok(httpwire::BodySource::chunked(std::io::Cursor::new(self.0.clone())))
+        }
+    }
+
     #[test]
     fn put_stream_stores_sized_and_chunked_bodies() {
         let (net, client, store) = setup();
@@ -370,17 +382,122 @@ mod tests {
         posix.put_stream("http://s/streamed.bin", &Bytes::from(data.clone())).unwrap();
         assert_eq!(store.get("/streamed.bin").unwrap().data.as_ref(), &data[..]);
 
-        struct NoLen(Vec<u8>);
-        impl BodyProvider for NoLen {
-            fn content_length(&self) -> Option<u64> {
-                None
-            }
-            fn open(&self) -> Result<httpwire::BodySource<'_>> {
-                Ok(httpwire::BodySource::chunked(std::io::Cursor::new(self.0.clone())))
-            }
-        }
         posix.put_stream("http://s/chunked.bin", &NoLen(data.clone())).unwrap();
         assert_eq!(store.get("/chunked.bin").unwrap().data.as_ref(), &data[..]);
         assert_eq!(client.metrics().bytes_uploaded, 2 * data.len() as u64);
+    }
+
+    /// The bytes of every write call the client makes on its connections,
+    /// in order.
+    type Writes = Arc<parking_lot::Mutex<Vec<Vec<u8>>>>;
+
+    /// Connects through `net` and records every write on the streams it
+    /// opens.
+    struct Recording(Arc<dyn netsim::Connector>, Writes);
+
+    impl netsim::Connector for Recording {
+        fn connect(
+            &self,
+            host: &str,
+            port: u16,
+            timeout: Option<Duration>,
+        ) -> std::io::Result<netsim::BoxedStream> {
+            Ok(Box::new(RecordingStream(self.0.connect(host, port, timeout)?, Arc::clone(&self.1))))
+        }
+    }
+
+    struct RecordingStream(netsim::BoxedStream, Writes);
+
+    impl std::io::Read for RecordingStream {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl std::io::Write for RecordingStream {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let n = self.0.write(buf)?;
+            self.1.lock().push(buf[..n].to_vec());
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.0.flush()
+        }
+    }
+
+    impl netsim::Pollable for RecordingStream {}
+
+    impl netsim::Stream for RecordingStream {
+        fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
+            self.0.set_read_timeout(timeout)
+        }
+
+        fn peer(&self) -> String {
+            self.0.peer()
+        }
+
+        fn try_clone(&self) -> std::io::Result<netsim::BoxedStream> {
+            self.0.try_clone()
+        }
+
+        fn shutdown_write(&mut self) -> std::io::Result<()> {
+            self.0.shutdown_write()
+        }
+    }
+
+    /// `setup`'s server, with a client whose writes are recorded.
+    fn recorded() -> (SimNet, DavixClient, Arc<ObjectStore>, Writes) {
+        let (net, _, store) = setup();
+        let writes = Writes::default();
+        let connector = Arc::new(Recording(net.connector("c"), Arc::clone(&writes)));
+        let client = DavixClient::new(connector, net.runtime(), Config::default());
+        (net, client, store, writes)
+    }
+
+    /// The length of the request head that starts `wire`.
+    fn head_len(wire: &[u8]) -> usize {
+        wire.windows(4).position(|w| w == b"\r\n\r\n").expect("a request head") + 4
+    }
+
+    #[test]
+    fn a_sized_put_stream_writes_its_head_then_its_body_in_one_call() {
+        let (net, client, store, writes) = recorded();
+        let _g = net.enter();
+        let data: Vec<u8> = (0..300_000).map(|i| (i % 233) as u8).collect();
+        client.posix().put_stream("http://s/lent.bin", &Bytes::from(data.clone())).unwrap();
+        assert_eq!(store.get("/lent.bin").unwrap().data.as_ref(), &data[..]);
+
+        let writes = writes.lock();
+        let sizes: Vec<usize> = writes.iter().map(Vec::len).collect();
+        let head = head_len(&writes[0]);
+        assert_eq!(sizes, [head, data.len()], "the head, then the whole body in one write");
+        assert_eq!(writes[1], data);
+        assert_eq!(client.metrics().bytes_out, (head + data.len()) as u64);
+    }
+
+    /// Regression: `bytes_out` counted a chunked body's payload and none of
+    /// its chunk-size lines, CRLFs or last chunk.
+    #[test]
+    fn bytes_out_counts_what_each_upload_put_on_the_wire() {
+        let (net, client, _store, writes) = recorded();
+        let _g = net.enter();
+        let posix = client.posix();
+        // Four 16 KiB chunks (`4000\r\n…\r\n`) and a 100-byte one
+        // (`64\r\n…\r\n`), then `0\r\n\r\n`.
+        let data = vec![7u8; 4 * 16_384 + 100];
+        posix.put_stream("http://s/chunked.bin", &NoLen(data.clone())).unwrap();
+        let framing = 4 * (6 + 2) + (4 + 2) + 5;
+        let sent: Vec<u8> = writes.lock().concat();
+        let head = head_len(&sent);
+        assert_eq!(sent.len(), head + data.len() + framing);
+        assert_eq!(client.metrics().bytes_out, sent.len() as u64);
+        assert_eq!(client.metrics().bytes_uploaded, data.len() as u64);
+
+        writes.lock().clear();
+        posix.put_stream("http://s/sized.bin", &Bytes::from(data.clone())).unwrap();
+        let sent: Vec<u8> = writes.lock().concat();
+        assert_eq!(sent.len(), head_len(&sent) + data.len());
+        assert_eq!(client.metrics().bytes_out, (head + data.len() + framing + sent.len()) as u64);
     }
 }

@@ -14,12 +14,16 @@
 //!   Barrett reduction (Intel, "Fast CRC Computation for Generic
 //!   Polynomials Using PCLMULQDQ", 2009). It runs when the CPU reports
 //!   `pclmulqdq` and `sse4.1` at run time, on inputs of 128 bytes and more.
-//! - Adler-32 takes 32 bytes a step on SSE2, which every x86-64 CPU has:
-//!   `_mm_sad_epu8` sums the bytes and `_mm_madd_epi16` weighs them 32…1,
-//!   folded mod 65 521 once per 5 536-byte block.
+//! - Adler-32 takes 32 bytes a step on AVX2, when the CPU reports `avx2`
+//!   at run time: `_mm256_sad_epu8` sums the bytes, and
+//!   `_mm256_maddubs_epi16` against weights 32…1, then `_mm256_madd_epi16`
+//!   by ones, gives the weighted sum, folded mod 65 521 once per
+//!   5 536-byte block. It replaced an SSE2 kernel of the same shape: a
+//!   second vector kernel bought nothing, as the portable kernel already
+//!   covers every CPU without AVX2.
 //!
 //! The portable kernels below are kept on every target: they are the only
-//! path on other architectures, on CPUs without CLMUL and for short
+//! path on other architectures, on CPUs without CLMUL or AVX2 and for short
 //! inputs, they take the tails the vector kernels leave, and they are the
 //! reference the vector kernels are tested against. Both run on four
 //! independent lanes, so the CPU overlaps four dependency chains instead
@@ -75,12 +79,13 @@ fn adler32_finish((a, b): AdlerState) -> u32 {
 /// The CRC register's preset, and the mask the digest is taken through.
 const CRC_INIT: u32 = 0xFFFF_FFFF;
 
-/// Adler's state after `state` has taken `data`: the SSE2 kernel on
-/// x86-64, the portable one elsewhere.
+/// Adler's state after `state` has taken `data`: the AVX2 kernel where it
+/// runs, the portable one otherwise.
 fn adler32_update(state: AdlerState, data: &[u8]) -> AdlerState {
     #[cfg(target_arch = "x86_64")]
-    return x86::adler32(state, data);
-    #[cfg(not(target_arch = "x86_64"))]
+    if let Some(state) = x86::adler32(state, data) {
+        return state;
+    }
     adler32_portable(state, data)
 }
 
@@ -395,8 +400,8 @@ mod tests {
     }
 
     /// Every path to both digests of `s` — the bytewise definitions, the
-    /// portable kernels, the x86-64 kernels (the CLMUL one where this CPU
-    /// and length take it) and the public functions — must agree.
+    /// portable kernels, the x86-64 kernels (CLMUL and AVX2, where this CPU
+    /// and length take them) and the public functions — must agree.
     fn assert_every_path_agrees(s: &[u8], what: &str) {
         let (crc, adler) = (crc32_bytewise(s), adler32_bytewise(s));
         assert_eq!(crc32_portable(CRC_INIT, s) ^ CRC_INIT, crc, "portable crc32, {what}");
@@ -407,8 +412,9 @@ mod tests {
             if let Some(reg) = x86::crc32(CRC_INIT, s) {
                 assert_eq!(reg ^ CRC_INIT, crc, "clmul crc32, {what}");
             }
-            let sse2 = adler32_finish(x86::adler32(ADLER_INIT, s));
-            assert_eq!(sse2, adler, "sse2 adler32, {what}");
+            if let Some(state) = x86::adler32(ADLER_INIT, s) {
+                assert_eq!(adler32_finish(state), adler, "avx2 adler32, {what}");
+            }
         }
         assert_eq!((crc32(s), adler32(s)), (crc, adler), "public, {what}");
         assert_eq!(crc32_adler32(s), (crc, adler), "crc32_adler32, {what}");
@@ -419,6 +425,10 @@ mod tests {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
             assert!(x86::crc32(CRC_INIT, &[0; 128]).is_some(), "the CLMUL kernel is under test");
+        }
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            assert!(x86::adler32(ADLER_INIT, &[]).is_some(), "the AVX2 kernel is under test");
         }
         let mut x = 2014u64;
         let mut next = || {
@@ -444,8 +454,9 @@ mod tests {
 
     #[test]
     fn every_path_agrees_at_adler_block_edges() {
-        // 5 536 is the SSE2 kernel's block, 5 552 the portable one's; all
-        // 0xFF gives every lane its largest sums.
+        // 5 536 is the AVX2 kernel's block, 5 552 the portable one's; all
+        // 0xFF gives every lane its largest sums, and `maddubs` its largest
+        // pair, 255·32 + 255·31, which must not saturate an i16.
         let random = pseudo_random(8 * 5552 + 1);
         for data in [vec![0x00; random.len()], vec![0xFF; random.len()], random] {
             for block in [5536, 5552] {

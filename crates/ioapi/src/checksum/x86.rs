@@ -1,9 +1,9 @@
-//! The x86-64 kernels: CRC-32 by carry-less multiply, Adler-32 on SSE2
+//! The x86-64 kernels: CRC-32 by carry-less multiply, Adler-32 on AVX2
 //! lanes. This is the one module of the crate allowed `unsafe`: the calls
 //! into a `#[target_feature]` kernel, made once the CPU is known to have the
-//! feature, and the unaligned 16-byte loads. Each kernel takes the running state and returns
-//! it, as the portable kernels do, and hands the tail it cannot take in
-//! whole vectors to them.
+//! feature, and the unaligned vector loads. Each kernel takes the running
+//! state and returns it, as the portable kernels do, and hands the tail it
+//! cannot take in whole vectors to them.
 
 use super::{adler32_portable, crc32_portable, AdlerState, ADLER_MOD};
 use std::arch::x86_64::*;
@@ -101,27 +101,27 @@ fn reduce(x: __m128i) -> u32 {
     _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32
 }
 
-/// Bytes per SSE2 step of Adler-32.
+/// Bytes per AVX2 step of Adler-32.
 const STEP: usize = 32;
 /// Bytes between two reductions mod 65 521: 173 steps, the largest
 /// multiple of 32 at or below zlib's NMAX (5 552). Every 32-bit lane stays
 /// below 2^26.
 const BLOCK: usize = 5536;
 
-// SSE2 is part of the x86-64 baseline: the Adler-32 kernel needs no
-// detection at run time.
-const _: () = assert!(cfg!(target_feature = "sse2"));
-
-/// Adler's `(a, b)` after `state` has taken `data`, by the SSE2 kernel.
-pub(super) fn adler32(state: AdlerState, data: &[u8]) -> AdlerState {
-    // SAFETY: the kernel enables `sse2`, which every x86-64 target has (the
-    // assertion above checks it when this module is compiled).
-    unsafe { adler32_sse2(state, data) }
+/// Adler's `(a, b)` after `state` has taken `data`, by the AVX2 kernel —
+/// `None` when this CPU lacks `avx2`.
+pub(super) fn adler32(state: AdlerState, data: &[u8]) -> Option<AdlerState> {
+    if !is_x86_feature_detected!("avx2") {
+        return None;
+    }
+    // SAFETY: the kernel enables `avx2`, which was detected on this CPU just
+    // above.
+    Some(unsafe { adler32_avx2(state, data) })
 }
 
 /// 32 bytes a step; the last < 32 bytes go to the portable kernel.
-#[target_feature(enable = "sse2")]
-fn adler32_sse2(mut state: AdlerState, data: &[u8]) -> AdlerState {
+#[target_feature(enable = "avx2")]
+fn adler32_avx2(mut state: AdlerState, data: &[u8]) -> AdlerState {
     let (body, tail) = data.split_at(data.len() / STEP * STEP);
     for block in body.chunks(BLOCK) {
         state = adler32_block(state, block);
@@ -130,38 +130,27 @@ fn adler32_sse2(mut state: AdlerState, data: &[u8]) -> AdlerState {
 }
 
 /// One block of whole steps. Per step, `s1` takes the byte sum
-/// (`_mm_sad_epu8`), `s2` the bytes weighted 32…1 (`_mm_madd_epi16`), and
-/// `ps` the `s1` of the steps before it. An `n`-byte block adds `n·a` to
-/// `b`, and byte `i` adds `n − i` copies of itself: `32·ps + s2` in all.
-#[target_feature(enable = "sse2")]
+/// (`_mm256_sad_epu8`), `s2` the bytes weighted 32…1
+/// (`_mm256_maddubs_epi16` into pairs — at most 255·32 + 255·31 = 16 065,
+/// inside an `i16` — then `_mm256_madd_epi16` by ones into 32-bit lanes),
+/// and `ps` the `s1` of the steps before it. An `n`-byte block adds `n·a`
+/// to `b`, and byte `i` adds `n − i` copies of itself: `32·ps + s2` in all.
+#[target_feature(enable = "avx2")]
 fn adler32_block((a, b): AdlerState, block: &[u8]) -> AdlerState {
-    let zero = _mm_setzero_si128();
-    let weights = [
-        _mm_set_epi16(25, 26, 27, 28, 29, 30, 31, 32),
-        _mm_set_epi16(17, 18, 19, 20, 21, 22, 23, 24),
-        _mm_set_epi16(9, 10, 11, 12, 13, 14, 15, 16),
-        _mm_set_epi16(1, 2, 3, 4, 5, 6, 7, 8),
-    ];
+    let zero = _mm256_setzero_si256();
+    let ones = _mm256_set1_epi16(1);
+    #[rustfmt::skip]
+    let weights = _mm256_set_epi8(
+        1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+        17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+    );
     let (mut s1, mut s2, mut ps) = (zero, zero, zero);
     for step in block.chunks_exact(STEP) {
-        let (lo, hi) = (load(&step[..16]), load(&step[16..]));
-        ps = _mm_add_epi32(ps, s1);
-        s1 = _mm_add_epi32(s1, _mm_add_epi32(_mm_sad_epu8(lo, zero), _mm_sad_epu8(hi, zero)));
-        let words = [
-            _mm_unpacklo_epi8(lo, zero),
-            _mm_unpackhi_epi8(lo, zero),
-            _mm_unpacklo_epi8(hi, zero),
-            _mm_unpackhi_epi8(hi, zero),
-        ];
-        let w01 = _mm_add_epi32(
-            _mm_madd_epi16(words[0], weights[0]),
-            _mm_madd_epi16(words[1], weights[1]),
-        );
-        let w23 = _mm_add_epi32(
-            _mm_madd_epi16(words[2], weights[2]),
-            _mm_madd_epi16(words[3], weights[3]),
-        );
-        s2 = _mm_add_epi32(s2, _mm_add_epi32(w01, w23));
+        let bytes = load256(step);
+        ps = _mm256_add_epi32(ps, s1);
+        s1 = _mm256_add_epi32(s1, _mm256_sad_epu8(bytes, zero));
+        let pairs = _mm256_maddubs_epi16(bytes, weights);
+        s2 = _mm256_add_epi32(s2, _mm256_madd_epi16(pairs, ones));
     }
     let (a, b, n) = (a as u64, b as u64, block.len() as u64);
     let b = b + n * a + STEP as u64 * lane_sum(ps) + lane_sum(s2);
@@ -169,9 +158,11 @@ fn adler32_block((a, b): AdlerState, block: &[u8]) -> AdlerState {
     ((a % ADLER_MOD) as u32, (b % ADLER_MOD) as u32)
 }
 
-/// The sum of the four 32-bit lanes of `v`.
-#[target_feature(enable = "sse2")]
-fn lane_sum(v: __m128i) -> u64 {
+/// The sum of the eight 32-bit lanes of `v`. Each is below 2^26, so the
+/// two halves add lane by lane without a carry out.
+#[target_feature(enable = "avx2")]
+fn lane_sum(v: __m256i) -> u64 {
+    let v = _mm_add_epi32(_mm256_castsi256_si128(v), _mm256_extracti128_si256(v, 1));
     let lanes = [
         _mm_cvtsi128_si32(v),
         _mm_cvtsi128_si32(_mm_shuffle_epi32(v, 1)),
@@ -179,6 +170,16 @@ fn lane_sum(v: __m128i) -> u64 {
         _mm_cvtsi128_si32(_mm_shuffle_epi32(v, 3)),
     ];
     lanes.iter().map(|&l| l as u32 as u64).sum()
+}
+
+/// Thirty-two bytes into a vector.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn load256(step: &[u8]) -> __m256i {
+    let step: &[u8; STEP] = step.try_into().expect("AVX2 loads take 32 bytes");
+    // SAFETY: `step` is 32 readable bytes, and `_mm256_loadu_si256` has no
+    // alignment requirement.
+    unsafe { _mm256_loadu_si256(step.as_ptr().cast()) }
 }
 
 /// Sixteen bytes into a vector.
