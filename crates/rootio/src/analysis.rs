@@ -377,6 +377,16 @@ mod tests {
     }
 
     #[test]
+    fn a_window_of_no_events_is_an_input_error_unless_the_cache_is_off() {
+        let job = AnalysisJob::default();
+        let opts = TreeCacheOptions { window_events: 0, enabled: true, prefetch: false };
+        let err = job.run(reader(300), opts.clone(), &rt()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let off = TreeCacheOptions { enabled: false, ..opts };
+        assert_eq!(job.run(reader(300), off, &rt()).unwrap().events_processed, 300);
+    }
+
+    #[test]
     fn kinematics_only_job_skips_calorimeter() {
         let r = reader(500);
         let job = AnalysisJob { read_calorimeter: false, ..Default::default() };

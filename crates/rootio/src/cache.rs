@@ -271,6 +271,12 @@ impl TreeCache {
 
     /// Load the window containing `event`; optionally prefetch the next one.
     fn load_window(&mut self, event: u64) -> io::Result<()> {
+        if self.opts.window_events == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a tree cache window must hold at least one event",
+            ));
+        }
         let start = (event / self.opts.window_events) * self.opts.window_events;
         let ords = self.window_ords(start);
         // Baskets before the window go; one that straddles its start stays,

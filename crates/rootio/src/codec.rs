@@ -14,18 +14,32 @@
 //! LZSS frame may claim at most 9 output bytes per payload byte; both are
 //! checked before anything is allocated.
 //!
-//! The decoder writes into a buffer `MAX_MATCH` bytes longer than the
-//! output and truncates it at the end. That slack lets every match be
-//! written whole, one at offset ≥ `MAX_MATCH` be a fixed 18-byte copy and
-//! an offset-1 run a fixed 18-byte fill.
-//! It checks bounds once per token group (a flag byte and up to eight
-//! tokens): a group whose 16 token bytes are all in the input and whose
-//! 8 × 18 output bytes all fit before `orig_len` runs with no per-token
-//! check but each match's offset. Any other group — the last few of a
-//! stream — is checked token by token.
+//! The decoder writes into a buffer 32 bytes longer than the output and
+//! truncates it at the end, so every token may be stored whole as a fixed
+//! size. It checks bounds once per token group (a flag byte and up to eight
+//! tokens): a group whose reads are all in the payload and whose 8 × 18
+//! output bytes all fit before `orig_len` runs with no per-token check but
+//! each match's offset. Any other group — the last few of a stream — is
+//! checked token by token, on the portable path.
+//!
+//! On x86-64 CPUs with AVX-512 VBMI and VL, the `x86` module (the one
+//! place in the crate allowed `unsafe`) decodes those fast groups without a
+//! data-dependent branch: each token is one 32-byte load from the payload
+//! (a literal) or from the output `off` bytes back (a match), one
+//! `vpermb` by the row of period `min(off, 18)` of a small index table, and
+//! one 32-byte store. A group needs 48 payload bytes after its flag byte
+//! there, and the portable path takes the stream over where it stops.
+//! Everywhere else the portable decoder runs: a match at offset ≥ 18 is a
+//! fixed 18-byte copy, an offset-1 run a fixed 18-byte fill, and a shorter
+//! offset a forward byte copy. Both give the same bytes and the same error
+//! text for every payload.
 
 use ioapi::checksum::crc32;
 use std::io;
+
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x86;
 
 const FRAME_MAGIC: u16 = 0x5A4C;
 /// Fixed frame header size in bytes.
@@ -137,12 +151,34 @@ fn lzss_encode(input: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Bytes the decoder's output buffer runs past `orig_len`: room for a
+/// token's whole fixed-size store (18 bytes on the portable path, 32 in the
+/// vector kernel) however close to the end it starts.
+const SLACK: usize = 32;
+
 fn lzss_decode(input: &[u8], orig_len: usize) -> io::Result<Vec<u8>> {
-    // MAX_MATCH bytes of slack past `orig_len`: a match may always be
-    // written whole, and most as a fixed-size copy or fill.
-    let mut out = vec![0u8; orig_len + MAX_MATCH];
-    let mut i = 0usize;
-    let mut o = 0usize;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(out) = x86::lzss_decode(input, orig_len) {
+        return out;
+    }
+    lzss_decode_portable(input, orig_len)
+}
+
+/// The portable decoder, and the reference the vector kernel is tested
+/// against.
+fn lzss_decode_portable(input: &[u8], orig_len: usize) -> io::Result<Vec<u8>> {
+    lzss_decode_from(input, vec![0u8; orig_len + SLACK], 0, 0, orig_len)
+}
+
+/// Decode `input` from payload position `i` into `out` (`orig_len + SLACK`
+/// bytes, the first `o` of them already decoded), where a group starts.
+fn lzss_decode_from(
+    input: &[u8],
+    mut out: Vec<u8>,
+    mut i: usize,
+    mut o: usize,
+    orig_len: usize,
+) -> io::Result<Vec<u8>> {
     while o < orig_len {
         let Some(&flags) = input.get(i) else {
             return Err(invalid("lzss stream truncated"));
@@ -488,5 +524,259 @@ mod tests {
         input.extend(vec![7u8; 100]);
         let c = compress(&input);
         assert_eq!(decompress(&c).unwrap(), input);
+    }
+
+    /// The bytewise model: one push, and one check, per output byte.
+    fn model_decode(input: &[u8], orig_len: usize) -> Result<Vec<u8>, String> {
+        let mut out = Vec::with_capacity(orig_len);
+        let mut i = 0;
+        while out.len() < orig_len {
+            let flags = *input.get(i).ok_or("lzss stream truncated")?;
+            i += 1;
+            for bit in 0..8 {
+                if out.len() >= orig_len {
+                    break;
+                }
+                if flags & (1 << bit) == 0 {
+                    out.push(*input.get(i).ok_or("truncated literal")?);
+                    i += 1;
+                    continue;
+                }
+                let token = input.get(i..i + 2).ok_or("truncated match")?;
+                let token = u16::from_le_bytes([token[0], token[1]]) as usize;
+                i += 2;
+                let (off, len) = (token >> 4, (token & 0x0F) + MIN_MATCH);
+                if off == 0 || off > out.len() {
+                    return Err("bad match offset".into());
+                }
+                for _ in 0..len {
+                    out.push(out[out.len() - off]);
+                }
+            }
+        }
+        out.truncate(orig_len);
+        Ok(out)
+    }
+
+    /// One LZSS token: a literal byte, or a match `(offset, length)`.
+    #[derive(Clone, Copy, Debug)]
+    enum Token {
+        Lit(u8),
+        Match(usize, usize),
+    }
+
+    impl Token {
+        fn len(self) -> usize {
+            match self {
+                Token::Lit(_) => 1,
+                Token::Match(_, len) => len,
+            }
+        }
+    }
+
+    /// `tokens` in flag groups: the payload of an LZSS frame.
+    fn encode(tokens: &[Token]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for group in tokens.chunks(8) {
+            let flags_at = out.len();
+            out.push(0);
+            for (bit, token) in group.iter().enumerate() {
+                match *token {
+                    Token::Lit(byte) => out.push(byte),
+                    Token::Match(off, len) => {
+                        out[flags_at] |= 1 << bit;
+                        let token = (off << 4 | (len - MIN_MATCH)) as u16;
+                        out.extend_from_slice(&token.to_le_bytes());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// What `tokens` decode to, in bytes.
+    fn decoded_len(tokens: &[Token]) -> usize {
+        tokens.iter().map(|t| t.len()).sum()
+    }
+
+    /// `n` literals of a seeded byte stream.
+    fn literals(n: usize, seed: u32) -> Vec<Token> {
+        let mut x = seed.wrapping_mul(2_654_435_761).wrapping_add(1);
+        (0..n)
+            .map(|_| {
+                x = x.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                Token::Lit((x >> 16) as u8)
+            })
+            .collect()
+    }
+
+    /// The portable decoder and, where this CPU has it, the VBMI kernel
+    /// decode `payload` as the model does: the same bytes, or the same error
+    /// text.
+    fn assert_decoders_agree(payload: &[u8], orig_len: usize, what: &dyn std::fmt::Display) {
+        let model = model_decode(payload, orig_len);
+        let text = |got: io::Result<Vec<u8>>| got.map_err(|e| e.to_string());
+        assert_eq!(text(lzss_decode_portable(payload, orig_len)), model, "portable, {what}");
+        #[cfg(target_arch = "x86_64")]
+        if let Some(got) = x86::lzss_decode(payload, orig_len) {
+            assert_eq!(text(got), model, "vbmi, {what}");
+        }
+    }
+
+    #[test]
+    fn the_vbmi_kernel_is_under_test_where_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512vbmi") && is_x86_feature_detected!("avx512vl") {
+            assert!(x86::lzss_decode(&[], 0).is_some(), "the VBMI kernel is under test");
+        }
+    }
+
+    #[test]
+    fn every_offset_and_length_decodes_as_the_model_does() {
+        for off in 1..WINDOW {
+            // `off` seeded literals, so the matches reach back to the first
+            // byte; the matches fall at every token position of a group as
+            // `off` moves, and the tail keeps them all on the fast path.
+            let mut tokens = literals(off, off as u32);
+            for len in MIN_MATCH..=MAX_MATCH {
+                tokens.push(Token::Match(off, len));
+                tokens.push(Token::Lit(len as u8));
+            }
+            tokens.extend(literals(160, 7));
+            let payload = encode(&tokens);
+            assert_decoders_agree(&payload, decoded_len(&tokens), &format_args!("offset {off}"));
+        }
+    }
+
+    #[test]
+    fn runs_of_one_to_eight_literals_decode_as_the_model_does() {
+        for run in 1..=8 {
+            for lead in 20..28 {
+                let mut tokens = literals(lead, run as u32);
+                for k in 0..64 {
+                    tokens.extend(literals(run, k as u32));
+                    tokens.push(Token::Match(1 + k * 7 % lead, MIN_MATCH + k % 16));
+                }
+                tokens.extend(literals(160, 11));
+                let payload = encode(&tokens);
+                let what = format_args!("runs of {run} after {lead} literals");
+                assert_decoders_agree(&payload, decoded_len(&tokens), &what);
+            }
+        }
+    }
+
+    #[test]
+    fn every_hand_off_to_the_tail_path_decodes_as_the_model_does() {
+        // Runs, overlapping copies, literals and far copies in turn.
+        let mut tokens = literals(64, 2014);
+        for k in 0..160 {
+            tokens.push(match k % 4 {
+                0 => Token::Match(1, MIN_MATCH + k % 16),
+                1 => Token::Lit(k as u8),
+                2 => Token::Match(2 + k % 16, MAX_MATCH - k % 16),
+                _ => Token::Match(MAX_MATCH + 5 * k % 40, MIN_MATCH + k % 16),
+            });
+        }
+        let payload = encode(&tokens);
+        // Cut after each token, so the payload ends at every byte of the
+        // last 64 and the last fast group is each group near the end, ...
+        for n in 1..=tokens.len() {
+            let cut = encode(&tokens[..n]);
+            if cut.len() + 64 >= payload.len() {
+                let natural = decoded_len(&tokens[..n]);
+                for orig_len in [natural - 1, natural, natural + 1] {
+                    assert_decoders_agree(&cut, orig_len, &format_args!("{n} tokens, {orig_len}"));
+                }
+            }
+        }
+        // ... and the whole stream decoded up to the end of each token in
+        // its last 48 bytes, so the output bound hands it off instead.
+        let (mut at, mut end) = (0, 0);
+        for (k, token) in tokens.iter().enumerate() {
+            at += usize::from(k % 8 == 0) + if matches!(token, Token::Lit(_)) { 1 } else { 2 };
+            end += token.len();
+            if at + 48 >= payload.len() {
+                assert_decoders_agree(&payload, end, &format_args!("{end} of the bytes"));
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_offset_at_every_token_of_a_fast_group_is_the_same_error() {
+        for bit in 0..8 {
+            for neighbours_match in [false, true] {
+                for past_the_start in [false, true] {
+                    let mut tokens = literals(200, bit as u32);
+                    let mut o = 200;
+                    for k in 0..8 {
+                        let token = match () {
+                            _ if k == bit => {
+                                Token::Match(if past_the_start { o + 1 } else { 0 }, 5)
+                            }
+                            _ if neighbours_match => Token::Match(1 + k, MIN_MATCH + k),
+                            _ => Token::Lit(k as u8),
+                        };
+                        o += token.len();
+                        tokens.push(token);
+                    }
+                    tokens.extend(literals(200, 9));
+                    let payload = encode(&tokens);
+                    let orig_len = decoded_len(&tokens);
+                    let what = format_args!("token {bit}, matches around {neighbours_match}");
+                    assert_eq!(model_decode(&payload, orig_len).unwrap_err(), "bad match offset");
+                    assert_decoders_agree(&payload, orig_len, &what);
+                }
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Runs, overlapping copies, far copies, literals and now and
+            /// then any offset at all, decoded to their own length, a little
+            /// less or more, or cut short: every decoder agrees with the
+            /// model.
+            #[test]
+            fn random_token_streams_decode_as_the_model_does(
+                picks in proptest::collection::vec((0u8..64, any::<u8>(), 1usize..4096, 0usize..16), 0..1500),
+                mode in 0u8..4,
+                delta in 0usize..64,
+            ) {
+                let mut natural = 0usize;
+                let tokens: Vec<Token> = picks
+                    .into_iter()
+                    .map(|(kind, byte, off, len)| {
+                        let len = MIN_MATCH + len;
+                        let token = match kind {
+                            0..=19 if natural >= 1 => Token::Match(1, len),
+                            20..=29 if natural >= 17 => Token::Match(off % 16 + 2, len),
+                            30..=44 if natural >= 18 => {
+                                Token::Match(MAX_MATCH + off % (natural.min(4095) - 17), len)
+                            }
+                            63 => Token::Match(off, len),
+                            _ => Token::Lit(byte),
+                        };
+                        natural += token.len();
+                        token
+                    })
+                    .collect();
+                let mut payload = encode(&tokens);
+                let orig_len = match mode {
+                    0 => natural,
+                    1 => natural.saturating_sub(delta),
+                    2 => natural + delta,
+                    _ => {
+                        payload.truncate(payload.len().saturating_sub(delta));
+                        natural
+                    }
+                };
+                assert_decoders_agree(&payload, orig_len, &format_args!("{tokens:?}, {orig_len}"));
+            }
+        }
     }
 }

@@ -49,7 +49,12 @@ fn kind_tag(kind: BranchKind) -> (u8, u32) {
 }
 
 /// Generate `n_events` events and serialize the whole tree file into memory.
+///
+/// # Panics
+///
+/// If `opts.events_per_basket` is 0.
 pub fn write_tree(generator: &mut Generator, n_events: u64, opts: &WriterOptions) -> Vec<u8> {
+    assert!(opts.events_per_basket > 0, "a basket must hold at least one event");
     let schema = generator.schema().clone();
     let mut out = Vec::new();
 
@@ -163,6 +168,13 @@ mod tests {
                 "hep({branches}), seed {seed}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a basket must hold at least one event")]
+    fn zero_events_per_basket_is_refused() {
+        let opts = WriterOptions { events_per_basket: 0, compress: true };
+        write_tree(&mut Generator::new(Schema::hep(4), 2), 10, &opts);
     }
 
     #[test]
