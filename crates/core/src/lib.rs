@@ -118,10 +118,11 @@
 //!   per-replica files underneath are the wire layer, which never caches,
 //!   so nothing is stored twice.
 //! * **Prefetch hints** — cached handles report
-//!   `RandomAccess::supports_prefetch`, so `rootio`'s TreeCache can push
-//!   upcoming basket windows down to the HTTP layer (`prefetch_vec`),
-//!   giving davix the compute/latency overlap Figure 4 credits to
-//!   XRootD's asynchronous transport.
+//!   `RandomAccess::supports_prefetch` and fetch the blocks of a
+//!   `prefetch_vec` hint in the background. `rootio`'s TreeCache does not
+//!   use the hint: its own window prefetch, on a runtime thread, gives
+//!   davix and xrdlite alike the compute/latency overlap Figure 4 credits
+//!   to XRootD's asynchronous transport.
 //!
 //! [`Metrics::cache_hits`] / [`Metrics::cache_misses`] (and
 //! [`MetricsSnapshot::cache_hit_ratio`]) quantify the effect; the

@@ -50,11 +50,10 @@ pub trait RandomAccess: Send + Sync {
     }
 
     /// Hint that the caller will soon `read_vec` these fragments: an
-    /// implementation with asynchronous transport (xrdlite's multiplexed
-    /// protocol) starts fetching them now so the later read is served from
-    /// local buffers — this is the "sliding window buffering" that lets
-    /// compute overlap network latency. The default is a no-op, which is the
-    /// honest behaviour of synchronous request/response transports (HTTP).
+    /// implementation with a block cache (davix's cached handle) starts
+    /// fetching them now so the later read is served from local buffers.
+    /// The default is a no-op. `rootio::TreeCache` does not hint: it
+    /// prefetches the next window itself, over any source.
     fn prefetch_vec(&self, _fragments: &[(u64, usize)]) {}
 
     /// Whether [`prefetch_vec`](RandomAccess::prefetch_vec) actually does

@@ -136,7 +136,7 @@ impl AnalysisJob {
         if let Some(c) = cal {
             branches.push(c);
         }
-        let mut cache = TreeCache::new(Arc::clone(&reader), &branches, cache_opts);
+        let mut cache = TreeCache::new(Arc::clone(&reader), &branches, cache_opts, Arc::clone(rt));
 
         let stride = if self.fraction >= 1.0 {
             1u64

@@ -4,10 +4,11 @@
 //! This reproduces ROOT's `TTreeCache` role in the paper's Figure 3: the
 //! analysis asks for branch values event by event; the cache translates that
 //! into *one vectored read per event window* through
-//! [`RandomAccess::read_vec`](ioapi::RandomAccess::read_vec). When the source supports prefetch
-//! (xrdlite), the *next* window is requested asynchronously while the
-//! application processes the current one — the latency-hiding that gives the
-//! baseline protocol its WAN edge in Figure 4.
+//! [`RandomAccess::read_vec`](ioapi::RandomAccess::read_vec). With
+//! [`TreeCacheOptions::prefetch`] the cache also issues the *next* window's
+//! read on a runtime thread while the application processes the current one,
+//! over any source — the latency hiding Figure 4 credits to the baseline's
+//! sliding-window buffering (see [the prefetch](#the-prefetch)).
 //!
 //! # The window table
 //!
@@ -47,8 +48,23 @@
 //! body and every virtual-time figure derive from it — and
 //! `window_loads_put_the_same_fragments_on_the_wire` pins it against a
 //! plain reimplementation.
+//!
+//! # The prefetch
+//!
+//! With [`TreeCacheOptions::prefetch`], loading window *w* ends by starting
+//! one [`Runtime::spawn`] thread that issues the `read_vec` for window
+//! *w*+1: the fragment list a synchronous load of that window would send,
+//! its non-resident baskets in file order. The caller computes over window
+//! *w* meanwhile. The next window load waits for that read: it takes the
+//! blobs when the fragment list it needs is the prefetched one (an error
+//! from that read is the window's error), and issues its own read
+//! otherwise. At most one prefetch is in flight, and dropping the cache
+//! waits for it. The source needs nothing for this: what it costs on the
+//! wire is exactly the vectored reads of a cache without prefetch.
 
 use crate::reader::{bad, TreeReader};
+use netsim::{Runtime, Signal};
+use parking_lot::Mutex;
 use std::io;
 use std::sync::Arc;
 
@@ -62,10 +78,8 @@ pub struct TreeCacheOptions {
     /// Master switch: `false` = no gathering, every basket is fetched with
     /// its own scalar read on demand (the pre-TTreeCache world; ablation A2).
     pub enabled: bool,
-    /// Ask the source to prefetch the following window asynchronously
-    /// (only effective when the source [`supports_prefetch`]).
-    ///
-    /// [`supports_prefetch`]: ioapi::RandomAccess::supports_prefetch
+    /// Read the following window on a runtime thread while the caller
+    /// works through the current one (see [the prefetch](self#the-prefetch)).
     pub prefetch: bool,
 }
 
@@ -176,22 +190,53 @@ struct Planned {
     len: usize,
 }
 
+/// What a window's `read_vec` returned.
+type Blobs = io::Result<Vec<Vec<u8>>>;
+
+/// The next window's `read_vec`, running on a runtime thread.
+struct Prefetch {
+    /// The fragments it reads.
+    frags: Vec<(u64, usize)>,
+    /// Set once `blobs` holds what the read returned.
+    done: Arc<dyn Signal>,
+    blobs: Arc<Mutex<Option<Blobs>>>,
+}
+
+impl Prefetch {
+    /// Wait for the read to end; its fragments and what it returned.
+    fn join(self) -> (Vec<(u64, usize)>, Blobs) {
+        self.done.wait(None);
+        let blobs = self.blobs.lock().take().expect("filled before `done` is set");
+        (self.frags, blobs)
+    }
+}
+
 /// Basket cache for a set of branches over one tree.
 pub struct TreeCache {
     reader: Arc<TreeReader>,
     /// The selected branches, in the caller's order.
     branches: Vec<usize>,
     opts: TreeCacheOptions,
+    /// Runs the prefetch thread.
+    rt: Arc<dyn Runtime>,
     /// The window table, one row per schema branch.
     rows: Vec<Row>,
+    /// The prefetch in flight, if any.
+    in_flight: Option<Prefetch>,
     /// Fetch-window statistics.
     windows_loaded: u64,
     prefetches_issued: u64,
 }
 
 impl TreeCache {
-    /// Build a cache over `branches` (indices into the schema).
-    pub fn new(reader: Arc<TreeReader>, branches: &[usize], opts: TreeCacheOptions) -> TreeCache {
+    /// Build a cache over `branches` (indices into the schema); a prefetch
+    /// runs on a thread of `rt`.
+    pub fn new(
+        reader: Arc<TreeReader>,
+        branches: &[usize],
+        opts: TreeCacheOptions,
+        rt: Arc<dyn Runtime>,
+    ) -> TreeCache {
         let rows: Vec<Row> = reader.schema().branches.iter().map(|_| Row::default()).collect();
         let mut selected = Vec::with_capacity(branches.len());
         for &b in branches {
@@ -203,7 +248,9 @@ impl TreeCache {
             reader,
             branches: selected,
             opts,
+            rt,
             rows,
+            in_flight: None,
             windows_loaded: 0,
             prefetches_issued: 0,
         }
@@ -214,6 +261,7 @@ impl TreeCache {
         reader: Arc<TreeReader>,
         names: &[&str],
         opts: TreeCacheOptions,
+        rt: Arc<dyn Runtime>,
     ) -> io::Result<TreeCache> {
         let mut branches = Vec::with_capacity(names.len());
         for n in names {
@@ -221,7 +269,7 @@ impl TreeCache {
                 io::Error::new(io::ErrorKind::NotFound, format!("no branch {n:?}"))
             })?);
         }
-        Ok(TreeCache::new(reader, &branches, opts))
+        Ok(TreeCache::new(reader, &branches, opts, rt))
     }
 
     /// Number of vectored window loads performed.
@@ -229,7 +277,7 @@ impl TreeCache {
         self.windows_loaded
     }
 
-    /// Number of async prefetches issued.
+    /// Number of window prefetches started.
     pub fn prefetches_issued(&self) -> u64 {
         self.prefetches_issued
     }
@@ -269,6 +317,14 @@ impl TreeCache {
         self.rows.get(branch)?.get(ord)
     }
 
+    /// The baskets a load of the window starting at `start` would read:
+    /// its non-resident ones, in file order.
+    fn missing_baskets(&self, start: u64) -> Vec<Planned> {
+        let mut missing = self.window_baskets(start);
+        missing.retain(|p| self.resident(p.branch, p.ord).is_none());
+        missing
+    }
+
     /// Load the window containing `event`; optionally prefetch the next one.
     fn load_window(&mut self, event: u64) -> io::Result<()> {
         if self.opts.window_events == 0 {
@@ -284,35 +340,50 @@ impl TreeCache {
         for &branch in &self.branches {
             self.rows[branch].rebase(ords.start, ords.end.saturating_sub(ords.start) as usize);
         }
-        let mut missing = self.window_baskets(start);
-        missing.retain(|p| self.resident(p.branch, p.ord).is_none());
+        let missing = self.missing_baskets(start);
+        // A prefetch in flight ends here; it is this window's read if it
+        // read these fragments.
+        let prefetched = self.in_flight.take().map(Prefetch::join);
         if !missing.is_empty() {
             let frags: Vec<(u64, usize)> = missing.iter().map(|p| (p.offset, p.len)).collect();
-            let blobs = self.reader.source().read_vec(&frags)?;
+            let blobs = match prefetched {
+                Some((read, blobs)) if read == frags => blobs?,
+                _ => self.reader.source().read_vec(&frags)?,
+            };
             self.windows_loaded += 1;
             for (p, blob) in missing.iter().zip(blobs) {
                 let col = self.reader.decode_basket_owned(p.basket, blob)?;
                 self.rows[p.branch].put(p.ord, col);
             }
         }
-
-        // Async prefetch of the next window.
-        if self.opts.prefetch && self.reader.source().supports_prefetch() {
-            let next = start.saturating_add(self.opts.window_events);
-            if next < self.reader.n_events() {
-                let next_frags: Vec<(u64, usize)> = self
-                    .window_baskets(next)
-                    .into_iter()
-                    .filter(|p| self.resident(p.branch, p.ord).is_none())
-                    .map(|p| (p.offset, p.len))
-                    .collect();
-                if !next_frags.is_empty() {
-                    self.reader.source().prefetch_vec(&next_frags);
-                    self.prefetches_issued += 1;
-                }
-            }
+        let next = start.saturating_add(self.opts.window_events);
+        if self.opts.prefetch && next < self.reader.n_events() {
+            self.prefetch(next);
         }
         Ok(())
+    }
+
+    /// Start reading the window starting at `start` on a runtime thread.
+    fn prefetch(&mut self, start: u64) {
+        let frags: Vec<(u64, usize)> =
+            self.missing_baskets(start).iter().map(|p| (p.offset, p.len)).collect();
+        if frags.is_empty() {
+            return;
+        }
+        let (done, blobs) = (self.rt.signal(), Arc::new(Mutex::new(None)));
+        let src = Arc::clone(self.reader.source());
+        let (task_frags, task_done, task_blobs) =
+            (frags.clone(), Arc::clone(&done), Arc::clone(&blobs));
+        self.rt.spawn(
+            "treecache-prefetch",
+            Box::new(move || {
+                let got = src.read_vec(&task_frags);
+                *task_blobs.lock() = Some(got);
+                task_done.set();
+            }),
+        );
+        self.in_flight = Some(Prefetch { frags, done, blobs });
+        self.prefetches_issued += 1;
     }
 
     /// Make the basket holding `event` of `branch` resident: with the cache
@@ -377,6 +448,15 @@ impl TreeCache {
     }
 }
 
+impl Drop for TreeCache {
+    /// A prefetch in flight is waited for: its thread ends before the cache.
+    fn drop(&mut self) {
+        if let Some(p) = self.in_flight.take() {
+            p.done.wait(None);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,17 +464,21 @@ mod tests {
     use crate::model::{Generator, Schema};
     use crate::writer::{write_tree, WriterOptions};
     use ioapi::{IoStats, IoStatsSnapshot, MemFile, RandomAccess};
-    use parking_lot::Mutex;
+    use netsim::SimNet;
+    use std::time::Duration;
 
-    /// A MemFile wrapper that counts read_vec/read_at calls and can emulate
-    /// prefetch support.
+    /// A MemFile wrapper that counts `read_vec`/`read_at` calls and logs
+    /// every `read_vec`'s fragments; a `read_vec` can cost virtual time, or
+    /// fail.
     struct CountingSource {
         mem: MemFile,
         stats: IoStats,
-        prefetched: Mutex<Vec<Vec<(u64, usize)>>>,
         /// The fragment list of every `read_vec`, in call order.
         loads: Mutex<Vec<Vec<(u64, usize)>>>,
-        claims_prefetch: bool,
+        /// Each `read_vec` first sleeps this long (a round trip).
+        latency: Option<(Arc<dyn Runtime>, Duration)>,
+        /// The `read_vec` with this index, in call order, fails.
+        fail_at: Option<usize>,
     }
 
     impl RandomAccess for CountingSource {
@@ -406,29 +490,41 @@ mod tests {
             self.mem.read_at(off, buf)
         }
         fn read_vec(&self, frags: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+            if let Some((rt, latency)) = &self.latency {
+                rt.sleep(*latency);
+            }
             self.stats.record_vector_read(0, 1);
-            self.loads.lock().push(frags.to_vec());
+            let index = {
+                let mut loads = self.loads.lock();
+                loads.push(frags.to_vec());
+                loads.len() - 1
+            };
+            if self.fail_at == Some(index) {
+                return Err(io::Error::other(format!("read_vec {index} failed")));
+            }
             self.mem.read_vec(frags)
-        }
-        fn prefetch_vec(&self, frags: &[(u64, usize)]) {
-            self.prefetched.lock().push(frags.to_vec());
-        }
-        fn supports_prefetch(&self) -> bool {
-            self.claims_prefetch
         }
         fn stats(&self) -> IoStatsSnapshot {
             self.stats.snapshot()
         }
     }
 
-    fn tree(claims_prefetch: bool) -> (Arc<TreeReader>, Arc<CountingSource>, Schema) {
-        tree_of(2_000, 100, claims_prefetch)
+    fn tree() -> (Arc<TreeReader>, Arc<CountingSource>, Schema) {
+        tree_of(2_000, 100)
     }
 
     fn tree_of(
         n_events: u64,
         events_per_basket: usize,
-        claims_prefetch: bool,
+    ) -> (Arc<TreeReader>, Arc<CountingSource>, Schema) {
+        tree_with(n_events, events_per_basket, None, None)
+    }
+
+    fn tree_with(
+        n_events: u64,
+        events_per_basket: usize,
+        latency: Option<(Arc<dyn Runtime>, Duration)>,
+        fail_at: Option<usize>,
     ) -> (Arc<TreeReader>, Arc<CountingSource>, Schema) {
         let schema = Schema::hep(8);
         let mut g = Generator::new(schema.clone(), 21);
@@ -437,21 +533,27 @@ mod tests {
         let src = Arc::new(CountingSource {
             mem: MemFile::new(bytes),
             stats: IoStats::default(),
-            prefetched: Mutex::new(Vec::new()),
             loads: Mutex::new(Vec::new()),
-            claims_prefetch,
+            latency,
+            fail_at,
         });
         let reader = Arc::new(TreeReader::open(src.clone() as Arc<dyn RandomAccess>).unwrap());
         (reader, src, schema)
     }
 
+    /// A runtime for caches that never prefetch.
+    fn rt() -> Arc<dyn Runtime> {
+        Arc::new(netsim::RealRuntime::new())
+    }
+
     #[test]
     fn values_match_generator() {
-        let (reader, _src, schema) = tree(false);
+        let (reader, _src, schema) = tree();
         let mut cache = TreeCache::for_branches(
             Arc::clone(&reader),
             &["px", "energy", "charge", "nhits"],
             TreeCacheOptions::default(),
+            rt(),
         )
         .unwrap();
         let mut g = Generator::new(schema.clone(), 21);
@@ -472,11 +574,12 @@ mod tests {
 
     #[test]
     fn enabled_cache_gathers_windows_into_vector_reads() {
-        let (reader, src, _schema) = tree(false);
+        let (reader, src, _schema) = tree();
         let mut cache = TreeCache::for_branches(
             Arc::clone(&reader),
             &["px", "py", "pz", "energy"],
             TreeCacheOptions { window_events: 500, enabled: true, prefetch: false },
+            rt(),
         )
         .unwrap();
         let px = reader.schema().index_of("px").unwrap();
@@ -493,12 +596,13 @@ mod tests {
 
     #[test]
     fn disabled_cache_reads_each_basket_individually() {
-        let (reader, src, _schema) = tree(false);
+        let (reader, src, _schema) = tree();
         let before = src.stats();
         let mut cache = TreeCache::for_branches(
             Arc::clone(&reader),
             &["px", "py"],
             TreeCacheOptions { enabled: false, ..Default::default() },
+            rt(),
         )
         .unwrap();
         let px = reader.schema().index_of("px").unwrap();
@@ -513,45 +617,124 @@ mod tests {
         assert_eq!(s.reads, 40);
     }
 
+    /// With prefetch, every window after the first is read by the prefetch
+    /// thread: the same `read_vec`s, fragment for fragment, as without it
+    /// and not one more, and the same values — for baskets that straddle
+    /// windows and for Fig. 4's geometry, whole and strided.
     #[test]
-    fn prefetch_issued_for_next_window_when_supported() {
-        let (reader, src, _schema) = tree(true);
-        let mut cache = TreeCache::for_branches(
-            Arc::clone(&reader),
-            &["px"],
-            TreeCacheOptions { window_events: 500, enabled: true, prefetch: true },
-        )
-        .unwrap();
-        let px = reader.schema().index_of("px").unwrap();
-        cache.f32_value(px, 0).unwrap();
-        let prefetched = src.prefetched.lock();
-        assert_eq!(prefetched.len(), 1, "window 0 load should prefetch window 1");
-        assert!(!prefetched[0].is_empty());
-        drop(prefetched);
-        assert_eq!(cache.prefetches_issued(), 1);
+    fn a_prefetched_window_is_the_read_a_synchronous_load_sends() {
+        let names = ["px", "py", "pz", "energy", "charge", "cal"];
+        for (per, window, stride) in [(20, 50u64, 1usize), (20, 50, 7), (40, 120, 1), (40, 120, 7)]
+        {
+            let net = SimNet::new();
+            let _g = net.enter();
+            let mut passes = Vec::new();
+            for prefetch in [false, true] {
+                let (reader, src, schema) = tree_of(1_010, per);
+                let opts = TreeCacheOptions { window_events: window, enabled: true, prefetch };
+                let mut cache =
+                    TreeCache::for_branches(Arc::clone(&reader), &names, opts, net.runtime())
+                        .unwrap();
+                let px = schema.index_of("px").unwrap();
+                let mut values = Vec::new();
+                for ev in (0..1_010u64).step_by(stride) {
+                    for name in names {
+                        cache.load(schema.index_of(name).unwrap(), ev).unwrap();
+                    }
+                    values.push(cache.f32_value(px, ev).unwrap().to_bits());
+                }
+                let (windows, prefetches) = (cache.windows_loaded(), cache.prefetches_issued());
+                drop(cache);
+                let loads = src.loads.lock().clone();
+                passes.push((loads, values, windows, prefetches));
+            }
+            let what = format!("{per} events a basket, windows of {window}, stride {stride}");
+            let (sync, prefetched) = (&passes[0], &passes[1]);
+            assert_eq!(prefetched.0, sync.0, "{what}: the reads");
+            assert_eq!(prefetched.1, sync.1, "{what}: the values");
+            assert_eq!(prefetched.2, sync.2, "{what}: windows loaded");
+            assert_eq!((sync.3, prefetched.3), (0, sync.2 - 1), "{what}: prefetches");
+        }
     }
 
+    /// A load that skips the prefetched window waits for that read, drops
+    /// it and reads its own window.
     #[test]
-    fn prefetch_not_issued_when_unsupported() {
-        let (reader, src, _schema) = tree(false);
-        let mut cache = TreeCache::for_branches(
-            Arc::clone(&reader),
-            &["px"],
-            TreeCacheOptions { window_events: 500, enabled: true, prefetch: true },
-        )
-        .unwrap();
-        let px = reader.schema().index_of("px").unwrap();
-        cache.f32_value(px, 0).unwrap();
-        assert!(src.prefetched.lock().is_empty());
+    fn a_load_past_the_prefetched_window_reads_its_own() {
+        let net = SimNet::new();
+        let _g = net.enter();
+        let (reader, src, schema) = tree();
+        let opts = TreeCacheOptions { window_events: 500, enabled: true, prefetch: true };
+        let mut cache =
+            TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, net.runtime()).unwrap();
+        let px = schema.index_of("px").unwrap();
+        cache.load(px, 0).unwrap();
+        cache.load(px, 1_500).unwrap();
+        drop(cache);
+        let first =
+            |l: &Vec<(u64, usize)>| reader.baskets().iter().position(|b| b.offset == l[0].0);
+        let firsts: Vec<_> = src.loads.lock().iter().map(first).collect();
+        let window = |w: usize| reader.basket_for(px, 500 * w as u64).ok();
+        assert_eq!(firsts, [window(0), window(1), window(3)], "window 1 prefetched, unused");
+    }
+
+    /// An error from the prefetched read is the error of the window it
+    /// read, and costs no second read; loading that window again reads it.
+    #[test]
+    fn a_failed_prefetch_is_its_windows_error() {
+        let net = SimNet::new();
+        let _g = net.enter();
+        let (reader, src, schema) = tree_with(2_000, 100, None, Some(1));
+        let opts = TreeCacheOptions { window_events: 500, enabled: true, prefetch: true };
+        let mut cache =
+            TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, net.runtime()).unwrap();
+        let px = schema.index_of("px").unwrap();
+        cache.load(px, 0).unwrap();
+        let err = cache.load(px, 500).unwrap_err();
+        assert_eq!(err.to_string(), "read_vec 1 failed");
+        assert_eq!(src.loads.lock().len(), 2, "window 0, then the prefetch of window 1");
+        cache.load(px, 500).unwrap();
+        assert_eq!(cache.windows_loaded(), 2);
+        drop(cache);
+        let loads = src.loads.lock();
+        assert_eq!(loads.len(), 4, "window 1 again, then the prefetch of window 2");
+        assert_eq!(loads[2], loads[1], "the retry reads what the prefetch did");
+    }
+
+    /// The prefetch overlaps the next window's round trip with the work on
+    /// this one, on one runtime thread that ends with the cache.
+    #[test]
+    fn the_prefetch_overlaps_the_round_trip_and_ends_with_the_cache() {
+        let net = SimNet::new();
+        let _g = net.enter();
+        let rtt = Duration::from_millis(10);
+        let (reader, _src, schema) = tree_with(2_000, 100, Some((net.runtime(), rtt)), None);
+        let px = schema.index_of("px").unwrap();
+        let before = net.thread_census();
+        let opts = TreeCacheOptions { window_events: 500, enabled: true, prefetch: true };
+        let mut cache =
+            TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, net.runtime()).unwrap();
+        let t0 = net.now();
+        cache.load(px, 0).unwrap();
+        assert_eq!(net.now() - t0, rtt, "window 0 is read on the caller's thread");
+        assert_eq!(net.thread_census(), before + 1, "window 1's read is in flight");
+        net.sleep(2 * rtt); // the work on window 0
+        let t1 = net.now();
+        cache.load(px, 500).unwrap();
+        assert_eq!(net.now(), t1, "window 1 had landed");
+        drop(cache);
+        net.sleep(Duration::from_millis(1));
+        assert_eq!(net.thread_census(), before, "no thread outlives the cache");
     }
 
     #[test]
     fn sparse_access_still_correct() {
-        let (reader, _src, schema) = tree(false);
+        let (reader, _src, schema) = tree();
         let mut cache = TreeCache::for_branches(
             Arc::clone(&reader),
             &["cal"],
             TreeCacheOptions { window_events: 300, ..Default::default() },
+            rt(),
         )
         .unwrap();
         let mut g = Generator::new(schema.clone(), 21);
@@ -638,9 +821,10 @@ mod tests {
             (40, 120, 1, vec![18, 18, 18, 18, 18, 18, 18, 18, 12]),
             (40, 120, 7, vec![18, 18, 18, 18, 18, 18, 18, 18, 12]),
         ] {
-            let (reader, src, _schema) = tree_of(1_010, per, false);
+            let (reader, src, _schema) = tree_of(1_010, per);
             let opts = TreeCacheOptions { window_events: window, enabled: true, prefetch: false };
-            let mut cache = TreeCache::for_branches(Arc::clone(&reader), &names, opts).unwrap();
+            let mut cache =
+                TreeCache::for_branches(Arc::clone(&reader), &names, opts, rt()).unwrap();
             let branches: Vec<usize> =
                 names.iter().map(|n| reader.schema().index_of(n).unwrap()).collect();
             for ev in (0..1_010u64).step_by(stride) {
@@ -666,16 +850,20 @@ mod tests {
 
     #[test]
     fn a_branch_outside_the_selection_is_an_error_not_a_panic() {
-        let (reader, _src, schema) = tree(false);
-        let mut cache =
-            TreeCache::for_branches(Arc::clone(&reader), &["px"], TreeCacheOptions::default())
-                .unwrap();
+        let (reader, _src, schema) = tree();
+        let mut cache = TreeCache::for_branches(
+            Arc::clone(&reader),
+            &["px"],
+            TreeCacheOptions::default(),
+            rt(),
+        )
+        .unwrap();
         let py = schema.index_of("py").unwrap();
         assert!(cache.column(schema.index_of("px").unwrap(), 0).is_err(), "not loaded yet");
         assert!(cache.f32_value(py, 0).is_err());
         // Cache off, every branch is read on demand.
         let opts = TreeCacheOptions { enabled: false, ..Default::default() };
-        let mut plain = TreeCache::for_branches(reader, &["px"], opts).unwrap();
+        let mut plain = TreeCache::for_branches(reader, &["px"], opts, rt()).unwrap();
         assert!(plain.f32_value(py, 0).is_ok());
     }
 
@@ -698,7 +886,8 @@ mod tests {
                 file[basket.offset as usize + at] ^= 0x01;
             }
             let reader = Arc::new(TreeReader::open(Arc::new(MemFile::new(file))).unwrap());
-            let mut cache = TreeCache::for_branches(reader, &["px", "py"], opts.clone()).unwrap();
+            let mut cache =
+                TreeCache::for_branches(reader, &["px", "py"], opts.clone(), rt()).unwrap();
             match cache.load(px, 45) {
                 Ok(()) => assert!(!damaged, "a damaged raw basket was lent"),
                 Err(e) => {
@@ -726,7 +915,9 @@ mod tests {
 
     #[test]
     fn unknown_branch_is_error() {
-        let (reader, _src, _schema) = tree(false);
-        assert!(TreeCache::for_branches(reader, &["nope"], TreeCacheOptions::default()).is_err());
+        let (reader, _src, _schema) = tree();
+        assert!(
+            TreeCache::for_branches(reader, &["nope"], TreeCacheOptions::default(), rt()).is_err()
+        );
     }
 }

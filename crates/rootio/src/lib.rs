@@ -17,9 +17,9 @@
 //!   baskets, basket index, footer — readable over any
 //!   [`ioapi::RandomAccess`] source (local bytes, davix, xrdlite);
 //! * [`cache`]: the `TreeCache` — plans basket fetches for a window of
-//!   upcoming events, coalesces them into one vectored read, and (when the
-//!   source supports it) *prefetches the next window asynchronously* so
-//!   compute overlaps the network;
+//!   upcoming events, coalesces them into one vectored read, and
+//!   optionally *prefetches the next window* on a runtime thread, over any
+//!   source, so compute overlaps the network;
 //! * [`analysis`]: histograms and the invariant-mass analysis job used by
 //!   the Figure 4 reproduction, with a virtual-time CPU cost model.
 //!

@@ -1,15 +1,17 @@
 //! The xrdlite client: one multiplexed connection, stream-ID request
-//! matching, vectored reads, asynchronous prefetch and sliding-window
-//! read-ahead.
+//! matching and vectored reads. It keeps no cache and reads nothing ahead:
+//! a `read_at` is one READ and a `read_vec` one READV. The window prefetch
+//! that overlaps round trips with compute is `rootio::TreeCache`'s, over
+//! any source.
 //!
 //! The client starts no thread. The caller that issues a request writes its
-//! frame. A caller waiting for an answer reads the connection for everyone:
-//! it routes every answer it completes to the slots its request named, stops
-//! once its own slot is full, and hands the read side to a waiter whose slot
-//! is still empty. A read-ahead or prefetch answer nobody waits on is routed
-//! at the next wait, or dropped with the connection. Each side of the
-//! connection is a baton handed over through the runtime's signals, so no
-//! lock is ever held across a stream call (see `mux` for why that matters).
+//! frame, and every request has a caller waiting on its answer. A waiting
+//! caller reads the connection for everyone: it routes every answer it
+//! completes to the slot its request named, stops once its own slot is full,
+//! and hands the read side to a waiter whose slot is still empty. Each side
+//! of the connection is a baton handed over through the runtime's signals,
+//! so no lock is ever held across a stream call (see `mux` for why that
+//! matters).
 
 use crate::mux::Reassembler;
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status};
@@ -22,8 +24,6 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Cap on a file's cached or pending read-ahead segments (LRU eviction).
-const MAX_CACHED_SEGMENTS: usize = 64;
 /// Bytes asked of the transport per read.
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -32,27 +32,17 @@ const READ_CHUNK: usize = 64 * 1024;
 pub struct XrdClientOptions {
     /// Connect timeout.
     pub connect_timeout: Duration,
-    /// Sliding-window read-ahead: how far ahead of a sequential reader to
-    /// prefetch (bytes). 0 disables read-ahead.
-    pub readahead_window: u64,
-    /// Read-ahead segment size (bytes).
-    pub readahead_segment: usize,
 }
 
 impl Default for XrdClientOptions {
     fn default() -> Self {
-        XrdClientOptions {
-            connect_timeout: Duration::from_secs(30),
-            readahead_window: 4 * 1024 * 1024,
-            readahead_segment: 512 * 1024,
-        }
+        XrdClientOptions { connect_timeout: Duration::from_secs(30) }
     }
 }
 
-/// A slot an answer (or error) lands in, once. It is filled only under the
-/// connection's lock, or before another thread can see it; `sig` is set
-/// when it is filled, or when a thread waiting on it is handed the read
-/// side.
+/// The slot a caller's answer (or error) lands in, once. It is filled only
+/// under the connection's lock; `sig` is set when it is filled, or when
+/// the caller waiting on it is handed the read side.
 struct Slot {
     sig: Arc<dyn Signal>,
     data: Mutex<Option<io::Result<Vec<u8>>>>,
@@ -73,41 +63,27 @@ impl Slot {
     }
 }
 
-/// Where an answer goes: cut by `lens` into `slots`, in order, and it must
-/// be exactly as long as they add up to. `lens: None` (OPEN, STAT, whose
-/// answer length the client cannot know) hands it whole to the one slot.
+/// Where an answer goes: the slot of the caller waiting for it. With
+/// `len`, the answer must be exactly that long; `None` (OPEN, STAT, whose
+/// answer length the client cannot know) takes it as it comes.
 struct Pending {
-    lens: Option<Vec<usize>>,
-    slots: Vec<Arc<Slot>>,
+    len: Option<usize>,
+    slot: Arc<Slot>,
 }
 
 impl Pending {
     fn deliver(self, answer: io::Result<Vec<u8>>) {
-        let want: Option<usize> = self.lens.as_ref().map(|lens| lens.iter().sum());
-        let answer = answer.and_then(|data| match want {
+        self.slot.fill(answer.and_then(|data| match self.len {
             Some(want) if want != data.len() => Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("an answer of {} bytes to a read of {want}", data.len()),
             )),
             _ => Ok(data),
-        });
-        match answer {
-            Ok(data) if self.slots.len() == 1 => self.slots[0].fill(Ok(data)),
-            Ok(data) => {
-                let mut off = 0;
-                for (slot, len) in self.slots.iter().zip(self.lens.iter().flatten()) {
-                    slot.fill(Ok(data[off..off + len].to_vec()));
-                    off += len;
-                }
-            }
-            Err(e) => self.fail(&e),
-        }
+        }));
     }
 
     fn fail(&self, e: &io::Error) {
-        for slot in &self.slots {
-            slot.fill(Err(copy_err(e)));
-        }
+        self.slot.fill(Err(copy_err(e)));
     }
 }
 
@@ -146,10 +122,8 @@ struct ClientInner {
     /// Set whenever the write side is handed back.
     write_free: Arc<dyn Signal>,
     rt: Arc<dyn Runtime>,
-    /// Round trips actually issued (sync + async).
+    /// Request frames sent.
     round_trips: AtomicU64,
-    /// Requests served from prefetch/read-ahead cache.
-    cache_hits: AtomicU64,
 }
 
 impl ClientInner {
@@ -191,27 +165,10 @@ impl ClientInner {
     /// Synchronous request/response; `len`: the answer must be that long.
     fn request(&self, op: Op, payload: Vec<u8>, len: Option<usize>) -> io::Result<Vec<u8>> {
         let slot = Slot::new(&self.rt);
-        let route = Pending { lens: len.map(|len| vec![len]), slots: vec![Arc::clone(&slot)] };
-        self.issue(op, payload, route)?;
-        self.wait_take(&slot)
-    }
-
-    fn wait_take(&self, slot: &Arc<Slot>) -> io::Result<Vec<u8>> {
-        self.wait_for(slot);
-        slot.data.lock().take().unwrap_or_else(|| Err(io::Error::other("slot consumed twice")))
-    }
-
-    /// Wait and copy the answer without consuming it — for slots shared by
-    /// several readers (the read-ahead segment cache). A take-then-refill
-    /// would race: a second reader can observe the emptied slot between the
-    /// two steps.
-    fn wait_clone(&self, slot: &Arc<Slot>) -> io::Result<Vec<u8>> {
-        self.wait_for(slot);
-        match slot.data.lock().as_ref() {
-            Some(Ok(v)) => Ok(v.clone()),
-            Some(Err(e)) => Err(copy_err(e)),
-            None => Err(io::Error::other("slot already consumed")),
-        }
+        self.issue(op, payload, Pending { len, slot: Arc::clone(&slot) })?;
+        self.wait_for(&slot);
+        let answer = slot.data.lock().take();
+        answer.expect("a slot is full once `wait_for` returns")
     }
 
     /// Block until `slot` is full. While the read side is free this thread
@@ -279,8 +236,8 @@ impl ClientInner {
     }
 
     /// Route one received frame: part of an answer is kept, a whole answer
-    /// goes where its request said. A frame for a stream ID with no request
-    /// on the wire is a lying peer.
+    /// goes to the slot its request named. A frame for a stream ID with no
+    /// request on the wire is a lying peer.
     fn route(&self, frame: Frame, partial: &mut Reassembler) -> io::Result<()> {
         let id = frame.stream_id;
         let mut conn = self.conn.lock();
@@ -316,7 +273,6 @@ impl ClientInner {
 /// dropped.
 pub struct XrdClient {
     inner: Arc<ClientInner>,
-    opts: XrdClientOptions,
 }
 
 impl XrdClient {
@@ -349,9 +305,8 @@ impl XrdClient {
             write_free: rt.signal(),
             rt,
             round_trips: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
         });
-        Ok(XrdClient { inner, opts })
+        Ok(XrdClient { inner })
     }
 
     /// Open a remote file.
@@ -360,16 +315,7 @@ impl XrdClient {
         let mut r = PayloadReader::new(&payload);
         let handle = r.u32()?;
         let size = r.u64()?;
-        Ok(XrdFile {
-            inner: Arc::clone(&self.inner),
-            opts: self.opts.clone(),
-            handle,
-            size,
-            io: IoStats::default(),
-            seg_cache: Mutex::new(SegCache::default()),
-            frag_cache: Mutex::new(HashMap::new()),
-            last_seq_end: Mutex::new(None),
-        })
+        Ok(XrdFile { inner: Arc::clone(&self.inner), handle, size, io: IoStats::default() })
     }
 
     /// Stat without opening.
@@ -378,37 +324,18 @@ impl XrdClient {
         PayloadReader::new(&payload).u64()
     }
 
-    /// Total request frames sent (sync + async) — the round-trip metric.
+    /// Total request frames sent — the round-trip metric.
     pub fn round_trips(&self) -> u64 {
         self.inner.round_trips.load(Ordering::Relaxed)
     }
-
-    /// Reads served from prefetch / read-ahead cache.
-    pub fn cache_hits(&self) -> u64 {
-        self.inner.cache_hits.load(Ordering::Relaxed)
-    }
-}
-
-#[derive(Default)]
-struct SegCache {
-    /// segment index → slot (pending or filled).
-    segments: HashMap<u64, Arc<Slot>>,
-    /// LRU order of segment indices.
-    lru: Vec<u64>,
 }
 
 /// An open file on an [`XrdClient`].
 pub struct XrdFile {
     inner: Arc<ClientInner>,
-    opts: XrdClientOptions,
     handle: u32,
     size: u64,
     io: IoStats,
-    seg_cache: Mutex<SegCache>,
-    /// Exact-fragment prefetch cache for vectored reads.
-    frag_cache: Mutex<HashMap<(u64, u32), Arc<Slot>>>,
-    /// End offset of the last sequential read (read-ahead trigger).
-    last_seq_end: Mutex<Option<u64>>,
 }
 
 impl XrdFile {
@@ -421,208 +348,38 @@ impl XrdFile {
         PayloadWriter::new().u32(self.handle).u64(off).u32(len).build()
     }
 
-    fn readv_payload(&self, frags: &[(u64, usize)]) -> Vec<u8> {
-        let mut w = PayloadWriter::new().u32(self.handle).u16(frags.len() as u16);
+    /// The READV request for `frags`, refused before anything is sent when
+    /// the protocol cannot carry it: at most `u16::MAX` fragments of at
+    /// most `u32::MAX` bytes.
+    fn readv_payload(&self, frags: &[(u64, usize)]) -> io::Result<Vec<u8>> {
+        let too_big = |what: String| io::Error::new(io::ErrorKind::InvalidInput, what);
+        let n = u16::try_from(frags.len())
+            .map_err(|_| too_big(format!("{} fragments in one READV", frags.len())))?;
+        let mut w = PayloadWriter::new().u32(self.handle).u16(n);
         for &(off, len) in frags {
-            w = w.u64(off).u32(len as u32);
+            let len = u32::try_from(len)
+                .map_err(|_| too_big(format!("a fragment of {len} bytes at {off}")))?;
+            w = w.u64(off).u32(len);
         }
-        w.build()
+        Ok(w.build())
     }
 
-    /// Synchronous positional read (no cache involvement).
-    fn read_direct(&self, off: u64, len: usize) -> io::Result<Vec<u8>> {
-        self.inner.request(Op::Read, self.read_payload(off, len as u32), Some(len))
-    }
-
-    /// Vectored read: one round trip for all fragments, served from the
-    /// prefetch cache when a previous [`prefetch_vec`](Self::prefetch_vec)
-    /// covered exactly these fragments.
+    /// Vectored read: one READV for all fragments.
     pub fn read_vec(&self, frags: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
         if frags.is_empty() {
             return Ok(Vec::new());
         }
-        if frags.len() > u16::MAX as usize {
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, "too many fragments"));
-        }
-        // All fragments already prefetched? A repeated fragment finds its
-        // slot gone: its first occurrence took it (`None`).
-        let keys: Vec<(u64, u32)> = frags.iter().map(|&(o, l)| (o, l as u32)).collect();
-        let cached: Option<Vec<Option<Arc<Slot>>>> = {
-            let mut cache = self.frag_cache.lock();
-            let all = keys.iter().all(|k| cache.contains_key(k));
-            all.then(|| keys.iter().map(|k| cache.remove(k)).collect())
+        let request = self.readv_payload(frags)?;
+        let total = frags.iter().map(|&(_, len)| len).sum();
+        let payload = self.inner.request(Op::ReadV, request, Some(total))?;
+        let mut pos = 0;
+        let cut = |&(_, len): &(u64, usize)| {
+            pos += len;
+            payload[pos - len..pos].to_vec()
         };
-        let out = if let Some(slots) = cached {
-            self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let mut out: Vec<Vec<u8>> = Vec::with_capacity(slots.len());
-            for (i, slot) in slots.iter().enumerate() {
-                out.push(match slot {
-                    Some(slot) => self.inner.wait_take(slot)?,
-                    // A repeat: a copy of what its first occurrence got.
-                    None => out[keys.iter().take_while(|&k| *k != keys[i]).count()].clone(),
-                });
-            }
-            out
-        } else {
-            let total = frags.iter().map(|&(_, len)| len).sum();
-            let payload = self.inner.request(Op::ReadV, self.readv_payload(frags), Some(total))?;
-            let mut pos = 0;
-            let cut = |&(_, len): &(u64, usize)| {
-                pos += len;
-                payload[pos - len..pos].to_vec()
-            };
-            frags.iter().map(cut).collect()
-        };
-        let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
-        self.io.record_vector_read(bytes, 1);
+        let out: Vec<Vec<u8>> = frags.iter().map(cut).collect();
+        self.io.record_vector_read(total as u64, 1);
         Ok(out)
-    }
-
-    /// Asynchronously fetch fragments into the prefetch cache (fire and
-    /// forget): a later `read_vec` with the same fragments completes without
-    /// waiting a fresh round trip. This is the client-side buffering that
-    /// lets compute overlap with WAN latency.
-    pub fn prefetch_vec(&self, frags: &[(u64, usize)]) {
-        if frags.is_empty() || frags.len() > u16::MAX as usize {
-            return;
-        }
-        let slots: Vec<Arc<Slot>> = frags.iter().map(|_| Slot::new(&self.inner.rt)).collect();
-        {
-            let mut cache = self.frag_cache.lock();
-            if cache.len() + frags.len() > 4096 {
-                return; // cache pressure: skip this prefetch
-            }
-            for (&(off, len), slot) in frags.iter().zip(&slots) {
-                cache.insert((off, len as u32), Arc::clone(slot));
-            }
-        }
-        let lens = Some(frags.iter().map(|&(_, l)| l).collect());
-        if self.inner.issue(Op::ReadV, self.readv_payload(frags), Pending { lens, slots }).is_err()
-        {
-            // Connection died; remove the placeholders so readers fall back
-            // to sync reads (which will report the error properly).
-            let mut cache = self.frag_cache.lock();
-            for &(off, len) in frags {
-                cache.remove(&(off, len as u32));
-            }
-        }
-    }
-
-    /// Positional read with sliding-window read-ahead: sequential patterns
-    /// are detected and upcoming segments are fetched asynchronously.
-    pub fn read_at_cached(&self, off: u64, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() || off >= self.size {
-            return Ok(0);
-        }
-        let want = buf.len().min((self.size - off) as usize);
-        if self.opts.readahead_window == 0 {
-            let data = self.read_direct(off, want)?;
-            let n = data.len().min(buf.len());
-            buf[..n].copy_from_slice(&data[..n]);
-            self.io.record_read(n as u64, 1);
-            return Ok(n);
-        }
-
-        let seg = self.opts.readahead_segment as u64;
-        let first_seg = off / seg;
-        let last_seg = (off + want as u64 - 1) / seg;
-
-        // Fetch (or retrieve) each needed segment.
-        let mut assembled: Vec<(u64, Vec<u8>)> = Vec::new();
-        for s in first_seg..=last_seg {
-            let data = self.segment(s)?;
-            assembled.push((s * seg, data));
-        }
-
-        // Sequential? Then schedule read-ahead.
-        let sequential = {
-            let mut last = self.last_seq_end.lock();
-            let sequential = match *last {
-                Some(end) => off <= end && off + want as u64 > end.saturating_sub(seg),
-                None => off < seg, // starting from (near) the beginning
-            };
-            *last = Some(off + want as u64);
-            sequential
-        };
-        if sequential {
-            let ahead_segs = self.opts.readahead_window / seg;
-            for s in (last_seg + 1)..=(last_seg + ahead_segs) {
-                if s * seg >= self.size {
-                    break;
-                }
-                self.prefetch_segment(s);
-            }
-        }
-
-        let mut n = 0usize;
-        for (seg_off, data) in assembled {
-            let data_end = seg_off + data.len() as u64;
-            let copy_from = off.max(seg_off);
-            let copy_to = (off + want as u64).min(data_end);
-            if copy_from >= copy_to {
-                continue;
-            }
-            let src = &data[(copy_from - seg_off) as usize..(copy_to - seg_off) as usize];
-            let dst_off = (copy_from - off) as usize;
-            buf[dst_off..dst_off + src.len()].copy_from_slice(src);
-            n = n.max(dst_off + src.len());
-        }
-        self.io.record_read(n as u64, 1);
-        Ok(n)
-    }
-
-    /// Get a segment: from cache, from a pending prefetch, or synchronously.
-    fn segment(&self, idx: u64) -> io::Result<Vec<u8>> {
-        let seg = self.opts.readahead_segment as u64;
-        let slot = {
-            let cache = self.seg_cache.lock();
-            cache.segments.get(&idx).cloned()
-        };
-        if let Some(slot) = slot {
-            self.inner.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return self.inner.wait_clone(&slot);
-        }
-        let off = idx * seg;
-        let len = seg.min(self.size.saturating_sub(off)) as usize;
-        let data = self.read_direct(off, len)?;
-        self.insert_segment(idx, {
-            let s = Slot::new(&self.inner.rt);
-            s.fill(Ok(data.clone()));
-            s
-        });
-        Ok(data)
-    }
-
-    fn prefetch_segment(&self, idx: u64) {
-        let seg = self.opts.readahead_segment as u64;
-        let off = idx * seg;
-        if off >= self.size {
-            return;
-        }
-        {
-            let cache = self.seg_cache.lock();
-            if cache.segments.contains_key(&idx) {
-                return;
-            }
-        }
-        let len = seg.min(self.size - off) as usize;
-        let slot = Slot::new(&self.inner.rt);
-        self.insert_segment(idx, Arc::clone(&slot));
-        let route = Pending { lens: Some(vec![len]), slots: vec![slot] };
-        if self.inner.issue(Op::Read, self.read_payload(off, len as u32), route).is_err() {
-            self.seg_cache.lock().segments.remove(&idx);
-        }
-    }
-
-    fn insert_segment(&self, idx: u64, slot: Arc<Slot>) {
-        let mut cache = self.seg_cache.lock();
-        cache.segments.insert(idx, slot);
-        cache.lru.retain(|&i| i != idx);
-        cache.lru.push(idx);
-        while cache.lru.len() > MAX_CACHED_SEGMENTS {
-            let evict = cache.lru.remove(0);
-            cache.segments.remove(&evict);
-        }
     }
 
     /// I/O counters.
@@ -638,20 +395,23 @@ impl RandomAccess for XrdFile {
         Ok(self.size)
     }
 
+    /// One READ. A read longer than the protocol's 32-bit length asks for
+    /// `u32::MAX` bytes and comes back short.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        self.read_at_cached(offset, buf)
+        let left = usize::try_from(self.size.saturating_sub(offset)).unwrap_or(usize::MAX);
+        let len = buf.len().min(left).min(u32::MAX as usize);
+        if len == 0 {
+            return Ok(0);
+        }
+        let data =
+            self.inner.request(Op::Read, self.read_payload(offset, len as u32), Some(len))?;
+        buf[..len].copy_from_slice(&data);
+        self.io.record_read(len as u64, 1);
+        Ok(len)
     }
 
     fn read_vec(&self, fragments: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
         XrdFile::read_vec(self, fragments)
-    }
-
-    fn prefetch_vec(&self, fragments: &[(u64, usize)]) {
-        XrdFile::prefetch_vec(self, fragments)
-    }
-
-    fn supports_prefetch(&self) -> bool {
-        true
     }
 
     fn stats(&self) -> IoStatsSnapshot {
@@ -703,7 +463,7 @@ mod tests {
         let f = client.open("/big").unwrap();
         assert_eq!(f.size_bytes(), data.len() as u64);
         let mut buf = vec![0u8; 100];
-        let n = f.read_at_cached(1000, &mut buf).unwrap();
+        let n = f.read_at(1000, &mut buf).unwrap();
         assert_eq!(n, 100);
         assert_eq!(&buf, &data[1000..1100]);
     }
@@ -755,7 +515,7 @@ mod tests {
             let net2 = net.clone();
             net.spawn("big-reader", move || {
                 let t0 = net2.now();
-                let _ = fbig2.read_direct(0, 1_900_000).unwrap();
+                fbig2.read_exact_at(0, &mut vec![0; 1_900_000]).unwrap();
                 *done2.lock() = Some(net2.now() - t0);
             });
             done
@@ -765,7 +525,7 @@ mod tests {
         net.sleep(Duration::from_millis(1)); // let the big read go first
         let t0 = net.now();
         let mut buf = vec![0u8; 4];
-        fsmall.read_at_cached(0, &mut buf).unwrap();
+        fsmall.read_at(0, &mut buf).unwrap();
         let small_elapsed = net.now() - t0;
         net.sleep(Duration::from_secs(2));
         let big_elapsed = rt.lock().expect("big read finished");
@@ -776,111 +536,27 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_vec_serves_next_read_from_cache() {
-        let (net, client, data) = setup(XrdClientOptions::default());
-        let _g = net.enter();
-        let f = client.open("/big").unwrap();
-        let frags: Vec<(u64, usize)> = (0..16).map(|i| (i * 100_000, 50)).collect();
-        f.prefetch_vec(&frags);
-        // Wait for the prefetch to land, then the read must not add a trip.
-        net.sleep(Duration::from_millis(50));
-        let before = client.round_trips();
-        let got = f.read_vec(&frags).unwrap();
-        assert_eq!(client.round_trips(), before, "served from prefetch cache");
-        assert!(client.cache_hits() >= 1);
-        for (g, &(off, len)) in got.iter().zip(&frags) {
-            assert_eq!(g, &data[off as usize..off as usize + len]);
-        }
-    }
-
-    #[test]
-    fn prefetch_does_not_block_caller() {
-        let (net, client, _) = setup(XrdClientOptions::default());
-        let _g = net.enter();
-        let f = client.open("/big").unwrap();
-        let t0 = net.now();
-        f.prefetch_vec(&[(0, 100_000)]);
-        assert_eq!(net.now(), t0, "prefetch must return immediately (no RTT)");
-    }
-
-    #[test]
-    fn sequential_read_triggers_readahead() {
-        let opts = XrdClientOptions {
-            readahead_window: 256 * 1024,
-            readahead_segment: 64 * 1024,
-            ..Default::default()
-        };
-        let (net, client, data) = setup(opts);
-        let _g = net.enter();
-        let f = client.open("/big").unwrap();
-        // Sequentially read ~1 MB in 64 KiB steps.
-        let mut buf = vec![0u8; 64 * 1024];
-        let mut off = 0u64;
-        for _ in 0..16 {
-            let n = f.read_at_cached(off, &mut buf).unwrap();
-            assert_eq!(&buf[..n], &data[off as usize..off as usize + n]);
-            off += n as u64;
-        }
-        assert!(
-            client.cache_hits() >= 8,
-            "read-ahead should serve most sequential segments (hits={})",
-            client.cache_hits()
-        );
-    }
-
-    #[test]
-    fn readahead_overlaps_latency_with_compute() {
-        // With per-step compute ≥ RTT, read-ahead hides the network almost
-        // entirely; without it every step pays the RTT.
-        fn run(window: u64) -> Duration {
-            let opts = XrdClientOptions {
-                readahead_window: window,
-                readahead_segment: 64 * 1024,
-                ..Default::default()
-            };
-            let (net, client, data) = setup(opts);
-            let _g = net.enter();
-            let f = client.open("/big").unwrap();
-            let mut buf = vec![0u8; 64 * 1024];
-            let t0 = net.now();
-            let mut off = 0u64;
-            for _ in 0..16 {
-                let n = f.read_at_cached(off, &mut buf).unwrap();
-                off += n as u64;
-                net.sleep(Duration::from_millis(15)); // "compute" > RTT(10ms)
-            }
-            let _ = data;
-            net.now() - t0
-        }
-        let with = run(512 * 1024);
-        let without = run(0);
-        assert!(
-            without > with + Duration::from_millis(100),
-            "readahead {with:?} must beat no-readahead {without:?}"
-        );
-    }
-
-    #[test]
     fn server_death_fails_pending_and_future_requests() {
         let (net, client, _) = setup(XrdClientOptions::default());
         let _g = net.enter();
         let f = client.open("/big").unwrap();
         net.set_host_down("s", true);
         let mut buf = vec![0u8; 16];
-        assert!(f.read_at_cached(0, &mut buf).is_err());
+        assert!(f.read_at(0, &mut buf).is_err());
         assert!(client.open("/small").is_err());
     }
 
     #[test]
-    fn a_repeated_fragment_is_served_from_its_prefetched_slot() {
+    fn a_fragment_over_u32_max_is_refused_before_anything_is_sent() {
         let (net, client, data) = setup(XrdClientOptions::default());
         let _g = net.enter();
         let f = client.open("/big").unwrap();
-        f.prefetch_vec(&[(0, 10)]);
         let before = client.round_trips();
-        let got = f.read_vec(&[(0, 10), (0, 10)]).unwrap();
-        assert_eq!(got, [&data[..10], &data[..10]]);
-        assert_eq!(client.round_trips(), before, "served from the prefetch");
+        let err = f.read_vec(&[(0, 10), (0, u32::MAX as usize + 1)]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert_eq!(client.round_trips(), before, "nothing went on the wire");
+        let again = f.read_vec(&[(0, 10), (0, 10)]).unwrap();
+        assert_eq!(again, [&data[..10], &data[..10]], "the connection lives on");
     }
 
     /// What a raw peer read: every request, then whether the stream ended.
@@ -961,21 +637,37 @@ mod tests {
             vec![answer(req, usize::from(lie))]
         });
         let _g = net.enter();
-        let opts =
-            XrdClientOptions { readahead_window: 128, readahead_segment: 64, ..Default::default() };
-        let client = connect(&net, opts);
+        let client = connect(&net, XrdClientOptions::default());
         let f = client.open("/f").unwrap();
         fn invalid<T>(r: io::Result<T>) -> bool {
             r.is_err_and(|e| e.kind() == io::ErrorKind::InvalidData)
         }
-        // From the start: an honest segment, and read-ahead asks for the next two.
-        f.read_at_cached(0, &mut [0u8; 10]).unwrap();
-        assert!(invalid(f.read_at_cached(64, &mut [0u8; 10])), "read-ahead READ");
-        assert!(invalid(f.read_at_cached(640, &mut [0u8; 10])), "READ");
+        f.read_at(0, &mut [0u8; 10]).unwrap();
+        assert!(invalid(f.read_at(640, &mut [0u8; 10])), "READ");
         assert!(invalid(f.read_vec(&[(64, 4), (100, 6)])), "READV");
-        f.prefetch_vec(&[(64, 4), (100, 6)]);
-        assert!(invalid(f.read_vec(&[(64, 4), (100, 6)])), "prefetched READV");
         assert_eq!(f.read_vec(&[(0, 4)]).unwrap(), [[0, 1, 2, 3]], "the connection lives on");
+    }
+
+    #[test]
+    fn a_read_over_u32_max_asks_for_u32_max() {
+        // A file of 8 GiB; every READ gets an error back.
+        let (net, log) = raw_server(LinkSpec::lan(), |req| {
+            let (code, payload) = match Op::from_u8(req.code).unwrap() {
+                Op::Open => (Status::Ok, PayloadWriter::new().u32(1).u64(8 << 30).build()),
+                _ => (Status::Error, b"no".to_vec()),
+            };
+            vec![Frame { stream_id: req.stream_id, code: code as u8, flags: 0, payload }]
+        });
+        let _g = net.enter();
+        let client = connect(&net, XrdClientOptions::default());
+        let f = client.open("/f").unwrap();
+        // Never written to: the error comes back first, so no page is touched.
+        let mut buf = vec![0u8; u32::MAX as usize + 2];
+        assert_eq!(f.read_at(16, &mut buf).unwrap_err().to_string(), "no");
+        let log = log.lock();
+        let read = PayloadReader::new(&log.requests[1].payload[4..]).u64().unwrap();
+        let len = PayloadReader::new(&log.requests[1].payload[12..]).u32().unwrap();
+        assert_eq!((log.requests[1].code, read, len), (Op::Read as u8, 16, u32::MAX));
     }
 
     #[test]
@@ -1033,28 +725,21 @@ mod tests {
         let (net, _) = serve(LinkSpec::lan(), cfg);
         let _g = net.enter();
         let before = net.thread_census();
-        let opts = XrdClientOptions {
-            readahead_window: 256 * 1024,
-            readahead_segment: 64 * 1024,
-            ..Default::default()
-        };
         let mut files = Vec::new();
         for n in [1, 8] {
             while files.len() < n {
-                let f = Arc::new(connect(&net, opts.clone()).open("/big").unwrap());
-                // From the start: read-ahead asks for the next segments.
-                f.read_at_cached(0, &mut [0u8; 16]).unwrap();
-                f.prefetch_vec(&[(1_000_000, 100), (1_500_000, 100)]);
+                let f = Arc::new(connect(&net, XrdClientOptions::default()).open("/big").unwrap());
                 files.push(f);
             }
-            // A sync read in flight on every connection, each from a thread
-            // of the test's own.
+            // A READ and a READV in flight on every connection, each from a
+            // thread of the test's own.
             for f in &files {
-                let f = Arc::clone(f);
-                net.spawn("reader", move || drop(f.read_vec(&[(10, 10)]).unwrap()));
+                let (f, g) = (Arc::clone(f), Arc::clone(f));
+                net.spawn("reader", move || assert_eq!(f.read_at(0, &mut [0u8; 16]).unwrap(), 16));
+                net.spawn("reader", move || drop(g.read_vec(&[(10, 10)]).unwrap()));
             }
-            net.sleep(Duration::from_millis(10)); // the READVs are in, held by the delay
-            assert_eq!(net.thread_census(), before + n, "{n} connection(s): the readers only");
+            net.sleep(Duration::from_millis(10)); // the requests are in, held by the delay
+            assert_eq!(net.thread_census(), before + 2 * n, "{n} connection(s): the readers only");
             net.sleep(Duration::from_millis(200));
             assert_eq!(net.thread_census(), before, "{n} connection(s), all answered");
         }
@@ -1103,15 +788,18 @@ mod tests {
         let (net, log) = raw_server(slow, |req| vec![answer(req, 0)]);
         let _g = net.enter();
         let client = connect(&net, XrdClientOptions::default());
-        let f = client.open("/f").unwrap();
+        let f = Arc::new(client.open("/f").unwrap());
         for i in 0..4u64 {
-            // 12 KB request frames, more than the link carries in 50 ms.
+            // 12 KB request frames, more than the link carries in 50 ms,
+            // each from a caller that holds a handle until its answer.
             let frags: Vec<(u64, usize)> = (0..1_000).map(|j| ((i * 1_000 + j) % 990, 1)).collect();
-            f.prefetch_vec(&frags);
+            let f = Arc::clone(&f);
+            net.spawn("caller", move || drop(f.read_vec(&frags).unwrap()));
         }
+        net.sleep(Duration::from_millis(1));
         drop(client);
-        assert!(log.lock().requests.len() < 5, "the last READV is still on the wire");
         drop(f);
+        assert!(log.lock().requests.len() < 5, "the last READV is still on the wire");
         net.sleep(Duration::from_secs(5));
         let log = log.lock();
         assert!(log.eof, "the server sees the end of the stream");

@@ -10,10 +10,12 @@
 //!    data for upcoming reads is requested *asynchronously*, overlapping
 //!    network latency with application compute.
 //!
-//! `xrdlite` reproduces exactly those three mechanisms over a compact binary
-//! framing ([`wire`]), with a server ([`server`]) that fronts the same
+//! `xrdlite` reproduces the first two over a compact binary framing
+//! ([`wire`]), with a server ([`server`]) that fronts the same
 //! [`objstore::ObjectStore`] the HTTP nodes serve — so benchmark comparisons
-//! hit identical data.
+//! hit identical data. The third is where ROOT keeps it, in the
+//! `TTreeCache`: `rootio::TreeCache` prefetches the next window of baskets
+//! on a runtime thread over any source, this one and davix alike.
 //!
 //! It deliberately does *not* reproduce the rest of XRootD (authentication,
 //! federation/redirection, third-party copy): the paper's evaluation

@@ -281,7 +281,8 @@ fn a_500_basket_window_load_allocates_per_basket_not_per_value() {
     let reader = Arc::new(TreeReader::open(Arc::new(MemFile::new(tree))).unwrap());
     let names = ["px", "py", "pz", "energy", "cal"];
     let opts = TreeCacheOptions { window_events: 2_000, enabled: true, prefetch: false };
-    let mut cache = TreeCache::for_branches(Arc::clone(&reader), &names, opts).unwrap();
+    let rt: Arc<dyn netsim::Runtime> = Arc::new(netsim::RealRuntime::new());
+    let mut cache = TreeCache::for_branches(Arc::clone(&reader), &names, opts, rt).unwrap();
     let branch = |name: &str| reader.schema().index_of(name).unwrap();
     let (scalars, cal) = (["px", "py", "pz", "energy"].map(branch), branch("cal"));
 

@@ -173,3 +173,45 @@ fn fractional_reads_scale_io_down() {
     // every basket of the selected branches; byte volume must not grow.
     assert!(tenth_bytes <= full_bytes);
 }
+
+/// The TreeCache's window prefetch overlaps each window's round trip with
+/// the work on the window before it, over either protocol: a WAN job with
+/// it takes less virtual time than one without, and its threads end with
+/// the job.
+#[test]
+fn window_prefetch_hides_wan_round_trips_over_both_protocols() {
+    let bytes = tree_bytes(1_000);
+    // Ten windows of 100 events, 200 ms of work each against a 150 ms
+    // round trip: without prefetch each window waits for its read.
+    let job = AnalysisJob { per_event_cpu: Duration::from_millis(2), ..Default::default() };
+    for proto in ["davix", "xrd"] {
+        let mut took = Vec::new();
+        for prefetch in [false, true] {
+            let tb = xrd_testbed(bytes.clone(), LinkSpec::wan());
+            let _g = tb.net.enter();
+            let source: Arc<dyn RandomAccess> = if proto == "davix" {
+                Arc::new(tb.davix_client(Config::default()).open(&tb.url(0)).unwrap())
+            } else {
+                let xrd = tb.xrd_client(0, xrdlite::XrdClientOptions::default()).unwrap();
+                Arc::new(xrd.open(DATA_PATH).unwrap())
+            };
+            let reader = Arc::new(TreeReader::open(source).unwrap());
+            let rt: Arc<dyn netsim::Runtime> = tb.net.runtime();
+            let opts = TreeCacheOptions { window_events: 100, enabled: true, prefetch };
+            let before = tb.net.thread_census();
+            let t0 = tb.net.now();
+            let report = job.run(reader, opts, &rt).unwrap();
+            took.push(tb.net.now() - t0);
+            assert_eq!((report.events_processed, report.windows_loaded), (1_000, 10));
+            tb.net.sleep(Duration::from_millis(1));
+            assert_eq!(tb.net.thread_census(), before, "{proto}, prefetch {prefetch}: threads");
+        }
+        eprintln!("{proto}: {:?} without prefetch, {:?} with", took[0], took[1]);
+        assert!(
+            took[1] + Duration::from_secs(1) < took[0],
+            "{proto}: prefetch {:?} must beat no prefetch {:?}",
+            took[1],
+            took[0]
+        );
+    }
+}

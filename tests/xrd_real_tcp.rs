@@ -4,6 +4,7 @@
 //! side's real-TCP test.
 
 use bytes::Bytes;
+use ioapi::RandomAccess;
 use netsim::{RealRuntime, Runtime, TcpConnector, TcpListenerWrap};
 use objstore::ObjectStore;
 use std::sync::Arc;
@@ -45,7 +46,7 @@ fn open_stat_read_over_real_sockets() {
     assert_eq!(f.size_bytes(), data.len() as u64);
 
     let mut buf = vec![0u8; 4096];
-    let n = f.read_at_cached(32_768, &mut buf).unwrap();
+    let n = f.read_at(32_768, &mut buf).unwrap();
     assert_eq!(&buf[..n], &data[32_768..32_768 + n]);
     assert!(server.requests.load(davix_sync::Ordering::Relaxed) >= 3);
 }
@@ -93,7 +94,7 @@ fn concurrent_readers_multiplex_one_connection() {
             for i in 0..16u64 {
                 let off = (t * 16 + i) * 3_000;
                 let mut buf = vec![0u8; 1_000];
-                let n = f.read_at_cached(off, &mut buf).unwrap();
+                let n = f.read_at(off, &mut buf).unwrap();
                 assert_eq!(&buf[..n], &data[off as usize..off as usize + n]);
             }
         }));
