@@ -32,11 +32,9 @@
 
 use bytes::Bytes;
 use davix::{Config, DavixClient, Exchange, ExchangePoll, PreparedRequest};
-use davix_bench::{env_usize, millis, secs, BenchReport, Table};
-use httpd::ServerConfig;
+use davix_bench::{env_usize, millis, secs, single_server, BenchReport, Table};
 use httpwire::parse::BodyReader;
 use netsim::{BoxedStream, LinkSpec, Runtime as _, SimNet};
-use objstore::{ObjectStore, StorageNode, StorageOptions};
 use parking_lot::Mutex;
 use std::io::BufReader;
 use std::sync::Arc;
@@ -53,26 +51,12 @@ fn big() -> usize {
 }
 
 fn testnet(link: LinkSpec) -> (SimNet, Vec<String>) {
-    let net = SimNet::new();
-    net.add_host("client");
-    net.add_host("server");
-    net.set_link("client", "server", link);
-    let store = Arc::new(ObjectStore::new());
-    let mut targets = vec!["/obj/big".to_string()];
-    store.put("/obj/big", Bytes::from(vec![1u8; big()]));
+    let mut objects = vec![("/obj/big".to_string(), Bytes::from(vec![1u8; big()]))];
     for i in 0..n_small() {
-        let path = format!("/obj/small{i}");
-        store.put(&path, Bytes::from(vec![2u8; SMALL]));
-        targets.push(path);
+        objects.push((format!("/obj/small{i}"), Bytes::from(vec![2u8; SMALL])));
     }
-    StorageNode::start(
-        store,
-        Box::new(net.bind("server", 80).unwrap()),
-        net.runtime(),
-        StorageOptions::default(),
-        ServerConfig::default(),
-    );
-    (net, targets)
+    let targets = objects.iter().map(|(path, _)| path.clone()).collect();
+    (single_server(link, "server", objects).0, targets)
 }
 
 /// (total time, mean small-response completion) on one keep-alive

@@ -16,16 +16,15 @@
 
 use bytes::Bytes;
 use davix::{Config, DavixClient, PreparedRequest};
-use davix_bench::{secs, BenchReport, Table};
+use davix_bench::{secs, sequential_gets, single_server, BenchReport, Table};
 use davix_repro::testbed::paper_links;
-use httpd::ServerConfig;
 use netsim::{LinkSpec, Runtime as _, SimNet};
-use objstore::{ObjectStore, StorageNode, StorageOptions};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
 
 const OBJ: usize = 256 * 1024;
+const URL: &str = "http://server/obj";
 
 /// Requests per experiment; `DAVIX_BENCH_REQUESTS` shrinks it for CI smoke
 /// runs (the paper setup is 256). At least one request always runs so a
@@ -35,37 +34,7 @@ fn n_req() -> usize {
 }
 
 fn testnet(link: LinkSpec) -> SimNet {
-    let net = SimNet::new();
-    net.add_host("client");
-    net.add_host("server");
-    net.set_link("client", "server", link);
-    let store = Arc::new(ObjectStore::new());
-    store.put("/obj", Bytes::from(vec![9u8; OBJ]));
-    StorageNode::start(
-        store,
-        Box::new(net.bind("server", 80).unwrap()),
-        net.runtime(),
-        StorageOptions::default(),
-        ServerConfig::default(),
-    );
-    net
-}
-
-fn run_sequential(link: LinkSpec, fresh_conns: bool) -> (Duration, u64) {
-    let net = testnet(link);
-    let _g = net.enter();
-    let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
-    let uri: httpwire::Uri = "http://server/obj".parse().unwrap();
-    let t0 = net.now();
-    for _ in 0..n_req() {
-        let mut req = PreparedRequest::get(uri.clone());
-        if fresh_conns {
-            // HTTP/1.0-style: ask the server to close after each response.
-            req = req.header("Connection", "close");
-        }
-        client.executor().execute_expect(&req, "get").unwrap();
-    }
-    (net.now() - t0, client.metrics().sessions_created)
+    single_server(link, "server", [("/obj".to_string(), Bytes::from(vec![9u8; OBJ]))]).0
 }
 
 fn run_concurrent(link: LinkSpec, workers: usize, max_idle: usize) -> (Duration, u64, f64) {
@@ -95,7 +64,7 @@ fn run_concurrent(link: LinkSpec, workers: usize, max_idle: usize) -> (Duration,
                     }
                     *r -= 1;
                 }
-                let uri = "http://server/obj".parse().unwrap();
+                let uri = URL.parse().unwrap();
                 client.executor().execute_expect(&PreparedRequest::get(uri), "get").unwrap();
             }
             let mut l = live.lock();
@@ -125,8 +94,8 @@ fn main() {
     let mut report = BenchReport::new("fig2_pool");
     report.label("workload", format!("{} sequential {} KiB GETs", n_req(), OBJ / 1024));
     for (name, link) in paper_links(1.0) {
-        let (t_fresh, c_fresh) = run_sequential(link, true);
-        let (t_pool, c_pool) = run_sequential(link, false);
+        let (t_fresh, c_fresh) = sequential_gets(&testnet(link), URL, n_req(), true);
+        let (t_pool, c_pool) = sequential_gets(&testnet(link), URL, n_req(), false);
         let key = name.to_lowercase().replace(' ', "_");
         report.metric(&format!("{key}.fresh.total_s"), t_fresh.as_secs_f64());
         report.metric(&format!("{key}.recycled.total_s"), t_pool.as_secs_f64());

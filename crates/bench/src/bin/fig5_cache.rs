@@ -26,11 +26,8 @@
 
 use bytes::Bytes;
 use davix::{Config, DavixClient};
-use davix_bench::{env_usize, millis, BenchReport, Table};
-use httpd::ServerConfig;
-use netsim::{LinkSpec, SimNet};
-use objstore::{ObjectStore, StorageNode, StorageOptions};
-use std::sync::Arc;
+use davix_bench::{env_usize, millis, single_server, BenchReport, Table};
+use netsim::LinkSpec;
 use std::time::Duration;
 
 const READ: usize = 16 * 1024;
@@ -43,23 +40,9 @@ struct Run {
 }
 
 fn run(data: &[u8], cfg: Config) -> Run {
-    let net = SimNet::new();
-    net.add_host("client");
-    net.add_host("dpm.cern.ch");
-    net.set_link(
-        "client",
-        "dpm.cern.ch",
-        LinkSpec { delay: Duration::from_millis(5), ..Default::default() },
-    );
-    let store = Arc::new(ObjectStore::new());
-    store.put("/data/hot.root", Bytes::from(data.to_vec()));
-    StorageNode::start(
-        store,
-        Box::new(net.bind("dpm.cern.ch", 80).unwrap()),
-        net.runtime(),
-        StorageOptions::default(),
-        ServerConfig::default(),
-    );
+    let link = LinkSpec { delay: Duration::from_millis(5), ..Default::default() };
+    let object = ("/data/hot.root".to_string(), Bytes::from(data.to_vec()));
+    let (net, _) = single_server(link, "dpm.cern.ch", [object]);
     let _g = net.enter();
     let client = DavixClient::new(net.connector("client"), net.runtime(), cfg);
     let file = client.open("http://dpm.cern.ch/data/hot.root").unwrap();
@@ -97,13 +80,7 @@ fn main() {
 
     let off = run(&data, Config::default().no_retry());
     let cached = run(&data, Config::default().no_retry().with_cache(64 * 1024 * 1024));
-    let ra = run(
-        &data,
-        Config::default()
-            .no_retry()
-            .with_cache(64 * 1024 * 1024)
-            .with_readahead(256 * 1024, 4 * 1024 * 1024),
-    );
+    let ra = run(&data, Config::default().no_retry().with_cache(64 * 1024 * 1024).with_readahead());
 
     let mut report = BenchReport::new("fig5_cache");
     report.label("workload", format!("2 passes x {} KiB in 16 KiB reads", size / 1024));

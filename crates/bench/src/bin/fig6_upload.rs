@@ -22,10 +22,8 @@
 
 use bytes::Bytes;
 use davix::{multistream_upload, Config, DavixClient, UploadOptions, UploadProtocol};
-use davix_bench::{env_usize, secs, BenchReport, Table};
-use httpd::ServerConfig;
-use netsim::{LinkSpec, SimNet};
-use objstore::{ObjectStore, StorageNode, StorageOptions};
+use davix_bench::{env_usize, secs, single_server, BenchReport, Table};
+use netsim::LinkSpec;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,29 +44,15 @@ enum Mode {
 }
 
 fn run(data: &Bytes, mode: &Mode) -> Run {
-    let net = SimNet::new();
-    net.add_host("client");
-    net.add_host("dpm.cern.ch");
     // A long fat path where the per-connection window is the bottleneck:
     // 80 ms RTT with a 128 KiB cwnd ceiling caps one stream near
     // 128 KiB / 80 ms ≈ 1.6 MB/s — the regime parallel streams exist for.
-    net.set_link(
-        "client",
-        "dpm.cern.ch",
-        LinkSpec {
-            delay: Duration::from_millis(40),
-            max_cwnd: Some(128 * 1024),
-            ..Default::default()
-        },
-    );
-    let store = Arc::new(ObjectStore::new());
-    StorageNode::start(
-        Arc::clone(&store),
-        Box::new(net.bind("dpm.cern.ch", 80).unwrap()),
-        net.runtime(),
-        StorageOptions::default(),
-        ServerConfig::default(),
-    );
+    let link = LinkSpec {
+        delay: Duration::from_millis(40),
+        max_cwnd: Some(128 * 1024),
+        ..Default::default()
+    };
+    let (net, store) = single_server(link, "dpm.cern.ch", []);
     let _g = net.enter();
     let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
     let url = "http://dpm.cern.ch/ingest/events.root";

@@ -60,7 +60,7 @@ fn main() {
         let result = multistream_download(
             &client,
             &replicas,
-            &MultistreamOptions { streams, chunk_size: 1024 * 1024, ..Default::default() },
+            &MultistreamOptions { streams, chunk_size: 1024 * 1024 },
         );
         let elapsed = tb.net.now() - t0;
         let ok = match &result {

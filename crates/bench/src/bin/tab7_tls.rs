@@ -18,13 +18,9 @@
 //! bytes, not connections, and affects both patterns equally.)
 
 use bytes::Bytes;
-use davix::{Config, DavixClient, PreparedRequest};
-use davix_bench::{env_usize, secs, BenchReport, Table};
+use davix_bench::{env_usize, secs, sequential_gets, single_server, BenchReport, Table};
 use davix_repro::testbed::paper_links;
-use httpd::ServerConfig;
-use netsim::{LinkSpec, SimNet};
-use objstore::{ObjectStore, StorageNode, StorageOptions};
-use std::sync::Arc;
+use netsim::LinkSpec;
 use std::time::Duration;
 
 /// Requests per configuration; `DAVIX_BENCH_TLS_REQUESTS` shrinks it for
@@ -36,31 +32,9 @@ fn n_req() -> usize {
 const OBJ: usize = 64 * 1024;
 
 fn run(link: LinkSpec, fresh_conns: bool) -> (Duration, u64) {
-    let net = SimNet::new();
-    net.add_host("client");
-    net.add_host("server");
-    net.set_link("client", "server", link);
-    let store = Arc::new(ObjectStore::new());
-    store.put("/obj", Bytes::from(vec![5u8; OBJ]));
-    StorageNode::start(
-        store,
-        Box::new(net.bind("server", 80).unwrap()),
-        net.runtime(),
-        StorageOptions::default(),
-        ServerConfig::default(),
-    );
-    let _g = net.enter();
-    let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
-    let uri: httpwire::Uri = "http://server/obj".parse().unwrap();
-    let t0 = net.now();
-    for _ in 0..n_req() {
-        let mut req = PreparedRequest::get(uri.clone());
-        if fresh_conns {
-            req = req.header("Connection", "close");
-        }
-        client.executor().execute_expect(&req, "get").unwrap();
-    }
-    (net.now() - t0, client.metrics().sessions_created)
+    let (net, _) =
+        single_server(link, "server", [("/obj".to_string(), Bytes::from(vec![5u8; OBJ]))]);
+    sequential_gets(&net, "http://server/obj", n_req(), fresh_conns)
 }
 
 fn main() {

@@ -97,7 +97,7 @@ fn main() {
     let (got, report) = multistream_download_scheduled(
         &client,
         &scheduler,
-        &MultistreamOptions { streams: 3, chunk_size: chunk, ..Default::default() },
+        &MultistreamOptions { streams: 3, chunk_size: chunk },
     )
     .expect("download must survive the flap");
     let elapsed = tb.net.now() - t0;

@@ -24,7 +24,13 @@
 //! the connection strategy itself (fig1's serial and pipelined arms,
 //! fig7's non-blocking load generator), through `davix::Exchange`.
 
+use bytes::Bytes;
+use davix::{Config, DavixClient, PreparedRequest};
+use httpd::ServerConfig;
+use netsim::{LinkSpec, SimNet};
+use objstore::{ObjectStore, StorageNode, StorageOptions};
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A simple aligned text table for harness output.
@@ -226,6 +232,51 @@ pub fn env_usize(name: &str, default: usize) -> usize {
             .and_then(|v| v.trim().parse().ok())
             .unwrap_or_else(|| panic!("{name}={v:?} is not a valid unsigned integer")),
     }
+}
+
+/// The one-server testbed: hosts `client` and `server` joined by `link`,
+/// and a storage node with default options on `server:80` holding
+/// `objects` (path, bytes). Returns the net and the node's store.
+pub fn single_server(
+    link: LinkSpec,
+    server: &str,
+    objects: impl IntoIterator<Item = (String, Bytes)>,
+) -> (SimNet, Arc<ObjectStore>) {
+    let net = SimNet::new();
+    net.add_host("client");
+    net.add_host(server);
+    net.set_link("client", server, link);
+    let store = Arc::new(ObjectStore::new());
+    for (path, data) in objects {
+        store.put(&path, data);
+    }
+    StorageNode::start(
+        Arc::clone(&store),
+        Box::new(net.bind(server, 80).unwrap()),
+        net.runtime(),
+        StorageOptions::default(),
+        ServerConfig::default(),
+    );
+    (net, store)
+}
+
+/// `n` sequential GETs of `url` from `client` with a default davix client:
+/// all on one recycled keep-alive session, or, with `fresh_conns`, each
+/// asking the server to close (a connection per request, HTTP/1.0 style).
+/// Returns the virtual time they took and the sessions the client opened.
+pub fn sequential_gets(net: &SimNet, url: &str, n: usize, fresh_conns: bool) -> (Duration, u64) {
+    let _g = net.enter();
+    let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
+    let uri: httpwire::Uri = url.parse().unwrap();
+    let t0 = net.now();
+    for _ in 0..n {
+        let mut req = PreparedRequest::get(uri.clone());
+        if fresh_conns {
+            req = req.header("Connection", "close");
+        }
+        client.executor().execute_expect(&req, "get").unwrap();
+    }
+    (net.now() - t0, client.metrics().sessions_created)
 }
 
 /// Mean and (population) standard deviation.

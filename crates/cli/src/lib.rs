@@ -397,7 +397,10 @@ pub fn parse_ranges(spec: &str) -> Result<Vec<(u64, usize)>, CliError> {
         if last < first {
             return Err(CliError::Usage(format!("range {part:?} ends before it starts")));
         }
-        out.push((first, (last - first + 1) as usize));
+        let Some(len) = (last - first).checked_add(1).and_then(|n| usize::try_from(n).ok()) else {
+            return Err(CliError::Usage(format!("range {part:?} is too long")));
+        };
+        out.push((first, len));
     }
     if out.is_empty() {
         return Err(CliError::Usage("empty range list".to_string()));
@@ -426,7 +429,7 @@ pub fn config_for(cmd: &Command) -> Config {
         if cache_mb.is_none() {
             cfg = cfg.with_cache(64 * 1024 * 1024);
         }
-        cfg = cfg.with_readahead(256 * 1024, 4 * 1024 * 1024);
+        cfg = cfg.with_readahead();
     }
     cfg
 }
@@ -682,15 +685,15 @@ mod tests {
         assert!(matches!(cmd, Command::Get { cache_mb: Some(8), readahead: true, .. }));
         let cfg = config_for(&cmd);
         assert_eq!(cfg.cache_capacity_bytes, 8 * 1024 * 1024);
-        assert_eq!(cfg.readahead_min, 256 * 1024);
-        assert_eq!(cfg.readahead_max, 4 * 1024 * 1024);
+        assert!(cfg.readahead);
         // --readahead alone implies a default cache.
         let cmd = parse_args(&args(&["get", "http://h/p", "--readahead"])).unwrap();
         let cfg = config_for(&cmd);
         assert_eq!(cfg.cache_capacity_bytes, 64 * 1024 * 1024);
-        // Without either flag the cache stays off.
+        // Without either flag the cache and read-ahead stay off.
         let cmd = parse_args(&args(&["get", "http://h/p"])).unwrap();
         assert_eq!(config_for(&cmd).cache_capacity_bytes, 0);
+        assert!(!config_for(&cmd).readahead);
         // Bad/conflicting spellings.
         for bad in [
             &["get", "http://h/p", "--cache-mb"][..],
@@ -851,6 +854,14 @@ mod tests {
         assert!(parse_ranges("abc").is_err());
         assert!(parse_ranges("1-x").is_err());
         assert!(parse_ranges("").is_err());
+    }
+
+    #[test]
+    fn a_range_longer_than_u64_is_a_usage_error() {
+        let max = u64::MAX;
+        assert!(matches!(parse_ranges(&format!("0-{max}")), Err(CliError::Usage(_))));
+        assert_eq!(parse_ranges(&format!("1-{max}")).unwrap(), vec![(1, usize::MAX)]);
+        assert_eq!(parse_ranges(&format!("{max}-{max}")).unwrap(), vec![(max, 1)]);
     }
 
     /// End-to-end over real loopback TCP: serve a directory, then exercise

@@ -10,8 +10,8 @@
 //! Three cooperating pieces:
 //!
 //! * [`BlockCache`] — one per client, shared by every open file. Bytes are
-//!   cached in fixed-size blocks (`Config::cache_block_size`) under a
-//!   `(resource key, block index)` key, evicted LRU once
+//!   cached in fixed-size blocks (256 KiB) under a `(resource key, block
+//!   index)` key, evicted LRU once
 //!   `Config::cache_capacity_bytes` of *ready* payload is resident.
 //!   **Single-flight**: when N readers miss the same cold block
 //!   concurrently, exactly one fetches upstream; the rest park on a
@@ -27,9 +27,9 @@
 //!   the wire, or the replica fail-over walk — and the read-ahead state
 //!   (all crate-internal).
 //! * **Adaptive read-ahead** — a reader that keeps picking up exactly
-//!   where its last read ended is sequential; each such read doubles the
-//!   prefetch window from `Config::readahead_min` up to
-//!   `Config::readahead_max` (a random seek resets it), and the window is
+//!   where its last read ended is sequential; with `Config::readahead` on,
+//!   each such read doubles the prefetch window from one block up to
+//!   `READAHEAD_MAX_BLOCKS` (a random seek resets it), and the window is
 //!   fetched by a job on the client's I/O pool through the same single-flight
 //!   path, so a later demand read either hits or joins the in-flight
 //!   fetch. Windows are clamped at EOF — prefetch past the end is a no-op,
@@ -39,6 +39,7 @@
 //! woken with the failure and simply retry (becoming the fetcher
 //! themselves), so one transient fault cannot poison a block.
 
+use crate::config::READAHEAD_MAX_BLOCKS;
 use crate::error::{DavixError, Result};
 use crate::metrics::Metrics;
 use netsim::{Runtime, Signal};
@@ -147,9 +148,8 @@ impl std::fmt::Debug for BlockCache {
 }
 
 impl BlockCache {
-    /// Build a cache. `block_size` must be non-zero (the config layer
-    /// guarantees it by disabling the cache at 0 capacity and defaulting
-    /// the block size).
+    /// Build a cache of `block_size`-byte blocks (non-zero; a client's
+    /// cache uses `CACHE_BLOCK_SIZE`).
     pub(crate) fn new(
         rt: Arc<dyn Runtime>,
         io_pool: Arc<crate::IoPool>,
@@ -335,20 +335,18 @@ pub(crate) struct FileCache {
     size: u64,
     fetcher: Arc<dyn BlockFetch>,
     ra: Mutex<Readahead>,
-    ra_min: u64,
-    ra_max: u64,
+    readahead: bool,
 }
 
 impl FileCache {
     /// Bind `fetcher` to `cache` under `key` for an entity of `size` bytes.
-    /// `ra_min`/`ra_max` are the read-ahead window bounds (0 disables).
+    /// `readahead` turns on the adaptive read-ahead window.
     pub(crate) fn new(
         cache: Arc<BlockCache>,
         key: String,
         size: u64,
         fetcher: Arc<dyn BlockFetch>,
-        ra_min: u64,
-        ra_max: u64,
+        readahead: bool,
     ) -> FileCache {
         FileCache {
             cache,
@@ -356,8 +354,7 @@ impl FileCache {
             size,
             fetcher,
             ra: Mutex::new(Readahead { expected: u64::MAX, window: 0 }),
-            ra_min,
-            ra_max,
+            readahead,
         }
     }
 
@@ -495,17 +492,17 @@ impl FileCache {
     /// Post-read hook: update the sequential detector and kick off the
     /// read-ahead window when the access pattern warrants one.
     fn after_read(&self, offset: u64, len: u64) {
-        if self.ra_min == 0 || self.ra_max == 0 {
+        if !self.readahead {
             return;
         }
         let end = offset + len;
         let window = {
             let mut ra = self.ra.lock();
             if offset == ra.expected {
-                // Sequential: open the window at `min`, then double per
-                // consecutive read up to `max`.
-                ra.window =
-                    if ra.window == 0 { self.ra_min } else { (ra.window * 2).min(self.ra_max) };
+                // Sequential: open the window at one block, then double per
+                // consecutive read up to `READAHEAD_MAX_BLOCKS`.
+                let block = self.block_size();
+                ra.window = (ra.window * 2).clamp(block, block * READAHEAD_MAX_BLOCKS);
             } else {
                 ra.window = 0;
             }
@@ -520,13 +517,13 @@ impl FileCache {
         self.prefetch(&[(end, window as usize)]);
     }
 
-    /// Hint that `fragments` will be read soon: claim whichever of their
-    /// blocks are absent and fetch them in one job on the client's I/O pool
-    /// (one vectored request) through the single-flight path, counting the
-    /// landed bytes as `Metrics::bytes_prefetched`. Fragments beyond EOF
-    /// are clamped away — hinting too far is free. Failures withdraw the
-    /// claims; a later demand read simply refetches.
-    pub(crate) fn prefetch(&self, fragments: &[(u64, usize)]) {
+    /// Read-ahead of `fragments`: claim whichever of their blocks are absent
+    /// and fetch them in one job on the client's I/O pool (one vectored
+    /// request) through the single-flight path, counting the landed bytes
+    /// as `Metrics::bytes_prefetched`. Fragments beyond EOF are clamped
+    /// away. Failures withdraw the claims; a later demand read simply
+    /// refetches.
+    fn prefetch(&self, fragments: &[(u64, usize)]) {
         let (claims, ranges) = self.claim_missing(&self.blocks_of(fragments));
         if claims.is_empty() {
             return;
@@ -588,7 +585,7 @@ mod tests {
         size: usize,
         block: u64,
         capacity: u64,
-        ra: (u64, u64),
+        readahead: bool,
     ) -> (FileCache, Arc<MemFetch>, Arc<Metrics>) {
         let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());
         let metrics = Arc::new(Metrics::default());
@@ -600,15 +597,14 @@ mod tests {
             "test".to_string(),
             size as u64,
             Arc::clone(&fetch) as Arc<dyn BlockFetch>,
-            ra.0,
-            ra.1,
+            readahead,
         );
         (fc, fetch, metrics)
     }
 
     #[test]
     fn read_at_is_correct_across_block_boundaries() {
-        let (fc, fetch, _) = harness(10_000, 256, 1 << 20, (0, 0));
+        let (fc, fetch, _) = harness(10_000, 256, 1 << 20, false);
         for &(off, len) in &[(0u64, 10usize), (250, 20), (255, 1), (256, 256), (9_990, 100)] {
             let mut buf = vec![0u8; len];
             let (n, _) = fc.read_at(off, &mut buf).unwrap();
@@ -622,7 +618,7 @@ mod tests {
 
     #[test]
     fn reread_hits_without_upstream_fetch() {
-        let (fc, fetch, metrics) = harness(4_096, 512, 1 << 20, (0, 0));
+        let (fc, fetch, metrics) = harness(4_096, 512, 1 << 20, false);
         let mut buf = vec![0u8; 4_096];
         let (_, ups1) = fc.read_at(0, &mut buf).unwrap();
         assert_eq!(ups1, 1, "one vectored fetch for the whole span");
@@ -636,7 +632,7 @@ mod tests {
     #[test]
     fn lru_eviction_respects_capacity() {
         // Room for exactly 2 blocks of 100.
-        let (fc, _, _) = harness(1_000, 100, 200, (0, 0));
+        let (fc, _, _) = harness(1_000, 100, 200, false);
         let mut buf = vec![0u8; 100];
         fc.read_at(0, &mut buf).unwrap(); // block 0
         fc.read_at(100, &mut buf).unwrap(); // block 1
@@ -654,7 +650,7 @@ mod tests {
         // Capacity holds 2 blocks; one read covers 10. The fetched blobs
         // must feed the assembly directly — going back through the cache
         // would find them already evicted and refetch each one scalar.
-        let (fc, fetch, _) = harness(1_000, 100, 200, (0, 0));
+        let (fc, fetch, _) = harness(1_000, 100, 200, false);
         let mut buf = vec![0u8; 1_000];
         let (n, ups) = fc.read_at(0, &mut buf).unwrap();
         assert_eq!(n, 1_000);
@@ -666,7 +662,7 @@ mod tests {
 
     #[test]
     fn cold_read_counts_misses_but_no_hits() {
-        let (fc, _, metrics) = harness(4_096, 512, 1 << 20, (0, 0));
+        let (fc, _, metrics) = harness(4_096, 512, 1 << 20, false);
         let mut buf = vec![0u8; 4_096];
         fc.read_at(0, &mut buf).unwrap();
         assert_eq!(
@@ -681,7 +677,7 @@ mod tests {
 
     #[test]
     fn read_vec_fetches_missing_blocks_in_one_call() {
-        let (fc, fetch, _) = harness(100_000, 1_024, 1 << 20, (0, 0));
+        let (fc, fetch, _) = harness(100_000, 1_024, 1 << 20, false);
         let frags = [(0u64, 100usize), (50_000, 200), (99_900, 100)];
         let (out, ups) = fc.read_vec(&frags).unwrap();
         assert_eq!(ups, 1, "all cold blocks in one vectored fetch");
@@ -695,17 +691,17 @@ mod tests {
 
     #[test]
     fn adaptive_window_grows_and_resets() {
-        let (fc, _, _) = harness(1 << 20, 4_096, 1 << 20, (8_192, 65_536));
+        let (fc, _, _) = harness(1 << 20, 4_096, 1 << 20, true);
         let mut buf = vec![0u8; 4_096];
         fc.read_at(0, &mut buf).unwrap(); // first read: no window yet
         assert_eq!(fc.ra.lock().window, 0);
-        fc.read_at(4_096, &mut buf).unwrap(); // sequential → min
-        assert_eq!(fc.ra.lock().window, 8_192);
+        fc.read_at(4_096, &mut buf).unwrap(); // sequential → one block
+        assert_eq!(fc.ra.lock().window, 4_096);
         fc.read_at(8_192, &mut buf).unwrap(); // doubled
-        assert_eq!(fc.ra.lock().window, 16_384);
+        assert_eq!(fc.ra.lock().window, 8_192);
         fc.read_at(500_000, &mut buf).unwrap(); // seek → reset
         assert_eq!(fc.ra.lock().window, 0);
-        // Window is capped at max.
+        // Window is capped at 16 blocks.
         let mut off = 500_000 + 4_096;
         for _ in 0..10 {
             fc.read_at(off, &mut buf).unwrap();
@@ -716,10 +712,10 @@ mod tests {
 
     #[test]
     fn prefetch_past_eof_is_clamped_not_an_error() {
-        let (fc, fetch, _) = harness(10_000, 4_096, 1 << 20, (1 << 20, 1 << 20));
+        let (fc, fetch, _) = harness(10_000, 4_096, 1 << 20, true);
         let mut buf = vec![0u8; 4_096];
-        // Two sequential reads near EOF: the window (1 MiB) dwarfs the
-        // remaining tail; the prefetch must clamp silently.
+        // Two sequential reads near EOF: the window (one block) reaches
+        // past the remaining tail; the prefetch must clamp silently.
         fc.read_at(0, &mut buf).unwrap();
         fc.read_at(4_096, &mut buf).unwrap();
         // Reads at/past EOF stay clean afterwards.
@@ -759,7 +755,7 @@ mod tests {
         let cache = BlockCache::new(rt, pool, metrics, 512, 1 << 20);
         let mem = MemFetch::new(4_096);
         let flaky = Arc::new(Flaky { fail_first: AtomicU64::new(1), inner: Arc::clone(&mem) });
-        let fc = FileCache::new(cache, "k".into(), 4_096, flaky, 0, 0);
+        let fc = FileCache::new(cache, "k".into(), 4_096, flaky, false);
         let mut buf = vec![0u8; 512];
         assert!(fc.read_at(0, &mut buf).unwrap_err().to_string().contains("injected"));
         // The failure was not cached: the retry fetches and succeeds.

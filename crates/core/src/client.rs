@@ -58,7 +58,7 @@ impl DavixClient {
                 Arc::clone(executor.runtime()),
                 Arc::clone(&io_pool),
                 metrics,
-                cfg.cache_block_size,
+                crate::config::CACHE_BLOCK_SIZE,
                 cfg.cache_capacity_bytes,
             )
         });

@@ -40,8 +40,6 @@ pub struct Config {
     pub connect_timeout: Duration,
     /// Per-read inactivity timeout on responses.
     pub io_timeout: Duration,
-    /// Maximum redirect hops before [`DavixError::RedirectLoop`](crate::DavixError).
-    pub max_redirects: u32,
     /// Retry policy for idempotent requests.
     pub retry: RetryPolicy,
     /// Vectored-read strategy.
@@ -58,31 +56,19 @@ pub struct Config {
     /// How long a blacklisted replica sits out before becoming eligible
     /// again (half-open: one success clears it, one failure re-blacklists).
     pub replica_blacklist_cooldown: Duration,
-    /// Block size of the shared client-side block cache (see
-    /// [`BlockCache`]). Reads are rounded to block-aligned upstream
-    /// fetches; bigger blocks mean fewer round trips, smaller blocks less
-    /// over-read on sparse access.
+    /// Capacity of the block cache (see [`BlockCache`]) in bytes of cached
+    /// payload, held in 256 KiB blocks. **0 disables the cache entirely
+    /// (the default)** — every read goes to the wire exactly as in previous
+    /// releases.
     ///
     /// [`BlockCache`]: crate::BlockCache
-    pub cache_block_size: u64,
-    /// Capacity of the block cache in bytes of cached payload. **0 disables
-    /// the cache entirely (the default)** — every read goes to the wire
-    /// exactly as in previous releases.
     pub cache_capacity_bytes: u64,
-    /// Initial read-ahead window opened once a file handle is detected
-    /// reading sequentially (bytes). **0 disables read-ahead (the
-    /// default).** Read-ahead requires the cache
+    /// Adaptive read-ahead (off by default): once a file handle reads
+    /// sequentially, a prefetch window opens at one cache block and doubles
+    /// per consecutive read up to 16 blocks (4 MiB). It requires the cache
     /// ([`cache_capacity_bytes`](Config::cache_capacity_bytes) > 0) —
     /// prefetched blocks land there.
-    pub readahead_min: u64,
-    /// Ceiling the adaptive read-ahead window grows to (doubling on each
-    /// consecutive sequential read). 0 disables read-ahead.
-    pub readahead_max: u64,
-    /// Upload bodies at least this large are sent with
-    /// `Expect: 100-continue`, so a server that rejects the request (auth,
-    /// redirect, quota) can say so *before* the client ships the payload.
-    /// Bodies of unknown length always use it; `u64::MAX` disables it.
-    pub expect_continue_threshold: u64,
+    pub readahead: bool,
     /// Concurrency cap of the client's shared background-I/O pool
     /// ([`IoPool`]): multi-stream download workers, parallel upload
     /// workers, cache read-ahead fetches, the replica fan-out of a vectored
@@ -93,11 +79,25 @@ pub struct Config {
     ///
     /// [`IoPool`]: crate::IoPool
     pub io_threads: usize,
-    /// `User-Agent` header.
-    pub user_agent: String,
 }
 
-/// The default [`Config::user_agent`].
+/// Redirect hops followed before [`DavixError::RedirectLoop`](crate::DavixError).
+pub(crate) const MAX_REDIRECTS: u32 = 8;
+
+/// Block size of the shared client-side block cache: reads are rounded to
+/// block-aligned upstream fetches of this many bytes.
+pub(crate) const CACHE_BLOCK_SIZE: u64 = 256 * 1024;
+
+/// The read-ahead window's ceiling, in cache blocks (4 MiB).
+pub(crate) const READAHEAD_MAX_BLOCKS: u64 = 16;
+
+/// Upload bodies at least this long are sent with `Expect: 100-continue`,
+/// so a server that rejects the request (auth, redirect, quota) can say so
+/// *before* the client ships the payload. Bodies of unknown length always
+/// are.
+pub(crate) const EXPECT_CONTINUE_THRESHOLD: u64 = 256 * 1024;
+
+/// The `User-Agent` every request carries.
 pub(crate) const USER_AGENT: &str = "davix-rs/0.1";
 
 impl Default for Config {
@@ -106,19 +106,14 @@ impl Default for Config {
             max_idle_per_endpoint: 16,
             connect_timeout: Duration::from_secs(30),
             io_timeout: Duration::from_secs(120),
-            max_redirects: 8,
             retry: RetryPolicy::default(),
             range_policy: RangePolicy::MultiRange,
             metalink_base: None,
             replica_failure_threshold: 2,
             replica_blacklist_cooldown: Duration::from_secs(5),
-            cache_block_size: 256 * 1024,
             cache_capacity_bytes: 0,
-            readahead_min: 0,
-            readahead_max: 0,
-            expect_continue_threshold: 256 * 1024,
+            readahead: false,
             io_threads: 16,
-            user_agent: USER_AGENT.to_string(),
         }
     }
 }
@@ -163,23 +158,11 @@ impl Config {
         self
     }
 
-    /// Set the block size of the block cache.
-    ///
-    /// # Panics
-    /// Panics on a zero block size (disable the cache by setting capacity
-    /// to 0 instead).
-    pub fn with_cache_block_size(mut self, block_size: u64) -> Self {
-        assert!(block_size > 0, "cache block size must be non-zero");
-        self.cache_block_size = block_size;
-        self
-    }
-
-    /// Enable adaptive read-ahead: the prefetch window opens at `min`
-    /// bytes on the second consecutive sequential read and doubles up to
-    /// `max`. Either bound at 0 disables read-ahead.
-    pub fn with_readahead(mut self, min: u64, max: u64) -> Self {
-        self.readahead_min = min;
-        self.readahead_max = max.max(min);
+    /// Enable adaptive read-ahead: the prefetch window opens at one cache
+    /// block on the second consecutive sequential read and doubles up to
+    /// 16 blocks.
+    pub fn with_readahead(mut self) -> Self {
+        self.readahead = true;
         self
     }
 }
@@ -192,7 +175,6 @@ mod tests {
     fn defaults_are_sane() {
         let c = Config::default();
         assert!(c.max_idle_per_endpoint >= 1);
-        assert!(c.max_redirects >= 1);
         assert_eq!(c.range_policy, RangePolicy::MultiRange);
         assert!(c.metalink_base.is_none());
     }

@@ -25,7 +25,7 @@ pub enum DavixError {
     NotFound(String),
     /// 401/403-family.
     PermissionDenied(String),
-    /// Redirect chain exceeded the configured cap.
+    /// Redirect chain exceeded the cap of 8 hops.
     RedirectLoop(u32),
     /// An operation exceeded its time budget.
     Timeout(String),

@@ -23,7 +23,7 @@
 //! [`HttpExecutor::execute_upload`] does the same with the body streamed
 //! from a provider.
 
-use crate::config::{Config, USER_AGENT};
+use crate::config::{Config, EXPECT_CONTINUE_THRESHOLD, MAX_REDIRECTS, USER_AGENT};
 use crate::error::{DavixError, Result};
 use crate::metrics::Metrics;
 use crate::pool::{Session, SessionPool};
@@ -271,9 +271,8 @@ impl HttpExecutor {
                         continue;
                     }
                     redirects += 1;
-                    let max = self.cfg.max_redirects;
-                    if redirects > max {
-                        return Err(DavixError::RedirectLoop(max));
+                    if redirects > MAX_REDIRECTS {
+                        return Err(DavixError::RedirectLoop(MAX_REDIRECTS));
                     }
                     Metrics::bump(&self.metrics.redirects);
                     let next = stream.head.headers.get("location").map(|l| uri.resolve_location(l));
@@ -354,13 +353,12 @@ impl HttpExecutor {
     /// Semantics match [`execute`](Self::execute) with the body handled
     /// correctly at every turn:
     ///
-    /// * bodies at least [`Config::expect_continue_threshold`] bytes long
-    ///   (and all unknown-length bodies) are sent with
-    ///   `Expect: 100-continue`: a server that answers with a final status
-    ///   instead of the interim `100` gets its verdict honoured **without
-    ///   the payload ever being transmitted**; a server that answers
-    ///   nothing within half a second receives the body anyway
-    ///   (RFC 7231 §5.1.1);
+    /// * bodies of 256 KiB and more (and all unknown-length bodies) are
+    ///   sent with `Expect: 100-continue`: a server that answers with a
+    ///   final status instead of the interim `100` gets its verdict
+    ///   honoured **without the payload ever being transmitted**; a server
+    ///   that answers nothing within half a second receives the body
+    ///   anyway (RFC 7231 §5.1.1);
     /// * redirects are followed with the body **replayed** to the new
     ///   location (a fresh [`BodySource`] per hop — the 307/308 contract);
     /// * 5xx and transport failures on idempotent methods retry within the
@@ -411,18 +409,14 @@ impl HttpExecutor {
         uri: &Uri,
         source: Option<BodySource<'_>>,
     ) -> std::result::Result<ResponseStart, TryError> {
-        // `u64::MAX` disables Expect for *every* body, including
-        // unknown-length ones (which otherwise always negotiate).
         let expect = source.as_ref().is_some_and(|source| {
-            self.cfg.expect_continue_threshold != u64::MAX
-                && !source.is_empty()
-                && source.len().is_none_or(|n| n >= self.cfg.expect_continue_threshold)
+            !source.is_empty() && source.len().is_none_or(|n| n >= EXPECT_CONTINUE_THRESHOLD)
         });
         // Head and in-memory body leave in one buffer → one transport write
         // → the whole request travels in one segment train.
         let mut wire = std::mem::take(&mut session.wire);
         wire.clear();
-        write_request(&mut wire, req, uri, &self.cfg.user_agent, source.as_ref(), expect);
+        write_request(&mut wire, req, uri, source.as_ref(), expect);
         // `bytes_uploaded` counts *payload* stores only — a PROPFIND or
         // multipart-complete XML body is protocol chatter.
         if let Some(body) = req.body.as_ref().filter(|_| source.is_none()) {
@@ -624,10 +618,10 @@ pub enum ExchangePoll {
 
 impl Exchange {
     /// `req` — with its own in-memory body, if any, in the same write — as
-    /// an executor of the default [`Config`] sends it.
+    /// an executor sends it.
     pub fn new(req: &PreparedRequest) -> Exchange {
         let mut wire = Vec::new();
-        write_request(&mut wire, req, &req.uri, USER_AGENT, None, false);
+        write_request(&mut wire, req, &req.uri, None, false);
         Exchange::over(wire, &req.method)
     }
 
@@ -684,7 +678,6 @@ fn write_request(
     wire: &mut Vec<u8>,
     req: &PreparedRequest,
     uri: &Uri,
-    user_agent: &str,
     streamed: Option<&BodySource<'_>>,
     expect: bool,
 ) {
@@ -693,7 +686,7 @@ fn write_request(
         streamed.map(Stated::Streamed).or(buffered.map(|body| Stated::Buffered(body.len())));
     let stated = [
         Some(Stated::Host(uri)),
-        Some(Stated::UserAgent(user_agent)),
+        Some(Stated::UserAgent),
         framing,
         expect.then_some(Stated::Expect),
     ];
@@ -897,7 +890,7 @@ struct RawStream {
 /// new one cannot be emitted without also displacing the caller's.
 enum Stated<'a> {
     Host(&'a Uri),
-    UserAgent(&'a str),
+    UserAgent,
     /// The framing of a streamed body.
     Streamed(&'a BodySource<'a>),
     /// The length of an in-memory body.
@@ -910,7 +903,7 @@ impl Stated<'_> {
     fn replaces(&self) -> &'static [&'static str] {
         match self {
             Stated::Host(_) => &["Host"],
-            Stated::UserAgent(_) => &["User-Agent"],
+            Stated::UserAgent => &["User-Agent"],
             Stated::Streamed(_) => &["Content-Length", "Transfer-Encoding"],
             Stated::Buffered(_) => &["Content-Length"],
             Stated::Expect => &["Expect"],
@@ -925,8 +918,8 @@ impl Stated<'_> {
                     Some(port) => head.field_fmt("Host", format_args!("{}:{port}", uri.host)),
                 };
             }
-            Stated::UserAgent(agent) => {
-                head.field("User-Agent", agent);
+            Stated::UserAgent => {
+                head.field("User-Agent", USER_AGENT);
             }
             Stated::Streamed(source) => source.write_framing(head),
             Stated::Buffered(len) => {
@@ -1054,9 +1047,10 @@ mod tests {
         );
         looper.serve(Box::new(net.bind("s", 80).unwrap()), net.runtime());
         let _g = net.enter();
-        let ex = executor(&net, Config { max_redirects: 4, ..Config::default() });
+        let ex = executor(&net, Config::default());
         let err = ex.execute(&PreparedRequest::get("http://s/x".parse().unwrap())).unwrap_err();
-        assert!(matches!(err, DavixError::RedirectLoop(4)));
+        assert!(matches!(err, DavixError::RedirectLoop(MAX_REDIRECTS)));
+        assert_eq!(ex.metrics().snapshot().redirects, u64::from(MAX_REDIRECTS));
     }
 
     #[test]
@@ -1218,28 +1212,25 @@ mod tests {
         );
         server.serve(Box::new(net.bind("s", 80).unwrap()), net.runtime());
         let _g = net.enter();
-        let ex = executor(&net, Config { expect_continue_threshold: 1024, ..Config::default() });
-        let small = Bytes::from(vec![1u8; 100]);
+        let ex = executor(&net, Config::default());
+        let small = Bytes::from(vec![1u8; EXPECT_CONTINUE_THRESHOLD as usize - 1]);
         ex.execute_upload(
             &PreparedRequest::new(Method::Put, "http://s/a".parse().unwrap()),
             &small,
         )
         .unwrap();
-        let big = Bytes::from(vec![2u8; 4096]);
+        let big = Bytes::from(vec![2u8; EXPECT_CONTINUE_THRESHOLD as usize]);
         ex.execute_upload(&PreparedRequest::new(Method::Put, "http://s/b".parse().unwrap()), &big)
             .unwrap();
-        let seen = expects.lock().clone();
-        assert_eq!(seen, vec![None, Some("100-continue".to_string())]);
-        // u64::MAX disables Expect entirely — even for unknown-length
-        // (chunked) bodies, which otherwise always negotiate.
-        let ex =
-            executor(&net, Config { expect_continue_threshold: u64::MAX, ..Config::default() });
+        // A body of unknown length always negotiates, however short.
         ex.execute_upload(
             &PreparedRequest::new(Method::Put, "http://s/c".parse().unwrap()),
-            &Unsized(vec![3u8; 64 * 1024]),
+            &Unsized(vec![3u8; 16]),
         )
         .unwrap();
-        assert_eq!(expects.lock().last().cloned(), Some(None), "Expect must be suppressed");
+        let seen = expects.lock().clone();
+        let continued = Some("100-continue".to_string());
+        assert_eq!(seen, vec![None, continued.clone(), continued]);
     }
 
     #[test]
@@ -1258,8 +1249,7 @@ mod tests {
             let _ = w.write_all(b"HTTP/1.1 403 Forbidden\r\nContent-Length: 0\r\n\r\n");
         });
         let _g = net.enter();
-        let ex =
-            executor(&net, Config { expect_continue_threshold: 0, ..Config::default().no_retry() });
+        let ex = executor(&net, Config::default().no_retry());
         let body = Bytes::from(vec![9u8; 1 << 20]);
         let req = PreparedRequest::new(Method::Put, "http://s/denied".parse().unwrap());
         let resp = ex.execute_upload(&req, &body).unwrap();
@@ -1451,7 +1441,9 @@ mod tests {
         Kind::ProviderSized,
         Kind::ProviderChunked,
     ];
-    const BODY: usize = 2048;
+    /// Long enough that the sized provider negotiates `Expect` too (the
+    /// chunked one always does).
+    const BODY: usize = EXPECT_CONTINUE_THRESHOLD as usize;
 
     impl Kind {
         fn has_body(self) -> bool {
@@ -1588,9 +1580,6 @@ mod tests {
                             retries: sc.retries,
                             backoff: Duration::from_millis(1),
                         },
-                        // Low enough that the sized provider negotiates
-                        // `Expect` too (the chunked one always does).
-                        expect_continue_threshold: 1024,
                         ..Config::default()
                     },
                 );

@@ -97,9 +97,9 @@ impl Reader {
         size: u64,
         key: impl FnOnce() -> String,
     ) -> Reader {
-        let (ra_min, ra_max) = (inner.cfg.readahead_min, inner.cfg.readahead_max);
+        let readahead = inner.cfg.readahead;
         let cache = inner.cache.as_ref().map(|cache| {
-            FileCache::new(Arc::clone(cache), key(), size, Arc::clone(&up), ra_min, ra_max)
+            FileCache::new(Arc::clone(cache), key(), size, Arc::clone(&up), readahead)
         });
         Reader { up, size, cache, io: IoStats::default() }
     }
@@ -135,19 +135,6 @@ impl Reader {
         Ok(out)
     }
 
-    /// With the block cache bound, a prefetch hint turns into a background
-    /// block fetch the later `read_vec` is served from — HTTP gains the
-    /// latency-hiding the paper credits to XRootD's asynchronous transport.
-    pub(crate) fn supports_prefetch(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    pub(crate) fn prefetch_vec(&self, fragments: &[(u64, usize)]) {
-        if let Some(cache) = &self.cache {
-            cache.prefetch(fragments);
-        }
-    }
-
     pub(crate) fn io_stats(&self) -> IoStatsSnapshot {
         self.io.snapshot()
     }
@@ -172,14 +159,6 @@ macro_rules! random_access_via_reader {
                 self.pread_vec(fragments).map_err(std::io::Error::from)
             }
 
-            fn prefetch_vec(&self, fragments: &[(u64, usize)]) {
-                self.reader.prefetch_vec(fragments)
-            }
-
-            fn supports_prefetch(&self) -> bool {
-                self.reader.supports_prefetch()
-            }
-
             fn stats(&self) -> ioapi::IoStatsSnapshot {
                 self.reader.io_stats()
             }
@@ -194,7 +173,7 @@ impl std::fmt::Debug for DavFile {
             .field("uri", &self.raw.uri.to_string())
             .field("size", &self.raw.size)
             .field("etag", &self.etag)
-            .field("cached", &self.reader.supports_prefetch())
+            .field("cached", &self.reader.cache.is_some())
             .finish_non_exhaustive()
     }
 }

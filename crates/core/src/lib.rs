@@ -95,11 +95,10 @@
 //! [`Config::cache_capacity_bytes`] > 0, **off by default**) holds
 //! block-aligned LRU payload shared by every open file:
 //!
-//! * **Block-aligned fetching** — a miss pulls whole
-//!   [`Config::cache_block_size`] blocks; the missing blocks of one read
-//!   (scalar or vectored) go upstream as *one* multi-range request, so
-//!   the cold path costs the same round trips as the uncached path and
-//!   every repeat costs none.
+//! * **Block-aligned fetching** — a miss pulls whole 256 KiB blocks; the
+//!   missing blocks of one read (scalar or vectored) go upstream as *one*
+//!   multi-range request, so the cold path costs the same round trips as
+//!   the uncached path and every repeat costs none.
 //! * **Single-flight de-duplication** — N concurrent readers of the same
 //!   cold block produce exactly one upstream GET; the others park on the
 //!   in-flight fetch and share its result
@@ -107,22 +106,21 @@
 //!   network I/O. Fetch failures are *not* cached: the claim is
 //!   withdrawn, waiters retry as fetchers, so transient faults cannot
 //!   poison a block.
-//! * **Adaptive read-ahead** — a handle reading sequentially opens a
-//!   background prefetch window at [`Config::readahead_min`], doubling
-//!   per consecutive read up to [`Config::readahead_max`] (a seek resets
-//!   it; 0 disables, the default). Windows clamp at EOF. Prefetched
-//!   bytes count in [`Metrics::bytes_prefetched`].
+//! * **Adaptive read-ahead** — with [`Config::readahead`] on (off by
+//!   default), a handle reading sequentially opens a background prefetch
+//!   window of one block, doubling per consecutive read up to 16 blocks
+//!   (a seek resets it). Windows clamp at EOF. Prefetched bytes count in
+//!   [`Metrics::bytes_prefetched`].
 //! * **Fail-over keeps its hits** — [`ReplicaFile`] keys blocks by the
 //!   *origin* resource, not the serving replica, so a replica switch
 //!   (or a fully dead replica set) still serves every cached byte; the
 //!   per-replica files underneath are the wire layer, which never caches,
 //!   so nothing is stored twice.
-//! * **Prefetch hints** — cached handles report
-//!   `RandomAccess::supports_prefetch` and fetch the blocks of a
-//!   `prefetch_vec` hint in the background. `rootio`'s TreeCache does not
-//!   use the hint: its own window prefetch, on a runtime thread, gives
-//!   davix and xrdlite alike the compute/latency overlap Figure 4 credits
-//!   to XRootD's asynchronous transport.
+//!
+//! The cache takes no prefetch hints: `rootio`'s TreeCache runs its own
+//! window prefetch on a runtime thread, which gives davix and xrdlite alike
+//! the compute/latency overlap Figure 4 credits to XRootD's asynchronous
+//! transport.
 //!
 //! [`Metrics::cache_hits`] / [`Metrics::cache_misses`] (and
 //! [`MetricsSnapshot::cache_hit_ratio`]) quantify the effect; the
@@ -138,9 +136,8 @@
 //!   [`HttpExecutor::execute_upload`]): the body streams from any
 //!   [`BodyProvider`] (`Content-Length` framing when the length is known,
 //!   chunked otherwise — [`httpwire::BodySource`] is the emitter), so
-//!   uploading a multi-GiB file costs a fixed scratch buffer. Bodies at
-//!   least [`Config::expect_continue_threshold`] bytes long negotiate
-//!   `Expect: 100-continue`: a server that rejects (auth, quota, redirect)
+//!   uploading a multi-GiB file costs a fixed scratch buffer. Bodies of
+//!   256 KiB and more negotiate `Expect: 100-continue`: a server that rejects (auth, quota, redirect)
 //!   answers before the payload ever travels. Retries and redirect hops
 //!   **replay** the body from a fresh reader — the 307/308 contract — under
 //!   the same shared retry budget as the read path. The buffered

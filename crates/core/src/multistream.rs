@@ -34,15 +34,16 @@ pub struct MultistreamOptions {
     pub streams: usize,
     /// Chunk size in bytes.
     pub chunk_size: usize,
-    /// Give up after this many total chunk failures.
-    pub max_chunk_failures: usize,
 }
 
 impl Default for MultistreamOptions {
     fn default() -> Self {
-        MultistreamOptions { streams: 4, chunk_size: 4 * 1024 * 1024, max_chunk_failures: 64 }
+        MultistreamOptions { streams: 4, chunk_size: 4 * 1024 * 1024 }
     }
 }
+
+/// A download gives up after this many chunk failures in total.
+const MAX_CHUNK_FAILURES: usize = 64;
 
 /// One finished chunk: which replica served it, and when (runtime clock).
 #[derive(Debug, Clone)]
@@ -160,7 +161,7 @@ fn download(
         size,
         opts.chunk_size,
         opts.streams,
-        opts.max_chunk_failures,
+        MAX_CHUNK_FAILURES,
         |slot_idx| {
             stream_worker(
                 client.clone(),
@@ -302,11 +303,12 @@ mod tests {
         for host in ["c", "good", "bad"] {
             net.add_host(host);
         }
-        // ~1 MiB/s to the good replica: a 256 KiB chunk is in flight for a
-        // quarter of a (virtual) second.
+        // ~512 KiB/s to the good replica: a 256 KiB chunk is in flight for
+        // half a (virtual) second, while the bad replica's 65 failures take
+        // a few milliseconds each.
         let slow = LinkSpec {
             delay: Duration::from_millis(1),
-            bandwidth: Some(1024 * 1024),
+            bandwidth: Some(512 * 1024),
             ..Default::default()
         };
         net.set_link("c", "good", slow);
@@ -336,16 +338,18 @@ mod tests {
             .serve(Box::new(net.bind("bad", 80).unwrap()), net.runtime());
 
         let _g = net.enter();
-        let client =
-            DavixClient::new(net.connector("c"), net.runtime(), Config::default().no_retry());
+        // Never blacklisted, the bad replica keeps the second stream until
+        // the failure budget runs out.
+        let cfg = Config::default().no_retry().replica_blacklist(u32::MAX, Duration::ZERO);
+        let client = DavixClient::new(net.connector("c"), net.runtime(), cfg);
         let replicas: Vec<Uri> =
             vec!["http://good/f".parse().unwrap(), "http://bad/f".parse().unwrap()];
-        let opts = MultistreamOptions { streams: 2, chunk_size: 256 * 1024, max_chunk_failures: 0 };
+        let opts = MultistreamOptions { streams: 2, chunk_size: 256 * 1024 };
         let t0 = net.now();
         let err = multistream_download(&client, &replicas, &opts).unwrap_err();
         assert!(matches!(err, DavixError::AllReplicasFailed { .. }), "{err}");
         assert!(
-            net.now() - t0 >= Duration::from_millis(200),
+            net.now() - t0 >= Duration::from_millis(450),
             "returned after {:?}: the good replica's chunk cannot have finished",
             net.now() - t0
         );

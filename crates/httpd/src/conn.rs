@@ -332,7 +332,7 @@ impl HttpConn {
     fn queue_response(&mut self, method: &Method, resp: Response, close: bool, now: Duration) {
         let mut shared = None;
         self.out.append(|buf| {
-            let body = response_parts(&self.server.cfg, method, resp, close, buf);
+            let body = response_parts(method, resp, close, buf);
             if body.len() >= SHARED_BODY_MIN {
                 shared = Some(body);
             } else {
@@ -432,8 +432,7 @@ impl HttpConn {
         self.served += 1;
         self.server.stats.requests.fetch_add(1, Ordering::Relaxed);
         let method = req.head.method.clone();
-        let client_keep_alive = req.head.headers.keep_alive(req.head.version == Version::Http11)
-            && !self.server.cfg.http10;
+        let client_keep_alive = req.head.headers.keep_alive(req.head.version == Version::Http11);
         // The one place a handler runs: one that panics costs its request
         // a `500` and its connection, not the shard and every connection on
         // it.

@@ -114,11 +114,6 @@ pub struct ServerConfig {
     /// first byte has arrived; a slowloris client trickling bytes is
     /// evicted with `408 Request Timeout` when it expires.
     pub header_read_timeout: Option<Duration>,
-    /// Advertise and speak HTTP/1.0 semantics (no persistent connections
-    /// unless asked) — the "old server" baseline in the F2 experiment.
-    pub http10: bool,
-    /// Server name advertised in the `Server` header.
-    pub name: String,
     /// Reactor shard threads serving all connections (the thread budget).
     pub reactor_threads: usize,
     /// Accept backpressure: the accept loop stops accepting while this many
@@ -133,8 +128,6 @@ impl Default for ServerConfig {
             process_delay: Duration::ZERO,
             idle_timeout: Some(Duration::from_secs(60)),
             header_read_timeout: Some(Duration::from_secs(30)),
-            http10: false,
-            name: "dpm-sim/0.1".to_string(),
             reactor_threads: 2,
             max_connections: 8192,
         }
@@ -228,19 +221,21 @@ fn with_http_date<R>(f: impl FnOnce(&str) -> R) -> R {
     })
 }
 
+/// The `Server` header every response carries.
+const SERVER_NAME: &str = "dpm-sim/0.1";
+
 /// Finish a response's head where it stands — `Server`, `Date`,
 /// `Content-Length` and the connection directive go into the response's own
 /// header block — and serialise it onto `out`. Returns the body bytes that
 /// follow it: none for `HEAD`/`204`/`304`, which still advertise the length.
 pub(crate) fn response_parts(
-    cfg: &ServerConfig,
     req_method: &httpwire::Method,
     resp: Response,
     close: bool,
     out: &mut Vec<u8>,
 ) -> Bytes {
     let Response { status, mut headers, body, .. } = resp;
-    headers.set("Server", &cfg.name);
+    headers.set("Server", SERVER_NAME);
     with_http_date(|date| headers.set("Date", date));
     // HEAD responses advertise the length they *would* have carried.
     let body_is_suppressed =
@@ -250,11 +245,8 @@ pub(crate) fn response_parts(
     }
     if close {
         headers.set("Connection", "close");
-    } else if cfg.http10 {
-        headers.set("Connection", "keep-alive");
     }
-    let version = if cfg.http10 { Version::Http10 } else { Version::Http11 };
-    let mut head = HeadWriter::response(out, version, status, status.reason());
+    let mut head = HeadWriter::response(out, Version::Http11, status, status.reason());
     head.fields(&headers);
     head.finish();
     if body_is_suppressed {
@@ -591,25 +583,6 @@ mod tests {
         );
         assert_eq!(head.status, StatusCode::OK);
         assert_eq!(body, b"PUT /ok body=abcde");
-    }
-
-    #[test]
-    fn http10_mode_closes_by_default() {
-        let (net, rt) = sim_pair();
-        let server = HttpServer::new(
-            Arc::new(|_req: Request| Response::text(StatusCode::OK, "ok")),
-            ServerConfig { http10: true, ..Default::default() },
-        );
-        server.serve(Box::new(net.bind("server", 80).unwrap()), rt);
-        let _g = net.enter();
-        let mut c = net.connect("client", "server", 80).unwrap();
-        send(&mut c, Method::Get, "/x", None);
-        let mut r = BufReader::new(c);
-        let (head, body) = read_response(&mut r, &Method::Get).unwrap();
-        assert_eq!(head.version, Version::Http10);
-        assert_eq!(body, b"ok");
-        let mut buf = [0u8; 1];
-        assert_eq!(std::io::Read::read(&mut r, &mut buf).unwrap(), 0, "server must close");
     }
 
     #[test]

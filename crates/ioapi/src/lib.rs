@@ -49,11 +49,10 @@ pub trait RandomAccess: Send + Sync {
         Ok(out)
     }
 
-    /// Hint that the caller will soon `read_vec` these fragments: an
-    /// implementation with a block cache (davix's cached handle) starts
-    /// fetching them now so the later read is served from local buffers.
-    /// The default is a no-op. `rootio::TreeCache` does not hint: it
-    /// prefetches the next window itself, over any source.
+    /// Hint that the caller will soon `read_vec` these fragments. No source
+    /// in this workspace acts on it and nothing calls it: the default is a
+    /// no-op, and `rootio::TreeCache` prefetches the next window itself,
+    /// over any source.
     fn prefetch_vec(&self, _fragments: &[(u64, usize)]) {}
 
     /// Whether [`prefetch_vec`](RandomAccess::prefetch_vec) actually does

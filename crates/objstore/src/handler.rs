@@ -53,37 +53,29 @@ pub type MetalinkSource = Arc<dyn Fn(&str) -> Option<String> + Send + Sync>;
 /// Handler configuration.
 #[derive(Clone)]
 pub struct StorageOptions {
-    /// URL prefix this handler is mounted under (stripped before lookup).
-    pub prefix: String,
     /// Range fidelity (see [`RangeSupport`]).
     pub range_support: RangeSupport,
     /// Metalink provider for `?metalink` / Accept negotiation.
     pub metalink: Option<MetalinkSource>,
-    /// Reject multi-range requests with more ranges than this (400).
-    pub max_ranges: usize,
 }
 
 impl Default for StorageOptions {
     fn default() -> Self {
-        StorageOptions {
-            prefix: String::new(),
-            range_support: RangeSupport::MultiRange,
-            metalink: None,
-            max_ranges: 4096,
-        }
+        StorageOptions { range_support: RangeSupport::MultiRange, metalink: None }
     }
 }
 
 impl std::fmt::Debug for StorageOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageOptions")
-            .field("prefix", &self.prefix)
             .field("range_support", &self.range_support)
             .field("metalink", &self.metalink.is_some())
-            .field("max_ranges", &self.max_ranges)
             .finish()
     }
 }
+
+/// Multi-range requests with more ranges than this are refused (400).
+const MAX_RANGES: usize = 4096;
 
 /// Upper bound on the declared total of a segmented upload (a lying
 /// `Content-Range` total must not let one request allocate the node away).
@@ -212,23 +204,9 @@ impl StorageHandler {
         stats
     }
 
-    fn object_path(&self, req: &Request) -> Option<String> {
-        let decoded = req.decoded_path();
-        if self.opts.prefix.is_empty() {
-            return Some(decoded);
-        }
-        decoded.strip_prefix(&self.opts.prefix).map(|rest| {
-            if rest.starts_with('/') {
-                rest.to_string()
-            } else {
-                format!("/{rest}")
-            }
-        })
-    }
-
     /// WebDAV MOVE (RFC 4918 §9.9): rename `path` to the `Destination`
     /// header's path. The destination may be an absolute URL or an absolute
-    /// path; it must land on this node's namespace.
+    /// path; either names a path of this node's namespace.
     fn do_move(&self, req: &Request, path: &str) -> Response {
         let Some(dest_raw) = req.head.headers.get("destination") else {
             return Response::error(StatusCode::BAD_REQUEST);
@@ -238,15 +216,6 @@ impl StorageHandler {
             Ok(uri) => httpwire::uri::percent_decode(&uri.path),
             Err(_) if dest_raw.starts_with('/') => httpwire::uri::percent_decode(dest_raw),
             Err(_) => return Response::error(StatusCode::BAD_REQUEST),
-        };
-        let dest_path = if self.opts.prefix.is_empty() {
-            dest_path
-        } else {
-            match dest_path.strip_prefix(&self.opts.prefix) {
-                Some(rest) if rest.starts_with('/') => rest.to_string(),
-                Some(rest) => format!("/{rest}"),
-                None => return Response::error(StatusCode::BAD_GATEWAY), // cross-server move
-            }
         };
         if self.store.is_dir(path) {
             // Collection moves are not needed by davix; refuse explicitly.
@@ -541,7 +510,7 @@ impl StorageHandler {
             (None, _) | (_, RangeSupport::None) => None,
             (Some(h), support) => match parse_range_header(h) {
                 Ok(specs) => {
-                    if specs.len() > self.opts.max_ranges {
+                    if specs.len() > MAX_RANGES {
                         return Response::error(StatusCode::BAD_REQUEST);
                     }
                     if specs.len() > 1 && support == RangeSupport::SingleRange {
@@ -604,14 +573,13 @@ impl StorageHandler {
         let depth = req.head.headers.get("depth").unwrap_or("1");
         let mut ms = Element::new("D:multistatus");
         ms.set_attr("xmlns:D", "DAV:");
-        let href_prefix = &self.opts.prefix;
         let mut push_entry = |href: &str, is_dir: bool, size: u64| {
             let mut resp = Element::new("D:response");
             let mut href_el = Element::new("D:href");
             // RFC 4918 §8.3: hrefs travel as URIs, i.e. percent-encoded —
             // spaces and non-ASCII in object names must not leak raw (real
             // DPM/dCache frontends encode here; clients must decode).
-            href_el.add_text(percent_encode_path(&format!("{href_prefix}{href}")));
+            href_el.add_text(percent_encode_path(href));
             resp.add_child(href_el);
             let mut propstat = Element::new("D:propstat");
             let mut prop = Element::new("D:prop");
@@ -687,9 +655,7 @@ impl httpd::Handler for StorageHandler {
         {
             return Response::error(StatusCode::INTERNAL_SERVER_ERROR);
         }
-        let Some(path) = self.object_path(&req) else {
-            return Response::error(StatusCode::NOT_FOUND);
-        };
+        let path = req.decoded_path();
         match req.head.method {
             Method::Get | Method::Head => self.get_like(&req, &path),
             Method::Put => self.do_put(req, &path),
@@ -965,26 +931,18 @@ mod tests {
     }
 
     #[test]
-    fn prefix_is_stripped() {
-        let store = Arc::new(ObjectStore::new());
-        store.put("/f", Bytes::from_static(b"x"));
-        let h = StorageHandler::new(
-            store,
-            StorageOptions { prefix: "/dpm".to_string(), ..Default::default() },
-        );
-        assert_eq!(h.handle(request(Method::Get, "/dpm/f", &[])).status, StatusCode::OK);
-        assert_eq!(h.handle(request(Method::Get, "/other/f", &[])).status, StatusCode::NOT_FOUND);
-    }
-
-    #[test]
     fn too_many_ranges_rejected() {
         let store = Arc::new(ObjectStore::new());
         store.put("/f", Bytes::from(vec![0u8; 100_000]));
-        let h = StorageHandler::new(store, StorageOptions { max_ranges: 4, ..Default::default() });
-        let ranges: Vec<String> = (0..5).map(|i| format!("{}-{}", i * 10, i * 10 + 1)).collect();
+        let h = StorageHandler::new(store, StorageOptions::default());
+        let ranges: Vec<String> =
+            (0..=MAX_RANGES).map(|i| format!("{}-{}", i * 10, i * 10 + 1)).collect();
         let header = format!("bytes={}", ranges.join(","));
         let r = h.handle(request(Method::Get, "/f", &[("Range", &header)]));
         assert_eq!(r.status, StatusCode::BAD_REQUEST);
+        let header = format!("bytes={}", ranges[..MAX_RANGES].join(","));
+        let r = h.handle(request(Method::Get, "/f", &[("Range", &header)]));
+        assert_eq!(r.status, StatusCode::PARTIAL_CONTENT);
     }
 
     fn initiate(h: &StorageHandler, path: &str) -> String {
@@ -1239,22 +1197,5 @@ mod tests {
         // Collection move refused.
         let r = h.handle(request(Method::Move, "/data", &[("Destination", "/d2")]));
         assert_eq!(r.status, StatusCode::FORBIDDEN);
-    }
-
-    #[test]
-    fn move_respects_namespace_prefix() {
-        let store = Arc::new(ObjectStore::new());
-        store.put("/f", Bytes::from_static(b"x"));
-        let h = StorageHandler::new(
-            store,
-            StorageOptions { prefix: "/dpm".to_string(), ..Default::default() },
-        );
-        let r = h.handle(request(Method::Move, "/dpm/f", &[("Destination", "/dpm/g")]));
-        assert_eq!(r.status, StatusCode::CREATED);
-        assert!(h.store.exists("/g"));
-        // Destination outside the prefix = cross-server → 502.
-        h.store.put("/h", Bytes::from_static(b"y"));
-        let r = h.handle(request(Method::Move, "/dpm/h", &[("Destination", "/elsewhere/h")]));
-        assert_eq!(r.status, StatusCode::BAD_GATEWAY);
     }
 }

@@ -44,7 +44,7 @@ fn main() {
         let got = multistream_download(
             &client,
             &replicas,
-            &MultistreamOptions { streams, chunk_size: 512 * 1024, ..Default::default() },
+            &MultistreamOptions { streams, chunk_size: 512 * 1024 },
         )
         .expect("download");
         let elapsed = tb.net.now() - t0;

@@ -108,7 +108,6 @@ pub mod testbed {
                         metalink: Some(Arc::new(move |path: &str| {
                             catalog_for_node.metalink(path).map(|m| m.to_xml())
                         })),
-                        ..Default::default()
                     },
                     ServerConfig {
                         process_delay: cfg.server_delay,

@@ -12,7 +12,6 @@ use davix_sync::{AtomicUsize, Ordering};
 use httpd::ServerConfig;
 use httpwire::parse::read_request_head;
 use httpwire::Method;
-use ioapi::RandomAccess;
 use netsim::{LinkSpec, Listener as _, Runtime as _, SimNet};
 use objstore::{ObjectStore, StorageNode, StorageOptions};
 use std::io::{BufReader, Write};
@@ -52,7 +51,7 @@ fn client(net: &SimNet, cfg: Config) -> DavixClient {
 }
 
 fn cache_cfg() -> Config {
-    Config::default().no_retry().with_cache(16 * 1024 * 1024).with_cache_block_size(64 * 1024)
+    Config::default().no_retry().with_cache(16 * 1024 * 1024)
 }
 
 /// THE single-flight regression: N threads reading the same cold block
@@ -147,14 +146,14 @@ fn sequential_reread_eliminates_5x_upstream_requests() {
 /// the end of the file must neither error nor poison the cache.
 #[test]
 fn readahead_clamps_at_eof_without_error_or_poison() {
-    let size = 200 * 1024; // ~3 blocks of 64 KiB + a short tail
+    let size = 800 * 1024; // 3 blocks of 256 KiB + a short tail
     let data = payload(size);
     let net = sim(2);
     storage(&net, data.clone());
     let _g = net.enter();
-    // Window opens at 128 KiB and doubles to 1 MiB — far past EOF by the
-    // second read.
-    let client = client(&net, cache_cfg().with_readahead(128 * 1024, 1024 * 1024));
+    // Window opens at one block and doubles to 16 (4 MiB) — far past EOF
+    // by the fourth read.
+    let client = client(&net, cache_cfg().with_readahead());
     let file = client.open("http://s/f").unwrap();
     let mut buf = vec![0u8; 16 * 1024];
     let mut off = 0u64;
@@ -185,32 +184,6 @@ fn readahead_clamps_at_eof_without_error_or_poison() {
     assert_eq!(all, data);
     assert_eq!(client.metrics().since(&before).requests, 0, "re-read must be all hits");
     assert!(client.metrics().bytes_prefetched > 0, "the scan must have prefetched");
-}
-
-/// A `prefetch_vec` hint (the TreeCache → HTTP path) fetches blocks in the
-/// background; the later `pread_vec` is served without a new request.
-#[test]
-fn prefetch_hint_makes_later_vectored_read_free() {
-    let data = payload(512 * 1024);
-    let net = sim(5);
-    storage(&net, data.clone());
-    let _g = net.enter();
-    let client = client(&net, cache_cfg());
-    let file = client.open("http://s/f").unwrap();
-    assert!(file.supports_prefetch(), "cached handle must advertise prefetch");
-
-    let frags: Vec<(u64, usize)> = vec![(0, 1000), (200_000, 1000), (400_000, 1000)];
-    file.prefetch_vec(&frags);
-    net.runtime().sleep(Duration::from_millis(200)); // let the background fetch land
-    let before = client.metrics();
-    let got = file.pread_vec(&frags).unwrap();
-    for (g, &(off, len)) in got.iter().zip(&frags) {
-        assert_eq!(g, &data[off as usize..off as usize + len]);
-    }
-    assert_eq!(client.metrics().since(&before).requests, 0, "hinted read must be free");
-    // An uncached handle honestly reports no prefetch support.
-    let plain = DavixClient::new(net.connector("c"), net.runtime(), Config::default().no_retry());
-    assert!(!plain.open("http://s/f").unwrap().supports_prefetch());
 }
 
 /// A cold vectored read through the cache keeps the §2.3 round-trip

@@ -49,7 +49,7 @@ fn verified_multistream_accepts_intact_data() {
     let tb = three_replica_testbed(&data);
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
-    let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
     let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
     assert_eq!(got, data);
 }
@@ -68,7 +68,7 @@ fn verified_multistream_detects_corrupt_replica() {
     tb.nodes[1].store.put(DATA_PATH, Bytes::from(corrupt));
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
-    let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
     let err = multistream_download_verified(&client, &tb.url(0), &opts).unwrap_err();
     match err {
         DavixError::ChecksumMismatch { algo, expected, got } => {
@@ -90,7 +90,7 @@ fn verified_multistream_detects_size_mismatch() {
     }
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
-    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
     // Each replica's disagreement is that replica's failure in the
     // fail-over walk, found at its HEAD — before anything is sized from it,
     // let alone downloaded or hashed.
@@ -126,7 +126,7 @@ fn unknown_hash_algorithms_are_skipped() {
     // skipped, and the download succeeds.
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
-    let opts = MultistreamOptions { streams: 2, chunk_size: 16 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 2, chunk_size: 16 * 1024 };
     let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
     assert_eq!(got, data);
 }

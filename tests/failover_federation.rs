@@ -143,7 +143,7 @@ fn multistream_download_is_correct_and_spreads_load() {
     let got = multistream_download(
         &client,
         &replicas,
-        &MultistreamOptions { streams: 3, chunk_size: 64 * 1024, ..Default::default() },
+        &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 },
     )
     .unwrap();
     assert_eq!(got, data);
@@ -167,7 +167,7 @@ fn multistream_worker_threads_are_bounded_by_io_pool() {
     let got = multistream_download(
         &client,
         &replicas,
-        &MultistreamOptions { streams: 6, chunk_size: 64 * 1024, ..Default::default() },
+        &MultistreamOptions { streams: 6, chunk_size: 64 * 1024 },
     )
     .unwrap();
     assert_eq!(got, data);
@@ -191,7 +191,7 @@ fn multistream_survives_replica_death_mid_download() {
     let got = multistream_download(
         &client,
         &replicas,
-        &MultistreamOptions { streams: 3, chunk_size: 32 * 1024, ..Default::default() },
+        &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 },
     )
     .unwrap();
     assert_eq!(got, data);

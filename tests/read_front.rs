@@ -14,7 +14,8 @@ use netsim::{LinkSpec, Runtime as _};
 use std::sync::Arc;
 use std::time::Duration;
 
-const SIZE: usize = 100_000;
+/// Four 256 KiB cache blocks, the last one short.
+const SIZE: usize = 1_000_000;
 
 fn payload() -> Vec<u8> {
     (0..SIZE).map(|i| ((i * 31 + 7) % 251) as u8).collect()
@@ -68,8 +69,6 @@ enum Op {
     PreadVec(&'static [(u64, usize)]),
     /// `pread_vec` that must fail with `InvalidArgument`.
     BeyondEof(&'static [(u64, usize)]),
-    /// `prefetch_vec`, let the background fetch land, then `pread_vec`.
-    PrefetchThenPreadVec(&'static [(u64, usize)]),
 }
 
 struct Row {
@@ -85,7 +84,7 @@ fn stats(reads: u64, vector_reads: u64, bytes_read: u64, round_trips: u64) -> Io
     IoStatsSnapshot { reads, vector_reads, bytes_read, round_trips }
 }
 
-const ORDERED: &[(u64, usize)] = &[(0, 100), (50_000, 200), (99_900, 100)];
+const ORDERED: &[(u64, usize)] = &[(0, 100), (500_000, 200), (999_900, 100)];
 const OVERLAPPING: &[(u64, usize)] = &[(5_000, 100), (0, 50), (5_050, 100), (4_990, 20)];
 
 fn table() -> Vec<Row> {
@@ -98,7 +97,7 @@ fn table() -> Vec<Row> {
         },
         Row {
             name: "pread across EOF",
-            op: Op::Pread { offset: 99_500, len: 1_000, expect: 500 },
+            op: Op::Pread { offset: 999_500, len: 1_000, expect: 500 },
             uncached: stats(1, 0, 500, 1),
             cached_round_trips: 1,
         },
@@ -134,22 +133,14 @@ fn table() -> Vec<Row> {
         },
         Row {
             name: "fragment beyond EOF",
-            op: Op::BeyondEof(&[(10, 10), (99_999, 2)]),
+            op: Op::BeyondEof(&[(10, 10), (999_999, 2)]),
             uncached: stats(0, 0, 0, 0),
-            cached_round_trips: 0,
-        },
-        Row {
-            name: "prefetch_vec then pread_vec",
-            op: Op::PrefetchThenPreadVec(ORDERED),
-            uncached: stats(0, 1, 400, 1),
-            // The hint fetched every block in the background: the read
-            // itself goes upstream for nothing.
             cached_round_trips: 0,
         },
     ]
 }
 
-fn run(tb: &Testbed, face: &Face, op: &Op, data: &[u8]) -> Vec<Vec<u8>> {
+fn run(face: &Face, op: &Op, data: &[u8]) -> Vec<Vec<u8>> {
     let slice = |(off, len): (u64, usize)| data[off as usize..off as usize + len].to_vec();
     match *op {
         Op::Pread { offset, len, expect } => {
@@ -171,11 +162,6 @@ fn run(tb: &Testbed, face: &Face, op: &Op, data: &[u8]) -> Vec<Vec<u8>> {
             assert!(matches!(err, DavixError::InvalidArgument(_)), "{err}");
             Vec::new()
         }
-        Op::PrefetchThenPreadVec(frags) => {
-            face.ra().prefetch_vec(frags);
-            tb.net.sleep(Duration::from_millis(200));
-            run(tb, face, &Op::PreadVec(frags), data)
-        }
     }
 }
 
@@ -185,7 +171,7 @@ fn every_face_reads_the_same_bytes_and_counts_the_same_way() {
     let tb = testbed(&data);
     let _g = tb.net.enter();
     let plain = Config::default().no_retry();
-    let cached = plain.clone().with_cache(16 * 1024 * 1024).with_cache_block_size(16 * 1024);
+    let cached = plain.clone().with_cache(16 * 1024 * 1024);
     for row in table() {
         let mut bytes: Vec<Vec<Vec<u8>>> = Vec::new();
         for (cfg, is_cached) in [(&plain, false), (&cached, true)] {
@@ -197,10 +183,9 @@ fn every_face_reads_the_same_bytes_and_counts_the_same_way() {
                     true => Face::Replica(client.open_failover(&tb.url(0)).unwrap()),
                 };
                 let cell = format!("{} / replica={replica} cached={is_cached}", row.name);
-                assert_eq!(face.ra().supports_prefetch(), is_cached, "{cell}");
                 assert_eq!(face.ra().size().unwrap(), SIZE as u64, "{cell}");
                 let before = face.ra().stats();
-                bytes.push(run(&tb, &face, &row.op, &data));
+                bytes.push(run(&face, &row.op, &data));
                 let want = match is_cached {
                     false => row.uncached,
                     true => IoStatsSnapshot { round_trips: row.cached_round_trips, ..row.uncached },

@@ -13,7 +13,6 @@ use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
 use davix_sync::{AtomicBool, AtomicUsize, Ordering};
 use httpd::{Handler as _, HttpServer, Request, Response, ServerConfig};
 use httpwire::{Method, StatusCode};
-use ioapi::RandomAccess as _;
 use netsim::{LinkSpec, Runtime as _, SimNet};
 use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
 use std::sync::Arc;
@@ -100,7 +99,7 @@ fn multistream_survives_head_failure_on_first_replica() {
     let (got, report) = multistream_download_with_report(
         &client,
         &replicas,
-        &MultistreamOptions { streams: 3, chunk_size: 32 * 1024, ..Default::default() },
+        &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 },
     )
     .unwrap();
     assert_eq!(got, data);
@@ -142,7 +141,7 @@ fn multistream_steps_over_a_replica_that_denies_access() {
     let client = davix::DavixClient::new(net.connector("c"), net.runtime(), Config::default());
     let replicas: Vec<httpwire::Uri> =
         vec!["http://deny/f".parse().unwrap(), "http://s/f".parse().unwrap()];
-    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
     let failovers = client.metrics().failovers;
     let (got, report) = multistream_download_with_report(&client, &replicas, &opts).unwrap();
     assert_eq!(got, data);
@@ -160,18 +159,18 @@ fn multistream_steps_over_a_replica_that_denies_access() {
 /// read gets its block from the next replica instead of an error.
 #[test]
 fn a_cached_block_that_ends_short_on_one_replica_comes_from_the_next() {
-    let data = payload(120_000);
+    let data = payload(600_000);
     let tb = fed_testbed(&data, [LinkSpec::lan(), LinkSpec::lan(), LinkSpec::lan()]);
     let _g = tb.net.enter();
-    let cfg = fed_config().with_cache(1 << 20).with_cache_block_size(16 * 1024);
-    let client = tb.davix_client(cfg);
+    let client = tb.davix_client(fed_config().with_cache(1 << 20));
     let file = client.open_failover(&tb.url(0)).unwrap();
     // The origin's copy is truncated after the open: its size is still
-    // trusted, and the range past its new end answers `416`.
-    tb.nodes[0].store.put(DATA_PATH, Bytes::from(data[..40_000].to_vec()));
+    // trusted, and the range of the second 256 KiB block, past its new
+    // end, answers `416`.
+    tb.nodes[0].store.put(DATA_PATH, Bytes::from(data[..200_000].to_vec()));
     let mut buf = vec![0u8; 1000];
-    assert_eq!(file.pread(100_000, &mut buf).unwrap(), 1000);
-    assert_eq!(buf, &data[100_000..101_000]);
+    assert_eq!(file.pread(500_000, &mut buf).unwrap(), 1000);
+    assert_eq!(buf, &data[500_000..501_000]);
     assert_ne!(file.current_uri().host, "dpm1.cern.ch");
     assert_eq!(client.metrics().failovers, 1);
 }
@@ -242,7 +241,7 @@ fn uppercase_checksum_algorithms_are_verified() {
     );
     let _g = net.enter();
     let client = davix::DavixClient::new(net.connector("c"), net.runtime(), Config::default());
-    let opts = MultistreamOptions { streams: 2, chunk_size: 16 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 2, chunk_size: 16 * 1024 };
 
     let got = multistream_download_verified(&client, "http://s/good", &opts).unwrap();
     assert_eq!(got, data);
@@ -309,7 +308,7 @@ fn a_lying_head_is_that_replicas_failure_not_the_allocation_size() {
     let _g = net.enter();
     let cfg = Config::default().no_retry().replica_blacklist(1, Duration::from_secs(60));
     let client = davix::DavixClient::new(net.connector("c"), net.runtime(), cfg);
-    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024, ..Default::default() };
+    let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
     let got = multistream_download_verified(&client, "http://s/f", &opts).unwrap();
     assert_eq!(got, data, "correct bytes from the honest replica");
     let m = client.metrics();
@@ -368,31 +367,41 @@ fn conns(tb: &Testbed, host: &str) -> u64 {
 }
 
 /// A read-ahead job is the pool's only worker (`io_threads = 1`), and the
-/// vectored read it issues fans out over two replicas. The fan-out's
-/// drains the pool cannot start run on that worker itself, so the prefetch
-/// lands instead of waiting forever on a queue only it could serve.
+/// vectored read it issues fans out over the replicas. The fan-out's
+/// drains the pool cannot start run on that worker itself, so the
+/// read-ahead lands instead of waiting forever on a queue only it could
+/// serve.
 #[test]
 fn a_prefetch_fans_out_from_inside_the_only_pool_worker() {
-    let data = payload(256 * 1024);
+    const BLOCK: u64 = 256 * 1024;
+    let data = payload(10 * BLOCK as usize);
     let tb = fed_testbed(&data, [LinkSpec::lan(), LinkSpec::lan(), LinkSpec::lan()]);
     let _g = tb.net.enter();
-    let cfg = fed_config().with_io_threads(1).with_cache(1 << 20).with_cache_block_size(16 * 1024);
+    let cfg = fed_config().with_io_threads(1).with_cache(16 << 20).with_readahead();
     let (client, file) = resolved_replica_file(&tb, cfg);
 
-    // Three blocks, none cached yet: one vectored read of three ranges.
-    let frags: Vec<(u64, usize)> = vec![(40_000, 1000), (100_000, 1000), (200_000, 1000)];
+    // Block 6 is cached ahead of the scan (a seek: no read-ahead yet).
+    let mut buf = vec![0u8; 100];
+    file.pread(6 * BLOCK, &mut buf).unwrap();
+    // A sequential scan of block 0 in 100-byte reads: the window opens at
+    // one block and doubles per read, claiming blocks 1, 2, then 3-4 and
+    // on the fourth read 5, 7 and 8 — around the cached block 6, so that
+    // fetch is a vectored read of three ranges.
     let dpm3_before = conns(&tb, "dpm3.cern.ch");
-    file.prefetch_vec(&frags);
-    // The read waits on the blocks the prefetch claimed: a read-ahead job
-    // stuck on its own batch would stall the simulation right here.
+    for i in 0..5 {
+        file.pread(i * 100, &mut buf).unwrap();
+    }
+    // The read waits on the blocks the read-ahead claimed: a read-ahead
+    // job stuck on its own batch would stall the simulation right here.
+    let frags: Vec<(u64, usize)> = [5, 7, 8].map(|b| (b * BLOCK + 40_000, 1000)).to_vec();
     let before = file.io_stats();
     let got = file.pread_vec(&frags).unwrap();
     for (g, &(off, len)) in got.iter().zip(&frags) {
         assert_eq!(g, &data[off as usize..off as usize + len]);
     }
-    assert_eq!(file.io_stats().since(&before).round_trips, 0, "served from the prefetch");
-    assert_eq!(client.metrics().bytes_prefetched, 3 * 16 * 1024, "the prefetch landed");
-    assert!(conns(&tb, "dpm3.cern.ch") > dpm3_before, "the prefetch fanned out");
+    assert_eq!(file.io_stats().since(&before).round_trips, 0, "served from the read-ahead");
+    assert_eq!(client.metrics().bytes_prefetched, 7 * BLOCK, "blocks 1-5, 7 and 8 landed");
+    assert!(conns(&tb, "dpm3.cern.ch") > dpm3_before, "the read-ahead fanned out");
     assert_eq!(client.io_pool().peak_workers(), 1);
 }
 
@@ -463,7 +472,7 @@ fn multistream_worker_respawns_when_its_replica_dies() {
     let (got, report) = multistream_download_with_report(
         &client,
         &replicas,
-        &MultistreamOptions { streams: 3, chunk_size: 64 * 1024, ..Default::default() },
+        &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 },
     )
     .unwrap();
     assert_eq!(got, data);
