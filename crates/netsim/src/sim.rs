@@ -210,25 +210,25 @@ impl SimNet {
 
     /// Add a host; adding a name that exists already does nothing.
     pub fn add_host(&self, name: &str) {
-        self.core.state.lock().link.add_host(name);
+        self.core.lock().link.add_host(name);
     }
 
     /// Configure the (symmetric) link between two hosts. Panics on unknown
     /// hosts — topology is set up before traffic starts.
     pub fn set_link(&self, a: &str, b: &str, spec: LinkSpec) {
-        self.core.state.lock().link.set_link(a, b, spec);
+        self.core.lock().link.set_link(a, b, spec);
     }
 
     /// Default link used for host pairs with no explicit [`set_link`](Self::set_link).
     pub fn set_default_link(&self, spec: LinkSpec) {
-        self.core.state.lock().link.default_link = spec;
+        self.core.lock().link.default_link = spec;
     }
 
     /// Take a host offline (`down = true`): existing connections are reset,
     /// pending backlog is dropped, new connections are refused. Bring it back
     /// with `down = false`.
     pub fn set_host_down(&self, name: &str, down: bool) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let Ok(id) = st.link.host_id(name) else { return };
         st.set_host_down(id, down);
         self.core.unlock_and_wake(st);
@@ -236,7 +236,7 @@ impl SimNet {
 
     /// Current virtual time.
     pub fn now(&self) -> Duration {
-        Duration::from_nanos(self.core.state.lock().events.now_ns())
+        Duration::from_nanos(self.core.lock().events.now_ns())
     }
 
     /// Block the calling thread for `d` of virtual time.
@@ -244,7 +244,7 @@ impl SimNet {
         if d.is_zero() {
             return;
         }
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let deadline = st.events.deadline_after(d);
         let out = self.core.wait_on(&mut st, WaitKind::Sleep, Some(deadline));
         debug_assert!(out == WaitOutcome::TimedOut);
@@ -252,29 +252,29 @@ impl SimNet {
 
     /// Snapshot of the aggregate counters.
     pub fn stats(&self) -> NetStats {
-        self.core.state.lock().link.stats.clone()
+        self.core.lock().link.stats.clone()
     }
 
     /// Number of threads currently registered with the virtual clock.
     pub fn thread_census(&self) -> usize {
-        self.core.state.lock().sched.stats.registered
+        self.core.lock().sched.stats.registered
     }
 
     /// Snapshot of the scheduler introspection counters.
     pub fn sched_stats(&self) -> SchedStats {
-        self.core.state.lock().sched.snapshot()
+        self.core.lock().sched.snapshot()
     }
 
     /// Start (`true`) or stop (`false`) recording the virtual-time event
     /// trace. Starting resets any previously recorded trace.
     pub fn record_trace(&self, on: bool) {
-        self.core.state.lock().events.record_trace(on);
+        self.core.lock().events.record_trace(on);
     }
 
     /// Take the recorded virtual-time event trace: `(virtual instant, event
     /// summary)` pairs in application order. Recording continues (empty).
     pub fn take_trace(&self) -> Vec<(Duration, String)> {
-        self.core.state.lock().events.take_trace()
+        self.core.lock().events.take_trace()
     }
 
     /// Install a seeded [`FaultPlan`]: arms the per-segment delivery and
@@ -291,7 +291,7 @@ impl SimNet {
     /// events, and on an otherwise idle net the clock would fast-forward
     /// straight through them before the scenario starts.
     pub fn install_fault_plan(&self, plan: FaultPlan, seed: u64, targets: &[&str]) -> u64 {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let tids: Vec<u32> = targets.iter().filter_map(|n| st.link.host_id(n).ok()).collect();
         let now = st.events.now_ns();
         for (host, start, end) in plan.outage_windows(seed, &tids) {
@@ -311,17 +311,17 @@ impl SimNet {
     /// fault window left down stay down until healed with
     /// [`set_host_down`](Self::set_host_down).
     pub fn clear_fault_plan(&self) -> Option<FaultStats> {
-        self.core.state.lock().fault.take().map(|f| f.stats)
+        self.core.lock().fault.take().map(|f| f.stats)
     }
 
     /// Snapshot of the installed plan's decision counters, if any.
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.core.state.lock().fault.as_ref().map(|f| f.stats.clone())
+        self.core.lock().fault.as_ref().map(|f| f.stats.clone())
     }
 
     /// The installed plan's `(plan, seed)` fingerprint, if any.
     pub fn fault_fingerprint(&self) -> Option<u64> {
-        self.core.state.lock().fault.as_ref().map(|f| f.fingerprint)
+        self.core.lock().fault.as_ref().map(|f| f.fingerprint)
     }
 
     /// Evaluate a named fault decision point at the plan's default
@@ -338,7 +338,7 @@ impl SimNet {
     }
 
     fn buggify_at(&self, ctx: &str, prob: Option<f64>) -> bool {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let hit = st.fault.as_mut().is_some_and(|f| f.buggify_hit(ctx, prob));
         if hit {
             st.events.note(format!("buggify {ctx}"));
@@ -348,7 +348,7 @@ impl SimNet {
 
     /// Bind a listener on `host:port`.
     pub fn bind(&self, host: &str, port: u16) -> io::Result<SimListener> {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let id = st.link.host_id(host)?;
         if !st.link.bind_listener(id, port) {
             return Err(io::Error::new(
@@ -374,7 +374,7 @@ impl SimNet {
     ) -> io::Result<SimStream> {
         let stream = self.connect_start(from_host, to_host, port)?;
         let cid = stream.conn;
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let deadline = timeout.map(|t| st.events.deadline_after(t));
         let err = loop {
             match st.link.handshake(cid) {
@@ -422,7 +422,7 @@ impl SimNet {
         to_host: &str,
         port: u16,
     ) -> io::Result<SimStream> {
-        let mut guard = self.core.state.lock();
+        let mut guard = self.core.lock();
         let st = &mut *guard;
         let cid = st.link.open_conn(&mut st.events, st.fault.as_mut(), from_host, to_host, port)?;
         st.sched.kick_clock();
@@ -466,7 +466,7 @@ impl Read for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let deadline = self.read_timeout.map(|t| st.events.deadline_after(t));
         loop {
             if let Some(n) = st.link.recv_ready(self.conn, self.side, buf)? {
@@ -482,7 +482,7 @@ impl Read for SimStream {
 
 impl Write for SimStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let mut written = 0usize;
         while written < buf.len() {
             match st.send_segment(self.conn, self.side, &[io::IoSlice::new(&buf[written..])])? {
@@ -510,7 +510,7 @@ impl Pollable for SimStream {
         if buf.is_empty() {
             return Ok(0);
         }
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         st.link
             .recv_ready(self.conn, self.side, buf)?
             .ok_or_else(|| io::Error::from(io::ErrorKind::WouldBlock))
@@ -525,7 +525,7 @@ impl Pollable for SimStream {
         if bufs.iter().all(|b| b.is_empty()) {
             return Ok(0);
         }
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         match st.send_segment(self.conn, self.side, bufs)? {
             Sent::Segment(k) => {
                 st.sched.kick_clock();
@@ -536,7 +536,7 @@ impl Pollable for SimStream {
     }
 
     fn set_waker(&mut self, waker: Option<Arc<dyn Signal>>) -> io::Result<()> {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         match waker {
             Some(w) => {
                 st.sched.io_wakers.insert((self.conn, self.side), w);
@@ -564,14 +564,14 @@ impl Stream for SimStream {
     }
 
     fn try_clone(&self) -> io::Result<BoxedStream> {
-        self.core.state.lock().link.add_handle(self.conn, self.side);
+        self.core.lock().link.add_handle(self.conn, self.side);
         let mut clone = SimStream::new(&self.core, self.conn, self.side, self.peer.clone());
         clone.read_timeout = self.read_timeout;
         Ok(Box::new(clone))
     }
 
     fn shutdown_write(&mut self) -> io::Result<()> {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         st.send_fin(self.conn, self.side);
         st.sched.kick_clock();
         Ok(())
@@ -580,7 +580,7 @@ impl Stream for SimStream {
 
 impl Drop for SimStream {
     fn drop(&mut self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         if self.waker_set {
             st.sched.io_wakers.remove(&(self.conn, self.side));
         }
@@ -610,7 +610,7 @@ impl SimListener {
 
     /// Accept the next inbound connection (blocking).
     pub fn accept_sim(&self) -> io::Result<(SimStream, String)> {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         loop {
             if let Some(pair) = self.pop_backlog(&mut st)? {
                 return Ok(pair);
@@ -624,14 +624,14 @@ impl SimListener {
     /// waker via [`set_accept_waker`](Self::set_accept_waker) to learn when
     /// the backlog grows.
     pub fn try_accept_sim(&self) -> io::Result<Option<(SimStream, String)>> {
-        self.pop_backlog(&mut self.core.state.lock())
+        self.pop_backlog(&mut self.core.lock())
     }
 
     /// Register (or clear) a reactor waker fired when the backlog becomes
     /// non-empty or the listener closes — the accept-side analogue of
     /// [`Pollable::set_waker`], for event-driven acceptors.
     pub fn set_accept_waker(&self, waker: Option<Arc<dyn Signal>>) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         match waker {
             Some(w) => {
                 st.sched.accept_wakers.insert((self.host, self.port), w);
@@ -659,7 +659,7 @@ impl Listener for SimListener {
     }
 
     fn close(&self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         for cid in st.link.close_listener(self.host, self.port) {
             st.reset_conn(cid);
         }

@@ -13,7 +13,11 @@
 //!   exactly the waiters for one key — there is no broadcast and no scan
 //!   over the census, so total wake cost is O(wakeups), not O(threads ×
 //!   wakeups). Readiness arrives as such a key ([`Sched::ready`]); the
-//!   scheduler never looks inside a connection.
+//!   scheduler never looks inside a connection. A wake marks its waiter
+//!   ready under the state lock but only *queues* the token: the
+//!   [`StateGuard`] notifies it after the lock is released (on drop, before
+//!   running reactor wakers unlocked, and instead of parking), so a woken
+//!   thread never finds the lock still held by its waker.
 //! * **Quiescence rule.** The clock advances to the earliest scheduled event
 //!   only when no readiness wake is in flight, every registered thread is
 //!   parked (`reg_waiting == registered`) and at least one waiter exists.
@@ -48,6 +52,7 @@ use crate::transport::Signal;
 use parking_lot::{Condvar, MutexGuard};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -76,6 +81,12 @@ thread_local! {
     /// waits, and re-keying on a different net allocates a fresh condvar so
     /// a token is only ever paired with a single state mutex.
     static PARK_TOKEN: RefCell<Option<(usize, Arc<Condvar>)>> = const { RefCell::new(None) };
+
+    /// The tokens this thread is delivering: moved out of
+    /// [`Sched::unparks_due`] under the lock, notified after it is
+    /// released. Both vectors keep their capacity, so a warm delivery
+    /// allocates nothing.
+    static DELIVERING: Cell<Vec<Arc<Condvar>>> = const { Cell::new(Vec::new()) };
 }
 
 fn park_token(core_id: usize) -> Arc<Condvar> {
@@ -164,6 +175,9 @@ pub(super) struct Sched {
     /// Wakers queued while the state lock is held; fired after release
     /// (a waker's `set()` may re-enter the simulator, e.g. a `SimSignal`).
     pending_wakes: Vec<Arc<dyn Signal>>,
+    /// Park tokens of waiters woken (or nudged) under the state lock, to be
+    /// notified once it is released; empty whenever the lock is free.
+    unparks_due: Vec<Arc<Condvar>>,
     /// Wakers taken out of `pending_wakes` whose `set()` has not finished
     /// yet. While any are outstanding the virtual clock must not advance:
     /// the wake exists only in the delivering thread's stack, so the
@@ -260,13 +274,13 @@ impl Sched {
         Some(if timed_out { WaitOutcome::TimedOut } else { WaitOutcome::Ready })
     }
 
-    /// Mark one waiter ready and wake its token. No-op when already ready.
+    /// Mark one waiter ready and queue its token. No-op when already ready.
     fn mark_ready(&mut self, wid: usize, timed_out: bool) {
         let registered = match self.waiters.get_mut(wid) {
             Some(w) if !w.ready => {
                 w.ready = true;
                 w.timed_out = timed_out;
-                w.cv.notify_one();
+                self.unparks_due.push(Arc::clone(&w.cv));
                 w.registered
             }
             _ => return,
@@ -343,12 +357,12 @@ impl Sched {
     /// quiescent or given a quiescent net events (a deregistration, a
     /// finished wake delivery, an unregistered thread's write, connect or
     /// `Signal::set`). Cheap no-op otherwise.
-    pub(super) fn kick_clock(&self) {
+    pub(super) fn kick_clock(&mut self) {
         if !self.quiescent() {
             return;
         }
         if let Some((_, w)) = self.waiters.iter().find(|(_, w)| !w.ready) {
-            w.cv.notify_one();
+            self.unparks_due.push(Arc::clone(&w.cv));
         }
     }
 
@@ -396,6 +410,95 @@ impl Sched {
     }
 }
 
+/// The state lock, held. Every lock site takes it through
+/// [`SimCore::lock`]; the park tokens queued while it is held are notified
+/// only once the mutex is released — when the guard drops, in
+/// [`unlocked`](Self::unlocked) and in [`park`](Self::park).
+pub(super) struct StateGuard<'a> {
+    /// `None` only inside `drop`, which releases the mutex before it
+    /// notifies.
+    st: Option<MutexGuard<'a, State>>,
+}
+
+impl StateGuard<'_> {
+    /// Move the queued tokens into this thread's delivery buffer; `None`
+    /// when nothing is queued.
+    fn take_due(&mut self) -> Option<Vec<Arc<Condvar>>> {
+        let due = &mut self.sched.unparks_due;
+        if due.is_empty() {
+            return None;
+        }
+        let mut batch = DELIVERING.take();
+        batch.append(due);
+        Some(batch)
+    }
+
+    /// Release the lock, notify the queued tokens, run `f`, and take the
+    /// lock back.
+    fn unlocked<U>(&mut self, f: impl FnOnce() -> U) -> U {
+        let due = self.take_due();
+        let st = self.st.as_mut().expect("guard held");
+        MutexGuard::unlocked(st, || {
+            if let Some(batch) = due {
+                deliver(batch);
+            }
+            f()
+        })
+    }
+
+    /// Sleep on `cv` — at most `timeout` — releasing the lock meanwhile.
+    /// With tokens queued it does not sleep: it delivers them unlocked and
+    /// returns `None`, so the caller re-checks its state before parking.
+    /// Otherwise `Some(timed_out)`.
+    fn park(&mut self, cv: &Condvar, timeout: Option<Duration>) -> Option<bool> {
+        if !self.sched.unparks_due.is_empty() {
+            self.unlocked(|| ());
+            return None;
+        }
+        let st = self.st.as_mut().expect("guard held");
+        Some(match timeout {
+            None => {
+                cv.wait(st);
+                false
+            }
+            Some(t) => cv.wait_for(st, t).timed_out(),
+        })
+    }
+}
+
+/// Notify every token in `batch`, then hand the emptied buffer back to the
+/// thread for its next delivery.
+fn deliver(mut batch: Vec<Arc<Condvar>>) {
+    for cv in batch.drain(..) {
+        cv.notify_one();
+    }
+    DELIVERING.set(batch);
+}
+
+impl Deref for StateGuard<'_> {
+    type Target = State;
+
+    fn deref(&self) -> &State {
+        self.st.as_ref().expect("guard held")
+    }
+}
+
+impl DerefMut for StateGuard<'_> {
+    fn deref_mut(&mut self) -> &mut State {
+        self.st.as_mut().expect("guard held")
+    }
+}
+
+impl Drop for StateGuard<'_> {
+    fn drop(&mut self) {
+        let due = self.take_due();
+        drop(self.st.take());
+        if let Some(batch) = due {
+            deliver(batch);
+        }
+    }
+}
+
 fn stall_panic(sched: &Sched) -> ! {
     panic!(
         "netsim: simulation stalled — every registered thread is blocked, \
@@ -409,8 +512,14 @@ impl SimCore {
         self as *const SimCore as usize
     }
 
+    /// Take the state lock. The one way in: wakes queued under it are
+    /// delivered after it is released.
+    pub(super) fn lock(&self) -> StateGuard<'_> {
+        StateGuard { st: Some(self.state.lock()) }
+    }
+
     fn register_thread(&self) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         let stats = &mut st.sched.stats;
         stats.registered += 1;
         stats.peak_registered = stats.peak_registered.max(stats.registered);
@@ -419,17 +528,18 @@ impl SimCore {
     }
 
     /// Fire the wakers queued under the state lock. Called with the lock
-    /// held; it is released while the wakers run, because a waker's `set()`
-    /// may re-enter the simulator (e.g. a `SimSignal`), and they count as
-    /// in flight until the last one returns.
-    fn fire_wakes(&self, st: &mut MutexGuard<'_, State>) {
+    /// held; it is released while the wakers run (after the queued park
+    /// tokens are notified), because a waker's `set()` may re-enter the
+    /// simulator (e.g. a `SimSignal`), and they count as in flight until
+    /// the last one returns.
+    fn fire_wakes(&self, st: &mut StateGuard<'_>) {
         let wakes = std::mem::take(&mut st.sched.pending_wakes);
         if wakes.is_empty() {
             return;
         }
         let n = wakes.len();
         st.sched.wakes_in_flight += n;
-        MutexGuard::unlocked(st, || {
+        st.unlocked(|| {
             for w in wakes {
                 w.set();
             }
@@ -440,7 +550,7 @@ impl SimCore {
 
     /// Fire any queued wakers and release the lock. The tail of every public
     /// operation that may have queued wakes.
-    pub(super) fn unlock_and_wake(&self, mut st: MutexGuard<'_, State>) {
+    pub(super) fn unlock_and_wake(&self, mut st: StateGuard<'_>) {
         self.fire_wakes(&mut st);
         st.sched.kick_clock();
     }
@@ -453,7 +563,7 @@ impl SimCore {
     /// which case it moves the clock there itself without parking.
     pub(super) fn wait_on(
         &self,
-        st: &mut MutexGuard<'_, State>,
+        st: &mut StateGuard<'_>,
         kind: WaitKind,
         deadline_ns: Option<u64>,
     ) -> WaitOutcome {
@@ -495,9 +605,11 @@ impl SimCore {
     /// until woken or nudged; events due, advance virtual time, apply the
     /// instant's events and fire the wakes; neither, wait in real time and
     /// run the stall watchdog when nothing changed over the whole window.
-    fn clock_step(&self, st: &mut MutexGuard<'_, State>, cv: &Condvar) {
+    /// Either sleep first delivers the tokens this thread queued, and then
+    /// returns without sleeping (see [`StateGuard::park`]).
+    fn clock_step(&self, st: &mut StateGuard<'_>, cv: &Condvar) {
         if !st.sched.quiescent() {
-            cv.wait(st);
+            st.park(cv, None);
             return;
         }
         if st.events.advance() {
@@ -513,7 +625,7 @@ impl SimCore {
         // thread is about to act, or the simulation is stalled. A wake
         // moves `unparks`; anything else that matters, the change tick.
         let mark = (st.events.change_tick, st.sched.stats.unparks);
-        let timed_out = cv.wait_for(st, STALL_TIMEOUT).timed_out();
+        let timed_out = st.park(cv, Some(STALL_TIMEOUT)) == Some(true);
         let still = timed_out
             && (st.events.change_tick, st.sched.stats.unparks) == mark
             && st.sched.quiescent()
@@ -543,9 +655,8 @@ impl SimCore {
         // with the census dump (their park loops see `stalled`).
         st.sched.stall_dump = st.sched.dump(st.events.now_ns(), st.events.len());
         st.sched.stalled = true;
-        for (_, w) in st.sched.waiters.iter() {
-            w.cv.notify_one();
-        }
+        let sched = &mut st.sched;
+        sched.unparks_due.extend(sched.waiters.iter().map(|(_, w)| Arc::clone(&w.cv)));
     }
 }
 
@@ -603,7 +714,7 @@ impl Drop for EnterGuard {
     fn drop(&mut self) {
         if self.prev != self.core.core_id() {
             IN_SIM.with(|c| c.set(self.prev));
-            let mut st = self.core.state.lock();
+            let mut st = self.core.lock();
             st.sched.stats.registered -= 1;
             st.events.change_tick += 1;
             st.sched.kick_clock();
@@ -620,14 +731,14 @@ pub(super) struct SimSignal {
 impl SimSignal {
     pub(super) fn new(core: &Arc<SimCore>) -> SimSignal {
         let state = SignalState { set: false, race: davix_sync::race::SyncObj::new() };
-        let id = core.state.lock().sched.signals.insert(state);
+        let id = core.lock().sched.signals.insert(state);
         SimSignal { core: Arc::clone(core), id }
     }
 }
 
 impl Signal for SimSignal {
     fn wait(&self, timeout: Option<Duration>) -> bool {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         let deadline = timeout.map(|t| st.events.deadline_after(t));
         loop {
             if let Some(s) = st.sched.signals.get(self.id).filter(|s| s.set) {
@@ -643,7 +754,7 @@ impl Signal for SimSignal {
     }
 
     fn set(&self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         if let Some(s) = st.sched.signals.get_mut(self.id) {
             s.set = true;
             // Notify edge: publish this thread's clock for whoever wakes.
@@ -654,14 +765,14 @@ impl Signal for SimSignal {
     }
 
     fn reset(&self) {
-        let mut st = self.core.state.lock();
+        let mut st = self.core.lock();
         if let Some(s) = st.sched.signals.get_mut(self.id) {
             s.set = false;
         }
     }
 
     fn is_set(&self) -> bool {
-        let st = self.core.state.lock();
+        let st = self.core.lock();
         match st.sched.signals.get(self.id).filter(|s| s.set) {
             Some(s) => {
                 // Observing `set` is as good as waking from the wait.
@@ -675,6 +786,6 @@ impl Signal for SimSignal {
 
 impl Drop for SimSignal {
     fn drop(&mut self) {
-        self.core.state.lock().sched.signals.remove(self.id);
+        self.core.lock().sched.signals.remove(self.id);
     }
 }

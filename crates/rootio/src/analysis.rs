@@ -14,6 +14,22 @@ fn f32_at(run: &[u8], k: usize) -> f32 {
     f32::from_le_bytes(run[4 * k..4 * k + 4].try_into().expect("4 bytes"))
 }
 
+/// Calorimeter cells summed in `i32` before one widening: a chunk of
+/// 65 535 cells sums to at most 65 535 × 2¹⁵ < 2³¹ in magnitude.
+const CAL_CHUNK_CELLS: usize = 65_535;
+
+/// The sum of one event's little-endian `i16` calorimeter cells, in `i32`
+/// lanes widened once per chunk of [`CAL_CHUNK_CELLS`].
+fn cal_cells_sum(cells: &[u8]) -> i64 {
+    cells
+        .chunks(2 * CAL_CHUNK_CELLS)
+        .map(|chunk| {
+            let lanes = chunk.chunks_exact(2).map(|v| i32::from(i16::from_le_bytes([v[0], v[1]])));
+            i64::from(lanes.sum::<i32>())
+        })
+        .sum()
+}
+
 /// A fixed-bin 1-D histogram (what HEP analyses fill).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -202,9 +218,7 @@ impl AnalysisJob {
                 }
                 prev = Some(e);
                 if let Some(cells) = bcal {
-                    for v in cells[k * cal_bytes..(k + 1) * cal_bytes].chunks_exact(2) {
-                        cal_sum += i16::from_le_bytes([v[0], v[1]]) as i64;
-                    }
+                    cal_sum += cal_cells_sum(&cells[k * cal_bytes..(k + 1) * cal_bytes]);
                 }
                 if !self.per_event_cpu.is_zero() {
                     rt.sleep(self.per_event_cpu);
@@ -319,6 +333,7 @@ mod tests {
         let f32_at =
             |name: &str, ev| f32::from_le_bytes(value(idx(name), ev, 4).try_into().unwrap());
         let stride = if job.fraction >= 1.0 { 1 } else { (1.0 / job.fraction).round() as usize };
+        let cal_width = reader.schema().branches[idx("cal")].kind.width();
         let mut histogram = Histogram::new(0.0, 200.0, 100);
         let (mut processed, mut cal_sum) = (0u64, 0i64);
         let mut prev: Option<([f32; 4], u8)> = None;
@@ -334,7 +349,7 @@ mod tests {
             }
             prev = Some((p, q));
             if job.read_calorimeter {
-                let cells = value(idx("cal"), ev, 16);
+                let cells = value(idx("cal"), ev, cal_width);
                 cal_sum += cells
                     .chunks_exact(2)
                     .map(|c| i16::from_le_bytes([c[0], c[1]]) as i64)
@@ -372,6 +387,37 @@ mod tests {
                         assert_eq!(got.windows_loaded, windows, "{what}");
                     }
                 }
+            }
+        }
+    }
+
+    /// A raw-stored tree of `n_events` whose every calorimeter cell holds
+    /// `cell`: each `cal` basket is replaced by a frame of the same length.
+    fn constant_cal_tree(cells: usize, n_events: u64, cell: i16) -> TreeReader {
+        let mut g = Generator::new(Schema::hep(cells), 7);
+        let opts = WriterOptions { events_per_basket: 5, compress: false };
+        let mut bytes = write_tree(&mut g, n_events, &opts);
+        let r = TreeReader::open(Arc::new(MemFile::new(bytes.clone()))).unwrap();
+        let cal = r.schema().index_of("cal").unwrap() as u16;
+        for b in r.baskets().iter().filter(|b| b.branch == cal) {
+            let column = cell.to_le_bytes().repeat(cells * b.n_events as usize);
+            let at = b.offset as usize;
+            bytes[at..at + b.len as usize].copy_from_slice(&crate::codec::store(&column));
+        }
+        TreeReader::open(Arc::new(MemFile::new(bytes))).unwrap()
+    }
+
+    #[test]
+    fn extreme_calorimeter_cells_sum_exactly() {
+        // 70 000 cells span two `i32` chunks.
+        for cells in [256, 70_000] {
+            for cell in [i16::MIN, i16::MAX] {
+                let r = Arc::new(constant_cal_tree(cells, 10, cell));
+                let job = AnalysisJob::default();
+                let got = job.run(Arc::clone(&r), TreeCacheOptions::default(), &rt()).unwrap();
+                let want = naive(&r, &job).2;
+                assert_eq!(want, 10 * cells as i64 * i64::from(cell), "{cells} cells of {cell}");
+                assert_eq!(got.cal_sum, want, "{cells} cells of {cell}");
             }
         }
     }
