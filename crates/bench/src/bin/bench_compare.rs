@@ -99,12 +99,17 @@ fn is_time_like(key: &str) -> bool {
     key.ends_with("_ms") || key.ends_with("_s")
 }
 
-/// Metrics that measure the machine, not the code: wall clocks, and the
+/// Metrics that measure the machine, not the code: wall clocks, the
 /// high-water mark of simultaneously runnable sim threads, which is how far
 /// the OS let woken threads overlap (fig7 reads 10, 9, 8 and now and then 7
-/// or 6 on one commit).
+/// or 6 on one commit), and the scheduler's park/unpark counts, which are
+/// OS-level hand-offs: how often a woken thread found its work already
+/// done depends on when the OS ran it, not on virtual time.
 fn is_advisory(key: &str) -> bool {
-    key.contains("real_wall") || key.ends_with("peak_runnable")
+    key.contains("real_wall")
+        || key.ends_with("peak_runnable")
+        || key.ends_with("sched.parks")
+        || key.ends_with("sched.unparks")
 }
 
 enum Verdict {
@@ -292,6 +297,16 @@ mod tests {
         assert!(is_advisory("sched.peak_runnable"));
         assert!(!is_advisory("steady.p99_ms"));
         assert!(!is_advisory("transfer.total_s"));
+    }
+
+    #[test]
+    fn park_counts_are_advisory() {
+        // fig7's park/unpark counts follow the OS run order; the virtual
+        // clock's own counts beside them still gate.
+        assert!(is_advisory("sched.parks"));
+        assert!(is_advisory("sched.unparks"));
+        assert!(!is_advisory("sched.clock_advances"));
+        assert!(!is_advisory("sched.parks_total_s"));
     }
 
     #[test]

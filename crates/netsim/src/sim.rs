@@ -58,8 +58,7 @@ use crate::fault::{FaultPlan, FaultState, FaultStats};
 use crate::transport::{BoxedStream, Connector, Listener, Pollable, Runtime, Signal, Stream};
 use events::{EventKind, Events};
 use link::{Links, Sent};
-use parking_lot::Mutex;
-use sched::{Sched, SimSignal, WaitOutcome};
+use sched::{Sched, SimSignal, StateLock, WaitOutcome};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
@@ -177,7 +176,7 @@ impl State {
 }
 
 struct SimCore {
-    state: Mutex<State>,
+    state: StateLock,
 }
 
 impl std::fmt::Debug for SimCore {
@@ -205,7 +204,7 @@ impl Default for SimNet {
 impl SimNet {
     /// Create an empty network at virtual time zero.
     pub fn new() -> Self {
-        SimNet { core: Arc::new(SimCore { state: Mutex::new(State::default()) }) }
+        SimNet { core: Arc::new(SimCore { state: StateLock::new() }) }
     }
 
     /// Add a host; adding a name that exists already does nothing.

@@ -49,7 +49,7 @@ use super::events::EventKind;
 use super::{SimCore, SimNet, State, WaitKind};
 use crate::slab::Slab;
 use crate::transport::Signal;
-use parking_lot::{Condvar, MutexGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -410,6 +410,21 @@ impl Sched {
     }
 }
 
+/// The state mutex. Its only accessor is private to this module and
+/// returns a [`StateGuard`], so no lock site can hold the state without
+/// the guard that delivers the wakes queued under it.
+pub(super) struct StateLock(Mutex<State>);
+
+impl StateLock {
+    pub(super) fn new() -> Self {
+        StateLock(Mutex::new(State::default()))
+    }
+
+    fn lock(&self) -> StateGuard<'_> {
+        StateGuard { st: Some(self.0.lock()) }
+    }
+}
+
 /// The state lock, held. Every lock site takes it through
 /// [`SimCore::lock`]; the park tokens queued while it is held are notified
 /// only once the mutex is released — when the guard drops, in
@@ -515,7 +530,7 @@ impl SimCore {
     /// Take the state lock. The one way in: wakes queued under it are
     /// delivered after it is released.
     pub(super) fn lock(&self) -> StateGuard<'_> {
-        StateGuard { st: Some(self.state.lock()) }
+        self.state.lock()
     }
 
     fn register_thread(&self) {
