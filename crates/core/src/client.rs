@@ -125,15 +125,6 @@ impl DavixClient {
         self.inner.executor.metrics().snapshot()
     }
 
-    /// Arm (or disarm) the deliberately-broken `unsync-metric` canary used
-    /// by `davix-simfuzz --canary unsync-metric` to prove the `race-detect`
-    /// sanitizer catches an unsynchronized counter. Inert unless the
-    /// detector is compiled in; see
-    /// [`Metrics::unsync_canary`](crate::Metrics::unsync_canary).
-    pub fn set_unsync_metric_canary(&self, on: bool) {
-        self.inner.executor.metrics().set_unsync_canary(on);
-    }
-
     /// The executor, for advanced callers (benchmarks issue raw requests).
     pub fn executor(&self) -> &HttpExecutor {
         &self.inner.executor
@@ -142,11 +133,5 @@ impl DavixClient {
     /// The configuration in force.
     pub fn config(&self) -> &Config {
         &self.inner.cfg
-    }
-
-    /// The shared block cache, when enabled (`Config::cache_capacity_bytes`
-    /// > 0). Mostly useful for diagnostics and tests.
-    pub fn block_cache(&self) -> Option<&Arc<crate::BlockCache>> {
-        self.inner.cache.as_ref()
     }
 }

@@ -175,8 +175,8 @@ struct Progress {
 ///
 /// A drain goes to `pool` only if a fresh worker can be spawned for it
 /// right now; the calling thread runs the rest itself, one after another,
-/// after `submitted` and before it waits (the module docs say why this
-/// cannot deadlock). No lock is held while a drain runs. On a worker the
+/// once every drain is placed and before it waits (the module docs say why
+/// this cannot deadlock). No lock is held while a drain runs. On a worker the
 /// submit→run hand-off is the pool's; on the caller it is program order.
 ///
 /// The caller wakes when every item is done or when the **last drain has
@@ -189,7 +189,6 @@ pub(crate) fn run_batch<D>(
     drains: usize,
     max_failures: usize,
     mut make_drain: impl FnMut(usize) -> D,
-    submitted: impl FnOnce(),
 ) -> Result<usize>
 where
     D: FnMut(usize) -> Outcome + Send + 'static,
@@ -251,7 +250,6 @@ where
         });
         unstarted.extend(pool.place(drain, false));
     }
-    submitted();
     for drain in unstarted {
         drain();
     }
@@ -288,7 +286,6 @@ pub(crate) fn run_chunked<W>(
     workers: usize,
     max_failures: usize,
     mut make_worker: impl FnMut(usize) -> W,
-    submitted: impl FnOnce(),
 ) -> Result<usize>
 where
     W: FnMut(Chunk) -> Outcome + Send + 'static,
@@ -302,7 +299,7 @@ where
         let mut work = make_worker(n);
         move |idx| work(chunk(idx))
     };
-    run_batch(pool, chunks, workers, max_failures, drain, submitted)
+    run_batch(pool, chunks, workers, max_failures, drain)
 }
 
 /// `f` over `items` as one [`run_batch`] of up to `width` drains; the
@@ -335,7 +332,7 @@ where
             Outcome::Done
         }
     };
-    run_batch(pool, n, width, 0, drain, || ()).expect("a map item never fails");
+    run_batch(pool, n, width, 0, drain).expect("a map item never fails");
     slots.iter().map(|s| s.lock().1.take().expect("every item was mapped")).collect()
 }
 
@@ -490,7 +487,7 @@ mod tests {
                     Outcome::Done
                 }
             };
-            run_chunked(&pool, 1000, 100, 4, 0, drain, || ())
+            run_chunked(&pool, 1000, 100, 4, 0, drain)
         });
         assert_eq!(result.unwrap(), 0);
         assert_eq!(chunks.load(Ordering::SeqCst), 10);
@@ -518,7 +515,7 @@ mod tests {
                     }
                 }
             };
-            run_chunked(&pool, 400, 100, 2, 1, drain, || ())
+            run_chunked(&pool, 400, 100, 2, 1, drain)
         });
         assert_eq!(result.unwrap(), 1, "one requeued failure, within the budget");
         assert_eq!(*attempts.lock(), vec![0, 1, 2, 3, 1], "chunk 1 went back to the queue");

@@ -172,7 +172,6 @@ fn download(
                 Arc::clone(&report),
             )
         },
-        || (),
     )
     .map_err(|e| DavixError::AllReplicasFailed { tried: scheduler.len(), last: Box::new(e) })?;
 

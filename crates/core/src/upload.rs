@@ -300,12 +300,6 @@ pub fn multistream_upload(
                 Arc::clone(&outstanding),
             )
         },
-        // The driver-side canary touch: deliberately after the submits (so
-        // the pool handoff edge does not cover it) and before the engine
-        // runs a drain or waits (so the completion edge does not either).
-        // Racing pair with the worker-side touch in `upload_worker` — inert
-        // unless the `unsync-metric` canary is armed under `race-detect`.
-        || ex.metrics().canary_bump(),
     );
     let chunk_retries = match transfer {
         Ok(failures) => failures as u64,
@@ -498,7 +492,6 @@ fn upload_worker(
 ) -> impl FnMut(Chunk) -> Outcome {
     let metrics = Arc::clone(client.inner.executor.metrics());
     move |chunk| {
-        metrics.canary_bump();
         // This worker now holds one chunk of payload; the high-water mark
         // across all workers is the bound the bench asserts.
         let len = chunk.len as u64;

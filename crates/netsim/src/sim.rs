@@ -318,11 +318,6 @@ impl SimNet {
         self.core.lock().fault.as_ref().map(|f| f.stats.clone())
     }
 
-    /// The installed plan's `(plan, seed)` fingerprint, if any.
-    pub fn fault_fingerprint(&self) -> Option<u64> {
-        self.core.lock().fault.as_ref().map(|f| f.fingerprint)
-    }
-
     /// Evaluate a named fault decision point at the plan's default
     /// probability ([`FaultPlan::buggify_prob`]). Always `false` without an
     /// installed plan, so instrumented sim-only code costs nothing in

@@ -91,7 +91,7 @@ fn sim_spawn_carries_fork_edge() {
 fn missing_edge_is_still_reported_under_sim() {
     // Sanity for the three tests above: the sim harness does not
     // accidentally order *everything* (which would make them vacuous).
-    // The racy window is the same one the `unsync-metric` canary uses: a
+    // The racy window is the same one the `unsync-batch-write` mutant uses: a
     // spawned thread's work before its first sim operation runs
     // concurrently with the parent's work after the spawn — the spawn
     // packet was snapped before the parent's write, and the child has

@@ -135,9 +135,6 @@ pub struct StorageHandler {
     opts: StorageOptions,
     unavailable: AtomicBool,
     fail_next: AtomicU32,
-    /// Deliberate bug switch for harness validation (see
-    /// [`set_eager_segment_commit`](Self::set_eager_segment_commit)).
-    eager_segment_commit: AtomicBool,
     boundary_counter: AtomicU64,
     upload_counter: AtomicU64,
     multipart: Mutex<HashMap<u64, PendingMultipart>>,
@@ -152,7 +149,6 @@ impl StorageHandler {
             opts,
             unavailable: AtomicBool::new(false),
             fail_next: AtomicU32::new(0),
-            eager_segment_commit: AtomicBool::new(false),
             boundary_counter: AtomicU64::new(0),
             upload_counter: AtomicU64::new(0),
             multipart: Mutex::new(HashMap::new()),
@@ -168,17 +164,6 @@ impl StorageHandler {
     /// Fail the next `n` requests with 500.
     pub fn fail_next(&self, n: u32) {
         self.fail_next.store(n, Ordering::SeqCst);
-    }
-
-    /// **Deliberately re-introduce a commit-atomicity bug** (off by
-    /// default): segmented PUTs materialize their partially-covered buffer
-    /// (zeros in the gaps) at the target path after every segment instead
-    /// of only once fully covered. An upload interrupted mid-flight then
-    /// leaves a visible object whose bytes differ from any full payload —
-    /// exactly the all-or-nothing violation `davix-simfuzz` exists to
-    /// catch. Used to validate that the harness actually detects it.
-    pub fn set_eager_segment_commit(&self, v: bool) {
-        self.eager_segment_commit.store(v, Ordering::SeqCst);
     }
 
     /// Snapshot of the in-flight upload staging state.
@@ -412,13 +397,6 @@ impl StorageHandler {
         };
         pending.data[cr.first as usize..=cr.last as usize].copy_from_slice(body);
         pending.record(cr.first, cr.last + 1);
-        if !pending.complete() && self.eager_segment_commit.load(Ordering::SeqCst) {
-            // Canary bug: publish the partially-covered buffer (zeros in
-            // the gaps) before the entity is complete.
-            let partial = Bytes::from(pending.data.clone());
-            // davix-lint: allow(lock-discipline) — ObjectStore::put is an in-memory map insert; the call graph merges it with the HTTP `put` by name
-            self.store.put(path, partial);
-        }
         let done = pending.complete().then(|| std::mem::take(&mut pending.data));
         if let Some(data) = done {
             segments.remove(path);

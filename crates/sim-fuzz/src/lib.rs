@@ -26,14 +26,14 @@
 //! [`FuzzReport::summary`], which two consecutive runs must reproduce
 //! byte-for-byte — pinned by this crate's tests).
 //!
-//! The deliberate-bug switches exist to prove the harness catches what it
-//! claims to catch: [`Canary::EagerSegmentCommit`] re-introduces a
-//! commit-atomicity bug in the storage nodes, and [`Canary::UnsyncMetric`]
-//! arms a deliberately-unsynchronized metrics counter that only the
-//! `race-detect` happens-before sanitizer can observe (see
-//! `netsim::race`). When the detector is compiled in, every run also
-//! collects its data-race reports as `race` violations, so a racing seed
-//! prints the same `seed=<u64>` reproduction line as any other failure.
+//! When the `race-detect` happens-before sanitizer is compiled in (see
+//! `netsim::race`), every run also collects its data-race reports as
+//! `race` violations, so a racing seed prints the same `seed=<u64>`
+//! reproduction line as any other failure. The mutation suite
+//! (`tools/mutants.sh`) proves both kinds of check can fail: it
+//! re-introduces a commit-atomicity bug in the storage nodes and an
+//! unsynchronized write in the client's batch engine as source patches,
+//! and requires this crate's clean-corpus tests to catch each one.
 
 use bytes::Bytes;
 use davix::{multistream_upload, Config, UploadOptions, UploadProtocol};
@@ -41,25 +41,6 @@ use davix_repro::testbed::{Testbed, TestbedConfig, CLIENT, DATA_PATH, FED};
 use netsim::{buggify, FaultPlan, FaultStats, LinkSpec, SplitRng};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Deliberate bugs the harness can inject to validate itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Canary {
-    /// No injected bug: a clean run must report zero violations.
-    None,
-    /// Re-enable eager materialization of partially-covered segmented
-    /// uploads (see `StorageHandler::set_eager_segment_commit`): an upload
-    /// interrupted by a fault leaves a visible object whose bytes differ
-    /// from the payload — an all-or-nothing violation the sweep must find.
-    EagerSegmentCommit,
-    /// Arm the writer client's deliberately-unsynchronized metrics counter
-    /// (see `davix::Metrics::unsync_canary`): the upload driver and a pool
-    /// worker both touch a plain cell with no happens-before edge between
-    /// the touches. Invisible to the federation invariants — only the
-    /// `race-detect` vector-clock sanitizer flags it, as a `race`
-    /// violation. Inert unless that feature is compiled in.
-    UnsyncMetric,
-}
 
 /// Parameters of one fuzz run. Everything that shapes the scenario is
 /// here; two runs with equal configs produce equal [`FuzzReport`]s.
@@ -73,8 +54,6 @@ pub struct FuzzConfig {
     pub ops: usize,
     /// Size of the shared origin object readers verify against.
     pub payload_len: usize,
-    /// Deliberate bug to inject, if any.
-    pub canary: Canary,
 }
 
 impl Default for FuzzConfig {
@@ -88,7 +67,7 @@ impl Default for FuzzConfig {
         plan.outage_min = Duration::from_millis(800);
         plan.outage_max = Duration::from_secs(4);
         plan.partitions = 5;
-        FuzzConfig { seed: 0, plan, ops: 40, payload_len: 192 * 1024, canary: Canary::None }
+        FuzzConfig { seed: 0, plan, ops: 40, payload_len: 192 * 1024 }
     }
 }
 
@@ -225,11 +204,6 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
         with_federation: true,
         ..Default::default()
     });
-    if cfg.canary == Canary::EagerSegmentCommit {
-        for node in &tb.nodes {
-            node.handler.set_eager_segment_commit(true);
-        }
-    }
 
     // Registered for the whole run: the virtual clock can only advance
     // while this thread is parked on a sim primitive, so the pre-scheduled
@@ -252,9 +226,6 @@ pub fn run_one(cfg: &FuzzConfig) -> FuzzReport {
             .replica_blacklist(2, Duration::from_millis(500)),
     );
     let writer = tb.davix_client(Config::default().with_io_threads(1).no_retry());
-    if cfg.canary == Canary::UnsyncMetric {
-        writer.set_unsync_metric_canary(true);
-    }
     let connector = tb.net.connector(CLIENT);
 
     // The scheduler under the readmission invariant: it sees failures

@@ -3,15 +3,13 @@
 //! ```text
 //! davix-simfuzz --seed 42                        # one seed
 //! davix-simfuzz --seeds-file crates/sim-fuzz/seeds.txt --fresh 4 --base 12345
-//! davix-simfuzz --seed 7 --canary eager-commit   # prove the harness catches bugs
-//! davix-simfuzz --seed 7 --canary unsync-metric  # ditto for the race-detect sanitizer
 //! davix-simfuzz --seed 7 --trace out.jsonl       # dump the virtual-time event trace
 //! ```
 //!
 //! Every failure prints `FAIL seed=<u64> plan=<fingerprint> ...` — feeding
 //! that seed back via `--seed` replays the run bit-identically.
 
-use sim_fuzz::{run_one, Canary, FuzzConfig};
+use sim_fuzz::{run_one, FuzzConfig};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::ExitCode;
@@ -22,7 +20,6 @@ struct Args {
     fresh: usize,
     base: Option<u64>,
     ops: Option<usize>,
-    canary: Canary,
     trace: Option<String>,
     github_annotations: bool,
 }
@@ -30,8 +27,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: davix-simfuzz [--seed N]... [--seeds-file F] [--fresh N [--base B]]\n\
-         \x20                    [--ops N] [--canary eager-commit|unsync-metric] [--trace PATH]\n\
-         \x20                    [--github-annotations]"
+         \x20                    [--ops N] [--trace PATH] [--github-annotations]"
     );
     std::process::exit(2);
 }
@@ -43,7 +39,6 @@ fn parse_args() -> Args {
         fresh: 0,
         base: None,
         ops: None,
-        canary: Canary::None,
         trace: None,
         github_annotations: false,
     };
@@ -64,24 +59,6 @@ fn parse_args() -> Args {
             "--fresh" => args.fresh = val("--fresh").parse().unwrap_or_else(|_| usage()),
             "--base" => args.base = Some(val("--base").parse().unwrap_or_else(|_| usage())),
             "--ops" => args.ops = Some(val("--ops").parse().unwrap_or_else(|_| usage())),
-            "--canary" => match val("--canary").as_str() {
-                "eager-commit" => args.canary = Canary::EagerSegmentCommit,
-                "unsync-metric" => {
-                    if !netsim::race::enabled() {
-                        eprintln!(
-                            "--canary unsync-metric needs the race detector: rebuild with \
-                             --features davix-repro/race-detect"
-                        );
-                        std::process::exit(2);
-                    }
-                    args.canary = Canary::UnsyncMetric;
-                }
-                "none" => args.canary = Canary::None,
-                other => {
-                    eprintln!("unknown canary {other:?} (try: eager-commit, unsync-metric)");
-                    usage()
-                }
-            },
             "--trace" => args.trace = Some(val("--trace")),
             "--github-annotations" => args.github_annotations = true,
             "--help" | "-h" => usage(),
@@ -152,7 +129,7 @@ fn main() -> ExitCode {
 
     let mut failures = 0usize;
     for seed in seeds {
-        let mut cfg = FuzzConfig { seed, canary: args.canary, ..Default::default() };
+        let mut cfg = FuzzConfig { seed, ..Default::default() };
         if let Some(ops) = args.ops {
             cfg.ops = ops;
         }

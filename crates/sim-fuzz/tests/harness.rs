@@ -1,15 +1,15 @@
 //! The harness's own acceptance tests: a clean run passes all invariants
-//! and replays bit-identically; the deliberately injected canary bug is
-//! caught within a small seed budget and its failure also replays
-//! bit-identically — the ISSUE's "a printed seed reproduces the failure"
-//! contract, automated.
+//! and replays bit-identically, and every seed of the CI budget runs
+//! clean. A seed that fails is replayed before the test fails, so the
+//! failure it reports is one its printed seed reproduces. The mutation
+//! suite (`tools/mutants/eager-segment-commit.patch`) proves the budget
+//! catches a commit-atomicity bug as `all-or-nothing`.
 
-use sim_fuzz::{run_one, Canary, FuzzConfig};
+use sim_fuzz::{run_one, FuzzConfig};
 
-/// Seeds the canary-detection test may scan. Kept small so the test stays
-/// fast; tightened by `canary_bug_is_caught_within_the_ci_seed_budget`
-/// asserting a hit inside it.
-const CANARY_BUDGET: u64 = 8;
+/// Seeds the clean-corpus test scans. Kept small so the test stays fast;
+/// the eager-commit mutant must be caught inside it.
+const SEED_BUDGET: u64 = 8;
 
 #[test]
 fn clean_run_upholds_every_invariant_and_replays_bit_identically() {
@@ -33,36 +33,14 @@ fn different_seeds_explore_different_schedules() {
 }
 
 #[test]
-fn canary_bug_is_caught_within_the_ci_seed_budget() {
-    let mut caught = None;
-    for seed in 1..=CANARY_BUDGET {
-        let cfg = FuzzConfig { seed, canary: Canary::EagerSegmentCommit, ..Default::default() };
-        let report = run_one(&cfg);
-        if !report.passed() {
-            assert!(
-                report.violations.iter().any(|v| v.invariant == "all-or-nothing"),
-                "eager-commit canary must surface as all-or-nothing, got {:?}",
-                report.violations
-            );
-            caught = Some((seed, report));
-            break;
-        }
-    }
-    let (seed, first) = caught.expect("canary bug escaped the whole seed budget");
-    // The acceptance criterion: the printed seed reproduces the failure
-    // bit-identically on a second run.
-    let again =
-        run_one(&FuzzConfig { seed, canary: Canary::EagerSegmentCommit, ..Default::default() });
-    assert_eq!(first.summary(), again.summary(), "failing seed must replay bit-identically");
-    assert_eq!(first.violations, again.violations);
-}
-
-#[test]
 fn same_seed_without_canary_stays_clean() {
-    // The canary test's failing seed must be a *canary* failure, not a
-    // latent real bug: every corpus seed runs clean with the bug off.
-    for seed in 1..=CANARY_BUDGET {
+    for seed in 1..=SEED_BUDGET {
         let report = run_one(&FuzzConfig { seed, ..Default::default() });
-        assert!(report.passed(), "seed {seed} violated: {:?}", report.violations);
+        if !report.passed() {
+            let again = run_one(&FuzzConfig { seed, ..Default::default() });
+            assert_eq!(report.summary(), again.summary(), "seed {seed} replayed differently");
+            assert_eq!(report.violations, again.violations);
+            panic!("seed {seed} violated, and replays bit-identically: {:?}", report.violations);
+        }
     }
 }

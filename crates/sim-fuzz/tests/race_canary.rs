@@ -1,72 +1,33 @@
-//! Acceptance tests for the `unsync-metric` canary: the `race-detect`
-//! sanitizer must catch the deliberately-unsynchronized metrics counter
-//! within the CI seed budget, and the failing seed must replay
-//! bit-identically — the same contract `harness.rs` pins for the
-//! eager-commit canary. Runtime-gated on the detector: without
-//! `--features davix-repro/race-detect` each test is a pass-through no-op
-//! (the canary is inert by design in plain builds).
+//! The `race-detect` sanitizer over the CI seed budget: no seed reports a
+//! race. A seed that does is replayed twice before the test fails, so the
+//! race it reports is one its printed seed reproduces. The mutation suite
+//! (`tools/mutants/unsync-batch-write.patch`) proves the budget catches an
+//! unsynchronized write in the client's batch engine, with both sites
+//! named. Runtime-gated on the detector: without
+//! `--features davix-repro/race-detect` the test is a pass-through no-op.
 
-use sim_fuzz::{run_one, Canary, FuzzConfig};
+use sim_fuzz::{run_one, FuzzConfig};
 
-/// Seeds the detection test may scan; mirrors `harness.rs`.
-const CANARY_BUDGET: u64 = 8;
-
-#[test]
-fn unsync_metric_canary_is_caught_within_the_ci_seed_budget() {
-    if !netsim::race::enabled() {
-        return;
-    }
-    let mut caught = None;
-    for seed in 1..=CANARY_BUDGET {
-        let cfg = FuzzConfig { seed, canary: Canary::UnsyncMetric, ..Default::default() };
-        let report = run_one(&cfg);
-        if !report.passed() {
-            assert!(
-                report.violations.iter().any(|v| v.invariant == "race"),
-                "unsync-metric canary must surface as a race violation, got {:?}",
-                report.violations
-            );
-            // The report must name both racing sites in the upload path —
-            // that is what makes it debuggable rather than a coin flip.
-            let race = report.violations.iter().find(|v| v.invariant == "race").unwrap();
-            assert!(
-                race.detail.matches("upload.rs").count() >= 2,
-                "race detail must carry both upload.rs sites: {}",
-                race.detail
-            );
-            caught = Some((seed, report));
-            break;
-        }
-    }
-    let (seed, first) = caught.expect("unsync-metric canary escaped the whole seed budget");
-    // The acceptance criterion: the printed seed reproduces the race
-    // bit-identically, twice.
-    for round in 0..2 {
-        let again =
-            run_one(&FuzzConfig { seed, canary: Canary::UnsyncMetric, ..Default::default() });
-        assert_eq!(
-            first.summary(),
-            again.summary(),
-            "replay {round} of seed {seed} diverged from the original failure"
-        );
-        assert_eq!(first.violations, again.violations);
-    }
-}
+/// Seeds the test scans; mirrors `harness.rs`.
+const SEED_BUDGET: u64 = 8;
 
 #[test]
 fn clean_seeds_report_no_races() {
     if !netsim::race::enabled() {
         return;
     }
-    // The canary test's racing seed must come from the canary, not a
-    // latent real race: with the canary off, the detector stays silent
-    // over the same corpus.
-    for seed in 1..=CANARY_BUDGET {
+    for seed in 1..=SEED_BUDGET {
         let report = run_one(&FuzzConfig { seed, ..Default::default() });
-        assert!(
-            !report.violations.iter().any(|v| v.invariant == "race"),
-            "seed {seed} reported a race without the canary: {:?}",
-            report.violations
-        );
+        if report.violations.iter().any(|v| v.invariant == "race") {
+            for round in 0..2 {
+                let again = run_one(&FuzzConfig { seed, ..Default::default() });
+                assert_eq!(report.summary(), again.summary(), "replay {round} of seed {seed}");
+                assert_eq!(report.violations, again.violations);
+            }
+            panic!(
+                "seed {seed} reported a race, and replays bit-identically twice: {:?}",
+                report.violations
+            );
+        }
     }
 }

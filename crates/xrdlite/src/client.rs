@@ -382,11 +382,11 @@ impl XrdFile {
         Ok(out)
     }
 
-    /// I/O counters.
+    /// This file's I/O counters: one round trip per READ or READV it sent
+    /// (OPEN, STAT and other files' requests are
+    /// [`XrdClient::round_trips`]'s).
     pub fn io_stats(&self) -> IoStatsSnapshot {
-        let mut s = self.io.snapshot();
-        s.round_trips = self.inner.round_trips.load(Ordering::Relaxed);
-        s
+        self.io.snapshot()
     }
 }
 
@@ -489,6 +489,18 @@ mod tests {
         for (g, &(off, len)) in got.iter().zip(&frags) {
             assert_eq!(g, &data[off as usize..off as usize + len]);
         }
+    }
+
+    #[test]
+    fn each_file_counts_its_own_round_trips() {
+        let (net, client, _) = setup(XrdClientOptions::default());
+        let _g = net.enter();
+        let (big, small) = (client.open("/big").unwrap(), client.open("/small").unwrap());
+        big.read_at(0, &mut [0u8; 16]).unwrap();
+        small.read_vec(&[(0, 2), (2, 2)]).unwrap();
+        assert_eq!(big.io_stats().round_trips, 1);
+        assert_eq!(small.io_stats().round_trips, 1);
+        assert_eq!(client.round_trips(), 4, "two OPENs, one READ, one READV");
     }
 
     #[test]

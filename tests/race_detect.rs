@@ -127,7 +127,7 @@ fn multistream_upload_pool_handoff_has_no_modeled_race() {
     let reports = race::take_reports();
     assert!(
         reports.is_empty(),
-        "upload pool handoff must be fully ordered (canary disarmed): {:?}",
+        "upload pool handoff must be fully ordered: {:?}",
         reports.iter().map(|r| r.detail()).collect::<Vec<_>>()
     );
 }
