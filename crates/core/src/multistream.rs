@@ -206,12 +206,24 @@ pub fn multistream_download_verified(
     let origin = client.parse_url(url)?;
     let set = crate::replicas::fetch_replica_set(&client.inner, &origin)?;
     let (data, _) = download(client, &client.replica_scheduler(set.uris), opts, set.size)?;
+    // Each declared digest is computed once, and both in one pass when both
+    // are declared.
+    use ioapi::checksum::{adler32, crc32, crc32_adler32, to_hex};
+    let declared = |algo: &str| set.hashes.iter().any(|(a, _)| a.eq_ignore_ascii_case(algo));
+    let (crc, adler) = match (declared("crc32"), declared("adler32")) {
+        (true, true) => {
+            let (crc, adler) = crc32_adler32(&data);
+            (Some(crc), Some(adler))
+        }
+        (crc, adler) => (crc.then(|| crc32(&data)), adler.then(|| adler32(&data))),
+    };
     for (algo, expected) in &set.hashes {
         let got = match algo.to_ascii_lowercase().as_str() {
-            "crc32" => ioapi::checksum::to_hex(ioapi::checksum::crc32(&data)),
-            "adler32" => ioapi::checksum::to_hex(ioapi::checksum::adler32(&data)),
-            _ => continue, // unknown algorithm: cannot verify, skip
+            "crc32" => crc,
+            "adler32" => adler,
+            _ => None, // unknown algorithm: cannot verify, skip
         };
+        let Some(got) = got.map(to_hex) else { continue };
         if got != expected.to_ascii_lowercase() {
             return Err(DavixError::ChecksumMismatch {
                 algo: algo.clone(),

@@ -4,32 +4,44 @@
 //!
 //! Each algorithm has a kernel that takes the running state and returns it
 //! — the CRC register, or Adler's `(a, b)` — so [`crc32`], [`adler32`] and
-//! [`crc32_adler32`] all drive the same kernels. [`crc32_adler32`] feeds
-//! both 32 KiB at a time, so a payload comes from memory once for the two
-//! digests a stored object carries.
+//! [`crc32_adler32`] all drive the same kernels. [`crc32_adler32`] reads a
+//! payload from memory once for the two digests a stored object carries:
+//! in one fused loop where the CPU runs it, otherwise by feeding both
+//! kernels 32 KiB at a time.
 //!
 //! On x86-64 the kernels are vector code (the `x86` module, the one place
-//! in the crate allowed `unsafe`):
+//! in the crate allowed `unsafe`), each chosen at run time by the CPU's
+//! features:
 //! - CRC-32 folds four 128-bit lanes with `PCLMULQDQ` and ends with a
 //!   Barrett reduction (Intel, "Fast CRC Computation for Generic
 //!   Polynomials Using PCLMULQDQ", 2009). It runs when the CPU reports
-//!   `pclmulqdq` and `sse4.1` at run time, on inputs of 128 bytes and more.
-//! - Adler-32 takes 32 bytes a step on AVX2, when the CPU reports `avx2`
-//!   at run time: `_mm256_sad_epu8` sums the bytes, and
-//!   `_mm256_maddubs_epi16` against weights 32…1, then `_mm256_madd_epi16`
-//!   by ones, gives the weighted sum, folded mod 65 521 once per
-//!   5 536-byte block. It replaced an SSE2 kernel of the same shape: a
-//!   second vector kernel bought nothing, as the portable kernel already
-//!   covers every CPU without AVX2.
+//!   `pclmulqdq` and `sse4.1`, on inputs of 128 bytes and more.
+//! - From 256 bytes on, CRC-32 folds four 512-bit lanes with `VPCLMULQDQ`,
+//!   256 bytes a step, when the CPU reports `vpclmulqdq` and `avx512f`; the
+//!   lanes then fold down to the 128-bit kernel's four and end as it does.
+//! - Adler-32 takes 32 bytes a step on AVX2, when the CPU reports `avx2`:
+//!   `_mm256_sad_epu8` sums the bytes, and `_mm256_maddubs_epi16` against
+//!   weights 32…1, then `_mm256_madd_epi16` by ones, gives the weighted
+//!   sum, folded mod 65 521 once per 5 536-byte block. It replaced an SSE2
+//!   kernel of the same shape: a second vector kernel bought nothing, as
+//!   the portable kernel already covers every CPU without AVX2. An AVX-512
+//!   Adler-32 alone was no faster, so [`adler32`] stays on AVX2.
+//! - [`crc32_adler32`] from 256 bytes on runs one fused AVX-512 loop when
+//!   the CPU also reports `avx512bw` and `avx512vnni`: each 64-byte load
+//!   feeds a `VPCLMULQDQ` CRC lane and the Adler-32 sums (`vpsadbw` for the
+//!   byte sums, `vpdpbusd` against weights 64…1 into four independent
+//!   accumulators), folded mod 65 521 once per 32 KiB. Both AVX-512 kernels
+//!   prefetch a page ahead, as the hardware prefetcher stops at a page's
+//!   end and a payload that has left the cache would otherwise wait on it.
 //!
 //! The portable kernels below are kept on every target: they are the only
 //! path on other architectures, on CPUs without CLMUL or AVX2 and for short
 //! inputs, they take the tails the vector kernels leave, and they are the
-//! reference the vector kernels are tested against. Both run on four
-//! independent lanes, so the CPU overlaps four dependency chains instead
-//! of waiting on one. Adler-32 sums every fourth byte per lane and folds
-//! the lanes once per 5 552-byte block. CRC-32 runs slice-by-16 over the
-//! four quarters of an input of at least 1 KiB and joins them with the
+//! reference each vector kernel is tested against, one by one. Both run on
+//! four independent lanes, so the CPU overlaps four dependency chains
+//! instead of waiting on one. Adler-32 sums every fourth byte per lane and
+//! folds the lanes once per 5 552-byte block. CRC-32 runs slice-by-16 over
+//! the four quarters of an input of at least 1 KiB and joins them with the
 //! same polynomial arithmetic that [`crc32_combine`] publishes; shorter
 //! inputs and the last < 64 bytes take one lane.
 //!
@@ -50,10 +62,15 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(CRC_INIT, data) ^ CRC_INIT
 }
 
-/// Both digests of `data`, `(crc32, adler32)`, in one pass: each 32 KiB
-/// goes through both kernels while it is still in cache.
+/// Both digests of `data`, `(crc32, adler32)`, in one pass: the fused
+/// AVX-512 kernel where it runs; otherwise each 32 KiB goes through both
+/// kernels while it is still in cache.
 pub fn crc32_adler32(data: &[u8]) -> (u32, u32) {
     let (mut crc, mut adler) = (CRC_INIT, ADLER_INIT);
+    #[cfg(target_arch = "x86_64")]
+    if let Some((crc, adler)) = x86::crc32_adler32(crc, adler, data) {
+        return (crc ^ CRC_INIT, adler32_finish(adler));
+    }
     for chunk in data.chunks(PAIR_CHUNK) {
         crc = crc32_update(crc, chunk);
         adler = adler32_update(adler, chunk);
@@ -89,8 +106,8 @@ fn adler32_update(state: AdlerState, data: &[u8]) -> AdlerState {
     adler32_portable(state, data)
 }
 
-/// The CRC register after `crc` has taken `data`: the CLMUL kernel where
-/// it runs, the portable one otherwise.
+/// The CRC register after `crc` has taken `data`: the VPCLMULQDQ or CLMUL
+/// kernel where one runs, the portable one otherwise.
 fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if let Some(crc) = x86::crc32(crc, data) {
@@ -399,54 +416,121 @@ mod tests {
         assert_eq!(acc, adler32(&data));
     }
 
-    /// Every path to both digests of `s` — the bytewise definitions, the
-    /// portable kernels, the x86-64 kernels (CLMUL and AVX2, where this CPU
-    /// and length take them) and the public functions — must agree.
-    fn assert_every_path_agrees(s: &[u8], what: &str) {
-        let (crc, adler) = (crc32_bytewise(s), adler32_bytewise(s));
-        assert_eq!(crc32_portable(CRC_INIT, s) ^ CRC_INIT, crc, "portable crc32, {what}");
-        let portable = adler32_finish(adler32_portable(ADLER_INIT, s));
-        assert_eq!(portable, adler, "portable adler32, {what}");
+    /// A running state a kernel returns: the CRC register or Adler's
+    /// `(a, b)`.
+    #[derive(Debug, PartialEq)]
+    enum State {
+        Crc(u32),
+        Adler(AdlerState),
+    }
+
+    /// What each kernel this CPU runs makes of `s` from the running states
+    /// `(crc, adler)`, by the name its failures print: the portable kernels
+    /// always, and each x86-64 kernel (CLMUL and VPCLMULQDQ CRC-32, AVX2
+    /// Adler-32, the fused AVX-512 pair) where this CPU has its features and
+    /// `s` is long enough for it.
+    fn every_kernel(crc: u32, adler: AdlerState, s: &[u8]) -> Vec<(&'static str, State)> {
+        let mut out = vec![
+            ("portable crc32", State::Crc(crc32_portable(crc, s))),
+            ("portable adler32", State::Adler(adler32_portable(adler, s))),
+        ];
         #[cfg(target_arch = "x86_64")]
         {
-            if let Some(reg) = x86::crc32(CRC_INIT, s) {
-                assert_eq!(reg ^ CRC_INIT, crc, "clmul crc32, {what}");
+            out.extend(x86::crc32_by_clmul(crc, s).map(|r| ("clmul crc32", State::Crc(r))));
+            out.extend(x86::adler32(adler, s).map(|a| ("avx2 adler32", State::Adler(a))));
+            out.extend(x86::crc32_by_vpclmul(crc, s).map(|r| ("vpclmul crc32", State::Crc(r))));
+            if let Some((r, a)) = x86::crc32_adler32(crc, adler, s) {
+                out.push(("fused crc32", State::Crc(r)));
+                out.push(("fused adler32", State::Adler(a)));
             }
-            if let Some(state) = x86::adler32(ADLER_INIT, s) {
-                assert_eq!(adler32_finish(state), adler, "avx2 adler32, {what}");
+        }
+        out
+    }
+
+    /// Every path to both digests of `s` — the bytewise definitions, every
+    /// kernel this CPU runs (called one by one) and the public functions —
+    /// must agree.
+    fn assert_every_path_agrees(s: &[u8], what: &str) {
+        assert_every_path_gives(s, (crc32_bytewise(s), adler32_bytewise(s)), what);
+    }
+
+    /// Every kernel this CPU runs and the public functions give `s` the
+    /// digests `(crc, adler)`.
+    fn assert_every_path_gives(s: &[u8], (crc, adler): (u32, u32), what: &str) {
+        for (kernel, state) in every_kernel(CRC_INIT, ADLER_INIT, s) {
+            match state {
+                State::Crc(reg) => assert_eq!(reg ^ CRC_INIT, crc, "{kernel}, {what}"),
+                State::Adler(a) => assert_eq!(adler32_finish(a), adler, "{kernel}, {what}"),
             }
         }
         assert_eq!((crc32(s), adler32(s)), (crc, adler), "public, {what}");
         assert_eq!(crc32_adler32(s), (crc, adler), "crc32_adler32, {what}");
     }
 
+    /// Each x86-64 kernel whose features this CPU has runs in the tests:
+    /// no kernel goes untested because its gate says no.
+    #[test]
+    fn every_kernel_this_cpu_has_is_under_test() {
+        let names: Vec<_> = every_kernel(CRC_INIT, ADLER_INIT, &[0; 256])
+            .into_iter()
+            .map(|(kernel, _)| kernel)
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        {
+            use std::arch::is_x86_feature_detected as has;
+            let vpclmul = has!("vpclmulqdq") && has!("avx512f");
+            for (kernel, runs) in [
+                ("clmul crc32", has!("pclmulqdq") && has!("sse4.1")),
+                ("avx2 adler32", has!("avx2")),
+                ("vpclmul crc32", vpclmul),
+                ("fused crc32", vpclmul && has!("avx512bw") && has!("avx512vnni")),
+            ] {
+                assert_eq!(names.contains(&kernel), runs, "{kernel} runs where its features are");
+            }
+        }
+        assert!(names.contains(&"portable crc32") && names.contains(&"portable adler32"));
+    }
+
     #[test]
     fn every_path_agrees_at_every_length_and_alignment() {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1") {
-            assert!(x86::crc32(CRC_INIT, &[0; 128]).is_some(), "the CLMUL kernel is under test");
-        }
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            assert!(x86::adler32(ADLER_INIT, &[]).is_some(), "the AVX2 kernel is under test");
-        }
         let mut x = 2014u64;
         let mut next = || {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (x >> 33) as usize
         };
-        let data: Vec<u8> = (0..100 * 1024 + 16).map(|_| next() as u8).collect();
-        // Every length up to past the portable CRC's four-lane threshold
-        // (1 KiB) — each tail length of every kernel — at every start
-        // offset within a vector.
-        for len in 0..=1100 {
-            for start in 0..16 {
+        let data: Vec<u8> = (0..100 * 1024 + 64).map(|_| next() as u8).collect();
+        // Every length to 4 KiB — past the portable CRC's four-lane
+        // threshold (1 KiB) and over many AVX-512 steps (256 bytes), so each
+        // tail length of every kernel — at every start offset within a
+        // 64-byte vector. A debug build takes one start per length, rotating
+        // through all 64. The bytewise digests of every prefix from each
+        // start come from one pass.
+        const LONGEST: usize = 4096;
+        let prefixes: Vec<Vec<(u32, u32)>> = (0..64)
+            .map(|start| {
+                let (mut crc, mut a, mut b) = (CRC_INIT, 1u32, 0u32);
+                let mut digests = vec![(0, 1)];
+                for &byte in &data[start..start + LONGEST] {
+                    crc ^= byte as u32;
+                    for _ in 0..8 {
+                        crc = if crc & 1 != 0 { POLY ^ (crc >> 1) } else { crc >> 1 };
+                    }
+                    a = (a + byte as u32) % 65_521;
+                    b = (b + a) % 65_521;
+                    digests.push((crc ^ CRC_INIT, (b << 16) | a));
+                }
+                digests
+            })
+            .collect();
+        for len in 0..=LONGEST {
+            let starts = if cfg!(debug_assertions) { len % 64..len % 64 + 1 } else { 0..64 };
+            for start in starts {
                 let s = &data[start..start + len];
-                assert_every_path_agrees(s, &format!("len {len} at {start}"));
+                assert_every_path_gives(s, prefixes[start][len], &format!("len {len} at {start}"));
             }
         }
         for _ in 0..200 {
-            let start = next() % 16;
+            let start = next() % 64;
             let len = next() % (100 * 1024 + 1);
             assert_every_path_agrees(&data[start..start + len], &format!("len {len} at {start}"));
         }
@@ -454,14 +538,19 @@ mod tests {
 
     #[test]
     fn every_path_agrees_at_adler_block_edges() {
-        // 5 536 is the AVX2 kernel's block, 5 552 the portable one's; all
-        // 0xFF gives every lane its largest sums, and `maddubs` its largest
-        // pair, 255·32 + 255·31, which must not saturate an i16.
-        let random = pseudo_random(8 * 5552 + 1);
+        // 5 536 is the AVX2 kernel's block, 5 552 the portable one's, 256
+        // the AVX-512 kernels' step and 32 768 the fused kernel's block;
+        // all 0xFF gives every lane its largest sums, and `maddubs` its
+        // largest pair, 255·32 + 255·31, which must not saturate an i16.
+        let random = pseudo_random(3 * 32768 + 64);
         for data in [vec![0x00; random.len()], vec![0xFF; random.len()], random] {
-            for block in [5536, 5552] {
-                for len in (1..=8).flat_map(|m| [m * block - 1, m * block, m * block + 1]) {
-                    assert_every_path_agrees(&data[..len], &format!("{:#04x}… × {len}", data[0]));
+            for (block, most) in [(256, 8), (5536, 8), (5552, 8), (32768, 3)] {
+                for len in (1..=most).flat_map(|m| [m * block - 1, m * block, m * block + 1]) {
+                    for start in [0, 1, 63] {
+                        let s = &data[start..start + len];
+                        let what = format!("{:#04x}… × {len} at {start}", s[0]);
+                        assert_every_path_agrees(s, &what);
+                    }
                 }
             }
         }
@@ -475,8 +564,9 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Digests taken chunk by chunk — through the running-state kernels
-        /// and through the `*_combine` folds — equal the one-shot ones.
+        /// Digests taken chunk by chunk — through every kernel this CPU
+        /// runs from the running states, and through the `*_combine`
+        /// folds — equal the one-shot ones.
         #[test]
         fn crc32_adler32_under_random_chunkings(
             seed in proptest::prelude::any::<u64>(),
@@ -504,8 +594,15 @@ mod tests {
             let mut folded = crc32_adler32(&[]);
             for &end in &cuts {
                 let chunk = &data[start..end];
-                crc = crc32_update(crc, chunk);
-                adler = adler32_update(adler, chunk);
+                let next = (crc32_update(crc, chunk), adler32_update(adler, chunk));
+                for (kernel, state) in every_kernel(crc, adler, chunk) {
+                    let want = match state {
+                        State::Crc(_) => State::Crc(next.0),
+                        State::Adler(_) => State::Adler(next.1),
+                    };
+                    proptest::prop_assert_eq!(state, want, "{} on {}..{}", kernel, start, end);
+                }
+                (crc, adler) = next;
                 let (c, a) = crc32_adler32(chunk);
                 let n = chunk.len() as u64;
                 folded = (crc32_combine(folded.0, c, n), adler32_combine(folded.1, a, n));

@@ -1,9 +1,10 @@
 //! The x86-64 kernels: CRC-32 by carry-less multiply, Adler-32 on AVX2
-//! lanes. This is the one module of the crate allowed `unsafe`: the calls
-//! into a `#[target_feature]` kernel, made once the CPU is known to have the
-//! feature, and the unaligned vector loads. Each kernel takes the running
-//! state and returns it, as the portable kernels do, and hands the tail it
-//! cannot take in whole vectors to them.
+//! lanes, and both digests in one AVX-512 pass. This is the one module of
+//! the crate allowed `unsafe`: the calls into a `#[target_feature]` kernel,
+//! made once the CPU is known to have the feature, the unaligned vector
+//! loads and the prefetches. Each kernel takes the running state and
+//! returns it, as the portable kernels do, and hands the tail it cannot
+//! take in whole vectors to them.
 
 use super::{adler32_portable, crc32_portable, AdlerState, ADLER_MOD};
 use std::arch::x86_64::*;
@@ -31,11 +32,23 @@ const K5: i64 = 0x1_63CD_6124;
 const P_X: i64 = 0x1_DB71_0641;
 /// ⌊x^64 / P⌋, reflected: Barrett's μ.
 const MU: i64 = 0x1_F701_1641;
+/// x^(16·128+32) mod P: folds a 512-bit lane 2048 bits forward (low
+/// qwords).
+const KW1: i64 = 0x1_1542_778A;
+/// x^(16·128−32) mod P: folds a 512-bit lane 2048 bits forward (high
+/// qwords).
+const KW2: i64 = 0x1_322D_1430;
+
+/// The CRC register after `crc` has taken `data`: the VPCLMULQDQ kernel
+/// where it runs, the CLMUL kernel otherwise — `None` when neither does.
+pub(super) fn crc32(crc: u32, data: &[u8]) -> Option<u32> {
+    crc32_by_vpclmul(crc, data).or_else(|| crc32_by_clmul(crc, data))
+}
 
 /// The CRC register after `crc` has taken `data`, by the CLMUL kernel —
 /// `None` when this CPU lacks `pclmulqdq` or `sse4.1`, or `data` is too
 /// short for the kernel to pay.
-pub(super) fn crc32(crc: u32, data: &[u8]) -> Option<u32> {
+pub(super) fn crc32_by_clmul(crc: u32, data: &[u8]) -> Option<u32> {
     if data.len() < CLMUL_MIN
         || !is_x86_feature_detected!("pclmulqdq")
         || !is_x86_feature_detected!("sse4.1")
@@ -47,10 +60,8 @@ pub(super) fn crc32(crc: u32, data: &[u8]) -> Option<u32> {
     Some(unsafe { crc32_clmul(crc, data) })
 }
 
-/// Four 128-bit lanes fold 64 bytes a step; the lanes fold into one, the
-/// remaining whole blocks fold into it, and a Barrett reduction takes the
-/// 128-bit remainder to the 32-bit register. The last < 16 bytes go to the
-/// portable kernel.
+/// Four 128-bit lanes fold 64 bytes a step; [`fold_lanes`] takes them and
+/// the last < 64 bytes.
 #[target_feature(enable = "pclmulqdq,sse4.1")]
 fn crc32_clmul(crc: u32, data: &[u8]) -> u32 {
     let (lanes, rest) = data.split_at(data.len() / 64 * 64);
@@ -66,6 +77,15 @@ fn crc32_clmul(crc: u32, data: &[u8]) -> u32 {
             *lane = fold(*lane, load(block), k1k2);
         }
     }
+    fold_lanes(x, rest)
+}
+
+/// The register after four lanes of 128 bits, 64 consecutive bytes of
+/// folded input, and then `rest`: the lanes fold into one, the whole blocks
+/// of `rest` fold into it, a Barrett reduction takes the 128-bit remainder
+/// to 32 bits, and the portable kernel takes the last < 16 bytes.
+#[target_feature(enable = "pclmulqdq,sse4.1")]
+fn fold_lanes(x: [__m128i; 4], rest: &[u8]) -> u32 {
     let k3k4 = _mm_set_epi64x(K4, K3);
     let mut acc = fold(fold(fold(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
     let mut blocks = rest.chunks_exact(16);
@@ -172,6 +192,243 @@ fn lane_sum(v: __m256i) -> u64 {
     lanes.iter().map(|&l| l as u32 as u64).sum()
 }
 
+/// Bytes per step of the AVX-512 kernels: one 64-byte load for each of
+/// four 512-bit CRC lanes. It is also the shortest input they take.
+const WIDE_STEP: usize = 256;
+/// Bytes between two horizontal sums of the fused kernel's Adler-32 lanes:
+/// 128 steps. Its weighted sums then total below 2^29 (see
+/// [`WideAdler::finish`]).
+const WIDE_BLOCK: usize = 32 << 10;
+/// How far ahead of a step the AVX-512 kernels prefetch: one 4 KiB page.
+/// The hardware prefetcher stops at the end of a page, and input that has
+/// left the cache otherwise arrives a page at a time.
+const PREFETCH_AHEAD: usize = 4096;
+
+/// The CRC register after `crc` has taken `data`, by the VPCLMULQDQ kernel
+/// — `None` when this CPU lacks `vpclmulqdq` or `avx512f`, or `data` is
+/// shorter than one step.
+pub(super) fn crc32_by_vpclmul(crc: u32, data: &[u8]) -> Option<u32> {
+    if data.len() < WIDE_STEP
+        || !is_x86_feature_detected!("vpclmulqdq")
+        || !is_x86_feature_detected!("avx512f")
+    {
+        return None;
+    }
+    // SAFETY: the kernel enables `vpclmulqdq` and `avx512f`, and both were
+    // detected on this CPU just above.
+    Some(unsafe { crc32_vpclmul(crc, data) })
+}
+
+/// The CRC register and Adler's `(a, b)` after `(crc, adler)` have taken
+/// `data`, both in one pass by the fused AVX-512 kernel — `None` when this
+/// CPU lacks one of `vpclmulqdq`, `avx512f`, `avx512bw` and `avx512vnni`,
+/// or `data` is shorter than one step.
+pub(super) fn crc32_adler32(crc: u32, adler: AdlerState, data: &[u8]) -> Option<(u32, AdlerState)> {
+    if data.len() < WIDE_STEP
+        || !is_x86_feature_detected!("vpclmulqdq")
+        || !is_x86_feature_detected!("avx512f")
+        || !is_x86_feature_detected!("avx512bw")
+        || !is_x86_feature_detected!("avx512vnni")
+    {
+        return None;
+    }
+    // SAFETY: the kernel enables `vpclmulqdq`, `avx512f`, `avx512bw` and
+    // `avx512vnni`, and all four were detected on this CPU just above.
+    Some(unsafe { crc32_adler32_avx512(crc, adler, data) })
+}
+
+/// 256 bytes a step through four 512-bit CRC lanes; [`WideCrc::finish`]
+/// takes the rest.
+#[target_feature(enable = "avx512f,vpclmulqdq")]
+fn crc32_vpclmul(crc: u32, data: &[u8]) -> u32 {
+    let (steps, rest) = data.split_at(data.len() / WIDE_STEP * WIDE_STEP);
+    let mut crc = WideCrc::new(crc);
+    for step in steps.chunks_exact(WIDE_STEP) {
+        crc.step(load_step(step));
+    }
+    crc.finish(rest)
+}
+
+/// Each 256-byte step is loaded once and feeds both the CRC lanes and the
+/// Adler sums; the Adler sums fold into `(a, b)` once per block. The last
+/// < 256 bytes go to [`WideCrc::finish`] and to the AVX2 Adler-32 kernel.
+#[target_feature(enable = "avx512f,avx512bw,avx512vnni,vpclmulqdq")]
+fn crc32_adler32_avx512(crc: u32, mut adler: AdlerState, data: &[u8]) -> (u32, AdlerState) {
+    let (steps, rest) = data.split_at(data.len() / WIDE_STEP * WIDE_STEP);
+    let mut crc = WideCrc::new(crc);
+    for block in steps.chunks(WIDE_BLOCK) {
+        let mut sums = WideAdler::new();
+        for step in block.chunks_exact(WIDE_STEP) {
+            let loads = load_step(step);
+            crc.step(loads);
+            sums.step(loads);
+        }
+        adler = sums.finish(adler, block.len());
+    }
+    let adler = adler32(adler, rest).unwrap_or_else(|| adler32_portable(adler, rest));
+    (crc.finish(rest), adler)
+}
+
+/// Four 512-bit CRC-32 lanes: lane `j` holds load `j` of each step, folded
+/// 2048 bits (one step) forward onto the next.
+struct WideCrc {
+    lanes: [__m512i; 4],
+    /// The running register, XORed into the first load of the first step
+    /// and zero after it: a zero lane folds forward to nothing, so that
+    /// step lands in the lanes as it is.
+    head: __m512i,
+}
+
+impl WideCrc {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new(crc: u32) -> WideCrc {
+        let head = _mm512_zextsi128_si512(_mm_cvtsi32_si128(crc as i32));
+        WideCrc { lanes: [_mm512_setzero_si512(); 4], head }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn step(&mut self, loads: [__m512i; 4]) {
+        let keys = _mm512_broadcast_i32x4(_mm_set_epi64x(KW2, KW1));
+        let first = _mm512_xor_si512(loads[0], self.head);
+        self.head = _mm512_setzero_si512();
+        for (lane, load) in self.lanes.iter_mut().zip([first, loads[1], loads[2], loads[3]]) {
+            *lane = fold512(*lane, load, keys);
+        }
+    }
+
+    /// The register after the lanes and `rest` (< 256 bytes): the lanes
+    /// fold into one 512 bits apart, as do the whole 64-byte blocks of
+    /// `rest`, and the CLMUL kernel's [`fold_lanes`] takes its four 128-bit
+    /// lanes and the last < 64 bytes.
+    #[inline]
+    #[target_feature(enable = "avx512f,vpclmulqdq")]
+    fn finish(self, rest: &[u8]) -> u32 {
+        let keys = _mm512_broadcast_i32x4(_mm_set_epi64x(K2, K1));
+        let [l0, l1, l2, l3] = self.lanes;
+        let mut acc = fold512(fold512(fold512(l0, l1, keys), l2, keys), l3, keys);
+        let mut quads = rest.chunks_exact(64);
+        for quad in &mut quads {
+            acc = fold512(acc, load512(quad), keys);
+        }
+        let x = [
+            _mm512_extracti32x4_epi32::<0>(acc),
+            _mm512_extracti32x4_epi32::<1>(acc),
+            _mm512_extracti32x4_epi32::<2>(acc),
+            _mm512_extracti32x4_epi32::<3>(acc),
+        ];
+        fold_lanes(x, quads.remainder())
+    }
+}
+
+/// [`fold`] on four 128-bit lanes at once.
+#[inline]
+#[target_feature(enable = "avx512f,vpclmulqdq")]
+fn fold512(x: __m512i, next: __m512i, keys: __m512i) -> __m512i {
+    let lo = _mm512_clmulepi64_epi128(x, keys, 0x00);
+    let hi = _mm512_clmulepi64_epi128(x, keys, 0x11);
+    _mm512_xor_si512(_mm512_xor_si512(next, lo), hi)
+}
+
+/// The fused kernel's Adler-32 sums over one block of whole steps. An
+/// `n`-byte block adds `n·a` to `b`, and byte `i` adds `n − i` copies of
+/// itself; for byte `k` of load `j` of step `t` that is
+/// `256·(T − 1 − t) + 64·(3 − j) + (64 − k)`. Each term has its own sum:
+/// `ps` adds up the byte sums of the steps before each step, `sw` the
+/// per-load sums weighted 3, 2, 1, 0, and `dots[j]` the bytes of load `j`
+/// weighted 64…1 (`vpdpbusd`). The four `dots` are independent chains, so
+/// one step never waits on the last one's multiply-add.
+struct WideAdler {
+    /// Byte sums (`vpsadbw`), in 64-bit lanes.
+    s1: __m512i,
+    ps: __m512i,
+    sw: __m512i,
+    /// Weighted sums, in 32-bit lanes.
+    dots: [__m512i; 4],
+}
+
+impl WideAdler {
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn new() -> WideAdler {
+        let zero = _mm512_setzero_si512();
+        WideAdler { s1: zero, ps: zero, sw: zero, dots: [zero; 4] }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vnni")]
+    fn step(&mut self, loads: [__m512i; 4]) {
+        let zero = _mm512_setzero_si512();
+        #[rustfmt::skip]
+        let weights = _mm512_set_epi8(
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+            17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32,
+            33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47, 48,
+            49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64,
+        );
+        // The byte sums of loads 0, 0–1, 0–2 and 0–3.
+        let u = _mm512_sad_epu8(loads[0], zero);
+        let v = _mm512_add_epi64(u, _mm512_sad_epu8(loads[1], zero));
+        let w = _mm512_add_epi64(v, _mm512_sad_epu8(loads[2], zero));
+        let all = _mm512_add_epi64(w, _mm512_sad_epu8(loads[3], zero));
+        self.ps = _mm512_add_epi64(self.ps, self.s1);
+        self.s1 = _mm512_add_epi64(self.s1, all);
+        self.sw = _mm512_add_epi64(self.sw, _mm512_add_epi64(_mm512_add_epi64(u, v), w));
+        for (dot, load) in self.dots.iter_mut().zip(loads) {
+            *dot = _mm512_dpbusd_epi32(*dot, load, weights);
+        }
+    }
+
+    /// `(a, b)` after the `n`-byte block these sums took. The `dots` total
+    /// at most 255·(64 + … + 1)·4 per step, below 2^29 over a block, so
+    /// they add up in 32 bits.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn finish(self, (a, b): AdlerState, n: usize) -> AdlerState {
+        let [d0, d1, d2, d3] = self.dots;
+        let dots = _mm512_add_epi32(_mm512_add_epi32(d0, d1), _mm512_add_epi32(d2, d3));
+        let (a, b, n) = (a as u64, b as u64, n as u64);
+        let b = b
+            + n * a
+            + WIDE_STEP as u64 * _mm512_reduce_add_epi64(self.ps) as u64
+            + 64 * _mm512_reduce_add_epi64(self.sw) as u64
+            + _mm512_reduce_add_epi32(dots) as u32 as u64;
+        let a = a + _mm512_reduce_add_epi64(self.s1) as u64;
+        ((a % ADLER_MOD) as u32, (b % ADLER_MOD) as u32)
+    }
+}
+
+/// One step's four 64-byte loads, and a prefetch of the step one page
+/// ahead of it.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load_step(step: &[u8]) -> [__m512i; 4] {
+    let step: &[u8; WIDE_STEP] = step.try_into().expect("AVX-512 steps are 256 bytes");
+    let ahead = step.as_ptr().wrapping_add(PREFETCH_AHEAD).cast::<i8>();
+    for line in 0..4 {
+        // SAFETY: a prefetch is a hint: it reads nothing into the program
+        // and never faults, also at an address past the end of the input.
+        // Newer toolchains declare `_mm_prefetch` safe; the block keeps
+        // older ones, back to the MSRV, building.
+        #[allow(unused_unsafe)]
+        unsafe {
+            _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(64 * line))
+        };
+    }
+    [load512(&step[..64]), load512(&step[64..128]), load512(&step[128..192]), load512(&step[192..])]
+}
+
+/// Sixty-four bytes into a vector.
+#[inline]
+#[target_feature(enable = "avx512f")]
+fn load512(block: &[u8]) -> __m512i {
+    let block: &[u8; 64] = block.try_into().expect("AVX-512 loads take 64 bytes");
+    // SAFETY: `block` is 64 readable bytes, and `_mm512_loadu_si512` has no
+    // alignment requirement.
+    unsafe { _mm512_loadu_si512(block.as_ptr().cast()) }
+}
+
 /// Thirty-two bytes into a vector.
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -209,6 +466,7 @@ mod tests {
             [K1, K2, K3, K4, K5],
             [k(4 * 128 + 32), k(4 * 128 - 32), k(128 + 32), k(128 - 32), k(64)]
         );
+        assert_eq!([KW1, KW2], [k(16 * 128 + 32), k(16 * 128 - 32)]);
         assert_eq!(P_X, ((POLY as i64) << 1) | 1);
         // μ = ⌊x^64 / P⌋ by long division, P = x^32 + 0x04C11DB7, then
         // reflected over its 33 bits.

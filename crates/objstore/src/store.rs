@@ -86,16 +86,20 @@ impl ObjectStore {
 
     /// [`put`](ObjectStore::put) for a caller that already holds the
     /// payload's `(crc32, adler32)` — from [`crc32_adler32`], so the bytes
-    /// were read once. The digests are taken before the namespace lock:
-    /// readers of every other object wait for a version bump and a map
-    /// insert, not for a checksum.
+    /// were read once. The digests are taken before the namespace lock, and
+    /// a replaced object is freed after it: readers of every other object
+    /// wait for a version bump and a map insert, not for a checksum or a
+    /// free.
     pub(crate) fn put_digested(&self, path: &str, data: Bytes, digests: (u32, u32)) -> bool {
         let path = normalize(path);
         let (crc32, adler32) = digests;
-        let mut inner = self.inner.write();
-        inner.version += 1;
-        let meta = ObjectMeta::new(data, crc32, adler32, inner.version);
-        inner.objects.insert(path.into_owned(), meta).is_some()
+        let replaced = {
+            let mut inner = self.inner.write();
+            inner.version += 1;
+            let meta = ObjectMeta::new(data, crc32, adler32, inner.version);
+            inner.objects.insert(path.into_owned(), meta)
+        };
+        replaced.is_some()
     }
 
     /// Fetch an object (cheap clone: payload is `Bytes`).
@@ -103,9 +107,11 @@ impl ObjectStore {
         self.inner.read().objects.get(&*normalize(path)).cloned()
     }
 
-    /// Remove an object. Returns `true` when something was removed.
+    /// Remove an object. Returns `true` when something was removed. The
+    /// object is freed after the namespace lock is released.
     pub fn delete(&self, path: &str) -> bool {
-        self.inner.write().objects.remove(&*normalize(path)).is_some()
+        let removed = self.inner.write().objects.remove(&*normalize(path));
+        removed.is_some()
     }
 
     /// Whether `path` is an object.
@@ -120,11 +126,14 @@ impl ObjectStore {
     pub fn rename(&self, from: &str, to: &str) -> Option<bool> {
         let from = normalize(from);
         let to = normalize(to);
-        let mut inner = self.inner.write();
-        let old = inner.objects.remove(&*from)?;
-        inner.version += 1;
-        let meta = ObjectMeta::new(old.data, old.crc32, old.adler32, inner.version);
-        Some(inner.objects.insert(to.into_owned(), meta).is_some())
+        let replaced = {
+            let mut inner = self.inner.write();
+            let old = inner.objects.remove(&*from)?;
+            inner.version += 1;
+            let meta = ObjectMeta::new(old.data, old.crc32, old.adler32, inner.version);
+            inner.objects.insert(to.into_owned(), meta)
+        };
+        Some(replaced.is_some())
     }
 
     /// Create an explicit directory. Returns `false` if it already existed

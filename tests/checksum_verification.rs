@@ -130,3 +130,44 @@ fn unknown_hash_algorithms_are_skipped() {
     let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
     assert_eq!(got, data);
 }
+
+/// A testbed whose catalogue declares `adler32 = adler` beside the
+/// correct `crc32`.
+fn crc32_and_adler32_testbed(data: &[u8], adler: u32) -> Testbed {
+    let tb = three_replica_testbed(data);
+    let fed = tb.federation.as_ref().unwrap();
+    fed.catalog.set_hash(DATA_PATH, "adler32", ioapi::checksum::to_hex(adler));
+    tb
+}
+
+#[test]
+fn a_catalog_declaring_both_digests_verifies_intact_data() {
+    let data = payload(300_000);
+    let tb = crc32_and_adler32_testbed(&data, ioapi::checksum::adler32(&data));
+    let _g = tb.net.enter();
+    let client = tb.davix_client(fed_config());
+    let set = client.resolve_replica_set(&tb.url(0)).unwrap();
+    assert!(set.hash("crc32").is_some() && set.hash("adler32").is_some(), "{:?}", set.hashes);
+    let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
+    let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
+    assert_eq!(got, data);
+}
+
+#[test]
+fn a_wrong_adler32_beside_a_right_crc32_fails() {
+    let data = payload(300_000);
+    let wrong = ioapi::checksum::adler32(&data) ^ 1;
+    let tb = crc32_and_adler32_testbed(&data, wrong);
+    let _g = tb.net.enter();
+    let client = tb.davix_client(fed_config());
+    let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
+    let err = multistream_download_verified(&client, &tb.url(0), &opts).unwrap_err();
+    match err {
+        DavixError::ChecksumMismatch { algo, expected, got } => {
+            assert_eq!(algo, "adler32");
+            assert_eq!(expected, ioapi::checksum::to_hex(wrong));
+            assert_eq!(got, ioapi::checksum::to_hex(ioapi::checksum::adler32(&data)));
+        }
+        other => panic!("expected ChecksumMismatch, got {other}"),
+    }
+}
