@@ -59,12 +59,12 @@ fn main() {
         let t0 = tb.net.now();
         let result = multistream_download(
             &client,
-            &replicas,
+            &client.replica_scheduler(replicas),
             &MultistreamOptions { streams, chunk_size: 1024 * 1024 },
         );
         let elapsed = tb.net.now() - t0;
         let ok = match &result {
-            Ok(got) => got == &data,
+            Ok((got, _)) => got == &data,
             Err(_) => false,
         };
         report.metric(

@@ -16,7 +16,7 @@
 //! 16) shrinks the workload; the flap window scales with it.
 
 use bytes::Bytes;
-use davix::{multistream_download_scheduled, Config, MultistreamOptions};
+use davix::{multistream_download, Config, MultistreamOptions};
 use davix_bench::{env_usize, millis, BenchReport, Table};
 use davix_repro::testbed::{Testbed, TestbedConfig};
 use netsim::{LinkSpec, Runtime as _};
@@ -94,7 +94,7 @@ fn main() {
     });
 
     let t0 = tb.net.now();
-    let (got, report) = multistream_download_scheduled(
+    let (got, report) = multistream_download(
         &client,
         &scheduler,
         &MultistreamOptions { streams: 3, chunk_size: chunk },

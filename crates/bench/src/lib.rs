@@ -24,6 +24,8 @@
 //! the connection strategy itself (fig1's serial and pipelined arms,
 //! fig7's non-blocking load generator), through `davix::Exchange`.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use davix::{Config, DavixClient, PreparedRequest};
 use httpd::ServerConfig;

@@ -18,8 +18,11 @@
 //! Every command is a thin, testable function; `main` only parses arguments
 //! and maps errors to exit codes.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use davix::{multistream_download_verified, Config, DavixClient, MultistreamOptions};
+use ioapi::RandomAccess;
 use netsim::{RealRuntime, TcpConnector, TcpListenerWrap};
 use objstore::{ObjectStore, StorageNode, StorageOptions};
 use std::fmt;
@@ -67,21 +70,32 @@ impl From<io::Error> for CliError {
 pub fn exit_code(e: &CliError) -> i32 {
     match e {
         CliError::Usage(_) => 2,
-        CliError::Davix(_) => 1,
-        CliError::Io(_) => 1,
+        CliError::Davix(_) | CliError::Io(_) => 1,
     }
+}
+
+/// How `davix get` fetches a whole object.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Strategy {
+    /// The URL itself; no Metalink (no flag).
+    Direct,
+    /// The URL, failing over to the healthiest Metalink replica on a
+    /// replica-eligible error (`--failover`).
+    Failover,
+    /// Parallel chunks over this many streams across the Metalink replicas,
+    /// verified against the declared checksum (`--streams N`).
+    Multistream(usize),
 }
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
-    /// Download an object (whole, ranged, fail-over or multi-stream).
+    /// Download an object (whole or ranged) by one [`Strategy`].
     Get {
         url: String,
         output: Option<PathBuf>,
         ranges: Vec<(u64, usize)>,
-        failover: bool,
-        streams: Option<usize>,
+        strategy: Strategy,
         /// Block-cache capacity in MiB (`--cache-mb`); `None` = cache off.
         cache_mb: Option<usize>,
         /// Enable adaptive read-ahead (`--readahead`; implies a default
@@ -119,8 +133,8 @@ pub const USAGE: &str = "\
 davix — HTTP I/O tools (libdavix reproduction)
 
 USAGE:
-  davix get <url> [-o FILE] [--ranges A-B[,C-D…]] [--strategy S]
-            [--failover] [--streams N] [--cache-mb N] [--readahead]
+  davix get <url> [-o FILE] [--ranges A-B[,C-D…]]
+            [--failover | --streams N] [--cache-mb N] [--readahead]
   davix put <file|-> <url> [--streams N] [--chunk-mb N]
   davix ls [-l] <url>
   davix stat <url>
@@ -135,13 +149,11 @@ OPTIONS:
   -o FILE        write the download to FILE instead of stdout
   --ranges R     fetch only the given inclusive byte ranges, as one
                  vectored multi-range request (e.g. 0-1023,4096-8191)
-  --strategy S   replica strategy: `direct` (no Metalink, the default),
-                 `failover` (one replica at a time, health-ranked
-                 fail-over) or `multistream` (parallel chunks from the
-                 healthiest replicas)
-  --failover     shorthand for --strategy failover
+  --failover     get: on a replica-eligible error, resolve the Metalink and
+                 fail over to the healthiest replica (without --failover
+                 or --streams, get reads the URL alone)
   --streams N    get: multi-stream download, N parallel streams across the
-                 Metalink replicas (implies --strategy multistream)
+                 Metalink replicas, verified against the declared checksum
                  put: chunked parallel upload over N streams (S3-style
                  multipart or segmented PUT + MOVE, auto-detected), with
                  end-to-end checksum verification before commit
@@ -158,174 +170,104 @@ OPTIONS:
   --root DIR     preload every file under DIR into the served namespace
 ";
 
+fn usage<T>(m: impl Into<String>) -> Result<T, CliError> {
+    Err(CliError::Usage(m.into()))
+}
+
+/// The arguments after a command, read left to right: every flag that takes
+/// a value reads it here, so a missing or bad value is refused the same way
+/// in every command.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Iterator for Args<'a> {
+    type Item = &'a str;
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+}
+
+impl<'a> Args<'a> {
+    /// The argument after `flag`.
+    fn value(&mut self, flag: &str) -> Result<&'a str, CliError> {
+        self.next().map_or_else(|| usage(format!("{flag} needs a value")), Ok)
+    }
+
+    /// A positive count of `unit`s after `flag` whose product with `unit`
+    /// fits a `usize` (`--chunk-mb` and `--cache-mb` count MiB).
+    fn positive(&mut self, flag: &str, unit: usize) -> Result<usize, CliError> {
+        let v = self.value(flag)?;
+        match v.parse::<usize>() {
+            Ok(n) if n > 0 && n.checked_mul(unit).is_some() => Ok(n),
+            Ok(n) if n > 0 => usage(format!("{flag} {n} is too large")),
+            _ => usage(format!("{flag} needs a positive count, got {v:?}")),
+        }
+    }
+}
+
+const MIB: usize = 1024 * 1024;
+
+/// `new` after `old` on one `get` command line: the later flag wins, but
+/// `--failover` and `--streams` are two strategies, not one.
+fn pick(old: Strategy, new: Strategy) -> Result<Strategy, CliError> {
+    match (old, new) {
+        (Strategy::Failover, Strategy::Multistream(_))
+        | (Strategy::Multistream(_), Strategy::Failover) => {
+            usage("--failover and --streams are two strategies: pick one")
+        }
+        _ => Ok(new),
+    }
+}
+
 /// Parse `argv` (without the program name).
 pub fn parse_args(argv: &[String]) -> Result<Command, CliError> {
-    let usage = |m: &str| Err(CliError::Usage(m.to_string()));
-    let Some(cmd) = argv.first() else {
+    let Some((cmd, rest)) = argv.split_first() else {
         return usage("missing command (try `davix help`)");
     };
-    let rest = &argv[1..];
+    let mut args = Args(rest.iter());
     match cmd.as_str() {
         "get" => {
-            let mut url = None;
-            let mut output = None;
-            let mut ranges = Vec::new();
-            let mut failover = false;
-            let mut streams = None;
-            let mut strategy: Option<String> = None;
-            let mut cache_mb = None;
-            let mut readahead = false;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--strategy" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--strategy needs a name".to_string())
-                        })?;
-                        match v.as_str() {
-                            "direct" | "failover" | "multistream" => {
-                                strategy = Some(v.clone());
-                            }
-                            other => {
-                                return usage(&format!(
-                                    "unknown strategy {other:?} (want direct, failover or \
-                                     multistream)"
-                                ));
-                            }
-                        }
-                        i += 2;
-                    }
-                    "-o" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("-o needs a file argument".to_string())
-                        })?;
-                        output = Some(PathBuf::from(v));
-                        i += 2;
-                    }
-                    "--ranges" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--ranges needs an argument".to_string())
-                        })?;
-                        ranges = parse_ranges(v)?;
-                        i += 2;
-                    }
-                    "--failover" => {
-                        failover = true;
-                        i += 1;
-                    }
-                    "--cache-mb" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--cache-mb needs a size in MiB".to_string())
-                        })?;
-                        let n: usize = v
-                            .parse()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| CliError::Usage(format!("bad cache size {v:?}")))?;
-                        cache_mb = Some(n);
-                        i += 2;
-                    }
-                    "--readahead" => {
-                        readahead = true;
-                        i += 1;
-                    }
+            let (mut url, mut output, mut ranges) = (None, None, Vec::new());
+            let (mut strategy, mut cache_mb, mut readahead) = (Strategy::Direct, None, false);
+            while let Some(a) = args.next() {
+                match a {
+                    "-o" => output = Some(PathBuf::from(args.value(a)?)),
+                    "--ranges" => ranges = parse_ranges(args.value(a)?)?,
+                    "--failover" => strategy = pick(strategy, Strategy::Failover)?,
                     "--streams" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--streams needs a count".to_string())
-                        })?;
-                        let n: usize = v
-                            .parse()
-                            .map_err(|_| CliError::Usage(format!("bad stream count {v:?}")))?;
-                        streams = Some(n);
-                        i += 2;
+                        strategy = pick(strategy, Strategy::Multistream(args.positive(a, 1)?))?;
                     }
-                    a if a.starts_with('-') => {
-                        return usage(&format!("unknown get option {a:?}"));
-                    }
-                    a => {
-                        if url.replace(a.to_string()).is_some() {
-                            return usage("get takes exactly one url");
-                        }
-                        i += 1;
-                    }
+                    "--cache-mb" => cache_mb = Some(args.positive(a, MIB)?),
+                    "--readahead" => readahead = true,
+                    a if a.starts_with('-') => return usage(format!("unknown get option {a:?}")),
+                    a if url.is_some() => return usage(format!("get takes one url, not {a:?}")),
+                    a => url = Some(a.to_string()),
                 }
             }
             let Some(url) = url else { return usage("get needs a url") };
-            // `--strategy` is the declarative surface over the older flags.
-            match strategy.as_deref() {
-                Some("failover") => {
-                    if streams.is_some() {
-                        return usage("--strategy failover conflicts with --streams");
-                    }
-                    failover = true;
-                }
-                Some("multistream") => {
-                    if failover {
-                        return usage("--strategy multistream conflicts with --failover");
-                    }
-                    streams = Some(streams.unwrap_or(MultistreamOptions::default().streams));
-                }
-                Some("direct") => {
-                    if failover || streams.is_some() {
-                        return usage("--strategy direct conflicts with --failover/--streams");
-                    }
-                }
-                Some(_) | None => {}
+            // Multi-stream pulls each chunk exactly once, whole: there is
+            // no range to select and nothing a cache would serve again.
+            if matches!(strategy, Strategy::Multistream(_))
+                && (!ranges.is_empty() || cache_mb.is_some() || readahead)
+            {
+                return usage("--streams cannot be combined with --ranges/--cache-mb/--readahead");
             }
-            if streams.is_some() && (!ranges.is_empty() || failover) {
-                return usage("--streams cannot be combined with --ranges/--failover");
-            }
-            if streams.is_some() && (cache_mb.is_some() || readahead) {
-                // Multi-stream pulls each chunk exactly once; caching the
-                // bytes would only double the memory footprint.
-                return usage("--cache-mb/--readahead cannot be combined with --streams");
-            }
-            Ok(Command::Get { url, output, ranges, failover, streams, cache_mb, readahead })
+            Ok(Command::Get { url, output, ranges, strategy, cache_mb, readahead })
         }
         "put" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut streams = None;
-            let mut chunk_mb = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--streams" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--streams needs a count".to_string())
-                        })?;
-                        let n: usize =
-                            v.parse().ok().filter(|&n| n > 0).ok_or_else(|| {
-                                CliError::Usage(format!("bad stream count {v:?}"))
-                            })?;
-                        streams = Some(n);
-                        i += 2;
-                    }
-                    "--chunk-mb" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--chunk-mb needs a size in MiB".to_string())
-                        })?;
-                        let n: usize = v
-                            .parse()
-                            .ok()
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| CliError::Usage(format!("bad chunk size {v:?}")))?;
-                        chunk_mb = Some(n);
-                        i += 2;
-                    }
-                    a if a.starts_with("--") => return usage(&format!("unknown put option {a:?}")),
-                    a => {
-                        positional.push(a.to_string());
-                        i += 1;
-                    }
+            let (mut positional, mut streams, mut chunk_mb) = (Vec::new(), None, None);
+            while let Some(a) = args.next() {
+                match a {
+                    "--streams" => streams = Some(args.positive(a, 1)?),
+                    "--chunk-mb" => chunk_mb = Some(args.positive(a, MIB)?),
+                    a if a.starts_with("--") => return usage(format!("unknown put option {a:?}")),
+                    a => positional.push(a),
                 }
             }
-            let [file, url] = positional.as_slice() else {
-                return usage("put needs <file> <url>");
-            };
+            let [file, url] = positional[..] else { return usage("put needs <file> <url>") };
             if (streams.is_some() || chunk_mb.is_some()) && file == "-" {
                 return usage("--streams/--chunk-mb need random access; cannot chunk stdin");
             }
-            Ok(Command::Put { file: PathBuf::from(file), url: url.clone(), streams, chunk_mb })
+            Ok(Command::Put { file: PathBuf::from(file), url: url.to_string(), streams, chunk_mb })
         }
         "ls" => match rest {
             [url] => Ok(Command::Ls { url: url.clone(), long: false }),
@@ -353,32 +295,18 @@ pub fn parse_args(argv: &[String]) -> Result<Command, CliError> {
             _ => usage("replicas needs <url>"),
         },
         "serve" => {
-            let mut addr = "127.0.0.1:8080".to_string();
-            let mut root = None;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--addr" => {
-                        addr = rest
-                            .get(i + 1)
-                            .ok_or_else(|| CliError::Usage("--addr needs host:port".to_string()))?
-                            .clone();
-                        i += 2;
-                    }
-                    "--root" => {
-                        let v = rest.get(i + 1).ok_or_else(|| {
-                            CliError::Usage("--root needs a directory".to_string())
-                        })?;
-                        root = Some(PathBuf::from(v));
-                        i += 2;
-                    }
-                    a => return usage(&format!("unknown serve option {a:?}")),
+            let (mut addr, mut root) = ("127.0.0.1:8080".to_string(), None);
+            while let Some(a) = args.next() {
+                match a {
+                    "--addr" => addr = args.value(a)?.to_string(),
+                    "--root" => root = Some(PathBuf::from(args.value(a)?)),
+                    a => return usage(format!("unknown serve option {a:?}")),
                 }
             }
             Ok(Command::Serve { addr, root })
         }
         "help" | "--help" | "-h" => usage("help requested"),
-        other => usage(&format!("unknown command {other:?}")),
+        other => usage(format!("unknown command {other:?}")),
     }
 }
 
@@ -386,24 +314,21 @@ pub fn parse_args(argv: &[String]) -> Result<Command, CliError> {
 /// `(offset, length)` fragments.
 pub fn parse_ranges(spec: &str) -> Result<Vec<(u64, usize)>, CliError> {
     let mut out = Vec::new();
+    // `split` yields at least one part, so an empty spec is a bad range.
     for part in spec.split(',') {
         let Some((a, b)) = part.split_once('-') else {
-            return Err(CliError::Usage(format!("bad range {part:?} (want A-B)")));
+            return usage(format!("bad range {part:?} (want A-B)"));
         };
-        let first: u64 =
-            a.trim().parse().map_err(|_| CliError::Usage(format!("bad range start {a:?}")))?;
-        let last: u64 =
-            b.trim().parse().map_err(|_| CliError::Usage(format!("bad range end {b:?}")))?;
+        let (Ok(first), Ok(last)) = (a.trim().parse::<u64>(), b.trim().parse::<u64>()) else {
+            return usage(format!("bad range {part:?} (want two byte offsets)"));
+        };
         if last < first {
-            return Err(CliError::Usage(format!("range {part:?} ends before it starts")));
+            return usage(format!("range {part:?} ends before it starts"));
         }
         let Some(len) = (last - first).checked_add(1).and_then(|n| usize::try_from(n).ok()) else {
-            return Err(CliError::Usage(format!("range {part:?} is too long")));
+            return usage(format!("range {part:?} is too long"));
         };
         out.push((first, len));
-    }
-    if out.is_empty() {
-        return Err(CliError::Usage("empty range list".to_string()));
     }
     Ok(out)
 }
@@ -423,7 +348,7 @@ pub fn config_for(cmd: &Command) -> Config {
     };
     let mut cfg = Config::default();
     if let Some(mb) = cache_mb {
-        cfg = cfg.with_cache(*mb as u64 * 1024 * 1024);
+        cfg = cfg.with_cache((mb * MIB) as u64);
     }
     if *readahead {
         if cache_mb.is_none() {
@@ -442,9 +367,9 @@ pub fn run_command(
     out: &mut dyn Write,
 ) -> Result<u64, CliError> {
     match cmd {
-        Command::Get { url, output, ranges, failover, streams, cache_mb, readahead } => {
+        Command::Get { url, output, ranges, strategy, cache_mb, readahead } => {
             let cached = cache_mb.is_some() || *readahead;
-            let data = fetch(client, url, ranges, *failover, *streams, cached)?;
+            let data = fetch(client, url, ranges, *strategy, cached)?;
             match output {
                 Some(path) => std::fs::write(path, &data)?,
                 None => out.write_all(&data)?,
@@ -457,7 +382,7 @@ pub fn run_command(
                 let source = Arc::new(davix::FileSource::open(file)?);
                 let opts = davix::UploadOptions {
                     streams: *streams,
-                    chunk_size: chunk_mb.map(|mb| mb * 1024 * 1024),
+                    chunk_size: chunk_mb.map(|mb| mb * MIB),
                     ..Default::default()
                 };
                 let report = davix::multistream_upload(client, url, source, &opts)?;
@@ -527,7 +452,7 @@ pub fn run_command(
             Ok(0)
         }
         Command::Replicas { url } => {
-            let reps = client.resolve_replicas(url)?;
+            let reps = client.resolve_replica_set(url)?.uris;
             for (i, uri) in reps.iter().enumerate() {
                 writeln!(out, "{} {}", i + 1, uri)?;
             }
@@ -537,56 +462,35 @@ pub fn run_command(
     }
 }
 
-/// The download paths of `davix get`. `cached` routes the plain whole-file
-/// download through `DavFile::pread` (sequential reads the block cache and
-/// read-ahead can serve) instead of one collect-to-memory GET — the cache
-/// flags would otherwise be dead weight on the simplest path.
+/// The download paths of `davix get`. Ranges, fail-over, the block cache
+/// and read-ahead all read through one positional-read file; only a plain
+/// whole-object download is one collect-to-memory GET (`cached` keeps the
+/// cache flags from being dead weight on that path).
 fn fetch(
     client: &DavixClient,
     url: &str,
     ranges: &[(u64, usize)],
-    failover: bool,
-    streams: Option<usize>,
+    strategy: Strategy,
     cached: bool,
 ) -> Result<Vec<u8>, CliError> {
-    if let Some(streams) = streams {
-        // Metalink-driven: resolve replicas, download in parallel, verify
-        // the declared checksum.
-        let opts = MultistreamOptions { streams, ..MultistreamOptions::default() };
-        return Ok(multistream_download_verified(client, url, &opts)?);
-    }
+    let file: Box<dyn RandomAccess> = match strategy {
+        Strategy::Multistream(streams) => {
+            // Metalink-driven: resolve replicas, download in parallel,
+            // verify the declared checksum.
+            let opts = MultistreamOptions { streams, ..MultistreamOptions::default() };
+            return Ok(multistream_download_verified(client, url, &opts)?);
+        }
+        Strategy::Failover => Box::new(client.open_failover(url)?),
+        Strategy::Direct if cached || !ranges.is_empty() => Box::new(client.open(url)?),
+        Strategy::Direct => return Ok(client.posix().get(url)?),
+    };
     if !ranges.is_empty() {
         // One vectored multi-range request; fragments are concatenated in
         // request order (like `davix-get --ranges`).
-        let file = client.open(url)?;
-        let parts = file.pread_vec(ranges)?;
-        return Ok(parts.concat());
+        return Ok(file.read_vec(ranges)?.concat());
     }
-    if failover {
-        return read_fully(&client.open_failover(url)?, "failover");
-    }
-    if cached {
-        return read_fully(&client.open(url)?, "cached");
-    }
-    Ok(client.posix().get(url)?)
-}
-
-/// Pull a whole remote file through positional reads (the path the block
-/// cache, read-ahead and fail-over all hook into).
-fn read_fully(file: &dyn ioapi::RandomAccess, what: &str) -> Result<Vec<u8>, CliError> {
-    let size = file.size()?;
-    let mut data = vec![0u8; size as usize];
-    let mut off = 0u64;
-    while off < size {
-        let n = file.read_at(off, &mut data[off as usize..])?;
-        if n == 0 {
-            return Err(CliError::Io(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!("short read during {what} download"),
-            )));
-        }
-        off += n as u64;
-    }
+    let mut data = vec![0u8; file.size()? as usize];
+    file.read_exact_at(0, &mut data)?;
     Ok(data)
 }
 
@@ -659,30 +563,132 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    fn get(url: &str, strategy: Strategy) -> Command {
+        Command::Get {
+            url: url.to_string(),
+            output: None,
+            ranges: vec![],
+            strategy,
+            cache_mb: None,
+            readahead: false,
+        }
+    }
+
+    fn put(file: &str, streams: Option<usize>, chunk_mb: Option<usize>) -> Command {
+        Command::Put { file: PathBuf::from(file), url: "http://h/p".into(), streams, chunk_mb }
+    }
+
+    /// Every command line maps to one command, or (`None`) to a usage error.
     #[test]
-    fn parse_get_all_options() {
-        let cmd =
-            parse_args(&args(&["get", "http://h/p", "-o", "out.bin", "--ranges", "0-9,100-199"]))
-                .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Get {
-                url: "http://h/p".into(),
-                output: Some(PathBuf::from("out.bin")),
-                ranges: vec![(0, 10), (100, 100)],
-                failover: false,
-                streams: None,
-                cache_mb: None,
-                readahead: false,
+    fn each_command_line_is_one_command_or_a_usage_error() {
+        const H: &str = "http://h/p";
+        // 2^44 MiB is 2^64 bytes: its byte count wraps to 0, one MiB more to 1 MiB.
+        const MIB_2_44: &str = "17592186044416";
+        const MIB_2_44_1: &str = "17592186044417";
+        let table: Vec<(&[&str], Option<Command>)> = vec![
+            // get: one spelling per strategy.
+            (&["get", H], Some(get(H, Strategy::Direct))),
+            (&["get", H, "--failover"], Some(get(H, Strategy::Failover))),
+            (&["get", H, "--streams", "3"], Some(get(H, Strategy::Multistream(3)))),
+            (
+                &["get", "--streams", "2", H, "--streams", "6"],
+                Some(get(H, Strategy::Multistream(6))),
+            ),
+            (&["get", H, "--strategy", "failover"], None),
+            (&["get", H, "--strategy", "multistream"], None),
+            (&["get", H, "--strategy", "direct"], None),
+            (&["get", H, "--streams", "3", "--failover"], None),
+            (&["get", H, "--failover", "--streams", "3"], None),
+            (&["get", H, "--streams", "0"], None),
+            (&["get", H, "--streams", "x"], None),
+            (&["get", H, "--streams"], None),
+            // get: output, ranges and the cache.
+            (
+                &["get", H, "-o", "out.bin", "--ranges", "0-9,100-199"],
+                Some(Command::Get {
+                    url: H.into(),
+                    output: Some(PathBuf::from("out.bin")),
+                    ranges: vec![(0, 10), (100, 100)],
+                    strategy: Strategy::Direct,
+                    cache_mb: None,
+                    readahead: false,
+                }),
+            ),
+            (
+                &["get", H, "--cache-mb", "8", "--readahead"],
+                Some(Command::Get {
+                    url: H.into(),
+                    output: None,
+                    ranges: vec![],
+                    strategy: Strategy::Direct,
+                    cache_mb: Some(8),
+                    readahead: true,
+                }),
+            ),
+            (&["get", H, "-o"], None),
+            (&["get", H, "--ranges", "9-5"], None),
+            (&["get", H, "--cache-mb"], None),
+            (&["get", H, "--cache-mb", "0"], None),
+            (&["get", H, "--cache-mb", "x"], None),
+            (&["get", H, "--cache-mb", MIB_2_44], None),
+            (&["get", H, "--cache-mb", MIB_2_44_1], None),
+            (&["get", H, "--streams", "2", "--cache-mb", "8"], None),
+            (&["get", H, "--streams", "2", "--readahead"], None),
+            (&["get", H, "--streams", "2", "--ranges", "0-9"], None),
+            (&["get", H, "--frobnicate"], None),
+            (&["get"], None),
+            (&["get", "a", "b"], None),
+            // put.
+            (&["put", "f", H], Some(put("f", None, None))),
+            (
+                &["put", "f", H, "--streams", "6", "--chunk-mb", "8"],
+                Some(put("f", Some(6), Some(8))),
+            ),
+            (&["put", "--streams", "2", "f", H], Some(put("f", Some(2), None))),
+            (&["put", "-", H], Some(put("-", None, None))),
+            (&["put", "-", H, "--streams", "2"], None),
+            (&["put", "f", H, "--streams", "0"], None),
+            (&["put", "f", H, "--chunk-mb", "x"], None),
+            (&["put", "f", H, "--chunk-mb", MIB_2_44], None),
+            (&["put", "f", H, "--chunk-mb", MIB_2_44_1], None),
+            (&["put", "f", H, "--streams"], None),
+            (&["put", "f", H, "--frobnicate"], None),
+            (&["put", "only-one"], None),
+            // The namespace commands and serve.
+            (
+                &["ls", "-l", "http://h/d/"],
+                Some(Command::Ls { url: "http://h/d/".into(), long: true }),
+            ),
+            (&["ls", "http://h/d/"], Some(Command::Ls { url: "http://h/d/".into(), long: false })),
+            (&["rm", H], Some(Command::Rm { url: H.into() })),
+            (&["replicas", H], Some(Command::Replicas { url: H.into() })),
+            (&["serve"], Some(Command::Serve { addr: "127.0.0.1:8080".into(), root: None })),
+            (
+                &["serve", "--addr", "0.0.0.0:9000", "--root", "/tmp/x"],
+                Some(Command::Serve {
+                    addr: "0.0.0.0:9000".into(),
+                    root: Some(PathBuf::from("/tmp/x")),
+                }),
+            ),
+            (&["serve", "--addr"], None),
+            (&["serve", "--port", "1"], None),
+            (&[], None),
+            (&["frobnicate"], None),
+            (&["help"], None),
+        ];
+        for (argv, want) in table {
+            match (parse_args(&args(argv)), want) {
+                (Ok(got), Some(want)) => assert_eq!(got, want, "{argv:?}"),
+                (Err(CliError::Usage(_)), None) => {}
+                (got, want) => panic!("{argv:?}: got {got:?}, want {want:?}"),
             }
-        );
+        }
     }
 
     #[test]
     fn parse_get_cache_flags() {
         let cmd =
             parse_args(&args(&["get", "http://h/p", "--cache-mb", "8", "--readahead"])).unwrap();
-        assert!(matches!(cmd, Command::Get { cache_mb: Some(8), readahead: true, .. }));
         let cfg = config_for(&cmd);
         assert_eq!(cfg.cache_capacity_bytes, 8 * 1024 * 1024);
         assert!(cfg.readahead);
@@ -694,156 +700,6 @@ mod tests {
         let cmd = parse_args(&args(&["get", "http://h/p"])).unwrap();
         assert_eq!(config_for(&cmd).cache_capacity_bytes, 0);
         assert!(!config_for(&cmd).readahead);
-        // Bad/conflicting spellings.
-        for bad in [
-            &["get", "http://h/p", "--cache-mb"][..],
-            &["get", "http://h/p", "--cache-mb", "0"][..],
-            &["get", "http://h/p", "--cache-mb", "x"][..],
-            &["get", "http://h/p", "--streams", "2", "--cache-mb", "8"][..],
-            &["get", "http://h/p", "--streams", "2", "--readahead"][..],
-        ] {
-            assert!(
-                matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
-                "should reject: {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_put_upload_flags() {
-        let cmd = parse_args(&args(&[
-            "put",
-            "big.bin",
-            "http://h/p",
-            "--streams",
-            "6",
-            "--chunk-mb",
-            "8",
-        ]))
-        .unwrap();
-        assert_eq!(
-            cmd,
-            Command::Put {
-                file: PathBuf::from("big.bin"),
-                url: "http://h/p".into(),
-                streams: Some(6),
-                chunk_mb: Some(8),
-            }
-        );
-        // Flags may precede the positionals.
-        let cmd = parse_args(&args(&["put", "--streams", "2", "f", "http://h/p"])).unwrap();
-        assert!(matches!(cmd, Command::Put { streams: Some(2), chunk_mb: None, .. }));
-        // stdin cannot be chunk-uploaded (no random access for retries).
-        for bad in [
-            &["put", "-", "http://h/p", "--streams", "2"][..],
-            &["put", "f", "http://h/p", "--streams", "0"][..],
-            &["put", "f", "http://h/p", "--chunk-mb", "x"][..],
-            &["put", "f", "http://h/p", "--streams"][..],
-            &["put", "f", "http://h/p", "--frobnicate"][..],
-        ] {
-            assert!(
-                matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
-                "should reject: {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_get_failover_and_streams_conflict() {
-        assert!(matches!(
-            parse_args(&args(&["get", "http://h/p", "--streams", "3", "--failover"])),
-            Err(CliError::Usage(_))
-        ));
-    }
-
-    #[test]
-    fn parse_get_strategy_surface() {
-        // --strategy failover == --failover.
-        let cmd = parse_args(&args(&["get", "http://h/p", "--strategy", "failover"])).unwrap();
-        assert!(matches!(cmd, Command::Get { failover: true, streams: None, .. }));
-        // --strategy multistream picks the default stream count…
-        let cmd = parse_args(&args(&["get", "http://h/p", "--strategy", "multistream"])).unwrap();
-        assert!(matches!(
-            cmd,
-            Command::Get { failover: false, streams: Some(n), .. }
-                if n == MultistreamOptions::default().streams
-        ));
-        // …unless --streams overrides it.
-        let cmd = parse_args(&args(&[
-            "get",
-            "http://h/p",
-            "--strategy",
-            "multistream",
-            "--streams",
-            "6",
-        ]))
-        .unwrap();
-        assert!(matches!(cmd, Command::Get { streams: Some(6), .. }));
-        // direct is the default spelled out.
-        let cmd = parse_args(&args(&["get", "http://h/p", "--strategy", "direct"])).unwrap();
-        assert!(matches!(cmd, Command::Get { failover: false, streams: None, .. }));
-    }
-
-    #[test]
-    fn parse_get_strategy_conflicts_and_junk() {
-        for bad in [
-            &["get", "http://h/p", "--strategy", "warp"][..],
-            &["get", "http://h/p", "--strategy"][..],
-            &["get", "http://h/p", "--strategy", "failover", "--streams", "2"][..],
-            &["get", "http://h/p", "--strategy", "multistream", "--failover"][..],
-            &["get", "http://h/p", "--strategy", "direct", "--failover"][..],
-        ] {
-            assert!(
-                matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
-                "should reject: {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn parse_simple_commands() {
-        assert_eq!(
-            parse_args(&args(&["put", "f.bin", "http://h/p"])).unwrap(),
-            Command::Put {
-                file: PathBuf::from("f.bin"),
-                url: "http://h/p".into(),
-                streams: None,
-                chunk_mb: None,
-            }
-        );
-        assert_eq!(
-            parse_args(&args(&["ls", "-l", "http://h/d/"])).unwrap(),
-            Command::Ls { url: "http://h/d/".into(), long: true }
-        );
-        assert_eq!(
-            parse_args(&args(&["rm", "http://h/p"])).unwrap(),
-            Command::Rm { url: "http://h/p".into() }
-        );
-        assert_eq!(
-            parse_args(&args(&["replicas", "http://h/p"])).unwrap(),
-            Command::Replicas { url: "http://h/p".into() }
-        );
-    }
-
-    #[test]
-    fn parse_serve_defaults_and_overrides() {
-        assert_eq!(
-            parse_args(&args(&["serve"])).unwrap(),
-            Command::Serve { addr: "127.0.0.1:8080".into(), root: None }
-        );
-        assert_eq!(
-            parse_args(&args(&["serve", "--addr", "0.0.0.0:9000", "--root", "/tmp/x"])).unwrap(),
-            Command::Serve { addr: "0.0.0.0:9000".into(), root: Some(PathBuf::from("/tmp/x")) }
-        );
-    }
-
-    #[test]
-    fn parse_rejects_junk() {
-        assert!(parse_args(&[]).is_err());
-        assert!(parse_args(&args(&["frobnicate"])).is_err());
-        assert!(parse_args(&args(&["get"])).is_err());
-        assert!(parse_args(&args(&["get", "a", "b"])).is_err());
-        assert!(parse_args(&args(&["put", "only-one"])).is_err());
     }
 
     #[test]
@@ -880,20 +736,9 @@ mod tests {
 
         // get whole object
         let mut out = Vec::new();
-        let n = run_command(
-            &client,
-            &Command::Get {
-                url: format!("{base}/hello.txt"),
-                output: None,
-                ranges: vec![],
-                failover: false,
-                streams: None,
-                cache_mb: None,
-                readahead: false,
-            },
-            &mut out,
-        )
-        .unwrap();
+        let n =
+            run_command(&client, &get(&format!("{base}/hello.txt"), Strategy::Direct), &mut out)
+                .unwrap();
         assert_eq!(n, 11);
         assert_eq!(out, b"hello world");
 
@@ -905,8 +750,7 @@ mod tests {
                 url: format!("{base}/hello.txt"),
                 output: None,
                 ranges: vec![(0, 5), (6, 5)],
-                failover: false,
-                streams: None,
+                strategy: Strategy::Direct,
                 cache_mb: None,
                 readahead: false,
             },
@@ -996,38 +840,12 @@ mod tests {
 
         // --failover download.
         let mut out = Vec::new();
-        run_command(
-            &client,
-            &Command::Get {
-                url: url.clone(),
-                output: None,
-                ranges: vec![],
-                failover: true,
-                streams: None,
-                cache_mb: None,
-                readahead: false,
-            },
-            &mut out,
-        )
-        .unwrap();
+        run_command(&client, &get(&url, Strategy::Failover), &mut out).unwrap();
         assert_eq!(out, payload);
 
         // --streams download (checksum-verified against the Metalink).
         let mut out = Vec::new();
-        run_command(
-            &client,
-            &Command::Get {
-                url,
-                output: None,
-                ranges: vec![],
-                failover: false,
-                streams: Some(3),
-                cache_mb: None,
-                readahead: false,
-            },
-            &mut out,
-        )
-        .unwrap();
+        run_command(&client, &get(&url, Strategy::Multistream(3)), &mut out).unwrap();
         assert_eq!(out, payload);
 
         std::fs::remove_dir_all(&tmp).ok();
@@ -1129,8 +947,7 @@ mod tests {
                 url: format!("http://{addr}/x.bin"),
                 output: Some(dest.clone()),
                 ranges: vec![],
-                failover: false,
-                streams: None,
+                strategy: Strategy::Direct,
                 cache_mb: None,
                 readahead: false,
             },

@@ -95,26 +95,18 @@ impl DavixClient {
         DavPosix::new(Arc::clone(&self.inner))
     }
 
-    /// Resolve the Metalink replica list of `url` without opening the file
-    /// (§2.4). Used by multi-stream downloads and by the CLI's `replicas`
-    /// command.
-    pub fn resolve_replicas(&self, url: &str) -> Result<Vec<Uri>> {
-        self.resolve_replica_set(url).map(|set| set.uris)
-    }
-
     /// A [`ReplicaScheduler`] over `replicas`, wired to this client's
     /// runtime, metrics and health knobs. Share one between fail-over reads
-    /// and [`multistream_download_scheduled`] so both feed the same health
-    /// picture.
+    /// and [`multistream_download`] so both feed the same health picture.
     ///
     /// [`ReplicaScheduler`]: crate::ReplicaScheduler
-    /// [`multistream_download_scheduled`]: crate::multistream_download_scheduled
+    /// [`multistream_download`]: crate::multistream_download
     pub fn replica_scheduler(&self, replicas: Vec<Uri>) -> Arc<crate::ReplicaScheduler> {
         self.inner.replica_scheduler(replicas)
     }
 
-    /// As [`resolve_replicas`](Self::resolve_replicas), but keeping the
-    /// Metalink's size and checksum metadata for download verification.
+    /// Resolve the Metalink of `url` without opening the file (§2.4): the
+    /// replica list, with the size and checksums a download verifies.
     pub fn resolve_replica_set(&self, url: &str) -> Result<crate::replicas::ReplicaSet> {
         let uri = self.parse_url(url)?;
         crate::replicas::fetch_replica_set(&self.inner, &uri)

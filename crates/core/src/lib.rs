@@ -238,6 +238,8 @@
 //! assert_eq!(frags[0], vec![42u8; 16]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub mod config;
@@ -265,8 +267,8 @@ pub use file::DavFile;
 pub use iopool::IoPool;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use multistream::{
-    multistream_download, multistream_download_scheduled, multistream_download_verified,
-    multistream_download_with_report, ChunkCompletion, MultistreamOptions, MultistreamReport,
+    multistream_download, multistream_download_verified, ChunkCompletion, MultistreamOptions,
+    MultistreamReport,
 };
 pub use pool::{Endpoint, SessionPool};
 pub use posix::{DavPosix, DirEntry, FileStat};

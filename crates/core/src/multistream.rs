@@ -66,33 +66,12 @@ pub struct MultistreamReport {
     pub respawns: u64,
 }
 
-/// Download a whole entity from `replicas` using `opts.streams` parallel
-/// streams spread over the healthiest replicas. Returns the assembled
-/// bytes.
+/// Download a whole entity from the replicas `scheduler` ranks (one from
+/// [`DavixClient::replica_scheduler`]), over `opts.streams` parallel
+/// streams spread across the healthiest of them. Returns the assembled
+/// bytes and the [`MultistreamReport`]. Share the scheduler with fail-over
+/// reads and both feed (and benefit from) the same health picture.
 pub fn multistream_download(
-    client: &DavixClient,
-    replicas: &[Uri],
-    opts: &MultistreamOptions,
-) -> Result<Vec<u8>> {
-    multistream_download_with_report(client, replicas, opts).map(|(data, _)| data)
-}
-
-/// As [`multistream_download`], also returning the [`MultistreamReport`]
-/// (chunk completion timeline + replica switches) for benchmarks and
-/// diagnostics.
-pub fn multistream_download_with_report(
-    client: &DavixClient,
-    replicas: &[Uri],
-    opts: &MultistreamOptions,
-) -> Result<(Vec<u8>, MultistreamReport)> {
-    download(client, &client.replica_scheduler(replicas.to_vec()), opts, None)
-}
-
-/// The core multi-stream engine, drawing replicas from a caller-provided
-/// [`ReplicaScheduler`] — share one scheduler between fail-over reads and
-/// multi-stream downloads and both feed (and benefit from) the same health
-/// picture.
-pub fn multistream_download_scheduled(
     client: &DavixClient,
     scheduler: &Arc<ReplicaScheduler>,
     opts: &MultistreamOptions,
@@ -203,8 +182,7 @@ pub fn multistream_download_verified(
     url: &str,
     opts: &MultistreamOptions,
 ) -> Result<Vec<u8>> {
-    let origin = client.parse_url(url)?;
-    let set = crate::replicas::fetch_replica_set(&client.inner, &origin)?;
+    let set = client.resolve_replica_set(url)?;
     let (data, _) = download(client, &client.replica_scheduler(set.uris), opts, set.size)?;
     // Each declared digest is computed once, and both in one pass when both
     // are declared.
@@ -357,7 +335,8 @@ mod tests {
             vec!["http://good/f".parse().unwrap(), "http://bad/f".parse().unwrap()];
         let opts = MultistreamOptions { streams: 2, chunk_size: 256 * 1024 };
         let t0 = net.now();
-        let err = multistream_download(&client, &replicas, &opts).unwrap_err();
+        let err =
+            multistream_download(&client, &client.replica_scheduler(replicas), &opts).unwrap_err();
         assert!(matches!(err, DavixError::AllReplicasFailed { .. }), "{err}");
         assert!(
             net.now() - t0 >= Duration::from_millis(450),

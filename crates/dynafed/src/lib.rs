@@ -13,6 +13,8 @@
 //!   replica host on an interval and flips liveness in the catalog;
 //! * [`Federation`]: glue to serve the handler on a host.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod handler;
 pub mod health;

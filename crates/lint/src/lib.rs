@@ -82,6 +82,8 @@
 //! runtime detector catches ABBA ordering cycles the static view cannot
 //! see across functions.
 
+#![forbid(unsafe_code)]
+
 pub mod callgraph;
 pub mod lexer;
 pub mod rules;

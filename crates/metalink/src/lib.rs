@@ -22,6 +22,8 @@
 //! assert_eq!(parsed.files[0].sorted_urls()[0].url, "http://dpm1.cern.ch/data/events.root");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod xml;
 
 use std::fmt;

@@ -75,6 +75,11 @@
 //! assert!(net.now() >= Duration::from_millis(1)); // at least 2 LAN RTTs
 //! ```
 
+// `unsafe` is confined to the `poll(2)` FFI call (`reactor::sys`), the
+// one function that allows it, with a `// SAFETY:` comment.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod fault;
 pub mod race;
 pub mod reactor;

@@ -263,7 +263,12 @@ mod sys {
 
     /// Safe wrapper: waits until any fd is ready or `timeout_ms` passes
     /// (-1 = forever). Returns the number of ready fds.
+    #[allow(unsafe_code)]
     pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of `PollFd`,
+        // which is `#[repr(C)]` with the layout of `struct pollfd`; poll(2)
+        // reads and writes exactly `fds.len()` entries and keeps no pointer
+        // after it returns. An fd that is not open only sets `POLLNVAL`.
         let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
         if n < 0 {
             let e = std::io::Error::last_os_error();

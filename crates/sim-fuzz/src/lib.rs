@@ -35,6 +35,8 @@
 //! unsynchronized write in the client's batch engine as source patches,
 //! and requires this crate's clean-corpus tests to catch each one.
 
+#![forbid(unsafe_code)]
+
 use bytes::Bytes;
 use davix::{multistream_upload, Config, UploadOptions, UploadProtocol};
 use davix_repro::testbed::{Testbed, TestbedConfig, CLIENT, DATA_PATH, FED};

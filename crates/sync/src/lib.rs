@@ -23,6 +23,12 @@
 //! feature). The detector verifies the promise and reports both racing
 //! sites when it is broken.
 
+// `unsafe` is confined to the `UnsafeCell` accesses behind `CheckedCell`
+// (its `Sync` impl and `race::CellId`'s raw read and write), each allowing
+// it, with a `// SAFETY:` comment on every block.
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod race;
 
 use std::cell::UnsafeCell;
@@ -372,9 +378,10 @@ pub struct CheckedCell<T> {
     cell: UnsafeCell<T>,
 }
 
-// Safety: feature off, the caller upholds the ordering contract (as with any
+// SAFETY: feature off, the caller upholds the ordering contract (as with any
 // UnsafeCell-based primitive); feature on, accesses are serialized by the
 // race registry lock and violations of the contract are *detected*.
+#[allow(unsafe_code)]
 unsafe impl<T: Send> Sync for CheckedCell<T> {}
 
 impl<T: Copy> CheckedCell<T> {

@@ -445,6 +445,7 @@ mod imp {
 
         /// Checked read of the cell data. The raw read happens under the
         /// registry lock, so even a racing access is defined behavior.
+        #[allow(unsafe_code)]
         pub fn read<T: Copy>(&self, cell: &UnsafeCell<T>, site: &'static Location<'static>) -> T {
             let res = with_slot(|reg, s| {
                 let i = self.idx(reg);
@@ -459,6 +460,9 @@ mod imp {
                 }
                 reg.cells[i].reads.retain(|r| r.slot != s);
                 reg.cells[i].reads.push(me);
+                // SAFETY: every checked access to a cell runs under the
+                // registry lock this closure holds, so no write overlaps
+                // this read; `T: Copy`, so the read moves nothing out.
                 (unsafe { *cell.get() }, boom)
             });
             match res {
@@ -468,11 +472,14 @@ mod imp {
                     panic!("race-detect: {detail}");
                 }
                 // Thread-local teardown: fall back to the raw read.
+                // SAFETY: the caller's ordering contract (see `CheckedCell`),
+                // trusted here as in a build without the detector.
                 None => unsafe { *cell.get() },
             }
         }
 
         /// Checked write of the cell data; see [`CellId::read`].
+        #[allow(unsafe_code)]
         pub fn write<T>(&self, cell: &UnsafeCell<T>, v: T, site: &'static Location<'static>) {
             let res = with_slot(|reg, s| {
                 let i = self.idx(reg);
@@ -493,6 +500,9 @@ mod imp {
                     }
                 }
                 reg.cells[i].last_write = Some(me);
+                // SAFETY: as in `read`, the registry lock serializes every
+                // checked access, so nothing else reads or writes the cell
+                // during this store.
                 unsafe {
                     *cell.get() = v;
                 }
@@ -581,13 +591,19 @@ mod stub {
 
         /// Raw read — the caller's ordering contract is trusted.
         #[inline(always)]
+        #[allow(unsafe_code)]
         pub fn read<T: Copy>(&self, cell: &UnsafeCell<T>, _site: &'static Location<'static>) -> T {
+            // SAFETY: `CheckedCell`'s contract: the caller orders every
+            // write before this read by a happens-before edge.
             unsafe { *cell.get() }
         }
 
         /// Raw write — the caller's ordering contract is trusted.
         #[inline(always)]
+        #[allow(unsafe_code)]
         pub fn write<T>(&self, cell: &UnsafeCell<T>, v: T, _site: &'static Location<'static>) {
+            // SAFETY: `CheckedCell`'s contract: the caller orders every
+            // other access to the cell before or after this write.
             unsafe {
                 *cell.get() = v;
             }

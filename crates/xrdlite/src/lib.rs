@@ -22,6 +22,8 @@
 //! exercises none of that, and davix's Metalink layer plays the federation
 //! role on the HTTP side.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 mod mux;
 pub mod server;

@@ -41,9 +41,9 @@ fn main() {
         let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
 
         let t0 = tb.net.now();
-        let got = multistream_download(
+        let (got, _) = multistream_download(
             &client,
-            &replicas,
+            &client.replica_scheduler(replicas),
             &MultistreamOptions { streams, chunk_size: 512 * 1024 },
         )
         .expect("download");

@@ -10,7 +10,7 @@
 //! `davix-put`, `davix-ls`…) reproduced end-to-end: the identical client
 //! stack the benchmarks measure under simulation, bound to OS sockets.
 
-use davix_cli::{parse_ranges, real_client, run_command, start_server, Command};
+use davix_cli::{parse_ranges, real_client, run_command, start_server, Command, Strategy};
 
 fn main() {
     // A scratch directory the server will preload.
@@ -42,8 +42,7 @@ fn main() {
             url: format!("{base}/run2014/events.root"),
             output: None,
             ranges,
-            failover: false,
-            streams: None,
+            strategy: Strategy::Direct,
             cache_mb: None,
             readahead: false,
         },

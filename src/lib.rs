@@ -7,6 +7,8 @@
 //! optional DynaFed federation service, and configurable links (LAN /
 //! pan-European / transatlantic, per the paper's §3 setup).
 
+#![forbid(unsafe_code)]
+
 pub use davix;
 pub use dynafed;
 pub use httpd;

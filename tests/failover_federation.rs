@@ -140,9 +140,9 @@ fn multistream_download_is_correct_and_spreads_load() {
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default());
     let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let got = multistream_download(
+    let (got, _) = multistream_download(
         &client,
-        &replicas,
+        &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 },
     )
     .unwrap();
@@ -164,9 +164,9 @@ fn multistream_worker_threads_are_bounded_by_io_pool() {
     // 2 worker threads ever ran at once.
     let client = tb.davix_client(Config::default().with_io_threads(2));
     let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let got = multistream_download(
+    let (got, _) = multistream_download(
         &client,
-        &replicas,
+        &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 6, chunk_size: 64 * 1024 },
     )
     .unwrap();
@@ -188,9 +188,9 @@ fn multistream_survives_replica_death_mid_download() {
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
     let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let got = multistream_download(
+    let (got, _) = multistream_download(
         &client,
-        &replicas,
+        &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 },
     )
     .unwrap();
@@ -207,7 +207,12 @@ fn multistream_fails_cleanly_when_everything_is_dead() {
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
     let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let err = multistream_download(&client, &replicas, &MultistreamOptions::default()).unwrap_err();
+    let err = multistream_download(
+        &client,
+        &client.replica_scheduler(replicas),
+        &MultistreamOptions::default(),
+    )
+    .unwrap_err();
     assert!(matches!(err, DavixError::AllReplicasFailed { .. }));
 }
 

@@ -268,7 +268,7 @@ fn a_line_break_in_a_metalink_url_or_a_location_is_a_typed_error_and_never_on_th
 
     let _g = net.enter();
     let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
-    let err = client.resolve_replicas("http://origin/f").unwrap_err();
+    let err = client.resolve_replica_set("http://origin/f").unwrap_err();
     assert!(matches!(err, DavixError::Metalink(_)), "got {err}");
     let err = client.posix().get("http://origin/moved").unwrap_err();
     assert!(matches!(err, DavixError::Protocol(_)), "got {err}");

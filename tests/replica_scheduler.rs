@@ -6,8 +6,7 @@
 
 use bytes::Bytes;
 use davix::{
-    multistream_download_verified, multistream_download_with_report, Config, DavixError,
-    MultistreamOptions,
+    multistream_download, multistream_download_verified, Config, DavixError, MultistreamOptions,
 };
 use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
 use davix_sync::{AtomicBool, AtomicUsize, Ordering};
@@ -96,9 +95,9 @@ fn multistream_survives_head_failure_on_first_replica() {
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
     let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let (got, report) = multistream_download_with_report(
+    let (got, report) = multistream_download(
         &client,
-        &replicas,
+        &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 },
     )
     .unwrap();
@@ -143,7 +142,8 @@ fn multistream_steps_over_a_replica_that_denies_access() {
         vec!["http://deny/f".parse().unwrap(), "http://s/f".parse().unwrap()];
     let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
     let failovers = client.metrics().failovers;
-    let (got, report) = multistream_download_with_report(&client, &replicas, &opts).unwrap();
+    let (got, report) =
+        multistream_download(&client, &client.replica_scheduler(replicas), &opts).unwrap();
     assert_eq!(got, data);
     assert!(report.completions.iter().all(|c| c.replica.host == "s"));
     // Whether a worker was ever assigned the refusing replica depends on the
@@ -469,9 +469,9 @@ fn multistream_worker_respawns_when_its_replica_dies() {
         net2.set_host_down("dpm1.cern.ch", false);
     });
 
-    let (got, report) = multistream_download_with_report(
+    let (got, report) = multistream_download(
         &client,
-        &replicas,
+        &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 },
     )
     .unwrap();

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Counted lines per crate: the non-test, non-comment, non-blank lines of
-# crates/*/src. Each file is read up to its first `#[cfg(test)]`; blank
+# crates/*/src and of the root crate's src (the testbed). Each file is read up to its first `#[cfg(test)]`; blank
 # lines and lines starting with `//` are dropped. This is the number
 # simplicity PRs quote. (Lines moved into tests, or removed by reformatting
 # or by deleting comments, lower it without making anything simpler:
@@ -14,7 +14,7 @@
 #                                 computed rather than quoted
 #   tools/loc.sh --knobs          the options: public fields of every
 #                                 `pub struct *Config` / `*Options` /
-#                                 `*Knobs` in crates/*/src, one line per
+#                                 `*Knobs` in those directories, one line per
 #                                 struct (crate, struct, count, fields)
 #   tools/loc.sh --knobs --diff GIT-REF
 #                                 field counts per struct for GIT-REF, the
@@ -30,6 +30,16 @@ count() {
          skip || /^[[:space:]]*($|\/\/)/ { next }
          { n++ }
          END { print n + 0 }' "$@"
+}
+
+# The crate source directories: the working tree's, or (given a git ref)
+# that ref's.
+src_dirs() {
+    if [ "$#" -eq 0 ]; then
+        ls -d src crates/*/src
+    else
+        git ls-tree -d --name-only "$1" src crates/ | sed 's|^crates/.*|&/src|'
+    fi
 }
 
 # Counted lines of one crate's src directory in the working tree.
@@ -79,12 +89,12 @@ tally() {
 # git ref) as of that ref.
 knob_tallies() {
     if [ "$#" -eq 0 ]; then
-        for dir in crates/*/src; do
+        for dir in $(src_dirs); do
             # shellcheck disable=SC2046  # no crate path has spaces
             knobs $(find "$dir" -name '*.rs' | sort) | tally "$dir"
         done
     else
-        for dir in $(git ls-tree -d --name-only "$1" crates/ | sed 's|$|/src|'); do
+        for dir in $(src_dirs "$1"); do
             for f in $(git ls-tree -r --name-only "$1" -- "$dir" | grep '\.rs$'); do
                 git show "$1:$f" | knobs
             done | tally "$dir"
@@ -131,7 +141,7 @@ if [ "${1:-}" = "--diff" ]; then
     before_total=0
     after_total=0
     # Crates of either side: one that the change adds or deletes still gets a row.
-    for dir in $({ git ls-tree -d --name-only "$ref" crates/ | sed 's|$|/src|'; ls -d crates/*/src; } | sort -u); do
+    for dir in $({ src_dirs "$ref"; src_dirs; } | sort -u); do
         before=$(count_ref "$dir" "$ref")
         after=0
         [ -d "$dir" ] && after=$(count_tree "$dir")
@@ -151,7 +161,7 @@ if [ "$#" -gt 0 ]; then
 fi
 
 total=0
-for dir in crates/*/src; do
+for dir in $(src_dirs); do
     n=$(count_tree "$dir")
     printf '%-40s %6d\n' "$dir" "$n"
     total=$((total + n))
