@@ -369,12 +369,9 @@ pub fn run_command(
     match cmd {
         Command::Get { url, output, ranges, strategy, cache_mb, readahead } => {
             let cached = cache_mb.is_some() || *readahead;
-            let data = fetch(client, url, ranges, *strategy, cached)?;
-            match output {
-                Some(path) => std::fs::write(path, &data)?,
-                None => out.write_all(&data)?,
-            }
-            Ok(data.len() as u64)
+            write_output(output.as_deref(), out, |sink| {
+                fetch(client, url, ranges, *strategy, cached, sink)
+            })
         }
         Command::Put { file, url, streams, chunk_mb } => {
             if streams.is_some() || chunk_mb.is_some() {
@@ -462,36 +459,85 @@ pub fn run_command(
     }
 }
 
-/// The download paths of `davix get`. Ranges, fail-over, the block cache
-/// and read-ahead all read through one positional-read file; only a plain
-/// whole-object download is one collect-to-memory GET (`cached` keeps the
-/// cache flags from being dead weight on that path).
+/// The download paths of `davix get`, written to `sink`; returns the bytes
+/// written. A plain whole-object download streams the one GET's body, so
+/// memory stays flat however big the object is, and a reset mid-body
+/// resumes within the retry budget. Ranges, fail-over, the block cache and
+/// read-ahead read through one [`DavFile`](davix::DavFile) into memory
+/// (`cached` keeps the cache flags from being dead weight on the plain
+/// path); `--streams` downloads and verifies in memory.
 fn fetch(
     client: &DavixClient,
     url: &str,
     ranges: &[(u64, usize)],
     strategy: Strategy,
     cached: bool,
-) -> Result<Vec<u8>, CliError> {
-    let file: Box<dyn RandomAccess> = match strategy {
+    sink: &mut dyn Write,
+) -> Result<u64, CliError> {
+    let file = match strategy {
         Strategy::Multistream(streams) => {
             // Metalink-driven: resolve replicas, download in parallel,
             // verify the declared checksum.
             let opts = MultistreamOptions { streams, ..MultistreamOptions::default() };
-            return Ok(multistream_download_verified(client, url, &opts)?);
+            let data = multistream_download_verified(client, url, &opts)?;
+            sink.write_all(&data)?;
+            return Ok(data.len() as u64);
         }
-        Strategy::Failover => Box::new(client.open_failover(url)?),
-        Strategy::Direct if cached || !ranges.is_empty() => Box::new(client.open(url)?),
-        Strategy::Direct => return Ok(client.posix().get(url)?),
+        Strategy::Failover => client.open_failover(url)?,
+        Strategy::Direct if cached || !ranges.is_empty() => client.open(url)?,
+        Strategy::Direct => return Ok(client.posix().get_into(url, sink)?),
     };
-    if !ranges.is_empty() {
+    let data = if ranges.is_empty() {
+        let mut data = vec![0u8; file.size_hint() as usize];
+        file.read_exact_at(0, &mut data)?;
+        data
+    } else {
         // One vectored multi-range request; fragments are concatenated in
         // request order (like `davix-get --ranges`).
-        return Ok(file.read_vec(ranges)?.concat());
+        file.pread_vec(ranges)?.concat()
+    };
+    sink.write_all(&data)?;
+    Ok(data.len() as u64)
+}
+
+/// Let `fill` write to `path` (`-o FILE`) or else to `out`; returns what
+/// `fill` returns. A regular file is written through a sibling that
+/// replaces it only once `fill` succeeds, so a download that fails midway
+/// leaves `path` as it was: absent, or holding its earlier bytes.
+fn write_output(
+    path: Option<&Path>,
+    out: &mut dyn Write,
+    fill: impl FnOnce(&mut dyn Write) -> Result<u64, CliError>,
+) -> Result<u64, CliError> {
+    let Some(path) = path else {
+        return fill(out);
+    };
+    // Replace what a symlink points at, not the link; a device or a pipe
+    // has no earlier bytes to keep and is written in place.
+    let target = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
+    let earlier = std::fs::metadata(&target).ok();
+    if earlier.as_ref().is_some_and(|m| !m.is_file()) {
+        return fill(&mut std::fs::File::create(&target)?);
     }
-    let mut data = vec![0u8; file.size()? as usize];
-    file.read_exact_at(0, &mut data)?;
-    Ok(data)
+    if earlier.is_some() {
+        // Refuse, before any request, a file that may not be written.
+        std::fs::OpenOptions::new().write(true).open(&target)?;
+    }
+    let mut part = target.clone().into_os_string();
+    part.push(".davix-part");
+    let part = PathBuf::from(part);
+    let written = std::fs::File::create(&part).map_err(CliError::from).and_then(|mut file| {
+        let n = fill(&mut file)?;
+        if let Some(m) = &earlier {
+            file.set_permissions(m.permissions())?;
+        }
+        std::fs::rename(&part, &target)?;
+        Ok(n)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&part);
+    }
+    written
 }
 
 /// Start a DPM-like storage node on `addr` over real TCP, preloading every
@@ -931,6 +977,117 @@ mod tests {
         .unwrap();
         assert_eq!(node.store.get("/plain.bin").unwrap().data.as_ref(), &payload[..]);
         std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    /// A plain `get -o FILE` streams the one GET's body into the file: the
+    /// bytes arrive whole and no body is ever collected in memory. A
+    /// download that fails — a missing object, a body that breaks off
+    /// midway — leaves `FILE` as it was: absent, or holding its earlier
+    /// bytes, read-only or not.
+    #[test]
+    fn a_plain_get_streams_into_its_output_file() {
+        let tmp = std::env::temp_dir().join(format!("davix-cli-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        let payload: Vec<u8> = (0..3_000_000usize).map(|i| ((i * 13 + 5) % 251) as u8).collect();
+        std::fs::write(tmp.join("big.bin"), &payload).unwrap();
+        let (_node, addr, _) = start_server("127.0.0.1:0", Some(&tmp)).unwrap();
+        let client = real_client(Config::default());
+        let dest = tmp.join("fetched.bin");
+        let part = tmp.join("fetched.bin.davix-part");
+        let get_to = |name: &str| Command::Get {
+            url: format!("http://{addr}/{name}"),
+            output: Some(dest.clone()),
+            ranges: vec![],
+            strategy: Strategy::Direct,
+            cache_mb: None,
+            readahead: false,
+        };
+        let n = run_command(&client, &get_to("big.bin"), &mut Vec::new()).unwrap();
+        assert_eq!(n, payload.len() as u64);
+        assert_eq!(std::fs::read(&dest).unwrap(), payload);
+        assert_eq!(client.metrics().peak_body_buffer, 0, "the body must stream, not collect");
+        assert!(!part.exists());
+
+        let fail_twice = || {
+            assert!(run_command(&client, &get_to("missing.bin"), &mut Vec::new()).is_err());
+            let broken = write_output(Some(&dest), &mut Vec::new(), |sink| {
+                sink.write_all(b"the first bytes")?;
+                Err(io::Error::from(io::ErrorKind::ConnectionReset).into())
+            });
+            assert!(broken.is_err());
+            assert!(!part.exists(), "a failed download leaves no part file");
+        };
+        std::fs::remove_file(&dest).unwrap();
+        fail_twice();
+        assert!(!dest.exists(), "a failed download leaves no file behind");
+
+        std::fs::write(&dest, b"an earlier copy").unwrap();
+        fail_twice();
+        assert_eq!(std::fs::read(&dest).unwrap(), b"an earlier copy");
+
+        let mut perms = std::fs::metadata(&dest).unwrap().permissions();
+        perms.set_readonly(true);
+        std::fs::set_permissions(&dest, perms).unwrap();
+        fail_twice();
+        assert_eq!(std::fs::read(&dest).unwrap(), b"an earlier copy");
+        // A download that succeeds replaces a read-only file only where the
+        // file could be written in place, and keeps it read-only.
+        let kept = match run_command(&client, &get_to("big.bin"), &mut Vec::new()) {
+            Ok(_) => payload,
+            Err(_) => b"an earlier copy".to_vec(),
+        };
+        assert_eq!(std::fs::read(&dest).unwrap(), kept);
+        assert!(std::fs::metadata(&dest).unwrap().permissions().readonly());
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    /// A plain get whose body stalls midway (the client's read times out)
+    /// sends the GET again and resumes where the output left off: the
+    /// bytes arrive whole, one retry is spent and no body is collected.
+    #[test]
+    fn a_plain_get_resumes_after_a_stalled_body() {
+        let payload: Vec<u8> = (0..1_000_000usize).map(|i| (i % 253) as u8).collect();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let body = payload.clone();
+        let server = std::thread::spawn(move || {
+            // The first connection stops halfway through its body and stays
+            // open; the second serves the body whole.
+            let mut stalled = Vec::new();
+            for (n, conn) in listener.incoming().take(2).enumerate() {
+                let mut conn = conn.unwrap();
+                let mut head = Vec::new();
+                let mut byte = [0u8; 1];
+                while !head.ends_with(b"\r\n\r\n") {
+                    conn.read_exact(&mut byte).unwrap();
+                    head.push(byte[0]);
+                }
+                write!(
+                    conn,
+                    "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nETag: \"v1\"\r\n\
+                     Connection: close\r\n\r\n",
+                    body.len()
+                )
+                .unwrap();
+                let cut = if n == 0 { body.len() / 2 } else { body.len() };
+                conn.write_all(&body[..cut]).unwrap();
+                stalled.push(conn);
+            }
+        });
+        let client = real_client(Config {
+            io_timeout: std::time::Duration::from_millis(300),
+            retry: davix::RetryPolicy { retries: 2, backoff: std::time::Duration::from_millis(1) },
+            ..Config::default()
+        });
+        let mut got = Vec::new();
+        let n = run_command(&client, &get(&format!("http://{addr}/f"), Strategy::Direct), &mut got)
+            .unwrap();
+        assert_eq!(n, payload.len() as u64);
+        assert!(got == payload, "the resumed body must be byte-identical");
+        let m = client.metrics();
+        assert_eq!(m.retries, 1);
+        assert_eq!(m.peak_body_buffer, 0, "the body must stream, not collect");
+        server.join().unwrap();
     }
 
     #[test]

@@ -19,13 +19,13 @@
 //!   (`Metrics::singleflight_waits`). The map lock is held only to look
 //!   up / claim / publish — never across network I/O, the same discipline
 //!   as the PR 3 scheduler.
-//! * `FileCache` — the per-handle binding, owned by the handle's `Reader`
-//!   (the cached-read front of the read stack, see the crate docs): a
-//!   resource key (for [`ReplicaFile`](crate::ReplicaFile) the *origin*,
-//!   so fail-over between replicas keeps its hits), the entity size, the
-//!   `BlockFetch` upstream the `Reader` would otherwise read directly —
-//!   the wire, or the replica fail-over walk — and the read-ahead state
-//!   (all crate-internal).
+//! * `FileCache` — the per-handle binding, owned by a
+//!   [`DavFile`](crate::DavFile) (the cached-read front of the read stack,
+//!   see the crate docs): a resource key (for a fail-over file the
+//!   *origin*, so fail-over between replicas keeps its hits), the entity
+//!   size, the `BlockFetch` upstream the handle would otherwise read
+//!   directly — the wire, or the replica fail-over walk — and the
+//!   read-ahead state (all crate-internal).
 //! * **Adaptive read-ahead** — a reader that keeps picking up exactly
 //!   where its last read ended is sequential; with `Config::readahead` on,
 //!   each such read doubles the prefetch window from one block up to
@@ -48,7 +48,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The one upstream of a read: the wire ([`RawFile`](crate::file::RawFile))
-/// or the replica fail-over walk above it. A `Reader` calls it directly
+/// or the replica fail-over walk above it. A `DavFile` calls it directly
 /// when no cache is bound; a [`FileCache`] calls it on a miss, also from
 /// background (prefetch) threads.
 pub(crate) trait BlockFetch: Send + Sync {

@@ -8,7 +8,6 @@ use crate::file::DavFile;
 use crate::iopool::IoPool;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::posix::DavPosix;
-use crate::replicas::ReplicaFile;
 use httpwire::Uri;
 use netsim::{Connector, Runtime};
 use std::sync::Arc;
@@ -73,15 +72,16 @@ impl DavixClient {
     /// Open a remote file (HEAD + size discovery).
     pub fn open(&self, url: &str) -> Result<DavFile> {
         let uri = self.parse_url(url)?;
-        DavFile::open(Arc::clone(&self.inner), uri)
+        DavFile::open(&self.inner, uri, false)
     }
 
     /// Open with Metalink fail-over: any replica-eligible failure triggers
     /// replica discovery and transparent switch-over (§2.4, default
-    /// strategy).
-    pub fn open_failover(&self, url: &str) -> Result<ReplicaFile> {
+    /// strategy). The same [`DavFile`] as [`open`](Self::open) returns,
+    /// with [`DavFile::scheduler`] ranking its replicas.
+    pub fn open_failover(&self, url: &str) -> Result<DavFile> {
         let uri = self.parse_url(url)?;
-        ReplicaFile::new(Arc::clone(&self.inner), uri)
+        DavFile::open(&self.inner, uri, true)
     }
 
     /// The client's shared background-I/O worker pool (multi-stream

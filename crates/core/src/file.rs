@@ -1,10 +1,9 @@
 //! `DavFile`: positional and vectored reads over one remote HTTP resource.
 //!
-//! This module holds three of the read stack's four layers (see the crate
-//! docs, "The read stack"): `RawFile`, the wire; `Reader`, the cached-read
-//! front every handle reads through; and [`DavFile`], the public face over
-//! one resource. The fourth, replica fail-over, slots in between the first
-//! two in [`replicas`](crate::replicas).
+//! This module holds two of the read stack's three layers (see the crate
+//! docs, "The read stack"): `RawFile`, the wire, and [`DavFile`], the
+//! cached-read front and the one public handle. The third, replica
+//! fail-over, slots in between them in [`replicas`](crate::replicas).
 //!
 //! The vectored path is the paper's §2.3 contribution: any number of
 //! fragmented random reads become *one* HTTP multi-range request, answered
@@ -25,6 +24,9 @@ use crate::error::{DavixError, Result};
 use crate::executor::{body_read_error, PreparedRequest, ResponseStream};
 use crate::iopool::map_ordered;
 use crate::metrics::Metrics;
+use crate::posix::FileStat;
+use crate::replicas::ReplicaCore;
+use crate::scheduler::ReplicaScheduler;
 use httpwire::multipart::{boundary_from_content_type, MultipartReader};
 use httpwire::range::{coalesce_fragments, format_range_header};
 use httpwire::{ContentRange, ResponseHead, StatusCode, Uri};
@@ -41,34 +43,55 @@ const VECTOR_MERGE_GAP: u64 = 512;
 /// mode and a rejected multi-range request fall back to.
 const FALLBACK_PARALLELISM: usize = 8;
 
-/// Stat result for a remote file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteStat {
-    /// Entity size in bytes.
-    pub size: u64,
-    /// Server ETag, if provided.
-    pub etag: Option<String>,
+/// A remote file opened through davix, directly
+/// ([`DavixClient::open`](crate::DavixClient::open)) or with Metalink
+/// fail-over ([`DavixClient::open_failover`](crate::DavixClient::open_failover)):
+/// the cached-read front over one upstream, the size learned at open and a
+/// cursor.
+///
+/// Every read goes to the upstream — the wire of the opened resource, or
+/// the fail-over walk over its replicas — or, when the client's block
+/// cache is enabled ([`Config::cache_capacity_bytes`] above 0), through the
+/// cache in front of it: block-aligned upstream fetches, single-flight
+/// de-duplication and (optionally) adaptive read-ahead — see
+/// [`BlockCache`](crate::BlockCache). A fail-over file keys its blocks by
+/// the **origin** resource, not by whichever replica fetched them, so a
+/// fail-over or scheduler re-rank keeps every hit; the per-replica wire
+/// files underneath never cache, so bytes are cached exactly once. With the
+/// cache off (the default) every read streams straight off the wire.
+/// Fragment validation and the handle's `IoStats` live here and nowhere
+/// else.
+///
+/// [`Config::cache_capacity_bytes`]: crate::Config::cache_capacity_bytes
+pub struct DavFile {
+    opened: Opened,
+    size: u64,
+    cache: Option<FileCache>,
+    io: IoStats,
+    pos: Mutex<u64>,
 }
 
-/// A remote file opened through davix: a `Reader` over the wire plus the
-/// stat data and a cursor.
-///
-/// When the client's block cache is enabled
-/// ([`Config::cache_capacity_bytes`](crate::Config::cache_capacity_bytes) >
-/// 0), reads go through it: block-aligned upstream fetches, single-flight
-/// de-duplication and (optionally) adaptive read-ahead — see
-/// [`BlockCache`](crate::BlockCache). With the cache off (the default)
-/// every read streams straight off the wire exactly as before.
-pub struct DavFile {
-    raw: Arc<RawFile>,
-    etag: Option<String>,
-    pos: Mutex<u64>,
-    reader: Reader,
+/// How a [`DavFile`] was opened, and so what it reports about its resource.
+enum Opened {
+    /// One resource at its final URI, with its ETag.
+    Direct(Arc<RawFile>, Option<String>),
+    /// The origin's scheduler-ranked replicas.
+    Failover(Arc<ReplicaCore>),
+}
+
+impl Opened {
+    /// What a read goes to when the cache cannot serve it, or there is none.
+    fn upstream(&self) -> &dyn BlockFetch {
+        match self {
+            Opened::Direct(raw, _) => &**raw,
+            Opened::Failover(core) => &**core,
+        }
+    }
 }
 
 /// The wire layer of the read stack: the uncached network read path of one
-/// remote resource. It is the [`BlockFetch`] under a plain [`DavFile`]'s
-/// [`Reader`], and what replica fail-over and the multistream workers open
+/// remote resource. It is the [`BlockFetch`] under a directly opened
+/// [`DavFile`], and what replica fail-over and the multistream workers open
 /// per replica (they cache, if at all, one layer up).
 #[derive(Clone)]
 pub(crate) struct RawFile {
@@ -77,103 +100,13 @@ pub(crate) struct RawFile {
     pub(crate) size: u64,
 }
 
-/// The cached-read front every file handle reads through: cache bound? read
-/// through it and count its upstream fetches as round trips : read upstream
-/// and count one. `up` is the wire ([`RawFile`]) or the replica fail-over
-/// walk over several of them.
-pub(crate) struct Reader {
-    up: Arc<dyn BlockFetch>,
-    size: u64,
-    cache: Option<FileCache>,
-    io: IoStats,
-}
-
-impl Reader {
-    /// A front for `up`, an entity of `size` bytes; binds the client's
-    /// block cache under `key()` when one is configured.
-    pub(crate) fn new(
-        inner: &ClientInner,
-        up: Arc<dyn BlockFetch>,
-        size: u64,
-        key: impl FnOnce() -> String,
-    ) -> Reader {
-        let readahead = inner.cfg.readahead;
-        let cache = inner.cache.as_ref().map(|cache| {
-            FileCache::new(Arc::clone(cache), key(), size, Arc::clone(&up), readahead)
-        });
-        Reader { up, size, cache, io: IoStats::default() }
-    }
-
-    pub(crate) fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        let (n, round_trips) = match &self.cache {
-            Some(cache) => cache.read_at(offset, buf)?,
-            None => (self.up.pread(offset, buf)?, 1),
-        };
-        self.io.record_read(n as u64, round_trips);
-        Ok(n)
-    }
-
-    /// An empty fragment list is answered without touching cache, wire or
-    /// counters; a fragment reaching past the entity is an error, never a
-    /// silent truncation.
-    pub(crate) fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        if fragments.is_empty() {
-            return Ok(Vec::new());
-        }
-        let size = self.size;
-        if let Some((off, len)) = fragments.iter().find(|f| f.0.saturating_add(f.1 as u64) > size) {
-            return Err(DavixError::InvalidArgument(format!(
-                "fragment {off}+{len} beyond entity size {size}"
-            )));
-        }
-        let (out, round_trips) = match &self.cache {
-            Some(cache) => cache.read_vec(fragments)?,
-            None => (self.up.pread_vec(fragments)?, 1),
-        };
-        let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
-        self.io.record_vector_read(bytes, round_trips);
-        Ok(out)
-    }
-
-    pub(crate) fn io_stats(&self) -> IoStatsSnapshot {
-        self.io.snapshot()
-    }
-}
-
-/// `ioapi::RandomAccess` for a public face of the read stack: a type with
-/// `size_hint`, `pread`, `pread_vec` and a `reader` field. (A macro because
-/// the trait is `ioapi`'s: the orphan rule forbids one blanket
-/// `impl<T: Face> RandomAccess for T` here.)
-macro_rules! random_access_via_reader {
-    ($face:ty) => {
-        impl ioapi::RandomAccess for $face {
-            fn size(&self) -> std::io::Result<u64> {
-                self.size_hint().map_err(std::io::Error::from)
-            }
-
-            fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
-                self.pread(offset, buf).map_err(std::io::Error::from)
-            }
-
-            fn read_vec(&self, fragments: &[(u64, usize)]) -> std::io::Result<Vec<Vec<u8>>> {
-                self.pread_vec(fragments).map_err(std::io::Error::from)
-            }
-
-            fn stats(&self) -> ioapi::IoStatsSnapshot {
-                self.reader.io_stats()
-            }
-        }
-    };
-}
-pub(crate) use random_access_via_reader;
-
 impl std::fmt::Debug for DavFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DavFile")
-            .field("uri", &self.raw.uri.to_string())
-            .field("size", &self.raw.size)
-            .field("etag", &self.etag)
-            .field("cached", &self.reader.cache.is_some())
+            .field("uri", &self.uri().to_string())
+            .field("size", &self.size)
+            .field("failover", &self.scheduler().is_some())
+            .field("cached", &self.cache.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -215,31 +148,72 @@ pub(crate) fn probe_size(
 }
 
 impl DavFile {
-    /// Open (HEAD) a remote file, learning its size; binds the client's
-    /// block cache when one is configured.
-    pub(crate) fn open(inner: Arc<ClientInner>, uri: Uri) -> Result<DavFile> {
-        let (raw, etag) = RawFile::open(inner, uri)?;
-        let raw = Arc::new(raw);
-        // Keyed by final URI + size + ETag: a changed entity (new ETag)
-        // re-opened later cannot serve stale blocks.
-        let key = || format!("{}|{}|{}", raw.uri, raw.size, etag.as_deref().unwrap_or("-"));
-        let reader = Reader::new(&raw.inner, Arc::clone(&raw) as _, raw.size, key);
-        Ok(DavFile { raw, etag, pos: Mutex::new(0), reader })
+    /// Open `uri` directly, learning its size and ETag (HEAD), or with
+    /// `failover` through its replicas, taking the size from whichever
+    /// answers first (so fail-over may already kick in here); binds the
+    /// client's block cache when one is configured.
+    pub(crate) fn open(inner: &Arc<ClientInner>, uri: Uri, failover: bool) -> Result<DavFile> {
+        let (size, opened) = if failover {
+            let (core, size) = ReplicaCore::open(Arc::clone(inner), uri)?;
+            (size, Opened::Failover(core))
+        } else {
+            let (raw, etag) = RawFile::open(Arc::clone(inner), uri)?;
+            (raw.size, Opened::Direct(Arc::new(raw), etag))
+        };
+        let cache = inner.cache.as_ref().map(|cache| {
+            let (key, up): (String, Arc<dyn BlockFetch>) = match &opened {
+                // Keyed by final URI + size + ETag: a changed entity (new
+                // ETag) re-opened later cannot serve stale blocks.
+                Opened::Direct(raw, etag) => (
+                    format!("{}|{size}|{}", raw.uri, etag.as_deref().unwrap_or("-")),
+                    Arc::clone(raw) as _,
+                ),
+                // Keyed by the *origin* (+ size): blocks fetched from
+                // replica A keep hitting after a fail-over to replica B.
+                // ETags are deliberately absent from the key — replicas of
+                // one logical resource routinely disagree on them.
+                Opened::Failover(core) => {
+                    (format!("replica:{}|{size}", core.origin), Arc::clone(core) as _)
+                }
+            };
+            FileCache::new(Arc::clone(cache), key, size, up, inner.cfg.readahead)
+        });
+        Ok(DavFile { opened, size, cache, io: IoStats::default(), pos: Mutex::new(0) })
     }
 
-    /// The URI this file was (finally) opened from.
+    /// The URI this file was opened from: the final (post-redirect) URI of
+    /// a direct open, the origin of a fail-over one.
     pub fn uri(&self) -> &Uri {
-        &self.raw.uri
+        match &self.opened {
+            Opened::Direct(raw, _) => &raw.uri,
+            Opened::Failover(core) => &core.origin,
+        }
+    }
+
+    /// URI of the replica that served the last successful operation; a
+    /// directly opened file has only the one.
+    pub fn current_uri(&self) -> Uri {
+        let Opened::Failover(core) = &self.opened else { return self.uri().clone() };
+        core.current_uri()
+    }
+
+    /// The shared health scheduler ranking a fail-over file's replicas;
+    /// `None` for a direct open.
+    pub fn scheduler(&self) -> Option<&Arc<ReplicaScheduler>> {
+        let Opened::Failover(core) = &self.opened else { return None };
+        Some(&core.fo.scheduler)
     }
 
     /// Size learned at open time.
-    pub fn size_hint(&self) -> Result<u64> {
-        Ok(self.raw.size)
+    pub fn size_hint(&self) -> u64 {
+        self.size
     }
 
-    /// Stat data learned at open time.
-    pub fn stat(&self) -> RemoteStat {
-        RemoteStat { size: self.raw.size, etag: self.etag.clone() }
+    /// Stat data learned at open time. A fail-over file has no ETag:
+    /// replicas of one resource disagree on them.
+    pub fn stat(&self) -> FileStat {
+        let etag = if let Opened::Direct(_, etag) = &self.opened { etag.clone() } else { None };
+        FileStat { size: self.size, is_dir: false, etag }
     }
 
     /// Positional read of up to `buf.len()` bytes at `offset`. Returns bytes
@@ -249,9 +223,15 @@ impl DavFile {
     /// connection into `buf` — no intermediate buffer proportional to the
     /// read size is allocated. With the cache, whole blocks are fetched
     /// (at most once, concurrently, across all readers) and the request is
-    /// served from them.
+    /// served from them: a read whose bytes are resident succeeds even
+    /// while *every* replica of a fail-over file is down.
     pub fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.reader.pread(offset, buf)
+        let (n, round_trips) = match &self.cache {
+            Some(cache) => cache.read_at(offset, buf)?,
+            None => (self.opened.upstream().pread(offset, buf)?, 1),
+        };
+        self.io.record_read(n as u64, round_trips);
+        Ok(n)
     }
 }
 
@@ -463,7 +443,7 @@ impl RawFile {
     }
 }
 
-/// The wire as a [`Reader`]'s upstream: plain raw reads — scalar for one
+/// The wire as a [`DavFile`]'s upstream: plain raw reads — scalar for one
 /// block run, one multi-range request for scattered runs (§2.3, so a cold
 /// vectored read through the cache still costs a single round trip).
 impl BlockFetch for RawFile {
@@ -486,7 +466,7 @@ impl BlockFetch for RawFile {
     }
 
     /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment
-    /// — non-empty, inside the entity: the [`Reader`] in front has checked.
+    /// — non-empty, inside the entity: the [`DavFile`] in front has checked.
     /// Fragment order is preserved in the result; fragments may overlap.
     fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
         // Merge close fragments into wire ranges: fewer parts, same data.
@@ -521,7 +501,7 @@ impl DavFile {
         let (start, want) = {
             let mut pos = self.pos.lock();
             let start = *pos;
-            let want = (buf.len() as u64).min(self.raw.size.saturating_sub(start));
+            let want = (buf.len() as u64).min(self.size.saturating_sub(start));
             *pos = start + want;
             (start, want as usize)
         };
@@ -547,23 +527,60 @@ impl DavFile {
     }
 
     /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment.
-    /// Fragment order is preserved in the result; fragments may overlap.
+    /// Fragment order is preserved in the result; fragments may overlap. An
+    /// empty fragment list is answered without touching cache, wire or
+    /// counters; a fragment reaching past the entity is an error, never a
+    /// silent truncation.
     ///
     /// With the block cache enabled, fragments are assembled from cached
     /// blocks; whatever is missing is fetched in **one** multi-range
     /// request (block-aligned), so the round-trip profile matches the
-    /// uncached path while repeats become free.
+    /// uncached path while repeats become free. A fail-over file whose
+    /// Metalink is resolved splits the batch across the two fastest healthy
+    /// replicas and fetches it in parallel, failing a batch over on its own
+    /// if its replica dies mid-flight.
     pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        self.reader.pread_vec(fragments)
+        if fragments.is_empty() {
+            return Ok(Vec::new());
+        }
+        let size = self.size;
+        if let Some((off, len)) = fragments.iter().find(|f| f.0.saturating_add(f.1 as u64) > size) {
+            return Err(DavixError::InvalidArgument(format!(
+                "fragment {off}+{len} beyond entity size {size}"
+            )));
+        }
+        let (out, round_trips) = match &self.cache {
+            Some(cache) => cache.read_vec(fragments)?,
+            None => (self.opened.upstream().pread_vec(fragments)?, 1),
+        };
+        let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
+        self.io.record_vector_read(bytes, round_trips);
+        Ok(out)
     }
 
     /// I/O counter snapshot for this file.
     pub fn io_stats(&self) -> IoStatsSnapshot {
-        self.reader.io_stats()
+        self.io.snapshot()
     }
 }
 
-random_access_via_reader!(DavFile);
+impl ioapi::RandomAccess for DavFile {
+    fn size(&self) -> std::io::Result<u64> {
+        Ok(self.size)
+    }
+
+    fn read_at(&self, offset: u64, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.pread(offset, buf).map_err(std::io::Error::from)
+    }
+
+    fn read_vec(&self, fragments: &[(u64, usize)]) -> std::io::Result<Vec<Vec<u8>>> {
+        self.pread_vec(fragments).map_err(std::io::Error::from)
+    }
+
+    fn stats(&self) -> IoStatsSnapshot {
+        self.io.snapshot()
+    }
+}
 
 /// The result of one vectored read while it is assembled: a buffer per
 /// fragment, allocated up front from what the *caller* asked for, filled as
@@ -693,7 +710,7 @@ fn read_exact_stream(r: &mut ResponseStream<'_>, buf: &mut [u8], what: &str) -> 
 
 /// Discard up to `count` body bytes; returns how many were actually skipped
 /// (fewer only if the body ended first).
-fn skip_stream(r: &mut ResponseStream<'_>, count: u64) -> Result<u64> {
+pub(crate) fn skip_stream(r: &mut ResponseStream<'_>, count: u64) -> Result<u64> {
     let mut scratch = [0u8; 8192];
     let mut skipped = 0u64;
     while skipped < count {
@@ -772,7 +789,7 @@ mod tests {
         let (net, client, _) = setup(RangeSupport::MultiRange, Config::default());
         let _g = net.enter();
         let f = client.open("http://s/data/f").unwrap();
-        assert_eq!(f.size_hint().unwrap(), 100_000);
+        assert_eq!(f.size_hint(), 100_000);
         assert!(client.open("http://s/nope").is_err());
     }
 

@@ -60,7 +60,7 @@
 //! ## The read stack
 //!
 //! One request path ([`executor`]) carries every read; above it, every file
-//! read goes through the same four layers, each written once:
+//! read goes through the same three layers, each written once:
 //!
 //! 1. **`RawFile` — the wire** ([`file`](mod@file)): one resource at its
 //!    final URI with the size learned at open. `pread` is one ranged GET
@@ -72,19 +72,19 @@
 //!    [`ReplicaScheduler`] how it went (a failure is recorded, counted in
 //!    `Metrics::failovers` and evicts the suspect file in exactly one
 //!    place) and say whether the error lets another replica try — a
-//!    `ReplicaFile` spares the caller's own errors (`403`, bad argument), a
+//!    fail-over file spares the caller's own errors (`403`, bad argument), a
 //!    multi-stream download blames every error on the replica. Its workers
 //!    run the same step, each over its own map of open files; its size
 //!    discovery is the same walk with the open as the operation.
-//! 3. **`Reader` — the cached-read front** ([`file`](mod@file)): over
-//!    either of the above as its one upstream. Cache bound? Read through it
-//!    and count the upstream fetches it caused as round trips; otherwise
-//!    read upstream and count one. Fragment validation and the handle's
-//!    `IoStats` live here and nowhere else.
-//! 4. **[`DavFile`] / [`ReplicaFile`] — the public faces**: a `Reader` plus
-//!    what is theirs alone (stat data and the sequential cursor; origin,
-//!    scheduler and current replica). Their [`ioapi::RandomAccess`] impls
-//!    are one shared delegation.
+//! 3. **[`DavFile`] — the cached-read front and the one public handle**
+//!    ([`file`](mod@file)): over either of the above as its one upstream,
+//!    whether [`DavixClient::open`] or [`DavixClient::open_failover`]
+//!    opened it. Cache bound? Read through it and count the upstream
+//!    fetches it caused as round trips; otherwise read upstream and count
+//!    one. Fragment validation, the handle's `IoStats`, the size learned at
+//!    open and the sequential cursor live here and nowhere else; the open
+//!    mode only decides the upstream, the cache key and what `uri`,
+//!    `current_uri`, `scheduler` and `stat` report.
 //!
 //! ## Block cache, single-flight dedup and adaptive read-ahead
 //!
@@ -111,8 +111,8 @@
 //!   window of one block, doubling per consecutive read up to 16 blocks
 //!   (a seek resets it). Windows clamp at EOF. Prefetched bytes count in
 //!   [`Metrics::bytes_prefetched`].
-//! * **Fail-over keeps its hits** — [`ReplicaFile`] keys blocks by the
-//!   *origin* resource, not the serving replica, so a replica switch
+//! * **Fail-over keeps its hits** — a fail-over [`DavFile`] keys blocks by
+//!   the *origin* resource, not the serving replica, so a replica switch
 //!   (or a fully dead replica set) still serves every cached byte; the
 //!   per-replica files underneath are the wire layer, which never caches,
 //!   so nothing is stored twice.
@@ -174,13 +174,13 @@
 //! replica list and a health score per replica — an EWMA of observed
 //! latency plus a consecutive-failure blacklist:
 //!
-//! * **Fail-over** ([`DavixClient::open_failover`] → [`ReplicaFile`]) is
+//! * **Fail-over** ([`DavixClient::open_failover`] → [`DavFile`]) is
 //!   the default: one replica serves all reads; on a replica-eligible error
 //!   the Metalink is resolved (once, with the origin filtered out wherever
 //!   it appears) and the operation moves to the scheduler's best surviving
 //!   replica. Pick it for random-access workloads (ROOT-style analysis
 //!   reads) where per-read latency matters and one replica's bandwidth is
-//!   enough. Once the replica set is known, `ReplicaFile::pread_vec`
+//!   enough. Once the replica set is known, [`DavFile::pread_vec`]
 //!   spreads fragment batches over the two fastest healthy replicas.
 //! * **Multi-stream** ([`multistream_download`]) pulls whole entities as
 //!   parallel chunks from several replicas at once. Pick it for bulk
@@ -200,7 +200,7 @@
 //! probe DynaFed's `HealthMonitor` sends) to evict dead replicas and
 //! readmit recovered ones without a caller paying for the discovery.
 //! Scheduler locks are held only to pick a replica or record an outcome —
-//! never across network I/O — so concurrent `pread`s on one `ReplicaFile`
+//! never across network I/O — so concurrent `pread`s on one fail-over file
 //! overlap fully.
 //!
 //! ## Quick start
@@ -230,7 +230,7 @@
 //! let _g = net.enter();
 //! let client = DavixClient::new(net.connector("client"), net.runtime(), Config::default());
 //! let file = client.open("http://dpm.cern.ch/data/events.root").unwrap();
-//! assert_eq!(file.size_hint().unwrap(), 100_000);
+//! assert_eq!(file.size_hint(), 100_000);
 //!
 //! // Vectored read: one round trip for many fragments.
 //! let frags = file.pread_vec(&[(0, 16), (50_000, 16), (99_984, 16)]).unwrap();
@@ -272,7 +272,7 @@ pub use multistream::{
 };
 pub use pool::{Endpoint, SessionPool};
 pub use posix::{DavPosix, DirEntry, FileStat};
-pub use replicas::{ReplicaFile, ReplicaSet};
+pub use replicas::ReplicaSet;
 pub use scheduler::{probe_endpoint, ReplicaHealthSnapshot, ReplicaId, ReplicaScheduler};
 pub use upload::{
     multistream_upload, ChunkSource, FileSource, UploadOptions, UploadProtocol, UploadReport,

@@ -3,10 +3,12 @@
 
 use crate::client::ClientInner;
 use crate::error::{DavixError, Result};
-use crate::executor::{BodyProvider, PreparedRequest};
+use crate::executor::{body_read_error, BodyProvider, PreparedRequest};
+use crate::file::skip_stream;
 use crate::pool::Endpoint;
 use httpwire::uri::percent_decode;
 use httpwire::{Method, StatusCode, Uri};
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 /// Stat result.
@@ -200,6 +202,36 @@ impl DavPosix {
     pub fn get(&self, url: &str) -> Result<Vec<u8>> {
         let uri = self.uri(url)?;
         Ok(self.inner.executor.execute_expect(&PreparedRequest::get(uri), "get")?.body)
+    }
+
+    /// Fetch a whole object into `sink`, streamed: nothing proportional to
+    /// the object is held in memory. A reset or stall mid-body sends the
+    /// GET again within the same retry budget as [`get`](Self::get); the
+    /// new body is read past the bytes `sink` already holds, and refused
+    /// if its ETag or length differs from the first one's. Returns the
+    /// bytes written. An error from `sink` ends the download at once.
+    pub fn get_into(&self, url: &str, sink: &mut dyn Write) -> io::Result<u64> {
+        let req = PreparedRequest::get(self.uri(url)?);
+        let (mut written, mut first, mut buf) = (0u64, None, vec![0u8; 64 * 1024]);
+        self.inner.executor.with_retries(&req, None, |stream| {
+            let mut stream = stream.expect_success("get")?;
+            let head = &stream.head().headers;
+            let entity = (head.get("etag").map(str::to_owned), head.content_length()?);
+            if *first.get_or_insert_with(|| entity.clone()) != entity
+                || skip_stream(&mut stream, written)? < written
+            {
+                return Err(DavixError::Protocol(format!("{url} changed between attempts")));
+            }
+            loop {
+                match stream.read(&mut buf).map_err(body_read_error)? {
+                    0 => return Ok(Ok(written)),
+                    n => match sink.write_all(&buf[..n]) {
+                        Ok(()) => written += n as u64,
+                        Err(e) => return Ok(Err(e)),
+                    },
+                }
+            }
+        })?
     }
 
     /// Store a whole object (PUT), buffered in memory. For large objects

@@ -1,16 +1,18 @@
 //! Metalink-driven replica fail-over (§2.4, the default "fail-over"
 //! strategy).
 //!
-//! A [`ReplicaFile`] behaves like a [`DavFile`](crate::DavFile), but when an operation fails
-//! with a replica-eligible error it (lazily, once) fetches the resource's
-//! Metalink and fails over through the replica list. The paper's guarantee:
-//! *a read succeeds as long as one replica is reachable and referenced.*
+//! A [`DavFile`](crate::DavFile) opened with
+//! [`DavixClient::open_failover`](crate::DavixClient::open_failover) reads
+//! like any other, but when an operation fails with a replica-eligible
+//! error it (lazily, once) fetches the resource's Metalink and fails over
+//! through the replica list. The paper's guarantee: *a read succeeds as
+//! long as one replica is reachable and referenced.*
 //!
 //! In the read stack (crate docs, "The read stack") this is the optional
 //! layer between the wire and the cached-read front: `ReplicaCore` is the
-//! upstream of a [`ReplicaFile`]'s `Reader`, and `Failover::attempt` is the
-//! one fail-over step — also run by the multi-stream download's workers;
-//! its size discovery is the same `Failover::walk` with the open as the
+//! upstream of a fail-over `DavFile`, and `Failover::attempt` is the one
+//! fail-over step — also run by the multi-stream download's workers; its
+//! size discovery is the same `Failover::walk` with the open as the
 //! operation.
 //!
 //! Replica choice is delegated to a shared [`ReplicaScheduler`]: the
@@ -28,12 +30,11 @@ use crate::cache::BlockFetch;
 use crate::client::ClientInner;
 use crate::error::{DavixError, Result};
 use crate::executor::PreparedRequest;
-use crate::file::{random_access_via_reader, RawFile, Reader};
+use crate::file::RawFile;
 use crate::iopool::map_ordered;
 use crate::metrics::Metrics;
 use crate::scheduler::{same_resource, ReplicaId, ReplicaScheduler};
 use httpwire::Uri;
-use ioapi::IoStatsSnapshot;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -42,26 +43,14 @@ use std::time::Duration;
 /// Healthy replicas one vectored read spreads its fragment batch across.
 const FANOUT: usize = 2;
 
-/// A remote file with transparent Metalink fail-over: a `Reader` over the
-/// replica walk.
-///
-/// With the client's block cache enabled, reads are served from cached
-/// blocks **keyed by the origin resource** — not by whichever replica
-/// fetched them — so a fail-over or scheduler re-rank keeps every hit.
-/// The per-replica `RawFile`s underneath never cache: bytes are cached
-/// exactly once, at this layer.
-pub struct ReplicaFile {
-    core: Arc<ReplicaCore>,
-    reader: Reader,
-}
-
 /// The fail-over layer of the read stack: runs one operation against the
-/// scheduler-ranked replicas. It is the [`BlockFetch`] under a
-/// [`ReplicaFile`]'s [`Reader`], so the block cache's prefetch jobs drive
+/// scheduler-ranked replicas. It is the [`BlockFetch`] under a fail-over
+/// [`DavFile`](crate::DavFile), so the block cache's prefetch jobs drive
 /// the same fail-over path as foreground reads.
-struct ReplicaCore {
-    fo: Failover,
-    origin: Uri,
+pub(crate) struct ReplicaCore {
+    pub(crate) fo: Failover,
+    /// The origin URL the file was opened from.
+    pub(crate) origin: Uri,
     state: Mutex<Walked>,
 }
 
@@ -76,7 +65,7 @@ struct Walked {
 
 /// One caller's fail-over context: the client, the scheduler that ranks the
 /// replicas, this caller's open file per replica, and which errors it blames
-/// on the replica. A [`ReplicaFile`] shares one between all its readers;
+/// on the replica. A fail-over `DavFile` shares one between all its readers;
 /// every multistream worker has its own (so does the download's size
 /// discovery).
 pub(crate) struct Failover {
@@ -87,7 +76,7 @@ pub(crate) struct Failover {
     /// wire. In-flight clones on other threads survive an eviction.
     files: Mutex<HashMap<ReplicaId, Arc<RawFile>>>,
     /// The errors that are the replica's failure and send the operation on
-    /// to the next one. A `ReplicaFile` spares the caller's own errors
+    /// to the next one. A fail-over `DavFile` spares the caller's own errors
     /// ([`DavixError::is_failover_candidate`]: a `403` on the origin is the
     /// answer, not a reason to ask around); a multi-stream download was
     /// handed its replicas and blames every error — one site refusing it
@@ -199,77 +188,7 @@ impl Failover {
     }
 }
 
-impl ReplicaFile {
-    /// Open `origin`, falling back to replicas immediately if the origin is
-    /// unreachable.
-    pub(crate) fn new(inner: Arc<ClientInner>, origin: Uri) -> Result<ReplicaFile> {
-        let scheduler = inner.replica_scheduler(vec![origin.clone()]);
-        let core = Arc::new(ReplicaCore {
-            fo: Failover::new(inner, scheduler, DavixError::is_failover_candidate),
-            origin,
-            state: Mutex::new(Walked { current: None, resolved: false }),
-        });
-        // Force an open so size is known; fail-over may already kick in here.
-        let size = core.with_file(|f| Ok(f.size))?;
-        // Keyed by the *origin* (+ size): blocks fetched from replica A
-        // keep hitting after a fail-over to replica B. ETags are
-        // deliberately absent from the key — replicas of one logical
-        // resource routinely disagree on them.
-        let key = || format!("replica:{}|{}", core.origin, size);
-        let reader = Reader::new(&core.fo.inner, Arc::clone(&core) as _, size, key);
-        Ok(ReplicaFile { core, reader })
-    }
-
-    /// The origin URL this file was opened from.
-    pub fn origin(&self) -> &Uri {
-        &self.core.origin
-    }
-
-    /// The shared health scheduler ranking this file's replicas.
-    pub fn scheduler(&self) -> &Arc<ReplicaScheduler> {
-        &self.core.fo.scheduler
-    }
-
-    /// URI of the replica that served the last successful operation.
-    pub fn current_uri(&self) -> Uri {
-        let current = self.core.state.lock().current;
-        current
-            .and_then(|id| self.core.fo.scheduler.uri(id))
-            .unwrap_or_else(|| self.core.origin.clone())
-    }
-
-    /// Entity size (from whichever replica answered first).
-    pub fn size_hint(&self) -> Result<u64> {
-        self.core.with_file(|f| Ok(f.size))
-    }
-
-    /// Positional read with fail-over. Cached blocks short-circuit the
-    /// replica walk entirely — a read whose bytes are resident succeeds
-    /// even while *every* replica is down.
-    pub fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize> {
-        self.reader.pread(offset, buf)
-    }
-
-    /// Vectored read with fail-over. Once the Metalink is resolved and more
-    /// than one replica is healthy, the fragment batch is split across the
-    /// two fastest healthy replicas and fetched in parallel — aggregate
-    /// bandwidth for large analysis reads, with per-batch fail-over if a
-    /// replica dies mid-flight. With the
-    /// block cache enabled, only the *missing* blocks go upstream (through
-    /// the same fail-over/fan-out machinery, in one vectored request).
-    pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        self.reader.pread_vec(fragments)
-    }
-
-    /// I/O counters for this file.
-    pub fn io_stats(&self) -> IoStatsSnapshot {
-        self.reader.io_stats()
-    }
-}
-
-random_access_via_reader!(ReplicaFile);
-
-/// The replica walk as a [`Reader`]'s upstream: every read runs through
+/// The replica walk as a fail-over `DavFile`'s upstream: every read runs through
 /// fail-over, so a prefetch issued while a replica dies simply lands from
 /// the next one. A vectored read also fans out (when possible) — the
 /// uncached §2.4 path and the cache's vectored upstream alike.
@@ -293,6 +212,27 @@ impl BlockFetch for ReplicaCore {
 }
 
 impl ReplicaCore {
+    /// Open `origin` for fail-over reads: a walk over a scheduler that
+    /// knows only the origin until the Metalink is resolved, and the entity
+    /// size from whichever replica answered first.
+    pub(crate) fn open(inner: Arc<ClientInner>, origin: Uri) -> Result<(Arc<ReplicaCore>, u64)> {
+        let scheduler = inner.replica_scheduler(vec![origin.clone()]);
+        let core = Arc::new(ReplicaCore {
+            fo: Failover::new(inner, scheduler, DavixError::is_failover_candidate),
+            origin,
+            state: Mutex::new(Walked { current: None, resolved: false }),
+        });
+        // Force an open so the size is known; fail-over may kick in here.
+        let size = core.with_file(|f| Ok(f.size))?;
+        Ok((core, size))
+    }
+
+    /// URI of the replica that served the last successful operation.
+    pub(crate) fn current_uri(&self) -> Uri {
+        let current = self.state.lock().current;
+        current.and_then(|id| self.fo.scheduler.uri(id)).unwrap_or_else(|| self.origin.clone())
+    }
+
     /// The replicas a vectored read should fan out over, or `None` for the
     /// plain single-replica path (unresolved Metalink, or not enough healthy
     /// replicas / fragments to split).
@@ -374,7 +314,7 @@ impl ReplicaCore {
     ///
     /// No lock is held while `op` runs: the file handle is cloned out of the
     /// map and the operation goes to the wire lock-free, so concurrent
-    /// operations on this `ReplicaFile` overlap fully.
+    /// operations on one fail-over `DavFile` overlap fully.
     fn with_file<T>(&self, mut op: impl FnMut(&RawFile) -> Result<T>) -> Result<T> {
         let mut tried: Vec<ReplicaId> = Vec::new();
         let mut last_err: Option<DavixError> = None;

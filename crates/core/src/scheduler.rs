@@ -1,11 +1,12 @@
 //! Shared replica scheduling with health scoring.
 //!
-//! Both §2.4 strategies — fail-over ([`ReplicaFile`]) and multi-stream
-//! ([`multistream_download`]) — need the same decision made over and over:
-//! *which replica should serve the next operation?* The seed code answered
-//! it statically (walk the Metalink list in order; round-robin streams at
-//! spawn time), which ignores everything the client learns while running:
-//! which replicas are dead, which are slow, which just recovered.
+//! Both §2.4 strategies — fail-over ([`DavixClient::open_failover`]) and
+//! multi-stream ([`multistream_download`]) — need the same decision made
+//! over and over: *which replica should serve the next operation?* The
+//! seed code answered it statically (walk the Metalink list in order;
+//! round-robin streams at spawn time), which ignores everything the client
+//! learns while running: which replicas are dead, which are slow, which
+//! just recovered.
 //!
 //! [`ReplicaScheduler`] centralizes that knowledge. It owns the replica
 //! list plus per-replica health state:
@@ -26,7 +27,7 @@
 //! *record* an outcome — never across network I/O — so any number of
 //! threads can be in flight against any mix of replicas at once.
 //!
-//! [`ReplicaFile`]: crate::ReplicaFile
+//! [`DavixClient::open_failover`]: crate::DavixClient::open_failover
 //! [`multistream_download`]: crate::multistream_download
 
 use crate::config::Config;

@@ -42,8 +42,6 @@
 #![forbid(unsafe_code)]
 
 mod conn;
-pub mod router;
 pub mod server;
 
-pub use router::Router;
 pub use server::{Handler, HttpServer, Request, Response, ServerConfig, ServerStats};

@@ -29,7 +29,7 @@ fn main() {
     let client = tb.davix_client(cfg);
 
     let file = client.open_failover(&tb.url(0)).expect("open");
-    println!("opened {} ({} bytes)", file.current_uri(), file.size_hint().unwrap());
+    println!("opened {} ({} bytes)", file.current_uri(), file.size_hint());
 
     let mut buf = vec![0u8; 64];
     file.pread(0, &mut buf).unwrap();

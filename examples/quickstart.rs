@@ -25,7 +25,7 @@ fn main() {
     let url = tb.url(0);
     println!("opening {url}");
     let file = client.open(&url).expect("open");
-    println!("  size: {} bytes", file.size_hint().unwrap());
+    println!("  size: {} bytes", file.size_hint());
 
     // Scalar positional read.
     let mut buf = [0u8; 16];

@@ -258,7 +258,7 @@ fn cached_blocks_survive_replica_switch() {
     );
 }
 
-/// The cached `ReplicaFile::pread_vec` keeps the uncached EOF contract: an
+/// A cached fail-over file's `pread_vec` keeps the uncached EOF contract: an
 /// out-of-range fragment errors instead of silently truncating.
 #[test]
 fn cached_replica_pread_vec_rejects_out_of_bounds() {
@@ -290,7 +290,7 @@ fn stat_probes_size_when_head_has_no_content_length() {
     assert_eq!(st.etag.as_deref(), Some("\"v7\""));
     // DavFile::open over the same server also recovers (the seed errored).
     let f = client.open("http://s/f").unwrap();
-    assert_eq!(f.size_hint().unwrap(), 54_321);
+    assert_eq!(f.size_hint(), 54_321);
     assert_eq!(f.stat().etag.as_deref(), Some("\"v7\""));
 }
 

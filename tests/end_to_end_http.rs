@@ -23,7 +23,7 @@ fn sim_full_read_and_vectored_read() {
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default());
     let f = client.open(&tb.url(0)).unwrap();
-    assert_eq!(f.size_hint().unwrap(), data.len() as u64);
+    assert_eq!(f.size_hint(), data.len() as u64);
 
     // Whole file via posix get.
     let got = client.posix().get(&tb.url(0)).unwrap();
@@ -127,7 +127,7 @@ fn real_tcp_roundtrip_same_client_code() {
     let client = DavixClient::new(Arc::new(netsim::TcpConnector), rt, Config::default());
     let url = format!("http://127.0.0.1:{port}{DATA_PATH}");
     let f = client.open(&url).unwrap();
-    assert_eq!(f.size_hint().unwrap(), data.len() as u64);
+    assert_eq!(f.size_hint(), data.len() as u64);
     let frags: Vec<(u64, usize)> = (0..32).map(|i| (i * 3000, 50)).collect();
     let got = f.pread_vec(&frags).unwrap();
     for (g, &(off, len)) in got.iter().zip(&frags) {

@@ -84,7 +84,7 @@ fn unavailability_window_fails_then_recovers() {
     assert!(client.open(&tb.url(0)).is_err());
     tb.nodes[0].handler.set_unavailable(false);
     let f = client.open(&tb.url(0)).unwrap();
-    assert_eq!(f.size_hint().unwrap(), data.len() as u64);
+    assert_eq!(f.size_hint(), data.len() as u64);
 }
 
 /// A hand-mounted handler that 302-redirects `/old/*` to `/data/*` on a

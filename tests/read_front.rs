@@ -1,12 +1,12 @@
-//! The one cached-read front (`Reader`) under both public file types: every
-//! row of the table below must return the same bytes and move `IoStats` the
-//! same way whether it runs on a `DavFile` or a `ReplicaFile`, cached or
-//! not — `round_trips` being the upstream fetches when a cache is bound and
-//! 1 per read when not. Plus the regression for `DavFile::read` wedging the
-//! simulator when two threads share one cursor.
+//! The one cached-read front (`DavFile`) however it was opened: every row of
+//! the table below must return the same bytes and move `IoStats` the same
+//! way on a file opened directly or with fail-over, cached or not —
+//! `round_trips` being the upstream fetches when a cache is bound and 1 per
+//! read when not. Plus the regression for `DavFile::read` wedging the
+//! simulator when two threads share one cursor, on both kinds of open.
 
 use bytes::Bytes;
-use davix::{Config, DavFile, DavixError, ReplicaFile};
+use davix::{Config, DavFile, DavixClient, DavixError};
 use davix_repro::testbed::{Testbed, TestbedConfig};
 use davix_sync::{AtomicUsize, Ordering};
 use ioapi::{IoStatsSnapshot, RandomAccess};
@@ -29,32 +29,11 @@ fn testbed(data: &[u8]) -> Testbed {
     })
 }
 
-/// The two public faces of the read stack behind one calling convention.
-enum Face {
-    Dav(DavFile),
-    Replica(ReplicaFile),
-}
-
-impl Face {
-    fn pread(&self, offset: u64, buf: &mut [u8]) -> davix::Result<usize> {
-        match self {
-            Face::Dav(f) => f.pread(offset, buf),
-            Face::Replica(f) => f.pread(offset, buf),
-        }
-    }
-
-    fn pread_vec(&self, fragments: &[(u64, usize)]) -> davix::Result<Vec<Vec<u8>>> {
-        match self {
-            Face::Dav(f) => f.pread_vec(fragments),
-            Face::Replica(f) => f.pread_vec(fragments),
-        }
-    }
-
-    fn ra(&self) -> &dyn RandomAccess {
-        match self {
-            Face::Dav(f) => f,
-            Face::Replica(f) => f,
-        }
+/// Open the testbed's file directly or with fail-over.
+fn open(client: &DavixClient, tb: &Testbed, failover: bool) -> DavFile {
+    match failover {
+        false => client.open(&tb.url(0)).unwrap(),
+        true => client.open_failover(&tb.url(0)).unwrap(),
     }
 }
 
@@ -140,12 +119,12 @@ fn table() -> Vec<Row> {
     ]
 }
 
-fn run(face: &Face, op: &Op, data: &[u8]) -> Vec<Vec<u8>> {
+fn run(file: &DavFile, op: &Op, data: &[u8]) -> Vec<Vec<u8>> {
     let slice = |(off, len): (u64, usize)| data[off as usize..off as usize + len].to_vec();
     match *op {
         Op::Pread { offset, len, expect } => {
             let mut buf = vec![0u8; len];
-            assert_eq!(face.pread(offset, &mut buf).unwrap(), expect);
+            assert_eq!(file.pread(offset, &mut buf).unwrap(), expect);
             buf.truncate(expect);
             if expect > 0 {
                 assert_eq!(buf, slice((offset, expect)));
@@ -153,12 +132,12 @@ fn run(face: &Face, op: &Op, data: &[u8]) -> Vec<Vec<u8>> {
             vec![buf]
         }
         Op::PreadVec(frags) => {
-            let got = face.pread_vec(frags).unwrap();
+            let got = file.pread_vec(frags).unwrap();
             assert_eq!(got, frags.iter().map(|&f| slice(f)).collect::<Vec<_>>());
             got
         }
         Op::BeyondEof(frags) => {
-            let err = face.pread_vec(frags).unwrap_err();
+            let err = file.pread_vec(frags).unwrap_err();
             assert!(matches!(err, DavixError::InvalidArgument(_)), "{err}");
             Vec::new()
         }
@@ -175,25 +154,27 @@ fn every_face_reads_the_same_bytes_and_counts_the_same_way() {
     for row in table() {
         let mut bytes: Vec<Vec<Vec<u8>>> = Vec::new();
         for (cfg, is_cached) in [(&plain, false), (&cached, true)] {
-            for replica in [false, true] {
+            for failover in [false, true] {
                 // A fresh client per cell: nothing is warm, nothing is shared.
                 let client = tb.davix_client(cfg.clone());
-                let face = match replica {
-                    false => Face::Dav(client.open(&tb.url(0)).unwrap()),
-                    true => Face::Replica(client.open_failover(&tb.url(0)).unwrap()),
-                };
-                let cell = format!("{} / replica={replica} cached={is_cached}", row.name);
-                assert_eq!(face.ra().size().unwrap(), SIZE as u64, "{cell}");
-                let before = face.ra().stats();
-                bytes.push(run(&face, &row.op, &data));
+                let file = open(&client, &tb, failover);
+                let cell = format!("{} / failover={failover} cached={is_cached}", row.name);
+                assert_eq!(file.size().unwrap(), SIZE as u64, "{cell}");
+                assert_eq!(file.scheduler().is_some(), failover, "{cell}");
+                // Replicas disagree on ETags: only a direct open reports one.
+                let stat = file.stat();
+                assert_eq!((stat.size, stat.is_dir), (SIZE as u64, false), "{cell}");
+                assert_eq!(stat.etag.is_some(), !failover, "{cell}");
+                let before = file.stats();
+                bytes.push(run(&file, &row.op, &data));
                 let want = match is_cached {
                     false => row.uncached,
                     true => IoStatsSnapshot { round_trips: row.cached_round_trips, ..row.uncached },
                 };
-                assert_eq!(face.ra().stats().since(&before), want, "{cell}");
+                assert_eq!(file.stats().since(&before), want, "{cell}");
             }
         }
-        assert!(bytes.windows(2).all(|w| w[0] == w[1]), "{}: faces disagree", row.name);
+        assert!(bytes.windows(2).all(|w| w[0] == w[1]), "{}: the opens disagree", row.name);
     }
 }
 
@@ -202,9 +183,16 @@ fn every_face_reads_the_same_bytes_and_counts_the_same_way() {
 /// a mutex the scheduler cannot see: virtual time never advances, and the
 /// stall watchdog never fires because the net is never quiescent — the test
 /// hangs. With the window claimed under the lock and read after releasing
-/// it, the eight reads finish in virtual milliseconds.
+/// it, the eight reads finish in virtual milliseconds — on either kind of
+/// open, a fail-over file having the same cursor.
 #[test]
 fn two_threads_sharing_one_cursor_finish_in_virtual_milliseconds() {
+    for failover in [false, true] {
+        two_threads_share_one_cursor(failover);
+    }
+}
+
+fn two_threads_share_one_cursor(failover: bool) {
     const READERS: usize = 2;
     const READS: usize = 4;
     const LEN: usize = 1_000;
@@ -212,7 +200,7 @@ fn two_threads_sharing_one_cursor_finish_in_virtual_milliseconds() {
     let tb = testbed(&data);
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
-    let file = Arc::new(client.open(&tb.url(0)).unwrap());
+    let file = Arc::new(open(&client, &tb, failover));
 
     let done = tb.net.runtime().signal();
     let live = Arc::new(AtomicUsize::new(READERS));
@@ -242,21 +230,31 @@ fn two_threads_sharing_one_cursor_finish_in_virtual_milliseconds() {
     }
     done.wait(None);
     let elapsed = tb.net.now() - t0;
-    assert!(elapsed < Duration::from_millis(100), "eight LAN reads took {elapsed:?}");
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "failover={failover}: eight reads took {elapsed:?}"
+    );
     assert_eq!(file.tell(), (READERS * READS * LEN) as u64);
     // Disjoint, consecutive windows: each one read exactly once.
     assert!(claimed.iter().all(|c| c.load(Ordering::SeqCst) == 1), "{claimed:?}");
 }
 
 /// A single-threaded caller keeps the old contract: a failed `read` leaves
-/// the cursor where it was.
+/// the cursor where it was — also when every replica of a fail-over file
+/// is down.
 #[test]
 fn a_failed_read_gives_its_window_back() {
+    for failover in [false, true] {
+        a_failed_read_leaves_the_cursor(failover);
+    }
+}
+
+fn a_failed_read_leaves_the_cursor(failover: bool) {
     let data = payload();
     let tb = testbed(&data);
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
-    let file = client.open(&tb.url(0)).unwrap();
+    let file = open(&client, &tb, failover);
     let mut buf = vec![0u8; 300];
     assert_eq!(file.read(&mut buf).unwrap(), 300);
     tb.net.set_host_down("dpm1.cern.ch", true);

@@ -38,7 +38,7 @@ fn fed_config() -> Config {
     Config::default().no_retry().with_metalink_base(format!("http://{FED}/myfed").parse().unwrap())
 }
 
-/// THE lock-across-I/O regression test: two `pread`s on one `ReplicaFile`
+/// THE lock-across-I/O regression test: two `pread`s on one fail-over file
 /// against a server that takes 100 ms per request must overlap in (virtual)
 /// time. The seed code held the replica state mutex across the network
 /// operation, serializing them to ≥ 200 ms.
@@ -112,7 +112,7 @@ fn multistream_survives_head_failure_on_first_replica() {
 /// `403` to everything is stepped over by the size discovery and by every
 /// worker, like any other failing replica — a multi-stream download was
 /// handed its replicas, so one refusing must not stop the others serving.
-/// (A `ReplicaFile` keeps the opposite rule for its origin: a `403` there is
+/// (A fail-over file keeps the opposite rule for its origin: a `403` there is
 /// the answer, not a reason to ask around.)
 #[test]
 fn multistream_steps_over_a_replica_that_denies_access() {
@@ -202,6 +202,37 @@ fn dead_origin_in_mid_list_position_is_not_retried() {
     // three fail-overs.
     assert_eq!(m.failovers, 2, "dead origin must not be retried from the Metalink");
     assert_eq!(m.metalinks_fetched, 1);
+}
+
+/// The size of a fail-over file is learned once, at open. Asking for it
+/// again walks no replica: a walk per `size_hint()` (and so per
+/// `RandomAccess::size()`) would record a 0 s success each time, resetting
+/// the failure streak and dragging the latency EWMA towards zero, and could
+/// send a HEAD or fail after an eviction although the size is known.
+#[test]
+fn asking_a_failover_file_its_size_walks_no_replica() {
+    let data = payload(100_000);
+    let tb = Testbed::start(TestbedConfig {
+        replicas: vec![("dpm1.cern.ch".to_string(), LinkSpec::wan())],
+        data: Bytes::from(data.clone()),
+        ..Default::default()
+    });
+    let _g = tb.net.enter();
+    let client = tb.davix_client(Config::default().no_retry());
+    let file = client.open_failover(&tb.url(0)).unwrap();
+    let mut buf = vec![0u8; 1000];
+    assert_eq!(file.pread(0, &mut buf).unwrap(), 1000);
+    assert_eq!(buf, &data[..1000]);
+
+    let scheduler = file.scheduler().expect("a fail-over file has a scheduler");
+    let health = format!("{:?}", scheduler.snapshot());
+    let requests = client.metrics().requests;
+    for _ in 0..10 {
+        assert_eq!(file.size_hint(), 100_000);
+        assert_eq!(ioapi::RandomAccess::size(&file).unwrap(), 100_000);
+    }
+    assert_eq!(format!("{:?}", scheduler.snapshot()), health, "size calls moved the scheduler");
+    assert_eq!(client.metrics().requests, requests, "size calls went to the network");
 }
 
 /// Checksum algorithms must match case-insensitively: a Metalink declaring
@@ -350,14 +381,14 @@ fn pread_vec_splits_batches_across_healthy_replicas() {
 /// Open the origin with `cfg`, kill it so the first read resolves the
 /// Metalink, then bring it back: the scheduler knows all three replicas and
 /// rates them healthy, so the next vectored read fans out.
-fn resolved_replica_file(tb: &Testbed, cfg: Config) -> (davix::DavixClient, davix::ReplicaFile) {
+fn resolved_replica_file(tb: &Testbed, cfg: Config) -> (davix::DavixClient, davix::DavFile) {
     let client = tb.davix_client(cfg);
     let file = client.open_failover(&tb.url(0)).unwrap();
     tb.net.set_host_down("dpm1.cern.ch", true);
     let mut buf = vec![0u8; 100];
     file.pread(0, &mut buf).unwrap();
     tb.net.set_host_down("dpm1.cern.ch", false);
-    assert_eq!(file.scheduler().healthy_count(), 3);
+    assert_eq!(file.scheduler().unwrap().healthy_count(), 3);
     (client, file)
 }
 
