@@ -22,11 +22,22 @@
 //! payload happens to arrive in the same read as a head or a framing line,
 //! which is then copied into the body. Once `rbuf` is drained and
 //! [`BodyFrames::payload`] says payload is next, the transport is read
-//! straight into the body buffer — as much as the frame allows, up to
-//! [`BODY_READ_MAX`] a call, and never a byte past the frame, so a
-//! pipelined request behind a body still lands in `rbuf`.
-//! That is what the blocking client does with the same codec call, and it
-//! makes a large upload one copy (kernel to body) instead of three.
+//! straight onto the end of the body by
+//! [`try_read_spare`](netsim::Pollable::try_read_spare): as much as the
+//! frame allows, up to [`BODY_READ_MAX`] a call, and never a byte past the
+//! frame, so a pipelined request behind a body still lands in `rbuf`. On a
+//! socket that is one `recv(2)` into the body's spare capacity, with
+//! nothing zeroed first. That is what the blocking client does with the
+//! same codec call, and it makes a large upload one copy (kernel to body)
+//! instead of three.
+//!
+//! **Each body byte is digested once, as it lands.** Both ways into the
+//! body feed the request's running [`Digests`] with the bytes just
+//! appended, while they are still in cache, and the handler gets the
+//! finished `(crc32, adler32)` through
+//! [`handle_digested`](crate::Handler::handle_digested). A storage handler
+//! that checks and keeps those digests does not read a large upload a
+//! second time, cold.
 //!
 //! **The output queue.** Unsent output is a queue of segments in wire order
 //! ([`Output`]): buffers serialised here (heads, the interim `100 Continue`,
@@ -53,6 +64,7 @@ use bytes::Bytes;
 use davix_sync::Ordering;
 use httpwire::codec::{parse_request_head, request_body_len, BodyFrames, BodyLen, Frame, HeadScan};
 use httpwire::{Method, RequestHead, StatusCode, Version, WireError};
+use ioapi::checksum::Digests;
 use netsim::{BoxedStream, DriveOutcome, Driven, Signal, Stream};
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -62,7 +74,7 @@ use std::time::Duration;
 
 /// Bytes read from the transport into `rbuf` per `try_read` call.
 const READ_CHUNK: usize = 16 * 1024;
-/// Most body payload read straight into the body buffer per `try_read` call.
+/// Most body payload read straight onto the body per `try_read_spare` call.
 const BODY_READ_MAX: usize = 256 * 1024;
 /// A response body at least this long is queued as the handler's own `Bytes`
 /// behind its head; a shorter one is copied in after the head, so a small
@@ -88,9 +100,10 @@ enum Phase {
     /// byte and covering head and body alike). `incoming` is `None` until
     /// the head has been parsed.
     Request { since: Duration, incoming: Option<Incoming> },
-    /// Request fully read; dispatch the handler at `at` (the configured
-    /// `process_delay` is a timer deadline, not a sleeping thread).
-    Respond { req: Option<Request>, at: Duration },
+    /// Request fully read, its body's `(crc32, adler32)` in `digests`;
+    /// dispatch the handler at `at` (the configured `process_delay` is a
+    /// timer deadline, not a sleeping thread).
+    Respond { req: Option<Request>, digests: (u32, u32), at: Duration },
     /// Final response queued; flush and close (bounded by a drain timeout).
     Closing { since: Duration },
 }
@@ -98,33 +111,29 @@ enum Phase {
 /// A request whose head has been parsed and whose body is being collected.
 struct Incoming {
     head: RequestHead,
-    /// `body[..filled]` is payload; what lies behind it is the zeroed rest
-    /// of a landing area a direct read did not fill (zeroed once, reused by
-    /// the next read).
+    /// The payload that has arrived, every byte of it: reads append to it
+    /// and nothing lies behind its length. Its capacity is reserved from
+    /// the head (see [`MAX_BODY_RESERVE`]) or grows as payload arrives.
     body: Vec<u8>,
-    filled: usize,
+    /// The running `(crc32, adler32)` of `body`, fed by each append.
+    digests: Digests,
     frames: BodyFrames,
 }
 
 impl Incoming {
-    /// Append payload that arrived through `rbuf`.
+    /// Append payload that arrived through `rbuf`, and digest it.
     fn push(&mut self, src: &[u8]) {
-        let over = src.len().min(self.body.len() - self.filled);
-        self.body[self.filled..self.filled + over].copy_from_slice(&src[..over]);
-        self.body.extend_from_slice(&src[over..]);
-        self.filled += src.len();
+        self.body.extend_from_slice(src);
+        self.digests.update(src);
         self.frames.advance(src.len() as u64);
     }
 
     /// Read up to `max` payload bytes (what the frame has left) from the
-    /// transport straight into the body buffer.
+    /// transport onto the end of the body, and digest them as they land.
     fn read_payload(&mut self, stream: &mut dyn Stream, max: u64) -> io::Result<usize> {
-        let end = self.filled + max.min(BODY_READ_MAX as u64) as usize;
-        if self.body.len() < end {
-            self.body.resize(end, 0);
-        }
-        let n = stream.try_read(&mut self.body[self.filled..end])?;
-        self.filled += n;
+        let start = self.body.len();
+        let n = stream.try_read_spare(&mut self.body, max.min(BODY_READ_MAX as u64) as usize)?;
+        self.digests.update(&self.body[start..]);
         self.frames.advance(n as u64);
         Ok(n)
     }
@@ -393,7 +402,7 @@ impl HttpConn {
                     BodyLen::Fixed(n) => Vec::with_capacity(n.min(MAX_BODY_RESERVE) as usize),
                     BodyLen::Chunked | BodyLen::Close => Vec::with_capacity(READ_CHUNK),
                 };
-                *incoming = Some(Incoming { head, body, filled: 0, frames });
+                *incoming = Some(Incoming { head, body, digests: Digests::new(), frames });
             }
             return Ok(true);
         };
@@ -417,18 +426,22 @@ impl HttpConn {
         if complete {
             // Dispatch after the configured processing delay (zero means
             // the same drive call dispatches).
-            let Some(Incoming { head, mut body, filled, .. }) = incoming.take() else {
+            let Some(Incoming { head, body, digests, .. }) = incoming.take() else {
                 unreachable!()
             };
-            body.truncate(filled);
             let req = Request { head, body, peer: self.peer.clone() };
-            self.phase = Phase::Respond { req: Some(req), at: now + self.server.cfg.process_delay };
+            self.phase = Phase::Respond {
+                req: Some(req),
+                digests: digests.finish(),
+                at: now + self.server.cfg.process_delay,
+            };
         }
         Ok(complete)
     }
 
-    /// Run the handler and queue its response.
-    fn dispatch(&mut self, req: Request, now: Duration) {
+    /// Run the handler on a request and its body's digests, and queue its
+    /// response.
+    fn dispatch(&mut self, req: Request, digests: (u32, u32), now: Duration) {
         self.served += 1;
         self.server.stats.requests.fetch_add(1, Ordering::Relaxed);
         let method = req.head.method.clone();
@@ -436,7 +449,8 @@ impl HttpConn {
         // The one place a handler runs: one that panics costs its request
         // a `500` and its connection, not the shard and every connection on
         // it.
-        let handle = std::panic::AssertUnwindSafe(|| self.server.handler.handle(req));
+        let handle =
+            std::panic::AssertUnwindSafe(|| self.server.handler.handle_digested(req, digests));
         let resp = std::panic::catch_unwind(handle).unwrap_or_else(|_| {
             self.server.stats.handler_panics.fetch_add(1, Ordering::Relaxed);
             Response { close: true, ..Response::error(StatusCode::INTERNAL_SERVER_ERROR) }
@@ -513,9 +527,9 @@ impl HttpConn {
         if now < *at {
             return Step::Park; // the timer wheel wakes us at `at`
         }
-        let Phase::Respond { req, .. } = &mut self.phase else { unreachable!() };
-        let req = req.take().expect("request dispatched exactly once");
-        self.dispatch(req, now);
+        let Phase::Respond { req, digests, .. } = &mut self.phase else { unreachable!() };
+        let (req, digests) = (req.take().expect("request dispatched exactly once"), *digests);
+        self.dispatch(req, digests, now);
         Step::Again
     }
 
@@ -588,8 +602,10 @@ impl Driven for HttpConn {
 mod tests {
     use super::*;
     use crate::server::ServerConfig;
+    use crate::Handler;
     use davix_sync::AtomicUsize;
-    use netsim::{LinkSpec, Pollable, Runtime, SimNet, SimStream};
+    use ioapi::checksum::crc32_adler32;
+    use netsim::{LinkSpec, Pollable, Runtime, SimNet, SimStream, TcpStreamWrap};
     use std::io::{Cursor, Read, Write};
     use std::sync::Mutex;
 
@@ -647,8 +663,41 @@ mod tests {
 
     const MIB: usize = 1024 * 1024;
 
-    /// `(target, body)` of every request the handler saw.
-    type Seen = Vec<(String, Vec<u8>)>;
+    /// `(target, body, digests)` of every request the handler saw; the
+    /// digests are `None` when the connection called plain `handle`.
+    type Seen = Vec<(String, Vec<u8>, Option<(u32, u32)>)>;
+
+    /// Records every request it sees, then answers `GET /big/N` with 1 MiB,
+    /// `GET /mid` with 100 KiB and anything else with `ok`.
+    struct Recorder(Arc<Mutex<Seen>>);
+
+    impl Recorder {
+        fn answer(&self, req: Request, digests: Option<(u32, u32)>) -> Response {
+            let target = req.head.target.clone();
+            self.0.lock().unwrap().push((target.clone(), req.body, digests));
+            match target.strip_prefix("/big/") {
+                Some(n) => Response::with_body(
+                    StatusCode::OK,
+                    "application/octet-stream",
+                    pattern(MIB, n.parse().unwrap()),
+                ),
+                None if target == "/mid" => {
+                    Response::with_body(StatusCode::OK, "x/y", pattern(100 * 1024, 0))
+                }
+                None => Response::text(StatusCode::OK, "ok"),
+            }
+        }
+    }
+
+    impl Handler for Recorder {
+        fn handle(&self, req: Request) -> Response {
+            self.answer(req, None)
+        }
+
+        fn handle_digested(&self, req: Request, digests: (u32, u32)) -> Response {
+            self.answer(req, Some(digests))
+        }
+    }
 
     /// `n` bytes no two windows of which look alike.
     fn pattern(n: usize, salt: u8) -> Vec<u8> {
@@ -657,8 +706,7 @@ mod tests {
 
     /// One server connection over the simulated network, driven by hand:
     /// the test decides what has arrived before each `drive` and can look
-    /// inside the connection between calls. `GET /big/N` answers 1 MiB,
-    /// `GET /mid` 100 KiB, anything else `ok`.
+    /// inside the connection between calls. A [`Recorder`] answers.
     struct Rig<'a> {
         net: &'a SimNet,
         client: SimStream,
@@ -684,27 +732,12 @@ mod tests {
             let client = net.connect("client", "server", port).unwrap();
             let (stream, peer) = listener.accept_sim().unwrap();
             let seen = Arc::new(Mutex::new(Vec::new()));
-            let log = Arc::clone(&seen);
-            let handler = move |req: Request| {
-                let target = req.head.target.clone();
-                log.lock().unwrap().push((target.clone(), req.body));
-                match target.strip_prefix("/big/") {
-                    Some(n) => Response::with_body(
-                        StatusCode::OK,
-                        "application/octet-stream",
-                        pattern(MIB, n.parse().unwrap()),
-                    ),
-                    None if target == "/mid" => {
-                        Response::with_body(StatusCode::OK, "x/y", pattern(100 * 1024, 0))
-                    }
-                    None => Response::text(StatusCode::OK, "ok"),
-                }
-            };
+            let handler = Arc::new(Recorder(Arc::clone(&seen)));
             let try_reads = Arc::new(AtomicUsize::new(0));
             let conn = HttpConn::new(
                 Box::new(CountReads(Box::new(stream), Arc::clone(&try_reads))),
                 peer,
-                HttpServer::new(Arc::new(handler), ServerConfig::default()),
+                HttpServer::new(handler, ServerConfig::default()),
                 rt.now(),
             );
             Rig { net, client, conn, done: false, seen, try_reads }
@@ -824,6 +857,11 @@ mod tests {
                 assert_eq!(seen.len(), 2, "{what}, cut at {cut}: requests dispatched");
                 assert!(seen[0].0 == "/put" && seen[0].1 == body, "{what}, cut at {cut}: body");
                 assert!(seen[1].0 == "/next" && seen[1].1.is_empty(), "{what}, cut at {cut}");
+                // The digests taken as the body landed, whichever way each
+                // byte came in, are those of the whole body.
+                let digests = [seen[0].2, seen[1].2];
+                let want = [Some(crc32_adler32(body)), Some(crc32_adler32(b""))];
+                assert_eq!(digests, want, "{what}, cut at {cut}: digests");
             }
         }
     }
@@ -848,13 +886,65 @@ mod tests {
     }
 
     #[test]
+    fn a_request_pipelined_behind_a_body_is_not_read_into_it_over_tcp() {
+        // A socket reads into the body's spare capacity, and a body that
+        // grew as it arrived has more of that than its frame has left: the
+        // read must still stop at the frame, or it swallows the next
+        // request.
+        const K: usize = 1024;
+        let long = pattern(300 * K, 5);
+        // (sent sized rather than chunked, the chunks).
+        let puts: [(bool, &[&[u8]]); 3] = [
+            (false, &[&long[..100 * K], &long[100 * K..150 * K]]),
+            (true, &[&long]),
+            (false, &[&long[..20 * K], &long[20 * K..90 * K], &long[..5 * K]]),
+        ];
+        let (mut wire, mut want) = (Vec::new(), Vec::new());
+        for (i, (sized, chunks)) in puts.into_iter().enumerate() {
+            let body = chunks.concat();
+            let put = if sized { put_sized("/put", &body) } else { put_chunked("/put", chunks) };
+            wire.extend_from_slice(&put);
+            wire.extend_from_slice(&get(&format!("/next/{i}")));
+            want.push(("/put".to_string(), body));
+            want.push((format!("/next/{i}"), Vec::new()));
+        }
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, peer) = listener.accept().unwrap();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let handler = Arc::new(Recorder(Arc::clone(&seen)));
+        let server = HttpServer::new(handler, ServerConfig::default());
+        let stream = Box::new(TcpStreamWrap::new(stream));
+        let mut conn = HttpConn::new(stream, peer.to_string(), server, Duration::ZERO);
+        // The client stays open until the server has read it all.
+        let writer = std::thread::spawn(move || client.write_all(&wire).map(|()| client));
+        let start = std::time::Instant::now();
+        while seen.lock().unwrap().len() < want.len() && start.elapsed() < Duration::from_secs(10) {
+            if matches!(conn.drive(start.elapsed()), DriveOutcome::Done) {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(writer.join().unwrap());
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), want.len(), "requests dispatched");
+        for (i, ((target, body, digests), (want_target, want_body))) in
+            seen.iter().zip(&want).enumerate()
+        {
+            assert_eq!(target, want_target, "request {i}");
+            assert!(body == want_body, "request {i} ({target}): a {}-byte body", body.len());
+            assert_eq!(*digests, Some(crc32_adler32(want_body)), "request {i}: digests");
+        }
+    }
+
+    #[test]
     fn a_peer_that_leaves_mid_body_is_dropped_without_dispatch() {
         let net = sim();
         let _g = net.enter();
         let mut rig = Rig::new(&net, 80);
         let wire = put_sized("/put", &pattern(100 * 1024, 0));
         rig.feed(&wire[..wire.len() - 10]);
-        assert_eq!(rig.incoming().filled, 100 * 1024 - 10);
+        assert_eq!(rig.incoming().body.len(), 100 * 1024 - 10);
         rig.client.shutdown_write().unwrap();
         rig.net.sleep(Duration::from_millis(5));
         rig.drive();
@@ -870,10 +960,9 @@ mod tests {
         rig.feed(b"PUT /put HTTP/1.1\r\nHost: server\r\nContent-Length: 1099511627776\r\n\r\n");
         rig.feed(&[b'x'; 1024]);
         let inc = rig.incoming();
-        assert_eq!(inc.filled, 1024);
-        // Touched memory: what arrived plus one landing area. The rest is a
-        // reservation nothing has written to, and that is capped too.
-        assert!(inc.body.len() <= 1024 + BODY_READ_MAX, "{} bytes touched", inc.body.len());
+        // The body holds what arrived. The rest is a reservation, and that
+        // is capped.
+        assert_eq!(inc.body.len(), 1024);
         assert!(inc.body.capacity() as u64 <= MAX_BODY_RESERVE);
         assert!(rig.seen.lock().unwrap().is_empty());
     }
@@ -1002,6 +1091,7 @@ mod tests {
         assert_eq!(got[2], (200, Some(2), b"ok".to_vec()));
         assert_eq!(got[3].0, 400);
         assert!(rig.done, "a rejection closes the connection once it has drained");
-        assert_eq!(rig.seen.lock().unwrap()[1], ("/put".to_string(), b"abc".to_vec()));
+        let seen = rig.seen.lock().unwrap();
+        assert!(seen[1].0 == "/put" && seen[1].1 == b"abc");
     }
 }

@@ -87,6 +87,17 @@ impl Response {
 pub trait Handler: Send + Sync {
     /// Produce the response for one request.
     fn handle(&self, req: Request) -> Response;
+
+    /// [`handle`](Handler::handle) for a request whose body the server
+    /// digested as it arrived: `digests` is `(crc32, adler32)` of
+    /// `req.body`, as [`ioapi::checksum::crc32_adler32`] gives them. The
+    /// connection calls this one; a handler that checks or stores body
+    /// digests overrides it and need not read the body again. The default
+    /// drops the digests and calls `handle`.
+    fn handle_digested(&self, req: Request, digests: (u32, u32)) -> Response {
+        let _ = digests;
+        self.handle(req)
+    }
 }
 
 impl<F> Handler for F

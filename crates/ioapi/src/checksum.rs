@@ -4,10 +4,11 @@
 //!
 //! Each algorithm has a kernel that takes the running state and returns it
 //! — the CRC register, or Adler's `(a, b)` — so [`crc32`], [`adler32`] and
-//! [`crc32_adler32`] all drive the same kernels. [`crc32_adler32`] reads a
-//! payload from memory once for the two digests a stored object carries:
-//! in one fused loop where the CPU runs it, otherwise by feeding both
-//! kernels 32 KiB at a time.
+//! [`Digests`] all drive the same kernels. [`Digests`] reads a payload
+//! once for the two digests a stored object carries, in as many pieces as
+//! the payload arrives in: in one fused loop where the CPU runs it,
+//! otherwise by feeding both kernels 32 KiB at a time. [`crc32_adler32`]
+//! is one [`Digests`] over a whole payload.
 //!
 //! On x86-64 the kernels are vector code (the `x86` module, the one place
 //! in the crate allowed `unsafe`), each chosen at run time by the CPU's
@@ -26,7 +27,7 @@
 //!   kernel of the same shape: a second vector kernel bought nothing, as
 //!   the portable kernel already covers every CPU without AVX2. An AVX-512
 //!   Adler-32 alone was no faster, so [`adler32`] stays on AVX2.
-//! - [`crc32_adler32`] from 256 bytes on runs one fused AVX-512 loop when
+//! - [`Digests`] runs one fused AVX-512 loop on pieces from 256 bytes on when
 //!   the CPU also reports `avx512bw` and `avx512vnni`: each 64-byte load
 //!   feeds a `VPCLMULQDQ` CRC lane and the Adler-32 sums (`vpsadbw` for the
 //!   byte sums, `vpdpbusd` against weights 64…1 into four independent
@@ -62,23 +63,69 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc32_update(CRC_INIT, data) ^ CRC_INIT
 }
 
-/// Both digests of `data`, `(crc32, adler32)`, in one pass: the fused
-/// AVX-512 kernel where it runs; otherwise each 32 KiB goes through both
-/// kernels while it is still in cache.
+/// Both digests of `data`, `(crc32, adler32)`, in one pass: one
+/// [`Digests::update`] over all of it.
 pub fn crc32_adler32(data: &[u8]) -> (u32, u32) {
-    let (mut crc, mut adler) = (CRC_INIT, ADLER_INIT);
-    #[cfg(target_arch = "x86_64")]
-    if let Some((crc, adler)) = x86::crc32_adler32(crc, adler, data) {
-        return (crc ^ CRC_INIT, adler32_finish(adler));
-    }
-    for chunk in data.chunks(PAIR_CHUNK) {
-        crc = crc32_update(crc, chunk);
-        adler = adler32_update(adler, chunk);
-    }
-    (crc ^ CRC_INIT, adler32_finish(adler))
+    let mut digests = Digests::new();
+    digests.update(data);
+    digests.finish()
 }
 
-/// What [`crc32_adler32`] hands each kernel at a time: well inside L2.
+/// The running `(crc32, adler32)` of bytes taken in any number of pieces,
+/// so that a payload can be digested as it arrives, while each piece is
+/// still in cache: updating over any chunking of a payload finishes as
+/// [`crc32_adler32`] of the whole.
+#[derive(Debug, Clone, Copy)]
+pub struct Digests {
+    crc: u32,
+    adler: AdlerState,
+}
+
+impl Default for Digests {
+    fn default() -> Self {
+        Digests::new()
+    }
+}
+
+impl Digests {
+    /// The digests of no bytes.
+    pub const fn new() -> Digests {
+        Digests { crc: CRC_INIT, adler: ADLER_INIT }
+    }
+
+    /// Take `data` after everything taken so far: the fused AVX-512 kernel
+    /// where it runs; otherwise each 32 KiB goes through both kernels while
+    /// it is still in cache.
+    pub fn update(&mut self, data: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some((crc, adler)) = x86::crc32_adler32(self.crc, self.adler, data) {
+            (self.crc, self.adler) = (crc, adler);
+            return;
+        }
+        self.update_by(data, crc32_update, adler32_update);
+    }
+
+    /// [`update`](Digests::update) through the given kernels, 32 KiB a
+    /// piece each.
+    fn update_by(
+        &mut self,
+        data: &[u8],
+        crc: fn(u32, &[u8]) -> u32,
+        adler: fn(AdlerState, &[u8]) -> AdlerState,
+    ) {
+        for chunk in data.chunks(PAIR_CHUNK) {
+            self.crc = crc(self.crc, chunk);
+            self.adler = adler(self.adler, chunk);
+        }
+    }
+
+    /// `(crc32, adler32)` of everything taken.
+    pub fn finish(&self) -> (u32, u32) {
+        (self.crc ^ CRC_INIT, adler32_finish(self.adler))
+    }
+}
+
+/// What [`Digests::update`] hands each kernel at a time: well inside L2.
 const PAIR_CHUNK: usize = 32 << 10;
 
 /// Adler-32's running state: `(a, b)`, each reduced mod [`ADLER_MOD`].
@@ -365,7 +412,11 @@ mod tests {
 
     /// `len` bytes of a linear-congruential stream.
     fn pseudo_random(len: usize) -> Vec<u8> {
-        let mut x = 2014u64;
+        seeded(2014, len)
+    }
+
+    /// `len` bytes of the linear-congruential stream from `seed`.
+    fn seeded(mut x: u64, len: usize) -> Vec<u8> {
         (0..len)
             .map(|_| {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -573,13 +624,7 @@ mod tests {
             len in 0usize..100_000,
             cuts in proptest::collection::vec(0usize..100_000, 0..8),
         ) {
-            let mut x = seed;
-            let data: Vec<u8> = (0..len)
-                .map(|_| {
-                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (x >> 33) as u8
-                })
-                .collect();
+            let data = seeded(seed, len);
             let whole = (crc32(&data), adler32(&data));
             proptest::prop_assert_eq!(crc32_adler32(&data), whole);
             let portable = (
@@ -610,6 +655,31 @@ mod tests {
             }
             proptest::prop_assert_eq!((crc ^ CRC_INIT, adler32_finish(adler)), whole);
             proptest::prop_assert_eq!(folded, whole);
+        }
+
+        /// A `Digests` updated piece by piece — on the path `update`
+        /// dispatches to and on the portable kernels alone — finishes as
+        /// the one-shot `crc32_adler32` of the whole, however the pieces
+        /// fall (empty ones included).
+        #[test]
+        fn digests_over_any_chunking_equal_the_one_shot(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..100_000,
+            cuts in proptest::collection::vec(0usize..100_000, 0..12),
+        ) {
+            let data = seeded(seed, len);
+            let whole = crc32_adler32(&data);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
+            cuts.push(len);
+            cuts.sort_unstable();
+            let (mut start, mut dispatched, mut portable) = (0, Digests::new(), Digests::new());
+            for &end in &cuts {
+                dispatched.update(&data[start..end]);
+                portable.update_by(&data[start..end], crc32_portable, adler32_portable);
+                start = end;
+            }
+            proptest::prop_assert_eq!(dispatched.finish(), whole, "dispatched, cuts {:?}", cuts);
+            proptest::prop_assert_eq!(portable.finish(), whole, "portable, cuts {:?}", cuts);
         }
     }
 

@@ -75,8 +75,9 @@
 //! assert!(net.now() >= Duration::from_millis(1)); // at least 2 LAN RTTs
 //! ```
 
-// `unsafe` is confined to the `poll(2)` FFI call (`reactor::sys`), the
-// one function that allows it, with a `// SAFETY:` comment.
+// `unsafe` is confined to the `poll(2)` and `recv(2)` FFI calls
+// (`reactor::sys`), the two functions that allow it, each with a
+// `// SAFETY:` comment.
 #![deny(unsafe_code)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 

@@ -242,8 +242,8 @@ impl Signal for TaskWaker {
 // ---------------------------------------------------------------------------
 
 #[cfg(unix)]
-mod sys {
-    use std::os::raw::{c_int, c_ulong};
+pub(crate) mod sys {
+    use std::os::raw::{c_int, c_ulong, c_void};
 
     #[repr(C)]
     pub struct PollFd {
@@ -259,6 +259,7 @@ mod sys {
     // avoids a dependency on the libc crate.
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        fn recv(fd: c_int, buf: *mut c_void, len: usize, flags: c_int) -> isize;
     }
 
     /// Safe wrapper: waits until any fd is ready or `timeout_ms` passes
@@ -276,6 +277,31 @@ mod sys {
                 return Ok(0);
             }
             return Err(e);
+        }
+        Ok(n as usize)
+    }
+
+    /// One recv(2) from the socket `fd` into the spare capacity of `buf`:
+    /// at most `max` bytes, appended. `buf` grows first if it has less
+    /// than `max` spare; an error leaves its length as it was.
+    #[allow(unsafe_code)]
+    pub fn recv_spare(fd: c_int, buf: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+        buf.reserve(max);
+        let spare = &mut buf.spare_capacity_mut()[..max];
+        // SAFETY: `spare` is an exclusively borrowed run of `max` bytes of
+        // `buf`'s allocation; recv(2) writes at most `max` bytes there and
+        // keeps no pointer after it returns. On success it has initialised
+        // the first `n` ≤ `max` of them, so `buf.len() + n` stays within
+        // the capacity and covers only initialised bytes.
+        let n = unsafe {
+            let n = recv(fd, spare.as_mut_ptr().cast(), max, 0);
+            if n >= 0 {
+                buf.set_len(buf.len() + n as usize);
+            }
+            n
+        };
+        if n < 0 {
+            return Err(std::io::Error::last_os_error());
         }
         Ok(n as usize)
     }

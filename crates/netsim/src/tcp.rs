@@ -52,6 +52,19 @@ impl Pollable for TcpStreamWrap {
         }
     }
 
+    /// One recv(2) straight into `buf`'s spare capacity: no fill, no copy.
+    #[cfg(unix)]
+    fn try_read_spare(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+        use std::os::unix::io::AsRawFd;
+        self.ensure_nonblocking()?;
+        loop {
+            match crate::reactor::sys::recv_spare(self.inner.as_raw_fd(), buf, max) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                r => return r,
+            }
+        }
+    }
+
     fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.ensure_nonblocking()?;
         loop {

@@ -33,6 +33,19 @@ pub trait Pollable {
         Err(io::Error::new(io::ErrorKind::Unsupported, "transport is not pollable"))
     }
 
+    /// [`try_read`](Pollable::try_read) onto the end of `buf`: appends at
+    /// most `max` bytes and returns how many. On `WouldBlock` or any other
+    /// error `buf.len()` is as it was. The default zero-extends `buf` by
+    /// `max`, reads into that and truncates; a transport that can read
+    /// into the vector's spare capacity overrides it and skips the fill.
+    fn try_read_spare(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+        let start = buf.len();
+        buf.resize(start + max, 0);
+        let read = self.try_read(&mut buf[start..]);
+        buf.truncate(start + *read.as_ref().unwrap_or(&0));
+        read
+    }
+
     /// Non-blocking write. `Err(WouldBlock)` means the send window / socket
     /// buffer is full; a short `Ok(n)` is normal.
     fn try_write(&mut self, _buf: &[u8]) -> io::Result<usize> {
@@ -174,7 +187,8 @@ pub trait Runtime: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tcp::RealRuntime;
+    use crate::sim::SimNet;
+    use crate::tcp::{RealRuntime, TcpStreamWrap};
 
     #[test]
     fn real_runtime_signal_roundtrip() {
@@ -196,6 +210,73 @@ mod tests {
         let sig2 = Arc::clone(&sig);
         rt.spawn("setter", Box::new(move || sig2.set()));
         assert!(sig.wait(Some(Duration::from_secs(5))));
+    }
+
+    /// Drive `try_read_spare` on `reader`, whose peer is `writer`, calling
+    /// `settle` to let what was sent arrive: exact bytes appended, never
+    /// more than `max` a call, no change on `WouldBlock`, `0` at EOF.
+    fn spare_reads_append_what_arrived(
+        reader: &mut dyn Stream,
+        writer: &mut dyn Stream,
+        settle: &dyn Fn(),
+    ) {
+        const MAX: usize = 300;
+        // More spare capacity than `MAX`, behind bytes that must stay.
+        let mut buf = Vec::with_capacity(1 << 20);
+        buf.extend_from_slice(b"head");
+        let would_block =
+            |r: io::Result<usize>| matches!(r, Err(e) if e.kind() == io::ErrorKind::WouldBlock);
+        assert!(would_block(reader.try_read_spare(&mut buf, MAX)), "nothing sent yet");
+        assert_eq!(buf, b"head");
+        let sent: Vec<u8> = (0..1000u32).map(|i| (i * 7 % 251) as u8).collect();
+        writer.write_all(&sent).unwrap();
+        let mut tries = 0;
+        while buf.len() < 4 + sent.len() {
+            settle();
+            let before = buf.len();
+            match reader.try_read_spare(&mut buf, MAX) {
+                Ok(n) => {
+                    assert!(n > 0 && n <= MAX, "{n} bytes in one read of at most {MAX}");
+                    assert_eq!(buf.len(), before + n);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => assert_eq!(buf.len(), before),
+                Err(e) => panic!("read failed: {e}"),
+            }
+            tries += 1;
+            assert!(tries < 1000, "the bytes sent never arrived");
+        }
+        assert_eq!(&buf[..4], b"head");
+        assert!(buf[4..] == sent[..], "the bytes sent, in order");
+        assert!(would_block(reader.try_read_spare(&mut buf, MAX)), "all of it was read");
+        writer.shutdown_write().unwrap();
+        let eof = loop {
+            settle();
+            match reader.try_read_spare(&mut buf, MAX) {
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+                r => break r.unwrap(),
+            }
+        };
+        assert_eq!((eof, buf.len()), (0, 4 + sent.len()), "EOF appends nothing");
+    }
+
+    #[test]
+    fn try_read_spare_appends_at_most_max_on_tcp_and_on_the_simulator() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        let (mut reader, mut writer) = (TcpStreamWrap::new(server), TcpStreamWrap::new(client));
+        let pause = || std::thread::sleep(Duration::from_millis(2));
+        spare_reads_append_what_arrived(&mut reader, &mut writer, &pause);
+
+        let net = SimNet::new();
+        net.add_host("a");
+        net.add_host("b");
+        let listener = net.bind("b", 80).unwrap();
+        let _g = net.enter();
+        let mut writer = net.connect("a", "b", 80).unwrap();
+        let (mut reader, _) = listener.accept_sim().unwrap();
+        let settle = || net.sleep(Duration::from_millis(5));
+        spare_reads_append_what_arrived(&mut reader, &mut writer, &settle);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   and `MOVE` it over the final one, so readers never observe a partial
 //!   object.
 
-use crate::checksum::{crc32, to_hex};
+use crate::checksum::to_hex;
 use crate::store::ObjectStore;
 use bytes::Bytes;
 use davix_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -27,7 +27,7 @@ use httpwire::multipart::{MultipartWriter, MULTIPART_BYTERANGES};
 use httpwire::range::parse_range_header;
 use httpwire::uri::percent_encode_path;
 use httpwire::{ContentRange, HeaderMap, Method, StatusCode};
-use ioapi::checksum::crc32_adler32;
+use ioapi::checksum::{adler32_combine, crc32_adler32, crc32_combine};
 use metalink::xml::Element;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -84,7 +84,8 @@ const MAX_PENDING_ENTITY: u64 = 1 << 30;
 /// One S3-style multipart upload in flight.
 struct PendingMultipart {
     path: String,
-    parts: BTreeMap<u32, Bytes>,
+    /// Each part's bytes and their `(crc32, adler32)`, by part number.
+    parts: BTreeMap<u32, (Bytes, (u32, u32))>,
 }
 
 /// One segmented (ranged-PUT) upload in flight.
@@ -139,6 +140,9 @@ pub struct StorageHandler {
     upload_counter: AtomicU64,
     multipart: Mutex<HashMap<u64, PendingMultipart>>,
     segments: Mutex<HashMap<String, PendingSegments>>,
+    /// Body bytes this handler digested itself rather than being handed
+    /// their digests (see [`cold_digested_bytes`](Self::cold_digested_bytes)).
+    cold_digested: AtomicU64,
 }
 
 impl StorageHandler {
@@ -153,7 +157,23 @@ impl StorageHandler {
             upload_counter: AtomicU64::new(0),
             multipart: Mutex::new(HashMap::new()),
             segments: Mutex::new(HashMap::new()),
+            cold_digested: AtomicU64::new(0),
         }
+    }
+
+    /// Body bytes this handler has read a second time to digest them: those
+    /// of a request that came through plain [`handle`](httpd::Handler::handle)
+    /// rather than with the digests the server took as the body arrived,
+    /// and those of each segmented upload it assembled. A plain or
+    /// multipart upload through a running server adds nothing.
+    pub fn cold_digested_bytes(&self) -> u64 {
+        self.cold_digested.load(Ordering::Relaxed)
+    }
+
+    /// `(crc32, adler32)` of `data`, read once more here, and counted.
+    fn digest_cold(&self, data: &[u8]) -> (u32, u32) {
+        self.cold_digested.fetch_add(data.len() as u64, Ordering::Relaxed);
+        crc32_adler32(data)
     }
 
     /// Toggle 503-for-everything mode (node "offline" at the HTTP level).
@@ -173,7 +193,7 @@ impl StorageHandler {
             let mp = self.multipart.lock();
             stats.multipart_uploads = mp.len();
             for p in mp.values() {
-                stats.staged_bytes += p.parts.values().map(|b| b.len() as u64).sum::<u64>();
+                stats.staged_bytes += p.parts.values().map(|(b, _)| b.len() as u64).sum::<u64>();
                 stats.paths.push(p.path.clone());
             }
         }
@@ -264,11 +284,19 @@ impl StorageHandler {
         Response::with_body(StatusCode::OK, "application/xml", result.to_xml().into_bytes())
     }
 
-    /// `PUT {path}?uploadId=I&partNumber=N` — store one part. Pending
+    /// `PUT {path}?uploadId=I&partNumber=N` — store one part with its
+    /// `digests`, `(crc32, adler32)`; the CRC is its ETag. Pending
     /// parts are bounded by the same [`MAX_PENDING_ENTITY`] budget as
     /// segmented uploads (and a part-count cap), so an abandoned or
     /// malicious upload cannot grow the node's memory without limit.
-    fn put_part(&self, id: &str, part: Option<&str>, path: &str, body: Vec<u8>) -> Response {
+    fn put_part(
+        &self,
+        id: &str,
+        part: Option<&str>,
+        path: &str,
+        body: Vec<u8>,
+        digests: (u32, u32),
+    ) -> Response {
         const MAX_PARTS: usize = 10_000;
         let Ok(id) = id.parse::<u64>() else {
             return Response::error(StatusCode::BAD_REQUEST);
@@ -283,25 +311,25 @@ impl StorageHandler {
         if pending.path != path {
             return Response::error(StatusCode::BAD_REQUEST);
         }
-        let replaced = pending.parts.get(&n).map(Bytes::len).unwrap_or(0);
-        let resident: usize = pending.parts.values().map(Bytes::len).sum();
+        let replaced = pending.parts.get(&n).map(|(b, _)| b.len()).unwrap_or(0);
+        let resident: usize = pending.parts.values().map(|(b, _)| b.len()).sum();
         if resident - replaced + body.len() > MAX_PENDING_ENTITY as usize
             || (replaced == 0 && pending.parts.len() >= MAX_PARTS)
         {
             return Response::error(StatusCode::BAD_REQUEST); // EntityTooLarge
         }
-        let data = Bytes::from(body);
-        let etag = format!("\"{}\"", to_hex(crc32(&data)));
-        pending.parts.insert(n, data);
-        Response::empty(StatusCode::OK).header("ETag", etag)
+        pending.parts.insert(n, (Bytes::from(body), digests));
+        Response::empty(StatusCode::OK).header("ETag", format!("\"{}\"", to_hex(digests.0)))
     }
 
     /// `POST {path}?uploadId=I` — assemble the listed parts and commit.
     ///
-    /// When the request carries `Digest: adler32=…`, the digest of the
-    /// *assembled* entity is verified first; a mismatch answers `409` (with
-    /// the observed digest in a `Digest` header) and commits **nothing** —
-    /// the pending upload stays aborted-or-retryable.
+    /// The entity's digests are the parts' digests folded in part order,
+    /// not a read of the assembled bytes. When the request carries
+    /// `Digest: adler32=…`, that digest of the *assembled* entity is
+    /// verified first; a mismatch answers `409` (with the observed digest
+    /// in a `Digest` header) and commits **nothing** — the pending upload
+    /// stays aborted-or-retryable.
     fn complete_multipart(&self, req: &Request, path: &str) -> Response {
         let Some(id) = Self::query_param(req, "uploadId").and_then(|v| v.parse::<u64>().ok())
         else {
@@ -322,9 +350,9 @@ impl StorageHandler {
             return Response::error(StatusCode::BAD_REQUEST);
         }
         // Snapshot the listed parts (refcounted `Bytes` clones) and drop
-        // the lock before the heavy work: assembling + digesting a large
-        // entity must not stall every other in-flight upload's part PUTs.
-        let parts: Vec<Bytes> = {
+        // the lock before the heavy work: assembling a large entity must
+        // not stall every other in-flight upload's part PUTs.
+        let parts: Vec<(Bytes, (u32, u32))> = {
             let uploads = self.multipart.lock();
             let Some(pending) = uploads.get(&id) else {
                 return Response::error(StatusCode::NOT_FOUND);
@@ -341,12 +369,14 @@ impl StorageHandler {
             }
             parts
         };
-        let mut assembled = Vec::with_capacity(parts.iter().map(Bytes::len).sum());
-        for part in &parts {
+        let mut assembled = Vec::with_capacity(parts.iter().map(|(b, _)| b.len()).sum());
+        let mut digests = crc32_adler32(&[]);
+        for (part, (crc, adler)) in &parts {
             assembled.extend_from_slice(part);
+            let len = part.len() as u64;
+            digests =
+                (crc32_combine(digests.0, *crc, len), adler32_combine(digests.1, *adler, len));
         }
-        // One pass gives the digest to verify and both the store keeps.
-        let digests = crc32_adler32(&assembled);
         let got = to_hex(digests.1);
         if let Some(conflict) = digest_conflict(&req.head.headers, &got) {
             // The pending upload is kept so the client can abort (or
@@ -401,7 +431,8 @@ impl StorageHandler {
         if let Some(data) = done {
             segments.remove(path);
             drop(segments);
-            let replaced = self.store.put(path, Bytes::from(data));
+            let digests = self.digest_cold(&data);
+            let replaced = self.store.put_digested(path, Bytes::from(data), digests);
             if replaced {
                 Response::empty(StatusCode::NO_CONTENT)
             } else {
@@ -412,20 +443,20 @@ impl StorageHandler {
         }
     }
 
-    /// PUT dispatch: part, segment or whole-object store. A whole object
-    /// is digested once, checked against its `Digest`, then committed.
-    fn do_put(&self, req: Request, path: &str) -> Response {
+    /// PUT dispatch: part, segment or whole-object store, `digests` being
+    /// the body's `(crc32, adler32)`. A whole object is checked against its
+    /// `Digest`, then committed with them.
+    fn do_put(&self, req: Request, path: &str, digests: (u32, u32)) -> Response {
         let upload_id = Self::query_param(&req, "uploadId").map(str::to_string);
         let part = Self::query_param(&req, "partNumber").map(str::to_string);
         let content_range = req.head.headers.get("content-range").map(str::to_string);
         let body = req.body;
         if let Some(id) = upload_id {
-            return self.put_part(&id, part.as_deref(), path, body);
+            return self.put_part(&id, part.as_deref(), path, body, digests);
         }
         if let Some(cr) = content_range {
             return self.put_segment(&cr, path, &body);
         }
-        let digests = crc32_adler32(&body);
         if let Some(conflict) = digest_conflict(&req.head.headers, &to_hex(digests.1)) {
             return conflict;
         }
@@ -622,7 +653,13 @@ pub fn wants_metalink(req: &Request) -> bool {
 }
 
 impl httpd::Handler for StorageHandler {
+    /// A request whose body nobody digested yet: digest it here, once.
     fn handle(&self, req: Request) -> Response {
+        let digests = self.digest_cold(&req.body);
+        self.handle_digested(req, digests)
+    }
+
+    fn handle_digested(&self, req: Request, digests: (u32, u32)) -> Response {
         if self.unavailable.load(Ordering::SeqCst) {
             return Response::error(StatusCode::SERVICE_UNAVAILABLE).header("Retry-After", "1");
         }
@@ -636,7 +673,7 @@ impl httpd::Handler for StorageHandler {
         let path = req.decoded_path();
         match req.head.method {
             Method::Get | Method::Head => self.get_like(&req, &path),
-            Method::Put => self.do_put(req, &path),
+            Method::Put => self.do_put(req, &path, digests),
             Method::Post => {
                 if Self::query_flag(&req, "uploads") {
                     self.initiate_multipart(&path)
@@ -668,7 +705,7 @@ impl httpd::Handler for StorageHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::adler32;
+    use crate::checksum::{adler32, crc32};
     use httpd::Handler;
     use httpwire::multipart::{boundary_from_content_type, MultipartReader};
     use httpwire::RequestHead;
@@ -953,7 +990,10 @@ mod tests {
             req.body = data.to_vec();
             let r = h.handle(req);
             assert_eq!(r.status, StatusCode::OK);
-            assert!(r.headers.contains("etag"));
+            assert_eq!(
+                r.headers.get("etag"),
+                Some(format!("\"{}\"", to_hex(crc32(data))).as_str())
+            );
         }
         // Nothing visible before the complete.
         assert_eq!(
@@ -1001,15 +1041,19 @@ mod tests {
     fn s3_multipart_digest_mismatch_conflicts_and_commits_nothing() {
         let h = handler_with(RangeSupport::MultiRange);
         let id = initiate(&h, "/up/bad.bin");
-        let mut req = request(Method::Put, &format!("/up/bad.bin?uploadId={id}&partNumber=1"), &[]);
-        req.body = b"corrupted".to_vec();
-        assert_eq!(h.handle(req).status, StatusCode::OK);
+        // Two parts, so the digest that fails is the fold of theirs.
+        for (n, data) in [(1, &b"corr"[..]), (2, b"upted")] {
+            let target = format!("/up/bad.bin?uploadId={id}&partNumber={n}");
+            let mut req = request(Method::Put, &target, &[]);
+            req.body = data.to_vec();
+            assert_eq!(h.handle(req).status, StatusCode::OK);
+        }
         let mut req = request(
             Method::Post,
             &format!("/up/bad.bin?uploadId={id}"),
             &[("Digest", &format!("adler32={}", to_hex(adler32(b"pristine"))))],
         );
-        req.body = complete_xml(&[1]);
+        req.body = complete_xml(&[1, 2]);
         let r = h.handle(req);
         assert_eq!(r.status, StatusCode::CONFLICT);
         assert_eq!(

@@ -76,6 +76,77 @@ mod tests {
     }
 
     #[test]
+    fn an_upload_through_a_running_node_is_hashed_once_as_it_arrives() {
+        use httpd::{Handler, Request};
+        use httpwire::{Method, RequestHead};
+        use std::io::{BufRead, BufReader, Read, Write};
+        let net = netsim::SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        let node = StorageNode::start(
+            Arc::new(ObjectStore::new()),
+            Box::new(net.bind("s", 80).unwrap()),
+            net.runtime(),
+            StorageOptions::default(),
+            ServerConfig::default(),
+        );
+        let _g = net.enter();
+        let conn = net.connect("c", "s", 80).unwrap();
+        let mut w = netsim::Stream::try_clone(&conn).unwrap();
+        let mut r = BufReader::new(conn);
+        // Send one request and return the status and body of its answer.
+        let mut exchange = |head: String, body: &[u8]| {
+            w.write_all(&[head.as_bytes(), body].concat()).unwrap();
+            let (mut status, mut len, mut line) = (String::new(), 0, String::new());
+            r.read_line(&mut status).unwrap();
+            while line != "\r\n" {
+                line.clear();
+                r.read_line(&mut line).unwrap();
+                if let Some(v) = line.strip_prefix("Content-Length: ") {
+                    len = v.trim().parse().unwrap();
+                }
+            }
+            let mut answer = vec![0u8; len];
+            r.read_exact(&mut answer).unwrap();
+            (status[9..12].to_string(), String::from_utf8(answer).unwrap())
+        };
+        let put = |target: &str, len: usize| {
+            format!("PUT {target} HTTP/1.1\r\nHost: s\r\nContent-Length: {len}\r\n\r\n")
+        };
+        let body: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        assert_eq!(exchange(put("/whole", body.len()), &body).0, "201");
+        // A multipart upload of the same bytes in three parts.
+        let (_, xml) = exchange("POST /parts?uploads HTTP/1.1\r\nHost: s\r\n\r\n".into(), b"");
+        let id = &xml[xml.find("<UploadId>").unwrap() + 10..xml.find("</UploadId>").unwrap()];
+        for (n, part) in body.chunks(120_000).enumerate() {
+            let target = format!("/parts?uploadId={id}&partNumber={}", n + 1);
+            assert_eq!(exchange(put(&target, part.len()), part).0, "200");
+        }
+        let list: String =
+            (1..=3).map(|n| format!("<Part><PartNumber>{n}</PartNumber></Part>")).collect();
+        let list = format!("<CompleteMultipartUpload>{list}</CompleteMultipartUpload>");
+        let complete = format!(
+            "POST /parts?uploadId={id} HTTP/1.1\r\nHost: s\r\nContent-Length: {}\r\n\r\n",
+            list.len()
+        );
+        assert_eq!(exchange(complete, list.as_bytes()).0, "200");
+        for path in ["/whole", "/parts"] {
+            let stored = node.store.get(path).unwrap();
+            assert!(stored.data == body, "{path}");
+            let want = (checksum::crc32(&body), checksum::adler32(&body));
+            assert_eq!((stored.crc32, stored.adler32), want, "{path}");
+        }
+        assert_eq!(node.handler.cold_digested_bytes(), 0, "the handler read no body again");
+        // A direct call has no arrival digests: the handler reads the body
+        // once itself.
+        let mut head = RequestHead::new(Method::Put, "/direct");
+        head.headers.set("Content-Length", body.len().to_string());
+        let resp = node.handler.handle(Request { head, body: body.clone(), peer: "test".into() });
+        assert_eq!(resp.status.0, 201);
+        assert_eq!(node.handler.cold_digested_bytes(), body.len() as u64);
+    }
+
+    #[test]
     fn response_heads_are_these_bytes() {
         use std::io::{BufRead, BufReader, Read, Write};
         let net = netsim::SimNet::new();
