@@ -12,15 +12,18 @@
 //! client holds zero pool threads, and (under simulation) a drained pool
 //! leaves no parked waiters or pending timers to perturb virtual time.
 //!
+//! A batch (`run_batch`) is a list of items drained by up to N pool jobs;
+//! it hands back what each item made, in item order, whichever drain made
+//! it and whenever it finished, so no caller keeps a table of its own.
+//!
 //! A job that blocks waiting for a *queued* job would deadlock a saturated
-//! pool. A batch (`run_batch`: numbered items drained by up to N pool
-//! jobs) never does, because of one rule: **a drain the pool cannot give a
-//! fresh worker at submit time is run by the caller, not queued.** Every
-//! drain the caller then waits for is either running on the caller itself
-//! or owns a worker spawned for it. While the pool is under its cap every
-//! queued job has such a worker not yet started (a queue that formed at
-//! the cap empties before any worker exits), so a drain given one starts
-//! without any other job finishing first. The wait therefore ends whoever
+//! pool. A batch never does, because of one rule: **a drain the pool
+//! cannot give a fresh worker at submit time is run by the caller, not
+//! queued.** Every drain the caller then waits for is either running on
+//! the caller itself or owns a worker spawned for it. While the pool is
+//! under its cap every queued job has such a worker not yet started (a
+//! queue that formed at the cap empties before any worker exits), so a
+//! drain given one starts without any other job finishing first. The wait therefore ends whoever
 //! the caller is — `main`, or a read-ahead job that is the pool's only
 //! worker and whose replica read fans out: at `io_threads = 1` that job
 //! runs its whole batch itself. When every drain gets a worker, the caller
@@ -145,19 +148,22 @@ impl IoPool {
 }
 
 /// What a drain made of one item of a batch.
-pub(crate) enum Outcome {
-    /// Finished.
-    Done,
-    /// Failed here; put it back for any drain to try again, and charge the
-    /// batch's failure budget.
-    Retry(DavixError),
+pub(crate) enum Outcome<T, R> {
+    /// Finished, with this result.
+    Done(R),
+    /// Failed here; the item goes back on the queue, keeping its place in
+    /// the results, for any drain to try again, and charges the batch's
+    /// failure budget.
+    Retry(T, DavixError),
     /// No replay can succeed: stop the whole batch.
     Fatal(DavixError),
 }
 
-struct Progress {
-    /// Items not handed out yet, by index.
-    queue: VecDeque<usize>,
+struct Progress<T, R> {
+    /// Items not handed out yet, each with its index.
+    queue: VecDeque<(usize, T)>,
+    /// Each item's result, at the item's index, once it is done.
+    results: Vec<Option<R>>,
     remaining: usize,
     failures: usize,
     fatal: Option<DavixError>,
@@ -165,13 +171,13 @@ struct Progress {
     live: usize,
 }
 
-/// The batch: items `0..items` drained by up to `drains` jobs, drain `n`
-/// working each item it takes with the closure `make_drain(n)`. A drain
-/// loops until the queue is empty or the batch stopped, so one that starts
-/// late leaves at once. An item that fails is requeued for whichever drain
-/// is free next, until more than `max_failures` have failed in total.
-/// Returns the number of requeued failures, or the error that stopped the
-/// batch.
+/// The batch: `items` drained by up to `drains` jobs, drain `n` working
+/// each item it takes with the closure `make_drain(n)`. A drain loops until
+/// the queue is empty or the batch stopped, so one that starts late leaves
+/// at once. An item that fails is requeued for whichever drain is free
+/// next, until more than `max_failures` have failed in total. Returns each
+/// item's result in item order, whatever order they finished in, and the
+/// number of requeued failures; or the error that stopped the batch.
 ///
 /// A drain goes to `pool` only if a fresh worker can be spawned for it
 /// right now; the calling thread runs the rest itself, one after another,
@@ -183,23 +189,27 @@ struct Progress {
 /// left** — never with a drain still working, so whatever the caller does
 /// next (abort a staged upload, report failure) cannot race an item in
 /// flight.
-pub(crate) fn run_batch<D>(
+pub(crate) fn run_batch<T, R, D>(
     pool: &Arc<IoPool>,
-    items: usize,
+    items: Vec<T>,
     drains: usize,
     max_failures: usize,
     mut make_drain: impl FnMut(usize) -> D,
-) -> Result<usize>
+) -> Result<(Vec<R>, usize)>
 where
-    D: FnMut(usize) -> Outcome + Send + 'static,
+    T: Send + 'static,
+    R: Send + 'static,
+    D: FnMut(T) -> Outcome<T, R> + Send + 'static,
 {
-    let drains = drains.min(items);
+    let n_items = items.len();
+    let drains = drains.min(n_items);
     if drains == 0 {
-        return Ok(0);
+        return Ok((Vec::new(), 0));
     }
     let progress = Arc::new(Mutex::new(Progress {
-        queue: (0..items).collect(),
-        remaining: items,
+        queue: items.into_iter().enumerate().collect(),
+        results: (0..n_items).map(|_| None).collect(),
+        remaining: n_items,
         failures: 0,
         fatal: None,
         live: drains,
@@ -211,25 +221,26 @@ where
         let (progress, done) = (Arc::clone(&progress), Arc::clone(&done));
         let drain: Job = Box::new(move || {
             loop {
-                let item = {
+                let (idx, item) = {
                     let mut st = progress.lock();
                     if st.fatal.is_some() {
                         break; // another drain stopped the batch
                     }
-                    let Some(item) = st.queue.pop_front() else { break };
-                    item
+                    let Some(next) = st.queue.pop_front() else { break };
+                    next
                 };
                 let outcome = work(item);
                 let mut st = progress.lock();
                 match outcome {
-                    Outcome::Done => {
+                    Outcome::Done(result) => {
+                        st.results[idx] = Some(result);
                         st.remaining -= 1;
                         if st.remaining == 0 {
                             done.set();
                         }
                     }
-                    Outcome::Retry(e) => {
-                        st.queue.push_back(item);
+                    Outcome::Retry(item, e) => {
+                        st.queue.push_back((idx, item));
                         st.failures += 1;
                         if st.failures > max_failures {
                             st.fatal.get_or_insert(e);
@@ -256,12 +267,12 @@ where
     done.wait(None);
 
     let mut st = progress.lock();
-    match st.fatal.take() {
-        Some(e) => Err(e),
-        None if st.remaining > 0 => {
-            Err(DavixError::Protocol("batch drains exited with items unfinished".to_string()))
-        }
-        None => Ok(st.failures),
+    if let Some(e) = st.fatal.take() {
+        return Err(e);
+    }
+    match std::mem::take(&mut st.results).into_iter().collect() {
+        Some(results) => Ok((results, st.failures)),
+        None => Err(DavixError::Protocol("batch drains exited with items unfinished".to_string())),
     }
 }
 
@@ -278,28 +289,27 @@ pub(crate) struct Chunk {
 
 /// The chunk-transfer engine both parallel transfers run: `size` bytes in
 /// `chunk_size` pieces as one [`run_batch`] of up to `workers` drains,
-/// drain `n` transferring its chunks with `make_worker(n)`.
-pub(crate) fn run_chunked<W>(
+/// drain `n` transferring its chunks with `make_worker(n)`. Returns what
+/// each chunk's transfer made, in chunk order, and the requeued failures.
+pub(crate) fn run_chunked<R, W>(
     pool: &Arc<IoPool>,
     size: u64,
     chunk_size: usize,
     workers: usize,
     max_failures: usize,
-    mut make_worker: impl FnMut(usize) -> W,
-) -> Result<usize>
+    make_worker: impl FnMut(usize) -> W,
+) -> Result<(Vec<R>, usize)>
 where
-    W: FnMut(Chunk) -> Outcome + Send + 'static,
+    R: Send + 'static,
+    W: FnMut(Chunk) -> Outcome<Chunk, R> + Send + 'static,
 {
-    let chunk = move |idx: usize| {
-        let off = idx as u64 * chunk_size as u64;
-        Chunk { idx, off, len: chunk_size.min((size - off) as usize) }
-    };
-    let chunks = size.div_ceil(chunk_size as u64) as usize;
-    let drain = |n| {
-        let mut work = make_worker(n);
-        move |idx| work(chunk(idx))
-    };
-    run_batch(pool, chunks, workers, max_failures, drain)
+    let chunks = (0..size.div_ceil(chunk_size as u64) as usize)
+        .map(|idx| {
+            let off = idx as u64 * chunk_size as u64;
+            Chunk { idx, off, len: chunk_size.min((size - off) as usize) }
+        })
+        .collect();
+    run_batch(pool, chunks, workers, max_failures, make_worker)
 }
 
 /// `f` over `items` as one [`run_batch`] of up to `width` drains; the
@@ -318,22 +328,12 @@ where
     if width.min(items.len()) <= 1 {
         return items.into_iter().map(f).collect();
     }
-    let n = items.len();
-    // Item `i` goes in as `(Some(item), None)` and comes out as its result.
-    let slots: Arc<Vec<_>> =
-        Arc::new(items.into_iter().map(|item| Mutex::new((Some(item), None::<R>))).collect());
     let f = Arc::new(f);
     let drain = |_| {
-        let (slots, f) = (Arc::clone(&slots), Arc::clone(&f));
-        move |i: usize| {
-            let item = slots[i].lock().0.take().expect("each item is handed out once");
-            let result = f(item);
-            slots[i].lock().1 = Some(result);
-            Outcome::Done
-        }
+        let f = Arc::clone(&f);
+        move |item| Outcome::Done(f(item))
     };
-    run_batch(pool, n, width, 0, drain).expect("a map item never fails");
-    slots.iter().map(|s| s.lock().1.take().expect("every item was mapped")).collect()
+    run_batch(pool, items, width, 0, drain).expect("a map item never fails").0
 }
 
 #[cfg(test)]
@@ -410,7 +410,14 @@ mod tests {
 
     #[test]
     fn map_returns_results_in_input_order() {
-        let out = map_ordered(&real_pool(16), (0..50).collect(), 8, |x: i32| x * 2);
+        // The first item finishes long after the rest: its result still
+        // comes back first.
+        let out = map_ordered(&real_pool(16), (0..50).collect(), 8, |x: i32| {
+            if x == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            x * 2
+        });
         assert_eq!(out, (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
@@ -484,12 +491,12 @@ mod tests {
                 move |_: Chunk| {
                     rt.sleep(Duration::from_millis(1));
                     counted.fetch_add(1, Ordering::SeqCst);
-                    Outcome::Done
+                    Outcome::Done(())
                 }
             };
             run_chunked(&pool, 1000, 100, 4, 0, drain)
         });
-        assert_eq!(result.unwrap(), 0);
+        assert_eq!(result.unwrap().1, 0);
         assert_eq!(chunks.load(Ordering::SeqCst), 10);
         assert_eq!(pool.peak_workers(), 1, "the batch spawned nothing");
         assert_eq!(net.now() - t0, Duration::from_millis(10), "one thread did all ten");
@@ -509,15 +516,17 @@ mod tests {
                     let mut seen = seen.lock();
                     seen.push(c.idx);
                     if c.idx == 1 && seen.len() == 2 {
-                        Outcome::Retry(DavixError::Protocol("flaky".to_string()))
+                        Outcome::Retry(c, DavixError::Protocol("flaky".to_string()))
                     } else {
-                        Outcome::Done
+                        Outcome::Done(c.off)
                     }
                 }
             };
             run_chunked(&pool, 400, 100, 2, 1, drain)
         });
-        assert_eq!(result.unwrap(), 1, "one requeued failure, within the budget");
+        let (offsets, failures) = result.unwrap();
+        assert_eq!(failures, 1, "one requeued failure, within the budget");
         assert_eq!(*attempts.lock(), vec![0, 1, 2, 3, 1], "chunk 1 went back to the queue");
+        assert_eq!(offsets, vec![0, 100, 200, 300], "chunk order, though chunk 1 finished last");
     }
 }

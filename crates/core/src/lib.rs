@@ -46,7 +46,7 @@
 //! Every hot read path streams: `DavFile::pread` lands bytes straight in
 //! the caller's buffer, `pread_vec` decodes `multipart/byteranges` parts
 //! incrementally off the wire, and `multistream_download` streams each
-//! chunk into its final slot. A multi-GiB GET therefore costs the client a
+//! chunk into a buffer of its own, handed back in chunk order. A multi-GiB GET therefore costs the client a
 //! fixed-size buffer, not a multi-GiB allocation — see the
 //! `bytes_streamed` / `peak_body_buffer` counters in [`Metrics`].
 //!
@@ -152,9 +152,11 @@
 //!   multipart (initiate / part / complete) and segmented `Content-Range`
 //!   PUTs to a temporary name committed with `MOVE` (WebDAV), so readers
 //!   never observe a partial object.
-//! * **Checksum before commit**: every chunk is digested on its worker and
-//!   the per-chunk digests fold into the entity's Adler-32
-//!   ([`ioapi::checksum::adler32_combine`]); the commit happens only if
+//! * **Checksum before commit**: each worker digests its chunk while it is
+//!   hot; the caller folds the per-chunk digests in chunk order into the
+//!   entity's Adler-32 ([`ioapi::checksum::Digests::append`], the one fold
+//!   the verified multi-stream download and the storage node's multipart
+//!   complete use too); the commit happens only if
 //!   the server's view of the assembled entity matches — an S3 complete
 //!   carries the digest for server-side verification (mismatch → `409`,
 //!   nothing committed), a segmented upload compares the staged entity's
@@ -189,7 +191,9 @@
 //!   before every chunk, so a dying replica costs its in-flight chunk (the
 //!   worker respawns on the next-best replica, see
 //!   `Metrics::streams_respawned`) and a recovered one rejoins
-//!   mid-download.
+//!   mid-download. Each worker digests its chunk; the caller folds the
+//!   digests, so a Metalink checksum is checked without reading the
+//!   assembled entity again.
 //!
 //! Health knobs live in [`Config`]: `replica_failure_threshold`
 //! consecutive failures blacklist a replica for

@@ -13,6 +13,13 @@
 //! the worker pool, and a blacklisted replica that recovers (cooldown
 //! expiry or active probe) starts contributing chunks again mid-download.
 //! Every chunk completion feeds a latency sample back into the scores.
+//!
+//! Each worker digests its chunk (`crc32` and `adler32` in one
+//! [`crc32_adler32`] pass) as soon as it has read it, while the bytes are
+//! still hot, and the batch hands chunks and digests back in chunk order:
+//! the caller assembles the entity and folds the digests with
+//! [`Digests::append`], so a verified download never reads the assembled
+//! entity again.
 
 use crate::cache::BlockFetch;
 use crate::client::DavixClient;
@@ -23,6 +30,7 @@ use crate::metrics::Metrics;
 use crate::replicas::{all_failed, Attempt, Failover};
 use crate::scheduler::{ReplicaId, ReplicaScheduler};
 use httpwire::Uri;
+use ioapi::checksum::{crc32_adler32, to_hex, Digests};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::Duration;
@@ -76,7 +84,8 @@ pub fn multistream_download(
     scheduler: &Arc<ReplicaScheduler>,
     opts: &MultistreamOptions,
 ) -> Result<(Vec<u8>, MultistreamReport)> {
-    download(client, scheduler, opts, None)
+    let (data, _, report) = download(client, scheduler, opts, None)?;
+    Ok((data, report))
 }
 
 /// A replica advertising another size than `expected` holds some other
@@ -91,15 +100,16 @@ fn check_size(f: &RawFile, expected: Option<u64>) -> Result<u64> {
     }
 }
 
-/// The engine proper. `declared` is the entity size the Metalink states,
-/// when the caller has one: nothing is ever sized from a replica that
-/// disagrees with it.
+/// The engine proper: the entity, its `(crc32, adler32)` folded from the
+/// chunks' and the report. `declared` is the entity size the Metalink
+/// states, when the caller has one: nothing is ever sized from a replica
+/// that disagrees with it.
 fn download(
     client: &DavixClient,
     scheduler: &Arc<ReplicaScheduler>,
     opts: &MultistreamOptions,
     declared: Option<u64>,
-) -> Result<(Vec<u8>, MultistreamReport)> {
+) -> Result<(Vec<u8>, (u32, u32), MultistreamReport)> {
     if scheduler.is_empty() {
         return Err(DavixError::InvalidArgument("no replicas given".to_string()));
     }
@@ -127,15 +137,11 @@ fn download(
     let Some((id, (size, rtt))) = probed else { return Err(all_failed(tried.len(), last_err)) };
     scheduler.record_probe(id, rtt);
 
-    // One slot per chunk. A worker handed chunk `i` is the only holder of
-    // `slots[i]`: it streams the body into the chunk's own buffer and parks
-    // that in the slot — no shared whole-file buffer, no copy through a
+    // Each chunk is read into its own buffer, which the batch hands back
+    // in chunk order — no shared whole-file buffer, no copy through a
     // scratch `Vec`, no lock across the read.
-    let n_chunks = size.div_ceil(opts.chunk_size as u64) as usize;
-    let slots: Arc<Vec<Mutex<Vec<u8>>>> =
-        Arc::new((0..n_chunks).map(|_| Mutex::new(Vec::new())).collect());
     let report = Arc::new(Mutex::new(MultistreamReport::default()));
-    run_chunked(
+    let (chunks, _) = run_chunked(
         &client.inner.io_pool,
         size,
         opts.chunk_size,
@@ -147,24 +153,24 @@ fn download(
                 slot_idx,
                 Arc::clone(scheduler),
                 size,
-                Arc::clone(&slots),
                 Arc::clone(&report),
             )
         },
     )
     .map_err(|e| DavixError::AllReplicasFailed { tried: scheduler.len(), last: Box::new(e) })?;
 
-    // Every slot is filled and no worker holds a lock any more: assemble the
-    // entity in chunk order (the only copy on this whole path). Each slot is
-    // taken (freed) right after it is copied, so resident memory peaks near
-    // one entity plus one chunk, not two entities.
+    // Assemble the entity in chunk order (the only copy on this whole path)
+    // and fold the chunks' digests the same way. Each chunk is freed right
+    // after it is copied, so resident memory peaks near one entity plus one
+    // chunk, not two entities.
     let mut out = Vec::with_capacity(size as usize);
-    for slot in slots.iter() {
-        let chunk = std::mem::take(&mut *slot.lock());
+    let mut digests = Digests::new();
+    for (chunk, digest) in chunks {
         out.extend_from_slice(&chunk);
+        digests.append(digest, chunk.len() as u64);
     }
     let report = std::mem::take(&mut *report.lock());
-    Ok((out, report))
+    Ok((out, digests.finish(), report))
 }
 
 /// Resolve `url`'s Metalink, multi-stream-download from its replicas, and
@@ -183,25 +189,14 @@ pub fn multistream_download_verified(
     opts: &MultistreamOptions,
 ) -> Result<Vec<u8>> {
     let set = client.resolve_replica_set(url)?;
-    let (data, _) = download(client, &client.replica_scheduler(set.uris), opts, set.size)?;
-    // Each declared digest is computed once, and both in one pass when both
-    // are declared.
-    use ioapi::checksum::{adler32, crc32, crc32_adler32, to_hex};
-    let declared = |algo: &str| set.hashes.iter().any(|(a, _)| a.eq_ignore_ascii_case(algo));
-    let (crc, adler) = match (declared("crc32"), declared("adler32")) {
-        (true, true) => {
-            let (crc, adler) = crc32_adler32(&data);
-            (Some(crc), Some(adler))
-        }
-        (crc, adler) => (crc.then(|| crc32(&data)), adler.then(|| adler32(&data))),
-    };
+    let (data, (crc, adler), _) =
+        download(client, &client.replica_scheduler(set.uris), opts, set.size)?;
     for (algo, expected) in &set.hashes {
         let got = match algo.to_ascii_lowercase().as_str() {
-            "crc32" => crc,
-            "adler32" => adler,
-            _ => None, // unknown algorithm: cannot verify, skip
+            "crc32" => to_hex(crc),
+            "adler32" => to_hex(adler),
+            _ => continue, // unknown algorithm: cannot verify, skip
         };
-        let Some(got) = got.map(to_hex) else { continue };
         if got != expected.to_ascii_lowercase() {
             return Err(DavixError::ChecksumMismatch {
                 algo: algo.clone(),
@@ -213,16 +208,18 @@ pub fn multistream_download_verified(
     Ok(data)
 }
 
+/// What one chunk's transfer makes: its bytes and their `(crc32, adler32)`.
+type Fetched = (Vec<u8>, (u32, u32));
+
 /// The per-chunk work of download stream `slot_idx`: pick the replica the
-/// scheduler assigns this slot, read the chunk from it into its slot.
+/// scheduler assigns this slot, read the chunk from it and digest it.
 fn stream_worker(
     client: DavixClient,
     slot_idx: usize,
     scheduler: Arc<ReplicaScheduler>,
     size: u64,
-    slots: Arc<Vec<Mutex<Vec<u8>>>>,
     report: Arc<Mutex<MultistreamReport>>,
-) -> impl FnMut(Chunk) -> Outcome {
+) -> impl FnMut(Chunk) -> Outcome<Chunk, Fetched> {
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
     // blacklisted, a better one recovered) the worker follows it. Open
@@ -233,7 +230,7 @@ fn stream_worker(
     let fo = Failover::new(Arc::clone(&client.inner), scheduler, |_| true);
     // The replica this worker's last chunk failed on, if it failed.
     let mut failed_on: Option<ReplicaId> = None;
-    move |Chunk { idx, off, len }| {
+    move |chunk @ Chunk { idx, off, len }| {
         let Some((id, uri)) = fo.scheduler.assign(slot_idx) else {
             return Outcome::Fatal(DavixError::InvalidArgument("no replicas given".into()));
         };
@@ -244,30 +241,28 @@ fn stream_worker(
             report.lock().respawns += 1;
         }
         // The chunk is filled off the wire into its own buffer (an entity
-        // ending inside it is the replica's failure) and then parked in
-        // `slots[idx]`, its final resting place, which only the worker
-        // handed chunk `idx` touches — no lock across the network read. A
-        // failed chunk leaves the slot empty and goes back to the queue —
-        // this worker keeps running on whatever replica the scheduler ranks
-        // best next time around.
+        // ending inside it is the replica's failure) and digested at once,
+        // with no lock across the network read. A failed chunk goes back to
+        // the queue — this worker keeps running on whatever replica the
+        // scheduler ranks best next time around.
         let outcome = fo.attempt(id, uri.clone(), |f| {
             check_size(f, Some(size))?;
             f.fetch(off, len)
         });
         failed_on = (!matches!(outcome, Attempt::Ok(_))).then_some(id);
         match outcome {
-            Attempt::Ok(chunk) => {
-                *slots[idx].lock() = chunk;
+            Attempt::Ok(bytes) => {
+                let digest = crc32_adler32(&bytes);
                 report.lock().completions.push(ChunkCompletion {
                     chunk: idx,
                     replica: uri,
                     at: client.inner.executor.runtime().now(),
                 });
-                Outcome::Done
+                Outcome::Done((bytes, digest))
             }
             // A worker blames every error on the replica: the chunk goes
             // back to the queue whatever it was.
-            Attempt::TryNext(e) | Attempt::Fatal(e) => Outcome::Retry(e),
+            Attempt::TryNext(e) | Attempt::Fatal(e) => Outcome::Retry(chunk, e),
         }
     }
 }

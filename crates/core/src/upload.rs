@@ -20,10 +20,11 @@
 //! Memory stays bounded: each worker holds at most one chunk, so resident
 //! upload buffers never exceed `chunk_size × streams` (tracked as the
 //! [`Metrics::peak_upload_buffer`] high-water mark) — the whole object is
-//! **never** buffered, however large. Chunk digests are
-//! computed per worker and folded with
-//! [`ioapi::checksum::adler32_combine`], so checksumming is as parallel as
-//! the transfer itself.
+//! **never** buffered, however large. Each worker digests its chunk in one
+//! [`crc32_adler32`] pass while the chunk is still hot, and hands the
+//! digests back through the batch; the caller folds them in chunk order
+//! with [`Digests::append`], so checksumming is as parallel as the transfer
+//! itself.
 
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
@@ -33,9 +34,8 @@ use crate::metrics::Metrics;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
 use httpwire::{ContentRange, Method, StatusCode, Uri};
-use ioapi::checksum::{adler32, adler32_combine, to_hex};
+use ioapi::checksum::{adler32, crc32_adler32, to_hex, Digests};
 use metalink::xml::Element;
-use parking_lot::Mutex;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -275,9 +275,6 @@ pub fn multistream_upload(
 
     let target = Arc::new(resolve_target(ex, &uri, size, opts.protocol)?);
 
-    // Adler-32 of each chunk, recorded by whichever worker uploaded it.
-    let n_chunks = size.div_ceil(chunk_size as u64) as usize;
-    let digests = Arc::new(Mutex::new(vec![None; n_chunks]));
     // Chunk payload currently resident in worker buffers (bytes); its
     // high-water mark feeds [`Metrics::peak_upload_buffer`].
     let outstanding = Arc::new(AtomicU64::new(0));
@@ -296,30 +293,25 @@ pub fn multistream_upload(
                 client.clone(),
                 Arc::clone(&source),
                 Arc::clone(&target),
-                Arc::clone(&digests),
                 Arc::clone(&outstanding),
             )
         },
     );
-    let chunk_retries = match transfer {
-        Ok(failures) => failures as u64,
+    let (chunk_digests, failures) = match transfer {
+        Ok(done) => done,
         Err(e) => {
             target.abort(ex);
             return Err(e);
         }
     };
 
-    // Fold the per-chunk digests, in order, into the entity digest.
-    let digests = digests.lock();
-    let mut combined = adler32(b"");
-    let mut off = 0u64;
-    for (idx, d) in digests.iter().enumerate() {
-        let len = chunk_size.min((size - off) as usize) as u64;
-        let d = d.ok_or_else(|| DavixError::Protocol(format!("chunk {idx} has no digest")))?;
-        combined = adler32_combine(combined, d, len);
-        off += len;
+    // Fold the per-chunk digests, in chunk order, into the entity digest.
+    let n_chunks = chunk_digests.len();
+    let mut digests = Digests::new();
+    for (digest, len) in chunk_digests {
+        digests.append(digest, len);
     }
-    drop(digests);
+    let combined = digests.finish().1;
 
     let verified = match commit(ex, &uri, &target, size, combined, n_chunks) {
         Ok(v) => v,
@@ -333,7 +325,7 @@ pub fn multistream_upload(
     Ok(UploadReport {
         bytes: size,
         chunks: n_chunks,
-        chunk_retries,
+        chunk_retries: failures as u64,
         protocol: match *target {
             Target::S3 { .. } => UploadProtocol::S3Multipart,
             Target::Segmented { .. } => UploadProtocol::SegmentedPut,
@@ -482,14 +474,14 @@ fn commit(
 }
 
 /// The per-chunk work of one upload stream: read the chunk from the
-/// source, digest it, PUT it.
+/// source, digest it, PUT it. A chunk's transfer makes its
+/// `(crc32, adler32)` and its length.
 fn upload_worker(
     client: DavixClient,
     source: Arc<dyn ChunkSource>,
     target: Arc<Target>,
-    digests: Arc<Mutex<Vec<Option<u32>>>>,
     outstanding: Arc<AtomicU64>,
-) -> impl FnMut(Chunk) -> Outcome {
+) -> impl FnMut(Chunk) -> Outcome<Chunk, ((u32, u32), u64)> {
     let metrics = Arc::clone(client.inner.executor.metrics());
     move |chunk| {
         // This worker now holds one chunk of payload; the high-water mark
@@ -504,7 +496,7 @@ fn upload_worker(
             outstanding.fetch_sub(len, Ordering::Relaxed);
             return Outcome::Fatal(e);
         }
-        let digest = adler32(&buf);
+        let digest = crc32_adler32(&buf);
         let body = Bytes::from(buf);
         let outcome = client
             .inner
@@ -515,14 +507,13 @@ fn upload_worker(
         outstanding.fetch_sub(len, Ordering::Relaxed);
         match outcome {
             Ok(_) => {
-                digests.lock()[chunk.idx] = Some(digest);
                 Metrics::bump(&metrics.chunks_uploaded);
-                Outcome::Done
+                Outcome::Done((digest, len))
             }
             // The executor already spent its retry budget on this chunk;
             // give it back so any worker (on a fresh connection) can try
             // again, within the upload-wide failure budget.
-            Err(e) => Outcome::Retry(e),
+            Err(e) => Outcome::Retry(chunk, e),
         }
     }
 }

@@ -43,11 +43,12 @@
 //! instead of waiting on one. Adler-32 sums every fourth byte per lane and
 //! folds the lanes once per 5 552-byte block. CRC-32 runs slice-by-16 over
 //! the four quarters of an input of at least 1 KiB and joins them with the
-//! same polynomial arithmetic that [`crc32_combine`] publishes; shorter
+//! same polynomial arithmetic that [`Digests::append`] folds with; shorter
 //! inputs and the last < 64 bytes take one lane.
 //!
-//! [`adler32_combine`] and [`crc32_combine`] let digests of chunks computed
-//! apart, in any order, be folded into the digest of the whole.
+//! [`Digests::append`] is the one fold: digests of chunks computed apart,
+//! in any order, taken in chunk order into the digests of the whole. The
+//! zlib-style CRC-32 and Adler-32 combine functions behind it are private.
 
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
@@ -122,6 +123,16 @@ impl Digests {
     /// `(crc32, adler32)` of everything taken.
     pub fn finish(&self) -> (u32, u32) {
         (self.crc ^ CRC_INIT, adler32_finish(self.adler))
+    }
+
+    /// Take a piece of `len` bytes, after everything taken so far, by its
+    /// own `(crc32, adler32)` and without its bytes: pieces digested apart,
+    /// in any order, fold in piece order into the digests of the whole.
+    pub fn append(&mut self, (crc, adler): (u32, u32), len: u64) {
+        let (crc1, adler1) = self.finish();
+        self.crc = crc32_combine(crc1, crc, len) ^ CRC_INIT;
+        let adler = adler32_combine(adler1, adler, len);
+        self.adler = (adler & 0xFFFF, adler >> 16);
     }
 }
 
@@ -346,19 +357,14 @@ fn x8nmodp(mut n: u64) -> u32 {
 /// and `len2 = B.len()`, returns `crc32(A ‖ B)` without touching the data
 /// (zlib's `crc32_combine`). The CRC-32 counterpart of
 /// [`adler32_combine`].
-pub fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
+fn crc32_combine(crc1: u32, crc2: u32, len2: u64) -> u32 {
     multmodp(x8nmodp(len2), crc1) ^ crc2
 }
 
 /// Combine two Adler-32 digests: given `a = adler32(A)`, `b = adler32(B)`
 /// and `len_b = B.len()`, returns `adler32(A ‖ B)` without touching the
 /// data (zlib's `adler32_combine`).
-///
-/// This is what lets davix's parallel upload path checksum chunks
-/// *independently, out of order* on their worker threads and still produce
-/// the digest of the whole entity: fold the per-chunk digests together in
-/// chunk order at commit time.
-pub fn adler32_combine(a: u32, b: u32, len_b: u64) -> u32 {
+fn adler32_combine(a: u32, b: u32, len_b: u64) -> u32 {
     const MOD: u64 = ADLER_MOD;
     let rem = len_b % MOD;
     let a1 = (a & 0xFFFF) as u64;
@@ -660,7 +666,8 @@ mod tests {
         /// A `Digests` updated piece by piece — on the path `update`
         /// dispatches to and on the portable kernels alone — finishes as
         /// the one-shot `crc32_adler32` of the whole, however the pieces
-        /// fall (empty ones included).
+        /// fall (empty ones included); so does one that appends each
+        /// piece's own one-shot digests.
         #[test]
         fn digests_over_any_chunking_equal_the_one_shot(
             seed in proptest::prelude::any::<u64>(),
@@ -672,14 +679,19 @@ mod tests {
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (len + 1)).collect();
             cuts.push(len);
             cuts.sort_unstable();
-            let (mut start, mut dispatched, mut portable) = (0, Digests::new(), Digests::new());
+            let (mut dispatched, mut portable, mut folded) =
+                (Digests::new(), Digests::new(), Digests::new());
+            let mut start = 0;
             for &end in &cuts {
-                dispatched.update(&data[start..end]);
-                portable.update_by(&data[start..end], crc32_portable, adler32_portable);
+                let piece = &data[start..end];
+                dispatched.update(piece);
+                portable.update_by(piece, crc32_portable, adler32_portable);
+                folded.append(crc32_adler32(piece), piece.len() as u64);
                 start = end;
             }
             proptest::prop_assert_eq!(dispatched.finish(), whole, "dispatched, cuts {:?}", cuts);
             proptest::prop_assert_eq!(portable.finish(), whole, "portable, cuts {:?}", cuts);
+            proptest::prop_assert_eq!(folded.finish(), whole, "folded, cuts {:?}", cuts);
         }
     }
 

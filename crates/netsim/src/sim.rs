@@ -510,6 +510,22 @@ impl Pollable for SimStream {
             .ok_or_else(|| io::Error::from(io::ErrorKind::WouldBlock))
     }
 
+    /// Grows `buf` only by what has arrived (at most `max`) and drains into
+    /// that: a short arrival costs a short fill, not `max` zeroed bytes.
+    fn try_read_spare(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<usize> {
+        if max == 0 {
+            return Ok(0);
+        }
+        let mut st = self.core.lock();
+        let start = buf.len();
+        // Nothing buffered grows nothing, so `WouldBlock`, EOF or an error
+        // leave `buf` as it was; otherwise the drain fills all it grew.
+        buf.resize(start + st.link.buffered(self.conn, self.side).min(max), 0);
+        st.link
+            .recv_ready(self.conn, self.side, &mut buf[start..])?
+            .ok_or_else(|| io::Error::from(io::ErrorKind::WouldBlock))
+    }
+
     fn try_write(&mut self, buf: &[u8]) -> io::Result<usize> {
         self.try_write_vectored(&[io::IoSlice::new(buf)])
     }

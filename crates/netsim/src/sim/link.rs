@@ -513,6 +513,11 @@ impl Links {
         Ok(Sent::Segment(k))
     }
 
+    /// Bytes delivered to `side` of `conn` and not read yet.
+    pub(super) fn buffered(&self, conn: usize, side: usize) -> usize {
+        self.conns.get(conn).expect("conn alive").dirs[1 - side].rbuf_len
+    }
+
     /// The receive side, once: bytes already delivered to `side` of `conn`,
     /// `Ok(Some(0))` at end of stream, `Ok(None)` when nothing has arrived.
     pub(super) fn recv_ready(

@@ -36,8 +36,9 @@ pub trait Pollable {
     /// [`try_read`](Pollable::try_read) onto the end of `buf`: appends at
     /// most `max` bytes and returns how many. On `WouldBlock` or any other
     /// error `buf.len()` is as it was. The default zero-extends `buf` by
-    /// `max`, reads into that and truncates; a transport that can read
-    /// into the vector's spare capacity overrides it and skips the fill.
+    /// `max`, reads into that and truncates; a real socket overrides it to
+    /// read into the vector's spare capacity and skip the fill, and the
+    /// simulator to grow the vector by only what has arrived.
     fn try_read_spare(&mut self, buf: &mut Vec<u8>, max: usize) -> io::Result<usize> {
         let start = buf.len();
         buf.resize(start + max, 0);
@@ -277,6 +278,16 @@ mod tests {
         let (mut reader, _) = listener.accept_sim().unwrap();
         let settle = || net.sleep(Duration::from_millis(5));
         spare_reads_append_what_arrived(&mut reader, &mut writer, &settle);
+
+        // A short arrival grows the buffer by what arrived, not by `max`.
+        let mut writer = net.connect("a", "b", 80).unwrap();
+        let (mut reader, _) = listener.accept_sim().unwrap();
+        writer.write_all(b"ten bytes!").unwrap();
+        settle();
+        let (mut buf, max) = (Vec::new(), 1 << 20);
+        assert_eq!(reader.try_read_spare(&mut buf, max).unwrap(), 10);
+        assert_eq!(buf, b"ten bytes!");
+        assert!(buf.capacity() < max, "capacity {} after a 10-byte read", buf.capacity());
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //!   and `MOVE` it over the final one, so readers never observe a partial
 //!   object.
 
-use crate::checksum::to_hex;
 use crate::store::ObjectStore;
 use bytes::Bytes;
 use davix_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -27,7 +26,7 @@ use httpwire::multipart::{MultipartWriter, MULTIPART_BYTERANGES};
 use httpwire::range::parse_range_header;
 use httpwire::uri::percent_encode_path;
 use httpwire::{ContentRange, HeaderMap, Method, StatusCode};
-use ioapi::checksum::{adler32_combine, crc32_adler32, crc32_combine};
+use ioapi::checksum::{crc32_adler32, to_hex, Digests};
 use metalink::xml::Element;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
@@ -370,13 +369,12 @@ impl StorageHandler {
             parts
         };
         let mut assembled = Vec::with_capacity(parts.iter().map(|(b, _)| b.len()).sum());
-        let mut digests = crc32_adler32(&[]);
-        for (part, (crc, adler)) in &parts {
+        let mut digests = Digests::new();
+        for (part, digest) in &parts {
             assembled.extend_from_slice(part);
-            let len = part.len() as u64;
-            digests =
-                (crc32_combine(digests.0, *crc, len), adler32_combine(digests.1, *adler, len));
+            digests.append(*digest, part.len() as u64);
         }
+        let digests = digests.finish();
         let got = to_hex(digests.1);
         if let Some(conflict) = digest_conflict(&req.head.headers, &got) {
             // The pending upload is kept so the client can abort (or
@@ -705,10 +703,10 @@ impl httpd::Handler for StorageHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::checksum::{adler32, crc32};
     use httpd::Handler;
     use httpwire::multipart::{boundary_from_content_type, MultipartReader};
     use httpwire::RequestHead;
+    use ioapi::checksum::{adler32, crc32};
 
     fn handler_with(range: RangeSupport) -> StorageHandler {
         let store = Arc::new(ObjectStore::new());

@@ -17,7 +17,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod checksum;
 pub mod handler;
 pub mod store;
 
@@ -133,7 +132,7 @@ mod tests {
         for path in ["/whole", "/parts"] {
             let stored = node.store.get(path).unwrap();
             assert!(stored.data == body, "{path}");
-            let want = (checksum::crc32(&body), checksum::adler32(&body));
+            let want = (ioapi::checksum::crc32(&body), ioapi::checksum::adler32(&body));
             assert_eq!((stored.crc32, stored.adler32), want, "{path}");
         }
         assert_eq!(node.handler.cold_digested_bytes(), 0, "the handler read no body again");

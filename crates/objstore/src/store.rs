@@ -1,8 +1,7 @@
 //! The concurrent in-memory object namespace.
 
-use crate::checksum::to_hex;
 use bytes::Bytes;
-use ioapi::checksum::crc32_adler32;
+use ioapi::checksum::{crc32_adler32, to_hex};
 use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -216,7 +215,7 @@ mod tests {
         assert!(!s.put("/a/b", Bytes::from_static(b"hello")));
         let m = s.get("/a/b").unwrap();
         assert_eq!(m.data.as_ref(), b"hello");
-        assert_eq!(m.crc32, crate::checksum::crc32(b"hello"));
+        assert_eq!(m.crc32, ioapi::checksum::crc32(b"hello"));
         assert!(s.put("/a/b", Bytes::from_static(b"world")), "replacement reported");
         assert!(s.delete("/a/b"));
         assert!(!s.delete("/a/b"));
