@@ -459,13 +459,18 @@ pub fn run_command(
     }
 }
 
+/// Most bytes a download through a [`DavFile`](davix::DavFile) holds at
+/// once: the object goes to the output one window of `pread`s at a time.
+const COPY_WINDOW: usize = 1 << 20;
+
 /// The download paths of `davix get`, written to `sink`; returns the bytes
 /// written. A plain whole-object download streams the one GET's body, so
 /// memory stays flat however big the object is, and a reset mid-body
-/// resumes within the retry budget. Ranges, fail-over, the block cache and
-/// read-ahead read through one [`DavFile`](davix::DavFile) into memory
-/// (`cached` keeps the cache flags from being dead weight on the plain
-/// path); `--streams` downloads and verifies in memory.
+/// resumes within the retry budget. Fail-over, the block cache and
+/// read-ahead read through one [`DavFile`](davix::DavFile), a window of
+/// [`COPY_WINDOW`] bytes at a time (`cached` keeps the cache flags from
+/// being dead weight on the plain path); ranges are one vectored read, and
+/// `--streams` downloads and verifies in memory.
 fn fetch(
     client: &DavixClient,
     url: &str,
@@ -487,17 +492,23 @@ fn fetch(
         Strategy::Direct if cached || !ranges.is_empty() => client.open(url)?,
         Strategy::Direct => return Ok(client.posix().get_into(url, sink)?),
     };
-    let data = if ranges.is_empty() {
-        let mut data = vec![0u8; file.size_hint() as usize];
-        file.read_exact_at(0, &mut data)?;
-        data
-    } else {
+    if !ranges.is_empty() {
         // One vectored multi-range request; fragments are concatenated in
         // request order (like `davix-get --ranges`).
-        file.pread_vec(ranges)?.concat()
-    };
-    sink.write_all(&data)?;
-    Ok(data.len() as u64)
+        let data = file.pread_vec(ranges)?.concat();
+        sink.write_all(&data)?;
+        return Ok(data.len() as u64);
+    }
+    let size = file.size_hint();
+    let mut window = vec![0u8; usize::try_from(size).unwrap_or(usize::MAX).min(COPY_WINDOW)];
+    let mut at = 0u64;
+    while at < size {
+        let n = usize::try_from(size - at).unwrap_or(usize::MAX).min(window.len());
+        file.read_exact_at(at, &mut window[..n])?;
+        sink.write_all(&window[..n])?;
+        at += n as u64;
+    }
+    Ok(size)
 }
 
 /// Let `fill` write to `path` (`-o FILE`) or else to `out`; returns what
@@ -1088,6 +1099,48 @@ mod tests {
         assert_eq!(m.retries, 1);
         assert_eq!(m.peak_body_buffer, 0, "the body must stream, not collect");
         server.join().unwrap();
+    }
+
+    /// A sink that keeps what it is given and the size of every `write`.
+    #[derive(Default)]
+    struct CountingSink {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Write for CountingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// `--failover`, `--cache-mb` and `--readahead` copy the object to the
+    /// output a window at a time: the bytes arrive whole and in order, and
+    /// no write is larger than the window.
+    #[test]
+    fn a_get_through_a_file_handle_copies_one_window_at_a_time() {
+        let tmp = std::env::temp_dir().join(format!("davix-cli-window-{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        let payload: Vec<u8> = (0..2_500_000usize).map(|i| ((i * 17 + 9) % 241) as u8).collect();
+        std::fs::write(tmp.join("big.bin"), &payload).unwrap();
+        let (_node, addr, _) = start_server("127.0.0.1:0", Some(&tmp)).unwrap();
+        let url = format!("http://{addr}/big.bin");
+        for flags in [&["--failover"][..], &["--cache-mb", "4"], &["--readahead"]] {
+            let cmd = parse_args(&args(&[&["get", &url][..], flags].concat())).unwrap();
+            let client = real_client(config_for(&cmd));
+            let mut sink = CountingSink::default();
+            let n = run_command(&client, &cmd, &mut sink).unwrap();
+            assert_eq!(n, payload.len() as u64, "{flags:?}");
+            assert!(sink.bytes == payload, "{flags:?}: the copy must be byte-identical");
+            assert_eq!(sink.writes, [COPY_WINDOW, COPY_WINDOW, 2_500_000 - 2 * COPY_WINDOW]);
+        }
+        std::fs::remove_dir_all(&tmp).ok();
     }
 
     #[test]

@@ -574,7 +574,12 @@ impl HttpExecutor {
             final_uri,
             keep_alive,
             metrics: &self.metrics,
-            lease: Lease { pool: &self.pool, session: Some(raw.session) },
+            lease: Lease {
+                pool: &self.pool,
+                session: Some(raw.session),
+                metrics: &self.metrics,
+                taken: 0,
+            },
             framing: BodyFraming::new(raw.start.body),
         };
         // Bodyless responses (HEAD, 204, 304…) are already complete: the
@@ -714,10 +719,20 @@ fn write_request(
 struct Lease<'a> {
     pool: &'a SessionPool,
     session: Option<Session>,
+    metrics: &'a Metrics,
+    /// Body bytes taken off the session and not yet counted: the byte
+    /// counters move once per body, when the session is given back, not
+    /// once per read.
+    taken: u64,
 }
 
 impl Lease<'_> {
     fn release(&mut self, reusable: bool) {
+        let taken = std::mem::take(&mut self.taken);
+        if taken > 0 {
+            Metrics::add(&self.metrics.bytes_in, taken);
+            Metrics::add(&self.metrics.bytes_streamed, taken);
+        }
         if let Some(session) = self.session.take() {
             self.pool.release(session, reusable);
         }
@@ -733,8 +748,20 @@ impl Drop for Lease<'_> {
 /// A response whose head has been parsed and whose body is still on the
 /// wire. Owns the pooled [`Session`] it arrived on.
 ///
-/// Reading (via [`std::io::Read`]) enforces the HTTP framing and stops
-/// exactly at the message boundary. The session is returned to the pool:
+/// Reading enforces the HTTP framing and stops exactly at the message
+/// boundary, two ways over the one buffer the session already has (32 KiB):
+///
+/// * [`std::io::Read`] copies payload out, and a read at least as large as
+///   that buffer, when it is empty, goes straight from the socket into the
+///   caller's memory;
+/// * [`std::io::BufRead`] shows the payload where it lies in the session's
+///   buffer, so a decoder on top (multipart, say) needs no buffer of its
+///   own and copies each byte once, to where it belongs.
+///
+/// Either way the socket sees the same reads: a refill of the session's
+/// buffer whenever a byte past it is wanted. The body's bytes are counted
+/// in [`Metrics`] once, when the session goes back. It is returned to the
+/// pool:
 ///
 /// * **reusable** the moment the body is fully drained, when the response
 ///   allowed keep-alive;
@@ -849,10 +876,7 @@ impl Read for ResponseStream<'_> {
         };
         match self.framing.read(&mut session.conn, buf) {
             Ok(n) => {
-                if n > 0 {
-                    Metrics::add(&self.metrics.bytes_in, n as u64);
-                    Metrics::add(&self.metrics.bytes_streamed, n as u64);
-                }
+                self.lease.taken += n as u64;
                 if self.framing.is_done() {
                     self.lease.release(self.keep_alive);
                 }
@@ -864,6 +888,36 @@ impl Read for ResponseStream<'_> {
                 self.lease.release(false);
                 Err(e)
             }
+        }
+    }
+}
+
+impl BufRead for ResponseStream<'_> {
+    fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+        let Some(session) = self.lease.session.as_mut() else {
+            return Ok(&[]); // fully drained earlier (session already pooled)
+        };
+        match self.framing.fill(&mut session.conn) {
+            Ok(0) => {
+                // The body is over: the session goes back.
+                self.lease.release(self.keep_alive);
+                Ok(&[])
+            }
+            Ok(n) => Ok(&self.lease.session.as_ref().expect("held").conn.buffer()[..n]),
+            Err(e) => {
+                // As for `read`: the connection is off the message boundary.
+                self.lease.release(false);
+                Err(e)
+            }
+        }
+    }
+
+    fn consume(&mut self, n: usize) {
+        let Some(session) = self.lease.session.as_mut() else { return };
+        self.framing.consume(&mut session.conn, n);
+        self.lease.taken += n as u64;
+        if self.framing.is_done() {
+            self.lease.release(self.keep_alive);
         }
     }
 }

@@ -311,6 +311,12 @@ impl RawFile {
 
     /// `wire` is what [`coalesce_fragments`] made of the fragments in `out`:
     /// ascending and disjoint.
+    ///
+    /// A multipart answer is decoded where it lies: the [`MultipartReader`]
+    /// reads straight from the stream's own buffer (the session's 32 KiB,
+    /// the one the socket fills), and each part goes from there into every
+    /// fragment it holds — one copy per byte, no buffer of the decoder's or
+    /// per part.
     fn decode_multirange(
         &self,
         mut resp: ResponseStream<'_>,
@@ -326,16 +332,12 @@ impl RawFile {
             StatusCode::PARTIAL_CONTENT => {
                 let ct = resp.head().headers.get("content-type").unwrap_or("");
                 if let Some(boundary) = boundary_from_content_type(ct) {
-                    // Decode parts as they arrive: a part that is one of the
-                    // fragments is read straight into it; any other shape
-                    // (the server coalesced ranges, the caller's fragments
-                    // overlap) passes through one scratch buffer, never the
-                    // whole multipart body.
-                    let mut scratch = Vec::new();
+                    // Decode parts as they arrive, whatever their shape: one
+                    // of the fragments, several (the server coalesced
+                    // ranges), or part of an overlap.
                     {
-                        let mut parts =
-                            MultipartReader::new(std::io::BufReader::new(&mut resp), &boundary)
-                                .with_part_limit(span_end - span_first);
+                        let mut parts = MultipartReader::new(&mut resp, &boundary)
+                            .with_part_limit(span_end - span_first);
                         while let Some(range) = parts.next_range().map_err(DavixError::from)? {
                             // A part claiming bytes outside the requested
                             // span, or touching none of the requested
@@ -356,18 +358,9 @@ impl RawFile {
                                     self.uri
                                 )));
                             }
-                            let len = range.len() as usize;
-                            match out.exactly(range.first, len) {
-                                Some(i) => {
-                                    parts.payload_into(&mut out.bufs[i])?;
-                                    out.filled[i] = true;
-                                }
-                                None => {
-                                    scratch.resize(len, 0);
-                                    parts.payload_into(&mut scratch)?;
-                                    out.fill(range.first, &scratch);
-                                }
-                            }
+                            out.fill_with(range.first, range.len() as usize, |put| {
+                                parts.payload_pieces(put)
+                            })?;
                         }
                     }
                     resp.finish(); // consume any epilogue → session reusable
@@ -527,10 +520,10 @@ impl DavFile {
     }
 
     /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment.
-    /// Fragment order is preserved in the result; fragments may overlap. An
-    /// empty fragment list is answered without touching cache, wire or
-    /// counters; a fragment reaching past the entity is an error, never a
-    /// silent truncation.
+    /// Fragment order is preserved in the result; fragments may overlap. A
+    /// list with no byte to fetch — empty, or of empty fragments only — is
+    /// answered without touching cache, wire or counters; a fragment
+    /// reaching past the entity is an error, never a silent truncation.
     ///
     /// With the block cache enabled, fragments are assembled from cached
     /// blocks; whatever is missing is fetched in **one** multi-range
@@ -548,6 +541,10 @@ impl DavFile {
             return Err(DavixError::InvalidArgument(format!(
                 "fragment {off}+{len} beyond entity size {size}"
             )));
+        }
+        if fragments.iter().all(|&(_, len)| len == 0) {
+            // A `Range` header of no range (`bytes=`) is malformed.
+            return Ok(vec![Vec::new(); fragments.len()]);
         }
         let (out, round_trips) = match &self.cache {
             Some(cache) => cache.read_vec(fragments)?,
@@ -583,60 +580,108 @@ impl ioapi::RandomAccess for DavFile {
 }
 
 /// The result of one vectored read while it is assembled: a buffer per
-/// fragment, allocated up front from what the *caller* asked for, filled as
-/// stretches of the entity arrive in whatever shape the server chose.
+/// fragment, reserved up front from what the *caller* asked for and filled
+/// front to back, with no zeroing first, as stretches of the entity arrive
+/// in whatever shape the server chose.
 struct Scatter<'a> {
     fragments: &'a [(u64, usize)],
-    /// Fragment indices ordered by offset, so the fragments inside a
-    /// stretch are found by binary search: a 500-part answer to a
-    /// 500-fragment read is 500 look-ups, not 250 000 comparisons.
-    by_offset: Vec<usize>,
+    /// Fragment indices ordered by offset — `None` when the fragments
+    /// already are, as a reader's usually are — so the fragments inside a
+    /// stretch are found by walking on from the stretch before (parts come
+    /// in offset order), or by binary search when a stretch goes back.
+    by_offset: Option<Vec<usize>>,
     bufs: Vec<Vec<u8>>,
     filled: Vec<bool>,
+    /// Where, in offset order, the last stretch's first fragment is.
+    cursor: usize,
 }
 
 impl<'a> Scatter<'a> {
     fn new(fragments: &'a [(u64, usize)]) -> Scatter<'a> {
-        let mut by_offset: Vec<usize> = (0..fragments.len()).collect();
-        by_offset.sort_by_key(|&i| fragments[i]);
+        let by_offset = (!fragments.is_sorted_by_key(|&(off, _)| off)).then(|| {
+            let mut order: Vec<usize> = (0..fragments.len()).collect();
+            order.sort_by_key(|&i| fragments[i].0);
+            order
+        });
         Scatter {
             fragments,
             by_offset,
-            bufs: fragments.iter().map(|&(_, len)| vec![0u8; len]).collect(),
+            bufs: fragments.iter().map(|&(_, len)| Vec::with_capacity(len)).collect(),
             // An empty fragment needs no byte of the response.
             filled: fragments.iter().map(|&(_, len)| len == 0).collect(),
+            cursor: 0,
         }
     }
 
-    /// The one unfilled fragment that is exactly `first`+`len` when no other
-    /// fragment starts inside that stretch: its buffer can take the stretch
-    /// straight off the wire.
-    fn exactly(&self, first: u64, len: usize) -> Option<usize> {
-        let at = self.by_offset.partition_point(|&i| self.fragments[i].0 < first);
-        let i = *self.by_offset.get(at)?;
-        let alone = self
-            .by_offset
-            .get(at + 1)
-            .is_none_or(|&next| self.fragments[next].0 >= first + len as u64);
-        (self.fragments[i] == (first, len) && !self.filled[i] && alone).then_some(i)
+    /// Where, in offset order, the first fragment at or past `first` is.
+    fn seek(&self, first: u64) -> usize {
+        let offset = |k| self.fragments[nth(&self.by_offset, k)].0;
+        let mut k = self.cursor;
+        if k > 0 && offset(k - 1) >= first {
+            return match &self.by_offset {
+                None => self.fragments.partition_point(|&(off, _)| off < first),
+                Some(order) => order.partition_point(|&i| self.fragments[i].0 < first),
+            };
+        }
+        while k < self.fragments.len() && offset(k) < first {
+            k += 1;
+        }
+        k
     }
 
     /// `data` is the entity from `first` on: copy it into every fragment it
-    /// wholly contains. The first stretch to cover a fragment wins.
+    /// wholly contains.
     fn fill(&mut self, first: u64, data: &[u8]) {
-        let end = first + data.len() as u64;
-        let from = self.by_offset.partition_point(|&i| self.fragments[i].0 < first);
-        for &i in &self.by_offset[from..] {
-            let (off, len) = self.fragments[i];
-            if off >= end {
-                break;
+        let Ok(()) = self.fill_with(first, data.len(), |put| {
+            put(data);
+            Ok::<_, std::convert::Infallible>(())
+        });
+    }
+
+    /// The `len` bytes of the entity from `first` on, as `pieces` hands
+    /// them to the function it is given, in order and in pieces of any
+    /// size: each piece is copied into every fragment the whole stretch
+    /// contains, straight from where the piece lies. The first stretch to
+    /// cover a fragment wins.
+    fn fill_with<E>(
+        &mut self,
+        first: u64,
+        len: usize,
+        pieces: impl FnOnce(&mut dyn FnMut(&[u8])) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let end = first + len as u64;
+        let start = self.seek(first);
+        self.cursor = start;
+        let Scatter { fragments, by_offset, bufs, filled, .. } = self;
+        // Fragments before `lo` (in offset order) need nothing more of the
+        // stretch; `at` is where the next piece starts.
+        let (mut lo, mut at) = (start, first);
+        pieces(&mut |piece: &[u8]| {
+            let piece_end = at + piece.len() as u64;
+            let (mut settled, from_lo) = (true, lo);
+            for k in from_lo..fragments.len() {
+                let i = nth(by_offset, k);
+                let (off, flen) = fragments[i];
+                if off >= piece_end {
+                    break;
+                }
+                let frag_end = off + flen as u64;
+                if frag_end <= end && !filled[i] {
+                    // The stretch starts at or before the fragment and comes
+                    // in order: this is where the fragment's bytes so far end.
+                    let (from, to) = (off.max(at), frag_end.min(piece_end));
+                    if from < to {
+                        bufs[i].extend_from_slice(&piece[(from - at) as usize..(to - at) as usize]);
+                    }
+                    filled[i] = frag_end <= piece_end;
+                }
+                settled &= filled[i] || frag_end > end;
+                if settled {
+                    lo = k + 1;
+                }
             }
-            if off + len as u64 <= end && !self.filled[i] {
-                let at = (off - first) as usize;
-                self.bufs[i].copy_from_slice(&data[at..at + len]);
-                self.filled[i] = true;
-            }
-        }
+            at = piece_end;
+        })
     }
 
     /// The fragments in request order, or a protocol error when the
@@ -652,6 +697,11 @@ impl<'a> Scatter<'a> {
             }
         }
     }
+}
+
+/// The `k`-th fragment in offset order, given [`Scatter::by_offset`].
+fn nth(by_offset: &Option<Vec<usize>>, k: usize) -> usize {
+    by_offset.as_ref().map_or(k, |order| order[k])
 }
 
 /// Parse a `Content-Range` header off a `206` head, or fail as a protocol
@@ -763,6 +813,47 @@ mod tests {
 
     fn body(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Stretches handed over in pieces of any size, in any order, fill
+    /// exactly the fragments they wholly hold — overlapping, repeated and
+    /// unsorted ones included — and a fragment no stretch wholly holds is
+    /// the error it always was.
+    #[test]
+    fn stretches_fill_the_fragments_they_hold_however_their_pieces_fall() {
+        let entity = body(10_000);
+        let fragments: [(u64, usize); 7] = [
+            (5_000, 100),
+            (0, 50),
+            (5_050, 100),
+            (4_990, 20),
+            (7_000, 10),
+            (7_000, 10),
+            (9_000, 0),
+        ];
+        // The last stretch covers part of the first fragment again: the
+        // first stretch to hold a fragment wins.
+        let stretches = [(4_900, 400), (0, 60), (6_990, 30), (5_000, 60)];
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
+            for piece in [1, 3, 7, 64, 1_000] {
+                let mut out = super::Scatter::new(&fragments);
+                for &(first, len) in order.iter().map(|&k| &stretches[k]) {
+                    let data = &entity[first..first + len];
+                    let Ok(()) = out.fill_with(first as u64, len, |put| {
+                        data.chunks(piece).for_each(put);
+                        Ok::<_, std::convert::Infallible>(())
+                    });
+                }
+                let got = out.finish().unwrap();
+                for (g, &(off, len)) in got.iter().zip(&fragments) {
+                    let want = &entity[off as usize..off as usize + len];
+                    assert_eq!(g[..], *want, "{order:?} in {piece}s: {off}+{len}");
+                }
+            }
+        }
+        let mut out = super::Scatter::new(&fragments);
+        out.fill(4_900, &entity[4_900..5_100]);
+        assert!(out.finish().is_err(), "5 050+100 is only partly there");
     }
 
     fn setup(range: RangeSupport, cfg: Config) -> (SimNet, DavixClient, Vec<u8>) {

@@ -31,19 +31,28 @@ pub const MAX_CHUNK_LINE_BYTES: usize = 1024;
 /// Upper bound on a whole trailer section (all lines, terminators included).
 pub const MAX_TRAILER_BYTES: usize = 8 * 1024;
 
+/// A one in each byte of a word.
+pub(crate) const ONES: u64 = 0x0101_0101_0101_0101;
+/// The high bit of each byte of a word.
+pub(crate) const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// `(x - 0x01…) & !x & 0x80…`: 0 when no byte of `x` is zero, and otherwise
+/// its lowest set bit is the high bit of the first zero byte (a borrow may
+/// set bits above it).
+pub(crate) fn zero_bytes(x: u64) -> u64 {
+    x.wrapping_sub(ONES) & !x & HIGH_BITS
+}
+
 /// Index of the first `needle` in `hay`, looked for eight bytes at a time
-/// (a byte of `word ^ needle×8` is zero where the word holds the needle, and
-/// `(x - 0x01…) & !x & 0x80…` has its lowest set bit in the first zero byte
-/// of `x`), then one by one in what is left. Heads are searched for line
-/// feeds several times over; a byte-at-a-time `position` was a third of the
-/// cost of parsing one.
+/// (a byte of `word ^ needle×8` is zero where the word holds the needle:
+/// [`zero_bytes`]), then one by one in what is left. Heads are searched for
+/// line feeds several times over; a byte-at-a-time `position` was a third
+/// of the cost of parsing one.
 pub(crate) fn find_byte(hay: &[u8], needle: u8) -> Option<usize> {
-    const LOW: u64 = 0x0101_0101_0101_0101;
-    const HIGH: u64 = 0x8080_8080_8080_8080;
     let mut words = hay.chunks_exact(8);
     for (i, word) in words.by_ref().enumerate() {
-        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ (LOW * needle as u64);
-        let zero_bytes = x.wrapping_sub(LOW) & !x & HIGH;
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8")) ^ (ONES * needle as u64);
+        let zero_bytes = zero_bytes(x);
         if zero_bytes != 0 {
             return Some(i * 8 + zero_bytes.trailing_zeros() as usize / 8);
         }

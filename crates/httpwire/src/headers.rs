@@ -19,6 +19,7 @@
 //! or NUL in the value is stored as a space, which is what RFC 7230 §3.2.4
 //! prescribes for obsolete line folding.
 
+use crate::codec::{zero_bytes, ONES};
 use crate::WireError;
 use std::fmt;
 
@@ -68,12 +69,25 @@ pub(crate) fn is_token(name: &str) -> bool {
 /// A field value on its way into a sink: CR, LF and NUL arrive as spaces.
 pub(crate) struct Clean<'a, S>(&'a mut S);
 
+/// Whether `text` holds a CR, LF or NUL, looked for eight bytes at a time
+/// as [`find_byte`](crate::codec::find_byte) looks for one byte: almost
+/// every value is clean and is looked at whole anyway, and a fold over its
+/// bytes compiled to a byte loop.
+fn has_break(text: &[u8]) -> bool {
+    let mut words = text.chunks_exact(8);
+    for word in words.by_ref() {
+        let x = u64::from_le_bytes(word.try_into().expect("chunks of 8"));
+        let (cr, lf) = (x ^ (ONES * b'\r' as u64), x ^ (ONES * b'\n' as u64));
+        if zero_bytes(x) | zero_bytes(cr) | zero_bytes(lf) != 0 {
+            return true;
+        }
+    }
+    words.remainder().iter().any(|&b| b == b'\r' || b == b'\n' || b == 0)
+}
+
 impl<S: Sink> Clean<'_, S> {
     pub(crate) fn put_text(&mut self, value: &str) {
-        // No early exit, so the check runs a vector at a time: almost every
-        // value is clean and is looked at whole anyway.
-        let breaks = |any: bool, b: u8| any | (b == b'\r') | (b == b'\n') | (b == 0);
-        if !value.bytes().fold(false, breaks) {
+        if !has_break(value.as_bytes()) {
             return self.0.put_text(value);
         }
         const BREAKS: [char; 3] = ['\r', '\n', '\0'];
@@ -418,6 +432,41 @@ mod tests {
         assert!(!h.contains("x-evil"));
         assert_eq!(h.as_wire().matches("\r\n").count(), 3);
         assert!(!h.as_wire().replace("\r\n", "").contains(['\r', '\n', '\0']));
+    }
+
+    proptest::proptest! {
+        /// A CR, LF or NUL at every position of a value, whichever word of
+        /// the check it falls in, among neighbours one bit away from each
+        /// and with the high bit set: the sanitiser writes what a byte loop
+        /// would, each break as a space.
+        #[test]
+        fn a_break_anywhere_in_a_value_is_a_space(
+            filler in proptest::collection::vec(0usize..10, 0..40),
+            breaks in proptest::collection::vec(0usize..3, 1..3),
+        ) {
+            // Code points, not bytes: U+008A and U+008D put 0x8a and 0x8d
+            // (LF and CR with the high bit) on the wire.
+            const NEAR: [char; 10] =
+                ['\u{b}', '\u{c}', '\u{1}', '\u{8a}', '\u{8d}', '\u{80}', 'x', ' ', '\u{e9}', '\u{7f}'];
+            let filler: String = filler.iter().map(|&i| NEAR[i]).collect();
+            let model = |s: &str| -> String {
+                s.chars().map(|c| if matches!(c, '\r' | '\n' | '\0') { ' ' } else { c }).collect()
+            };
+            let clean = |s: &str| {
+                let mut out = String::new();
+                Clean(&mut out).put_text(s);
+                out
+            };
+            proptest::prop_assert_eq!(clean(&filler), filler.clone());
+            let at: Vec<usize> = filler.char_indices().map(|(i, _)| i).chain([filler.len()]).collect();
+            for &i in &at {
+                let mut value = filler.clone();
+                for &b in breaks.iter().rev() {
+                    value.insert(i, ['\r', '\n', '\0'][b]);
+                }
+                proptest::prop_assert_eq!(clean(&value), model(&value), "{:?}", value);
+            }
+        }
     }
 
     #[test]

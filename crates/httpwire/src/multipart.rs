@@ -137,8 +137,18 @@ pub struct Part {
 /// byteranges) to read payloads exactly, then verifies the delimiter. Two
 /// ways through a body: [`next_part`](Self::next_part) allocates each
 /// payload; the scatter pair [`next_range`](Self::next_range) /
-/// [`payload_into`](Self::payload_into) tells the caller where a part
-/// belongs and reads it into the caller's own buffer, allocating nothing.
+/// [`payload_pieces`](Self::payload_pieces) (or
+/// [`payload_into`](Self::payload_into)) tells the caller where a part
+/// belongs and hands its payload over as it sits in the source's buffer,
+/// allocating nothing.
+///
+/// A part head is read one of two ways. One that repeats the last head
+/// accepted but for its `Content-Range` digits — what [`MultipartWriter`]
+/// writes from one part to the next — is matched where it lies in the
+/// source's buffer with one comparison of the bytes around the digits and
+/// one parse of the digits. Every other head, and one that straddles the
+/// buffer's end, goes through the full scan (`PartHead`), so what is
+/// accepted and every error are the same either way.
 pub struct MultipartReader<R: BufRead> {
     r: R,
     /// `--boundary`, the delimiter line between parts.
@@ -146,12 +156,68 @@ pub struct MultipartReader<R: BufRead> {
     done: bool,
     started: bool,
     /// Payload bytes of the part [`next_range`](Self::next_range) announced
-    /// that [`payload_into`](Self::payload_into) has yet to take.
+    /// that [`payload_pieces`](Self::payload_pieces) has yet to take.
     pending: u64,
     max_part_len: Option<u64>,
     /// The bytes of a delimiter line and part head that straddle
     /// `fill_buf` windows, kept from one part to the next.
     carry: Vec<u8>,
+    /// The last head the full scan accepted, to match the next against.
+    last: LastHead,
+}
+
+/// A delimiter line and part head as the full scan accepted them, byte for
+/// byte, and where the digits of their `Content-Range` value
+/// (`first-last/total`, after `bytes `) lie in them.
+#[derive(Default)]
+struct LastHead {
+    bytes: Vec<u8>,
+    /// `None` when the value is more than `bytes ` and digits (white space
+    /// inside it, say): nothing to match against then.
+    digits: Option<(usize, usize)>,
+}
+
+/// The bytes a `first-last/total` value is made of.
+fn is_digits_byte(b: u8) -> bool {
+    b.is_ascii_digit() || matches!(b, b'-' | b'/' | b'*')
+}
+
+impl LastHead {
+    /// Keep `item`, a delimiter line and head the full scan accepted, with
+    /// the digits at `digits`. A head so long that longer digits could take
+    /// it past [`MAX_HEAD_BYTES`] is not kept: the full scan must be the one
+    /// to refuse such a head.
+    fn keep(&mut self, item: &[u8], digits: Option<(usize, usize)>) {
+        self.digits = digits.filter(|_| item.len() + CONTENT_RANGE_DIGITS_MAX <= MAX_HEAD_BYTES);
+        if self.digits.is_some() {
+            self.bytes.clear();
+            self.bytes.extend_from_slice(item);
+        }
+    }
+
+    /// The length and range of the head at the start of `buf` when it is
+    /// the kept one with other digits; `None` for any other bytes, or a head
+    /// that runs past `buf`. The line of the digits reads `bytes ` and
+    /// digits, then what followed the kept digits, which was white space to
+    /// the line's end: so the value the full scan would parse is `bytes `
+    /// and these digits, and every other line is one it accepted before.
+    fn repeated(&self, buf: &[u8]) -> Option<(usize, ContentRange)> {
+        let (from, to) = self.digits?;
+        if !buf.starts_with(&self.bytes[..from]) {
+            return None;
+        }
+        let rest = &buf[from..];
+        let mut len = 0;
+        while len < rest.len().min(CONTENT_RANGE_DIGITS_MAX) && is_digits_byte(rest[len]) {
+            len += 1;
+        }
+        let tail = &self.bytes[to..];
+        if !rest[len..].starts_with(tail) {
+            return None;
+        }
+        let range = ContentRange::from_digits(&rest[..len])?;
+        Some((from + len + tail.len(), range))
+    }
 }
 
 /// What the bytes at a part boundary turned out to be.
@@ -160,8 +226,10 @@ enum Boundary {
     Preamble,
     /// `--boundary--`: the body is over.
     Close,
-    /// `--boundary` and a part head: where the part's payload belongs.
-    Part(ContentRange),
+    /// `--boundary` and a part head: where the part's payload belongs, and
+    /// where the digits of its `Content-Range` lie, counted from the
+    /// delimiter line's first byte (see [`PartHead::digits`]).
+    Part(ContentRange, Option<(usize, usize)>),
 }
 
 /// Part-head errors are multipart errors, whatever the shared head parser
@@ -187,6 +255,9 @@ struct PartHead {
     /// first byte.
     next: usize,
     range: Option<ContentRange>,
+    /// Where the digits of the `Content-Range` value lie, counted from the
+    /// head's first byte, when the value is `bytes ` and digits alone.
+    digits: Option<(usize, usize)>,
     /// The error of the first line that is not UTF-8.
     non_utf8: Option<WireError>,
     /// The error of the first line that breaks the field grammar.
@@ -227,7 +298,8 @@ impl PartHead {
                 .range
                 .ok_or_else(|| WireError::BadMultipart("part without Content-Range".to_string()))?,
         };
-        Ok(Some((line + head, Boundary::Part(range))))
+        let digits = self.digits.map(|(from, to)| (line + from, line + to));
+        Ok(Some((line + head, Boundary::Part(range, digits))))
     }
 
     /// Check the lines of `head` that are complete and not yet checked;
@@ -237,7 +309,8 @@ impl PartHead {
     fn scan(&mut self, head: &[u8]) -> Result<Option<usize>, WireError> {
         let window = &head[..head.len().min(MAX_HEAD_BYTES)];
         while let Some(nl) = find_byte(&window[self.next..], b'\n') {
-            let line = &window[self.next..self.next + nl];
+            let at = self.next;
+            let line = &window[at..at + nl];
             self.next += nl + 1;
             let line = line.strip_suffix(b"\r").unwrap_or(line);
             if line.is_empty() {
@@ -247,7 +320,7 @@ impl PartHead {
                 Err(e) => {
                     self.non_utf8.get_or_insert(e);
                 }
-                Ok(line) if self.error.is_none() => self.error = self.field(line).err(),
+                Ok(line) if self.error.is_none() => self.error = self.field(line, at).err(),
                 Ok(_) => {}
             }
         }
@@ -257,16 +330,23 @@ impl PartHead {
         Ok(None)
     }
 
-    /// One header line of a part head: only `Content-Range` is kept, but
-    /// every line must be a field.
-    fn field(&mut self, line: &str) -> Result<(), WireError> {
+    /// One header line of a part head, starting at `at`: only
+    /// `Content-Range` is kept, but every line must be a field.
+    fn field(&mut self, line: &str, at: usize) -> Result<(), WireError> {
         let (name, value) = header_field(line)?;
-        if name.eq_ignore_ascii_case("content-range")
-            && self.range.replace(ContentRange::parse(value)?).is_some()
-        {
-            // Two claims about where one payload belongs: no telling which
-            // the server meant.
-            return Err(WireError::BadMultipart("part with two Content-Range".to_string()));
+        if name.eq_ignore_ascii_case("content-range") {
+            if self.range.replace(ContentRange::parse(value)?).is_some() {
+                // Two claims about where one payload belongs: no telling
+                // which the server meant.
+                return Err(WireError::BadMultipart("part with two Content-Range".to_string()));
+            }
+            // `value` is a slice of `line`: its distance from the line's
+            // start is where it starts.
+            let value_at = at + (value.as_ptr() as usize - line.as_ptr() as usize);
+            self.digits = value
+                .strip_prefix("bytes ")
+                .filter(|digits| digits.bytes().all(is_digits_byte))
+                .map(|digits| (value_at + value.len() - digits.len(), value_at + value.len()));
         }
         Ok(())
     }
@@ -283,6 +363,7 @@ impl<R: BufRead> MultipartReader<R> {
             pending: 0,
             max_part_len: None,
             carry: Vec::new(),
+            last: LastHead::default(),
         }
     }
 
@@ -297,7 +378,8 @@ impl<R: BufRead> MultipartReader<R> {
 
     /// Scatter mode, first half: the range of the next part, or `None`
     /// after the closing delimiter. The part's payload must then be taken
-    /// with [`payload_into`](Self::payload_into).
+    /// with [`payload_pieces`](Self::payload_pieces) or
+    /// [`payload_into`](Self::payload_into).
     ///
     /// The delimiter line and the part head are one item on the `BufRead`:
     /// looked at through `fill_buf` and consumed once, so the reads the
@@ -307,20 +389,16 @@ impl<R: BufRead> MultipartReader<R> {
         // Before the first part there may be a preamble (we emit "\r\n"
         // there; others may emit more).
         while !self.done {
-            let (delimiter, started) = (&self.delimiter[..], self.started);
-            let mut head = PartHead::default();
-            let boundary = read_item(&mut self.r, &mut self.carry, |buf, eof| {
-                head.boundary(delimiter, started, buf, eof)
-            })
-            .map_err(part_error)?
-            .ok_or(WireError::UnexpectedEof)?;
-            let range = match boundary {
-                Boundary::Preamble => continue,
-                Boundary::Close => {
-                    self.done = true;
-                    continue;
-                }
-                Boundary::Part(range) => range,
+            let range = match self.repeated_head()? {
+                Some(range) => range,
+                None => match self.scanned_boundary()? {
+                    Boundary::Preamble => continue,
+                    Boundary::Close => {
+                        self.done = true;
+                        continue;
+                    }
+                    Boundary::Part(range, _) => range,
+                },
             };
             self.started = true;
             if let Some(cap) = self.max_part_len {
@@ -337,19 +415,79 @@ impl<R: BufRead> MultipartReader<R> {
         Ok(None)
     }
 
-    /// Scatter mode, second half: read the announced part's payload into
-    /// `buf`, which must be exactly as long as its range.
-    pub fn payload_into(&mut self, buf: &mut [u8]) -> Result<(), WireError> {
-        assert_eq!(buf.len() as u64, self.pending, "buffer must match the announced range");
-        self.pending = 0;
-        std::io::Read::read_exact(&mut self.r, buf).map_err(|_| WireError::UnexpectedEof)?;
+    /// The range of the part head at the front of the source when it
+    /// repeats the last one but for its digits, consumed; `None`, with
+    /// nothing consumed, for anything else.
+    fn repeated_head(&mut self) -> Result<Option<ContentRange>, WireError> {
+        if self.last.digits.is_none() {
+            return Ok(None);
+        }
+        let buf = self.r.fill_buf().map_err(|e| part_error(e.into()))?;
+        let Some((len, range)) = self.last.repeated(buf) else { return Ok(None) };
+        self.r.consume(len);
+        Ok(Some(range))
+    }
+
+    /// The delimiter line (and part head) at the front of the source, by
+    /// the full scan; a part head it accepts is kept to match the next
+    /// against.
+    fn scanned_boundary(&mut self) -> Result<Boundary, WireError> {
+        let (delimiter, started, last) = (&self.delimiter[..], self.started, &mut self.last);
+        let mut head = PartHead::default();
+        read_item(&mut self.r, &mut self.carry, |buf, eof| {
+            let found = head.boundary(delimiter, started, buf, eof)?;
+            if let Some((len, Boundary::Part(_, digits))) = &found {
+                last.keep(&buf[..*len], *digits);
+            }
+            Ok(found)
+        })
+        .map_err(part_error)?
+        .ok_or(WireError::UnexpectedEof)
+    }
+
+    /// Scatter mode, second half: hand the announced part's payload to
+    /// `put` in order, a piece at a time, each piece where it lies in the
+    /// source's buffer — the one copy is the caller's.
+    pub fn payload_pieces(&mut self, mut put: impl FnMut(&[u8])) -> Result<(), WireError> {
+        let mut left = std::mem::take(&mut self.pending);
+        while left > 0 {
+            let buf = self.r.fill_buf().map_err(|_| WireError::UnexpectedEof)?;
+            if buf.is_empty() {
+                return Err(WireError::UnexpectedEof);
+            }
+            let n = buf.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+            put(&buf[..n]);
+            self.r.consume(n);
+            left -= n as u64;
+        }
         // The CRLF after the payload belongs to the next delimiter.
-        let mut crlf = [0u8; 2];
-        std::io::Read::read_exact(&mut self.r, &mut crlf).map_err(|_| WireError::UnexpectedEof)?;
+        let crlf = match self.r.fill_buf().map_err(|_| WireError::UnexpectedEof)? {
+            &[a, b, ..] => {
+                self.r.consume(2);
+                [a, b]
+            }
+            _ => {
+                let mut crlf = [0u8; 2];
+                std::io::Read::read_exact(&mut self.r, &mut crlf)
+                    .map_err(|_| WireError::UnexpectedEof)?;
+                crlf
+            }
+        };
         if &crlf != b"\r\n" {
             return Err(WireError::BadMultipart("payload not followed by CRLF".to_string()));
         }
         Ok(())
+    }
+
+    /// Scatter mode, second half: read the announced part's payload into
+    /// `buf`, which must be exactly as long as its range.
+    pub fn payload_into(&mut self, buf: &mut [u8]) -> Result<(), WireError> {
+        assert_eq!(buf.len() as u64, self.pending, "buffer must match the announced range");
+        let mut at = 0;
+        self.payload_pieces(|piece| {
+            buf[at..at + piece.len()].copy_from_slice(piece);
+            at += piece.len();
+        })
     }
 
     /// Next part, or `None` after the closing delimiter.

@@ -222,13 +222,49 @@ impl BodyFraming {
             if self.decoder.is_done() {
                 return Ok(0);
             }
-            let decoder = &mut self.decoder;
-            read_item(inner, &mut self.carry, |framing, _| match decoder.next(framing)? {
-                Frame::Skip(n) => Ok(Some((n, ()))),
-                _ => Ok(None),
-            })?
-            .ok_or(WireError::UnexpectedEof)?;
+            self.skip_framing(inner)?;
         }
+    }
+
+    /// The buffered side of [`read`](Self::read): make payload ready in
+    /// `inner`'s own buffer and say how many of the bytes `inner.fill_buf()`
+    /// now shows are payload — 0 once the body is complete. Nothing is
+    /// copied: the caller looks at those bytes in `inner` and takes what it
+    /// used with [`consume`](Self::consume).
+    pub fn fill<R: BufRead>(&mut self, inner: &mut R) -> std::io::Result<usize> {
+        loop {
+            if let Some(n) = self.decoder.payload() {
+                let buffered = inner.fill_buf()?.len();
+                if buffered == 0 {
+                    self.decoder.end_of_input()?;
+                }
+                return Ok(buffered.min(usize::try_from(n).unwrap_or(usize::MAX)));
+            }
+            if self.decoder.is_done() {
+                return Ok(0);
+            }
+            self.skip_framing(inner)?;
+        }
+    }
+
+    /// Take `n` of the payload bytes [`fill`](Self::fill) made ready.
+    pub fn consume<R: BufRead>(&mut self, inner: &mut R, n: usize) {
+        if n > 0 {
+            inner.consume(n);
+            self.decoder.advance(n as u64);
+        }
+    }
+
+    /// Consume the framing line (chunk size, chunk CRLF, trailer) at the
+    /// cursor.
+    fn skip_framing<R: BufRead>(&mut self, inner: &mut R) -> std::io::Result<()> {
+        let decoder = &mut self.decoder;
+        read_item(inner, &mut self.carry, |framing, _| match decoder.next(framing)? {
+            Frame::Skip(n) => Ok(Some((n, ()))),
+            _ => Ok(None),
+        })?
+        .ok_or(WireError::UnexpectedEof)?;
+        Ok(())
     }
 }
 
@@ -541,6 +577,55 @@ mod tests {
         let mut c = Cursor::new(b"everything".to_vec());
         let body = BodyReader::new(&mut c, BodyLen::Close).read_all().unwrap();
         assert_eq!(body, b"everything");
+    }
+
+    /// The buffered side of the framing takes the same payload as `read`,
+    /// whatever the buffer size, stops at the same boundary and fails on the
+    /// same bodies.
+    #[test]
+    fn fill_and_consume_take_what_read_takes() {
+        let chunked = b"5;ext=1\r\nhello\r\n6\r\n world\r\n0\r\nX-Trailer: v\r\n\r\nNEXT";
+        let cases: [(&[u8], BodyLen); 5] = [
+            (chunked, BodyLen::Chunked),
+            (b"0123456789NEXT", BodyLen::Fixed(10)),
+            (b"everything", BodyLen::Close),
+            (b"5\r\nhelloXX0\r\n\r\n", BodyLen::Chunked),
+            (b"0123", BodyLen::Fixed(10)),
+        ];
+        for (wire, len) in cases {
+            for cap in [1, 2, 3, 7, 64] {
+                let mut by_read = std::io::BufReader::with_capacity(cap, Cursor::new(wire));
+                let want = BodyReader::new(&mut by_read, len).read_all();
+                let mut inner = std::io::BufReader::with_capacity(cap, Cursor::new(wire));
+                let mut framing = BodyFraming::new(len);
+                let mut got = Vec::new();
+                let got = loop {
+                    match framing.fill(&mut inner) {
+                        Ok(0) => break Ok(got),
+                        Ok(n) => {
+                            got.extend_from_slice(&inner.buffer()[..n]);
+                            framing.consume(&mut inner, n);
+                        }
+                        Err(e) => break Err(wire_error_from_io(e)),
+                    }
+                };
+                let what = format!("{:?} in {cap}-byte reads", String::from_utf8_lossy(wire));
+                match (got, want) {
+                    (Ok(got), Ok(want)) => {
+                        assert_eq!(got, want, "{what}");
+                        assert!(framing.is_done(), "{what}");
+                        let (mut rest, mut want_rest) = (Vec::new(), Vec::new());
+                        inner.read_to_end(&mut rest).unwrap();
+                        by_read.read_to_end(&mut want_rest).unwrap();
+                        assert_eq!(rest, want_rest, "{what}: stops at the boundary");
+                    }
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "{what}")
+                    }
+                    (got, want) => panic!("{what}: {got:?} where read gives {want:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 //! convert between that convention and the `(offset, length)` pairs used by
 //! the I/O layers.
 
+use crate::codec::HIGH_BITS;
 use crate::WireError;
 use std::fmt;
 
@@ -62,19 +63,19 @@ impl fmt::Display for RangeSpec {
     }
 }
 
-/// A cursor over a range header's text. The parsers look at it a byte at a
-/// time, with no `str` split per range and no `str::parse` per number: a
-/// 500-range header is one pass. White space is what `str::trim` takes
+/// A cursor over a range header's text, as bytes. The parsers look at it a
+/// byte at a time, with no `str` split per range and no `str::parse` per
+/// number: a 500-range header is one pass. White space is what `str::trim` takes
 /// (any Unicode white space), and a number is RFC 7233's `1*DIGIT` — no
 /// sign, which `u64::from_str` would take.
 struct Scan<'a> {
-    text: &'a str,
+    text: &'a [u8],
     at: usize,
 }
 
 impl Scan<'_> {
     fn peek(&self) -> Option<u8> {
-        self.text.as_bytes().get(self.at).copied()
+        self.text.get(self.at).copied()
     }
 
     /// Step over `byte` if it comes next.
@@ -96,8 +97,11 @@ impl Scan<'_> {
             } else if byte.is_ascii() {
                 return;
             } else {
-                match self.text[self.at..].chars().next() {
-                    Some(c) if c.is_whitespace() => self.at += c.len_utf8(),
+                // The character this byte leads, when it is one.
+                let width = byte.leading_ones() as usize;
+                let text = self.text.get(self.at..self.at + width);
+                match text.and_then(|c| std::str::from_utf8(c).ok()?.chars().next()) {
+                    Some(c) if c.is_whitespace() => self.at += width,
                     _ => return,
                 }
             }
@@ -105,10 +109,27 @@ impl Scan<'_> {
     }
 
     /// The digits at the cursor as a number; `None` when there are none or
-    /// they do not fit a `u64`.
+    /// they do not fit a `u64`. Where eight bytes are left, the first eight
+    /// digits are read from one word (`eight_digits`) — all of almost every
+    /// offset in a range header — and any after them a digit at a time.
     fn number(&mut self) -> Option<u64> {
         let start = self.at;
         let mut n = 0u64;
+        if let Some(word) = self.text[start..].first_chunk::<8>() {
+            // A digit's byte minus `0` is 0..=9; any other byte's is over 9,
+            // and adding 0x76 to it sets its high bit. A carry out of such a
+            // byte only spoils the bytes after it.
+            let values = u64::from_le_bytes(*word) ^ 0x3030_3030_3030_3030;
+            let others = (values | values.wrapping_add(0x7676_7676_7676_7676)) & HIGH_BITS;
+            let len = others.trailing_zeros() as usize / 8;
+            if len < 8 {
+                self.at += len;
+                // The digits moved to the word's end, zeros before them.
+                return (len > 0).then(|| eight_digits(values << (64 - 8 * len)));
+            }
+            n = eight_digits(values);
+            self.at += 8;
+        }
         while let Some(digit) = self.peek().filter(u8::is_ascii_digit) {
             if self.at - start == U64_DIGITS - 1 {
                 return self.long_number(start);
@@ -173,16 +194,51 @@ impl Scan<'_> {
     }
 }
 
+/// The number whose eight decimal digits are the bytes of `values` (each
+/// 0..=9), the first digit in the lowest byte: pairs, then fours, then the
+/// whole, each step one multiply whose high bits fall away.
+fn eight_digits(values: u64) -> u64 {
+    let pairs = (values.wrapping_mul((10 << 8) | 1) >> 8) & 0x00FF_00FF_00FF_00FF;
+    let fours = (pairs.wrapping_mul((100 << 16) | 1) >> 16) & 0x0000_FFFF_0000_FFFF;
+    fours.wrapping_mul((10_000 << 32) | 1) >> 32
+}
+
 /// Parse a `Range` header value (`bytes=0-99,200-,-5`).
 pub fn parse_range_header(value: &str) -> Result<Vec<RangeSpec>, WireError> {
+    let mut out = Vec::with_capacity(value.bytes().filter(|&b| b == b',').count() + 1);
+    each_range_spec(value, |spec| out.push(spec))?;
+    Ok(out)
+}
+
+/// A `Range` header value resolved against an entity of `size` bytes as it
+/// is read, with no list of specs in between: how many ranges the header
+/// names, satisfiable or not, and the satisfiable ones in header order.
+/// Malformed is [`WireError::BadRange`], as with [`parse_range_header`].
+pub fn resolve_range_header(
+    value: &str,
+    size: u64,
+) -> Result<(usize, Vec<ContentRange>), WireError> {
+    let mut parts = Vec::with_capacity(value.bytes().filter(|&b| b == b',').count() + 1);
+    let named = each_range_spec(value, |spec| {
+        if let Some((first, last)) = spec.resolve(size) {
+            parts.push(ContentRange { first, last, total: Some(size) });
+        }
+    })?;
+    Ok((named, parts))
+}
+
+/// Hand each spec of a `Range` header value to `each`, in order, in one
+/// pass; returns how many there were.
+fn each_range_spec(value: &str, mut each: impl FnMut(RangeSpec)) -> Result<usize, WireError> {
     let bad = || WireError::BadRange(value.to_string());
     let rest = value.trim().strip_prefix("bytes=").ok_or_else(bad)?;
-    let mut out = Vec::with_capacity(rest.bytes().filter(|&b| b == b',').count() + 1);
-    let mut scan = Scan { text: rest, at: 0 };
+    let mut scan = Scan { text: rest.as_bytes(), at: 0 };
+    let mut named = 0;
     loop {
-        out.push(scan.range_spec().ok_or_else(bad)?);
+        each(scan.range_spec().ok_or_else(bad)?);
+        named += 1;
         if scan.at_end() {
-            return Ok(out);
+            return Ok(named);
         }
         scan.expect(b',').ok_or_else(bad)?;
     }
@@ -191,17 +247,66 @@ pub fn parse_range_header(value: &str) -> Result<Vec<RangeSpec>, WireError> {
 /// Most decimal digits of a `u64`.
 pub(crate) const U64_DIGITS: usize = 20;
 
-/// Write the decimal digits of `n` at `buf[at..]`; returns where they end.
-/// A vectored read formats a thousand numbers per request and the server a
-/// thousand more per answer; `fmt` costs several times the digits
-/// themselves.
-fn put_decimal(buf: &mut [u8], at: usize, mut n: u64) -> usize {
-    let end = at + decimal_len(n);
-    for digit in buf[at..end].iter_mut().rev() {
-        *digit = b'0' + (n % 10) as u8;
-        n /= 10;
+/// `00`, `01`, … `99`: the digits of a number are written two at a time.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut pairs = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        pairs[2 * i] = b'0' + (i / 10) as u8;
+        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
     }
-    end
+    pairs
+};
+
+/// Write the decimal digits of `n` at `buf[at..]`, which has room for
+/// [`U64_DIGITS`] bytes whatever `n` is; returns where the digits end, and
+/// leaves what follows them in that room for the caller to write over. A
+/// vectored read formats a thousand numbers per request and the server a
+/// thousand more per answer; `fmt` costs several times the digits
+/// themselves. A number under 10^8 — every offset of an object under
+/// 100 MB — is made in one word ([`eight_ascii`]); a longer one two digits
+/// at a time, last first, in a stack buffer.
+fn put_decimal(buf: &mut [u8], at: usize, mut n: u64) -> usize {
+    if n < 100_000_000 {
+        let ascii = eight_ascii(n);
+        // The leading zeros are the lowest bytes; one digit stays for 0.
+        let zeros = ((ascii ^ ZEROS).trailing_zeros() as usize / 8).min(7);
+        let digits = (ascii >> (8 * zeros)).to_le_bytes();
+        buf[at..at + 8].copy_from_slice(&digits);
+        return at + 8 - zeros;
+    }
+    let mut digits = [0u8; 2 * U64_DIGITS];
+    let mut i = U64_DIGITS;
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    // The last pair had more digits before it, or a first digit of its own.
+    if n > 0 {
+        i -= 1;
+        digits[i] = b'0' + n as u8;
+    }
+    buf[at..at + U64_DIGITS].copy_from_slice(&digits[i..i + U64_DIGITS]);
+    at + U64_DIGITS - i
+}
+
+/// `0` in every byte of a word.
+const ZEROS: u64 = 0x3030_3030_3030_3030;
+
+/// The eight decimal digits of `n` < 10^8, leading zeros included, as
+/// ASCII, the first digit in the lowest byte: four digits to each half of
+/// the word, two to each quarter, one to each byte, each step one
+/// multiply-shift per lane for the quotient (`x / 100` is `x · 10486 >> 20`
+/// below 10^4, `x / 10` is `x · 103 >> 10` below 100).
+fn eight_ascii(n: u64) -> u64 {
+    let fours = (n / 10_000) | ((n % 10_000) << 32);
+    let hundreds = ((fours * 10_486) >> 20) & 0x0000_007F_0000_007F;
+    let pairs = hundreds | ((fours - hundreds * 100) << 16);
+    let tens = ((pairs * 103) >> 10) & 0x000F_000F_000F_000F;
+    tens | ((pairs - tens * 10) << 8) | ZEROS
 }
 
 /// The decimal digits of `n`, written into `buf`.
@@ -218,23 +323,23 @@ fn decimal_len(n: u64) -> usize {
 /// Format `(offset, length)` fragments as a `Range` header value.
 /// Zero-length fragments are skipped.
 pub fn format_range_header(fragments: &[(u64, usize)]) -> String {
-    let mut digits = [0u8; U64_DIGITS];
-    let mut s = String::with_capacity("bytes=".len() + fragments.len() * 16);
-    s.push_str("bytes=");
-    let mut first = true;
-    for &(off, len) in fragments {
-        if len == 0 {
-            continue;
+    // Bytes, made text once at the end: the digits are ASCII by
+    // construction, and a check per number cost more than the digits.
+    const PREFIX: &[u8] = b"bytes=";
+    let mut text = Vec::with_capacity(PREFIX.len() + fragments.len() * 16);
+    text.extend_from_slice(PREFIX);
+    for &(off, len) in fragments.iter().filter(|&&(_, len)| len > 0) {
+        if text.len() > PREFIX.len() {
+            text.push(b',');
         }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(decimal(off, &mut digits));
-        s.push('-');
-        s.push_str(decimal(off + len as u64 - 1, &mut digits));
+        let at = text.len();
+        text.resize(at + 2 * U64_DIGITS + 1, 0);
+        let dash = put_decimal(&mut text, at, off);
+        text[dash] = b'-';
+        let end = put_decimal(&mut text, dash + 1, off + len as u64 - 1);
+        text.truncate(end);
     }
-    s
+    String::from_utf8(text).expect("ASCII")
 }
 
 /// A `Content-Range: bytes first-last/total` header.
@@ -263,10 +368,15 @@ impl ContentRange {
     pub fn parse(value: &str) -> Result<ContentRange, WireError> {
         let bad = || WireError::BadRange(value.to_string());
         let rest = value.trim().strip_prefix("bytes ").ok_or_else(bad)?;
-        Scan { text: rest, at: 0 }
+        ContentRange::from_digits(rest.as_bytes()).ok_or_else(bad)
+    }
+
+    /// `first-last/total` (or `/*`), what follows `bytes ` in a header
+    /// value; `None` where [`parse`](Self::parse) would refuse the value.
+    pub(crate) fn from_digits(digits: &[u8]) -> Option<ContentRange> {
+        Scan { text: digits, at: 0 }
             .content_range()
             .filter(|cr| cr.first <= cr.last && cr.total.is_none_or(|total| cr.last < total))
-            .ok_or_else(bad)
     }
 }
 
@@ -278,7 +388,7 @@ pub(crate) const CONTENT_RANGE_DIGITS_MAX: usize = 3 * U64_DIGITS + 2;
 impl ContentRange {
     /// `first-last/total`, the header value after `bytes `, written at
     /// `buf[at..]`, which has room for [`CONTENT_RANGE_DIGITS_MAX`] bytes;
-    /// returns where it ends.
+    /// returns where it ends. What follows it in that room is not kept.
     pub(crate) fn put_digits(&self, buf: &mut [u8], at: usize) -> usize {
         let at = put_decimal(buf, at, self.first);
         buf[at] = b'-';
@@ -322,16 +432,19 @@ pub fn coalesce_fragments(fragments: &[(u64, usize)], max_gap: u64) -> Vec<(u64,
         .map(|&(off, len)| (off, off + len as u64))
         .collect();
     v.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-    for (start, end) in v {
-        match out.last_mut() {
-            Some((_, prev_end)) if start <= prev_end.saturating_add(max_gap) => {
-                *prev_end = (*prev_end).max(end);
-            }
-            _ => out.push((start, end)),
+    // Merged in place: `merged` ranges, each `(start, end)`, are done.
+    let mut merged = 0usize;
+    for i in 0..v.len() {
+        let (start, end) = v[i];
+        if merged > 0 && start <= v[merged - 1].1.saturating_add(max_gap) {
+            v[merged - 1].1 = v[merged - 1].1.max(end);
+        } else {
+            v[merged] = (start, end);
+            merged += 1;
         }
     }
-    out.into_iter().map(|(s, e)| (s, e - s)).collect()
+    v.truncate(merged);
+    v.into_iter().map(|(s, e)| (s, e - s)).collect()
 }
 
 #[cfg(test)]
@@ -364,6 +477,54 @@ mod tests {
         assert!(parse_range_header("bytes=1-2,,3-4").is_err());
     }
 
+    /// A number read from one word is the number its digits spell, at every
+    /// length and whatever byte ends it; one of eight digits or more, or
+    /// with fewer than eight bytes left, is read a digit at a time.
+    #[test]
+    fn numbers_read_from_a_word_are_their_digits() {
+        let ends = ["", "-", "/", " ", ",", ":", "\u{a0}", "9"];
+        for digits in 1..=U64_DIGITS + 1 {
+            for lead in ['1', '9', '0'] {
+                let number: String = std::iter::once(lead)
+                    .chain((1..digits).map(|i| char::from(b'0' + (i * 7 % 10) as u8)))
+                    .collect();
+                for end in ends {
+                    for pad in ["", "--------"] {
+                        let text = format!("{number}{end}{pad}");
+                        let mut scan = Scan { text: text.as_bytes(), at: 0 };
+                        let got = scan.number();
+                        let spelled = text.bytes().take_while(u8::is_ascii_digit).count();
+                        assert_eq!(got, text[..spelled].parse().ok(), "{text:?}");
+                        if got.is_some() {
+                            assert_eq!(scan.at, spelled, "{text:?}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(Scan { text: b"x1234567", at: 0 }.number(), None);
+        assert_eq!(Scan { text: b"-0000000", at: 1 }.number(), Some(0));
+    }
+
+    /// One pass over the header gives what parsing it whole and then
+    /// resolving each spec gives.
+    #[test]
+    fn a_header_resolves_as_its_specs_do() {
+        for value in ["bytes=0-99", "bytes=0-0, 10-19 ,-1", "bytes=900-,50-60,-0,2000-3000", "0-9"]
+        {
+            for size in [0, 1, 55, 1_000] {
+                let want = parse_range_header(value).map(|specs| {
+                    let parts = specs.iter().filter_map(|s| s.resolve(size));
+                    let parts =
+                        parts.map(|(first, last)| ContentRange { first, last, total: Some(size) });
+                    (specs.len(), parts.collect::<Vec<_>>())
+                });
+                let got = resolve_range_header(value, size).map_err(|e| e.to_string());
+                assert_eq!(got, want.map_err(|e| e.to_string()), "{value} of {size}");
+            }
+        }
+    }
+
     #[test]
     fn resolve_against_size() {
         assert_eq!(RangeSpec::FromTo(0, 99).resolve(50), Some((0, 49)));
@@ -394,6 +555,13 @@ mod tests {
 
     #[test]
     fn hand_written_decimals_agree_with_fmt() {
+        // Every number with one to four digits, and both sides of every
+        // power of ten: odd and even digit counts end the pairs differently.
+        let powers = (1..U64_DIGITS as u32).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e)]);
+        let spread = (0..100_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64));
+        for n in (0..10_000).chain(powers).chain(spread) {
+            assert_eq!(decimal(n, &mut [0; U64_DIGITS]), n.to_string());
+        }
         let edges = [0, 1, 9, 10, 99, 100, 4_294_967_295, 4_294_967_296, u64::MAX - 1, u64::MAX];
         for &a in &edges {
             assert_eq!(decimal(a, &mut [0; U64_DIGITS]), a.to_string());

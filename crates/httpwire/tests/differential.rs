@@ -463,3 +463,73 @@ fn part_reader_agrees_with_the_model_at_the_head_budget() {
         }
     }
 }
+
+/// A part head of a generated body: its lines, each with its line end.
+fn part_head(change: u8, cr_first: bool, range: &str) -> Vec<u8> {
+    let mut content_type = b"Content-Type: text/plain\r\n".to_vec();
+    let mut content_range = format!("Content-Range: bytes {range}\r\n").into_bytes();
+    match change {
+        4 => content_type = b"Content-Type: text/html\r\n".to_vec(),
+        6 => drop(content_range.remove(content_range.len() - 2)), // a bare LF
+        _ => {}
+    }
+    let mut fields = [content_type, content_range];
+    if cr_first != (change == 5) {
+        fields.reverse();
+    }
+    let mut head = fields.concat();
+    match change {
+        7 => head.extend_from_slice(b"X-Pad: \xff\r\n"),
+        8 => head.extend_from_slice(b"Content-Range: bytes 0-0/1\r\n"),
+        _ => {}
+    }
+    head.extend_from_slice(b"\r\n");
+    head
+}
+
+proptest! {
+    /// Bodies whose part heads mostly repeat the one before but for their
+    /// `Content-Range` digits — what the head match takes — and otherwise
+    /// differ from it in one way the match must leave to the full scan: a
+    /// changed field value, the fields in the other order, a bare LF, a
+    /// byte that is not UTF-8, a second `Content-Range`, a 21-digit number;
+    /// the numbers have 1 to 20 digits. Cut at every byte and read from one
+    /// buffer (heads matched where they lie), they give the model's parts
+    /// or its error, word for word; so does the reader through a one-byte
+    /// buffer (no head is ever whole in it, so each takes the full scan),
+    /// on the whole body and at every 32nd cut.
+    #[test]
+    fn a_matched_part_head_reads_as_the_full_scan_reads_it(
+        heads in proptest::collection::vec((0u8..10, any::<u64>(), 1u32..21, 1usize..8), 1..6),
+        cr_first in any::<bool>(),
+    ) {
+        let mut wire = Vec::new();
+        for (i, &(change, seed, digits, len)) in heads.iter().enumerate() {
+            let change = if i == 0 { 0 } else { change };
+            let low = 10u64.pow(digits - 1);
+            let first = low + seed % if digits == 20 { u64::MAX - low - 64 } else { 9 * low };
+            let last = first + len as u64 - 1;
+            let total = match seed % 3 {
+                0 => "*".to_string(),
+                _ => (last + 1 + seed % 7).to_string(),
+            };
+            let first = match change {
+                9 => format!("{first}{}", seed % 10), // 21 digits from 20
+                _ => first.to_string(),
+            };
+            wire.extend_from_slice(b"\r\n--B\r\n");
+            wire.extend(part_head(change, cr_first, &format!("{first}-{last}/{total}")));
+            wire.extend((0..len).map(|k| (seed >> (k % 8 * 8)) as u8));
+        }
+        wire.extend_from_slice(b"\r\n--B--\r\n");
+        const LIMIT: u64 = 1 << 20;
+        for cut in 0..=wire.len() {
+            let body = &wire[..cut];
+            let matched = parts(body, "B", LIMIT, &[], wire.len() + 1);
+            prop_assert_eq!(&matched, &model_parts(body, "B", LIMIT), "cut at {}", cut);
+            if cut % 32 == 0 || cut == wire.len() {
+                prop_assert_eq!(&matched, &parts(body, "B", LIMIT, &[], 1), "cut at {}", cut);
+            }
+        }
+    }
+}

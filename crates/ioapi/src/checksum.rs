@@ -16,7 +16,7 @@
 //! - CRC-32 folds four 128-bit lanes with `PCLMULQDQ` and ends with a
 //!   Barrett reduction (Intel, "Fast CRC Computation for Generic
 //!   Polynomials Using PCLMULQDQ", 2009). It runs when the CPU reports
-//!   `pclmulqdq` and `sse4.1`, on inputs of 128 bytes and more.
+//!   `pclmulqdq` and `sse4.1`, on inputs of 64 bytes and more.
 //! - From 256 bytes on, CRC-32 folds four 512-bit lanes with `VPCLMULQDQ`,
 //!   256 bytes a step, when the CPU reports `vpclmulqdq` and `avx512f`; the
 //!   lanes then fold down to the 128-bit kernel's four and end as it does.
@@ -590,6 +590,26 @@ mod tests {
             let start = next() % 64;
             let len = next() % (100 * 1024 + 1);
             assert_every_path_agrees(&data[start..start + len], &format!("len {len} at {start}"));
+        }
+    }
+
+    /// Around the CLMUL kernel's threshold (64 bytes) and its tails: each
+    /// CRC-32 kernel this CPU runs, from a fresh register and from a
+    /// running one, gives every length up to 300 bytes what the portable
+    /// kernel gives.
+    #[test]
+    fn each_crc_kernel_is_the_portable_one_at_every_short_length() {
+        let data = pseudo_random(300);
+        for len in 0..=300 {
+            let s = &data[..len];
+            for crc in [CRC_INIT, 0, 0x1234_5678] {
+                let want = State::Crc(crc32_portable(crc, s));
+                for (kernel, state) in every_kernel(crc, ADLER_INIT, s) {
+                    if matches!(state, State::Crc(_)) {
+                        assert_eq!(state, want, "{kernel}, len {len}, register {crc:#x}");
+                    }
+                }
+            }
         }
     }
 

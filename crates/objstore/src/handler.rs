@@ -23,7 +23,7 @@ use bytes::Bytes;
 use davix_sync::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use httpd::{Request, Response};
 use httpwire::multipart::{MultipartWriter, MULTIPART_BYTERANGES};
-use httpwire::range::parse_range_header;
+use httpwire::range::resolve_range_header;
 use httpwire::uri::percent_encode_path;
 use httpwire::{ContentRange, HeaderMap, Method, StatusCode};
 use ioapi::checksum::{crc32_adler32, to_hex, Digests};
@@ -513,52 +513,47 @@ impl StorageHandler {
                 .header("Digest", meta.digest())
         };
 
+        // The header resolved against the entity in one pass: how many
+        // ranges it names and the satisfiable ones.
         let effective = match (req.head.headers.get("range"), self.opts.range_support) {
             (None, _) | (_, RangeSupport::None) => None,
-            (Some(h), support) => match parse_range_header(h) {
-                Ok(specs) => {
-                    if specs.len() > MAX_RANGES {
-                        return Response::error(StatusCode::BAD_REQUEST);
-                    }
-                    if specs.len() > 1 && support == RangeSupport::SingleRange {
-                        None // pretend we never saw the header → 200 full body
-                    } else {
-                        Some(specs)
-                    }
+            (Some(h), support) => match resolve_range_header(h, size) {
+                Ok((named, _)) if named > MAX_RANGES => {
+                    return Response::error(StatusCode::BAD_REQUEST)
                 }
+                // Pretend we never saw the header → 200 full body.
+                Ok((named, _)) if named > 1 && support == RangeSupport::SingleRange => None,
+                Ok((_, parts)) => Some(parts),
                 Err(_) => return Response::error(StatusCode::BAD_REQUEST),
             },
         };
 
         match effective {
             None => base(StatusCode::OK, meta.data.clone(), "application/octet-stream"),
-            Some(specs) => {
-                let resolved: Vec<(u64, u64)> =
-                    specs.iter().filter_map(|s| s.resolve(size)).collect();
-                if resolved.is_empty() {
+            Some(parts) => {
+                let &[first_part, ..] = &parts[..] else {
                     return Response::error(StatusCode::RANGE_NOT_SATISFIABLE)
                         .header("Content-Range", format!("bytes */{size}"));
-                }
-                if resolved.len() == 1 {
-                    let (first, last) = resolved[0];
+                };
+                if parts.len() == 1 {
+                    let ContentRange { first, last, .. } = first_part;
                     let body = meta.data.slice(first as usize..=last as usize);
                     return base(StatusCode::PARTIAL_CONTENT, body, "application/octet-stream")
-                        .header(
-                            "Content-Range",
-                            ContentRange { first, last, total: Some(size) }.to_string(),
-                        );
+                        .header("Content-Range", first_part.to_string());
                 }
-                // Multi-range: multipart/byteranges, its length known before
-                // its first byte is written.
+                // Multi-range: multipart/byteranges, written in one pass
+                // into room for parts whose numbers are all as long as the
+                // entity's size, so each part's digits are worked out once,
+                // as they are written.
                 const PART_TYPE: &str = "application/octet-stream";
                 let n = self.boundary_counter.fetch_add(1, Ordering::Relaxed);
                 let boundary = format!("dpmrange_{n:016x}");
-                let parts: Vec<ContentRange> = resolved
-                    .iter()
-                    .map(|&(first, last)| ContentRange { first, last, total: Some(size) })
-                    .collect();
-                let length = MultipartWriter::<Vec<u8>>::body_length(&boundary, PART_TYPE, &parts);
-                let mut w = MultipartWriter::new(Vec::with_capacity(length as usize), &boundary);
+                let widest = ContentRange { first: size, last: size, total: Some(size) };
+                let framing =
+                    MultipartWriter::<Vec<u8>>::part_overhead(&boundary, PART_TYPE, widest);
+                let room = parts.iter().map(|cr| framing + cr.len()).sum::<u64>()
+                    + MultipartWriter::<Vec<u8>>::final_overhead(&boundary);
+                let mut w = MultipartWriter::new(Vec::with_capacity(room as usize), &boundary);
                 for cr in parts {
                     let part = &meta.data[cr.first as usize..=cr.last as usize];
                     if w.write_part(PART_TYPE, cr, part).is_err() {
@@ -569,7 +564,7 @@ impl StorageHandler {
                     Ok(b) => b,
                     Err(_) => return Response::error(StatusCode::INTERNAL_SERVER_ERROR),
                 };
-                debug_assert_eq!(body.len() as u64, length);
+                debug_assert!(body.len() as u64 <= room, "the body outgrew its room");
                 base(StatusCode::PARTIAL_CONTENT, body.into(), "application/octet-stream")
                     .header("Content-Type", format!("{MULTIPART_BYTERANGES}; boundary={boundary}"))
             }

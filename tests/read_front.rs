@@ -111,6 +111,12 @@ fn table() -> Vec<Row> {
             cached_round_trips: 0,
         },
         Row {
+            name: "pread_vec of empty fragments",
+            op: Op::PreadVec(&[(10, 0), (999_999, 0)]),
+            uncached: stats(0, 0, 0, 0),
+            cached_round_trips: 0,
+        },
+        Row {
             name: "fragment beyond EOF",
             op: Op::BeyondEof(&[(10, 10), (999_999, 2)]),
             uncached: stats(0, 0, 0, 0),
@@ -165,13 +171,20 @@ fn every_face_reads_the_same_bytes_and_counts_the_same_way() {
                 let stat = file.stat();
                 assert_eq!((stat.size, stat.is_dir), (SIZE as u64, false), "{cell}");
                 assert_eq!(stat.etag.is_some(), !failover, "{cell}");
-                let before = file.stats();
+                let (before, sent) = (file.stats(), client.metrics());
                 bytes.push(run(&file, &row.op, &data));
                 let want = match is_cached {
                     false => row.uncached,
                     true => IoStatsSnapshot { round_trips: row.cached_round_trips, ..row.uncached },
                 };
                 assert_eq!(file.stats().since(&before), want, "{cell}");
+                // No row falls back to one request per fragment, and a read
+                // with no round trip sends nothing.
+                let sent = client.metrics().since(&sent);
+                assert_eq!(sent.vector_fallbacks, 0, "{cell}");
+                if want.round_trips == 0 {
+                    assert_eq!(sent.requests, 0, "{cell}");
+                }
             }
         }
         assert!(bytes.windows(2).all(|w| w[0] == w[1]), "{}: the opens disagree", row.name);
