@@ -493,8 +493,8 @@ impl<R: BufRead> MultipartReader<R> {
     /// Next part, or `None` after the closing delimiter.
     pub fn next_part(&mut self) -> Result<Option<Part>, WireError> {
         let Some(range) = self.next_range()? else { return Ok(None) };
-        let mut data = vec![0u8; range.len() as usize];
-        self.payload_into(&mut data)?;
+        let mut data = Vec::with_capacity(range.len() as usize);
+        self.payload_pieces(|piece| data.extend_from_slice(piece))?;
         Ok(Some(Part { range, data }))
     }
 

@@ -90,6 +90,10 @@ impl Scan<'_> {
     }
 
     fn skip_space(&mut self) {
+        // Almost every call finds a digit or a separator: nothing to skip.
+        if self.peek().is_some_and(|b| b > b' ' && b.is_ascii()) {
+            return;
+        }
         while let Some(byte) = self.peek() {
             // The ASCII white space of `char::is_whitespace`, then the rest.
             if byte == b' ' || (b'\t'..=b'\r').contains(&byte) {
