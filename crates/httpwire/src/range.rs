@@ -120,10 +120,10 @@ impl Scan<'_> {
         let start = self.at;
         let mut n = 0u64;
         if let Some(word) = self.text[start..].first_chunk::<8>() {
-            // A digit's byte minus `0` is 0..=9; any other byte's is over 9,
-            // and adding 0x76 to it sets its high bit. A carry out of such a
-            // byte only spoils the bytes after it.
-            let values = u64::from_le_bytes(*word) ^ 0x3030_3030_3030_3030;
+            // A digit's byte xor `0` is its value, 0..=9; any other byte's is
+            // over 9, and adding 0x76 to it sets its high bit. A carry out of
+            // such a byte only spoils the bytes after it.
+            let values = u64::from_le_bytes(*word) ^ ZEROS;
             let others = (values | values.wrapping_add(0x7676_7676_7676_7676)) & HIGH_BITS;
             let len = others.trailing_zeros() as usize / 8;
             if len < 8 {
