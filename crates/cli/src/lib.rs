@@ -22,7 +22,6 @@
 
 use bytes::Bytes;
 use davix::{multistream_download_verified, Config, DavixClient, MultistreamOptions};
-use ioapi::RandomAccess;
 use netsim::{RealRuntime, TcpConnector, TcpListenerWrap};
 use objstore::{ObjectStore, StorageNode, StorageOptions};
 use std::fmt;
@@ -459,18 +458,14 @@ pub fn run_command(
     }
 }
 
-/// Most bytes a download through a [`DavFile`](davix::DavFile) holds at
-/// once: the object goes to the output one window of `pread`s at a time.
-const COPY_WINDOW: usize = 1 << 20;
-
 /// The download paths of `davix get`, written to `sink`; returns the bytes
 /// written. A plain whole-object download streams the one GET's body, so
 /// memory stays flat however big the object is, and a reset mid-body
 /// resumes within the retry budget. Fail-over, the block cache and
-/// read-ahead read through one [`DavFile`](davix::DavFile), a window of
-/// [`COPY_WINDOW`] bytes at a time (`cached` keeps the cache flags from
-/// being dead weight on the plain path); ranges are one vectored read, and
-/// `--streams` downloads and verifies in memory.
+/// read-ahead copy through one [`DavFile`](davix::DavFile) with
+/// [`copy_to`](davix::DavFile::copy_to), as flat in memory (`cached` keeps
+/// the cache flags from being dead weight on the plain path); ranges are
+/// one vectored read, and `--streams` downloads and verifies in memory.
 fn fetch(
     client: &DavixClient,
     url: &str,
@@ -499,16 +494,7 @@ fn fetch(
         sink.write_all(&data)?;
         return Ok(data.len() as u64);
     }
-    let size = file.size_hint();
-    let mut window = vec![0u8; usize::try_from(size).unwrap_or(usize::MAX).min(COPY_WINDOW)];
-    let mut at = 0u64;
-    while at < size {
-        let n = usize::try_from(size - at).unwrap_or(usize::MAX).min(window.len());
-        file.read_exact_at(at, &mut window[..n])?;
-        sink.write_all(&window[..n])?;
-        at += n as u64;
-    }
-    Ok(size)
+    Ok(file.copy_to(sink)?)
 }
 
 /// Let `fill` write to `path` (`-o FILE`) or else to `out`; returns what
@@ -1121,24 +1107,35 @@ mod tests {
     }
 
     /// `--failover`, `--cache-mb` and `--readahead` copy the object to the
-    /// output a window at a time: the bytes arrive whole and in order, and
-    /// no write is larger than the window.
+    /// output byte-identical, in more than one write and none larger than
+    /// a copy buffer, so memory stays flat. Fail-over streams one GET after
+    /// its open (a HEAD); the block cache reads a 1 MiB window at a time,
+    /// one request for each window's missing blocks, and read-ahead fetches
+    /// blocks on its own schedule.
     #[test]
-    fn a_get_through_a_file_handle_copies_one_window_at_a_time() {
+    fn a_get_through_a_file_handle_streams_in_bounded_writes() {
         let tmp = std::env::temp_dir().join(format!("davix-cli-window-{}", std::process::id()));
         std::fs::create_dir_all(&tmp).unwrap();
         let payload: Vec<u8> = (0..2_500_000usize).map(|i| ((i * 17 + 9) % 241) as u8).collect();
         std::fs::write(tmp.join("big.bin"), &payload).unwrap();
         let (_node, addr, _) = start_server("127.0.0.1:0", Some(&tmp)).unwrap();
         let url = format!("http://{addr}/big.bin");
-        for flags in [&["--failover"][..], &["--cache-mb", "4"], &["--readahead"]] {
+        for (flags, requests) in [
+            (&["--failover"][..], 1 + 1..=1 + 1),
+            (&["--cache-mb", "4"], 1 + 3..=1 + 3),
+            // Ten 256 KiB blocks, none fetched twice.
+            (&["--readahead"], 1 + 1..=1 + 10),
+        ] {
             let cmd = parse_args(&args(&[&["get", &url][..], flags].concat())).unwrap();
             let client = real_client(config_for(&cmd));
             let mut sink = CountingSink::default();
             let n = run_command(&client, &cmd, &mut sink).unwrap();
             assert_eq!(n, payload.len() as u64, "{flags:?}");
             assert!(sink.bytes == payload, "{flags:?}: the copy must be byte-identical");
-            assert_eq!(sink.writes, [COPY_WINDOW, COPY_WINDOW, 2_500_000 - 2 * COPY_WINDOW]);
+            assert!(sink.writes.len() > 1, "{flags:?}: {} write(s)", sink.writes.len());
+            assert!(sink.writes.iter().all(|&w| w <= 1 << 20), "{flags:?}: {:?}", sink.writes);
+            let sent = client.metrics().requests;
+            assert!(requests.contains(&sent), "{flags:?}: {sent} requests, want {requests:?}");
         }
         std::fs::remove_dir_all(&tmp).ok();
     }

@@ -573,7 +573,6 @@ impl HttpExecutor {
             head: raw.start.head,
             final_uri,
             keep_alive,
-            metrics: &self.metrics,
             lease: Lease {
                 pool: &self.pool,
                 session: Some(raw.session),
@@ -772,7 +771,6 @@ pub struct ResponseStream<'a> {
     head: ResponseHead,
     final_uri: Uri,
     keep_alive: bool,
-    metrics: &'a Metrics,
     lease: Lease<'a>,
     framing: BodyFraming,
 }
@@ -864,7 +862,7 @@ impl ResponseStream<'_> {
             body.reserve(n.min(MAX_BODY_PREALLOC) as usize);
         }
         Read::read_to_end(&mut self, &mut body).map_err(body_read_error)?;
-        Metrics::record_max(&self.metrics.peak_body_buffer, body.len() as u64);
+        Metrics::record_max(&self.lease.metrics.peak_body_buffer, body.len() as u64);
         Ok(HttpResponse { head: self.head, body, final_uri: self.final_uri })
     }
 }

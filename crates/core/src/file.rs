@@ -32,12 +32,16 @@ use httpwire::range::{coalesce_fragments, format_range_header};
 use httpwire::{ContentRange, ResponseHead, StatusCode, Uri};
 use ioapi::{IoStats, IoStatsSnapshot};
 use parking_lot::Mutex;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::sync::Arc;
 
 /// Fragments closer than this many bytes are merged into one wire range
 /// (reading a small gap is cheaper than another part header).
 const VECTOR_MERGE_GAP: u64 = 512;
+
+/// Most bytes [`DavFile::copy_to`] holds at once when it copies through the
+/// block cache.
+const COPY_WINDOW: u64 = 1 << 20;
 
 /// Concurrency of the per-fragment single-range GETs that `SingleRanges`
 /// mode and a rejected multi-range request fall back to.
@@ -233,6 +237,36 @@ impl DavFile {
         self.io.record_read(n as u64, round_trips);
         Ok(n)
     }
+
+    /// Copy the whole entity into `sink`; returns the bytes written. Memory
+    /// stays flat whatever the size. Without the cache this is one GET
+    /// streamed through: a fail-over file walks its replicas as a read
+    /// does, and a replica that takes over from one that failed mid-body
+    /// sends the entity again, read on past the bytes already written.
+    /// With the cache it is a read of 1 MiB through it at a time, each
+    /// costing what such a read costs (one request for the blocks it
+    /// misses). An error from `sink` ends the copy at once, with
+    /// no retry and no fail-over.
+    pub fn copy_to(&self, sink: &mut dyn Write) -> std::io::Result<u64> {
+        if self.cache.is_some() {
+            let mut window = vec![0u8; self.size.min(COPY_WINDOW) as usize];
+            let mut at = 0;
+            while at < self.size {
+                let n = window.len().min((self.size - at) as usize);
+                ioapi::RandomAccess::read_exact_at(self, at, &mut window[..n])?;
+                sink.write_all(&window[..n])?;
+                at += n as u64;
+            }
+            return Ok(self.size);
+        }
+        let mut written = 0;
+        let copied = match &self.opened {
+            Opened::Direct(raw, _) => raw.copy_into(&mut written, sink),
+            Opened::Failover(core) => core.with_file(|f| f.copy_into(&mut written, sink)),
+        };
+        self.io.record_read(written, 1);
+        copied?.map(|()| written)
+    }
 }
 
 impl RawFile {
@@ -279,6 +313,24 @@ impl RawFile {
                 Ok(0)
             }
             status => Err(DavixError::from_status(status, format!("pread {}", self.uri))),
+        })
+    }
+
+    /// The one whole-entity GET, streamed into `sink` past the `*written`
+    /// bytes it already holds (a retry here, or another replica before,
+    /// wrote them). An answer whose length is not the size learned at open
+    /// is refused.
+    fn copy_into(&self, written: &mut u64, sink: &mut dyn Write) -> Result<std::io::Result<()>> {
+        let req = PreparedRequest::get(self.uri.clone());
+        self.inner.executor.with_retries(&req, None, |stream| {
+            let mut stream = stream.expect_success("get")?;
+            if stream.head().headers.content_length()?.is_some_and(|len| len != self.size) {
+                return Err(DavixError::Protocol(format!(
+                    "{}: size changed since the open",
+                    self.uri
+                )));
+            }
+            copy_body(&mut stream, written, sink, &self.uri.to_string())
         })
     }
 
@@ -533,9 +585,6 @@ impl DavFile {
     /// replicas and fetches it in parallel, failing a batch over on its own
     /// if its replica dies mid-flight.
     pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        if fragments.is_empty() {
-            return Ok(Vec::new());
-        }
         let size = self.size;
         if let Some((off, len)) = fragments.iter().find(|f| f.0.saturating_add(f.1 as u64) > size) {
             return Err(DavixError::InvalidArgument(format!(
@@ -543,7 +592,8 @@ impl DavFile {
             )));
         }
         if fragments.iter().all(|&(_, len)| len == 0) {
-            // A `Range` header of no range (`bytes=`) is malformed.
+            // Nothing to fetch, an empty list included: a `Range` header of
+            // no range (`bytes=`) is malformed.
             return Ok(vec![Vec::new(); fragments.len()]);
         }
         let (out, round_trips) = match &self.cache {
@@ -585,48 +635,26 @@ impl ioapi::RandomAccess for DavFile {
 /// in whatever shape the server chose.
 struct Scatter<'a> {
     fragments: &'a [(u64, usize)],
-    /// Fragment indices ordered by offset — `None` when the fragments
-    /// already are, as a reader's usually are — so the fragments inside a
-    /// stretch are found by walking on from the stretch before (parts come
-    /// in offset order), or by binary search when a stretch goes back.
-    by_offset: Option<Vec<usize>>,
+    /// Fragment indices ordered by offset, so the fragments inside a
+    /// stretch are found by binary search: a 500-part answer to a
+    /// 500-fragment read is 500 look-ups, not 250 000 comparisons.
+    by_offset: Vec<usize>,
     bufs: Vec<Vec<u8>>,
     filled: Vec<bool>,
-    /// Where, in offset order, the last stretch's first fragment is.
-    cursor: usize,
 }
 
 impl<'a> Scatter<'a> {
     fn new(fragments: &'a [(u64, usize)]) -> Scatter<'a> {
-        let by_offset = (!fragments.is_sorted_by_key(|&(off, _)| off)).then(|| {
-            let mut order: Vec<usize> = (0..fragments.len()).collect();
-            order.sort_by_key(|&i| fragments[i].0);
-            order
-        });
+        // A stable sort: one pass over fragments already in offset order.
+        let mut by_offset: Vec<usize> = (0..fragments.len()).collect();
+        by_offset.sort_by_key(|&i| fragments[i].0);
         Scatter {
             fragments,
             by_offset,
             bufs: fragments.iter().map(|&(_, len)| Vec::with_capacity(len)).collect(),
             // An empty fragment needs no byte of the response.
             filled: fragments.iter().map(|&(_, len)| len == 0).collect(),
-            cursor: 0,
         }
-    }
-
-    /// Where, in offset order, the first fragment at or past `first` is.
-    fn seek(&self, first: u64) -> usize {
-        let offset = |k| self.fragments[nth(&self.by_offset, k)].0;
-        let mut k = self.cursor;
-        if k > 0 && offset(k - 1) >= first {
-            return match &self.by_offset {
-                None => self.fragments.partition_point(|&(off, _)| off < first),
-                Some(order) => order.partition_point(|&i| self.fragments[i].0 < first),
-            };
-        }
-        while k < self.fragments.len() && offset(k) < first {
-            k += 1;
-        }
-        k
     }
 
     /// `data` is the entity from `first` on: copy it into every fragment it
@@ -650,17 +678,15 @@ impl<'a> Scatter<'a> {
         pieces: impl FnOnce(&mut dyn FnMut(&[u8])) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         let end = first + len as u64;
-        let start = self.seek(first);
-        self.cursor = start;
-        let Scatter { fragments, by_offset, bufs, filled, .. } = self;
+        let Scatter { fragments, by_offset, bufs, filled } = self;
+        let start = by_offset.partition_point(|&i| fragments[i].0 < first);
         // Fragments before `lo` (in offset order) need nothing more of the
         // stretch; `at` is where the next piece starts.
         let (mut lo, mut at) = (start, first);
         pieces(&mut |piece: &[u8]| {
             let piece_end = at + piece.len() as u64;
             let (mut settled, from_lo) = (true, lo);
-            for k in from_lo..fragments.len() {
-                let i = nth(by_offset, k);
+            for (k, &i) in by_offset.iter().enumerate().skip(from_lo) {
                 let (off, flen) = fragments[i];
                 if off >= piece_end {
                     break;
@@ -697,11 +723,6 @@ impl<'a> Scatter<'a> {
             }
         }
     }
-}
-
-/// The `k`-th fragment in offset order, given [`Scatter::by_offset`].
-fn nth(by_offset: &Option<Vec<usize>>, k: usize) -> usize {
-    by_offset.as_ref().map_or(k, |order| order[k])
 }
 
 /// Parse a `Content-Range` header off a `206` head, or fail as a protocol
@@ -772,6 +793,32 @@ pub(crate) fn skip_stream(r: &mut ResponseStream<'_>, count: u64) -> Result<u64>
         }
     }
     Ok(skipped)
+}
+
+/// Copy the rest of `stream`'s body into `sink` past the `*written` bytes
+/// of it that `sink` already holds (an earlier attempt wrote them), adding
+/// each write to `*written`. A body too short to skip them is `what`
+/// changed between attempts. An error from `sink` comes back inside the
+/// `Ok`, so nothing retries it.
+pub(crate) fn copy_body(
+    stream: &mut ResponseStream<'_>,
+    written: &mut u64,
+    sink: &mut dyn Write,
+    what: &str,
+) -> Result<std::io::Result<()>> {
+    if skip_stream(stream, *written)? < *written {
+        return Err(DavixError::Protocol(format!("{what} changed between attempts")));
+    }
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        match stream.read(&mut buf).map_err(body_read_error)? {
+            0 => return Ok(Ok(())),
+            n => match sink.write_all(&buf[..n]) {
+                Ok(()) => *written += n as u64,
+                Err(e) => return Ok(Err(e)),
+            },
+        }
+    }
 }
 
 /// Pull only the requested windows out of a full-entity (`200`) body,

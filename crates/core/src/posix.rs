@@ -3,12 +3,12 @@
 
 use crate::client::ClientInner;
 use crate::error::{DavixError, Result};
-use crate::executor::{body_read_error, BodyProvider, PreparedRequest};
-use crate::file::skip_stream;
+use crate::executor::{BodyProvider, PreparedRequest};
+use crate::file::copy_body;
 use crate::pool::Endpoint;
 use httpwire::uri::percent_decode;
 use httpwire::{Method, StatusCode, Uri};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Stat result.
@@ -212,26 +212,19 @@ impl DavPosix {
     /// bytes written. An error from `sink` ends the download at once.
     pub fn get_into(&self, url: &str, sink: &mut dyn Write) -> io::Result<u64> {
         let req = PreparedRequest::get(self.uri(url)?);
-        let (mut written, mut first, mut buf) = (0u64, None, vec![0u8; 64 * 1024]);
-        self.inner.executor.with_retries(&req, None, |stream| {
-            let mut stream = stream.expect_success("get")?;
-            let head = &stream.head().headers;
-            let entity = (head.get("etag").map(str::to_owned), head.content_length()?);
-            if *first.get_or_insert_with(|| entity.clone()) != entity
-                || skip_stream(&mut stream, written)? < written
-            {
-                return Err(DavixError::Protocol(format!("{url} changed between attempts")));
-            }
-            loop {
-                match stream.read(&mut buf).map_err(body_read_error)? {
-                    0 => return Ok(Ok(written)),
-                    n => match sink.write_all(&buf[..n]) {
-                        Ok(()) => written += n as u64,
-                        Err(e) => return Ok(Err(e)),
-                    },
+        let (mut written, mut first) = (0u64, None);
+        self.inner
+            .executor
+            .with_retries(&req, None, |stream| {
+                let mut stream = stream.expect_success("get")?;
+                let head = &stream.head().headers;
+                let entity = (head.get("etag").map(str::to_owned), head.content_length()?);
+                if *first.get_or_insert_with(|| entity.clone()) != entity {
+                    return Err(DavixError::Protocol(format!("{url} changed between attempts")));
                 }
-            }
-        })?
+                copy_body(&mut stream, &mut written, sink, url)
+            })?
+            .map(|()| written)
     }
 
     /// Store a whole object (PUT), buffered in memory. For large objects

@@ -315,7 +315,7 @@ impl ReplicaCore {
     /// No lock is held while `op` runs: the file handle is cloned out of the
     /// map and the operation goes to the wire lock-free, so concurrent
     /// operations on one fail-over `DavFile` overlap fully.
-    fn with_file<T>(&self, mut op: impl FnMut(&RawFile) -> Result<T>) -> Result<T> {
+    pub(crate) fn with_file<T>(&self, mut op: impl FnMut(&RawFile) -> Result<T>) -> Result<T> {
         let mut tried: Vec<ReplicaId> = Vec::new();
         let mut last_err: Option<DavixError> = None;
         loop {

@@ -251,26 +251,14 @@ fn each_range_spec(value: &str, mut each: impl FnMut(RangeSpec)) -> Result<usize
 /// Most decimal digits of a `u64`.
 pub(crate) const U64_DIGITS: usize = 20;
 
-/// `00`, `01`, … `99`: the digits of a number are written two at a time.
-const DIGIT_PAIRS: [u8; 200] = {
-    let mut pairs = [0; 200];
-    let mut i = 0;
-    while i < 100 {
-        pairs[2 * i] = b'0' + (i / 10) as u8;
-        pairs[2 * i + 1] = b'0' + (i % 10) as u8;
-        i += 1;
-    }
-    pairs
-};
-
 /// Write the decimal digits of `n` at `buf[at..]`, which has room for
 /// [`U64_DIGITS`] bytes whatever `n` is; returns where the digits end, and
 /// leaves what follows them in that room for the caller to write over. A
 /// vectored read formats a thousand numbers per request and the server a
 /// thousand more per answer; `fmt` costs several times the digits
 /// themselves. A number under 10^8 — every offset of an object under
-/// 100 MB — is made in one word ([`eight_ascii`]); a longer one two digits
-/// at a time, last first, in a stack buffer.
+/// 100 MB — is made in one word ([`eight_ascii`]); a longer one a digit at
+/// a time.
 fn put_decimal(buf: &mut [u8], at: usize, mut n: u64) -> usize {
     if n < 100_000_000 {
         let ascii = eight_ascii(n);
@@ -280,21 +268,12 @@ fn put_decimal(buf: &mut [u8], at: usize, mut n: u64) -> usize {
         buf[at..at + 8].copy_from_slice(&digits);
         return at + 8 - zeros;
     }
-    let mut digits = [0u8; 2 * U64_DIGITS];
-    let mut i = U64_DIGITS;
-    while n >= 10 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        i -= 2;
-        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    let end = at + decimal_len(n);
+    for digit in buf[at..end].iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        n /= 10;
     }
-    // The last pair had more digits before it, or a first digit of its own.
-    if n > 0 {
-        i -= 1;
-        digits[i] = b'0' + n as u8;
-    }
-    buf[at..at + U64_DIGITS].copy_from_slice(&digits[i..i + U64_DIGITS]);
-    at + U64_DIGITS - i
+    end
 }
 
 /// `0` in every byte of a word.
@@ -560,7 +539,8 @@ mod tests {
     #[test]
     fn hand_written_decimals_agree_with_fmt() {
         // Every number with one to four digits, and both sides of every
-        // power of ten: odd and even digit counts end the pairs differently.
+        // power of ten: 10^8 is where the one-word path hands over to the
+        // digit loop.
         let powers = (1..U64_DIGITS as u32).flat_map(|e| [10u64.pow(e) - 1, 10u64.pow(e)]);
         let spread = (0..100_000u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (i % 64));
         for n in (0..10_000).chain(powers).chain(spread) {

@@ -255,3 +255,39 @@ fn health_monitor_keeps_federation_answers_fresh() {
     assert_eq!(catalog.live_replicas(DATA_PATH).len(), 2, "monitor noticed the death");
     monitor.stop();
 }
+
+/// A whole-file copy from a fail-over file survives its replica dying
+/// mid-body: the next replica sends the entity again, the copy goes on past
+/// the bytes already written, and the output is whole and in order.
+#[test]
+fn a_failover_copy_goes_on_at_the_next_replica_when_one_dies_mid_body() {
+    struct KillMidBody<'a> {
+        tb: &'a Testbed,
+        at: usize,
+        out: Vec<u8>,
+    }
+    impl std::io::Write for KillMidBody<'_> {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.out.extend_from_slice(buf);
+            if self.out.len() >= self.at {
+                self.tb.net.set_host_down("dpm1.cern.ch", true);
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+    let data = payload(1_000_000);
+    let tb = three_replica_testbed(&data);
+    let _g = tb.net.enter();
+    let client = tb.davix_client(fed_config(&tb).no_retry());
+    let f = client.open_failover(&tb.url(0)).unwrap();
+    let before = client.metrics();
+    let mut sink = KillMidBody { tb: &tb, at: 300_000, out: Vec::new() };
+    assert_eq!(f.copy_to(&mut sink).unwrap(), data.len() as u64);
+    assert!(sink.out == data, "the copy must be whole and in order");
+    let m = client.metrics().since(&before);
+    assert!(m.failovers >= 1, "the copy must have failed over");
+    assert_ne!(f.current_uri().host, "dpm1.cern.ch");
+}
