@@ -25,6 +25,7 @@
 //! fig7's non-blocking load generator), through `davix::Exchange`.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use bytes::Bytes;
 use davix::{Config, DavixClient, PreparedRequest};

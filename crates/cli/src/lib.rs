@@ -19,6 +19,7 @@
 //! and maps errors to exit codes.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use bytes::Bytes;
 use davix::{multistream_download_verified, Config, DavixClient, MultistreamOptions};

@@ -168,16 +168,6 @@ impl BlockCache {
         })
     }
 
-    /// Configured block size in bytes.
-    pub fn block_size(&self) -> u64 {
-        self.block_size
-    }
-
-    /// Bytes currently held by ready blocks (diagnostics/tests).
-    pub fn ready_bytes(&self) -> u64 {
-        self.inner.lock().ready_bytes
-    }
-
     /// One locked lookup-or-claim. Never blocks on I/O.
     fn lookup(&self, key: &Arc<str>, index: u64) -> Lookup {
         let mut inner = self.inner.lock();
@@ -638,7 +628,7 @@ mod tests {
         fc.read_at(100, &mut buf).unwrap(); // block 1
         fc.read_at(0, &mut buf).unwrap(); // touch block 0
         fc.read_at(200, &mut buf).unwrap(); // block 2 → evicts block 1 (LRU)
-        assert_eq!(fc.cache.ready_bytes(), 200);
+        assert_eq!(fc.cache.inner.lock().ready_bytes, 200);
         let (_, ups) = fc.read_at(0, &mut buf).unwrap();
         assert_eq!(ups, 0, "block 0 was touched, must have survived");
         let (_, ups) = fc.read_at(100, &mut buf).unwrap();

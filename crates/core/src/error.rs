@@ -53,7 +53,7 @@ pub enum DavixError {
 
 impl DavixError {
     /// Classify an HTTP error status into the right variant.
-    pub fn from_status(status: StatusCode, context: impl Into<String>) -> DavixError {
+    pub(crate) fn from_status(status: StatusCode, context: impl Into<String>) -> DavixError {
         let context = context.into();
         match status.0 {
             404 | 410 => DavixError::NotFound(context),
@@ -64,7 +64,7 @@ impl DavixError {
 
     /// Whether retrying the same request might succeed (transport hiccups,
     /// 5xx) — per-replica retry policy uses this.
-    pub fn is_retryable(&self) -> bool {
+    pub(crate) fn is_retryable(&self) -> bool {
         match self {
             DavixError::Connection(_) | DavixError::Timeout(_) => true,
             DavixError::Http { status, .. } => status.is_server_error(),
@@ -79,7 +79,7 @@ impl DavixError {
     /// walk that produced it, and a
     /// [`ChecksumMismatch`](Self::ChecksumMismatch) is computed over the
     /// assembled download, not one replica's answer).
-    pub fn is_failover_candidate(&self) -> bool {
+    pub(crate) fn is_failover_candidate(&self) -> bool {
         !matches!(
             self,
             DavixError::InvalidArgument(_)

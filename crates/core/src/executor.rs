@@ -20,7 +20,7 @@
 //! [`HttpExecutor::execute_streaming`] hands back a [`ResponseStream`] that
 //! owns the pooled session and yields body bytes incrementally;
 //! [`HttpExecutor::execute`] collects it into a `Vec`;
-//! [`HttpExecutor::execute_upload`] does the same with the body streamed
+//! `HttpExecutor::execute_upload` does the same with the body streamed
 //! from a provider.
 
 use crate::config::{Config, EXPECT_CONTINUE_THRESHOLD, MAX_REDIRECTS, USER_AGENT};
@@ -93,7 +93,7 @@ pub struct HttpResponse {
 
 impl HttpResponse {
     /// Error out unless the status is 2xx.
-    pub fn expect_success(self, context: &str) -> Result<HttpResponse> {
+    pub(crate) fn expect_success(self, context: &str) -> Result<HttpResponse> {
         if self.head.status.is_success() {
             Ok(self)
         } else {
@@ -107,10 +107,10 @@ impl HttpResponse {
 
 /// A replayable streaming request body.
 ///
-/// [`HttpExecutor::execute_upload`] pulls a **fresh** [`BodySource`] per
-/// attempt, so retries and redirect hops re-send the body from the start —
-/// a provider must be able to open its underlying data more than once
-/// (re-open the file, re-slice the buffer). One-shot streams belong behind
+/// An upload (`HttpExecutor::execute_upload`) pulls a **fresh**
+/// [`BodySource`] per attempt, so retries and redirect hops re-send the
+/// body from the start — a provider must be able to open its underlying
+/// data more than once (re-open the file, re-slice the buffer). One-shot streams belong behind
 /// a buffering provider instead.
 pub trait BodyProvider: Send + Sync {
     /// Total body length when known (`Content-Length` framing); `None`
@@ -364,7 +364,7 @@ impl HttpExecutor {
     /// * 5xx and transport failures on idempotent methods retry within the
     ///   shared budget, again with a fresh body (counted in
     ///   [`Metrics::upload_retries`]).
-    pub fn execute_upload(
+    pub(crate) fn execute_upload(
         &self,
         req: &PreparedRequest,
         body: &dyn BodyProvider,
@@ -797,7 +797,7 @@ impl ResponseStream<'_> {
     }
 
     /// URI that actually served the response (after redirects).
-    pub fn final_uri(&self) -> &Uri {
+    pub(crate) fn final_uri(&self) -> &Uri {
         &self.final_uri
     }
 
@@ -810,7 +810,7 @@ impl ResponseStream<'_> {
     /// Error out unless the status is 2xx. The body (an error page) is left
     /// unread; dropping it discards the connection, which is fine for an
     /// error path.
-    pub fn expect_success(self, context: &str) -> Result<Self> {
+    pub(crate) fn expect_success(self, context: &str) -> Result<Self> {
         if self.head.status.is_success() {
             Ok(self)
         } else {
@@ -854,7 +854,7 @@ impl ResponseStream<'_> {
     }
 
     /// Collect the rest of the body into a `Vec`, consuming the stream.
-    pub fn into_response(mut self) -> Result<HttpResponse> {
+    pub(crate) fn into_response(mut self) -> Result<HttpResponse> {
         let mut body = Vec::new();
         // A sizing hint only: what frames the body was settled by
         // `response_body_len` when the head arrived.

@@ -136,11 +136,6 @@ impl IoPool {
         self.max
     }
 
-    /// Workers currently live.
-    pub fn live_workers(&self) -> usize {
-        self.state.lock().live
-    }
-
     /// High-water mark of concurrently live workers.
     pub fn peak_workers(&self) -> usize {
         self.state.lock().peak_live
@@ -342,6 +337,13 @@ mod tests {
     use davix_sync::{AtomicUsize, Ordering};
     use netsim::SimNet;
     use std::time::Duration;
+
+    impl IoPool {
+        /// Workers currently live.
+        pub(crate) fn live_workers(&self) -> usize {
+            self.state.lock().live
+        }
+    }
 
     #[test]
     fn runs_every_job_with_bounded_concurrency() {

@@ -133,7 +133,7 @@
 //! parallel, checksummed:
 //!
 //! * **Streaming single PUT** ([`DavPosix::put_stream`] →
-//!   [`HttpExecutor::execute_upload`]): the body streams from any
+//!   `HttpExecutor::execute_upload`): the body streams from any
 //!   [`BodyProvider`] (`Content-Length` framing when the length is known,
 //!   chunked otherwise — [`httpwire::BodySource`] is the emitter), so
 //!   uploading a multi-GiB file costs a fixed scratch buffer. Bodies of
@@ -243,6 +243,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cache;
 pub mod client;

@@ -133,7 +133,7 @@ impl Metrics {
     }
 
     /// Raise a high-water-mark gauge to at least `n`.
-    pub fn record_max(gauge: &AtomicU64, n: u64) {
+    pub(crate) fn record_max(gauge: &AtomicU64, n: u64) {
         gauge.fetch_max(n, Ordering::Relaxed);
     }
 }

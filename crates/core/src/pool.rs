@@ -83,11 +83,6 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Requests already sent over this session.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served
-    }
-
     pub(crate) fn note_request(&mut self) {
         self.requests_served += 1;
     }
@@ -265,12 +260,6 @@ impl SessionPool {
         })
     }
 
-    /// Number of endpoints with at least one idle session (drained stacks
-    /// are pruned, so this tracks live keep-alive targets, not history).
-    pub fn endpoints_tracked(&self) -> usize {
-        self.idle.lock().stacks.len()
-    }
-
     /// Drop every idle session.
     pub fn clear(&self) {
         self.idle.lock().stacks.clear();
@@ -282,6 +271,15 @@ mod tests {
     use super::*;
     use netsim::{LinkSpec, SimNet};
     use std::io::Read;
+
+    impl SessionPool {
+        /// Number of endpoints with at least one idle session (drained
+        /// stacks are pruned, so this tracks live keep-alive targets, not
+        /// history).
+        fn endpoints_tracked(&self) -> usize {
+            self.idle.lock().stacks.len()
+        }
+    }
 
     fn setup() -> (SimNet, SessionPool, Endpoint, Arc<Metrics>) {
         let net = SimNet::new();

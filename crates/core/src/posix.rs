@@ -244,8 +244,7 @@ impl DavPosix {
     /// chunked transfer encoding; large bodies negotiate
     /// `Expect: 100-continue` so a rejecting server never receives the
     /// payload, and the body is replayed (a fresh reader per attempt)
-    /// across retries and redirects. See
-    /// [`HttpExecutor::execute_upload`](crate::HttpExecutor::execute_upload).
+    /// across retries and redirects.
     pub fn put_stream(&self, url: &str, body: &dyn BodyProvider) -> Result<()> {
         let uri = self.uri(url)?;
         let req = PreparedRequest::new(Method::Put, uri);

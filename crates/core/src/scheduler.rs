@@ -146,7 +146,7 @@ impl ReplicaScheduler {
 
     /// Append replicas, skipping any already present (compared ignoring
     /// scheme/host case). Returns the ids of the newly added entries.
-    pub fn add_replicas(&self, uris: impl IntoIterator<Item = Uri>) -> Vec<ReplicaId> {
+    pub(crate) fn add_replicas(&self, uris: impl IntoIterator<Item = Uri>) -> Vec<ReplicaId> {
         let mut st = self.state.lock();
         let mut added = Vec::new();
         for uri in uris {
@@ -170,7 +170,7 @@ impl ReplicaScheduler {
     }
 
     /// As [`pick`](Self::pick), skipping the (per-operation) `exclude` set.
-    pub fn pick_excluding(&self, exclude: &[ReplicaId]) -> Option<(ReplicaId, Uri)> {
+    pub(crate) fn pick_excluding(&self, exclude: &[ReplicaId]) -> Option<(ReplicaId, Uri)> {
         let now = self.rt.now();
         let st = self.state.lock();
         let mut best: Option<(ReplicaId, f64)> = None;
@@ -193,7 +193,7 @@ impl ReplicaScheduler {
     }
 
     /// Up to `k` healthy (non-blacklisted) replicas, fastest first.
-    pub fn ranked(&self, k: usize) -> Vec<(ReplicaId, Uri)> {
+    pub(crate) fn ranked(&self, k: usize) -> Vec<(ReplicaId, Uri)> {
         let now = self.rt.now();
         let st = self.state.lock();
         let mut healthy: Vec<(ReplicaId, f64)> = st
@@ -239,7 +239,7 @@ impl ReplicaScheduler {
 
     /// Feed back a successful operation: updates the latency EWMA, clears
     /// the failure streak and lifts any blacklist.
-    pub fn record_success(&self, id: ReplicaId, latency: Duration) {
+    pub(crate) fn record_success(&self, id: ReplicaId, latency: Duration) {
         let mut st = self.state.lock();
         let Some(h) = st.get_mut(id) else { return };
         let sample = latency.as_secs_f64();
@@ -257,7 +257,7 @@ impl ReplicaScheduler {
     /// read-latency EWMA only when the replica has no sample yet
     /// (bootstrap) — a ping's RTT carries no bandwidth information and must
     /// not erase what real transfers taught us about a replica's speed.
-    pub fn record_probe(&self, id: ReplicaId, latency: Duration) {
+    pub(crate) fn record_probe(&self, id: ReplicaId, latency: Duration) {
         let mut st = self.state.lock();
         let Some(h) = st.get_mut(id) else { return };
         if h.ewma.is_none() {
@@ -269,7 +269,7 @@ impl ReplicaScheduler {
 
     /// Feed back a failed operation: extends the failure streak and, at the
     /// configured threshold, blacklists the replica for one cooldown.
-    pub fn record_failure(&self, id: ReplicaId) {
+    pub(crate) fn record_failure(&self, id: ReplicaId) {
         let now = self.rt.now();
         let mut st = self.state.lock();
         let Some(h) = st.get_mut(id) else { return };

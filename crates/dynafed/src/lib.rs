@@ -14,6 +14,7 @@
 //! * [`Federation`]: glue to serve the handler on a host.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod catalog;
 pub mod handler;

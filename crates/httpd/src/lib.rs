@@ -40,6 +40,7 @@
 //!   from the timer wheel.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 mod conn;
 pub mod server;

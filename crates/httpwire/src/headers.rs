@@ -180,7 +180,7 @@ impl HeaderMap {
 
     /// The fields as they travel: `Name: value\r\n` per field, without the
     /// blank line that ends a head.
-    pub fn as_wire(&self) -> &str {
+    pub(crate) fn as_wire(&self) -> &str {
         &self.block
     }
 
@@ -301,7 +301,7 @@ impl HeaderMap {
     }
 
     /// Whether `Transfer-Encoding` ends with `chunked` (RFC 7230 §3.3.3).
-    pub fn is_chunked(&self) -> bool {
+    pub(crate) fn is_chunked(&self) -> bool {
         self.get("transfer-encoding")
             .map(|v| {
                 v.split(',')

@@ -41,6 +41,7 @@
 //! retries — those live in `httpd` (server) and `davix` (client).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod body;
 pub mod codec;

@@ -50,7 +50,7 @@ impl Method {
 
     /// RFC 7231 §4.2.1: safe methods never modify server state; responses to
     /// HEAD carry no body regardless of framing headers.
-    pub fn is_safe(&self) -> bool {
+    pub(crate) fn is_safe(&self) -> bool {
         matches!(self, Method::Get | Method::Head | Method::Options | Method::Propfind)
     }
 

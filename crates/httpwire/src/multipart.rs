@@ -135,8 +135,8 @@ pub struct Part {
 ///
 /// Relies on each part carrying a `Content-Range` header (mandatory for
 /// byteranges) to read payloads exactly, then verifies the delimiter. Two
-/// ways through a body: [`next_part`](Self::next_part) allocates each
-/// payload; the scatter pair [`next_range`](Self::next_range) /
+/// ways through a body: [`read_all_parts`](Self::read_all_parts)
+/// allocates each payload; the scatter pair [`next_range`](Self::next_range) /
 /// [`payload_pieces`](Self::payload_pieces) (or
 /// [`payload_into`](Self::payload_into)) tells the caller where a part
 /// belongs and hands its payload over as it sits in the source's buffer,
@@ -491,7 +491,7 @@ impl<R: BufRead> MultipartReader<R> {
     }
 
     /// Next part, or `None` after the closing delimiter.
-    pub fn next_part(&mut self) -> Result<Option<Part>, WireError> {
+    pub(crate) fn next_part(&mut self) -> Result<Option<Part>, WireError> {
         let Some(range) = self.next_range()? else { return Ok(None) };
         let mut data = Vec::with_capacity(range.len() as usize);
         self.payload_pieces(|piece| data.extend_from_slice(piece))?;

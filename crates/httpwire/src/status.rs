@@ -12,31 +12,25 @@ impl StatusCode {
     pub const NO_CONTENT: StatusCode = StatusCode(204);
     pub const PARTIAL_CONTENT: StatusCode = StatusCode(206);
     pub const MULTI_STATUS: StatusCode = StatusCode(207);
-    pub const MOVED_PERMANENTLY: StatusCode = StatusCode(301);
     pub const FOUND: StatusCode = StatusCode(302);
-    pub const NOT_MODIFIED: StatusCode = StatusCode(304);
     pub const TEMPORARY_REDIRECT: StatusCode = StatusCode(307);
     pub const BAD_REQUEST: StatusCode = StatusCode(400);
-    pub const UNAUTHORIZED: StatusCode = StatusCode(401);
     pub const FORBIDDEN: StatusCode = StatusCode(403);
     pub const NOT_FOUND: StatusCode = StatusCode(404);
     pub const METHOD_NOT_ALLOWED: StatusCode = StatusCode(405);
     pub const REQUEST_TIMEOUT: StatusCode = StatusCode(408);
     pub const CONFLICT: StatusCode = StatusCode(409);
-    pub const PRECONDITION_FAILED: StatusCode = StatusCode(412);
     pub const REQUEST_HEADER_FIELDS_TOO_LARGE: StatusCode = StatusCode(431);
     pub const RANGE_NOT_SATISFIABLE: StatusCode = StatusCode(416);
     pub const INTERNAL_SERVER_ERROR: StatusCode = StatusCode(500);
     pub const NOT_IMPLEMENTED: StatusCode = StatusCode(501);
-    pub const BAD_GATEWAY: StatusCode = StatusCode(502);
     pub const SERVICE_UNAVAILABLE: StatusCode = StatusCode(503);
-    pub const GATEWAY_TIMEOUT: StatusCode = StatusCode(504);
 
     /// The interim `100 Continue` (RFC 7231 §5.1.1 / §6.2.1).
     pub const CONTINUE: StatusCode = StatusCode(100);
 
     /// 1xx — interim responses; never the final word on a request.
-    pub fn is_informational(self) -> bool {
+    pub(crate) fn is_informational(self) -> bool {
         (100..200).contains(&self.0)
     }
 
@@ -48,11 +42,6 @@ impl StatusCode {
     /// 3xx.
     pub fn is_redirect(self) -> bool {
         (300..400).contains(&self.0)
-    }
-
-    /// 4xx.
-    pub fn is_client_error(self) -> bool {
-        (400..500).contains(&self.0)
     }
 
     /// 5xx.
@@ -111,7 +100,6 @@ mod tests {
         assert!(StatusCode::OK.is_success());
         assert!(StatusCode::PARTIAL_CONTENT.is_success());
         assert!(StatusCode::FOUND.is_redirect());
-        assert!(StatusCode::NOT_FOUND.is_client_error());
         assert!(StatusCode::SERVICE_UNAVAILABLE.is_server_error());
         assert!(!StatusCode::OK.is_redirect());
     }

@@ -24,7 +24,7 @@ pub struct Uri {
 }
 
 /// Default port for a URI scheme.
-pub fn default_port(scheme: &str) -> u16 {
+pub(crate) fn default_port(scheme: &str) -> u16 {
     match scheme {
         "https" => 443,
         "http" => 80,
@@ -41,7 +41,7 @@ impl Uri {
     }
 
     /// `path?query` as sent on the request line.
-    pub fn request_target(&self) -> String {
+    pub(crate) fn request_target(&self) -> String {
         match &self.query {
             Some(q) => format!("{}?{}", self.path, q),
             None => self.path.clone(),

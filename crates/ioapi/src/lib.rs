@@ -11,6 +11,7 @@
 // (`checksum::x86`), the one module that allows it; every block there
 // carries a `// SAFETY:` comment.
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod checksum;

@@ -72,7 +72,7 @@ struct FnDef {
 /// The workspace call graph: for every function name that (transitively)
 /// reaches a blocking primitive, the witness chain proving it.
 #[derive(Default)]
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// `name → [name, …, primitive]`.
     blocking: HashMap<String, Vec<String>>,
 }
@@ -81,7 +81,7 @@ impl CallGraph {
     /// Build the graph over a set of scanned files. Order matters only for
     /// witness-chain tie-breaks, so pass files in sorted-path order to keep
     /// diagnostics byte-stable.
-    pub fn build<'a>(files: impl IntoIterator<Item = &'a Scanned>) -> CallGraph {
+    pub(crate) fn build<'a>(files: impl IntoIterator<Item = &'a Scanned>) -> CallGraph {
         let mut defs: Vec<FnDef> = Vec::new();
         for scanned in files {
             extract_fns(&scanned.tokens, &mut defs);
@@ -120,13 +120,8 @@ impl CallGraph {
     /// The witness chain for `callee` when it is transitively blocking
     /// (`[callee, …, primitive]`), `None` otherwise. Direct primitives are
     /// not in the graph — the intra-function rule owns those.
-    pub fn blocking_chain(&self, callee: &str) -> Option<&[String]> {
+    pub(crate) fn blocking_chain(&self, callee: &str) -> Option<&[String]> {
         self.blocking.get(callee).map(Vec::as_slice)
-    }
-
-    /// Number of (transitively) blocking function names known to the graph.
-    pub fn blocking_len(&self) -> usize {
-        self.blocking.len()
     }
 }
 
@@ -262,7 +257,7 @@ mod tests {
     fn non_blocking_fn_is_absent() {
         let g = graph(&["fn calm(&self) { self.counter += 1; }"]);
         assert!(g.blocking_chain("calm").is_none());
-        assert_eq!(g.blocking_len(), 0);
+        assert!(g.blocking.is_empty());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 /// What a scanned token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`let`, `Instant`, `wait_for`, ...).
     Ident,
     /// A lifetime (`'a`, `'static`). Kept distinct so `'a` is never
@@ -27,7 +27,7 @@ pub enum TokKind {
 
 /// One token with its 1-based source line.
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     pub kind: TokKind,
     pub text: String,
     pub line: u32,
@@ -35,12 +35,12 @@ pub struct Token {
 
 impl Token {
     /// True when the token is the identifier `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// True when the token is the punctuation `s`.
-    pub fn is_punct(&self, s: &str) -> bool {
+    pub(crate) fn is_punct(&self, s: &str) -> bool {
         self.kind == TokKind::Punct && self.text == s
     }
 }
@@ -48,7 +48,7 @@ impl Token {
 /// A suppression marker found in a comment:
 /// `// davix-lint: allow(<rule>) — <reason>`.
 #[derive(Debug, Clone)]
-pub struct AllowMarker {
+pub(crate) struct AllowMarker {
     /// The rule name inside `allow(...)`, verbatim.
     pub rule: String,
     /// The trimmed reason text after the closing paren, empty when the
@@ -61,7 +61,7 @@ pub struct AllowMarker {
 
 /// Scanner output: the token stream plus every allow marker.
 #[derive(Debug, Default)]
-pub struct Scanned {
+pub(crate) struct Scanned {
     pub tokens: Vec<Token>,
     pub markers: Vec<AllowMarker>,
 }
@@ -70,7 +70,7 @@ pub struct Scanned {
 /// or comments simply end the scan at EOF — the linter degrades to fewer
 /// findings rather than refusing a malformed file (rustc will reject it
 /// anyway).
-pub fn scan(src: &str) -> Scanned {
+pub(crate) fn scan(src: &str) -> Scanned {
     Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: Scanned::default() }.run()
 }
 

@@ -29,7 +29,7 @@
 //!   the guard *into* the call (`cv.wait(&mut guard)`) is the sanctioned
 //!   condvar handoff and stays clean. The check tracks `let` bindings,
 //!   `drop()`, and block scope, and — in workspace mode — consults a
-//!   name-based [`CallGraph`] so a guard live across a call to a
+//!   name-based call graph so a guard live across a call to a
 //!   *transitively* blocking workspace function is flagged too, with the
 //!   witness chain (`flush -> drain -> wait(..)`) in the message. It still
 //!   does not chase guards through function parameters or returns.
@@ -83,13 +83,13 @@
 //! see across functions.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod callgraph;
-pub mod lexer;
-pub mod rules;
+mod callgraph;
+mod lexer;
+mod rules;
 
-pub use callgraph::CallGraph;
-pub use rules::{file_kind, lint_scanned, lint_source, FileKind, Finding, Rule};
+pub use rules::{lint_source, Finding, Rule};
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -115,11 +115,11 @@ fn rel_path(root: &Path, path: &Path) -> String {
 /// vendored stand-ins (`vendor/`) and lint fixtures (any `fixtures/`
 /// segment — they *must* violate rules) stay out of scope.
 ///
-/// Files are scanned once, a workspace [`CallGraph`] is built over the
+/// Files are scanned once, a workspace call graph is built over the
 /// whole set, and each file is then linted with the graph so the
 /// interprocedural `lock-discipline` check sees cross-file, cross-crate
 /// call chains. Integration tests (`tests/` trees) get the relaxed
-/// [`FileKind::IntegrationTest`] treatment.
+/// `FileKind::IntegrationTest` treatment.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files: Vec<PathBuf> = Vec::new();
     let crates_dir = root.join("crates");
@@ -142,7 +142,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     lint_files(root, files)
 }
 
-/// Lint a set of files *together*: scan them all, build one [`CallGraph`]
+/// Lint a set of files *together*: scan them all, build one call graph
 /// over the whole set, then lint each file with the graph — so the
 /// interprocedural `lock-discipline` check sees call chains that span the
 /// set. Findings come back stably sorted by (file, line, rule, message).
@@ -154,7 +154,7 @@ pub fn lint_files(root: &Path, mut files: Vec<PathBuf>) -> io::Result<Vec<Findin
         let src = std::fs::read_to_string(f)?;
         scanned.push((rel_path(root, f), lexer::scan(&src)));
     }
-    let graph = CallGraph::build(scanned.iter().map(|(_, s)| s));
+    let graph = callgraph::CallGraph::build(scanned.iter().map(|(_, s)| s));
     let mut findings = Vec::new();
     for (rel, s) in &scanned {
         findings.extend(rules::lint_scanned(rel, s, Some(&graph)));

@@ -23,7 +23,7 @@ pub enum Rule {
     /// A lock guard still live at a call that can block (Signal waits,
     /// `execute*`, `connect`/`accept`, stream `read`/`write`, park/join
     /// points): the "never hold a lock across I/O" discipline. With a
-    /// workspace [`CallGraph`], the check is interprocedural: a guard live
+    /// workspace call graph, the check is interprocedural: a guard live
     /// across a call to a *transitively* blocking workspace function is
     /// flagged too, with the witness chain in the message.
     LockDiscipline,
@@ -71,7 +71,7 @@ impl Rule {
 
     /// Parse a marker's rule name. `BadAllow` is deliberately absent: the
     /// marker police cannot be waved off.
-    pub fn from_marker(name: &str) -> Option<Rule> {
+    pub(crate) fn from_marker(name: &str) -> Option<Rule> {
         match name {
             "determinism" => Some(Rule::Determinism),
             "lock-discipline" => Some(Rule::LockDiscipline),
@@ -85,7 +85,7 @@ impl Rule {
 
 /// How strictly a file is linted, derived from its workspace-relative path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileKind {
+pub(crate) enum FileKind {
     /// Sim-reachable shipping code: every rule applies.
     Shipping,
     /// An integration test (`tests/` at the workspace root or under a
@@ -101,7 +101,7 @@ pub enum FileKind {
 /// (a `fixtures/` segment) model shipping code and are always classified
 /// [`FileKind::Shipping`], even though they live under a `tests/` tree —
 /// they exist precisely to exercise the full rule set.
-pub fn file_kind(rel_path: &str) -> FileKind {
+pub(crate) fn file_kind(rel_path: &str) -> FileKind {
     if rel_path.contains("/fixtures/") || rel_path.starts_with("fixtures/") {
         return FileKind::Shipping;
     }
@@ -199,14 +199,18 @@ fn path_allowed(rule: Rule, rel_path: &str) -> bool {
 /// Lint one file's source in isolation (no call graph): the single-file
 /// mode of the CLI and the unit tests. `rel_path` is the path relative to
 /// the workspace root with `/` separators — it selects the path allowlists
-/// and the [`FileKind`].
+/// and the `FileKind`.
 pub fn lint_source(rel_path: &str, src: &str) -> Vec<Finding> {
     lint_scanned(rel_path, &scan(src), None)
 }
 
 /// Lint an already-scanned file, optionally with the workspace
 /// [`CallGraph`] enabling the interprocedural `lock-discipline` check.
-pub fn lint_scanned(rel_path: &str, scanned: &Scanned, graph: Option<&CallGraph>) -> Vec<Finding> {
+pub(crate) fn lint_scanned(
+    rel_path: &str,
+    scanned: &Scanned,
+    graph: Option<&CallGraph>,
+) -> Vec<Finding> {
     let kind = file_kind(rel_path);
     let mut ctx = Ctx::new(rel_path, scanned);
     ctx.validate_markers();

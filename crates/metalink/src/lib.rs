@@ -23,6 +23,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod xml;
 
@@ -33,7 +34,7 @@ use xml::{Element, XmlError};
 pub const METALINK_CONTENT_TYPE: &str = "application/metalink4+xml";
 
 /// The RFC 5854 namespace.
-pub const METALINK_NS: &str = "urn:ietf:params:xml:ns:metalink";
+pub(crate) const METALINK_NS: &str = "urn:ietf:params:xml:ns:metalink";
 
 /// Errors raised while reading a Metalink document.
 #[derive(Debug)]

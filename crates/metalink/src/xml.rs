@@ -100,7 +100,7 @@ impl Element {
     }
 
     /// All child elements.
-    pub fn child_elements(&self) -> impl Iterator<Item = &Element> {
+    pub(crate) fn child_elements(&self) -> impl Iterator<Item = &Element> {
         self.children.iter().filter_map(|n| match n {
             Node::Element(e) => Some(e),
             Node::Text(_) => None,

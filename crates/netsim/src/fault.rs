@@ -91,7 +91,7 @@ impl SplitRng {
     }
 
     /// Uniform in `[0, 1)` with 53 bits of precision.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -329,15 +329,13 @@ impl FaultState {
         refused
     }
 
-    /// One `buggify!` decision on context `ctx`, at `prob` or the plan's
-    /// default probability.
-    pub(crate) fn buggify_hit(&mut self, ctx: &str, prob: Option<f64>) -> bool {
+    /// One `buggify!` decision on context `ctx`, at the plan's probability.
+    pub(crate) fn buggify_hit(&mut self, ctx: &str) -> bool {
         self.stats.buggify_decisions += 1;
         let ctx_hash = hash_str(ctx);
         let counter = next_count(&mut self.buggify_counters, ctx_hash);
         let stream = stream_key(STREAM_BUGGIFY, ctx_hash, 0);
-        let p = prob.unwrap_or(self.plan.buggify_prob);
-        let hit = SplitRng::at(self.seed, stream, counter).chance(p);
+        let hit = SplitRng::at(self.seed, stream, counter).chance(self.plan.buggify_prob);
         self.stats.buggify_hits += u64::from(hit);
         hit
     }
@@ -356,15 +354,11 @@ fn next_count<K: Hash + Eq>(counters: &mut HashMap<K, u64>, key: K) -> u64 {
 ///
 /// ```ignore
 /// if buggify!(net, "cache.evict-early") { cache.evict_all(); }
-/// if buggify!(net, "scheduler.mark-slow", 0.2) { scheduler.record_failure(&uri); }
 /// ```
 #[macro_export]
 macro_rules! buggify {
     ($net:expr, $ctx:expr) => {
         $net.buggify($ctx)
-    };
-    ($net:expr, $ctx:expr, $prob:expr) => {
-        $net.buggify_with($ctx, $prob)
     };
 }
 

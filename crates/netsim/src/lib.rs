@@ -79,6 +79,7 @@
 // (`reactor::sys`), the two functions that allow it, each with a
 // `// SAFETY:` comment.
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod fault;

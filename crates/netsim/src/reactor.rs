@@ -141,7 +141,7 @@ impl TimerWheel {
     /// Earliest live deadline, in nanoseconds (a lower bound: the entry it
     /// belongs to may be stale, in which case the resulting wake is merely
     /// spurious).
-    pub fn next_deadline_ns(&self) -> Option<u64> {
+    pub(crate) fn next_deadline_ns(&self) -> Option<u64> {
         self.soonest_ns
     }
 
@@ -246,14 +246,14 @@ pub(crate) mod sys {
     use std::os::raw::{c_int, c_ulong, c_void};
 
     #[repr(C)]
-    pub struct PollFd {
+    pub(crate) struct PollFd {
         pub fd: c_int,
         pub events: i16,
         pub revents: i16,
     }
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLOUT: i16 = 0x004;
+    pub(crate) const POLLIN: i16 = 0x001;
+    pub(crate) const POLLOUT: i16 = 0x004;
 
     // std already links the platform C library; declaring poll(2) directly
     // avoids a dependency on the libc crate.
@@ -265,7 +265,7 @@ pub(crate) mod sys {
     /// Safe wrapper: waits until any fd is ready or `timeout_ms` passes
     /// (-1 = forever). Returns the number of ready fds.
     #[allow(unsafe_code)]
-    pub fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
+    pub(crate) fn poll_fds(fds: &mut [PollFd], timeout_ms: i32) -> std::io::Result<usize> {
         // SAFETY: `fds` is a live, exclusively borrowed slice of `PollFd`,
         // which is `#[repr(C)]` with the layout of `struct pollfd`; poll(2)
         // reads and writes exactly `fds.len()` entries and keeps no pointer
@@ -285,7 +285,7 @@ pub(crate) mod sys {
     /// at most `max` bytes, appended. `buf` grows first if it has less
     /// than `max` spare; an error leaves its length as it was.
     #[allow(unsafe_code)]
-    pub fn recv_spare(fd: c_int, buf: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
+    pub(crate) fn recv_spare(fd: c_int, buf: &mut Vec<u8>, max: usize) -> std::io::Result<usize> {
         buf.reserve(max);
         let spare = &mut buf.spare_capacity_mut()[..max];
         // SAFETY: `spare` is an exclusively borrowed run of `max` bytes of

@@ -323,17 +323,8 @@ impl SimNet {
     /// installed plan, so instrumented sim-only code costs nothing in
     /// plain runs. Prefer the [`buggify!`](crate::buggify) macro.
     pub fn buggify(&self, ctx: &str) -> bool {
-        self.buggify_at(ctx, None)
-    }
-
-    /// Like [`buggify`](Self::buggify) with an explicit probability.
-    pub fn buggify_with(&self, ctx: &str, prob: f64) -> bool {
-        self.buggify_at(ctx, Some(prob))
-    }
-
-    fn buggify_at(&self, ctx: &str, prob: Option<f64>) -> bool {
         let mut st = self.core.lock();
-        let hit = st.fault.as_mut().is_some_and(|f| f.buggify_hit(ctx, prob));
+        let hit = st.fault.as_mut().is_some_and(|f| f.buggify_hit(ctx));
         if hit {
             st.events.note(format!("buggify {ctx}"));
         }

@@ -62,7 +62,6 @@ pub type ConnectFn = Box<dyn FnOnce() -> io::Result<BoxedStream> + Send>;
 
 struct FleetInner {
     live: AtomicUsize,
-    launched: AtomicUsize,
     failures: AtomicUsize,
     done: Arc<dyn Signal>,
 }
@@ -82,7 +81,6 @@ impl Fleet {
         Fleet {
             inner: Arc::new(FleetInner {
                 live: AtomicUsize::new(0),
-                launched: AtomicUsize::new(0),
                 failures: AtomicUsize::new(0),
                 done: rt.signal(),
             }),
@@ -100,7 +98,6 @@ impl Fleet {
         session: Box<dyn ClientSession>,
     ) {
         self.inner.live.fetch_add(1, Ordering::SeqCst);
-        self.inner.launched.fetch_add(1, Ordering::SeqCst);
         reactor.submit(Box::new(ClientTask {
             fleet: Arc::clone(&self.inner),
             start_at,
@@ -111,11 +108,6 @@ impl Fleet {
             waker: None,
             finished: false,
         }));
-    }
-
-    /// Clients launched so far.
-    pub fn launched(&self) -> usize {
-        self.inner.launched.load(Ordering::SeqCst)
     }
 
     /// Clients that retired with an error so far.
@@ -359,7 +351,6 @@ mod tests {
         }
         let failures = fleet.wait();
         assert_eq!(failures, 0);
-        assert_eq!(fleet.launched(), 50);
         reactor.shutdown();
     }
 }

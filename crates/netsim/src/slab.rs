@@ -20,7 +20,7 @@ impl<T> Default for Slab<T> {
 }
 
 impl<T> Slab<T> {
-    pub fn insert(&mut self, value: T) -> usize {
+    pub(crate) fn insert(&mut self, value: T) -> usize {
         self.len += 1;
         if let Some(idx) = self.free.pop() {
             self.entries[idx] = Entry::Occupied(value);
@@ -31,7 +31,7 @@ impl<T> Slab<T> {
         }
     }
 
-    pub fn remove(&mut self, key: usize) -> Option<T> {
+    pub(crate) fn remove(&mut self, key: usize) -> Option<T> {
         match self.entries.get_mut(key) {
             Some(slot @ Entry::Occupied(_)) => {
                 let old = std::mem::replace(slot, Entry::Vacant);
@@ -46,32 +46,32 @@ impl<T> Slab<T> {
         }
     }
 
-    pub fn get(&self, key: usize) -> Option<&T> {
+    pub(crate) fn get(&self, key: usize) -> Option<&T> {
         match self.entries.get(key) {
             Some(Entry::Occupied(v)) => Some(v),
             _ => None,
         }
     }
 
-    pub fn get_mut(&mut self, key: usize) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, key: usize) -> Option<&mut T> {
         match self.entries.get_mut(key) {
             Some(Entry::Occupied(v)) => Some(v),
             _ => None,
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (usize, &mut T)> {
         self.entries.iter_mut().enumerate().filter_map(|(i, e)| match e {
             Entry::Occupied(v) => Some((i, v)),
             Entry::Vacant => None,
         })
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
         self.entries.iter().enumerate().filter_map(|(i, e)| match e {
             Entry::Occupied(v) => Some((i, v)),
             Entry::Vacant => None,

@@ -139,8 +139,11 @@ pub struct StorageHandler {
     upload_counter: AtomicU64,
     multipart: Mutex<HashMap<u64, PendingMultipart>>,
     segments: Mutex<HashMap<String, PendingSegments>>,
-    /// Body bytes this handler digested itself rather than being handed
-    /// their digests (see [`cold_digested_bytes`](Self::cold_digested_bytes)).
+    /// Body bytes this handler has read a second time to digest them: those
+    /// of a request that came through plain [`handle`](httpd::Handler::handle)
+    /// rather than with the digests the server took as the body arrived,
+    /// and those of each segmented upload it assembled. A plain or
+    /// multipart upload through a running server adds nothing.
     cold_digested: AtomicU64,
 }
 
@@ -158,15 +161,6 @@ impl StorageHandler {
             segments: Mutex::new(HashMap::new()),
             cold_digested: AtomicU64::new(0),
         }
-    }
-
-    /// Body bytes this handler has read a second time to digest them: those
-    /// of a request that came through plain [`handle`](httpd::Handler::handle)
-    /// rather than with the digests the server took as the body arrived,
-    /// and those of each segmented upload it assembled. A plain or
-    /// multipart upload through a running server adds nothing.
-    pub fn cold_digested_bytes(&self) -> u64 {
-        self.cold_digested.load(Ordering::Relaxed)
     }
 
     /// `(crc32, adler32)` of `data`, read once more here, and counted.
@@ -702,6 +696,13 @@ mod tests {
     use httpwire::multipart::{boundary_from_content_type, MultipartReader};
     use httpwire::RequestHead;
     use ioapi::checksum::{adler32, crc32};
+
+    impl StorageHandler {
+        /// Body bytes this handler has read a second time to digest them.
+        pub(crate) fn cold_digested_bytes(&self) -> u64 {
+            self.cold_digested.load(Ordering::Relaxed)
+        }
+    }
 
     fn handler_with(range: RangeSupport) -> StorageHandler {
         let store = Arc::new(ObjectStore::new());

@@ -16,6 +16,7 @@
 //!   listener/runtime.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod handler;
 pub mod store;

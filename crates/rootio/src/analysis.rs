@@ -80,11 +80,6 @@ impl Histogram {
         }
     }
 
-    /// Bin contents.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// Index of the fullest bin.
     pub fn mode_bin(&self) -> usize {
         self.bins.iter().enumerate().max_by_key(|(_, &v)| v).map(|(i, _)| i).unwrap_or(0)
@@ -267,9 +262,9 @@ mod tests {
         assert_eq!(h.entries(), 6);
         assert_eq!(h.underflow, 1);
         assert_eq!(h.overflow, 2);
-        assert_eq!(h.bins()[0], 1);
-        assert_eq!(h.bins()[5], 1);
-        assert_eq!(h.bins()[9], 1);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[5], 1);
+        assert_eq!(h.bins[9], 1);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! the ordinal of the current window's first event. A look-up is a
 //! subtraction and an index, and it happens once per *run* of events that
 //! share their baskets — [`TreeCache::load`] makes the baskets resident,
-//! [`TreeCache::column`] lends them as [`Column`]s, and [`Column::run_bytes`]
+//! [`TreeCache::column`] lends them as [`Column`]s, and `Column::run_bytes`
 //! lends the bytes of a whole run, checked once at its first and last
 //! event, from which the caller reads every value. With 20-event baskets
 //! that is one look-up and one bounds check per branch per 20 events where
@@ -102,7 +102,11 @@ impl<'a> Column<'a> {
     /// The bytes of `events`, `width` each and back to back: the first and
     /// the last event are checked, once for the whole run, and the caller
     /// reads every value of it from the slice.
-    pub fn run_bytes(&self, events: std::ops::Range<u64>, width: usize) -> io::Result<&'a [u8]> {
+    pub(crate) fn run_bytes(
+        &self,
+        events: std::ops::Range<u64>,
+        width: usize,
+    ) -> io::Result<&'a [u8]> {
         let at = |event: u64| {
             usize::try_from(event.checked_sub(self.first_event)?).ok()?.checked_mul(width)
         };
@@ -125,18 +129,8 @@ impl<'a> Column<'a> {
         Ok(f32::from_le_bytes(self.value(event, 4)?.try_into().expect("4 bytes")))
     }
 
-    /// Read an `i8` branch value.
-    pub fn i8(&self, event: u64) -> io::Result<i8> {
-        Ok(self.value(event, 1)?[0] as i8)
-    }
-
-    /// Read a `u16` branch value.
-    pub fn u16(&self, event: u64) -> io::Result<u16> {
-        Ok(u16::from_le_bytes(self.value(event, 2)?.try_into().expect("2 bytes")))
-    }
-
     /// Read an `i16` array branch value (length `n`).
-    pub fn i16s(&self, event: u64, n: usize) -> io::Result<impl Iterator<Item = i16> + 'a> {
+    pub(crate) fn i16s(&self, event: u64, n: usize) -> io::Result<impl Iterator<Item = i16> + 'a> {
         let width = n.checked_mul(2).ok_or_else(|| bad("array width overflows"))?;
         let bytes = self.value(event, width)?;
         Ok(bytes.chunks_exact(2).map(|c| i16::from_le_bytes(c.try_into().expect("2 bytes"))))
@@ -275,11 +269,6 @@ impl TreeCache {
     /// Number of vectored window loads performed.
     pub fn windows_loaded(&self) -> u64 {
         self.windows_loaded
-    }
-
-    /// Number of window prefetches started.
-    pub fn prefetches_issued(&self) -> u64 {
-        self.prefetches_issued
     }
 
     /// The basket ordinals that hold events of the window starting at event
@@ -427,16 +416,6 @@ impl TreeCache {
         self.loaded(branch, event)?.f32(event)
     }
 
-    /// Read an `i8` branch value.
-    pub fn i8_value(&mut self, branch: usize, event: u64) -> io::Result<i8> {
-        self.loaded(branch, event)?.i8(event)
-    }
-
-    /// Read a `u16` branch value.
-    pub fn u16_value(&mut self, branch: usize, event: u64) -> io::Result<u16> {
-        self.loaded(branch, event)?.u16(event)
-    }
-
     /// Read an `i16` array branch value (length `n`).
     pub fn i16_array(
         &mut self,
@@ -551,24 +530,17 @@ mod tests {
         let (reader, _src, schema) = tree();
         let mut cache = TreeCache::for_branches(
             Arc::clone(&reader),
-            &["px", "energy", "charge", "nhits"],
+            &["px", "energy"],
             TreeCacheOptions::default(),
             rt(),
         )
         .unwrap();
         let mut g = Generator::new(schema.clone(), 21);
         let batch = g.batch(2_000);
-        let (px, e, q, nh) = (
-            schema.index_of("px").unwrap(),
-            schema.index_of("energy").unwrap(),
-            schema.index_of("charge").unwrap(),
-            schema.index_of("nhits").unwrap(),
-        );
+        let (px, e) = (schema.index_of("px").unwrap(), schema.index_of("energy").unwrap());
         for ev in [0u64, 1, 99, 100, 101, 999, 1000, 1999] {
             assert_eq!(cache.f32_value(px, ev).unwrap(), batch.f32_at(px, ev as usize));
             assert_eq!(cache.f32_value(e, ev).unwrap(), batch.f32_at(e, ev as usize));
-            assert_eq!(cache.i8_value(q, ev).unwrap(), batch.i8_at(q, ev as usize));
-            assert_eq!(cache.u16_value(nh, ev).unwrap(), batch.u16_at(nh, ev as usize));
         }
     }
 
@@ -643,7 +615,7 @@ mod tests {
                     }
                     values.push(cache.f32_value(px, ev).unwrap().to_bits());
                 }
-                let (windows, prefetches) = (cache.windows_loaded(), cache.prefetches_issued());
+                let (windows, prefetches) = (cache.windows_loaded(), cache.prefetches_issued);
                 drop(cache);
                 let loads = src.loads.lock().clone();
                 passes.push((loads, values, windows, prefetches));

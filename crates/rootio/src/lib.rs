@@ -27,6 +27,7 @@
 //! (`codec::x86`), where every block carries a `// SAFETY:` comment.
 
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod analysis;
@@ -45,4 +46,4 @@ pub use writer::{write_tree, WriterOptions};
 /// File magic for the container format.
 pub const MAGIC: &[u8; 4] = b"RTTF";
 /// Container format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub(crate) const FORMAT_VERSION: u16 = 1;

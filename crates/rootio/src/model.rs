@@ -72,11 +72,6 @@ impl Schema {
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.branches.iter().position(|b| b.name == name)
     }
-
-    /// Bytes per event across all branches.
-    pub fn event_width(&self) -> usize {
-        self.branches.iter().map(|b| b.kind.width()).sum()
-    }
 }
 
 /// Columnar storage for a run of events: one byte buffer per branch.
@@ -86,31 +81,6 @@ pub struct EventBatch {
     pub n_events: usize,
     /// Per-branch column bytes (`n_events × width` each).
     pub columns: Vec<Vec<u8>>,
-}
-
-impl EventBatch {
-    /// Decode an `f32` field of event `i` from branch column `col`.
-    pub fn f32_at(&self, col: usize, i: usize) -> f32 {
-        let bytes = &self.columns[col][i * 4..i * 4 + 4];
-        f32::from_le_bytes(bytes.try_into().expect("4 bytes"))
-    }
-
-    /// Decode an `i8` field.
-    pub fn i8_at(&self, col: usize, i: usize) -> i8 {
-        self.columns[col][i] as i8
-    }
-
-    /// Decode a `u16` field.
-    pub fn u16_at(&self, col: usize, i: usize) -> u16 {
-        let bytes = &self.columns[col][i * 2..i * 2 + 2];
-        u16::from_le_bytes(bytes.try_into().expect("2 bytes"))
-    }
-
-    /// Borrow the `i16` array of event `i` in an array branch of width `n`.
-    pub fn i16_array_at(&self, col: usize, i: usize, n: usize) -> Vec<i16> {
-        let bytes = &self.columns[col][i * 2 * n..(i + 1) * 2 * n];
-        bytes.chunks_exact(2).map(|c| i16::from_le_bytes(c.try_into().expect("2 bytes"))).collect()
-    }
 }
 
 /// Seeded event generator (same seed → identical file bytes).
@@ -189,6 +159,35 @@ impl Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Schema {
+        /// Bytes per event across all branches.
+        pub(crate) fn event_width(&self) -> usize {
+            self.branches.iter().map(|b| b.kind.width()).sum()
+        }
+    }
+
+    impl EventBatch {
+        /// Decode an `f32` field of event `i` from branch column `col`.
+        pub(crate) fn f32_at(&self, col: usize, i: usize) -> f32 {
+            let bytes = &self.columns[col][i * 4..i * 4 + 4];
+            f32::from_le_bytes(bytes.try_into().expect("4 bytes"))
+        }
+
+        /// Decode an `i8` field.
+        fn i8_at(&self, col: usize, i: usize) -> i8 {
+            self.columns[col][i] as i8
+        }
+
+        /// The `i16` array of event `i` in an array branch of width `n`.
+        pub(crate) fn i16_array_at(&self, col: usize, i: usize, n: usize) -> Vec<i16> {
+            let bytes = &self.columns[col][i * 2 * n..(i + 1) * 2 * n];
+            bytes
+                .chunks_exact(2)
+                .map(|c| i16::from_le_bytes(c.try_into().expect("2 bytes")))
+                .collect()
+        }
+    }
 
     #[test]
     fn schema_widths() {

@@ -36,6 +36,7 @@
 //! and requires this crate's clean-corpus tests to catch each one.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 use bytes::Bytes;
 use davix::{multistream_upload, Config, UploadOptions, UploadProtocol};

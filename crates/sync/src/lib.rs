@@ -27,6 +27,7 @@
 // (its `Sync` impl and `race::CellId`'s raw read and write), each allowing
 // it, with a `// SAFETY:` comment on every block.
 #![deny(unsafe_code)]
+#![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod race;
@@ -125,26 +126,6 @@ macro_rules! int_atomic {
                 r
             }
 
-            /// Weak compare-and-exchange (may fail spuriously).
-            #[inline]
-            pub fn compare_exchange_weak(
-                &self,
-                current: $int,
-                new: $int,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$int, $int> {
-                if store_releases(success) {
-                    self.obj.release();
-                }
-                let r = self.inner.compare_exchange_weak(current, new, success, failure);
-                match r {
-                    Ok(_) if load_acquires(success) => self.obj.acquire(),
-                    Err(_) if load_acquires(failure) => self.obj.acquire(),
-                    _ => {}
-                }
-                r
-            }
 
             /// CAS-loop update (std semantics): `f` maps the current value
             /// to a replacement, `None` aborts. Edges follow the orderings
@@ -303,32 +284,6 @@ impl AtomicBool {
             _ => {}
         }
         r
-    }
-
-    /// Bitwise-ORs the value, returning the previous value.
-    #[inline]
-    pub fn fetch_or(&self, val: bool, order: Ordering) -> bool {
-        if store_releases(order) {
-            self.obj.release();
-        }
-        let v = self.inner.fetch_or(val, order);
-        if load_acquires(order) {
-            self.obj.acquire();
-        }
-        v
-    }
-
-    /// Bitwise-ANDs the value, returning the previous value.
-    #[inline]
-    pub fn fetch_and(&self, val: bool, order: Ordering) -> bool {
-        if store_releases(order) {
-            self.obj.release();
-        }
-        let v = self.inner.fetch_and(val, order);
-        if load_acquires(order) {
-            self.obj.acquire();
-        }
-        v
     }
 
     /// Mutable access without synchronization (requires `&mut`).

@@ -412,13 +412,13 @@ mod imp {
 
     /// A checked cell's identity in the registry, lazily allocated like
     /// [`SyncObj`].
-    pub struct CellId {
+    pub(crate) struct CellId {
         id: AtomicUsize,
     }
 
     impl CellId {
         /// Creates an unregistered cell id.
-        pub const fn new() -> Self {
+        pub(crate) const fn new() -> Self {
             CellId { id: AtomicUsize::new(0) }
         }
 
@@ -446,7 +446,11 @@ mod imp {
         /// Checked read of the cell data. The raw read happens under the
         /// registry lock, so even a racing access is defined behavior.
         #[allow(unsafe_code)]
-        pub fn read<T: Copy>(&self, cell: &UnsafeCell<T>, site: &'static Location<'static>) -> T {
+        pub(crate) fn read<T: Copy>(
+            &self,
+            cell: &UnsafeCell<T>,
+            site: &'static Location<'static>,
+        ) -> T {
             let res = with_slot(|reg, s| {
                 let i = self.idx(reg);
                 let me = Self::access(reg, s, site, "read");
@@ -480,7 +484,12 @@ mod imp {
 
         /// Checked write of the cell data; see [`CellId::read`].
         #[allow(unsafe_code)]
-        pub fn write<T>(&self, cell: &UnsafeCell<T>, v: T, site: &'static Location<'static>) {
+        pub(crate) fn write<T>(
+            &self,
+            cell: &UnsafeCell<T>,
+            v: T,
+            site: &'static Location<'static>,
+        ) {
             let res = with_slot(|reg, s| {
                 let i = self.idx(reg);
                 let me = Self::access(reg, s, site, "write");
@@ -581,18 +590,22 @@ mod stub {
 
     /// Zero-sized no-op stand-in; accesses go straight to the cell.
     #[derive(Default)]
-    pub struct CellId;
+    pub(crate) struct CellId;
 
     impl CellId {
         /// No-op.
-        pub const fn new() -> Self {
+        pub(crate) const fn new() -> Self {
             CellId
         }
 
         /// Raw read — the caller's ordering contract is trusted.
         #[inline(always)]
         #[allow(unsafe_code)]
-        pub fn read<T: Copy>(&self, cell: &UnsafeCell<T>, _site: &'static Location<'static>) -> T {
+        pub(crate) fn read<T: Copy>(
+            &self,
+            cell: &UnsafeCell<T>,
+            _site: &'static Location<'static>,
+        ) -> T {
             // SAFETY: `CheckedCell`'s contract: the caller orders every
             // write before this read by a happens-before edge.
             unsafe { *cell.get() }
@@ -601,7 +614,12 @@ mod stub {
         /// Raw write — the caller's ordering contract is trusted.
         #[inline(always)]
         #[allow(unsafe_code)]
-        pub fn write<T>(&self, cell: &UnsafeCell<T>, v: T, _site: &'static Location<'static>) {
+        pub(crate) fn write<T>(
+            &self,
+            cell: &UnsafeCell<T>,
+            v: T,
+            _site: &'static Location<'static>,
+        ) {
             // SAFETY: `CheckedCell`'s contract: the caller orders every
             // other access to the cell before or after this write.
             unsafe {

@@ -23,6 +23,7 @@
 //! role on the HTTP side.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod client;
 mod mux;

@@ -16,7 +16,7 @@ pub const MAGIC: &[u8; 4] = b"XRDL";
 pub const VERSION: u16 = 1;
 
 /// Maximum payload accepted in one frame (sanity bound).
-pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
 
 /// The server's interleaving granularity: a longer response goes out as
 /// several frames, round-robin with other streams' (see [`crate::mux`]).
@@ -45,7 +45,7 @@ pub enum Op {
 
 impl Op {
     /// Parse an opcode byte.
-    pub fn from_u8(v: u8) -> Option<Op> {
+    pub(crate) fn from_u8(v: u8) -> Option<Op> {
         match v {
             1 => Some(Op::Open),
             2 => Some(Op::Read),
@@ -95,7 +95,7 @@ impl Frame {
     /// Decode the frame at the front of `buf`: the frame and how many bytes
     /// it took, or `None` while some of it is still to arrive. Both ends
     /// call it on their receive buffers, again as more bytes come in, so
-    /// decoding resumes at any byte. A payload longer than [`MAX_PAYLOAD`]
+    /// decoding resumes at any byte. A payload longer than `MAX_PAYLOAD`
     /// is refused from the header alone, and nothing is allocated for a
     /// payload before all of it is there.
     pub fn decode(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
@@ -125,7 +125,7 @@ pub(crate) fn hello() -> [u8; 6] {
 }
 
 /// Client side of the handshake.
-pub fn client_handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
+pub(crate) fn client_handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
     stream.write_all(&hello())?;
     let mut reply = [0u8; 6];
     stream.read_exact(&mut reply)?;
@@ -138,14 +138,14 @@ pub fn client_handshake(stream: &mut (impl Read + Write)) -> io::Result<()> {
 // ---- payload encoding helpers ----------------------------------------------
 
 /// Cursor-style reader over a payload.
-pub struct PayloadReader<'a> {
+pub(crate) struct PayloadReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> PayloadReader<'a> {
     /// Wrap a payload.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         PayloadReader { buf, pos: 0 }
     }
 
@@ -159,53 +159,53 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Read a big-endian u16.
-    pub fn u16(&mut self) -> io::Result<u16> {
+    pub(crate) fn u16(&mut self) -> io::Result<u16> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
     }
 
     /// Read a big-endian u32.
-    pub fn u32(&mut self) -> io::Result<u32> {
+    pub(crate) fn u32(&mut self) -> io::Result<u32> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Read a big-endian u64.
-    pub fn u64(&mut self) -> io::Result<u64> {
+    pub(crate) fn u64(&mut self) -> io::Result<u64> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 }
 
 /// Append-style payload writer.
 #[derive(Default)]
-pub struct PayloadWriter {
+pub(crate) struct PayloadWriter {
     buf: Vec<u8>,
 }
 
 impl PayloadWriter {
     /// Fresh empty payload.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Append a u16.
-    pub fn u16(mut self, v: u16) -> Self {
+    pub(crate) fn u16(mut self, v: u16) -> Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Append a u32.
-    pub fn u32(mut self, v: u32) -> Self {
+    pub(crate) fn u32(mut self, v: u32) -> Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Append a u64.
-    pub fn u64(mut self, v: u64) -> Self {
+    pub(crate) fn u64(mut self, v: u64) -> Self {
         self.buf.extend_from_slice(&v.to_be_bytes());
         self
     }
 
     /// Finish.
-    pub fn build(self) -> Vec<u8> {
+    pub(crate) fn build(self) -> Vec<u8> {
         self.buf
     }
 }

@@ -8,6 +8,7 @@
 //! pan-European / transatlantic, per the paper's §3 setup).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use davix;
 pub use dynafed;

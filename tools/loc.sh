@@ -1,7 +1,8 @@
 #!/bin/sh
 # Counted lines per crate: the non-test, non-comment, non-blank lines of
-# crates/*/src and of the root crate's src (the testbed). Each file is read up to its first `#[cfg(test)]`; blank
-# lines and lines starting with `//` are dropped. This is the number
+# crates/*/src and of the root crate's src (the testbed). Each file is read
+# up to its first `#[cfg(test)]` attribute line; blank lines and lines
+# starting with `//` are dropped. This is the number
 # simplicity PRs quote. (Lines moved into tests, or removed by reformatting
 # or by deleting comments, lower it without making anything simpler:
 # reviewers read the diff for that.)
@@ -19,17 +20,36 @@
 #   tools/loc.sh --knobs --diff GIT-REF
 #                                 field counts per struct for GIT-REF, the
 #                                 working tree, and the delta
+#   tools/loc.sh --api            the public API: every `pub` fn, struct,
+#                                 enum, trait, const, static and type of a
+#                                 crate's library files (not `bin/` or
+#                                 `main.rs`), one line per item (crate,
+#                                 kind, name), then the total
+#   tools/loc.sh --api --diff GIT-REF
+#                                 public items per crate for GIT-REF, the
+#                                 working tree, and the delta
+#   tools/loc.sh --api --unused   the public items that no `.rs` file
+#                                 outside their crate's library files names
+#                                 (no other crate, bin, test, example,
+#                                 perfbench or vendor file): each could be
+#                                 `pub(crate)`. A name used elsewhere for
+#                                 something else hides an item, so this is
+#                                 a lower bound.
 set -eu
 cd "$(dirname "$0")/.."
 
-# Counted lines of the Rust source on stdin; `FNR == 1` restarts the
-# `#[cfg(test)]` cut at each file when awk is given file arguments instead.
-count() {
+# The non-test lines of the Rust source given as files (or on stdin): each
+# file up to its first line that starts with the `#[cfg(test)]` attribute
+# (a doc comment that mentions it does not cut).
+non_test() {
     awk 'FNR == 1 { skip = 0 }
-         /#\[cfg\(test\)\]/ { skip = 1 }
-         skip || /^[[:space:]]*($|\/\/)/ { next }
-         { n++ }
-         END { print n + 0 }' "$@"
+         /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1 }
+         !skip' "$@"
+}
+
+# Counted lines of the Rust source given as files (or on stdin).
+count() {
+    non_test "$@" | awk '!/^[[:space:]]*($|\/\/)/ { n++ } END { print n + 0 }'
 }
 
 # The crate source directories: the working tree's, or (given a git ref)
@@ -61,9 +81,7 @@ count_ref() {
 # up to each file's `#[cfg(test)]`: a bare `Struct` line per struct, then a
 # `Struct field` line per public field.
 knobs() {
-    awk 'FNR == 1 { skip = 0; name = "" }
-         /#\[cfg\(test\)\]/ { skip = 1 }
-         skip { next }
+    non_test "$@" | awk '
          name != "" && /^[[:space:]]*}/ { name = ""; next }
          name != "" && /^[[:space:]]*pub [a-z_][a-z0-9_]*:/ {
              f = $0; sub(/^[[:space:]]*pub /, "", f); sub(/:.*/, "", f)
@@ -73,7 +91,7 @@ knobs() {
          /^[[:space:]]*pub struct [A-Za-z0-9_]*(Config|Options|Knobs)[[:space:]]*\{[[:space:]]*$/ {
              name = $0; sub(/^[[:space:]]*pub struct /, "", name); sub(/[[:space:]]*\{.*/, "", name)
              print name
-         }' "$@"
+         }'
 }
 
 # `DIR Struct count field...` per option struct, from `knobs` output on
@@ -101,6 +119,93 @@ knob_tallies() {
         done
     fi
 }
+
+# `kind name` per public item of the Rust source given as files (or on
+# stdin), read up to each file's `#[cfg(test)]`. `pub(crate)` and `pub use`
+# are not items; `const fn`, `unsafe fn` and the like are fns.
+public() {
+    non_test "$@" | awk '
+        /^[[:space:]]*pub[[:space:]]/ {
+            s = $0; sub(/^[[:space:]]*pub[[:space:]]+/, "", s)
+            while (s ~ /^(const|unsafe|async|extern[[:space:]]+"[^"]*")[[:space:]]+(const|unsafe|async|extern|fn)[^A-Za-z0-9_]/)
+                sub(/^[a-z]+([[:space:]]+"[^"]*")?[[:space:]]+/, "", s)
+            if (match(s, /^(fn|struct|enum|trait|const|static|type)[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/)) {
+                split(substr(s, 1, RLENGTH), w, /[[:space:]]+/)
+                print w[1], w[2]
+            }
+        }'
+}
+
+# The library files of one crate's src directory: its `bin/` and `main.rs`
+# are programs, whose `pub` items nothing outside can name.
+lib_files() {
+    find "$1" -name '*.rs' ! -path "$1/bin/*" ! -path "$1/main.rs" | sort
+}
+
+# `DIR kind name` per public item of every crate, in the working tree or
+# (given a git ref) as of that ref.
+api_items() {
+    if [ "$#" -eq 0 ]; then
+        for dir in $(src_dirs); do
+            # shellcheck disable=SC2046  # no crate path has spaces
+            public $(lib_files "$dir") | sed "s|^|$dir |"
+        done
+    else
+        for dir in $(src_dirs "$1"); do
+            for f in $(git ls-tree -r --name-only "$1" -- "$dir" | grep '\.rs$' |
+                grep -v -e "^$dir/bin/" -e "^$dir/main\.rs$"); do
+                git show "$1:$f" | public
+            done | sed "s|^|$dir |"
+        done
+    fi
+}
+
+# The public items of the working tree that no `.rs` file outside their
+# crate's library files names, as a whole word.
+api_unused() {
+    lib=$(mktemp)
+    words=$(mktemp)
+    trap 'rm -f "$lib" "$words"' EXIT
+    for dir in $(src_dirs); do
+        lib_files "$dir" >"$lib"
+        find src crates tests examples perfbench vendor -name '*.rs' ! -path '*/target/*' | sort |
+            comm -23 - "$lib" | xargs grep -ohE '[A-Za-z_][A-Za-z0-9_]*' | sort -u >"$words"
+        # shellcheck disable=SC2046  # no crate path has spaces
+        public $(lib_files "$dir") | awk -v dir="$dir" 'FNR == NR { used[$1] = 1; next }
+            !($2 in used) { print dir, $0 }' "$words" -
+    done
+}
+
+if [ "${1:-}" = "--api" ]; then
+    case "${2:-}" in
+    --diff)
+        ref=${3:?usage: tools/loc.sh --api --diff GIT-REF}
+        git rev-parse --verify --quiet "$ref^{commit}" >/dev/null || {
+            echo "tools/loc.sh: not a commit: $ref" >&2
+            exit 2
+        }
+        { api_items "$ref" | sed 's/^/before /'; api_items | sed 's/^/after /'; } |
+            awk -v ref="$(git rev-parse --short "$ref")" '
+                { if (!($2 in seen)) { seen[$2] = 1; order[++k] = $2 } n[$1, $2]++ }
+                END {
+                    printf "%-28s %8s %8s %7s\n", "", ref, "tree", "delta"
+                    for (i = 1; i <= k; i++) {
+                        b = n["before", order[i]] + 0; a = n["after", order[i]] + 0
+                        printf "%-28s %8d %8d %+7d\n", order[i], b, a, a - b
+                        tb += b; ta += a
+                    }
+                    printf "%-28s %8d %8d %+7d\n", "total", tb, ta, ta - tb
+                }'
+        ;;
+    --unused) api_unused | awk '{ print } END { printf "total %d\n", NR }' ;;
+    "") api_items | awk '{ print } END { printf "total %d\n", NR }' ;;
+    *)
+        echo "usage: tools/loc.sh --api [--diff GIT-REF | --unused]" >&2
+        exit 2
+        ;;
+    esac
+    exit 0
+fi
 
 if [ "${1:-}" = "--knobs" ]; then
     if [ "${2:-}" = "--diff" ]; then
