@@ -13,7 +13,7 @@
 //!
 //! The harness *asserts* the PR's acceptance criteria — both parallel
 //! dialects ≥ 2× faster than the serial buffered `PUT`, committed bytes
-//! byte-identical with the digest confirmed, and `peak_upload_buffer`
+//! byte-identical with the digest confirmed, and `peak_chunk_buffer`
 //! bounded by `chunk_size × streams` — so a regression exits non-zero in
 //! CI.
 //!
@@ -92,7 +92,7 @@ fn run(data: &Bytes, mode: &Mode) -> Run {
     assert_eq!(meta.adler32, ioapi::checksum::adler32(data), "server-side digest mismatch");
     assert_eq!(store.len(), 1, "no staging debris may remain");
 
-    Run { elapsed, peak_buffer: client.metrics().peak_upload_buffer, chunks, verified }
+    Run { elapsed, peak_buffer: client.metrics().peak_chunk_buffer, chunks, verified }
 }
 
 fn main() {

@@ -6,13 +6,15 @@
 //! "overload\[ing\] considerably the servers" (more connections per client).
 //!
 //! Experiment: a 16 MiB file on three replicas, each behind a 4 MB/s link;
-//! sweep the stream count and also run with one replica dead.
+//! sweep the stream count and also run with one replica dead. An arm that
+//! does not download the file's bytes fails the run after the table.
 
 use bytes::Bytes;
 use davix::{multistream_download, Config, MultistreamOptions};
 use davix_bench::{env_usize, secs, BenchReport, Table};
 use davix_repro::testbed::{Testbed, TestbedConfig};
 use netsim::LinkSpec;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// File size; `DAVIX_BENCH_MULTISTREAM_MIB` shrinks it for CI smoke runs.
@@ -47,6 +49,7 @@ fn main() {
     report.label("workload", format!("{} MiB, 3 replicas @ 4 MB/s", size / 1024 / 1024));
     let mut table =
         Table::new(&["streams", "dead", "time (s)", "throughput (MB/s)", "connections", "ok"]);
+    let mut wrong = Vec::new();
 
     for (streams, dead) in [(1usize, 0usize), (2, 0), (3, 0), (6, 0), (3, 1)] {
         let tb = testbed(&data);
@@ -57,16 +60,18 @@ fn main() {
         let client = tb.davix_client(Config::default().no_retry());
         let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
         let t0 = tb.net.now();
+        let got = Arc::new(Mutex::new(Vec::new()));
         let result = multistream_download(
             &client,
             &client.replica_scheduler(replicas),
             &MultistreamOptions { streams, chunk_size: 1024 * 1024 },
+            got.clone(),
         );
         let elapsed = tb.net.now() - t0;
-        let ok = match &result {
-            Ok((got, _)) => got == &data,
-            Err(_) => false,
-        };
+        let ok = result.is_ok() && *got.lock().unwrap() == data;
+        if !ok {
+            wrong.push(format!("{streams} streams, {dead} dead"));
+        }
         report.metric(
             &format!("s{streams}_dead{dead}.mb_per_s"),
             size as f64 / elapsed.as_secs_f64() / 1e6,
@@ -83,6 +88,7 @@ fn main() {
     table.print();
     report.table("main", &table);
     report.write();
+    assert!(wrong.is_empty(), "these arms did not download the file's bytes: {wrong:?}");
     println!(
         "\nclaim check: throughput rises with streams (aggregating per-replica\n\
          bandwidth) while the connection count — the server-load price §2.4\n\

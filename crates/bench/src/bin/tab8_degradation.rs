@@ -20,6 +20,7 @@ use davix::{multistream_download, Config, MultistreamOptions};
 use davix_bench::{env_usize, millis, BenchReport, Table};
 use davix_repro::testbed::{Testbed, TestbedConfig};
 use netsim::{LinkSpec, Runtime as _};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 const FAST: &str = "fast.cern.ch";
@@ -94,26 +95,25 @@ fn main() {
     });
 
     let t0 = tb.net.now();
-    let (got, report) = multistream_download(
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let completions = multistream_download(
         &client,
         &scheduler,
         &MultistreamOptions { streams: 3, chunk_size: chunk },
+        got.clone(),
     )
     .expect("download must survive the flap");
     let elapsed = tb.net.now() - t0;
-    assert_eq!(got, data, "assembled entity must be byte-identical");
+    assert!(*got.lock().unwrap() == data, "the downloaded entity must be byte-identical");
 
     let recovery = t0 + t_up;
     let mut table =
         Table::new(&["replica", "chunks", "after recovery", "ewma latency (ms)", "failures"]);
     for snap in scheduler.snapshot() {
         let host = &snap.uri.host;
-        let chunks = report.completions.iter().filter(|c| &c.replica.host == host).count();
-        let late = report
-            .completions
-            .iter()
-            .filter(|c| &c.replica.host == host && c.at > recovery)
-            .count();
+        let chunks = completions.iter().filter(|c| &c.replica.host == host).count();
+        let late =
+            completions.iter().filter(|c| &c.replica.host == host && c.at > recovery).count();
         table.row(vec![
             host.clone(),
             chunks.to_string(),
@@ -126,9 +126,9 @@ fn main() {
     let m = client.metrics();
     println!(
         "\ntotal: {} in {}; {} respawns, {} blacklistings, {} fail-overs",
-        report.completions.len(),
+        completions.len(),
         millis(elapsed),
-        report.respawns,
+        m.streams_respawned,
         m.replicas_blacklisted,
         m.failovers,
     );
@@ -136,7 +136,7 @@ fn main() {
     bench_report
         .label("workload", format!("{} MiB, 3 streams, flapping replica", size / 1024 / 1024));
     bench_report.metric_ms("total_ms", elapsed);
-    bench_report.metric("respawns", report.respawns as f64);
+    bench_report.metric("respawns", m.streams_respawned as f64);
     bench_report.metric("blacklistings", m.replicas_blacklisted as f64);
     bench_report.table("replicas", &table);
     bench_report.write();
@@ -144,8 +144,8 @@ fn main() {
     // The acceptance gate: the flapping replica must contribute chunks
     // *after* it recovered — blacklist cooldown re-admission at work.
     let late_flap =
-        report.completions.iter().filter(|c| c.replica.host == FLAP && c.at > recovery).count();
-    assert!(report.respawns >= 1, "a worker must have switched off the dead replica");
+        completions.iter().filter(|c| c.replica.host == FLAP && c.at > recovery).count();
+    assert!(m.streams_respawned >= 1, "a worker must have switched off the dead replica");
     assert!(
         late_flap >= 1,
         "flapping replica contributed no chunks after recovery (cooldown re-admission broken)"

@@ -22,14 +22,14 @@
 #![warn(unreachable_pub)]
 
 use bytes::Bytes;
-use davix::{multistream_download_verified, Config, DavixClient, MultistreamOptions};
+use davix::{multistream_download_verified, ChunkSource, Config, DavixClient, MultistreamOptions};
 use netsim::{RealRuntime, TcpConnector, TcpListenerWrap};
 use objstore::{ObjectStore, StorageNode, StorageOptions};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Everything that can go wrong in a command.
 #[derive(Debug)]
@@ -369,8 +369,8 @@ pub fn run_command(
     match cmd {
         Command::Get { url, output, ranges, strategy, cache_mb, readahead } => {
             let cached = cache_mb.is_some() || *readahead;
-            write_output(output.as_deref(), out, |sink| {
-                fetch(client, url, ranges, *strategy, cached, sink)
+            write_output(output.as_deref(), out, |sink, part| {
+                fetch(client, url, ranges, *strategy, cached, sink, part)
             })
         }
         Command::Put { file, url, streams, chunk_mb } => {
@@ -459,14 +459,17 @@ pub fn run_command(
     }
 }
 
-/// The download paths of `davix get`, written to `sink`; returns the bytes
-/// written. A plain whole-object download streams the one GET's body, so
-/// memory stays flat however big the object is, and a reset mid-body
-/// resumes within the retry budget. Fail-over, the block cache and
-/// read-ahead copy through one [`DavFile`](davix::DavFile) with
+/// The download paths of `davix get`, written to `sink`, or at offsets to
+/// `part` when `sink` is a part file; returns the bytes written. A plain
+/// whole-object download streams the one GET's body, so memory stays flat
+/// however big the object is, and a reset mid-body resumes within the
+/// retry budget. Fail-over, the block cache and read-ahead copy through
+/// one [`DavFile`](davix::DavFile) with
 /// [`copy_to`](davix::DavFile::copy_to), as flat in memory (`cached` keeps
 /// the cache flags from being dead weight on the plain path); ranges are
-/// one vectored read, and `--streams` downloads and verifies in memory.
+/// one vectored read. `--streams` writes each chunk at its offset in
+/// `part`, holding at most `streams` chunks; any other output gets the
+/// whole entity in one write once it is verified.
 fn fetch(
     client: &DavixClient,
     url: &str,
@@ -474,15 +477,23 @@ fn fetch(
     strategy: Strategy,
     cached: bool,
     sink: &mut dyn Write,
+    part: Option<&std::fs::File>,
 ) -> Result<u64, CliError> {
     let file = match strategy {
         Strategy::Multistream(streams) => {
             // Metalink-driven: resolve replicas, download in parallel,
             // verify the declared checksum.
             let opts = MultistreamOptions { streams, ..MultistreamOptions::default() };
-            let data = multistream_download_verified(client, url, &opts)?;
-            sink.write_all(&data)?;
-            return Ok(data.len() as u64);
+            if let Some(part) = part {
+                let part = Arc::new(part.try_clone()?);
+                return Ok(multistream_download_verified(client, url, &opts, part)?);
+            }
+            let entity = Arc::new(Mutex::new(Vec::new()));
+            let n = multistream_download_verified(client, url, &opts, entity.clone())?;
+            let entity =
+                std::mem::take(&mut *entity.lock().unwrap_or_else(PoisonError::into_inner));
+            sink.write_all(&entity)?;
+            return Ok(n);
         }
         Strategy::Failover => client.open_failover(url)?,
         Strategy::Direct if cached || !ranges.is_empty() => client.open(url)?,
@@ -501,21 +512,23 @@ fn fetch(
 /// Let `fill` write to `path` (`-o FILE`) or else to `out`; returns what
 /// `fill` returns. A regular file is written through a sibling that
 /// replaces it only once `fill` succeeds, so a download that fails midway
-/// leaves `path` as it was: absent, or holding its earlier bytes.
+/// leaves `path` as it was: absent, or holding its earlier bytes. `fill`
+/// is handed that sibling twice: as the stream, and as a file it may write
+/// at any offset.
 fn write_output(
     path: Option<&Path>,
     out: &mut dyn Write,
-    fill: impl FnOnce(&mut dyn Write) -> Result<u64, CliError>,
+    fill: impl FnOnce(&mut dyn Write, Option<&std::fs::File>) -> Result<u64, CliError>,
 ) -> Result<u64, CliError> {
     let Some(path) = path else {
-        return fill(out);
+        return fill(out, None);
     };
     // Replace what a symlink points at, not the link; a device or a pipe
     // has no earlier bytes to keep and is written in place.
     let target = std::fs::canonicalize(path).unwrap_or_else(|_| path.to_path_buf());
     let earlier = std::fs::metadata(&target).ok();
     if earlier.as_ref().is_some_and(|m| !m.is_file()) {
-        return fill(&mut std::fs::File::create(&target)?);
+        return fill(&mut std::fs::File::create(&target)?, None);
     }
     if earlier.is_some() {
         // Refuse, before any request, a file that may not be written.
@@ -524,8 +537,8 @@ fn write_output(
     let mut part = target.clone().into_os_string();
     part.push(".davix-part");
     let part = PathBuf::from(part);
-    let written = std::fs::File::create(&part).map_err(CliError::from).and_then(|mut file| {
-        let n = fill(&mut file)?;
+    let written = std::fs::File::create(&part).map_err(CliError::from).and_then(|file| {
+        let n = fill(&mut &file, Some(&file))?;
         if let Some(m) = &earlier {
             file.set_permissions(m.permissions())?;
         }
@@ -1008,7 +1021,7 @@ mod tests {
 
         let fail_twice = || {
             assert!(run_command(&client, &get_to("missing.bin"), &mut Vec::new()).is_err());
-            let broken = write_output(Some(&dest), &mut Vec::new(), |sink| {
+            let broken = write_output(Some(&dest), &mut Vec::new(), |sink, _| {
                 sink.write_all(b"the first bytes")?;
                 Err(io::Error::from(io::ErrorKind::ConnectionReset).into())
             });
@@ -1138,6 +1151,50 @@ mod tests {
             let sent = client.metrics().requests;
             assert!(requests.contains(&sent), "{flags:?}: {sent} requests, want {requests:?}");
         }
+        std::fs::remove_dir_all(&tmp).ok();
+    }
+
+    /// `get --streams 3 -o FILE` writes each chunk at its offset in the part
+    /// file, which replaces FILE only once the download is verified; a
+    /// failed one leaves FILE as it was and no part file behind. To stdout
+    /// the verified entity goes in one write.
+    #[test]
+    fn a_streams_get_writes_its_chunks_into_the_part_file() {
+        let tmp = std::env::temp_dir().join(format!("davix-cli-streams-{}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        // Three default-size chunks, the last one short.
+        let chunk = MultistreamOptions::default().chunk_size;
+        let payload: Vec<u8> = (0..2 * chunk + 54_321).map(|i| ((i * 7 + 3) % 253) as u8).collect();
+        std::fs::write(tmp.join("big.bin"), &payload).unwrap();
+        let (_node, addr, _) = start_server("127.0.0.1:0", Some(&tmp)).unwrap();
+        let dest = tmp.join("got.bin");
+        let part = tmp.join("got.bin.davix-part");
+        let get = |name: &str, to: &[&str]| {
+            let url = format!("http://{addr}/{name}");
+            parse_args(&args(&[&["get", &url, "--streams", "3"][..], to].concat())).unwrap()
+        };
+        let to_dest = ["-o", dest.to_str().unwrap()];
+        let client = real_client(Config::default());
+
+        std::fs::write(&dest, b"an earlier copy").unwrap();
+        assert!(run_command(&client, &get("missing.bin", &to_dest), &mut Vec::new()).is_err());
+        assert_eq!(std::fs::read(&dest).unwrap(), b"an earlier copy");
+        assert!(!part.exists(), "a failed download leaves no part file");
+
+        let mut out = Vec::new();
+        let n = run_command(&client, &get("big.bin", &to_dest), &mut out).unwrap();
+        assert_eq!(n, payload.len() as u64);
+        assert!(out.is_empty());
+        assert!(std::fs::read(&dest).unwrap() == payload, "chunk bytes out of place");
+        assert!(!part.exists(), "the part file became the output");
+        let peak = client.metrics().peak_chunk_buffer;
+        assert!(peak > 0 && peak <= 3 * chunk as u64, "{peak} bytes of chunks held at once");
+
+        let mut sink = CountingSink::default();
+        let n = run_command(&client, &get("big.bin", &[]), &mut sink).unwrap();
+        assert_eq!(n, payload.len() as u64);
+        assert!(sink.bytes == payload, "chunk bytes out of place");
+        assert_eq!(sink.writes, [payload.len()], "one write of the verified entity");
         std::fs::remove_dir_all(&tmp).ok();
     }
 

@@ -427,7 +427,6 @@ impl HttpExecutor {
 
         Metrics::bump(&self.metrics.requests);
         Metrics::add(&self.metrics.bytes_out, wire.len() as u64);
-        session.note_request();
         let mut exchange = Exchange::over(wire, &req.method);
         let sent = exchange.send_request(session.conn.get_mut());
         // The buffer is the session's again; with `sent` past its end, the

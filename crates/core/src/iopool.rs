@@ -32,6 +32,9 @@
 //! [`Config::io_threads`]: crate::Config::io_threads
 
 use crate::error::{DavixError, Result};
+use crate::metrics::Metrics;
+use davix_sync::{AtomicU64, Ordering};
+use ioapi::checksum::Digests;
 use netsim::Runtime;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -284,27 +287,52 @@ pub(crate) struct Chunk {
 
 /// The chunk-transfer engine both parallel transfers run: `size` bytes in
 /// `chunk_size` pieces as one [`run_batch`] of up to `workers` drains,
-/// drain `n` transferring its chunks with `make_worker(n)`. Returns what
-/// each chunk's transfer made, in chunk order, and the requeued failures.
+/// drain `n` transferring its chunks with `make_worker(n)`; a chunk's
+/// transfer makes its `(crc32, adler32)` and an `R`. A chunk's bytes count
+/// as resident while its transfer runs, and their high-water mark is
+/// [`Metrics::peak_chunk_buffer`]: a worker holds no chunk between
+/// transfers, so it stays within `workers × chunk_size`. Returns each
+/// chunk's `R` in chunk order, the entity's digests folded from the
+/// chunks' with [`Digests::append`], and the requeued failures.
 pub(crate) fn run_chunked<R, W>(
     pool: &Arc<IoPool>,
+    metrics: &Arc<Metrics>,
     size: u64,
     chunk_size: usize,
     workers: usize,
     max_failures: usize,
-    make_worker: impl FnMut(usize) -> W,
-) -> Result<(Vec<R>, usize)>
+    mut make_worker: impl FnMut(usize) -> W,
+) -> Result<(Vec<R>, (u32, u32), usize)>
 where
     R: Send + 'static,
-    W: FnMut(Chunk) -> Outcome<Chunk, R> + Send + 'static,
+    W: FnMut(Chunk) -> Outcome<Chunk, ((u32, u32), R)> + Send + 'static,
 {
-    let chunks = (0..size.div_ceil(chunk_size as u64) as usize)
-        .map(|idx| {
-            let off = idx as u64 * chunk_size as u64;
-            Chunk { idx, off, len: chunk_size.min((size - off) as usize) }
+    let chunk = |idx: usize| {
+        let off = idx as u64 * chunk_size as u64;
+        Chunk { idx, off, len: chunk_size.min((size - off) as usize) }
+    };
+    let chunks = (0..size.div_ceil(chunk_size as u64) as usize).map(chunk).collect();
+    let resident = Arc::new(AtomicU64::new(0));
+    let (done, failures) = run_batch(pool, chunks, workers, max_failures, |n| {
+        let mut transfer = make_worker(n);
+        let (resident, metrics) = (Arc::clone(&resident), Arc::clone(metrics));
+        move |c: Chunk| {
+            let len = c.len as u64;
+            let now = resident.fetch_add(len, Ordering::Relaxed) + len;
+            Metrics::record_max(&metrics.peak_chunk_buffer, now);
+            let outcome = transfer(c);
+            resident.fetch_sub(len, Ordering::Relaxed);
+            outcome
+        }
+    })?;
+    let mut digests = Digests::new();
+    let results = (done.into_iter().enumerate())
+        .map(|(idx, (digest, r))| {
+            digests.append(digest, chunk(idx).len as u64);
+            r
         })
         .collect();
-    run_batch(pool, chunks, workers, max_failures, make_worker)
+    Ok((results, digests.finish(), failures))
 }
 
 /// `f` over `items` as one [`run_batch`] of up to `width` drains; the
@@ -487,18 +515,22 @@ mod tests {
         let rt = net.runtime() as Arc<dyn Runtime>;
         let chunks = Arc::new(AtomicUsize::new(0));
         let (t0, counted) = (net.now(), Arc::clone(&chunks));
+        let metrics = Arc::new(Metrics::default());
+        let m = Arc::clone(&metrics);
         let (result, pool) = in_the_only_worker(&net, move |pool| {
             let drain = |_| {
                 let (rt, counted) = (Arc::clone(&rt), Arc::clone(&counted));
                 move |_: Chunk| {
                     rt.sleep(Duration::from_millis(1));
                     counted.fetch_add(1, Ordering::SeqCst);
-                    Outcome::Done(())
+                    Outcome::Done(((0, 1), ()))
                 }
             };
-            run_chunked(&pool, 1000, 100, 4, 0, drain)
+            run_chunked(&pool, &m, 1000, 100, 4, 0, drain)
         });
-        assert_eq!(result.unwrap().1, 0);
+        assert_eq!(result.unwrap().2, 0);
+        let peak = metrics.peak_chunk_buffer.load(Ordering::SeqCst);
+        assert_eq!(peak, 100, "one chunk at a time on the one thread");
         assert_eq!(chunks.load(Ordering::SeqCst), 10);
         assert_eq!(pool.peak_workers(), 1, "the batch spawned nothing");
         assert_eq!(net.now() - t0, Duration::from_millis(10), "one thread did all ten");
@@ -520,13 +552,13 @@ mod tests {
                     if c.idx == 1 && seen.len() == 2 {
                         Outcome::Retry(c, DavixError::Protocol("flaky".to_string()))
                     } else {
-                        Outcome::Done(c.off)
+                        Outcome::Done(((0, 1), c.off))
                     }
                 }
             };
-            run_chunked(&pool, 400, 100, 2, 1, drain)
+            run_chunked(&pool, &Arc::new(Metrics::default()), 400, 100, 2, 1, drain)
         });
-        let (offsets, failures) = result.unwrap();
+        let (offsets, _, failures) = result.unwrap();
         assert_eq!(failures, 1, "one requeued failure, within the budget");
         assert_eq!(*attempts.lock(), vec![0, 1, 2, 3, 1], "chunk 1 went back to the queue");
         assert_eq!(offsets, vec![0, 100, 200, 300], "chunk order, though chunk 1 finished last");

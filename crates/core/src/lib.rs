@@ -45,10 +45,11 @@
 //!
 //! Every hot read path streams: `DavFile::pread` lands bytes straight in
 //! the caller's buffer, `pread_vec` decodes `multipart/byteranges` parts
-//! incrementally off the wire, and `multistream_download` streams each
-//! chunk into a buffer of its own, handed back in chunk order. A multi-GiB GET therefore costs the client a
-//! fixed-size buffer, not a multi-GiB allocation — see the
-//! `bytes_streamed` / `peak_body_buffer` counters in [`Metrics`].
+//! incrementally off the wire, and `multistream_download` writes each
+//! chunk at its offset into the caller's [`ChunkSink`] (a file, or memory)
+//! and drops it. A multi-GiB GET therefore costs the client a fixed-size
+//! buffer, not a multi-GiB allocation — see the `bytes_streamed` /
+//! `peak_body_buffer` / `peak_chunk_buffer` counters in [`Metrics`].
 //!
 //! The read path is also *paranoid*: a `206` whose `Content-Range` does
 //! not match the requested window, or whose body ends short of what the
@@ -153,20 +154,21 @@
 //!   PUTs to a temporary name committed with `MOVE` (WebDAV), so readers
 //!   never observe a partial object.
 //! * **Checksum before commit**: each worker digests its chunk while it is
-//!   hot; the caller folds the per-chunk digests in chunk order into the
-//!   entity's Adler-32 ([`ioapi::checksum::Digests::append`], the one fold
-//!   the verified multi-stream download and the storage node's multipart
-//!   complete use too); the commit happens only if
+//!   hot; the chunk engine both directions run folds the per-chunk digests
+//!   in chunk order into the entity's Adler-32
+//!   ([`ioapi::checksum::Digests::append`], the one fold the storage
+//!   node's multipart complete uses too); the commit happens only if
 //!   the server's view of the assembled entity matches — an S3 complete
 //!   carries the digest for server-side verification (mismatch → `409`,
 //!   nothing committed), a segmented upload compares the staged entity's
 //!   `Digest` header before the `MOVE`. Corruption surfaces as
 //!   [`DavixError::ChecksumMismatch`] and the destination stays untouched.
 //! * **Bounded memory**: at most `chunk_size × streams`
-//!   bytes of chunk payload are resident — never the whole object. The
-//!   [`Metrics::peak_upload_buffer`] high-water mark proves it (asserted
-//!   by the `fig6_upload` bench, alongside ≥ 2× serial-PUT throughput on a
-//!   window-limited link); [`Metrics::bytes_uploaded`],
+//!   bytes of chunk payload are resident — never the whole object, in
+//!   either direction. The chunk engine keeps the
+//!   [`Metrics::peak_chunk_buffer`] high-water mark that proves it
+//!   (asserted by the `fig6_upload` bench, alongside ≥ 2× serial-PUT
+//!   throughput on a window-limited link); [`Metrics::bytes_uploaded`],
 //!   [`Metrics::chunks_uploaded`] and [`Metrics::upload_retries`] complete
 //!   the write-side picture.
 //!
@@ -191,9 +193,10 @@
 //!   before every chunk, so a dying replica costs its in-flight chunk (the
 //!   worker respawns on the next-best replica, see
 //!   `Metrics::streams_respawned`) and a recovered one rejoins
-//!   mid-download. Each worker digests its chunk; the caller folds the
-//!   digests, so a Metalink checksum is checked without reading the
-//!   assembled entity again.
+//!   mid-download. Each worker writes its chunk at its offset into a
+//!   [`ChunkSink`] and digests it; the chunk engine folds the digests, so
+//!   a Metalink checksum is checked without reading what was written, and
+//!   no download holds the whole entity.
 //!
 //! Health knobs live in [`Config`]: `replica_failure_threshold`
 //! consecutive failures blacklist a replica for
@@ -273,12 +276,12 @@ pub use iopool::IoPool;
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use multistream::{
     multistream_download, multistream_download_verified, ChunkCompletion, MultistreamOptions,
-    MultistreamReport,
 };
 pub use pool::{Endpoint, SessionPool};
 pub use posix::{DavPosix, DirEntry, FileStat};
 pub use replicas::ReplicaSet;
 pub use scheduler::{probe_endpoint, ReplicaHealthSnapshot, ReplicaId, ReplicaScheduler};
 pub use upload::{
-    multistream_upload, ChunkSource, FileSource, UploadOptions, UploadProtocol, UploadReport,
+    multistream_upload, ChunkSink, ChunkSource, FileSource, UploadOptions, UploadProtocol,
+    UploadReport,
 };

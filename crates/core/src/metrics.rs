@@ -30,7 +30,7 @@ macro_rules! metrics {
 
         impl MetricsSnapshot {
             /// Counter-wise difference against an earlier snapshot.
-            /// `peak_body_buffer` and `peak_upload_buffer` are high-water
+            /// `peak_body_buffer` and `peak_chunk_buffer` are high-water
             /// marks, not counters: the newer snapshot's value is kept
             /// as-is.
             pub fn since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
@@ -110,11 +110,11 @@ macro_rules! metric_fields {
             /// Upload exchanges that were retried after a failure (5xx or a
             /// transport fault with the body partially sent).
             counter upload_retries,
-            /// High-water mark of chunk payload resident in upload buffers, in
-            /// bytes. Bounded by `chunk_size × streams` of the upload's
-            /// [`UploadOptions`](crate::UploadOptions) — the write path never
-            /// buffers the whole object.
-            peak peak_upload_buffer,
+            /// High-water mark of chunk payload resident in the workers of
+            /// multi-stream downloads and uploads, in bytes. Bounded by
+            /// `streams × chunk_size` of the transfer's options: neither
+            /// direction ever buffers the whole object.
+            peak peak_chunk_buffer,
         }
     };
 }
@@ -201,7 +201,7 @@ mod tests {
         let fields = fields_mut(&mut delta);
         assert_eq!(fields.len(), 26);
         let peaks: Vec<_> = fields.iter().filter(|f| f.1).map(|f| f.0).collect();
-        assert_eq!(peaks, ["peak_body_buffer", "peak_upload_buffer"]);
+        assert_eq!(peaks, ["peak_body_buffer", "peak_chunk_buffer"]);
         for (i, (name, peak, v)) in fields.into_iter().enumerate() {
             let i = i as u64 + 1;
             assert_eq!(*v, if peak { 10 * i } else { 9 * i }, "{name}");
@@ -212,12 +212,12 @@ mod tests {
     fn snapshot_copies_every_field() {
         let m = Metrics::default();
         Metrics::add(&m.requests, 3);
-        Metrics::record_max(&m.peak_upload_buffer, 7);
+        Metrics::record_max(&m.peak_chunk_buffer, 7);
         let mut snap = m.snapshot();
         let set: Vec<_> = fields_mut(&mut snap).into_iter().filter(|f| *f.2 != 0).collect();
         assert_eq!(set.len(), 2);
         assert_eq!((set[0].0, *set[0].2), ("requests", 3));
-        assert_eq!((set[1].0, *set[1].2), ("peak_upload_buffer", 7));
+        assert_eq!((set[1].0, *set[1].2), ("peak_chunk_buffer", 7));
     }
 
     #[test]

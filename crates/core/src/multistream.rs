@@ -14,12 +14,13 @@
 //! expiry or active probe) starts contributing chunks again mid-download.
 //! Every chunk completion feeds a latency sample back into the scores.
 //!
-//! Each worker digests its chunk (`crc32` and `adler32` in one
-//! [`crc32_adler32`] pass) as soon as it has read it, while the bytes are
-//! still hot, and the batch hands chunks and digests back in chunk order:
-//! the caller assembles the entity and folds the digests with
-//! [`Digests::append`], so a verified download never reads the assembled
-//! entity again.
+//! Each worker writes its chunk at its offset into the caller's
+//! [`ChunkSink`], digests it (`crc32` and `adler32` in one
+//! [`crc32_adler32`] pass) while the bytes are still hot, and drops it: at
+//! most `streams × chunk_size` bytes are ever held
+//! ([`Metrics::peak_chunk_buffer`]), however large the entity, and a
+//! verified download never reads what it wrote. The chunk engine folds the
+//! digests in chunk order, as it does for an upload.
 
 use crate::cache::BlockFetch;
 use crate::client::DavixClient;
@@ -29,9 +30,9 @@ use crate::iopool::{run_chunked, Chunk, Outcome};
 use crate::metrics::Metrics;
 use crate::replicas::{all_failed, Attempt, Failover};
 use crate::scheduler::{ReplicaId, ReplicaScheduler};
+use crate::upload::ChunkSink;
 use httpwire::Uri;
-use ioapi::checksum::{crc32_adler32, to_hex, Digests};
-use parking_lot::Mutex;
+use ioapi::checksum::{crc32_adler32, to_hex};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -56,36 +57,26 @@ const MAX_CHUNK_FAILURES: usize = 64;
 /// One finished chunk: which replica served it, and when (runtime clock).
 #[derive(Debug, Clone)]
 pub struct ChunkCompletion {
-    /// Chunk index within the entity.
-    pub chunk: usize,
     /// Replica that served it.
     pub replica: Uri,
     /// Runtime timestamp of completion (virtual time under simulation).
     pub at: Duration,
 }
 
-/// What happened during a multi-stream download: the per-chunk completion
-/// timeline plus how often workers had to switch replica.
-#[derive(Debug, Clone, Default)]
-pub struct MultistreamReport {
-    /// Completion record per chunk, in completion order.
-    pub completions: Vec<ChunkCompletion>,
-    /// Times a worker abandoned its replica for the scheduler's next-best.
-    pub respawns: u64,
-}
-
 /// Download a whole entity from the replicas `scheduler` ranks (one from
-/// [`DavixClient::replica_scheduler`]), over `opts.streams` parallel
-/// streams spread across the healthiest of them. Returns the assembled
-/// bytes and the [`MultistreamReport`]. Share the scheduler with fail-over
-/// reads and both feed (and benefit from) the same health picture.
+/// [`DavixClient::replica_scheduler`]) into `sink`, over `opts.streams`
+/// parallel streams spread across the healthiest of them. Returns each
+/// chunk's [`ChunkCompletion`], in chunk order; a worker that switched
+/// replica counts in [`Metrics::streams_respawned`]. Share the scheduler
+/// with fail-over reads and both feed (and benefit from) the same health
+/// picture.
 pub fn multistream_download(
     client: &DavixClient,
     scheduler: &Arc<ReplicaScheduler>,
     opts: &MultistreamOptions,
-) -> Result<(Vec<u8>, MultistreamReport)> {
-    let (data, _, report) = download(client, scheduler, opts, None)?;
-    Ok((data, report))
+    sink: Arc<dyn ChunkSink>,
+) -> Result<Vec<ChunkCompletion>> {
+    Ok(download(client, scheduler, opts, None, sink)?.2)
 }
 
 /// A replica advertising another size than `expected` holds some other
@@ -100,16 +91,17 @@ fn check_size(f: &RawFile, expected: Option<u64>) -> Result<u64> {
     }
 }
 
-/// The engine proper: the entity, its `(crc32, adler32)` folded from the
-/// chunks' and the report. `declared` is the entity size the Metalink
-/// states, when the caller has one: nothing is ever sized from a replica
-/// that disagrees with it.
+/// The engine proper: the entity's size, its `(crc32, adler32)` and the
+/// chunks' completions. `declared` is the entity size the Metalink states,
+/// when the caller has one: nothing is ever sized from a replica that
+/// disagrees with it.
 fn download(
     client: &DavixClient,
     scheduler: &Arc<ReplicaScheduler>,
     opts: &MultistreamOptions,
     declared: Option<u64>,
-) -> Result<(Vec<u8>, (u32, u32), MultistreamReport)> {
+    sink: Arc<dyn ChunkSink>,
+) -> Result<(u64, (u32, u32), Vec<ChunkCompletion>)> {
     if scheduler.is_empty() {
         return Err(DavixError::InvalidArgument("no replicas given".to_string()));
     }
@@ -137,40 +129,21 @@ fn download(
     let Some((id, (size, rtt))) = probed else { return Err(all_failed(tried.len(), last_err)) };
     scheduler.record_probe(id, rtt);
 
-    // Each chunk is read into its own buffer, which the batch hands back
-    // in chunk order — no shared whole-file buffer, no copy through a
-    // scratch `Vec`, no lock across the read.
-    let report = Arc::new(Mutex::new(MultistreamReport::default()));
-    let (chunks, _) = run_chunked(
+    // Each chunk is read into its own buffer and written at its offset; no
+    // lock is held across the read.
+    let (completions, digests, _) = run_chunked(
         &client.inner.io_pool,
+        client.inner.executor.metrics(),
         size,
         opts.chunk_size,
         opts.streams,
         MAX_CHUNK_FAILURES,
         |slot_idx| {
-            stream_worker(
-                client.clone(),
-                slot_idx,
-                Arc::clone(scheduler),
-                size,
-                Arc::clone(&report),
-            )
+            stream_worker(client.clone(), slot_idx, Arc::clone(scheduler), size, Arc::clone(&sink))
         },
     )
     .map_err(|e| DavixError::AllReplicasFailed { tried: scheduler.len(), last: Box::new(e) })?;
-
-    // Assemble the entity in chunk order (the only copy on this whole path)
-    // and fold the chunks' digests the same way. Each chunk is freed right
-    // after it is copied, so resident memory peaks near one entity plus one
-    // chunk, not two entities.
-    let mut out = Vec::with_capacity(size as usize);
-    let mut digests = Digests::new();
-    for (chunk, digest) in chunks {
-        out.extend_from_slice(&chunk);
-        digests.append(digest, chunk.len() as u64);
-    }
-    let report = std::mem::take(&mut *report.lock());
-    Ok((out, digests.finish(), report))
+    Ok((size, digests, completions))
 }
 
 /// Resolve `url`'s Metalink, multi-stream-download from its replicas, and
@@ -179,18 +152,20 @@ fn download(
 /// it). `crc32` and `adler32` digests are understood — matched
 /// case-insensitively, like [`ReplicaSet::hash`], so a Metalink declaring
 /// `Adler32` or `CRC32` is verified, not silently skipped. Unknown
-/// algorithms are ignored. Returns [`DavixError::ChecksumMismatch`] on
-/// corruption.
+/// algorithms are ignored. Returns the entity's size, the bytes written to
+/// `sink`, or [`DavixError::ChecksumMismatch`] on corruption (what `sink`
+/// holds then is not the entity).
 ///
 /// [`ReplicaSet::hash`]: crate::ReplicaSet::hash
 pub fn multistream_download_verified(
     client: &DavixClient,
     url: &str,
     opts: &MultistreamOptions,
-) -> Result<Vec<u8>> {
+    sink: Arc<dyn ChunkSink>,
+) -> Result<u64> {
     let set = client.resolve_replica_set(url)?;
-    let (data, (crc, adler), _) =
-        download(client, &client.replica_scheduler(set.uris), opts, set.size)?;
+    let (size, (crc, adler), _) =
+        download(client, &client.replica_scheduler(set.uris), opts, set.size, sink)?;
     for (algo, expected) in &set.hashes {
         let got = match algo.to_ascii_lowercase().as_str() {
             "crc32" => to_hex(crc),
@@ -205,21 +180,19 @@ pub fn multistream_download_verified(
             });
         }
     }
-    Ok(data)
+    Ok(size)
 }
 
-/// What one chunk's transfer makes: its bytes and their `(crc32, adler32)`.
-type Fetched = (Vec<u8>, (u32, u32));
-
 /// The per-chunk work of download stream `slot_idx`: pick the replica the
-/// scheduler assigns this slot, read the chunk from it and digest it.
+/// scheduler assigns this slot, read the chunk from it, write it to `sink`
+/// and digest it.
 fn stream_worker(
     client: DavixClient,
     slot_idx: usize,
     scheduler: Arc<ReplicaScheduler>,
     size: u64,
-    report: Arc<Mutex<MultistreamReport>>,
-) -> impl FnMut(Chunk) -> Outcome<Chunk, Fetched> {
+    sink: Arc<dyn ChunkSink>,
+) -> impl FnMut(Chunk) -> Outcome<Chunk, ((u32, u32), ChunkCompletion)> {
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
     // blacklisted, a better one recovered) the worker follows it. Open
@@ -230,7 +203,7 @@ fn stream_worker(
     let fo = Failover::new(Arc::clone(&client.inner), scheduler, |_| true);
     // The replica this worker's last chunk failed on, if it failed.
     let mut failed_on: Option<ReplicaId> = None;
-    move |chunk @ Chunk { idx, off, len }| {
+    move |chunk @ Chunk { off, len, .. }| {
         let Some((id, uri)) = fo.scheduler.assign(slot_idx) else {
             return Outcome::Fatal(DavixError::InvalidArgument("no replicas given".into()));
         };
@@ -238,13 +211,12 @@ fn stream_worker(
             // Respawn: the worker abandons its failed replica for the
             // scheduler's next-best instead of dying with it.
             Metrics::bump(&client.inner.executor.metrics().streams_respawned);
-            report.lock().respawns += 1;
         }
         // The chunk is filled off the wire into its own buffer (an entity
-        // ending inside it is the replica's failure) and digested at once,
-        // with no lock across the network read. A failed chunk goes back to
-        // the queue — this worker keeps running on whatever replica the
-        // scheduler ranks best next time around.
+        // ending inside it is the replica's failure), with no lock across
+        // the network read. A failed chunk goes back to the queue — this
+        // worker keeps running on whatever replica the scheduler ranks best
+        // next time around.
         let outcome = fo.attempt(id, uri.clone(), |f| {
             check_size(f, Some(size))?;
             f.fetch(off, len)
@@ -252,13 +224,12 @@ fn stream_worker(
         failed_on = (!matches!(outcome, Attempt::Ok(_))).then_some(id);
         match outcome {
             Attempt::Ok(bytes) => {
-                let digest = crc32_adler32(&bytes);
-                report.lock().completions.push(ChunkCompletion {
-                    chunk: idx,
-                    replica: uri,
-                    at: client.inner.executor.runtime().now(),
-                });
-                Outcome::Done((bytes, digest))
+                // A sink that cannot take the chunk fails every replay.
+                if let Err(e) = sink.write_chunk(off, &bytes) {
+                    return Outcome::Fatal(e);
+                }
+                let at = client.inner.executor.runtime().now();
+                Outcome::Done((crc32_adler32(&bytes), ChunkCompletion { replica: uri, at }))
             }
             // A worker blames every error on the replica: the chunk goes
             // back to the queue whatever it was.
@@ -276,6 +247,45 @@ mod tests {
     use httpwire::{Method, StatusCode};
     use netsim::{LinkSpec, Runtime as _, SimNet};
     use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
+
+    /// A download into a file writes each chunk at its offset and holds at
+    /// most one chunk per stream at a time, however many chunks there are.
+    #[test]
+    fn a_download_into_a_file_holds_at_most_one_chunk_per_stream() {
+        let net = SimNet::new();
+        net.add_host("c");
+        let (streams, chunk_size) = (2, 64 * 1024);
+        let data: Vec<u8> =
+            (0..16 * streams * chunk_size + 1000).map(|i| (i * 7 + i / 65_536) as u8).collect();
+        for host in ["a", "b"] {
+            net.add_host(host);
+            net.set_link("c", host, LinkSpec::lan());
+            let store = Arc::new(ObjectStore::new());
+            store.put("/f", Bytes::from(data.clone()));
+            StorageNode::start(
+                store,
+                Box::new(net.bind(host, 80).unwrap()),
+                net.runtime(),
+                StorageOptions::default(),
+                ServerConfig::default(),
+            );
+        }
+        let _g = net.enter();
+        let client = DavixClient::new(net.connector("c"), net.runtime(), Config::default());
+        let replicas = vec!["http://a/f".parse().unwrap(), "http://b/f".parse().unwrap()];
+        let path = std::env::temp_dir().join(format!("davix-multistream-{}", std::process::id()));
+        let file = Arc::new(std::fs::File::create(&path).unwrap());
+        let opts = MultistreamOptions { streams, chunk_size };
+        let completions =
+            multistream_download(&client, &client.replica_scheduler(replicas), &opts, file)
+                .unwrap();
+        let got = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(completions.len(), 33);
+        assert!(got == data, "chunk bytes out of place: {} bytes for {}", got.len(), data.len());
+        let peak = client.metrics().peak_chunk_buffer;
+        assert!(peak > 0 && peak <= (streams * chunk_size) as u64, "{peak} bytes held at once");
+    }
 
     /// The completion rule both directions now share: when the failure
     /// budget runs out, the caller is woken by the last worker leaving, not
@@ -330,8 +340,9 @@ mod tests {
             vec!["http://good/f".parse().unwrap(), "http://bad/f".parse().unwrap()];
         let opts = MultistreamOptions { streams: 2, chunk_size: 256 * 1024 };
         let t0 = net.now();
-        let err =
-            multistream_download(&client, &client.replica_scheduler(replicas), &opts).unwrap_err();
+        let sink = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let err = multistream_download(&client, &client.replica_scheduler(replicas), &opts, sink)
+            .unwrap_err();
         assert!(matches!(err, DavixError::AllReplicasFailed { .. }), "{err}");
         assert!(
             net.now() - t0 >= Duration::from_millis(450),

@@ -69,7 +69,6 @@ pub struct Session {
     /// [`stack_key`] of `endpoint`.
     key: u64,
     last_used: Duration,
-    requests_served: u64,
 }
 
 impl std::fmt::Debug for Session {
@@ -77,14 +76,7 @@ impl std::fmt::Debug for Session {
         f.debug_struct("Session")
             .field("endpoint", &self.endpoint)
             .field("reused", &self.reused)
-            .field("requests_served", &self.requests_served)
             .finish_non_exhaustive()
-    }
-}
-
-impl Session {
-    pub(crate) fn note_request(&mut self) {
-        self.requests_served += 1;
     }
 }
 
@@ -220,7 +212,6 @@ impl SessionPool {
             endpoint,
             key,
             last_used: self.rt.now(),
-            requests_served: 0,
         })
     }
 

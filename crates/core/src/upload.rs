@@ -18,13 +18,14 @@
 //!   the destination — readers never observe a partial object.
 //!
 //! Memory stays bounded: each worker holds at most one chunk, so resident
-//! upload buffers never exceed `chunk_size × streams` (tracked as the
-//! [`Metrics::peak_upload_buffer`] high-water mark) — the whole object is
-//! **never** buffered, however large. Each worker digests its chunk in one
-//! [`crc32_adler32`] pass while the chunk is still hot, and hands the
-//! digests back through the batch; the caller folds them in chunk order
-//! with [`Digests::append`], so checksumming is as parallel as the transfer
-//! itself.
+//! upload buffers never exceed `chunk_size × streams` (the chunk engine's
+//! [`Metrics::peak_chunk_buffer`] high-water mark, which downloads share)
+//! — the whole object is **never** buffered, however large. Each worker
+//! digests its chunk in one [`crc32_adler32`] pass while the chunk is
+//! still hot, and the chunk engine folds the digests in chunk order with
+//! [`Digests::append`](ioapi::checksum::Digests::append), so checksumming
+//! is as parallel as the transfer itself. A download runs the same engine
+//! the other way: a [`ChunkSink`] takes each chunk at its offset.
 
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
@@ -34,11 +35,12 @@ use crate::metrics::Metrics;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
 use httpwire::{ContentRange, Method, StatusCode, Uri};
-use ioapi::checksum::{adler32, crc32_adler32, to_hex, Digests};
+use ioapi::checksum::{adler32, crc32_adler32, to_hex};
 use metalink::xml::Element;
 use std::io::{Read, Seek, SeekFrom};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError};
 
 /// Parallel chunk workers when [`UploadOptions::streams`] is `None`.
 const DEFAULT_STREAMS: usize = 4;
@@ -77,6 +79,34 @@ impl ChunkSource for Bytes {
     }
 }
 
+/// Random-access destination of download data, the mirror of
+/// [`ChunkSource`]. Chunk workers write disjoint windows concurrently, each
+/// chunk once it is whole, so implementations must be thread-safe.
+pub trait ChunkSink: Send + Sync {
+    /// Write `data` at `offset`.
+    fn write_chunk(&self, offset: u64, data: &[u8]) -> Result<()>;
+}
+
+/// A file takes each chunk at its offset (`pwrite(2)`), with no lock.
+impl ChunkSink for std::fs::File {
+    fn write_chunk(&self, offset: u64, data: &[u8]) -> Result<()> {
+        self.write_all_at(data, offset).map_err(DavixError::from)
+    }
+}
+
+/// An in-memory entity grows to take a chunk that lands past its end.
+impl ChunkSink for std::sync::Mutex<Vec<u8>> {
+    fn write_chunk(&self, offset: u64, data: &[u8]) -> Result<()> {
+        let mut buf = self.lock().unwrap_or_else(PoisonError::into_inner);
+        let (start, end) = (offset as usize, offset as usize + data.len());
+        if buf.len() < end {
+            buf.resize(end, 0);
+        }
+        buf[start..end].copy_from_slice(data);
+        Ok(())
+    }
+}
+
 /// A local file as an upload source: chunk workers open independent read
 /// handles, so no lock is held across disk I/O, and the streaming
 /// [`BodyProvider`](crate::BodyProvider) side re-opens the file per attempt
@@ -92,11 +122,6 @@ impl FileSource {
         let path = path.as_ref().to_path_buf();
         let size = std::fs::metadata(&path)?.len();
         Ok(FileSource { path, size })
-    }
-
-    /// The file's size captured at [`open`](FileSource::open) time.
-    pub fn size(&self) -> u64 {
-        self.size
     }
 }
 
@@ -275,29 +300,20 @@ pub fn multistream_upload(
 
     let target = Arc::new(resolve_target(ex, &uri, size, opts.protocol)?);
 
-    // Chunk payload currently resident in worker buffers (bytes); its
-    // high-water mark feeds [`Metrics::peak_upload_buffer`].
-    let outstanding = Arc::new(AtomicU64::new(0));
     // The engine returns only once no chunk PUT is in flight. That ordering
     // matters for the abort below: a late segment landing after the abort's
     // DELETE would silently re-create staging state on the server with
     // nobody left to clean it up.
     let transfer = run_chunked(
         &client.inner.io_pool,
+        ex.metrics(),
         size,
         chunk_size,
         streams,
         opts.max_chunk_failures,
-        |_| {
-            upload_worker(
-                client.clone(),
-                Arc::clone(&source),
-                Arc::clone(&target),
-                Arc::clone(&outstanding),
-            )
-        },
+        |_| upload_worker(client.clone(), Arc::clone(&source), Arc::clone(&target)),
     );
-    let (chunk_digests, failures) = match transfer {
+    let (chunks, (_, combined), failures) = match transfer {
         Ok(done) => done,
         Err(e) => {
             target.abort(ex);
@@ -305,14 +321,7 @@ pub fn multistream_upload(
         }
     };
 
-    // Fold the per-chunk digests, in chunk order, into the entity digest.
-    let n_chunks = chunk_digests.len();
-    let mut digests = Digests::new();
-    for (digest, len) in chunk_digests {
-        digests.append(digest, len);
-    }
-    let combined = digests.finish().1;
-
+    let n_chunks = chunks.len();
     let verified = match commit(ex, &uri, &target, size, combined, n_chunks) {
         Ok(v) => v,
         Err(e) => {
@@ -474,26 +483,17 @@ fn commit(
 }
 
 /// The per-chunk work of one upload stream: read the chunk from the
-/// source, digest it, PUT it. A chunk's transfer makes its
-/// `(crc32, adler32)` and its length.
+/// source, digest it, PUT it.
 fn upload_worker(
     client: DavixClient,
     source: Arc<dyn ChunkSource>,
     target: Arc<Target>,
-    outstanding: Arc<AtomicU64>,
-) -> impl FnMut(Chunk) -> Outcome<Chunk, ((u32, u32), u64)> {
-    let metrics = Arc::clone(client.inner.executor.metrics());
+) -> impl FnMut(Chunk) -> Outcome<Chunk, ((u32, u32), ())> {
     move |chunk| {
-        // This worker now holds one chunk of payload; the high-water mark
-        // across all workers is the bound the bench asserts.
-        let len = chunk.len as u64;
-        let resident = outstanding.fetch_add(len, Ordering::Relaxed) + len;
-        Metrics::record_max(&metrics.peak_upload_buffer, resident);
         let mut buf = vec![0u8; chunk.len];
         if let Err(e) = source.read_chunk(chunk.off, &mut buf) {
             // A source that cannot be read is fatal, not retryable: every
             // replay would fail identically.
-            outstanding.fetch_sub(len, Ordering::Relaxed);
             return Outcome::Fatal(e);
         }
         let digest = crc32_adler32(&buf);
@@ -503,12 +503,10 @@ fn upload_worker(
             .executor
             .execute_upload(&target.chunk_request(chunk), &body)
             .and_then(|r| r.expect_success("upload chunk"));
-        drop(body);
-        outstanding.fetch_sub(len, Ordering::Relaxed);
         match outcome {
             Ok(_) => {
-                Metrics::bump(&metrics.chunks_uploaded);
-                Outcome::Done((digest, len))
+                Metrics::bump(&client.inner.executor.metrics().chunks_uploaded);
+                Outcome::Done((digest, ()))
             }
             // The executor already spent its retry budget on this chunk;
             // give it back so any worker (on a fresh connection) can try
@@ -578,7 +576,7 @@ mod tests {
         assert_eq!(meta.data.as_ref(), &data[..]);
         let m = client.metrics();
         assert_eq!(m.chunks_uploaded, 16);
-        assert!(m.peak_upload_buffer <= 3 * 64 * 1024, "buffer must stay bounded");
+        assert!(m.peak_chunk_buffer <= 3 * 64 * 1024, "buffer must stay bounded");
     }
 
     #[test]

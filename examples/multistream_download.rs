@@ -10,6 +10,7 @@ use bytes::Bytes;
 use davix::{multistream_download, Config, MultistreamOptions};
 use davix_repro::testbed::{Testbed, TestbedConfig};
 use netsim::LinkSpec;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn main() {
@@ -41,14 +42,16 @@ fn main() {
         let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
 
         let t0 = tb.net.now();
-        let (got, _) = multistream_download(
+        let got = Arc::new(Mutex::new(Vec::new()));
+        multistream_download(
             &client,
             &client.replica_scheduler(replicas),
             &MultistreamOptions { streams, chunk_size: 512 * 1024 },
+            got.clone(),
         )
         .expect("download");
         let elapsed = tb.net.now() - t0;
-        assert_eq!(got, data, "payload integrity");
+        assert!(*got.lock().unwrap() == data, "payload integrity");
 
         let conns = tb.net.stats().conns_created;
         let mbps = size as f64 / elapsed.as_secs_f64() / 1e6;

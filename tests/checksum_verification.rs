@@ -3,9 +3,19 @@
 //! multi-stream downloads against it).
 
 use bytes::Bytes;
-use davix::{multistream_download_verified, Config, DavixError, MultistreamOptions};
+use davix::{multistream_download_verified, Config, DavixClient, DavixError, MultistreamOptions};
 use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
 use netsim::LinkSpec;
+use std::sync::{Arc, Mutex};
+
+/// A verified multi-stream download into memory: the entity, or the error.
+fn verified(client: &DavixClient, url: &str, opts: &MultistreamOptions) -> davix::Result<Vec<u8>> {
+    let entity = Arc::new(Mutex::new(Vec::new()));
+    let n = multistream_download_verified(client, url, opts, entity.clone())?;
+    let got = std::mem::take(&mut *entity.lock().unwrap());
+    assert_eq!(n, got.len() as u64, "the size returned is the bytes written");
+    Ok(got)
+}
 
 fn payload(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i * 131 + 17) % 241) as u8).collect()
@@ -50,7 +60,7 @@ fn verified_multistream_accepts_intact_data() {
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
     let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
-    let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
+    let got = verified(&client, &tb.url(0), &opts).unwrap();
     assert_eq!(got, data);
 }
 
@@ -69,7 +79,7 @@ fn verified_multistream_detects_corrupt_replica() {
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
     let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
-    let err = multistream_download_verified(&client, &tb.url(0), &opts).unwrap_err();
+    let err = verified(&client, &tb.url(0), &opts).unwrap_err();
     match err {
         DavixError::ChecksumMismatch { algo, expected, got } => {
             assert_eq!(algo, "crc32");
@@ -94,7 +104,7 @@ fn verified_multistream_detects_size_mismatch() {
     // Each replica's disagreement is that replica's failure in the
     // fail-over walk, found at its HEAD — before anything is sized from it,
     // let alone downloaded or hashed.
-    let err = multistream_download_verified(&client, &tb.url(0), &opts).unwrap_err();
+    let err = verified(&client, &tb.url(0), &opts).unwrap_err();
     match err {
         DavixError::AllReplicasFailed { tried: 3, last } => {
             assert!(matches!(*last, DavixError::Protocol(_)), "{last}")
@@ -127,7 +137,7 @@ fn unknown_hash_algorithms_are_skipped() {
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
     let opts = MultistreamOptions { streams: 2, chunk_size: 16 * 1024 };
-    let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
+    let got = verified(&client, &tb.url(0), &opts).unwrap();
     assert_eq!(got, data);
 }
 
@@ -149,7 +159,7 @@ fn a_catalog_declaring_both_digests_verifies_intact_data() {
     let set = client.resolve_replica_set(&tb.url(0)).unwrap();
     assert!(set.hash("crc32").is_some() && set.hash("adler32").is_some(), "{:?}", set.hashes);
     let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
-    let got = multistream_download_verified(&client, &tb.url(0), &opts).unwrap();
+    let got = verified(&client, &tb.url(0), &opts).unwrap();
     assert_eq!(got, data);
 }
 
@@ -161,7 +171,7 @@ fn a_wrong_adler32_beside_a_right_crc32_fails() {
     let _g = tb.net.enter();
     let client = tb.davix_client(fed_config());
     let opts = MultistreamOptions { streams: 3, chunk_size: 32 * 1024 };
-    let err = multistream_download_verified(&client, &tb.url(0), &opts).unwrap_err();
+    let err = verified(&client, &tb.url(0), &opts).unwrap_err();
     match err {
         DavixError::ChecksumMismatch { algo, expected, got } => {
             assert_eq!(algo, "adler32");

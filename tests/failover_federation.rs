@@ -2,9 +2,23 @@
 //! and the DynaFed federation, under fault injection.
 
 use bytes::Bytes;
-use davix::{multistream_download, Config, DavixError, MultistreamOptions};
+use davix::{multistream_download, Config, DavixClient, DavixError, MultistreamOptions};
 use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
 use netsim::LinkSpec;
+use std::sync::{Arc, Mutex};
+
+/// A multi-stream download of every replica of `tb` into memory.
+fn download(
+    tb: &Testbed,
+    client: &DavixClient,
+    opts: &MultistreamOptions,
+) -> davix::Result<Vec<u8>> {
+    let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
+    let entity = Arc::new(Mutex::new(Vec::new()));
+    multistream_download(client, &client.replica_scheduler(replicas), opts, entity.clone())?;
+    let got = std::mem::take(&mut *entity.lock().unwrap());
+    Ok(got)
+}
 
 fn payload(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i * 131 + 17) % 241) as u8).collect()
@@ -139,13 +153,8 @@ fn multistream_download_is_correct_and_spreads_load() {
     let tb = three_replica_testbed(&data);
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default());
-    let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let (got, _) = multistream_download(
-        &client,
-        &client.replica_scheduler(replicas),
-        &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 },
-    )
-    .unwrap();
+    let got =
+        download(&tb, &client, &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 }).unwrap();
     assert_eq!(got, data);
     // Load spread: every replica saw at least one connection.
     let stats = tb.net.stats();
@@ -163,13 +172,8 @@ fn multistream_worker_threads_are_bounded_by_io_pool() {
     // still completes (workers drain the shared chunk queue) and at most
     // 2 worker threads ever ran at once.
     let client = tb.davix_client(Config::default().with_io_threads(2));
-    let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let (got, _) = multistream_download(
-        &client,
-        &client.replica_scheduler(replicas),
-        &MultistreamOptions { streams: 6, chunk_size: 64 * 1024 },
-    )
-    .unwrap();
+    let got =
+        download(&tb, &client, &MultistreamOptions { streams: 6, chunk_size: 64 * 1024 }).unwrap();
     assert_eq!(got, data);
     assert_eq!(client.io_pool().max_workers(), 2);
     assert!(
@@ -187,13 +191,8 @@ fn multistream_survives_replica_death_mid_download() {
     tb.net.set_host_down("dpm2.cern.ch", true);
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
-    let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let (got, _) = multistream_download(
-        &client,
-        &client.replica_scheduler(replicas),
-        &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 },
-    )
-    .unwrap();
+    let got =
+        download(&tb, &client, &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 }).unwrap();
     assert_eq!(got, data);
 }
 
@@ -206,13 +205,7 @@ fn multistream_fails_cleanly_when_everything_is_dead() {
     }
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
-    let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let err = multistream_download(
-        &client,
-        &client.replica_scheduler(replicas),
-        &MultistreamOptions::default(),
-    )
-    .unwrap_err();
+    let err = download(&tb, &client, &MultistreamOptions::default()).unwrap_err();
     assert!(matches!(err, DavixError::AllReplicasFailed { .. }));
 }
 

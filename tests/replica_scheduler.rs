@@ -6,7 +6,8 @@
 
 use bytes::Bytes;
 use davix::{
-    multistream_download, multistream_download_verified, Config, DavixError, MultistreamOptions,
+    multistream_download, multistream_download_verified, ChunkCompletion, Config, DavixClient,
+    DavixError, MultistreamOptions, ReplicaScheduler,
 };
 use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
 use davix_sync::{AtomicBool, AtomicUsize, Ordering};
@@ -14,11 +15,31 @@ use httpd::{Handler as _, HttpServer, Request, Response, ServerConfig};
 use httpwire::{Method, StatusCode};
 use netsim::{LinkSpec, Runtime as _, SimNet};
 use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 fn payload(n: usize) -> Vec<u8> {
     (0..n).map(|i| ((i * 131 + 17) % 241) as u8).collect()
+}
+
+/// A multi-stream download into memory: the entity and each chunk's completion.
+fn download(
+    client: &DavixClient,
+    scheduler: &Arc<ReplicaScheduler>,
+    opts: &MultistreamOptions,
+) -> davix::Result<(Vec<u8>, Vec<ChunkCompletion>)> {
+    let entity = Arc::new(Mutex::new(Vec::new()));
+    let completions = multistream_download(client, scheduler, opts, entity.clone())?;
+    let got = std::mem::take(&mut *entity.lock().unwrap());
+    Ok((got, completions))
+}
+
+/// A verified multi-stream download into memory.
+fn verified(client: &DavixClient, url: &str, opts: &MultistreamOptions) -> davix::Result<Vec<u8>> {
+    let entity = Arc::new(Mutex::new(Vec::new()));
+    multistream_download_verified(client, url, opts, entity.clone())?;
+    let got = std::mem::take(&mut *entity.lock().unwrap());
+    Ok(got)
 }
 
 fn fed_testbed(data: &[u8], links: [LinkSpec; 3]) -> Testbed {
@@ -95,7 +116,7 @@ fn multistream_survives_head_failure_on_first_replica() {
     let _g = tb.net.enter();
     let client = tb.davix_client(Config::default().no_retry());
     let replicas: Vec<httpwire::Uri> = (0..3).map(|i| tb.url(i).parse().unwrap()).collect();
-    let (got, report) = multistream_download(
+    let (got, completions) = download(
         &client,
         &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 3, chunk_size: 32 * 1024 },
@@ -103,7 +124,7 @@ fn multistream_survives_head_failure_on_first_replica() {
     .unwrap();
     assert_eq!(got, data);
     assert!(
-        report.completions.iter().all(|c| c.replica.host != "dpm1.cern.ch"),
+        completions.iter().all(|c| c.replica.host != "dpm1.cern.ch"),
         "no chunk may come from the replica without the file"
     );
 }
@@ -141,14 +162,14 @@ fn multistream_steps_over_a_replica_that_denies_access() {
     let replicas: Vec<httpwire::Uri> =
         vec!["http://deny/f".parse().unwrap(), "http://s/f".parse().unwrap()];
     let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
-    let failovers = client.metrics().failovers;
-    let (got, report) =
-        multistream_download(&client, &client.replica_scheduler(replicas), &opts).unwrap();
+    let before = client.metrics();
+    let (got, completions) = download(&client, &client.replica_scheduler(replicas), &opts).unwrap();
     assert_eq!(got, data);
-    assert!(report.completions.iter().all(|c| c.replica.host == "s"));
+    assert!(completions.iter().all(|c| c.replica.host == "s"));
     // Whether a worker was ever assigned the refusing replica depends on the
     // ranking; the discovery's failed HEAD alone is no read failing over.
-    assert_eq!(client.metrics().failovers - failovers, report.respawns);
+    let m = client.metrics().since(&before);
+    assert_eq!(m.failovers, m.streams_respawned);
 
     let refused = client.open_failover("http://deny/f").err();
     assert!(matches!(refused, Some(DavixError::PermissionDenied(_))), "{refused:?}");
@@ -274,10 +295,10 @@ fn uppercase_checksum_algorithms_are_verified() {
     let client = davix::DavixClient::new(net.connector("c"), net.runtime(), Config::default());
     let opts = MultistreamOptions { streams: 2, chunk_size: 16 * 1024 };
 
-    let got = multistream_download_verified(&client, "http://s/good", &opts).unwrap();
+    let got = verified(&client, "http://s/good", &opts).unwrap();
     assert_eq!(got, data);
 
-    let err = multistream_download_verified(&client, "http://s/bad", &opts).unwrap_err();
+    let err = verified(&client, "http://s/bad", &opts).unwrap_err();
     match err {
         DavixError::ChecksumMismatch { algo, expected, .. } => {
             assert_eq!(algo, "Adler32", "the declared (non-lowercase) spelling is reported");
@@ -340,7 +361,7 @@ fn a_lying_head_is_that_replicas_failure_not_the_allocation_size() {
     let cfg = Config::default().no_retry().replica_blacklist(1, Duration::from_secs(60));
     let client = davix::DavixClient::new(net.connector("c"), net.runtime(), cfg);
     let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
-    let got = multistream_download_verified(&client, "http://s/f", &opts).unwrap();
+    let got = verified(&client, "http://s/f", &opts).unwrap();
     assert_eq!(got, data, "correct bytes from the honest replica");
     let m = client.metrics();
     assert!(m.replicas_blacklisted >= 1, "the liar must be recorded as failed in the scheduler");
@@ -500,15 +521,14 @@ fn multistream_worker_respawns_when_its_replica_dies() {
         net2.set_host_down("dpm1.cern.ch", false);
     });
 
-    let (got, report) = multistream_download(
+    let (got, _) = download(
         &client,
         &client.replica_scheduler(replicas),
         &MultistreamOptions { streams: 3, chunk_size: 64 * 1024 },
     )
     .unwrap();
     assert_eq!(got, data);
-    assert!(report.respawns >= 1, "the worker must switch replica, not die");
     let m = client.metrics();
-    assert!(m.streams_respawned >= 1);
+    assert!(m.streams_respawned >= 1, "the worker must switch replica, not die");
     assert!(m.replicas_blacklisted >= 1, "the dead replica must get blacklisted");
 }
