@@ -318,15 +318,17 @@ where
         let (resident, metrics) = (Arc::clone(&resident), Arc::clone(metrics));
         move |c: Chunk| {
             let len = c.len as u64;
-            let now = resident.fetch_add(len, Ordering::Relaxed) + len;
-            Metrics::record_max(&metrics.peak_chunk_buffer, now);
+            let held = resident.fetch_add(len, Ordering::Relaxed) + len;
+            Metrics::record_max(&metrics.peak_chunk_buffer, held);
             let outcome = transfer(c);
             resident.fetch_sub(len, Ordering::Relaxed);
             outcome
         }
     })?;
     let mut digests = Digests::new();
-    let results = (done.into_iter().enumerate())
+    let results = done
+        .into_iter()
+        .enumerate()
         .map(|(idx, (digest, r))| {
             digests.append(digest, chunk(idx).len as u64);
             r

@@ -141,8 +141,7 @@ fn download(
         |slot_idx| {
             stream_worker(client.clone(), slot_idx, Arc::clone(scheduler), size, Arc::clone(&sink))
         },
-    )
-    .map_err(|e| DavixError::AllReplicasFailed { tried: scheduler.len(), last: Box::new(e) })?;
+    )?;
     Ok((size, digests, completions))
 }
 
@@ -232,8 +231,13 @@ fn stream_worker(
                 Outcome::Done((crc32_adler32(&bytes), ChunkCompletion { replica: uri, at }))
             }
             // A worker blames every error on the replica: the chunk goes
-            // back to the queue whatever it was.
-            Attempt::TryNext(e) | Attempt::Fatal(e) => Outcome::Retry(chunk, e),
+            // back to the queue whatever it was, and the error that spends
+            // the last of the budget is returned as every replica's. The
+            // sink's error, above, is returned as it is.
+            Attempt::TryNext(e) | Attempt::Fatal(e) => {
+                let tried = fo.scheduler.len();
+                Outcome::Retry(chunk, DavixError::AllReplicasFailed { tried, last: Box::new(e) })
+            }
         }
     }
 }
@@ -248,20 +252,15 @@ mod tests {
     use netsim::{LinkSpec, Runtime as _, SimNet};
     use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
 
-    /// A download into a file writes each chunk at its offset and holds at
-    /// most one chunk per stream at a time, however many chunks there are.
-    #[test]
-    fn a_download_into_a_file_holds_at_most_one_chunk_per_stream() {
+    /// Two replicas of `data`, `http://a/f` and `http://b/f`, and a client.
+    fn two_replicas(data: &[u8]) -> (SimNet, DavixClient, Vec<Uri>) {
         let net = SimNet::new();
         net.add_host("c");
-        let (streams, chunk_size) = (2, 64 * 1024);
-        let data: Vec<u8> =
-            (0..16 * streams * chunk_size + 1000).map(|i| (i * 7 + i / 65_536) as u8).collect();
         for host in ["a", "b"] {
             net.add_host(host);
             net.set_link("c", host, LinkSpec::lan());
             let store = Arc::new(ObjectStore::new());
-            store.put("/f", Bytes::from(data.clone()));
+            store.put("/f", Bytes::from(data.to_vec()));
             StorageNode::start(
                 store,
                 Box::new(net.bind(host, 80).unwrap()),
@@ -270,9 +269,20 @@ mod tests {
                 ServerConfig::default(),
             );
         }
-        let _g = net.enter();
         let client = DavixClient::new(net.connector("c"), net.runtime(), Config::default());
         let replicas = vec!["http://a/f".parse().unwrap(), "http://b/f".parse().unwrap()];
+        (net, client, replicas)
+    }
+
+    /// A download into a file writes each chunk at its offset and holds at
+    /// most one chunk per stream at a time, however many chunks there are.
+    #[test]
+    fn a_download_into_a_file_holds_at_most_one_chunk_per_stream() {
+        let (streams, chunk_size) = (2, 64 * 1024);
+        let data: Vec<u8> =
+            (0..16 * streams * chunk_size + 1000).map(|i| (i * 7 + i / 65_536) as u8).collect();
+        let (net, client, replicas) = two_replicas(&data);
+        let _g = net.enter();
         let path = std::env::temp_dir().join(format!("davix-multistream-{}", std::process::id()));
         let file = Arc::new(std::fs::File::create(&path).unwrap());
         let opts = MultistreamOptions { streams, chunk_size };
@@ -285,6 +295,27 @@ mod tests {
         assert!(got == data, "chunk bytes out of place: {} bytes for {}", got.len(), data.len());
         let peak = client.metrics().peak_chunk_buffer;
         assert!(peak > 0 && peak <= (streams * chunk_size) as u64, "{peak} bytes held at once");
+    }
+
+    /// A sink that cannot take a chunk ends the download: no chunk is
+    /// fetched again and no stream starts another one.
+    #[test]
+    fn a_failing_sink_ends_the_download_without_a_retry() {
+        struct Full;
+        impl ChunkSink for Full {
+            fn write_chunk(&self, _: u64, _: &[u8]) -> Result<()> {
+                Err(DavixError::InvalidArgument("disk full".to_string()))
+            }
+        }
+        let (net, client, replicas) = two_replicas(&[7u8; 1 << 20]);
+        let _g = net.enter();
+        let opts = MultistreamOptions { streams: 2, chunk_size: 64 * 1024 };
+        let scheduler = client.replica_scheduler(replicas);
+        let err = multistream_download(&client, &scheduler, &opts, Arc::new(Full)).unwrap_err();
+        assert!(matches!(&err, DavixError::InvalidArgument(m) if m == "disk full"), "{err}");
+        // The size HEAD, then per stream at most an open and one chunk GET.
+        let sent = client.metrics().requests;
+        assert!(sent <= 5, "{sent} requests: a chunk was fetched again");
     }
 
     /// The completion rule both directions now share: when the failure
