@@ -152,7 +152,7 @@ const MAX_RETRY_BACKOFF: Duration = Duration::from_secs(60);
 /// Most body bytes [`ResponseStream::finish`] reads to win a session back
 /// for the next hop; a redirect or 5xx page longer than this (or one that
 /// never ends) costs its connection instead of pinning the policy loop.
-const MAX_DRAIN_BYTES: usize = 64 * 1024;
+const MAX_DRAIN_BYTES: u64 = 64 * 1024;
 
 /// Most serialisation buffer a session keeps between requests: room for any
 /// head (a 500-range `Range` field is ~10 KB), not for an in-memory body.
@@ -827,29 +827,24 @@ impl ResponseStream<'_> {
     /// buys nothing, and a long or endless one would hold the caller for as
     /// long as the peer cares to trickle it.
     pub fn finish(mut self) {
-        let mut sink = [0u8; 8192];
-        let mut left = if self.keep_alive { MAX_DRAIN_BYTES } else { 0 };
-        while left > 0 {
-            let want = left.min(sink.len());
-            match self.read(&mut sink[..want]) {
-                Ok(0) | Err(_) => return,
-                Ok(n) => left -= n,
-            }
-        }
+        let _ = self.skip_body(if self.keep_alive { MAX_DRAIN_BYTES } else { 0 });
         // Dropped with the body unfinished: the connection goes with it.
     }
 
-    /// Read and discard the rest of the body. Returns the bytes discarded.
-    pub fn drain(&mut self) -> Result<u64> {
-        let mut sink = [0u8; 8192];
-        let mut total = 0u64;
-        loop {
-            match self.read(&mut sink) {
-                Ok(0) => return Ok(total),
-                Ok(n) => total += n as u64,
+    /// The one body-skip loop: read and discard up to `count` body bytes.
+    /// Returns how many were skipped, fewer only if the body ended first.
+    pub(crate) fn skip_body(&mut self, count: u64) -> Result<u64> {
+        let mut scratch = [0u8; 8192];
+        let mut skipped = 0u64;
+        while skipped < count {
+            let want = (count - skipped).min(scratch.len() as u64) as usize;
+            match self.read(&mut scratch[..want]) {
+                Ok(0) => break,
+                Ok(n) => skipped += n as u64,
                 Err(e) => return Err(body_read_error(e)),
             }
         }
+        Ok(skipped)
     }
 
     /// Collect the rest of the body into a `Vec`, consuming the stream.
@@ -1511,7 +1506,7 @@ mod tests {
             match self {
                 Kind::Bodyless => ex.execute(&req).map(|r| r.head.status),
                 Kind::Streamed => ex.with_retries(&req, None, |mut stream| {
-                    stream.drain()?;
+                    stream.skip_body(u64::MAX)?;
                     Ok(stream.status())
                 }),
                 Kind::Buffered => {
@@ -1949,7 +1944,7 @@ mod tests {
         assert_eq!(resp.final_uri.path, "/target");
         let m = ex.metrics().snapshot();
         assert!(
-            m.bytes_in <= (MAX_DRAIN_BYTES + 5) as u64,
+            m.bytes_in <= MAX_DRAIN_BYTES + 5,
             "the hop may cost at most the drain cap, read {} bytes",
             m.bytes_in
         );

@@ -24,7 +24,7 @@ use crate::error::{DavixError, Result};
 use crate::executor::{body_read_error, PreparedRequest, ResponseStream};
 use crate::iopool::map_ordered;
 use crate::metrics::Metrics;
-use crate::posix::FileStat;
+use crate::posix::{stat_entity, FileStat};
 use crate::replicas::ReplicaCore;
 use crate::scheduler::ReplicaScheduler;
 use httpwire::multipart::{boundary_from_content_type, MultipartReader};
@@ -115,42 +115,6 @@ impl std::fmt::Debug for DavFile {
     }
 }
 
-/// Discover the size (and ETag) of `uri` without trusting HEAD: a ranged
-/// GET of the first byte whose `206 Content-Range` carries the total
-/// entity size. Servers that ignore `Range` and answer `200` betray the
-/// size through `Content-Length` instead. Used when HEAD omits
-/// `Content-Length` (some gateways do for dynamically served objects).
-pub(crate) fn probe_size(
-    inner: &Arc<ClientInner>,
-    uri: &Uri,
-) -> Result<(u64, Option<String>, Uri)> {
-    let req = PreparedRequest::get(uri.clone()).header("Range", "bytes=0-0");
-    let resp = inner.executor.execute_streaming(&req)?;
-    let etag = resp.head().headers.get("etag").map(str::to_string);
-    let final_uri = resp.final_uri().clone();
-    let size = match resp.status() {
-        StatusCode::PARTIAL_CONTENT => {
-            let cr = parse_content_range(resp.head(), "size probe")?;
-            cr.total.ok_or_else(|| {
-                DavixError::Protocol(format!("{uri}: size probe got Content-Range without total"))
-            })?
-        }
-        StatusCode::OK => {
-            // The server ignored `Range` and is sending the whole entity.
-            // `finish()` would drain it all just to recycle the session —
-            // drop the stream instead: the connection is discarded, which
-            // costs a reconnect, never a full-entity transfer.
-            let size = resp.head().headers.content_length()?.ok_or_else(|| {
-                DavixError::Protocol(format!("{uri}: size probe got 200 without Content-Length"))
-            })?;
-            return Ok((size, etag, final_uri));
-        }
-        status => return Err(DavixError::from_status(status, format!("size probe {uri}"))),
-    };
-    resp.finish(); // a 206 carries at most one body byte; keep the session
-    Ok((size, etag, final_uri))
-}
-
 impl DavFile {
     /// Open `uri` directly, learning its size and ETag (HEAD), or with
     /// `failover` through its replicas, taking the size from whichever
@@ -239,14 +203,16 @@ impl DavFile {
     }
 
     /// Copy the whole entity into `sink`; returns the bytes written. Memory
-    /// stays flat whatever the size. Without the cache this is one GET
-    /// streamed through: a fail-over file walks its replicas as a read
-    /// does, and a replica that takes over from one that failed mid-body
-    /// sends the entity again, read on past the bytes already written.
-    /// With the cache it is a read of 1 MiB through it at a time, each
-    /// costing what such a read costs (one request for the blocks it
-    /// misses). An error from `sink` ends the copy at once, with
-    /// no retry and no fail-over.
+    /// stays flat whatever the size. Without the cache this is the one
+    /// resumable GET, as in [`DavPosix::get_into`](crate::DavPosix::get_into),
+    /// here also pinned to the size learned at open. A fail-over file walks
+    /// its replicas as a read does and runs the GET once per replica: a
+    /// replica that takes over from one that failed mid-body sends the
+    /// entity again, read on past the bytes already written, and replicas
+    /// are never compared by ETag. With the cache it is a read of
+    /// 1 MiB through it at a time, each costing what such a read costs (one
+    /// request for the blocks it misses). An error from `sink` ends the copy
+    /// at once, with no retry and no fail-over.
     pub fn copy_to(&self, sink: &mut dyn Write) -> std::io::Result<u64> {
         if self.cache.is_some() {
             let mut window = vec![0u8; self.size.min(COPY_WINDOW) as usize];
@@ -260,9 +226,10 @@ impl DavFile {
             return Ok(self.size);
         }
         let mut written = 0;
+        let mut get = |f: &RawFile| get_entity(&f.inner, &f.uri, Some(f.size), &mut written, sink);
         let copied = match &self.opened {
-            Opened::Direct(raw, _) => raw.copy_into(&mut written, sink),
-            Opened::Failover(core) => core.with_file(|f| f.copy_into(&mut written, sink)),
+            Opened::Direct(raw, _) => get(raw),
+            Opened::Failover(core) => core.with_file(get),
         };
         self.io.record_read(written, 1);
         copied?.map(|()| written)
@@ -270,16 +237,12 @@ impl DavFile {
 }
 
 impl RawFile {
-    /// Open (HEAD) `uri`: the resource at its final (post-redirect) URI with
-    /// the size learned there, plus its ETag.
+    /// Open `uri` with [the stat step](stat_entity): the resource at its
+    /// final (post-redirect) URI with the size learned there, plus its ETag.
     pub(crate) fn open(inner: Arc<ClientInner>, uri: Uri) -> Result<(RawFile, Option<String>)> {
-        let resp = inner.executor.execute_expect(&PreparedRequest::head(uri), "stat")?;
-        let (size, etag, uri) = match resp.head.headers.content_length()? {
-            Some(size) => (size, resp.head.headers.get("etag").map(str::to_string), resp.final_uri),
-            // HEAD without Content-Length: probe with a 1-byte ranged GET
-            // instead of failing the open.
-            None => probe_size(&inner, &resp.final_uri)?,
-        };
+        let (size, etag, uri) = stat_entity(&inner, &uri)?.ok_or_else(|| {
+            DavixError::from_status(StatusCode::FORBIDDEN, format!("stat ({uri})"))
+        })?;
         Ok((RawFile { inner, uri, size }, etag))
     }
 
@@ -302,7 +265,7 @@ impl RawFile {
                 // rest of the entity is never pulled into memory (and N
                 // parallel fragments do not each pull the whole file).
                 Metrics::bump(&ex.metrics().range_downgrades);
-                if skip_stream(&mut resp, offset)? < offset {
+                if resp.skip_body(offset)? < offset {
                     Ok(0) // entity shorter than our stat said: EOF
                 } else {
                     read_some(&mut resp, buf)
@@ -313,24 +276,6 @@ impl RawFile {
                 Ok(0)
             }
             status => Err(DavixError::from_status(status, format!("pread {}", self.uri))),
-        })
-    }
-
-    /// The one whole-entity GET, streamed into `sink` past the `*written`
-    /// bytes it already holds (a retry here, or another replica before,
-    /// wrote them). An answer whose length is not the size learned at open
-    /// is refused.
-    fn copy_into(&self, written: &mut u64, sink: &mut dyn Write) -> Result<std::io::Result<()>> {
-        let req = PreparedRequest::get(self.uri.clone());
-        self.inner.executor.with_retries(&req, None, |stream| {
-            let mut stream = stream.expect_success("get")?;
-            if stream.head().headers.content_length()?.is_some_and(|len| len != self.size) {
-                return Err(DavixError::Protocol(format!(
-                    "{}: size changed since the open",
-                    self.uri
-                )));
-            }
-            copy_body(&mut stream, written, sink, &self.uri.to_string())
         })
     }
 
@@ -727,7 +672,7 @@ impl<'a> Scatter<'a> {
 
 /// Parse a `Content-Range` header off a `206` head, or fail as a protocol
 /// error (a 206 without one is unframable).
-fn parse_content_range(head: &ResponseHead, what: &str) -> Result<ContentRange> {
+pub(crate) fn parse_content_range(head: &ResponseHead, what: &str) -> Result<ContentRange> {
     head.headers
         .get("content-range")
         .ok_or_else(|| DavixError::Protocol(format!("{what}: 206 without Content-Range")))
@@ -779,46 +724,45 @@ fn read_exact_stream(r: &mut ResponseStream<'_>, buf: &mut [u8], what: &str) -> 
     Ok(())
 }
 
-/// Discard up to `count` body bytes; returns how many were actually skipped
-/// (fewer only if the body ended first).
-pub(crate) fn skip_stream(r: &mut ResponseStream<'_>, count: u64) -> Result<u64> {
-    let mut scratch = [0u8; 8192];
-    let mut skipped = 0u64;
-    while skipped < count {
-        let want = scratch.len().min((count - skipped) as usize);
-        match r.read(&mut scratch[..want]) {
-            Ok(0) => break,
-            Ok(n) => skipped += n as u64,
-            Err(e) => return Err(body_read_error(e)),
-        }
-    }
-    Ok(skipped)
-}
-
-/// Copy the rest of `stream`'s body into `sink` past the `*written` bytes
-/// of it that `sink` already holds (an earlier attempt wrote them), adding
-/// each write to `*written`. A body too short to skip them is `what`
-/// changed between attempts. An error from `sink` comes back inside the
-/// `Ok`, so nothing retries it.
-pub(crate) fn copy_body(
-    stream: &mut ResponseStream<'_>,
+/// The one resumable whole-entity GET: stream `uri`'s body into `sink`
+/// past the `*written` bytes it already holds (an earlier attempt here, or
+/// another replica before, wrote them), adding each write to `*written`.
+/// A reset or stall mid-body sends the GET again within the retry budget.
+///
+/// The first answer's ETag and length pin every later attempt: an answer
+/// that differs from it, or whose body is too short to skip the bytes
+/// already written, is refused as a protocol error. `size`, a length
+/// learned at open, pins the first answer's length too. An error from
+/// `sink` comes back inside the `Ok`, so nothing retries it.
+pub(crate) fn get_entity(
+    inner: &ClientInner,
+    uri: &Uri,
+    size: Option<u64>,
     written: &mut u64,
     sink: &mut dyn Write,
-    what: &str,
 ) -> Result<std::io::Result<()>> {
-    if skip_stream(stream, *written)? < *written {
-        return Err(DavixError::Protocol(format!("{what} changed between attempts")));
-    }
-    let mut buf = vec![0u8; 64 * 1024];
-    loop {
-        match stream.read(&mut buf).map_err(body_read_error)? {
-            0 => return Ok(Ok(())),
-            n => match sink.write_all(&buf[..n]) {
-                Ok(()) => *written += n as u64,
-                Err(e) => return Ok(Err(e)),
-            },
+    let req = PreparedRequest::get(uri.clone());
+    let mut pin = None;
+    inner.executor.with_retries(&req, None, |stream| {
+        let mut stream = stream.expect_success("get")?;
+        let head = &stream.head().headers;
+        let entity = (head.get("etag").map(str::to_owned), head.content_length()?);
+        let first = pin.get_or_insert_with(|| entity.clone());
+        let resized = entity.1.zip(size).is_some_and(|(len, size)| len != size);
+        if *first != entity || resized || stream.skip_body(*written)? < *written {
+            return Err(DavixError::Protocol(format!("{uri} changed during the download")));
         }
-    }
+        let mut buf = vec![0u8; 64 * 1024];
+        loop {
+            match stream.read(&mut buf).map_err(body_read_error)? {
+                0 => return Ok(Ok(())),
+                n => match sink.write_all(&buf[..n]) {
+                    Ok(()) => *written += n as u64,
+                    Err(e) => return Ok(Err(e)),
+                },
+            }
+        }
+    })
 }
 
 /// Pull only the requested windows out of a full-entity (`200`) body,
@@ -834,7 +778,7 @@ fn read_windows(
     let mut pos = 0u64;
     for &(off, len) in wire {
         let gap = off.saturating_sub(pos);
-        if skip_stream(resp, gap)? < gap {
+        if resp.skip_body(gap)? < gap {
             return Err(DavixError::Protocol(format!(
                 "entity ended before requested range {off}+{len}"
             )));
@@ -920,6 +864,94 @@ mod tests {
         );
         let client = DavixClient::new(net.connector("c"), net.runtime(), cfg);
         (net, client, data)
+    }
+
+    /// How the server answers the retry of a GET whose first body stalled.
+    #[derive(Clone, Copy, Debug)]
+    enum Changed {
+        /// Same length, another ETag.
+        Etag,
+        /// Same ETag, one byte longer.
+        Length,
+    }
+
+    /// A net whose hand-rolled server holds one 100 000-byte entity, ETag
+    /// `"v1"`, and a client that gives up on a stalled body after a second
+    /// and retries. The server's first GET sends half the body and stalls;
+    /// every later GET answers with the entity `changed`, whole.
+    fn changing_server(changed: Changed) -> (SimNet, DavixClient) {
+        use std::io::Write;
+        let net = SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        let listener = net.bind("s", 80).unwrap();
+        let gets = std::sync::atomic::AtomicUsize::new(0);
+        net.spawn("changing-server", move || loop {
+            let Ok((stream, _)) = listener.accept_sim() else { return };
+            let mut w = netsim::Stream::try_clone(&stream).unwrap();
+            let mut r = std::io::BufReader::new(stream);
+            while let Ok(Some(head)) = httpwire::parse::read_request_head(&mut r) {
+                let first = head.method == httpwire::Method::Head
+                    || gets.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 0;
+                let (etag, len) = match changed {
+                    _ if first => ("v1", 100_000),
+                    Changed::Etag => ("v2", 100_000),
+                    Changed::Length => ("v1", 100_001),
+                };
+                let _ = write!(
+                    w,
+                    "HTTP/1.1 200 OK\r\nContent-Length: {len}\r\nETag: \"{etag}\"\r\n\r\n"
+                );
+                let sent = match head.method {
+                    httpwire::Method::Head => 0,
+                    _ if first => len / 2,
+                    _ => len,
+                };
+                let _ = w.write_all(&vec![b'x'; sent]);
+            }
+        });
+        let cfg = Config {
+            io_timeout: Duration::from_secs(1),
+            retry: crate::RetryPolicy { retries: 2, backoff: Duration::ZERO },
+            ..Config::default()
+        };
+        let client = DavixClient::new(net.connector("c"), net.runtime(), cfg);
+        (net, client)
+    }
+
+    /// The retry of a plain get whose body stalled is refused when the
+    /// entity changed under it: another ETag or another length.
+    #[test]
+    fn get_into_refuses_an_entity_that_changed_between_attempts() {
+        for changed in [Changed::Etag, Changed::Length] {
+            let (net, client) = changing_server(changed);
+            let _g = net.enter();
+            let mut sink = Vec::new();
+            let Err(err) = client.posix().get_into("http://s/f", &mut sink) else {
+                panic!("{changed:?}: the changed entity was accepted");
+            };
+            let want = "protocol error: http://s/f changed during the download";
+            assert_eq!(err.to_string(), want, "{changed:?}");
+            assert_eq!((sink.len(), client.metrics().retries), (50_000, 1), "{changed:?}");
+        }
+    }
+
+    /// A direct copy's retry is held to the first answer the same way, and
+    /// to the size learned at open.
+    #[test]
+    fn copy_to_refuses_an_entity_that_changed_between_attempts() {
+        for changed in [Changed::Etag, Changed::Length] {
+            let (net, client) = changing_server(changed);
+            let _g = net.enter();
+            let file = client.open("http://s/f").unwrap();
+            let mut sink = Vec::new();
+            let Err(err) = file.copy_to(&mut sink) else {
+                panic!("{changed:?}: the changed entity was accepted");
+            };
+            let want = "protocol error: http://s/f changed during the download";
+            assert_eq!(err.to_string(), want, "{changed:?}");
+            assert_eq!((sink.len(), client.metrics().retries), (50_000, 1), "{changed:?}");
+        }
     }
 
     #[test]

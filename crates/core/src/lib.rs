@@ -64,9 +64,12 @@
 //! read goes through the same three layers, each written once:
 //!
 //! 1. **`RawFile` — the wire** ([`file`](mod@file)): one resource at its
-//!    final URI with the size learned at open. `pread` is one ranged GET
-//!    streamed into the caller's buffer, `pread_vec` one multi-range GET
-//!    with the §2.3 degradation ladder. It never caches.
+//!    final URI with the size learned at open by the stat step that
+//!    [`DavPosix::stat`] runs too (HEAD, then a 1-byte probe, then
+//!    PROPFIND). `pread` is one ranged GET streamed into the caller's
+//!    buffer, `pread_vec` one multi-range GET with the §2.3 degradation
+//!    ladder, and an uncached `copy_to` the one resumable whole-entity GET
+//!    that [`DavPosix::get_into`] runs too. It never caches.
 //! 2. **`ReplicaCore` — fail-over, optional** ([`replicas`]): the walk over
 //!    scheduler-ranked replicas around the one *fail-over step* — open or
 //!    reuse that replica's `RawFile`, time the operation, tell the

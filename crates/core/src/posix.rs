@@ -1,10 +1,17 @@
 //! POSIX-flavoured namespace API, mirroring libdavix's `DavPosix`
 //! (`stat` / `opendir` / `mkdir` / `unlink` / whole-object get & put).
+//!
+//! It holds the client's one way to learn what a resource is: the stat
+//! step (`stat_entity`: a HEAD, with a size probe and a PROPFIND behind
+//! it), which [`DavPosix::stat`] runs and a file open is, and the one
+//! PROPFIND reader (`propfind`), which `stat`, [`DavPosix::opendir`] and
+//! the stat step's size fallback share. A streamed whole-object get is the
+//! file layer's one resumable GET, which `DavFile::copy_to` runs too.
 
 use crate::client::ClientInner;
 use crate::error::{DavixError, Result};
 use crate::executor::{BodyProvider, PreparedRequest};
-use crate::file::copy_body;
+use crate::file::{get_entity, parse_content_range};
 use crate::pool::Endpoint;
 use httpwire::uri::percent_decode;
 use httpwire::{Method, StatusCode, Uri};
@@ -54,6 +61,114 @@ fn href_path(href: &str) -> String {
     percent_decode(raw)
 }
 
+/// One `<response>` of a PROPFIND multistatus.
+struct PropEntry {
+    /// The entry's path, as [`href_path`] normalizes it.
+    href: String,
+    /// Whether its `resourcetype` holds a `collection`.
+    is_dir: bool,
+    /// Its `getcontentlength`, when it has one.
+    size: Option<u64>,
+}
+
+/// The one PROPFIND reader: PROPFIND `uri` at `depth` and read each
+/// `<response>` of the multistatus, in document order.
+fn propfind(inner: &ClientInner, uri: Uri, depth: &str, context: &str) -> Result<Vec<PropEntry>> {
+    let req = PreparedRequest::new(Method::Propfind, uri).header("Depth", depth);
+    let resp = inner.executor.execute_expect(&req, context)?;
+    let text = String::from_utf8_lossy(&resp.body);
+    let doc = metalink::xml::parse(&text)
+        .map_err(|e| DavixError::Protocol(format!("bad PROPFIND body: {e}")))?;
+    doc.find_all("response")
+        .map(|r| {
+            let href = r
+                .find("href")
+                .ok_or_else(|| DavixError::Protocol("response without href".to_string()))?;
+            let prop = r.find("propstat").and_then(|ps| ps.find("prop"));
+            Ok(PropEntry {
+                href: href_path(href.text().trim()),
+                is_dir: prop
+                    .and_then(|p| p.find("resourcetype"))
+                    .is_some_and(|rt| rt.find("collection").is_some()),
+                size: prop
+                    .and_then(|p| p.find("getcontentlength"))
+                    .and_then(|l| l.text().trim().parse().ok()),
+            })
+        })
+        .collect()
+}
+
+/// The one stat step: `uri`'s size, its ETag and the URI that answered,
+/// or `None` when the HEAD is refused with `403`.
+///
+/// A HEAD gives the size in `Content-Length`. One without it (some
+/// gateways omit it for dynamically served objects) is not trusted to mean
+/// "empty": a 1-byte ranged GET learns the size from its `206
+/// Content-Range`, and a probe the server refuses outright falls back to
+/// PROPFIND's `getcontentlength`. The HEAD's ETag wins over the probe's:
+/// the block cache keys on it.
+pub(crate) fn stat_entity(
+    inner: &ClientInner,
+    uri: &Uri,
+) -> Result<Option<(u64, Option<String>, Uri)>> {
+    let head = inner.executor.execute(&PreparedRequest::head(uri.clone()))?;
+    if head.head.status == StatusCode::FORBIDDEN {
+        return Ok(None);
+    }
+    let head = head.expect_success("stat")?;
+    let etag = head.head.headers.get("etag").map(str::to_string);
+    if let Some(size) = head.head.headers.content_length()? {
+        return Ok(Some((size, etag, head.final_uri)));
+    }
+    match probe_size(inner, &head.final_uri) {
+        Ok((size, probe_etag, at)) => return Ok(Some((size, etag.or(probe_etag), at))),
+        // A transport failure would reach PROPFIND too, but retrying a
+        // flapping server through a second protocol hides real faults.
+        Err(e) if e.is_retryable() => return Err(e),
+        Err(_) => {}
+    }
+    let entries = propfind(inner, head.final_uri.clone(), "0", &format!("stat {uri}"))?;
+    let size = entries.first().and_then(|e| e.size).ok_or_else(|| {
+        DavixError::Protocol(format!(
+            "stat {uri}: no Content-Length on HEAD, no usable size probe, no \
+             getcontentlength in PROPFIND"
+        ))
+    })?;
+    Ok(Some((size, etag, head.final_uri)))
+}
+
+/// Learn the size (and ETag) of `uri` without trusting HEAD: a ranged GET
+/// of the first byte, whose `206 Content-Range` carries the total entity
+/// size. A server that ignores `Range` and answers `200` gives the size
+/// away in `Content-Length` instead.
+fn probe_size(inner: &ClientInner, uri: &Uri) -> Result<(u64, Option<String>, Uri)> {
+    let req = PreparedRequest::get(uri.clone()).header("Range", "bytes=0-0");
+    let resp = inner.executor.execute_streaming(&req)?;
+    let etag = resp.head().headers.get("etag").map(str::to_string);
+    let final_uri = resp.final_uri().clone();
+    let size = match resp.status() {
+        StatusCode::PARTIAL_CONTENT => {
+            let cr = parse_content_range(resp.head(), "size probe")?;
+            cr.total.ok_or_else(|| {
+                DavixError::Protocol(format!("{uri}: size probe got Content-Range without total"))
+            })?
+        }
+        StatusCode::OK => {
+            // The server ignored `Range` and is sending the whole entity.
+            // `finish()` would drain it all just to recycle the session —
+            // drop the stream instead: the connection is discarded, which
+            // costs a reconnect, never a full-entity transfer.
+            let size = resp.head().headers.content_length()?.ok_or_else(|| {
+                DavixError::Protocol(format!("{uri}: size probe got 200 without Content-Length"))
+            })?;
+            return Ok((size, etag, final_uri));
+        }
+        status => return Err(DavixError::from_status(status, format!("size probe {uri}"))),
+    };
+    resp.finish(); // a 206 carries at most one body byte; keep the session
+    Ok((size, etag, final_uri))
+}
+
 /// POSIX-like façade over the executor.
 pub struct DavPosix {
     inner: Arc<ClientInner>,
@@ -68,114 +183,48 @@ impl DavPosix {
         url.parse().map_err(DavixError::from)
     }
 
-    /// Stat a remote path (HEAD; falls back to PROPFIND depth 0 for
-    /// directories, which HEAD reports as 403).
+    /// Stat a remote path with the stat step a file open runs too: a HEAD
+    /// whose `Content-Length` is the size. A `2xx` HEAD without one (some
+    /// gateways omit it for dynamically served objects) is not trusted to
+    /// mean "empty file": a 1-byte ranged GET learns the size from its `206
+    /// Content-Range` and, failing that, a PROPFIND its
+    /// `getcontentlength`. The ETag is the HEAD's, else the probe's — the
+    /// block cache uses it as a validator in its keys.
     ///
-    /// A `2xx` HEAD **without** `Content-Length` (some gateways omit it
-    /// for dynamically served objects) is not trusted to mean "empty
-    /// file": the size is discovered through a 1-byte ranged GET (whose
-    /// `206 Content-Range` carries the total) and, failing that, a
-    /// PROPFIND `getcontentlength`. The ETag is surfaced from whichever
-    /// response provided one — the block cache uses it as a validator in
-    /// its keys.
+    /// A HEAD refused with `403` (what many servers answer on a collection)
+    /// is followed by a PROPFIND depth 0, whose entry says whether the path
+    /// is a directory and, for a file, its size.
     pub fn stat(&self, url: &str) -> Result<FileStat> {
         let uri = self.uri(url)?;
-        let resp = self.inner.executor.execute(&PreparedRequest::head(uri.clone()))?;
-        match resp.head.status {
-            s if s.is_success() => {
-                let etag = resp.head.headers.get("etag").map(str::to_string);
-                if let Some(size) = resp.head.headers.content_length()? {
-                    return Ok(FileStat { size, is_dir: false, etag });
-                }
-                self.stat_sizeless(url, resp.final_uri, etag)
-            }
-            StatusCode::FORBIDDEN => {
-                // Probably a directory; confirm via PROPFIND depth 0.
-                let req = PreparedRequest::new(Method::Propfind, uri).header("Depth", "0");
-                let resp = self.inner.executor.execute_expect(&req, "stat dir")?;
-                let _ = resp;
-                Ok(FileStat { size: 0, is_dir: true, etag: None })
-            }
-            s => Err(DavixError::from_status(s, format!("stat {url}"))),
+        if let Some((size, etag, _)) = stat_entity(&self.inner, &uri)? {
+            return Ok(FileStat { size, is_dir: false, etag });
         }
-    }
-
-    /// Size discovery for a resource whose HEAD omitted `Content-Length`:
-    /// ranged-GET probe first, PROPFIND second.
-    fn stat_sizeless(&self, url: &str, uri: Uri, head_etag: Option<String>) -> Result<FileStat> {
-        match crate::file::probe_size(&self.inner, &uri) {
-            Ok((size, probe_etag, _)) => {
-                return Ok(FileStat { size, is_dir: false, etag: head_etag.or(probe_etag) });
-            }
-            Err(e) if !e.is_retryable() => {
-                // A server that rejects the probe outright may still answer
-                // PROPFIND below; a transport-level failure would too, but
-                // retrying a flapping server through a second protocol
-                // hides real faults — propagate those.
-            }
-            Err(e) => return Err(e),
-        }
-        let req = PreparedRequest::new(Method::Propfind, uri).header("Depth", "0");
-        let resp = self.inner.executor.execute_expect(&req, format!("stat {url}").as_str())?;
-        let text = String::from_utf8_lossy(&resp.body);
-        let doc = metalink::xml::parse(&text)
-            .map_err(|e| DavixError::Protocol(format!("bad PROPFIND body: {e}")))?;
-        let size = doc
-            .find_all("response")
-            .next()
-            .and_then(|r| r.find("propstat"))
-            .and_then(|ps| ps.find("prop"))
-            .and_then(|p| p.find("getcontentlength"))
-            .and_then(|l| l.text().trim().parse().ok())
-            .ok_or_else(|| {
-                DavixError::Protocol(format!(
-                    "stat {url}: no Content-Length on HEAD, no usable size probe, no \
-                     getcontentlength in PROPFIND"
-                ))
+        let entry =
+            propfind(&self.inner, uri, "0", "stat dir")?.into_iter().next().ok_or_else(|| {
+                DavixError::Protocol(format!("stat {url}: PROPFIND answered no entry"))
             })?;
-        Ok(FileStat { size, is_dir: false, etag: head_etag })
+        Ok(FileStat { size: entry.size.unwrap_or(0), is_dir: entry.is_dir, etag: None })
     }
 
-    /// List a directory (PROPFIND depth 1).
+    /// List a directory (PROPFIND depth 1), without its own entry.
     ///
     /// PROPFIND `href`s arrive as URIs (RFC 4918 §8.3): percent-encoded,
     /// and — on some servers — absolute (`http://host/path`). Each one is
-    /// normalized (authority stripped, query dropped, percent-decoded)
-    /// before it is compared against the request path (to drop the
-    /// collection's own entry) or used to derive the entry name, so names
-    /// with spaces/UTF-8 come back *decoded* and the self-entry skip works
-    /// regardless of how the server spells its hrefs.
+    /// normalized (authority stripped, query dropped, percent-decoded), so
+    /// names with spaces/UTF-8 come back *decoded* and the self-entry skip
+    /// works however the server spells its hrefs.
     pub fn opendir(&self, url: &str) -> Result<Vec<DirEntry>> {
         let uri = self.uri(url)?;
         let base_path = uri.decoded_path();
-        let req = PreparedRequest::new(Method::Propfind, uri).header("Depth", "1");
-        let resp = self.inner.executor.execute_expect(&req, "opendir")?;
-        let text = String::from_utf8_lossy(&resp.body);
-        let doc = metalink::xml::parse(&text)
-            .map_err(|e| DavixError::Protocol(format!("bad PROPFIND body: {e}")))?;
+        let base_path = base_path.trim_end_matches('/');
         let mut entries = Vec::new();
-        for r in doc.find_all("response") {
-            let href = r
-                .find("href")
-                .map(|h| h.text())
-                .ok_or_else(|| DavixError::Protocol("response without href".to_string()))?;
-            let href = href_path(href.trim());
-            let href = href.trim_end_matches('/');
-            // Skip the directory itself.
-            if href == base_path.trim_end_matches('/') {
+        for entry in propfind(&self.inner, uri, "1", "opendir")? {
+            let href = entry.href.trim_end_matches('/');
+            if href == base_path {
                 continue;
             }
             let name = href.rsplit('/').next().unwrap_or(href).to_string();
-            let prop = r.find("propstat").and_then(|ps| ps.find("prop"));
-            let is_dir = prop
-                .and_then(|p| p.find("resourcetype"))
-                .map(|rt| rt.find("collection").is_some())
-                .unwrap_or(false);
-            let size = prop
-                .and_then(|p| p.find("getcontentlength"))
-                .and_then(|l| l.text().trim().parse().ok())
-                .unwrap_or(0);
-            entries.push(DirEntry { name, is_dir, size });
+            entries.push(DirEntry { name, is_dir: entry.is_dir, size: entry.size.unwrap_or(0) });
         }
         Ok(entries)
     }
@@ -205,26 +254,16 @@ impl DavPosix {
     }
 
     /// Fetch a whole object into `sink`, streamed: nothing proportional to
-    /// the object is held in memory. A reset or stall mid-body sends the
-    /// GET again within the same retry budget as [`get`](Self::get); the
-    /// new body is read past the bytes `sink` already holds, and refused
-    /// if its ETag or length differs from the first one's. Returns the
-    /// bytes written. An error from `sink` ends the download at once.
+    /// the object is held in memory. This is the one resumable GET, which
+    /// an uncached [`DavFile::copy_to`](crate::DavFile::copy_to) runs too:
+    /// a reset or stall mid-body sends the GET again within the same retry
+    /// budget as [`get`](Self::get), the new body is read past the bytes
+    /// `sink` already holds, and an answer whose ETag or length differs
+    /// from the first one's is refused. Returns the bytes written. An error
+    /// from `sink` ends the download at once.
     pub fn get_into(&self, url: &str, sink: &mut dyn Write) -> io::Result<u64> {
-        let req = PreparedRequest::get(self.uri(url)?);
-        let (mut written, mut first) = (0u64, None);
-        self.inner
-            .executor
-            .with_retries(&req, None, |stream| {
-                let mut stream = stream.expect_success("get")?;
-                let head = &stream.head().headers;
-                let entity = (head.get("etag").map(str::to_owned), head.content_length()?);
-                if *first.get_or_insert_with(|| entity.clone()) != entity {
-                    return Err(DavixError::Protocol(format!("{url} changed between attempts")));
-                }
-                copy_body(&mut stream, &mut written, sink, url)
-            })?
-            .map(|()| written)
+        let mut written = 0;
+        get_entity(&self.inner, &self.uri(url)?, None, &mut written, sink)?.map(|()| written)
     }
 
     /// Store a whole object (PUT), buffered in memory. For large objects
@@ -363,6 +402,39 @@ mod tests {
         assert_eq!(entries[0].name, "dä ta.root");
         assert_eq!(entries[0].size, 42);
         assert!(!entries[0].is_dir);
+    }
+
+    /// A `403` HEAD is not a directory by itself: stat reports what the
+    /// PROPFIND says, here a file of 42 bytes. It used to answer
+    /// `is_dir: true, size: 0` whenever the PROPFIND succeeded.
+    #[test]
+    fn a_forbidden_head_on_a_file_stats_as_the_file_propfind_describes() {
+        let net = SimNet::new();
+        net.add_host("c");
+        net.add_host("s");
+        net.set_link("c", "s", LinkSpec { delay: Duration::from_millis(1), ..Default::default() });
+        let xml = concat!(
+            "<D:multistatus xmlns:D=\"DAV:\"><D:response><D:href>/locked.root</D:href>",
+            "<D:propstat><D:prop><D:resourcetype/>",
+            "<D:getcontentlength>42</D:getcontentlength>",
+            "</D:prop></D:propstat></D:response></D:multistatus>"
+        );
+        let server = HttpServer::new(
+            Arc::new(move |req: Request| match req.head.method {
+                Method::Propfind => Response::with_body(
+                    StatusCode::MULTI_STATUS,
+                    "application/xml",
+                    xml.as_bytes().to_vec(),
+                ),
+                _ => Response::empty(StatusCode::FORBIDDEN),
+            }),
+            ServerConfig::default(),
+        );
+        server.serve(Box::new(net.bind("s", 80).unwrap()), net.runtime());
+        let _g = net.enter();
+        let client = DavixClient::new(net.connector("c"), net.runtime(), Config::default());
+        let st = client.posix().stat("http://s/locked.root").unwrap();
+        assert_eq!(st, FileStat { size: 42, is_dir: false, etag: None });
     }
 
     /// Regression (PR 5): same-server renames used to be rejected when the

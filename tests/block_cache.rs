@@ -307,12 +307,46 @@ fn stat_falls_back_to_propfind_when_probe_rejected() {
     assert_eq!(st.etag.as_deref(), Some("\"v7\""));
 }
 
+/// A probe answer without an ETag must not lose the HEAD's: the open keys
+/// the block cache on it, and the open and stat agree on it.
+#[test]
+fn open_keeps_the_head_etag_when_the_probe_has_none() {
+    let net = sim(1);
+    sizeless_server(&net, 54_321, Some(""));
+    let _g = net.enter();
+    let client = client(&net, Config::default().no_retry());
+    let f = client.open("http://s/f").unwrap();
+    assert_eq!(f.size_hint(), 54_321);
+    assert_eq!(f.stat().etag, client.posix().stat("http://s/f").unwrap().etag);
+    assert_eq!(f.stat().etag.as_deref(), Some("\"v7\""));
+}
+
+/// `DavFile::open` learns the size the way stat does: a rejected probe
+/// falls back to PROPFIND's `getcontentlength` instead of failing the open.
+#[test]
+fn open_falls_back_to_propfind_when_probe_rejected() {
+    let net = sim(1);
+    raw_sizeless_server(&net, 98_765, false);
+    let _g = net.enter();
+    let client = client(&net, Config::default().no_retry());
+    let f = client.open("http://s/f").unwrap();
+    assert_eq!(f.size_hint(), 98_765);
+    assert_eq!(f.stat().etag.as_deref(), Some("\"v7\""));
+}
+
+/// [`sizeless_server`] whose ranged probe carries the HEAD's ETag when
+/// `ranged`, and is refused otherwise.
+fn raw_sizeless_server(net: &SimNet, size: u64, ranged: bool) {
+    sizeless_server(net, size, ranged.then_some("ETag: \"v7\"\r\n"));
+}
+
 /// A hand-rolled HTTP server (the `httpd` crate always adds
 /// `Content-Length`, which is exactly what this server must *not* do):
 /// HEAD answers 200 + ETag with no `Content-Length`; ranged GETs answer
-/// `206` with the total in `Content-Range` when `ranged` (else `416`);
-/// PROPFIND answers a depth-0 multistatus with `getcontentlength`.
-fn raw_sizeless_server(net: &SimNet, size: u64, ranged: bool) {
+/// `206` with the total in `Content-Range` and the `probe` field lines
+/// when it is given (else `416`); PROPFIND answers a depth-0 multistatus
+/// with `getcontentlength`.
+fn sizeless_server(net: &SimNet, size: u64, probe: Option<&'static str>) {
     let listener = net.bind("s", 80).unwrap();
     let rt = net.runtime();
     rt.spawn(
@@ -324,14 +358,14 @@ fn raw_sizeless_server(net: &SimNet, size: u64, ranged: bool) {
             while let Ok(Some(head)) = read_request_head(&mut reader) {
                 let resp: String = match head.method {
                     Method::Head => "HTTP/1.1 200 OK\r\nETag: \"v7\"\r\n\r\n".to_string(),
-                    Method::Get if ranged => format!(
-                        "HTTP/1.1 206 Partial Content\r\nETag: \"v7\"\r\n\
-                         Content-Range: bytes 0-0/{size}\r\nContent-Length: 1\r\n\r\nX"
-                    ),
-                    Method::Get => {
-                        "HTTP/1.1 416 Range Not Satisfiable\r\nContent-Length: 0\r\n\r\n"
-                            .to_string()
-                    }
+                    Method::Get => match probe {
+                        Some(fields) => format!(
+                            "HTTP/1.1 206 Partial Content\r\n{fields}\
+                             Content-Range: bytes 0-0/{size}\r\nContent-Length: 1\r\n\r\nX"
+                        ),
+                        None => "HTTP/1.1 416 Range Not Satisfiable\r\nContent-Length: 0\r\n\r\n"
+                            .to_string(),
+                    },
                     Method::Propfind => {
                         let body = format!(
                             "<multistatus><response><href>/f</href><propstat><prop>\
