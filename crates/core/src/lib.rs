@@ -77,9 +77,13 @@
 //!    `Metrics::failovers` and evicts the suspect file in exactly one
 //!    place) and say whether the error lets another replica try — a
 //!    fail-over file spares the caller's own errors (`403`, bad argument), a
-//!    multi-stream download blames every error on the replica. Its workers
-//!    run the same step, each over its own map of open files; its size
-//!    discovery is the same walk with the open as the operation.
+//!    multi-stream download blames every error on the replica. The open is
+//!    the one size check: the first open that succeeds pins the entity's
+//!    size (a Metalink's declared size pins it before any), and a replica
+//!    advertising another is that replica's failure. A multi-stream
+//!    download's size discovery (the same walk with the open as the
+//!    operation) and all its workers share one such context, so each
+//!    replica is opened once per download while it keeps answering.
 //! 3. **[`DavFile`] — the cached-read front and the one public handle**
 //!    ([`file`](mod@file)): over either of the above as its one upstream,
 //!    whether [`DavixClient::open`] or [`DavixClient::open_failover`]

@@ -25,7 +25,6 @@
 use crate::cache::BlockFetch;
 use crate::client::DavixClient;
 use crate::error::{DavixError, Result};
-use crate::file::RawFile;
 use crate::iopool::{run_chunked, Chunk, Outcome};
 use crate::metrics::Metrics;
 use crate::replicas::{all_failed, Attempt, Failover};
@@ -79,22 +78,10 @@ pub fn multistream_download(
     Ok(download(client, scheduler, opts, None, sink)?.2)
 }
 
-/// A replica advertising another size than `expected` holds some other
-/// entity (or lies): its failure, in the fail-over step.
-fn check_size(f: &RawFile, expected: Option<u64>) -> Result<u64> {
-    match expected {
-        Some(size) if size != f.size => Err(DavixError::Protocol(format!(
-            "{} advertises {} bytes, expected {size}",
-            f.uri, f.size
-        ))),
-        _ => Ok(f.size),
-    }
-}
-
 /// The engine proper: the entity's size, its `(crc32, adler32)` and the
 /// chunks' completions. `declared` is the entity size the Metalink states,
-/// when the caller has one: nothing is ever sized from a replica that
-/// disagrees with it.
+/// when the caller has one: it pins the download's one fail-over context,
+/// so nothing is ever sized or read from a replica that disagrees with it.
 fn download(
     client: &DavixClient,
     scheduler: &Arc<ReplicaScheduler>,
@@ -111,22 +98,30 @@ fn download(
 
     // Find the size from the best replica that answers: the fail-over walk,
     // with the open (HEAD) as the operation. Any failure on one replica —
-    // refused TCP, failed HEAD, a `403`, bad size — moves on to the next and
-    // feeds the scheduler, instead of killing the whole download. A HEAD
-    // answering is liveness evidence plus an RTT bootstrap for the ranking,
-    // but no bandwidth signal: recorded as a probe, and a failed one is no
-    // read failing over.
-    let fo = Failover::new(Arc::clone(&client.inner), Arc::clone(scheduler), |_| true);
+    // refused TCP, failed HEAD, a `403`, another size — moves on to the
+    // next and feeds the scheduler, instead of killing the whole download.
+    // A HEAD answering is liveness evidence plus an RTT bootstrap for the
+    // ranking, but no bandwidth signal: recorded as a probe, and a failed
+    // one is no read failing over. The workers share this context, so the
+    // replica that answered here is not opened again.
+    let fo = Arc::new(Failover::new(
+        Arc::clone(&client.inner),
+        Arc::clone(scheduler),
+        |_| true,
+        declared,
+    ));
     let rt = client.inner.executor.runtime();
     let (mut tried, mut last_err) = (Vec::new(), None);
     let probed = fo.walk(&mut tried, &mut last_err, |id, uri| {
         let t0 = rt.now();
-        match fo.open(id, uri).and_then(|f| check_size(&f, declared)) {
-            Ok(size) => Attempt::Ok((size, rt.now() - t0)),
+        match fo.open(id, uri) {
+            Ok(_) => Attempt::Ok(rt.now() - t0),
             Err(e) => fo.fail(id, e),
         }
     })?;
-    let Some((id, (size, rtt))) = probed else { return Err(all_failed(tried.len(), last_err)) };
+    let (Some((id, rtt)), Some(size)) = (probed, fo.size()) else {
+        return Err(all_failed(tried.len(), last_err));
+    };
     scheduler.record_probe(id, rtt);
 
     // Each chunk is read into its own buffer and written at its offset; no
@@ -138,9 +133,7 @@ fn download(
         opts.chunk_size,
         opts.streams,
         MAX_CHUNK_FAILURES,
-        |slot_idx| {
-            stream_worker(client.clone(), slot_idx, Arc::clone(scheduler), size, Arc::clone(&sink))
-        },
+        |slot_idx| stream_worker(client.clone(), slot_idx, Arc::clone(&fo), Arc::clone(&sink)),
     )?;
     Ok((size, digests, completions))
 }
@@ -183,23 +176,21 @@ pub fn multistream_download_verified(
 }
 
 /// The per-chunk work of download stream `slot_idx`: pick the replica the
-/// scheduler assigns this slot, read the chunk from it, write it to `sink`
-/// and digest it.
+/// scheduler assigns this slot, read the chunk from it through the
+/// download's fail-over context `fo`, write it to `sink` and digest it.
 fn stream_worker(
     client: DavixClient,
     slot_idx: usize,
-    scheduler: Arc<ReplicaScheduler>,
-    size: u64,
+    fo: Arc<Failover>,
     sink: Arc<dyn ChunkSink>,
 ) -> impl FnMut(Chunk) -> Outcome<Chunk, ((u32, u32), ChunkCompletion)> {
     // The worker's replica assignment is re-validated against the scheduler
     // before every chunk: if the health picture moved (our replica got
     // blacklisted, a better one recovered) the worker follows it. Open
-    // files are kept per replica — in this worker's own fail-over context —
-    // so a benign rank flip between near-equal replicas costs nothing:
-    // only a *failure-driven* switch (a respawn) pays a fresh HEAD, and
-    // only those are counted as respawns.
-    let fo = Failover::new(Arc::clone(&client.inner), scheduler, |_| true);
+    // files are kept per replica in the download's one fail-over context,
+    // shared by every worker, so a rank flip costs nothing once a replica
+    // is open: a replica is opened again only after a failure evicted it,
+    // and only a failure-driven switch counts as a respawn.
     // The replica this worker's last chunk failed on, if it failed.
     let mut failed_on: Option<ReplicaId> = None;
     move |chunk @ Chunk { off, len, .. }| {
@@ -216,10 +207,7 @@ fn stream_worker(
         // the network read. A failed chunk goes back to the queue — this
         // worker keeps running on whatever replica the scheduler ranks best
         // next time around.
-        let outcome = fo.attempt(id, uri.clone(), |f| {
-            check_size(f, Some(size))?;
-            f.fetch(off, len)
-        });
+        let outcome = fo.attempt(id, uri.clone(), |f| f.fetch(off, len));
         failed_on = (!matches!(outcome, Attempt::Ok(_))).then_some(id);
         match outcome {
             Attempt::Ok(bytes) => {
@@ -295,6 +283,11 @@ mod tests {
         assert!(got == data, "chunk bytes out of place: {} bytes for {}", got.len(), data.len());
         let peak = client.metrics().peak_chunk_buffer;
         assert!(peak > 0 && peak <= (streams * chunk_size) as u64, "{peak} bytes held at once");
+        // 33 GETs, the size HEAD and the other replica's first open — twice
+        // at most, when both streams race to it: one fail-over context per
+        // download, not one per stream.
+        let sent = client.metrics().requests;
+        assert!(sent <= 36, "{sent} requests: a replica was opened once per stream");
     }
 
     /// A sink that cannot take a chunk ends the download: no chunk is

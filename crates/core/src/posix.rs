@@ -206,7 +206,9 @@ impl DavPosix {
         Ok(FileStat { size: entry.size.unwrap_or(0), is_dir: entry.is_dir, etag: None })
     }
 
-    /// List a directory (PROPFIND depth 1), without its own entry.
+    /// List a directory (PROPFIND depth 1), without its own entry. A URL
+    /// whose own entry is not a collection is no directory:
+    /// [`DavixError::InvalidArgument`].
     ///
     /// PROPFIND `href`s arrive as URIs (RFC 4918 §8.3): percent-encoded,
     /// and — on some servers — absolute (`http://host/path`). Each one is
@@ -221,6 +223,9 @@ impl DavPosix {
         for entry in propfind(&self.inner, uri, "1", "opendir")? {
             let href = entry.href.trim_end_matches('/');
             if href == base_path {
+                if !entry.is_dir {
+                    return Err(DavixError::InvalidArgument(format!("{url}: not a directory")));
+                }
                 continue;
             }
             let name = href.rsplit('/').next().unwrap_or(href).to_string();
@@ -361,6 +366,21 @@ mod tests {
         let names: Vec<&str> = entries.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["dä ta.root", "plain.root"], "decoded names, no self entry");
         assert_eq!(entries[0].size, 4);
+    }
+
+    /// Listing a file is an error, not an empty listing: PROPFIND depth 1 on
+    /// a file answers only the file's own entry, which is no collection.
+    #[test]
+    fn opendir_on_a_file_is_not_a_directory() {
+        let (net, client, store) = setup();
+        store.put("/run/events.root", Bytes::from_static(b"xxxx"));
+        let _g = net.enter();
+        let err = client.posix().opendir("http://s/run/events.root").unwrap_err();
+        assert!(
+            matches!(&err, DavixError::InvalidArgument(m) if m.ends_with("not a directory")),
+            "{err}"
+        );
+        assert_eq!(client.posix().opendir("http://s/run").unwrap().len(), 1);
     }
 
     /// Servers answering PROPFIND with *absolute-URL* hrefs (legal per

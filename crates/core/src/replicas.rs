@@ -13,7 +13,9 @@
 //! upstream of a fail-over `DavFile`, and `Failover::attempt` is the one
 //! fail-over step — also run by the multi-stream download's workers; its
 //! size discovery is the same `Failover::walk` with the open as the
-//! operation.
+//! operation. `Failover::open` is the one size check: every replica must
+//! advertise the entity's pinned size, so a fail-over read never splices
+//! in bytes of another entity.
 //!
 //! Replica choice is delegated to a shared [`ReplicaScheduler`]: the
 //! scheduler ranks replicas by observed latency and evicts repeat-failers
@@ -37,7 +39,7 @@ use crate::scheduler::{same_resource, ReplicaId, ReplicaScheduler};
 use httpwire::Uri;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// Healthy replicas one vectored read spreads its fragment batch across.
@@ -64,10 +66,11 @@ struct Walked {
 }
 
 /// One caller's fail-over context: the client, the scheduler that ranks the
-/// replicas, this caller's open file per replica, and which errors it blames
-/// on the replica. A fail-over `DavFile` shares one between all its readers;
-/// every multistream worker has its own (so does the download's size
-/// discovery).
+/// replicas, the entity's pinned size, one open file per replica, and which
+/// errors it blames on the replica. A fail-over `DavFile` shares one between
+/// all its readers; a multi-stream download shares one between its size
+/// discovery and all its workers, so each replica is opened once per
+/// download for as long as it keeps answering.
 pub(crate) struct Failover {
     inner: Arc<ClientInner>,
     pub(crate) scheduler: Arc<ReplicaScheduler>,
@@ -82,6 +85,11 @@ pub(crate) struct Failover {
     /// handed its replicas and blames every error — one site refusing it
     /// must not stop the others serving it.
     blames: fn(&DavixError) -> bool,
+    /// The entity's size, pinned once: the Metalink's declared size when
+    /// the caller has one, otherwise the size from the first open that
+    /// succeeds. A replica advertising another holds some other entity (or
+    /// lies), so nothing is ever sized or spliced from it.
+    size: OnceLock<u64>,
 }
 
 /// How one replica took one operation.
@@ -98,19 +106,36 @@ impl Failover {
         inner: Arc<ClientInner>,
         scheduler: Arc<ReplicaScheduler>,
         blames: fn(&DavixError) -> bool,
+        declared: Option<u64>,
     ) -> Failover {
-        Failover { inner, scheduler, files: Mutex::new(HashMap::new()), blames }
+        let size = declared.map_or_else(OnceLock::new, OnceLock::from);
+        Failover { inner, scheduler, files: Mutex::new(HashMap::new()), blames, size }
     }
 
-    /// The open file for replica `id`, opening it (HEAD) if needed. The map
-    /// lock is dropped during the open; two racing opens are benign (first
-    /// insert wins, the loser's handle is dropped).
+    /// The entity's size, once it is pinned (see [`Failover::open`]).
+    pub(crate) fn size(&self) -> Option<u64> {
+        self.size.get().copied()
+    }
+
+    /// The open file for replica `id`, opening it (HEAD) if needed. The one
+    /// size check: the first open that succeeds pins the size unless the
+    /// caller declared one, and a replica advertising another size is
+    /// refused — an error every caller counts as the replica's failure. The
+    /// map lock is dropped during the open; two racing opens are benign
+    /// (first insert wins, the loser's handle is dropped).
     pub(crate) fn open(&self, id: ReplicaId, uri: Uri) -> Result<Arc<RawFile>> {
         if let Some(f) = self.files.lock().get(&id) {
             return Ok(Arc::clone(f));
         }
-        let file = Arc::new(RawFile::open(Arc::clone(&self.inner), uri)?.0);
-        Ok(Arc::clone(self.files.lock().entry(id).or_insert(file)))
+        let file = RawFile::open(Arc::clone(&self.inner), uri)?.0;
+        let size = *self.size.get_or_init(|| file.size);
+        if file.size != size {
+            return Err(DavixError::Protocol(format!(
+                "{} advertises {} bytes, expected {size}",
+                file.uri, file.size
+            )));
+        }
+        Ok(Arc::clone(self.files.lock().entry(id).or_insert(Arc::new(file))))
     }
 
     /// The one fail-over step: open-or-reuse replica `id`'s file, run `op`
@@ -218,7 +243,7 @@ impl ReplicaCore {
     pub(crate) fn open(inner: Arc<ClientInner>, origin: Uri) -> Result<(Arc<ReplicaCore>, u64)> {
         let scheduler = inner.replica_scheduler(vec![origin.clone()]);
         let core = Arc::new(ReplicaCore {
-            fo: Failover::new(inner, scheduler, DavixError::is_failover_candidate),
+            fo: Failover::new(inner, scheduler, DavixError::is_failover_candidate, None),
             origin,
             state: Mutex::new(Walked { current: None, resolved: false }),
         });

@@ -36,6 +36,7 @@ use crate::metrics::Metrics;
 use httpwire::{Method, Uri};
 use netsim::{Connector, Runtime};
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::io::BufReader;
 use std::sync::Arc;
 use std::time::Duration;
@@ -54,7 +55,7 @@ struct Health {
     /// EWMA of observed operation latency, seconds. `None` = never sampled.
     ewma: Option<f64>,
     consecutive_failures: u32,
-    /// While `now < blacklisted_until`, the replica is skipped by `pick`.
+    /// While `now < blacklisted_until`, the replica sorts after every healthy one.
     blacklisted_until: Option<Duration>,
     successes: u64,
     failures: u64,
@@ -159,76 +160,51 @@ impl ReplicaScheduler {
         added
     }
 
-    /// Best replica to try next: the lowest-latency healthy one. Blacklisted
-    /// replicas are skipped while their cooldown runs, but — last resort —
-    /// are still handed out (soonest-to-recover first) when *nothing* else
-    /// is left: the §2.4 guarantee is "a read succeeds as long as one
-    /// replica is reachable", so the scheduler never refuses to name a
-    /// candidate while untried replicas exist.
-    pub fn pick(&self) -> Option<(ReplicaId, Uri)> {
-        self.pick_excluding(&[])
-    }
-
-    /// As [`pick`](Self::pick), skipping the (per-operation) `exclude` set.
-    pub(crate) fn pick_excluding(&self, exclude: &[ReplicaId]) -> Option<(ReplicaId, Uri)> {
+    /// The one replica order every choice reads, with how many of its
+    /// leading replicas are healthy: healthy replicas by EWMA score, then
+    /// blacklisted ones soonest recovery first, ties broken by id.
+    /// Blacklisted replicas stay in it as the last resort: the §2.4
+    /// guarantee is "a read succeeds as long as one replica is reachable",
+    /// so no choice is refused while a candidate exists.
+    fn order(&self) -> (Vec<(ReplicaId, Uri)>, usize) {
         let now = self.rt.now();
         let st = self.state.lock();
-        let mut best: Option<(ReplicaId, f64)> = None;
-        let mut fallback: Option<(ReplicaId, Duration)> = None;
-        for (id, h) in st.iter().enumerate() {
-            if exclude.contains(&id) {
-                continue;
-            }
-            if h.blacklisted_at(now) {
-                let until = h.blacklisted_until.unwrap_or(now);
-                if fallback.map(|(_, t)| until < t).unwrap_or(true) {
-                    fallback = Some((id, until));
-                }
-            } else if best.map(|(_, s)| h.score() < s).unwrap_or(true) {
-                best = Some((id, h.score()));
-            }
-        }
-        let id = best.map(|(id, _)| id).or(fallback.map(|(id, _)| id))?;
-        Some((id, st[id].uri.clone()))
+        // `(blacklisted, score, recovery)`; the sort is stable, so ties keep id order.
+        let key = |h: &Health| match h.blacklisted_until.filter(|&until| now < until) {
+            None => (false, h.score(), Duration::ZERO),
+            Some(until) => (true, 0.0, until),
+        };
+        let mut ids: Vec<ReplicaId> = (0..st.len()).collect();
+        ids.sort_by(|&a, &b| key(&st[a]).partial_cmp(&key(&st[b])).unwrap_or(Ordering::Equal));
+        let healthy = st.iter().filter(|h| !h.blacklisted_at(now)).count();
+        (ids.into_iter().map(|id| (id, st[id].uri.clone())).collect(), healthy)
+    }
+
+    /// The best replica not in the (per-operation) `exclude` set.
+    pub(crate) fn pick_excluding(&self, exclude: &[ReplicaId]) -> Option<(ReplicaId, Uri)> {
+        self.order().0.into_iter().find(|(id, _)| !exclude.contains(id))
     }
 
     /// Up to `k` healthy (non-blacklisted) replicas, fastest first.
     pub(crate) fn ranked(&self, k: usize) -> Vec<(ReplicaId, Uri)> {
-        let now = self.rt.now();
-        let st = self.state.lock();
-        let mut healthy: Vec<(ReplicaId, f64)> = st
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| !h.blacklisted_at(now))
-            .map(|(id, h)| (id, h.score()))
-            .collect();
-        healthy.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-        healthy.into_iter().take(k).map(|(id, _)| (id, st[id].uri.clone())).collect()
+        let (mut order, healthy) = self.order();
+        order.truncate(healthy.min(k));
+        order
     }
 
     /// Deterministic replica assignment for worker `slot` of a parallel
     /// download: healthy replicas are spread over slots fastest-first; when
-    /// every replica is blacklisted the whole list is used instead (the
-    /// caller's failure budget, not the scheduler, decides when to give up).
-    pub fn assign(&self, slot: usize) -> Option<(ReplicaId, Uri)> {
-        let healthy = self.ranked(usize::MAX);
-        if !healthy.is_empty() {
-            return healthy.get(slot % healthy.len()).cloned();
+    /// every replica is blacklisted the whole order is used instead, so
+    /// waiting slots cluster on the replica most likely to answer first
+    /// (the caller's failure budget, not the scheduler, decides when to
+    /// give up).
+    pub(crate) fn assign(&self, slot: usize) -> Option<(ReplicaId, Uri)> {
+        let (mut order, healthy) = self.order();
+        if healthy > 0 {
+            order.truncate(healthy);
         }
-        let st = self.state.lock();
-        if st.is_empty() {
-            return None;
-        }
-        // All blacklisted: order by soonest recovery so waiting slots cluster
-        // on the replica most likely to answer first.
-        let mut all: Vec<(ReplicaId, Duration)> = st
-            .iter()
-            .enumerate()
-            .map(|(id, h)| (id, h.blacklisted_until.unwrap_or(Duration::ZERO)))
-            .collect();
-        all.sort_by_key(|&(id, until)| (until, id));
-        let (id, _) = all[slot % all.len()];
-        Some((id, st[id].uri.clone()))
+        let n = order.len();
+        (n > 0).then(|| order.swap_remove(slot % n))
     }
 
     /// Count of replicas currently eligible (not blacklisted).
@@ -376,13 +352,13 @@ mod tests {
         let (net, s) = sim_sched(3);
         let _g = net.enter();
         // All untried: list order.
-        assert_eq!(s.pick().unwrap().0, 0);
+        assert_eq!(s.pick_excluding(&[]).unwrap().0, 0);
         s.record_success(0, Duration::from_millis(80));
         s.record_success(1, Duration::from_millis(10));
         // Replica 2 is still unsampled → tried first; then the fastest.
-        assert_eq!(s.pick().unwrap().0, 2);
+        assert_eq!(s.pick_excluding(&[]).unwrap().0, 2);
         s.record_success(2, Duration::from_millis(40));
-        assert_eq!(s.pick().unwrap().0, 1);
+        assert_eq!(s.pick_excluding(&[]).unwrap().0, 1);
         assert_eq!(s.ranked(2).iter().map(|(id, _)| *id).collect::<Vec<_>>(), vec![1, 2]);
     }
 
@@ -395,7 +371,7 @@ mod tests {
         assert_eq!(s.healthy_count(), 2, "one failure is under the threshold");
         s.record_failure(0);
         assert_eq!(s.healthy_count(), 1, "second consecutive failure blacklists");
-        assert_eq!(s.pick().unwrap().0, 1);
+        assert_eq!(s.pick_excluding(&[]).unwrap().0, 1);
         // Cooldown expiry re-opens the replica (half-open).
         net.sleep(Duration::from_millis(600));
         assert_eq!(s.healthy_count(), 2);
@@ -417,12 +393,122 @@ mod tests {
             s.record_failure(id);
         }
         assert_eq!(s.healthy_count(), 0);
-        // Nothing healthy, but pick still names a candidate (soonest-to-recover).
-        assert!(s.pick().is_some());
+        // Nothing healthy, but a candidate is still named (soonest-to-recover).
+        assert!(s.pick_excluding(&[]).is_some());
         // Excluding both: nothing left.
         assert!(s.pick_excluding(&[0, 1]).is_none());
         // assign() also keeps handing out blacklisted replicas.
         assert!(s.assign(0).is_some());
+    }
+
+    /// The reference model of the three choices, each its own loop over the
+    /// health states: `pick_excluding` as a best-healthy-else-soonest scan,
+    /// `ranked` as a sort of the healthy replicas, and `assign` as a healthy
+    /// spread that falls back to every replica by recovery time.
+    mod reference {
+        use super::*;
+
+        pub(super) fn pick_excluding(
+            s: &ReplicaScheduler,
+            exclude: &[ReplicaId],
+        ) -> Option<ReplicaId> {
+            let now = s.rt.now();
+            let st = s.state.lock();
+            let mut best: Option<(ReplicaId, f64)> = None;
+            let mut fallback: Option<(ReplicaId, Duration)> = None;
+            for (id, h) in st.iter().enumerate() {
+                if exclude.contains(&id) {
+                    continue;
+                }
+                if h.blacklisted_at(now) {
+                    let until = h.blacklisted_until.unwrap_or(now);
+                    if fallback.map(|(_, t)| until < t).unwrap_or(true) {
+                        fallback = Some((id, until));
+                    }
+                } else if best.map(|(_, s)| h.score() < s).unwrap_or(true) {
+                    best = Some((id, h.score()));
+                }
+            }
+            best.map(|(id, _)| id).or(fallback.map(|(id, _)| id))
+        }
+
+        pub(super) fn ranked(s: &ReplicaScheduler, k: usize) -> Vec<ReplicaId> {
+            let now = s.rt.now();
+            let st = s.state.lock();
+            let mut healthy: Vec<(ReplicaId, f64)> = st
+                .iter()
+                .enumerate()
+                .filter(|(_, h)| !h.blacklisted_at(now))
+                .map(|(id, h)| (id, h.score()))
+                .collect();
+            healthy.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            healthy.into_iter().take(k).map(|(id, _)| id).collect()
+        }
+
+        pub(super) fn assign(s: &ReplicaScheduler, slot: usize) -> Option<ReplicaId> {
+            let healthy = ranked(s, usize::MAX);
+            if !healthy.is_empty() {
+                return Some(healthy[slot % healthy.len()]);
+            }
+            let st = s.state.lock();
+            let mut all: Vec<(ReplicaId, Duration)> = st
+                .iter()
+                .enumerate()
+                .map(|(id, h)| (id, h.blacklisted_until.unwrap_or(Duration::ZERO)))
+                .collect();
+            all.sort_by_key(|&(id, until)| (until, id));
+            (!all.is_empty()).then(|| all[slot % all.len()].0)
+        }
+    }
+
+    /// The one order answers every choice as the reference loops do, over
+    /// random health states drawn from few values so that EWMA scores and
+    /// blacklist ends tie, with expired blacklists, every exclusion set
+    /// and every slot.
+    #[test]
+    fn the_one_order_answers_as_the_reference_loops() {
+        let mut seed = 0x2014_u64;
+        let mut draw = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for n in 0..=5 {
+            let (net, s) = sim_sched(n);
+            let _g = net.enter();
+            net.sleep(Duration::from_secs(1));
+            let now = s.rt.now();
+            for _ in 0..300 {
+                for h in s.state.lock().iter_mut() {
+                    h.ewma =
+                        [None, Some(0.0), Some(0.01), Some(0.01), Some(0.25)][draw(5) as usize];
+                    let ends = [
+                        None,
+                        Some(Duration::ZERO),
+                        Some(now),
+                        Some(now + Duration::from_millis(100)),
+                    ];
+                    h.blacklisted_until = match draw(6) {
+                        i @ 0..=3 => ends[i as usize],
+                        _ => Some(now + Duration::from_millis(200)),
+                    };
+                }
+                for mask in 0..1usize << n {
+                    let exclude: Vec<ReplicaId> = (0..n).filter(|id| mask >> id & 1 == 1).collect();
+                    let got = s.pick_excluding(&exclude).map(|(id, _)| id);
+                    assert_eq!(got, reference::pick_excluding(&s, &exclude), "{exclude:?}");
+                }
+                for k in 0..=n + 1 {
+                    let got: Vec<ReplicaId> = s.ranked(k).into_iter().map(|(id, _)| id).collect();
+                    assert_eq!(got, reference::ranked(&s, k), "ranked({k})");
+                }
+                for slot in 0..2 * n + 2 {
+                    let got = s.assign(slot).map(|(id, _)| id);
+                    assert_eq!(got, reference::assign(&s, slot), "assign({slot})");
+                }
+            }
+        }
     }
 
     #[test]

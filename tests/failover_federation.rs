@@ -249,28 +249,32 @@ fn health_monitor_keeps_federation_answers_fresh() {
     monitor.stop();
 }
 
+/// The sink of a fail-over copy: it keeps what arrives and takes the origin,
+/// `dpm1.cern.ch`, down once `at` bytes are in.
+struct KillMidBody<'a> {
+    tb: &'a Testbed,
+    at: usize,
+    out: Vec<u8>,
+}
+
+impl std::io::Write for KillMidBody<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.out.extend_from_slice(buf);
+        if self.out.len() >= self.at {
+            self.tb.net.set_host_down("dpm1.cern.ch", true);
+        }
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// A whole-file copy from a fail-over file survives its replica dying
 /// mid-body: the next replica sends the entity again, the copy goes on past
 /// the bytes already written, and the output is whole and in order.
 #[test]
 fn a_failover_copy_goes_on_at_the_next_replica_when_one_dies_mid_body() {
-    struct KillMidBody<'a> {
-        tb: &'a Testbed,
-        at: usize,
-        out: Vec<u8>,
-    }
-    impl std::io::Write for KillMidBody<'_> {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.out.extend_from_slice(buf);
-            if self.out.len() >= self.at {
-                self.tb.net.set_host_down("dpm1.cern.ch", true);
-            }
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
     let data = payload(1_000_000);
     let tb = three_replica_testbed(&data);
     let _g = tb.net.enter();
@@ -283,4 +287,25 @@ fn a_failover_copy_goes_on_at_the_next_replica_when_one_dies_mid_body() {
     let m = client.metrics().since(&before);
     assert!(m.failovers >= 1, "the copy must have failed over");
     assert_ne!(f.current_uri().host, "dpm1.cern.ch");
+}
+
+/// A fail-over copy never splices in a replica of another size: the next
+/// replica in line holds a larger, different object, so its open is refused
+/// against the size pinned at the file's open, and the copy goes on at the
+/// replica after it.
+#[test]
+fn a_failover_copy_never_splices_in_a_replica_of_another_size() {
+    let data = payload(1_000_000);
+    let tb = three_replica_testbed(&data);
+    tb.nodes[1].store.put(DATA_PATH, Bytes::from(vec![0xEE; 1_200_000]));
+    let _g = tb.net.enter();
+    let client = tb.davix_client(fed_config(&tb).no_retry());
+    let f = client.open_failover(&tb.url(0)).unwrap();
+    let mut sink = KillMidBody { tb: &tb, at: 300_000, out: Vec::new() };
+    let copied = f.copy_to(&mut sink);
+    assert!(sink.out == data, "spliced: {} bytes out of {}", sink.out.len(), data.len());
+    assert_eq!(copied.unwrap(), data.len() as u64);
+    let served = tb.nodes[1].server.stats().requests.load(davix_sync::Ordering::Relaxed);
+    assert_eq!(served, 1, "the other-size replica must answer its open's HEAD and no GET");
+    assert_eq!(f.current_uri().host, "dpm3.cern.ch");
 }

@@ -312,9 +312,9 @@ fn uppercase_checksum_algorithms_are_verified() {
 /// The parent compared the Metalink-declared size with the result only
 /// *after* allocating `size / chunk_size` slots and `Vec::with_capacity(size)`
 /// from whatever the first answering replica claimed — `Content-Length:
-/// 1<<50` was an allocation failure, not an error. Now the declared size is
-/// passed down and a disagreeing replica is that replica's failure in the
-/// fail-over step.
+/// 1<<50` was an allocation failure, not an error. Now the declared size
+/// pins the download's fail-over context before any open, and a replica
+/// that disagrees is refused at its open, as that replica's failure.
 #[test]
 fn a_lying_head_is_that_replicas_failure_not_the_allocation_size() {
     let net = SimNet::new();
