@@ -729,7 +729,6 @@ impl Lease<'_> {
         let taken = std::mem::take(&mut self.taken);
         if taken > 0 {
             Metrics::add(&self.metrics.bytes_in, taken);
-            Metrics::add(&self.metrics.bytes_streamed, taken);
         }
         if let Some(session) = self.session.take() {
             self.pool.release(session, reusable);

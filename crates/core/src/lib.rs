@@ -48,7 +48,7 @@
 //! incrementally off the wire, and `multistream_download` writes each
 //! chunk at its offset into the caller's [`ChunkSink`] (a file, or memory)
 //! and drops it. A multi-GiB GET therefore costs the client a fixed-size
-//! buffer, not a multi-GiB allocation — see the `bytes_streamed` /
+//! buffer, not a multi-GiB allocation — see the `bytes_in` /
 //! `peak_body_buffer` / `peak_chunk_buffer` counters in [`Metrics`].
 //!
 //! The read path is also *paranoid*: a `206` whose `Content-Range` does

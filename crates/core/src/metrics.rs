@@ -63,10 +63,6 @@ macro_rules! metric_fields {
             counter bytes_in,
             /// Request bytes sent (heads + bodies).
             counter bytes_out,
-            /// Body bytes delivered through [`ResponseStream`](crate::ResponseStream)
-            /// reads (every response body flows through here, including the
-            /// collect-to-`Vec` path of [`HttpExecutor::execute`](crate::HttpExecutor::execute)).
-            counter bytes_streamed,
             /// High-water mark of any single collected body buffer, in bytes.
             /// Stays 0 while every consumer streams — the Fig. 2/3 benches use this
             /// to show the read path allocates nothing proportional to the body.
@@ -199,7 +195,7 @@ mod tests {
         }
         let mut delta = now.since(&earlier);
         let fields = fields_mut(&mut delta);
-        assert_eq!(fields.len(), 26);
+        assert_eq!(fields.len(), 25);
         let peaks: Vec<_> = fields.iter().filter(|f| f.1).map(|f| f.0).collect();
         assert_eq!(peaks, ["peak_body_buffer", "peak_chunk_buffer"]);
         for (i, (name, peak, v)) in fields.into_iter().enumerate() {

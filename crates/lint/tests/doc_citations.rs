@@ -1,12 +1,13 @@
-//! Every `` `path.rs:N` `` and `` `path.rs:N–M` `` citation in README.md
-//! and ROADMAP.md points into a file that exists and has at least that
-//! many lines. A path with a directory is read from the repository root; a
-//! bare file name must match exactly one file in the repository.
+//! Every `` `path.rs:N` `` and `` `path.rs:N–M` `` citation in README.md,
+//! ARCHITECTURE.md and ROADMAP.md points into a file that exists and has
+//! at least that many lines. A path with a directory is read from the
+//! repository root; a bare file name must match exactly one file in the
+//! repository.
 
 use std::path::{Path, PathBuf};
 
 /// The documents whose citations are checked, from the repository root.
-const DOCS: [&str; 2] = ["README.md", "ROADMAP.md"];
+const DOCS: [&str; 3] = ["README.md", "ARCHITECTURE.md", "ROADMAP.md"];
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()

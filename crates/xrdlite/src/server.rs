@@ -3,13 +3,16 @@
 //! It runs on the same server core as `httpd` ([`netsim::ServerCore`]): one
 //! accept thread feeding a reactor whose shard threads drive every
 //! connection as a non-blocking task. A connection reads the handshake and
-//! then frames into its receive buffer, answers each request once its
-//! processing delay is over (a timer on the reactor's wheel, so requests on
-//! one connection overlap, as XRootD's asynchronous server does) and queues
-//! the responses in a round-robin frame queue (`mux`): they go out
-//! **interleaved in 64 KiB chunks**, so a large read does not head-of-line
-//! block a small one on the same connection. No thread is spawned per
-//! connection or per request.
+//! then frames into its receive buffer, answers each request as it decodes
+//! it, releases the answer once the request's processing delay is over (a
+//! timer on the reactor's wheel, so requests on one connection overlap, as
+//! XRootD's asynchronous server does) and queues the responses in a
+//! round-robin frame queue (`mux`): they go out **interleaved in 64 KiB
+//! chunks**, so a large read does not head-of-line block a small one on the
+//! same connection. Like `httpd`, a connection takes no further request
+//! while more than [`MAX_OWED`] bytes of answers wait to go out, so a peer
+//! that pipelines reads and never reads the answers holds a bounded amount
+//! of memory. No thread is spawned per connection or per request.
 
 use crate::mux::FrameQueue;
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status, MAX_FRAME_PAYLOAD};
@@ -23,8 +26,12 @@ use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bytes read from the transport per `try_read` call.
+/// Most bytes read from the transport per `try_read_spare` call.
 const READ_CHUNK: usize = 16 * 1024;
+/// Stop decoding requests while more than this many bytes of answers wait
+/// to go out (`httpd`'s `MAX_WBUF` rule): a connection then owes at most
+/// this much plus one answer.
+const MAX_OWED: usize = 256 * 1024;
 /// How long a connection that has stopped taking requests (the peer
 /// half-closed, or the server is stopping) may take to answer and flush
 /// what it holds before it is dropped.
@@ -79,6 +86,7 @@ impl XrdServer {
                 greeted: false,
                 rbuf: Vec::new(),
                 waiting: VecDeque::new(),
+                owed: 0,
                 handles: HashMap::new(),
                 next_handle: 1,
                 out: FrameQueue::default(),
@@ -101,9 +109,12 @@ struct XrdConn {
     greeted: bool,
     /// Received bytes not yet decoded into frames.
     rbuf: Vec<u8>,
-    /// Decoded requests, each with the instant its processing delay ends:
-    /// sorted, because the delay is one value.
-    waiting: VecDeque<(Duration, Frame)>,
+    /// Answered requests, each with the instant its processing delay ends,
+    /// its stream ID, status and payload: sorted, because the delay is one
+    /// value.
+    waiting: VecDeque<(Duration, u16, Status, Vec<u8>)>,
+    /// Payload bytes answered and not yet cut into a wire frame.
+    owed: usize,
     /// Open files: handle → path.
     handles: HashMap<u32, String>,
     next_handle: u32,
@@ -121,34 +132,52 @@ struct XrdConn {
 }
 
 impl XrdConn {
-    /// Read what has arrived, then take the handshake and every complete
-    /// frame off the front of `rbuf`. `Ok(false)`: nothing more for now.
+    /// Take the buffered requests or, when none is complete, read what has
+    /// arrived and take those. `Ok(false)`: nothing more for now.
     fn read(&mut self, now: Duration) -> io::Result<bool> {
-        let len = self.rbuf.len();
-        self.rbuf.resize(len + READ_CHUNK, 0);
-        let read = self.stream.try_read(&mut self.rbuf[len..]);
-        self.rbuf.truncate(len + read.as_ref().map_or(0, |&n| n));
-        match read {
-            Ok(0) => self.ended = Some(now),
-            Ok(_) => {}
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-            Err(e) => return Err(e),
+        if !self.take_requests(now)? {
+            match self.stream.try_read_spare(&mut self.rbuf, READ_CHUNK) {
+                Ok(0) => self.ended = Some(now),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
+                Err(e) => return Err(e),
+            }
+            self.take_requests(now)?;
         }
+        Ok(true)
+    }
+
+    /// Take the handshake and complete frames off the front of `rbuf`,
+    /// answering each, until the answers owed pass [`MAX_OWED`]. Whether
+    /// anything was taken.
+    fn take_requests(&mut self, now: Duration) -> io::Result<bool> {
         let mut pos = 0;
         if !self.greeted {
-            let Some(hello) = self.rbuf.first_chunk::<6>() else { return Ok(true) };
+            let Some(hello) = self.rbuf.first_chunk::<6>() else { return Ok(false) };
             if hello[..4] != *wire::MAGIC {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, "bad handshake magic"));
             }
             (self.greeted, self.wire, pos) = (true, wire::hello().to_vec(), 6);
         }
-        while let Some((frame, n)) = Frame::decode(&self.rbuf[pos..])? {
+        while self.owed() <= MAX_OWED {
+            let Some((frame, n)) = Frame::decode(&self.rbuf[pos..])? else { break };
             pos += n;
             self.server.requests.fetch_add(1, Ordering::Relaxed);
-            self.waiting.push_back((now + self.server.cfg.process_delay, frame));
+            let (status, payload) = match self.dispatch(&frame) {
+                Ok(payload) => (Status::Ok, payload),
+                Err(msg) => (Status::Error, msg.into_bytes()),
+            };
+            self.owed += payload.len();
+            let due = now + self.server.cfg.process_delay;
+            self.waiting.push_back((due, frame.stream_id, status, payload));
         }
         self.rbuf.drain(..pos);
-        Ok(true)
+        Ok(pos > 0)
+    }
+
+    /// Bytes of answers not yet handed to the transport.
+    fn owed(&self) -> usize {
+        self.owed + (self.wire.len() - self.sent)
     }
 
     /// Write the rest of the current wire frame, then the next ones, until
@@ -157,6 +186,7 @@ impl XrdConn {
         loop {
             if self.sent == self.wire.len() {
                 let Some(frame) = self.out.next_frame(MAX_FRAME_PAYLOAD) else { return Ok(()) };
+                self.owed -= frame.payload.len();
                 (self.wire, self.sent) = (frame.encode(), 0);
             }
             match self.stream.try_write(&self.wire[self.sent..]) {
@@ -236,21 +266,26 @@ impl Driven for XrdConn {
             self.ended = Some(now);
         }
         loop {
-            while self.waiting.front().is_some_and(|(due, _)| *due <= now) {
-                let (_, req) = self.waiting.pop_front().expect("front checked");
-                let (status, payload) = match self.dispatch(&req) {
-                    Ok(payload) => (Status::Ok, payload),
-                    Err(msg) => (Status::Error, msg.into_bytes()),
-                };
-                self.out.push(req.stream_id, status as u8, payload);
+            while self.waiting.front().is_some_and(|(due, ..)| *due <= now) {
+                let (_, stream_id, status, payload) = self.waiting.pop_front().expect("checked");
+                self.out.push(stream_id, status as u8, payload);
             }
             if self.flush().is_err() {
                 return DriveOutcome::Done;
             }
             if let Some(since) = self.ended {
+                // Requests read before the end are still answered.
+                match self.take_requests(now) {
+                    Ok(true) => continue,
+                    Ok(false) => {}
+                    Err(_) => return DriveOutcome::Done,
+                }
                 let done = self.waiting.is_empty() && !self.wants_write();
                 let done = done || now >= since + DRAIN_TIMEOUT;
                 return if done { DriveOutcome::Done } else { DriveOutcome::Continue };
+            }
+            if self.owed() > MAX_OWED {
+                return DriveOutcome::Continue; // until the peer reads or an answer is due
             }
             match self.read(now) {
                 Ok(true) => continue,
@@ -261,7 +296,7 @@ impl Driven for XrdConn {
     }
 
     fn deadline(&self) -> Option<Duration> {
-        let due = self.waiting.front().map(|(due, _)| *due);
+        let due = self.waiting.front().map(|(due, ..)| *due);
         due.into_iter().chain(self.ended.map(|since| since + DRAIN_TIMEOUT)).min()
     }
 
@@ -388,6 +423,40 @@ mod tests {
         assert_eq!(done[0], (2, data[5..15].to_vec()), "the small read completes first");
         assert_eq!(done[1], (1, data), "the large one arrives whole");
         assert!(big_frames >= 16, "1 MiB in {big_frames} frames");
+    }
+
+    #[test]
+    fn a_peer_that_pipelines_reads_and_reads_nothing_is_owed_a_bounded_amount() {
+        let mib = 1 << 20;
+        let data: Vec<u8> = (0..mib).map(|i| (i % 251) as u8).collect();
+        let store = Arc::new(ObjectStore::new());
+        store.put("/f", Bytes::from(data.clone()));
+        let server = XrdServer::new(store, XrdServerConfig::default());
+        let listener = netsim::TcpListenerWrap::bind("127.0.0.1:0").unwrap();
+        let port = Listener::local_port(&listener);
+        server.serve(Box::new(listener), Arc::new(netsim::RealRuntime::new()));
+        let mut s = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        wire::client_handshake(&mut s).unwrap();
+        let open = call(&mut s, 1, Op::Open, b"/f".to_vec());
+        let h = PayloadReader::new(&open.payload).u32().unwrap();
+        for id in 0..64 {
+            send(&mut s, 100 + id, Op::Read, read_req(h, 0, mib as u32));
+        }
+        // The socket buffers fill and the server stops taking requests.
+        std::thread::sleep(Duration::from_millis(300));
+        let taken = server.requests.load(Ordering::Relaxed);
+        assert!(taken <= 12, "{taken} requests taken (the open included) from a peer not reading");
+        let (mut re, mut answers) = (Reassembler::default(), 0);
+        while answers < 64 {
+            if let Some((code, payload)) = re.push(read_frame(&mut s).unwrap()).unwrap() {
+                assert_eq!(code, Status::Ok as u8);
+                assert!(payload == data, "answer {answers} arrives intact");
+                answers += 1;
+            }
+        }
+        assert_eq!(server.requests.load(Ordering::Relaxed), 65);
+        server.stop();
     }
 
     #[test]

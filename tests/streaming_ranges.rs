@@ -540,7 +540,7 @@ fn large_get_streams_without_full_body_allocation() {
     drop(stream);
 
     let m = c.metrics();
-    assert_eq!(m.bytes_streamed, size as u64);
+    assert_eq!(m.bytes_in, size as u64);
     assert_eq!(m.peak_body_buffer, 0, "no collected body buffer may exist on the streaming path");
     // Fully drained with keep-alive → the session went back to the pool.
     let ep = Endpoint::of(&"http://s/f".parse().unwrap());
@@ -596,7 +596,7 @@ fn streamed_pread_still_recycles_sessions() {
     let m = c.metrics();
     assert_eq!(m.sessions_created, 1, "open + 5 preads should share one connection");
     assert_eq!(m.peak_body_buffer, 0, "pread must not collect bodies");
-    assert!(m.bytes_streamed >= 10_000);
+    assert!(m.bytes_in >= 10_000);
 }
 
 #[test]
@@ -617,7 +617,7 @@ fn one_mib_pread_allocates_nothing_proportional_to_the_body() {
     assert_eq!(&buf[..], &data[2 * 1024 * 1024..3 * 1024 * 1024]);
     let m = c.metrics();
     assert_eq!(m.peak_body_buffer, 0, "1 MiB pread must stream, not collect");
-    assert!(m.bytes_streamed >= 1024 * 1024);
+    assert!(m.bytes_in >= 1024 * 1024);
 }
 
 #[test]
