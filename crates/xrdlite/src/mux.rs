@@ -7,11 +7,14 @@
 //! property the paper contrasts with HTTP pipelining, §2.2). We reproduce
 //! that with:
 //!
-//! * `FrameQueue` — payloads are queued whole and cut into wire frames of
-//!   at most a given size, round-robin across streams; all frames of a
-//!   payload except the last carry [`wire::FLAG_PARTIAL`] (XRootD's
-//!   `kXR_oksofar`). The server's connections drain theirs in 64 KiB
-//!   chunks from the reactor. A client request is never split.
+//! * `FrameQueue` — answers are queued whole, each held until its due
+//!   instant, then cut into wire frames of at most a given size,
+//!   round-robin across streams; all frames of a payload except the last
+//!   carry [`wire::FLAG_PARTIAL`] (XRootD's `kXR_oksofar`). A payload is a
+//!   `Bytes`, so a READ's answer is a slice of the stored object and is
+//!   copied only frame by frame as it goes out. The server's connections
+//!   drain theirs in 64 KiB chunks from the reactor. A client request is
+//!   never split.
 //! * `Reassembler` — the client accumulates partial frames per stream ID
 //!   and yields the full payload when the final frame arrives.
 //!
@@ -36,43 +39,72 @@
 //! reactor tasks that never block.)
 
 use crate::wire::{self, Frame};
+use bytes::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::io;
+use std::time::Duration;
 
-/// One frame payload being sent: header fields plus the unsent suffix.
-struct OutStream {
-    stream_id: u16,
-    code: u8,
-    payload: Vec<u8>,
-    /// Next unsent byte of `payload`.
-    offset: usize,
+/// One answer to send: header fields plus the unsent rest of its payload.
+pub(crate) struct Answer {
+    pub(crate) stream_id: u16,
+    pub(crate) code: u8,
+    pub(crate) payload: Bytes,
+    /// Whether `payload` was copied for this answer rather than shared.
+    pub(crate) copied: bool,
 }
 
-/// Payloads waiting to go out, cut into wire frames round-robin.
+/// Answers waiting to go out: held until they are due, then cut into wire
+/// frames round-robin.
 #[derive(Default)]
 pub(crate) struct FrameQueue {
-    rr: VecDeque<OutStream>,
+    /// Answers not yet due, each with the instant it is: in that order.
+    held: VecDeque<(Duration, Answer)>,
+    /// Due answers, in round-robin order.
+    rr: VecDeque<Answer>,
+    /// Bytes of copied payloads not yet cut into a frame.
+    copied: usize,
 }
 
 impl FrameQueue {
-    /// Queue a complete payload behind the others.
-    pub(crate) fn push(&mut self, stream_id: u16, code: u8, payload: Vec<u8>) {
-        self.rr.push_back(OutStream { stream_id, code, payload, offset: 0 });
+    /// Queue a complete answer, due at `due` (no earlier than any queued
+    /// before it). A copied payload counts in
+    /// [`copied`](FrameQueue::copied) until it is cut.
+    pub(crate) fn push(&mut self, due: Duration, answer: Answer) {
+        self.copied += if answer.copied { answer.payload.len() } else { 0 };
+        self.held.push_back((due, answer));
     }
 
-    /// Pop the front payload, cut one frame of at most `max_payload` bytes,
-    /// re-queue the rest at the back: round-robin fairness. A payload that
-    /// fits in one frame is moved into it, not copied.
+    /// Put every answer due by `now` behind the others being cut.
+    pub(crate) fn release(&mut self, now: Duration) {
+        while self.held.front().is_some_and(|(due, _)| *due <= now) {
+            self.rr.extend(self.held.pop_front().map(|(_, answer)| answer));
+        }
+    }
+
+    /// When the next held answer is due.
+    pub(crate) fn next_due(&self) -> Option<Duration> {
+        self.held.front().map(|(due, _)| *due)
+    }
+
+    /// Answers queued, held or being cut.
+    pub(crate) fn len(&self) -> usize {
+        self.held.len() + self.rr.len()
+    }
+
+    /// Bytes of copied payloads queued and not yet cut into a frame.
+    pub(crate) fn copied(&self) -> usize {
+        self.copied
+    }
+
+    /// Pop the front due payload, cut one frame of at most `max_payload`
+    /// bytes, re-queue the rest at the back: round-robin fairness.
     pub(crate) fn next_frame(&mut self, max_payload: usize) -> Option<Frame> {
         let mut out = self.rr.pop_front()?;
-        let take = (out.payload.len() - out.offset).min(max_payload);
-        let partial = out.offset + take < out.payload.len();
-        let payload = if out.offset == 0 && !partial {
-            std::mem::take(&mut out.payload)
-        } else {
-            out.payload[out.offset..out.offset + take].to_vec()
-        };
-        out.offset += take;
+        let take = out.payload.len().min(max_payload);
+        let payload = out.payload.slice(..take).to_vec();
+        out.payload = out.payload.slice(take..);
+        self.copied -= if out.copied { take } else { 0 };
+        let partial = !out.payload.is_empty();
         let flags = if partial { wire::FLAG_PARTIAL } else { 0 };
         let frame = Frame { stream_id: out.stream_id, code: out.code, flags, payload };
         if partial {
@@ -129,6 +161,10 @@ mod tests {
         Frame { stream_id, code: 0, flags, payload: payload.to_vec() }
     }
 
+    fn answer(stream_id: u16, payload: Bytes, copied: bool) -> Answer {
+        Answer { stream_id, code: 0, payload, copied }
+    }
+
     #[test]
     fn reassembler_passes_through_unchunked() {
         let mut r = Reassembler::default();
@@ -168,21 +204,30 @@ mod tests {
     #[test]
     fn queue_cuts_an_empty_payload_into_one_final_frame() {
         let mut q = FrameQueue::default();
-        q.push(3, 0, Vec::new());
+        q.push(Duration::ZERO, answer(3, Bytes::new(), true));
+        q.release(Duration::ZERO);
         let f = q.next_frame(1024).unwrap();
         assert_eq!((f.stream_id, f.flags, f.payload.len()), (3, 0, 0));
         assert!(q.next_frame(1024).is_none());
     }
 
     #[test]
-    fn queue_moves_a_payload_that_fits_into_one_frame() {
+    fn queue_holds_each_answer_until_it_is_due_and_counts_only_copies() {
         let mut q = FrameQueue::default();
-        let payload: Vec<u8> = (0..wire::MAX_FRAME_PAYLOAD).map(|i| (i % 251) as u8).collect();
-        q.push(9, 4, payload.clone());
-        let f = q.next_frame(wire::MAX_FRAME_PAYLOAD).unwrap();
-        assert_eq!((f.stream_id, f.code, f.flags), (9, 4, 0));
-        assert_eq!(f.payload, payload);
-        assert!(q.next_frame(wire::MAX_FRAME_PAYLOAD).is_none());
+        let shared = Bytes::from(vec![1u8; 3 * 1024]);
+        q.push(Duration::from_millis(5), answer(1, shared.slice(1024..), false));
+        q.push(Duration::from_millis(7), answer(2, Bytes::from(vec![2u8; 1500]), true));
+        assert_eq!((q.len(), q.copied(), q.next_due()), (2, 1500, Some(Duration::from_millis(5))));
+        q.release(Duration::from_millis(4));
+        assert!(q.next_frame(1024).is_none(), "nothing is due yet");
+        q.release(Duration::from_millis(7));
+        assert_eq!(q.next_due(), None);
+        let mut cuts = Vec::new();
+        while let Some(f) = q.next_frame(1024) {
+            cuts.push((f.stream_id, f.payload.len(), q.copied()));
+        }
+        assert_eq!(cuts, [(1, 1024, 1500), (2, 1024, 476), (1, 1024, 476), (2, 476, 0)]);
+        assert_eq!(q.len(), 0);
     }
 
     proptest! {
@@ -199,8 +244,10 @@ mod tests {
         ) {
             let mut q = FrameQueue::default();
             for (i, p) in payloads.iter().enumerate() {
-                q.push(i as u16, (i % 2) as u8, p.clone());
+                let a = Answer { code: (i % 2) as u8, ..answer(i as u16, p.clone().into(), i % 2 == 0) };
+                q.push(Duration::ZERO, a);
             }
+            q.release(Duration::ZERO);
             let mut re = Reassembler::default();
             let mut got = HashMap::new();
             while let Some(f) = q.next_frame(chunk) {
@@ -211,6 +258,7 @@ mod tests {
                 }
             }
             prop_assert!(re.partial.is_empty());
+            prop_assert_eq!((q.len(), q.copied()), (0, 0));
             prop_assert_eq!(got.len(), payloads.len());
             for (i, p) in payloads.iter().enumerate() {
                 prop_assert_eq!(&got[&(i as u16)], &((i % 2) as u8, p.clone()));

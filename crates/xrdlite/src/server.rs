@@ -4,34 +4,40 @@
 //! accept thread feeding a reactor whose shard threads drive every
 //! connection as a non-blocking task. A connection reads the handshake and
 //! then frames into its receive buffer, answers each request as it decodes
-//! it, releases the answer once the request's processing delay is over (a
-//! timer on the reactor's wheel, so requests on one connection overlap, as
-//! XRootD's asynchronous server does) and queues the responses in a
-//! round-robin frame queue (`mux`): they go out **interleaved in 64 KiB
-//! chunks**, so a large read does not head-of-line block a small one on the
-//! same connection. Like `httpd`, a connection takes no further request
-//! while more than [`MAX_OWED`] bytes of answers wait to go out, so a peer
+//! it and queues the answer in a round-robin frame queue (`mux`), held
+//! until the request's processing delay is over (a timer on the reactor's
+//! wheel, so requests on one connection overlap, as XRootD's asynchronous
+//! server does): answers go out **interleaved in 64 KiB chunks**, so a
+//! large read does not head-of-line block a small one on the same
+//! connection. A READ's answer is a slice of the stored object, copied
+//! only a frame at a time as it goes out. A connection takes no further
+//! request while `MAX_ANSWERS` answers are queued or more than
+//! `MAX_COPIED` bytes copied into READV answers wait to go out, so a peer
 //! that pipelines reads and never reads the answers holds a bounded amount
 //! of memory. No thread is spawned per connection or per request.
 
-use crate::mux::FrameQueue;
+use crate::mux::{Answer, FrameQueue};
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status, MAX_FRAME_PAYLOAD};
+use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
 use netsim::{
     BoxedStream, DriveOutcome, Driven, Listener, ReactorConfig, Runtime, ServerCore, Signal,
 };
 use objstore::ObjectStore;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Most bytes read from the transport per `try_read_spare` call.
 const READ_CHUNK: usize = 16 * 1024;
-/// Stop decoding requests while more than this many bytes of answers wait
-/// to go out (`httpd`'s `MAX_WBUF` rule): a connection then owes at most
-/// this much plus one answer.
-const MAX_OWED: usize = 256 * 1024;
+/// Stop decoding requests while this many answers are queued, waiting for
+/// their processing delay or being cut into frames.
+const MAX_ANSWERS: usize = 16;
+/// Stop decoding requests while more than this many bytes copied into
+/// answers (a READV's gather) wait to go out, `httpd`'s `MAX_WBUF` rule: a
+/// connection then holds at most this much plus one answer's copy.
+const MAX_COPIED: usize = 256 * 1024;
 /// How long a connection that has stopped taking requests (the peer
 /// half-closed, or the server is stopping) may take to answer and flush
 /// what it holds before it is dropped.
@@ -80,21 +86,7 @@ impl XrdServer {
         let server = Arc::clone(self);
         self.core.serve(listener, rt, move |stream, _peer, _open| {
             server.connections.fetch_add(1, Ordering::Relaxed);
-            Box::new(XrdConn {
-                stream,
-                server: Arc::clone(&server),
-                greeted: false,
-                rbuf: Vec::new(),
-                waiting: VecDeque::new(),
-                owed: 0,
-                handles: HashMap::new(),
-                next_handle: 1,
-                out: FrameQueue::default(),
-                wire: Vec::new(),
-                sent: 0,
-                ended: None,
-                stopping: false,
-            })
+            Box::new(XrdConn::new(stream, Arc::clone(&server)))
         });
     }
 }
@@ -109,16 +101,11 @@ struct XrdConn {
     greeted: bool,
     /// Received bytes not yet decoded into frames.
     rbuf: Vec<u8>,
-    /// Answered requests, each with the instant its processing delay ends,
-    /// its stream ID, status and payload: sorted, because the delay is one
-    /// value.
-    waiting: VecDeque<(Duration, u16, Status, Vec<u8>)>,
-    /// Payload bytes answered and not yet cut into a wire frame.
-    owed: usize,
     /// Open files: handle → path.
     handles: HashMap<u32, String>,
     next_handle: u32,
-    /// Responses not yet cut into wire frames.
+    /// Answers not yet cut into wire frames, each held until its
+    /// processing delay is over.
     out: FrameQueue,
     /// The wire frame being written, and how much of it has gone: one write
     /// call offers the rest of one frame, never two frames gathered — on the
@@ -132,6 +119,22 @@ struct XrdConn {
 }
 
 impl XrdConn {
+    fn new(stream: BoxedStream, server: Arc<XrdServer>) -> XrdConn {
+        XrdConn {
+            stream,
+            server,
+            greeted: false,
+            rbuf: Vec::new(),
+            handles: HashMap::new(),
+            next_handle: 1,
+            out: FrameQueue::default(),
+            wire: Vec::new(),
+            sent: 0,
+            ended: None,
+            stopping: false,
+        }
+    }
+
     /// Take the buffered requests or, when none is complete, read what has
     /// arrived and take those. `Ok(false)`: nothing more for now.
     fn read(&mut self, now: Duration) -> io::Result<bool> {
@@ -148,8 +151,8 @@ impl XrdConn {
     }
 
     /// Take the handshake and complete frames off the front of `rbuf`,
-    /// answering each, until the answers owed pass [`MAX_OWED`]. Whether
-    /// anything was taken.
+    /// answering each, until the connection [is full](XrdConn::full).
+    /// Whether anything was taken.
     fn take_requests(&mut self, now: Duration) -> io::Result<bool> {
         let mut pos = 0;
         if !self.greeted {
@@ -159,25 +162,24 @@ impl XrdConn {
             }
             (self.greeted, self.wire, pos) = (true, wire::hello().to_vec(), 6);
         }
-        while self.owed() <= MAX_OWED {
+        while !self.full() {
             let Some((frame, n)) = Frame::decode(&self.rbuf[pos..])? else { break };
             pos += n;
             self.server.requests.fetch_add(1, Ordering::Relaxed);
-            let (status, payload) = match self.dispatch(&frame) {
-                Ok(payload) => (Status::Ok, payload),
-                Err(msg) => (Status::Error, msg.into_bytes()),
+            let (status, payload, copied) = match self.dispatch(&frame) {
+                Ok((payload, copied)) => (Status::Ok, payload, copied),
+                Err(msg) => (Status::Error, Bytes::from(msg), true),
             };
-            self.owed += payload.len();
-            let due = now + self.server.cfg.process_delay;
-            self.waiting.push_back((due, frame.stream_id, status, payload));
+            let answer = Answer { stream_id: frame.stream_id, code: status as u8, payload, copied };
+            self.out.push(now + self.server.cfg.process_delay, answer);
         }
         self.rbuf.drain(..pos);
         Ok(pos > 0)
     }
 
-    /// Bytes of answers not yet handed to the transport.
-    fn owed(&self) -> usize {
-        self.owed + (self.wire.len() - self.sent)
+    /// Whether the connection holds as many answers as it may.
+    fn full(&self) -> bool {
+        self.out.len() >= MAX_ANSWERS || self.out.copied() > MAX_COPIED
     }
 
     /// Write the rest of the current wire frame, then the next ones, until
@@ -186,7 +188,6 @@ impl XrdConn {
         loop {
             if self.sent == self.wire.len() {
                 let Some(frame) = self.out.next_frame(MAX_FRAME_PAYLOAD) else { return Ok(()) };
-                self.owed -= frame.payload.len();
                 (self.wire, self.sent) = (frame.encode(), 0);
             }
             match self.stream.try_write(&self.wire[self.sent..]) {
@@ -198,8 +199,9 @@ impl XrdConn {
         }
     }
 
-    /// Answer one request: the response payload, or what went wrong.
-    fn dispatch(&mut self, frame: &Frame) -> Result<Vec<u8>, String> {
+    /// Answer one request: the response payload and whether it was copied
+    /// (rather than sliced from the stored object), or what went wrong.
+    fn dispatch(&mut self, frame: &Frame) -> Result<(Bytes, bool), String> {
         let op = Op::from_u8(frame.code).ok_or_else(|| format!("unknown op {}", frame.code))?;
         let mut r = PayloadReader::new(&frame.payload);
         let malformed = |_| format!("malformed {op:?} request");
@@ -210,16 +212,16 @@ impl XrdConn {
                 let meta = store.get(&path).ok_or_else(|| format!("no such file: {path}"))?;
                 let size = meta.data.len() as u64;
                 if op == Op::Stat {
-                    return Ok(PayloadWriter::new().u64(size).build());
+                    return Ok((PayloadWriter::new().u64(size).build().into(), true));
                 }
                 let h = self.next_handle;
                 self.next_handle = h.wrapping_add(1);
                 self.handles.insert(h, path);
-                Ok(PayloadWriter::new().u32(h).u64(size).build())
+                Ok((PayloadWriter::new().u32(h).u64(size).build().into(), true))
             }
             Op::Close => {
                 self.handles.remove(&r.u32().map_err(malformed)?);
-                Ok(Vec::new())
+                Ok((Bytes::new(), true))
             }
             Op::Read | Op::ReadV => {
                 let h = r.u32().map_err(malformed)?;
@@ -229,7 +231,7 @@ impl XrdConn {
                 if op == Op::Read {
                     let (off, len) = (r.u64().map_err(malformed)?, r.u32().map_err(malformed)?);
                     let (start, end) = (off.min(size), off.saturating_add(len.into()).min(size));
-                    return Ok(data[start as usize..end as usize].to_vec());
+                    return Ok((data.slice(start as usize..end as usize), false));
                 }
                 // Every fragment is checked, and the answer sized, before a
                 // byte is copied: fragments may repeat, so a short request
@@ -254,7 +256,7 @@ impl XrdConn {
                 for frag in frags {
                     out.extend_from_slice(&data[frag]);
                 }
-                Ok(out)
+                Ok((out.into(), true))
             }
         }
     }
@@ -266,10 +268,7 @@ impl Driven for XrdConn {
             self.ended = Some(now);
         }
         loop {
-            while self.waiting.front().is_some_and(|(due, ..)| *due <= now) {
-                let (_, stream_id, status, payload) = self.waiting.pop_front().expect("checked");
-                self.out.push(stream_id, status as u8, payload);
-            }
+            self.out.release(now);
             if self.flush().is_err() {
                 return DriveOutcome::Done;
             }
@@ -280,11 +279,11 @@ impl Driven for XrdConn {
                     Ok(false) => {}
                     Err(_) => return DriveOutcome::Done,
                 }
-                let done = self.waiting.is_empty() && !self.wants_write();
+                let done = self.out.len() == 0 && !self.wants_write();
                 let done = done || now >= since + DRAIN_TIMEOUT;
                 return if done { DriveOutcome::Done } else { DriveOutcome::Continue };
             }
-            if self.owed() > MAX_OWED {
+            if self.full() {
                 return DriveOutcome::Continue; // until the peer reads or an answer is due
             }
             match self.read(now) {
@@ -296,7 +295,7 @@ impl Driven for XrdConn {
     }
 
     fn deadline(&self) -> Option<Duration> {
-        let due = self.waiting.front().map(|(due, ..)| *due);
+        let due = self.out.next_due();
         due.into_iter().chain(self.ended.map(|since| since + DRAIN_TIMEOUT)).min()
     }
 
@@ -324,7 +323,7 @@ mod tests {
     use crate::mux::Reassembler;
     use crate::wire::read_frame;
     use bytes::Bytes;
-    use netsim::{LinkSpec, SimNet, SimStream};
+    use netsim::{LinkSpec, Pollable, SimNet, SimStream};
     use std::io::{Read, Write};
 
     /// Hosts `c` and `s` over a LAN link, and a server for `data` at `/f`
@@ -410,53 +409,104 @@ mod tests {
         let (mut s, h) = open(&net);
         send(&mut s, 1, Op::Read, read_req(h, 0, 1 << 20));
         send(&mut s, 2, Op::Read, read_req(h, 5, 10));
-        let (mut re, mut done, mut big_frames) = (Reassembler::default(), Vec::new(), 0);
+        let (mut re, mut done, mut big_frames) = (Reassembler::default(), Vec::new(), vec![0]);
         while done.len() < 2 {
             let f = read_frame(&mut s).unwrap();
-            big_frames += usize::from(f.stream_id == 1);
+            *big_frames.last_mut().unwrap() += usize::from(f.stream_id == 1);
             let sid = f.stream_id;
             if let Some((code, payload)) = re.push(f).unwrap() {
                 assert_eq!(code, Status::Ok as u8);
                 done.push((sid, payload));
+                big_frames.push(0);
             }
         }
         assert_eq!(done[0], (2, data[5..15].to_vec()), "the small read completes first");
+        assert!(big_frames[0] <= 2, "behind {} frames of the large one", big_frames[0]);
         assert_eq!(done[1], (1, data), "the large one arrives whole");
-        assert!(big_frames >= 16, "1 MiB in {big_frames} frames");
+        assert!(big_frames[0] + big_frames[1] >= 16, "1 MiB in {big_frames:?} frames");
+    }
+
+    #[test]
+    fn pipelined_large_reads_overlap_their_processing_delays() {
+        let (kib, delay) = (1024, Duration::from_millis(200));
+        let data: Vec<u8> = (0..512 * kib).map(|i| (i % 251) as u8).collect();
+        let cfg = XrdServerConfig { process_delay: delay };
+        let (net, _server) = sim_server(Bytes::from(data.clone()), cfg);
+        let _g = net.enter();
+        let (mut s, h) = open(&net);
+        let t0 = net.now();
+        for id in 0..8 {
+            send(&mut s, 10 + id, Op::Read, read_req(h, 0, 512 * kib as u32));
+        }
+        let (mut re, mut answers) = (Reassembler::default(), 0);
+        while answers < 8 {
+            if let Some((code, payload)) = re.push(read_frame(&mut s).unwrap()).unwrap() {
+                assert!(code == Status::Ok as u8 && payload == data, "answer {answers}");
+                answers += 1;
+            }
+        }
+        // 4 MiB take about 35 ms at the LAN's 125 MB/s: all eight delays
+        // ran at once, not one after another.
+        let took = net.now() - t0;
+        assert!(took < delay * 3 / 2, "8 × 512 KiB with a {delay:?} delay took {took:?}");
     }
 
     #[test]
     fn a_peer_that_pipelines_reads_and_reads_nothing_is_owed_a_bounded_amount() {
         let mib = 1 << 20;
         let data: Vec<u8> = (0..mib).map(|i| (i % 251) as u8).collect();
-        let store = Arc::new(ObjectStore::new());
-        store.put("/f", Bytes::from(data.clone()));
-        let server = XrdServer::new(store, XrdServerConfig::default());
-        let listener = netsim::TcpListenerWrap::bind("127.0.0.1:0").unwrap();
-        let port = Listener::local_port(&listener);
-        server.serve(Box::new(listener), Arc::new(netsim::RealRuntime::new()));
-        let mut s = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        wire::client_handshake(&mut s).unwrap();
-        let open = call(&mut s, 1, Op::Open, b"/f".to_vec());
-        let h = PayloadReader::new(&open.payload).u32().unwrap();
+        let (net, server) = sim(Bytes::from(data.clone()), XrdServerConfig::default());
+        let _g = net.enter();
+        // One connection driven by hand: it runs only when `drive` is called.
+        let listener = net.bind("s", 1094).unwrap();
+        let mut s = net.connect("c", "s", 1094).unwrap();
+        let (stream, _) = listener.accept_sim().unwrap();
+        let mut conn = XrdConn::new(Box::new(stream), Arc::clone(&server));
+        s.write_all(&wire::hello()).unwrap();
+        send(&mut s, 1, Op::Open, b"/f".to_vec());
+        // The connection's first handle.
+        let h = 1;
+        // READs, answered with slices of the object, and READVs, copied.
+        let readv = PayloadWriter::new().u32(h).u16(1).u64(0).u32(mib as u32).build();
         for id in 0..64 {
-            send(&mut s, 100 + id, Op::Read, read_req(h, 0, mib as u32));
-        }
-        // The socket buffers fill and the server stops taking requests.
-        std::thread::sleep(Duration::from_millis(300));
-        let taken = server.requests.load(Ordering::Relaxed);
-        assert!(taken <= 12, "{taken} requests taken (the open included) from a peer not reading");
-        let (mut re, mut answers) = (Reassembler::default(), 0);
-        while answers < 64 {
-            if let Some((code, payload)) = re.push(read_frame(&mut s).unwrap()).unwrap() {
-                assert_eq!(code, Status::Ok as u8);
-                assert!(payload == data, "answer {answers} arrives intact");
-                answers += 1;
+            match id % 4 {
+                3 => send(&mut s, 100 + id, Op::ReadV, readv.clone()),
+                _ => send(&mut s, 100 + id, Op::Read, read_req(h, 0, mib as u32)),
             }
         }
+        // The client reads nothing; each drive sends what the window allows.
+        for _ in 0..4 {
+            net.sleep(Duration::from_millis(5));
+            conn.drive(net.now());
+            let taken = server.requests.load(Ordering::Relaxed);
+            assert!(taken <= 1 + MAX_ANSWERS as u64, "{taken} requests taken (the open included)");
+            let copied = conn.out.copied();
+            assert!(copied <= MAX_COPIED + mib, "{copied} bytes copied into answers held");
+        }
+        // Once it reads, every answer arrives intact.
+        let mut hello = [0u8; 6];
+        s.read_exact(&mut hello).unwrap();
+        assert_eq!(hello, wire::hello());
+        let (mut rbuf, mut re, mut answers) = (Vec::new(), Reassembler::default(), Vec::new());
+        while answers.len() < 65 {
+            conn.drive(net.now());
+            match s.try_read_spare(&mut rbuf, 1 << 20) {
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    net.sleep(Duration::from_millis(1))
+                }
+                Err(e) => panic!("{e}"),
+            }
+            let mut pos = 0;
+            while let Some((f, n)) = Frame::decode(&rbuf[pos..]).unwrap() {
+                pos += n;
+                answers.extend(re.push(f).unwrap());
+            }
+            rbuf.drain(..pos);
+        }
+        assert!(answers.iter().all(|(code, _)| *code == Status::Ok as u8));
+        assert!(answers[1..].iter().all(|(_, payload)| *payload == data), "all 64 intact");
         assert_eq!(server.requests.load(Ordering::Relaxed), 65);
-        server.stop();
     }
 
     #[test]
