@@ -1,35 +1,31 @@
-//! The per-connection HTTP/1.1 state machine driven by the reactor.
+//! HTTP/1.1's codec on the connection engine ([`netsim::conn`]).
 //!
-//! [`HttpConn`] implements [`Driven`]: every `drive` call advances the
-//! connection as far as readiness allows — flush queued response bytes,
-//! read whatever the transport has buffered, dispatch the handler on every
-//! complete request — and then parks until the next readiness wake or
-//! timer deadline. No call ever blocks, so thousands of connections share a
-//! handful of shard threads.
+//! The engine owns the stream, the receive buffer, the output queue, the
+//! bound on what a connection holds, the half-close and drain rule and the
+//! wake-ups; this module is only what HTTP/1.1 adds to it. [`HttpCodec`]
+//! keeps a connection's phase and nothing of the HTTP grammar:
+//! [`httpwire::codec`] — [`HeadScan`] and `parse_request_head` for the head,
+//! one [`BodyFrames`] for the body — says what the received bytes are, where
+//! the message ends, and when a peer has broken the framing or a size limit
+//! (`400`/`431` and close). It is the same codec the blocking client reads
+//! responses with. One request is in flight at a time: requests are read
+//! and answered strictly in order, which is HTTP/1.1 pipelining's
+//! head-of-line blocking (§2.2, Figure 1).
 //!
-//! The connection owns buffers, phases and deadlines and nothing of the
-//! HTTP grammar: [`httpwire::codec`] — [`HeadScan`] and `parse_request_head`
-//! for the head, one [`BodyFrames`] for the body — says what the received
-//! bytes are, where the message ends, and when a peer has broken the framing
-//! or a size limit (`400`/`431` and close). It is the same codec the blocking
-//! client reads responses with.
-//!
-//! **What goes through `rbuf` and what does not.** Heads, chunk-size lines,
-//! chunk CRLFs and trailers are read 16 KiB at a time — into a landing area
-//! the shard thread keeps for all its connections, zeroed once, so that an
-//! idle connection holds no read buffer of that size — and what arrived is
-//! appended to `rbuf` and shown to the codec from there; so is whatever
-//! payload happens to arrive in the same read as a head or a framing line,
-//! which is then copied into the body. Once `rbuf` is drained and
-//! [`BodyFrames::payload`] says payload is next, the transport is read
-//! straight onto the end of the body by
+//! **What goes through the receive buffer and what does not.** Heads,
+//! chunk-size lines, chunk CRLFs and trailers come through the engine's
+//! receive buffer; so does whatever payload happens to arrive in the same
+//! read as a head or a framing line, which is then copied into the body.
+//! Once the buffer is drained and [`BodyFrames::payload`] says payload is
+//! next, the codec reads the transport straight onto the end of the body
+//! ([`Codec::read_direct`]) by
 //! [`try_read_spare`](netsim::Pollable::try_read_spare): as much as the
 //! frame allows, up to [`BODY_READ_MAX`] a call, and never a byte past the
-//! frame, so a pipelined request behind a body still lands in `rbuf`. On a
-//! socket that is one `recv(2)` into the body's spare capacity, with
-//! nothing zeroed first. That is what the blocking client does with the
-//! same codec call, and it makes a large upload one copy (kernel to body)
-//! instead of three.
+//! frame, so a pipelined request behind a body still lands in the receive
+//! buffer. On a socket that is one `recv(2)` into the body's spare
+//! capacity, with nothing zeroed first. That is what the blocking client
+//! does with the same codec call, and it makes a large upload one copy
+//! (kernel to body) instead of three.
 //!
 //! **Each body byte is digested once, as it lands.** Both ways into the
 //! body feed the request's running [`Digests`] with the bytes just
@@ -39,17 +35,13 @@
 //! that checks and keeps those digests does not read a large upload a
 //! second time, cold.
 //!
-//! **The output queue.** Unsent output is a queue of segments in wire order
-//! ([`Output`]): buffers serialised here (heads, the interim `100 Continue`,
-//! bodies under [`SHARED_BODY_MIN`]) and, behind its head, a large body as
-//! the handler's own `Bytes` — a slice of a stored object is never copied
-//! into a write buffer. New bytes extend the last buffer or start a new one
-//! behind a queued body, never ahead of one. Everything queued goes to the
-//! transport in one `try_write_vectored` call: that is `writev` on a socket,
-//! and on the simulated network — where one write call is one segment — the
-//! same single segment a contiguous buffer produced, so splitting a response
-//! into head and body changes nothing in virtual time. A queue of one buffer
-//! (every small response) is a plain `try_write`.
+//! **Answers.** A head, the interim `100 Continue` and a body under
+//! [`SHARED_BODY_MIN`] are serialised into the engine's output buffer; a
+//! larger body is queued behind its head as the handler's own `Bytes`, so a
+//! slice of a stored object is never copied into a write buffer. Everything
+//! queued goes out in one vectored write, which on the simulated network is
+//! the same single segment a contiguous buffer made. Every byte counts
+//! toward the engine's bound, since a handler's `Bytes` may be fresh.
 //!
 //! All time-based behaviour lives in the reactor's timer wheel rather than
 //! in transport read timeouts (which the simulated network cannot honour
@@ -58,22 +50,20 @@
 //! its head and body have fully arrived — a slowloris client trickling one
 //! header byte per second is evicted with `408 Request Timeout` when that
 //! budget expires, having cost one timer-wheel entry instead of a thread.
+//! The configured `process_delay` runs between a request's last byte and its
+//! handler, on the same wheel.
 
 use crate::server::{response_parts, HttpServer, Request, Response};
-use bytes::Bytes;
 use davix_sync::Ordering;
 use httpwire::codec::{parse_request_head, request_body_len, BodyFrames, BodyLen, Frame, HeadScan};
 use httpwire::{Method, RequestHead, StatusCode, Version, WireError};
 use ioapi::checksum::Digests;
-use netsim::{BoxedStream, DriveOutcome, Driven, Signal, Stream};
-use std::cell::RefCell;
-use std::collections::VecDeque;
-use std::io::{self, IoSlice};
+use netsim::conn::{Codec, Io, Step, READ_CHUNK};
+use netsim::Stream;
+use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Bytes read from the transport into `rbuf` per `try_read` call.
-const READ_CHUNK: usize = 16 * 1024;
 /// Most body payload read straight onto the body per `try_read_spare` call.
 const BODY_READ_MAX: usize = 256 * 1024;
 /// A response body at least this long is queued as the handler's own `Bytes`
@@ -83,13 +73,6 @@ const SHARED_BODY_MIN: usize = 16 * 1024;
 /// Most body buffer reserved on the strength of a declared `Content-Length`
 /// alone; a longer body grows the buffer as it actually arrives.
 const MAX_BODY_RESERVE: u64 = 64 * 1024 * 1024;
-/// Stop reading new requests while more than this much response data is
-/// queued unsent (a pipelining client that never reads cannot balloon the
-/// write buffer).
-const MAX_WBUF: usize = 256 * 1024;
-/// How long a closing connection may take to drain its final response
-/// before it is dropped.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Where the connection is in its request/response cycle. Each phase owns
 /// the instant its timeout clock started.
@@ -104,8 +87,8 @@ enum Phase {
     /// dispatch the handler at `at` (the configured `process_delay` is a
     /// timer deadline, not a sleeping thread).
     Respond { req: Option<Request>, digests: (u32, u32), at: Duration },
-    /// Final response queued; flush and close (bounded by a drain timeout).
-    Closing { since: Duration },
+    /// Final response queued: take nothing more.
+    Closing,
 }
 
 /// A request whose head has been parsed and whose body is being collected.
@@ -139,208 +122,40 @@ impl Incoming {
     }
 }
 
-thread_local! {
-    /// Where this thread's reads into `rbuf` land first. A connection is
-    /// driven on one thread and `try_read` returns before anything else is
-    /// driven there, so one area serves every connection of a shard; what
-    /// a connection keeps is only the bytes that arrived.
-    static LANDING: RefCell<[u8; READ_CHUNK]> = const { RefCell::new([0; READ_CHUNK]) };
-}
-
-/// Read up to [`READ_CHUNK`] bytes from the transport onto the end of `rbuf`.
-fn read_into(rbuf: &mut Vec<u8>, stream: &mut dyn Stream) -> io::Result<usize> {
-    LANDING.with_borrow_mut(|landing| {
-        stream.try_read(landing).inspect(|&n| rbuf.extend_from_slice(&landing[..n]))
-    })
-}
-
-/// Drop the first `n` bytes of `rbuf`. Emptied, it gives back what a long
-/// head made it grow to: that is not kept for the life of the connection.
-fn consume(rbuf: &mut Vec<u8>, n: usize) {
-    rbuf.drain(..n);
-    if rbuf.is_empty() && rbuf.capacity() > READ_CHUNK {
-        *rbuf = Vec::new();
-    }
-}
-
-/// One stretch of unsent output.
-enum Seg {
-    /// Bytes serialised here: heads, interim responses, small bodies.
-    Owned(Vec<u8>),
-    /// A response body exactly as the handler returned it.
-    Shared(Bytes),
-}
-
-impl Seg {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Seg::Owned(buf) => buf,
-            Seg::Shared(body) => body,
-        }
-    }
-}
-
-/// Unsent output in wire order.
-#[derive(Default)]
-struct Output {
-    segs: VecDeque<Seg>,
-    /// How much of the front segment has been written.
-    sent: usize,
-    /// Unsent bytes over all segments.
-    pending: usize,
-}
-
-impl Output {
-    /// Let `fill` append serialised bytes at the end of the queue: to the
-    /// last segment when that is a buffer, to a new buffer behind a queued
-    /// body otherwise.
-    fn append(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
-        if !matches!(self.segs.back(), Some(Seg::Owned(_))) {
-            self.segs.push_back(Seg::Owned(Vec::new()));
-        }
-        let Some(Seg::Owned(buf)) = self.segs.back_mut() else { unreachable!() };
-        let before = buf.len();
-        fill(buf);
-        self.pending += buf.len() - before;
-    }
-
-    /// Queue a response body as it is.
-    fn push_shared(&mut self, body: Bytes) {
-        self.pending += body.len();
-        self.segs.push_back(Seg::Shared(body));
-    }
-
-    /// Write queued bytes until done or the transport pushes back, every
-    /// segment offered in each call.
-    fn flush(&mut self, stream: &mut dyn Stream) -> io::Result<()> {
-        while self.pending > 0 {
-            let front = &self.segs[0].bytes()[self.sent..];
-            let wrote = if self.segs.len() == 1 {
-                stream.try_write(front)
-            } else {
-                let rest = self.segs.iter().skip(1).map(Seg::bytes);
-                let iov: Vec<IoSlice<'_>> =
-                    std::iter::once(front).chain(rest).map(IoSlice::new).collect();
-                stream.try_write_vectored(&iov)
-            };
-            match wrote {
-                Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "stream closed")),
-                Ok(n) => self.consume(n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(())
-    }
-
-    /// Drop `n` written bytes from the front of the queue.
-    fn consume(&mut self, mut n: usize) {
-        self.pending -= n;
-        loop {
-            let last = self.segs.len() == 1;
-            let Some(front) = self.segs.front_mut() else { return };
-            let left = front.bytes().len() - self.sent;
-            if n < left {
-                self.sent += n;
-                return;
-            }
-            n -= left;
-            self.sent = 0;
-            match front {
-                // The last buffer standing is kept for the next response.
-                Seg::Owned(buf) if last => return buf.clear(),
-                _ => self.segs.pop_front(),
-            };
-        }
-    }
-}
-
-/// What one phase-step decided.
-enum Step {
-    /// State changed: run the loop again.
-    Again,
-    /// Nothing to do until the next wake.
-    Park,
-    /// Connection is finished.
-    Close,
-}
-
-/// One HTTP connection as a reactor task.
-pub(crate) struct HttpConn {
-    stream: BoxedStream,
+/// One HTTP connection's codec.
+pub(crate) struct HttpCodec {
     peer: String,
     server: Arc<HttpServer>,
     phase: Phase,
-    /// Received-but-unparsed bytes.
-    rbuf: Vec<u8>,
-    /// Progress of the search for the head's end in `rbuf` (so repeated
-    /// scans of a slowly-arriving head stay linear).
+    /// Progress of the search for the head's end in the receive buffer (so
+    /// repeated scans of a slowly-arriving head stay linear).
     scan: HeadScan,
-    /// Queued response bytes.
-    out: Output,
     served: u64,
-    eof: bool,
-    shutting_down: bool,
 }
 
-impl HttpConn {
-    pub(crate) fn new(
-        stream: BoxedStream,
-        peer: String,
-        server: Arc<HttpServer>,
-        now: Duration,
-    ) -> Self {
-        HttpConn {
-            stream,
+impl HttpCodec {
+    pub(crate) fn new(peer: String, server: Arc<HttpServer>, now: Duration) -> Self {
+        HttpCodec {
             peer,
             server,
             phase: Phase::Idle { since: now },
-            rbuf: Vec::new(),
             scan: HeadScan::default(),
-            out: Output::default(),
             served: 0,
-            eof: false,
-            shutting_down: false,
-        }
-    }
-
-    fn pending_write(&self) -> usize {
-        self.out.pending
-    }
-
-    /// Out of buffered bytes: read more. `None` means look at `rbuf` and the
-    /// request again (input arrived, or EOF is now known); otherwise the
-    /// step to take — a peer that is gone mid-request just gets the
-    /// connection closed.
-    fn need_input(&mut self) -> Option<Step> {
-        if self.eof {
-            return Some(Step::Close);
-        }
-        let payload_next = match &mut self.phase {
-            Phase::Request { incoming: Some(inc), .. } if self.rbuf.is_empty() => {
-                inc.frames.payload().map(|max| (inc, max))
-            }
-            _ => None,
-        };
-        let read = match payload_next {
-            Some((inc, max)) => inc.read_payload(&mut *self.stream, max),
-            None => read_into(&mut self.rbuf, &mut *self.stream),
-        };
-        match read {
-            Ok(n) => {
-                self.eof = n == 0;
-                None
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Some(Step::Park),
-            Err(_) => Some(Step::Close),
         }
     }
 
     /// The one place a response becomes bytes, a counter and the next
     /// phase: handler answers, codec rejections and the `408` all end here.
-    fn queue_response(&mut self, method: &Method, resp: Response, close: bool, now: Duration) {
+    fn queue_response(
+        &mut self,
+        io: &mut Io,
+        method: &Method,
+        resp: Response,
+        close: bool,
+        now: Duration,
+    ) -> Step {
         let mut shared = None;
-        self.out.append(|buf| {
+        io.append(|buf| {
             let body = response_parts(method, resp, close, buf);
             if body.len() >= SHARED_BODY_MIN {
                 shared = Some(body);
@@ -349,33 +164,35 @@ impl HttpConn {
             }
         });
         if let Some(body) = shared {
-            self.out.push_shared(body);
+            io.push(body);
         }
         if close {
             self.server.stats.closes.fetch_add(1, Ordering::Relaxed);
-            self.phase = Phase::Closing { since: now };
+            self.phase = Phase::Closing;
+            Step::End
         } else {
             self.phase = Phase::Idle { since: now };
+            Step::Again
         }
     }
 
     /// Answer a request that never reached the handler, and close.
-    fn reject(&mut self, status: StatusCode, now: Duration) {
-        self.queue_response(&Method::Get, Response::error(status), true, now);
+    fn reject(&mut self, io: &mut Io, status: StatusCode, now: Duration) -> Step {
+        self.queue_response(io, &Method::Get, Response::error(status), true, now)
     }
 
-    /// Consume what `rbuf` holds of the arriving request: the head, once the
-    /// codec finds its end, then as much body as the framing allows. `true`
-    /// means run the drive loop again — the head was parsed (an interim
-    /// response may want flushing) or the request is complete, `rbuf`
+    /// Consume what the receive buffer holds of the arriving request: the
+    /// head, once the codec finds its end, then as much body as the framing
+    /// allows. `true` means advance again — the head was parsed (an interim
+    /// response may want flushing) or the request is complete, the buffer
     /// positioned at the next message and the dispatch scheduled; `false`
     /// means more input is needed.
-    fn advance_request(&mut self, now: Duration) -> Result<bool, WireError> {
+    fn advance_request(&mut self, io: &mut Io, now: Duration) -> Result<bool, WireError> {
         let Phase::Request { incoming, .. } = &mut self.phase else { unreachable!() };
         let Some(inc) = incoming else {
-            let Some(end) = self.scan.find(&self.rbuf)? else { return Ok(false) };
-            let head = parse_request_head(&self.rbuf[..end]);
-            consume(&mut self.rbuf, end);
+            let Some(end) = self.scan.find(io.rbuf())? else { return Ok(false) };
+            let head = parse_request_head(&io.rbuf()[..end]);
+            io.consume(end);
             // `None` is a stray blank line before the request (RFC 7230
             // §3.5): skipped.
             if let Some(head) = head? {
@@ -391,7 +208,7 @@ impl HttpConn {
                     .get("expect")
                     .is_some_and(|v| v.trim().eq_ignore_ascii_case("100-continue"));
                 if expects_continue && !frames.is_done() && head.version == Version::Http11 {
-                    self.out.append(|buf| buf.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n"));
+                    io.append(|buf| buf.extend_from_slice(b"HTTP/1.1 100 Continue\r\n\r\n"));
                 }
                 // Size the body buffer from what the head says, never from
                 // how much the first read happens to return: doubling from an
@@ -406,23 +223,23 @@ impl HttpConn {
             }
             return Ok(true);
         };
-        let mut pos = 0;
+        let (rbuf, mut pos) = (io.rbuf(), 0);
         let complete = loop {
-            match inc.frames.next(&self.rbuf[pos..])? {
+            match inc.frames.next(&rbuf[pos..])? {
                 Frame::Skip(n) => pos += n,
                 Frame::Payload(n) => {
-                    let take = n.min((self.rbuf.len() - pos) as u64) as usize;
+                    let take = n.min((rbuf.len() - pos) as u64) as usize;
                     if take == 0 {
                         break false;
                     }
-                    inc.push(&self.rbuf[pos..pos + take]);
+                    inc.push(&rbuf[pos..pos + take]);
                     pos += take;
                 }
                 Frame::NeedMore => break false,
                 Frame::End => break true,
             }
         };
-        consume(&mut self.rbuf, pos);
+        io.consume(pos);
         if complete {
             // Dispatch after the configured processing delay (zero means
             // the same drive call dispatches).
@@ -441,7 +258,7 @@ impl HttpConn {
 
     /// Run the handler on a request and its body's digests, and queue its
     /// response.
-    fn dispatch(&mut self, req: Request, digests: (u32, u32), now: Duration) {
+    fn dispatch(&mut self, io: &mut Io, req: Request, digests: (u32, u32), now: Duration) -> Step {
         self.served += 1;
         self.server.stats.requests.fetch_add(1, Ordering::Relaxed);
         let method = req.head.method.clone();
@@ -457,111 +274,44 @@ impl HttpConn {
         });
         let cap_hit =
             self.server.cfg.max_requests_per_conn.map(|cap| self.served >= cap).unwrap_or(false);
-        let close = resp.close || !client_keep_alive || cap_hit || self.shutting_down;
-        self.queue_response(&method, resp, close, now);
-    }
-
-    fn drive_idle(&mut self, now: Duration) -> Step {
-        let Phase::Idle { since } = &self.phase else { unreachable!() };
-        let since = *since;
-        if !self.rbuf.is_empty() {
-            // Pipelined bytes already buffered: the next request has begun.
-            self.phase = Phase::Request { since: now, incoming: None };
-            return Step::Again;
-        }
-        if self.shutting_down {
-            self.phase = Phase::Closing { since: now };
-            return Step::Again;
-        }
-        if self.eof {
-            return Step::Close; // clean close between requests
-        }
-        if let Some(t) = self.server.cfg.idle_timeout {
-            if now >= since + t {
-                return Step::Close; // idle keep-alive expired
-            }
-        }
-        if self.pending_write() > MAX_WBUF {
-            return Step::Park;
-        }
-        self.need_input().unwrap_or(Step::Again)
-    }
-
-    fn drive_request(&mut self, now: Duration) -> Step {
-        let Phase::Request { since, .. } = &self.phase else { unreachable!() };
-        if self.server.cfg.header_read_timeout.is_some_and(|t| now >= *since + t) {
-            self.server.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-            self.reject(StatusCode::REQUEST_TIMEOUT, now);
-            return Step::Again;
-        }
-        loop {
-            match self.advance_request(now) {
-                Ok(true) => return Step::Again,
-                Ok(false) => {
-                    // Do not start on a new request while the peer is not
-                    // reading the responses to its earlier ones.
-                    if matches!(self.phase, Phase::Request { incoming: None, .. })
-                        && !self.eof
-                        && self.pending_write() > MAX_WBUF
-                    {
-                        return Step::Park;
-                    }
-                    if let Some(step) = self.need_input() {
-                        return step;
-                    }
-                }
-                Err(e) => {
-                    let status = match e {
-                        WireError::HeadTooLarge(_) => StatusCode::REQUEST_HEADER_FIELDS_TOO_LARGE,
-                        _ => StatusCode::BAD_REQUEST,
-                    };
-                    self.reject(status, now);
-                    return Step::Again;
-                }
-            }
-        }
-    }
-
-    fn drive_respond(&mut self, now: Duration) -> Step {
-        let Phase::Respond { at, .. } = &self.phase else { unreachable!() };
-        if now < *at {
-            return Step::Park; // the timer wheel wakes us at `at`
-        }
-        let Phase::Respond { req, digests, .. } = &mut self.phase else { unreachable!() };
-        let (req, digests) = (req.take().expect("request dispatched exactly once"), *digests);
-        self.dispatch(req, digests, now);
-        Step::Again
-    }
-
-    fn drive_closing(&mut self, now: Duration) -> Step {
-        if self.pending_write() == 0 {
-            return Step::Close;
-        }
-        let Phase::Closing { since } = &self.phase else { unreachable!() };
-        if now >= *since + DRAIN_TIMEOUT {
-            return Step::Close; // peer is not draining the final response
-        }
-        Step::Park
+        let close = resp.close || !client_keep_alive || cap_hit || io.stopping();
+        self.queue_response(io, &method, resp, close, now)
     }
 }
 
-impl Driven for HttpConn {
-    fn drive(&mut self, now: Duration) -> DriveOutcome {
-        loop {
-            if self.out.flush(&mut *self.stream).is_err() {
-                return DriveOutcome::Done;
+impl Codec for HttpCodec {
+    fn advance(&mut self, io: &mut Io, now: Duration) -> Step {
+        match &mut self.phase {
+            Phase::Idle { .. } if !io.rbuf().is_empty() => {
+                // Pipelined bytes already buffered: the next request has begun.
+                self.phase = Phase::Request { since: now, incoming: None };
+                Step::Again
             }
-            let step = match self.phase {
-                Phase::Idle { .. } => self.drive_idle(now),
-                Phase::Request { .. } => self.drive_request(now),
-                Phase::Respond { .. } => self.drive_respond(now),
-                Phase::Closing { .. } => self.drive_closing(now),
-            };
-            match step {
-                Step::Again => continue,
-                Step::Park => return DriveOutcome::Continue,
-                Step::Close => return DriveOutcome::Done,
+            Phase::Idle { since } => match self.server.cfg.idle_timeout {
+                Some(t) if now >= *since + t => Step::Close, // idle keep-alive expired
+                _ => Step::Read,
+            },
+            Phase::Request { since, .. } => {
+                if self.server.cfg.header_read_timeout.is_some_and(|t| now >= *since + t) {
+                    self.server.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                    return self.reject(io, StatusCode::REQUEST_TIMEOUT, now);
+                }
+                match self.advance_request(io, now) {
+                    Ok(true) => Step::Again,
+                    Ok(false) => Step::Read,
+                    Err(WireError::HeadTooLarge(_)) => {
+                        self.reject(io, StatusCode::REQUEST_HEADER_FIELDS_TOO_LARGE, now)
+                    }
+                    Err(_) => self.reject(io, StatusCode::BAD_REQUEST, now),
+                }
             }
+            Phase::Respond { at, .. } if now < *at => Step::Wait, // the wheel wakes us at `at`
+            Phase::Respond { req, digests, .. } => {
+                let (req, digests) =
+                    (req.take().expect("request dispatched exactly once"), *digests);
+                self.dispatch(io, req, digests, now)
+            }
+            Phase::Closing => Step::Read,
         }
     }
 
@@ -570,31 +320,18 @@ impl Driven for HttpConn {
             Phase::Idle { since } => self.server.cfg.idle_timeout.map(|t| *since + t),
             Phase::Request { since, .. } => self.server.cfg.header_read_timeout.map(|t| *since + t),
             Phase::Respond { at, .. } => Some(*at),
-            Phase::Closing { since } => {
-                if self.pending_write() == 0 {
-                    None
-                } else {
-                    Some(*since + DRAIN_TIMEOUT)
-                }
-            }
+            Phase::Closing => None,
         }
     }
 
-    fn set_waker(&mut self, waker: Option<Arc<dyn Signal>>) {
-        // Transports waited on via `poll_fd` report `Unsupported` here.
-        let _ = self.stream.set_waker(waker);
+    fn mid_request(&self) -> bool {
+        matches!(self.phase, Phase::Request { incoming: Some(_), .. })
     }
 
-    fn poll_fd(&self) -> Option<i32> {
-        self.stream.poll_fd()
-    }
-
-    fn wants_write(&self) -> bool {
-        self.pending_write() > 0
-    }
-
-    fn begin_shutdown(&mut self) {
-        self.shutting_down = true;
+    fn read_direct(&mut self, stream: &mut dyn Stream) -> Option<io::Result<usize>> {
+        let Phase::Request { incoming: Some(inc), .. } = &mut self.phase else { return None };
+        let max = inc.frames.payload()?;
+        Some(inc.read_payload(stream, max))
     }
 }
 
@@ -605,8 +342,12 @@ mod tests {
     use crate::Handler;
     use davix_sync::AtomicUsize;
     use ioapi::checksum::crc32_adler32;
-    use netsim::{LinkSpec, Pollable, Runtime, SimNet, SimStream, TcpStreamWrap};
-    use std::io::{Cursor, Read, Write};
+    use netsim::conn::{Conn, MAX_BYTES};
+    use netsim::TcpStreamWrap;
+    use netsim::{
+        BoxedStream, DriveOutcome, Driven, LinkSpec, Pollable, Runtime, SimNet, SimStream,
+    };
+    use std::io::{Cursor, IoSlice, Read, Write};
     use std::sync::Mutex;
 
     /// Passes everything through and counts the `try_read` calls.
@@ -710,7 +451,7 @@ mod tests {
     struct Rig<'a> {
         net: &'a SimNet,
         client: SimStream,
-        conn: HttpConn,
+        conn: Conn<HttpCodec>,
         done: bool,
         seen: Arc<Mutex<Seen>>,
         try_reads: Arc<AtomicUsize>,
@@ -734,11 +475,10 @@ mod tests {
             let seen = Arc::new(Mutex::new(Vec::new()));
             let handler = Arc::new(Recorder(Arc::clone(&seen)));
             let try_reads = Arc::new(AtomicUsize::new(0));
-            let conn = HttpConn::new(
+            let server = HttpServer::new(handler, ServerConfig::default());
+            let conn = Conn::new(
                 Box::new(CountReads(Box::new(stream), Arc::clone(&try_reads))),
-                peer,
-                HttpServer::new(handler, ServerConfig::default()),
-                rt.now(),
+                HttpCodec::new(peer, server, rt.now()),
             );
             Rig { net, client, conn, done: false, seen, try_reads }
         }
@@ -759,7 +499,7 @@ mod tests {
 
         /// The request whose head has been parsed and whose body is arriving.
         fn incoming(&self) -> &Incoming {
-            match &self.conn.phase {
+            match &self.conn.codec().phase {
                 Phase::Request { incoming: Some(inc), .. } => inc,
                 _ => panic!("no request body is arriving"),
             }
@@ -782,7 +522,7 @@ mod tests {
                 }
                 self.net.sleep(Duration::from_millis(2));
                 self.drive();
-                quiet += usize::from(self.conn.pending_write() == 0);
+                quiet += usize::from(self.conn.io().pending() == 0);
             }
             got
         }
@@ -915,7 +655,7 @@ mod tests {
         let handler = Arc::new(Recorder(Arc::clone(&seen)));
         let server = HttpServer::new(handler, ServerConfig::default());
         let stream = Box::new(TcpStreamWrap::new(stream));
-        let mut conn = HttpConn::new(stream, peer.to_string(), server, Duration::ZERO);
+        let mut conn = Conn::new(stream, HttpCodec::new(peer.to_string(), server, Duration::ZERO));
         // The client stays open until the server has read it all.
         let writer = std::thread::spawn(move || client.write_all(&wire).map(|()| client));
         let start = std::time::Instant::now();
@@ -985,7 +725,7 @@ mod tests {
             let seen = rig.seen.lock().unwrap();
             let targets: Vec<&str> = seen.iter().map(|s| s.0.as_str()).collect();
             assert_eq!(targets, ["/first", "/second"], "cut at {cut}");
-            assert!(rig.conn.rbuf.is_empty(), "cut at {cut}: nothing left over");
+            assert!(rig.conn.io().rbuf().is_empty(), "cut at {cut}: nothing left over");
         }
     }
 
@@ -995,18 +735,19 @@ mod tests {
         let _g = net.enter();
         let mut rig = Rig::new(&net, 80);
         rig.feed(&get("/small"));
-        assert!(rig.conn.rbuf.capacity() < 1024, "what arrived, not what a read may bring");
+        assert!(rig.conn.io().rbuf().capacity() < 1024, "what arrived, not what a read may bring");
         let long = format!(
             "GET /long HTTP/1.1\r\nHost: server\r\nX-Pad: {}\r\n\r\n",
             "x".repeat(60 * 1024)
         );
         rig.feed(long.as_bytes());
         assert_eq!(rig.seen.lock().unwrap().len(), 2, "a 60 KiB head is within the limit");
-        assert!(rig.conn.rbuf.is_empty() && matches!(rig.conn.phase, Phase::Idle { .. }));
+        let rbuf = rig.conn.io().rbuf();
+        assert!(rbuf.is_empty() && matches!(rig.conn.codec().phase, Phase::Idle { .. }));
         assert!(
-            rig.conn.rbuf.capacity() <= READ_CHUNK,
+            rbuf.capacity() <= READ_CHUNK,
             "{} bytes of receive buffer held while idle",
-            rig.conn.rbuf.capacity()
+            rbuf.capacity()
         );
         // And the next request is read as before.
         rig.feed(&get("/after"));
@@ -1051,7 +792,7 @@ mod tests {
         let mut rig = Rig::new(&net, 80);
         rig.feed(&get("/big/1"));
         assert_eq!(rig.seen.lock().unwrap().len(), 1);
-        assert!(rig.conn.pending_write() > MAX_WBUF, "a window's worth of 1 MiB has gone");
+        assert!(rig.conn.io().pending() > MAX_BYTES, "a window's worth of 1 MiB has gone");
         // More requests arrive; none is read while that much is queued.
         let reads = rig.try_reads.load(Ordering::Relaxed);
         rig.feed(&[get("/big/2"), get("/small")].concat());
@@ -1077,8 +818,8 @@ mod tests {
         // 100 KiB: queued as the handler's `Bytes`, more than one window,
         // under the back-pressure mark — the connection keeps reading.
         rig.feed(&get("/mid"));
-        let unsent = rig.conn.pending_write();
-        assert!(unsent > SHARED_BODY_MIN && unsent <= MAX_WBUF);
+        let unsent = rig.conn.io().pending();
+        assert!(unsent > SHARED_BODY_MIN && unsent <= MAX_BYTES);
         rig.feed(
             b"PUT /put HTTP/1.1\r\nHost: server\r\nExpect: 100-continue\r\nContent-Length: 3\r\n\r\n",
         );

@@ -12,9 +12,10 @@
 //! too; a fixed budget of shard threads ([`ServerConfig::reactor_threads`],
 //! default 2) drives *every* connection, so a thousand keep-alive clients
 //! cost a thousand connection state machines but only that fixed thread
-//! count (the `fig7_c10k` bench asserts exactly this). Each connection is a
-//! non-blocking state machine (`conn.rs`): Idle → Head → Body → Respond →
-//! Closing, advanced only when the reactor reports readiness. Deadlines —
+//! count (the `fig7_c10k` bench asserts exactly this). Each connection is
+//! [`netsim::conn`]'s engine running HTTP's codec (`conn.rs`), a
+//! non-blocking state machine — Idle → Request → Respond → Closing —
+//! advanced only when the reactor reports readiness. Deadlines —
 //! keep-alive idle ([`ServerConfig::idle_timeout`], closed silently),
 //! slowloris eviction ([`ServerConfig::header_read_timeout`], answered
 //! `408`), simulated processing delay ([`ServerConfig::process_delay`]) and

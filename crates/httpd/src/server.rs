@@ -4,14 +4,16 @@
 //! than one thread each. The accept loop, its
 //! [`ServerConfig::max_connections`] backpressure, the reactor and `stop`'s
 //! teardown order are [`netsim::ServerCore`]'s, shared with the xrdlite
-//! server; what is HTTP's own is the non-blocking connection state machine
-//! (the private `conn` module) each accepted stream is submitted as.
+//! server, and so is the connection engine ([`netsim::conn`]) that runs each
+//! accepted stream; what is HTTP's own is the codec it runs (the private
+//! `conn` module).
 //! Handlers stay synchronous per-request.
 
-use crate::conn::HttpConn;
+use crate::conn::HttpCodec;
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
 use httpwire::{date, HeadWriter, HeaderMap, RequestHead, StatusCode, Version};
+use netsim::conn::Codec;
 use netsim::{Listener, Runtime, ServerCore};
 use std::cell::RefCell;
 use std::sync::Arc;
@@ -207,11 +209,18 @@ impl HttpServer {
     /// on one reactor.
     pub fn serve(self: &Arc<Self>, listener: Box<dyn Listener>, rt: Arc<dyn Runtime>) {
         let (server, clock) = (Arc::clone(self), Arc::clone(&rt));
-        self.core.serve(listener, rt, move |stream, peer, open| {
+        self.core.serve(listener, rt, move |peer, open| {
             server.stats.connections.fetch_add(1, Ordering::Relaxed);
             server.stats.peak_open.fetch_max(open as u64, Ordering::Relaxed);
-            Box::new(HttpConn::new(stream, peer, Arc::clone(&server), clock.now()))
+            server.codec(peer, clock.now())
         });
+    }
+
+    /// The codec of one connection from `peer`, accepted at `now`: what
+    /// [`serve`](HttpServer::serve) runs on each accepted stream, in a
+    /// [`netsim::conn::Conn`].
+    pub fn codec(self: &Arc<Self>, peer: String, now: Duration) -> impl Codec {
+        HttpCodec::new(peer, Arc::clone(self), now)
     }
 }
 

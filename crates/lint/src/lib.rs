@@ -43,9 +43,10 @@
 //!   every `.spawn(..)` outside `iopool.rs` is a finding as well: the
 //!   pool is the client's one spawn site, so `Config::io_threads` bounds
 //!   all of its threads. So is every `.spawn(..)`/`.spawn_joinable(..)`
-//!   in the servers (`crates/httpd/src`, `crates/xrdlite/src/server.rs`):
-//!   their threads are the reactor shards and the accept thread that
-//!   `netsim::ServerCore` starts.
+//!   in the servers (`crates/httpd/src`, `crates/xrdlite/src/server.rs`)
+//!   and in the connection engine they run on
+//!   (`crates/netsim/src/conn.rs`): their threads are the reactor shards
+//!   and the accept thread that `netsim::ServerCore` starts.
 //! * **`one-client`** — no response head read by hand
 //!   (`parse_response_head(..)`, `read_response_head(..)`,
 //!   `StartReader::new(..)`) outside the crates that speak HTTP for

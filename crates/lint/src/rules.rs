@@ -32,10 +32,11 @@ pub enum Rule {
     /// threads break the sim's thread census and quiescence detection. In
     /// the client (`crates/core/src`) any `.spawn(..)` outside `IoPool`
     /// counts too, so `Config::io_threads` bounds every client thread; in
-    /// `crates/httpd/src` any `.spawn(..)` does, so the server's threads are
-    /// `netsim::ServerCore`'s; and in `crates/xrdlite/src` any `.spawn(..)`
-    /// does, for both reasons: its server is on `ServerCore` and its client
-    /// does its I/O on the calling thread.
+    /// `crates/httpd/src` and in the connection engine
+    /// (`crates/netsim/src/conn.rs`) any `.spawn(..)` does, so the server's
+    /// threads are `netsim::ServerCore`'s; and in `crates/xrdlite/src` any
+    /// `.spawn(..)` does, for both reasons: its server is on `ServerCore` and
+    /// its client does its I/O on the calling thread.
     ThreadHygiene,
     /// A response head read by hand (`parse_response_head(..)`,
     /// `read_response_head(..)` or `StartReader::new(..)`) outside the
@@ -148,11 +149,13 @@ const THREAD_ALLOW_FILES: &[&str] = &[
 /// finding too, with what to do instead. Every thread the client starts
 /// for I/O is an `IoPool` worker, so `Config::io_threads` bounds them all
 /// (`iopool.rs` itself is allowed wholesale); every server thread is a
-/// reactor shard or an accept thread of `netsim::ServerCore`; the xrdlite
-/// client starts none.
+/// reactor shard or an accept thread of `netsim::ServerCore`, and the
+/// connection engine both servers run on starts none; the xrdlite client
+/// starts none.
 const ONE_SPAWN_SITE: &[(&str, &str)] = &[
     ("crates/core/src/", CLIENT_SPAWN),
     ("crates/httpd/src/", SERVER_SPAWN),
+    ("crates/netsim/src/conn.rs", SERVER_SPAWN),
     ("crates/xrdlite/src/server.rs", SERVER_SPAWN),
     ("crates/xrdlite/src/", XRD_CLIENT_SPAWN),
 ];

@@ -75,11 +75,11 @@ fn client_runtime_spawn_fixture_is_flagged_under_the_client_only() {
 #[test]
 fn server_spawn_fixture_is_flagged_under_the_servers_only() {
     // Every server thread is a reactor shard or `netsim::ServerCore`'s
-    // accept thread, so a `.spawn(..)` or `.spawn_joinable(..)` in httpd or
-    // in xrdlite's server is a finding. xrdlite's client starts no thread
-    // either: it does its I/O on the calling thread, so the same source is
-    // a finding there too, with the client's own message. `netsim::reactor`
-    // is where the core spawns.
+    // accept thread, so a `.spawn(..)` or `.spawn_joinable(..)` in httpd, in
+    // xrdlite's server or in the connection engine both run on is a
+    // finding. xrdlite's client starts no thread either: it does its I/O on
+    // the calling thread, so the same source is a finding there too, with
+    // the client's own message. `netsim::reactor` is where the core spawns.
     let src = std::fs::read_to_string(fixture_dir().join("bad/server_spawn.rs")).unwrap();
     let findings = |rel: &str| -> Vec<(Rule, u32)> {
         lint_source(rel, &src).iter().map(|f| (f.rule, f.line)).collect()
@@ -88,6 +88,9 @@ fn server_spawn_fixture_is_flagged_under_the_servers_only() {
         vec![(Rule::ThreadHygiene, 8), (Rule::ThreadHygiene, 15), (Rule::ThreadHygiene, 23)];
     assert_eq!(findings("crates/httpd/src/server.rs"), expected);
     assert_eq!(findings("crates/xrdlite/src/server.rs"), expected);
+    assert_eq!(findings("crates/netsim/src/conn.rs"), expected);
+    let engine = lint_source("crates/netsim/src/conn.rs", &src);
+    assert!(engine.iter().all(|f| f.message.contains("in a server")), "{engine:?}");
     assert_eq!(findings("crates/xrdlite/src/client.rs"), expected);
     let client = lint_source("crates/xrdlite/src/client.rs", &src);
     assert!(client.iter().all(|f| f.message.contains("calling thread")), "{client:?}");

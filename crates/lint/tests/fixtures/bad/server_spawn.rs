@@ -1,7 +1,7 @@
 //! BAD fixture when linted as server code (a path under `crates/httpd/src/`,
-//! or `crates/xrdlite/src/server.rs`): an accept loop of its own with a
-//! thread per connection and per request. Expected findings there:
-//! thread-hygiene at lines 8, 15 and 23.
+//! `crates/xrdlite/src/server.rs` or `crates/netsim/src/conn.rs`): an
+//! accept loop of its own with a thread per connection and per request.
+//! Expected findings there: thread-hygiene at lines 8, 15 and 23.
 
 pub fn serve(self: &Arc<Self>, listener: Box<dyn Listener>, rt: Arc<dyn Runtime>) {
     let server = Arc::clone(self);

@@ -38,8 +38,9 @@
 //! stream write that can stall on the TCP window (threads queued on that
 //! mutex look runnable, so the clock never moves; xrdlite's client hands
 //! each side of its connection from caller to caller as a baton, waiting
-//! for it on a [`Signal`], and the servers block nowhere: their
-//! connections are [`Driven`] tasks on a [`ServerCore`]'s reactor). For
+//! for it on a [`Signal`], and the servers block nowhere: each connection
+//! is a [`conn::Conn`], the [`Driven`] task a [`ServerCore`]'s reactor
+//! runs, and a server supplies only its protocol's [`conn::Codec`]). For
 //! dense workloads, [`simclient`] runs whole client populations as
 //! event-driven [`simclient::ClientSession`] state machines on a
 //! [`Reactor`] instead of one thread per client.
@@ -82,6 +83,7 @@
 #![warn(unreachable_pub)]
 #![warn(clippy::undocumented_unsafe_blocks)]
 
+pub mod conn;
 pub mod fault;
 pub mod race;
 pub mod reactor;

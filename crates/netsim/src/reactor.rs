@@ -32,12 +32,13 @@
 //! [`ServerCore`] is the rest of a server built on this: accept threads
 //! with connection-limit back-pressure feeding one lazily created reactor,
 //! and a `stop` that tears it all down in a fixed order. `httpd` and the
-//! xrdlite server both run on it and differ only in the [`Driven`] task
-//! they make of an accepted stream.
+//! xrdlite server both run on it, every connection a
+//! [`Conn`], and differ only in the codec it runs.
 
+use crate::conn::{Codec, Conn};
 use crate::sim::dur_ns;
 use crate::slab::Slab;
-use crate::transport::{BoxedStream, Listener, Runtime, Signal};
+use crate::transport::{Listener, Runtime, Signal};
 use davix_sync::{AtomicBool, AtomicUsize, Ordering};
 use parking_lot::Mutex;
 use std::io;
@@ -57,8 +58,9 @@ pub enum DriveOutcome {
     Done,
 }
 
-/// A non-blocking task driven by a reactor shard — typically one connection
-/// state machine wrapping a [`Pollable`](crate::transport::Pollable) stream.
+/// A non-blocking task driven by a reactor shard: every server connection
+/// (a [`Conn`]) and every simulated client session, each wrapping a
+/// [`Pollable`](crate::transport::Pollable) stream.
 ///
 /// `drive` is called on submission, after every readiness wake, when the
 /// task's deadline has passed and during shutdown; it must consume readiness
@@ -732,8 +734,8 @@ struct Serving {
 
 /// What every server here runs on: one accept thread per listener, which
 /// stops accepting while `max_connections` are open, feeding one reactor
-/// whose shard threads drive every connection as a [`Driven`] task. The
-/// servers differ only in the task they make of an accepted stream.
+/// whose shard threads drive every connection as a [`Conn`]. The servers
+/// differ only in the [`Codec`] a connection runs.
 pub struct ServerCore {
     name: String,
     shards: ReactorConfig,
@@ -757,15 +759,15 @@ impl ServerCore {
     }
 
     /// Serve connections from `listener`. Returns immediately: an accept
-    /// thread hands each accepted stream, its peer's name and the number of
-    /// connections now open (it included) to `accept`, and submits the task
-    /// it makes to the core's reactor — created by the first call, shared by
-    /// later ones.
-    pub fn serve(
+    /// thread asks `codec` for the codec of each accepted stream, given its
+    /// peer's name and the number of connections now open (it included),
+    /// and submits the [`Conn`] of the two to the core's reactor — created
+    /// by the first call, shared by later ones.
+    pub fn serve<C: Codec + 'static>(
         &self,
         listener: Box<dyn Listener>,
         rt: Arc<dyn Runtime>,
-        accept: impl Fn(BoxedStream, String, usize) -> Box<dyn Driven> + Send + 'static,
+        codec: impl Fn(String, usize) -> C + Send + 'static,
     ) {
         let listener: Arc<dyn Listener> = Arc::from(listener);
         let reactor = {
@@ -779,7 +781,7 @@ impl ServerCore {
             Arc::clone(&serving.reactor)
         };
         let (stopping, max) = (Arc::clone(&self.stopping), self.max_connections);
-        let accept_loop = move || reactor.accept_loop(&*listener, &stopping, max, accept);
+        let accept_loop = move || reactor.accept_loop(&*listener, &stopping, max, codec);
         let join = rt.spawn_joinable(&format!("{}-accept", self.name), Box::new(accept_loop));
         // `None`: a `stop` came in between and closed this listener, so the
         // thread ends by itself.
@@ -820,13 +822,14 @@ impl ServerCore {
 
 impl Reactor {
     /// A [`ServerCore`] accept thread: every stream `listener` accepts
-    /// becomes a task, while fewer than `max` are open and until `stopping`.
-    fn accept_loop(
+    /// becomes a connection, while fewer than `max` are open and until
+    /// `stopping`.
+    fn accept_loop<C: Codec + 'static>(
         &self,
         listener: &dyn Listener,
         stopping: &AtomicBool,
         max: usize,
-        accept: impl Fn(BoxedStream, String, usize) -> Box<dyn Driven>,
+        codec: impl Fn(String, usize) -> C,
     ) {
         while !stopping.load(Ordering::SeqCst) {
             // Backpressure: hold off accepting (the kernel/simulator queues
@@ -842,7 +845,7 @@ impl Reactor {
             if stopping.load(Ordering::SeqCst) {
                 return;
             }
-            self.submit(accept(stream, peer, self.tasks() + 1));
+            self.submit(Box::new(Conn::new(stream, codec(peer, self.tasks() + 1))));
         }
     }
 }

@@ -1,5 +1,5 @@
-//! Frame multiplexing: the round-robin frame queue the server writes from,
-//! and the client's partial-frame reassembler.
+//! Frame multiplexing: the round-robin frame queue the server's codec cuts
+//! its frames from, and the client's partial-frame reassembler.
 //!
 //! XRootD's server does not write one response at a time: its I/O scheduler
 //! interleaves *chunks* of concurrent responses on the wire so a large read
@@ -11,10 +11,12 @@
 //!   instant, then cut into wire frames of at most a given size,
 //!   round-robin across streams; all frames of a payload except the last
 //!   carry [`wire::FLAG_PARTIAL`] (XRootD's `kXR_oksofar`). A payload is a
-//!   `Bytes`, so a READ's answer is a slice of the stored object and is
-//!   copied only frame by frame as it goes out. The server's connections
-//!   drain theirs in 64 KiB chunks from the reactor. A client request is
-//!   never split.
+//!   `Bytes` and a frame is its header and a slice of it, so a READ's
+//!   answer goes out as slices of the stored object and is never copied.
+//!   The server's codec cuts one 64 KiB frame whenever the connection
+//!   engine's output queue ([`netsim::conn`]) runs empty, so a frame is cut
+//!   only when it can be written and a small answer never waits behind all
+//!   of a large one's frames. A client request is never split.
 //! * `Reassembler` — the client accumulates partial frames per stream ID
 //!   and yields the full payload when the final frame arrives.
 //!
@@ -97,20 +99,21 @@ impl FrameQueue {
     }
 
     /// Pop the front due payload, cut one frame of at most `max_payload`
-    /// bytes, re-queue the rest at the back: round-robin fairness.
-    pub(crate) fn next_frame(&mut self, max_payload: usize) -> Option<Frame> {
+    /// bytes — its header and a slice of the payload — and re-queue the rest
+    /// at the back: round-robin fairness.
+    pub(crate) fn next_frame(&mut self, max_payload: usize) -> Option<([u8; 8], Bytes)> {
         let mut out = self.rr.pop_front()?;
         let take = out.payload.len().min(max_payload);
-        let payload = out.payload.slice(..take).to_vec();
+        let payload = out.payload.slice(..take);
         out.payload = out.payload.slice(take..);
         self.copied -= if out.copied { take } else { 0 };
         let partial = !out.payload.is_empty();
         let flags = if partial { wire::FLAG_PARTIAL } else { 0 };
-        let frame = Frame { stream_id: out.stream_id, code: out.code, flags, payload };
+        let head = wire::header(out.stream_id, out.code, flags, take as u32);
         if partial {
             self.rr.push_back(out);
         }
-        Some(frame)
+        Some((head, payload))
     }
 }
 
@@ -165,6 +168,14 @@ mod tests {
         Answer { stream_id, code: 0, payload, copied }
     }
 
+    /// The next frame `q` cuts, as the wire carries it.
+    fn cut(q: &mut FrameQueue, max_payload: usize) -> Option<Frame> {
+        let (head, payload) = q.next_frame(max_payload)?;
+        let (frame, n) = Frame::decode(&[&head[..], &payload].concat()).unwrap().unwrap();
+        assert_eq!(n, 8 + payload.len());
+        Some(frame)
+    }
+
     #[test]
     fn reassembler_passes_through_unchunked() {
         let mut r = Reassembler::default();
@@ -206,7 +217,7 @@ mod tests {
         let mut q = FrameQueue::default();
         q.push(Duration::ZERO, answer(3, Bytes::new(), true));
         q.release(Duration::ZERO);
-        let f = q.next_frame(1024).unwrap();
+        let f = cut(&mut q, 1024).unwrap();
         assert_eq!((f.stream_id, f.flags, f.payload.len()), (3, 0, 0));
         assert!(q.next_frame(1024).is_none());
     }
@@ -223,7 +234,7 @@ mod tests {
         q.release(Duration::from_millis(7));
         assert_eq!(q.next_due(), None);
         let mut cuts = Vec::new();
-        while let Some(f) = q.next_frame(1024) {
+        while let Some(f) = cut(&mut q, 1024) {
             cuts.push((f.stream_id, f.payload.len(), q.copied()));
         }
         assert_eq!(cuts, [(1, 1024, 1500), (2, 1024, 476), (1, 1024, 476), (2, 476, 0)]);
@@ -250,7 +261,7 @@ mod tests {
             q.release(Duration::ZERO);
             let mut re = Reassembler::default();
             let mut got = HashMap::new();
-            while let Some(f) = q.next_frame(chunk) {
+            while let Some(f) = cut(&mut q, chunk) {
                 prop_assert!(f.payload.len() <= chunk);
                 let sid = f.stream_id;
                 if let Some(done) = re.push(f).unwrap() {

@@ -1,47 +1,33 @@
-//! The xrdlite server: frames in, frames out, over an [`ObjectStore`].
+//! xrdlite's codec on the connection engine ([`netsim::conn`]), and the
+//! server that runs it over an [`ObjectStore`].
 //!
-//! It runs on the same server core as `httpd` ([`netsim::ServerCore`]): one
-//! accept thread feeding a reactor whose shard threads drive every
-//! connection as a non-blocking task. A connection reads the handshake and
-//! then frames into its receive buffer, answers each request as it decodes
-//! it and queues the answer in a round-robin frame queue (`mux`), held
-//! until the request's processing delay is over (a timer on the reactor's
-//! wheel, so requests on one connection overlap, as XRootD's asynchronous
-//! server does): answers go out **interleaved in 64 KiB chunks**, so a
-//! large read does not head-of-line block a small one on the same
-//! connection. A READ's answer is a slice of the stored object, copied
-//! only a frame at a time as it goes out. A connection takes no further
-//! request while `MAX_ANSWERS` answers are queued or more than
-//! `MAX_COPIED` bytes copied into READV answers wait to go out, so a peer
-//! that pipelines reads and never reads the answers holds a bounded amount
-//! of memory. No thread is spawned per connection or per request.
+//! The server runs on the same server core as `httpd` ([`netsim::ServerCore`])
+//! and every connection on the same engine, which owns the stream, the
+//! receive buffer, the output queue, the bound on what a connection holds
+//! and the half-close and drain rule. What is xrdlite's own is the codec:
+//! the handshake, the open files, dispatch, and the round-robin frame queue
+//! (`mux`). It answers each request as it decodes it and queues the answer
+//! in the frame queue, held until the request's processing delay is over (a
+//! timer on the reactor's wheel, so requests on one connection overlap, as
+//! XRootD's asynchronous server does); answers go out **interleaved in
+//! 64 KiB frames**, so a large read does not head-of-line block a small one
+//! on the same connection. A READ's answer is a slice of the stored object
+//! and its frames are slices of that: it is never copied. Toward the
+//! engine's bound the codec counts the answers it holds and the bytes it
+//! copied into them (a READV's gather, an error message). No thread is
+//! spawned per connection or per request.
 
 use crate::mux::{Answer, FrameQueue};
 use crate::wire::{self, Frame, Op, PayloadReader, PayloadWriter, Status, MAX_FRAME_PAYLOAD};
 use bytes::Bytes;
 use davix_sync::{AtomicU64, Ordering};
-use netsim::{
-    BoxedStream, DriveOutcome, Driven, Listener, ReactorConfig, Runtime, ServerCore, Signal,
-};
+use netsim::conn::{Codec, Io, Step};
+use netsim::{Listener, ReactorConfig, Runtime, ServerCore};
 use objstore::ObjectStore;
 use std::collections::HashMap;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Most bytes read from the transport per `try_read_spare` call.
-const READ_CHUNK: usize = 16 * 1024;
-/// Stop decoding requests while this many answers are queued, waiting for
-/// their processing delay or being cut into frames.
-const MAX_ANSWERS: usize = 16;
-/// Stop decoding requests while more than this many bytes copied into
-/// answers (a READV's gather) wait to go out, `httpd`'s `MAX_WBUF` rule: a
-/// connection then holds at most this much plus one answer's copy.
-const MAX_COPIED: usize = 256 * 1024;
-/// How long a connection that has stopped taking requests (the peer
-/// half-closed, or the server is stopping) may take to answer and flush
-/// what it holds before it is dropped.
-const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Server configuration.
 #[derive(Debug, Clone, Default)]
@@ -84,86 +70,58 @@ impl XrdServer {
     /// happens on the server core's accept and shard threads).
     pub fn serve(self: &Arc<Self>, listener: Box<dyn Listener>, rt: Arc<dyn Runtime>) {
         let server = Arc::clone(self);
-        self.core.serve(listener, rt, move |stream, _peer, _open| {
+        self.core.serve(listener, rt, move |_peer, _open| {
             server.connections.fetch_add(1, Ordering::Relaxed);
-            Box::new(XrdConn::new(stream, Arc::clone(&server)))
+            server.codec()
         });
+    }
+
+    /// The codec of one connection: what [`serve`](XrdServer::serve) runs
+    /// on each accepted stream, in a [`netsim::conn::Conn`].
+    pub fn codec(self: &Arc<Self>) -> impl Codec {
+        XrdCodec::new(Arc::clone(self))
     }
 }
 
-/// One connection as a reactor task. It never blocks: every `drive` reads
-/// what has arrived, answers the requests that are due and writes until the
-/// transport pushes back.
-struct XrdConn {
-    stream: BoxedStream,
+/// One connection's codec.
+struct XrdCodec {
     server: Arc<XrdServer>,
     /// Whether the handshake has been received (and its reply queued).
     greeted: bool,
-    /// Received bytes not yet decoded into frames.
-    rbuf: Vec<u8>,
     /// Open files: handle → path.
     handles: HashMap<u32, String>,
     next_handle: u32,
     /// Answers not yet cut into wire frames, each held until its
     /// processing delay is over.
     out: FrameQueue,
-    /// The wire frame being written, and how much of it has gone: one write
-    /// call offers the rest of one frame, never two frames gathered — on the
-    /// simulated network a write call is a segment.
-    wire: Vec<u8>,
-    sent: usize,
-    /// When the connection stopped taking requests, once it has.
-    ended: Option<Duration>,
-    /// The server is stopping: take no more requests.
-    stopping: bool,
 }
 
-impl XrdConn {
-    fn new(stream: BoxedStream, server: Arc<XrdServer>) -> XrdConn {
-        XrdConn {
-            stream,
+impl XrdCodec {
+    fn new(server: Arc<XrdServer>) -> XrdCodec {
+        XrdCodec {
             server,
             greeted: false,
-            rbuf: Vec::new(),
             handles: HashMap::new(),
             next_handle: 1,
             out: FrameQueue::default(),
-            wire: Vec::new(),
-            sent: 0,
-            ended: None,
-            stopping: false,
         }
     }
 
-    /// Take the buffered requests or, when none is complete, read what has
-    /// arrived and take those. `Ok(false)`: nothing more for now.
-    fn read(&mut self, now: Duration) -> io::Result<bool> {
-        if !self.take_requests(now)? {
-            match self.stream.try_read_spare(&mut self.rbuf, READ_CHUNK) {
-                Ok(0) => self.ended = Some(now),
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) => return Err(e),
-            }
-            self.take_requests(now)?;
-        }
-        Ok(true)
-    }
-
-    /// Take the handshake and complete frames off the front of `rbuf`,
-    /// answering each, until the connection [is full](XrdConn::full).
-    /// Whether anything was taken.
-    fn take_requests(&mut self, now: Duration) -> io::Result<bool> {
+    /// Take the handshake and complete frames off the front of the receive
+    /// buffer, answering each, until the connection is full. Whether
+    /// anything was taken.
+    fn take_requests(&mut self, io: &mut Io, now: Duration) -> io::Result<bool> {
         let mut pos = 0;
         if !self.greeted {
-            let Some(hello) = self.rbuf.first_chunk::<6>() else { return Ok(false) };
+            let Some(hello) = io.rbuf().first_chunk::<6>() else { return Ok(false) };
             if hello[..4] != *wire::MAGIC {
                 return Err(io::Error::new(io::ErrorKind::InvalidData, "bad handshake magic"));
             }
-            (self.greeted, self.wire, pos) = (true, wire::hello().to_vec(), 6);
+            io.frame(&wire::hello(), Bytes::new());
+            (self.greeted, pos) = (true, 6);
         }
-        while !self.full() {
-            let Some((frame, n)) = Frame::decode(&self.rbuf[pos..])? else { break };
+        while !io.full(self.held()) {
+            let Some((frame, n)) = Frame::decode(&io.rbuf()[pos..])? else { break };
             pos += n;
             self.server.requests.fetch_add(1, Ordering::Relaxed);
             let (status, payload, copied) = match self.dispatch(&frame) {
@@ -173,30 +131,8 @@ impl XrdConn {
             let answer = Answer { stream_id: frame.stream_id, code: status as u8, payload, copied };
             self.out.push(now + self.server.cfg.process_delay, answer);
         }
-        self.rbuf.drain(..pos);
+        io.consume(pos);
         Ok(pos > 0)
-    }
-
-    /// Whether the connection holds as many answers as it may.
-    fn full(&self) -> bool {
-        self.out.len() >= MAX_ANSWERS || self.out.copied() > MAX_COPIED
-    }
-
-    /// Write the rest of the current wire frame, then the next ones, until
-    /// the queue is empty or the transport pushes back.
-    fn flush(&mut self) -> io::Result<()> {
-        loop {
-            if self.sent == self.wire.len() {
-                let Some(frame) = self.out.next_frame(MAX_FRAME_PAYLOAD) else { return Ok(()) };
-                (self.wire, self.sent) = (frame.encode(), 0);
-            }
-            match self.stream.try_write(&self.wire[self.sent..]) {
-                Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "stream closed")),
-                Ok(n) => self.sent += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) => return Err(e),
-            }
-        }
     }
 
     /// Answer one request: the response payload and whether it was copied
@@ -262,58 +198,31 @@ impl XrdConn {
     }
 }
 
-impl Driven for XrdConn {
-    fn drive(&mut self, now: Duration) -> DriveOutcome {
-        if self.stopping && self.ended.is_none() {
-            self.ended = Some(now);
-        }
-        loop {
-            self.out.release(now);
-            if self.flush().is_err() {
-                return DriveOutcome::Done;
-            }
-            if let Some(since) = self.ended {
-                // Requests read before the end are still answered.
-                match self.take_requests(now) {
-                    Ok(true) => continue,
-                    Ok(false) => {}
-                    Err(_) => return DriveOutcome::Done,
-                }
-                let done = self.out.len() == 0 && !self.wants_write();
-                let done = done || now >= since + DRAIN_TIMEOUT;
-                return if done { DriveOutcome::Done } else { DriveOutcome::Continue };
-            }
-            if self.full() {
-                return DriveOutcome::Continue; // until the peer reads or an answer is due
-            }
-            match self.read(now) {
-                Ok(true) => continue,
-                Ok(false) => return DriveOutcome::Continue,
-                Err(_) => return DriveOutcome::Done,
-            }
+impl Codec for XrdCodec {
+    fn advance(&mut self, io: &mut Io, now: Duration) -> Step {
+        self.out.release(now);
+        match self.take_requests(io, now) {
+            Ok(true) => Step::Again,
+            Ok(false) => Step::Read,
+            Err(_) => Step::Close,
         }
     }
 
     fn deadline(&self) -> Option<Duration> {
-        let due = self.out.next_due();
-        due.into_iter().chain(self.ended.map(|since| since + DRAIN_TIMEOUT)).min()
+        self.out.next_due()
     }
 
-    fn set_waker(&mut self, waker: Option<Arc<dyn Signal>>) {
-        // Transports waited on via `poll_fd` report `Unsupported` here.
-        let _ = self.stream.set_waker(waker);
+    /// One frame at a time: the next is cut only once the last has gone,
+    /// so an answer that becomes due meanwhile takes its turn.
+    fn refill(&mut self, io: &mut Io, now: Duration) {
+        self.out.release(now);
+        if let Some((head, payload)) = self.out.next_frame(MAX_FRAME_PAYLOAD) {
+            io.frame(&head, payload);
+        }
     }
 
-    fn poll_fd(&self) -> Option<i32> {
-        self.stream.poll_fd()
-    }
-
-    fn wants_write(&self) -> bool {
-        self.sent < self.wire.len()
-    }
-
-    fn begin_shutdown(&mut self) {
-        self.stopping = true;
+    fn held(&self) -> (usize, usize) {
+        (self.out.len(), self.out.copied())
     }
 }
 
@@ -323,7 +232,8 @@ mod tests {
     use crate::mux::Reassembler;
     use crate::wire::read_frame;
     use bytes::Bytes;
-    use netsim::{LinkSpec, Pollable, SimNet, SimStream};
+    use netsim::conn::{Conn, MAX_ANSWERS, MAX_BYTES};
+    use netsim::{Driven, LinkSpec, Pollable, SimNet, SimStream};
     use std::io::{Read, Write};
 
     /// Hosts `c` and `s` over a LAN link, and a server for `data` at `/f`
@@ -461,7 +371,7 @@ mod tests {
         let listener = net.bind("s", 1094).unwrap();
         let mut s = net.connect("c", "s", 1094).unwrap();
         let (stream, _) = listener.accept_sim().unwrap();
-        let mut conn = XrdConn::new(Box::new(stream), Arc::clone(&server));
+        let mut conn = Conn::new(Box::new(stream), XrdCodec::new(Arc::clone(&server)));
         s.write_all(&wire::hello()).unwrap();
         send(&mut s, 1, Op::Open, b"/f".to_vec());
         // The connection's first handle.
@@ -480,8 +390,8 @@ mod tests {
             conn.drive(net.now());
             let taken = server.requests.load(Ordering::Relaxed);
             assert!(taken <= 1 + MAX_ANSWERS as u64, "{taken} requests taken (the open included)");
-            let copied = conn.out.copied();
-            assert!(copied <= MAX_COPIED + mib, "{copied} bytes copied into answers held");
+            let copied = conn.codec().out.copied();
+            assert!(copied <= MAX_BYTES + mib, "{copied} bytes copied into answers held");
         }
         // Once it reads, every answer arrives intact.
         let mut hello = [0u8; 6];
@@ -507,6 +417,31 @@ mod tests {
         assert!(answers.iter().all(|(code, _)| *code == Status::Ok as u8));
         assert!(answers[1..].iter().all(|(_, payload)| *payload == data), "all 64 intact");
         assert_eq!(server.requests.load(Ordering::Relaxed), 65);
+    }
+
+    #[test]
+    fn a_read_answer_goes_out_as_slices_of_the_stored_object() {
+        let data = Bytes::from((0..300 * 1024).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let (_net, server) = sim(data.clone(), XrdServerConfig::default());
+        let mut codec = XrdCodec::new(server);
+        let open = Frame { stream_id: 1, code: Op::Open as u8, flags: 0, payload: b"/f".to_vec() };
+        let h = PayloadReader::new(&codec.dispatch(&open).unwrap().0).u32().unwrap();
+        let read = Frame {
+            stream_id: 2,
+            code: Op::Read as u8,
+            flags: 0,
+            payload: read_req(h, 7, 200_000),
+        };
+        let (payload, copied) = codec.dispatch(&read).unwrap();
+        codec.out.push(Duration::ZERO, Answer { stream_id: 2, code: 0, payload, copied });
+        codec.out.release(Duration::ZERO);
+        let object = data.as_ptr_range();
+        let mut at = 7;
+        while let Some((_, payload)) = codec.out.next_frame(MAX_FRAME_PAYLOAD) {
+            assert_eq!(payload.as_ptr(), object.start.wrapping_add(at), "frame at {at}");
+            at += payload.len();
+        }
+        assert!(!copied && at == 7 + 200_000, "{at}");
     }
 
     #[test]

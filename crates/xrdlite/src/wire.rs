@@ -83,13 +83,8 @@ pub struct Frame {
 impl Frame {
     /// Encode into a single buffer (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + self.payload.len());
-        out.extend_from_slice(&self.stream_id.to_be_bytes());
-        out.push(self.code);
-        out.push(self.flags);
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+        let len = self.payload.len() as u32;
+        [&header(self.stream_id, self.code, self.flags, len)[..], &self.payload].concat()
     }
 
     /// Decode the frame at the front of `buf`: the frame and how many bytes
@@ -114,6 +109,13 @@ impl Frame {
             Frame { stream_id, code: header[2], flags: header[3], payload: payload.to_vec() };
         Ok(Some((frame, end)))
     }
+}
+
+/// A frame's header: stream, code, flags, then the payload's length.
+pub(crate) fn header(stream_id: u16, code: u8, flags: u8, len: u32) -> [u8; 8] {
+    let [s0, s1] = stream_id.to_be_bytes();
+    let [l0, l1, l2, l3] = len.to_be_bytes();
+    [s0, s1, code, flags, l0, l1, l2, l3]
 }
 
 /// The handshake message, the same both ways: magic, then version.
