@@ -164,7 +164,7 @@
 //!   hot; the chunk engine both directions run folds the per-chunk digests
 //!   in chunk order into the entity's Adler-32
 //!   ([`ioapi::checksum::Digests::append`], the one fold the storage
-//!   node's multipart complete uses too); the commit happens only if
+//!   node's commit of either dialect uses too); the commit happens only if
 //!   the server's view of the assembled entity matches — an S3 complete
 //!   carries the digest for server-side verification (mismatch → `409`,
 //!   nothing committed), a segmented upload compares the staged entity's

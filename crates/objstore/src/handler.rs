@@ -12,11 +12,20 @@
 //!   aborts. Nothing is visible at `{path}` until the complete succeeds.
 //!   A plain `PUT {path}` verifies its `Digest` the same way.
 //! * **Segmented ranged PUT** (the WebDAV-flavoured fallback): `PUT` with a
-//!   `Content-Range: bytes a-b/total` header writes one segment of a
-//!   pending entity; once every byte of `total` is covered the object
-//!   materializes atomically. Clients upload segments to a temporary name
-//!   and `MOVE` it over the final one, so readers never observe a partial
-//!   object.
+//!   `Content-Range: bytes a-b/total` header stages one segment of a
+//!   pending entity; once the segments cover `total` the object
+//!   materializes atomically. A segment that repeats a staged segment's
+//!   range replaces it (a retry); one that partly overlaps a staged
+//!   segment, or declares another total, is a `409`. Clients upload
+//!   segments to a temporary name and `MOVE` it over the final one, so
+//!   readers never observe a partial object.
+//!
+//! Both dialects stage a pending upload the same way: each request body is
+//! held as it arrived, with the digests the server took as it arrived,
+//! under one budget (1 GiB resident and 10 000 pieces an upload; a
+//! segmented upload's declared total is bounded by the same 1 GiB, and
+//! nothing is allocated by it). The commit copies the pieces into the
+//! entity once and folds their digests, so no uploaded byte is read again.
 
 use crate::store::ObjectStore;
 use bytes::Bytes;
@@ -76,42 +85,62 @@ impl std::fmt::Debug for StorageOptions {
 /// Multi-range requests with more ranges than this are refused (400).
 const MAX_RANGES: usize = 4096;
 
-/// Upper bound on the declared total of a segmented upload (a lying
-/// `Content-Range` total must not let one request allocate the node away).
+/// The staging budget of one pending upload, of either dialect: at most
+/// this many resident bytes (and, for a segmented upload, this declared
+/// total), so a lying client cannot make one request allocate the node away.
 const MAX_PENDING_ENTITY: u64 = 1 << 30;
 
-/// One S3-style multipart upload in flight.
-struct PendingMultipart {
+/// The staging budget's cap on the pieces one pending upload holds.
+const MAX_PIECES: usize = 10_000;
+
+/// A piece of a pending upload: a request body as it arrived, and the
+/// `(crc32, adler32)` taken as it arrived.
+type Piece = (Bytes, (u32, u32));
+
+/// One upload in flight, of either dialect: the pieces that have arrived,
+/// in order. A multipart upload keys them by part number; a segmented one
+/// keys them by offset and knows its declared total.
+struct Pending {
     path: String,
-    /// Each part's bytes and their `(crc32, adler32)`, by part number.
-    parts: BTreeMap<u32, (Bytes, (u32, u32))>,
-}
-
-/// One segmented (ranged-PUT) upload in flight.
-struct PendingSegments {
+    /// The declared total of a segmented upload (0 for multipart).
     total: u64,
-    data: Vec<u8>,
-    /// Merged, sorted `[start, end)` coverage intervals.
-    covered: Vec<(u64, u64)>,
+    pieces: BTreeMap<u64, Piece>,
+    /// Bytes the pieces hold.
+    resident: u64,
 }
 
-impl PendingSegments {
-    fn record(&mut self, start: u64, end: u64) {
-        self.covered.push((start, end));
-        self.covered.sort_unstable();
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(self.covered.len());
-        for &(s, e) in &self.covered {
-            match merged.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        self.covered = merged;
+impl Pending {
+    fn new(path: &str, total: u64) -> Pending {
+        Pending { path: path.to_string(), total, pieces: BTreeMap::new(), resident: 0 }
     }
 
-    fn complete(&self) -> bool {
-        self.covered == [(0, self.total)]
+    /// Hold `piece` under `key`, replacing the piece held there, if the
+    /// upload stays within the staging budget; otherwise hold nothing and
+    /// answer `false`.
+    fn stage(&mut self, key: u64, piece: Piece) -> bool {
+        let replaced = self.pieces.get(&key).map(|(b, _)| b.len() as u64);
+        let resident = self.resident - replaced.unwrap_or(0) + piece.0.len() as u64;
+        if resident > MAX_PENDING_ENTITY || (replaced.is_none() && self.pieces.len() >= MAX_PIECES)
+        {
+            return false;
+        }
+        self.pieces.insert(key, piece);
+        self.resident = resident;
+        true
     }
+}
+
+/// The entity `len` bytes long that `pieces` make in order, copied once,
+/// and its digests: the pieces' arrival digests folded in the same order.
+/// Each piece is dropped once it is copied.
+fn assemble(pieces: impl IntoIterator<Item = Piece>, len: u64) -> (Bytes, (u32, u32)) {
+    let mut entity = Vec::with_capacity(len as usize);
+    let mut digests = Digests::new();
+    for (bytes, digest) in pieces {
+        entity.extend_from_slice(&bytes);
+        digests.append(digest, bytes.len() as u64);
+    }
+    (Bytes::from(entity), digests.finish())
 }
 
 /// Snapshot of a node's in-flight upload staging state, for harnesses that
@@ -137,13 +166,12 @@ pub struct StorageHandler {
     fail_next: AtomicU32,
     boundary_counter: AtomicU64,
     upload_counter: AtomicU64,
-    multipart: Mutex<HashMap<u64, PendingMultipart>>,
-    segments: Mutex<HashMap<String, PendingSegments>>,
+    multipart: Mutex<HashMap<u64, Pending>>,
+    segments: Mutex<HashMap<String, Pending>>,
     /// Body bytes this handler has read a second time to digest them: those
     /// of a request that came through plain [`handle`](httpd::Handler::handle)
-    /// rather than with the digests the server took as the body arrived,
-    /// and those of each segmented upload it assembled. A plain or
-    /// multipart upload through a running server adds nothing.
+    /// rather than with the digests the server took as the body arrived.
+    /// An upload of any dialect through a running server adds nothing.
     cold_digested: AtomicU64,
 }
 
@@ -181,22 +209,15 @@ impl StorageHandler {
 
     /// Snapshot of the in-flight upload staging state.
     pub fn staging_stats(&self) -> StagingStats {
-        let mut stats = StagingStats::default();
-        {
-            let mp = self.multipart.lock();
-            stats.multipart_uploads = mp.len();
-            for p in mp.values() {
-                stats.staged_bytes += p.parts.values().map(|(b, _)| b.len() as u64).sum::<u64>();
-                stats.paths.push(p.path.clone());
-            }
-        }
-        {
-            let seg = self.segments.lock();
-            stats.segment_uploads = seg.len();
-            for (path, p) in seg.iter() {
-                stats.staged_bytes += p.covered.iter().map(|(s, e)| e - s).sum::<u64>();
-                stats.paths.push(path.clone());
-            }
+        let (multipart, segments) = (self.multipart.lock(), self.segments.lock());
+        let mut stats = StagingStats {
+            multipart_uploads: multipart.len(),
+            segment_uploads: segments.len(),
+            ..StagingStats::default()
+        };
+        for pending in multipart.values().chain(segments.values()) {
+            stats.staged_bytes += pending.resident;
+            stats.paths.push(pending.path.clone());
         }
         stats.paths.sort_unstable();
         stats
@@ -264,9 +285,7 @@ impl StorageHandler {
     /// `POST {path}?uploads` — start an S3-style multipart upload.
     fn initiate_multipart(&self, path: &str) -> Response {
         let id = self.upload_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        self.multipart
-            .lock()
-            .insert(id, PendingMultipart { path: path.to_string(), parts: BTreeMap::new() });
+        self.multipart.lock().insert(id, Pending::new(path, 0));
         let mut result = Element::new("InitiateMultipartUploadResult");
         let mut key = Element::new("Key");
         key.add_text(path);
@@ -277,11 +296,10 @@ impl StorageHandler {
         Response::with_body(StatusCode::OK, "application/xml", result.to_xml().into_bytes())
     }
 
-    /// `PUT {path}?uploadId=I&partNumber=N` — store one part with its
-    /// `digests`, `(crc32, adler32)`; the CRC is its ETag. Pending
-    /// parts are bounded by the same [`MAX_PENDING_ENTITY`] budget as
-    /// segmented uploads (and a part-count cap), so an abandoned or
-    /// malicious upload cannot grow the node's memory without limit.
+    /// `PUT {path}?uploadId=I&partNumber=N` — stage one part with its
+    /// `digests`, `(crc32, adler32)`; the CRC is its ETag. A part past the
+    /// staging budget is refused, so an abandoned or malicious upload
+    /// cannot grow the node's memory without limit.
     fn put_part(
         &self,
         id: &str,
@@ -290,7 +308,6 @@ impl StorageHandler {
         body: Vec<u8>,
         digests: (u32, u32),
     ) -> Response {
-        const MAX_PARTS: usize = 10_000;
         let Ok(id) = id.parse::<u64>() else {
             return Response::error(StatusCode::BAD_REQUEST);
         };
@@ -304,14 +321,9 @@ impl StorageHandler {
         if pending.path != path {
             return Response::error(StatusCode::BAD_REQUEST);
         }
-        let replaced = pending.parts.get(&n).map(|(b, _)| b.len()).unwrap_or(0);
-        let resident: usize = pending.parts.values().map(|(b, _)| b.len()).sum();
-        if resident - replaced + body.len() > MAX_PENDING_ENTITY as usize
-            || (replaced == 0 && pending.parts.len() >= MAX_PARTS)
-        {
+        if !pending.stage(n.into(), (Bytes::from(body), digests)) {
             return Response::error(StatusCode::BAD_REQUEST); // EntityTooLarge
         }
-        pending.parts.insert(n, (Bytes::from(body), digests));
         Response::empty(StatusCode::OK).header("ETag", format!("\"{}\"", to_hex(digests.0)))
     }
 
@@ -345,7 +357,7 @@ impl StorageHandler {
         // Snapshot the listed parts (refcounted `Bytes` clones) and drop
         // the lock before the heavy work: assembling a large entity must
         // not stall every other in-flight upload's part PUTs.
-        let parts: Vec<(Bytes, (u32, u32))> = {
+        let parts: Vec<Piece> = {
             let uploads = self.multipart.lock();
             let Some(pending) = uploads.get(&id) else {
                 return Response::error(StatusCode::NOT_FOUND);
@@ -355,20 +367,15 @@ impl StorageHandler {
             }
             let mut parts = Vec::with_capacity(numbers.len());
             for n in &numbers {
-                let Some(part) = pending.parts.get(n) else {
+                let Some(part) = pending.pieces.get(&u64::from(*n)) else {
                     return Response::error(StatusCode::BAD_REQUEST); // InvalidPart
                 };
                 parts.push(part.clone());
             }
             parts
         };
-        let mut assembled = Vec::with_capacity(parts.iter().map(|(b, _)| b.len()).sum());
-        let mut digests = Digests::new();
-        for (part, digest) in &parts {
-            assembled.extend_from_slice(part);
-            digests.append(*digest, part.len() as u64);
-        }
-        let digests = digests.finish();
+        let len = parts.iter().map(|(b, _)| b.len() as u64).sum();
+        let (entity, digests) = assemble(parts, len);
         let got = to_hex(digests.1);
         if let Some(conflict) = digest_conflict(&req.head.headers, &got) {
             // The pending upload is kept so the client can abort (or
@@ -376,7 +383,7 @@ impl StorageHandler {
             return conflict;
         }
         self.multipart.lock().remove(&id);
-        self.store.put_digested(path, Bytes::from(assembled), digests);
+        self.store.put_digested(path, entity, digests);
         let mut result = Element::new("CompleteMultipartUploadResult");
         let mut key = Element::new("Key");
         key.add_text(path);
@@ -385,9 +392,18 @@ impl StorageHandler {
             .header("Digest", format!("adler32={got}"))
     }
 
-    /// `PUT {path}` with `Content-Range: bytes a-b/total` — write one
-    /// segment of a pending entity; materialize once fully covered.
-    fn put_segment(&self, content_range: &str, path: &str, body: &[u8]) -> Response {
+    /// `PUT {path}` with `Content-Range: bytes a-b/total` — stage one
+    /// segment with its `digests`; commit once the segments held cover
+    /// `total`. A segment that repeats a held segment's range replaces it;
+    /// one that partly overlaps a held segment, or declares another total,
+    /// is a `409`.
+    fn put_segment(
+        &self,
+        content_range: &str,
+        path: &str,
+        body: Vec<u8>,
+        digests: (u32, u32),
+    ) -> Response {
         let Ok(cr) = ContentRange::parse(content_range) else {
             return Response::error(StatusCode::BAD_REQUEST);
         };
@@ -402,36 +418,30 @@ impl StorageHandler {
             return Response::error(StatusCode::BAD_REQUEST);
         }
         let mut segments = self.segments.lock();
-        let pending = match segments.entry(path.to_string()) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let p = e.into_mut();
-                if p.total != total {
-                    // Conflicting geometry: a different upload is in flight.
-                    return Response::error(StatusCode::CONFLICT);
-                }
-                p
-            }
-            std::collections::hash_map::Entry::Vacant(v) => v.insert(PendingSegments {
-                total,
-                data: vec![0; total as usize],
-                covered: Vec::new(),
-            }),
-        };
-        pending.data[cr.first as usize..=cr.last as usize].copy_from_slice(body);
-        pending.record(cr.first, cr.last + 1);
-        let done = pending.complete().then(|| std::mem::take(&mut pending.data));
-        if let Some(data) = done {
-            segments.remove(path);
-            drop(segments);
-            let digests = self.digest_cold(&data);
-            let replaced = self.store.put_digested(path, Bytes::from(data), digests);
-            if replaced {
-                Response::empty(StatusCode::NO_CONTENT)
-            } else {
-                Response::empty(StatusCode::CREATED)
-            }
-        } else {
+        let pending = segments.entry(path.to_string()).or_insert_with(|| Pending::new(path, total));
+        // Held segments never overlap, so the last one that starts before
+        // this one ends is the only one that can overlap it.
+        let overlaps = pending.pieces.range(..=cr.last).next_back().is_some_and(|(&at, (b, _))| {
+            at + b.len() as u64 > cr.first && (at, b.len() as u64) != (cr.first, cr.len())
+        });
+        if pending.total != total || overlaps {
+            return Response::error(StatusCode::CONFLICT);
+        }
+        if !pending.stage(cr.first, (Bytes::from(body), digests)) {
+            return Response::error(StatusCode::BAD_REQUEST);
+        }
+        if pending.resident < total {
+            return Response::empty(StatusCode::NO_CONTENT);
+        }
+        // Complete: out of the map, then assembled outside the lock.
+        let pieces = std::mem::take(&mut pending.pieces);
+        segments.remove(path);
+        drop(segments);
+        let (entity, digests) = assemble(pieces.into_values(), total);
+        if self.store.put_digested(path, entity, digests) {
             Response::empty(StatusCode::NO_CONTENT)
+        } else {
+            Response::empty(StatusCode::CREATED)
         }
     }
 
@@ -447,7 +457,7 @@ impl StorageHandler {
             return self.put_part(&id, part.as_deref(), path, body, digests);
         }
         if let Some(cr) = content_range {
-            return self.put_segment(&cr, path, &body);
+            return self.put_segment(&cr, path, body, digests);
         }
         if let Some(conflict) = digest_conflict(&req.head.headers, &to_hex(digests.1)) {
             return conflict;
@@ -1160,6 +1170,92 @@ mod tests {
         let mut req = request(Method::Put, "/s", &[("Content-Range", "bytes 0-9/200")]);
         req.body = vec![0u8; 10];
         assert_eq!(h.handle(req).status, StatusCode::NO_CONTENT, "geometry reset after delete");
+    }
+
+    /// Send `data` as the segment of `path` at `first`, declaring `total`.
+    fn send_segment(
+        h: &StorageHandler,
+        path: &str,
+        first: usize,
+        data: &[u8],
+        total: usize,
+    ) -> StatusCode {
+        let range = format!("bytes {first}-{}/{total}", first + data.len() - 1);
+        let mut req = request(Method::Put, path, &[("Content-Range", &range)]);
+        req.body = data.to_vec();
+        h.handle(req).status
+    }
+
+    proptest::proptest! {
+        /// An entity cut at random into segments, sent in random order with
+        /// one segment sent twice, commits as the one-shot bytes and
+        /// digests when its last segment arrives, and leaves no staging.
+        #[test]
+        fn any_segmentation_commits_the_one_shot_bytes_and_digests(
+            len in 2usize..20_000,
+            cuts in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..12),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + i / 251) as u8).collect();
+            let mut bounds: Vec<usize> = cuts.iter().map(|c| 1 + c % (len - 1)).collect();
+            bounds.extend([0, len]);
+            bounds.sort_unstable();
+            bounds.dedup();
+            let segments: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+            let n = segments.len();
+            let mut rng = seed | 1;
+            let mut below = |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let mut order: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                order.swap(i, below(i + 1));
+            }
+            // The repeat goes anywhere after its first sending and before
+            // the last segment.
+            let k = below(n - 1);
+            order.insert(k + 1 + below(n - 1 - k), order[k]);
+            let h = handler_with(RangeSupport::MultiRange);
+            for (sent, &i) in order.iter().enumerate() {
+                let (start, end) = segments[i];
+                let want =
+                    if sent == order.len() - 1 { StatusCode::CREATED } else { StatusCode::NO_CONTENT };
+                proptest::prop_assert_eq!(send_segment(&h, "/seg", start, &data[start..end], len), want);
+            }
+            let committed = h.store.get("/seg").unwrap();
+            proptest::prop_assert!(committed.data.as_ref() == &data[..], "{:?}", segments);
+            proptest::prop_assert_eq!((committed.crc32, committed.adler32), crc32_adler32(&data));
+            proptest::prop_assert_eq!(h.staging_stats(), StagingStats::default());
+        }
+    }
+
+    #[test]
+    fn a_partly_overlapping_segment_conflicts_and_commits_nothing() {
+        let h = handler_with(RangeSupport::MultiRange);
+        let data: Vec<u8> = (0..100).collect();
+        assert_eq!(send_segment(&h, "/o", 0, &data[..50], 100), StatusCode::NO_CONTENT);
+        for (first, len) in [(25, 50), (0, 49), (0, 51), (49, 2)] {
+            let conflict = send_segment(&h, "/o", first, &[0xEE; 60][..len], 100);
+            assert_eq!(conflict, StatusCode::CONFLICT, "{first}+{len}");
+        }
+        assert!(h.store.get("/o").is_none());
+        assert_eq!(h.staging_stats().staged_bytes, 50);
+        assert_eq!(send_segment(&h, "/o", 50, &data[50..], 100), StatusCode::CREATED);
+        assert_eq!(h.store.get("/o").unwrap().data.as_ref(), &data[..]);
+    }
+
+    #[test]
+    fn segment_10_001_of_one_upload_is_refused() {
+        let h = handler_with(RangeSupport::MultiRange);
+        for i in 0..10_000 {
+            assert_eq!(send_segment(&h, "/many", i, &[i as u8], 20_000), StatusCode::NO_CONTENT);
+        }
+        assert_eq!(send_segment(&h, "/many", 10_000, &[0], 20_000), StatusCode::BAD_REQUEST);
+        let stats = h.staging_stats();
+        assert_eq!((stats.segment_uploads, stats.staged_bytes), (1, 10_000));
     }
 
     #[test]

@@ -130,7 +130,20 @@ mod tests {
             list.len()
         );
         assert_eq!(exchange(complete, list.as_bytes()).0, "200");
-        for path in ["/whole", "/parts"] {
+        // A segmented upload of the same bytes in three segments, out of
+        // order: the last to arrive commits it.
+        for (i, status) in [(2, "204"), (0, "204"), (1, "201")] {
+            let (first, segment) = (i * 100_000, &body[i * 100_000..][..100_000]);
+            let head = format!(
+                "PUT /segments HTTP/1.1\r\nHost: s\r\nContent-Range: bytes {first}-{}/{}\r\n\
+                 Content-Length: {}\r\n\r\n",
+                first + segment.len() - 1,
+                body.len(),
+                segment.len()
+            );
+            assert_eq!(exchange(head, segment).0, status);
+        }
+        for path in ["/whole", "/parts", "/segments"] {
             let stored = node.store.get(path).unwrap();
             assert!(stored.data == body, "{path}");
             let want = (ioapi::checksum::crc32(&body), ioapi::checksum::adler32(&body));

@@ -10,15 +10,16 @@
 //! 1 KiB GET costs a written handful of allocations on each side (the
 //! server's are what the whole process allocated less the client thread's
 //! share, so the tests here run one at a time). In the simulator, a sleep
-//! allocates nothing, whether it parks or not.
+//! allocates nothing, whether it parks or not. And no request makes the
+//! storage node allocate what the peer declares rather than what it sent.
 
 use bytes::Bytes;
 use davix::{Config, DavixClient};
-use httpd::ServerConfig;
-use httpwire::{ContentRange, MultipartReader, MultipartWriter};
+use httpd::{Handler, Request, ServerConfig};
+use httpwire::{ContentRange, Method, MultipartReader, MultipartWriter, RequestHead, StatusCode};
 use ioapi::MemFile;
 use netsim::Listener;
-use objstore::{ObjectStore, StorageNode, StorageOptions};
+use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
 use rootio::{Generator, Schema, TreeCache, TreeCacheOptions, TreeReader, WriterOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -30,6 +31,9 @@ use std::time::Duration;
 thread_local! {
     /// Allocations (`alloc` + `realloc`) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest single allocation this thread asked for since the last
+    /// reset.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 /// Allocations made by every thread of the process.
@@ -37,9 +41,10 @@ static PROCESS_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 struct Counting;
 
-fn count() {
+fn count(size: usize) {
     // `try_with`: a thread may allocate while its locals are torn down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
     PROCESS_ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -48,17 +53,17 @@ fn count() {
 // `Cell` with no destructor, so touching it never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -75,6 +80,13 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// The largest single allocation this thread makes while `f` runs.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|l| l.set(0));
+    let out = f();
+    (out, LARGEST.with(Cell::get))
 }
 
 /// The process-wide counter sees every thread, so tests that read it (and
@@ -305,4 +317,21 @@ fn a_500_basket_window_load_allocates_per_basket_not_per_value() {
     // copy of its blob, 3 528 when every array value was a `Vec` and every
     // decoded column an `Arc` in a hash map).
     assert!(allocs <= 500 + 16, "{allocs} allocations for one 500-basket window");
+}
+
+#[test]
+fn a_segment_declaring_a_1_gib_total_allocates_what_it_sent() {
+    let _serial = serial();
+    let handler = StorageHandler::new(Arc::new(ObjectStore::new()), StorageOptions::default());
+    let (status, largest) = largest_allocation(|| {
+        let mut head = RequestHead::new(Method::Put, "/upload.tmp");
+        head.headers.set("Content-Range", "bytes 0-9/1073741824");
+        handler.handle(Request { head, body: vec![7; 10], peer: "peer".into() }).status
+    });
+    assert_eq!(status, StatusCode::NO_CONTENT, "the segment is staged");
+    assert_eq!(handler.staging_stats().staged_bytes, 10);
+    // The staging state is sized by the bytes that arrived; before a
+    // pending upload held its pieces, the first segment allocated the
+    // declared total.
+    assert!(largest < 1 << 20, "a 10-byte segment made a {largest}-byte allocation");
 }
