@@ -10,6 +10,23 @@
 //! orig_len:u32  payload_len:u32  crc32(orig):u32  payload
 //! ```
 //!
+//! The encoder's parse fixes the bytes of every tree, and so every basket
+//! length, read and virtual time the benches report; an encoder that
+//! parses otherwise, however much better it compresses, moves them all.
+//! The parse is greedy: at each position that has 3 bytes left, it visits
+//! the chain of earlier positions whose 3-byte prefix hashes to the same
+//! bucket (13 bits: `a << 6 ^ b << 3 ^ c`), latest first, at most 32 of
+//! them and only those less than 4 KiB back, and takes the longest match
+//! up to 18 bytes, the earliest visited on a tie. A match of 3 bytes or
+//! more is a token; otherwise the byte is a literal. Every position the
+//! token covers joins its bucket. Tokens go out in groups of eight behind
+//! a flag byte (bit `k` set: token `k` is a match), and a frame whose
+//! payload does not come out shorter than its input is stored raw. The
+//! encoder does that work and no more: a candidate that differs at the
+//! best length so far is skipped after one byte, matches are compared
+//! 8 bytes at a time, the walk stops at a match no later one can beat, and
+//! a writer keeps one set of `u32` tables for all its baskets.
+//!
 //! A frame must be exactly `FRAME_HEADER + payload_len` bytes long, and an
 //! LZSS frame may claim at most 9 output bytes per payload byte; both are
 //! checked before anything is allocated.
@@ -52,103 +69,191 @@ const WINDOW: usize = 4096;
 const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 18; // 4 bits of length: 3..=18
 
-/// Raw LZSS encode: token-grouped flag bytes, (offset, len) matches against
-/// a 4 KiB sliding window.
-fn lzss_encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    // Chained hash table over 3-byte prefixes for match finding.
-    const HASH_SIZE: usize = 1 << 13;
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; input.len().max(1)];
-    let hash = |a: u8, b: u8, c: u8| -> usize {
-        ((a as usize) << 6 ^ (b as usize) << 3 ^ (c as usize)) & (HASH_SIZE - 1)
-    };
+/// Buckets of the match finder's hash table: 13 bits of a 3-byte prefix.
+const HASH_SIZE: usize = 1 << 13;
+/// Candidates the match finder visits at most per position.
+const MAX_CHAIN: usize = 32;
+/// A hash bucket (or chain link) that holds no position.
+const EMPTY: u32 = u32::MAX;
 
-    let mut i = 0usize;
-    let mut flags_pos = 0usize;
-    let mut flags = 0u8;
-    let mut nflag = 0u8;
-    let mut pending: Vec<u8> = Vec::with_capacity(8 * 3);
+/// The largest block a frame holds: the whole frame, header and all, must
+/// fit the `u32` lengths of its header and of a tree's basket index. Below
+/// it every position of a block fits the encoder's `u32` tables too.
+pub(crate) const MAX_BLOCK: usize = u32::MAX as usize - FRAME_HEADER;
 
-    let flush_group = |out: &mut Vec<u8>,
-                       flags: &mut u8,
-                       nflag: &mut u8,
-                       flags_pos: &mut usize,
-                       pending: &mut Vec<u8>| {
-        out[*flags_pos] = *flags;
-        out.extend_from_slice(pending);
-        pending.clear();
-        *flags = 0;
-        *nflag = 0;
-        *flags_pos = out.len();
-        out.push(0); // placeholder for next flag byte
-    };
+/// `len` as a frame's `u32` length field.
+///
+/// # Panics
+///
+/// If `len` is over [`MAX_BLOCK`]: the header would lie about it.
+pub(crate) fn block_len(len: usize) -> u32 {
+    assert!(len <= MAX_BLOCK, "a {len}-byte block does not fit a codec frame");
+    len as u32
+}
 
-    out.push(0); // first flag placeholder
-    while i < input.len() {
-        // Find the longest match within the window.
-        let mut best_len = 0usize;
-        let mut best_off = 0usize;
-        if i + MIN_MATCH <= input.len() {
-            let h = hash(input[i], input[i + 1], input[i + 2]);
-            let mut cand = head[h];
-            let mut steps = 0;
-            // Offsets are encoded in 12 bits: the maximum representable
-            // back-reference distance is WINDOW - 1 = 4095.
-            while cand != usize::MAX && i.saturating_sub(cand) < WINDOW && steps < 32 {
-                if cand < i {
-                    let max = MAX_MATCH.min(input.len() - i);
-                    let mut l = 0usize;
-                    while l < max && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
-                    if l > best_len {
-                        best_len = l;
-                        best_off = i - cand;
-                    }
+/// The bucket of the 3-byte prefix at `input[i..]`.
+#[inline(always)]
+fn hash(input: &[u8], i: usize) -> usize {
+    ((input[i] as usize) << 6 ^ (input[i + 1] as usize) << 3 ^ input[i + 2] as usize)
+        & (HASH_SIZE - 1)
+}
+
+/// The 8 bytes at `input[at..]`, as one word.
+#[inline(always)]
+fn word(input: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(input[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// How many bytes from `a` equal those from `b`, up to `max`, where
+/// `a < b` and `b + max <= input.len()`: 8 bytes a compare while 8 remain.
+#[inline(always)]
+fn match_len(input: &[u8], a: usize, b: usize, max: usize) -> usize {
+    let mut l = 0;
+    while l < max {
+        if b + l + 8 <= input.len() {
+            let diff = word(input, a + l) ^ word(input, b + l);
+            if diff != 0 {
+                return max.min(l + diff.trailing_zeros() as usize / 8);
+            }
+            l += 8;
+        } else if input[a + l] == input[b + l] {
+            l += 1;
+        } else {
+            return l;
+        }
+    }
+    max
+}
+
+/// The longest match for `input[i..]` (which has 3 bytes) among the first
+/// `MAX_CHAIN` positions of the chain from `cand` inside the window, the
+/// earliest one on a tie: `(length, offset)`, or a length under 3 if none.
+#[inline(always)]
+fn longest_match(input: &[u8], i: usize, mut cand: u32, prev: &[u32; WINDOW]) -> (usize, usize) {
+    let max = MAX_MATCH.min(input.len() - i);
+    let (mut best_len, mut best_off) = (0, 0);
+    let mut next = input[i];
+    for _ in 0..MAX_CHAIN {
+        // Offsets are 12 bits: a match reaches back at most WINDOW - 1
+        // bytes. The chain runs from the latest position down, so the first
+        // one out of the window ends it; `EMPTY` is further back than any.
+        if (i as u64).wrapping_sub(cand as u64) >= WINDOW as u64 {
+            break;
+        }
+        let c = cand as usize;
+        // A candidate that differs at the best length cannot be longer;
+        // one that reaches `max` cannot be beaten.
+        if input[c + best_len] == next {
+            let l = match_len(input, c, i, max);
+            if l > best_len {
+                if l == max {
+                    return (l, i - c);
                 }
-                cand = prev[cand];
-                steps += 1;
+                (best_len, best_off) = (l, i - c);
+                next = input[i + l];
             }
         }
+        cand = prev[c % WINDOW];
+    }
+    (best_len, best_off)
+}
 
-        if best_len >= MIN_MATCH {
-            // Match token: flag bit 1; 12-bit offset, 4-bit (len - 3).
-            flags |= 1 << nflag;
-            let token = ((best_off as u16 & 0x0FFF) << 4) | ((best_len - MIN_MATCH) as u16 & 0x0F);
-            pending.extend_from_slice(&token.to_le_bytes());
-            // Insert hash entries for every covered position.
-            let end = i + best_len;
-            while i < end {
-                if i + MIN_MATCH <= input.len() {
-                    let h = hash(input[i], input[i + 1], input[i + 2]);
-                    prev[i] = head[h];
-                    head[h] = i;
+/// Bucket `h` gains position `i`, which has 3 bytes from it: `i` heads
+/// the bucket's chain, and links to the position that headed it.
+#[inline(always)]
+fn insert(head: &mut [u32; HASH_SIZE], prev: &mut [u32; WINDOW], i: usize, h: usize) {
+    prev[i % WINDOW] = head[h];
+    head[h] = i as u32;
+}
+
+/// The LZSS encoder's tables, kept across blocks so that a writer
+/// allocates them once: for each hash bucket the latest position with that
+/// prefix (`head`), and for each position of the window the one before it
+/// in its bucket (`prev`, a ring: a position's link is overwritten only once
+/// the position is out of the window). Between blocks every bucket is
+/// empty, and a chain link is read only from a position of the block being
+/// encoded. Positions are `u32`; a block is at most [`MAX_BLOCK`] long.
+pub(crate) struct Encoder {
+    head: Box<[u32; HASH_SIZE]>,
+    prev: Box<[u32; WINDOW]>,
+}
+
+impl Encoder {
+    pub(crate) fn new() -> Encoder {
+        Encoder { head: Box::new([EMPTY; HASH_SIZE]), prev: Box::new([EMPTY; WINDOW]) }
+    }
+
+    /// [`compress`] with these tables.
+    pub(crate) fn compress(&mut self, input: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(FRAME_HEADER + input.len() / 2 + 16);
+        out.resize(FRAME_HEADER, 0);
+        self.encode(input, &mut out);
+        if out.len() - FRAME_HEADER < input.len() {
+            seal(&mut out, METHOD_LZSS, input);
+            out
+        } else {
+            store(input)
+        }
+    }
+
+    /// Append the LZSS payload of `input` to `out`: token-grouped flag
+    /// bytes, `(offset, len)` matches against a 4 KiB sliding window, by
+    /// the parse the module doc gives.
+    fn encode(&mut self, input: &[u8], out: &mut Vec<u8>) {
+        let n = input.len();
+        // Every position must fit the `u32` tables, and later the frame.
+        block_len(n);
+        let (head, prev) = (&mut *self.head, &mut *self.prev);
+        // A flag byte, then up to eight tokens of at most 2 bytes.
+        let mut group = [0u8; 1 + 8 * 2];
+        let (mut group_len, mut tokens) = (1, 0);
+        let mut i = 0;
+        while i < n {
+            let (len, off) = if i + MIN_MATCH <= n {
+                let h = hash(input, i);
+                let found = longest_match(input, i, head[h], prev);
+                insert(head, prev, i, h);
+                found
+            } else {
+                (0, 0)
+            };
+            if len >= MIN_MATCH {
+                // Match token: flag bit 1; 12-bit offset, 4-bit (len - 3).
+                group[0] |= 1 << tokens;
+                let token = (off as u16) << 4 | (len - MIN_MATCH) as u16;
+                group[group_len..group_len + 2].copy_from_slice(&token.to_le_bytes());
+                group_len += 2;
+                // Every other position the match covers joins its bucket.
+                for j in i + 1..(i + len).min(n - (MIN_MATCH - 1)) {
+                    insert(head, prev, j, hash(input, j));
                 }
+                i += len;
+            } else {
+                group[group_len] = input[i];
+                group_len += 1;
                 i += 1;
             }
-        } else {
-            pending.push(input[i]);
-            if i + MIN_MATCH <= input.len() {
-                let h = hash(input[i], input[i + 1], input[i + 2]);
-                prev[i] = head[h];
-                head[h] = i;
+            tokens += 1;
+            if tokens == 8 {
+                out.extend_from_slice(&group[..group_len]);
+                group[0] = 0;
+                (group_len, tokens) = (1, 0);
             }
-            i += 1;
         }
-        nflag += 1;
-        if nflag == 8 {
-            flush_group(&mut out, &mut flags, &mut nflag, &mut flags_pos, &mut pending);
+        if tokens > 0 {
+            out.extend_from_slice(&group[..group_len]);
+        }
+        // Empty the buckets for the next block, a short block's own or all:
+        // a position left in one would be taken for one of the next block's,
+        // even the very position being encoded, as a match at offset 0.
+        if n < HASH_SIZE {
+            for j in 0..n.saturating_sub(MIN_MATCH - 1) {
+                head[hash(input, j)] = EMPTY;
+            }
+        } else {
+            head.fill(EMPTY);
         }
     }
-    if nflag > 0 || !pending.is_empty() {
-        out[flags_pos] = flags;
-        out.extend_from_slice(&pending);
-    } else {
-        // Remove the unused trailing placeholder.
-        out.pop();
-    }
-    out
 }
 
 /// Bytes the decoder's output buffer runs past `orig_len`: room for a
@@ -257,33 +362,40 @@ fn invalid(msg: &'static str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Frame `payload` as the encoding `method` of `orig`.
-fn frame(method: u8, orig: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(FRAME_HEADER + payload.len());
-    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out.push(method);
-    out.push(0);
-    out.extend_from_slice(&(orig.len() as u32).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(orig).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// Fill in the header of `frame` — a header's room, then the payload — as
+/// the encoding `method` of `orig`.
+fn seal(frame: &mut [u8], method: u8, orig: &[u8]) {
+    let payload_len = block_len(frame.len() - FRAME_HEADER);
+    frame[..2].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
+    frame[2] = method;
+    frame[3] = 0;
+    frame[4..8].copy_from_slice(&block_len(orig.len()).to_le_bytes());
+    frame[8..12].copy_from_slice(&payload_len.to_le_bytes());
+    frame[12..16].copy_from_slice(&crc32(orig).to_le_bytes());
 }
 
 /// Store `input` in a raw frame: `compress`'s fallback, and what the writer
 /// uses when compression is off.
+///
+/// # Panics
+///
+/// If `input` is longer than [`MAX_BLOCK`].
 pub(crate) fn store(input: &[u8]) -> Vec<u8> {
-    frame(METHOD_RAW, input, input)
+    let mut out = Vec::with_capacity(FRAME_HEADER + input.len());
+    out.resize(FRAME_HEADER, 0);
+    out.extend_from_slice(input);
+    seal(&mut out, METHOD_RAW, input);
+    out
 }
 
 /// Compress `input` into a framed block (raw storage if LZSS does not help).
+///
+/// # Panics
+///
+/// If `input` is longer than `u32::MAX - 16` bytes: a frame's header
+/// records its lengths in 32 bits.
 pub fn compress(input: &[u8]) -> Vec<u8> {
-    let encoded = lzss_encode(input);
-    if encoded.len() < input.len() {
-        frame(METHOD_LZSS, input, &encoded)
-    } else {
-        store(input)
-    }
+    Encoder::new().compress(input)
 }
 
 /// What a frame's header says, checked against the frame.
@@ -362,6 +474,35 @@ pub fn decompress_owned(mut frame: Vec<u8>) -> io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_block_longer_than_a_frame_can_record_is_refused() {
+        assert_eq!(block_len(MAX_BLOCK), u32::MAX - FRAME_HEADER as u32);
+        // The frame must fit the `u32` length a tree's index gives it too.
+        assert_eq!(FRAME_HEADER + MAX_BLOCK, u32::MAX as usize);
+        // The last: `Schema::hep(70_000)`'s `cal` column in 40 000-event
+        // baskets, 5.6 GB, which a `u32` header would record as 1.3 GB.
+        let hep_70k = usize::try_from(2u64 * 70_000 * 40_000).ok();
+        for len in [MAX_BLOCK + 1, u32::MAX as usize].into_iter().chain(hep_70k) {
+            let err = std::panic::catch_unwind(|| block_len(len)).unwrap_err();
+            let text = err.downcast_ref::<String>().expect("a formatted panic");
+            assert_eq!(*text, format!("a {len}-byte block does not fit a codec frame"));
+        }
+    }
+
+    #[test]
+    fn one_encoder_over_many_blocks_writes_what_a_fresh_one_does() {
+        // Each block has "01234567" at 100, after filler no other block
+        // has: a bucket the last block left would offer the position being
+        // encoded as its own match, at offset 0. Short blocks empty only
+        // their own buckets, long ones all.
+        let mut encoder = Encoder::new();
+        for (k, len) in [200, 9_000, 300, 20_000, 150, 8_192, 8_191, 108].into_iter().enumerate() {
+            let mut block = vec![b'a' + k as u8; len];
+            block[100..108].copy_from_slice(b"01234567");
+            assert_eq!(encoder.compress(&block), compress(&block), "block {k}, {len} bytes");
+        }
+    }
 
     #[test]
     fn roundtrip_simple() {

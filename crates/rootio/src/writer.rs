@@ -44,15 +44,28 @@ fn kind_tag(kind: BranchKind) -> (u8, u32) {
         BranchKind::F32 => (0, 0),
         BranchKind::I8 => (1, 0),
         BranchKind::U16 => (2, 0),
-        BranchKind::I16Array(n) => (3, n as u32),
+        BranchKind::I16Array(n) => (3, field(n, "a cell count of")),
     }
+}
+
+/// `value` as a field of the header or dictionary.
+///
+/// # Panics
+///
+/// If it does not fit the field: the file would lie about it.
+fn field<T: TryFrom<usize>>(value: usize, what: &str) -> T {
+    T::try_from(value).unwrap_or_else(|_| panic!("{what} {value} does not fit a tree's header"))
 }
 
 /// Generate `n_events` events and serialize the whole tree file into memory.
 ///
 /// # Panics
 ///
-/// If `opts.events_per_basket` is 0.
+/// If `opts.events_per_basket` is 0, or if a basket's column is longer than
+/// `u32::MAX - 16` bytes (a frame's header and the basket index record
+/// lengths in 32 bits), or if a count does not fit its field of the
+/// header or dictionary: more than `u32::MAX` events per basket or cells
+/// per event, more than `u16::MAX` branches or bytes of a branch name.
 pub fn write_tree(generator: &mut Generator, n_events: u64, opts: &WriterOptions) -> Vec<u8> {
     assert!(opts.events_per_basket > 0, "a basket must hold at least one event");
     let schema = generator.schema().clone();
@@ -61,13 +74,14 @@ pub fn write_tree(generator: &mut Generator, n_events: u64, opts: &WriterOptions
     // header
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(schema.branches.len() as u16).to_le_bytes());
+    out.extend_from_slice(&field::<u16>(schema.branches.len(), "a branch count of").to_le_bytes());
     out.extend_from_slice(&n_events.to_le_bytes());
-    out.extend_from_slice(&(opts.events_per_basket as u32).to_le_bytes());
+    let events_per_basket: u32 = field(opts.events_per_basket, "an events_per_basket of");
+    out.extend_from_slice(&events_per_basket.to_le_bytes());
 
     // dict
     for b in &schema.branches {
-        out.extend_from_slice(&(b.name.len() as u16).to_le_bytes());
+        out.extend_from_slice(&field::<u16>(b.name.len(), "a branch name length of").to_le_bytes());
         out.extend_from_slice(b.name.as_bytes());
         let (tag, param) = kind_tag(b.kind);
         out.push(tag);
@@ -83,18 +97,20 @@ pub fn write_tree(generator: &mut Generator, n_events: u64, opts: &WriterOptions
         len: u32,
     }
     let mut index: Vec<IndexEntry> = Vec::new();
+    let mut encoder = codec::Encoder::new();
     let mut first_event = 0u64;
     while first_event < n_events {
         let batch_n = opts.events_per_basket.min((n_events - first_event) as usize);
         let batch = generator.batch(batch_n);
         for (bi, col) in batch.columns.iter().enumerate() {
-            let blob = if opts.compress { codec::compress(col) } else { codec::store(col) };
+            let blob = if opts.compress { encoder.compress(col) } else { codec::store(col) };
+            // The header's checks bound the branch and the event count.
             index.push(IndexEntry {
                 branch: bi as u16,
                 first_event,
                 n_events: batch_n as u32,
                 offset: out.len() as u64,
-                len: blob.len() as u32,
+                len: u32::try_from(blob.len()).expect("a frame's length is a u32"),
             });
             out.extend_from_slice(&blob);
         }
@@ -175,6 +191,25 @@ mod tests {
     fn zero_events_per_basket_is_refused() {
         let opts = WriterOptions { events_per_basket: 0, compress: true };
         write_tree(&mut Generator::new(Schema::hep(4), 2), 10, &opts);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "an events_per_basket of 4294967336 does not fit a tree's header")]
+    fn events_per_basket_past_u32_is_refused() {
+        // Cut to a `u32`, the header would say 40 events a basket, and the
+        // one basket would hold all 100.
+        let opts = WriterOptions { events_per_basket: (1 << 32) + 40, compress: true };
+        write_tree(&mut Generator::new(Schema::hep(4), 1), 100, &opts);
+    }
+
+    #[test]
+    #[should_panic(expected = "a branch count of 65536 does not fit a tree's header")]
+    fn a_schema_of_65_536_branches_is_refused() {
+        let branches = (0..1 << 16)
+            .map(|k| crate::BranchDef { name: format!("b{k}"), kind: BranchKind::I8 })
+            .collect();
+        write_tree(&mut Generator::new(Schema { branches }, 1), 0, &WriterOptions::default());
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Property tests for the LZSS codec, the proof that the decoder still
-//! decodes what the byte-at-a-time one it replaced did, and that the owning
-//! path decodes what the borrowing one does.
+//! Property tests for the LZSS codec: the proof that the encoder still
+//! writes the bytes the one it replaced did and that the decoder still
+//! decodes what the byte-at-a-time one it replaced did, both kept here as
+//! reference models, and that the owning path decodes what the borrowing
+//! one does.
 
 use ioapi::checksum::crc32;
 use proptest::prelude::*;
@@ -50,6 +52,102 @@ fn model_decode(input: &[u8], orig_len: usize) -> Result<Vec<u8>, &'static str> 
     }
     out.truncate(orig_len);
     Ok(out)
+}
+
+/// The encoder as it was before its tables were kept across blocks and its
+/// walk cut short: every candidate compared byte by byte, `usize` tables
+/// filled afresh for each block. The reference the real one must match.
+fn model_encode(input: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+    const HASH_SIZE: usize = 1 << 13;
+    let mut head = vec![usize::MAX; HASH_SIZE];
+    let mut prev = vec![usize::MAX; input.len().max(1)];
+    let hash = |a: u8, b: u8, c: u8| -> usize {
+        ((a as usize) << 6 ^ (b as usize) << 3 ^ (c as usize)) & (HASH_SIZE - 1)
+    };
+    let mut i = 0usize;
+    let mut flags_pos = 0usize;
+    let mut flags = 0u8;
+    let mut nflag = 0u8;
+    let mut pending: Vec<u8> = Vec::with_capacity(8 * 3);
+    out.push(0); // first flag placeholder
+    while i < input.len() {
+        let mut best_len = 0usize;
+        let mut best_off = 0usize;
+        if i + 3 <= input.len() {
+            let h = hash(input[i], input[i + 1], input[i + 2]);
+            let mut cand = head[h];
+            let mut steps = 0;
+            while cand != usize::MAX && i.saturating_sub(cand) < 4096 && steps < 32 {
+                if cand < i {
+                    let max = 18.min(input.len() - i);
+                    let mut l = 0usize;
+                    while l < max && input[cand + l] == input[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_off = i - cand;
+                    }
+                }
+                cand = prev[cand];
+                steps += 1;
+            }
+        }
+        if best_len >= 3 {
+            flags |= 1 << nflag;
+            let token = ((best_off as u16 & 0x0FFF) << 4) | ((best_len - 3) as u16 & 0x0F);
+            pending.extend_from_slice(&token.to_le_bytes());
+            let end = i + best_len;
+            while i < end {
+                if i + 3 <= input.len() {
+                    let h = hash(input[i], input[i + 1], input[i + 2]);
+                    prev[i] = head[h];
+                    head[h] = i;
+                }
+                i += 1;
+            }
+        } else {
+            pending.push(input[i]);
+            if i + 3 <= input.len() {
+                let h = hash(input[i], input[i + 1], input[i + 2]);
+                prev[i] = head[h];
+                head[h] = i;
+            }
+            i += 1;
+        }
+        nflag += 1;
+        if nflag == 8 {
+            out[flags_pos] = flags;
+            out.extend_from_slice(&pending);
+            pending.clear();
+            flags = 0;
+            nflag = 0;
+            flags_pos = out.len();
+            out.push(0);
+        }
+    }
+    if nflag > 0 {
+        out[flags_pos] = flags;
+        out.extend_from_slice(&pending);
+    } else {
+        out.pop();
+    }
+    out
+}
+
+/// The frame `compress` made of `input` with the model encoder: LZSS if
+/// that came out shorter, raw otherwise.
+fn model_compress(input: &[u8]) -> Vec<u8> {
+    let encoded = model_encode(input);
+    let (method, payload) =
+        if encoded.len() < input.len() { (1, &encoded[..]) } else { (0, input) };
+    let mut frame = vec![0x4C, 0x5A, method, 0];
+    frame.extend_from_slice(&(input.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&crc32(input).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
 }
 
 /// An LZSS frame around `payload` that claims `orig_len` bytes and `crc`.
@@ -284,4 +382,99 @@ fn a_hep_tree_decodes_to_the_bytes_it_always_did() {
     }
     assert_eq!(reader.baskets().len(), 700);
     assert_eq!((decoded.len(), crc32(&decoded)), (2_124_000, 0x3412_9767));
+}
+
+/// A seeded xorshift stream: the bytes of the shapes below.
+struct Stream(u64);
+
+impl Stream {
+    fn next(&mut self) -> u64 {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        self.0
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// An input of one of the shapes the parse turns on, `pick` choosing its
+/// length: 0–3 bytes (too short for a match, or just long enough); around
+/// 18 and 36 bytes (where the longest match is what is left); around 4 096
+/// and 8 192 (the window's edge); runs of one byte; a 2–4-letter alphabet;
+/// `i16` cells ~85 % zero, like `cal`; and bytes that do not compress
+/// (stored raw).
+fn shaped_input(shape: u8, pick: usize, seed: u64) -> Vec<u8> {
+    let mut s = Stream(seed | 1);
+    let letters = 2 + s.below(3) as u8;
+    let alphabet = |s: &mut Stream, len: usize| -> Vec<u8> {
+        (0..len).map(|_| b'a' + s.below(letters as u64) as u8).collect()
+    };
+    match shape {
+        0 => alphabet(&mut s, pick % 4),
+        1 => alphabet(&mut s, [18, 36][pick % 2] - 6 + pick % 13),
+        2 => {
+            let len = [4_096, 8_192][pick % 2] - 8 + pick % 17;
+            let mut input = alphabet(&mut s, len);
+            // Mostly one letter, so matches reach back across the edge.
+            input.iter_mut().filter(|_| s.below(8) != 0).for_each(|b| *b = b'a');
+            input
+        }
+        3 => {
+            let mut input = Vec::new();
+            while input.len() < 40 * pick {
+                let longest = if s.below(4) == 0 { 600 } else { 40 };
+                let run = 1 + s.below(longest) as usize;
+                input.extend(std::iter::repeat_n(s.below(4) as u8 * 85, run));
+            }
+            input
+        }
+        4 => alphabet(&mut s, 100 * pick),
+        5 => (0..50 * pick)
+            .flat_map(|_| {
+                let cell =
+                    if s.below(100) < 15 { (s.below(1 << 16) as f64).sqrt() as i16 } else { 0 };
+                cell.to_le_bytes()
+            })
+            .collect(),
+        _ => (0..80 * pick).map(|_| s.next() as u8).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `compress` writes, byte for byte, the frame the model encoder and
+    /// the framing give, on every shape of input the parse turns on.
+    #[test]
+    fn compress_writes_the_frame_the_model_encoder_does(
+        shape in 0u8..7,
+        pick in 0usize..64,
+        seed in any::<u64>(),
+    ) {
+        let input = shaped_input(shape, pick, seed);
+        prop_assert_eq!(compress(&input), model_compress(&input), "shape {}, {} bytes", shape, input.len());
+    }
+}
+
+/// The length and CRC-32 of `write_tree` for `Schema::hep(256)` and seed
+/// 2014, as the model encoder wrote them: the tree `sim_wan_job` and fig4
+/// read (12 000 events in 40-event compressed baskets), CI's fig4 size of
+/// it (600 events), and a raw tree in `analysis_sparse`'s 20-event baskets
+/// (a tenth of its 100 000 events, which came to 54 570 119 bytes with CRC
+/// `0xfcbef782`, and take seconds in a debug build). A change to any
+/// figure's input bytes fails here by name.
+#[test]
+fn the_trees_the_figures_read_are_the_bytes_they_always_were() {
+    for (what, n_events, events_per_basket, compress, len, crc) in [
+        ("sim_wan_job / fig4", 12_000, 40, true, 1_815_833, 0x1960_c722),
+        ("fig4 at CI size", 600, 40, true, 90_826, 0x5325_264f),
+        ("analysis_sparse's shape", 10_000, 20, false, 5_457_119, 0x0c17_9f1e),
+    ] {
+        let opts = WriterOptions { events_per_basket, compress };
+        let tree = write_tree(&mut Generator::new(Schema::hep(256), 2014), n_events, &opts);
+        assert_eq!((tree.len(), crc32(&tree)), (len, crc), "{what}");
+    }
 }
