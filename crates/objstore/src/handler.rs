@@ -21,11 +21,15 @@
 //!   readers never observe a partial object.
 //!
 //! Both dialects stage a pending upload the same way: each request body is
-//! held as it arrived, with the digests the server took as it arrived,
-//! under one budget (1 GiB resident and 10 000 pieces an upload; a
-//! segmented upload's declared total is bounded by the same 1 GiB, and
-//! nothing is allocated by it). The commit copies the pieces into the
-//! entity once and folds their digests, so no uploaded byte is read again.
+//! held as it arrived, with the digests the server took as it arrived. An
+//! upload holds at most 10 000 pieces, and a segmented upload's declared
+//! total is at most 1 GiB (nothing is allocated by it). The node bounds all
+//! its pending uploads together: 1 024 of them, holding 1 GiB between them.
+//! A piece that cannot fit an upload's own bounds is a `400`; an initiate,
+//! part or segment past the node's is a `503` with `Retry-After: 1`, since
+//! it fits once other uploads end, and stages nothing. The commit copies the
+//! pieces into the entity once and folds their digests, so no uploaded byte
+//! is read again.
 
 use crate::store::ObjectStore;
 use bytes::Bytes;
@@ -85,13 +89,22 @@ impl std::fmt::Debug for StorageOptions {
 /// Multi-range requests with more ranges than this are refused (400).
 const MAX_RANGES: usize = 4096;
 
-/// The staging budget of one pending upload, of either dialect: at most
-/// this many resident bytes (and, for a segmented upload, this declared
-/// total), so a lying client cannot make one request allocate the node away.
+/// The node's staging budget, shared by its pending uploads of both
+/// dialects: at most this many resident bytes between them (and, for a
+/// segmented upload, this declared total), so a lying client cannot make
+/// one request, nor one upload after another, allocate the node away.
 const MAX_PENDING_ENTITY: u64 = 1 << 30;
+
+/// The most uploads of both dialects a node holds pending at once.
+const MAX_PENDING_UPLOADS: usize = 1_024;
 
 /// The staging budget's cap on the pieces one pending upload holds.
 const MAX_PIECES: usize = 10_000;
+
+/// The answer to a request the node's staging budget has no room for yet.
+fn busy() -> Response {
+    Response::error(StatusCode::SERVICE_UNAVAILABLE).header("Retry-After", "1")
+}
 
 /// A piece of a pending upload: a request body as it arrived, and the
 /// `(crc32, adler32)` taken as it arrived.
@@ -115,18 +128,47 @@ impl Pending {
     }
 
     /// Hold `piece` under `key`, replacing the piece held there, if the
-    /// upload stays within the staging budget; otherwise hold nothing and
-    /// answer `false`.
-    fn stage(&mut self, key: u64, piece: Piece) -> bool {
+    /// upload stays within its own bounds (else `400`) and the node within
+    /// its budget, `others` being the bytes its other uploads hold (else
+    /// [`busy`]); otherwise hold nothing.
+    fn stage(&mut self, key: u64, piece: Piece, others: u64) -> Result<(), Response> {
         let replaced = self.pieces.get(&key).map(|(b, _)| b.len() as u64);
         let resident = self.resident - replaced.unwrap_or(0) + piece.0.len() as u64;
         if resident > MAX_PENDING_ENTITY || (replaced.is_none() && self.pieces.len() >= MAX_PIECES)
         {
-            return false;
+            return Err(Response::error(StatusCode::BAD_REQUEST)); // EntityTooLarge
+        }
+        if others + resident > MAX_PENDING_ENTITY {
+            return Err(busy());
         }
         self.pieces.insert(key, piece);
         self.resident = resident;
-        true
+        Ok(())
+    }
+}
+
+/// Every pending upload of a node, of both dialects.
+#[derive(Default)]
+struct Staging {
+    /// Multipart uploads by id.
+    multipart: HashMap<u64, Pending>,
+    /// Segmented uploads by path.
+    segments: HashMap<String, Pending>,
+}
+
+impl Staging {
+    fn pending(&self) -> impl Iterator<Item = &Pending> {
+        self.multipart.values().chain(self.segments.values())
+    }
+
+    /// Bytes the pending uploads hold between them.
+    fn resident(&self) -> u64 {
+        self.pending().map(|p| p.resident).sum()
+    }
+
+    /// Whether the node holds as many pending uploads as it may.
+    fn full(&self) -> bool {
+        self.multipart.len() + self.segments.len() >= MAX_PENDING_UPLOADS
     }
 }
 
@@ -166,8 +208,7 @@ pub struct StorageHandler {
     fail_next: AtomicU32,
     boundary_counter: AtomicU64,
     upload_counter: AtomicU64,
-    multipart: Mutex<HashMap<u64, Pending>>,
-    segments: Mutex<HashMap<String, Pending>>,
+    staging: Mutex<Staging>,
     /// Body bytes this handler has read a second time to digest them: those
     /// of a request that came through plain [`handle`](httpd::Handler::handle)
     /// rather than with the digests the server took as the body arrived.
@@ -185,8 +226,7 @@ impl StorageHandler {
             fail_next: AtomicU32::new(0),
             boundary_counter: AtomicU64::new(0),
             upload_counter: AtomicU64::new(0),
-            multipart: Mutex::new(HashMap::new()),
-            segments: Mutex::new(HashMap::new()),
+            staging: Mutex::new(Staging::default()),
             cold_digested: AtomicU64::new(0),
         }
     }
@@ -209,13 +249,13 @@ impl StorageHandler {
 
     /// Snapshot of the in-flight upload staging state.
     pub fn staging_stats(&self) -> StagingStats {
-        let (multipart, segments) = (self.multipart.lock(), self.segments.lock());
+        let staging = self.staging.lock();
         let mut stats = StagingStats {
-            multipart_uploads: multipart.len(),
-            segment_uploads: segments.len(),
+            multipart_uploads: staging.multipart.len(),
+            segment_uploads: staging.segments.len(),
             ..StagingStats::default()
         };
-        for pending in multipart.values().chain(segments.values()) {
+        for pending in staging.pending() {
             stats.staged_bytes += pending.resident;
             stats.paths.push(pending.path.clone());
         }
@@ -248,10 +288,10 @@ impl StorageHandler {
                 // materialized the entity) re-opens staging state that the
                 // commit MOVE would then orphan forever — found by the
                 // sim-fuzz all-or-nothing sweep.
-                let mut segments = self.segments.lock();
-                segments.remove(path);
-                segments.remove(&dest_path);
-                drop(segments);
+                let mut staging = self.staging.lock();
+                staging.segments.remove(path);
+                staging.segments.remove(&dest_path);
+                drop(staging);
                 if replaced {
                     Response::empty(StatusCode::NO_CONTENT)
                 } else {
@@ -282,10 +322,16 @@ impl StorageHandler {
 
     // ---- parallel upload endpoints ----------------------------------------
 
-    /// `POST {path}?uploads` — start an S3-style multipart upload.
+    /// `POST {path}?uploads` — start an S3-style multipart upload, if the
+    /// node holds fewer pending uploads than it may.
     fn initiate_multipart(&self, path: &str) -> Response {
+        let mut staging = self.staging.lock();
+        if staging.full() {
+            return busy();
+        }
         let id = self.upload_counter.fetch_add(1, Ordering::Relaxed) + 1;
-        self.multipart.lock().insert(id, Pending::new(path, 0));
+        staging.multipart.insert(id, Pending::new(path, 0));
+        drop(staging);
         let mut result = Element::new("InitiateMultipartUploadResult");
         let mut key = Element::new("Key");
         key.add_text(path);
@@ -298,8 +344,8 @@ impl StorageHandler {
 
     /// `PUT {path}?uploadId=I&partNumber=N` — stage one part with its
     /// `digests`, `(crc32, adler32)`; the CRC is its ETag. A part past the
-    /// staging budget is refused, so an abandoned or malicious upload
-    /// cannot grow the node's memory without limit.
+    /// staging budget is refused, so abandoned or malicious uploads cannot
+    /// grow the node's memory without limit.
     fn put_part(
         &self,
         id: &str,
@@ -314,15 +360,17 @@ impl StorageHandler {
         let Some(n) = part.and_then(|p| p.parse::<u32>().ok()).filter(|&n| n > 0) else {
             return Response::error(StatusCode::BAD_REQUEST);
         };
-        let mut uploads = self.multipart.lock();
-        let Some(pending) = uploads.get_mut(&id) else {
+        let mut staging = self.staging.lock();
+        let held = staging.resident();
+        let Some(pending) = staging.multipart.get_mut(&id) else {
             return Response::error(StatusCode::NOT_FOUND); // NoSuchUpload
         };
         if pending.path != path {
             return Response::error(StatusCode::BAD_REQUEST);
         }
-        if !pending.stage(n.into(), (Bytes::from(body), digests)) {
-            return Response::error(StatusCode::BAD_REQUEST); // EntityTooLarge
+        let others = held - pending.resident;
+        if let Err(refused) = pending.stage(n.into(), (Bytes::from(body), digests), others) {
+            return refused;
         }
         Response::empty(StatusCode::OK).header("ETag", format!("\"{}\"", to_hex(digests.0)))
     }
@@ -358,8 +406,8 @@ impl StorageHandler {
         // the lock before the heavy work: assembling a large entity must
         // not stall every other in-flight upload's part PUTs.
         let parts: Vec<Piece> = {
-            let uploads = self.multipart.lock();
-            let Some(pending) = uploads.get(&id) else {
+            let staging = self.staging.lock();
+            let Some(pending) = staging.multipart.get(&id) else {
                 return Response::error(StatusCode::NOT_FOUND);
             };
             if pending.path != path {
@@ -382,7 +430,7 @@ impl StorageHandler {
             // re-send parts).
             return conflict;
         }
-        self.multipart.lock().remove(&id);
+        self.staging.lock().multipart.remove(&id);
         self.store.put_digested(path, entity, digests);
         let mut result = Element::new("CompleteMultipartUploadResult");
         let mut key = Element::new("Key");
@@ -396,7 +444,7 @@ impl StorageHandler {
     /// segment with its `digests`; commit once the segments held cover
     /// `total`. A segment that repeats a held segment's range replaces it;
     /// one that partly overlaps a held segment, or declares another total,
-    /// is a `409`.
+    /// is a `409`. One that opens an upload opens it only if it is staged.
     fn put_segment(
         &self,
         content_range: &str,
@@ -417,8 +465,14 @@ impl StorageHandler {
         {
             return Response::error(StatusCode::BAD_REQUEST);
         }
-        let mut segments = self.segments.lock();
-        let pending = segments.entry(path.to_string()).or_insert_with(|| Pending::new(path, total));
+        let mut staging = self.staging.lock();
+        let opens = !staging.segments.contains_key(path);
+        if opens && staging.full() {
+            return busy();
+        }
+        let held = staging.resident();
+        let pending =
+            staging.segments.entry(path.to_string()).or_insert_with(|| Pending::new(path, total));
         // Held segments never overlap, so the last one that starts before
         // this one ends is the only one that can overlap it.
         let overlaps = pending.pieces.range(..=cr.last).next_back().is_some_and(|(&at, (b, _))| {
@@ -427,16 +481,20 @@ impl StorageHandler {
         if pending.total != total || overlaps {
             return Response::error(StatusCode::CONFLICT);
         }
-        if !pending.stage(cr.first, (Bytes::from(body), digests)) {
-            return Response::error(StatusCode::BAD_REQUEST);
+        let others = held - pending.resident;
+        if let Err(refused) = pending.stage(cr.first, (Bytes::from(body), digests), others) {
+            if opens {
+                staging.segments.remove(path);
+            }
+            return refused;
         }
         if pending.resident < total {
             return Response::empty(StatusCode::NO_CONTENT);
         }
         // Complete: out of the map, then assembled outside the lock.
         let pieces = std::mem::take(&mut pending.pieces);
-        segments.remove(path);
-        drop(segments);
+        staging.segments.remove(path);
+        drop(staging);
         let (entity, digests) = assemble(pieces.into_values(), total);
         if self.store.put_digested(path, entity, digests) {
             Response::empty(StatusCode::NO_CONTENT)
@@ -476,14 +534,14 @@ impl StorageHandler {
             let Ok(id) = id.parse::<u64>() else {
                 return Response::error(StatusCode::BAD_REQUEST);
             };
-            return if self.multipart.lock().remove(&id).is_some() {
+            return if self.staging.lock().multipart.remove(&id).is_some() {
                 Response::empty(StatusCode::NO_CONTENT)
             } else {
                 Response::error(StatusCode::NOT_FOUND)
             };
         }
         let object_removed = self.store.delete(path);
-        let pending_removed = self.segments.lock().remove(path).is_some();
+        let pending_removed = self.staging.lock().segments.remove(path).is_some();
         if object_removed || pending_removed {
             Response::empty(StatusCode::NO_CONTENT)
         } else {
@@ -658,7 +716,7 @@ impl httpd::Handler for StorageHandler {
 
     fn handle_digested(&self, req: Request, digests: (u32, u32)) -> Response {
         if self.unavailable.load(Ordering::SeqCst) {
-            return Response::error(StatusCode::SERVICE_UNAVAILABLE).header("Retry-After", "1");
+            return busy();
         }
         if self
             .fail_next
@@ -1256,6 +1314,65 @@ mod tests {
         assert_eq!(send_segment(&h, "/many", 10_000, &[0], 20_000), StatusCode::BAD_REQUEST);
         let stats = h.staging_stats();
         assert_eq!((stats.segment_uploads, stats.staged_bytes), (1, 10_000));
+    }
+
+    /// The node bounds its pending uploads of both dialects together, by
+    /// count and by bytes: past either bound an initiate, part or segment
+    /// is a `503` that stages nothing, and the room comes back as uploads
+    /// end.
+    #[test]
+    fn a_node_bounds_all_its_pending_uploads_together() {
+        let h = handler_with(RangeSupport::MultiRange);
+        let refused = |r: Response| {
+            assert_eq!(r.status, StatusCode::SERVICE_UNAVAILABLE);
+            assert_eq!(r.headers.get("retry-after"), Some("1"));
+        };
+        let half = MAX_PENDING_UPLOADS / 2;
+        let ids: Vec<String> = (0..half).map(|i| initiate(&h, &format!("/m{i}"))).collect();
+        for i in 0..half {
+            assert_eq!(
+                send_segment(&h, &format!("/s{i}"), 0, &[7; 10], 100),
+                StatusCode::NO_CONTENT
+            );
+        }
+        let full = StagingStats {
+            multipart_uploads: half,
+            segment_uploads: half,
+            staged_bytes: 10 * half as u64,
+            paths: h.staging_stats().paths,
+        };
+        assert_eq!(full.paths.len(), MAX_PENDING_UPLOADS);
+        refused(h.handle(request(Method::Post, "/m-next?uploads", &[])));
+        let range = [("Content-Range", "bytes 0-9/100")];
+        let mut segment = request(Method::Put, "/s-next", &range);
+        segment.body = vec![7; 10];
+        refused(h.handle(segment));
+        assert_eq!(h.staging_stats(), full, "nothing staged past the count");
+        // Open uploads go on; one that ends makes room for another.
+        assert_eq!(send_segment(&h, "/s0", 10, &[7; 10], 100), StatusCode::NO_CONTENT);
+        let abort = format!("/m0?uploadId={}", ids[0]);
+        assert_eq!(h.handle(request(Method::Delete, &abort, &[])).status, StatusCode::NO_CONTENT);
+        let id = initiate(&h, "/m-next");
+
+        // The bytes: an upload holding all but 15 bytes of the budget leaves
+        // room for 15 more of anyone's, and none past them.
+        h.staging.lock().multipart.get_mut(&ids[1].parse().unwrap()).unwrap().resident =
+            MAX_PENDING_ENTITY - 10 * half as u64 - 25;
+        let staged = h.staging_stats();
+        assert_eq!(staged.staged_bytes, MAX_PENDING_ENTITY - 15);
+        let mut part = request(Method::Put, &format!("/m-next?uploadId={id}&partNumber=1"), &[]);
+        part.body = vec![7; 16];
+        refused(h.handle(part));
+        assert_eq!(send_segment(&h, "/s1", 10, &[7; 16], 100), StatusCode::SERVICE_UNAVAILABLE);
+        h.handle(request(Method::Delete, "/s2", &[]));
+        assert_eq!(send_segment(&h, "/s-new", 0, &[7; 26], 100), StatusCode::SERVICE_UNAVAILABLE);
+        let less_s2 = h.staging_stats();
+        assert_eq!(less_s2.segment_uploads, half - 1, "the refused segment opened nothing");
+        assert_eq!(less_s2.staged_bytes, MAX_PENDING_ENTITY - 25);
+        let mut part = request(Method::Put, &format!("/m-next?uploadId={id}&partNumber=1"), &[]);
+        part.body = vec![7; 25];
+        assert_eq!(h.handle(part).status, StatusCode::OK);
+        assert_eq!(h.staging_stats().staged_bytes, MAX_PENDING_ENTITY);
     }
 
     #[test]

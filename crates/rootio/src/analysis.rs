@@ -2,14 +2,14 @@
 //! paper's §3 evaluation ("a High Energy analysis job based on ROOT reading
 //! a fraction or the totality of ~12 000 particle events").
 
-use crate::cache::{Column, TreeCache, TreeCacheOptions};
+use crate::cache::{TreeCache, TreeCacheOptions};
 use crate::reader::TreeReader;
 use netsim::Runtime;
 use std::io;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The `k`-th `f32` of a run [`Column::run_bytes`] lent.
+/// The `k`-th `f32` of a column a [`Window`](crate::cache::Window) lent.
 fn f32_at(run: &[u8], k: usize) -> f32 {
     f32::from_le_bytes(run[4 * k..4 * k + 4].try_into().expect("4 bytes"))
 }
@@ -139,8 +139,8 @@ impl AnalysisJob {
         let (px, py, pz, en, q) =
             (idx("px")?, idx("py")?, idx("pz")?, idx("energy")?, idx("charge")?);
         let cal = if self.read_calorimeter { Some(idx("cal")?) } else { None };
-        let cal_width = match schema.branches.get(cal.unwrap_or(0)).map(|b| b.kind) {
-            Some(crate::model::BranchKind::I16Array(n)) => n,
+        let cal_bytes = match schema.branches.get(cal.unwrap_or(0)).map(|b| b.kind) {
+            Some(crate::model::BranchKind::I16Array(n)) => 2 * n,
             _ => 0,
         };
         let mut branches: Vec<usize> = vec![px, py, pz, en, q];
@@ -167,33 +167,25 @@ impl AnalysisJob {
         let mut processed = 0u64;
         let mut prev: Option<(f32, f32, f32, f32, i8)> = None;
 
-        let per = reader.events_per_basket() as u64;
         let n_events = reader.n_events();
         let mut ev = 0u64;
         while ev < n_events {
-            // Every event of the run lives in the same basket of each
-            // branch: resolve the columns once. A miss costs what the first
-            // value read of the run would have cost, in the same order —
-            // `px` loads the window, or, cache off, each branch its basket.
-            for &b in &branches {
-                cache.load(b, ev)?;
-            }
-            let (cpx, cpy, cpz, cen, cq) = (
-                cache.column(px, ev)?,
-                cache.column(py, ev)?,
-                cache.column(pz, ev)?,
-                cache.column(en, ev)?,
-                cache.column(q, ev)?,
+            // The cache lends the events from `ev` to the end of its
+            // resident baskets, and each branch's values for them, checked
+            // to be as wide as they are read; every selected event of the
+            // window is read from those slices. A window that is not
+            // resident costs what the first value read of it always did:
+            // one vectored read, or, cache off, one scalar read per branch.
+            let window = cache.window(ev)?;
+            let run = window.events();
+            let (bpx, bpy, bpz, ben, bq) = (
+                window.column(px, 4)?,
+                window.column(py, 4)?,
+                window.column(pz, 4)?,
+                window.column(en, 4)?,
+                window.column(q, 1)?,
             );
-            let ccal = cal.map(|c| cache.column(c, ev)).transpose()?;
-            // The run's bytes of each branch, checked once; every value of
-            // the run is read from them.
-            let run = ev..(ev / per + 1).saturating_mul(per).min(n_events);
-            let f32s = |c| Column::run_bytes(&c, run.clone(), 4);
-            let (bpx, bpy, bpz, ben) = (f32s(cpx)?, f32s(cpy)?, f32s(cpz)?, f32s(cen)?);
-            let bq = cq.run_bytes(run.clone(), 1)?;
-            let cal_bytes = 2 * cal_width;
-            let bcal = ccal.map(|c| c.run_bytes(run.clone(), cal_bytes)).transpose()?;
+            let bcal = cal.map(|c| window.column(c, cal_bytes)).transpose()?;
             while ev < run.end {
                 let k = (ev - run.start) as usize;
                 let e =

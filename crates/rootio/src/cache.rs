@@ -10,44 +10,49 @@
 //! over any source — the latency hiding Figure 4 credits to the baseline's
 //! sliding-window buffering (see [the prefetch](#the-prefetch)).
 //!
-//! # The window table
+//! # One column per branch
 //!
 //! Every branch stores the same events in its `k`-th basket (the writer cuts
 //! all branches every `events_per_basket` events), so a basket is named by
 //! its branch and its *ordinal* `k = event / events_per_basket`. The cache
-//! holds decoded baskets in a table addressed by position: one row per
-//! branch, slot `k - first_ord` of a row for ordinal `k`, `first_ord` being
-//! the ordinal of the current window's first event. A look-up is a
-//! subtraction and an index, and it happens once per *run* of events that
-//! share their baskets — [`TreeCache::load`] makes the baskets resident,
-//! [`TreeCache::column`] lends them as [`Column`]s, and `Column::run_bytes`
-//! lends the bytes of a whole run, checked once at its first and last
-//! event, from which the caller reads every value. With 20-event baskets
-//! that is one look-up and one bounds check per branch per 20 events where
-//! a per-value interface costs one of each per value (half a million per
-//! pass of the `analysis_sparse` benchmark, about three quarters of its time
-//! before this table existed).
+//! holds the baskets of a run of ordinals, the resident ones, as one decoded
+//! column per selected branch: their values back to back in ordinal order,
+//! the first resident event's at byte 0. [`TreeCache::window`] lends the
+//! events from the one asked for to the end of the last resident basket,
+//! and each column's slice of them; the caller reads every value of the
+//! window from those slices. That is one residency check per window where a
+//! per-value interface costs a look-up and a bounds check per value (half a
+//! million per pass of the `analysis_sparse` benchmark, about three quarters
+//! of its time before the cache lent whole runs of values).
 //!
-//! # Baskets as received
-//!
-//! A window's blobs arrive from
-//! [`read_vec`](ioapi::RandomAccess::read_vec) one buffer each, and the
-//! cache takes them by value. A basket stored raw is CRC-checked and becomes
-//! its column in that same buffer, its 16-byte frame header dropped in place
-//! ([`codec::decompress_owned`](crate::codec::decompress_owned)): no
-//! allocation, no free and no copy into a second buffer per basket. An LZSS
-//! basket is decoded into a buffer of its own, as ever.
+//! # Loading a window
 //!
 //! Windows are counted in events, baskets are not aligned to them: with 20
 //! events a basket and 50 a window, basket 2 (events 40–59) belongs to
-//! windows 0 and 1. Moving to a window re-addresses each row and *keeps* the
-//! baskets both windows hold, so a straddling basket is fetched once, by
-//! the window that needed it first, and the fragment list of every vectored
-//! read is what it has always been: the not-yet-resident baskets of the
-//! window, in file order. That list is the wire — `Range` header, multipart
-//! body and every virtual-time figure derive from it — and
-//! `window_loads_put_the_same_fragments_on_the_wire` pins it against a
-//! plain reimplementation.
+//! windows 0 and 1. A load keeps the baskets both windows hold: each column
+//! is sized for the new window (it never shrinks, so once grown nothing is
+//! allocated or zeroed), the shared baskets move to their new place with one
+//! `copy_within`, and the rest are fetched — the not-yet-resident baskets of
+//! the window, in file order, in one vectored read. A straddling basket is
+//! thus fetched once, by the window that needed it first, and the fragment
+//! list of every vectored read is what it has always been. That list is the
+//! wire — `Range` header, multipart body and every virtual-time figure
+//! derive from it — and `window_loads_put_the_same_fragments_on_the_wire`
+//! pins it against a plain reimplementation.
+//!
+//! Each blob is decoded straight into its slot (`codec::Frame::decode_into`)
+//! and CRC-checked there: a basket stored raw is copied once, an LZSS basket
+//! is inflated in place, its decoder's stores past the slot landing in the
+//! 32 bytes of room each column keeps after its last slot, or put back. No
+//! basket gets a buffer of its own. A basket whose index entry puts it at
+//! other events than its ordinal's, or whose frame does not fill its slot
+//! exactly, is `InvalidData`; no column is sized before each basket's
+//! stored length shows its frame could fill its slot. A load that fails
+//! leaves nothing resident.
+//!
+//! With the cache off (ablation A2), a window is one ordinal: each selected
+//! branch's basket is read with a scalar read of its own, in selection
+//! order, and decoded the same way.
 //!
 //! # The prefetch
 //!
@@ -62,10 +67,12 @@
 //! waits for it. The source needs nothing for this: what it costs on the
 //! wire is exactly the vectored reads of a cache without prefetch.
 
+use crate::codec::{Frame, MAX_EXPANSION, SLACK};
 use crate::reader::{bad, TreeReader};
 use netsim::{Runtime, Signal};
 use parking_lot::Mutex;
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Cache tuning.
@@ -89,97 +96,55 @@ impl Default for TreeCacheOptions {
     }
 }
 
-/// One resident decoded basket: the values of one branch for a run of
-/// consecutive events. Every read is bounds-checked against the basket, so
-/// an index that lies about where events live yields an error.
-#[derive(Debug, Clone, Copy)]
-pub struct Column<'a> {
-    bytes: &'a [u8],
-    first_event: u64,
+/// The events [`TreeCache::window`] lends, and every selected branch's
+/// values for them.
+pub struct Window<'a> {
+    events: Range<u64>,
+    /// Where `events.start` sits in each column, in values.
+    at: usize,
+    columns: &'a [Col],
 }
 
-impl<'a> Column<'a> {
-    /// The bytes of `events`, `width` each and back to back: the first and
-    /// the last event are checked, once for the whole run, and the caller
-    /// reads every value of it from the slice.
-    pub(crate) fn run_bytes(
-        &self,
-        events: std::ops::Range<u64>,
-        width: usize,
-    ) -> io::Result<&'a [u8]> {
-        let at = |event: u64| {
-            usize::try_from(event.checked_sub(self.first_event)?).ok()?.checked_mul(width)
-        };
-        at(events.start)
-            .zip(at(events.end))
-            .and_then(|(start, end)| self.bytes.get(start..end))
-            .ok_or_else(|| {
-                bad(format!("events {}..{} outside their basket", events.start, events.end))
-            })
+impl<'a> Window<'a> {
+    /// The events lent: from the one asked for to the end of the last
+    /// resident basket.
+    pub fn events(&self) -> Range<u64> {
+        self.events.clone()
     }
 
-    /// The `width` bytes of `event`.
-    fn value(&self, event: u64, width: usize) -> io::Result<&'a [u8]> {
-        let end = event.checked_add(1).ok_or_else(|| bad("event number overflows"))?;
-        self.run_bytes(event..end, width)
-    }
-
-    /// Read an `f32` branch value.
-    pub fn f32(&self, event: u64) -> io::Result<f32> {
-        Ok(f32::from_le_bytes(self.value(event, 4)?.try_into().expect("4 bytes")))
-    }
-
-    /// Read an `i16` array branch value (length `n`).
-    pub(crate) fn i16s(&self, event: u64, n: usize) -> io::Result<impl Iterator<Item = i16> + 'a> {
-        let width = n.checked_mul(2).ok_or_else(|| bad("array width overflows"))?;
-        let bytes = self.value(event, width)?;
-        Ok(bytes.chunks_exact(2).map(|c| i16::from_le_bytes(c.try_into().expect("2 bytes"))))
-    }
-}
-
-/// The resident baskets of one branch: slot `k` holds the decoded basket
-/// with ordinal `first_ord + k`.
-#[derive(Default)]
-struct Row {
-    first_ord: u64,
-    slots: Vec<Option<Vec<u8>>>,
-}
-
-impl Row {
-    fn index(&self, ord: u64) -> Option<usize> {
-        usize::try_from(ord.checked_sub(self.first_ord)?).ok()
-    }
-
-    fn get(&self, ord: u64) -> Option<&[u8]> {
-        self.slots.get(self.index(ord)?)?.as_deref()
-    }
-
-    fn put(&mut self, ord: u64, col: Vec<u8>) {
-        if let Some(slot) = self.index(ord).and_then(|k| self.slots.get_mut(k)) {
-            *slot = Some(col);
+    /// The values of `branch` for [`events`](Self::events), back to back,
+    /// `width` bytes each: an error unless the branch's values are that
+    /// wide.
+    pub fn column(&self, branch: usize, width: usize) -> io::Result<&'a [u8]> {
+        let col = self
+            .columns
+            .iter()
+            .find(|c| c.branch == branch)
+            .ok_or_else(|| bad(format!("branch {branch} is not among the cached branches")))?;
+        if col.width != width {
+            return Err(bad(format!("branch {branch} is {} bytes wide, not {width}", col.width)));
         }
+        let n = (self.events.end - self.events.start) as usize;
+        Ok(&col.bytes[self.at * width..(self.at + n) * width])
     }
+}
 
-    /// Re-address the row to ordinals `first_ord .. first_ord + len`,
-    /// keeping the baskets both ranges hold.
-    fn rebase(&mut self, first_ord: u64, len: usize) {
-        let old = std::mem::take(&mut self.slots);
-        let old_first = std::mem::replace(&mut self.first_ord, first_ord);
-        self.slots.resize_with(len, || None);
-        for (ord, col) in (old_first..).zip(old) {
-            if let Some(slot) = self.index(ord).and_then(|k| self.slots.get_mut(k)) {
-                *slot = col;
-            }
-        }
-    }
+/// The decoded column of one selected branch.
+struct Col {
+    branch: usize,
+    /// Bytes per event.
+    width: usize,
+    /// The resident baskets' values from byte 0, then at least [`SLACK`]
+    /// bytes of room.
+    bytes: Vec<u8>,
 }
 
 /// One basket a window needs.
 #[derive(Clone, Copy)]
 struct Planned {
-    branch: usize,
+    /// Its column.
+    col: usize,
     ord: u64,
-    basket: usize,
     offset: u64,
     len: usize,
 }
@@ -208,13 +173,16 @@ impl Prefetch {
 /// Basket cache for a set of branches over one tree.
 pub struct TreeCache {
     reader: Arc<TreeReader>,
-    /// The selected branches, in the caller's order.
-    branches: Vec<usize>,
     opts: TreeCacheOptions,
     /// Runs the prefetch thread.
     rt: Arc<dyn Runtime>,
-    /// The window table, one row per schema branch.
-    rows: Vec<Row>,
+    /// One column per selected branch, in the caller's order.
+    cols: Vec<Col>,
+    /// The ordinals whose baskets the columns hold; the first one's at
+    /// byte 0.
+    resident: Range<u64>,
+    /// The blob of a scalar basket read (cache off).
+    blob: Vec<u8>,
     /// The prefetch in flight, if any.
     in_flight: Option<Prefetch>,
     /// Fetch-window statistics.
@@ -231,19 +199,20 @@ impl TreeCache {
         opts: TreeCacheOptions,
         rt: Arc<dyn Runtime>,
     ) -> TreeCache {
-        let rows: Vec<Row> = reader.schema().branches.iter().map(|_| Row::default()).collect();
-        let mut selected = Vec::with_capacity(branches.len());
-        for &b in branches {
-            if b < rows.len() && !selected.contains(&b) {
-                selected.push(b);
+        let kinds = &reader.schema().branches;
+        let mut cols: Vec<Col> = Vec::with_capacity(branches.len());
+        for &branch in branches {
+            if branch < kinds.len() && !cols.iter().any(|c| c.branch == branch) {
+                cols.push(Col { branch, width: kinds[branch].kind.width(), bytes: Vec::new() });
             }
         }
         TreeCache {
             reader,
-            branches: selected,
             opts,
             rt,
-            rows,
+            cols,
+            resident: 0..0,
+            blob: Vec::new(),
             in_flight: None,
             windows_loaded: 0,
             prefetches_issued: 0,
@@ -271,47 +240,77 @@ impl TreeCache {
         self.windows_loaded
     }
 
+    /// The first event of the baskets of ordinal `ord`, or the tree's end.
+    fn first_event(&self, ord: u64) -> u64 {
+        ord.saturating_mul(self.reader.events_per_basket() as u64).min(self.reader.n_events())
+    }
+
     /// The basket ordinals that hold events of the window starting at event
     /// `start`, as far as the index has baskets for them (`n_events` is the
     /// file's word; the index is what was read).
-    fn window_ords(&self, start: u64) -> std::ops::Range<u64> {
+    fn window_ords(&self, start: u64) -> Range<u64> {
         let end = start.saturating_add(self.opts.window_events).min(self.reader.n_events());
         let per = self.reader.events_per_basket() as u64;
-        let held = self.branches.iter().map(|&b| self.reader.branch_baskets(b).len()).max();
-        start / per..end.div_ceil(per).min(held.unwrap_or(0) as u64)
+        let held = self.cols.iter().map(|c| self.reader.branch_baskets(c.branch).len()).max();
+        start / per..end.div_ceil(per).min(held.unwrap_or(usize::MAX) as u64)
     }
 
-    /// The baskets of the selected branches for the window starting at
-    /// `start`, offset-sorted; baskets of one offset stay in (ordinal,
-    /// selection) order.
-    fn window_baskets(&self, start: u64) -> Vec<Planned> {
-        let ords = self.window_ords(start);
-        let mut out = Vec::with_capacity(
-            (ords.end.saturating_sub(ords.start)) as usize * self.branches.len(),
-        );
-        for ord in ords {
-            for &branch in &self.branches {
-                if let Some(&basket) = self.reader.branch_baskets(branch).get(ord as usize) {
-                    let info = self.reader.baskets()[basket];
-                    let (offset, len) = (info.offset, info.len as usize);
-                    out.push(Planned { branch, ord, basket, offset, len });
+    /// The baskets of ordinals `ords` that are not resident, in file order;
+    /// baskets of one offset stay in (ordinal, selection) order. Every
+    /// selected branch must have a basket of each ordinal, at its events,
+    /// and one whose frame could fill its slot.
+    fn missing_baskets(&self, ords: Range<u64>) -> io::Result<Vec<Planned>> {
+        let mut out =
+            Vec::with_capacity((ords.end.saturating_sub(ords.start)) as usize * self.cols.len());
+        for ord in ords.filter(|ord| !self.resident.contains(ord)) {
+            let slot = self.first_event(ord)..self.first_event(ord + 1);
+            for (col, c) in self.cols.iter().enumerate() {
+                let no_basket =
+                    || bad(format!("no basket for branch {} event {}", c.branch, slot.start));
+                let &basket =
+                    self.reader.branch_baskets(c.branch).get(ord as usize).ok_or_else(no_basket)?;
+                let info = self.reader.baskets()[basket];
+                if info.first_event != slot.start {
+                    return Err(bad(format!(
+                        "events {}..{} outside their basket",
+                        slot.start, slot.end
+                    )));
                 }
+                let slot_len = (slot.end - slot.start).saturating_mul(c.width as u64);
+                if slot_len > u64::from(info.len).saturating_mul(MAX_EXPANSION as u64) {
+                    return Err(bad("basket size mismatch after decompression"));
+                }
+                out.push(Planned { col, ord, offset: info.offset, len: info.len as usize });
             }
         }
         out.sort_by_key(|p| p.offset);
-        out
+        Ok(out)
     }
 
-    fn resident(&self, branch: usize, ord: u64) -> Option<&[u8]> {
-        self.rows.get(branch)?.get(ord)
-    }
-
-    /// The baskets a load of the window starting at `start` would read:
-    /// its non-resident ones, in file order.
-    fn missing_baskets(&self, start: u64) -> Vec<Planned> {
-        let mut missing = self.window_baskets(start);
-        missing.retain(|p| self.resident(p.branch, p.ord).is_none());
-        missing
+    /// Lend the events from `event` to the end of the last resident basket.
+    /// If the baskets holding `event` are not resident they are loaded
+    /// first: with the cache enabled, the whole window of every selected
+    /// branch in one vectored read; otherwise each branch's basket with a
+    /// scalar read of its own, in selection order.
+    pub fn window(&mut self, event: u64) -> io::Result<Window<'_>> {
+        if event >= self.reader.n_events() {
+            return Err(bad(format!("event {event} out of range")));
+        }
+        let ord = event / self.reader.events_per_basket() as u64;
+        if !self.resident.contains(&ord) {
+            for c in &self.cols {
+                self.reader.basket_for(c.branch, event)?;
+            }
+            if self.opts.enabled {
+                self.load_window(event)?;
+            } else {
+                self.read_baskets(ord)?;
+            }
+            debug_assert!(self.resident.contains(&ord), "event {event} was loaded");
+        }
+        let base = self.first_event(self.resident.start);
+        let end = self.first_event(self.resident.end);
+        Ok(Window { events: event..end, at: (event - base) as usize, columns: &self.cols })
     }
 
     /// Load the window containing `event`; optionally prefetch the next one.
@@ -324,12 +323,10 @@ impl TreeCache {
         }
         let start = (event / self.opts.window_events) * self.opts.window_events;
         let ords = self.window_ords(start);
+        let missing = self.missing_baskets(ords.clone())?;
         // Baskets before the window go; one that straddles its start stays,
         // so it is fetched once, by the window that first needed it.
-        for &branch in &self.branches {
-            self.rows[branch].rebase(ords.start, ords.end.saturating_sub(ords.start) as usize);
-        }
-        let missing = self.missing_baskets(start);
+        self.place(ords.clone());
         // A prefetch in flight ends here; it is this window's read if it
         // read these fragments.
         let prefetched = self.in_flight.take().map(Prefetch::join);
@@ -340,11 +337,14 @@ impl TreeCache {
                 _ => self.reader.source().read_vec(&frags)?,
             };
             self.windows_loaded += 1;
-            for (p, blob) in missing.iter().zip(blobs) {
-                let col = self.reader.decode_basket_owned(p.basket, blob)?;
-                self.rows[p.branch].put(p.ord, col);
+            if blobs.len() != missing.len() {
+                return Err(bad(format!("{} blobs for {} fragments", blobs.len(), missing.len())));
+            }
+            for (p, blob) in missing.iter().zip(&blobs) {
+                self.decode(p, blob)?;
             }
         }
+        self.resident = ords;
         let next = start.saturating_add(self.opts.window_events);
         if self.opts.prefetch && next < self.reader.n_events() {
             self.prefetch(next);
@@ -352,10 +352,68 @@ impl TreeCache {
         Ok(())
     }
 
+    /// Read the baskets of ordinal `ord`, one scalar read per selected
+    /// branch, in selection order.
+    fn read_baskets(&mut self, ord: u64) -> io::Result<()> {
+        let mut plan = self.missing_baskets(ord..ord + 1)?;
+        plan.sort_by_key(|p| p.col);
+        self.place(ord..ord + 1);
+        let mut blob = std::mem::take(&mut self.blob);
+        for p in &plan {
+            blob.resize(p.len, 0);
+            self.reader.source().read_exact_at(p.offset, &mut blob)?;
+            self.decode(p, &blob)?;
+        }
+        self.blob = blob;
+        self.resident = ord..ord + 1;
+        Ok(())
+    }
+
+    /// Make the columns hold the ordinals `ords`: each sized for them, the
+    /// baskets they share with the resident ones moved into place. Until
+    /// the load ends nothing is resident, but `ords.start` is at byte 0.
+    fn place(&mut self, ords: Range<u64>) {
+        let kept = ords.start.max(self.resident.start)..ords.end.min(self.resident.end);
+        let (base, old_base) =
+            (self.first_event(ords.start), self.first_event(self.resident.start));
+        let events = self.first_event(ords.end) - base;
+        let kept_events = self.first_event(kept.start)..self.first_event(kept.end);
+        for c in &mut self.cols {
+            let need = events as usize * c.width + SLACK;
+            if c.bytes.len() < need {
+                c.bytes.resize(need, 0);
+            }
+            if !kept.is_empty() {
+                let from = (kept_events.start - old_base) as usize * c.width;
+                let len = (kept_events.end - kept_events.start) as usize * c.width;
+                c.bytes
+                    .copy_within(from..from + len, (kept_events.start - base) as usize * c.width);
+            }
+        }
+        self.resident = ords.start..ords.start;
+    }
+
+    /// Decode `blob`, the basket `p` plans, into its slot of its column.
+    fn decode(&mut self, p: &Planned, blob: &[u8]) -> io::Result<()> {
+        let base = self.first_event(self.resident.start);
+        let slot = self.first_event(p.ord)..self.first_event(p.ord + 1);
+        let frame = Frame::parse(blob)?;
+        let c = &mut self.cols[p.col];
+        let (at, len) =
+            ((slot.start - base) as usize * c.width, (slot.end - slot.start) as usize * c.width);
+        if frame.decoded_len() != len {
+            return Err(bad("basket size mismatch after decompression"));
+        }
+        frame.decode_into(&mut c.bytes[at..at + len + SLACK])
+    }
+
     /// Start reading the window starting at `start` on a runtime thread.
+    /// A window the index cannot plan is left to its own load to report.
     fn prefetch(&mut self, start: u64) {
-        let frags: Vec<(u64, usize)> =
-            self.missing_baskets(start).iter().map(|p| (p.offset, p.len)).collect();
+        let Ok(missing) = self.missing_baskets(self.window_ords(start)) else {
+            return;
+        };
+        let frags: Vec<(u64, usize)> = missing.iter().map(|p| (p.offset, p.len)).collect();
         if frags.is_empty() {
             return;
         }
@@ -373,57 +431,6 @@ impl TreeCache {
         );
         self.in_flight = Some(Prefetch { frags, done, blobs });
         self.prefetches_issued += 1;
-    }
-
-    /// Make the basket holding `event` of `branch` resident: with the cache
-    /// enabled a miss loads the whole window of every selected branch,
-    /// otherwise it is one scalar read that replaces the branch's basket.
-    pub fn load(&mut self, branch: usize, event: u64) -> io::Result<()> {
-        let (basket, ord) = self.reader.locate(branch, event)?;
-        if self.resident(branch, ord).is_some() {
-            return Ok(());
-        }
-        if self.opts.enabled {
-            self.load_window(event)?;
-            if self.resident(branch, ord).is_none() {
-                return Err(bad(format!("branch {branch} is not among the cached branches")));
-            }
-        } else {
-            let col = self.reader.read_basket(basket)?;
-            self.rows[branch] = Row { first_ord: ord, slots: vec![Some(col)] };
-        }
-        Ok(())
-    }
-
-    /// The resident basket holding `event` of `branch` ([`load`](Self::load)
-    /// it first). Borrowing, so the columns of several branches can be held
-    /// at once and read for every event they share.
-    pub fn column(&self, branch: usize, event: u64) -> io::Result<Column<'_>> {
-        let (basket, ord) = self.reader.locate(branch, event)?;
-        let bytes = self
-            .resident(branch, ord)
-            .ok_or_else(|| bad(format!("branch {branch} event {event} is not loaded")))?;
-        Ok(Column { bytes, first_event: self.reader.baskets()[basket].first_event })
-    }
-
-    fn loaded(&mut self, branch: usize, event: u64) -> io::Result<Column<'_>> {
-        self.load(branch, event)?;
-        self.column(branch, event)
-    }
-
-    /// Read an `f32` branch value.
-    pub fn f32_value(&mut self, branch: usize, event: u64) -> io::Result<f32> {
-        self.loaded(branch, event)?.f32(event)
-    }
-
-    /// Read an `i16` array branch value (length `n`).
-    pub fn i16_array(
-        &mut self,
-        branch: usize,
-        event: u64,
-        n: usize,
-    ) -> io::Result<impl Iterator<Item = i16> + '_> {
-        self.loaded(branch, event)?.i16s(event, n)
     }
 }
 
@@ -525,6 +532,12 @@ mod tests {
         Arc::new(netsim::RealRuntime::new())
     }
 
+    /// The `f32` of `branch` at `event`, through the window from `event`.
+    fn f32_at(cache: &mut TreeCache, branch: usize, event: u64) -> io::Result<f32> {
+        let column = cache.window(event)?.column(branch, 4)?;
+        Ok(f32::from_le_bytes(column[..4].try_into().expect("4 bytes")))
+    }
+
     #[test]
     fn values_match_generator() {
         let (reader, _src, schema) = tree();
@@ -539,8 +552,8 @@ mod tests {
         let batch = g.batch(2_000);
         let (px, e) = (schema.index_of("px").unwrap(), schema.index_of("energy").unwrap());
         for ev in [0u64, 1, 99, 100, 101, 999, 1000, 1999] {
-            assert_eq!(cache.f32_value(px, ev).unwrap(), batch.f32_at(px, ev as usize));
-            assert_eq!(cache.f32_value(e, ev).unwrap(), batch.f32_at(e, ev as usize));
+            assert_eq!(f32_at(&mut cache, px, ev).unwrap(), batch.f32_at(px, ev as usize));
+            assert_eq!(f32_at(&mut cache, e, ev).unwrap(), batch.f32_at(e, ev as usize));
         }
     }
 
@@ -556,7 +569,7 @@ mod tests {
         .unwrap();
         let px = reader.schema().index_of("px").unwrap();
         for ev in 0..2_000u64 {
-            cache.f32_value(px, ev).unwrap();
+            f32_at(&mut cache, px, ev).unwrap();
         }
         let s = src.stats();
         // 2000 events / 500-event windows = 4 vectored loads (plus the 3
@@ -580,8 +593,8 @@ mod tests {
         let px = reader.schema().index_of("px").unwrap();
         let py = reader.schema().index_of("py").unwrap();
         for ev in 0..2_000u64 {
-            cache.f32_value(px, ev).unwrap();
-            cache.f32_value(py, ev).unwrap();
+            f32_at(&mut cache, px, ev).unwrap();
+            f32_at(&mut cache, py, ev).unwrap();
         }
         let s = src.stats().since(&before);
         // 20 baskets per branch × 2 branches = 40 scalar reads, no readv.
@@ -610,10 +623,7 @@ mod tests {
                 let px = schema.index_of("px").unwrap();
                 let mut values = Vec::new();
                 for ev in (0..1_010u64).step_by(stride) {
-                    for name in names {
-                        cache.load(schema.index_of(name).unwrap(), ev).unwrap();
-                    }
-                    values.push(cache.f32_value(px, ev).unwrap().to_bits());
+                    values.push(f32_at(&mut cache, px, ev).unwrap().to_bits());
                 }
                 let (windows, prefetches) = (cache.windows_loaded(), cache.prefetches_issued);
                 drop(cache);
@@ -640,8 +650,8 @@ mod tests {
         let mut cache =
             TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, net.runtime()).unwrap();
         let px = schema.index_of("px").unwrap();
-        cache.load(px, 0).unwrap();
-        cache.load(px, 1_500).unwrap();
+        assert_eq!(cache.window(0).unwrap().events(), 0..500);
+        assert_eq!(cache.window(1_500).unwrap().events(), 1_500..2_000);
         drop(cache);
         let first =
             |l: &Vec<(u64, usize)>| reader.baskets().iter().position(|b| b.offset == l[0].0);
@@ -656,16 +666,15 @@ mod tests {
     fn a_failed_prefetch_is_its_windows_error() {
         let net = SimNet::new();
         let _g = net.enter();
-        let (reader, src, schema) = tree_with(2_000, 100, None, Some(1));
+        let (reader, src, _schema) = tree_with(2_000, 100, None, Some(1));
         let opts = TreeCacheOptions { window_events: 500, enabled: true, prefetch: true };
         let mut cache =
             TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, net.runtime()).unwrap();
-        let px = schema.index_of("px").unwrap();
-        cache.load(px, 0).unwrap();
-        let err = cache.load(px, 500).unwrap_err();
+        cache.window(0).unwrap();
+        let err = cache.window(500).err().expect("the prefetch failed");
         assert_eq!(err.to_string(), "read_vec 1 failed");
         assert_eq!(src.loads.lock().len(), 2, "window 0, then the prefetch of window 1");
-        cache.load(px, 500).unwrap();
+        cache.window(500).unwrap();
         assert_eq!(cache.windows_loaded(), 2);
         drop(cache);
         let loads = src.loads.lock();
@@ -680,19 +689,18 @@ mod tests {
         let net = SimNet::new();
         let _g = net.enter();
         let rtt = Duration::from_millis(10);
-        let (reader, _src, schema) = tree_with(2_000, 100, Some((net.runtime(), rtt)), None);
-        let px = schema.index_of("px").unwrap();
+        let (reader, _src, _schema) = tree_with(2_000, 100, Some((net.runtime(), rtt)), None);
         let before = net.thread_census();
         let opts = TreeCacheOptions { window_events: 500, enabled: true, prefetch: true };
         let mut cache =
             TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, net.runtime()).unwrap();
         let t0 = net.now();
-        cache.load(px, 0).unwrap();
+        cache.window(0).unwrap();
         assert_eq!(net.now() - t0, rtt, "window 0 is read on the caller's thread");
         assert_eq!(net.thread_census(), before + 1, "window 1's read is in flight");
         net.sleep(2 * rtt); // the work on window 0
         let t1 = net.now();
-        cache.load(px, 500).unwrap();
+        cache.window(500).unwrap();
         assert_eq!(net.now(), t1, "window 1 had landed");
         drop(cache);
         net.sleep(Duration::from_millis(1));
@@ -714,7 +722,10 @@ mod tests {
         let cal = schema.index_of("cal").unwrap();
         // Stride through 10% of events.
         for ev in (0..2_000u64).step_by(10) {
-            let got: Vec<i16> = cache.i16_array(cal, ev, 8).unwrap().collect();
+            let window = cache.window(ev).unwrap();
+            let cells = &window.column(cal, 16).unwrap()[..16];
+            let got: Vec<i16> =
+                cells.chunks_exact(2).map(|c| i16::from_le_bytes([c[0], c[1]])).collect();
             assert_eq!(got, batch.i16_array_at(cal, ev as usize, 8), "event {ev}");
         }
     }
@@ -800,9 +811,7 @@ mod tests {
             let branches: Vec<usize> =
                 names.iter().map(|n| reader.schema().index_of(n).unwrap()).collect();
             for ev in (0..1_010u64).step_by(stride) {
-                for &b in &branches[..5] {
-                    cache.load(b, ev).unwrap();
-                }
+                cache.window(ev).unwrap();
             }
             let loads = src.loads.lock().clone();
             let what = format!("{per} events a basket, windows of {window}, stride {stride}");
@@ -820,28 +829,29 @@ mod tests {
         }
     }
 
+    /// A branch outside the selection, or read at another width than its
+    /// own, is an error, whether the cache is on or off.
     #[test]
     fn a_branch_outside_the_selection_is_an_error_not_a_panic() {
         let (reader, _src, schema) = tree();
-        let mut cache = TreeCache::for_branches(
-            Arc::clone(&reader),
-            &["px"],
-            TreeCacheOptions::default(),
-            rt(),
-        )
-        .unwrap();
-        let py = schema.index_of("py").unwrap();
-        assert!(cache.column(schema.index_of("px").unwrap(), 0).is_err(), "not loaded yet");
-        assert!(cache.f32_value(py, 0).is_err());
-        // Cache off, every branch is read on demand.
-        let opts = TreeCacheOptions { enabled: false, ..Default::default() };
-        let mut plain = TreeCache::for_branches(reader, &["px"], opts, rt()).unwrap();
-        assert!(plain.f32_value(py, 0).is_ok());
+        let (px, py) = (schema.index_of("px").unwrap(), schema.index_of("py").unwrap());
+        for enabled in [true, false] {
+            let opts = TreeCacheOptions { enabled, ..Default::default() };
+            let mut cache =
+                TreeCache::for_branches(Arc::clone(&reader), &["px"], opts, rt()).unwrap();
+            let window = cache.window(0).unwrap();
+            assert!(window.column(px, 4).is_ok());
+            let err = window.column(py, 4).unwrap_err();
+            assert_eq!(err.to_string(), format!("branch {py} is not among the cached branches"));
+            let err = window.column(px, 2).unwrap_err();
+            assert_eq!(err.to_string(), format!("branch {px} is 4 bytes wide, not 2"));
+            assert!(cache.window(2_000).is_err(), "past the last event");
+        }
     }
 
-    /// A raw basket is its column in the buffer it arrived in, but never
-    /// before its CRC is checked: one flipped payload byte of a stored-raw
-    /// basket fails the window load. A path that lent the bytes unchecked
+    /// A raw basket is CRC-checked in the blob it arrived in before it is
+    /// copied into its slot: one flipped payload byte of a stored-raw
+    /// basket fails the window load. A path that copied the bytes unchecked
     /// fails this test.
     #[test]
     fn a_flipped_byte_in_a_raw_basket_fails_the_window_load() {
@@ -860,8 +870,8 @@ mod tests {
             let reader = Arc::new(TreeReader::open(Arc::new(MemFile::new(file))).unwrap());
             let mut cache =
                 TreeCache::for_branches(reader, &["px", "py"], opts.clone(), rt()).unwrap();
-            match cache.load(px, 45) {
-                Ok(()) => assert!(!damaged, "a damaged raw basket was lent"),
+            match cache.window(45) {
+                Ok(_) => assert!(!damaged, "a damaged raw basket was lent"),
                 Err(e) => {
                     assert!(damaged, "{e}");
                     assert_eq!(e.to_string(), "codec crc mismatch");
@@ -870,19 +880,122 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_run_is_checked_at_both_ends() {
-        let bytes: Vec<u8> = (0..40).collect();
-        let col = Column { bytes: &bytes, first_event: 100 };
-        assert_eq!(col.run_bytes(100..110, 4).unwrap(), &bytes[..]);
-        assert_eq!(col.run_bytes(103..105, 4).unwrap(), &bytes[12..20]);
-        assert_eq!(col.run_bytes(107..107, 4).unwrap(), b"");
-        let backwards = std::ops::Range { start: 105, end: 104 };
-        for outside in [99..101, 109..111, backwards, 0..u64::MAX, u64::MAX - 1..u64::MAX] {
-            assert!(col.run_bytes(outside.clone(), 4).is_err(), "{outside:?}");
+    /// Every column of `window`, as `read_basket` decodes its baskets.
+    fn assert_columns_are_the_baskets(reader: &TreeReader, window: &Window<'_>, what: &str) {
+        let per = reader.events_per_basket() as u64;
+        for col in window.columns {
+            let width = col.width;
+            let mut want = Vec::new();
+            for first in (window.events.start / per * per..window.events.end).step_by(per as usize)
+            {
+                want.extend(
+                    reader.read_basket(reader.basket_for(col.branch, first).unwrap()).unwrap(),
+                );
+            }
+            let skip = (window.events.start % per) as usize * width;
+            let got = window.column(col.branch, width).unwrap();
+            assert_eq!(got, &want[skip..], "{what}: branch {}", col.branch);
         }
-        assert_eq!(col.f32(109).unwrap(), f32::from_le_bytes([36, 37, 38, 39]));
-        assert!(col.f32(110).is_err() && col.f32(u64::MAX).is_err());
+    }
+
+    /// A window lends the events from the one asked for to the end of its
+    /// last basket, without a load while they are resident; its columns
+    /// are the baskets, back to back.
+    #[test]
+    fn a_window_runs_from_the_event_to_the_end_of_its_baskets() {
+        let names = ["px", "charge", "cal"];
+        for compress in [true, false] {
+            let mut g = Generator::new(Schema::hep(8), 3);
+            let bytes =
+                write_tree(&mut g, 1_010, &WriterOptions { events_per_basket: 20, compress });
+            let reader = Arc::new(TreeReader::open(Arc::new(MemFile::new(bytes))).unwrap());
+            let opts = TreeCacheOptions { window_events: 50, enabled: true, prefetch: false };
+            let mut cache =
+                TreeCache::for_branches(Arc::clone(&reader), &names, opts, rt()).unwrap();
+            // Window 0 is ordinals 0..3, and 59 is in it. 60 is not: window
+            // 1 is ordinals 2..5, ordinal 2 kept. The last window is 50..51.
+            for (event, events, loaded) in
+                [(0, 0..60, 1), (59, 59..60, 1), (60, 60..100, 2), (1_009, 1_009..1_010, 3)]
+            {
+                let window = cache.window(event).unwrap();
+                let what = format!("compress {compress}, event {event}");
+                assert_eq!(window.events(), events, "{what}");
+                assert_columns_are_the_baskets(&reader, &window, &what);
+                assert_eq!(cache.windows_loaded(), loaded, "{what}");
+            }
+        }
+    }
+
+    /// Going back a window keeps the basket the two share, which moves to
+    /// the end of the columns and must stay intact while the baskets
+    /// before it are decoded (the decoder's own stores past a slot are
+    /// pinned by `decoding_in_place_leaves_the_bytes_after_the_output_alone`).
+    #[test]
+    fn a_window_that_moves_back_keeps_what_it_shares_intact() {
+        let (reader, src, schema) = tree_of(1_010, 20);
+        let opts = TreeCacheOptions { window_events: 50, enabled: true, prefetch: false };
+        let names = ["px", "energy", "cal"];
+        let mut cache = TreeCache::for_branches(Arc::clone(&reader), &names, opts, rt()).unwrap();
+        // Events 150..200 are ordinals 7..10, events 100..150 ordinals 5..8.
+        assert_eq!(cache.window(150).unwrap().events(), 150..200);
+        let window = cache.window(100).unwrap();
+        assert_eq!(window.events(), 100..160);
+        assert_columns_are_the_baskets(&reader, &window, "back one window");
+        let loads = src.loads.lock();
+        let ord_7 =
+            reader.baskets()[reader.basket_for(schema.index_of("px").unwrap(), 140).unwrap()];
+        assert_eq!(loads.len(), 2);
+        assert_eq!(loads[1].len(), 2 * names.len(), "ordinals 5 and 6");
+        assert!(!loads[1].contains(&(ord_7.offset, ord_7.len as usize)), "ordinal 7 kept");
+    }
+
+    /// `file` with the index record of `basket` changed by `patch`.
+    fn patch_index(file: &mut [u8], basket: usize, patch: impl FnOnce(&mut [u8])) {
+        let footer = file.len() - crate::writer::FOOTER_LEN;
+        let index = u64::from_le_bytes(file[footer..footer + 8].try_into().unwrap()) as usize;
+        let at = index + 4 + 26 * basket;
+        patch(&mut file[at..at + 26]);
+    }
+
+    /// A basket indexed at other events than its ordinal's, or whose frame
+    /// does not fill its slot, is invalid data, and nothing is lent.
+    #[test]
+    fn a_basket_that_does_not_fit_its_slot_is_invalid_data() {
+        let mut g = Generator::new(Schema::hep(8), 21);
+        let bytes =
+            write_tree(&mut g, 200, &WriterOptions { events_per_basket: 20, compress: false });
+        let intact = TreeReader::open(Arc::new(MemFile::new(bytes.clone()))).unwrap();
+        let px = intact.schema().index_of("px").unwrap();
+        let basket = intact.basket_for(px, 45).unwrap();
+        let info = intact.baskets()[basket];
+        // The frame of 19 events of `px` where the 20 of ordinal 2 were.
+        let short = codec::store(&[7; 76]);
+        let mut lying_events = bytes.clone();
+        patch_index(&mut lying_events, basket, |rec| {
+            rec[2..10].copy_from_slice(&41u64.to_le_bytes())
+        });
+        let mut short_frame = bytes.clone();
+        let at = info.offset as usize;
+        short_frame[at..at + short.len()].copy_from_slice(&short);
+        patch_index(&mut short_frame, basket, |rec| {
+            rec[22..26].copy_from_slice(&(short.len() as u32).to_le_bytes())
+        });
+        for (file, text) in [
+            (lying_events, "events 40..60 outside their basket"),
+            (short_frame, "basket size mismatch after decompression"),
+        ] {
+            for enabled in [true, false] {
+                let file = MemFile::new(file.clone());
+                let reader = Arc::new(TreeReader::open(Arc::new(file)).unwrap());
+                let opts = TreeCacheOptions { window_events: 100, enabled, prefetch: false };
+                let mut cache = TreeCache::for_branches(reader, &["px"], opts, rt()).unwrap();
+                let err = cache.window(45).err().expect("rejected");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{text}");
+                assert_eq!(err.to_string(), text);
+                assert!(cache.window(45).is_err(), "{text}: nothing lent after the failure");
+                assert!(cache.window(150).is_ok(), "{text}: ordinals 5 and on are intact");
+            }
+        }
     }
 
     #[test]

@@ -31,9 +31,9 @@
 //! LZSS frame may claim at most 9 output bytes per payload byte; both are
 //! checked before anything is allocated.
 //!
-//! The decoder writes into a buffer 32 bytes longer than the output and
-//! truncates it at the end, so every token may be stored whole as a fixed
-//! size. It checks bounds once per token group (a flag byte and up to eight
+//! The decoder writes into a buffer 32 bytes longer than the output, so
+//! every token may be stored whole as a fixed size; a frame decoded into the
+//! middle of a larger buffer gets those 32 bytes put back after it. It checks bounds once per token group (a flag byte and up to eight
 //! tokens): a group whose reads are all in the payload and whose 8 × 18
 //! output bytes all fit before `orig_len` runs with no per-token check but
 //! each match's offset. Any other group — the last few of a stream — is
@@ -259,31 +259,29 @@ impl Encoder {
 /// Bytes the decoder's output buffer runs past `orig_len`: room for a
 /// token's whole fixed-size store (18 bytes on the portable path, 32 in the
 /// vector kernel) however close to the end it starts.
-const SLACK: usize = 32;
+pub(crate) const SLACK: usize = 32;
 
-fn lzss_decode(input: &[u8], orig_len: usize) -> io::Result<Vec<u8>> {
+/// Decode `input` into `out[..orig_len]`, storing garbage in up to
+/// [`SLACK`] bytes after it.
+fn lzss_decode(input: &[u8], out: &mut [u8], orig_len: usize) -> io::Result<()> {
     #[cfg(target_arch = "x86_64")]
-    if let Some(out) = x86::lzss_decode(input, orig_len) {
-        return out;
+    if let Some(done) = x86::lzss_decode(input, out, orig_len) {
+        return done;
     }
-    lzss_decode_portable(input, orig_len)
+    lzss_decode_from(input, out, 0, 0, orig_len)
 }
 
-/// The portable decoder, and the reference the vector kernel is tested
-/// against.
-fn lzss_decode_portable(input: &[u8], orig_len: usize) -> io::Result<Vec<u8>> {
-    lzss_decode_from(input, vec![0u8; orig_len + SLACK], 0, 0, orig_len)
-}
-
-/// Decode `input` from payload position `i` into `out` (`orig_len + SLACK`
-/// bytes, the first `o` of them already decoded), where a group starts.
+/// Decode `input` from payload position `i` into `out` (at least
+/// `orig_len + SLACK` bytes, the first `o` of them already decoded), where a
+/// group starts. From position 0 this is the portable decoder, and the
+/// reference the vector kernel is tested against.
 fn lzss_decode_from(
     input: &[u8],
-    mut out: Vec<u8>,
+    out: &mut [u8],
     mut i: usize,
     mut o: usize,
     orig_len: usize,
-) -> io::Result<Vec<u8>> {
+) -> io::Result<()> {
     while o < orig_len {
         let Some(&flags) = input.get(i) else {
             return Err(invalid("lzss stream truncated"));
@@ -294,7 +292,7 @@ fn lzss_decode_from(
             // before `orig_len`: no per-token checks but the offset.
             for bit in 0..8 {
                 if flags & (1 << bit) != 0 {
-                    o = copy_match(&mut out, o, [input[i], input[i + 1]])?;
+                    o = copy_match(out, o, [input[i], input[i + 1]])?;
                     i += 2;
                 } else {
                     out[o] = input[i];
@@ -312,7 +310,7 @@ fn lzss_decode_from(
                 if i + 2 > input.len() {
                     return Err(invalid("truncated match"));
                 }
-                o = copy_match(&mut out, o, [input[i], input[i + 1]])?;
+                o = copy_match(out, o, [input[i], input[i + 1]])?;
                 i += 2;
             } else {
                 let Some(&literal) = input.get(i) else {
@@ -324,8 +322,7 @@ fn lzss_decode_from(
             }
         }
     }
-    out.truncate(orig_len);
-    Ok(out)
+    Ok(())
 }
 
 /// Apply the match `token` at output position `o` (which is below the
@@ -398,77 +395,90 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
     Encoder::new().compress(input)
 }
 
-/// What a frame's header says, checked against the frame.
-struct Header {
+/// The most bytes an LZSS payload byte can decode to: a group of 17 input
+/// bytes (flags + 8 match tokens) yields at most 8 × 18 output bytes — under
+/// 9 to 1.
+pub(crate) const MAX_EXPANSION: usize = 9;
+
+/// A frame whose header has been checked against it.
+pub(crate) struct Frame<'a> {
     method: u8,
     orig_len: usize,
     crc: u32,
+    payload: &'a [u8],
 }
 
-/// Check everything about `frame` but its payload: magic, exact length,
-/// method, and a decoded length the payload can produce.
-fn header(frame: &[u8]) -> io::Result<Header> {
-    if frame.len() < FRAME_HEADER {
-        return Err(invalid("short codec frame"));
-    }
-    let magic = u16::from_le_bytes([frame[0], frame[1]]);
-    if magic != FRAME_MAGIC {
-        return Err(invalid("bad codec magic"));
-    }
-    let method = frame[2];
-    let word = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes"));
-    let (orig_len, payload_len, crc) = (word(4) as usize, word(8) as usize, word(12));
-    if frame.len() < FRAME_HEADER + payload_len {
-        return Err(invalid("codec frame truncated"));
-    }
-    if frame.len() > FRAME_HEADER + payload_len {
-        return Err(invalid("codec frame longer than its header says"));
-    }
-    match method {
-        METHOD_RAW if payload_len != orig_len => Err(invalid("raw frame length mismatch")),
-        // The output buffer is reserved up front, so the size the frame
-        // claims must be one its payload could decode to: a group of 17
-        // input bytes (flags + 8 match tokens) yields at most 8 × 18 output
-        // bytes — under 9 to 1. A 16-byte frame cannot ask for 4 GiB.
-        METHOD_LZSS if orig_len > payload_len.saturating_mul(9) => {
-            Err(invalid("codec frame claims more than its payload can decode to"))
+impl<'a> Frame<'a> {
+    /// Check everything about `frame` but its payload: magic, exact
+    /// length, method, and a decoded length the payload can produce.
+    pub(crate) fn parse(frame: &'a [u8]) -> io::Result<Frame<'a>> {
+        if frame.len() < FRAME_HEADER {
+            return Err(invalid("short codec frame"));
         }
-        METHOD_RAW | METHOD_LZSS => Ok(Header { method, orig_len, crc }),
-        m => Err(io::Error::new(io::ErrorKind::InvalidData, format!("unknown codec method {m}"))),
+        let magic = u16::from_le_bytes([frame[0], frame[1]]);
+        if magic != FRAME_MAGIC {
+            return Err(invalid("bad codec magic"));
+        }
+        let method = frame[2];
+        let word = |at: usize| u32::from_le_bytes(frame[at..at + 4].try_into().expect("4 bytes"));
+        let (orig_len, payload_len, crc) = (word(4) as usize, word(8) as usize, word(12));
+        if frame.len() < FRAME_HEADER + payload_len {
+            return Err(invalid("codec frame truncated"));
+        }
+        if frame.len() > FRAME_HEADER + payload_len {
+            return Err(invalid("codec frame longer than its header says"));
+        }
+        let payload = &frame[FRAME_HEADER..];
+        match method {
+            METHOD_RAW if payload_len != orig_len => Err(invalid("raw frame length mismatch")),
+            // The output buffer is reserved up front, so the size the frame
+            // claims must be one its payload could decode to. A 16-byte
+            // frame cannot ask for 4 GiB.
+            METHOD_LZSS if orig_len > payload_len.saturating_mul(MAX_EXPANSION) => {
+                Err(invalid("codec frame claims more than its payload can decode to"))
+            }
+            METHOD_RAW | METHOD_LZSS => Ok(Frame { method, orig_len, crc, payload }),
+            m => {
+                Err(io::Error::new(io::ErrorKind::InvalidData, format!("unknown codec method {m}")))
+            }
+        }
     }
-}
 
-/// `out`, if its CRC-32 is the one the header recorded.
-fn crc_checked(out: Vec<u8>, header: &Header) -> io::Result<Vec<u8>> {
-    if crc32(&out) != header.crc {
-        return Err(invalid("codec crc mismatch"));
+    /// The length the frame decodes to.
+    pub(crate) fn decoded_len(&self) -> usize {
+        self.orig_len
     }
-    Ok(out)
+
+    /// Decode the frame into `out[..decoded_len]` and check it against the
+    /// frame's CRC-32. A raw payload is copied once; an LZSS one is
+    /// inflated in place, and may store into the [`SLACK`] bytes after the
+    /// output, so `out` must be that much longer: what those bytes held is
+    /// put back.
+    pub(crate) fn decode_into(&self, out: &mut [u8]) -> io::Result<()> {
+        let n = self.orig_len;
+        if self.method == METHOD_RAW {
+            out[..n].copy_from_slice(self.payload);
+        } else {
+            let slack: [u8; SLACK] = out[n..n + SLACK].try_into().expect("SLACK bytes");
+            let decoded = lzss_decode(self.payload, out, n);
+            out[n..n + SLACK].copy_from_slice(&slack);
+            decoded?;
+        }
+        if crc32(&out[..n]) != self.crc {
+            return Err(invalid("codec crc mismatch"));
+        }
+        Ok(())
+    }
 }
 
 /// Decompress a framed block, verifying length and CRC. The frame must be
 /// exactly as long as its header says.
 pub fn decompress(frame: &[u8]) -> io::Result<Vec<u8>> {
-    let header = header(frame)?;
-    let payload = &frame[FRAME_HEADER..];
-    let out = match header.method {
-        METHOD_RAW => payload.to_vec(),
-        _ => lzss_decode(payload, header.orig_len)?,
-    };
-    crc_checked(out, &header)
-}
-
-/// [`decompress`] of a frame the caller owns: a raw frame becomes its
-/// payload in the buffer it arrived in, the header dropped in place, with
-/// no allocation and no copy but that of the payload down 16 bytes. The
-/// checks and errors are [`decompress`]'s.
-pub fn decompress_owned(mut frame: Vec<u8>) -> io::Result<Vec<u8>> {
-    let header = header(&frame)?;
-    if header.method != METHOD_RAW {
-        return crc_checked(lzss_decode(&frame[FRAME_HEADER..], header.orig_len)?, &header);
-    }
-    frame.drain(..FRAME_HEADER);
-    crc_checked(frame, &header)
+    let frame = Frame::parse(frame)?;
+    let mut out = vec![0u8; frame.decoded_len() + SLACK];
+    frame.decode_into(&mut out)?;
+    out.truncate(frame.decoded_len());
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -587,7 +597,7 @@ mod tests {
     }
 
     #[test]
-    fn corruption_of_a_4k_basket_is_detected_on_both_paths() {
+    fn corruption_of_a_4k_basket_is_detected_on_both_methods() {
         // Baskets this large take the CRC's vector kernel where the CPU
         // has one. A raw frame (bytes that do not compress) and an LZSS
         // frame whose last token is a literal (its last two bytes occur
@@ -606,8 +616,35 @@ mod tests {
             assert_eq!(c[2], method);
             let last = c.len() - 1;
             c[last] ^= 0x01;
-            for got in [decompress(&c), decompress_owned(c.clone())] {
-                assert_eq!(got.unwrap_err().to_string(), "codec crc mismatch");
+            assert_eq!(decompress(&c).unwrap_err().to_string(), "codec crc mismatch");
+        }
+    }
+
+    /// A frame decoded in place fills its output and leaves every byte
+    /// after it as it was, the LZSS decoder's slack included, whether it
+    /// decodes or fails.
+    #[test]
+    fn decoding_in_place_leaves_the_bytes_after_the_output_alone() {
+        let cells = b"calorimeter-cell-0000 ".repeat(40);
+        let noise: Vec<u8> =
+            (0..300u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        for (input, method) in [(cells, METHOD_LZSS), (noise, METHOD_RAW)] {
+            for damaged in [false, true] {
+                let mut c = compress(&input);
+                assert_eq!(c[2], method);
+                if damaged {
+                    let last = c.len() - 1;
+                    c[last] ^= 0x01;
+                }
+                let frame = Frame::parse(&c).unwrap();
+                assert_eq!(frame.decoded_len(), input.len());
+                let mut out = vec![0xA5; input.len() + SLACK + 8];
+                let got = frame.decode_into(&mut out);
+                assert_eq!(got.is_err(), damaged, "method {method}");
+                if !damaged {
+                    assert_eq!(out[..input.len()], input[..], "method {method}");
+                }
+                assert!(out[input.len()..].iter().all(|&b| b == 0xA5), "method {method}");
             }
         }
     }
@@ -756,11 +793,20 @@ mod tests {
     /// text.
     fn assert_decoders_agree(payload: &[u8], orig_len: usize, what: &dyn std::fmt::Display) {
         let model = model_decode(payload, orig_len);
-        let text = |got: io::Result<Vec<u8>>| got.map_err(|e| e.to_string());
-        assert_eq!(text(lzss_decode_portable(payload, orig_len)), model, "portable, {what}");
+        // Each decoder writes into a buffer of its own.
+        let decoded = |got: io::Result<()>, mut out: Vec<u8>| {
+            out.truncate(orig_len);
+            got.map(|()| out).map_err(|e| e.to_string())
+        };
+        let mut out = vec![0u8; orig_len + SLACK];
+        let got = lzss_decode_from(payload, &mut out, 0, 0, orig_len);
+        assert_eq!(decoded(got, out), model, "portable, {what}");
         #[cfg(target_arch = "x86_64")]
-        if let Some(got) = x86::lzss_decode(payload, orig_len) {
-            assert_eq!(text(got), model, "vbmi, {what}");
+        {
+            let mut out = vec![0u8; orig_len + SLACK];
+            if let Some(got) = x86::lzss_decode(payload, &mut out, orig_len) {
+                assert_eq!(decoded(got, out), model, "vbmi, {what}");
+            }
         }
     }
 
@@ -768,7 +814,8 @@ mod tests {
     fn the_vbmi_kernel_is_under_test_where_the_cpu_has_it() {
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx512vbmi") && is_x86_feature_detected!("avx512vl") {
-            assert!(x86::lzss_decode(&[], 0).is_some(), "the VBMI kernel is under test");
+            let under_test = x86::lzss_decode(&[], &mut [0; SLACK], 0).is_some();
+            assert!(under_test, "the VBMI kernel is under test");
         }
     }
 

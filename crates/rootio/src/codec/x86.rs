@@ -40,16 +40,16 @@ const fn period_rows() -> [[u8; 32]; MAX_MATCH + 1] {
     rows
 }
 
-/// The decoded stream, by the VBMI kernel and then the portable decoder —
-/// `None` when this CPU lacks `avx512vbmi` or `avx512vl`.
-pub(super) fn lzss_decode(input: &[u8], orig_len: usize) -> Option<io::Result<Vec<u8>>> {
+/// Decode `input` into `out[..orig_len]` (`out` has [`SLACK`] bytes more),
+/// by the VBMI kernel and then the portable decoder — `None` when this CPU
+/// lacks `avx512vbmi` or `avx512vl`.
+pub(super) fn lzss_decode(input: &[u8], out: &mut [u8], orig_len: usize) -> Option<io::Result<()>> {
     if !is_x86_feature_detected!("avx512vbmi") || !is_x86_feature_detected!("avx512vl") {
         return None;
     }
-    let mut out = vec![0u8; orig_len + SLACK];
     // SAFETY: the kernel enables `avx512vbmi` and `avx512vl`, and both were
     // detected on this CPU just above.
-    let at = unsafe { fast_groups(input, &mut out, orig_len) };
+    let at = unsafe { fast_groups(input, out, orig_len) };
     Some(at.and_then(|(i, o)| lzss_decode_from(input, out, i, o, orig_len)))
 }
 

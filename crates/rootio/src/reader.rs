@@ -172,21 +172,13 @@ impl TreeReader {
 
     /// Which basket (global index) holds `event` of `branch`.
     pub fn basket_for(&self, branch: usize, event: u64) -> io::Result<usize> {
-        self.locate(branch, event).map(|(basket, _)| basket)
-    }
-
-    /// [`basket_for`](Self::basket_for), and the basket's ordinal in its
-    /// branch from the same division: the cache asks twice per branch for
-    /// every run of events.
-    pub(crate) fn locate(&self, branch: usize, event: u64) -> io::Result<(usize, u64)> {
         if event >= self.n_events {
             return Err(bad(format!("event {event} out of range")));
         }
         let ord = event / self.events_per_basket as u64;
-        self.by_branch
-            .get(branch)
-            .and_then(|list| list.get(ord as usize))
-            .map(|&basket| (basket, ord))
+        self.branch_baskets(branch)
+            .get(ord as usize)
+            .copied()
             .ok_or_else(|| bad(format!("no basket for branch {branch} event {event}")))
     }
 
@@ -208,21 +200,13 @@ impl TreeReader {
         let info = self.info(basket)?;
         let mut blob = vec![0u8; info.len as usize];
         self.source.read_exact_at(info.offset, &mut blob)?;
-        self.column(info, codec::decompress_owned(blob)?)
+        self.decode_basket(basket, &blob)
     }
 
     /// Decompress an already-fetched basket blob.
     pub fn decode_basket(&self, basket: usize, blob: &[u8]) -> io::Result<Vec<u8>> {
         let info = self.info(basket)?;
         self.column(info, codec::decompress(blob)?)
-    }
-
-    /// [`decode_basket`](Self::decode_basket) of a blob the caller hands
-    /// over: a basket stored raw becomes its column in the blob's own
-    /// buffer.
-    pub(crate) fn decode_basket_owned(&self, basket: usize, blob: Vec<u8>) -> io::Result<Vec<u8>> {
-        let info = self.info(basket)?;
-        self.column(info, codec::decompress_owned(blob)?)
     }
 
     /// `col`, if it holds exactly the basket's events.

@@ -8,6 +8,7 @@
 use ioapi::MemFile;
 use proptest::prelude::*;
 use rootio::{Generator, Schema, TreeCache, TreeCacheOptions, TreeReader, WriterOptions};
+use std::io;
 use std::sync::Arc;
 
 fn rt() -> Arc<dyn netsim::Runtime> {
@@ -22,6 +23,12 @@ fn reader(seed: u64, events: u64, per_basket: usize, compress: bool) -> Arc<Tree
         &WriterOptions { events_per_basket: per_basket, compress },
     );
     Arc::new(TreeReader::open(Arc::new(MemFile::new(file))).unwrap())
+}
+
+/// The `f32` of `branch` at `event`, through the window from `event`.
+fn f32_at(cache: &mut TreeCache, branch: usize, event: u64) -> io::Result<f32> {
+    let column = cache.window(event)?.column(branch, 4)?;
+    Ok(f32::from_le_bytes(column[..4].try_into().expect("4 bytes")))
 }
 
 proptest! {
@@ -59,11 +66,11 @@ proptest! {
         );
         for ev in 0..events {
             for &b in &branches {
-                let via_cache = cached.f32_value(b, ev).unwrap();
-                let direct = plain.f32_value(b, ev).unwrap();
+                let via_cache = f32_at(&mut cached, b, ev).unwrap();
+                let direct = f32_at(&mut plain, b, ev).unwrap();
                 prop_assert_eq!(via_cache.to_bits(), direct.to_bits(),
                     "branch {} event {}", b, ev);
-                let prefetched = prefetching.f32_value(b, ev).unwrap();
+                let prefetched = f32_at(&mut prefetching, b, ev).unwrap();
                 prop_assert_eq!(prefetched.to_bits(), direct.to_bits(),
                     "prefetched: branch {} event {}", b, ev);
             }
@@ -95,8 +102,8 @@ proptest! {
             rt(),
         );
         for &ev in &order {
-            let a = cached.f32_value(0, ev).unwrap();
-            let b = plain.f32_value(0, ev).unwrap();
+            let a = f32_at(&mut cached, 0, ev).unwrap();
+            let b = f32_at(&mut plain, 0, ev).unwrap();
             prop_assert_eq!(a.to_bits(), b.to_bits(), "event {}", ev);
         }
     }
@@ -112,7 +119,7 @@ proptest! {
             TreeCacheOptions { enabled: false, ..Default::default() },
             rt(),
         );
-        prop_assert!(cached.f32_value(0, events).is_err());
-        prop_assert!(plain.f32_value(0, events).is_err());
+        prop_assert!(f32_at(&mut cached, 0, events).is_err());
+        prop_assert!(f32_at(&mut plain, 0, events).is_err());
     }
 }

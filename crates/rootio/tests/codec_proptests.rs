@@ -1,12 +1,11 @@
 //! Property tests for the LZSS codec: the proof that the encoder still
 //! writes the bytes the one it replaced did and that the decoder still
 //! decodes what the byte-at-a-time one it replaced did, both kept here as
-//! reference models, and that the owning path decodes what the borrowing
-//! one does.
+//! reference models.
 
 use ioapi::checksum::crc32;
 use proptest::prelude::*;
-use rootio::codec::{compress, decompress, decompress_owned, FRAME_HEADER};
+use rootio::codec::{compress, decompress, FRAME_HEADER};
 use rootio::{write_tree, Generator, Schema, TreeReader, WriterOptions};
 use std::sync::Arc;
 
@@ -288,32 +287,6 @@ proptest! {
             }
         };
         assert_agrees_with_model(&payload, orig_len.min(9 * payload.len()));
-    }
-
-    /// The owning path is the borrowing one: a frame — raw or LZSS, intact,
-    /// with a byte overwritten (header or payload), cut short or run long —
-    /// decodes to the same bytes or the same error text either way.
-    #[test]
-    fn decompress_owned_is_decompress(
-        data in proptest::collection::vec(any::<u8>(), 0..600),
-        repetitive in any::<bool>(),
-        damage in proptest::option::of((0usize..700, any::<u8>())),
-        resize in proptest::option::of(0usize..700),
-    ) {
-        let input = if repetitive { data.repeat(3) } else { data };
-        let mut frame = compress(&input);
-        if let Some((at, byte)) = damage {
-            let at = at % frame.len();
-            frame[at] = byte;
-        }
-        if let Some(len) = resize {
-            frame.resize(len, 0x5A);
-        }
-        let text = |r: std::io::Result<Vec<u8>>| r.map_err(|e| (e.kind(), e.to_string()));
-        prop_assert_eq!(text(decompress_owned(frame.clone())), text(decompress(&frame)));
-        if damage.is_none() && resize.is_none() {
-            prop_assert_eq!(decompress_owned(frame).unwrap(), input);
-        }
     }
 }
 

@@ -134,11 +134,9 @@ pub mod testbed {
                     Replica::new(format!("http://{host}{DATA_PATH}"), (i + 1) as u32),
                 );
                 catalog.set_size(DATA_PATH, cfg.data.len() as u64);
-                catalog.set_hash(
-                    DATA_PATH,
-                    "crc32",
-                    ioapi::checksum::to_hex(ioapi::checksum::crc32(&cfg.data)),
-                );
+                // The store digested the tree as it took it.
+                let crc32 = store.get(DATA_PATH).expect("just stored").crc32;
+                catalog.set_hash(DATA_PATH, "crc32", ioapi::checksum::to_hex(crc32));
                 nodes.push(node);
                 hosts.push(host.clone());
             }

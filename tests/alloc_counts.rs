@@ -299,23 +299,26 @@ fn a_500_basket_window_load_allocates_per_basket_not_per_value() {
     let (scalars, cal) = (["px", "py", "pz", "energy"].map(branch), branch("cal"));
 
     let (sum, allocs) = allocations(|| {
+        let window = cache.window(0).unwrap();
+        assert_eq!(window.events(), 0..2_000);
         let mut sum = 0f64;
-        for ev in 0..2_000u64 {
-            for b in scalars {
-                sum += cache.f32_value(b, ev).unwrap() as f64;
-            }
-            sum += cache.i16_array(cal, ev, 16).unwrap().map(|v| v as f64).sum::<f64>();
+        for b in scalars {
+            let values = window.column(b, 4).unwrap().chunks_exact(4);
+            sum += values.map(|v| f32::from_le_bytes(v.try_into().unwrap()) as f64).sum::<f64>();
         }
+        let cells = window.column(cal, 32).unwrap().chunks_exact(2);
+        sum += cells.map(|v| i16::from_le_bytes([v[0], v[1]]) as f64).sum::<f64>();
         sum
     });
     assert!(sum.is_finite());
     assert_eq!(cache.windows_loaded(), 1);
     eprintln!("a 500-basket window: {allocs} allocations");
-    // Per basket: the fetched blob, which a basket stored raw becomes its
-    // column in. Per window: the plan, the fragment list, the list of
-    // blobs, a row per branch (509 measured; 1 009 while every column was a
-    // copy of its blob, 3 528 when every array value was a `Vec` and every
-    // decoded column an `Arc` in a hash map).
+    // Per basket: the fetched blob, decoded straight into its branch's
+    // column. Per window: the plan, the fragment list, the list of blobs, a
+    // column per branch (509 measured while a basket stored raw became its
+    // column in its blob's buffer, 1 009 while every column was a copy of
+    // its blob, 3 528 when every array value was a `Vec` and every decoded
+    // column an `Arc` in a hash map).
     assert!(allocs <= 500 + 16, "{allocs} allocations for one 500-basket window");
 }
 
