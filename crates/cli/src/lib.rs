@@ -500,9 +500,17 @@ fn fetch(
         Strategy::Direct => return Ok(client.posix().get_into(url, sink)?),
     };
     if !ranges.is_empty() {
-        // One vectored multi-range request; fragments are concatenated in
-        // request order (like `davix-get --ranges`).
-        let data = file.pread_vec(ranges)?.concat();
+        // A range past the entity must not size the buffer.
+        let size = file.size_hint();
+        if let Some((off, len)) = ranges.iter().find(|r| r.0.saturating_add(r.1 as u64) > size) {
+            let what = format!("range {off}+{len} beyond entity size {size}");
+            return Err(davix::DavixError::InvalidArgument(what).into());
+        }
+        // One vectored multi-range request, read into one buffer: the
+        // fragments back to back in request order (like `davix-get
+        // --ranges`).
+        let mut data = vec![0u8; ranges.iter().map(|&(_, len)| len).sum()];
+        file.pread_vec_into(ranges, &mut data)?;
         sink.write_all(&data)?;
         return Ok(data.len() as u64);
     }

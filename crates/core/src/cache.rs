@@ -55,10 +55,11 @@ pub(crate) trait BlockFetch: Send + Sync {
     /// Read up to `buf.len()` bytes at `offset`; 0 at or past EOF.
     fn pread(&self, offset: u64, buf: &mut [u8]) -> Result<usize>;
 
-    /// Fetch every `(offset, len)` fragment, in order — on HTTP one
-    /// multi-range request (§2.3), so a cold vectored read through the
-    /// cache still costs one round trip.
-    fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>>;
+    /// Fetch every `(offset, len)` fragment into its place in `out`, the
+    /// fragments back to back in order — on HTTP one multi-range request
+    /// (§2.3), so a cold vectored read through the cache still costs one
+    /// round trip.
+    fn pread_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> Result<()>;
 
     /// What errors call this upstream: its URI, on the wire.
     fn name(&self) -> String {
@@ -389,20 +390,20 @@ impl FileCache {
     }
 
     /// Vectored read through the cache: all missing blocks across every
-    /// fragment are fetched in one `pread_vec` (one multi-range round trip
-    /// on the HTTP fetchers), then fragments are assembled from blocks.
-    pub(crate) fn read_vec(&self, fragments: &[(u64, usize)]) -> Result<(Vec<Vec<u8>>, u64)> {
+    /// fragment are fetched in one vectored read (one multi-range round
+    /// trip on the HTTP fetchers), then each fragment is assembled from
+    /// blocks into its place in `out` (the fragments back to back, each
+    /// inside the entity). Returns the upstream fetches.
+    pub(crate) fn read_vec(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> Result<u64> {
         let mut upstream = 0u64;
         let fetched = self.fetch_missing(&self.blocks_of(fragments), &mut upstream)?;
-        let mut out = Vec::with_capacity(fragments.len());
+        let mut at = 0;
         for &(off, len) in fragments {
-            let mut frag = vec![0u8; len];
-            let (n, later) = self.read_fragment(off, &mut frag, &fetched)?;
+            let (_, later) = self.read_fragment(off, &mut out[at..at + len], &fetched)?;
             upstream += later;
-            frag.truncate(n);
-            out.push(frag);
+            at += len;
         }
-        Ok((out, upstream))
+        Ok(upstream)
     }
 
     /// The one block assembly: copy `[offset, offset + buf.len())`, clamped
@@ -443,7 +444,7 @@ impl FileCache {
     }
 
     /// Claim whichever of `indices` are absent, fetch the claimed ranges
-    /// with one `pread_vec`, publish. Blocks already ready or in flight
+    /// with one vectored read, publish. Blocks already ready or in flight
     /// elsewhere are left to the assembly step.
     fn fetch_missing(
         &self,
@@ -455,7 +456,7 @@ impl FileCache {
             return Ok(HashMap::new());
         }
         *upstream += 1;
-        self.cache.publish(&self.key, &claims, self.fetcher.pread_vec(&ranges))
+        self.cache.publish(&self.key, &claims, fetch_blocks(&*self.fetcher, &ranges))
     }
 
     /// Insert pending entries for every block of `indices` not already
@@ -522,7 +523,7 @@ impl FileCache {
         let key = Arc::clone(&self.key);
         let fetcher = Arc::clone(&self.fetcher);
         self.cache.io_pool.submit(move || {
-            let result = fetcher.pread_vec(&ranges);
+            let result = fetch_blocks(&*fetcher, &ranges);
             if let Ok(blobs) = &result {
                 let bytes: u64 = blobs.iter().map(|b| b.len() as u64).sum();
                 Metrics::add(&cache.metrics.bytes_prefetched, bytes);
@@ -530,6 +531,12 @@ impl FileCache {
             let _ = cache.publish(&key, &claims, result);
         });
     }
+}
+
+/// Fetch the blocks at `ranges` in one vectored read, each cut out of it as
+/// a block of its own.
+fn fetch_blocks(fetcher: &dyn BlockFetch, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+    ioapi::split_vec(ranges, |out| fetcher.pread_vec_into(ranges, out))
 }
 
 #[cfg(test)]
@@ -562,12 +569,14 @@ mod tests {
             Ok(buf.len())
         }
 
-        fn pread_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+        fn pread_vec_into(&self, ranges: &[(u64, usize)], out: &mut [u8]) -> Result<()> {
             self.vec_calls.fetch_add(1, Ordering::SeqCst);
-            Ok(ranges
-                .iter()
-                .map(|&(off, len)| self.data[off as usize..off as usize + len].to_vec())
-                .collect())
+            let mut at = 0;
+            for &(off, len) in ranges {
+                out[at..at + len].copy_from_slice(&self.data[off as usize..off as usize + len]);
+                at += len;
+            }
+            Ok(())
         }
     }
 
@@ -669,13 +678,16 @@ mod tests {
     fn read_vec_fetches_missing_blocks_in_one_call() {
         let (fc, fetch, _) = harness(100_000, 1_024, 1 << 20, false);
         let frags = [(0u64, 100usize), (50_000, 200), (99_900, 100)];
-        let (out, ups) = fc.read_vec(&frags).unwrap();
+        let mut out = vec![0u8; 400];
+        let ups = fc.read_vec(&frags, &mut out).unwrap();
         assert_eq!(ups, 1, "all cold blocks in one vectored fetch");
         assert_eq!(fetch.vec_calls.load(Ordering::SeqCst), 1);
-        for (got, &(off, len)) in out.iter().zip(&frags) {
-            assert_eq!(got, &fetch.data[off as usize..off as usize + len]);
+        let mut at = 0;
+        for &(off, len) in &frags {
+            assert_eq!(&out[at..at + len], &fetch.data[off as usize..off as usize + len]);
+            at += len;
         }
-        let (_, ups) = fc.read_vec(&frags).unwrap();
+        let ups = fc.read_vec(&frags, &mut out).unwrap();
         assert_eq!(ups, 0, "re-read served from cache");
     }
 
@@ -735,8 +747,13 @@ mod tests {
                 }
                 self.inner.pread(offset, buf)
             }
-            fn pread_vec(&self, ranges: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-                ranges.iter().map(|&(o, l)| self.fetch(o, l)).collect()
+            fn pread_vec_into(&self, ranges: &[(u64, usize)], out: &mut [u8]) -> Result<()> {
+                let mut at = 0;
+                for &(o, l) in ranges {
+                    out[at..at + l].copy_from_slice(&self.fetch(o, l)?);
+                    at += l;
+                }
+                Ok(())
             }
         }
         let rt: Arc<dyn Runtime> = Arc::new(RealRuntime::new());

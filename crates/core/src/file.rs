@@ -294,13 +294,14 @@ impl RawFile {
         &self,
         wire: &[(u64, usize)],
         fragments: &[(u64, usize)],
-    ) -> Result<Vec<Vec<u8>>> {
+        out: &mut [u8],
+    ) -> Result<()> {
         let ex = &self.inner.executor;
         let req = PreparedRequest::get(self.uri.clone()).header("Range", format_range_header(wire));
         ex.with_retries(&req, None, |resp| {
             Metrics::bump(&ex.metrics().vectored_requests);
             // A fresh result per attempt: a retry starts from nothing.
-            let mut out = Scatter::new(fragments);
+            let mut out = Scatter::new(fragments, out);
             self.decode_multirange(resp, wire, &mut out)?;
             out.finish()
         })
@@ -312,8 +313,9 @@ impl RawFile {
     /// A multipart answer is decoded where it lies: the [`MultipartReader`]
     /// reads straight from the stream's own buffer (the session's 32 KiB,
     /// the one the socket fills), and each part goes from there into every
-    /// fragment it holds — one copy per byte, no buffer of the decoder's or
-    /// per part.
+    /// fragment it holds, at that fragment's place in the caller's buffer —
+    /// one copy per byte, no buffer of the decoder's, per part or per
+    /// fragment.
     fn decode_multirange(
         &self,
         mut resp: ResponseStream<'_>,
@@ -405,7 +407,8 @@ impl RawFile {
         &self,
         wire: &[(u64, usize)],
         fragments: &[(u64, usize)],
-    ) -> Result<Vec<Vec<u8>>> {
+        out: &mut [u8],
+    ) -> Result<()> {
         let file = self.clone();
         let results = map_ordered(
             &self.inner.io_pool,
@@ -424,7 +427,7 @@ impl RawFile {
                 Ok((off, data))
             },
         );
-        let mut out = Scatter::new(fragments);
+        let mut out = Scatter::new(fragments, out);
         for result in results {
             let (off, data) = result?;
             out.fill(off, &data);
@@ -456,22 +459,22 @@ impl BlockFetch for RawFile {
     }
 
     /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment
-    /// — non-empty, inside the entity: the [`DavFile`] in front has checked.
-    /// Fragment order is preserved in the result; fragments may overlap.
-    fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+    /// — non-empty, inside the entity: the [`DavFile`] in front has checked —
+    /// into its place in `out`; fragments may overlap.
+    fn pread_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> Result<()> {
         // Merge close fragments into wire ranges: fewer parts, same data.
         let wire = coalesce_fragments(fragments, VECTOR_MERGE_GAP);
         let wire: Vec<(u64, usize)> = wire.into_iter().map(|(o, l)| (o, l as usize)).collect();
 
         match self.inner.cfg.range_policy {
-            RangePolicy::MultiRange => match self.fetch_multirange(&wire, fragments) {
+            RangePolicy::MultiRange => match self.fetch_multirange(&wire, fragments, out) {
                 Err(e) if RawFile::multirange_rejected(&e) => {
                     Metrics::bump(&self.inner.executor.metrics().vector_fallbacks);
-                    self.fetch_parallel_single(&wire, fragments)
+                    self.fetch_parallel_single(&wire, fragments, out)
                 }
                 result => result,
             },
-            RangePolicy::SingleRanges => self.fetch_parallel_single(&wire, fragments),
+            RangePolicy::SingleRanges => self.fetch_parallel_single(&wire, fragments, out),
         }
     }
 }
@@ -516,11 +519,15 @@ impl DavFile {
         *self.pos.lock() = pos;
     }
 
-    /// Vectored positional read (§2.3): fetch every `(offset, len)` fragment.
-    /// Fragment order is preserved in the result; fragments may overlap. A
-    /// list with no byte to fetch — empty, or of empty fragments only — is
-    /// answered without touching cache, wire or counters; a fragment
-    /// reaching past the entity is an error, never a silent truncation.
+    /// Vectored positional read (§2.3) into one buffer: fragment `i` lands
+    /// at `out[sum(len[..i])..][..len[i]]`, as
+    /// [`RandomAccess::read_vec_into`](ioapi::RandomAccess::read_vec_into)
+    /// lays it out; fragments may overlap. An `out` of another length, or a
+    /// fragment reaching past the entity, is
+    /// [`DavixError::InvalidArgument`] before anything is sent — never a
+    /// silent truncation. A list with no byte to fetch — empty, or of empty
+    /// fragments only — is answered without touching cache, wire or
+    /// counters. After an error `out` holds unspecified bytes.
     ///
     /// With the block cache enabled, fragments are assembled from cached
     /// blocks; whatever is missing is fetched in **one** multi-range
@@ -529,25 +536,44 @@ impl DavFile {
     /// Metalink is resolved splits the batch across the two fastest healthy
     /// replicas and fetches it in parallel, failing a batch over on its own
     /// if its replica dies mid-flight.
-    pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
-        let size = self.size;
-        if let Some((off, len)) = fragments.iter().find(|f| f.0.saturating_add(f.1 as u64) > size) {
-            return Err(DavixError::InvalidArgument(format!(
-                "fragment {off}+{len} beyond entity size {size}"
-            )));
-        }
-        if fragments.iter().all(|&(_, len)| len == 0) {
+    pub fn pread_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> Result<()> {
+        ioapi::check_flat_len(fragments, out.len())
+            .map_err(|e| DavixError::InvalidArgument(e.to_string()))?;
+        self.check_fragments(fragments)?;
+        if out.is_empty() {
             // Nothing to fetch, an empty list included: a `Range` header of
             // no range (`bytes=`) is malformed.
-            return Ok(vec![Vec::new(); fragments.len()]);
+            return Ok(());
         }
-        let (out, round_trips) = match &self.cache {
-            Some(cache) => cache.read_vec(fragments)?,
-            None => (self.opened.upstream().pread_vec(fragments)?, 1),
+        let round_trips = match &self.cache {
+            Some(cache) => cache.read_vec(fragments, out)?,
+            None => {
+                self.opened.upstream().pread_vec_into(fragments, out)?;
+                1
+            }
         };
-        let bytes: u64 = out.iter().map(|v| v.len() as u64).sum();
-        self.io.record_vector_read(bytes, round_trips);
-        Ok(out)
+        self.io.record_vector_read(out.len() as u64, round_trips);
+        Ok(())
+    }
+
+    /// [`pread_vec_into`](DavFile::pread_vec_into) with each fragment in a
+    /// buffer of its own, in request order.
+    pub fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+        // Checked before the buffer is sized: a fragment past the entity
+        // must not drive an allocation.
+        self.check_fragments(fragments)?;
+        ioapi::split_vec(fragments, |out| self.pread_vec_into(fragments, out))
+    }
+
+    /// Every fragment lies inside the entity.
+    fn check_fragments(&self, fragments: &[(u64, usize)]) -> Result<()> {
+        let size = self.size;
+        match fragments.iter().find(|f| f.0.saturating_add(f.1 as u64) > size) {
+            Some((off, len)) => Err(DavixError::InvalidArgument(format!(
+                "fragment {off}+{len} beyond entity size {size}"
+            ))),
+            None => Ok(()),
+        }
     }
 
     /// I/O counter snapshot for this file.
@@ -569,34 +595,49 @@ impl ioapi::RandomAccess for DavFile {
         self.pread_vec(fragments).map_err(std::io::Error::from)
     }
 
+    fn read_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> std::io::Result<()> {
+        self.pread_vec_into(fragments, out).map_err(std::io::Error::from)
+    }
+
     fn stats(&self) -> IoStatsSnapshot {
         self.io.snapshot()
     }
 }
 
-/// The result of one vectored read while it is assembled: a buffer per
-/// fragment, reserved up front from what the *caller* asked for and filled
-/// front to back, with no zeroing first, as stretches of the entity arrive
-/// in whatever shape the server chose.
+/// The result of one vectored read while it is assembled: the caller's
+/// flat buffer, each fragment at the sum of the lengths before it, filled as
+/// stretches of the entity arrive in whatever shape the server chose.
 struct Scatter<'a> {
     fragments: &'a [(u64, usize)],
     /// Fragment indices ordered by offset, so the fragments inside a
     /// stretch are found by binary search: a 500-part answer to a
     /// 500-fragment read is 500 look-ups, not 250 000 comparisons.
     by_offset: Vec<usize>,
-    bufs: Vec<Vec<u8>>,
+    /// Where each fragment starts in `out`.
+    at: Vec<usize>,
+    out: &'a mut [u8],
     filled: Vec<bool>,
 }
 
 impl<'a> Scatter<'a> {
-    fn new(fragments: &'a [(u64, usize)]) -> Scatter<'a> {
-        // A stable sort: one pass over fragments already in offset order.
+    /// `out` holds exactly the fragments' lengths, back to back.
+    fn new(fragments: &'a [(u64, usize)], out: &'a mut [u8]) -> Scatter<'a> {
+        // One pass over fragments already in offset order, and no scratch
+        // buffer (a stable sort allocates one for long lists).
         let mut by_offset: Vec<usize> = (0..fragments.len()).collect();
-        by_offset.sort_by_key(|&i| fragments[i].0);
+        by_offset.sort_unstable_by_key(|&i| fragments[i].0);
+        let mut sum = 0;
         Scatter {
             fragments,
             by_offset,
-            bufs: fragments.iter().map(|&(_, len)| Vec::with_capacity(len)).collect(),
+            at: fragments
+                .iter()
+                .map(|&(_, len)| {
+                    sum += len;
+                    sum - len
+                })
+                .collect(),
+            out,
             // An empty fragment needs no byte of the response.
             filled: fragments.iter().map(|&(_, len)| len == 0).collect(),
         }
@@ -614,8 +655,8 @@ impl<'a> Scatter<'a> {
     /// The `len` bytes of the entity from `first` on, as `pieces` hands
     /// them to the function it is given, in order and in pieces of any
     /// size: each piece is copied into every fragment the whole stretch
-    /// contains, straight from where the piece lies. The first stretch to
-    /// cover a fragment wins.
+    /// contains, straight from where the piece lies to where the fragment
+    /// lies in `out`. The first stretch to cover a fragment wins.
     fn fill_with<E>(
         &mut self,
         first: u64,
@@ -623,7 +664,7 @@ impl<'a> Scatter<'a> {
         pieces: impl FnOnce(&mut dyn FnMut(&[u8])) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         let end = first + len as u64;
-        let Scatter { fragments, by_offset, bufs, filled } = self;
+        let Scatter { fragments, by_offset, at: place, out, filled } = self;
         let start = by_offset.partition_point(|&i| fragments[i].0 < first);
         // Fragments before `lo` (in offset order) need nothing more of the
         // stretch; `at` is where the next piece starts.
@@ -638,11 +679,13 @@ impl<'a> Scatter<'a> {
                 }
                 let frag_end = off + flen as u64;
                 if frag_end <= end && !filled[i] {
-                    // The stretch starts at or before the fragment and comes
-                    // in order: this is where the fragment's bytes so far end.
+                    // The stretch starts at or before the fragment: its bytes
+                    // `from..to` of the entity are this piece's.
                     let (from, to) = (off.max(at), frag_end.min(piece_end));
                     if from < to {
-                        bufs[i].extend_from_slice(&piece[(from - at) as usize..(to - at) as usize]);
+                        let dst = place[i] + (from - off) as usize;
+                        out[dst..dst + (to - from) as usize]
+                            .copy_from_slice(&piece[(from - at) as usize..(to - at) as usize]);
                     }
                     filled[i] = frag_end <= piece_end;
                 }
@@ -655,11 +698,11 @@ impl<'a> Scatter<'a> {
         })
     }
 
-    /// The fragments in request order, or a protocol error when the
+    /// `Ok` once every fragment is in place, or a protocol error when the
     /// response left one of them uncovered.
-    fn finish(self) -> Result<Vec<Vec<u8>>> {
+    fn finish(self) -> Result<()> {
         match self.filled.iter().position(|&f| !f) {
-            None => Ok(self.bufs),
+            None => Ok(()),
             Some(i) => {
                 let (off, len) = self.fragments[i];
                 Err(DavixError::Protocol(format!(
@@ -825,9 +868,15 @@ mod tests {
         // The last stretch covers part of the first fragment again: the
         // first stretch to hold a fragment wins.
         let stretches = [(4_900, 400), (0, 60), (6_990, 30), (5_000, 60)];
+        let want: Vec<u8> = fragments
+            .iter()
+            .flat_map(|&(off, len)| &entity[off as usize..off as usize + len])
+            .copied()
+            .collect();
         for order in [[0, 1, 2, 3], [3, 2, 1, 0], [1, 3, 0, 2]] {
             for piece in [1, 3, 7, 64, 1_000] {
-                let mut out = super::Scatter::new(&fragments);
+                let mut flat = vec![0u8; want.len()];
+                let mut out = super::Scatter::new(&fragments, &mut flat);
                 for &(first, len) in order.iter().map(|&k| &stretches[k]) {
                     let data = &entity[first..first + len];
                     let Ok(()) = out.fill_with(first as u64, len, |put| {
@@ -835,14 +884,12 @@ mod tests {
                         Ok::<_, std::convert::Infallible>(())
                     });
                 }
-                let got = out.finish().unwrap();
-                for (g, &(off, len)) in got.iter().zip(&fragments) {
-                    let want = &entity[off as usize..off as usize + len];
-                    assert_eq!(g[..], *want, "{order:?} in {piece}s: {off}+{len}");
-                }
+                out.finish().unwrap();
+                assert!(flat == want, "{order:?} in {piece}s");
             }
         }
-        let mut out = super::Scatter::new(&fragments);
+        let mut flat = vec![0u8; want.len()];
+        let mut out = super::Scatter::new(&fragments, &mut flat);
         out.fill(4_900, &entity[4_900..5_100]);
         assert!(out.finish().is_err(), "5 050+100 is only partly there");
     }

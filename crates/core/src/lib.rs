@@ -14,9 +14,9 @@
 //!    This is the paper's answer to HTTP pipelining (head-of-line blocking)
 //!    and to protocol replacements like SPDY/SCTP (deployment hostility) —
 //!    see §2.2 and Figure 2.
-//! 2. **Vectored I/O** ([`file`](mod@file)): `pread_vec` packs any number of
-//!    fragmented random reads into one HTTP **multi-range** request,
-//!    answered as `multipart/byteranges`. One round trip instead of
+//! 2. **Vectored I/O** ([`file`](mod@file)): `pread_vec_into` packs any
+//!    number of fragmented random reads into one HTTP **multi-range**
+//!    request, answered as `multipart/byteranges`. One round trip instead of
 //!    hundreds "virtually eliminates the need for I/O multiplexing" (§2.3,
 //!    Figure 3), with a graceful degradation ladder for servers with weaker
 //!    range support.
@@ -44,8 +44,8 @@
 //!   same path for small bodies (PROPFIND results, error pages).
 //!
 //! Every hot read path streams: `DavFile::pread` lands bytes straight in
-//! the caller's buffer, `pread_vec` decodes `multipart/byteranges` parts
-//! incrementally off the wire, and `multistream_download` writes each
+//! the caller's buffer, `pread_vec_into` decodes `multipart/byteranges`
+//! parts incrementally off the wire into one buffer the caller lends, and `multistream_download` writes each
 //! chunk at its offset into the caller's [`ChunkSink`] (a file, or memory)
 //! and drops it. A multi-GiB GET therefore costs the client a fixed-size
 //! buffer, not a multi-GiB allocation — see the `bytes_in` /
@@ -67,7 +67,7 @@
 //!    final URI with the size learned at open by the stat step that
 //!    [`DavPosix::stat`] runs too (HEAD, then a 1-byte probe, then
 //!    PROPFIND). `pread` is one ranged GET streamed into the caller's
-//!    buffer, `pread_vec` one multi-range GET with the §2.3 degradation
+//!    buffer, `pread_vec_into` one multi-range GET with the §2.3 degradation
 //!    ladder, and an uncached `copy_to` the one resumable whole-entity GET
 //!    that [`DavPosix::get_into`] runs too. It never caches.
 //! 2. **`ReplicaCore` — fail-over, optional** ([`replicas`]): the walk over
@@ -191,7 +191,7 @@
 //!   it appears) and the operation moves to the scheduler's best surviving
 //!   replica. Pick it for random-access workloads (ROOT-style analysis
 //!   reads) where per-read latency matters and one replica's bandwidth is
-//!   enough. Once the replica set is known, [`DavFile::pread_vec`]
+//!   enough. Once the replica set is known, [`DavFile::pread_vec_into`]
 //!   spreads fragment batches over the two fastest healthy replicas.
 //! * **Multi-stream** ([`multistream_download`]) pulls whole entities as
 //!   parallel chunks from several replicas at once. Pick it for bulk

@@ -222,10 +222,10 @@ impl BlockFetch for ReplicaCore {
         self.with_file(|f| f.pread(offset, buf))
     }
 
-    fn pread_vec(&self, fragments: &[(u64, usize)]) -> Result<Vec<Vec<u8>>> {
+    fn pread_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> Result<()> {
         match self.fanout_targets(fragments.len()) {
-            Some(targets) => self.pread_vec_fanout(fragments, targets),
-            None => self.with_file(|f| f.pread_vec(fragments)),
+            Some(targets) => self.pread_vec_fanout(fragments, targets, out),
+            None => self.with_file(|f| f.pread_vec_into(fragments, out)),
         }
     }
 
@@ -271,26 +271,36 @@ impl ReplicaCore {
 
     /// Split `fragments` round-robin across `targets` and fetch the batches
     /// in parallel, as one batch on the client's I/O pool — from a
-    /// read-ahead job too. A batch whose replica fails mid-flight is retried
-    /// through the ordinary fail-over path, so the result is exactly as
-    /// resilient as the sequential one.
+    /// read-ahead job too. Each batch lands in one buffer of its own and is
+    /// copied from there into place in `out`. A batch whose replica fails
+    /// mid-flight is retried through the ordinary fail-over path, so the
+    /// result is exactly as resilient as the sequential one.
     fn pread_vec_fanout(
         &self,
         fragments: &[(u64, usize)],
         targets: Vec<(ReplicaId, Uri)>,
-    ) -> Result<Vec<Vec<u8>>> {
+        out: &mut [u8],
+    ) -> Result<()> {
         struct Batch {
             id: ReplicaId,
             file: Arc<RawFile>,
             frags: Vec<(u64, usize)>,
-            slots: Vec<usize>,
+            /// Where each of `frags` goes in `out`.
+            places: Vec<usize>,
+            buf: Vec<u8>,
         }
         let mut batches: Vec<Batch> = Vec::with_capacity(targets.len());
         for (id, uri) in targets {
             // Opening may fail (stale health data): skip the replica rather
             // than failing the read — the leftover batches absorb its share.
             match self.fo.open(id, uri) {
-                Ok(file) => batches.push(Batch { id, file, frags: Vec::new(), slots: Vec::new() }),
+                Ok(file) => batches.push(Batch {
+                    id,
+                    file,
+                    frags: Vec::new(),
+                    places: Vec::new(),
+                    buf: Vec::new(),
+                }),
                 Err(e) => {
                     if let Attempt::Fatal(e) = self.fo.settle::<()>(id, Duration::ZERO, Err(e)) {
                         return Err(e);
@@ -299,38 +309,46 @@ impl ReplicaCore {
             }
         }
         if batches.len() < 2 {
-            return self.with_file(|f| f.pread_vec(fragments));
+            return self.with_file(|f| f.pread_vec_into(fragments, out));
         }
         let n_batches = batches.len();
+        let mut place = 0;
         for (slot, &frag) in fragments.iter().enumerate() {
             let b = &mut batches[slot % n_batches];
             b.frags.push(frag);
-            b.slots.push(slot);
+            b.places.push(place);
+            place += frag.1;
         }
         batches.retain(|b| !b.frags.is_empty());
+        for b in &mut batches {
+            b.buf = vec![0u8; b.frags.iter().map(|&(_, len)| len).sum()];
+        }
 
         let rt = Arc::clone(self.fo.inner.executor.runtime());
         let width = batches.len();
-        let results = map_ordered(&self.fo.inner.io_pool, batches, width, move |b: Batch| {
+        let results = map_ordered(&self.fo.inner.io_pool, batches, width, move |mut b: Batch| {
             let t0 = rt.now();
-            let result = b.file.pread_vec(&b.frags);
+            let result = b.file.pread_vec_into(&b.frags, &mut b.buf);
             (b, result, rt.now() - t0)
         });
 
-        let mut out: Vec<Option<Vec<u8>>> = (0..fragments.len()).map(|_| None).collect();
-        for (b, result, took) in results {
-            let data = match self.fo.settle(b.id, took, result) {
-                Attempt::Ok(data) => data,
+        for (mut b, result, took) in results {
+            match self.fo.settle(b.id, took, result) {
+                Attempt::Ok(()) => {}
                 // This replica died mid-batch: re-fetch just its share
                 // through the fail-over walk.
-                Attempt::TryNext(_) => self.with_file(|f| f.pread_vec(&b.frags))?,
+                Attempt::TryNext(_) => {
+                    self.with_file(|f| f.pread_vec_into(&b.frags, &mut b.buf))?
+                }
                 Attempt::Fatal(e) => return Err(e),
-            };
-            for (slot, d) in b.slots.into_iter().zip(data) {
-                out[slot] = Some(d);
+            }
+            let mut at = 0;
+            for (&(_, len), &place) in b.frags.iter().zip(&b.places) {
+                out[place..place + len].copy_from_slice(&b.buf[at..at + len]);
+                at += len;
             }
         }
-        Ok(out.into_iter().map(|d| d.expect("every fragment assigned to a batch")).collect())
+        Ok(())
     }
 
     /// Run `op` against scheduler-ranked replicas, failing over on eligible

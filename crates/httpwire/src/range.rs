@@ -309,7 +309,13 @@ pub fn format_range_header(fragments: &[(u64, usize)]) -> String {
     // Bytes, made text once at the end: the digits are ASCII by
     // construction, and a check per number cost more than the digits.
     const PREFIX: &[u8] = b"bytes=";
-    let mut text = Vec::with_capacity(PREFIX.len() + fragments.len() * 16);
+    // Room for every range at the width of the largest end, and for the
+    // scratch digits past the text's end: the text is never regrown.
+    let last =
+        fragments.iter().map(|&(off, len)| off.saturating_add(len as u64)).max().unwrap_or(0);
+    let width = last.checked_ilog10().map_or(1, |d| d as usize + 1);
+    let mut text =
+        Vec::with_capacity(PREFIX.len() + fragments.len() * (2 * width + 2) + 2 * U64_DIGITS + 1);
     text.extend_from_slice(PREFIX);
     for &(off, len) in fragments.iter().filter(|&&(_, len)| len > 0) {
         if text.len() > PREFIX.len() {
@@ -409,11 +415,11 @@ impl fmt::Display for ContentRange {
 /// paying another part boundary / round trip). Returns merged fragments in
 /// ascending offset order. Zero-length fragments are dropped.
 pub fn coalesce_fragments(fragments: &[(u64, usize)], max_gap: u64) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = fragments
-        .iter()
-        .filter(|&&(_, len)| len > 0)
-        .map(|&(off, len)| (off, off + len as u64))
-        .collect();
+    // Sized once: a `filter` gives `collect` no length to size by.
+    let mut v: Vec<(u64, u64)> = Vec::with_capacity(fragments.len());
+    v.extend(
+        fragments.iter().filter(|&&(_, len)| len > 0).map(|&(off, len)| (off, off + len as u64)),
+    );
     v.sort_unstable();
     // Merged in place: `merged` ranges, each `(start, end)`, are done.
     let mut merged = 0usize;

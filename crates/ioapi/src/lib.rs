@@ -35,11 +35,14 @@ pub trait RandomAccess: Send + Sync {
     /// allowed (callers use [`read_exact_at`](RandomAccess::read_exact_at)).
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize>;
 
-    /// Vectored positional read: fetch every `(offset, length)` fragment.
+    /// Vectored positional read: fetch every `(offset, length)` fragment,
+    /// each in a buffer of its own.
     ///
     /// The default implementation loops over [`read_at`](RandomAccess::read_at)
     /// (one logical round trip per fragment); remote implementations override
-    /// this with a single packed request — the paper's §2.3 optimization.
+    /// this with a single packed request — the paper's §2.3 optimization —
+    /// as a split of [`read_vec_into`](RandomAccess::read_vec_into)
+    /// ([`split_vec`]).
     fn read_vec(&self, fragments: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
         let mut out = Vec::with_capacity(fragments.len());
         for &(off, len) in fragments {
@@ -48,6 +51,36 @@ pub trait RandomAccess: Send + Sync {
             out.push(buf);
         }
         Ok(out)
+    }
+
+    /// Vectored positional read into one caller-lent buffer: fragment `i`
+    /// lands at `out[sum(len[..i])..][..len[i]]`, the fragments back to back
+    /// in request order (the layout `davix get --ranges` prints). Fragments
+    /// may overlap and come in any order.
+    ///
+    /// An `out` whose length is not the sum of the fragments' lengths is
+    /// [`io::ErrorKind::InvalidInput`], refused before anything is read
+    /// ([`check_flat_len`]). After an error, `out` holds unspecified bytes.
+    ///
+    /// The default calls [`read_vec`](RandomAccess::read_vec) and copies
+    /// each fragment into place, so a wrapper that forwards only `read_vec`
+    /// still costs one vectored read; the remote sources implement this
+    /// method directly and write each fragment where it belongs, with no
+    /// buffer per fragment.
+    fn read_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> io::Result<()> {
+        check_flat_len(fragments, out.len())?;
+        let parts = self.read_vec(fragments)?;
+        let lens = parts.iter().map(Vec::len);
+        if !lens.eq(fragments.iter().map(|&(_, len)| len)) {
+            let msg = "read_vec's results are not the fragments asked for";
+            return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
+        }
+        let mut at = 0;
+        for part in &parts {
+            out[at..at + part.len()].copy_from_slice(part);
+            at += part.len();
+        }
+        Ok(())
     }
 
     /// Hint that the caller will soon `read_vec` these fragments. No source
@@ -83,6 +116,50 @@ pub trait RandomAccess: Send + Sync {
     fn stats(&self) -> IoStatsSnapshot {
         IoStatsSnapshot::default()
     }
+}
+
+/// [`RandomAccess::read_vec_into`]'s one precondition: `out_len` is the sum
+/// of the fragments' lengths. Anything else — a sum that overflows
+/// included — is [`io::ErrorKind::InvalidInput`].
+pub fn check_flat_len(fragments: &[(u64, usize)], out_len: usize) -> io::Result<()> {
+    let total = flat_len(fragments);
+    if total == Some(out_len) {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!(
+            "a {out_len}-byte buffer for {} fragments of {} bytes",
+            fragments.len(),
+            total.map_or_else(|| "more than usize::MAX".to_string(), |t| t.to_string())
+        ),
+    ))
+}
+
+/// The sum of the fragments' lengths, unless it overflows.
+fn flat_len(fragments: &[(u64, usize)]) -> Option<usize> {
+    fragments.iter().try_fold(0usize, |sum, &(_, len)| sum.checked_add(len))
+}
+
+/// The per-fragment form of a flat vectored read: one buffer for all of
+/// `fragments`, filled by `read_into` (a source's `read_vec_into`), then cut
+/// into one `Vec` per fragment. Every source's `read_vec` is this split.
+pub fn split_vec<E>(
+    fragments: &[(u64, usize)],
+    read_into: impl FnOnce(&mut [u8]) -> Result<(), E>,
+) -> Result<Vec<Vec<u8>>, E> {
+    // A sum past `usize::MAX` lends an empty buffer, which `read_into`
+    // refuses as the wrong length.
+    let mut flat = vec![0u8; flat_len(fragments).unwrap_or(0)];
+    read_into(&mut flat)?;
+    let mut at = 0;
+    Ok(fragments
+        .iter()
+        .map(|&(_, len)| {
+            at += len;
+            flat[at - len..at].to_vec()
+        })
+        .collect())
 }
 
 /// Atomic I/O counters an implementation can embed.
@@ -184,6 +261,33 @@ impl RandomAccess for MemFile {
         Ok(n)
     }
 
+    fn read_vec(&self, fragments: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
+        split_vec(fragments, |out| self.read_vec_into(fragments, out))
+    }
+
+    /// Each fragment copied straight into place; one past the end of the
+    /// data is [`io::ErrorKind::UnexpectedEof`], like
+    /// [`read_exact_at`](RandomAccess::read_exact_at).
+    fn read_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> io::Result<()> {
+        check_flat_len(fragments, out.len())?;
+        let mut at = 0;
+        for &(off, len) in fragments {
+            let data = usize::try_from(off)
+                .ok()
+                .and_then(|off| self.data.get(off..off.checked_add(len)?))
+                .ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::UnexpectedEof,
+                        format!("fragment {off}+{len} past the end of {} bytes", self.data.len()),
+                    )
+                })?;
+            out[at..at + len].copy_from_slice(data);
+            at += len;
+        }
+        self.stats.record_vector_read(at as u64, 0);
+        Ok(())
+    }
+
     fn stats(&self) -> IoStatsSnapshot {
         self.stats.snapshot()
     }
@@ -222,6 +326,39 @@ mod tests {
         let f = MemFile::new(&b"0123456789"[..]);
         let got = f.read_vec(&[(0, 2), (8, 2), (4, 1)]).unwrap();
         assert_eq!(got, vec![b"01".to_vec(), b"89".to_vec(), b"4".to_vec()]);
+    }
+
+    /// A source with only `read_at`: both vectored reads are the defaults.
+    struct ReadAtOnly(MemFile);
+
+    impl RandomAccess for ReadAtOnly {
+        fn size(&self) -> io::Result<u64> {
+            self.0.size()
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+            self.0.read_at(offset, buf)
+        }
+    }
+
+    #[test]
+    fn read_vec_into_lays_the_fragments_back_to_back() {
+        let mem = MemFile::new(&b"0123456789"[..]);
+        let frags = [(8, 2), (0, 3), (5, 0), (1, 3)];
+        for src in [&mem as &dyn RandomAccess, &ReadAtOnly(mem.clone())] {
+            let mut out = [b'.'; 8];
+            src.read_vec_into(&frags, &mut out).unwrap();
+            assert_eq!(&out, b"89012123");
+            for len in [7, 9] {
+                let err = src.read_vec_into(&frags, &mut vec![0; len]).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            }
+            let err = src.read_vec_into(&[(9, 2)], &mut [0; 2]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        }
+        // A sum past `usize::MAX` is the wrong length for any buffer.
+        let huge = [(0, usize::MAX), (0, 1)];
+        let err = split_vec(&huge, |out| check_flat_len(&huge, out.len())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! This reproduces ROOT's `TTreeCache` role in the paper's Figure 3: the
 //! analysis asks for branch values event by event; the cache translates that
 //! into *one vectored read per event window* through
-//! [`RandomAccess::read_vec`](ioapi::RandomAccess::read_vec). With
+//! [`RandomAccess::read_vec_into`](ioapi::RandomAccess::read_vec_into). With
 //! [`TreeCacheOptions::prefetch`] the cache also issues the *next* window's
 //! read on a runtime thread while the application processes the current one,
 //! over any source — the latency hiding Figure 4 credits to the baseline's
@@ -40,15 +40,18 @@
 //! derive from it — and `window_loads_put_the_same_fragments_on_the_wire`
 //! pins it against a plain reimplementation.
 //!
-//! Each blob is decoded straight into its slot (`codec::Frame::decode_into`)
-//! and CRC-checked there: a basket stored raw is copied once, an LZSS basket
-//! is inflated in place, its decoder's stores past the slot landing in the
-//! 32 bytes of room each column keeps after its last slot, or put back. No
-//! basket gets a buffer of its own. A basket whose index entry puts it at
-//! other events than its ordinal's, or whose frame does not fill its slot
-//! exactly, is `InvalidData`; no column is sized before each basket's
-//! stored length shows its frame could fill its slot. A load that fails
-//! leaves nothing resident.
+//! The window's vectored read lands in one staging buffer, the baskets back
+//! to back in fragment order. The buffer is the cache's: it never shrinks,
+//! and once grown it is neither allocated nor zeroed again. Each blob is
+//! decoded from its slice of it straight into its slot
+//! (`codec::Frame::decode_into`) and CRC-checked there: a basket stored raw
+//! is copied once, an LZSS basket is inflated in place, its decoder's stores
+//! past the slot landing in the 32 bytes of room each column keeps after its
+//! last slot, or put back. No basket gets a buffer of its own. A basket
+//! whose index entry puts it at other events than its ordinal's, or whose
+//! frame does not fill its slot exactly, is `InvalidData`; no column is
+//! sized before each basket's stored length shows its frame could fill its
+//! slot. A load that fails leaves nothing resident.
 //!
 //! With the cache off (ablation A2), a window is one ordinal: each selected
 //! branch's basket is read with a scalar read of its own, in selection
@@ -57,15 +60,18 @@
 //! # The prefetch
 //!
 //! With [`TreeCacheOptions::prefetch`], loading window *w* ends by starting
-//! one [`Runtime::spawn`] thread that issues the `read_vec` for window
+//! one [`Runtime::spawn`] thread that issues the vectored read for window
 //! *w*+1: the fragment list a synchronous load of that window would send,
-//! its non-resident baskets in file order. The caller computes over window
-//! *w* meanwhile. The next window load waits for that read: it takes the
-//! blobs when the fragment list it needs is the prefetched one (an error
-//! from that read is the window's error), and issues its own read
-//! otherwise. At most one prefetch is in flight, and dropping the cache
-//! waits for it. The source needs nothing for this: what it costs on the
-//! wire is exactly the vectored reads of a cache without prefetch.
+//! its non-resident baskets in file order, into a second staging buffer
+//! that the thread owns until the read ends. The caller computes over
+//! window *w* meanwhile. The next window load waits for that read: when the
+//! fragment list it needs is the prefetched one, the two staging buffers
+//! swap and the load decodes from the prefetched one (an error from that
+//! read is the window's error); otherwise it issues its own read. Either
+//! way no buffer is allocated once both have grown. At most one prefetch
+//! is in flight, and dropping the cache waits for it. The source needs
+//! nothing for this: what it costs on the wire is exactly the vectored
+//! reads of a cache without prefetch.
 
 use crate::codec::{Frame, MAX_EXPANSION, SLACK};
 use crate::reader::{bad, TreeReader};
@@ -149,25 +155,35 @@ struct Planned {
     len: usize,
 }
 
-/// What a window's `read_vec` returned.
-type Blobs = io::Result<Vec<Vec<u8>>>;
+/// A prefetch's staging buffer, and whether its read filled it.
+type Staged = (Vec<u8>, io::Result<()>);
 
-/// The next window's `read_vec`, running on a runtime thread.
+/// The next window's vectored read, running on a runtime thread.
 struct Prefetch {
     /// The fragments it reads.
     frags: Vec<(u64, usize)>,
-    /// Set once `blobs` holds what the read returned.
+    /// Set once `staged` holds what the read left.
     done: Arc<dyn Signal>,
-    blobs: Arc<Mutex<Option<Blobs>>>,
+    staged: Arc<Mutex<Option<Staged>>>,
 }
 
 impl Prefetch {
-    /// Wait for the read to end; its fragments and what it returned.
-    fn join(self) -> (Vec<(u64, usize)>, Blobs) {
+    /// Wait for the read to end; its fragments, its staging buffer and
+    /// whether the read filled it.
+    fn join(self) -> (Vec<(u64, usize)>, Staged) {
         self.done.wait(None);
-        let blobs = self.blobs.lock().take().expect("filled before `done` is set");
-        (self.frags, blobs)
+        let staged = self.staged.lock().take().expect("filled before `done` is set");
+        (self.frags, staged)
     }
+}
+
+/// The first `len` bytes of `buf`, grown (never shrunk) to hold them: only
+/// the growth is zeroed.
+fn stage(buf: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if buf.len() < len {
+        buf.resize(len, 0);
+    }
+    &mut buf[..len]
 }
 
 /// Basket cache for a set of branches over one tree.
@@ -181,8 +197,11 @@ pub struct TreeCache {
     /// The ordinals whose baskets the columns hold; the first one's at
     /// byte 0.
     resident: Range<u64>,
-    /// The blob of a scalar basket read (cache off).
-    blob: Vec<u8>,
+    /// Where a window's vectored read lands, and a scalar basket read with
+    /// the cache off.
+    staging: Vec<u8>,
+    /// The staging buffer the next prefetch reads into.
+    spare: Vec<u8>,
     /// The prefetch in flight, if any.
     in_flight: Option<Prefetch>,
     /// Fetch-window statistics.
@@ -212,7 +231,8 @@ impl TreeCache {
             rt,
             cols,
             resident: 0..0,
-            blob: Vec::new(),
+            staging: Vec::new(),
+            spare: Vec::new(),
             in_flight: None,
             windows_loaded: 0,
             prefetches_issued: 0,
@@ -332,17 +352,32 @@ impl TreeCache {
         let prefetched = self.in_flight.take().map(Prefetch::join);
         if !missing.is_empty() {
             let frags: Vec<(u64, usize)> = missing.iter().map(|p| (p.offset, p.len)).collect();
-            let blobs = match prefetched {
-                Some((read, blobs)) if read == frags => blobs?,
-                _ => self.reader.source().read_vec(&frags)?,
-            };
+            let total = frags.iter().map(|&(_, len)| len).sum();
+            match prefetched {
+                Some((read, (staged, result))) if read == frags => {
+                    // The prefetch read this window into its buffer: that
+                    // becomes the staging buffer, this one the next
+                    // prefetch's.
+                    self.spare = std::mem::replace(&mut self.staging, staged);
+                    result?;
+                }
+                other => {
+                    if let Some((_, (staged, _))) = other {
+                        self.spare = staged;
+                    }
+                    let out = stage(&mut self.staging, total);
+                    self.reader.source().read_vec_into(&frags, out)?;
+                }
+            }
             self.windows_loaded += 1;
-            if blobs.len() != missing.len() {
-                return Err(bad(format!("{} blobs for {} fragments", blobs.len(), missing.len())));
-            }
-            for (p, blob) in missing.iter().zip(&blobs) {
-                self.decode(p, blob)?;
-            }
+            let staging = std::mem::take(&mut self.staging);
+            let mut at = 0;
+            let decoded = missing.iter().try_for_each(|p| {
+                at += p.len;
+                self.decode(p, &staging[at - p.len..at])
+            });
+            self.staging = staging;
+            decoded?;
         }
         self.resident = ords;
         let next = start.saturating_add(self.opts.window_events);
@@ -358,13 +393,14 @@ impl TreeCache {
         let mut plan = self.missing_baskets(ord..ord + 1)?;
         plan.sort_by_key(|p| p.col);
         self.place(ord..ord + 1);
-        let mut blob = std::mem::take(&mut self.blob);
-        for p in &plan {
-            blob.resize(p.len, 0);
-            self.reader.source().read_exact_at(p.offset, &mut blob)?;
-            self.decode(p, &blob)?;
-        }
-        self.blob = blob;
+        let mut staging = std::mem::take(&mut self.staging);
+        let read = plan.iter().try_for_each(|p| {
+            let blob = stage(&mut staging, p.len);
+            self.reader.source().read_exact_at(p.offset, blob)?;
+            self.decode(p, blob)
+        });
+        self.staging = staging;
+        read?;
         self.resident = ord..ord + 1;
         Ok(())
     }
@@ -417,19 +453,21 @@ impl TreeCache {
         if frags.is_empty() {
             return;
         }
-        let (done, blobs) = (self.rt.signal(), Arc::new(Mutex::new(None)));
+        let (done, staged) = (self.rt.signal(), Arc::new(Mutex::new(None)));
         let src = Arc::clone(self.reader.source());
-        let (task_frags, task_done, task_blobs) =
-            (frags.clone(), Arc::clone(&done), Arc::clone(&blobs));
+        let (task_frags, task_done, task_staged) =
+            (frags.clone(), Arc::clone(&done), Arc::clone(&staged));
+        let mut buf = std::mem::take(&mut self.spare);
         self.rt.spawn(
             "treecache-prefetch",
             Box::new(move || {
-                let got = src.read_vec(&task_frags);
-                *task_blobs.lock() = Some(got);
+                let total = task_frags.iter().map(|&(_, len)| len).sum();
+                let got = src.read_vec_into(&task_frags, stage(&mut buf, total));
+                *task_staged.lock() = Some((buf, got));
                 task_done.set();
             }),
         );
-        self.in_flight = Some(Prefetch { frags, done, blobs });
+        self.in_flight = Some(Prefetch { frags, done, staged });
         self.prefetches_issued += 1;
     }
 }

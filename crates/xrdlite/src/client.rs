@@ -1,8 +1,8 @@
 //! The xrdlite client: one multiplexed connection, stream-ID request
 //! matching and vectored reads. It keeps no cache and reads nothing ahead:
-//! a `read_at` is one READ and a `read_vec` one READV. The window prefetch
-//! that overlaps round trips with compute is `rootio::TreeCache`'s, over
-//! any source.
+//! a `read_at` is one READ and a `read_vec_into` one READV. The window
+//! prefetch that overlaps round trips with compute is `rootio::TreeCache`'s,
+//! over any source.
 //!
 //! The client starts no thread. The caller that issues a request writes its
 //! frame, and every request has a caller waiting on its answer. A waiting
@@ -348,38 +348,27 @@ impl XrdFile {
         PayloadWriter::new().u32(self.handle).u64(off).u32(len).build()
     }
 
-    /// The READV request for `frags`, refused before anything is sent when
-    /// the protocol cannot carry it: at most `u16::MAX` fragments of at
-    /// most `u32::MAX` bytes.
-    fn readv_payload(&self, frags: &[(u64, usize)]) -> io::Result<Vec<u8>> {
-        let too_big = |what: String| io::Error::new(io::ErrorKind::InvalidInput, what);
-        let n = u16::try_from(frags.len())
-            .map_err(|_| too_big(format!("{} fragments in one READV", frags.len())))?;
-        let mut w = PayloadWriter::new().u32(self.handle).u16(n);
-        for &(off, len) in frags {
-            let len = u32::try_from(len)
-                .map_err(|_| too_big(format!("a fragment of {len} bytes at {off}")))?;
-            w = w.u64(off).u32(len);
+    /// Whether one READV can carry `frags`: at most `u16::MAX` fragments of
+    /// at most `u32::MAX` bytes. A list it cannot carry is refused before
+    /// anything is sent.
+    fn readv_fits(frags: &[(u64, usize)]) -> io::Result<()> {
+        let too_big = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        if frags.len() > usize::from(u16::MAX) {
+            return too_big(format!("{} fragments in one READV", frags.len()));
         }
-        Ok(w.build())
+        match frags.iter().find(|&&(_, len)| len > u32::MAX as usize) {
+            Some((off, len)) => too_big(format!("a fragment of {len} bytes at {off}")),
+            None => Ok(()),
+        }
     }
 
-    /// Vectored read: one READV for all fragments.
-    pub fn read_vec(&self, frags: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
-        if frags.is_empty() {
-            return Ok(Vec::new());
+    /// The READV request for `frags`, which [`readv_fits`](Self::readv_fits).
+    fn readv_payload(&self, frags: &[(u64, usize)]) -> Vec<u8> {
+        let mut w = PayloadWriter::new().u32(self.handle).u16(frags.len() as u16);
+        for &(off, len) in frags {
+            w = w.u64(off).u32(len as u32);
         }
-        let request = self.readv_payload(frags)?;
-        let total = frags.iter().map(|&(_, len)| len).sum();
-        let payload = self.inner.request(Op::ReadV, request, Some(total))?;
-        let mut pos = 0;
-        let cut = |&(_, len): &(u64, usize)| {
-            pos += len;
-            payload[pos - len..pos].to_vec()
-        };
-        let out: Vec<Vec<u8>> = frags.iter().map(cut).collect();
-        self.io.record_vector_read(total as u64, 1);
-        Ok(out)
+        w.build()
     }
 
     /// This file's I/O counters: one round trip per READ or READV it sent
@@ -411,7 +400,25 @@ impl RandomAccess for XrdFile {
     }
 
     fn read_vec(&self, fragments: &[(u64, usize)]) -> io::Result<Vec<Vec<u8>>> {
-        XrdFile::read_vec(self, fragments)
+        // Refused before the buffer is sized.
+        XrdFile::readv_fits(fragments)?;
+        ioapi::split_vec(fragments, |out| self.read_vec_into(fragments, out))
+    }
+
+    /// One READV for all fragments. Its answer is the fragments back to
+    /// back, `out`'s layout already, so it is copied into `out` once. An
+    /// empty list sends nothing.
+    fn read_vec_into(&self, fragments: &[(u64, usize)], out: &mut [u8]) -> io::Result<()> {
+        ioapi::check_flat_len(fragments, out.len())?;
+        XrdFile::readv_fits(fragments)?;
+        if fragments.is_empty() {
+            return Ok(());
+        }
+        let request = self.readv_payload(fragments);
+        let payload = self.inner.request(Op::ReadV, request, Some(out.len()))?;
+        out.copy_from_slice(&payload);
+        self.io.record_vector_read(out.len() as u64, 1);
+        Ok(())
     }
 
     fn stats(&self) -> IoStatsSnapshot {

@@ -4,12 +4,14 @@
 //! count of `malloc` calls does not. This binary installs a counting global
 //! allocator (one counter per thread, so a test sees only what its own
 //! thread asked for — not the server's threads, not the other tests) and
-//! pins the shape of the hot loops: decoding a 500-part multi-range answer
-//! allocates the 500 result fragments and a constant, loading a 500-basket
-//! `TreeCache` window allocates once per basket, never per value, and a warm
-//! 1 KiB GET costs a written handful of allocations on each side (the
-//! server's are what the whole process allocated less the client thread's
-//! share, so the tests here run one at a time). In the simulator, a sleep
+//! pins the shape of the hot loops: a vectored read lands in one buffer the
+//! caller lends, so decoding a multi-range answer and reading fragments over
+//! HTTP allocate a constant, the same for 500 fragments as for 2 000, and
+//! loading a 500-basket `TreeCache` window allocates a constant too, never
+//! per fragment, basket or value; and a warm 1 KiB GET costs a written
+//! handful of allocations on each side (the server's are what the whole
+//! process allocated less the client thread's share, so the tests here run
+//! one at a time). In the simulator, a sleep
 //! allocates nothing, whether it parks or not. And no request makes the
 //! storage node allocate what the peer declares rather than what it sent.
 
@@ -17,7 +19,7 @@ use bytes::Bytes;
 use davix::{Config, DavixClient};
 use httpd::{Handler, Request, ServerConfig};
 use httpwire::{ContentRange, Method, MultipartReader, MultipartWriter, RequestHead, StatusCode};
-use ioapi::MemFile;
+use ioapi::RandomAccess;
 use netsim::Listener;
 use objstore::{ObjectStore, StorageHandler, StorageNode, StorageOptions};
 use rootio::{Generator, Schema, TreeCache, TreeCacheOptions, TreeReader, WriterOptions};
@@ -116,10 +118,20 @@ fn loopback_node(data: Vec<u8>) -> (StorageNode, DavixClient, String) {
     (node, client, format!("http://127.0.0.1:{port}/f"))
 }
 
-/// 500 fragments of 80 bytes, too far apart (over the client's 512-byte
-/// merge gap) to be coalesced: 500 ranges on the wire, 500 parts back.
-fn fragments_500() -> Vec<(u64, usize)> {
-    (0..500).map(|i| (4096 + i * 1_000, 80)).collect()
+/// What a vectored read may allocate whatever its number of fragments: the
+/// `Range` text, the response head, the decoder's buffers, the fragment
+/// index.
+const PER_READ: u64 = 50;
+
+/// `n` fragments of 80 bytes, too far apart (over the client's 512-byte
+/// merge gap) to be coalesced: `n` ranges on the wire, `n` parts back.
+fn fragments(n: u64) -> Vec<(u64, usize)> {
+    (0..n).map(|i| (4096 + i * 1_000, 80)).collect()
+}
+
+/// The fragments of `data` back to back: what a flat vectored read returns.
+fn flat(data: &[u8], frags: &[(u64, usize)]) -> Vec<u8> {
+    frags.iter().flat_map(|&(off, len)| &data[off as usize..off as usize + len]).copied().collect()
 }
 
 fn entity(n: usize) -> Vec<u8> {
@@ -129,55 +141,67 @@ fn entity(n: usize) -> Vec<u8> {
 #[test]
 fn scatter_decoding_500_parts_allocates_only_the_caller_buffers() {
     let _serial = serial();
-    let data = entity(600_000);
-    let frags = fragments_500();
-    let mut w = MultipartWriter::new(Vec::new(), "ALLOC");
-    for &(off, len) in &frags {
-        let range =
-            ContentRange { first: off, last: off + len as u64 - 1, total: Some(data.len() as u64) };
-        w.write_part("application/octet-stream", range, &data[off as usize..off as usize + len])
-            .unwrap();
-    }
-    let body = w.finish().unwrap();
-
-    let (out, allocs) = allocations(|| {
-        let mut reader = MultipartReader::new(std::io::Cursor::new(&body[..]), "ALLOC");
-        let mut out: Vec<Vec<u8>> = Vec::with_capacity(frags.len());
-        while let Some(range) = reader.next_range().unwrap() {
-            let mut buf = vec![0u8; range.len() as usize];
-            reader.payload_into(&mut buf).unwrap();
-            out.push(buf);
+    let data = entity(2_100_000);
+    let mut counts = Vec::new();
+    for n in [500, 2_000] {
+        let frags = fragments(n);
+        let mut w = MultipartWriter::new(Vec::new(), "ALLOC");
+        for &(off, len) in &frags {
+            let last = off + len as u64 - 1;
+            let range = ContentRange { first: off, last, total: Some(data.len() as u64) };
+            w.write_part("application/octet-stream", range, &data[off as usize..=last as usize])
+                .unwrap();
         }
-        out
-    });
-    for (got, &(off, len)) in out.iter().zip(&frags) {
-        assert_eq!(got, &data[off as usize..off as usize + len]);
+        let body = w.finish().unwrap();
+        let mut out = vec![0u8; frags.len() * 80];
+
+        let ((), allocs) = allocations(|| {
+            let mut reader = MultipartReader::new(std::io::Cursor::new(&body[..]), "ALLOC");
+            let mut at = 0;
+            while let Some(range) = reader.next_range().unwrap() {
+                let len = range.len() as usize;
+                reader.payload_into(&mut out[at..at + len]).unwrap();
+                at += len;
+            }
+        });
+        assert!(out == flat(&data, &frags), "{n} parts");
+        counts.push(allocs);
     }
-    // 500 buffers, the list that holds them, the reader's delimiter.
-    assert!(allocs <= 500 + 4, "{allocs} allocations for 500 parts");
+    eprintln!("decoding 500 / 2 000 parts: {counts:?} allocations");
+    // The reader's delimiter (3 measured); every part goes straight into its
+    // place in the one buffer the caller lent (a buffer per part before).
+    assert!(counts[0] <= PER_READ, "{} allocations for 500 parts", counts[0]);
+    assert_eq!(counts[0], counts[1], "500 and 2 000 parts");
 }
 
 #[test]
 fn a_500_fragment_vectored_read_allocates_its_result_and_a_constant() {
     let _serial = serial();
-    let data = entity(600_000);
+    let data = entity(2_100_000);
     let (node, client, url) = loopback_node(data.clone());
     let file = client.open(&url).unwrap();
-    let frags = fragments_500();
-    // Once to open the connection, once measured on the warm session.
-    file.pread_vec(&frags).unwrap();
-    let (got, allocs) = allocations(|| file.pread_vec(&frags).unwrap());
-    for (g, &(off, len)) in got.iter().zip(&frags) {
-        assert_eq!(g, &data[off as usize..off as usize + len]);
+    let mut counts = Vec::new();
+    for n in [500, 2_000] {
+        let frags = fragments(n);
+        let mut out = vec![0u8; frags.len() * 80];
+        // Once to open the connection and size every reused buffer, once
+        // measured on the warm session.
+        file.read_vec_into(&frags, &mut out).unwrap();
+        out.fill(0);
+        let (read, allocs) = allocations(|| file.read_vec_into(&frags, &mut out));
+        read.unwrap();
+        assert!(out == flat(&data, &frags), "{n} fragments");
+        counts.push(allocs);
     }
-    assert_eq!(client.metrics().vectored_requests, 2);
+    assert_eq!(client.metrics().vectored_requests, 4);
     node.server.stop();
-    // The 500 fragments the caller gets, plus what one request costs
-    // whatever its size: the Range text, the response head, the decoder's
-    // buffers (544 measured; 577 while a head was a `Vec<(String, String)>`
-    // built and cloned per request). Before the scatter decode this read
-    // made 4 594 allocations: a payload per part, then a copy per fragment.
-    assert!(allocs <= 500 + 50, "{allocs} allocations for a 500-fragment read");
+    eprintln!("a vectored read of 500 / 2 000 fragments: {counts:?} allocations");
+    // What one request costs whatever its size: the Range text, the response
+    // head, the decoder's buffers, the fragment index (26 measured; 544, a
+    // `Vec` per fragment on top, while the result was one; 4 594 before the
+    // scatter decode, a payload per part, then a copy per fragment).
+    assert!(counts[0] <= PER_READ, "{} allocations for a 500-fragment read", counts[0]);
+    assert_eq!(counts[0], counts[1], "500 and 2 000 fragments");
 }
 
 #[test]
@@ -282,25 +306,26 @@ fn a_warm_sleep_that_parks_allocates_nothing_on_the_sleeper() {
 #[test]
 fn a_500_basket_window_load_allocates_per_basket_not_per_value() {
     let _serial = serial();
-    // 100 baskets a branch × 5 branches in the first window, 20 events
-    // each: 500 baskets, 10 000 values, 2 000 of them 16-cell arrays.
+    // 100 baskets a branch × 5 branches in each window, 20 events each: 500
+    // baskets, 10 000 values, 2 000 of them 16-cell arrays.
     let mut generator = Generator::new(Schema::hep(16), 1);
     let tree = rootio::write_tree(
         &mut generator,
         4_000,
         &WriterOptions { events_per_basket: 20, compress: false },
     );
-    let reader = Arc::new(TreeReader::open(Arc::new(MemFile::new(tree))).unwrap());
+    let (node, client, url) = loopback_node(tree);
+    let file: Arc<dyn RandomAccess> = Arc::new(client.open(&url).unwrap());
+    let reader = Arc::new(TreeReader::open(file).unwrap());
     let names = ["px", "py", "pz", "energy", "cal"];
     let opts = TreeCacheOptions { window_events: 2_000, enabled: true, prefetch: false };
     let rt: Arc<dyn netsim::Runtime> = Arc::new(netsim::RealRuntime::new());
     let mut cache = TreeCache::for_branches(Arc::clone(&reader), &names, opts, rt).unwrap();
     let branch = |name: &str| reader.schema().index_of(name).unwrap();
     let (scalars, cal) = (["px", "py", "pz", "energy"].map(branch), branch("cal"));
-
-    let (sum, allocs) = allocations(|| {
-        let window = cache.window(0).unwrap();
-        assert_eq!(window.events(), 0..2_000);
+    let mut sum_window = |event: u64| {
+        let window = cache.window(event).unwrap();
+        assert_eq!(window.events(), event..event + 2_000);
         let mut sum = 0f64;
         for b in scalars {
             let values = window.column(b, 4).unwrap().chunks_exact(4);
@@ -309,17 +334,23 @@ fn a_500_basket_window_load_allocates_per_basket_not_per_value() {
         let cells = window.column(cal, 32).unwrap().chunks_exact(2);
         sum += cells.map(|v| i16::from_le_bytes([v[0], v[1]]) as f64).sum::<f64>();
         sum
-    });
+    };
+
+    // The first window sizes the columns, the staging buffer and the
+    // session's; the second is measured.
+    assert!(sum_window(0).is_finite());
+    let (sum, allocs) = allocations(|| sum_window(2_000));
     assert!(sum.is_finite());
-    assert_eq!(cache.windows_loaded(), 1);
-    eprintln!("a 500-basket window: {allocs} allocations");
-    // Per basket: the fetched blob, decoded straight into its branch's
-    // column. Per window: the plan, the fragment list, the list of blobs, a
-    // column per branch (509 measured while a basket stored raw became its
-    // column in its blob's buffer, 1 009 while every column was a copy of
-    // its blob, 3 528 when every array value was a `Vec` and every decoded
-    // column an `Arc` in a hash map).
-    assert!(allocs <= 500 + 16, "{allocs} allocations for one 500-basket window");
+    assert_eq!(cache.windows_loaded(), 2);
+    node.server.stop();
+    eprintln!("a 500-basket window over HTTP: {allocs} allocations");
+    // Per window: the plan, the fragment list and what one vectored read
+    // costs (20 measured). No basket gets a buffer of its own: the read
+    // lands in the cache's staging buffer and each basket is decoded from
+    // its slice of it (509 allocations, a blob per basket, over a `MemFile`
+    // while the read returned a `Vec` per fragment; 3 528 when every array
+    // value was a `Vec` and every decoded column an `Arc` in a hash map).
+    assert!(allocs <= PER_READ, "{allocs} allocations for one 500-basket window");
 }
 
 #[test]

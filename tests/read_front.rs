@@ -4,13 +4,25 @@
 //! `round_trips` being the upstream fetches when a cache is bound and 1 per
 //! read when not. Plus the regression for `DavFile::read` wedging the
 //! simulator when two threads share one cursor, on both kinds of open.
+//!
+//! And the flat vectored read on every source: `read_vec_into` lays out
+//! exactly what `read_exact_at` reads fragment by fragment, refuses a
+//! buffer of the wrong length before it sends anything, and turns a
+//! multipart answer that leaves a fragment out into an error before the
+//! `TreeCache` decodes a byte of it.
 
 use bytes::Bytes;
 use davix::{Config, DavFile, DavixClient, DavixError};
-use davix_repro::testbed::{Testbed, TestbedConfig};
-use davix_sync::{AtomicUsize, Ordering};
-use ioapi::{IoStatsSnapshot, RandomAccess};
-use netsim::{LinkSpec, Runtime as _};
+use davix_repro::testbed::{Testbed, TestbedConfig, DATA_PATH, FED};
+use davix_sync::{AtomicBool, AtomicUsize, Ordering};
+use httpd::{Handler, HttpServer, Request, Response, ServerConfig};
+use httpwire::multipart::MultipartWriter;
+use httpwire::range::{parse_range_header, RangeSpec};
+use httpwire::{ContentRange, Method, StatusCode};
+use ioapi::{IoStatsSnapshot, MemFile, RandomAccess};
+use netsim::{LinkSpec, Runtime as _, SimNet};
+use objstore::{ObjectStore, StorageHandler, StorageOptions};
+use rootio::{Generator, Schema, TreeCache, TreeCacheOptions, TreeReader, WriterOptions};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -282,4 +294,209 @@ fn a_failed_read_leaves_the_cursor(failover: bool) {
     assert_eq!(file.read(&mut buf).unwrap(), 100);
     assert_eq!(file.read(&mut buf).unwrap(), 0);
     assert_eq!(file.tell(), SIZE as u64);
+}
+
+/// Overlapping, repeated, unsorted and empty fragments, one across a cache
+/// block boundary, one at the entity's end, and two close enough to share a
+/// wire range.
+const MIXED: &[(u64, usize)] = &[
+    (5_000, 100),
+    (0, 50),
+    (5_050, 100),
+    (4_990, 20),
+    (300_000, 0),
+    (999_900, 100),
+    (262_100, 200),
+    (5_000, 100),
+    (600_500, 80),
+    (600_000, 80),
+    (10, 0),
+];
+
+fn flat_len(frags: &[(u64, usize)]) -> usize {
+    frags.iter().map(|&(_, len)| len).sum()
+}
+
+/// `src.read_vec_into(frags)` is `src.read_exact_at` of each fragment, back
+/// to back, and so are the bytes of `data`; `read_vec` is the same read
+/// split.
+fn agrees(what: &str, src: &dyn RandomAccess, frags: &[(u64, usize)], data: &[u8]) {
+    let mut one_by_one = Vec::new();
+    for &(off, len) in frags {
+        let mut buf = vec![0u8; len];
+        src.read_exact_at(off, &mut buf).unwrap();
+        one_by_one.extend_from_slice(&buf);
+    }
+    let from_data: Vec<u8> = frags
+        .iter()
+        .flat_map(|&(off, len)| &data[off as usize..off as usize + len])
+        .copied()
+        .collect();
+    assert!(one_by_one == from_data, "{what}: read_exact_at");
+    // Filled with a byte the payload starts no fragment with, so a byte
+    // left unwritten shows.
+    let mut out = vec![0xEE; flat_len(frags)];
+    src.read_vec_into(frags, &mut out).unwrap();
+    assert!(out == one_by_one, "{what}: read_vec_into");
+    assert_eq!(src.read_vec(frags).unwrap().concat(), one_by_one, "{what}: read_vec");
+}
+
+/// Three replicas that a federation knows and that also speak xrdlite.
+fn federation(data: &[u8]) -> Testbed {
+    let replica = |host: &str| (host.to_string(), LinkSpec::lan());
+    Testbed::start(TestbedConfig {
+        replicas: vec![replica("dpm1.cern.ch"), replica("dpm2.cern.ch"), replica("dpm3.cern.ch")],
+        data: Bytes::from(data.to_vec()),
+        with_federation: true,
+        with_xrd: true,
+        ..Default::default()
+    })
+}
+
+fn requests_served(tb: &Testbed) -> Vec<u64> {
+    tb.nodes.iter().map(|n| n.server.stats().requests.load(Ordering::Relaxed)).collect()
+}
+
+#[test]
+fn read_vec_into_is_read_exact_at_fragment_by_fragment_on_every_source() {
+    let data = payload();
+    agrees("MemFile", &MemFile::new(data.clone()), MIXED, &data);
+
+    let tb = federation(&data);
+    let _g = tb.net.enter();
+    let plain = Config::default().no_retry();
+    let faces = [
+        ("direct", plain.clone()),
+        ("block-cached", plain.clone().with_cache(16 * 1024 * 1024)),
+        ("single ranges", plain.clone().single_ranges()),
+    ];
+    for (what, cfg) in faces {
+        let client = tb.davix_client(cfg);
+        agrees(what, &client.open(&tb.url(0)).unwrap(), MIXED, &data);
+    }
+
+    // Fail-over with the Metalink resolved and every replica healthy: the
+    // vectored read splits into batches across two replicas.
+    let meta = format!("http://{FED}/myfed").parse().unwrap();
+    let client = tb.davix_client(plain.with_metalink_base(meta));
+    let file = client.open_failover(&tb.url(0)).unwrap();
+    tb.net.set_host_down("dpm1.cern.ch", true);
+    file.pread(0, &mut [0u8; 100]).unwrap();
+    tb.net.set_host_down("dpm1.cern.ch", false);
+    assert_eq!(file.scheduler().unwrap().healthy_count(), 3);
+    let before = requests_served(&tb);
+    let mut out = vec![0u8; flat_len(MIXED)];
+    file.read_vec_into(MIXED, &mut out).unwrap();
+    let busy = requests_served(&tb).iter().zip(&before).filter(|(now, then)| now > then).count();
+    assert_eq!(busy, 2, "the batches went to two replicas");
+    agrees("fail-over fan-out", &file, MIXED, &data);
+
+    let xrd = tb.xrd_client(0, xrdlite::XrdClientOptions::default()).unwrap();
+    agrees("XrdFile", &xrd.open(DATA_PATH).unwrap(), MIXED, &data);
+}
+
+#[test]
+fn a_buffer_of_the_wrong_length_is_refused_before_anything_is_sent() {
+    let data = payload();
+    let tb = federation(&data);
+    let _g = tb.net.enter();
+    let client = tb.davix_client(Config::default().no_retry());
+    let cached = tb.davix_client(Config::default().no_retry().with_cache(1 << 20));
+    let xrd = tb.xrd_client(0, xrdlite::XrdClientOptions::default()).unwrap();
+    let (dav, dav_cached) = (client.open(&tb.url(0)).unwrap(), cached.open(&tb.url(0)).unwrap());
+    let (xrd_file, mem) = (xrd.open(DATA_PATH).unwrap(), MemFile::new(data));
+    let sources: [(&str, &dyn RandomAccess); 4] = [
+        ("direct", &dav),
+        ("block-cached", &dav_cached),
+        ("XrdFile", &xrd_file),
+        ("MemFile", &mem),
+    ];
+    let sent = || (client.metrics().requests, cached.metrics().requests, xrd.round_trips());
+    let before = sent();
+    for (what, src) in sources {
+        for len in [flat_len(MIXED) - 1, flat_len(MIXED) + 1, 0] {
+            let err = src.read_vec_into(MIXED, &mut vec![0u8; len]).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{what}, {len} bytes: {err}");
+        }
+    }
+    assert_eq!(sent(), before, "nothing went on the wire");
+}
+
+/// A storage node for `data` at `/f` that, while `lie` is set, answers a
+/// multi-range GET with every requested range but the last.
+fn drops_the_last_part(net: &SimNet, data: Vec<u8>, lie: Arc<AtomicBool>) {
+    let store = Arc::new(ObjectStore::new());
+    store.put("/f", Bytes::from(data.clone()));
+    let honest = StorageHandler::new(store, StorageOptions::default());
+    let size = data.len() as u64;
+    let handler = move |req: Request| {
+        let ranges = req.head.headers.get("range").map(|r| parse_range_header(r).unwrap());
+        let ranges = match ranges {
+            Some(r)
+                if req.head.method == Method::Get && r.len() > 1 && lie.load(Ordering::SeqCst) =>
+            {
+                r
+            }
+            _ => return honest.handle(req),
+        };
+        let mut w = MultipartWriter::new(Vec::new(), "SHORT");
+        for range in &ranges[..ranges.len() - 1] {
+            let RangeSpec::FromTo(first, last) = *range else { panic!("{range:?}") };
+            let part = ContentRange { first, last, total: Some(size) };
+            w.write_part("application/octet-stream", part, &data[first as usize..=last as usize])
+                .unwrap();
+        }
+        Response::with_body(
+            StatusCode::PARTIAL_CONTENT,
+            "application/octet-stream",
+            w.finish().unwrap(),
+        )
+        .header("Content-Type", "multipart/byteranges; boundary=SHORT")
+    };
+    HttpServer::new(Arc::new(handler), ServerConfig::default())
+        .serve(Box::new(net.bind("s", 80).unwrap()), net.runtime());
+}
+
+#[test]
+fn an_answer_that_leaves_a_fragment_out_is_an_error_and_nothing_is_decoded() {
+    // 20 `px` baskets a window, each parted from the next by the other
+    // branches' baskets: 20 ranges on the wire.
+    let mut generator = Generator::new(Schema::hep(32), 7);
+    let tree = rootio::write_tree(
+        &mut generator,
+        2_000,
+        &WriterOptions { events_per_basket: 100, compress: false },
+    );
+    let net = SimNet::new();
+    net.add_host("c");
+    net.add_host("s");
+    net.set_link("c", "s", LinkSpec::lan());
+    let lie = Arc::new(AtomicBool::new(true));
+    drops_the_last_part(&net, tree.clone(), Arc::clone(&lie));
+    let _g = net.enter();
+    let client = DavixClient::new(net.connector("c"), net.runtime(), Config::default().no_retry());
+    let file = Arc::new(client.open("http://s/f").unwrap());
+
+    let frags = [(0u64, 10usize), (60_000, 10), (120_000, 10)];
+    let err = file.pread_vec_into(&frags, &mut [0u8; 30]).unwrap_err();
+    assert!(matches!(err, DavixError::Protocol(_)), "{err}");
+    assert!(err.to_string().contains("does not cover fragment 120000+10"), "{err}");
+
+    let reader = Arc::new(TreeReader::open(file as Arc<dyn RandomAccess>).unwrap());
+    let local = Arc::new(TreeReader::open(Arc::new(MemFile::new(tree))).unwrap());
+    let opts = TreeCacheOptions { window_events: 2_000, enabled: true, prefetch: false };
+    let mut cache = TreeCache::for_branches(reader, &["px"], opts.clone(), net.runtime()).unwrap();
+    let px = local.schema().index_of("px").unwrap();
+    // The read's own error, not a decode error about the bytes it left.
+    let err = cache.window(0).err().expect("a part is missing");
+    assert!(err.to_string().contains("does not cover fragment"), "{err}");
+    assert_eq!(cache.windows_loaded(), 0, "nothing was loaded");
+
+    lie.store(false, Ordering::SeqCst);
+    let want = {
+        let mut cache = TreeCache::for_branches(local, &["px"], opts, net.runtime()).unwrap();
+        cache.window(0).unwrap().column(px, 4).unwrap().to_vec()
+    };
+    assert_eq!(cache.window(0).unwrap().column(px, 4).unwrap(), &want[..]);
+    assert_eq!(cache.windows_loaded(), 1);
 }
